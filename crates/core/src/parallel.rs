@@ -562,7 +562,11 @@ impl ParallelEngine {
                     .expect("durability dir initialises"),
             )
         });
-        let pipeline = MatchPipeline::new_at(rules, wm, config.match_shards, base_seq);
+        // Only MVCC snapshots and elided firings ever read a version.
+        let versioned =
+            matches!(config.policy, ConflictPolicy::MvccSnapshot) || config.elide_locks;
+        let pipeline =
+            MatchPipeline::new_at(rules, wm, config.match_shards, base_seq, versioned);
         let mut class_ids = HashMap::new();
         for (_, rule) in rules.iter() {
             for cond in &rule.conditions {
@@ -1663,12 +1667,14 @@ impl ParallelEngine {
             Vec::new()
         };
         let affected = self.pipeline.publish(seq, changes, obs);
-        // Own shard: catch up to the pre-commit state — where the
+        // Own shard: absorb everything up to and including the own
+        // batch and refract *before* the unclaim below, closing the
+        // double-fire window. This is the one matcher run inside the
+        // commit critical section. At the pre-commit state the
         // instantiation cannot have vanished (its read set was
         // lock-protected since re-validation, and a committed
-        // conflicting writer would have failed the lm.commit above) —
-        // then absorb the own batch and refract *before* the unclaim
-        // below, closing the double-fire window.
+        // conflicting writer would have failed the lm.commit above);
+        // debug builds stop there to check it.
         let own = self.pipeline.plan().shard_of(inst.rule);
         {
             let mut state = self.pipeline.shard_state(own);
@@ -1678,14 +1684,18 @@ impl ParallelEngine {
             // the shard is genuinely behind. `applied` is stable here:
             // we hold both the base mutex and the shard lock.
             if self.pipeline.applied(own) < seq {
-                self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
                 // The `elide_misclassify` probe commits stale claims on
                 // purpose (validation bypassed) — the only path on
-                // which this invariant may not hold.
-                debug_assert!(
-                    state.rete.conflict_set().contains(&key)
-                        || (elide && self.config.elide_misclassify)
-                );
+                // which this invariant may not hold. Checking it costs
+                // a second pass over the log, so only debug builds do.
+                #[cfg(debug_assertions)]
+                {
+                    self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
+                    debug_assert!(
+                        state.rete.conflict_set().contains(&key)
+                            || (elide && self.config.elide_misclassify)
+                    );
+                }
                 self.pipeline.catch_up(own, seq, &mut state, false, obs);
             }
             state.refracted.insert(key.clone());

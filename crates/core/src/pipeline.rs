@@ -7,9 +7,12 @@
 //! commit critical section:
 //!
 //! * **[`WmBase`]** (`Mutex`) — the authoritative working memory plus
-//!   the commit sequence counter. `commit` now only applies the WM
-//!   delta and *publishes* the resulting change batch; it no longer
-//!   drives any matcher inline.
+//!   the commit sequence counter. `commit` applies the WM delta,
+//!   *publishes* the resulting change batch, and drives exactly one
+//!   matcher inline: the committing rule's **own shard** absorbs the
+//!   batch while the base mutex is still held, so the fired
+//!   instantiation is refracted before it can be claimed again. Every
+//!   other affected shard is fed after the mutex is released.
 //! * **Delta log** — a bounded queue of sequence-numbered change
 //!   batches (`Arc`'d, so shards share one copy), plus a `watermark`
 //!   atomic: the highest published sequence. The watermark is stored
@@ -154,7 +157,13 @@ pub(crate) struct MatchPipeline {
     /// snapshot claim validation and commit-time self-validation).
     /// Writers only run under the base mutex (lock order: base →
     /// versions), so a write lock is never contended by another writer.
+    /// Left empty when nothing can ever pin or read a snapshot (see
+    /// `versioned`).
     versions: RwLock<VersionedStore>,
+    /// Whether any transaction of this engine validates against a
+    /// snapshot (MVCC policy or lock elision). Fixed at build; when
+    /// `false`, `publish` skips the version feed and its GC altogether.
+    versioned: bool,
     /// Active read-snapshot pins: snapshot seq → pin count. The oldest
     /// pinned snapshot floors version GC. Lock order: base → pins.
     pins: Mutex<BTreeMap<u64, usize>>,
@@ -169,8 +178,16 @@ impl MatchPipeline {
     /// `base_seq`; the watermark and every shard cursor start there,
     /// and the next commit takes `base_seq + 1`, so a resumed engine's
     /// WAL records continue the same sequence the crashed incarnation
-    /// was writing.
-    pub fn new_at(rules: &RuleSet, wm: WorkingMemory, shards: usize, base_seq: u64) -> Self {
+    /// was writing. `versioned` says whether any transaction will read
+    /// the version store (MVCC snapshots, elided firings); without one
+    /// the store is neither seeded nor fed.
+    pub fn new_at(
+        rules: &RuleSet,
+        wm: WorkingMemory,
+        shards: usize,
+        base_seq: u64,
+        versioned: bool,
+    ) -> Self {
         let plan = ShardPlan::new(rules, shards);
         let shard_states = plan
             .build(rules, &wm)
@@ -185,7 +202,9 @@ impl MatchPipeline {
             })
             .collect();
         let mut versions = VersionedStore::new(VERSION_CHAIN_CAP);
-        versions.seed(&wm);
+        if versioned {
+            versions.seed(&wm);
+        }
         MatchPipeline {
             base: Mutex::new(WmBase { wm, next_seq: base_seq + 1 }),
             plan,
@@ -194,6 +213,7 @@ impl MatchPipeline {
             watermark: AtomicU64::new(base_seq),
             stats: PipelineStats::default(),
             versions: RwLock::new(versions),
+            versioned,
             pins: Mutex::new(BTreeMap::new()),
         }
     }
@@ -234,7 +254,7 @@ impl MatchPipeline {
     /// Returns the affected shard list for the caller's fan-out.
     pub fn publish(&self, seq: u64, changes: Vec<Change>, obs: Option<&Recorder>) -> Vec<usize> {
         let affected = self.plan.affected(&changes);
-        {
+        if self.versioned {
             // Mirror the batch into the version chains (we hold the
             // base mutex, so records arrive in sequence order), and
             // amortise watermark-driven GC: prune everything below the
@@ -380,7 +400,8 @@ impl MatchPipeline {
         self.stats.log_len.store(log.len() as u64, Ordering::Relaxed);
     }
 
-    /// Read access to the MVCC version chains.
+    /// Read access to the MVCC version chains (empty unless the engine
+    /// was built `versioned`).
     pub fn versions(&self) -> RwLockReadGuard<'_, VersionedStore> {
         self.versions.read().unwrap()
     }
@@ -443,7 +464,7 @@ impl MatchPipeline {
 
     /// Retained MVCC version records (live telemetry gauge; refreshed
     /// on the version-GC cadence, so it trails by at most
-    /// [`VERSION_GC_INTERVAL`] commits).
+    /// [`VERSION_GC_INTERVAL`] commits; 0 on an unversioned engine).
     pub fn version_records(&self) -> u64 {
         self.stats.version_records.load(Ordering::Relaxed)
     }
@@ -499,7 +520,7 @@ mod tests {
         wm.insert(WmeData::new("a").with("k", 1i64));
         wm.insert(WmeData::new("b").with("k", 1i64));
         wm.insert(WmeData::new("e").with("k", 2i64));
-        let p = MatchPipeline::new_at(&rules, wm, shards, 0);
+        let p = MatchPipeline::new_at(&rules, wm, shards, 0, true);
         (rules, p)
     }
 

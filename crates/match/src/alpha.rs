@@ -1,7 +1,10 @@
 //! The alpha network: constant tests and alpha memories, shared across
 //! rules and across matchers (Rete and TREAT use the same structure).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use dps_rules::{ConditionElement, Predicate, RuleSet, TestAtom};
 use dps_wm::{Atom, Value, Wme, WmeId, WorkingMemory};
@@ -45,43 +48,89 @@ impl AlphaKey {
     fn matches(&self, wme: &Wme) -> bool {
         wme.class() == &self.class
             && self.tests.iter().all(|(attr, p, vs)| {
-                let actual = wme.get_or_nil(attr.as_str());
-                vs.iter().any(|v| p.apply(&actual, v))
+                let actual = attr_of(wme, attr.as_str());
+                vs.iter().any(|v| p.apply(actual, v))
             })
     }
+}
+
+/// Reads an attribute by reference, absence as [`Value::Nil`] — the
+/// borrowing counterpart of `Wme::get_or_nil` for the match hot path.
+pub(crate) fn attr_of<'a>(wme: &'a Wme, attr: &str) -> &'a Value {
+    static NIL: Value = Value::Nil;
+    wme.get(attr).unwrap_or(&NIL)
 }
 
 /// Normalises a value for use as a strict hash key standing in for the
 /// matcher's *loose* (numerically coercing) equality: integral floats
 /// collapse onto their integer form (and `-0.0` onto `0`), so
 /// `Int(2)` and `Float(2.0)` share a key exactly when they are
-/// loose-equal. (Floats with magnitude ≥ 2^63 keep their float key; the
-/// only values this mis-buckets are astronomically large int/float pairs
-/// at the edge of `i64`, which scans would also treat inconsistently
-/// under IEEE rounding.)
-pub(crate) fn index_key(v: &Value) -> Value {
+/// loose-equal; everything else is borrowed as is. (Floats with
+/// magnitude ≥ 2^63 keep their float key; the only values this
+/// mis-buckets are astronomically large int/float pairs at the edge of
+/// `i64`, which scans would also treat inconsistently under IEEE
+/// rounding.)
+pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
     if let Value::Float(f) = v {
         if f.fract() == 0.0 && f.is_finite() && *f >= i64::MIN as f64 && *f < i64::MAX as f64 {
-            return Value::Int(*f as i64);
+            return Cow::Owned(Value::Int(*f as i64));
         }
     }
-    v.clone()
+    Cow::Borrowed(v)
 }
 
-/// One alpha memory: the WMEs passing one class + constant-test signature.
+/// Multiplicative hasher for tables keyed by ids the program itself
+/// hands out (`WmeId`s, token slots): a few cycles per key instead of
+/// SipHash, and — having no random state — the same iteration order on
+/// every run. `finish` rotates the well-mixed high bits down to where
+/// the table takes its bucket index, so strided ids do not cluster.
+/// Tables keyed by attribute *values* (which clients choose) keep the
+/// standard collision-resistant hasher.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A `HashMap` keyed through [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` keyed through [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// An index bucket / a memory's member list: shared WMEs by id.
+type Members = IdMap<WmeId, Arc<Wme>>;
+
+/// One alpha memory: the WMEs passing one class + constant-test
+/// signature, shared by reference with every token and join candidate.
+/// Membership, index-bucket insertion and removal are all O(1).
 #[derive(Clone, Debug, Default)]
 pub struct AlphaMemory {
-    /// Live members in insertion order (ids kept sorted for determinism).
-    wmes: Vec<Wme>,
-    /// Optional per-attribute value indexes (normalised keys), registered
-    /// by join nodes that test equality on the attribute.
-    indexes: HashMap<Atom, HashMap<Value, Vec<WmeId>>>,
+    wmes: Members,
+    /// Per-attribute value indexes (normalised keys), registered by join
+    /// nodes that test equality on the attribute; a join keeps its
+    /// index's position.
+    indexes: Vec<(Atom, HashMap<Value, Members>)>,
 }
 
 impl AlphaMemory {
-    /// Live members.
-    pub fn wmes(&self) -> &[Wme] {
-        &self.wmes
+    /// Live members (no particular order).
+    pub fn wmes(&self) -> impl Iterator<Item = &Arc<Wme>> + '_ {
+        self.wmes.values()
     }
 
     /// Number of members.
@@ -95,72 +144,61 @@ impl AlphaMemory {
     }
 
     /// Looks up a member by id.
-    pub fn get(&self, id: WmeId) -> Option<&Wme> {
-        self.wmes
-            .binary_search_by_key(&id, |w| w.id)
-            .ok()
-            .map(|i| &self.wmes[i])
+    pub fn get(&self, id: WmeId) -> Option<&Arc<Wme>> {
+        self.wmes.get(&id)
     }
 
-    /// Registers (and builds) a value index on `attr` (idempotent).
-    pub fn ensure_index(&mut self, attr: &Atom) {
-        if self.indexes.contains_key(attr) {
-            return;
+    /// Registers (and builds) a value index on `attr` (idempotent);
+    /// returns its position for [`AlphaMemory::lookup`].
+    pub fn ensure_index(&mut self, attr: &Atom) -> usize {
+        if let Some(i) = self.indexes.iter().position(|(a, _)| a == attr) {
+            return i;
         }
-        let mut by_val: HashMap<Value, Vec<WmeId>> = HashMap::new();
-        for w in &self.wmes {
-            by_val
-                .entry(index_key(&w.get_or_nil(attr.as_str())))
-                .or_default()
-                .push(w.id);
+        let mut by_val: HashMap<Value, Members> = HashMap::new();
+        for w in self.wmes.values() {
+            let key = index_key(attr_of(w, attr.as_str())).into_owned();
+            by_val.entry(key).or_default().insert(w.id, Arc::clone(w));
         }
-        self.indexes.insert(attr.clone(), by_val);
+        self.indexes.push((attr.clone(), by_val));
+        self.indexes.len() - 1
     }
 
-    /// Ids of members whose (normalised) `attr` value equals `key`.
-    /// Panics in debug builds if the index was never registered.
-    pub fn lookup(&self, attr: &str, key: &Value) -> &[WmeId] {
-        debug_assert!(
-            self.indexes.contains_key(attr),
-            "index on {attr} not registered"
-        );
-        self.indexes
-            .get(attr)
-            .and_then(|by_val| by_val.get(key))
-            .map_or(&[], Vec::as_slice)
+    /// Members whose (normalised) value of index `index`'s attribute
+    /// equals `key`.
+    pub fn lookup(&self, index: usize, key: &Value) -> impl Iterator<Item = &Arc<Wme>> + '_ {
+        self.indexes[index]
+            .1
+            .get(key)
+            .into_iter()
+            .flat_map(IdMap::values)
     }
 
-    fn insert(&mut self, wme: Wme) {
+    fn insert(&mut self, wme: &Arc<Wme>) {
+        self.remove(wme.id); // a re-assertion without a retraction replaces
+        self.wmes.insert(wme.id, Arc::clone(wme));
         for (attr, by_val) in &mut self.indexes {
-            let key = index_key(&wme.get_or_nil(attr.as_str()));
-            let bucket = by_val.entry(key).or_default();
-            if !bucket.contains(&wme.id) {
-                bucket.push(wme.id);
-            }
-        }
-        match self.wmes.binary_search_by_key(&wme.id, |w| w.id) {
-            Ok(i) => self.wmes[i] = wme,
-            Err(i) => self.wmes.insert(i, wme),
+            let key = index_key(attr_of(wme, attr.as_str())).into_owned();
+            by_val
+                .entry(key)
+                .or_default()
+                .insert(wme.id, Arc::clone(wme));
         }
     }
 
     fn remove(&mut self, id: WmeId) -> bool {
-        match self.wmes.binary_search_by_key(&id, |w| w.id) {
-            Ok(i) => {
-                let wme = self.wmes.remove(i);
-                for (attr, by_val) in &mut self.indexes {
-                    let key = index_key(&wme.get_or_nil(attr.as_str()));
-                    if let Some(bucket) = by_val.get_mut(&key) {
-                        bucket.retain(|&x| x != id);
-                        if bucket.is_empty() {
-                            by_val.remove(&key);
-                        }
-                    }
+        let Some(wme) = self.wmes.remove(&id) else {
+            return false;
+        };
+        for (attr, by_val) in &mut self.indexes {
+            let key = index_key(attr_of(&wme, attr.as_str()));
+            if let Some(bucket) = by_val.get_mut(&*key) {
+                bucket.remove(&id);
+                if bucket.is_empty() {
+                    by_val.remove(&*key);
                 }
-                true
             }
-            Err(_) => false,
         }
+        true
     }
 }
 
@@ -190,7 +228,7 @@ impl AlphaNetwork {
             }
         }
         for wme in wm.iter() {
-            net.add_wme(wme.clone());
+            net.add_wme(&Arc::new(wme.clone()));
         }
         net
     }
@@ -221,13 +259,14 @@ impl AlphaNetwork {
         &self.mems[id.0]
     }
 
-    /// Adds a WME, returning the ids of the memories it entered.
-    pub fn add_wme(&mut self, wme: Wme) -> Vec<AlphaMemId> {
+    /// Adds a WME, returning the ids of the memories it entered (each
+    /// holds a reference to the one shared copy).
+    pub fn add_wme(&mut self, wme: &Arc<Wme>) -> Vec<AlphaMemId> {
         let mut hits = Vec::new();
         if let Some(candidates) = self.by_class.get(wme.class()) {
             for &id in candidates {
-                if self.keys[id.0].matches(&wme) {
-                    self.mems[id.0].insert(wme.clone());
+                if self.keys[id.0].matches(wme) {
+                    self.mems[id.0].insert(wme);
                     hits.push(id);
                 }
             }
@@ -235,9 +274,10 @@ impl AlphaNetwork {
         hits
     }
 
-    /// Registers a per-attribute value index on a memory (idempotent).
-    pub fn ensure_index(&mut self, id: AlphaMemId, attr: &Atom) {
-        self.mems[id.0].ensure_index(attr);
+    /// Registers a per-attribute value index on a memory (idempotent);
+    /// returns the index's position within that memory.
+    pub fn ensure_index(&mut self, id: AlphaMemId, attr: &Atom) -> usize {
+        self.mems[id.0].ensure_index(attr)
     }
 
     /// Removes a WME, returning the ids of the memories it left.
@@ -269,16 +309,23 @@ mod tests {
         (net, ids)
     }
 
-    fn wme(id: u64, class: &str, pairs: &[(&str, Value)]) -> Wme {
+    fn wme(id: u64, class: &str, pairs: &[(&str, Value)]) -> Arc<Wme> {
         let mut data = WmeData::new(class);
         for (a, v) in pairs {
             data.set(*a, v.clone());
         }
-        Wme {
+        Arc::new(Wme {
             id: WmeId(id),
             data,
             timestamp: id,
-        }
+        })
+    }
+
+    /// Sorted ids of an index bucket.
+    fn bucket(mem: &AlphaMemory, index: usize, key: Value) -> Vec<u64> {
+        let mut ids: Vec<u64> = mem.lookup(index, &key).map(|w| w.id.0).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -318,11 +365,11 @@ mod tests {
     #[test]
     fn add_routes_to_matching_memories() {
         let (mut net, ids) = net_with(&["(job ^state open)", "(job)"]);
-        let hits = net.add_wme(wme(1, "job", &[("state", Value::from("open"))]));
+        let hits = net.add_wme(&wme(1, "job", &[("state", Value::from("open"))]));
         assert_eq!(hits.len(), 2);
-        let hits = net.add_wme(wme(2, "job", &[("state", Value::from("closed"))]));
+        let hits = net.add_wme(&wme(2, "job", &[("state", Value::from("closed"))]));
         assert_eq!(hits, vec![ids[1]]);
-        let hits = net.add_wme(wme(3, "task", &[]));
+        let hits = net.add_wme(&wme(3, "task", &[]));
         assert!(hits.is_empty());
         assert_eq!(net.memory(ids[0]).len(), 1);
         assert_eq!(net.memory(ids[1]).len(), 2);
@@ -331,7 +378,7 @@ mod tests {
     #[test]
     fn remove_reports_memories_left() {
         let (mut net, ids) = net_with(&["(job ^state open)"]);
-        net.add_wme(wme(1, "job", &[("state", Value::from("open"))]));
+        net.add_wme(&wme(1, "job", &[("state", Value::from("open"))]));
         let left = net.remove_wme(&Atom::from("job"), WmeId(1));
         assert_eq!(left, vec![ids[0]]);
         assert!(net.memory(ids[0]).is_empty());
@@ -343,12 +390,14 @@ mod tests {
     fn numeric_constant_tests() {
         let (mut net, ids) = net_with(&["(m ^v > 4)"]);
         assert_eq!(
-            net.add_wme(wme(1, "m", &[("v", Value::Int(5))])),
+            net.add_wme(&wme(1, "m", &[("v", Value::Int(5))])),
             vec![ids[0]]
         );
-        assert!(net.add_wme(wme(2, "m", &[("v", Value::Int(3))])).is_empty());
+        assert!(net
+            .add_wme(&wme(2, "m", &[("v", Value::Int(3))]))
+            .is_empty());
         assert!(
-            net.add_wme(wme(3, "m", &[])).is_empty(),
+            net.add_wme(&wme(3, "m", &[])).is_empty(),
             "missing attr = Nil fails '>'"
         );
     }
@@ -356,37 +405,39 @@ mod tests {
     #[test]
     fn value_index_tracks_membership() {
         let (mut net, ids) = net_with(&["(m)"]);
-        net.ensure_index(ids[0], &Atom::from("k"));
-        net.add_wme(wme(1, "m", &[("k", Value::Int(3))]));
-        net.add_wme(wme(2, "m", &[("k", Value::Int(3))]));
-        net.add_wme(wme(3, "m", &[("k", Value::Int(5))]));
+        let ix = net.ensure_index(ids[0], &Atom::from("k"));
+        assert_eq!(net.ensure_index(ids[0], &Atom::from("k")), ix, "idempotent");
+        net.add_wme(&wme(1, "m", &[("k", Value::Int(3))]));
+        net.add_wme(&wme(2, "m", &[("k", Value::Int(3))]));
+        net.add_wme(&wme(3, "m", &[("k", Value::Int(5))]));
         let mem = net.memory(ids[0]);
-        assert_eq!(mem.lookup("k", &Value::Int(3)), [WmeId(1), WmeId(2)]);
-        assert_eq!(mem.lookup("k", &Value::Int(5)), [WmeId(3)]);
-        assert!(mem.lookup("k", &Value::Int(9)).is_empty());
+        assert_eq!(bucket(mem, ix, Value::Int(3)), [1, 2]);
+        assert_eq!(bucket(mem, ix, Value::Int(5)), [3]);
+        assert!(bucket(mem, ix, Value::Int(9)).is_empty());
         net.remove_wme(&Atom::from("m"), WmeId(1));
-        assert_eq!(net.memory(ids[0]).lookup("k", &Value::Int(3)), [WmeId(2)]);
+        assert_eq!(bucket(net.memory(ids[0]), ix, Value::Int(3)), [2]);
         assert_eq!(net.memory(ids[0]).get(WmeId(2)).unwrap().id, WmeId(2));
         assert!(net.memory(ids[0]).get(WmeId(1)).is_none());
     }
 
     #[test]
     fn index_key_normalises_numerics() {
-        assert_eq!(index_key(&Value::Float(2.0)), Value::Int(2));
-        assert_eq!(index_key(&Value::Float(-0.0)), Value::Int(0));
-        assert_eq!(index_key(&Value::Float(2.5)), Value::Float(2.5));
-        assert_eq!(index_key(&Value::Int(7)), Value::Int(7));
-        assert_eq!(index_key(&Value::from("x")), Value::from("x"));
+        assert_eq!(*index_key(&Value::Float(2.0)), Value::Int(2));
+        assert_eq!(*index_key(&Value::Float(-0.0)), Value::Int(0));
+        assert_eq!(*index_key(&Value::Float(2.5)), Value::Float(2.5));
+        assert_eq!(*index_key(&Value::Int(7)), Value::Int(7));
+        assert_eq!(*index_key(&Value::from("x")), Value::from("x"));
+        assert!(matches!(index_key(&Value::from("x")), Cow::Borrowed(_)));
         assert_eq!(index_key(&Value::Float(f64::NAN)).to_string(), "NaN");
     }
 
     #[test]
     fn index_built_late_covers_existing_members() {
         let (mut net, ids) = net_with(&["(m)"]);
-        net.add_wme(wme(1, "m", &[("k", Value::Float(4.0))]));
-        net.ensure_index(ids[0], &Atom::from("k"));
+        net.add_wme(&wme(1, "m", &[("k", Value::Float(4.0))]));
+        let ix = net.ensure_index(ids[0], &Atom::from("k"));
         // Normalised key: Int(4) finds the Float(4.0) member.
-        assert_eq!(net.memory(ids[0]).lookup("k", &Value::Int(4)), [WmeId(1)]);
+        assert_eq!(bucket(net.memory(ids[0]), ix, Value::Int(4)), [1]);
     }
 
     #[test]
@@ -397,5 +448,48 @@ mod tests {
         wm.insert(WmeData::new("job").with("state", "closed"));
         let net = AlphaNetwork::new(&rules, &wm);
         assert_eq!(net.memory(AlphaMemId(0)).len(), 1);
+    }
+
+    /// Loads `n` WMEs over 8 key values into an indexed memory, then
+    /// drains them oldest first; returns the best-of-three wall time.
+    fn load_and_drain(n: u64) -> std::time::Duration {
+        let wmes: Vec<Arc<Wme>> = (0..n)
+            .map(|i| wme(i, "m", &[("k", Value::Int((i % 8) as i64))]))
+            .collect();
+        let class = Atom::from("m");
+        (0..3)
+            .map(|_| {
+                let (mut net, ids) = net_with(&["(m)"]);
+                let ix = net.ensure_index(ids[0], &Atom::from("k"));
+                let t = std::time::Instant::now();
+                for w in &wmes {
+                    net.add_wme(w);
+                }
+                assert_eq!(
+                    net.memory(ids[0]).lookup(ix, &Value::Int(3)).count() as u64,
+                    n / 8
+                );
+                for w in &wmes {
+                    net.remove_wme(&class, w.id);
+                }
+                assert!(net.memory(ids[0]).is_empty());
+                assert_eq!(net.memory(ids[0]).lookup(ix, &Value::Int(3)).count(), 0);
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    #[test]
+    fn few_key_values_load_and_drain_linearly() {
+        // Regression: bucket membership was a scan and removal a
+        // `retain` (plus a memmove of the member list), so this shape
+        // was quadratic — 4x the WMEs cost ~16x. Linear work costs 4x;
+        // the threshold leaves room for cache effects and a noisy box.
+        let (small, large) = (load_and_drain(5_000), load_and_drain(20_000));
+        assert!(
+            large < small * 10,
+            "20 000 WMEs took {large:?}, 5 000 took {small:?}: not linear"
+        );
     }
 }

@@ -30,22 +30,41 @@
 //! and children, a WME-to-token index locates all tokens carrying a
 //! retracted WME, and negative nodes keep per-token join-result sets so a
 //! retraction can *enable* previously blocked tokens.
+//!
+//! **Ownership** (DESIGN.md §2): the compiled [`Network`] (nodes, tests,
+//! successor lists, alpha network) is split from the mutable [`Beta`]
+//! state, so an activation *borrows* its tests and children while it
+//! mutates memories. A WME enters as one `Arc<Wme>` that alpha memories,
+//! tokens and join candidates share; tokens live in a slab (`Vec` + free
+//! list) and are threaded onto their parent's child list, their owner's
+//! memory list and their WME's carrier list by slot index, so a steady
+//! state batch neither copies a WME nor allocates for a token. Join
+//! tests reach earlier conditions by walking parent links. The only deep
+//! copies are the one [`Instantiation`] per complete match.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use dps_rules::{Bindings, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
 use dps_wm::{Atom, Change, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
-use crate::alpha::index_key;
-use crate::{AlphaMemId, AlphaNetwork, ConflictSet, Matcher};
+use crate::alpha::{attr_of, index_key, IdMap, IdSet};
+use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Index of a node in the Rete graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct NodeId(usize);
 
-/// Identifier of a token. Monotonic, never reused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct TokenId(u64);
+/// Slot of a token in the slab. Slots are reused; slot 0 is a reserved
+/// placeholder so that `NONE` doubles as the "no link" value.
+type Slot = u32;
+const NONE: Slot = 0;
+
+/// The intrusive lists a token is threaded on (`Token::links` indices).
+const SIBLINGS: usize = 0;
+const MEMORY: usize = 1;
+const CARRIERS: usize = 2;
 
 /// Where a join test reads its right-hand value.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -54,8 +73,9 @@ enum TestTarget {
     NewAttr(Atom),
     /// An attribute of the WME matched at an earlier condition.
     Token {
-        /// Condition index (0-based over *all* conditions).
-        cond: usize,
+        /// Parent hops from the join's input token to that condition's
+        /// token (0 = the input token itself).
+        up: usize,
         /// Attribute of that WME.
         attr: Atom,
     },
@@ -72,30 +92,71 @@ struct JoinTest {
     target: TestTarget,
 }
 
-/// A token: a partial match covering conditions `0..=level`.
-#[derive(Clone, Debug)]
+/// A token: a partial match covering the conditions up to its own.
+#[derive(Clone, Debug, Default)]
 struct Token {
-    parent: Option<TokenId>,
+    parent: Slot,
     /// The WME matched at this token's condition (`None` for the dummy
     /// token and for negative-node output tokens).
-    wme: Option<Wme>,
+    wme: Option<Arc<Wme>>,
     /// Node that owns (stores) this token.
     owner: NodeId,
-    children: Vec<TokenId>,
+    /// Newest child; the rest follow on the children's `SIBLINGS` links.
+    first_child: Slot,
+    /// `[prev, next]` on each intrusive list.
+    links: [[Slot; 2]; 3],
 }
 
+/// Pushes `t` on the front of list `list`; returns the new head.
+fn push_front(tokens: &mut [Token], list: usize, head: Slot, t: Slot) -> Slot {
+    tokens[t as usize].links[list] = [NONE, head];
+    if head != NONE {
+        tokens[head as usize].links[list][0] = t;
+    }
+    t
+}
+
+/// Unlinks `t` from list `list`; returns the new head.
+fn unlink(tokens: &mut [Token], list: usize, head: Slot, t: Slot) -> Slot {
+    let [prev, next] = tokens[t as usize].links[list];
+    if next != NONE {
+        tokens[next as usize].links[list][0] = prev;
+    }
+    if prev == NONE {
+        return next;
+    }
+    tokens[prev as usize].links[list][1] = next;
+    head
+}
+
+/// The token `up` parent hops above `t` — how a join test or index key
+/// reaches an earlier condition's match.
+fn ancestor(tokens: &[Token], mut t: Slot, up: usize) -> &Token {
+    for _ in 0..up {
+        t = tokens[t as usize].parent;
+    }
+    &tokens[t as usize]
+}
+
+/// The normalised key of the WME `up` hops above `t` (a join index's
+/// token side); `Nil` when that condition is negated.
+fn token_key<'a>(tokens: &'a [Token], t: Slot, up: usize, attr: &str) -> Cow<'a, Value> {
+    match &ancestor(tokens, t, up).wme {
+        Some(w) => index_key(attr_of(w, attr)),
+        None => Cow::Owned(Value::Nil),
+    }
+}
+
+/// The compiled, immutable-while-matching half of a node.
 #[derive(Clone, Debug)]
 enum Node {
     /// Token holder (top memory or beta memory). Children are join,
     /// negative and production nodes.
-    Memory {
-        tokens: BTreeSet<TokenId>,
-        children: Vec<NodeId>,
-    },
+    Memory { children: Vec<NodeId> },
     /// Join between `parent` source tokens and `amem`. Its child is the
     /// beta memory receiving matched (token, wme) pairs. When the tests
     /// include an equality against an earlier condition's attribute, the
-    /// join is *hash-indexed*: `index` buckets the parent's tokens by
+    /// join is *hash-indexed*: its memory buckets the parent's tokens by
     /// their key value, and the alpha memory carries a matching value
     /// index, so activations probe instead of scanning.
     Join {
@@ -105,15 +166,13 @@ enum Node {
         out: NodeId,
         index: Option<JoinIndex>,
     },
-    /// Negated condition. Owns an *output* token per input token whose
-    /// join against `amem` is empty; children are like a memory's.
+    /// Negated condition. Owns an *output* token per input token (a
+    /// token of `parent`) whose join against `amem` is empty; children
+    /// are like a memory's.
     Negative {
+        parent: NodeId,
         amem: AlphaMemId,
         tests: Vec<JoinTest>,
-        /// input token → (matching wme ids, output token if none match)
-        entries: HashMap<TokenId, NegEntry>,
-        /// Output tokens (for source iteration by downstream joins).
-        tokens: BTreeSet<TokenId>,
         children: Vec<NodeId>,
     },
     /// Terminal node: materialises instantiations.
@@ -124,8 +183,6 @@ enum Node {
         binding_map: Vec<(VarName, usize, Atom)>,
         /// Which condition indices are positive (for wme extraction).
         positive_conds: Vec<usize>,
-        /// final token → instantiation key in the conflict set.
-        insts: HashMap<TokenId, crate::InstKey>,
     },
 }
 
@@ -133,20 +190,32 @@ enum Node {
 /// becomes the probe key on both sides.
 #[derive(Clone, Debug)]
 struct JoinIndex {
-    /// Attribute of the candidate WME (alpha side).
+    /// Attribute of the candidate WME (alpha side) and the position of
+    /// its value index in the alpha memory.
     new_attr: Atom,
-    /// Condition index of the token-side operand.
-    cond: usize,
-    /// Attribute of the token-side operand.
+    alpha_index: usize,
+    /// Token-side operand: parent hops from the input token, attribute.
+    up: usize,
     attr: Atom,
-    /// Normalised token-side key → tokens of the parent source.
-    tokens_by_key: HashMap<Value, BTreeSet<TokenId>>,
+}
+
+/// The mutable half of a node; which fields are used depends on its kind.
+#[derive(Clone, Debug, Default)]
+struct NodeMem {
+    /// Sources: newest stored token (the rest on `MEMORY` links).
+    head: Slot,
+    /// Indexed joins: normalised token-side key → the parent's tokens.
+    by_key: HashMap<Value, IdSet<Slot>>,
+    /// Negatives: input token → (matching wme ids, output token if none).
+    entries: IdMap<Slot, NegEntry>,
+    /// Productions: final token → instantiation key in the conflict set.
+    insts: IdMap<Slot, InstKey>,
 }
 
 #[derive(Clone, Debug, Default)]
 struct NegEntry {
-    results: HashSet<WmeId>,
-    out: Option<TokenId>,
+    results: IdSet<WmeId>,
+    out: Slot,
 }
 
 /// Statistics about network size and activity, for benchmarks and tests.
@@ -170,26 +239,54 @@ pub struct ReteStats {
     pub left_activations: u64,
 }
 
-/// The Rete matcher. See the module docs.
-#[derive(Clone, Debug)]
-pub struct Rete {
+/// What matching reads but never writes: the alpha network (written only
+/// between propagations) and the compiled beta graph.
+#[derive(Clone, Debug, Default)]
+struct Network {
     alpha: AlphaNetwork,
     nodes: Vec<Node>,
     /// Join/negative nodes attached to each alpha memory, in build order.
-    amem_successors: HashMap<AlphaMemId, Vec<NodeId>>,
+    successors: Vec<Vec<NodeId>>,
     /// Sharing keys for join/negative/memory nodes.
-    join_share: HashMap<(NodeId, AlphaMemId, Vec<JoinTest>, bool), NodeId>,
-    tokens: HashMap<TokenId, Token>,
-    next_token: u64,
-    /// Tokens whose own `wme` is this id.
-    tokens_by_wme: HashMap<WmeId, HashSet<TokenId>>,
-    /// (negative node, input token) pairs whose result set contains the id.
-    neg_by_wme: HashMap<WmeId, HashSet<(NodeId, TokenId)>>,
-    conflict: ConflictSet,
-    stats: ReteStats,
-    top: NodeId,
-    dummy: TokenId,
+    share: HashMap<(NodeId, AlphaMemId, Vec<JoinTest>, bool), NodeId>,
 }
+
+impl Network {
+    fn children(&self, source: NodeId) -> &[NodeId] {
+        match &self.nodes[source.0] {
+            Node::Memory { children } | Node::Negative { children, .. } => children,
+            _ => unreachable!("only sources have children"),
+        }
+    }
+}
+
+/// What matching writes: node memories, the token slab and its indexes.
+#[derive(Clone, Debug, Default)]
+struct Beta {
+    /// Parallel to `Network::nodes`.
+    mems: Vec<NodeMem>,
+    tokens: Vec<Token>,
+    free: Vec<Slot>,
+    /// Newest token whose own `wme` is this id (rest on `CARRIERS`).
+    by_wme: IdMap<WmeId, Slot>,
+    /// (negative node, input token) pairs whose result set contains the id.
+    neg_by_wme: IdMap<WmeId, IdSet<(NodeId, Slot)>>,
+    /// Emptied index buckets, kept for their capacity.
+    spare: Vec<IdSet<Slot>>,
+    conflict: ConflictSet,
+    right_activations: u64,
+    left_activations: u64,
+}
+
+/// The Rete matcher. See the module docs.
+#[derive(Clone, Debug)]
+pub struct Rete {
+    net: Network,
+    beta: Beta,
+}
+
+const TOP: NodeId = NodeId(0);
+const DUMMY: Slot = 1;
 
 impl Rete {
     /// Builds the network for `rules` and loads the initial working
@@ -212,50 +309,41 @@ impl Rete {
         wm: &WorkingMemory,
     ) -> Self {
         let mut rete = Rete {
-            alpha: AlphaNetwork::default(),
-            nodes: vec![Node::Memory {
-                tokens: BTreeSet::new(),
-                children: Vec::new(),
-            }],
-            amem_successors: HashMap::new(),
-            join_share: HashMap::new(),
-            tokens: HashMap::new(),
-            next_token: 0,
-            tokens_by_wme: HashMap::new(),
-            neg_by_wme: HashMap::new(),
-            conflict: ConflictSet::new(),
-            stats: ReteStats::default(),
-            top: NodeId(0),
-            dummy: TokenId(0),
+            net: Network::default(),
+            beta: Beta::default(),
         };
-        // Install the dummy token.
-        let dummy = rete.alloc_token(None, None, rete.top);
-        rete.dummy = dummy;
-        if let Node::Memory { tokens, .. } = &mut rete.nodes[0] {
-            tokens.insert(dummy);
-        }
+        rete.push_node(Node::Memory {
+            children: Vec::new(),
+        });
+        // The placeholder slot, then the dummy token in the top memory.
+        rete.beta.tokens.push(Token::default());
+        let dummy = rete.beta.add_token(NONE, None, TOP);
+        debug_assert_eq!(dummy, DUMMY);
         for (id, rule) in rules {
             rete.compile_rule(id, rule);
         }
         for wme in wm.iter() {
-            rete.add_wme(wme.clone());
+            rete.add_wme(wme);
         }
         rete
     }
 
     /// Current network statistics.
     pub fn stats(&self) -> ReteStats {
-        let mut s = self.stats;
-        s.alpha_memories = self.alpha.memory_count();
-        s.tokens = self.tokens.len() - 1; // exclude the dummy
-        for n in &self.nodes {
+        let mut s = ReteStats {
+            alpha_memories: self.net.alpha.memory_count(),
+            // Exclude the placeholder slot and the dummy.
+            tokens: self.beta.tokens.len() - self.beta.free.len() - 2,
+            right_activations: self.beta.right_activations,
+            left_activations: self.beta.left_activations,
+            ..ReteStats::default()
+        };
+        for n in &self.net.nodes {
             match n {
                 Node::Memory { .. } | Node::Negative { .. } => s.beta_nodes += 1,
                 Node::Join { index, .. } => {
                     s.join_nodes += 1;
-                    if index.is_some() {
-                        s.indexed_joins += 1;
-                    }
+                    s.indexed_joins += usize::from(index.is_some());
                 }
                 Node::Production { .. } => s.production_nodes += 1,
             }
@@ -276,11 +364,11 @@ impl Rete {
                 .map(|(_, c, a)| (*c, a.clone()))
         }
 
-        let mut source = self.top;
+        let mut source = TOP;
         let mut positive_conds = Vec::new();
         for (ci, cond) in rule.conditions.iter().enumerate() {
             let ce = cond.ce();
-            let amem = self.alpha.register(ce);
+            let amem = self.net.alpha.register(ce);
             // Build the variable-consistency tests for this CE.
             let mut tests = Vec::new();
             // Local (within this CE) first occurrences, for intra-CE tests
@@ -303,13 +391,16 @@ impl Rete {
                             binding_map.push((var.clone(), ci, t.attr.clone()));
                         }
                     }
-                    // Test against an earlier condition's binding.
+                    // Test against an earlier condition's binding. Every
+                    // condition adds one token level, so the input token
+                    // (condition `ci - 1`) is `ci - 1 - cond_idx` hops
+                    // below the binding's.
                     (p, Some((cond_idx, attr)), None) => {
                         tests.push(JoinTest {
                             new_attr: t.attr.clone(),
                             predicate: p,
                             target: TestTarget::Token {
-                                cond: cond_idx,
+                                up: ci - 1 - cond_idx,
                                 attr,
                             },
                         });
@@ -340,19 +431,17 @@ impl Rete {
         }
 
         // Attach the production node.
-        let pnode = NodeId(self.nodes.len());
-        self.nodes.push(Node::Production {
+        let pnode = self.push_node(Node::Production {
             rule: id,
             salience: rule.salience,
             binding_map,
             positive_conds,
-            insts: HashMap::new(),
         });
         self.add_child(source, pnode);
         // Activate for tokens already in the source (sharing may reuse a
         // populated subnetwork).
         for t in self.source_tokens(source) {
-            self.deliver_to_production(pnode, t);
+            self.beta.deliver_to_production(&self.net, pnode, t);
         }
     }
 
@@ -363,46 +452,40 @@ impl Rete {
         tests: Vec<JoinTest>,
     ) -> NodeId {
         let key = (parent, amem, tests.clone(), false);
-        if let Some(&join) = self.join_share.get(&key) {
-            let Node::Join { out, .. } = &self.nodes[join.0] else {
+        if let Some(&join) = self.net.share.get(&key) {
+            let Node::Join { out, .. } = &self.net.nodes[join.0] else {
                 unreachable!()
             };
             return *out;
         }
         // Pick the first token-equality test as the hash-join key.
         let index = tests.iter().find_map(|t| match (&t.predicate, &t.target) {
-            (Predicate::Eq, TestTarget::Token { cond, attr }) => Some(JoinIndex {
+            (Predicate::Eq, TestTarget::Token { up, attr }) => Some(JoinIndex {
                 new_attr: t.new_attr.clone(),
-                cond: *cond,
+                alpha_index: self.net.alpha.ensure_index(amem, &t.new_attr),
+                up: *up,
                 attr: attr.clone(),
-                tokens_by_key: HashMap::new(),
             }),
             _ => None,
         });
-        if let Some(ix) = &index {
-            self.alpha.ensure_index(amem, &ix.new_attr);
-        }
-        let join = NodeId(self.nodes.len());
-        let out = NodeId(self.nodes.len() + 1);
-        self.nodes.push(Node::Join {
+        let out = NodeId(self.net.nodes.len() + 1);
+        let join = self.push_node(Node::Join {
             parent,
             amem,
             tests,
             out,
             index,
         });
-        self.nodes.push(Node::Memory {
-            tokens: BTreeSet::new(),
+        self.push_node(Node::Memory {
             children: Vec::new(),
         });
         self.add_child(parent, join);
-        self.amem_successors.entry(amem).or_default().push(join);
-        self.join_share.insert(key, join);
+        self.add_successor(amem, join);
+        self.net.share.insert(key, join);
         // Populate from existing state (tokens × amem).
-        let parent_tokens = self.source_tokens(parent);
-        for t in parent_tokens {
-            self.index_token(join, t);
-            self.join_left_activate(join, t);
+        for t in self.source_tokens(parent) {
+            self.beta.index_token(&self.net, join, t);
+            self.beta.join_left_activate(&self.net, join, t);
         }
         out
     }
@@ -414,153 +497,163 @@ impl Rete {
         tests: Vec<JoinTest>,
     ) -> NodeId {
         let key = (parent, amem, tests.clone(), true);
-        if let Some(&neg) = self.join_share.get(&key) {
+        if let Some(&neg) = self.net.share.get(&key) {
             return neg;
         }
-        let neg = NodeId(self.nodes.len());
-        self.nodes.push(Node::Negative {
+        let neg = self.push_node(Node::Negative {
+            parent,
             amem,
             tests,
-            entries: HashMap::new(),
-            tokens: BTreeSet::new(),
             children: Vec::new(),
         });
         self.add_child(parent, neg);
-        self.amem_successors.entry(amem).or_default().push(neg);
-        self.join_share.insert(key, neg);
+        self.add_successor(amem, neg);
+        self.net.share.insert(key, neg);
         for t in self.source_tokens(parent) {
-            self.negative_left_activate(neg, t);
+            self.beta.negative_left_activate(&self.net, neg, t);
         }
         neg
     }
 
+    fn push_node(&mut self, node: Node) -> NodeId {
+        self.net.nodes.push(node);
+        self.beta.mems.push(NodeMem::default());
+        NodeId(self.net.nodes.len() - 1)
+    }
+
     fn add_child(&mut self, parent: NodeId, child: NodeId) {
-        match &mut self.nodes[parent.0] {
-            Node::Memory { children, .. } | Node::Negative { children, .. } => children.push(child),
+        match &mut self.net.nodes[parent.0] {
+            Node::Memory { children } | Node::Negative { children, .. } => children.push(child),
             _ => unreachable!("only sources have children"),
         }
     }
 
+    fn add_successor(&mut self, amem: AlphaMemId, node: NodeId) {
+        if self.net.successors.len() <= amem.0 {
+            self.net.successors.resize(amem.0 + 1, Vec::new());
+        }
+        self.net.successors[amem.0].push(node);
+    }
+
+    /// The tokens a source holds (compile-time population only; matching
+    /// walks the list in place).
+    fn source_tokens(&self, source: NodeId) -> Vec<Slot> {
+        let mut out = Vec::new();
+        let mut t = self.beta.mems[source.0].head;
+        while t != NONE {
+            out.push(t);
+            t = self.beta.tokens[t as usize].links[MEMORY][1];
+        }
+        out
+    }
+
+    // -------------------------------------------------------------
+    // WME-level entry points
+    // -------------------------------------------------------------
+
+    fn add_wme(&mut self, wme: &Wme) {
+        let wme = Arc::new(wme.clone());
+        for amem in self.net.alpha.add_wme(&wme) {
+            for &node in self.net.successors.get(amem.0).into_iter().flatten() {
+                match &self.net.nodes[node.0] {
+                    Node::Join { .. } => self.beta.join_right_activate(&self.net, node, &wme),
+                    Node::Negative { .. } => {
+                        self.beta.negative_right_activate(&self.net, node, &wme);
+                    }
+                    _ => unreachable!(),
+                }
+            }
+        }
+    }
+
+    fn remove_wme(&mut self, class: &Atom, id: WmeId) {
+        self.net.alpha.remove_wme(class, id);
+        // Kill tokens carrying the WME (a cascade may take later
+        // carriers with it, so always re-read the list head).
+        while let Some(&t) = self.beta.by_wme.get(&id) {
+            self.beta.delete_token(&self.net, t);
+        }
+        // Unblock negative entries that were matched by it.
+        let mut to_emit = Vec::new();
+        for (neg, input) in self.beta.neg_by_wme.remove(&id).unwrap_or_default() {
+            if let Some(e) = self.beta.mems[neg.0].entries.get_mut(&input) {
+                e.results.remove(&id);
+                if e.results.is_empty() && e.out == NONE {
+                    to_emit.push((neg, input));
+                }
+            }
+        }
+        // Deterministic order across hash-set iteration.
+        to_emit.sort_unstable();
+        for (neg, input) in to_emit {
+            self.beta.negative_emit(&self.net, neg, input);
+        }
+    }
+
+    /// Test/debug helper: the timestamps of all live tokens (excluding
+    /// the dummy), for state-size assertions.
+    #[doc(hidden)]
+    pub fn live_token_timestamps(&self) -> Vec<Timestamp> {
+        let tokens = self.beta.tokens.iter();
+        let mut ts: Vec<Timestamp> = tokens
+            .filter_map(|t| t.wme.as_ref().map(|w| w.timestamp))
+            .collect();
+        ts.sort_unstable();
+        ts
+    }
+}
+
+impl Beta {
     // -------------------------------------------------------------
     // Token plumbing
     // -------------------------------------------------------------
 
-    fn alloc_token(&mut self, parent: Option<TokenId>, wme: Option<Wme>, owner: NodeId) -> TokenId {
-        let id = TokenId(self.next_token);
-        self.next_token += 1;
+    /// Takes a slot for a new token and threads it onto its parent's
+    /// children, its owner's memory and its WME's carriers.
+    fn add_token(&mut self, parent: Slot, wme: Option<Arc<Wme>>, owner: NodeId) -> Slot {
+        let t = self.free.pop().unwrap_or_else(|| {
+            self.tokens.push(Token::default());
+            Slot::try_from(self.tokens.len() - 1).expect("token slab fits u32")
+        });
+        let tokens = &mut self.tokens;
         if let Some(w) = &wme {
-            self.tokens_by_wme.entry(w.id).or_default().insert(id);
+            let head = self.by_wme.entry(w.id).or_insert(NONE);
+            *head = push_front(tokens, CARRIERS, *head, t);
         }
-        if let Some(p) = parent {
-            if let Some(pt) = self.tokens.get_mut(&p) {
-                pt.children.push(id);
-            }
-        }
-        self.tokens.insert(
-            id,
-            Token {
-                parent,
-                wme,
-                owner,
-                children: Vec::new(),
-            },
-        );
-        id
-    }
-
-    /// The full condition-indexed chain of WMEs for a token (dummy token
-    /// excluded). Index = condition index; `None` for negative conditions.
-    fn token_chain(&self, mut tid: TokenId) -> Vec<Option<Wme>> {
-        let mut rev = Vec::new();
-        while tid != self.dummy {
-            let t = &self.tokens[&tid];
-            rev.push(t.wme.clone());
-            match t.parent {
-                Some(p) => tid = p,
-                None => break,
-            }
-        }
-        rev.reverse();
-        rev
-    }
-
-    fn source_tokens(&self, node: NodeId) -> Vec<TokenId> {
-        match &self.nodes[node.0] {
-            Node::Memory { tokens, .. } | Node::Negative { tokens, .. } => {
-                tokens.iter().copied().collect()
-            }
-            _ => unreachable!("only sources hold tokens"),
-        }
-    }
-
-    fn source_children(&self, node: NodeId) -> Vec<NodeId> {
-        match &self.nodes[node.0] {
-            Node::Memory { children, .. } | Node::Negative { children, .. } => children.clone(),
-            _ => unreachable!(),
-        }
-    }
-
-    /// The normalised token-side key of `chain` for a join index.
-    fn chain_key(chain: &[Option<Wme>], cond: usize, attr: &str) -> Value {
-        match chain.get(cond) {
-            Some(Some(w)) => index_key(&w.get_or_nil(attr)),
-            _ => Value::Nil,
-        }
+        let first = tokens[parent as usize].first_child;
+        tokens[parent as usize].first_child = push_front(tokens, SIBLINGS, first, t);
+        let mem = &mut self.mems[owner.0];
+        mem.head = push_front(tokens, MEMORY, mem.head, t);
+        let token = &mut tokens[t as usize];
+        (token.parent, token.wme, token.owner) = (parent, wme, owner);
+        t
     }
 
     /// Adds `token` to a join's hash index (no-op for unindexed joins).
-    fn index_token(&mut self, join: NodeId, token: TokenId) {
-        let Node::Join {
+    fn index_token(&mut self, net: &Network, join: NodeId, token: Slot) {
+        if let Node::Join {
             index: Some(ix), ..
-        } = &self.nodes[join.0]
-        else {
-            return;
-        };
-        let (cond, attr) = (ix.cond, ix.attr.clone());
-        let key = Self::chain_key(&self.token_chain(token), cond, attr.as_str());
-        let Node::Join {
-            index: Some(ix), ..
-        } = &mut self.nodes[join.0]
-        else {
-            unreachable!()
-        };
-        ix.tokens_by_key.entry(key).or_default().insert(token);
-    }
-
-    /// Removes `token` from a join's hash index.
-    fn unindex_token(&mut self, join: NodeId, token: TokenId, chain: &[Option<Wme>]) {
-        let Node::Join {
-            index: Some(ix), ..
-        } = &self.nodes[join.0]
-        else {
-            return;
-        };
-        let key = Self::chain_key(chain, ix.cond, ix.attr.as_str());
-        let Node::Join {
-            index: Some(ix), ..
-        } = &mut self.nodes[join.0]
-        else {
-            unreachable!()
-        };
-        if let Some(bucket) = ix.tokens_by_key.get_mut(&key) {
-            bucket.remove(&token);
-            if bucket.is_empty() {
-                ix.tokens_by_key.remove(&key);
-            }
+        } = &net.nodes[join.0]
+        {
+            let key = token_key(&self.tokens, token, ix.up, ix.attr.as_str()).into_owned();
+            let spare = &mut self.spare;
+            let bucket = self.mems[join.0].by_key.entry(key);
+            bucket
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .insert(token);
         }
     }
 
-    fn eval_tests(&self, tests: &[JoinTest], chain: &[Option<Wme>], new: &Wme) -> bool {
+    fn eval_tests(&self, tests: &[JoinTest], token: Slot, new: &Wme) -> bool {
         tests.iter().all(|t| {
-            let left = new.get_or_nil(t.new_attr.as_str());
             let right = match &t.target {
-                TestTarget::NewAttr(attr) => new.get_or_nil(attr.as_str()),
-                TestTarget::Token { cond, attr } => match chain.get(*cond) {
-                    Some(Some(w)) => w.get_or_nil(attr.as_str()),
-                    _ => return false,
+                TestTarget::NewAttr(attr) => attr_of(new, attr.as_str()),
+                TestTarget::Token { up, attr } => match &ancestor(&self.tokens, token, *up).wme {
+                    Some(w) => attr_of(w, attr.as_str()),
+                    None => return false,
                 },
             };
-            t.predicate.apply(&left, &right)
+            t.predicate.apply(attr_of(new, t.new_attr.as_str()), right)
         })
     }
 
@@ -569,112 +662,108 @@ impl Rete {
     // -------------------------------------------------------------
 
     /// A new token appeared in `source`: tell all its children.
-    fn source_token_added(&mut self, source: NodeId, token: TokenId) {
-        let children = self.source_children(source);
+    fn source_token_added(&mut self, net: &Network, source: NodeId, token: Slot) {
+        let children = net.children(source);
         // Register in all indexed joins first, then activate.
-        for &child in &children {
-            if matches!(&self.nodes[child.0], Node::Join { index: Some(_), .. }) {
-                self.index_token(child, token);
-            }
+        for &child in children {
+            self.index_token(net, child, token);
         }
-        for child in children {
-            match &self.nodes[child.0] {
-                Node::Join { .. } => self.join_left_activate(child, token),
-                Node::Negative { .. } => self.negative_left_activate(child, token),
-                Node::Production { .. } => self.deliver_to_production(child, token),
+        for &child in children {
+            match &net.nodes[child.0] {
+                Node::Join { .. } => self.join_left_activate(net, child, token),
+                Node::Negative { .. } => self.negative_left_activate(net, child, token),
+                Node::Production { .. } => self.deliver_to_production(net, child, token),
                 Node::Memory { .. } => unreachable!("memories hang off joins"),
             }
         }
     }
 
-    fn join_left_activate(&mut self, join: NodeId, token: TokenId) {
-        self.stats.left_activations += 1;
+    fn join_left_activate(&mut self, net: &Network, join: NodeId, token: Slot) {
+        self.left_activations += 1;
         let Node::Join {
             amem,
             tests,
             out,
             index,
             ..
-        } = &self.nodes[join.0]
+        } = &net.nodes[join.0]
         else {
             unreachable!()
         };
-        let (amem, tests, out) = (*amem, tests.clone(), *out);
-        let probe = index
-            .as_ref()
-            .map(|ix| (ix.new_attr.clone(), ix.cond, ix.attr.clone()));
-        let chain = self.token_chain(token);
-        let candidates: Vec<Wme> = match probe {
-            Some((new_attr, cond, attr)) => {
-                let key = Self::chain_key(&chain, cond, attr.as_str());
-                let mem = self.alpha.memory(amem);
-                mem.lookup(new_attr.as_str(), &key)
-                    .iter()
-                    .filter_map(|&id| mem.get(id).cloned())
-                    .collect()
+        let mem = net.alpha.memory(*amem);
+        match index {
+            Some(ix) => {
+                let key = token_key(&self.tokens, token, ix.up, ix.attr.as_str()).into_owned();
+                for w in mem.lookup(ix.alpha_index, &key) {
+                    if self.eval_tests(tests, token, w) {
+                        self.memory_add_token(net, *out, token, Arc::clone(w));
+                    }
+                }
             }
-            None => self.alpha.memory(amem).wmes().to_vec(),
-        };
-        for w in candidates {
-            if self.eval_tests(&tests, &chain, &w) {
-                self.memory_add_token(out, token, w);
+            None => {
+                for w in mem.wmes() {
+                    if self.eval_tests(tests, token, w) {
+                        self.memory_add_token(net, *out, token, Arc::clone(w));
+                    }
+                }
             }
         }
     }
 
-    fn join_right_activate(&mut self, join: NodeId, w: &Wme) {
-        self.stats.right_activations += 1;
+    fn join_right_activate(&mut self, net: &Network, join: NodeId, w: &Arc<Wme>) {
+        self.right_activations += 1;
         let Node::Join {
             parent,
             tests,
             out,
             index,
             ..
-        } = &self.nodes[join.0]
+        } = &net.nodes[join.0]
         else {
             unreachable!()
         };
-        let (parent, tests, out) = (*parent, tests.clone(), *out);
-        let tokens: Vec<TokenId> = match index {
+        match index {
             Some(ix) => {
-                let key = index_key(&w.get_or_nil(ix.new_attr.as_str()));
-                ix.tokens_by_key
-                    .get(&key)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default()
+                // New tokens land strictly below this join, so its bucket
+                // cannot change while it is lent out.
+                let key = index_key(attr_of(w, ix.new_attr.as_str()));
+                let by_key = &mut self.mems[join.0].by_key;
+                let Some(bucket) = by_key.get_mut(&*key).map(std::mem::take) else {
+                    return;
+                };
+                for &t in &bucket {
+                    if self.eval_tests(tests, t, w) {
+                        self.memory_add_token(net, *out, t, Arc::clone(w));
+                    }
+                }
+                *self.mems[join.0].by_key.get_mut(&*key).expect("lent") = bucket;
             }
-            None => self.source_tokens(parent),
-        };
-        for t in tokens {
-            let chain = self.token_chain(t);
-            if self.eval_tests(&tests, &chain, w) {
-                self.memory_add_token(out, t, w.clone());
+            None => {
+                let mut t = self.mems[parent.0].head;
+                while t != NONE {
+                    let next = self.tokens[t as usize].links[MEMORY][1];
+                    if self.eval_tests(tests, t, w) {
+                        self.memory_add_token(net, *out, t, Arc::clone(w));
+                    }
+                    t = next;
+                }
             }
         }
     }
 
-    fn memory_add_token(&mut self, mem: NodeId, parent: TokenId, w: Wme) {
-        let tid = self.alloc_token(Some(parent), Some(w), mem);
-        let Node::Memory { tokens, .. } = &mut self.nodes[mem.0] else {
-            unreachable!()
-        };
-        tokens.insert(tid);
-        self.source_token_added(mem, tid);
+    fn memory_add_token(&mut self, net: &Network, mem: NodeId, parent: Slot, w: Arc<Wme>) {
+        let t = self.add_token(parent, Some(w), mem);
+        self.source_token_added(net, mem, t);
     }
 
-    fn negative_left_activate(&mut self, neg: NodeId, input: TokenId) {
-        self.stats.left_activations += 1;
-        let Node::Negative { amem, tests, .. } = &self.nodes[neg.0] else {
+    fn negative_left_activate(&mut self, net: &Network, neg: NodeId, input: Slot) {
+        self.left_activations += 1;
+        let Node::Negative { amem, tests, .. } = &net.nodes[neg.0] else {
             unreachable!()
         };
-        let (amem, tests) = (*amem, tests.clone());
-        let chain = self.token_chain(input);
-        let results: HashSet<WmeId> = self
-            .alpha
-            .memory(amem)
-            .wmes()
-            .iter()
-            .filter(|w| self.eval_tests(&tests, &chain, w))
+        let candidates = net.alpha.memory(*amem).wmes();
+        let results: IdSet<WmeId> = candidates
+            .filter(|w| self.eval_tests(tests, input, w))
             .map(|w| w.id)
             .collect();
         for wid in &results {
@@ -684,251 +773,165 @@ impl Rete {
                 .insert((neg, input));
         }
         let empty = results.is_empty();
-        let Node::Negative { entries, .. } = &mut self.nodes[neg.0] else {
-            unreachable!()
-        };
-        entries.insert(input, NegEntry { results, out: None });
+        let entry = NegEntry { results, out: NONE };
+        self.mems[neg.0].entries.insert(input, entry);
         if empty {
-            self.negative_emit(neg, input);
+            self.negative_emit(net, neg, input);
         }
     }
 
     /// Creates and propagates the output token for a blocked-free input.
-    fn negative_emit(&mut self, neg: NodeId, input: TokenId) {
-        let out_tok = self.alloc_token(Some(input), None, neg);
-        let Node::Negative {
-            entries, tokens, ..
-        } = &mut self.nodes[neg.0]
-        else {
-            unreachable!()
-        };
-        if let Some(e) = entries.get_mut(&input) {
-            e.out = Some(out_tok);
+    fn negative_emit(&mut self, net: &Network, neg: NodeId, input: Slot) {
+        let out = self.add_token(input, None, neg);
+        if let Some(e) = self.mems[neg.0].entries.get_mut(&input) {
+            e.out = out;
         }
-        tokens.insert(out_tok);
-        self.source_token_added(neg, out_tok);
+        self.source_token_added(net, neg, out);
     }
 
-    fn negative_right_activate(&mut self, neg: NodeId, w: &Wme) {
-        self.stats.right_activations += 1;
-        let Node::Negative { tests, entries, .. } = &self.nodes[neg.0] else {
+    fn negative_right_activate(&mut self, net: &Network, neg: NodeId, w: &Arc<Wme>) {
+        self.right_activations += 1;
+        let Node::Negative { parent, tests, .. } = &net.nodes[neg.0] else {
             unreachable!()
         };
-        let tests = tests.clone();
-        let inputs: Vec<TokenId> = entries.keys().copied().collect();
-        for input in inputs {
-            let chain = self.token_chain(input);
-            if !self.eval_tests(&tests, &chain, w) {
-                continue;
-            }
-            self.neg_by_wme
-                .entry(w.id)
-                .or_default()
-                .insert((neg, input));
-            let Node::Negative { entries, .. } = &mut self.nodes[neg.0] else {
-                unreachable!()
-            };
-            let entry = entries.get_mut(&input).expect("input is keyed");
-            let was_empty = entry.results.is_empty();
-            entry.results.insert(w.id);
-            if was_empty {
-                // The negated pattern now matches: retract the output.
-                if let Some(out) = entry.out.take() {
-                    self.delete_token(out);
+        // The inputs are exactly the parent's tokens; retractions below
+        // happen strictly under this node, so the walk is stable.
+        let mut input = self.mems[parent.0].head;
+        while input != NONE {
+            let next = self.tokens[input as usize].links[MEMORY][1];
+            if self.eval_tests(tests, input, w) {
+                self.neg_by_wme
+                    .entry(w.id)
+                    .or_default()
+                    .insert((neg, input));
+                let entry = self.mems[neg.0].entries.get_mut(&input);
+                let entry = entry.expect("every parent token is an input");
+                // First match: the negated pattern now holds, so retract
+                // the output.
+                if entry.results.insert(w.id) && entry.results.len() == 1 {
+                    let out = std::mem::replace(&mut entry.out, NONE);
+                    if out != NONE {
+                        self.delete_token(net, out);
+                    }
                 }
             }
+            input = next;
         }
     }
 
-    fn deliver_to_production(&mut self, pnode: NodeId, token: TokenId) {
-        let chain = self.token_chain(token);
+    fn deliver_to_production(&mut self, net: &Network, pnode: NodeId, token: Slot) {
         let Node::Production {
             rule,
             salience,
             binding_map,
             positive_conds,
-            ..
-        } = &self.nodes[pnode.0]
+        } = &net.nodes[pnode.0]
         else {
             unreachable!()
         };
+        // The condition-indexed chain of WMEs (`None` at negated ones).
+        let mut chain: Vec<Option<&Wme>> = Vec::new();
+        let mut at = token;
+        while at != DUMMY {
+            chain.push(self.tokens[at as usize].wme.as_deref());
+            at = self.tokens[at as usize].parent;
+        }
+        chain.reverse();
         let mut bindings = Bindings::new();
         for (var, cond, attr) in binding_map {
             if let Some(Some(w)) = chain.get(*cond) {
-                bindings.bind(var.clone(), w.get_or_nil(attr.as_str()));
+                bindings.bind(var.clone(), attr_of(w, attr.as_str()).clone());
             }
         }
-        let wmes: Vec<Wme> = positive_conds
-            .iter()
-            .filter_map(|&c| chain.get(c).cloned().flatten())
-            .collect();
-        let inst = crate::Instantiation {
+        let inst = Instantiation {
             rule: *rule,
-            wmes,
+            wmes: positive_conds
+                .iter()
+                .filter_map(|&c| chain.get(c).copied().flatten().cloned())
+                .collect(),
             bindings,
             salience: *salience,
         };
-        let key = inst.key();
+        self.mems[pnode.0].insts.insert(token, inst.key());
         self.conflict.insert(inst);
-        let Node::Production { insts, .. } = &mut self.nodes[pnode.0] else {
-            unreachable!()
-        };
-        insts.insert(token, key);
     }
 
     // -------------------------------------------------------------
     // Deletion
     // -------------------------------------------------------------
 
-    fn delete_token(&mut self, tid: TokenId) {
-        let Some(token) = self.tokens.get(&tid) else {
-            return;
+    fn delete_token(&mut self, net: &Network, tid: Slot) {
+        loop {
+            let child = self.tokens[tid as usize].first_child;
+            if child == NONE {
+                break;
+            }
+            self.delete_token(net, child);
+        }
+        let (parent, owner) = {
+            let t = &self.tokens[tid as usize];
+            (t.parent, t.owner)
         };
-        let children = token.children.clone();
-        let owner = token.owner;
-        let parent = token.parent;
-        let wme_id = token.wme.as_ref().map(|w| w.id);
-        for c in children {
-            self.delete_token(c);
-        }
-        // Drop the token from sibling join hash indexes (chain walk needs
-        // the token's parents, which are still intact here).
-        let owner_children = self.source_children(owner);
-        if owner_children
-            .iter()
-            .any(|c| matches!(&self.nodes[c.0], Node::Join { index: Some(_), .. }))
-        {
-            let chain = self.token_chain(tid);
-            for &child in &owner_children {
-                if matches!(&self.nodes[child.0], Node::Join { index: Some(_), .. }) {
-                    self.unindex_token(child, tid, &chain);
-                }
-            }
-        }
-        // Production retractions: the owner's production children hold
-        // instantiations keyed by this token.
-        for child in owner_children {
-            if let Node::Production { insts, .. } = &mut self.nodes[child.0] {
-                if let Some(key) = insts.remove(&tid) {
-                    self.conflict.remove(&key);
-                }
-            }
-        }
-        // Detach from owner.
-        match &mut self.nodes[owner.0] {
-            Node::Memory { tokens, .. } => {
-                tokens.remove(&tid);
-            }
-            Node::Negative {
-                entries, tokens, ..
-            } => {
-                tokens.remove(&tid);
-                // This was an output token; clear the back-pointer.
-                if let Some(p) = parent {
-                    if let Some(e) = entries.get_mut(&p) {
-                        if e.out == Some(tid) {
-                            e.out = None;
+        for &child in net.children(owner) {
+            match &net.nodes[child.0] {
+                // Drop the token from sibling join hash indexes (the key
+                // walk needs the token's parents, which are still intact).
+                Node::Join {
+                    index: Some(ix), ..
+                } => {
+                    let key = token_key(&self.tokens, tid, ix.up, ix.attr.as_str());
+                    let by_key = &mut self.mems[child.0].by_key;
+                    if let Some(bucket) = by_key.get_mut(&*key) {
+                        bucket.remove(&tid);
+                        if bucket.is_empty() {
+                            self.spare.extend(by_key.remove(&*key));
                         }
                     }
                 }
-            }
-            _ => unreachable!("tokens live in sources"),
-        }
-        // If this token is an *input* of negative children, drop their
-        // entries and index links (output tokens are our children and are
-        // already gone).
-        for child in self.source_children(owner) {
-            if let Node::Negative { entries, .. } = &mut self.nodes[child.0] {
-                if let Some(entry) = entries.remove(&tid) {
-                    for wid in entry.results {
+                // Production retractions: instantiations are keyed by
+                // their final token.
+                Node::Production { .. } => {
+                    if let Some(key) = self.mems[child.0].insts.remove(&tid) {
+                        self.conflict.remove(&key);
+                    }
+                }
+                // As an *input* of negative children, drop their entries
+                // and index links (output tokens are our children and
+                // are already gone).
+                Node::Negative { .. } => {
+                    let entry = self.mems[child.0].entries.remove(&tid);
+                    for wid in entry.into_iter().flat_map(|e| e.results) {
                         if let Some(set) = self.neg_by_wme.get_mut(&wid) {
                             set.remove(&(child, tid));
                         }
                     }
                 }
+                _ => {}
             }
         }
-        if let Some(p) = parent {
-            if let Some(pt) = self.tokens.get_mut(&p) {
-                pt.children.retain(|&c| c != tid);
+        // Detach from the owner, the parent and the WME's carriers.
+        let tokens = &mut self.tokens;
+        let mem = &mut self.mems[owner.0];
+        mem.head = unlink(tokens, MEMORY, mem.head, tid);
+        // An output token: clear the negative node's back-pointer.
+        if let Some(e) = mem.entries.get_mut(&parent) {
+            if e.out == tid {
+                e.out = NONE;
             }
         }
-        if let Some(wid) = wme_id {
-            if let Some(set) = self.tokens_by_wme.get_mut(&wid) {
-                set.remove(&tid);
-                if set.is_empty() {
-                    self.tokens_by_wme.remove(&wid);
-                }
+        let first = tokens[parent as usize].first_child;
+        tokens[parent as usize].first_child = unlink(tokens, SIBLINGS, first, tid);
+        if let Some(w) = tokens[tid as usize].wme.take() {
+            // Only the list head is recorded in the map.
+            let was_head = tokens[tid as usize].links[CARRIERS][0] == NONE;
+            let next = unlink(tokens, CARRIERS, NONE, tid);
+            if was_head && next == NONE {
+                self.by_wme.remove(&w.id);
+            } else if was_head {
+                self.by_wme.insert(w.id, next);
             }
         }
-        self.tokens.remove(&tid);
-    }
-
-    // -------------------------------------------------------------
-    // WME-level entry points
-    // -------------------------------------------------------------
-
-    fn add_wme(&mut self, wme: Wme) {
-        let hits = self.alpha.add_wme(wme.clone());
-        for amem in hits {
-            let succs = self.amem_successors.get(&amem).cloned().unwrap_or_default();
-            for node in succs {
-                match &self.nodes[node.0] {
-                    Node::Join { .. } => self.join_right_activate(node, &wme),
-                    Node::Negative { .. } => self.negative_right_activate(node, &wme),
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
-
-    fn remove_wme(&mut self, class: &Atom, id: WmeId) {
-        self.alpha.remove_wme(class, id);
-        // Kill tokens carrying the WME.
-        let carriers: Vec<TokenId> = self
-            .tokens_by_wme
-            .get(&id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for t in carriers {
-            self.delete_token(t);
-        }
-        // Unblock negative entries that were matched by it.
-        let blocked: Vec<(NodeId, TokenId)> = self
-            .neg_by_wme
-            .remove(&id)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        let mut to_emit = Vec::new();
-        for (neg, input) in blocked {
-            let Node::Negative { entries, .. } = &mut self.nodes[neg.0] else {
-                unreachable!()
-            };
-            if let Some(e) = entries.get_mut(&input) {
-                e.results.remove(&id);
-                if e.results.is_empty() && e.out.is_none() {
-                    to_emit.push((neg, input));
-                }
-            }
-        }
-        // Deterministic order across HashMap iteration.
-        to_emit.sort_unstable_by_key(|&(n, t)| (n, t));
-        for (neg, input) in to_emit {
-            self.negative_emit(neg, input);
-        }
-    }
-
-    /// Test/debug helper: the timestamps of all live tokens (excluding
-    /// the dummy), for state-size assertions.
-    #[doc(hidden)]
-    pub fn live_token_timestamps(&self) -> Vec<Timestamp> {
-        let mut ts: Vec<Timestamp> = self
-            .tokens
-            .values()
-            .filter_map(|t| t.wme.as_ref().map(|w| w.timestamp))
-            .collect();
-        ts.sort_unstable();
-        ts
+        self.free.push(tid);
     }
 }
 
@@ -936,14 +939,14 @@ impl Matcher for Rete {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(w.clone()),
-                Change::Removed(w) => self.remove_wme(&w.data.class.clone(), w.id),
+                Change::Added(w) => self.add_wme(w),
+                Change::Removed(w) => self.remove_wme(&w.data.class, w.id),
             }
         }
     }
 
     fn conflict_set(&self) -> &ConflictSet {
-        &self.conflict
+        &self.beta.conflict
     }
 }
 

@@ -10,6 +10,7 @@
 //! the `dps-bench` crate measures (experiment X4).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dps_rules::{match_ce, Bindings, Condition, Rule, RuleId, RuleSet};
 use dps_wm::{Change, Wme, WmeId, WorkingMemory};
@@ -125,7 +126,7 @@ impl Treat {
                 for w in mem.wmes() {
                     *candidates_seen += 1;
                     if let Some(b) = match_ce(ce, w, &bindings) {
-                        acc.push(w.clone());
+                        acc.push(Wme::clone(w));
                         self.join(cr, pin, ci + 1, b, acc, out, candidates_seen);
                         acc.pop();
                     }
@@ -133,7 +134,7 @@ impl Treat {
             }
             Condition::Neg(_) => {
                 let mem = self.alpha.memory(cr.amems[ci]);
-                let blocked = mem.wmes().iter().any(|w| {
+                let blocked = mem.wmes().any(|w| {
                     *candidates_seen += 1;
                     match_ce(ce, w, &bindings).is_some()
                 });
@@ -159,7 +160,7 @@ impl Treat {
     }
 
     fn add_wme(&mut self, wme: Wme) {
-        let hits = self.alpha.add_wme(wme.clone());
+        let hits = self.alpha.add_wme(&Arc::new(wme.clone()));
         let mut positive_sites: Vec<(usize, usize)> = Vec::new();
         let mut negative_rules: Vec<usize> = Vec::new();
         for amem in hits {
@@ -236,7 +237,7 @@ impl Treat {
     #[doc(hidden)]
     pub fn alpha_population(&self) -> Vec<WmeId> {
         let mut ids: Vec<WmeId> = (0..self.alpha.memory_count())
-            .flat_map(|i| self.alpha.memory(AlphaMemId(i)).wmes().iter().map(|w| w.id))
+            .flat_map(|i| self.alpha.memory(AlphaMemId(i)).wmes().map(|w| w.id))
             .collect();
         ids.sort_unstable();
         ids.dedup();
