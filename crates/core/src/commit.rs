@@ -1,0 +1,384 @@
+//! The commit section: the one irrevocable critical section every
+//! commit — rule firing or external session transaction — passes
+//! through, plus what both kinds of transaction share around it: the
+//! abort bookkeeping, the snapshot pin, and the drop guards that own a
+//! claim and a pin.
+//!
+//! [`ParallelEngine::commit_section`] runs, in this order:
+//!
+//! | step | under | what |
+//! |---|---|---|
+//! | 1 | base | `lm.commit` — the Figure 4.3 rule; the last step that can fail |
+//! | 2 | base | `wm.apply`, take the commit sequence number |
+//! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
+//! | 4 | base | `publish` the change batch (delta log, version store, watermark) |
+//! | 5 | base | rule firings only: own shard absorbs the batch, refracts the key |
+//! | 6 | base → trace | trace append, `Fire` + strategy receipt events |
+//! | 7 | base | `revalidate_readers` (policy `Revalidate`) |
+//! | 8 | base → ledger | commit counters, ledger unclaim |
+//! | 9 | — | per-rule table + `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
+//! | 10 | — | checkpoint install, group-commit `request_sync` |
+//!
+//! Commit order = sequence order = trace order because steps 1–8 share
+//! one hold of the base mutex; the §3 oracle replays exactly that
+//! order. This is the function where the `base_wait` / `base_hold` /
+//! `wal_encode` / `publish` / `fsync_wait` spans of ROADMAP item 1 go.
+
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::MutexGuard;
+use std::time::Instant;
+
+use dps_lock::{res_key, ResourceId, TxnId, WalKillSite};
+use dps_match::{InstKey, Matcher};
+use dps_obs::{AbortCause, EventKind as ObsEvent, Phase};
+use dps_wm::wal::KillMode;
+use dps_wm::{Change, WalError, WorkingMemory};
+
+use crate::parallel::{classify, Ledger, ParallelEngine};
+use crate::pipeline::{MatchPipeline, WmBase};
+use crate::strategy::Strategy;
+use crate::Firing;
+
+/// What a committer hands to [`ParallelEngine::commit_section`].
+pub(crate) struct Commit<'c, 'e> {
+    pub txn: TxnId,
+    pub strategy: Strategy,
+    /// The trace record; its delta is what gets applied.
+    pub firing: Firing,
+    /// Accesses the strategy answered (the `ElidedCommit` receipt).
+    pub requests: u32,
+    /// Rule firings: the claim whose shard absorbs the batch and whose
+    /// key is refracted and unclaimed inside the section. `None` for
+    /// external commits.
+    pub claim: Option<&'c mut ClaimGuard<'e>>,
+    /// Start of the commit phase, for the `Phase::Commit` sample.
+    pub since: Option<Instant>,
+}
+
+impl ParallelEngine {
+    /// Commits under the base mutex the caller already holds (it ran
+    /// its own validation under it). Fails only at `lm.commit` — the
+    /// transaction was doomed or injected — with nothing changed;
+    /// past that the commit is irrevocable. Returns the sequence
+    /// number.
+    pub(crate) fn commit_section(
+        &self,
+        mut base: MutexGuard<'_, WmBase>,
+        commit: Commit<'_, '_>,
+    ) -> Result<u64, AbortCause> {
+        let Commit { txn, strategy, firing, requests, claim, since } = commit;
+        let obs = self.obs.as_deref();
+        let outcome = self.lm.commit(txn).map_err(classify)?;
+        let changes =
+            base.wm.apply(&firing.delta).expect("a validated commit only touches live WMEs");
+        let seq = base.next_seq;
+        base.next_seq += 1;
+        let checkpoint = self.stage_wal(&base.wm, txn, seq, &changes);
+        // Version-write footprint for the SI polygraph, captured before
+        // `publish` consumes the batch (one entry per written tuple).
+        let mut written: Vec<u64> = Vec::new();
+        if matches!(strategy, Strategy::Snapshot(_)) && obs.is_some() {
+            written.extend(changes.iter().map(|c| res_key(ResourceId::Tuple(c.wme().id.0))));
+            written.sort_unstable();
+            written.dedup();
+        }
+        let affected = self.pipeline.publish(seq, changes, obs);
+        if let Some(claim) = &claim {
+            self.absorb_own_batch(&claim.key, seq, strategy);
+        }
+        let halt = firing.halt;
+        let name = obs.map(|_| firing.rule_name.clone());
+        {
+            let mut trace = self.trace.lock().unwrap();
+            let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
+            trace.firings.push(firing);
+            // Commit-sequence record for the semantic checker (§3
+            // Theorem 2): this commit's 0-based slot in the global
+            // trace, stamped while the trace lock is still held so
+            // `seq` order equals trace-append order. These events trail
+            // the lock manager's Commit terminal (the sequence number
+            // only exists now); `validate_history` and the checkers
+            // account for that.
+            if let (Some(obs), Some(rule)) = (obs, rule) {
+                // Falsifiability seam: `corrupt_fire_seq` plans flip the
+                // recorded slot's low bit so the §3 checker must reject
+                // the history — proving the chaos gate can fail.
+                let slot = (trace.len() - 1) as u64;
+                let slot = self.injector.as_ref().map_or(slot, |inj| inj.corrupt_seq(slot));
+                obs.record(txn.0, ObsEvent::Fire { rule, seq: slot });
+                // The strategy's receipt: the versions a snapshot
+                // commit installed (the SI checker cross-checks
+                // `seq == slot + 1`), or the lock requests an elided
+                // commit never made.
+                for res in &written {
+                    obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq });
+                }
+                if matches!(strategy, Strategy::Elided { .. }) {
+                    obs.record(txn.0, ObsEvent::ElidedCommit { resources: requests });
+                }
+            }
+        }
+        if !outcome.needs_revalidation.is_empty() {
+            self.revalidate_readers(&outcome.needs_revalidation, seq);
+        }
+        {
+            // Under the ledger so the claim gate's cap check stays exact
+            // and the wake below is ordered against its check-then-wait
+            // (the watermark moved before this lock was taken).
+            let mut ledger = self.ledger.lock().unwrap();
+            if let Some(claim) = claim {
+                self.metrics.commits.fetch_add(1, Relaxed);
+                ledger.halted |= halt;
+                claim.release(&mut ledger);
+            } else {
+                self.external_commits.fetch_add(1, Relaxed);
+            }
+        }
+        drop(base);
+        if let (Some(obs), Some(name)) = (obs, &name) {
+            obs.rule_fired(name.as_str());
+            if let Some(t) = since {
+                obs.phase(Phase::Commit, t.elapsed());
+            }
+        }
+        self.cv.notify_all();
+        // Fan the batch out to the remaining affected shards *outside*
+        // the critical section: match work overlaps the next commit.
+        self.pipeline.fan_out(&affected, seq, obs);
+        // Durability tail, with no engine lock held: the deferred
+        // checkpoint-snapshot install, then the group-commit request.
+        // `request_sync` is non-blocking for piggybackers — one
+        // committer at a time holds the flush baton and fsyncs for
+        // everyone, so the durable horizon trails the published one by
+        // at most the in-flight batch (the prefix loss the recovery
+        // gate sweeps). A dead writer means a kill point fired: the
+        // commit stays visible in memory and never becomes durable.
+        if let Some(durable) = &self.durable {
+            if checkpoint.is_some_and(|snap| durable.install_checkpoint(seq, &snap).is_ok()) {
+                self.emit(txn, ObsEvent::Checkpoint { seq });
+            }
+            if let Ok(Some(horizon)) = durable.writer().request_sync(seq) {
+                self.emit(txn, ObsEvent::WalSync { seq: horizon });
+            }
+        }
+        Ok(seq)
+    }
+
+    /// Stages commit `seq`'s redo record (under the base mutex, so
+    /// records enter the WAL in sequence order; the fsync waits until
+    /// the critical section is over) and, on the checkpoint cadence,
+    /// rotates the log and returns the encoded snapshot for the caller
+    /// to install once the base mutex is released. A dead writer (a
+    /// kill point already fired) is ignored — the in-memory run keeps
+    /// going, and the chaos harness measures what survived on disk.
+    fn stage_wal(
+        &self,
+        wm: &WorkingMemory,
+        txn: TxnId,
+        seq: u64,
+        changes: &[Change],
+    ) -> Option<Vec<u8>> {
+        let durable = self.durable.as_ref()?;
+        let writer = durable.writer();
+        // Kill-point seam: simulate process death at this commit. The
+        // record's fate depends on the site — dropped on the floor (died
+        // before the fsync), torn mid-frame, or made durable first (died
+        // right after the fsync). Dropped and torn stage + kill under
+        // one WAL-file lock acquisition (`append_then_kill`): a
+        // concurrent group-commit flusher must not slip between the two
+        // and make the doomed record durable.
+        let kill_site = self.injector.as_ref().and_then(|inj| inj.wal_kill(seq));
+        let staged = match kill_site {
+            None => writer.append(seq, changes),
+            Some(WalKillSite::AfterPublish) => {
+                writer.append_then_kill(seq, changes, KillMode::Clean)
+            }
+            Some(WalKillSite::TornTail) => writer.append_then_kill(seq, changes, KillMode::Torn),
+            Some(WalKillSite::AfterSync) => writer
+                .append(seq, changes)
+                .and_then(|()| writer.flush().map(drop))
+                .and_then(|()| writer.kill(KillMode::Clean)),
+        };
+        match staged {
+            Ok(()) => {
+                if let (Some(_), Some(inj)) = (kill_site, &self.injector) {
+                    inj.count_wal_kill(txn, self.obs.as_deref());
+                }
+            }
+            Err(WalError::Dead) => {}
+            Err(e) => panic!("wal append at seq {seq}: {e}"),
+        }
+        // The snapshot must capture exactly `seq`'s state, so it is
+        // encoded here; the rotation is cheap (flush + reopen); only
+        // the slow snapshot write is deferred.
+        let interval = self.config.durability.as_ref().map_or(0, |d| d.checkpoint_interval);
+        if interval == 0 || !seq.is_multiple_of(interval) || writer.is_dead() {
+            return None;
+        }
+        let snap = wm.encode_snapshot().expect("checkpoint snapshot encodes");
+        durable.rotate(seq).is_ok().then_some(snap)
+    }
+
+    /// The committing rule's own shard absorbs everything up to and
+    /// including its batch and refracts the fired key *before* the
+    /// ledger unclaim, closing the double-fire window. This is the one
+    /// matcher run inside the commit critical section.
+    fn absorb_own_batch(&self, key: &InstKey, seq: u64, strategy: Strategy) {
+        let obs = self.obs.as_deref();
+        let own = self.pipeline.plan().shard_of(key.rule);
+        let mut state = self.pipeline.shard_state(own);
+        // A claim scanner may already have stolen this batch (the
+        // watermark is visible the moment `publish` returns). `applied`
+        // is stable here: we hold both the base mutex and the shard.
+        if self.pipeline.applied(own) < seq {
+            // At the pre-commit state the instantiation cannot have
+            // vanished: its read set was lock-protected or validated.
+            // Only the unvalidated `elide_misclassify` probe commits
+            // stale claims, on purpose. The check costs a second pass
+            // over the log, so only debug builds make it.
+            if cfg!(debug_assertions) {
+                self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
+                debug_assert!(
+                    state.rete.conflict_set().contains(key)
+                        || strategy == Strategy::Elided { validate: false }
+                );
+            }
+            self.pipeline.catch_up(own, seq, &mut state, false, obs);
+        }
+        state.refracted.insert(key.clone());
+        state.maybe_gc();
+    }
+
+    /// Engine-level revalidation (policy `Revalidate`): doom only the
+    /// affected readers whose claimed instantiation the commit at `seq`
+    /// actually invalidated. Claims are snapshotted under the ledger,
+    /// checked against caught-up shards, and dooms re-verified against
+    /// the *same* claim (shard → ledger order throughout; the caller
+    /// holds the base mutex, so a doomed reader cannot be mid-commit).
+    fn revalidate_readers(&self, readers: &[TxnId], seq: u64) {
+        let claims: Vec<(TxnId, InstKey)> = {
+            let ledger = self.ledger.lock().unwrap();
+            readers
+                .iter()
+                .filter_map(|r| ledger.claims_by_txn.get(r).map(|k| (*r, k.clone())))
+                .collect()
+        };
+        for (reader, k) in claims {
+            if !self.in_conflict_set_at(&k, seq, false) {
+                let mut ledger = self.ledger.lock().unwrap();
+                if ledger.claims_by_txn.get(&reader) == Some(&k) {
+                    ledger.engine_doomed.insert(reader);
+                }
+            }
+        }
+    }
+
+    /// Pins the newest fully published commit sequence as `txn`'s read
+    /// snapshot and returns it. Taken under the base mutex, so the
+    /// sequence is a complete prefix and the pin is registered before
+    /// any later version-GC floor computation can pass it. Pair with a
+    /// [`PinGuard`].
+    pub(crate) fn pin_snapshot(&self, txn: TxnId) -> u64 {
+        let snap = {
+            let base = self.pipeline.base.lock().unwrap();
+            let snap = base.next_seq - 1;
+            self.pipeline.pin_snapshot(snap);
+            snap
+        };
+        self.emit(txn, ObsEvent::SnapshotPin { seq: snap });
+        snap
+    }
+
+    /// Whether `key` is in its shard's conflict set once the shard has
+    /// absorbed every batch up to `seq` (`stolen`: the catch-up is
+    /// claim-side work stealing, not a committer's own fan-out).
+    pub(crate) fn in_conflict_set_at(&self, key: &InstKey, seq: u64, stolen: bool) -> bool {
+        let s = self.pipeline.plan().shard_of(key.rule);
+        let mut state = self.pipeline.shard_state(s);
+        self.pipeline.catch_up(s, seq, &mut state, stolen, self.obs.as_deref());
+        state.rete.conflict_set().contains(key)
+    }
+
+    /// Records `kind` for `txn` when observability is on.
+    pub(crate) fn emit(&self, txn: TxnId, kind: ObsEvent) {
+        if let Some(obs) = &self.obs {
+            obs.record(txn.0, kind);
+        }
+    }
+
+    /// The abort bookkeeping shared by rule firings and session
+    /// transactions: release the locks, emit the single `Abort`
+    /// terminal, count the cause. The lock manager may already have
+    /// auto-aborted the transaction when it surfaced a
+    /// doom/deadlock/timeout (`NotActive` is that benign race);
+    /// anything else would mean locks were leaked, so it is asserted in
+    /// debug builds and flagged in the event stream in release builds.
+    pub(crate) fn record_abort(&self, txn: TxnId, rule_name: &str, cause: AbortCause) {
+        match self.lm.abort(txn) {
+            Ok(()) | Err(dps_lock::LockError::NotActive(_)) => {}
+            Err(e) => {
+                debug_assert!(false, "abort of {txn:?} failed: {e:?}");
+                self.emit(txn, ObsEvent::Anomaly { what: "abort-failed" });
+            }
+        }
+        self.emit(txn, ObsEvent::Abort { cause });
+        if let Some(obs) = &self.obs {
+            obs.rule_aborted(rule_name);
+        }
+        self.metrics.count_abort(cause);
+    }
+}
+
+/// Unpins a read snapshot when the execution attempt ends (commit or
+/// abort on any path), releasing its version-GC floor.
+pub(crate) struct PinGuard<'a> {
+    pub(crate) pipeline: &'a MatchPipeline,
+    pub(crate) snap: u64,
+}
+
+impl Drop for PinGuard<'_> {
+    fn drop(&mut self) {
+        self.pipeline.unpin_snapshot(self.snap);
+    }
+}
+
+/// Owner of one claimed instantiation's ledger entry. The ledger
+/// unclaim exists exactly once — [`ClaimGuard::release`] — and every
+/// exit reaches it: the commit section calls it under the base mutex,
+/// the abort path after its accounting, and a panic unwinding out of
+/// the RHS (an injected fault, an evaluator bug) through `Drop`, which
+/// also releases the transaction's locks so surviving workers neither
+/// deadlock on them nor wait forever on a wedged in-flight count.
+pub(crate) struct ClaimGuard<'e> {
+    pub(crate) engine: &'e ParallelEngine,
+    pub(crate) txn: TxnId,
+    pub(crate) key: InstKey,
+    pub(crate) released: bool,
+}
+
+impl ClaimGuard<'_> {
+    /// Unclaims the instantiation (idempotent).
+    pub(crate) fn release(&mut self, ledger: &mut Ledger) {
+        if !std::mem::replace(&mut self.released, true) {
+            ledger.engine_doomed.remove(&self.txn);
+            ledger.claims_by_txn.remove(&self.txn);
+            ledger.claimed.remove(&self.key);
+            ledger.inflight -= 1;
+        }
+    }
+}
+
+impl Drop for ClaimGuard<'_> {
+    fn drop(&mut self) {
+        if self.released {
+            return;
+        }
+        let _ = self.engine.lm.abort(self.txn);
+        // A poisoned ledger means another worker already died holding
+        // it — nothing left to salvage.
+        if let Ok(mut ledger) = self.engine.ledger.lock() {
+            self.release(&mut ledger);
+        }
+        self.engine.cv.notify_all();
+    }
+}

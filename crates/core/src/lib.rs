@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod abstract_model;
+mod commit;
 mod firing;
 pub mod governor;
 mod parallel;
@@ -54,6 +55,7 @@ pub mod semantics;
 pub mod session;
 mod single;
 mod static_parallel;
+mod strategy;
 mod world;
 
 pub use firing::{Firing, Footprint, Trace};

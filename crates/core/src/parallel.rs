@@ -1,64 +1,65 @@
 //! The dynamic approach (§4.2–4.3): multiple execution threads running
 //! production RHSs as transactions under a lock protocol.
 //!
-//! Architecture (one instance of the paper's Figure 4.1/4.2 pipeline per
-//! worker thread):
+//! ## The transaction skeleton
 //!
-//! 1. **claim** — pick an unclaimed, unrefracted instantiation from the
-//!    shared conflict set;
-//! 2. **condition locks** — acquire `Rc` (or `S`) locks on the matched
-//!    WMEs, plus *relation-level* `Rc` locks for negated condition
-//!    elements (the paper's escalation for negative dependence), then
-//!    re-validate the claim under those locks;
-//! 3. **execute** — simulate the RHS work (configurable per-rule
-//!    duration), polling for dooms so an invalidated production stops
-//!    early;
-//! 4. **action locks** — acquire `Ra`/`Wa` (or `S`/`X`) locks for the
-//!    buffered effects;
-//! 5. **commit** — atomically: lock-manager commit (which applies the
-//!    `Rc`–`Wa` rule of Figure 4.3), apply the delta to working memory,
-//!    drive the matcher, append to the trace. Under
-//!    [`ConflictPolicy::Revalidate`] the engine re-checks each affected
-//!    reader's instantiation against the new conflict set and dooms only
-//!    those actually invalidated — the paper's cheaper-abort alternative.
+//! Every worker runs one instance of the paper's Figure 4.1/4.2
+//! pipeline. A claimed instantiation goes through a fixed sequence of
+//! steps ([`ParallelEngine::try_execute`]); the only thing that varies
+//! is the **strategy** ([`crate::strategy::Strategy`]), chosen once per
+//! claim from the configuration and the shard plan's commute verdict.
+//! The skeleton never asks *which* strategy it runs — only what the
+//! strategy does at a step:
 //!
-//! ## MVCC condition reads
+//! | step | `Locked` (2PL `S`/`X`, or `Rc`/`Ra`/`Wa`) | `Snapshot` (MVCC) | `Elided` (proved commutative) |
+//! |---|---|---|---|
+//! | **claim** | unclaimed, unrefracted instantiation from a shard's conflict set; ledger entry owned by a `ClaimGuard` | same | same |
+//! | **condition read** (matched tuples; *relation* of each negated class, or of an escalated tuple group) | `S` / `Rc` lock | no lock; chaos seam only | no lock; skip booked in `LockStats::elided` |
+//! | **claim validation** at watermark `w` | membership in the caught-up shard, under the read locks | pin snapshot `w`; membership; every matched tuple live at `w` with the matched timestamp | as `Snapshot` |
+//! | **RHS** | simulated work polling for dooms, then the delta | same | same |
+//! | **action read / write** | `S`/`X` or `Ra`/`Wa` (tuple, plus the relation of every created or written class) | same locks | no lock; skips booked |
+//! | **validate** (base mutex held) | engine-doom check | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
+//! | **on commit** | Figure 4.3: dooms overlapped `Rc` readers, or hands them back for engine revalidation (policy `Revalidate`) | `VersionWrite` receipt per written tuple | `ElidedCommit` receipt |
+//! | **on abort** | release locks, unclaim, account, governor backoff on contention | + unpin | + unpin |
+//! | **conflict surfaces as** | `Doomed` / `Revalidation` / `Deadlock` / `Timeout` | `SnapshotStale` (+ action-lock causes) | `ElisionStale` |
 //!
-//! Under [`ConflictPolicy::MvccSnapshot`] phase 2 changes shape
-//! entirely: the condition read set takes **no locks**. Claim
-//! validation instead pins a *snapshot* — the newest fully published
-//! commit sequence — and validates the matched WMEs against the
-//! pipeline's versioned store ([`dps_wm::VersionedStore`], fed by the
-//! same delta log that drives the match shards). Because a production's
-//! RHS only ever reads its own instantiation (bindings + matched WMEs,
-//! never live WM), nothing after validation depends on current state,
-//! so a committing writer has nobody to doom: the Figure 4.3 commit
-//! rule degenerates to a no-op and *reader aborts vanish structurally*.
-//! The price is paid at commit: under the base mutex the committer
-//! re-validates its own read set (latest versions still carry the
-//! matched timestamps; no negated class written past the snapshot —
-//! with an exact conflict-set membership fallback), aborting itself
-//! with [`AbortStats::snapshot_stale`] on genuine overlap. Validity at
-//! the commit point is exactly what the §3 serial-replay oracle needs,
-//! so MVCC traces replay unchanged; the recorded snapshot-pin /
-//! version-read / version-write events additionally feed the SI &
-//! serializability polygraph checker in `dps-obs`.
+//! `Stale` (claim gone before validation), `EvalError` (refracted,
+//! never retried) and `Injected` (chaos) can surface under any
+//! strategy. Governor escalation (an escalated resource takes the
+//! pessimistic 2PL mode) and the fault seams hang off
+//! `Strategy::acquire` once, not per strategy.
+//!
+//! The irrevocable part — `lm.commit` through the WAL sync request —
+//! is [`ParallelEngine::commit_section`] ([`crate::commit`]), which
+//! external session commits ([`crate::session`]) call too.
+//!
+//! **Why snapshot strategies are sound.** A production's RHS only ever
+//! reads its own instantiation (bindings + matched WMEs, never live
+//! WM), so nothing after claim validation depends on current state and
+//! a committing writer has nobody to doom: reader aborts vanish
+//! structurally. The price is paid at commit, under the base mutex
+//! every conflicting commit serialised through: every matched WME's
+//! *latest* version still carries the matched timestamp and no negated
+//! class was written past the snapshot — or, failing that fast check,
+//! the instantiation is (still / again) in the caught-up conflict set.
+//! Validity *at the commit point* is exactly what the §3 serial-replay
+//! oracle requires of the trace slot the commit takes. Elision adds
+//! one argument: the decision is per class-connected *component*, so
+//! lock-holding and lock-skipping firings never meet on a resource.
+//! Deltas are materialised to absolute values at RHS evaluation, so
+//! even two commuting bumps of one cell must not both apply from one
+//! snapshot — the validation, not the commute judgment, makes the fast
+//! path safe; the judgment only decides when the locks may be skipped.
 //!
 //! ## Shared-state decomposition
 //!
-//! The engine's mutable state was formerly one `Mutex<Shared>`, then a
-//! `Mutex<World>` (WM + one monolithic matcher) beside the scheduler's
-//! ledger — every claim scan and every commit still serialised on the
-//! single matcher. The matcher is now the **sharded match pipeline**
-//! ([`crate::pipeline`]):
-//!
 //! * **`WmBase`** (`Mutex`) — the authoritative WM + commit sequence
-//!   counter; the commit critical section shrinks to lock-manager
-//!   commit + WM delta apply + publishing the change batch;
-//! * **match shards** (one `Mutex` each) — per-component Rete networks
-//!   with their own conflict-set slice and refraction slice, caught up
-//!   from the sequence-numbered delta log by committers fanning out and
-//!   by idle claim scans stealing pending shard×batch work;
+//!   counter: the commit critical section;
+//! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
+//!   per-component Rete networks with their own conflict-set slice and
+//!   refraction slice, caught up from the sequence-numbered delta log
+//!   by committers fanning out and by idle claim scans stealing
+//!   pending shard×batch work;
 //! * **`Ledger`** (`Mutex` + `Condvar`) — claims, engine dooms,
 //!   in-flight count and termination flags; the scheduler's state.
 //!   Doom-polling during simulated RHS work touches *only* this (and
@@ -81,19 +82,21 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use dps_lock::{
-    res_key, ConflictPolicy, FaultInjector, FaultPlan, FaultStats, LockManager, LockMode, Protocol,
-    ResourceId, TxnId, WalKillSite,
+    res_key, ConflictPolicy, FaultInjector, FaultPlan, FaultStats, LockManager, Protocol,
+    ResourceId, TxnId,
 };
 use dps_match::{InstKey, Instantiation, Matcher, DEFAULT_MATCH_SHARDS};
 use dps_obs::{
-    EventKind as ObsEvent, FanoutStats, Phase, Recorder, Telemetry, TelemetryConfig, TickHist,
+    AbortCause, EventKind as ObsEvent, FanoutStats, Phase, Recorder, Telemetry, TelemetryConfig,
+    TickHist,
 };
-use dps_rules::{instantiate_actions, RuleSet};
-use dps_wm::wal::KillMode;
-use dps_wm::{Atom, DurableWm, WalError, WalStats, WorkingMemory};
+use dps_rules::{instantiate_actions, Rule, RuleSet};
+use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
 
+use crate::commit::{ClaimGuard, Commit, PinGuard};
 use crate::governor::{Governor, GovernorConfig, GovernorStats};
 use crate::pipeline::MatchPipeline;
+use crate::strategy::{Access, Strategy};
 use crate::{Firing, Footprint, Trace};
 
 /// Simulated per-production RHS duration — stands in for the "full-
@@ -192,10 +195,6 @@ pub struct ParallelConfig {
     /// table — the pre-sharding layout, kept as a knob so the scaling
     /// sweep can measure exactly what the striping buys.
     pub lock_shards: usize,
-    /// Lock-wait timeout forwarded to the lock manager (`None`:
-    /// deadlock detection alone handles stuck waits). Timed-out
-    /// attempts abort with [`AbortStats::timeout`].
-    pub lock_timeout: Option<Duration>,
     /// Observability: when `true` the engine attaches a
     /// [`dps_obs::Recorder`] and emits the full transaction-lifecycle
     /// event stream, phase latency histograms and per-rule tables
@@ -304,7 +303,6 @@ impl Default for ParallelConfig {
             max_commits: 100_000,
             rc_escalation: None,
             lock_shards: dps_lock::DEFAULT_SHARDS,
-            lock_timeout: None,
             observe: false,
             fault: None,
             governor: None,
@@ -337,7 +335,8 @@ pub struct AbortStats {
     /// RHS evaluation failed (e.g. division by zero); the
     /// instantiation is refracted so it is never retried.
     pub eval_error: u64,
-    /// A lock wait exceeded [`ParallelConfig::lock_timeout`].
+    /// A lock wait timed out (reachable through the fault plan's
+    /// timeout storm; the engine configures no organic timeout).
     pub timeout: u64,
     /// Force-aborted by the chaos fault injector
     /// ([`ParallelConfig::fault`]). Always zero outside fault-injected
@@ -425,58 +424,45 @@ pub struct ParallelReport {
 /// per-shard slice now, not global scheduler state.)
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    claimed: HashSet<InstKey>,
+    pub(crate) claimed: HashSet<InstKey>,
     pub(crate) claims_by_txn: HashMap<TxnId, InstKey>,
     /// Readers doomed by engine-level revalidation.
     pub(crate) engine_doomed: HashSet<TxnId>,
     pub(crate) inflight: usize,
-    halted: bool,
+    pub(crate) halted: bool,
     pub(crate) done: bool,
 }
 
 /// Run counters, updated lock-free.
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
-    commits: AtomicUsize,
-    doomed: AtomicU64,
-    deadlock: AtomicU64,
-    stale: AtomicU64,
-    revalidation: AtomicU64,
-    eval_error: AtomicU64,
-    timeout: AtomicU64,
-    injected: AtomicU64,
-    snapshot_stale: AtomicU64,
-    elision_stale: AtomicU64,
+    pub(crate) commits: AtomicUsize,
+    /// Aborts by cause, indexed by [`AbortCause::index`].
+    aborts: [AtomicU64; AbortCause::ALL.len()],
     wasted_nanos: AtomicU64,
 }
 
 impl Metrics {
+    fn aborts_by(&self, cause: AbortCause) -> u64 {
+        self.aborts[cause.index()].load(Relaxed)
+    }
+
     fn abort_stats(&self) -> AbortStats {
         AbortStats {
-            doomed: self.doomed.load(Relaxed),
-            deadlock: self.deadlock.load(Relaxed),
-            stale: self.stale.load(Relaxed),
-            revalidation: self.revalidation.load(Relaxed),
-            eval_error: self.eval_error.load(Relaxed),
-            timeout: self.timeout.load(Relaxed),
-            injected: self.injected.load(Relaxed),
-            snapshot_stale: self.snapshot_stale.load(Relaxed),
-            elision_stale: self.elision_stale.load(Relaxed),
+            doomed: self.aborts_by(AbortCause::Doomed),
+            deadlock: self.aborts_by(AbortCause::Deadlock),
+            stale: self.aborts_by(AbortCause::Stale),
+            revalidation: self.aborts_by(AbortCause::Revalidation),
+            eval_error: self.aborts_by(AbortCause::EvalError),
+            timeout: self.aborts_by(AbortCause::Timeout),
+            injected: self.aborts_by(AbortCause::Injected),
+            snapshot_stale: self.aborts_by(AbortCause::SnapshotStale),
+            elision_stale: self.aborts_by(AbortCause::ElisionStale),
         }
     }
 
-    pub(crate) fn count_abort(&self, cause: &AbortCause) {
-        match cause {
-            AbortCause::Doomed => self.doomed.fetch_add(1, Relaxed),
-            AbortCause::Deadlock => self.deadlock.fetch_add(1, Relaxed),
-            AbortCause::Stale => self.stale.fetch_add(1, Relaxed),
-            AbortCause::Revalidation => self.revalidation.fetch_add(1, Relaxed),
-            AbortCause::EvalError => self.eval_error.fetch_add(1, Relaxed),
-            AbortCause::Timeout => self.timeout.fetch_add(1, Relaxed),
-            AbortCause::Injected => self.injected.fetch_add(1, Relaxed),
-            AbortCause::SnapshotStale => self.snapshot_stale.fetch_add(1, Relaxed),
-            AbortCause::ElisionStale => self.elision_stale.fetch_add(1, Relaxed),
-        };
+    pub(crate) fn count_abort(&self, cause: AbortCause) {
+        self.aborts[cause.index()].fetch_add(1, Relaxed);
     }
 }
 
@@ -512,7 +498,7 @@ pub struct ParallelEngine {
     /// manager. `None` ⇒ every seam is one branch.
     pub(crate) injector: Option<Arc<FaultInjector>>,
     /// Adaptive retry governor ([`ParallelConfig::governor`]).
-    governor: Option<Arc<Governor>>,
+    pub(crate) governor: Option<Arc<Governor>>,
     /// Durability layer ([`ParallelConfig::durability`]): checkpoint +
     /// group-commit WAL. `None` ⇒ the commit path pays one branch.
     pub(crate) durable: Option<Arc<DurableWm>>,
@@ -527,32 +513,23 @@ pub struct ParallelEngine {
     pub(crate) external_commits: AtomicU64,
 }
 
-enum WorkerStep {
-    Worked,
-    Finished,
-}
-
 impl ParallelEngine {
     /// Creates the engine over an initial working memory.
     pub fn new(rules: &RuleSet, wm: WorkingMemory, config: ParallelConfig) -> Self {
-        Self::build(rules, wm, 0, config)
+        Self::resume(rules, wm, 0, config)
     }
 
     /// Creates the engine over a **recovered** working memory, resuming
-    /// the commit sequence at `last_seq + 1` (see [`dps_wm::recover`]).
+    /// the commit sequence at `base_seq + 1` (see [`dps_wm::recover`]).
     /// With [`ParallelConfig::durability`] set, a fresh checkpoint is
-    /// cut at `last_seq` so the new log suffix starts clean (this also
+    /// cut at `base_seq` so the new log suffix starts clean (this also
     /// retires any torn tail left by the crash).
     pub fn resume(
         rules: &RuleSet,
         wm: WorkingMemory,
-        last_seq: u64,
+        base_seq: u64,
         config: ParallelConfig,
     ) -> Self {
-        Self::build(rules, wm, last_seq, config)
-    }
-
-    fn build(rules: &RuleSet, wm: WorkingMemory, base_seq: u64, config: ParallelConfig) -> Self {
         // The durability layer snapshots `wm` before the pipeline takes
         // ownership of it (checkpoint-at-base: recovery never needs log
         // records older than `base_seq`).
@@ -562,9 +539,7 @@ impl ParallelEngine {
                     .expect("durability dir initialises"),
             )
         });
-        // Only MVCC snapshots and elided firings ever read a version.
-        let versioned =
-            matches!(config.policy, ConflictPolicy::MvccSnapshot) || config.elide_locks;
+        let versioned = Strategy::any_snapshot(&config);
         let pipeline =
             MatchPipeline::new_at(rules, wm, config.match_shards, base_seq, versioned);
         let mut class_ids = HashMap::new();
@@ -600,7 +575,6 @@ impl ParallelEngine {
             LockManager::builder()
                 .policy(config.policy)
                 .shards(config.lock_shards)
-                .timeout(config.lock_timeout)
                 .obs(obs.clone())
                 .fault(injector.clone())
                 .wait_hist(wait_hist.clone())
@@ -660,26 +634,12 @@ impl ParallelEngine {
         // differences are the rates) and wasted work.
         let m = Arc::clone(metrics);
         tel.counter("engine.commits", move || m.commits.load(Relaxed) as u64);
-        let causes: [(&str, fn(&Metrics) -> u64); 10] = [
-            ("engine.aborts.doomed", |m| m.doomed.load(Relaxed)),
-            ("engine.aborts.deadlock", |m| m.deadlock.load(Relaxed)),
-            ("engine.aborts.stale", |m| m.stale.load(Relaxed)),
-            ("engine.aborts.revalidation", |m| m.revalidation.load(Relaxed)),
-            ("engine.aborts.eval_error", |m| m.eval_error.load(Relaxed)),
-            ("engine.aborts.timeout", |m| m.timeout.load(Relaxed)),
-            ("engine.aborts.injected", |m| m.injected.load(Relaxed)),
-            ("engine.aborts.snapshot_stale", |m| {
-                m.snapshot_stale.load(Relaxed)
-            }),
-            ("engine.aborts.elision_stale", |m| {
-                m.elision_stale.load(Relaxed)
-            }),
-            ("engine.wasted_ns", |m| m.wasted_nanos.load(Relaxed)),
-        ];
-        for (name, read) in causes {
+        for cause in AbortCause::ALL {
             let m = Arc::clone(metrics);
-            tel.counter(name, move || read(&m));
+            tel.counter(format!("engine.aborts.{}", cause.name()), move || m.aborts_by(cause));
         }
+        let m = Arc::clone(metrics);
+        tel.counter("engine.wasted_ns", move || m.wasted_nanos.load(Relaxed));
         // Lock manager: counter snapshot is pure atomic loads; the wait
         // histogram drains into lock.wait.{count,p50_ns,p99_ns,max_ns}.
         let stats: [(&str, fn(dps_lock::LockStats) -> u64); 5] = [
@@ -800,7 +760,7 @@ impl ParallelEngine {
         let workers = self.config.workers.max(1);
         std::thread::scope(|scope| {
             for idx in 0..workers {
-                scope.spawn(move || self.worker_loop(idx));
+                scope.spawn(move || while self.worker_step(idx) {});
             }
         });
         // Quiescence flush: the baton flusher only guarantees eventual
@@ -892,15 +852,6 @@ impl ParallelEngine {
         self.metrics.commits.load(Relaxed) as u64
     }
 
-    fn worker_loop(&self, worker: usize) {
-        loop {
-            match self.worker_step(worker) {
-                WorkerStep::Worked => {}
-                WorkerStep::Finished => return,
-            }
-        }
-    }
-
     /// `true` when the run may not claim more work (halt seen, the
     /// commit cap reached, or a stop was requested). `commits` only
     /// changes under the ledger lock, so reads under that lock are
@@ -941,7 +892,8 @@ impl ParallelEngine {
         self.cv.notify_all();
     }
 
-    /// One claim→execute→commit attempt (or a wait / exit decision).
+    /// One claim→execute→commit attempt (or a wait); `false` once the
+    /// run is over.
     ///
     /// The claim scan walks the match shards starting at `worker`'s own
     /// rotation offset (workers fan out over different shards instead
@@ -951,20 +903,20 @@ impl ParallelEngine {
     /// shard's refraction slice; the ledger is only taken lazily at the
     /// first unrefracted candidate, so the (quadratic) refracted-prefix
     /// skip runs on shard-local state alone.
-    fn worker_step(&self, worker: usize) -> WorkerStep {
+    fn worker_step(&self, worker: usize) -> bool {
         let claim = loop {
             // ---- gate: termination / halt / commit cap ----
             {
                 let mut ledger = self.ledger.lock().unwrap();
                 if ledger.done {
-                    return WorkerStep::Finished;
+                    return false;
                 }
                 if self.capped(&ledger) {
                     if ledger.inflight == 0 {
                         ledger.done = true;
                         drop(ledger);
                         self.cv.notify_all();
-                        return WorkerStep::Finished;
+                        return false;
                     }
                     let _g = self.cv.wait(ledger).unwrap();
                     continue;
@@ -1008,7 +960,7 @@ impl ParallelEngine {
                 None => {
                     let mut ledger = self.ledger.lock().unwrap();
                     if ledger.done {
-                        return WorkerStep::Finished;
+                        return false;
                     }
                     // Sound termination: zero candidates across every
                     // shard at watermark `w`, nothing in flight, and no
@@ -1037,7 +989,7 @@ impl ParallelEngine {
                         ledger.done = true;
                         drop(ledger);
                         self.cv.notify_all();
-                        return WorkerStep::Finished;
+                        return false;
                     }
                     if ledger.inflight > 0 {
                         let _g = self.cv.wait(ledger).unwrap();
@@ -1048,401 +1000,98 @@ impl ParallelEngine {
             }
         };
         self.execute_claim(claim);
-        WorkerStep::Worked
+        true
     }
 
-    /// Runs one claimed instantiation as a transaction.
+    /// Runs one claimed instantiation as a transaction: picks its
+    /// strategy, drives the skeleton, and does the abort bookkeeping.
     fn execute_claim(&self, inst: Instantiation) {
         let key = inst.key();
         let rule = self.rules.get(inst.rule).expect("known rule").clone();
+        let name = rule.name.as_str();
         // Serial fallback (governor step 3): a rule past its starvation
         // bound runs alone. The guard is strictly outermost — acquired
         // before `begin`/any lock request, dropped after commit/abort —
         // so it can never appear inside a lock-manager waits-for cycle
         // (a waiter on this mutex holds no locks yet).
-        let _serial = self
-            .governor
-            .as_ref()
-            .and_then(|g| g.serial_guard(rule.name.as_str()));
+        let _serial = self.governor.as_ref().and_then(|g| g.serial_guard(name));
         let txn = self.lm.begin();
-        self.ledger
-            .lock()
-            .unwrap()
-            .claims_by_txn
-            .insert(txn, key.clone());
-        // Unwind guard: if anything below panics (an injected RHS
-        // panic, a bug in an action evaluator), the transaction's locks
-        // are released and its claim unclaimed as the unwind passes
-        // through — a panicking worker must never leak locks, pins
-        // (PinGuard handles those) or a wedged claim that deadlocks the
-        // survivors. Disarmed on both ordinary exits, which do their
-        // own (fuller) bookkeeping.
-        let mut guard = ClaimGuard { engine: self, txn, key: key.clone(), armed: true };
+        self.ledger.lock().unwrap().claims_by_txn.insert(txn, key.clone());
+        let mut claim = ClaimGuard { engine: self, txn, key, released: false };
+        let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
+        let cond = self.condition_resources(&inst, &rule);
         let mut worked = Duration::ZERO;
-        let mut touched: Vec<u64> = Vec::new();
-        let outcome = self.try_execute(txn, &inst, &rule, &mut worked, &mut touched);
-        guard.armed = false;
-        drop(guard);
-        match outcome {
-            Ok(()) => {
-                if let Some(obs) = &self.obs {
-                    obs.rule_fired(rule.name.as_str());
-                }
-                if let Some(g) = &self.governor {
-                    g.on_commit(rule.name.as_str(), txn.0, self.obs.as_deref());
-                }
+        let outcome = self.try_execute(&mut claim, strategy, &inst, &rule, &cond, &mut worked);
+        let Err(cause) = outcome else {
+            if let Some(g) = &self.governor {
+                g.on_commit(name, txn.0, self.obs.as_deref());
             }
-            Err(cause) => {
-                // Abort path: release locks, unclaim, account. The lock
-                // manager may already have auto-aborted the transaction
-                // when it surfaced a doom/deadlock/timeout (`NotActive`
-                // here is that benign race); anything else would mean
-                // locks were leaked, so it is asserted in debug builds
-                // and flagged in the event stream in release builds.
-                match self.lm.abort(txn) {
-                    Ok(()) | Err(dps_lock::LockError::NotActive(_)) => {}
-                    Err(e) => {
-                        debug_assert!(false, "abort of {txn:?} failed: {e:?}");
-                        if let Some(obs) = &self.obs {
-                            obs.record(txn.0, ObsEvent::Anomaly { what: "abort-failed" });
-                        }
-                    }
-                }
-                if let Some(obs) = &self.obs {
-                    obs.record(txn.0, ObsEvent::Abort { cause: cause.to_obs() });
-                    obs.rule_aborted(rule.name.as_str());
-                }
-                self.metrics.count_abort(&cause);
-                self.metrics
-                    .wasted_nanos
-                    .fetch_add(worked.as_nanos() as u64, Relaxed);
-                if matches!(cause, AbortCause::EvalError) {
-                    // Permanently skip this instantiation: refract it on
-                    // its rule's shard *before* unclaiming below, so no
-                    // scanner can re-claim it in between (shard → ledger
-                    // respects the lock order).
-                    let s = self.pipeline.plan().shard_of(key.rule);
-                    self.pipeline
-                        .shard_state(s)
-                        .refracted
-                        .insert(key.clone());
-                }
-                let mut ledger = self.ledger.lock().unwrap();
-                ledger.engine_doomed.remove(&txn);
-                ledger.claims_by_txn.remove(&txn);
-                ledger.claimed.remove(&key);
-                ledger.inflight -= 1;
-                drop(ledger);
-                self.cv.notify_all();
-                // Governor feedback + backoff (steps 1–2): contention
-                // aborts earn a bounded, jittered retry delay and feed
-                // the storm detector; stale claims and eval errors are
-                // not contention and skip it. The sleep happens with no
-                // lock held (ledger dropped, locks released).
-                if let Some(g) = &self.governor {
-                    if cause.is_contention() {
-                        let delay = g.on_contention_abort(
-                            rule.name.as_str(),
-                            &touched,
-                            txn.0,
-                            self.obs.as_deref(),
-                        );
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Lock mode for a resource, accounting for governor escalation:
-    /// an escalated resource uses the pessimistic 2PL mode (`S`/`X`)
-    /// instead of the optimistic production mode — the cross-protocol
-    /// rows of [`dps_lock::compatible`] make any read/write mix
-    /// incompatible, so escalated resources block instead of dooming.
-    pub(crate) fn governed_mode(
-        &self,
-        res: ResourceId,
-        optimistic: LockMode,
-        pessimistic: LockMode,
-    ) -> LockMode {
-        match &self.governor {
-            Some(g) if g.is_escalated(res_key(res)) => pessimistic,
-            _ => optimistic,
-        }
-    }
-
-    /// Engine-level revalidation (policy `Revalidate`): doom only the
-    /// affected readers whose claimed instantiation the commit at `seq`
-    /// actually invalidated. Claims are snapshotted under the ledger,
-    /// checked against caught-up shards, and dooms re-verified against
-    /// the *same* claim (shard → ledger order throughout; the caller
-    /// holds the base mutex, so a doomed reader cannot be mid-commit).
-    /// Shared by the rule commit path and external session commits.
-    pub(crate) fn revalidate_readers(
-        &self,
-        readers: &[TxnId],
-        seq: u64,
-        obs: Option<&Recorder>,
-    ) {
-        let claims: Vec<(TxnId, InstKey)> = {
-            let ledger = self.ledger.lock().unwrap();
-            readers
-                .iter()
-                .filter_map(|r| ledger.claims_by_txn.get(r).map(|k| (*r, k.clone())))
-                .collect()
+            return;
         };
-        for (reader, k) in claims {
-            let s = self.pipeline.plan().shard_of(k.rule);
-            let still_valid = {
-                let mut state = self.pipeline.shard_state(s);
-                self.pipeline.catch_up(s, seq, &mut state, false, obs);
-                state.rete.conflict_set().contains(&k)
-            };
-            if !still_valid {
-                let mut ledger = self.ledger.lock().unwrap();
-                if ledger.claims_by_txn.get(&reader) == Some(&k) {
-                    ledger.engine_doomed.insert(reader);
-                }
+        self.record_abort(txn, name, cause);
+        self.metrics.wasted_nanos.fetch_add(worked.as_nanos() as u64, Relaxed);
+        if cause == AbortCause::EvalError {
+            // Permanently skip this instantiation: refract it on its
+            // rule's shard *before* the unclaim below, so no scanner can
+            // re-claim it in between (shard → ledger lock order).
+            let s = self.pipeline.plan().shard_of(inst.rule);
+            self.pipeline.shard_state(s).refracted.insert(claim.key.clone());
+        }
+        claim.release(&mut self.ledger.lock().unwrap());
+        self.cv.notify_all();
+        // Governor feedback + backoff (steps 1–2): contention aborts
+        // earn a bounded, jittered retry delay and feed the storm
+        // detector. The blame set is the condition-read set: it is the
+        // doom channel (`Rc` holders are who a committing `Wa` kills)
+        // and what a snapshot-stale abort read, so these are the keys a
+        // storm escalates. The sleep happens with no lock held.
+        if let Some(g) = self.governor.as_ref().filter(|_| cause.is_contention()) {
+            let touched: Vec<u64> = cond.iter().map(|r| res_key(*r)).collect();
+            let delay = g.on_contention_abort(name, &touched, txn.0, self.obs.as_deref());
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
             }
         }
     }
 
+    /// The transaction skeleton — claim → read phase → RHS → write
+    /// phase → validate → commit section → release (the claim guard's).
+    /// See the module docs for what each strategy does at each step.
     fn try_execute(
         &self,
-        txn: TxnId,
+        claim: &mut ClaimGuard<'_>,
+        strategy: Strategy,
         inst: &Instantiation,
-        rule: &dps_rules::Rule,
+        rule: &Rule,
+        cond: &[ResourceId],
         worked: &mut Duration,
-        touched: &mut Vec<u64>,
     ) -> Result<(), AbortCause> {
-        let key = inst.key();
-        let proto = self.config.protocol;
-        let mvcc = matches!(self.config.policy, ConflictPolicy::MvccSnapshot);
-        // Coordination avoidance: a rule the shard planner's static
-        // commute matrix proved safe skips the lock manager entirely
-        // and self-validates at commit (`ElidedCommit`). The decision
-        // is per *component*, never per rule — either every rule that
-        // can race on a class elides, or none does — so the §4
-        // lock-order argument is undisturbed for the locking rules:
-        // they never meet an elided firing on any resource.
-        let elide = self.config.elide_locks
-            && (self.config.elide_misclassify || self.pipeline.plan().elidable(key.rule));
-        // OCC-style validation applies to both MVCC and elided firings;
-        // they differ only in the abort cause they surface.
-        let occ = mvcc || elide;
-        let mut elided_skips: u32 = 0;
+        let txn = claim.txn;
         // Phase clocks (None when observability is off). Samples are
         // recorded only when a phase completes; the lock-wait histogram
         // (recorded inside the lock manager) covers the blocked tails of
         // phases that abort mid-lock.
-        let t_lhs = self.obs.as_ref().map(|_| Instant::now());
-
-        // ---- condition (LHS) locks ----
-        // Per-class tuple groups, so Rc escalation can promote a group
-        // to one relation-level lock. The set is computed in every
-        // mode; under MVCC it is not locked — it is the injection and
-        // attribution surface only.
-        let mut cond_resources: Vec<ResourceId> = Vec::new();
-        let mut by_class: HashMap<&Atom, Vec<ResourceId>> = HashMap::new();
-        for w in &inst.wmes {
-            by_class
-                .entry(&w.data.class)
-                .or_default()
-                .push(ResourceId::Tuple(w.id.0));
-        }
-        for (class, tuples) in by_class {
-            match self.config.rc_escalation {
-                Some(threshold) if tuples.len() > threshold => {
-                    cond_resources.push(self.relation_resource(class));
-                }
-                _ => cond_resources.extend(tuples),
+        let mut clock = self.obs.as_ref().map(|_| Instant::now());
+        let mut lap = |phase: Phase| {
+            if let (Some(obs), Some(t)) = (&self.obs, &mut clock) {
+                obs.phase(phase, std::mem::replace(t, Instant::now()).elapsed());
             }
-        }
-        for class in Footprint::negated_classes(rule) {
-            cond_resources.push(self.relation_resource(class));
-        }
-        cond_resources.sort_unstable();
-        cond_resources.dedup();
-        // Contention attribution for the governor: the condition-read
-        // set is the doom channel (`Rc` holders are who a committing
-        // `Wa` kills) — and under MVCC the blame set of snapshot-stale
-        // aborts — so these are the keys a storm escalates.
-        touched.extend(cond_resources.iter().map(|r| res_key(*r)));
-        if elide {
-            // Lock-elision fast path: no `Rc` acquisition at all. The
-            // skip is still *booked* per resource (stats attribution
-            // and the chaos seam a lock request would have passed
-            // through), so fault-injected A/B runs compare protocols
-            // rather than injection surface areas.
-            for res in &cond_resources {
-                self.lm.elide(txn, *res).map_err(classify)?;
-            }
-            elided_skips += cond_resources.len() as u32;
-        } else if !mvcc {
-            for res in &cond_resources {
-                let mode = self.governed_mode(*res, proto.condition_read(), LockMode::S);
-                self.lm.lock(txn, *res, mode).map_err(classify)?;
-            }
-        } else {
-            // No locks — but the chaos seam a lock request would have
-            // passed through still fires, per resource, so fault-
-            // injected A/B runs compare protocols rather than
-            // injection surface areas.
-            for res in &cond_resources {
-                self.lm.inject_read(txn, *res).map_err(classify)?;
-            }
-        }
-
-        // ---- re-validate the claim ----
-        //
-        // Lock-based modes: under the read locks. The watermark is read
-        // under the base mutex, so every publish ≤ `w` is complete; the
-        // shard is pinned to at least `w` before the membership check.
-        // Any *later* commit that could invalidate this claim
-        // necessarily conflicts with the `Rc` locks just acquired
-        // (tuple `Wa`, or relation `Wa` vs our negated-class relation
-        // `Rc`), so the lock manager dooms us — a stale shard view can
-        // never carry a claim to commit.
-        //
-        // MVCC: pin a snapshot `w` instead (under the base mutex, so
-        // `w` is a fully published prefix and the pin is registered
-        // before any later GC floor computation can pass it). The
-        // membership check at `w` plays the same role, but nothing
-        // prevents later commits from invalidating the claim — that is
-        // caught by commit-time self-validation, not here. The pin
-        // floors version GC for the duration of the attempt; each
-        // matched WME's version-at-snapshot is recorded for the SI
-        // checker.
-        let (_pin, snapshot) = {
-            // Elided firings run the same snapshot-pin protocol as MVCC
-            // (the PR 6 backward-OCC skeleton): with no locks held,
-            // claim freshness is guaranteed by validation, not mutual
-            // exclusion.
-            let w = if occ {
-                let base = self.pipeline.base.lock().unwrap();
-                let w = base.next_seq - 1;
-                self.pipeline.pin_snapshot(w);
-                w
-            } else {
-                self.pipeline.base.lock().unwrap().next_seq - 1
-            };
-            let pin = occ.then(|| PinGuard {
-                pipeline: &self.pipeline,
-                snap: w,
-            });
-            if occ {
-                if let Some(obs) = &self.obs {
-                    obs.record(txn.0, ObsEvent::SnapshotPin { seq: w });
-                }
-            }
-            let s = self.pipeline.plan().shard_of(key.rule);
-            let mut state = self.pipeline.shard_state(s);
-            self.pipeline
-                .catch_up(s, w, &mut state, true, self.obs.as_deref());
-            if !state.rete.conflict_set().contains(&key) {
-                return Err(AbortCause::Stale);
-            }
-            drop(state);
-            if occ {
-                // Snapshot reads: every matched WME must be live at `w`
-                // with exactly the matched timestamp (instantiation
-                // identity includes timestamps, so a version mismatch
-                // means the claim refers to a different era of the
-                // tuple). Record the version sequence each read
-                // observed — the reads-from edges of the SI polygraph.
-                let versions = self.pipeline.versions();
-                for wme in &inst.wmes {
-                    match versions.version_at(wme.id, w) {
-                        Some(v)
-                            if v.state
-                                .as_ref()
-                                .is_some_and(|s| s.timestamp == wme.timestamp) =>
-                        {
-                            if let Some(obs) = &self.obs {
-                                obs.record(
-                                    txn.0,
-                                    ObsEvent::VersionRead {
-                                        resource: res_key(ResourceId::Tuple(wme.id.0)),
-                                        seq: v.seq,
-                                    },
-                                );
-                            }
-                        }
-                        _ if mvcc => return Err(AbortCause::SnapshotStale),
-                        _ => return Err(AbortCause::ElisionStale),
-                    }
-                }
-            }
-            let ledger = self.ledger.lock().unwrap();
-            if ledger.engine_doomed.contains(&txn) {
-                return Err(AbortCause::Revalidation);
-            }
-            (pin, w)
-        };
-        let t_rhs = match (&self.obs, t_lhs) {
-            (Some(obs), Some(t)) => {
-                obs.phase(Phase::LhsEval, t.elapsed());
-                Some(Instant::now())
-            }
-            _ => None,
         };
 
-        // ---- simulated RHS work, polling for dooms ----
-        // Note: polling touches only the lock manager and the ledger,
-        // never the world — busy workers do not serialise the matcher.
-        let budget = self.config.work.duration(&rule.name);
-        if !budget.is_zero() {
-            let busy = self.config.work.is_busy();
-            let slice = Duration::from_micros(50).min(budget);
-            let slice_us = slice.as_micros().max(1) as u64;
-            // Busy mode completes a *quota of slices*, not a wall-clock
-            // budget: on an oversubscribed machine the wall clock keeps
-            // running while a worker is descheduled, and an elapsed
-            // check would hand it that time as free work.
-            let slices = (budget.as_micros().max(1) as u64).div_ceil(slice_us);
-            let t0 = Instant::now();
-            let mut step: u64 = 0;
-            while if busy { step < slices } else { t0.elapsed() < budget } {
-                if busy {
-                    // CPU-bound RHS: burn one doom-poll slice of
-                    // calibrated iterations.
-                    spin_iters(slice_us * spin_iters_per_us());
-                } else {
-                    std::thread::sleep(slice);
-                }
-                step += 1;
-                // Chaos seam: a seeded mid-RHS stall widens the window
-                // in which a committing writer dooms this worker — the
-                // doomed-poll below must still catch it before the next
-                // action step. Stall time counts as worked (wasted on
-                // abort).
-                if let Some(inj) = &self.injector {
-                    inj.rhs_stall(txn, step, self.obs.as_deref());
-                }
-                // Busy wasted work is the CPU actually burned (slices
-                // completed), not elapsed time — a descheduled worker
-                // wastes nothing while it isn't running.
-                *worked = if busy {
-                    Duration::from_micros(slice_us * step)
-                } else {
-                    t0.elapsed()
-                };
-                self.lm.check(txn).map_err(classify)?;
-                let ledger = self.ledger.lock().unwrap();
-                if ledger.engine_doomed.contains(&txn) {
-                    return Err(AbortCause::Revalidation);
-                }
-            }
-            *worked = budget;
+        // ---- read phase: cover the condition reads, then re-validate
+        // the claim under them ----
+        for res in cond {
+            strategy.acquire(self, txn, *res, Access::Condition)?;
         }
+        let (snapshot, _pin) = self.validate_claim(txn, strategy, inst, &claim.key)?;
+        lap(Phase::LhsEval);
 
-        // ---- compute the delta ----
+        // ---- RHS: simulated work, then the delta ----
+        self.simulate_work(txn, &rule.name, worked)?;
         // Chaos seam: an injected RHS *panic* — unlike a stall or a
         // forced abort, the unwind must pass through the PinGuard and
         // ClaimGuard, which the leak-regression tests verify releases
-        // every lock and snapshot pin.
+        // every lock, snapshot pin and ledger entry.
         if let Some(inj) = &self.injector {
             if inj.rhs_panic(txn, 0, self.obs.as_deref()) {
                 panic!("injected RHS panic (chaos plan rhs_panic_pm)");
@@ -1451,23 +1100,103 @@ impl ParallelEngine {
         let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes)
             .map_err(|_| AbortCause::EvalError)?;
 
-        // ---- action (RHS) locks ----
-        let mut reads: Vec<ResourceId> = inst
-            .wmes
-            .iter()
-            .map(|w| ResourceId::Tuple(w.id.0))
-            .collect();
-        reads.sort_unstable();
-        reads.dedup();
-        let mut writes: Vec<ResourceId> = delta
-            .written_ids()
-            .map(|id| ResourceId::Tuple(id.0))
-            .collect();
+        // ---- write phase: cover the action reads and writes ----
+        let (reads, writes) = self.action_resources(inst, &delta);
+        for res in &reads {
+            strategy.acquire(self, txn, *res, Access::Read)?;
+        }
+        for res in &writes {
+            strategy.acquire(self, txn, *res, Access::Write)?;
+        }
+        lap(Phase::RhsAct);
+
+        // ---- validate, under the base mutex: the commit critical
+        // section starts here ----
+        let base = self.pipeline.base.lock().unwrap();
+        // Dropping the ledger before the commit is safe: engine dooms
+        // are only ever inserted by revalidation passes, which run
+        // under the base mutex (held here).
+        self.check_engine_doom(txn)?;
+        if strategy.validate_at_commit() {
+            // No condition locks protected the read set. Fast check,
+            // against the version store alone: every matched WME's
+            // *latest* version still carries the matched timestamp, and
+            // no negated class was written past the snapshot. Failing
+            // that, the exact test: is the instantiation (still / again)
+            // in its caught-up conflict set? Membership implies validity
+            // *at this commit point*.
+            let current = {
+                let versions = self.pipeline.versions();
+                inst.wmes
+                    .iter()
+                    .all(|w| versions.latest(w.id).is_some_and(|s| s.timestamp == w.timestamp))
+                    && Footprint::negated_classes(rule)
+                        .into_iter()
+                        .all(|class| versions.class_write_seq(class) <= snapshot)
+            };
+            if !current && !self.in_conflict_set_at(&claim.key, base.next_seq - 1, false) {
+                return Err(strategy.stale_cause());
+            }
+        }
+
+        // ---- commit section (consumes the base guard) ----
+        let firing = Firing {
+            rule: inst.rule,
+            rule_name: rule.name.clone(),
+            key: claim.key.clone(),
+            delta,
+            halt,
+            external: false,
+        };
+        let requests = (cond.len() + reads.len() + writes.len()) as u32;
+        let commit = Commit { txn, strategy, firing, requests, claim: Some(claim), since: clock };
+        self.commit_section(base, commit).map(drop)
+    }
+
+    /// The condition-read set of a claim: the matched tuples — grouped
+    /// per class, so `R_c` escalation can promote a group to one
+    /// relation-level resource — plus the relation of every negated
+    /// class (the paper's escalation for negative dependence). Computed
+    /// under every strategy: where it is not locked it is still the
+    /// injection and attribution surface.
+    fn condition_resources(&self, inst: &Instantiation, rule: &Rule) -> Vec<ResourceId> {
+        let mut out: Vec<ResourceId> = Vec::new();
+        let mut by_class: HashMap<&Atom, Vec<ResourceId>> = HashMap::new();
+        for w in &inst.wmes {
+            by_class.entry(&w.data.class).or_default().push(ResourceId::Tuple(w.id.0));
+        }
+        for (class, tuples) in by_class {
+            match self.config.rc_escalation {
+                Some(threshold) if tuples.len() > threshold => {
+                    out.push(self.relation_resource(class));
+                }
+                _ => out.extend(tuples),
+            }
+        }
+        for class in Footprint::negated_classes(rule) {
+            out.push(self.relation_resource(class));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The action `(reads, writes)` of a computed delta. Writes are the
+    /// written tuples plus the relation of every created class — and of
+    /// every class with a modified/removed tuple, so negated readers of
+    /// the class are serialised against it. Reads are the matched
+    /// tuples the delta does not write (those take the write access
+    /// instead).
+    fn action_resources(
+        &self,
+        inst: &Instantiation,
+        delta: &DeltaSet,
+    ) -> (Vec<ResourceId>, Vec<ResourceId>) {
+        let mut writes: Vec<ResourceId> =
+            delta.written_ids().map(|id| ResourceId::Tuple(id.0)).collect();
         for class in delta.created_classes() {
             writes.push(self.relation_resource(class));
         }
-        // A modify/remove also escalates to its class's relation lock so
-        // negated readers of the class are serialised against it.
         for w in &inst.wmes {
             if delta.written_ids().any(|id| id == w.id) {
                 writes.push(self.relation_resource(&w.data.class));
@@ -1475,439 +1204,127 @@ impl ParallelEngine {
         }
         writes.sort_unstable();
         writes.dedup();
-        if elide {
-            // The R_a/W_a fast path the commute matrix paid for: in the
-            // locking protocol every make takes its class's relation
-            // `Wa` and every modify escalates to one, so independent
-            // firings of the same component convoy on the relation
-            // lock. A provably-commutative component skips all of it;
-            // each skip is still booked (stats + chaos parity).
-            for res in &reads {
-                if writes.contains(res) {
-                    continue;
-                }
-                self.lm.elide(txn, *res).map_err(classify)?;
-                elided_skips += 1;
-            }
-            for res in &writes {
-                self.lm.elide(txn, *res).map_err(classify)?;
-                elided_skips += 1;
-            }
-        } else {
-            for res in &reads {
-                if writes.contains(res) {
-                    continue; // will take the write lock instead
-                }
-                let mode = self.governed_mode(*res, proto.action_read(), LockMode::S);
-                self.lm.lock(txn, *res, mode).map_err(classify)?;
-            }
-            for res in &writes {
-                let mode = self.governed_mode(*res, proto.action_write(), LockMode::X);
-                self.lm.lock(txn, *res, mode).map_err(classify)?;
-            }
-        }
-        let t_commit = match (&self.obs, t_rhs) {
-            (Some(obs), Some(t)) => {
-                obs.phase(Phase::RhsAct, t.elapsed());
-                Some(Instant::now())
-            }
-            _ => None,
-        };
+        let mut reads: Vec<ResourceId> = inst
+            .wmes
+            .iter()
+            .map(|w| ResourceId::Tuple(w.id.0))
+            .filter(|r| !writes.contains(r))
+            .collect();
+        reads.sort_unstable();
+        reads.dedup();
+        (reads, writes)
+    }
 
-        // ---- commit ----
-        // The base mutex is the commit critical section: lm.commit, WM
-        // delta apply and batch publication happen under it, so commit
-        // order equals sequence order equals trace order (the Theorem 2
-        // oracle replays the trace serially). The matcher is *not*
-        // driven here — the batch is published to the delta log and
-        // fanned out to the affected shards after the base is released.
-        let obs = self.obs.as_deref();
-        let mut base = self.pipeline.base.lock().unwrap();
-        {
-            // Engine-doom check. Dropping the ledger before lm.commit is
-            // safe: engine dooms are only ever inserted by revalidation
-            // passes, which run under the base mutex (held here).
-            let ledger = self.ledger.lock().unwrap();
-            if ledger.engine_doomed.contains(&txn) {
-                return Err(AbortCause::Revalidation);
-            }
-        }
-        // MVCC commit-time self-validation: with no condition locks
-        // held, nothing stopped concurrent commits from overwriting
-        // this transaction's read set between its snapshot and now —
-        // so the committer validates itself under the base mutex (the
-        // same critical section every conflicting commit serialised
-        // through). Fast path, against the version store alone: every
-        // matched WME's *latest* version still carries the matched
-        // timestamp, and no negated class was written past the
-        // snapshot. If any check fails, fall back to the exact test —
-        // catch the own shard up to the current published prefix and
-        // ask whether the instantiation is (still / again) in the
-        // conflict set; membership implies validity *at this commit
-        // point*, which is precisely what the §3 serial-replay oracle
-        // requires of the trace slot this commit is about to take.
-        // Elided firings validate the same way (their locks were never
-        // taken, so nothing else protects the read set) and abort with
-        // `ElisionStale` instead. Deltas are materialised to absolute
-        // values at RHS evaluation, so even two semantically-commuting
-        // bumps of the same cell must not both apply from one snapshot
-        // — the validation, not the commute judgment, is what makes the
-        // fast path safe; the judgment only decides when it is safe to
-        // *skip the locks*. The `elide_misclassify` probe switches this
-        // check off precisely to let the manufactured lost update
-        // through to the §3 oracle.
-        if occ && !(elide && self.config.elide_misclassify) {
-            let fast_ok = {
-                let versions = self.pipeline.versions();
-                inst.wmes.iter().all(|w| {
-                    versions
-                        .latest(w.id)
-                        .is_some_and(|s| s.timestamp == w.timestamp)
-                }) && Footprint::negated_classes(rule)
-                    .into_iter()
-                    .all(|class| versions.class_write_seq(class) <= snapshot)
-            };
-            if !fast_ok {
-                let cur = base.next_seq - 1;
-                let s = self.pipeline.plan().shard_of(key.rule);
-                let mut state = self.pipeline.shard_state(s);
-                self.pipeline.catch_up(s, cur, &mut state, false, obs);
-                if !state.rete.conflict_set().contains(&key) {
-                    return Err(if mvcc {
-                        AbortCause::SnapshotStale
-                    } else {
-                        AbortCause::ElisionStale
-                    });
-                }
-            }
-        }
-        let outcome = self.lm.commit(txn).map_err(classify)?;
-        // Past this point the commit is irrevocable.
-        let changes = base
-            .wm
-            .apply(&delta)
-            .expect("committed firing only touches live WMEs");
-        let seq = base.next_seq;
-        base.next_seq += 1;
-        // Durability: stage this commit's redo record *before* `publish`
-        // consumes the batch. Staging runs under the base mutex, so
-        // records enter the WAL in sequence order; the fsync (group
-        // commit) waits until the critical section is over. A dead
-        // writer (a kill point already fired) is ignored — the
-        // in-memory run keeps going, and the chaos harness measures
-        // what survived on disk.
-        let mut checkpoint_snap: Option<Vec<u8>> = None;
-        if let Some(durable) = &self.durable {
-            let writer = durable.writer();
-            // Kill-point seam: simulate process death at this commit.
-            // The record's fate depends on the site — dropped on the
-            // floor (died before the fsync), torn mid-frame, or made
-            // durable first (died right after the fsync). Dropped and
-            // torn stage + kill under one WAL-file lock acquisition
-            // (`append_then_kill`): a concurrent group-commit flusher
-            // must not slip between the two and make the doomed record
-            // durable, or the site's horizon would be nondeterministic.
-            let kill_site = self.injector.as_ref().and_then(|inj| inj.wal_kill(seq));
-            let staged = match kill_site {
-                None => writer.append(seq, &changes),
-                Some(WalKillSite::AfterPublish) => {
-                    writer.append_then_kill(seq, &changes, KillMode::Clean)
-                }
-                Some(WalKillSite::TornTail) => {
-                    writer.append_then_kill(seq, &changes, KillMode::Torn)
-                }
-                Some(WalKillSite::AfterSync) => writer
-                    .append(seq, &changes)
-                    .and_then(|()| writer.flush().map(drop))
-                    .and_then(|()| writer.kill(KillMode::Clean)),
-            };
-            match staged {
-                Ok(()) => {
-                    if kill_site.is_some() {
-                        if let Some(inj) = &self.injector {
-                            inj.count_wal_kill(txn, obs);
-                        }
-                    }
-                }
-                Err(WalError::Dead) => {}
-                Err(e) => panic!("wal append at seq {seq}: {e}"),
-            }
-            // Checkpoint cadence: rotate the log under the base mutex
-            // (cheap — flush + reopen), encode the snapshot under the
-            // same mutex (it must capture exactly seq's state), and
-            // defer the slow snapshot write to after the critical
-            // section.
-            let interval = self
-                .config
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.checkpoint_interval);
-            if interval > 0 && seq.is_multiple_of(interval) && !writer.is_dead() {
-                let snap = base
-                    .wm
-                    .encode_snapshot()
-                    .expect("checkpoint snapshot encodes");
-                if durable.rotate(seq).is_ok() {
-                    checkpoint_snap = Some(snap);
-                }
-            }
-        }
-        // Version-write footprint for the SI polygraph, captured before
-        // `publish` consumes the batch (one entry per written tuple,
-        // the installing sequence is this commit's).
-        let written: Vec<u64> = if mvcc && obs.is_some() {
-            let mut ids: Vec<u64> = changes
-                .iter()
-                .map(|c| res_key(ResourceId::Tuple(c.wme().id.0)))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        } else {
-            Vec::new()
+    /// Re-validates the claim at the newest fully published sequence
+    /// `w` (returned, with the snapshot pin when the strategy takes
+    /// one). The watermark is read under the base mutex, so every
+    /// publish ≤ `w` is complete; the shard is caught up to at least
+    /// `w` before the membership check.
+    ///
+    /// Under locks, any *later* commit that could invalidate the claim
+    /// necessarily conflicts with the condition locks just acquired
+    /// (tuple `Wa`, or relation `Wa` vs our negated-class relation
+    /// `Rc`), so the lock manager dooms us — a stale shard view can
+    /// never carry a claim to commit. Snapshot strategies have no such
+    /// protection: they pin `w` (flooring version GC for the attempt),
+    /// check that every matched WME is live at `w` with exactly the
+    /// matched timestamp (instantiation identity includes timestamps,
+    /// so a mismatch means the claim refers to a different era of the
+    /// tuple), record the version each read observed — the reads-from
+    /// edges of the SI polygraph — and leave later invalidations to
+    /// commit-time validation.
+    fn validate_claim(
+        &self,
+        txn: TxnId,
+        strategy: Strategy,
+        inst: &Instantiation,
+        key: &InstKey,
+    ) -> Result<(u64, Option<PinGuard<'_>>), AbortCause> {
+        let pin = strategy
+            .pins_snapshot()
+            .then(|| PinGuard { pipeline: &self.pipeline, snap: self.pin_snapshot(txn) });
+        let w = match &pin {
+            Some(pin) => pin.snap,
+            None => self.pipeline.base.lock().unwrap().next_seq - 1,
         };
-        let affected = self.pipeline.publish(seq, changes, obs);
-        // Own shard: absorb everything up to and including the own
-        // batch and refract *before* the unclaim below, closing the
-        // double-fire window. This is the one matcher run inside the
-        // commit critical section. At the pre-commit state the
-        // instantiation cannot have vanished (its read set was
-        // lock-protected since re-validation, and a committed
-        // conflicting writer would have failed the lm.commit above);
-        // debug builds stop there to check it.
-        let own = self.pipeline.plan().shard_of(inst.rule);
-        {
-            let mut state = self.pipeline.shard_state(own);
-            // A claim scanner may already have stolen this batch (the
-            // watermark is visible the moment `publish` returns); the
-            // pre-commit membership invariant is only checkable when
-            // the shard is genuinely behind. `applied` is stable here:
-            // we hold both the base mutex and the shard lock.
-            if self.pipeline.applied(own) < seq {
-                // The `elide_misclassify` probe commits stale claims on
-                // purpose (validation bypassed) — the only path on
-                // which this invariant may not hold. Checking it costs
-                // a second pass over the log, so only debug builds do.
-                #[cfg(debug_assertions)]
-                {
-                    self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
-                    debug_assert!(
-                        state.rete.conflict_set().contains(&key)
-                            || (elide && self.config.elide_misclassify)
-                    );
-                }
-                self.pipeline.catch_up(own, seq, &mut state, false, obs);
-            }
-            state.refracted.insert(key.clone());
-            state.maybe_gc();
+        if !self.in_conflict_set_at(key, w, true) {
+            return Err(AbortCause::Stale);
         }
-        {
-            let mut trace = self.trace.lock().unwrap();
-            trace.firings.push(Firing {
-                rule: inst.rule,
-                rule_name: rule.name.clone(),
-                key: key.clone(),
-                delta,
-                halt,
-                external: false,
-            });
-            // Commit-sequence record for the semantic checker (§3
-            // Theorem 2): this firing's 0-based slot in the global
-            // trace, stamped while the trace lock is still held so
-            // `seq` order equals trace-append order. The Fire event
-            // trails the lock manager's Commit terminal (the sequence
-            // number only exists now); `validate_history` and the
-            // checker both account for that.
-            if let Some(obs) = obs {
-                // Falsifiability seam: `corrupt_fire_seq` plans flip the
-                // recorded slot's low bit so the §3 checker must reject
-                // the history — proving the chaos gate can fail.
-                let fire_seq = (trace.len() - 1) as u64;
-                let fire_seq = self
-                    .injector
-                    .as_ref()
-                    .map_or(fire_seq, |inj| inj.corrupt_seq(fire_seq));
-                obs.record(
-                    txn.0,
-                    ObsEvent::Fire {
-                        rule: obs.intern_rule(rule.name.as_str()),
-                        seq: fire_seq,
-                    },
-                );
-                // MVCC: the versions this commit installed. Trails the
-                // Commit terminal like Fire (the sequence number only
-                // exists now); the SI checker cross-checks `seq` against
-                // the Fire slot (`seq == fire_seq + 1`).
-                for res in &written {
-                    obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq });
-                }
-                // Coordination-avoidance receipt: this commit went
-                // through without a single lock acquisition — the
-                // count is every `Rc`/`Ra`/`Wa` request the locking
-                // protocol would have made. Trails Commit like Fire.
-                if elide {
-                    obs.record(txn.0, ObsEvent::ElidedCommit { resources: elided_skips });
-                }
+        if pin.is_some() {
+            let versions = self.pipeline.versions();
+            for wme in &inst.wmes {
+                let seen = versions
+                    .version_at(wme.id, w)
+                    .filter(|v| v.state.as_ref().is_some_and(|s| s.timestamp == wme.timestamp))
+                    .ok_or(strategy.stale_cause())?;
+                let resource = res_key(ResourceId::Tuple(wme.id.0));
+                self.emit(txn, ObsEvent::VersionRead { resource, seq: seen.seq });
             }
         }
-        // Engine-level revalidation (policy `Revalidate`): doom only the
-        // affected readers whose instantiation this commit invalidated.
-        // Claims are snapshotted under the ledger, checked against
-        // caught-up shards, and dooms re-verified against the *same*
-        // claim (shard → ledger order throughout; still under base, so
-        // the doomed reader cannot be mid-commit).
-        if !outcome.needs_revalidation.is_empty() {
-            self.revalidate_readers(&outcome.needs_revalidation, seq, obs);
+        self.check_engine_doom(txn)?;
+        Ok((w, pin))
+    }
+
+    /// Fails with `Revalidation` when an engine-level revalidation pass
+    /// doomed `txn`.
+    fn check_engine_doom(&self, txn: TxnId) -> Result<(), AbortCause> {
+        match self.ledger.lock().unwrap().engine_doomed.contains(&txn) {
+            true => Err(AbortCause::Revalidation),
+            false => Ok(()),
         }
-        {
-            let mut ledger = self.ledger.lock().unwrap();
-            // Incremented under the ledger so the claim gate's cap
-            // check stays exact.
-            self.metrics.commits.fetch_add(1, Relaxed);
-            ledger.halted |= halt;
-            ledger.claims_by_txn.remove(&txn);
-            ledger.claimed.remove(&key);
-            ledger.inflight -= 1;
+    }
+
+    /// Simulated RHS work ([`ParallelConfig::work`]), polling for dooms
+    /// so an invalidated production stops early. Polling touches only
+    /// the lock manager and the ledger, never the world — busy workers
+    /// do not serialise the matcher. `worked` is what an abort wastes.
+    fn simulate_work(
+        &self,
+        txn: TxnId,
+        rule: &Atom,
+        worked: &mut Duration,
+    ) -> Result<(), AbortCause> {
+        let budget = self.config.work.duration(rule);
+        if budget.is_zero() {
+            return Ok(());
         }
-        drop(base);
-        if let (Some(obs), Some(t)) = (obs, t_commit) {
-            obs.phase(Phase::Commit, t.elapsed());
-        }
-        self.cv.notify_all();
-        // Fan the batch out to the remaining affected shards *outside*
-        // the commit critical section — the pipeline half of the
-        // design: match work overlaps the next commit.
-        self.pipeline.fan_out(&affected, seq, obs);
-        // Durability tail, with no engine lock held: the deferred
-        // checkpoint-snapshot install, then the group-commit request
-        // for this sequence number. `request_sync` is non-blocking for
-        // piggybackers — one committer at a time holds the flush baton
-        // and fsyncs for everyone, so workers keep firing while the
-        // disk catches up (the durable horizon trails the published one
-        // by at most the in-flight batch, exactly the prefix-loss the
-        // recovery gate sweeps). A dead writer means a kill point
-        // fired — the commit stays visible in memory and simply never
-        // becomes durable, which is the condition recovery is tested
-        // against.
-        if let Some(durable) = &self.durable {
-            if let Some(snap) = &checkpoint_snap {
-                if durable.install_checkpoint(seq, snap).is_ok() {
-                    if let Some(obs) = obs {
-                        obs.record(txn.0, ObsEvent::Checkpoint { seq });
-                    }
-                }
+        let busy = self.config.work.is_busy();
+        let slice = Duration::from_micros(50).min(budget);
+        let slice_us = slice.as_micros().max(1) as u64;
+        // Busy mode completes a *quota of slices*, not a wall-clock
+        // budget: on an oversubscribed machine the wall clock keeps
+        // running while a worker is descheduled, and an elapsed check
+        // would hand it that time as free work.
+        let slices = (budget.as_micros().max(1) as u64).div_ceil(slice_us);
+        let t0 = Instant::now();
+        let mut step: u64 = 0;
+        while if busy { step < slices } else { t0.elapsed() < budget } {
+            if busy {
+                spin_iters(slice_us * spin_iters_per_us());
+            } else {
+                std::thread::sleep(slice);
             }
-            if let Ok(Some(horizon)) = durable.writer().request_sync(seq) {
-                if let Some(obs) = obs {
-                    obs.record(txn.0, ObsEvent::WalSync { seq: horizon });
-                }
+            step += 1;
+            // Chaos seam: a seeded mid-RHS stall widens the window in
+            // which a committing writer dooms this worker — the poll
+            // below must still catch it before the next step. Stall
+            // time counts as worked (wasted on abort).
+            if let Some(inj) = &self.injector {
+                inj.rhs_stall(txn, step, self.obs.as_deref());
             }
+            // Busy wasted work is the CPU actually burned (slices
+            // completed), not elapsed time — a descheduled worker
+            // wastes nothing while it isn't running.
+            *worked = if busy { Duration::from_micros(slice_us * step) } else { t0.elapsed() };
+            self.lm.check(txn).map_err(classify)?;
+            self.check_engine_doom(txn)?;
         }
+        *worked = budget;
         Ok(())
     }
 }
 
-/// Unpins an MVCC read snapshot when the execution attempt ends
-/// (commit or abort on any path), releasing its version-GC floor.
-pub(crate) struct PinGuard<'a> {
-    pub(crate) pipeline: &'a MatchPipeline,
-    pub(crate) snap: u64,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.pipeline.unpin_snapshot(self.snap);
-    }
-}
-
-/// Panic-unwind insurance for a claimed transaction: if the worker
-/// unwinds between claim and commit (injected RHS panic, evaluator
-/// bug), the drop releases the transaction's locks and unclaims the
-/// instantiation so surviving workers neither deadlock on leaked locks
-/// nor wait forever on a wedged in-flight count. Ordinary commit/abort
-/// paths disarm it and do their own (fuller) bookkeeping.
-struct ClaimGuard<'a> {
-    engine: &'a ParallelEngine,
-    txn: TxnId,
-    key: InstKey,
-    armed: bool,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let _ = self.engine.lm.abort(self.txn);
-        // Defensive on the unwind path: a poisoned ledger means another
-        // worker already died holding it — nothing left to salvage.
-        if let Ok(mut ledger) = self.engine.ledger.lock() {
-            ledger.engine_doomed.remove(&self.txn);
-            ledger.claims_by_txn.remove(&self.txn);
-            ledger.claimed.remove(&self.key);
-            ledger.inflight -= 1;
-        }
-        self.engine.cv.notify_all();
-    }
-}
-
-pub(crate) enum AbortCause {
-    Doomed,
-    Deadlock,
-    Stale,
-    Revalidation,
-    EvalError,
-    Timeout,
-    Injected,
-    /// MVCC commit-time self-validation failed (read set overwritten
-    /// since the pinned snapshot).
-    SnapshotStale,
-    /// Lock-elided commit-time self-validation failed: a matched tuple
-    /// of a provably-commutative firing changed between claim and
-    /// commit (e.g. two bump rules racing on one cell — their deltas
-    /// were materialised from the same snapshot, so the second apply
-    /// would lose the first's update).
-    ElisionStale,
-}
-
-impl AbortCause {
-    /// The matching cause in the observability taxonomy.
-    pub(crate) fn to_obs(&self) -> dps_obs::AbortCause {
-        match self {
-            AbortCause::Doomed => dps_obs::AbortCause::Doomed,
-            AbortCause::Deadlock => dps_obs::AbortCause::Deadlock,
-            AbortCause::Stale => dps_obs::AbortCause::Stale,
-            AbortCause::Revalidation => dps_obs::AbortCause::Revalidation,
-            AbortCause::EvalError => dps_obs::AbortCause::EvalError,
-            AbortCause::Timeout => dps_obs::AbortCause::Timeout,
-            AbortCause::Injected => dps_obs::AbortCause::Injected,
-            AbortCause::SnapshotStale => dps_obs::AbortCause::SnapshotStale,
-            AbortCause::ElisionStale => dps_obs::AbortCause::ElisionStale,
-        }
-    }
-
-    /// `true` for causes that mean "concurrent productions collided"
-    /// (or chaos made them appear to) — the ones the governor's storm
-    /// detector and backoff should react to. Stale claims and RHS
-    /// evaluation errors are not contention. Snapshot-stale aborts
-    /// *are*: under MVCC they are the only remaining signal of genuine
-    /// write overlap, so the governor's backoff/escalation reacts to
-    /// them exactly as it did to dooms (the reader-abort channels it
-    /// used to watch are structurally zero in that mode).
-    fn is_contention(&self) -> bool {
-        matches!(
-            self,
-            AbortCause::Doomed
-                | AbortCause::Deadlock
-                | AbortCause::Revalidation
-                | AbortCause::Timeout
-                | AbortCause::Injected
-                | AbortCause::SnapshotStale
-                | AbortCause::ElisionStale
-        )
-    }
-}
-
+/// The abort cause a lock-manager error surfaces as.
 pub(crate) fn classify(e: dps_lock::LockError) -> AbortCause {
     match e {
         dps_lock::LockError::DoomedByWriter { .. } => AbortCause::Doomed,
@@ -1922,6 +1339,7 @@ pub(crate) fn classify(e: dps_lock::LockError) -> AbortCause {
 mod tests {
     use super::*;
     use crate::semantics::validate_trace;
+    use dps_lock::WalKillSite;
     use dps_wm::{Value, WmeData};
 
     fn run_with(
@@ -1946,41 +1364,6 @@ mod tests {
             wm.insert(WmeData::new("cell").with("n", start));
         }
         (rules, wm)
-    }
-
-    #[test]
-    fn parallel_counters_drain_correctly() {
-        let (rules, wm) = counters(6, 3);
-        let (report, final_wm) = run_with(&rules, wm, ParallelConfig::default());
-        assert_eq!(report.commits, 18);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-    }
-
-    #[test]
-    fn two_phase_protocol_also_correct() {
-        let (rules, wm) = counters(4, 2);
-        let cfg = ParallelConfig {
-            protocol: Protocol::TwoPhase,
-            ..Default::default()
-        };
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 8);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-    }
-
-    #[test]
-    fn revalidate_policy_correct() {
-        let (rules, wm) = counters(4, 2);
-        let cfg = ParallelConfig {
-            policy: ConflictPolicy::Revalidate,
-            ..Default::default()
-        };
-        let (report, _) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 8);
     }
 
     #[test]
@@ -2016,51 +1399,6 @@ mod tests {
         };
         let (report, _) = run_with(&rules, wm, cfg);
         assert_eq!(report.commits, 5);
-    }
-
-    #[test]
-    fn contended_writes_serialize_correctly() {
-        // Many rules all modifying one shared accumulator: heavy Rc–Wa
-        // conflict; total must still equal the serial result.
-        let rules = RuleSet::parse(
-            "(p apply (delta ^v <d>) (acc ^total <t>)
-               --> (remove 1) (modify 2 ^total (+ <t> <d>)))",
-        )
-        .unwrap();
-        let mut wm = WorkingMemory::new();
-        let mut expected = 0i64;
-        for i in 1..=10i64 {
-            wm.insert(WmeData::new("delta").with("v", i));
-            expected += i;
-        }
-        wm.insert(WmeData::new("acc").with("total", 0i64));
-        let (report, final_wm) = run_with(&rules, wm, ParallelConfig::default());
-        assert_eq!(report.commits, 10);
-        let acc = final_wm.class_iter("acc").next().unwrap();
-        assert_eq!(acc.get("total"), Some(&Value::Int(expected)));
-    }
-
-    #[test]
-    fn elided_run_drains_with_zero_lock_acquisitions() {
-        // The bump rule delta-writes the attribute it reads, so it
-        // self-commutes and its (singleton) component elides: the whole
-        // run must go through without one lock grant or block, every
-        // skip booked in `LockStats::elided`, and the trace must still
-        // replay serially (checked in run_with).
-        let (rules, wm) = counters(6, 3);
-        let cfg = ParallelConfig {
-            elide_locks: true,
-            observe: true,
-            ..Default::default()
-        };
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 18);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-        assert_eq!(report.lock_stats.grants, 0, "no lock was ever acquired");
-        assert_eq!(report.lock_stats.blocks, 0);
-        assert!(report.lock_stats.elided > 0, "skips are booked");
     }
 
     #[test]
@@ -2129,28 +1467,6 @@ mod tests {
         };
         let (report, _) = run_with(&rules, wm, cfg);
         assert_eq!(report.commits, 6);
-    }
-
-    #[test]
-    fn negated_condition_uses_relation_escalation() {
-        // quiet requires no alarm; raise creates one. Either order is
-        // valid; the trace must replay single-threadedly (checked in
-        // run_with) and both rules eventually account.
-        let rules = RuleSet::parse(
-            "(p quiet (go) -(alarm) --> (remove 1) (make calm))
-             (p raise (trigger) --> (remove 1) (make alarm))",
-        )
-        .unwrap();
-        let mut wm = WorkingMemory::new();
-        wm.insert(WmeData::new("go"));
-        wm.insert(WmeData::new("trigger"));
-        let (report, final_wm) = run_with(&rules, wm, ParallelConfig::default());
-        // raise always commits; quiet commits only if it ran first.
-        assert!(report.commits >= 1 && report.commits <= 2);
-        assert_eq!(final_wm.class_iter("alarm").count(), 1);
-        let calm = final_wm.class_iter("calm").count();
-        let quiet_fired = report.trace.names().contains(&"quiet");
-        assert_eq!(calm, usize::from(quiet_fired));
     }
 
     #[test]
@@ -2351,90 +1667,6 @@ mod tests {
             policy: ConflictPolicy::MvccSnapshot,
             ..cfg
         }
-    }
-
-    #[test]
-    fn mvcc_counters_drain_correctly() {
-        let (rules, wm) = counters(6, 3);
-        let (report, final_wm) = run_with(&rules, wm, mvcc(ParallelConfig::default()));
-        assert_eq!(report.commits, 18);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-        assert_eq!(report.aborts.reader_aborts(), 0, "MVCC readers are never doomed");
-    }
-
-    #[test]
-    fn mvcc_contended_writes_serialize_correctly() {
-        // The hot-accumulator workload: every firing reads + modifies
-        // one shared tuple, the worst case for snapshot staleness. The
-        // total must still equal the serial result, with conflicts
-        // surfacing (if at all) as snapshot_stale — never as dooms.
-        let rules = RuleSet::parse(
-            "(p apply (delta ^v <d>) (acc ^total <t>)
-               --> (remove 1) (modify 2 ^total (+ <t> <d>)))",
-        )
-        .unwrap();
-        let mut wm = WorkingMemory::new();
-        let mut expected = 0i64;
-        for i in 1..=10i64 {
-            wm.insert(WmeData::new("delta").with("v", i));
-            expected += i;
-        }
-        wm.insert(WmeData::new("acc").with("total", 0i64));
-        let cfg = mvcc(ParallelConfig {
-            workers: 4,
-            work: WorkModel::FixedMicros(200),
-            ..Default::default()
-        });
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 10);
-        let acc = final_wm.class_iter("acc").next().unwrap();
-        assert_eq!(acc.get("total"), Some(&Value::Int(expected)));
-        assert_eq!(report.aborts.doomed, 0);
-        assert_eq!(report.aborts.revalidation, 0);
-    }
-
-    #[test]
-    fn mvcc_negated_conditions_stay_sound() {
-        // Negated CEs have no lock to escalate under MVCC — soundness
-        // rests on the commit-time class-write check. Same invariants
-        // as the lock-based variant of this test.
-        let rules = RuleSet::parse(
-            "(p quiet (go) -(alarm) --> (remove 1) (make calm))
-             (p raise (trigger) --> (remove 1) (make alarm))",
-        )
-        .unwrap();
-        let mut wm = WorkingMemory::new();
-        wm.insert(WmeData::new("go"));
-        wm.insert(WmeData::new("trigger"));
-        let (report, final_wm) = run_with(&rules, wm, mvcc(ParallelConfig::default()));
-        assert!(report.commits >= 1 && report.commits <= 2);
-        assert_eq!(final_wm.class_iter("alarm").count(), 1);
-        let calm = final_wm.class_iter("calm").count();
-        let quiet_fired = report.trace.names().contains(&"quiet");
-        assert_eq!(calm, usize::from(quiet_fired));
-    }
-
-    #[test]
-    fn mvcc_under_doom_storm_has_zero_reader_aborts() {
-        // The headline property: the chaos plan built to maximise dooms
-        // cannot doom anyone when nobody holds condition locks. Only
-        // injected aborts and snapshot staleness remain.
-        let (rules, wm) = counters(6, 3);
-        let cfg = mvcc(ParallelConfig {
-            workers: 4,
-            observe: true,
-            fault: Some(FaultPlan::doom_storm(42)),
-            work: WorkModel::FixedMicros(100),
-            ..Default::default()
-        });
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 18);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-        assert_eq!(report.aborts.reader_aborts(), 0);
     }
 
     #[test]

@@ -38,16 +38,15 @@
 //! through it; the engine's end-of-run `debug_assert`s and the
 //! disconnect-chaos gate verify nothing leaks.
 
-use std::sync::atomic::Ordering::Relaxed;
-
-use dps_lock::{res_key, ConflictPolicy, LockMode, ResourceId, TxnId, WalKillSite};
+use dps_lock::{ResourceId, TxnId};
 use dps_match::{InstKey, Matcher};
-use dps_obs::EventKind as ObsEvent;
+use dps_obs::AbortCause;
 use dps_rules::RuleId;
-use dps_wm::wal::KillMode;
-use dps_wm::{Atom, DeltaSet, WalError, WmeData, WmeId};
+use dps_wm::{Atom, DeltaSet, WmeData, WmeId};
 
-use crate::parallel::{classify, AbortCause, ParallelEngine, PinGuard};
+use crate::commit::{Commit, PinGuard};
+use crate::parallel::ParallelEngine;
+use crate::strategy::{Access, Strategy};
 use crate::Firing;
 
 /// Sentinel rule id for external commits ([`Firing::rule`] must name
@@ -58,17 +57,18 @@ pub const EXTERNAL_RULE: RuleId = RuleId(u32::MAX);
 /// and `Fire` events.
 pub const EXTERNAL_RULE_NAME: &str = "@session";
 
-/// One open external transaction: a lock-manager transaction, an
-/// optional pinned MVCC snapshot, and the buffered delta. Plain data —
-/// the engine is only touched through the `external_*` methods, and the
-/// owner (a server session) must resolve it with
-/// [`ParallelEngine::external_commit`] or
+/// One open external transaction: a lock-manager transaction, its
+/// concurrency-control strategy, an optional pinned snapshot, and the
+/// buffered delta. Plain data — the engine is only touched through the
+/// `external_*` methods, and the owner (a server session) must resolve
+/// it with [`ParallelEngine::external_commit`] or
 /// [`ParallelEngine::external_abort`] before forgetting it.
 #[derive(Debug)]
 pub struct ExternalTxn {
     txn: TxnId,
-    /// Pinned snapshot sequence under MVCC (`None` in lock-based modes
-    /// or after the pin was released).
+    strategy: Strategy,
+    /// Pinned snapshot sequence (`None` when the strategy pins none, or
+    /// after the pin was released).
     snapshot: Option<u64>,
     delta: DeltaSet,
 }
@@ -90,29 +90,17 @@ impl ParallelEngine {
     /// (flooring version GC) until the transaction resolves.
     pub fn external_begin(&self) -> ExternalTxn {
         let txn = self.lm.begin();
-        let mvcc = matches!(self.config.policy, ConflictPolicy::MvccSnapshot);
-        let snapshot = mvcc.then(|| {
-            let base = self.pipeline.base.lock().unwrap();
-            let w = base.next_seq - 1;
-            self.pipeline.pin_snapshot(w);
-            if let Some(obs) = &self.obs {
-                obs.record(txn.0, ObsEvent::SnapshotPin { seq: w });
-            }
-            w
-        });
-        ExternalTxn { txn, snapshot, delta: DeltaSet::new() }
+        let strategy = Strategy::choose(&self.config, self.pipeline.plan(), None);
+        let snapshot = strategy.pins_snapshot().then(|| self.pin_snapshot(txn));
+        ExternalTxn { txn, strategy, snapshot, delta: DeltaSet::new() }
     }
 
     /// Buffers an insert. Takes the action-write lock on the class's
     /// relation (serialising against negated readers) before buffering;
     /// on any lock failure the transaction is fully aborted.
-    pub fn external_insert(
-        &self,
-        xt: &mut ExternalTxn,
-        data: WmeData,
-    ) -> Result<(), dps_obs::AbortCause> {
+    pub fn external_insert(&self, xt: &mut ExternalTxn, data: WmeData) -> Result<(), AbortCause> {
         let res = self.relation_resource(&data.class);
-        self.external_lock(xt, res, self.config.protocol.action_write(), LockMode::X)?;
+        self.external_acquire(xt, res, Access::Write)?;
         xt.delta.create(data);
         Ok(())
     }
@@ -121,19 +109,14 @@ impl ParallelEngine {
     /// relation write lock of the tuple's class (a removal can *enable*
     /// a negated reader). Fails — aborting the transaction — when the
     /// tuple does not exist.
-    pub fn external_remove(
-        &self,
-        xt: &mut ExternalTxn,
-        id: WmeId,
-    ) -> Result<(), dps_obs::AbortCause> {
+    pub fn external_remove(&self, xt: &mut ExternalTxn, id: WmeId) -> Result<(), AbortCause> {
         let class: Atom = match self.pipeline.base.lock().unwrap().wm.get(id) {
             Some(w) => w.data.class.clone(),
             None => return Err(self.external_resolve_err(xt, AbortCause::Stale)),
         };
-        let proto = self.config.protocol;
-        self.external_lock(xt, ResourceId::Tuple(id.0), proto.action_write(), LockMode::X)?;
+        self.external_acquire(xt, ResourceId::Tuple(id.0), Access::Write)?;
         let rel = self.relation_resource(&class);
-        self.external_lock(xt, rel, proto.action_write(), LockMode::X)?;
+        self.external_acquire(xt, rel, Access::Write)?;
         xt.delta.remove(id);
         Ok(())
     }
@@ -146,13 +129,9 @@ impl ParallelEngine {
         &self,
         xt: &mut ExternalTxn,
         class: &str,
-    ) -> Result<Vec<(u64, WmeData)>, dps_obs::AbortCause> {
-        let mvcc = matches!(self.config.policy, ConflictPolicy::MvccSnapshot);
-        if !mvcc {
-            let atom = Atom::from(class);
-            let rel = self.relation_resource(&atom);
-            self.external_lock(xt, rel, self.config.protocol.condition_read(), LockMode::S)?;
-        }
+    ) -> Result<Vec<(u64, WmeData)>, AbortCause> {
+        let rel = self.relation_resource(&Atom::from(class));
+        self.external_acquire(xt, rel, Access::Condition)?;
         let base = self.pipeline.base.lock().unwrap();
         Ok(base
             .wm
@@ -161,152 +140,39 @@ impl ParallelEngine {
             .collect())
     }
 
-    /// Commits the buffered delta through the engine's commit critical
-    /// section: lock-manager commit, WM apply, WAL staging, delta-log
-    /// publish, trace append (as an external [`Firing`]) and reader
-    /// revalidation — exactly the rule-firing commit path minus the
-    /// instantiation-specific steps (refraction, own-shard catch-up).
-    /// Returns the commit sequence number. On failure the transaction
-    /// is fully aborted (locks + pin released).
-    pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, dps_obs::AbortCause> {
-        let obs = self.obs.as_deref();
-        let mvcc = matches!(self.config.policy, ConflictPolicy::MvccSnapshot);
+    /// Commits the buffered delta through the engine's commit section
+    /// ([`ParallelEngine::commit_section`] — the very function rule
+    /// firings commit through, minus the claim), as an external
+    /// [`Firing`]. Returns the commit sequence number. On failure the
+    /// transaction is fully aborted (locks + pin released).
+    pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, AbortCause> {
         let delta = std::mem::take(&mut xt.delta);
-        let mut base = self.pipeline.base.lock().unwrap();
+        let base = self.pipeline.base.lock().unwrap();
         // Write-set validation: every modified/removed tuple must still
         // be live. Tuple write locks were taken when the ops were
         // buffered, but under MVCC (no read locks anywhere) a doomed
         // race is possible, and a client can name a bogus id outright.
-        for id in delta.written_ids() {
-            if base.wm.get(id).is_none() {
-                drop(base);
-                return Err(self.external_resolve_err(xt, AbortCause::Stale));
-            }
+        if delta.written_ids().any(|id| base.wm.get(id).is_none()) {
+            drop(base);
+            return Err(self.external_resolve_err(xt, AbortCause::Stale));
         }
-        let outcome = match self.lm.commit(xt.txn) {
-            Ok(o) => o,
-            Err(e) => {
-                drop(base);
-                return Err(self.external_resolve_err(xt, classify(e)));
-            }
-        };
-        // Past this point the commit is irrevocable — mirror of the
-        // rule path in `try_execute`.
-        let changes = base
-            .wm
-            .apply(&delta)
-            .expect("validated external delta applies");
-        let seq = base.next_seq;
-        base.next_seq += 1;
-        let mut checkpoint_snap: Option<Vec<u8>> = None;
-        if let Some(durable) = &self.durable {
-            let writer = durable.writer();
-            let kill_site = self.injector.as_ref().and_then(|inj| inj.wal_kill(seq));
-            let staged = match kill_site {
-                None => writer.append(seq, &changes),
-                Some(WalKillSite::AfterPublish) => {
-                    writer.append_then_kill(seq, &changes, KillMode::Clean)
-                }
-                Some(WalKillSite::TornTail) => {
-                    writer.append_then_kill(seq, &changes, KillMode::Torn)
-                }
-                Some(WalKillSite::AfterSync) => writer
-                    .append(seq, &changes)
-                    .and_then(|()| writer.flush().map(drop))
-                    .and_then(|()| writer.kill(KillMode::Clean)),
-            };
-            match staged {
-                Ok(()) => {
-                    if kill_site.is_some() {
-                        if let Some(inj) = &self.injector {
-                            inj.count_wal_kill(xt.txn, obs);
-                        }
-                    }
-                }
-                Err(WalError::Dead) => {}
-                Err(e) => panic!("wal append at seq {seq}: {e}"),
-            }
-            let interval = self
-                .config
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.checkpoint_interval);
-            if interval > 0 && seq.is_multiple_of(interval) && !writer.is_dead() {
-                let snap = base
-                    .wm
-                    .encode_snapshot()
-                    .expect("checkpoint snapshot encodes");
-                if durable.rotate(seq).is_ok() {
-                    checkpoint_snap = Some(snap);
-                }
-            }
-        }
-        let written: Vec<u64> = if mvcc && obs.is_some() {
-            let mut ids: Vec<u64> = changes
-                .iter()
-                .map(|c| res_key(ResourceId::Tuple(c.wme().id.0)))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        } else {
-            Vec::new()
-        };
-        let affected = self.pipeline.publish(seq, changes, obs);
-        {
-            let mut trace = self.trace.lock().unwrap();
-            trace.firings.push(Firing {
+        let commit = Commit {
+            txn: xt.txn,
+            strategy: xt.strategy,
+            firing: Firing {
                 rule: EXTERNAL_RULE,
                 rule_name: Atom::from(EXTERNAL_RULE_NAME),
                 key: InstKey { rule: EXTERNAL_RULE, wmes: Vec::new() },
                 delta,
                 halt: false,
                 external: true,
-            });
-            if let Some(obs) = obs {
-                let fire_seq = (trace.len() - 1) as u64;
-                let fire_seq = self
-                    .injector
-                    .as_ref()
-                    .map_or(fire_seq, |inj| inj.corrupt_seq(fire_seq));
-                obs.record(
-                    xt.txn.0,
-                    ObsEvent::Fire { rule: obs.intern_rule(EXTERNAL_RULE_NAME), seq: fire_seq },
-                );
-                for res in &written {
-                    obs.record(xt.txn.0, ObsEvent::VersionWrite { resource: *res, seq });
-                }
-            }
-        }
-        // Reader revalidation (policy `Revalidate`): an external write
-        // invalidates claimed instantiations exactly like a rule's.
-        if !outcome.needs_revalidation.is_empty() {
-            self.revalidate_readers(&outcome.needs_revalidation, seq, obs);
-        }
-        self.external_commits.fetch_add(1, Relaxed);
-        drop(base);
-        if let Some(obs) = obs {
-            obs.rule_fired(EXTERNAL_RULE_NAME);
-        }
-        // Wake parked workers: the published batch may have created new
-        // instantiations (service mode parks at quiescence). `kick`
-        // orders the notify against the claim gate's check-then-wait.
-        self.kick();
-        self.pipeline.fan_out(&affected, seq, obs);
-        if let Some(durable) = &self.durable {
-            if let Some(snap) = &checkpoint_snap {
-                if durable.install_checkpoint(seq, snap).is_ok() {
-                    if let Some(obs) = obs {
-                        obs.record(xt.txn.0, ObsEvent::Checkpoint { seq });
-                    }
-                }
-            }
-            if let Ok(Some(horizon)) = durable.writer().request_sync(seq) {
-                if let Some(obs) = obs {
-                    obs.record(xt.txn.0, ObsEvent::WalSync { seq: horizon });
-                }
-            }
-        }
+            },
+            requests: 0,
+            claim: None,
+            since: None,
+        };
+        let committed = self.commit_section(base, commit);
+        let seq = committed.map_err(|cause| self.external_resolve_err(xt, cause))?;
         self.release_pin(xt);
         Ok(seq)
     }
@@ -316,60 +182,34 @@ impl ParallelEngine {
     /// it), snapshot unpin, abort event + counters. The disconnect
     /// cleanup path: the server routes every dying session's open
     /// transaction through here.
-    pub fn external_abort(&self, xt: &mut ExternalTxn, cause: dps_obs::AbortCause) {
-        let internal = match cause {
-            dps_obs::AbortCause::Doomed => AbortCause::Doomed,
-            dps_obs::AbortCause::Deadlock => AbortCause::Deadlock,
-            dps_obs::AbortCause::Revalidation => AbortCause::Revalidation,
-            dps_obs::AbortCause::EvalError => AbortCause::EvalError,
-            dps_obs::AbortCause::Timeout => AbortCause::Timeout,
-            dps_obs::AbortCause::Injected => AbortCause::Injected,
-            dps_obs::AbortCause::SnapshotStale => AbortCause::SnapshotStale,
-            _ => AbortCause::Stale,
-        };
-        let _ = self.external_resolve_err(xt, internal);
+    pub fn external_abort(&self, xt: &mut ExternalTxn, cause: AbortCause) {
+        self.external_resolve_err(xt, cause);
     }
 
     /// Shared failure path: abort at the lock manager, release the pin,
-    /// emit the abort event, count the cause. Returns the public cause
-    /// so callers can `return Err(self.external_resolve_err(..))`.
-    fn external_resolve_err(&self, xt: &mut ExternalTxn, cause: AbortCause) -> dps_obs::AbortCause {
-        match self.lm.abort(xt.txn) {
-            Ok(()) | Err(dps_lock::LockError::NotActive(_)) => {}
-            Err(e) => {
-                debug_assert!(false, "external abort of {:?} failed: {e:?}", xt.txn);
-                if let Some(obs) = &self.obs {
-                    obs.record(xt.txn.0, ObsEvent::Anomaly { what: "abort-failed" });
-                }
-            }
-        }
+    /// emit the abort event, count the cause. Returns the cause so
+    /// callers can `return Err(self.external_resolve_err(..))`.
+    fn external_resolve_err(&self, xt: &mut ExternalTxn, cause: AbortCause) -> AbortCause {
+        self.record_abort(xt.txn, EXTERNAL_RULE_NAME, cause);
         self.release_pin(xt);
         xt.delta = DeltaSet::new();
-        let public = cause.to_obs();
-        if let Some(obs) = &self.obs {
-            obs.record(xt.txn.0, ObsEvent::Abort { cause: public });
-            obs.rule_aborted(EXTERNAL_RULE_NAME);
-        }
-        self.metrics.count_abort(&cause);
-        public
+        cause
     }
 
-    /// Single or compound lock acquisition for external ops; any error
-    /// resolves the whole transaction.
-    fn external_lock(
+    /// One access of an external op, covered the way the transaction's
+    /// strategy covers it; any error resolves the whole transaction.
+    fn external_acquire(
         &self,
         xt: &mut ExternalTxn,
         res: ResourceId,
-        optimistic: LockMode,
-        pessimistic: LockMode,
-    ) -> Result<(), dps_obs::AbortCause> {
-        let mode = self.governed_mode(res, optimistic, pessimistic);
-        self.lm
-            .lock(xt.txn, res, mode)
-            .map_err(|e| self.external_resolve_err(xt, classify(e)))
+        access: Access,
+    ) -> Result<(), AbortCause> {
+        xt.strategy
+            .acquire(self, xt.txn, res, access)
+            .map_err(|cause| self.external_resolve_err(xt, cause))
     }
 
-    /// Drops the MVCC snapshot pin, if one is still registered. Routed
+    /// Drops the snapshot pin, if one is still registered. Routed
     /// through [`PinGuard`] so the pin-release logic has exactly one
     /// home.
     fn release_pin(&self, xt: &mut ExternalTxn) {
@@ -422,6 +262,7 @@ mod tests {
     use super::*;
     use crate::semantics::validate_trace;
     use crate::{ParallelConfig, ParallelEngine};
+    use dps_lock::ConflictPolicy;
     use dps_rules::RuleSet;
     use dps_wm::{Value, WorkingMemory};
 
@@ -547,10 +388,11 @@ mod tests {
         assert_eq!(engine.snapshot_pins(), 0);
     }
 
-    /// Leak regression (satellite 2): an RHS that *panics* mid-action
-    /// must release every lock and snapshot pin through the drop-guard
-    /// chain (PinGuard + ClaimGuard) as the unwind passes through the
-    /// worker and out of `thread::scope`.
+    /// Leak regression: an RHS that *panics* mid-action — inside the
+    /// commit section's caller — must release every lock, snapshot pin
+    /// and ledger entry through the drop-guard chain (PinGuard +
+    /// ClaimGuard, the single owner of the unclaim) as the unwind
+    /// passes through the worker and out of `thread::scope`.
     #[test]
     fn panicking_rhs_leaks_nothing() {
         for policy in [ConflictPolicy::AbortReaders, ConflictPolicy::MvccSnapshot] {
@@ -579,6 +421,10 @@ mod tests {
             assert!(outcome.is_err(), "rhs_panic_pm=1000 must panic the run");
             assert_eq!(engine.held_locks(), 0, "locks leaked through the unwind");
             assert_eq!(engine.snapshot_pins(), 0, "pins leaked through the unwind");
+            let ledger = engine.ledger.lock().expect("nobody died holding the ledger");
+            assert_eq!(ledger.inflight, 0, "in-flight count wedged by the unwind");
+            assert!(ledger.claimed.is_empty(), "claim wedged by the unwind");
+            assert!(ledger.claims_by_txn.is_empty(), "claim wedged by the unwind");
         }
     }
 }

@@ -17,17 +17,21 @@
 //! introduce new kinds of deadlocks", so the standard machinery —
 //! DFS plus youngest-victim selection — carries over unchanged.
 
-use crate::TxnId;
+use std::collections::HashSet;
 
-/// Depth cap for the DFS (cycles in practice involve a handful of
-/// transactions; this bounds pathological walks over stale edges).
-const MAX_DEPTH: usize = 64;
+use crate::TxnId;
 
 /// Looks for a waits-for cycle through `start`; returns the members.
 ///
 /// `blockers(t)` must return the transactions `t` currently waits for
 /// (conflicting holders and earlier conflicting waiters of the resource
 /// `t` is blocked on).
+///
+/// Each transaction is expanded at most once per walk: one explored
+/// without reaching `start` cannot reach it by another route either.
+/// Without that, a FIFO convoy on one hot lock — waiter *k* blocked by
+/// the holder and all *k* earlier waiters, an acyclic graph — costs
+/// 2^*k* expansions, each taking a shard mutex.
 pub(crate) fn find_cycle(
     start: TxnId,
     blockers: &dyn Fn(TxnId) -> Vec<TxnId>,
@@ -36,18 +40,18 @@ pub(crate) fn find_cycle(
         node: TxnId,
         start: TxnId,
         path: &mut Vec<TxnId>,
-        depth: usize,
+        seen: &mut HashSet<TxnId>,
         blockers: &dyn Fn(TxnId) -> Vec<TxnId>,
     ) -> bool {
-        if depth > 0 && node == start {
+        if !path.is_empty() && node == start {
             return true;
         }
-        if depth > MAX_DEPTH || path.contains(&node) {
+        if !seen.insert(node) {
             return false;
         }
         path.push(node);
         for b in blockers(node) {
-            if dfs(b, start, path, depth + 1, blockers) {
+            if dfs(b, start, path, seen, blockers) {
                 return true;
             }
         }
@@ -55,11 +59,7 @@ pub(crate) fn find_cycle(
         false
     }
     let mut path: Vec<TxnId> = Vec::new();
-    if dfs(start, start, &mut path, 0, blockers) {
-        Some(path)
-    } else {
-        None
-    }
+    dfs(start, start, &mut path, &mut HashSet::new(), blockers).then_some(path)
 }
 
 #[cfg(test)]
@@ -104,6 +104,23 @@ mod tests {
         let cycle = find_cycle(TxnId(0), &g).expect("cycle");
         assert!(cycle.contains(&TxnId(2)));
         assert!(!cycle.contains(&TxnId(1)), "dead branch popped");
+    }
+
+    #[test]
+    fn fifo_convoy_is_walked_in_linear_expansions() {
+        // Waiter k of one hot lock waits for every earlier waiter: a
+        // complete DAG, no cycle. Path-only bookkeeping would expand
+        // 2^40 nodes here.
+        let n = 40u64;
+        let edges: Vec<(u64, u64)> = (0..n).flat_map(|k| (0..k).map(move |j| (k, j))).collect();
+        let g = graph(&edges);
+        let calls = std::cell::Cell::new(0u64);
+        let counted = |t: TxnId| {
+            calls.set(calls.get() + 1);
+            g(t)
+        };
+        assert!(find_cycle(TxnId(n - 1), &counted).is_none());
+        assert_eq!(calls.get(), n, "each transaction expanded exactly once");
     }
 
     #[test]

@@ -441,11 +441,11 @@ impl LockManager {
     /// Chaos seam for lock-free read paths: draws exactly the
     /// forced-abort decision a lock request on `res` would draw —
     /// same site, same `(seed, txn, resource)` inputs — without
-    /// acquiring anything. [`ConflictPolicy::MvccSnapshot`] condition
-    /// reads call this per matched resource, so fault-injected A/B
-    /// comparisons against the lock-based modes stay honest: skipping
-    /// the `R_c` locks must not also skip the chaos the locks would
-    /// have been exposed to. A no-op without an attached injector.
+    /// acquiring anything. Snapshot condition reads call this per
+    /// matched resource, so fault-injected A/B comparisons against the
+    /// lock-based modes stay honest: skipping the `R_c` locks must not
+    /// also skip the chaos the locks would have been exposed to. A
+    /// no-op without an attached injector.
     pub fn inject_read(&self, txn: TxnId, res: ResourceId) -> Result<(), LockError> {
         let Some(inj) = &self.fault else {
             return Ok(());
@@ -461,24 +461,13 @@ impl LockManager {
 
     /// Coordination-avoidance seam: books one *elided* acquisition —
     /// the lock the §4 protocol would have taken on `res` but the
-    /// commutativity proof lets the engine skip — and draws exactly the
-    /// forced-abort decision that lock request would have drawn (same
-    /// site, same `(seed, txn, resource)` inputs as
-    /// [`LockManager::inject_read`]), so chaos A/B runs stay honest.
-    /// Touches no lock table shard: the whole point is that the
-    /// resource's queue is never entered.
+    /// commutativity proof lets the engine skip — and then passes the
+    /// chaos seam of [`LockManager::inject_read`], so chaos A/B runs
+    /// stay honest. Touches no lock table shard: the whole point is
+    /// that the resource's queue is never entered.
     pub fn elide(&self, txn: TxnId, res: ResourceId) -> Result<(), LockError> {
         self.stats.elided.fetch_add(1, Relaxed);
-        let Some(inj) = &self.fault else {
-            return Ok(());
-        };
-        let Some(ts) = self.txn_state(txn) else {
-            return Err(LockError::NotActive(txn));
-        };
-        if inj.forced_abort(txn, res_key(res)) {
-            self.force_abort_injected(txn, &ts, inj)?;
-        }
-        Ok(())
+        self.inject_read(txn, res)
     }
 
     /// Acquires `mode` on `res` for `txn`, blocking until granted.
@@ -548,16 +537,15 @@ impl LockManager {
                     Attempt::AlreadyHeld
                 } else if table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
                     let entry = table.entry(res).or_default();
-                    let wake = if inner.waiting_on.take().is_some() {
+                    let was_queued = inner.waiting_on.take().is_some();
+                    if was_queued {
                         entry.remove_waiter(txn);
-                        // Waiters FIFO-blocked only by our queue entry
-                        // may now be grantable.
-                        entry.waiter_ids(txn)
-                    } else {
-                        Vec::new()
-                    };
+                    }
                     entry.holders.entry(txn).or_default().insert(mode);
                     inner.held.entry(res).or_default().insert(mode);
+                    // Waiters FIFO-blocked only by our queue entry (and
+                    // compatible with the mode we now hold) may go.
+                    let wake = if was_queued { entry.grantable_waiters(txn) } else { Vec::new() };
                     Attempt::Granted { wake }
                 } else {
                     let newly = inner.waiting_on != Some((res, mode));
@@ -618,12 +606,18 @@ impl LockManager {
                         }
                     }
                     // Deadlock detection runs with no shard lock held.
-                    if let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
+                    // One request can close several cycles at once
+                    // (three `S` holders all upgrading to `X`) and one
+                    // walk finds one, so walk until none is left: a
+                    // doomed victim counts as gone (`blockers_of`),
+                    // which exposes the next cycle — or, when the
+                    // victim is this transaction, ends the search; the
+                    // status check below surfaces that doom. Nobody
+                    // re-runs the walk later: waiters are only woken
+                    // once their request is grantable.
+                    while let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
                         let victim = *cycle.iter().max().expect("cycle is non-empty");
                         self.doom_deadlock_victim(victim);
-                        if victim == txn {
-                            self.check_doomed(txn, &ts)?;
-                        }
                     }
                     // A doom whose signal landed *before* our arm would be
                     // erased by it — but such a doom set our status before
@@ -781,55 +775,40 @@ impl LockManager {
             }
         }
         let mut outcome = CommitOutcome::default();
-        match self.policy {
-            ConflictPolicy::AbortReaders => {
-                for reader in affected {
-                    let Some(rts) = self.txn_state(reader) else {
-                        continue;
-                    };
-                    // Doom only if still Active at this instant — a reader
-                    // that already committed won (legal serial order) and
-                    // one that already aborted needs nothing. The obs
-                    // timestamp is taken *inside* the critical section:
-                    // the victim records its own Abort only after it can
-                    // observe the doom (under this same mutex), so the
-                    // per-transaction event order stays monotone.
-                    let doomed = {
-                        let mut ri = rts.inner.lock().unwrap();
-                        if matches!(ri.status, Status::Active) {
-                            ri.status = Status::Doomed { by: Some(txn) };
-                            Some(self.obs.as_ref().map(|o| o.now()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(ts) = doomed {
-                        self.stats.dooms.fetch_add(1, Relaxed);
-                        self.log(LockEvent::Doom(reader, Some(txn)));
-                        if let (Some(obs), Some(ts)) = (&self.obs, ts) {
-                            obs.record_at(ts, reader.0, ObsEvent::Doom { by: txn.0 });
-                        }
-                        outcome.doomed_readers.push(reader);
-                        rts.slot.signal(); // it may be parked
-                    }
+        for reader in affected {
+            let Some(rts) = self.txn_state(reader) else {
+                continue;
+            };
+            if self.policy == ConflictPolicy::Revalidate {
+                if matches!(rts.inner.lock().unwrap().status, Status::Active) {
+                    outcome.needs_revalidation.push(reader);
                 }
+                continue;
             }
-            ConflictPolicy::Revalidate => {
-                for reader in affected {
-                    let still_active = self
-                        .txn_state(reader)
-                        .is_some_and(|rts| matches!(rts.inner.lock().unwrap().status, Status::Active));
-                    if still_active {
-                        outcome.needs_revalidation.push(reader);
-                    }
+            // Doom only if still Active at this instant — a reader that
+            // already committed won (legal serial order) and one that
+            // already aborted needs nothing. The obs timestamp is taken
+            // *inside* the critical section: the victim records its own
+            // Abort only after it can observe the doom (under this same
+            // mutex), so the per-transaction event order stays monotone.
+            let doomed = {
+                let mut ri = rts.inner.lock().unwrap();
+                if matches!(ri.status, Status::Active) {
+                    ri.status = Status::Doomed { by: Some(txn) };
+                    Some(self.obs.as_ref().map(|o| o.now()))
+                } else {
+                    None
                 }
+            };
+            if let Some(ts) = doomed {
+                self.stats.dooms.fetch_add(1, Relaxed);
+                self.log(LockEvent::Doom(reader, Some(txn)));
+                if let (Some(obs), Some(ts)) = (&self.obs, ts) {
+                    obs.record_at(ts, reader.0, ObsEvent::Doom { by: txn.0 });
+                }
+                outcome.doomed_readers.push(reader);
+                rts.slot.signal(); // it may be parked
             }
-            // MVCC: nobody holds Rc (condition reads are snapshot
-            // reads), so there is nothing to doom or revalidate. If a
-            // misconfigured caller *did* take Rc under this policy, the
-            // reader is left alone — commit-time self-validation in the
-            // engine is the correctness backstop.
-            ConflictPolicy::MvccSnapshot => {}
         }
         self.release_held(txn, held, waiting);
         self.stats.commits.fetch_add(1, Relaxed);
@@ -925,12 +904,20 @@ impl LockManager {
 
     /// Transactions currently blocking `t`'s pending request. Reads
     /// `t`'s own mutex, drops it, then reads the one shard of the
-    /// resource `t` waits for — never two locks at once.
+    /// resource `t` waits for — never two locks at once. A doomed (or
+    /// finished) `t` waits for nobody: it was signalled and is on its
+    /// way to releasing everything, so no cycle runs through it.
     fn blockers_of(&self, t: TxnId) -> Vec<TxnId> {
         let Some(ts) = self.txn_state(t) else {
             return Vec::new();
         };
-        let waiting = ts.inner.lock().unwrap().waiting_on;
+        let waiting = {
+            let inner = ts.inner.lock().unwrap();
+            if !matches!(inner.status, Status::Active) {
+                return Vec::new();
+            }
+            inner.waiting_on
+        };
         let Some((res, mode)) = waiting else {
             return Vec::new();
         };
@@ -978,7 +965,7 @@ impl LockManager {
             match table.get_mut(&res) {
                 Some(entry) => {
                     entry.remove_waiter(txn);
-                    let wake = entry.waiter_ids(txn);
+                    let wake = entry.grantable_waiters(txn);
                     if entry.is_vacant() {
                         table.remove(&res);
                     }
@@ -1011,7 +998,7 @@ impl LockManager {
                 if let Some(entry) = table.get_mut(&res) {
                     entry.holders.remove(&txn);
                     entry.remove_waiter(txn);
-                    wake.extend(entry.waiter_ids(txn));
+                    wake.extend(entry.grantable_waiters(txn));
                     if entry.is_vacant() {
                         table.remove(&res);
                     }
@@ -1602,5 +1589,42 @@ mod tests {
         for k in 0..15 {
             assert_eq!(m.try_lock(fresh, t(k), X), Ok(true));
         }
+    }
+
+    #[test]
+    fn one_block_event_breaks_every_cycle_it_closes() {
+        // `a`, `b`, `c` share `S` on one tuple; `c` and `b` are parked
+        // upgraders (parked by hand, so the interleaving is exact), and
+        // `b` is already doomed but has not released yet. When `a`
+        // upgrades too it closes a cycle with each of them. The walk
+        // meets `b` first; stopping there would doom `b` a second time
+        // and leave `a` ↔ `c` deadlocked for good — nobody re-runs the
+        // walk, because `b`'s release makes no waiter grantable.
+        let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
+        let (a, b, c) = (m.begin(), m.begin(), m.begin());
+        for txn in [a, b, c] {
+            m.lock(txn, t(1), S).unwrap();
+        }
+        for txn in [c, b] {
+            let mut table = m.shard(t(1)).table.lock().unwrap();
+            table.get_mut(&t(1)).unwrap().waiters.push_back((txn, X));
+            m.txn_state(txn).unwrap().inner.lock().unwrap().waiting_on = Some((t(1), X));
+        }
+        m.txn_state(b).unwrap().inner.lock().unwrap().status = Status::Doomed { by: None };
+        let upgrade = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.lock(a, t(1), X))
+        };
+        let c_state = m.txn_state(c).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !matches!(c_state.inner.lock().unwrap().status, Status::Doomed { .. }) {
+            assert!(Instant::now() < deadline, "the a-c cycle was never broken");
+            std::thread::yield_now();
+        }
+        // Both victims leave; the survivor's upgrade is granted.
+        m.abort(b).unwrap();
+        m.abort(c).unwrap();
+        upgrade.join().unwrap().expect("oldest transaction survives");
+        m.commit(a).unwrap();
     }
 }

@@ -57,17 +57,23 @@ impl Entry {
 
     /// Transactions currently blocking `txn`'s pending request for
     /// `mode`: conflicting holders plus earlier conflicting waiters.
+    /// Empty when `txn` is not queued here: the deadlock detector reads
+    /// a transaction's `waiting_on` and this entry under two different
+    /// locks, so the request may have been granted in between — and a
+    /// granted request is blocked by nobody (scanning the whole queue
+    /// for it would report every conflicting waiter as a blocker and
+    /// close a waits-for cycle that does not exist).
     pub fn blockers_of(&self, txn: TxnId, mode: LockMode) -> Vec<TxnId> {
+        let Some(queued_at) = self.waiters.iter().position(|&(w, _)| w == txn) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         for (&holder, modes) in &self.holders {
             if holder != txn && modes.iter().any(|&held| !compatible(held, mode)) {
                 out.push(holder);
             }
         }
-        for &(waiter, wmode) in &self.waiters {
-            if waiter == txn {
-                break;
-            }
+        for &(waiter, wmode) in self.waiters.iter().take(queued_at) {
             if !compatible(wmode, mode) || !compatible(mode, wmode) {
                 out.push(waiter);
             }
@@ -80,11 +86,17 @@ impl Entry {
         self.waiters.retain(|&(t, _)| t != txn);
     }
 
-    /// Waiter ids other than `except` (for post-mutation wakeups).
-    pub fn waiter_ids(&self, except: TxnId) -> Vec<TxnId> {
+    /// The waiters to wake after this entry changed (a holder or an
+    /// earlier waiter left): those, other than `except`, whose request
+    /// is grantable now. Nothing else can have become grantable —
+    /// grantability depends only on this entry's holders and on the
+    /// waiters queued ahead — so the rest stay parked; waking them all
+    /// costs a hot lock's FIFO convoy one failed retry (shard mutex,
+    /// deadlock walk, re-park) per waiter per release.
+    pub fn grantable_waiters(&self, except: TxnId) -> Vec<TxnId> {
         self.waiters
             .iter()
-            .filter(|&&(t, _)| t != except)
+            .filter(|&&(t, mode)| t != except && self.grantable(t, mode))
             .map(|&(t, _)| t)
             .collect()
     }
@@ -173,5 +185,39 @@ mod tests {
         assert_eq!(e.blockers_of(b, X), vec![a]);
         e.remove_waiter(b);
         assert!(e.grantable(c, S));
+    }
+
+    #[test]
+    fn only_grantable_waiters_are_woken() {
+        let mut e = Entry::default();
+        let (a, b, c, d) = (TxnId(0), TxnId(1), TxnId(2), TxnId(3));
+        // Holder a gone; queue: writer b, then readers c and d.
+        e.waiters.push_back((b, X));
+        e.waiters.push_back((c, S));
+        e.waiters.push_back((d, S));
+        assert_eq!(e.grantable_waiters(a), vec![b], "readers stay FIFO-blocked behind b");
+        // b granted (left the queue, not yet a holder): both readers go.
+        e.remove_waiter(b);
+        assert_eq!(e.grantable_waiters(b), vec![c, d]);
+        // ...and none of them while b holds X.
+        e.holders.entry(b).or_default().insert(X);
+        assert!(e.grantable_waiters(a).is_empty());
+    }
+
+    #[test]
+    fn granted_or_absent_txn_has_no_blockers() {
+        // The deadlock detector's race: `b` was granted between the
+        // read of its `waiting_on` and the read of this entry. It is a
+        // holder now, not a waiter — the conflicting waiters queued
+        // behind it wait *for* it, never the other way round.
+        let mut e = Entry::default();
+        let (a, b, c, d) = (TxnId(0), TxnId(1), TxnId(2), TxnId(3));
+        e.holders.entry(b).or_default().insert(X);
+        e.waiters.push_back((a, X));
+        e.waiters.push_back((c, X));
+        assert!(e.blockers_of(b, X).is_empty(), "granted txn is blocked by nobody");
+        assert!(e.blockers_of(d, X).is_empty(), "absent txn is blocked by nobody");
+        // A queued waiter still sees the holder and the earlier waiter.
+        assert_eq!(e.blockers_of(c, X), vec![b, a]);
     }
 }

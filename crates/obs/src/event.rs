@@ -79,7 +79,28 @@ impl AbortCause {
         }
     }
 
-    pub(crate) fn index(self) -> usize {
+    /// `true` for causes that mean "concurrent transactions collided"
+    /// (or chaos made them appear to) — what the engine's retry
+    /// governor and the server's admission controller back off on.
+    /// Stale claims and RHS evaluation errors are not contention.
+    /// Snapshot- and elision-stale aborts *are*: with no condition
+    /// locks held they are the only remaining signal of genuine write
+    /// overlap (the reader-abort channels are structurally zero there).
+    pub fn is_contention(self) -> bool {
+        match self {
+            AbortCause::Doomed
+            | AbortCause::Deadlock
+            | AbortCause::Revalidation
+            | AbortCause::Timeout
+            | AbortCause::Injected
+            | AbortCause::SnapshotStale
+            | AbortCause::ElisionStale => true,
+            AbortCause::Stale | AbortCause::EvalError => false,
+        }
+    }
+
+    /// Position in [`AbortCause::ALL`] (a dense array index).
+    pub fn index(self) -> usize {
         match self {
             AbortCause::Doomed => 0,
             AbortCause::Deadlock => 1,

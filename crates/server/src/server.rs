@@ -218,20 +218,6 @@ impl Server {
         write_frame(conn, &resp.encode())
     }
 
-    /// `true` when this abort cause is engine contention (feeds the
-    /// admission governor's storm detector) as opposed to a voluntary
-    /// or client-side rollback.
-    fn is_contention(cause: AbortCause) -> bool {
-        matches!(
-            cause,
-            AbortCause::Doomed
-                | AbortCause::Deadlock
-                | AbortCause::Timeout
-                | AbortCause::Revalidation
-                | AbortCause::SnapshotStale
-        )
-    }
-
     /// Rolls back `xt` (if open) on a session death path and updates
     /// the books. `cause` distinguishes timeout from disconnect.
     fn rollback_dead(&self, xt: &mut Option<ExternalTxn>, cause: AbortCause, c: &mut SessionCounters) {
@@ -469,7 +455,7 @@ impl Server {
                             Response::Ok { seq }
                         }
                         Err(cause) => {
-                            self.admission.txn_end(Self::is_contention(cause), &[]);
+                            self.admission.txn_end(cause.is_contention(), &[]);
                             c.aborts += 1;
                             self.counters.aborts.fetch_add(1, Relaxed);
                             Response::Err { code: ErrCode::Aborted, msg: format!("{cause:?}") }
@@ -511,7 +497,7 @@ impl Server {
     ) {
         *xt = None;
         *deadline = None;
-        self.admission.txn_end(Self::is_contention(cause), &[]);
+        self.admission.txn_end(cause.is_contention(), &[]);
         c.aborts += 1;
         self.counters.aborts.fetch_add(1, Relaxed);
     }

@@ -156,26 +156,3 @@ fn observe_off_attaches_no_recorder() {
     assert_eq!(report.commits, 4);
     assert!(engine.observer().is_none(), "observe defaults to off");
 }
-
-#[test]
-fn lock_timeout_config_reaches_the_lock_manager() {
-    use std::time::Duration;
-    // A 1-worker run with a generous timeout must behave identically to
-    // no timeout (nothing ever waits), proving the plumb-through without
-    // relying on timing.
-    let (rules, wm) = contended_workload(4);
-    let mut engine = ParallelEngine::new(
-        &rules,
-        wm,
-        ParallelConfig {
-            workers: 1,
-            lock_timeout: Some(Duration::from_secs(5)),
-            observe: true,
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    assert_eq!(report.commits, 4);
-    assert_eq!(report.aborts.total(), 0);
-    assert_eq!(report.aborts.timeout, 0);
-}

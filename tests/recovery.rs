@@ -25,6 +25,11 @@
 //! everything) and a checkpointed log (recovery seeds from the
 //! snapshot and replays the suffix; the cut sweeps the *live* tail
 //! segment).
+//!
+//! A third test holds the same recover-to-the-oracle-prefix property
+//! for *external* (session) commits killed at each WAL kill site: they
+//! go through the one commit section rule firings use, so the kill
+//! arms must behave identically for them.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,8 +37,9 @@ use std::path::{Path, PathBuf};
 use dps_bench::workloads;
 use dps_core::semantics::validate_trace;
 use dps_core::{DurabilityConfig, ParallelConfig, ParallelEngine, Trace};
+use dps_lock::{FaultPlan, WalKillSite};
 use dps_rules::RuleSet;
-use dps_wm::{recover, WorkingMemory};
+use dps_wm::{recover, WmeData, WorkingMemory};
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dps-crashcut-{tag}-{}", std::process::id()))
@@ -171,4 +177,75 @@ fn every_byte_cut_of_a_checkpointed_log_recovers_from_the_snapshot() {
     // tail segment holds records 11–12 (an interval dividing the run
     // length would leave the tail empty and the sweep vacuous).
     sweep_every_byte_cut("ckpt", 5);
+}
+
+/// A session commit dies at each kill site; recovery must land on the
+/// site's durable horizon with a WM byte-identical to the serial replay
+/// of that trace prefix. The first three commits are external inserts
+/// into a class no rule reads, so commit 3 — the killed one — is a
+/// session commit on every schedule; the deltas inserted after it fire
+/// rules on a dead WAL, which keeps running in memory.
+#[test]
+fn killed_session_commit_recovers_to_the_oracle_prefix() {
+    let rules = RuleSet::parse(
+        "(p apply (delta ^key <k> ^v <v>) (acc ^key <k> ^total <t>)
+           --> (remove 1) (modify 2 ^total (+ <t> <v>)))",
+    )
+    .unwrap();
+    let mut initial = WorkingMemory::new();
+    for k in 0..2i64 {
+        initial.insert(WmeData::new("acc").with("key", k).with("total", 0i64));
+    }
+    for (tag, site, horizon) in [
+        ("after-publish", WalKillSite::AfterPublish, 2),
+        ("torn-tail", WalKillSite::TornTail, 2),
+        ("after-sync", WalKillSite::AfterSync, 3),
+    ] {
+        let dir = scratch(&format!("session-{tag}"));
+        let _ = fs::remove_dir_all(&dir);
+        let engine = ParallelEngine::new(
+            &rules,
+            initial.clone(),
+            ParallelConfig {
+                service: true,
+                workers: 2,
+                durability: Some(DurabilityConfig { dir: dir.clone(), checkpoint_interval: 0 }),
+                fault: Some(FaultPlan {
+                    wal_kill_commit: 3,
+                    wal_kill_site: site,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        );
+        let commit = |data: WmeData| {
+            let mut xt = engine.external_begin();
+            engine.external_insert(&mut xt, data).expect("insert admitted");
+            engine.external_commit(&mut xt).expect("commit")
+        };
+        let report = std::thread::scope(|scope| {
+            let run = scope.spawn(|| engine.run_shared());
+            for n in 1..=3i64 {
+                assert_eq!(commit(WmeData::new("note").with("n", n)), n as u64);
+            }
+            for i in 0..4i64 {
+                commit(WmeData::new("delta").with("key", i % 2).with("v", 1i64));
+            }
+            engine.await_quiescence();
+            engine.request_stop();
+            run.join().expect("engine run")
+        });
+        assert_eq!(report.trace.len(), 3 + 4 + 4, "{tag}: the in-memory run drains");
+        assert_eq!(report.fault_stats.expect("fault plan attached").wal_kills, 1, "{tag}");
+
+        let rec = recover(&dir).unwrap_or_else(|e| panic!("{tag}: recovery failed: {e}"));
+        assert_eq!(rec.last_seq, horizon, "{tag}: durable horizon");
+        assert_eq!(rec.torn_tail, site == WalKillSite::TornTail, "{tag}");
+        assert_eq!(
+            rec.wm.encode_snapshot().expect("recovered snapshot encodes"),
+            serial_prefix(&rules, &initial, &report.trace, horizon as usize),
+            "{tag}: recovered state diverges from the serial replay of its horizon"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
