@@ -12,21 +12,29 @@
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
 //! | 4 | base | `publish` the change batch (delta log, version store, watermark) |
-//! | 5 | base | rule firings only: own shard absorbs the batch, refracts the key |
-//! | 6 | base → trace | trace append, `Fire` + strategy receipt events |
-//! | 7 | base | `revalidate_readers` (policy `Revalidate`) |
-//! | 8 | base → ledger | commit counters, ledger unclaim |
+//! | 5 | base → trace | trace append, `Fire` + strategy receipt events |
+//! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
+//! | 7 | own shard | rule firings only: own shard absorbs the batch, refracts the key |
+//! | 8 | ledger | commit counters, ledger unclaim |
 //! | 9 | — | per-rule table + `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
 //! | 10 | — | checkpoint install, group-commit `request_sync` |
 //!
-//! Commit order = sequence order = trace order because steps 1–8 share
-//! one hold of the base mutex; the §3 oracle replays exactly that
-//! order. This is the function where the `base_wait` / `base_hold` /
-//! `wal_encode` / `publish` / `fsync_wait` spans of ROADMAP item 1 go.
+//! Commit order = sequence order = trace order because steps 1–6 share
+//! one hold of the base mutex (`Phase::BaseHold`; the caller's wait for
+//! it is `Phase::BaseWait`); the §3 oracle replays exactly that order.
+//! The hold is as short as the protocol needs: a family's own match
+//! update (step 7) coordinates with nobody outside its shard, so it
+//! runs after the base mutex is released. What keeps that safe is the
+//! order of steps 4, 7 and 8: the fired key stays in the ledger's
+//! claimed set — invisible to every claim scan — until its shard has
+//! absorbed the batch and refracted it, so it cannot fire twice; and
+//! `inflight` falls only after the watermark has risen, so a scanner
+//! that saw nothing claimable and nothing in flight has seen this
+//! commit's batch.
 
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::MutexGuard;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dps_lock::{res_key, ResourceId, TxnId, WalKillSite};
 use dps_match::{InstKey, Matcher};
@@ -56,6 +64,33 @@ pub(crate) struct Commit<'c, 'e> {
 }
 
 impl ParallelEngine {
+    /// Acquires the base mutex for a commit; the wait is the
+    /// `Phase::BaseWait` sample.
+    pub(crate) fn lock_base_for_commit(&self) -> MutexGuard<'_, WmBase> {
+        let t0 = self.times_base().then(Instant::now);
+        let base = self.pipeline.lock_base();
+        if let Some(t0) = t0 {
+            self.base_sample(Phase::BaseWait, &self.metrics.base_wait_nanos, t0.elapsed());
+        }
+        base
+    }
+
+    /// Whether anything consumes the base-mutex samples (the recorder's
+    /// histograms, the timeline's counters).
+    fn times_base(&self) -> bool {
+        self.obs.is_some() || self.telemetry().is_some()
+    }
+
+    /// One `Phase::BaseWait` / `Phase::BaseHold` sample: into the phase
+    /// histogram, and into the running total the timeline samples as
+    /// `engine.base_wait_ns` / `engine.base_hold_ns`.
+    fn base_sample(&self, phase: Phase, total: &AtomicU64, d: Duration) {
+        if let Some(obs) = &self.obs {
+            obs.phase(phase, d);
+        }
+        total.fetch_add(d.as_nanos() as u64, Relaxed);
+    }
+
     /// Commits under the base mutex the caller already holds (it ran
     /// its own validation under it). Fails only at `lm.commit` — the
     /// transaction was doomed or injected — with nothing changed;
@@ -68,11 +103,17 @@ impl ParallelEngine {
     ) -> Result<u64, AbortCause> {
         let Commit { txn, strategy, firing, requests, claim, since } = commit;
         let obs = self.obs.as_deref();
+        let hold = self.times_base().then(Instant::now);
         let outcome = self.lm.commit(txn).map_err(classify)?;
         let changes =
             base.wm.apply(&firing.delta).expect("a validated commit only touches live WMEs");
         let seq = base.next_seq;
         base.next_seq += 1;
+        // Chaos seam: park this commit in the gap where its locks are
+        // released but its batch is not yet published.
+        if let Some(inj) = &self.injector {
+            inj.publish_stall(txn, seq, obs);
+        }
         let checkpoint = self.stage_wal(&base.wm, txn, seq, &changes);
         // Version-write footprint for the SI polygraph, captured before
         // `publish` consumes the batch (one entry per written tuple).
@@ -83,9 +124,6 @@ impl ParallelEngine {
             written.dedup();
         }
         let affected = self.pipeline.publish(seq, changes, obs);
-        if let Some(claim) = &claim {
-            self.absorb_own_batch(&claim.key, seq, strategy);
-        }
         let halt = firing.halt;
         let name = obs.map(|_| firing.rule_name.clone());
         {
@@ -121,6 +159,13 @@ impl ParallelEngine {
         if !outcome.needs_revalidation.is_empty() {
             self.revalidate_readers(&outcome.needs_revalidation, seq);
         }
+        drop(base);
+        if let Some(hold) = hold {
+            self.base_sample(Phase::BaseHold, &self.metrics.base_hold_nanos, hold.elapsed());
+        }
+        if let Some(claim) = &claim {
+            self.absorb_own_batch(&claim.key, seq, strategy);
+        }
         {
             // Under the ledger so the claim gate's cap check stays exact
             // and the wake below is ordered against its check-then-wait
@@ -134,7 +179,6 @@ impl ParallelEngine {
                 self.external_commits.fetch_add(1, Relaxed);
             }
         }
-        drop(base);
         if let (Some(obs), Some(name)) = (obs, &name) {
             obs.rule_fired(name.as_str());
             if let Some(t) = since {
@@ -221,15 +265,16 @@ impl ParallelEngine {
 
     /// The committing rule's own shard absorbs everything up to and
     /// including its batch and refracts the fired key *before* the
-    /// ledger unclaim, closing the double-fire window. This is the one
-    /// matcher run inside the commit critical section.
+    /// ledger unclaim, closing the double-fire window. Runs under the
+    /// shard lock alone, after the base mutex is released.
     fn absorb_own_batch(&self, key: &InstKey, seq: u64, strategy: Strategy) {
         let obs = self.obs.as_deref();
         let own = self.pipeline.plan().shard_of(key.rule);
         let mut state = self.pipeline.shard_state(own);
         // A claim scanner may already have stolen this batch (the
-        // watermark is visible the moment `publish` returns). `applied`
-        // is stable here: we hold both the base mutex and the shard.
+        // watermark is visible the moment `publish` returns). A cursor
+        // below `seq` cannot move while we hold the shard: applies need
+        // its lock, and a free advance only steps a caught-up cursor.
         if self.pipeline.applied(own) < seq {
             // At the pre-commit state the instantiation cannot have
             // vanished: its read set was lock-protected or validated.
@@ -280,7 +325,7 @@ impl ParallelEngine {
     /// [`PinGuard`].
     pub(crate) fn pin_snapshot(&self, txn: TxnId) -> u64 {
         let snap = {
-            let base = self.pipeline.base.lock().unwrap();
+            let base = self.pipeline.lock_base();
             let snap = base.next_seq - 1;
             self.pipeline.pin_snapshot(snap);
             snap
@@ -344,8 +389,9 @@ impl Drop for PinGuard<'_> {
 
 /// Owner of one claimed instantiation's ledger entry. The ledger
 /// unclaim exists exactly once — [`ClaimGuard::release`] — and every
-/// exit reaches it: the commit section calls it under the base mutex,
-/// the abort path after its accounting, and a panic unwinding out of
+/// exit reaches it: the commit section calls it once the claim's shard
+/// has refracted the key, the abort path after its accounting, and a
+/// panic unwinding out of
 /// the RHS (an injected fault, an evaluator bug) through `Drop`, which
 /// also releases the transaction's locks so surviving workers neither
 /// deadlock on them nor wait forever on a wedged in-flight count.
@@ -364,6 +410,8 @@ impl ClaimGuard<'_> {
             ledger.claims_by_txn.remove(&self.txn);
             ledger.claimed.remove(&self.key);
             ledger.inflight -= 1;
+            let pipeline = &self.engine.pipeline;
+            pipeline.claim_released(pipeline.plan().shard_of(self.key.rule));
         }
     }
 }

@@ -95,7 +95,7 @@ use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
 
 use crate::commit::{ClaimGuard, Commit, PinGuard};
 use crate::governor::{Governor, GovernorConfig, GovernorStats};
-use crate::pipeline::MatchPipeline;
+use crate::pipeline::{scan_order, MatchPipeline};
 use crate::strategy::{Access, Strategy};
 use crate::{Firing, Footprint, Trace};
 
@@ -440,6 +440,11 @@ pub(crate) struct Metrics {
     /// Aborts by cause, indexed by [`AbortCause::index`].
     aborts: [AtomicU64; AbortCause::ALL.len()],
     wasted_nanos: AtomicU64,
+    /// Time committers spent acquiring / holding the base mutex
+    /// (`Phase::BaseWait` / `Phase::BaseHold`), summed; maintained
+    /// only while a recorder or the telemetry sampler is attached.
+    pub(crate) base_wait_nanos: AtomicU64,
+    pub(crate) base_hold_nanos: AtomicU64,
 }
 
 impl Metrics {
@@ -638,8 +643,15 @@ impl ParallelEngine {
             let m = Arc::clone(metrics);
             tel.counter(format!("engine.aborts.{}", cause.name()), move || m.aborts_by(cause));
         }
-        let m = Arc::clone(metrics);
-        tel.counter("engine.wasted_ns", move || m.wasted_nanos.load(Relaxed));
+        let nanos: [(&str, fn(&Metrics) -> &AtomicU64); 3] = [
+            ("engine.wasted_ns", |m| &m.wasted_nanos),
+            ("engine.base_wait_ns", |m| &m.base_wait_nanos),
+            ("engine.base_hold_ns", |m| &m.base_hold_nanos),
+        ];
+        for (name, cell) in nanos {
+            let m = Arc::clone(metrics);
+            tel.counter(name, move || cell(&m).load(Relaxed));
+        }
         // Lock manager: counter snapshot is pure atomic loads; the wait
         // histogram drains into lock.wait.{count,p50_ns,p99_ns,max_ns}.
         let stats: [(&str, fn(dps_lock::LockStats) -> u64); 5] = [
@@ -818,7 +830,7 @@ impl ParallelEngine {
     /// A snapshot of the current working memory (after `run`, the final
     /// state).
     pub fn final_wm(&self) -> WorkingMemory {
-        self.pipeline.base.lock().unwrap().wm.clone()
+        self.pipeline.lock_base().wm.clone()
     }
 
     /// Locks currently held in the engine's lock table (see
@@ -895,10 +907,13 @@ impl ParallelEngine {
     /// One claim→execute→commit attempt (or a wait); `false` once the
     /// run is over.
     ///
-    /// The claim scan walks the match shards starting at `worker`'s own
-    /// rotation offset (workers fan out over different shards instead
-    /// of racing down the same conflict-set prefix). Each shard is
-    /// first caught up to the watermark — idle claim scans *steal* the
+    /// The claim scan walks the match shards in
+    /// [`crate::pipeline::scan_order`]: from `worker`'s own rotation
+    /// offset, shards with another worker's in-flight claim or a held
+    /// lock last — workers settle on different shards instead of
+    /// queueing on one shard lock — and every shard once before the
+    /// scan concludes nothing is claimable. Each shard is first caught
+    /// up to the watermark — idle claim scans *steal* the
     /// pending shard×batch match work — then scanned skipping the
     /// shard's refraction slice; the ledger is only taken lazily at the
     /// first unrefracted candidate, so the (quadratic) refracted-prefix
@@ -924,11 +939,10 @@ impl ParallelEngine {
             }
             // ---- scan the shards at a fixed watermark ----
             let w = self.pipeline.watermark();
-            let shards = self.pipeline.shards();
+            let busy = self.pipeline.busy_shards();
             let mut saw_claimed = false;
             let mut found: Option<Instantiation> = None;
-            'shards: for off in 0..shards {
-                let s = (worker + off) % shards;
+            'shards: for s in scan_order(worker, &busy) {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
                     .catch_up(s, w, &mut state, true, self.obs.as_deref());
@@ -951,6 +965,7 @@ impl ParallelEngine {
                     }
                     led.claimed.insert(key);
                     led.inflight += 1;
+                    self.pipeline.claim_taken(s);
                     found = Some(inst.clone());
                     break 'shards;
                 }
@@ -1112,7 +1127,7 @@ impl ParallelEngine {
 
         // ---- validate, under the base mutex: the commit critical
         // section starts here ----
-        let base = self.pipeline.base.lock().unwrap();
+        let base = self.lock_base_for_commit();
         // Dropping the ledger before the commit is safe: engine dooms
         // are only ever inserted by revalidation passes, which run
         // under the base mutex (held here).
@@ -1221,6 +1236,14 @@ impl ParallelEngine {
     /// publish ≤ `w` is complete; the shard is caught up to at least
     /// `w` before the membership check.
     ///
+    /// Taking the base mutex here is a **barrier**, not just a read: a
+    /// committer releases its locks at `lm.commit` but publishes a few
+    /// steps later, still under the base mutex. A reader that got its
+    /// condition locks in that gap and read the lock-free
+    /// `watermark()` instead would validate against a state that does
+    /// not yet contain a commit its locks no longer protect it from —
+    /// and carry a stale claim to `wm.apply`.
+    ///
     /// Under locks, any *later* commit that could invalidate the claim
     /// necessarily conflicts with the condition locks just acquired
     /// (tuple `Wa`, or relation `Wa` vs our negated-class relation
@@ -1245,7 +1268,7 @@ impl ParallelEngine {
             .then(|| PinGuard { pipeline: &self.pipeline, snap: self.pin_snapshot(txn) });
         let w = match &pin {
             Some(pin) => pin.snap,
-            None => self.pipeline.base.lock().unwrap().next_seq - 1,
+            None => self.pipeline.lock_base().next_seq - 1,
         };
         if !self.in_conflict_set_at(key, w, true) {
             return Err(AbortCause::Stale);
@@ -1717,6 +1740,73 @@ mod tests {
         // engine's, which must equal the injector's forced-abort count.
         let stats = report.fault_stats.unwrap();
         assert_eq!(report.aborts.injected, stats.forced_aborts);
+    }
+
+    /// `validate_claim`'s base-mutex acquisition is a barrier: a
+    /// committer has released its locks at `lm.commit` but publishes a
+    /// few steps later, still under the base mutex. A reader that takes
+    /// its condition locks in that gap must not validate against the
+    /// pre-commit state (the lock-free `watermark()` would let it): it
+    /// waits the publish out and finds its claim gone.
+    #[test]
+    fn ordering_claim_validation_waits_out_an_unpublished_commit() {
+        let rules = RuleSet::parse(
+            "(p apply (delta ^v <d>) (acc ^total <t>)
+               --> (remove 1) (modify 2 ^total (+ <t> <d>)))",
+        )
+        .unwrap();
+        let mut wm = WorkingMemory::new();
+        wm.insert(WmeData::new("delta").with("v", 1i64));
+        wm.insert(WmeData::new("delta").with("v", 2i64));
+        wm.insert(WmeData::new("acc").with("total", 0i64));
+        let initial = wm.clone();
+        let cfg = ParallelConfig {
+            workers: 1,
+            fault: Some(FaultPlan {
+                publish_stall_commit: 1,
+                publish_stall_us: 100_000,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let engine = ParallelEngine::new(&rules, wm, cfg);
+        // Claim both instantiations the way `worker_step` does; both
+        // read (and write) the one `acc` tuple.
+        let insts: Vec<Instantiation> =
+            engine.pipeline.shard_state(0).rete.conflict_set().iter().cloned().collect();
+        assert_eq!(insts.len(), 2);
+        {
+            let mut ledger = engine.ledger.lock().unwrap();
+            for inst in &insts {
+                ledger.claimed.insert(inst.key());
+                ledger.inflight += 1;
+                engine.pipeline.claim_taken(0);
+            }
+        }
+        let injector = engine.injector.as_ref().unwrap();
+        std::thread::scope(|scope| {
+            // The committer parks in the gap (commit 1 stalls between
+            // `lm.commit` and `publish`) ...
+            scope.spawn(|| engine.execute_claim(insts[0].clone()));
+            while injector.stats().publish_stalls == 0 {
+                std::thread::yield_now();
+            }
+            // ... and the reader locks and validates inside it.
+            engine.execute_claim(insts[1].clone());
+        });
+        assert_eq!(engine.metrics.commits.load(Relaxed), 1);
+        assert_eq!(
+            engine.metrics.abort_stats(),
+            AbortStats { stale: 1, ..Default::default() },
+            "the reader saw the committed sequence and dropped its stale claim"
+        );
+        // The surviving delta re-matches against the new `acc` and fires.
+        let report = engine.run_shared();
+        assert_eq!(report.commits, 2);
+        validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+        let acc = engine.final_wm();
+        assert_eq!(acc.class_iter("acc").next().unwrap().get("total"), Some(&Value::Int(3)));
+        assert_eq!(engine.held_locks(), 0);
     }
 
     fn durability_dir(tag: &str) -> std::path::PathBuf {

@@ -7,12 +7,17 @@
 //! commit critical section:
 //!
 //! * **[`WmBase`]** (`Mutex`) — the authoritative working memory plus
-//!   the commit sequence counter. `commit` applies the WM delta,
-//!   *publishes* the resulting change batch, and drives exactly one
-//!   matcher inline: the committing rule's **own shard** absorbs the
-//!   batch while the base mutex is still held, so the fired
-//!   instantiation is refracted before it can be claimed again. Every
-//!   other affected shard is fed after the mutex is released.
+//!   the commit sequence counter. `commit` applies the WM delta and
+//!   *publishes* the resulting change batch under it — and runs no
+//!   matcher there: a family's own match update needs no coordination
+//!   with other families, so it does not sit in the one section
+//!   everybody coordinates on. The committing rule's **own shard**
+//!   absorbs the batch right after the base mutex is released, under
+//!   its shard lock alone, and refracts the fired instantiation
+//!   *before* the ledger unclaims it, so it cannot be claimed again;
+//!   every other affected shard is fed after that. The hold is a few
+//!   microseconds, so [`MatchPipeline::lock_base`] spins briefly
+//!   before it parks.
 //! * **Delta log** — a bounded queue of sequence-numbered change
 //!   batches (`Arc`'d, so shards share one copy), plus a `watermark`
 //!   atomic: the highest published sequence. The watermark is stored
@@ -28,12 +33,20 @@
 //!   [`MatchPipeline::catch_up`] that shard from the log; idle claim
 //!   scans do exactly that, so match work overlaps RHS execution
 //!   instead of queueing behind the committer.
+//! * **Shard-affine claim scans** — a shard counts as *busy* while a
+//!   claim taken from it is in flight or its lock is held. A scan
+//!   ([`scan_order`]) rotates from the worker's own offset over the
+//!   idle shards first and the busy ones last, so workers settle on
+//!   different shards instead of convoying on one shard lock, and
+//!   still visit every shard before concluding nothing is claimable.
 //!
 //! ### Why a stale shard view can never commit
 //!
 //! Claim validation reads the watermark `w` **under the base mutex**
-//! (every publish completes before the base is released), catches the
-//! claimed rule's shard up to `w`, and checks membership. Any commit
+//! (every publish completes before the base is released — taking the
+//! mutex is a barrier that waits out a commit which has released its
+//! locks at `lm.commit` but not yet published), catches the claimed
+//! rule's shard up to `w`, and checks membership. Any commit
 //! that could invalidate the claim after that point necessarily
 //! conflicts with the claim's condition locks — a tuple `Wa` against
 //! our tuple `Rc`, or a relation `Wa` (creates, and the
@@ -44,8 +57,9 @@
 //! in the monolithic design. See DESIGN.md §12.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::Instant;
 
 use dps_match::{InstKey, Matcher, Rete, ShardPlan};
@@ -57,6 +71,14 @@ use dps_wm::{Change, VersionedStore, WorkingMemory};
 /// past this length the committer force-drains lagging shards so an
 /// unlucky (never-affected, never-scanned) shard cannot pin the log.
 const LOG_DRAIN_THRESHOLD: usize = 64;
+
+/// Failed `try_lock` rounds [`MatchPipeline::lock_base`] makes before
+/// it parks. The base hold is a few microseconds and a park/unpark
+/// round trip costs several times that, so a waiter that spins this
+/// long (tens of microseconds) almost always gets the mutex without
+/// one; the bound caps what a spinner burns when the holder was
+/// descheduled.
+const BASE_SPIN_ROUNDS: u32 = 256;
 
 /// Soft per-element bound on retained MVCC versions (see
 /// [`VersionedStore::new`]); versions above the GC floor are never
@@ -118,6 +140,45 @@ pub(crate) struct MatchShard {
     /// Highest log sequence this shard has incorporated. Only advances
     /// (`fetch_max` / forward CAS); `applied ≤ watermark` always.
     applied: AtomicU64,
+    /// In-flight claims taken from this shard plus its current lock
+    /// holder: non-zero = *busy*. A scheduling hint for [`scan_order`]
+    /// only — it publishes no data, hence `Relaxed` throughout.
+    busy: AtomicUsize,
+}
+
+/// A locked shard; the shard reads busy while one exists.
+pub(crate) struct ShardGuard<'a> {
+    state: MutexGuard<'a, ShardState>,
+    busy: &'a AtomicUsize,
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = ShardState;
+    fn deref(&self) -> &ShardState {
+        &self.state
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ShardState {
+        &mut self.state
+    }
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        self.busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The order in which `worker`'s claim scan visits the shards, given
+/// which are busy (`busy.len()` shards): a rotation from the worker's
+/// own offset, idle shards first, busy shards last — every shard
+/// exactly once.
+pub(crate) fn scan_order(worker: usize, busy: &[bool]) -> impl Iterator<Item = usize> + '_ {
+    let n = busy.len();
+    let rotation = move || (0..n).map(move |off| (worker + off) % n);
+    rotation().filter(|&s| !busy[s]).chain(rotation().filter(|&s| busy[s]))
 }
 
 /// Fan-out tallies (relaxed atomics; maintained whether or not a
@@ -130,8 +191,12 @@ struct PipelineStats {
     steals: AtomicU64,
     /// Live-telemetry mirrors, maintained at the mutation sites (under
     /// the respective mutexes, so exact) — sampling probes read these
-    /// instead of taking the log / pins / versions locks.
+    /// instead of taking the log / pins / versions locks. `log_len`
+    /// and `log_floor` (every sequence up to it has been pruned from
+    /// the log) also let the committer decide whether to drain or
+    /// prune without taking the log mutex.
     log_len: AtomicU64,
+    log_floor: AtomicU64,
     version_records: AtomicU64,
     gc_floor: AtomicU64,
     pin_count: AtomicU64,
@@ -144,8 +209,8 @@ struct PipelineStats {
 /// shard lock).
 #[derive(Debug)]
 pub(crate) struct MatchPipeline {
-    /// The commit critical section.
-    pub base: Mutex<WmBase>,
+    /// The commit critical section ([`MatchPipeline::lock_base`]).
+    base: Mutex<WmBase>,
     plan: ShardPlan,
     shards: Vec<MatchShard>,
     log: Mutex<VecDeque<LogEntry>>,
@@ -199,6 +264,7 @@ impl MatchPipeline {
                     gc_at: 1024,
                 }),
                 applied: AtomicU64::new(base_seq),
+                busy: AtomicUsize::new(0),
             })
             .collect();
         let mut versions = VersionedStore::new(VERSION_CHAIN_CAP);
@@ -211,7 +277,10 @@ impl MatchPipeline {
             shards: shard_states,
             log: Mutex::new(VecDeque::new()),
             watermark: AtomicU64::new(base_seq),
-            stats: PipelineStats::default(),
+            stats: PipelineStats {
+                log_floor: AtomicU64::new(base_seq),
+                ..PipelineStats::default()
+            },
             versions: RwLock::new(versions),
             versioned,
             pins: Mutex::new(BTreeMap::new()),
@@ -228,14 +297,48 @@ impl MatchPipeline {
         self.shards.len()
     }
 
-    /// Locks one shard's state.
-    pub fn shard_state(&self, s: usize) -> MutexGuard<'_, ShardState> {
-        self.shards[s].state.lock().unwrap()
+    /// Locks the commit critical section: a bounded spin
+    /// ([`BASE_SPIN_ROUNDS`]), then a parking `lock`.
+    pub fn lock_base(&self) -> MutexGuard<'_, WmBase> {
+        for _ in 0..BASE_SPIN_ROUNDS {
+            match self.base.try_lock() {
+                Ok(base) => return base,
+                Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
+                Err(TryLockError::Poisoned(_)) => break,
+            }
+        }
+        self.base.lock().expect("a committer panicked inside the commit section")
     }
 
-    /// Shard `s`'s log cursor. Stable while the caller holds both the
-    /// base mutex and the shard's state lock (applies need the state
-    /// lock; free advances happen under the base mutex).
+    /// Locks one shard's state.
+    pub fn shard_state(&self, s: usize) -> ShardGuard<'_> {
+        let shard = &self.shards[s];
+        let state = shard.state.lock().expect("a worker panicked holding a shard");
+        shard.busy.fetch_add(1, Ordering::Relaxed);
+        ShardGuard { state, busy: &shard.busy }
+    }
+
+    /// Which shards are busy right now (see [`scan_order`]).
+    pub fn busy_shards(&self) -> Vec<bool> {
+        self.shards.iter().map(|s| s.busy.load(Ordering::Relaxed) > 0).collect()
+    }
+
+    /// A claim was taken from shard `s`: the shard reads busy until
+    /// the matching [`MatchPipeline::claim_released`].
+    pub fn claim_taken(&self, s: usize) {
+        self.shards[s].busy.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The claim taken from shard `s` was resolved.
+    pub fn claim_released(&self, s: usize) {
+        self.shards[s].busy.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Shard `s`'s log cursor. Applies need the shard's state lock;
+    /// free advances (under the base mutex) only ever step a fully
+    /// caught-up cursor from `seq - 1` to `seq`. So to a caller
+    /// holding the state lock, a reading below some published `seq`
+    /// stays below it until the caller itself applies.
     pub fn applied(&self, s: usize) -> u64 {
         self.shards[s].applied.load(Ordering::Acquire)
     }
@@ -373,8 +476,7 @@ impl MatchPipeline {
             let mut state = self.shard_state(s);
             self.catch_up(s, seq, &mut state, false, obs);
         }
-        let over = self.log.lock().unwrap().len() > LOG_DRAIN_THRESHOLD;
-        if over {
+        if self.log_depth() > LOG_DRAIN_THRESHOLD as u64 {
             for s in 0..self.shards.len() {
                 if self.shards[s].applied.load(Ordering::Acquire) < seq {
                     let mut state = self.shard_state(s);
@@ -385,7 +487,9 @@ impl MatchPipeline {
         self.prune();
     }
 
-    /// Drops log entries every shard has incorporated.
+    /// Drops log entries every shard has incorporated. Takes the log
+    /// mutex only when the front entry can actually go: the slowest
+    /// cursor has passed `log_floor`.
     fn prune(&self) {
         let min = self
             .shards
@@ -393,10 +497,14 @@ impl MatchPipeline {
             .map(|s| s.applied.load(Ordering::Acquire))
             .min()
             .unwrap_or(0);
+        if min <= self.stats.log_floor.load(Ordering::Relaxed) {
+            return;
+        }
         let mut log = self.log.lock().unwrap();
         while log.front().is_some_and(|e| e.seq <= min) {
             log.pop_front();
         }
+        self.stats.log_floor.fetch_max(min, Ordering::Relaxed);
         self.stats.log_len.store(log.len() as u64, Ordering::Relaxed);
     }
 
@@ -526,7 +634,7 @@ mod tests {
 
     /// Drives one commit through the base/publish/fan-out protocol.
     fn commit_changes(p: &MatchPipeline, data: WmeData) -> (u64, Vec<usize>) {
-        let mut base = p.base.lock().unwrap();
+        let mut base = p.lock_base();
         let w = base.wm.insert_full(data);
         let seq = base.next_seq;
         base.next_seq += 1;
@@ -549,13 +657,53 @@ mod tests {
         let stats = p.fanout_stats();
         assert_eq!((stats.batches, stats.applies, stats.free_advances), (1, 1, 2));
         assert_eq!(p.log.lock().unwrap().len(), 0, "fully-applied entries pruned");
+        assert_eq!(p.stats.log_floor.load(Ordering::Relaxed), seq);
+        assert_eq!(p.log_depth(), 0);
+    }
+
+    #[test]
+    fn ordering_scan_visits_every_shard_once_busy_last() {
+        for shards in 1..=9usize {
+            // Every busy set over `shards` shards, every worker offset.
+            for mask in 0..(1u32 << shards) {
+                let busy: Vec<bool> = (0..shards).map(|s| mask >> s & 1 == 1).collect();
+                for worker in 0..2 * shards {
+                    let order: Vec<usize> = scan_order(worker, &busy).collect();
+                    let mut seen = order.clone();
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..shards).collect::<Vec<_>>(), "each shard exactly once");
+                    let idle = busy.iter().filter(|b| !**b).count();
+                    assert!(order[..idle].iter().all(|&s| !busy[s]), "idle shards first");
+                    assert!(order[idle..].iter().all(|&s| busy[s]), "busy shards last");
+                    // Within each group: the worker's own rotation.
+                    let rank = |s: usize| (s + shards - worker % shards) % shards;
+                    for group in [&order[..idle], &order[idle..]] {
+                        assert!(group.windows(2).all(|w| rank(w[0]) < rank(w[1])));
+                    }
+                }
+            }
+        }
+        assert_eq!(scan_order(1, &[false, false, true, false]).collect::<Vec<_>>(), [1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn ordering_shard_reads_busy_while_locked_or_claimed() {
+        let (_, p) = pipeline(3);
+        assert_eq!(p.busy_shards(), [false, false, false]);
+        let guard = p.shard_state(1);
+        assert_eq!(p.busy_shards(), [false, true, false], "a held lock is busy");
+        p.claim_taken(1);
+        drop(guard);
+        assert_eq!(p.busy_shards(), [false, true, false], "an in-flight claim is busy");
+        p.claim_released(1);
+        assert_eq!(p.busy_shards(), [false, false, false]);
     }
 
     #[test]
     fn lagging_shard_catches_up_from_the_log() {
         let (rules, p) = pipeline(3);
         // Publish without fanning out: shards lag behind the watermark.
-        let mut base = p.base.lock().unwrap();
+        let mut base = p.lock_base();
         let w1 = base.wm.insert_full(WmeData::new("e").with("k", 5i64));
         let seq1 = base.next_seq;
         base.next_seq += 1;

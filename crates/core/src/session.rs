@@ -110,7 +110,7 @@ impl ParallelEngine {
     /// a negated reader). Fails — aborting the transaction — when the
     /// tuple does not exist.
     pub fn external_remove(&self, xt: &mut ExternalTxn, id: WmeId) -> Result<(), AbortCause> {
-        let class: Atom = match self.pipeline.base.lock().unwrap().wm.get(id) {
+        let class: Atom = match self.pipeline.lock_base().wm.get(id) {
             Some(w) => w.data.class.clone(),
             None => return Err(self.external_resolve_err(xt, AbortCause::Stale)),
         };
@@ -132,7 +132,7 @@ impl ParallelEngine {
     ) -> Result<Vec<(u64, WmeData)>, AbortCause> {
         let rel = self.relation_resource(&Atom::from(class));
         self.external_acquire(xt, rel, Access::Condition)?;
-        let base = self.pipeline.base.lock().unwrap();
+        let base = self.pipeline.lock_base();
         Ok(base
             .wm
             .class_iter(class)
@@ -147,7 +147,7 @@ impl ParallelEngine {
     /// transaction is fully aborted (locks + pin released).
     pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, AbortCause> {
         let delta = std::mem::take(&mut xt.delta);
-        let base = self.pipeline.base.lock().unwrap();
+        let base = self.lock_base_for_commit();
         // Write-set validation: every modified/removed tuple must still
         // be live. Tuple write locks were taken when the ops were
         // buffered, but under MVCC (no read locks anywhere) a doomed

@@ -136,6 +136,15 @@ pub struct FaultPlan {
     pub wal_kill_commit: u64,
     /// Where, relative to the doomed commit, the "process" dies.
     pub wal_kill_site: WalKillSite,
+    /// Stall the commit that takes exactly this sequence number
+    /// (0 = off) for [`FaultPlan::publish_stall_us`] between its
+    /// `lm.commit` — locks released, readers free to re-acquire them —
+    /// and its `publish`. Deterministic, like the kill point: the gap
+    /// is a *place*, and the claim-validation barrier test parks a
+    /// committer in it.
+    pub publish_stall_commit: u64,
+    /// Length of the [`FaultPlan::publish_stall_commit`] stall (µs).
+    pub publish_stall_us: u64,
 }
 
 /// Kill-point placement for [`FaultPlan::wal_kill_commit`] — which
@@ -285,6 +294,7 @@ struct FaultCounters {
     drop_mid_rhs: AtomicU64,
     slowloris: AtomicU64,
     rhs_panics: AtomicU64,
+    publish_stalls: AtomicU64,
 }
 
 /// Point-in-time snapshot of every injection counter.
@@ -313,6 +323,10 @@ pub struct FaultStats {
     pub slowloris: u64,
     /// RHS evaluations made to panic.
     pub rhs_panics: u64,
+    /// Commits stalled between `lm.commit` and `publish`. Counted
+    /// *before* the stall, so a test can wait for the committer to be
+    /// inside the gap.
+    pub publish_stalls: u64,
 }
 
 impl FaultStats {
@@ -329,6 +343,7 @@ impl FaultStats {
             + self.drop_mid_rhs
             + self.slowloris
             + self.rhs_panics
+            + self.publish_stalls
     }
 }
 
@@ -366,6 +381,7 @@ impl FaultInjector {
             drop_mid_rhs: self.counters.drop_mid_rhs.load(Relaxed),
             slowloris: self.counters.slowloris.load(Relaxed),
             rhs_panics: self.counters.rhs_panics.load(Relaxed),
+            publish_stalls: self.counters.publish_stalls.load(Relaxed),
         }
     }
 
@@ -488,6 +504,18 @@ impl FaultInjector {
             Some(self.plan.wal_kill_site)
         } else {
             None
+        }
+    }
+
+    /// Commit seam: stall commit `seq` in the gap between its
+    /// `lm.commit` and its `publish` (the engine calls this under its
+    /// base mutex, with the sequence number just taken). Public because
+    /// the engine owns the commit path.
+    pub fn publish_stall(&self, txn: TxnId, seq: u64, obs: Option<&Recorder>) {
+        if self.plan.publish_stall_commit != 0 && seq == self.plan.publish_stall_commit {
+            self.counters.publish_stalls.fetch_add(1, Relaxed);
+            Self::emit(obs, txn, "publish_stall");
+            std::thread::sleep(Duration::from_micros(self.plan.publish_stall_us));
         }
     }
 

@@ -260,7 +260,7 @@ pub enum EventKind {
 /// Closed vocabulary of [`EventKind::Fault`] kinds — the JSON
 /// round-trip interns against this table, so fault names survive the
 /// `&'static str` representation.
-pub const FAULT_KINDS: [&str; 11] = [
+pub const FAULT_KINDS: [&str; 12] = [
     "grant_delay",
     "spurious_wakeup",
     "forced_abort",
@@ -272,6 +272,7 @@ pub const FAULT_KINDS: [&str; 11] = [
     "drop_mid_rhs",
     "slowloris",
     "rhs_panic",
+    "publish_stall",
 ];
 
 /// Closed vocabulary of [`EventKind::Escalate`] actions (the governor's

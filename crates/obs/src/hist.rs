@@ -29,22 +29,33 @@ pub enum Phase {
     LhsEval,
     /// RHS execution + action-lock acquisition (the transaction body).
     RhsAct,
-    /// The commit critical section (lock-manager commit + WM apply).
+    /// The commit phase end to end: base-mutex wait and hold, the own
+    /// shard's match catch-up, the ledger unclaim. [`Phase::BaseWait`]
+    /// and [`Phase::BaseHold`] are its serialising parts.
     Commit,
     /// Applying a published WM delta batch to one match shard's Rete
     /// (the sharded pipeline's per-shard `catch_up` work — both the
     /// committer's fan-out and stolen catch-up applies land here).
     MatchApply,
+    /// Time a committer (rule firing or session) spent acquiring the
+    /// engine's base mutex — spinning or parked behind other commits.
+    BaseWait,
+    /// Time a commit held the base mutex: lock-manager commit, WM
+    /// apply, WAL stage, publish, trace append — the one section every
+    /// commit serialises through.
+    BaseHold,
 }
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 7] = [
         Phase::LockWait,
         Phase::LhsEval,
         Phase::RhsAct,
         Phase::Commit,
         Phase::MatchApply,
+        Phase::BaseWait,
+        Phase::BaseHold,
     ];
 
     /// Stable machine-readable name (used as the JSON key).
@@ -55,6 +66,8 @@ impl Phase {
             Phase::RhsAct => "rhs_act",
             Phase::Commit => "commit",
             Phase::MatchApply => "match_apply",
+            Phase::BaseWait => "base_wait",
+            Phase::BaseHold => "base_hold",
         }
     }
 
@@ -65,6 +78,8 @@ impl Phase {
             Phase::RhsAct => 2,
             Phase::Commit => 3,
             Phase::MatchApply => 4,
+            Phase::BaseWait => 5,
+            Phase::BaseHold => 6,
         }
     }
 }
@@ -265,7 +280,15 @@ mod tests {
         let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
-            ["lock_wait", "lhs_eval", "rhs_act", "commit", "match_apply"]
+            [
+                "lock_wait",
+                "lhs_eval",
+                "rhs_act",
+                "commit",
+                "match_apply",
+                "base_wait",
+                "base_hold"
+            ]
         );
         for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);

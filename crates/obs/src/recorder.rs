@@ -78,7 +78,7 @@ pub struct RuleStat {
 pub struct Recorder {
     epoch: Instant,
     rings: Box<[Mutex<Ring>]>,
-    hists: [Histogram; 5],
+    hists: [Histogram; Phase::ALL.len()],
     abort_causes: [AtomicU64; 9],
     counters: Counters,
     fanout: Fanout,
