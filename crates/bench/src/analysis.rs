@@ -1,28 +1,45 @@
-//! Shared harness for trace-analysis runs: run a dynamic-engine
-//! workload with observability on, feed the merged history through
-//! `dps-obs::analysis`, and close the §3 Theorem-2 loop by replaying
-//! the recovered commit sequence through the single-thread oracle
-//! (`validate_trace`).
+//! The one certified leg: run a `ParallelEngine` workload, then certify
+//! its commit sequence against single-thread execution semantics
+//! (`ES_M ⊆ ES_single`, §3 Theorem 2).
 //!
-//! Used by the `analyze` binary (both protocols, 8 workers, JSON
-//! report) and by `scaling --json` (which embeds one analyzed run in
-//! its report). The obs crate sits below `dps-core` and therefore can
-//! only check the history *structurally*; this module supplies the two
-//! pieces it cannot: the execution-graph replay and the cross-check of
-//! the recovered rule sequence against the engine's own trace.
+//! Every gate does the same thing after the engine stops — because the
+//! engine's version order *is* its commit sequence, certification is
+//! one polynomial procedure ("On the Complexity of Checking
+//! Transactional Consistency", PAPERS.md) — so it lives here once:
+//! [`certify`] validates the merged event history (when the run was
+//! observed), recovers the commit sequence from it and cross-checks it
+//! against the engine's own trace, replays the trace through the §3
+//! oracle (`validate_trace`) and carries the SI/serializability
+//! polygraph's verdict. [`certified_run`] is construct → time → certify
+//! and is what `chaos`, `mvcc`, `commute`, `analyze`, `scaling`,
+//! `matchbench`, `recovery` and `repro` call; `loadgen`, whose engine
+//! sits behind a `Server`, calls [`certify`] on it. [`Leg::to_json`] is
+//! the only leg encoder and [`aborts_json`] the only abort-cause one.
+//!
+//! The obs crate sits below `dps-core` and can only check a history
+//! *structurally*; the replay and the trace cross-check are the two
+//! pieces it cannot do, which is why they are here.
+//!
+//! The module also owns the `analyze` gate ([`gate`]): both lock
+//! protocols on a contended workload, each leg explained (contention
+//! table, critical path, wasted-work `f`) and certified.
 
 use std::time::Instant;
 
 use dps_core::semantics::validate_trace;
-use dps_core::{ParallelConfig, ParallelEngine, WorkModel};
+use dps_core::{AbortStats, ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
 use dps_lock::{res_of_key, ConflictPolicy, Protocol};
 use dps_obs::analysis::{analyze, RunAnalysis, Verdict};
 use dps_obs::json::Json;
-use dps_obs::{validate_history, ObsReport};
+use dps_obs::{validate_history, AbortCause, ObsReport, TimelineDoc};
+use dps_rules::RuleSet;
+use dps_wm::WorkingMemory;
 
+use crate::harness::ReportArgs;
+use crate::report::{Op, Report};
 use crate::workloads;
 
-/// Stable name for a lock protocol (JSON key and CLI label).
+/// Stable name for a lock protocol (leg key and CLI label).
 pub fn protocol_name(p: Protocol) -> &'static str {
     match p {
         Protocol::TwoPhase => "2pl",
@@ -30,131 +47,304 @@ pub fn protocol_name(p: Protocol) -> &'static str {
     }
 }
 
-/// One fully analyzed dynamic-engine run.
-pub struct AnalyzedRun {
-    /// Which lock protocol ran.
-    pub protocol: Protocol,
-    /// Worker count.
-    pub workers: usize,
-    /// Committed transactions.
-    pub commits: usize,
-    /// Aborted transactions.
-    pub aborts: u64,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// The aggregate obs snapshot (histograms, counters).
-    pub obs: ObsReport,
-    /// The full analysis (graph, contention, critical path, checker —
-    /// replay verdict already attached).
-    pub analysis: RunAnalysis,
-    /// Interned rule-name table for resolving `Fire` rule ids.
-    pub rule_names: Vec<String>,
+/// Stable name for a conflict policy (leg key and CLI label).
+pub fn policy_name(p: ConflictPolicy) -> &'static str {
+    match p {
+        ConflictPolicy::AbortReaders => "abort_readers",
+        ConflictPolicy::Revalidate => "revalidate",
+        ConflictPolicy::MvccSnapshot => "mvcc_snapshot",
+    }
 }
 
-/// Runs `shared_resources(tasks, resources)` under `protocol` with
-/// observability on and analyzes the resulting history end-to-end.
-///
-/// The checker verdict inside the returned [`AnalyzedRun`] covers:
-/// 1. structural recovery of the commit sequence from `Fire` records;
-/// 2. agreement of the recovered rule sequence with the engine's trace;
-/// 3. replay of the trace through the single-thread execution graph.
-pub fn analyzed_run(
-    protocol: Protocol,
-    workers: usize,
-    tasks: usize,
-    resources: usize,
-    work_us: u64,
-) -> AnalyzedRun {
-    let (rules, wm) = workloads::shared_resources(tasks, resources);
+fn abort_count(a: &AbortStats, cause: AbortCause) -> u64 {
+    match cause {
+        AbortCause::Doomed => a.doomed,
+        AbortCause::Deadlock => a.deadlock,
+        AbortCause::Stale => a.stale,
+        AbortCause::Revalidation => a.revalidation,
+        AbortCause::EvalError => a.eval_error,
+        AbortCause::Timeout => a.timeout,
+        AbortCause::Injected => a.injected,
+        AbortCause::SnapshotStale => a.snapshot_stale,
+        AbortCause::ElisionStale => a.elision_stale,
+    }
+}
+
+/// A JSON object of named counters.
+pub fn counters(pairs: &[(&str, u64)]) -> Json {
+    Json::Obj(
+        pairs
+            .iter()
+            .map(|&(k, v)| (k.to_owned(), Json::u64(v)))
+            .collect(),
+    )
+}
+
+/// The per-cause abort block: every [`AbortCause`] by name, and `total`.
+pub fn aborts_json(a: &AbortStats) -> Json {
+    let mut causes: Vec<(String, Json)> = AbortCause::ALL
+        .iter()
+        .map(|&c| (c.name().to_owned(), Json::u64(abort_count(a, c))))
+        .collect();
+    causes.push(("total".into(), Json::u64(a.total())));
+    Json::Obj(causes)
+}
+
+/// One engine run and everything certification found out about it.
+#[derive(Clone, Debug)]
+pub struct Leg {
+    /// Identity of the measurement within its report.
+    pub key: String,
+    /// Commits the workload must drain to, when the caller knows.
+    pub expected: Option<usize>,
+    /// Wall-clock seconds of `engine.run()` alone.
+    pub secs: f64,
+    /// The engine's own report (commits, aborts, trace, lock / fan-out /
+    /// fault / governor / WAL counters).
+    pub report: ParallelReport,
+    /// Working memory the run ended in.
+    pub final_wm: WorkingMemory,
+    /// Aggregate obs snapshot, when the run was observed.
+    pub obs: Option<ObsReport>,
+    /// Trace analysis of the history (replay result attached), when the
+    /// run was observed.
+    pub analysis: Option<RunAnalysis>,
+    /// Structural errors: history validation, commit-sequence recovery,
+    /// recovered-sequence vs trace, plus whatever the owning gate adds.
+    pub errors: Vec<String>,
+    /// §3 replay of the engine's trace through the single-thread oracle.
+    pub replay: Result<(), String>,
+    /// Sampled timeline, when the run carried the telemetry sampler.
+    pub timeline: Option<TimelineDoc>,
+    /// Gate-specific members appended to the leg's JSON object.
+    pub extra: Vec<(String, Json)>,
+}
+
+/// Certifies a finished run of `engine` (see the module docs). Never
+/// panics on an inconsistent outcome — falsifiability probes *want*
+/// one; the verdict is the caller's to judge.
+pub fn certify(
+    rules: &RuleSet,
+    initial: &WorkingMemory,
+    engine: &ParallelEngine,
+    report: ParallelReport,
+    secs: f64,
+) -> Leg {
+    let replay = validate_trace(rules, initial, &report.trace).map_err(|v| v.to_string());
+    let mut errors: Vec<String> = Vec::new();
+    let (mut obs, mut analysis) = (None, None);
+    if let Some(rec) = engine.observer() {
+        let history = rec.history();
+        if let Err(e) = validate_history(&history) {
+            errors.push(format!("history: {e}"));
+        }
+        if rec.dropped() > 0 {
+            errors.push(format!(
+                "{} events dropped: ring too small to analyze",
+                rec.dropped()
+            ));
+        }
+        let mut a = analyze(&history);
+        errors.extend(a.checker.structural_errors.iter().cloned());
+        // The commit sequence recovered *from the event stream alone*
+        // must name the same rules, in the same order, as the trace.
+        let names = rec.rule_names();
+        let recovered: Vec<&str> = a
+            .checker
+            .rule_sequence()
+            .iter()
+            .map(|&id| names.get(id as usize).map_or("?", String::as_str))
+            .collect();
+        let traced = report.trace.names();
+        if recovered != traced {
+            errors.push(format!(
+                "recovered rule sequence ({} firings) disagrees with the engine trace ({})",
+                recovered.len(),
+                traced.len()
+            ));
+        }
+        a.set_replay_result(replay.clone());
+        obs = Some(rec.report());
+        analysis = Some(a);
+    }
+    Leg {
+        key: String::new(),
+        expected: None,
+        secs,
+        final_wm: engine.final_wm(),
+        obs,
+        analysis,
+        errors,
+        replay,
+        timeline: engine.telemetry().map(|t| t.doc()),
+        extra: Vec::new(),
+        report,
+    }
+}
+
+/// Runs `rules` over `wm` under `config` to quiescence and certifies
+/// the run. Only `engine.run()` is inside the timed section.
+pub fn certified_run(rules: &RuleSet, wm: WorkingMemory, config: ParallelConfig) -> Leg {
     let initial = wm.clone();
-    let mut engine = ParallelEngine::new(
-        &rules,
-        wm,
-        ParallelConfig {
-            protocol,
-            policy: ConflictPolicy::AbortReaders,
-            workers,
-            work: WorkModel::FixedMicros(work_us),
-            observe: true,
-            stop: dps_server::shutdown::installed(),
-            ..Default::default()
-        },
-    );
+    let mut engine = ParallelEngine::new(rules, wm, config);
     let t0 = Instant::now();
     let report = engine.run();
     let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(report.commits, tasks, "{}: lost commits", protocol_name(protocol));
+    certify(rules, &initial, &engine, report, secs)
+}
 
-    let rec = engine.observer().expect("observe: true attaches a recorder");
-    assert_eq!(rec.dropped(), 0, "ring capacity must suffice for analysis runs");
-    let history = rec.history();
-    validate_history(&history).expect("merged history well-formed");
-
-    let mut analysis = analyze(&history);
-
-    // Cross-check: the commit sequence recovered *from the event
-    // stream alone* must name the same rules, in the same order, as
-    // the engine's own trace.
-    let rule_names = rec.rule_names();
-    let recovered: Vec<&str> = analysis
-        .checker
-        .rule_sequence()
-        .iter()
-        .map(|&id| rule_names.get(id as usize).map(String::as_str).unwrap_or("?"))
-        .collect();
-    let traced = report.trace.names();
-    if recovered != traced {
-        analysis.checker.structural_errors.push(format!(
-            "recovered rule sequence ({} firings) disagrees with the engine trace ({})",
-            recovered.len(),
-            traced.len()
-        ));
-    }
-
-    // §3 replay: the firing sequence must be a member of ES_single.
-    analysis.set_replay_result(
-        validate_trace(&rules, &initial, &report.trace).map_err(|v| v.to_string()),
-    );
-
-    AnalyzedRun {
-        protocol,
-        workers,
-        commits: report.commits,
-        aborts: report.aborts.total(),
-        secs,
-        obs: rec.report(),
-        analysis,
-        rule_names,
+/// The leg a best-of-N keeps: the faster one, except that a leg that
+/// failed to certify always wins, so it cannot hide behind a good rep.
+fn faster(best: Leg, leg: Leg) -> Leg {
+    if best.passes() && (!leg.passes() || leg.secs < best.secs) {
+        leg
+    } else {
+        best
     }
 }
 
-impl AnalyzedRun {
-    /// Per-run JSON object for the `dps-analysis-report-v1` document.
-    pub fn to_json(&self, top_contended: usize) -> Json {
-        let mut fields = vec![
-            ("protocol".into(), Json::str(protocol_name(self.protocol))),
-            ("workers".into(), Json::u64(self.workers as u64)),
-            ("commits".into(), Json::u64(self.commits as u64)),
-            ("aborts".into(), Json::u64(self.aborts)),
-            ("secs".into(), Json::num(self.secs)),
-        ];
-        if let Json::Obj(body) = self.analysis.to_json(top_contended) {
-            fields.extend(body);
+/// The fastest of `reps` runs of `run`; every rep is certified.
+pub fn best_of(reps: usize, mut run: impl FnMut() -> Leg) -> Leg {
+    (1..reps).fold(run(), |best, _| faster(best, run()))
+}
+
+/// Best-of-`reps` A/B with the two sides interleaved. One untimed
+/// warm-up of `a` primes the allocator, the Rete network and the
+/// scheduler so the cold start lands on neither side; then the sides
+/// alternate, so cache, frequency and disk drift over the measurement
+/// window hits both fairly instead of whichever side runs last.
+pub fn alternating_best(
+    reps: usize,
+    mut a: impl FnMut() -> Leg,
+    mut b: impl FnMut() -> Leg,
+) -> (Leg, Leg) {
+    a();
+    let mut best = (a(), b());
+    for _ in 1..reps {
+        best = (faster(best.0, a()), faster(best.1, b()));
+    }
+    best
+}
+
+impl Leg {
+    /// Names the leg and sets its drain target.
+    pub fn named(mut self, key: impl Into<String>, expected: usize) -> Self {
+        self.key = key.into();
+        self.expected = Some(expected);
+        self
+    }
+
+    /// The SI/serializability polygraph's verdict, when the history
+    /// carried snapshot events (`None` on lock-based runs).
+    pub fn si(&self) -> Option<Verdict> {
+        self.analysis
+            .as_ref()
+            .and_then(|a| a.si.as_ref())
+            .map(|s| s.verdict())
+    }
+
+    /// Folded verdict: structural + §3 replay + SI.
+    pub fn verdict(&self) -> Verdict {
+        if self.errors.is_empty() && self.replay.is_ok() && self.si() != Some(Verdict::Inconsistent)
+        {
+            Verdict::Consistent
+        } else {
+            Verdict::Inconsistent
         }
+    }
+
+    /// `true` iff the leg drained (when it has a target) and certified.
+    pub fn passes(&self) -> bool {
+        self.expected.is_none_or(|e| e == self.report.commits)
+            && self.verdict() == Verdict::Consistent
+    }
+
+    /// Commits per wall-clock second.
+    pub fn throughput(&self) -> f64 {
+        self.report.commits as f64 / self.secs.max(1e-9)
+    }
+
+    /// Appends a gate-specific member to the leg's JSON object.
+    pub fn with(mut self, key: &str, value: Json) -> Self {
+        self.extra.push((key.to_owned(), value));
+        self
+    }
+
+    /// One-line human summary.
+    pub fn line(&self) -> String {
+        let r = &self.report;
+        format!(
+            "[{}] {}{} commits in {:.1}ms ({:.0}/s), {} aborts, checker {}{}",
+            self.key,
+            r.commits,
+            self.expected.map_or(String::new(), |e| format!("/{e}")),
+            self.secs * 1e3,
+            self.throughput(),
+            r.aborts.total(),
+            self.verdict().name(),
+            self.si()
+                .map_or(String::new(), |v| format!(", si {}", v.name())),
+        )
+    }
+
+    /// The leg's object in a report's `legs[]`.
+    pub fn to_json(&self) -> Json {
+        let r = &self.report;
+        let mut fields = vec![
+            ("key".into(), Json::str(self.key.clone())),
+            ("commits".into(), Json::u64(r.commits as u64)),
+            (
+                "expected_commits".into(),
+                self.expected.map_or(Json::Null, |e| Json::u64(e as u64)),
+            ),
+            ("secs".into(), Json::num(self.secs)),
+            ("throughput".into(), Json::num(self.throughput())),
+            ("aborts".into(), aborts_json(&r.aborts)),
+            (
+                "wasted_ms".into(),
+                Json::num(r.wasted_work.as_secs_f64() * 1e3),
+            ),
+            (
+                "locks".into(),
+                counters(&[
+                    ("grants", r.lock_stats.grants),
+                    ("blocks", r.lock_stats.blocks),
+                    ("elided", r.lock_stats.elided),
+                ]),
+            ),
+            (
+                "checker".into(),
+                Json::Obj(vec![
+                    (
+                        "structural_errors".into(),
+                        Json::u64(self.errors.len() as u64),
+                    ),
+                    (
+                        "replay".into(),
+                        Json::str(if self.replay.is_ok() {
+                            "consistent"
+                        } else {
+                            "violation"
+                        }),
+                    ),
+                    (
+                        "si".into(),
+                        self.si().map_or(Json::Null, |v| Json::str(v.name())),
+                    ),
+                    ("verdict".into(), Json::str(self.verdict().name())),
+                ]),
+            ),
+        ];
+        fields.extend(self.extra.iter().cloned());
         Json::Obj(fields)
     }
 
-    /// Human-readable analysis summary (to stderr-style writers).
-    pub fn print_human(&self) {
-        let c = &self.analysis.critical;
-        eprintln!(
-            "\n[{} / {} workers] {} commits, {} aborts in {:.1}ms",
-            protocol_name(self.protocol),
-            self.workers,
-            self.commits,
-            self.aborts,
-            self.secs * 1e3
-        );
+    /// Human-readable trace-analysis summary of an observed leg.
+    pub fn print_analysis(&self) {
+        let Some(analysis) = &self.analysis else {
+            return;
+        };
+        let c = &analysis.critical;
         eprintln!(
             "  critical path : {:.2}ms over {} txns (wall {:.2}ms)",
             c.critical_path_ns as f64 / 1e6,
@@ -171,14 +361,14 @@ impl AnalyzedRun {
             c.wasted_ns as f64 / 1e6,
             c.total_busy_ns as f64 / 1e6
         );
-        if self.analysis.contention.is_empty() {
+        if analysis.contention.is_empty() {
             eprintln!("  contention    : none observed");
         } else {
             eprintln!(
                 "  contention    : {:<18} {:>7} {:>12} {:>9} {:>6} {:>9}",
                 "resource", "blocks", "blocked", "blockers", "dooms", "deadlocks"
             );
-            for r in self.analysis.contention.iter().take(8) {
+            for r in analysis.contention.iter().take(8) {
                 eprintln!(
                     "                  {:<18} {:>7} {:>11.2}ms {:>9} {:>6} {:>9}",
                     format!("{}", res_of_key(r.resource)),
@@ -190,40 +380,130 @@ impl AnalyzedRun {
                 );
             }
         }
-        let v = self.analysis.verdict();
-        eprintln!(
-            "  checker       : {} ({} commits recovered, {} structural errors, replay {})",
-            v.name(),
-            self.analysis.checker.commits.len(),
-            self.analysis.checker.structural_errors.len(),
-            match &self.analysis.checker.replay_result {
-                None => "not-run",
-                Some(Ok(())) => "ok",
-                Some(Err(_)) => "VIOLATION",
-            }
-        );
-        for err in &self.analysis.checker.structural_errors {
-            eprintln!("    ! {err}");
-        }
-        if let Some(Err(e)) = &self.analysis.checker.replay_result {
-            eprintln!("    ! replay: {e}");
-        }
     }
 }
 
-/// Assembles the `dps-analysis-report-v1` document from analyzed runs.
-pub fn analysis_document(runs: &[AnalyzedRun], top_contended: usize) -> Json {
-    let overall = if runs.iter().all(|r| r.analysis.verdict() == Verdict::Consistent) {
-        Verdict::Consistent
-    } else {
-        Verdict::Inconsistent
-    };
-    Json::Obj(vec![
-        ("schema".into(), Json::str("dps-analysis-report-v1")),
+/// `shared_resources(tasks, resources)` under `protocol` with
+/// observability on: the leg `analyze` explains (and `scaling` embeds),
+/// its full trace analysis attached as the `analysis` member.
+pub fn contended_leg(
+    protocol: Protocol,
+    workers: usize,
+    tasks: usize,
+    resources: usize,
+    work_us: u64,
+) -> Leg {
+    let (rules, wm) = workloads::shared_resources(tasks, resources);
+    let leg = certified_run(
+        &rules,
+        wm,
+        ParallelConfig {
+            protocol,
+            policy: ConflictPolicy::AbortReaders,
+            workers,
+            work: WorkModel::FixedMicros(work_us),
+            observe: true,
+            stop: dps_server::shutdown::installed(),
+            ..Default::default()
+        },
+    )
+    .named(
+        format!("contended/{}/w{workers}", protocol_name(protocol)),
+        tasks,
+    );
+    let analysis = leg.analysis.as_ref().expect("observed leg").to_json(16);
+    leg.with("analysis", analysis)
+}
+
+/// Declares the accounting identities of an observed leg's trace
+/// analysis: busy time splits into useful + wasted, the critical path
+/// fits inside it, and the derived ratios are sane.
+pub fn analysis_identities(report: &mut Report, leg: &Leg) {
+    let c = &leg.analysis.as_ref().expect("observed leg").critical;
+    let k = &leg.key;
+    report.equal(
+        format!("{k}.useful_plus_wasted_is_busy"),
+        c.useful_busy_ns + c.wasted_ns,
+        c.total_busy_ns,
+    );
+    for (name, observed, op, bound) in [
         (
-            "runs".into(),
-            Json::Arr(runs.iter().map(|r| r.to_json(top_contended)).collect()),
+            "critical_path_within_busy",
+            c.critical_path_ns as f64,
+            Op::Le,
+            c.total_busy_ns as f64,
         ),
-        ("verdict".into(), Json::str(overall.name())),
-    ])
+        ("wasted_fraction", c.wasted_fraction, Op::Le, 1.0),
+        (
+            "effective_parallelism",
+            c.effective_parallelism,
+            Op::Ge,
+            0.0,
+        ),
+        ("max_speedup_estimate", c.max_speedup_estimate, Op::Ge, 0.0),
+    ] {
+        report.gate(format!("{k}.{name}"), observed, op, bound);
+    }
+}
+
+/// Declares the accounting identities of an observed leg's event
+/// stream: every phase histogram has ordered percentiles, the per-cause
+/// abort counts sum to the stream's abort total, which is the engine's
+/// own, and no accounting anomaly was recorded.
+pub fn obs_identities(report: &mut Report, leg: &Leg) {
+    let obs = leg.obs.as_ref().expect("observed leg");
+    let k = &leg.key;
+    let unordered = obs
+        .phases
+        .iter()
+        .filter(|(_, h)| !(h.p50() <= h.p95() && h.p95() <= h.p99() && h.p99() <= h.max))
+        .count();
+    report.equal(
+        format!("{k}.obs.phases_with_unordered_percentiles"),
+        unordered as u64,
+        0,
+    );
+    report.equal(
+        format!("{k}.obs.abort_causes_sum_to_aborts"),
+        obs.abort_cause_total(),
+        obs.aborts,
+    );
+    report.equal(
+        format!("{k}.obs.aborts_match_engine"),
+        obs.aborts,
+        leg.report.aborts.total(),
+    );
+    report.equal(format!("{k}.obs.anomalies"), obs.anomalies, 0);
+}
+
+/// The `analyze` gate: both lock protocols on a contended workload
+/// (several hot tallies, so the contention table has rows and the
+/// critical path is non-trivial), every leg explained and certified.
+pub fn gate(args: &ReportArgs) -> Report {
+    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
+    let (tasks, resources, work_us) = if args.quick() {
+        (64, 4, 100)
+    } else {
+        (192, 8, 200)
+    };
+    eprintln!(
+        "trace analysis: {tasks} tasks over {resources} shared tallies, \
+         {work_us}µs simulated RHS, {workers} workers"
+    );
+    let mut report = Report::new(
+        "analyze",
+        vec![
+            ("tasks", Json::u64(tasks as u64)),
+            ("resources", Json::u64(resources as u64)),
+            ("work_us", Json::u64(work_us)),
+            ("workers", Json::u64(workers as u64)),
+        ],
+    );
+    for protocol in [Protocol::RcRaWa, Protocol::TwoPhase] {
+        let leg = contended_leg(protocol, workers, tasks, resources, work_us);
+        report.leg(&leg);
+        leg.print_analysis();
+        analysis_identities(&mut report, &leg);
+    }
+    report
 }

@@ -1,68 +1,21 @@
-//! Trace-analysis driver: runs the dynamic parallel engine under
-//! **both** lock protocols (2PL and the paper's `Rc`/`Ra`/`Wa`) on a
-//! contended workload with observability on, then explains each run:
-//!
-//! * per-resource **contention table** — blocked-ns, distinct blockers
-//!   and aborts caused (the §5 "degree of conflict" made visible);
-//! * **critical path** — the heaviest Begin→{Block-on-holder,
-//!   Doom-by-committer}→Commit chain, effective parallelism (total
-//!   busy ÷ critical path) and the wasted-work fraction `f`;
-//! * **semantic-consistency checker** — the commit sequence recovered
-//!   from `Fire` events is structurally verified, cross-checked
-//!   against the engine trace, and replayed through the single-thread
-//!   execution graph (§3 Defs 3.1–3.2): Theorem 2 (`ES_M ⊆
-//!   ES_single`) as an executable assertion.
-//!
-//! Usage: `analyze [--quick] [--json] [--workers N]`. With `--json`
-//! the `dps-analysis-report-v1` document goes to stdout (human tables
-//! to stderr); `obs_check` shape-checks it in CI. Exit 1 if any run's
-//! checker verdict is not `consistent`.
+//! The trace-analysis gate (see [`dps_bench::analysis::gate`]): both
+//! lock protocols on a contended workload, each run explained
+//! (contention table, critical path, wasted-work `f`) and certified
+//! (`ES_M ⊆ ES_single`, §3 Theorem 2). Usage: `analyze [--quick]
+//! [--json] [--workers N]`; with `--json` the `dps-report-v2` document
+//! goes to stdout (human tables to stderr). Exit 0 iff every gate holds.
 
 use std::process::ExitCode;
 
-use dps_bench::analysis::{analysis_document, analyzed_run, AnalyzedRun};
-use dps_lock::Protocol;
-use dps_obs::Verdict;
+use dps_bench::harness::{Flag, ReportArgs};
 
 fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(8);
-    // Contended-but-not-degenerate: several hot tallies, so the
-    // contention table has multiple rows and the critical path is
-    // non-trivial under both protocols.
-    let (tasks, resources, work_us) = if quick { (64, 4, 100) } else { (192, 8, 200) };
-
-    eprintln!(
-        "trace analysis: {tasks} tasks over {resources} shared tallies, \
-         {work_us}µs simulated RHS, {workers} workers"
-    );
-
-    let runs: Vec<AnalyzedRun> = [Protocol::RcRaWa, Protocol::TwoPhase]
-        .into_iter()
-        .map(|protocol| {
-            let run = analyzed_run(protocol, workers, tasks, resources, work_us);
-            run.print_human();
-            run
-        })
-        .collect();
-
-    if json {
-        println!("{}", analysis_document(&runs, 16).to_string_pretty());
-    }
-
-    if runs.iter().all(|r| r.analysis.verdict() == Verdict::Consistent) {
-        eprintln!("\nanalyze: all runs consistent (firing sequence ∈ ES_single)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nanalyze: INCONSISTENT run detected — see checker output above");
-        ExitCode::FAILURE
-    }
+    let flags = [
+        Flag::Bare("--quick"),
+        Flag::Bare("--json"),
+        Flag::Int("--workers"),
+    ];
+    let args = ReportArgs::parse("analyze", &flags);
+    dps_bench::analysis::gate(&args).finish(&args)
 }

@@ -1,190 +1,15 @@
-//! Chaos gate: sweep seeded fault plans × conflict policies × worker
-//! counts through the dynamic engine, and require every surviving run
-//! to (a) drain its whole workload and (b) replay consistently through
-//! the §3 single-thread oracle. Also runs the falsifiability probe
-//! (corrupted commit sequence → the checker **must** reject) and the
-//! governor A/B on the doom-storm plan (experiment XS.3).
-//!
-//! The sweep covers all three conflict policies — `AbortReaders`,
-//! `Revalidate`, and `MvccSnapshot` — so the MVCC read path survives
-//! the same storms the lock-based modes do.
-//!
-//! Usage: `chaos [--quick] [--json] [--workers N] [--seed S]
-//! [--bench-out PATH]`. With `--json` the `dps-chaos-report-v1`
-//! document goes to stdout (human summary to stderr); `--bench-out`
-//! additionally snapshots it to a file. `obs_check` shape-checks it in
-//! CI. Exit 0 iff every surviving run passes *and* the corrupted run
-//! is rejected.
+//! The chaos gate (see [`dps_bench::chaos`]): seeded fault plans ×
+//! conflict policies × worker counts, the corrupted-sequence probe and
+//! the governor A/B. Usage: `chaos [--quick] [--json] [--workers N]
+//! [--seed S]`; with `--json` the `dps-report-v2` document goes to
+//! stdout (human summary to stderr). Exit 0 iff every gate holds.
 
 use std::process::ExitCode;
 
-use dps_bench::chaos::{
-    chaos_document, chaos_run, policy_name, sweep_governor, ChaosRun, ChaosSpec,
-    GovernorComparison, SWEEP_POLICIES,
-};
-use dps_bench::harness::ReportArgs;
-use dps_lock::{ConflictPolicy, FaultPlan};
-use dps_obs::Verdict;
+use dps_bench::harness::{ReportArgs, GATE_FLAGS};
 
 fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
-    let seed = args.flag_u64("--seed").unwrap_or(0xD1CE_2026);
-    let worker_counts: Vec<usize> = if quick { vec![workers] } else { vec![2, workers] };
-    let (tasks, resources, work_us) = if quick { (24, 3, 100) } else { (48, 4, 150) };
-
-    eprintln!(
-        "chaos gate: {} plans x {} policies x {:?} workers, {tasks} tasks over \
-         {resources} tallies, {work_us}us RHS, seed {seed:#x}",
-        FaultPlan::NAMED.len(),
-        SWEEP_POLICIES.len(),
-        worker_counts
-    );
-
-    // ---- the sweep ----
-    let mut runs: Vec<ChaosRun> = Vec::new();
-    for (plan_name, ctor) in FaultPlan::NAMED {
-        for policy in SWEEP_POLICIES {
-            for &w in &worker_counts {
-                let run = chaos_run(ChaosSpec {
-                    plan: plan_name,
-                    fault: ctor(seed),
-                    policy,
-                    workers: w,
-                    tasks,
-                    resources,
-                    work_us,
-                    busy: false,
-                    governor: Some(sweep_governor(seed)),
-                    telemetry: false,
-                });
-                eprintln!(
-                    "  [{plan_name:>13} / {:<13} / {w} workers] {}/{} commits, {} aborts \
-                     ({} injected), {} faults, checker {}",
-                    policy_name(policy),
-                    run.commits,
-                    tasks,
-                    run.aborts,
-                    run.injected_aborts,
-                    run.faults.total(),
-                    run.verdict.name()
-                );
-                for err in run.structural_errors.iter().take(3) {
-                    eprintln!("    ! {err}");
-                }
-                runs.push(run);
-            }
-        }
-    }
-
-    // ---- falsifiability probe ----
-    // Odd task count: flipping the low bit of the last recovered slot
-    // always breaks 0..n contiguity, so rejection is guaranteed, not
-    // probabilistic.
-    let corrupted = chaos_run(ChaosSpec {
-        plan: "corrupted",
-        fault: FaultPlan {
-            corrupt_fire_seq: true,
-            ..FaultPlan::quiet(seed)
-        },
-        policy: ConflictPolicy::AbortReaders,
-        workers: workers.min(4),
-        tasks: if tasks % 2 == 0 { tasks + 1 } else { tasks },
-        resources,
-        work_us: 0,
-        busy: false,
-        governor: None,
-        telemetry: false,
-    });
-    let rejected = corrupted.verdict == Verdict::Inconsistent;
-    eprintln!(
-        "  [    corrupted / falsifiability ] checker {} ({} structural errors) — {}",
-        corrupted.verdict.name(),
-        corrupted.structural_errors.len(),
-        if rejected { "rejected as required" } else { "ACCEPTED (oracle is a rubber stamp!)" }
-    );
-
-    // ---- governor A/B on the doom storm (XS.3) ----
-    // The governor's target regime is §5's bad corner: a *hot spot*
-    // (every task charges one tally) with an *expensive* RHS, under a
-    // forced-abort storm — each doom throws away the full RHS cost, so
-    // wasted work dominates and backing off / escalating pays. (The
-    // sweep above covers the cheap-RHS regime, where the governor is
-    // expected to stay roughly neutral.)
-    // The RHS must be expensive relative to the engine's fixed
-    // per-commit overhead (matcher re-derivation, condvar handoff):
-    // the governor trades parallel redundancy for serial certainty,
-    // which only pays when each thrown-away attempt burns real
-    // processor time.
-    let ab_work_us = if quick { 800 } else { 2_500 };
-    // Hot-spot tuning: small backoff (the hot spot is already
-    // throughput-bound, long sleeps only add latency), a tight
-    // starvation bound so the serial fallback engages within a few
-    // doomed retries, and a long cooldown so it sticks for the rest of
-    // the storm.
-    let ab_governor = dps_core::GovernorConfig {
-        backoff_base_us: 10,
-        backoff_cap_us: 150,
-        storm_window: 8,
-        storm_threshold_pm: 300,
-        escalate_after: 2,
-        starvation_bound: 2,
-        cooldown_commits: 64,
-        seed,
-    };
-    // The governor-ON leg carries the live-telemetry sampler: its
-    // timeline (escalations, serial-fallback occupancy, backoff level
-    // against the commit/abort rates) is embedded in the report.
-    let leg = |governor, telemetry| {
-        chaos_run(ChaosSpec {
-            plan: "doom_storm",
-            fault: FaultPlan::doom_storm(seed),
-            policy: ConflictPolicy::AbortReaders,
-            workers,
-            tasks,
-            resources: 1,
-            work_us: ab_work_us,
-            busy: true,
-            governor,
-            telemetry,
-        })
-    };
-    let comparison = GovernorComparison {
-        off: leg(None, false),
-        on: leg(Some(ab_governor), true),
-    };
-    eprintln!(
-        "  governor A/B (doom_storm, {workers} workers): off {:.1} commits/s \
-         ({} aborts, {:.1}ms wasted) -> on {:.1} commits/s ({} aborts, {:.1}ms wasted)",
-        comparison.off.commits as f64 / comparison.off.secs.max(1e-9),
-        comparison.off.aborts,
-        comparison.off.wasted_ms,
-        comparison.on.commits as f64 / comparison.on.secs.max(1e-9),
-        comparison.on.aborts,
-        comparison.on.wasted_ms,
-    );
-
-    // A/B legs must themselves be consistent runs.
-    let ab_ok = comparison.off.passes() && comparison.on.passes();
-
-    let doc = chaos_document(seed, &runs, &corrupted, &comparison);
-    if json {
-        println!("{}", doc.to_string_pretty());
-    }
-    args.write_bench_out(&doc);
-
-    let all_pass = runs.iter().all(ChaosRun::passes);
-    if all_pass && rejected && ab_ok {
-        eprintln!(
-            "\nchaos: all {} surviving runs drained + replayed consistently; \
-             corrupted run rejected",
-            runs.len() + 2
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nchaos: GATE FAILED (survivors ok: {all_pass}, a/b ok: {ab_ok}, corrupted rejected: {rejected})");
-        ExitCode::FAILURE
-    }
+    let args = ReportArgs::parse("chaos", GATE_FLAGS);
+    dps_bench::chaos::gate(&args).finish(&args)
 }

@@ -1,121 +1,16 @@
-//! Coordination-avoidance gate: §4 locking vs lock-elided batch commit
-//! for provably-commutative firings, A/B over the commute-stream
-//! workload (see [`dps_bench::commute`]). Emits the
-//! `dps-commute-report-v1` document and exits 0 iff every gate holds:
-//!
-//! * elided-leg throughput ≥ **1.5×** the locking leg;
-//! * the elided leg acquires **zero** locks (no grants, no blocks,
-//!   every skip booked, every commit receipted) and its contention
-//!   table shows **zero blocked-ns**;
-//! * both legs drain and replay through the §3 oracle;
-//! * both falsifiability probes hold: the forced-misclassification run
-//!   is rejected by the oracle, and swapped delta order is rejected for
-//!   the non-commutative pair but accepted for disjoint commutative
-//!   firings.
-//!
+//! The coordination-avoidance gate (see [`dps_bench::commute`]): §4
+//! locking vs lock-elided commit for provably-commutative firings.
 //! Usage: `commute [--quick] [--json] [--workers N] [--seed S]
-//! [--work-us U] [--bench-out PATH]`. With `--json` the report goes to stdout (human
-//! summary to stderr); `--bench-out` additionally snapshots it to a
-//! file. `obs_check` shape-checks the document in CI.
+//! [--work-us U]`; with `--json` the `dps-report-v2` document goes to
+//! stdout (human summary to stderr). Exit 0 iff every gate holds.
 
 use std::process::ExitCode;
 
-use dps_bench::commute::{
-    commute_document, commute_leg, probe_misclassification, probe_swapped_order, CommuteGates,
-    CommuteSpec,
-};
+use dps_bench::commute::{gate, FLAGS};
 use dps_bench::harness::ReportArgs;
 
 fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
-    let seed = args.flag_u64("--seed").unwrap_or(0xC0_2026);
-    // Full-size RHS cost is deliberately small: counter-increment
-    // firings are cheap, which is precisely when per-firing lock
-    // overhead dominates and coordination avoidance pays. Larger
-    // --work-us shrinks the measured gap (the RHS amortises the
-    // locks), it does not break correctness.
-    let (counters, c_steps, makers, m_steps, default_work) = if quick {
-        (8, 8, 4, 8, 200)
-    } else {
-        (16, 16, 8, 16, 50)
-    };
-    let work_us = args.flag_u64("--work-us").unwrap_or(default_work);
-    let spec = CommuteSpec {
-        seed,
-        workers,
-        match_shards: 8,
-        counters,
-        c_steps,
-        makers,
-        m_steps,
-        work_us,
-    };
-
-    eprintln!(
-        "commute gate: commute_stream({counters}x{c_steps}, {makers}x{m_steps}), \
-         {workers} workers, {work_us}us sleeping RHS"
-    );
-
-    let leg = |name: &str, elide| {
-        let l = commute_leg(&spec, elide);
-        eprintln!(
-            "  [{name:>6}] {}/{} commits in {:.1}ms ({:.0}/s) — grants {}, blocks {}, \
-             elided {}, blocked {:.2}ms, {} aborts ({} elision-stale), checker {}",
-            l.commits,
-            l.expected,
-            l.secs * 1e3,
-            l.throughput(),
-            l.lock_grants,
-            l.lock_blocks,
-            l.lock_elided,
-            l.blocked_ns() as f64 / 1e6,
-            l.aborts.total(),
-            l.aborts.elision_stale,
-            l.verdict.name(),
-        );
-        for err in l.structural_errors.iter().take(3) {
-            eprintln!("    ! {err}");
-        }
-        l
-    };
-    let locked = leg("locked", false);
-    let elided = leg("elided", true);
-
-    let misclassified = probe_misclassification(workers, if quick { 150 } else { 300 });
-    let swap = probe_swapped_order();
-    eprintln!(
-        "  probes: misclassification {}, swapped order (noncommutative {}, commutative {})",
-        if misclassified { "rejected" } else { "ACCEPTED (gate must fail)" },
-        if swap.0 { "rejected" } else { "ACCEPTED" },
-        if swap.1 { "accepted" } else { "REJECTED" },
-    );
-
-    let gates = CommuteGates::evaluate(&locked, &elided, misclassified, swap);
-    let doc = commute_document(&spec, &locked, &elided, &gates);
-    if json {
-        println!("{}", doc.to_string_pretty());
-    }
-    args.write_bench_out(&doc);
-
-    eprintln!(
-        "\ncommute gates: speedup {:.2}x ok {} | zero-lock-traffic {} | blocked-ns-zero {} | \
-         oracle {} | misclassification {} | swap-probes {}",
-        gates.speedup,
-        gates.speedup_ok,
-        gates.zero_lock_traffic,
-        gates.blocked_ns_zero,
-        gates.oracle,
-        gates.misclassification_rejected,
-        gates.swap_probes,
-    );
-    if gates.all() {
-        eprintln!("commute: GATE PASSED");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("commute: GATE FAILED");
-        ExitCode::FAILURE
-    }
+    let args = ReportArgs::parse("commute", FLAGS);
+    gate(&args).finish(&args)
 }

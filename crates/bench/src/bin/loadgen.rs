@@ -1,138 +1,17 @@
-//! Server load gate: hundreds of open-loop sessions against the
-//! `dps-server` front door, admission control A/B'd at overload, plus
-//! a disconnect-chaos leg (see [`dps_bench::server_load`]). Emits the
-//! `dps-server-report-v1` document and exits 0 iff every gate holds:
-//!
-//! * every leg drains, replays through the §3 oracle, leaks zero
-//!   locks/pins, and its books reconcile (admitted = commits + aborts,
-//!   per-session sums = globals);
-//! * at 2× the calibrated capacity, shed-ON p99 < shed-OFF p99;
-//! * shed-ON goodput stays ≥ 70% of shed-OFF at 2×;
-//! * the chaos leg injects at least the configured number of
-//!   mid-transaction disconnects and still leaks nothing.
-//!
-//! Usage: `loadgen [--quick] [--json] [--workers N] [--seed S]
-//! [--bench-out PATH]`. With `--json` the report goes to stdout (human
-//! summary to stderr); `--bench-out` additionally snapshots it to a
-//! file. `obs_check` shape-checks the document in CI. Ctrl-C/SIGTERM
-//! exits through the graceful drain: the leg in flight refuses new
-//! transactions, finishes open ones, and the run reports what it had.
+//! The front-door load gate (see [`dps_bench::server_load`]):
+//! open-loop sessions against `dps-server`, admission control A/B'd at
+//! overload, plus a disconnect-chaos leg. Usage: `loadgen [--quick]
+//! [--json] [--workers N] [--seed S]`; with `--json` the
+//! `dps-report-v2` document goes to stdout (human summary to stderr).
+//! Exit 0 iff every gate holds. Ctrl-C/SIGTERM exits through the
+//! graceful drain.
 
 use std::process::ExitCode;
 
-use dps_bench::harness::ReportArgs;
-use dps_bench::server_load::{run_leg, server_document, LoadGates, LoadLeg, LoadSpec};
-use dps_server::shutdown;
+use dps_bench::harness::{ReportArgs, GATE_FLAGS};
 
 fn main() -> ExitCode {
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let workers = args.flag_u64("--workers").unwrap_or(4) as usize;
-    let seed = args.flag_u64("--seed").unwrap_or(0x5E55_1099);
-    let stop = shutdown::install();
-
-    let (sessions, chaos_sessions, txns, keys) = if quick {
-        (48, 160, 16, 64)
-    } else {
-        (128, 384, 32, 256)
-    };
-    let spec = LoadSpec {
-        seed,
-        sessions,
-        chaos_sessions,
-        txns_per_session: txns,
-        keys,
-        zipf_s: 1.0,
-        workers,
-        txn_timeout_ms: 250,
-        min_disconnects: 100,
-        stop: Some(stop.clone()),
-    };
-
-    eprintln!(
-        "loadgen: zipf_accumulate({keys} keys, s=1.0), {sessions} sessions x {txns} txns, \
-         {} chaos sessions, {workers} workers, seed {seed:#x}",
-        spec.chaos_sessions,
-    );
-
-    let summarize = |l: &LoadLeg| {
-        eprintln!(
-            "  [{:>12}] offered {} committed {} shed {} aborted {} failed {} | \
-             {:.0} txn/s | p50 {}us p99 {}us p999 {}us | \
-             disc {} timeo {} | locks {} pins {} | replay {}",
-            l.name,
-            l.offered,
-            l.committed,
-            l.shed_txns,
-            l.aborted,
-            l.failed,
-            l.goodput_tps,
-            l.p50_us,
-            l.p99_us,
-            l.p999_us,
-            l.server.disconnects,
-            l.server.timeouts,
-            l.held_locks,
-            l.snapshot_pins,
-            l.replay,
-        );
-    };
-
-    // Calibration: closed loop at *bounded* concurrency (2x workers).
-    // Every external insert serialises on the relation's action-write
-    // lock, so an unbounded closed loop measures the convoy collapse,
-    // not the capacity; a small fleet keeps the lock queue short and
-    // its goodput is the sustainable external-transaction capacity C,
-    // the unit the 1x/2x/4x offered rates are multiples of.
-    let cal_spec = LoadSpec {
-        sessions: (workers * 2).max(4),
-        txns_per_session: if quick { 150 } else { 400 },
-        ..spec.clone()
-    };
-    let calibrate = run_leg(&cal_spec, "calibrate", 0.0, 0.0, false, 0.0, false);
-    summarize(&calibrate);
-    let capacity = calibrate.goodput_tps.max(1.0);
-    eprintln!("  capacity C = {capacity:.0} txn/s");
-
-    let mut legs = vec![calibrate];
-    for &mult in &[1.0, 2.0, 4.0] {
-        for &shed in &[false, true] {
-            if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                eprintln!("loadgen: stop requested, skipping remaining legs");
-                break;
-            }
-            let name = format!("{}x_shed_{}", mult as u64, if shed { "on" } else { "off" });
-            let leg = run_leg(&spec, &name, mult, mult * capacity, shed, capacity, false);
-            summarize(&leg);
-            legs.push(leg);
-        }
-    }
-
-    let chaos = run_leg(&spec, "chaos", 0.0, 0.0, false, 0.0, true);
-    summarize(&chaos);
-
-    let gates = LoadGates::evaluate(&spec, &legs, &chaos);
-    let doc = server_document(&spec, capacity, &legs, &chaos, &gates);
-    if json {
-        println!("{}", doc.to_string_pretty());
-    }
-    args.write_bench_out(&doc);
-
-    eprintln!(
-        "\nloadgen gates: oracle {} | shed-p99-improved {} | goodput-maintained {} | \
-         disconnects>=100 {} ({}) | disconnect-leaks-zero {}",
-        gates.oracle,
-        gates.shed_p99_improved,
-        gates.goodput_maintained,
-        gates.disconnects_min,
-        chaos.server.disconnects,
-        gates.disconnect_leaks_zero,
-    );
-    if gates.all() {
-        eprintln!("loadgen: GATE PASSED");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("loadgen: GATE FAILED");
-        ExitCode::FAILURE
-    }
+    dps_server::shutdown::install();
+    let args = ReportArgs::parse("loadgen", GATE_FLAGS);
+    dps_bench::server_load::gate(&args).finish(&args)
 }

@@ -1,296 +1,14 @@
-//! Shard-count sweep for the sharded match pipeline.
-//!
-//! The engine-level benchmark behind EXPERIMENTS.md §XS.4: the
-//! `match_heavy` workload (64 independent fan-out groups, make-only
-//! RHSs, zero data conflict) keeps every instantiation live until it
-//! fires, so the conflict set — and with it the per-cycle claim scan —
-//! grows linearly and the total match cost quadratically. On the old
-//! single-`Mutex<World>` engine that scan serialised every worker; the
-//! sharded pipeline divides it by the shard count and takes it off the
-//! commit path entirely.
-//!
-//! The sweep holds workers fixed at 8 and varies `match_shards` over
-//! {1, 2, 4, 8}. Every run is trace-validated through the §3 Theorem-2
-//! oracle (`semantics::validate_trace`), so the numbers are for
-//! semantically consistent executions only. A final instrumented run at
-//! the maximum shard count captures the `match_apply` latency histogram
-//! and the fan-out counters (batches / applies / free-advances / steals).
-//!
-//! Two gates (exit 1 on failure):
-//! * 1 → 2 shards must improve throughput (the partition must pay for
-//!   the delta-log plumbing at the first step);
-//! * max shards must beat 1 shard by ≥ 1.5× (the ISSUE 5 floor; the
-//!   measured ratio on the reference container is ~7×).
-//!
-//! ## Observability (`--json`)
-//!
-//! With `--json`, a machine-readable `dps-match-report-v1` document goes
-//! to **stdout** (human tables move to stderr): the sweep samples with
-//! per-run fan-out counters, the computed speed-ups, the embedded
-//! `dps-obs-report-v1` document from the instrumented run, and an
-//! `mvcc` comparison leg (max shards under `ConflictPolicy::
-//! MvccSnapshot` — the snapshot read path must keep the pipeline
-//! abort-free and within throughput range of the stock locks on this
-//! conflict-free workload). `--bench-out PATH` additionally snapshots
-//! the document to a file. CI shape-checks it with the `obs_check`
-//! binary.
+//! The match-shard gate (see [`dps_bench::matchbench`]): shard-count
+//! sweep of the sharded match pipeline. Usage: `matchbench [--quick]
+//! [--json]`; with `--json` the `dps-report-v2` document goes to stdout
+//! (human summary to stderr). Exit 0 iff every gate holds.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
-use dps_bench::harness::ReportArgs;
-use dps_bench::workloads;
-use dps_core::semantics::validate_trace;
-use dps_core::{ParallelConfig, ParallelEngine};
-use dps_lock::ConflictPolicy;
-use dps_obs::json::Json;
-use dps_obs::{FanoutStats, ObsReport, Phase, TelemetryConfig, TimelineDoc};
+use dps_bench::harness::{Flag, ReportArgs};
 
-struct Sample {
-    /// Requested shard count (the plan may clamp to component count).
-    shards: usize,
-    commits: usize,
-    secs: f64,
-    aborts: u64,
-    fanout: FanoutStats,
-}
-
-/// One timed, trace-validated run; `observe` additionally returns the
-/// obs report (with the `match_apply` histogram and fan-out counters),
-/// and it also attaches the live-telemetry sampler so the instrumented
-/// run carries a `dps-timeline-v1` document.
-fn one_run(
-    groups: usize,
-    pairs: usize,
-    shards: usize,
-    workers: usize,
-    observe: bool,
-    policy: ConflictPolicy,
-) -> (Sample, Option<ObsReport>, Option<TimelineDoc>) {
-    let (rules, wm) = workloads::match_heavy(groups, pairs);
-    let initial = wm.clone();
-    let cfg = ParallelConfig {
-        workers,
-        match_shards: shards,
-        observe,
-        policy,
-        telemetry: observe.then(TelemetryConfig::default),
-        stop: dps_server::shutdown::installed(),
-        ..Default::default()
-    };
-    let mut engine = ParallelEngine::new(&rules, wm, cfg);
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        report.commits,
-        groups * pairs,
-        "match_heavy({groups}, {pairs}) must drain completely"
-    );
-    assert_eq!(
-        report.aborts.total(),
-        0,
-        "match_heavy is conflict-free; aborts mean a pipeline bug"
-    );
-    validate_trace(&rules, &initial, &report.trace)
-        .expect("sharded run must replay single-threadedly (Theorem 2)");
-    let obs = engine.observer().map(|rec| rec.report());
-    let timeline = engine.telemetry().map(|t| t.doc());
-    let sample = Sample {
-        shards,
-        commits: report.commits,
-        secs,
-        aborts: report.aborts.total(),
-        fanout: report.fanout,
-    };
-    (sample, obs, timeline)
-}
-
-fn best_of(
-    groups: usize,
-    pairs: usize,
-    shards: usize,
-    workers: usize,
-    reps: usize,
-    policy: ConflictPolicy,
-) -> Sample {
-    (0..reps)
-        .map(|_| one_run(groups, pairs, shards, workers, false, policy).0)
-        .min_by(|a, b| a.secs.total_cmp(&b.secs))
-        .expect("reps >= 1")
-}
-
-fn sample_json(s: &Sample) -> Json {
-    Json::Obj(vec![
-        ("shards".into(), Json::u64(s.shards as u64)),
-        ("plan_shards".into(), Json::u64(s.fanout.shards)),
-        ("commits".into(), Json::u64(s.commits as u64)),
-        ("secs".into(), Json::num(s.secs)),
-        ("aborts".into(), Json::u64(s.aborts)),
-        ("batches".into(), Json::u64(s.fanout.batches)),
-        ("applies".into(), Json::u64(s.fanout.applies)),
-        ("free_advances".into(), Json::u64(s.fanout.free_advances)),
-        ("steals".into(), Json::u64(s.fanout.steals)),
-    ])
-}
-
-fn main() {
+fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let (groups, pairs, reps) = if quick { (32, 32, 1) } else { (64, 64, 2) };
-    let workers = 8;
-    let shard_counts = [1usize, 2, 4, 8];
-
-    eprintln!(
-        "Match-shard sweep: match_heavy({groups}, {pairs}), {workers} workers, best of {reps} rep(s)"
-    );
-    eprintln!(
-        "{:>7} {:>9} {:>12} {:>10} {:>9} {:>9} {:>8}",
-        "shards", "commits", "commits/s", "time", "applies", "free-adv", "steals"
-    );
-
-    let mut sweep: Vec<Sample> = Vec::new();
-    for &shards in &shard_counts {
-        let s = best_of(groups, pairs, shards, workers, reps, ConflictPolicy::AbortReaders);
-        let rate = s.commits as f64 / s.secs;
-        let base = sweep
-            .first()
-            .map_or(1.0, |b| rate / (b.commits as f64 / b.secs));
-        eprintln!(
-            "{:>7} {:>9} {:>12.0} {:>9.1}ms {:>9} {:>9} {:>8}   ({base:.2}x)",
-            s.shards,
-            s.commits,
-            rate,
-            s.secs * 1e3,
-            s.fanout.applies,
-            s.fanout.free_advances,
-            s.fanout.steals,
-        );
-        sweep.push(s);
-    }
-
-    // Instrumented run at max shards: the match_apply histogram and the
-    // fan-out counters must be internally consistent.
-    let max_shards = *shard_counts.last().unwrap();
-    let (observed, obs, timeline) = one_run(
-        groups,
-        pairs,
-        max_shards,
-        workers,
-        true,
-        ConflictPolicy::AbortReaders,
-    );
-    let obs = obs.expect("observe = true");
-    let timeline = timeline.expect("instrumented run attaches telemetry");
-    timeline
-        .validate()
-        .expect("sampled timeline must be internally consistent");
-    assert_eq!(
-        observed.fanout.batches, observed.commits as u64,
-        "every commit publishes exactly one batch"
-    );
-    assert!(
-        observed.fanout.shards > 1,
-        "match_heavy has {groups} components; the plan must actually shard"
-    );
-    let apply_hist = obs
-        .phase(Phase::MatchApply)
-        .expect("instrumented run records match_apply samples");
-    assert!(
-        apply_hist.count > 0,
-        "shard catch-up work must land in the match_apply histogram"
-    );
-    eprintln!("\nobservability (instrumented, {} shards):\n{obs}", observed.fanout.shards);
-
-    // MVCC comparison leg at max shards: the snapshot read path must
-    // leave this conflict-free workload exactly as abort-free as the
-    // stock locks do (one_run asserts zero aborts and oracle replay),
-    // with the match-cost story unchanged.
-    let mvcc_leg = best_of(
-        groups,
-        pairs,
-        max_shards,
-        workers,
-        reps,
-        ConflictPolicy::MvccSnapshot,
-    );
-    let rate = |s: &Sample| s.commits as f64 / s.secs;
-    eprintln!(
-        "\nmvcc leg ({max_shards} shards): {:.0} commits/s vs stock {:.0} ({:.2}x), 0 aborts",
-        rate(&mvcc_leg),
-        rate(sweep.last().unwrap()),
-        rate(&mvcc_leg) / rate(sweep.last().unwrap()),
-    );
-
-    let r1 = rate(&sweep[0]);
-    let r2 = rate(&sweep[1]);
-    let rmax = rate(sweep.last().unwrap());
-
-    {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("dps-match-report-v1")),
-            (
-                "config".into(),
-                Json::Obj(vec![
-                    ("groups".into(), Json::u64(groups as u64)),
-                    ("pairs".into(), Json::u64(pairs as u64)),
-                    ("workers".into(), Json::u64(workers as u64)),
-                    ("reps".into(), Json::u64(reps as u64)),
-                ]),
-            ),
-            (
-                "sweep".into(),
-                Json::Arr(sweep.iter().map(sample_json).collect()),
-            ),
-            (
-                "speedup".into(),
-                Json::Obj(vec![
-                    ("x2_over_x1".into(), Json::num(r2 / r1)),
-                    ("max_over_x1".into(), Json::num(rmax / r1)),
-                ]),
-            ),
-            ("observability".into(), obs.to_json()),
-            ("timeline".into(), timeline.to_json()),
-            (
-                "mvcc".into(),
-                Json::Obj(vec![
-                    ("policy".into(), Json::str("mvcc_snapshot")),
-                    ("sample".into(), sample_json(&mvcc_leg)),
-                    (
-                        "vs_stock_max_shards".into(),
-                        Json::num(rate(&mvcc_leg) / rmax),
-                    ),
-                ]),
-            ),
-        ]);
-        if json {
-            println!("{}", doc.to_string_pretty());
-        }
-        args.write_bench_out(&doc);
-    }
-
-    // Gate 1: the first sharding step must pay.
-    eprintln!(
-        "\nshard speed-up: 1 → 2: {:.2}x, 1 → {}: {:.2}x",
-        r2 / r1,
-        sweep.last().unwrap().shards,
-        rmax / r1
-    );
-    let mut failed = false;
-    if r2 > r1 {
-        eprintln!("PASS: 2 shards beat 1 shard");
-    } else {
-        eprintln!("FAIL: 2 shards did not beat 1 shard");
-        failed = true;
-    }
-    // Gate 2: the ISSUE 5 floor.
-    if rmax >= 1.5 * r1 {
-        eprintln!("PASS: max shards >= 1.5x over 1 shard");
-    } else {
-        eprintln!("FAIL: max shards only {:.2}x over 1 shard (< 1.5x floor)", rmax / r1);
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let args = ReportArgs::parse("matchbench", &[Flag::Bare("--quick"), Flag::Bare("--json")]);
+    dps_bench::matchbench::gate(&args).finish(&args)
 }

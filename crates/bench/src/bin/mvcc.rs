@@ -1,113 +1,15 @@
-//! MVCC gate: stock lock-based `R_c` vs snapshot condition reads, A/B
-//! on the doom-storm chaos plan over the false-conflict workload (see
-//! [`dps_bench::mvcc`]). Emits the `dps-mvcc-report-v1` document and
-//! exits 0 iff every gate holds:
-//!
-//! * the MVCC leg records **zero** condition-read aborts;
-//! * its wasted-work fraction `f` is **strictly below** stock;
-//! * both legs drain and replay through the §3 oracle;
-//! * the MVCC history passes the SI/serializability polygraph;
-//! * both falsifiability probes (write skew, swapped version order)
-//!   are rejected by that polygraph.
-//!
-//! Usage: `mvcc [--quick] [--json] [--workers N] [--seed S]
-//! [--bench-out PATH]`. With `--json` the report goes to stdout (human
-//! summary to stderr); `--bench-out` additionally snapshots it to a
-//! file. `obs_check` shape-checks the document in CI.
+//! The MVCC gate (see [`dps_bench::mvcc`]): stock lock-based `R_c` vs
+//! snapshot condition reads, A/B on the doom-storm plan. Usage: `mvcc
+//! [--quick] [--json] [--workers N] [--seed S]`; with `--json` the
+//! `dps-report-v2` document goes to stdout (human summary to stderr).
+//! Exit 0 iff every gate holds.
 
 use std::process::ExitCode;
 
-use dps_bench::harness::ReportArgs;
-use dps_bench::mvcc::{mvcc_document, mvcc_leg, probe_version_order, probe_write_skew, MvccGates, MvccSpec};
-use dps_lock::ConflictPolicy;
+use dps_bench::harness::{ReportArgs, GATE_FLAGS};
 
 fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
-    let seed = args.flag_u64("--seed").unwrap_or(0x51AB_2026);
-    let (guards, g_steps, producers, p_steps, work_us) = if quick {
-        (6, 4, 6, 4, 300)
-    } else {
-        (8, 8, 8, 8, 800)
-    };
-    let spec = MvccSpec {
-        seed,
-        workers,
-        guards,
-        g_steps,
-        producers,
-        p_steps,
-        work_us,
-    };
-
-    eprintln!(
-        "mvcc gate: false_conflict_stream({guards}x{g_steps}, {producers}x{p_steps}), \
-         doom_storm seed {seed:#x}, {workers} workers, {work_us}us busy RHS"
-    );
-
-    let leg = |name: &str, policy| {
-        let l = mvcc_leg(&spec, policy);
-        eprintln!(
-            "  [{name:>5}] {}/{} commits in {:.1}ms — {} aborts \
-             ({} reader, {} snapshot-stale, {} injected), f = {:.3}, checker {}{}",
-            l.commits,
-            l.expected,
-            l.secs * 1e3,
-            l.aborts.total(),
-            l.aborts.reader_aborts(),
-            l.aborts.snapshot_stale,
-            l.aborts.injected,
-            l.wasted_fraction,
-            l.verdict.name(),
-            match l.si {
-                Some(v) => format!(", si {}", v.name()),
-                None => String::new(),
-            },
-        );
-        for err in l.structural_errors.iter().take(3) {
-            eprintln!("    ! {err}");
-        }
-        l
-    };
-    let stock = leg("stock", ConflictPolicy::AbortReaders);
-    let mvcc = leg("mvcc", ConflictPolicy::MvccSnapshot);
-
-    let skew = probe_write_skew();
-    let order = probe_version_order();
-    eprintln!(
-        "  probes: write skew {} ({} edges, cycle {}), version order {} ({} violations)",
-        skew.verdict().name(),
-        skew.edges,
-        if skew.cycle.is_some() { "found" } else { "missed" },
-        order.verdict().name(),
-        order.violations.len(),
-    );
-
-    let gates = MvccGates::evaluate(&stock, &mvcc, &skew, &order);
-    let doc = mvcc_document(&spec, &stock, &mvcc, &skew, &order, &gates);
-    if json {
-        println!("{}", doc.to_string_pretty());
-    }
-    args.write_bench_out(&doc);
-
-    eprintln!(
-        "\nmvcc gates: reader-aborts-zero {} | f {:.3} -> {:.3} improved {} | \
-         oracle {} | si {} | probes {}",
-        gates.reader_aborts_zero,
-        stock.wasted_fraction,
-        mvcc.wasted_fraction,
-        gates.wasted_work_improved,
-        gates.oracle,
-        gates.si_checker,
-        gates.probes_rejected,
-    );
-    if gates.all() {
-        eprintln!("mvcc: GATE PASSED");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("mvcc: GATE FAILED");
-        ExitCode::FAILURE
-    }
+    let args = ReportArgs::parse("mvcc", GATE_FLAGS);
+    dps_bench::mvcc::gate(&args).finish(&args)
 }

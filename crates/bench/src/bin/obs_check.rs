@@ -1,1404 +1,39 @@
-//! Shape-checks a `dps-scaling-report-v1` JSON document (as emitted by
-//! `scaling --json`), a standalone `dps-analysis-report-v1` document
-//! (as emitted by `analyze --json`), a `dps-chaos-report-v1` document
-//! (as emitted by `chaos --json`), a `dps-match-report-v1` document
-//! (as emitted by `matchbench --json`), a `dps-mvcc-report-v1`
-//! document (as emitted by `mvcc --json`), a `dps-commute-report-v1`
-//! document (as emitted by `commute --json`), a
-//! `dps-recovery-report-v1` document (as emitted by `recovery
-//! --json`), **or** a `dps-server-report-v1` document (as emitted by
-//! `loadgen --json`),
-//! so CI can validate the observability pipeline end-to-end without
-//! `serde` or external tooling. Dispatch is on the top-level `schema`
-//! tag.
+//! Validates a `dps-report-v2` document — what every gate binary emits
+//! with `--json` — against the one shape they share (see
+//! [`dps_bench::report::validate`]): schema tag, every leg's drain /
+//! abort-accounting / checker rules, every gate's `pass` recomputed
+//! from `observed`, `op` and `bound`, every probe's outcome, and the
+//! embedded `dps-timeline-v1` document. It knows nothing about any
+//! particular gate: the invariants are declared, on typed values, by
+//! the module that owns the gate, and arrive here as `gates[]` entries.
 //!
 //! Usage: `obs_check <report.json>` (or `-` / no argument for stdin).
-//! Exit 0 if the document is well-formed, 1 with a diagnostic otherwise.
-//!
-//! Scaling-report checks:
-//! * top-level schema tag and sweep arrays;
-//! * the embedded `dps-obs-report-v1` document: every phase histogram
-//!   has `count`/`p50_ns`/`p95_ns`/`p99_ns`/`max_ns`, with ordered
-//!   percentiles;
-//! * every abort cause is present and the per-cause counts sum to the
-//!   event-counter abort total;
-//! * zero recorded anomalies;
-//! * the measured observe-ON/OFF ratio is below the 5% budget;
-//! * the embedded analysis document, if present (reports written
-//!   before the analysis layer existed still pass — old shape).
-//!
-//! Analysis-report checks (embedded or standalone):
-//! * every run has a contention table, a critical path with consistent
-//!   busy/wasted accounting and `wasted_fraction` in `[0, 1]`;
-//! * every run's checker section reports zero structural errors and a
-//!   replayed, `consistent` verdict — the CI gate for §3 Theorem 2.
-//!
-//! Match-report checks (the sharded-pipeline gate):
-//! * every sweep row has sane counters and publishes exactly one delta
-//!   batch per commit, with zero aborts (the workload is conflict-free);
-//! * the instrumented run's `match_apply` histogram is populated with
-//!   ordered percentiles, and the fan-out counters show the plan
-//!   actually sharded (`shards > 1`, free-advances observed);
-//! * the recomputed speed-ups clear the ISSUE 5 gates: 2 shards beat
-//!   1 shard, and max shards beat 1 shard by ≥ 1.5×.
-//!
-//! Chaos-report checks (the robustness gate):
-//! * every sweep run drained its workload (`commits ==
-//!   expected_commits`) and its checker section is `consistent` with a
-//!   `consistent` replay and zero structural errors;
-//! * the falsifiability probe was *rejected* (a checker that accepts a
-//!   corrupted commit sequence proves nothing);
-//! * the governor A/B block carries both legs with sane throughput;
-//! * the overall verdict is `consistent`.
-//!
-//! Mvcc-report checks (the abort-free `R_c` gate):
-//! * both A/B legs drained, replayed `consistent` through the §3
-//!   oracle, with per-cause abort counts summing to their totals;
-//! * the MVCC leg recorded **zero** condition-read aborts, a strictly
-//!   lower wasted-work fraction than stock, and an SI polygraph
-//!   verdict of `consistent`;
-//! * both falsifiability probes (write skew, swapped version order)
-//!   were rejected, and every gate boolean is true.
-//!
-//! Every report kind may also embed a `dps-timeline-v1` document under
-//! a `timeline` key (the live-telemetry sampler's series). When
-//! present it must parse, validate (monotone counters, equal-length
-//! rings) and carry the engine's core series; reports written before
-//! the telemetry layer carry no key and still pass. The scaling report
-//! additionally gates `telemetry_overhead.ratio` below 1.05.
-//!
-//! Server-report checks (the multi-session front-door gate):
-//! * every leg's client-side cause sum closes (committed + shed +
-//!   aborted + failed == offered) and its server-side books balance
-//!   (admitted == commits + aborts, typed timeout/disconnect causes
-//!   within the abort total);
-//! * per-session counters sum to the globals — a session whose books
-//!   vanish on disconnect would hide a leaked transaction;
-//! * every leg (including the disconnect-chaos leg) drained with zero
-//!   held locks and snapshot pins and a `consistent` §3 replay;
-//! * the chaos leg actually disconnected, and every gate boolean
-//!   (shed p99 improvement, goodput floor, disconnect minimum) is true.
-//!
-//! Recovery-report checks (the crash-recovery gate):
-//! * every kill-point run drained in memory, recovered to a durable
-//!   horizon consistent with its kill site (strictly before the killed
-//!   commit for dropped/torn tails, *at* it after the fsync; torn
-//!   kills actually truncated a torn tail), with `checkpoint + redo ==
-//!   horizon` accounting, an oracle-validated prefix, and a resumed
-//!   drain — verdict `consistent` on every run;
-//! * the corrupted mid-log record was rejected (the torn-tail rule
-//!   only forgives the final frame);
-//! * the group-commit A/B shows durability-on within the 1.25×
-//!   budget, with fewer fsyncs than appends and piggybacked syncs
-//!   observed — and every gate boolean true.
+//! Exit 0 if the document is valid and every gate in it passed, 1 with
+//! a diagnostic naming the field otherwise.
 
 use std::io::Read;
 use std::process::ExitCode;
 
-use dps_obs::json::{self, Json};
-use dps_obs::{TimelineDoc, TIMELINE_SCHEMA};
-
-/// Validates an embedded `dps-timeline-v1` document, when present.
-/// Reports written before the live-telemetry layer carry no `timeline`
-/// key (or a null one — legs that ran without the sampler); both read
-/// as "nothing to check", so the old shapes still pass.
-fn check_timeline(doc: &Json, at: &str) -> Result<(), String> {
-    let tl = match doc.get("timeline") {
-        None | Some(Json::Null) => return Ok(()),
-        Some(tl) => tl,
-    };
-    let schema = tl
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{at}.timeline: missing schema"))?;
-    if schema != TIMELINE_SCHEMA {
-        return Err(format!("{at}.timeline: unexpected schema {schema:?}"));
-    }
-    let parsed = TimelineDoc::from_json(tl)
-        .map_err(|e| format!("{at}.timeline: does not parse: {e}"))?;
-    parsed
-        .validate()
-        .map_err(|e| format!("{at}.timeline: invalid: {e}"))?;
-    if parsed.ticks == 0 {
-        return Err(format!("{at}.timeline: zero ticks — the sampler never ran"));
-    }
-    if parsed.series.is_empty() {
-        return Err(format!("{at}.timeline: no series — no probes registered"));
-    }
-    // The engine registers these on every run, whatever the workload;
-    // a missing one means probe registration drifted.
-    for name in ["engine.commits", "lock.grants", "pipeline.batches"] {
-        if parsed.series(name).is_none() {
-            return Err(format!("{at}.timeline: core series {name:?} missing"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `dps-analysis-report-v1` document (`where` prefixes
-/// diagnostics so embedded and standalone uses read naturally).
-fn check_analysis(doc: &Json, at: &str) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{at}: missing schema"))?;
-    if schema != "dps-analysis-report-v1" {
-        return Err(format!("{at}: unexpected schema {schema:?}"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{at}: missing runs array"))?;
-    if runs.is_empty() {
-        return Err(format!("{at}: runs is empty"));
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let at = format!("{at}.runs[{i}]");
-        run.get("protocol")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing protocol"))?;
-        for key in ["workers", "commits", "aborts"] {
-            run.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: missing {key}"))?;
-        }
-        // Contention rows.
-        let rows = run
-            .get("contention")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}: missing contention table"))?;
-        for (j, row) in rows.iter().enumerate() {
-            for key in [
-                "resource",
-                "blocks",
-                "blocked_ns",
-                "distinct_blockers",
-                "dooms_caused",
-                "deadlock_aborts",
-            ] {
-                row.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}.contention[{j}]: missing {key}"))?;
-            }
-        }
-        // Critical path block.
-        let need = |key: &str| -> Result<u64, String> {
-            run.at(&["critical_path", key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}.critical_path: missing {key}"))
-        };
-        let total = need("total_busy_ns")?;
-        let useful = need("useful_busy_ns")?;
-        let wasted = need("wasted_ns")?;
-        let critical = need("critical_path_ns")?;
-        need("wall_ns")?;
-        if useful + wasted != total {
-            return Err(format!(
-                "{at}.critical_path: useful ({useful}) + wasted ({wasted}) != total busy ({total})"
-            ));
-        }
-        if critical > total {
-            return Err(format!(
-                "{at}.critical_path: critical path ({critical}) exceeds total busy ({total})"
-            ));
-        }
-        let f = run
-            .at(&["critical_path", "wasted_fraction"])
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{at}.critical_path: missing wasted_fraction"))?;
-        if !(0.0..=1.0).contains(&f) {
-            return Err(format!("{at}.critical_path: wasted_fraction {f} outside [0, 1]"));
-        }
-        run.at(&["critical_path", "critical_path_txns"])
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}.critical_path: missing critical_path_txns"))?;
-        for key in ["effective_parallelism", "max_speedup_estimate"] {
-            let v = run
-                .at(&["critical_path", key])
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{at}.critical_path: missing {key}"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{at}.critical_path: {key} = {v} is not sane"));
-            }
-        }
-        // Checker gate.
-        let errors = run
-            .at(&["checker", "structural_errors"])
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}.checker: missing structural_errors"))?;
-        if !errors.is_empty() {
-            return Err(format!("{at}.checker: {} structural errors", errors.len()));
-        }
-        let replay = run
-            .at(&["checker", "replay"])
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}.checker: missing replay"))?;
-        if replay != "consistent" {
-            return Err(format!("{at}.checker: replay is {replay:?}, not \"consistent\""));
-        }
-        let verdict = run
-            .at(&["checker", "verdict"])
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}.checker: missing verdict"))?;
-        if verdict != "consistent" {
-            return Err(format!("{at}.checker: verdict is {verdict:?}"));
-        }
-    }
-    let overall = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{at}: missing overall verdict"))?;
-    if overall != "consistent" {
-        return Err(format!("{at}: overall verdict is {overall:?}"));
-    }
-    Ok(())
-}
-
-/// Validates a `dps-chaos-report-v1` document (from `chaos --json`).
-fn check_chaos(doc: &Json) -> Result<(), String> {
-    doc.get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("chaos: missing seed")?;
-
-    // ---- sweep runs ----
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("chaos: missing runs array")?;
-    if runs.is_empty() {
-        return Err("chaos: runs is empty".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let at = format!("chaos.runs[{i}]");
-        run.get("plan")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing plan"))?;
-        let policy = run
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing policy"))?;
-        if !matches!(policy, "abort_readers" | "revalidate" | "mvcc_snapshot") {
-            return Err(format!("{at}: unknown policy {policy:?}"));
-        }
-        let mut vals = Vec::new();
-        for key in [
-            "workers",
-            "commits",
-            "expected_commits",
-            "aborts",
-            "injected_aborts",
-            "faults_injected",
-        ] {
-            vals.push(
-                run.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}: missing {key}"))?,
-            );
-        }
-        let (commits, expected) = (vals[1], vals[2]);
-        if commits != expected {
-            return Err(format!(
-                "{at}: drained {commits}/{expected} — a surviving run must drain its workload"
-            ));
-        }
-        for key in ["secs", "wasted_ms"] {
-            run.get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| format!("{at}: missing or insane {key}"))?;
-        }
-        // A `mvcc_snapshot` run is new-shape by definition and must be
-        // abort-free on the condition-read channel — the tentpole
-        // property, enforced wherever the policy shows up.
-        if policy == "mvcc_snapshot" {
-            let readers = run
-                .get("reader_aborts")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: mvcc_snapshot run missing reader_aborts"))?;
-            if readers != 0 {
-                return Err(format!(
-                    "{at}: {readers} condition-read aborts under mvcc_snapshot"
-                ));
-            }
-        }
-        // Checker gate: counts here, not sample strings (the samples
-        // live on stderr).
-        if run
-            .at(&["checker", "structural_errors"])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}.checker: missing structural_errors"))?
-            != 0
-        {
-            return Err(format!("{at}.checker: structural errors on a surviving run"));
-        }
-        for (key, want) in [("replay", "consistent"), ("verdict", "consistent")] {
-            let got = run
-                .at(&["checker", key])
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{at}.checker: missing {key}"))?;
-            if got != want {
-                return Err(format!("{at}.checker: {key} is {got:?}, not {want:?}"));
-            }
-        }
-    }
-
-    // ---- falsifiability probe ----
-    if doc.at(&["falsifiability", "rejected"]) != Some(&Json::Bool(true)) {
-        return Err(
-            "chaos.falsifiability: the corrupted run was not rejected — the oracle \
-             is a rubber stamp"
-                .into(),
-        );
-    }
-    if doc
-        .at(&["falsifiability", "structural_errors"])
-        .and_then(Json::as_u64)
-        .ok_or("chaos.falsifiability: missing structural_errors")?
-        == 0
-    {
-        return Err("chaos.falsifiability: rejected without a structural error".into());
-    }
-
-    // ---- governor A/B ----
-    for leg in ["off", "on"] {
-        let at = format!("chaos.governor_comparison.{leg}");
-        for key in ["commits", "aborts"] {
-            doc.at(&["governor_comparison", leg, key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: missing {key}"))?;
-        }
-        doc.at(&["governor_comparison", leg, "throughput"])
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("{at}: missing or non-positive throughput"))?;
-        doc.at(&["governor_comparison", leg, "wasted_ms"])
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(|| format!("{at}: missing wasted_ms"))?;
-    }
-
-    // ---- embedded timeline (governor-ON doom-storm leg) ----
-    check_timeline(doc, "chaos")?;
-
-    // ---- overall verdict ----
-    let verdict = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("chaos: missing verdict")?;
-    if verdict != "consistent" {
-        return Err(format!("chaos: verdict is {verdict:?}"));
-    }
-    Ok(())
-}
-
-/// Validates a `dps-match-report-v1` document (from `matchbench --json`)
-/// — the sharded-match-pipeline gate.
-fn check_match(doc: &Json) -> Result<(), String> {
-    for key in ["groups", "pairs", "workers", "reps"] {
-        doc.at(&["config", key])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("match.config: missing {key}"))?;
-    }
-
-    // ---- sweep rows ----
-    let sweep = doc
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("match: missing sweep array")?;
-    if sweep.len() < 2 {
-        return Err("match: sweep needs at least shard counts 1 and 2".into());
-    }
-    let mut rates = Vec::new();
-    for (i, row) in sweep.iter().enumerate() {
-        let at = format!("match.sweep[{i}]");
-        let mut vals = Vec::new();
-        for key in [
-            "shards",
-            "plan_shards",
-            "commits",
-            "aborts",
-            "batches",
-            "applies",
-            "free_advances",
-            "steals",
-        ] {
-            vals.push(
-                row.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}: missing {key}"))?,
-            );
-        }
-        let (commits, aborts, batches) = (vals[2], vals[3], vals[4]);
-        if aborts != 0 {
-            return Err(format!("{at}: {aborts} aborts on the conflict-free workload"));
-        }
-        if batches != commits {
-            return Err(format!(
-                "{at}: {batches} delta batches for {commits} commits — publish must be 1:1"
-            ));
-        }
-        let secs = row
-            .get("secs")
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("{at}: missing or non-positive secs"))?;
-        rates.push(commits as f64 / secs);
-    }
-
-    // ---- recomputed ISSUE 5 gates ----
-    if rates[1] <= rates[0] {
-        return Err(format!(
-            "match: 2 shards ({:.0}/s) did not beat 1 shard ({:.0}/s)",
-            rates[1], rates[0]
-        ));
-    }
-    let rmax = rates.last().copied().unwrap_or(0.0);
-    if rmax < 1.5 * rates[0] {
-        return Err(format!(
-            "match: max shards only {:.2}x over 1 shard (< 1.5x floor)",
-            rmax / rates[0]
-        ));
-    }
-    for key in ["x2_over_x1", "max_over_x1"] {
-        doc.at(&["speedup", key])
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("match.speedup: missing {key}"))?;
-    }
-
-    // ---- embedded obs report: match_apply histogram + fan-out ----
-    let need_u64 = |path: &[&str]| -> Result<u64, String> {
-        doc.at(path)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("match: missing integer at {}", path.join(".")))
-    };
-    let obs_schema = doc
-        .at(&["observability", "schema"])
-        .and_then(Json::as_str)
-        .ok_or("match: missing observability.schema")?;
-    if obs_schema != "dps-obs-report-v1" {
-        return Err(format!("match: unexpected observability schema {obs_schema:?}"));
-    }
-    let mut vals = Vec::new();
-    for key in ["count", "p50_ns", "p95_ns", "p99_ns", "max_ns"] {
-        vals.push(need_u64(&["observability", "phases", "match_apply", key])?);
-    }
-    let (count, p50, p95, p99, max) = (vals[0], vals[1], vals[2], vals[3], vals[4]);
-    if count == 0 {
-        return Err("match: match_apply histogram is empty on an instrumented run".into());
-    }
-    if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-        return Err(format!(
-            "match: match_apply percentiles not ordered ({p50} / {p95} / {p99} / max {max})"
-        ));
-    }
-    let shards = need_u64(&["observability", "fanout", "shards"])?;
-    if shards < 2 {
-        return Err(format!("match: instrumented plan has {shards} shard(s) — not sharded"));
-    }
-    let batches = need_u64(&["observability", "fanout", "batches"])?;
-    let applies = need_u64(&["observability", "fanout", "applies"])?;
-    let free = need_u64(&["observability", "fanout", "free_advances"])?;
-    need_u64(&["observability", "fanout", "steals"])?;
-    if batches == 0 || applies == 0 {
-        return Err("match: fan-out counters show no published batches".into());
-    }
-    if free == 0 {
-        return Err(
-            "match: zero free-advances — unaffected shards are paying for every batch".into(),
-        );
-    }
-    if need_u64(&["observability", "events", "anomalies"])? != 0 {
-        return Err("match: events.anomalies is non-zero".into());
-    }
-
-    // ---- MVCC comparison leg ----
-    // Joined the report with the MVCC read path; reports written before
-    // it carry no key (old shape still passes). When present: the
-    // snapshot read path must keep the conflict-free workload abort-free
-    // and within throughput range of the stock locks.
-    if let Some(mvcc) = doc.get("mvcc") {
-        let policy = mvcc
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or("match.mvcc: missing policy")?;
-        if policy != "mvcc_snapshot" {
-            return Err(format!("match.mvcc: unexpected policy {policy:?}"));
-        }
-        let aborts = mvcc
-            .at(&["sample", "aborts"])
-            .and_then(Json::as_u64)
-            .ok_or("match.mvcc: missing sample.aborts")?;
-        if aborts != 0 {
-            return Err(format!("match.mvcc: {aborts} aborts on the conflict-free workload"));
-        }
-        let ratio = mvcc
-            .get("vs_stock_max_shards")
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or("match.mvcc: missing vs_stock_max_shards")?;
-        if ratio < 0.5 {
-            return Err(format!(
-                "match.mvcc: snapshot reads at {ratio:.2}x of stock — version-store \
-                 overhead is eating the pipeline"
-            ));
-        }
-    }
-
-    // ---- embedded timeline (instrumented max-shards run) ----
-    check_timeline(doc, "match")?;
-    Ok(())
-}
-
-/// Validates a `dps-mvcc-report-v1` document (from `mvcc --json`) — the
-/// abort-free `R_c` gate.
-fn check_mvcc(doc: &Json) -> Result<(), String> {
-    doc.get("seed").and_then(Json::as_u64).ok_or("mvcc: missing seed")?;
-    doc.get("plan").and_then(Json::as_str).ok_or("mvcc: missing plan")?;
-    doc.at(&["workload", "name"])
-        .and_then(Json::as_str)
-        .ok_or("mvcc: missing workload.name")?;
-    for key in ["guards", "producers", "work_us", "workers"] {
-        doc.at(&["workload", key])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("mvcc.workload: missing {key}"))?;
-    }
-
-    // ---- the two legs ----
-    let mut fractions = Vec::new();
-    for (leg, want_policy) in [("stock", "abort_readers"), ("mvcc", "mvcc_snapshot")] {
-        let at = format!("mvcc.{leg}");
-        let run = doc.get(leg).ok_or_else(|| format!("{at}: missing leg"))?;
-        let policy = run
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing policy"))?;
-        if policy != want_policy {
-            return Err(format!("{at}: policy is {policy:?}, not {want_policy:?}"));
-        }
-        let commits = run
-            .get("commits")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}: missing commits"))?;
-        let expected = run
-            .get("expected_commits")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}: missing expected_commits"))?;
-        if commits != expected {
-            return Err(format!("{at}: drained {commits}/{expected}"));
-        }
-        // Per-cause abort accounting must sum to the reported total.
-        let cause = |key: &str| -> Result<u64, String> {
-            run.at(&["aborts", key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}.aborts: missing {key}"))
-        };
-        let sum = cause("doomed")?
-            + cause("deadlock")?
-            + cause("stale")?
-            + cause("revalidation")?
-            + cause("eval_error")?
-            + cause("timeout")?
-            + cause("injected")?
-            + cause("snapshot_stale")?;
-        let total = cause("total")?;
-        if sum != total {
-            return Err(format!("{at}.aborts: causes sum to {sum} but total is {total}"));
-        }
-        let readers = cause("reader_aborts")?;
-        if readers != cause("doomed")? + cause("revalidation")? {
-            return Err(format!("{at}.aborts: reader_aborts {readers} != doomed + revalidation"));
-        }
-        let f = run
-            .get("wasted_fraction")
-            .and_then(Json::as_f64)
-            .filter(|v| (0.0..=1.0).contains(v))
-            .ok_or_else(|| format!("{at}: wasted_fraction missing or outside [0, 1]"))?;
-        fractions.push(f);
-        if run
-            .at(&["checker", "structural_errors"])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}.checker: missing structural_errors"))?
-            != 0
-        {
-            return Err(format!("{at}.checker: structural errors"));
-        }
-        for (key, want) in [("replay", "consistent"), ("verdict", "consistent")] {
-            let got = run
-                .at(&["checker", key])
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{at}.checker: missing {key}"))?;
-            if got != want {
-                return Err(format!("{at}.checker: {key} is {got:?}"));
-            }
-        }
-        if leg == "mvcc" {
-            if readers != 0 {
-                return Err(format!("{at}: {readers} condition-read aborts — the tentpole gate"));
-            }
-            let si = run
-                .at(&["checker", "si"])
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{at}.checker: missing si verdict"))?;
-            if si != "consistent" {
-                return Err(format!("{at}.checker: si is {si:?}"));
-            }
-            let pins = run
-                .get("snapshot_pins")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: missing snapshot_pins"))?;
-            if pins < commits {
-                return Err(format!(
-                    "{at}: {pins} snapshot pins for {commits} commits — claim \
-                     validation is not pinning"
-                ));
-            }
-        }
-    }
-    if fractions[1] >= fractions[0] {
-        return Err(format!(
-            "mvcc: wasted-work f {:.3} (mvcc) not strictly below {:.3} (stock)",
-            fractions[1], fractions[0]
-        ));
-    }
-
-    // ---- probes and gates ----
-    for key in ["write_skew_rejected", "version_order_rejected"] {
-        if doc.at(&["probes", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("mvcc.probes: {key} is not true — the polygraph is a rubber stamp"));
-        }
-    }
-    for key in [
-        "reader_aborts_zero",
-        "wasted_work_improved",
-        "oracle",
-        "si_checker",
-        "probes_rejected",
-    ] {
-        if doc.at(&["gates", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("mvcc.gates: {key} is not true"));
-        }
-    }
-    let verdict = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("mvcc: missing verdict")?;
-    if verdict != "consistent" {
-        return Err(format!("mvcc: verdict is {verdict:?}"));
-    }
-
-    // ---- embedded timeline (MVCC leg) ----
-    check_timeline(doc, "mvcc")?;
-    Ok(())
-}
-
-/// Validates a `dps-commute-report-v1` document (from `commute
-/// --json`) — the coordination-avoidance gate.
-fn check_commute(doc: &Json) -> Result<(), String> {
-    doc.get("seed").and_then(Json::as_u64).ok_or("commute: missing seed")?;
-    doc.at(&["workload", "name"])
-        .and_then(Json::as_str)
-        .ok_or("commute: missing workload.name")?;
-    for key in [
-        "counters",
-        "counter_steps",
-        "makers",
-        "maker_steps",
-        "work_us",
-        "workers",
-        "match_shards",
-    ] {
-        doc.at(&["workload", key])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("commute.workload: missing {key}"))?;
-    }
-
-    // ---- the two legs ----
-    for leg in ["locked", "elided"] {
-        let at = format!("commute.{leg}");
-        let run = doc.get(leg).ok_or_else(|| format!("{at}: missing leg"))?;
-        let mode = run
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing mode"))?;
-        if mode != leg {
-            return Err(format!("{at}: mode is {mode:?}, not {leg:?}"));
-        }
-        let commits = run
-            .get("commits")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}: missing commits"))?;
-        let expected = run
-            .get("expected_commits")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}: missing expected_commits"))?;
-        if commits != expected {
-            return Err(format!("{at}: drained {commits}/{expected}"));
-        }
-        // Per-cause abort accounting — including the elision-stale
-        // channel — must sum to the reported total.
-        let cause = |key: &str| -> Result<u64, String> {
-            run.at(&["aborts", key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}.aborts: missing {key}"))
-        };
-        let sum = cause("doomed")?
-            + cause("deadlock")?
-            + cause("stale")?
-            + cause("revalidation")?
-            + cause("eval_error")?
-            + cause("timeout")?
-            + cause("injected")?
-            + cause("snapshot_stale")?
-            + cause("elision_stale")?;
-        let total = cause("total")?;
-        if sum != total {
-            return Err(format!("{at}.aborts: causes sum to {sum} but total is {total}"));
-        }
-        let field = |key: &str| -> Result<u64, String> {
-            run.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: missing {key}"))
-        };
-        let (grants, blocks) = (field("lock_grants")?, field("lock_blocks")?);
-        let (elided, receipts) = (field("lock_elided")?, field("elided_commits")?);
-        let blocked_ns = field("blocked_ns")?;
-        run.get("contention")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}: missing contention table"))?;
-        if leg == "elided" {
-            // The tentpole gate: zero lock-manager traffic, every
-            // skipped acquisition booked, every commit receipted, and
-            // nothing ever waited on an elided resource.
-            if grants != 0 || blocks != 0 {
-                return Err(format!(
-                    "{at}: {grants} grants / {blocks} blocks — the fast path locked"
-                ));
-            }
-            if elided == 0 {
-                return Err(format!("{at}: no elided acquisitions booked"));
-            }
-            if receipts != commits {
-                return Err(format!("{at}: {receipts} ElidedCommit receipts for {commits} commits"));
-            }
-            if blocked_ns != 0 {
-                return Err(format!("{at}: {blocked_ns}ns blocked on elided resources"));
-            }
-        } else {
-            if elided != 0 {
-                return Err(format!("{at}: locking leg booked {elided} elided acquisitions"));
-            }
-            if grants == 0 {
-                return Err(format!("{at}: locking leg acquired no locks"));
-            }
-        }
-        if run
-            .at(&["checker", "structural_errors"])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}.checker: missing structural_errors"))?
-            != 0
-        {
-            return Err(format!("{at}.checker: structural errors"));
-        }
-        for (key, want) in [("replay", "consistent"), ("verdict", "consistent")] {
-            let got = run
-                .at(&["checker", key])
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{at}.checker: missing {key}"))?;
-            if got != want {
-                return Err(format!("{at}.checker: {key} is {got:?}"));
-            }
-        }
-    }
-
-    // ---- probes and gates ----
-    for key in ["misclassification_rejected", "swap_probes_hold"] {
-        if doc.at(&["probes", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("commute.probes: {key} is not true — the oracle is a rubber stamp"));
-        }
-    }
-    doc.at(&["gates", "speedup"])
-        .and_then(Json::as_f64)
-        .filter(|v| *v > 0.0)
-        .ok_or("commute.gates: speedup missing or non-positive")?;
-    for key in [
-        "speedup_ok",
-        "zero_lock_traffic",
-        "blocked_ns_zero",
-        "oracle",
-        "misclassification_rejected",
-        "swap_probes",
-    ] {
-        if doc.at(&["gates", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("commute.gates: {key} is not true"));
-        }
-    }
-    let verdict = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("commute: missing verdict")?;
-    if verdict != "consistent" {
-        return Err(format!("commute: verdict is {verdict:?}"));
-    }
-
-    // ---- embedded timeline (elided leg) ----
-    check_timeline(doc, "commute")?;
-    Ok(())
-}
-
-/// Validates a `dps-recovery-report-v1` document (from `recovery
-/// --json`) — the crash-recovery gate.
-fn check_recovery(doc: &Json) -> Result<(), String> {
-    doc.get("seed").and_then(Json::as_u64).ok_or("recovery: missing seed")?;
-    doc.get("workers")
-        .and_then(Json::as_u64)
-        .filter(|w| *w > 0)
-        .ok_or("recovery: missing or zero workers")?;
-
-    // ---- kill-point sweep runs ----
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("recovery: missing runs array")?;
-    if runs.is_empty() {
-        return Err("recovery: runs is empty".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let at = format!("recovery.runs[{i}]");
-        run.get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing workload"))?;
-        let policy = run
-            .get("policy")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing policy"))?;
-        if !matches!(policy, "abort_readers" | "revalidate" | "mvcc_snapshot") {
-            return Err(format!("{at}: unknown policy {policy:?}"));
-        }
-        let site = run
-            .get("kill_site")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing kill_site"))?;
-        if !matches!(site, "after_publish" | "torn_tail" | "after_sync") {
-            return Err(format!("{at}: unknown kill_site {site:?}"));
-        }
-        let mut vals = Vec::new();
-        for key in [
-            "kill_commit",
-            "commits",
-            "expected_commits",
-            "durable_seq",
-            "checkpoint_seq",
-            "replayed",
-        ] {
-            vals.push(
-                run.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}: missing {key}"))?,
-            );
-        }
-        let (kill, commits, expected, durable, ckpt, replayed) =
-            (vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]);
-        if commits != expected {
-            return Err(format!(
-                "{at}: drained {commits}/{expected} — the in-memory run must finish"
-            ));
-        }
-        // The durable horizon must sit where the kill site puts it:
-        // strictly before the killed commit for dropped/torn tails, at
-        // it when the death came after the fsync. And it must be the
-        // checkpoint base plus the records actually replayed.
-        match site {
-            "after_sync" => {
-                if durable != kill {
-                    return Err(format!(
-                        "{at}: died after fsync but durable_seq {durable} != kill {kill}"
-                    ));
-                }
-            }
-            _ => {
-                if durable >= kill {
-                    return Err(format!(
-                        "{at}: durable_seq {durable} at/past the killed commit {kill}"
-                    ));
-                }
-            }
-        }
-        if site == "torn_tail" && run.get("torn_tail") != Some(&Json::Bool(true)) {
-            return Err(format!("{at}: torn-tail kill but no torn tail was truncated"));
-        }
-        if ckpt + replayed != durable {
-            return Err(format!(
-                "{at}: checkpoint {ckpt} + {replayed} redo != durable horizon {durable}"
-            ));
-        }
-        for key in ["recovered", "site_ok", "prefix_oracle", "resumed"] {
-            if run.get(key) != Some(&Json::Bool(true)) {
-                return Err(format!("{at}: {key} is not true"));
-            }
-        }
-        let verdict = run
-            .get("verdict")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing verdict"))?;
-        if verdict != "consistent" {
-            return Err(format!("{at}: verdict is {verdict:?}"));
-        }
-    }
-
-    // ---- falsifiability probe ----
-    if doc.at(&["probe", "corrupt_record_rejected"]) != Some(&Json::Bool(true)) {
-        return Err(
-            "recovery.probe: the corrupted mid-log record was not rejected — the \
-             torn-tail rule is forgiving damage it must not"
-                .into(),
-        );
-    }
-
-    // ---- group-commit overhead A/B ----
-    let at = "recovery.overhead";
-    doc.at(&["overhead", "commits"])
-        .and_then(Json::as_u64)
-        .filter(|c| *c > 0)
-        .ok_or_else(|| format!("{at}: missing or zero commits"))?;
-    for key in ["off_secs", "on_secs", "off_throughput", "on_throughput"] {
-        doc.at(&["overhead", key])
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("{at}: missing or non-positive {key}"))?;
-    }
-    let ratio = doc
-        .at(&["overhead", "ratio"])
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .ok_or_else(|| format!("{at}: missing ratio"))?;
-    if ratio > 1.25 {
-        return Err(format!("{at}: durability-on ratio {ratio:.3} exceeds the 1.25 budget"));
-    }
-    let wal = |key: &str| -> Result<u64, String> {
-        doc.at(&["overhead", "wal", key])
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{at}.wal: missing {key}"))
-    };
-    let appends = wal("appends")?;
-    let fsyncs = wal("fsyncs")?;
-    let piggybacked = wal("piggybacked")?;
-    wal("synced_records")?;
-    wal("checkpoints")?;
-    wal("bytes_written")?;
-    if appends == 0 {
-        return Err(format!("{at}.wal: zero appends on the durability leg"));
-    }
-    if fsyncs >= appends {
-        return Err(format!(
-            "{at}.wal: {fsyncs} fsyncs for {appends} appends — group commit is not grouping"
-        ));
-    }
-    if piggybacked == 0 {
-        return Err(format!("{at}.wal: zero piggybacked syncs at workers > 1"));
-    }
-
-    // ---- gates and verdict ----
-    for key in [
-        "all_recovered",
-        "sites_consistent",
-        "prefix_oracle",
-        "resume_drains",
-        "probe_rejected",
-        "overhead_ok",
-    ] {
-        if doc.at(&["gates", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("recovery.gates: {key} is not true"));
-        }
-    }
-    let verdict = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("recovery: missing verdict")?;
-    if verdict != "consistent" {
-        return Err(format!("recovery: verdict is {verdict:?}"));
-    }
-
-    // ---- embedded timeline (durable overhead leg) ----
-    check_timeline(doc, "recovery")?;
-    Ok(())
-}
-
-/// Validates a `dps-server-report-v1` document (the `loadgen` gate).
-fn check_server(doc: &Json) -> Result<(), String> {
-    // ---- workload block ----
-    for key in ["sessions", "chaos_sessions", "txns_per_session", "keys", "workers"] {
-        doc.at(&["workload", key])
-            .and_then(Json::as_u64)
-            .filter(|v| *v > 0)
-            .ok_or_else(|| format!("server.workload: missing or zero {key}"))?;
-    }
-    doc.at(&["workload", "name"])
-        .and_then(Json::as_str)
-        .ok_or("server.workload: missing name")?;
-    doc.get("capacity_tps")
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite() && *v > 0.0)
-        .ok_or("server: missing or non-positive capacity_tps")?;
-
-    // ---- legs (overload sweep + the chaos leg) ----
-    let legs = doc
-        .get("legs")
-        .and_then(Json::as_arr)
-        .ok_or("server: missing legs array")?;
-    if legs.is_empty() {
-        return Err("server: legs is empty".into());
-    }
-    let chaos = doc.get("chaos_leg").ok_or("server: missing chaos_leg")?;
-    let all: Vec<(String, &Json)> = legs
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (format!("server.legs[{i}]"), l))
-        .chain(std::iter::once(("server.chaos_leg".to_string(), chaos)))
-        .collect();
-    for (at, leg) in &all {
-        let field = |key: &str| -> Result<u64, String> {
-            leg.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}: missing {key}"))
-        };
-        let (offered, committed) = (field("offered")?, field("committed")?);
-        let (shed, aborted, failed) = (field("shed_txns")?, field("aborted")?, field("failed")?);
-        // Client-side cause sum: every offered transaction resolved
-        // exactly one way.
-        if committed + shed + aborted + failed != offered {
-            return Err(format!(
-                "{at}: {committed} committed + {shed} shed + {aborted} aborted + \
-                 {failed} failed != {offered} offered"
-            ));
-        }
-        leg.get("secs")
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("{at}: missing or non-positive secs"))?;
-        leg.get("goodput_tps")
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(|| format!("{at}: missing goodput_tps"))?;
-        // Percentiles must be ordered whenever anything committed.
-        if committed > 0 {
-            let lat = |key: &str| -> Result<u64, String> {
-                leg.at(&["latency_us", key])
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}.latency_us: missing {key}"))
-            };
-            let (p50, p99, p999, max) = (lat("p50")?, lat("p99")?, lat("p999")?, lat("max")?);
-            if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
-                return Err(format!(
-                    "{at}.latency_us: percentiles not ordered: {p50}/{p99}/{p999}/{max}"
-                ));
-            }
-        }
-        // Server-side cause sum: every admitted transaction resolved
-        // exactly once, and the typed shed/timeout/disconnect causes
-        // stay within their totals.
-        let srv = |key: &str| -> Result<u64, String> {
-            leg.at(&["server", key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}.server: missing {key}"))
-        };
-        let (admitted, s_commits, s_aborts) = (srv("admitted")?, srv("commits")?, srv("aborts")?);
-        if admitted != s_commits + s_aborts {
-            return Err(format!(
-                "{at}.server: {admitted} admitted != {s_commits} commits + {s_aborts} aborts"
-            ));
-        }
-        if committed != s_commits {
-            return Err(format!(
-                "{at}: client committed {committed} != server commits {s_commits}"
-            ));
-        }
-        let (timeouts, disconnects) = (srv("timeouts")?, srv("disconnects")?);
-        if timeouts + disconnects > s_aborts {
-            return Err(format!(
-                "{at}.server: {timeouts} timeouts + {disconnects} disconnects exceed \
-                 {s_aborts} aborts"
-            ));
-        }
-        let shed_causes = srv("shed_rate")? + srv("shed_inflight")? + srv("shed_storm")?;
-        // Per-session reconciliation: the session counters must sum to
-        // the globals — a session whose books vanish on disconnect
-        // would hide a leaked transaction.
-        let sessions = leg
-            .get("per_session")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}: missing per_session"))?;
-        let mut sums = [0u64; 5]; // commits, aborts, shed, timeouts, disconnects
-        for (j, s) in sessions.iter().enumerate() {
-            for (k, key) in ["commits", "aborts", "shed", "timeouts", "disconnects"]
-                .iter()
-                .enumerate()
-            {
-                sums[k] += s
-                    .get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{at}.per_session[{j}]: missing {key}"))?;
-            }
-        }
-        let expect = [s_commits, s_aborts, shed_causes, timeouts, disconnects];
-        for (k, key) in ["commits", "aborts", "shed", "timeouts", "disconnects"]
-            .iter()
-            .enumerate()
-        {
-            if sums[k] != expect[k] {
-                return Err(format!(
-                    "{at}: per-session {key} sum {} != global {}",
-                    sums[k], expect[k]
-                ));
-            }
-        }
-        // Leak probes and the §3 oracle, per leg.
-        for key in ["held_locks", "snapshot_pins"] {
-            let v = leg
-                .at(&["engine", key])
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{at}.engine: missing {key}"))?;
-            if v != 0 {
-                return Err(format!("{at}.engine: {v} leaked {key} after drain"));
-            }
-        }
-        let replay = leg
-            .get("replay")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing replay"))?;
-        if replay != "consistent" {
-            return Err(format!("{at}: replay is {replay:?}"));
-        }
-        if leg.get("reconciled") != Some(&Json::Bool(true)) {
-            return Err(format!("{at}: reconciled is not true"));
-        }
-    }
-
-    // ---- the disconnect-chaos leg must have actually disconnected ----
-    let disc = chaos
-        .at(&["server", "disconnects"])
-        .and_then(Json::as_u64)
-        .ok_or("server.chaos_leg.server: missing disconnects")?;
-    if disc == 0 {
-        return Err("server.chaos_leg: zero injected disconnects — the chaos plan never fired".into());
-    }
-
-    // ---- gates and verdict ----
-    for key in [
-        "oracle",
-        "shed_p99_improved",
-        "goodput_maintained",
-        "disconnects_min",
-        "disconnect_leaks_zero",
-    ] {
-        if doc.at(&["gates", key]) != Some(&Json::Bool(true)) {
-            return Err(format!("server.gates: {key} is not true"));
-        }
-    }
-    let verdict = doc
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("server: missing verdict")?;
-    if verdict != "consistent" {
-        return Err(format!("server: verdict is {verdict:?}"));
-    }
-
-    // ---- embedded timeline (the 2x shed-on leg) ----
-    check_timeline(doc, "server")?;
-    Ok(())
-}
-
-fn check(doc: &Json) -> Result<(), String> {
-    let need_str = |path: &[&str]| -> Result<String, String> {
-        doc.at(path)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string at {}", path.join(".")))
-    };
-    let need_u64 = |path: &[&str]| -> Result<u64, String> {
-        doc.at(path)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing integer at {}", path.join(".")))
-    };
-
-    // ---- envelope (dispatch on the schema tag) ----
-    let schema = need_str(&["schema"])?;
-    if schema == "dps-analysis-report-v1" {
-        // Standalone analysis document (from `analyze --json`).
-        return check_analysis(doc, "doc");
-    }
-    if schema == "dps-chaos-report-v1" {
-        // Chaos-gate document (from `chaos --json`).
-        return check_chaos(doc);
-    }
-    if schema == "dps-match-report-v1" {
-        // Sharded-match-pipeline document (from `matchbench --json`).
-        return check_match(doc);
-    }
-    if schema == "dps-mvcc-report-v1" {
-        // Abort-free `R_c` gate document (from `mvcc --json`).
-        return check_mvcc(doc);
-    }
-    if schema == "dps-commute-report-v1" {
-        // Coordination-avoidance gate document (from `commute --json`).
-        return check_commute(doc);
-    }
-    if schema == "dps-recovery-report-v1" {
-        // Crash-recovery gate document (from `recovery --json`).
-        return check_recovery(doc);
-    }
-    if schema == "dps-server-report-v1" {
-        // Multi-session front-door gate document (from `loadgen --json`).
-        return check_server(doc);
-    }
-    if schema != "dps-scaling-report-v1" {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let check_rows = |sweep: &str, arr: &[Json]| -> Result<(), String> {
-        if arr.is_empty() {
-            return Err(format!("sweeps.{sweep} is empty"));
-        }
-        for (i, s) in arr.iter().enumerate() {
-            for key in ["workers", "commits", "aborts"] {
-                s.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("sweeps.{sweep}[{i}].{key} missing"))?;
-            }
-            s.get("secs")
-                .and_then(Json::as_f64)
-                .filter(|v| *v > 0.0)
-                .ok_or_else(|| format!("sweeps.{sweep}[{i}].secs missing or non-positive"))?;
-        }
-        Ok(())
-    };
-    for sweep in ["partitioned", "partitioned_1shard", "contended"] {
-        let arr = doc
-            .at(&["sweeps", sweep])
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("missing sweeps.{sweep}"))?;
-        check_rows(sweep, arr)?;
-    }
-    // "match_heavy" joined the sweeps with the sharded match pipeline;
-    // reports written before it carry no key (old shape still passes).
-    if let Some(arr) = doc.at(&["sweeps", "match_heavy"]).and_then(Json::as_arr) {
-        check_rows("match_heavy", arr)?;
-    }
-
-    // ---- embedded obs report ----
-    let obs_schema = need_str(&["observability", "schema"])?;
-    if obs_schema != "dps-obs-report-v1" {
-        return Err(format!("unexpected observability schema {obs_schema:?}"));
-    }
-    for phase in ["lock_wait", "lhs_eval", "rhs_act", "commit"] {
-        let mut vals = Vec::new();
-        for key in ["count", "p50_ns", "p95_ns", "p99_ns", "max_ns"] {
-            vals.push(need_u64(&["observability", "phases", phase, key])?);
-        }
-        let (p50, p95, p99, max) = (vals[1], vals[2], vals[3], vals[4]);
-        if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-            return Err(format!(
-                "phases.{phase}: percentiles not ordered ({p50} / {p95} / {p99} / max {max})"
-            ));
-        }
-    }
-    // The contended workload must actually have exercised the commit
-    // path, and every recorded Block must have produced exactly one
-    // lock-wait sample (blocking is *rare* under Rc/Ra/Wa — that is the
-    // protocol's point — so the count may legitimately be small).
-    if need_u64(&["observability", "phases", "commit", "count"])? == 0 {
-        return Err("phases.commit.count is 0 on the contended run".into());
-    }
-    let lock_waits = need_u64(&["observability", "phases", "lock_wait", "count"])?;
-    let blocks = need_u64(&["observability", "events", "blocks"])?;
-    if lock_waits != blocks {
-        return Err(format!(
-            "lock_wait samples ({lock_waits}) disagree with Block events ({blocks})"
-        ));
-    }
-
-    // ---- abort accounting ----
-    let causes = ["doomed", "deadlock", "stale", "revalidation", "eval_error", "timeout"];
-    let mut cause_sum = 0;
-    for cause in causes {
-        cause_sum += need_u64(&["observability", "abort_causes", cause])?;
-    }
-    // "injected" joined the taxonomy with the chaos layer and
-    // "snapshot_stale" with the MVCC read path; reports written before
-    // them carry no key, which reads as zero (and a fault-free,
-    // lock-based scaling run must report zero for both anyway).
-    for newer in ["injected", "snapshot_stale"] {
-        cause_sum += doc
-            .at(&["observability", "abort_causes", newer])
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-    }
-    let aborts = need_u64(&["observability", "events", "aborts"])?;
-    if cause_sum != aborts {
-        return Err(format!(
-            "abort causes sum to {cause_sum} but events.aborts is {aborts}"
-        ));
-    }
-    if need_u64(&["observability", "events", "anomalies"])? != 0 {
-        return Err("events.anomalies is non-zero".into());
-    }
-
-    // ---- overhead budget ----
-    let ratio = doc
-        .at(&["obs_overhead", "ratio"])
-        .and_then(Json::as_f64)
-        .ok_or("missing obs_overhead.ratio")?;
-    if !(ratio.is_finite() && ratio < 1.05) {
-        return Err(format!("obs overhead ratio {ratio:.4} exceeds the 1.05 budget"));
-    }
-
-    // ---- telemetry budget + timeline ----
-    // Both joined the report with the live-telemetry layer; reports
-    // written before it carry neither key (old shape still passes).
-    if let Some(ratio) = doc.at(&["telemetry_overhead", "ratio"]).and_then(Json::as_f64) {
-        if !(ratio.is_finite() && ratio < 1.05) {
-            return Err(format!(
-                "telemetry overhead ratio {ratio:.4} exceeds the 1.05 budget"
-            ));
-        }
-    }
-    check_timeline(doc, "scaling")?;
-
-    // ---- embedded analysis document ----
-    // Reports written before the analysis layer existed don't carry the
-    // key; those still pass (old shape). When present it must be valid.
-    if let Some(analysis) = doc.get("analysis") {
-        check_analysis(analysis, "analysis")?;
-    }
-    Ok(())
-}
+use dps_bench::report::validate;
+use dps_obs::json;
 
 fn main() -> ExitCode {
-    let arg = std::env::args().nth(1);
-    let text = match arg.as_deref() {
-        Some("-") | None => {
-            let mut s = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut s) {
-                eprintln!("obs_check: reading stdin: {e}");
-                return ExitCode::FAILURE;
-            }
-            s
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let text = match args.as_slice() {
+        [] => read_stdin(),
+        [path] if path == "-" => read_stdin(),
+        [path] if !path.starts_with("--") => {
+            std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
         }
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("obs_check: reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let doc = match json::parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("obs_check: JSON parse error: {e}");
-            return ExitCode::FAILURE;
+        _ => {
+            eprintln!("usage: obs_check [report.json | -]");
+            return ExitCode::from(2);
         }
     };
-    match check(&doc) {
+    let checked = text
+        .and_then(|t| json::parse(&t).map_err(|e| format!("JSON parse error: {e}")))
+        .and_then(|doc| validate(&doc));
+    match checked {
         Ok(()) => {
             println!("obs_check: report OK");
             ExitCode::SUCCESS
@@ -1408,4 +43,12 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+fn read_stdin() -> Result<String, String> {
+    let mut s = String::new();
+    std::io::stdin()
+        .read_to_string(&mut s)
+        .map_err(|e| format!("reading stdin: {e}"))?;
+    Ok(s)
 }

@@ -1,133 +1,16 @@
-//! Crash-recovery gate: kill-point × policy sweep over the durable
-//! engine (see [`dps_bench::recovery`]). Emits the
-//! `dps-recovery-report-v1` document and exits 0 iff every gate holds:
-//!
-//! * every kill-point run (dropped / torn / post-fsync death) recovers
-//!   to the durable commit prefix — §3-oracle-validated and
-//!   byte-identical to a serial replay of that prefix;
-//! * every durable horizon sits where its kill site put it (torn
-//!   tails are seen and truncated, post-fsync commits survive);
-//! * every resumed engine drains the remainder and re-recovers to the
-//!   fixpoint;
-//! * the falsifiability probe — one flipped byte in a mid-log record —
-//!   makes recovery *fail* (the torn-tail rule forgives only the tail);
-//! * durability-on throughput stays within 25% of durability-off on
-//!   `match_heavy` (the group-commit promise).
-//!
-//! Usage: `recovery [--quick] [--json] [--workers N] [--seed S]
-//! [--bench-out PATH]`. With `--json` the report goes to stdout (human
-//! summary to stderr); `--bench-out` additionally snapshots it to a
-//! file. `obs_check` shape-checks the document in CI.
+//! The crash-recovery gate (see [`dps_bench::recovery`]): kill-point ×
+//! policy sweep over the durable engine, the corrupt-record probe and
+//! the group-commit overhead A/B. Usage: `recovery [--quick] [--json]
+//! [--workers N] [--seed S]`; with `--json` the `dps-report-v2`
+//! document goes to stdout (human summary to stderr). Exit 0 iff every
+//! gate holds.
 
 use std::process::ExitCode;
 
-use dps_bench::harness::ReportArgs;
-use dps_bench::recovery::{
-    overhead, probe_corrupt_record, recovery_document, sweep, RecoveryGates, RecoverySpec,
-};
+use dps_bench::harness::{ReportArgs, GATE_FLAGS};
 
 fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
-    let seed = args.flag_u64("--seed").unwrap_or(0xD0_2026);
-    let spec = RecoverySpec { seed, workers, quick };
-    let scratch = std::env::temp_dir().join(format!("dps-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    if let Err(e) = std::fs::create_dir_all(&scratch) {
-        eprintln!("recovery: cannot create scratch dir {}: {e}", scratch.display());
-        return ExitCode::FAILURE;
-    }
-
-    eprintln!(
-        "recovery gate: kill-point sweep, seed {seed:#x}, {workers} workers{}",
-        if quick { " (quick)" } else { "" }
-    );
-    let runs = sweep(&spec, &scratch);
-    let mut failed = 0usize;
-    for r in &runs {
-        let ok = r.passes();
-        if !ok {
-            failed += 1;
-        }
-        eprintln!(
-            "  [{}] {:>16} / {:<13} kill {:>2} @ {:<13} -> durable {:>2} (ckpt {}, +{} redo{}){}",
-            if ok { "ok" } else { "XX" },
-            r.workload,
-            dps_bench::chaos::policy_name(r.policy),
-            r.kill_commit,
-            r.site.name(),
-            r.durable_seq,
-            r.checkpoint_seq,
-            r.replayed,
-            if r.torn_tail { ", torn tail cut" } else { "" },
-            match &r.error {
-                Some(e) => format!(" — {e}"),
-                None => String::new(),
-            },
-        );
-    }
-
-    let probe_rejected = match probe_corrupt_record(&scratch) {
-        Ok(rejected) => {
-            eprintln!(
-                "  probe: corrupt mid-log record {}",
-                if rejected { "rejected" } else { "ACCEPTED (rubber stamp!)" }
-            );
-            rejected
-        }
-        Err(e) => {
-            eprintln!("  probe: setup failed — {e}");
-            false
-        }
-    };
-
-    let overhead = match overhead(&spec, &scratch) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("recovery: overhead A/B failed — {e}");
-            let _ = std::fs::remove_dir_all(&scratch);
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "  overhead: match_heavy off {:.1}ms ({:.0}/s) vs on {:.1}ms ({:.0}/s) — ratio {:.3} \
-         ({} appends / {} fsyncs, {} piggybacked)",
-        overhead.off.secs * 1e3,
-        overhead.off.throughput(),
-        overhead.on.secs * 1e3,
-        overhead.on.throughput(),
-        overhead.ratio,
-        overhead.wal.appends,
-        overhead.wal.fsyncs,
-        overhead.wal.piggybacked,
-    );
-
-    let gates = RecoveryGates::evaluate(&runs, probe_rejected, &overhead);
-    let doc = recovery_document(&spec, &runs, probe_rejected, &overhead, &gates);
-    if json {
-        println!("{}", doc.to_string_pretty());
-    }
-    args.write_bench_out(&doc);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    eprintln!(
-        "\nrecovery gates: recovered {} | sites {} | prefix-oracle {} | resume {} | \
-         probe {} | overhead {} ({:.3} <= 1.25)",
-        gates.all_recovered,
-        gates.sites_consistent,
-        gates.prefix_oracle,
-        gates.resume_drains,
-        gates.probe_rejected,
-        gates.overhead_ok,
-        overhead.ratio,
-    );
-    if gates.all() && failed == 0 {
-        eprintln!("recovery: GATE PASSED");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("recovery: GATE FAILED ({failed} failing run(s))");
-        ExitCode::FAILURE
-    }
+    let args = ReportArgs::parse("recovery", GATE_FLAGS);
+    dps_bench::recovery::gate(&args).finish(&args)
 }

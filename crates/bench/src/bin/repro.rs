@@ -10,32 +10,23 @@
 
 use std::collections::HashMap;
 
+use dps_bench::analysis::{certified_run, Leg};
+use dps_bench::harness::{Flag, ReportArgs};
 use dps_bench::workloads;
 use dps_core::abstract_model::{fmt_seq, paper33_example};
 use dps_core::semantics::{validate_trace, ExecutionGraph};
-use dps_core::{
-    ParallelConfig, ParallelEngine, ParallelReport, SelectionMode, StaticConfig,
-    StaticParallelEngine, WorkModel,
-};
+use dps_core::{ParallelConfig, SelectionMode, StaticConfig, StaticParallelEngine, WorkModel};
 use dps_lock::{
     compatibility_table, ConflictPolicy, LockError, LockEvent, LockManager, LockMode, Protocol,
     ResourceId,
 };
-use dps_obs::analysis::analyze;
-use dps_obs::validate_history;
 use dps_rules::analysis::Granularity;
-use dps_rules::RuleSet;
 use dps_sim::scenario::all_figures;
 use dps_sim::{simulate_multi, sweep, Outcome};
-use dps_wm::WorkingMemory;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pick = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.to_lowercase());
+    let args = ReportArgs::parse("repro", &[Flag::Text("--exp")]);
+    let pick = args.text("--exp").map(str::to_lowercase);
     let want = |id: &str| pick.as_deref().is_none_or(|p| p == id);
 
     println!("Reproduction of: Srivastava, Hwang & Tan,");
@@ -86,30 +77,17 @@ fn header(title: &str) {
     println!("{}", "=".repeat(78));
 }
 
-/// Feeds an instrumented run's merged event history through the
-/// trace-analysis layer and returns a one-cell digest: wasted-work
-/// fraction `f`, effective parallelism, and the semantic-consistency
-/// checker's verdict (§3 replay through `validate_trace` included).
-/// Used by the dynamic-engine experiments (X2/X3/X7), which all run
-/// with `observe: true`.
-fn obs_digest(
-    engine: &ParallelEngine,
-    rules: &RuleSet,
-    initial: &WorkingMemory,
-    report: &ParallelReport,
-) -> String {
-    let rec = engine.observer().expect("observe: true attaches a recorder");
-    let history = rec.history();
-    validate_history(&history).expect("merged history well-formed");
-    let mut analysis = analyze(&history);
-    analysis
-        .set_replay_result(validate_trace(rules, initial, &report.trace).map_err(|v| v.to_string()));
-    let c = &analysis.critical;
+/// One-cell digest of a certified, observed leg: wasted-work fraction
+/// `f`, effective parallelism, and the checker's verdict. Used by the
+/// dynamic-engine experiments (X2/X3/X7), which all run with
+/// `observe: true`.
+fn obs_digest(leg: &Leg) -> String {
+    let c = &leg.analysis.as_ref().expect("observe: true").critical;
     format!(
         "f {:.2}, eff {:.1}x, {}",
         c.wasted_fraction,
         c.effective_parallelism,
-        analysis.verdict().name()
+        leg.verdict().name()
     )
 }
 
@@ -313,8 +291,7 @@ fn x2() {
             ("RcRaWa ", Protocol::RcRaWa),
         ] {
             let (rules, wm) = workloads::shared_resources(24, resources);
-            let initial = wm.clone();
-            let mut engine = ParallelEngine::new(
+            let leg = certified_run(
                 &rules,
                 wm,
                 ParallelConfig {
@@ -322,22 +299,18 @@ fn x2() {
                     policy: ConflictPolicy::AbortReaders,
                     workers: 8,
                     work: WorkModel::FixedMicros(2000),
-                    max_commits: 10_000,
-                    rc_escalation: None,
-                    lock_shards: dps_lock::DEFAULT_SHARDS,
                     observe: true,
                     ..Default::default()
                 },
             );
-            let report = engine.run();
-            validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+            assert!(leg.passes(), "semantic consistency: {:?} {:?}", leg.errors, leg.replay);
             println!(
                 "  {:>7} | {name} | {:>10.1} | {:>7} | {:>6} | {}",
                 resources,
-                report.wall.as_secs_f64() * 1e3,
-                report.commits,
-                report.aborts.total(),
-                obs_digest(&engine, &rules, &initial, &report)
+                leg.secs * 1e3,
+                leg.report.commits,
+                leg.report.aborts.total(),
+                obs_digest(&leg)
             );
         }
     }
@@ -355,8 +328,7 @@ fn x3() {
         ("Revalidate  ", ConflictPolicy::Revalidate),
     ] {
         let (rules, wm) = workloads::false_conflicts(12, 12);
-        let initial = wm.clone();
-        let mut engine = ParallelEngine::new(
+        let leg = certified_run(
             &rules,
             wm,
             ParallelConfig {
@@ -364,22 +336,19 @@ fn x3() {
                 policy,
                 workers: 8,
                 work: WorkModel::FixedMicros(500),
-                max_commits: 10_000,
-                rc_escalation: None,
-                lock_shards: dps_lock::DEFAULT_SHARDS,
                 observe: true,
                 ..Default::default()
             },
         );
-        let report = engine.run();
-        validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+        assert!(leg.passes(), "semantic consistency: {:?} {:?}", leg.errors, leg.replay);
+        let aborts = leg.report.aborts;
         println!(
             "  {name} | {:>7} | {:>6} | {:>19} | {:>5} | {}",
-            report.commits,
-            report.aborts.doomed,
-            report.aborts.revalidation,
-            report.aborts.stale,
-            obs_digest(&engine, &rules, &initial, &report)
+            leg.report.commits,
+            aborts.doomed,
+            aborts.revalidation,
+            aborts.stale,
+            obs_digest(&leg)
         );
     }
     println!("\n(producers never touch the guards' WMEs, yet AbortReaders kills guards on");
@@ -440,8 +409,7 @@ fn x7() {
             ("Revalidate  ", ConflictPolicy::Revalidate),
         ] {
             let (rules, wm) = workloads::shared_resources(24, 8);
-            let initial = wm.clone();
-            let mut engine = ParallelEngine::new(
+            let leg = certified_run(
                 &rules,
                 wm,
                 ParallelConfig {
@@ -449,23 +417,21 @@ fn x7() {
                     policy,
                     workers: 8,
                     work: WorkModel::FixedMicros(500),
-                    max_commits: 10_000,
                     rc_escalation: esc,
-                    lock_shards: dps_lock::DEFAULT_SHARDS,
                     observe: true,
                     ..Default::default()
                 },
             );
-            let report = engine.run();
-            validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+            assert!(leg.passes(), "semantic consistency: {:?} {:?}", leg.errors, leg.replay);
+            let aborts = leg.report.aborts;
             println!(
                 "  {esc_name}     | {pol_name} | {:>10.1} | {:>3} ({}/{}/{}) | {}",
-                report.wall.as_secs_f64() * 1e3,
-                report.aborts.total(),
-                report.aborts.doomed,
-                report.aborts.revalidation,
-                report.aborts.stale,
-                obs_digest(&engine, &rules, &initial, &report)
+                leg.secs * 1e3,
+                aborts.total(),
+                aborts.doomed,
+                aborts.revalidation,
+                aborts.stale,
+                obs_digest(&leg)
             );
         }
     }

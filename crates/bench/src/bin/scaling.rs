@@ -1,465 +1,14 @@
-//! Worker-count scalability sweep for the dynamic parallel engine.
-//!
-//! Measures wall-clock throughput (commits/second) at 1, 2, 4 and 8
-//! workers on two workloads:
-//!
-//! * **partitioned** — `shared_resources(tasks, tasks)`: every task
-//!   charges its own tally, so transactions never conflict. This is the
-//!   workload where the sharded lock table and the split engine state
-//!   must show monotonic speed-up: with a global `Mutex<State>` in the
-//!   lock manager and a global `Mutex<Shared>` in the engine, adding
-//!   workers buys nothing because every lock/commit serialises on the
-//!   same two mutexes.
-//! * **contended** — `shared_resources(tasks, 1)`: a single hot tally.
-//!   Parallelism is capped by the application's own data conflict
-//!   (aborts/retries dominate), so flat-to-falling scaling is expected
-//!   and correct.
-//!
-//! Every run's trace is checked with `semantics::validate_trace` — the
-//! Theorem 2 oracle — so the numbers below are for *semantically
-//! consistent* executions only.
-//!
-//! RHS cost is simulated (`WorkModel::FixedMicros`) so that the measured
-//! quantity is the paper's regime — RHS execution dominated by real work,
-//! with locking overhead at the margin — rather than pure lock-manager
-//! round-trips. Run with `--quick` for a faster, noisier sweep.
-//!
-//! ## Observability (`--json`)
-//!
-//! With `--json` the sweep additionally runs the contended workload once
-//! more with [`ParallelConfig::observe`] on and emits a machine-readable
-//! report to **stdout** (all human-readable tables move to stderr):
-//! schema `dps-scaling-report-v1`, embedding the full `dps-obs-report-v1`
-//! document (lock-wait/commit latency percentiles, per-cause abort
-//! breakdown, per-rule table) plus the sweep samples, the measured
-//! observability overhead, and a `dps-analysis-report-v1` document for
-//! the instrumented run (per-resource contention attribution, critical
-//! path / wasted-work `f`, and the §3-Theorem-2 checker verdict). CI
-//! shape-checks all of it with the `obs_check` binary. `--bench-out
-//! PATH` additionally snapshots the document to a file.
-//!
-//! Three gates (exit 1 on failure):
-//! * throughput is monotonic over 1 → 2 → 4 workers (partitioned);
-//! * the observe-ON 4-worker partitioned run costs < 5% over observe-OFF
-//!   (so the observe-OFF instrumentation — one branch per site — is
-//!   certainly below the 5% budget too);
-//! * the live-telemetry sampler (`ParallelConfig::telemetry`, 10 ms
-//!   tick) costs < 5% on `match_heavy` at 8 workers. The telemetry-ON
-//!   run's sampled series are embedded in the JSON report as a
-//!   `dps-timeline-v1` document under the `timeline` key.
+//! The scaling gate (see [`dps_bench::scaling`]): worker-count sweep,
+//! observability and telemetry overhead budgets. Usage: `scaling
+//! [--quick] [--json]`; with `--json` the `dps-report-v2` document goes
+//! to stdout (human summary to stderr). Exit 0 iff every gate holds.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
-use dps_bench::analysis::{analysis_document, analyzed_run};
-use dps_bench::harness::ReportArgs;
-use dps_bench::workloads;
-use dps_core::semantics::validate_trace;
-use dps_core::{ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
-use dps_lock::{ConflictPolicy, Protocol};
-use dps_obs::json::Json;
-use dps_obs::{ObsReport, Phase, TelemetryConfig, TimelineDoc};
+use dps_bench::harness::{Flag, ReportArgs};
 
-struct Sample {
-    workers: usize,
-    commits: usize,
-    secs: f64,
-    aborts: u64,
-}
-
-fn config(workers: usize, work_us: u64, lock_shards: usize, observe: bool) -> ParallelConfig {
-    ParallelConfig {
-        protocol: Protocol::RcRaWa,
-        policy: ConflictPolicy::AbortReaders,
-        workers,
-        work: WorkModel::FixedMicros(work_us),
-        lock_shards,
-        observe,
-        // Ctrl-C / SIGTERM exits through the graceful drain.
-        stop: dps_server::shutdown::installed(),
-        ..Default::default()
-    }
-}
-
-/// One timed, trace-validated run; returns `(report, secs)`.
-fn one_run(
-    label: &str,
-    tasks: usize,
-    resources: usize,
-    cfg: ParallelConfig,
-) -> (ParallelReport, f64, ParallelEngine) {
-    let (rules, wm) = workloads::shared_resources(tasks, resources);
-    let initial = wm.clone();
-    let mut engine = ParallelEngine::new(&rules, wm, cfg);
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(report.commits, tasks, "{label}: lost commits");
-    validate_trace(&rules, &initial, &report.trace)
-        .expect("trace must replay single-threadedly (Theorem 2)");
-    (report, secs, engine)
-}
-
-fn run_sweep(
-    label: &str,
-    tasks: usize,
-    resources: usize,
-    work_us: u64,
-    reps: usize,
-    lock_shards: usize,
-) -> Vec<Sample> {
-    let mut out = Vec::new();
-    for &workers in &[1usize, 2, 4, 8] {
-        let mut best: Option<Sample> = None;
-        for _ in 0..reps {
-            let (report, secs, _) = one_run(
-                label,
-                tasks,
-                resources,
-                config(workers, work_us, lock_shards, false),
-            );
-            let s = Sample {
-                workers,
-                commits: report.commits,
-                secs,
-                aborts: report.aborts.total(),
-            };
-            if best.as_ref().is_none_or(|b| s.secs < b.secs) {
-                best = Some(s);
-            }
-        }
-        out.push(best.expect("reps >= 1"));
-    }
-    out
-}
-
-/// One trace-validated `match_heavy` run, optionally with the live
-/// telemetry sampler attached; returns the wall-clock seconds and the
-/// sampled timeline (when telemetry was on).
-fn match_heavy_run(
-    groups: usize,
-    pairs: usize,
-    workers: usize,
-    telemetry: bool,
-) -> (f64, u64, Option<TimelineDoc>) {
-    let (rules, wm) = workloads::match_heavy(groups, pairs);
-    let initial = wm.clone();
-    let cfg = ParallelConfig {
-        workers,
-        telemetry: telemetry.then(TelemetryConfig::default),
-        ..Default::default()
-    };
-    let mut engine = ParallelEngine::new(&rules, wm, cfg);
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
-    assert_eq!(report.commits, groups * pairs, "match-heavy: lost commits");
-    validate_trace(&rules, &initial, &report.trace)
-        .expect("trace must replay single-threadedly (Theorem 2)");
-    let aborts = report.aborts.total();
-    (secs, aborts, engine.telemetry().map(|t| t.doc()))
-}
-
-/// The match-bound sweep: `match_heavy` under the default shard plan,
-/// trace-validated like every other run.
-fn run_match_heavy_sweep(groups: usize, pairs: usize, reps: usize) -> Vec<Sample> {
-    let mut out = Vec::new();
-    for &workers in &[1usize, 2, 4, 8] {
-        let mut best: Option<Sample> = None;
-        for _ in 0..reps {
-            let (secs, aborts, _) = match_heavy_run(groups, pairs, workers, false);
-            let s = Sample {
-                workers,
-                commits: groups * pairs,
-                secs,
-                aborts,
-            };
-            if best.as_ref().is_none_or(|b| s.secs < b.secs) {
-                best = Some(s);
-            }
-        }
-        out.push(best.expect("reps >= 1"));
-    }
-    out
-}
-
-fn print_sweep(label: &str, samples: &[Sample]) {
-    eprintln!("\n{label}");
-    eprintln!(
-        "{:>8} {:>10} {:>12} {:>10} {:>8}",
-        "workers", "commits", "commits/s", "time", "aborts"
-    );
-    let base = samples[0].commits as f64 / samples[0].secs;
-    for s in samples {
-        let rate = s.commits as f64 / s.secs;
-        eprintln!(
-            "{:>8} {:>10} {:>12.0} {:>9.1}ms {:>8}   ({:.2}x)",
-            s.workers,
-            s.commits,
-            rate,
-            s.secs * 1e3,
-            s.aborts,
-            rate / base
-        );
-    }
-}
-
-fn sweep_json(samples: &[Sample]) -> Json {
-    Json::Arr(
-        samples
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("workers".into(), Json::u64(s.workers as u64)),
-                    ("commits".into(), Json::u64(s.commits as u64)),
-                    ("secs".into(), Json::num(s.secs)),
-                    ("aborts".into(), Json::u64(s.aborts)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// The instrumented contended run: returns the obs report (consistency-
-/// checked against the engine's own counters) plus the embedded
-/// `dps-analysis-report-v1` document (contention attribution, critical
-/// path, wasted-work `f` and the Theorem-2 checker verdict) for JSON
-/// embedding.
-fn observed_contended(tasks: usize, work_us: u64) -> (ObsReport, Json) {
-    let run = analyzed_run(Protocol::RcRaWa, 4, tasks, 1, work_us);
-    let obs = run.obs.clone();
-    // Internal consistency: the event stream must agree with the
-    // engine's abort accounting (analyzed_run already validated the
-    // merged history and replayed the trace through the §3 oracle).
-    assert_eq!(
-        obs.abort_cause_total(),
-        run.aborts,
-        "per-cause abort breakdown must sum to the engine's abort total"
-    );
-    assert_eq!(obs.anomalies, 0, "accounting anomalies in the event stream");
-    assert_eq!(
-        run.analysis.verdict(),
-        dps_obs::Verdict::Consistent,
-        "contended run's firing sequence must be a member of ES_single: {:?}",
-        run.analysis.checker.structural_errors
-    );
-    eprintln!("\nobservability (contended, 4 workers):\n{obs}");
-    run.print_human();
-    let analysis = analysis_document(std::slice::from_ref(&run), 16);
-    (obs, analysis)
-}
-
-fn main() {
+fn main() -> ExitCode {
     dps_server::shutdown::install();
-    let args = ReportArgs::parse();
-    let (quick, json) = (args.quick(), args.json());
-    let (tasks, mut work_us, reps) = if quick { (64, 100, 1) } else { (192, 200, 3) };
-    // Override the simulated RHS cost (µs). `DPS_SCALING_WORK_US=0` makes
-    // the run lock-bound, isolating the lock-table + engine-state overhead
-    // that the sharding/splitting refactor targets.
-    if let Some(us) = std::env::var("DPS_SCALING_WORK_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        work_us = us;
-    }
-
-    eprintln!("Worker-count scalability sweep (RcRaWa / AbortReaders,");
-    eprintln!("simulated RHS cost {work_us} µs, best of {reps} rep(s), {tasks} tasks)");
-
-    let shards = dps_lock::DEFAULT_SHARDS;
-    let partitioned = run_sweep("partitioned", tasks, tasks, work_us, reps, shards);
-    print_sweep(
-        &format!("partitioned (resources = tasks = {tasks}; zero data conflict; {shards} lock shards)"),
-        &partitioned,
-    );
-
-    let single_shard = run_sweep("partitioned-1shard", tasks, tasks, work_us, reps, 1);
-    print_sweep(
-        "partitioned, 1 lock shard (the pre-sharding centralised table)",
-        &single_shard,
-    );
-
-    let contended = run_sweep("contended", tasks, 1, work_us, reps, shards);
-    print_sweep(
-        "contended (resources = 1; every RHS writes the same tally)",
-        &contended,
-    );
-
-    // match-heavy: zero data conflict but a large, long-lived conflict
-    // set, so the measured quantity is the sharded match pipeline (claim
-    // scans and Rete updates), not the lock table. No simulated RHS cost
-    // — the workload is match-bound by construction.
-    let (mh_groups, mh_pairs) = if quick { (16, 16) } else { (32, 32) };
-    let match_heavy = run_match_heavy_sweep(mh_groups, mh_pairs, reps);
-    print_sweep(
-        &format!(
-            "match-heavy (match_heavy({mh_groups}, {mh_pairs}); match-bound; {} match shards)",
-            dps_match::DEFAULT_MATCH_SHARDS
-        ),
-        &match_heavy,
-    );
-
-    // Observability overhead: 4-worker partitioned, observe OFF vs ON,
-    // best of `reps`. The OFF cost of the instrumentation (a branch on a
-    // `None`) is strictly below the ON cost measured here.
-    let best_of = |observe: bool| -> f64 {
-        (0..reps)
-            .map(|_| one_run("overhead", tasks, tasks, config(4, work_us, shards, observe)).1)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let off_secs = best_of(false);
-    let on_secs = best_of(true);
-    let overhead = on_secs / off_secs - 1.0;
-    eprintln!(
-        "\nobservability overhead (partitioned, 4 workers): off {:.1}ms, on {:.1}ms ({:+.2}%)",
-        off_secs * 1e3,
-        on_secs * 1e3,
-        overhead * 1e2
-    );
-
-    // Live-telemetry overhead: match_heavy at 8 workers, sampler OFF vs
-    // ON (default 10 ms tick), best of `tel_reps`. This A/B gets its own
-    // larger instance: a 5% band needs a run long enough (~100 ms, not
-    // ~20 ms) that sampler-thread spawn/join and timer granularity
-    // don't dominate the ratio — and long enough to collect a
-    // multi-tick timeline. The ON run's timeline is the
-    // `dps-timeline-v1` document embedded in the report below.
-    let (tel_groups, tel_pairs, tel_reps) = if quick {
-        (mh_groups, mh_pairs, 1)
-    } else {
-        (64, 64, reps.max(5))
-    };
-    // Interleaved OFF/ON reps (after one untimed warm-up) so both legs
-    // sample the same cache/frequency conditions — running all OFF
-    // then all ON hands the second leg a warmer machine and biases the
-    // ratio.
-    let _ = match_heavy_run(tel_groups, tel_pairs, 8, false);
-    let (mut tel_off_secs, mut tel_on_secs) = (f64::INFINITY, f64::INFINITY);
-    let mut timeline = None;
-    for _ in 0..tel_reps {
-        let (off, _, _) = match_heavy_run(tel_groups, tel_pairs, 8, false);
-        tel_off_secs = tel_off_secs.min(off);
-        let (on, _, d) = match_heavy_run(tel_groups, tel_pairs, 8, true);
-        if on < tel_on_secs {
-            tel_on_secs = on;
-            timeline = d;
-        }
-    }
-    let timeline = timeline.expect("telemetry-on run produced a timeline");
-    timeline
-        .validate()
-        .expect("sampled timeline must be internally consistent");
-    let tel_overhead = tel_on_secs / tel_off_secs - 1.0;
-    eprintln!(
-        "telemetry overhead (match_heavy, 8 workers): off {:.1}ms, on {:.1}ms ({:+.2}%), {} ticks",
-        tel_off_secs * 1e3,
-        tel_on_secs * 1e3,
-        tel_overhead * 1e2,
-        timeline.ticks
-    );
-
-    let (obs, analysis) = observed_contended(tasks, work_us);
-
-    {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("dps-scaling-report-v1")),
-            (
-                "config".into(),
-                Json::Obj(vec![
-                    ("tasks".into(), Json::u64(tasks as u64)),
-                    ("work_us".into(), Json::u64(work_us)),
-                    ("reps".into(), Json::u64(reps as u64)),
-                    ("lock_shards".into(), Json::u64(shards as u64)),
-                ]),
-            ),
-            (
-                "sweeps".into(),
-                Json::Obj(vec![
-                    ("partitioned".into(), sweep_json(&partitioned)),
-                    ("partitioned_1shard".into(), sweep_json(&single_shard)),
-                    ("contended".into(), sweep_json(&contended)),
-                    ("match_heavy".into(), sweep_json(&match_heavy)),
-                ]),
-            ),
-            (
-                "obs_overhead".into(),
-                Json::Obj(vec![
-                    ("off_secs".into(), Json::num(off_secs)),
-                    ("on_secs".into(), Json::num(on_secs)),
-                    ("ratio".into(), Json::num(on_secs / off_secs)),
-                ]),
-            ),
-            (
-                "telemetry_overhead".into(),
-                Json::Obj(vec![
-                    ("off_secs".into(), Json::num(tel_off_secs)),
-                    ("on_secs".into(), Json::num(tel_on_secs)),
-                    ("ratio".into(), Json::num(tel_on_secs / tel_off_secs)),
-                ]),
-            ),
-            ("observability".into(), obs.to_json()),
-            ("analysis".into(), analysis),
-            ("timeline".into(), timeline.to_json()),
-        ]);
-        if json {
-            println!("{}", doc.to_string_pretty());
-        } else {
-            // Headline latency lines for the human report.
-            for phase in [Phase::LockWait, Phase::Commit] {
-                if let Some(h) = obs.phase(phase) {
-                    eprintln!(
-                        "contended {}: p50 {} ns, p95 {} ns, p99 {} ns over {} samples",
-                        phase.name(),
-                        h.p50(),
-                        h.p95(),
-                        h.p99(),
-                        h.count
-                    );
-                }
-            }
-        }
-        args.write_bench_out(&doc);
-    }
-
-    // Gate 1: monotonic 1 → 4 improvement on the partitioned workload.
-    let rate = |s: &Sample| s.commits as f64 / s.secs;
-    let r1 = rate(&partitioned[0]);
-    let r2 = rate(&partitioned[1]);
-    let r4 = rate(&partitioned[2]);
-    eprintln!(
-        "\npartitioned speed-up: 1w → 2w: {:.2}x, 2w → 4w: {:.2}x",
-        r2 / r1,
-        r4 / r2
-    );
-    let mut failed = false;
-    if r1 < r2 && r2 < r4 {
-        eprintln!("PASS: throughput is monotonic over 1 → 2 → 4 workers");
-    } else {
-        eprintln!("WARN: non-monotonic scaling (noisy machine?) — rerun without --quick");
-        failed = true;
-    }
-    // Gate 2: observability must stay within its 5% budget.
-    if overhead < 0.05 {
-        eprintln!("PASS: observability overhead {:.2}% < 5%", overhead * 1e2);
-    } else {
-        eprintln!(
-            "WARN: observability overhead {:.2}% >= 5% (noisy machine?)",
-            overhead * 1e2
-        );
-        failed = true;
-    }
-    // Gate 3: the live-telemetry sampler must stay within the same 5%
-    // budget on the match-bound workload at full width.
-    if tel_overhead < 0.05 {
-        eprintln!("PASS: telemetry overhead {:.2}% < 5%", tel_overhead * 1e2);
-    } else {
-        eprintln!(
-            "WARN: telemetry overhead {:.2}% >= 5% (noisy machine?)",
-            tel_overhead * 1e2
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let args = ReportArgs::parse("scaling", &[Flag::Bare("--quick"), Flag::Bare("--json")]);
+    dps_bench::scaling::gate(&args).finish(&args)
 }

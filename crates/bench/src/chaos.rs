@@ -1,13 +1,13 @@
-//! Chaos-gate harness: fault-injected dynamic-engine runs that must
-//! still replay consistently.
+//! Chaos gate: fault-injected dynamic-engine runs that must still
+//! replay consistently.
 //!
 //! The gate's claim is the robustness version of Theorem 2: *under any
 //! seeded [`FaultPlan`]* — grant delays, spurious wakeups, forced
 //! aborts, mid-RHS stalls, timeout storms — every run that survives to
 //! quiescence still drains its whole workload and its commit sequence
 //! still replays through the single-thread oracle (`ES_M ⊆
-//! ES_single`). The harness runs the sweep (named plans × conflict
-//! policies × worker counts), plus:
+//! ES_single`). [`gate`] runs the sweep (named plans × conflict
+//! policies, MVCC snapshot reads included, × worker counts), plus:
 //!
 //! * a **falsifiability probe**: the same pipeline with
 //!   [`FaultPlan::corrupt_fire_seq`] set and an odd commit count must
@@ -16,30 +16,18 @@
 //!   actually fail;
 //! * a **governor A/B**: the doom-storm plan with the adaptive retry
 //!   governor off vs on, so the report carries the degradation story
-//!   (throughput, aborts, wasted work) for experiment XS.3.
-//!
-//! The `chaos` binary drives this module; `obs_check` shape-checks the
-//! emitted `dps-chaos-report-v1` document in CI.
+//!   (throughput, aborts, wasted work) for experiment XS.3, and the ON
+//!   leg's sampled timeline for XS.7.
 
-use std::time::Instant;
-
-use dps_core::semantics::validate_trace;
-use dps_core::{GovernorConfig, GovernorStats, ParallelConfig, ParallelEngine, WorkModel};
-use dps_lock::{ConflictPolicy, FaultPlan, FaultStats, Protocol};
-use dps_obs::analysis::{analyze, Verdict};
+use dps_core::{GovernorConfig, ParallelConfig, WorkModel};
+use dps_lock::{ConflictPolicy, FaultPlan, Protocol};
 use dps_obs::json::Json;
-use dps_obs::{validate_history, TelemetryConfig, TimelineDoc};
+use dps_obs::{TelemetryConfig, Verdict};
 
+use crate::analysis::{certified_run, counters, policy_name, Leg};
+use crate::harness::ReportArgs;
+use crate::report::{Op, Report};
 use crate::workloads;
-
-/// Stable name for a conflict policy (JSON key and CLI label).
-pub fn policy_name(p: ConflictPolicy) -> &'static str {
-    match p {
-        ConflictPolicy::AbortReaders => "abort_readers",
-        ConflictPolicy::Revalidate => "revalidate",
-        ConflictPolicy::MvccSnapshot => "mvcc_snapshot",
-    }
-}
 
 /// The policies the chaos sweep crosses with every fault plan: both
 /// lock-based commit rules plus the MVCC snapshot read path.
@@ -73,115 +61,15 @@ pub struct ChaosSpec {
     pub busy: bool,
     /// Adaptive retry governor (`None`: off).
     pub governor: Option<GovernorConfig>,
-    /// Attach the live-telemetry sampler (default tick) and carry its
-    /// `dps-timeline-v1` document in [`ChaosRun::timeline`].
+    /// Attach the live-telemetry sampler (default tick).
     pub telemetry: bool,
 }
 
-/// Outcome of one chaos run, everything the gate and the report need.
-#[derive(Clone, Debug)]
-pub struct ChaosRun {
-    /// The spec that produced it.
-    pub spec: ChaosSpec,
-    /// Committed transactions.
-    pub commits: usize,
-    /// Aborts, total.
-    pub aborts: u64,
-    /// Aborts with the injected cause (must equal forced-abort count).
-    pub injected_aborts: u64,
-    /// Condition-reader aborts (dooms + revalidation failures) — the
-    /// channel [`ConflictPolicy::MvccSnapshot`] eliminates.
-    pub reader_aborts: u64,
-    /// MVCC commit-time self-validation failures (zero outside
-    /// `mvcc_snapshot` runs).
-    pub snapshot_stale: u64,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// Wasted (aborted) simulated work, milliseconds.
-    pub wasted_ms: f64,
-    /// Injection counters.
-    pub faults: FaultStats,
-    /// Governor counters, when one was attached.
-    pub governor: Option<GovernorStats>,
-    /// Structural errors found by the §3 checker (count + samples).
-    pub structural_errors: Vec<String>,
-    /// Replay result label: "consistent" / "violation" / "not-run".
-    pub replay: &'static str,
-    /// SI/serializability polygraph verdict, when the history carried
-    /// snapshot events (`None` on lock-based runs — nothing to check).
-    pub si: Option<Verdict>,
-    /// Overall checker verdict.
-    pub verdict: Verdict,
-    /// `true` iff the run drained every task (liveness).
-    pub drained: bool,
-    /// Sampled timeline, when [`ChaosSpec::telemetry`] was set.
-    pub timeline: Option<TimelineDoc>,
-}
-
-impl ChaosRun {
-    /// The gate predicate for *surviving* (non-corrupted) runs.
-    pub fn passes(&self) -> bool {
-        self.drained && self.verdict == Verdict::Consistent && self.injected_aborts == self.faults.forced_aborts
-    }
-
-    /// Per-run JSON object for the `dps-chaos-report-v1` document.
-    pub fn to_json(&self) -> Json {
-        let gov = match &self.governor {
-            None => Json::Null,
-            Some(g) => Json::Obj(vec![
-                ("escalations".into(), Json::u64(g.escalations)),
-                ("serializations".into(), Json::u64(g.serializations)),
-                ("deescalations".into(), Json::u64(g.deescalations)),
-                ("backoffs".into(), Json::u64(g.backoffs)),
-            ]),
-        };
-        Json::Obj(vec![
-            ("plan".into(), Json::str(self.spec.plan)),
-            ("policy".into(), Json::str(policy_name(self.spec.policy))),
-            ("workers".into(), Json::u64(self.spec.workers as u64)),
-            ("commits".into(), Json::u64(self.commits as u64)),
-            (
-                "expected_commits".into(),
-                Json::u64(self.spec.tasks as u64),
-            ),
-            ("aborts".into(), Json::u64(self.aborts)),
-            ("injected_aborts".into(), Json::u64(self.injected_aborts)),
-            ("reader_aborts".into(), Json::u64(self.reader_aborts)),
-            ("snapshot_stale_aborts".into(), Json::u64(self.snapshot_stale)),
-            ("faults_injected".into(), Json::u64(self.faults.total())),
-            ("secs".into(), Json::num(self.secs)),
-            ("wasted_ms".into(), Json::num(self.wasted_ms)),
-            ("governor".into(), gov),
-            (
-                "checker".into(),
-                Json::Obj(vec![
-                    (
-                        "structural_errors".into(),
-                        Json::u64(self.structural_errors.len() as u64),
-                    ),
-                    ("replay".into(), Json::str(self.replay)),
-                    (
-                        "si".into(),
-                        match self.si {
-                            Some(v) => Json::str(v.name()),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("verdict".into(), Json::str(self.verdict.name())),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// Runs one chaos spec end-to-end: engine → history validation →
-/// checker recovery → trace cross-check → §3 replay. Never panics on
-/// an inconsistent outcome (the falsifiability probe *wants* one); the
-/// verdict is returned for the gate to judge.
-pub fn chaos_run(spec: ChaosSpec) -> ChaosRun {
+/// Runs one chaos spec as a certified leg keyed `plan/policy/wN`, with
+/// the injection and governor counters attached.
+pub fn chaos_run(spec: ChaosSpec) -> Leg {
     let (rules, wm) = workloads::shared_resources(spec.tasks, spec.resources);
-    let initial = wm.clone();
-    let mut engine = ParallelEngine::new(
+    let leg = certified_run(
         &rules,
         wm,
         ParallelConfig {
@@ -194,75 +82,40 @@ pub fn chaos_run(spec: ChaosSpec) -> ChaosRun {
                 WorkModel::FixedMicros(spec.work_us)
             },
             observe: true,
-            fault: Some(spec.fault.clone()),
-            governor: spec.governor.clone(),
+            fault: Some(spec.fault),
+            governor: spec.governor,
             telemetry: spec.telemetry.then(TelemetryConfig::default),
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },
+    )
+    .named(
+        format!(
+            "{}/{}/w{}",
+            spec.plan,
+            policy_name(spec.policy),
+            spec.workers
+        ),
+        spec.tasks,
     );
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
+    let faults = leg.report.fault_stats.unwrap_or_default();
+    let governor = leg.report.governor.map_or(Json::Null, |g| {
+        counters(&[
+            ("escalations", g.escalations),
+            ("serializations", g.serializations),
+            ("deescalations", g.deescalations),
+            ("backoffs", g.backoffs),
+        ])
+    });
+    leg.with("faults_injected", Json::u64(faults.total()))
+        .with("forced_aborts", Json::u64(faults.forced_aborts))
+        .with("governor", governor)
+}
 
-    let rec = engine.observer().expect("observe: true attaches a recorder");
-    let history = rec.history();
-    let mut structural_errors: Vec<String> = Vec::new();
-    if let Err(e) = validate_history(&history) {
-        structural_errors.push(format!("history: {e}"));
-    }
-    let mut analysis = analyze(&history);
-
-    // Cross-check the recovered rule sequence against the engine trace.
-    let rule_names = rec.rule_names();
-    let recovered: Vec<&str> = analysis
-        .checker
-        .rule_sequence()
-        .iter()
-        .map(|&id| rule_names.get(id as usize).map(String::as_str).unwrap_or("?"))
-        .collect();
-    if recovered != report.trace.names() {
-        analysis.checker.structural_errors.push(format!(
-            "recovered rule sequence ({} firings) disagrees with the engine trace ({})",
-            recovered.len(),
-            report.trace.names().len()
-        ));
-    }
-
-    // §3 replay of the engine's own trace.
-    analysis.set_replay_result(
-        validate_trace(&rules, &initial, &report.trace).map_err(|v| v.to_string()),
-    );
-    structural_errors.extend(analysis.checker.structural_errors.iter().cloned());
-    let replay = match &analysis.checker.replay_result {
-        None => "not-run",
-        Some(Ok(())) => "consistent",
-        Some(Err(_)) => "violation",
-    };
-    let verdict = if structural_errors.is_empty() && analysis.verdict() == Verdict::Consistent {
-        Verdict::Consistent
-    } else {
-        Verdict::Inconsistent
-    };
-
-    ChaosRun {
-        commits: report.commits,
-        aborts: report.aborts.total(),
-        injected_aborts: report.aborts.injected,
-        reader_aborts: report.aborts.reader_aborts(),
-        snapshot_stale: report.aborts.snapshot_stale,
-        si: analysis.si.as_ref().map(|s| s.verdict()),
-        secs,
-        wasted_ms: report.wasted_work.as_secs_f64() * 1e3,
-        faults: report.fault_stats.unwrap_or_default(),
-        governor: report.governor,
-        structural_errors,
-        replay,
-        verdict,
-        drained: report.commits == spec.tasks,
-        timeline: engine.telemetry().map(|t| t.doc()),
-        spec,
-    }
+/// Every forced abort the injector drew surfaced as an `injected`
+/// abort — never masquerading as an organic cause, never lost.
+pub fn injection_accounted(leg: &Leg) -> bool {
+    leg.report.aborts.injected == leg.report.fault_stats.unwrap_or_default().forced_aborts
 }
 
 /// The governor configuration the chaos sweep runs with: aggressive
@@ -281,88 +134,150 @@ pub fn sweep_governor(seed: u64) -> GovernorConfig {
     }
 }
 
-/// A/B measurement for XS.3: the doom-storm plan, governor off vs on.
-#[derive(Clone, Debug)]
-pub struct GovernorComparison {
-    /// Governor-off run.
-    pub off: ChaosRun,
-    /// Governor-on run.
-    pub on: ChaosRun,
-}
+/// The chaos gate (flags: `--quick --json --workers N --seed S`).
+pub fn gate(args: &ReportArgs) -> Report {
+    let quick = args.quick();
+    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
+    let seed = args.flag_u64("--seed").unwrap_or(0xD1CE_2026);
+    let worker_counts: Vec<usize> = if quick {
+        vec![workers]
+    } else {
+        vec![2, workers]
+    };
+    let (tasks, resources, work_us) = if quick { (24, 3, 100) } else { (48, 4, 150) };
+    eprintln!(
+        "chaos gate: {} plans x {} policies x {:?} workers, {tasks} tasks over \
+         {resources} tallies, {work_us}us RHS, seed {seed:#x}",
+        FaultPlan::NAMED.len(),
+        SWEEP_POLICIES.len(),
+        worker_counts
+    );
+    let mut report = Report::new(
+        "chaos",
+        vec![
+            ("seed", Json::u64(seed)),
+            ("workers", Json::u64(workers as u64)),
+            ("tasks", Json::u64(tasks as u64)),
+            ("resources", Json::u64(resources as u64)),
+            ("work_us", Json::u64(work_us)),
+        ],
+    );
 
-impl GovernorComparison {
-    /// JSON block for the report.
-    pub fn to_json(&self) -> Json {
-        let leg = |r: &ChaosRun| {
-            Json::Obj(vec![
-                ("secs".into(), Json::num(r.secs)),
-                (
-                    "throughput".into(),
-                    Json::num(r.commits as f64 / r.secs.max(1e-9)),
-                ),
-                ("commits".into(), Json::u64(r.commits as u64)),
-                ("aborts".into(), Json::u64(r.aborts)),
-                ("wasted_ms".into(), Json::num(r.wasted_ms)),
-            ])
-        };
-        Json::Obj(vec![
-            ("plan".into(), Json::str(self.off.spec.plan)),
-            ("workers".into(), Json::u64(self.off.spec.workers as u64)),
-            ("off".into(), leg(&self.off)),
-            ("on".into(), leg(&self.on)),
-        ])
+    // ---- the sweep ----
+    let (mut unaccounted, mut mvcc_reader_aborts) = (0u64, 0u64);
+    let mut survivor = |report: &mut Report, leg: Leg| {
+        unaccounted += u64::from(!injection_accounted(&leg));
+        report.leg(&leg);
+        leg
+    };
+    for (plan, ctor) in FaultPlan::NAMED {
+        for policy in SWEEP_POLICIES {
+            for &w in &worker_counts {
+                let leg = survivor(
+                    &mut report,
+                    chaos_run(ChaosSpec {
+                        plan,
+                        fault: ctor(seed),
+                        policy,
+                        workers: w,
+                        tasks,
+                        resources,
+                        work_us,
+                        busy: false,
+                        governor: Some(sweep_governor(seed)),
+                        telemetry: false,
+                    }),
+                );
+                if policy == ConflictPolicy::MvccSnapshot {
+                    mvcc_reader_aborts += leg.report.aborts.reader_aborts();
+                }
+            }
+        }
     }
-}
 
-/// Assembles the `dps-chaos-report-v1` document.
-pub fn chaos_document(
-    seed: u64,
-    runs: &[ChaosRun],
-    falsifiability: &ChaosRun,
-    comparison: &GovernorComparison,
-) -> Json {
-    let all_pass = runs.iter().all(ChaosRun::passes);
-    let rejected = falsifiability.verdict == Verdict::Inconsistent;
-    Json::Obj(vec![
-        ("schema".into(), Json::str("dps-chaos-report-v1")),
-        ("seed".into(), Json::u64(seed)),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(ChaosRun::to_json).collect()),
-        ),
-        (
-            "falsifiability".into(),
-            Json::Obj(vec![
-                ("rejected".into(), Json::Bool(rejected)),
-                (
-                    "structural_errors".into(),
-                    Json::u64(falsifiability.structural_errors.len() as u64),
-                ),
-                (
-                    "verdict".into(),
-                    Json::str(falsifiability.verdict.name()),
-                ),
-            ]),
-        ),
-        ("governor_comparison".into(), comparison.to_json()),
-        // The governor-ON doom-storm leg's sampled series: the
-        // annotated escalation/serialization timeline behind
-        // EXPERIMENTS.md §XS.7.
-        (
-            "timeline".into(),
-            comparison
-                .on
-                .timeline
-                .as_ref()
-                .map_or(Json::Null, TimelineDoc::to_json),
-        ),
-        (
-            "verdict".into(),
-            Json::str(if all_pass && rejected {
-                "consistent"
-            } else {
-                "inconsistent"
-            }),
-        ),
-    ])
+    // ---- falsifiability probe ----
+    // Odd task count: flipping the low bit of the last recovered slot
+    // always breaks 0..n contiguity, so rejection is guaranteed, not
+    // probabilistic.
+    let corrupted = chaos_run(ChaosSpec {
+        plan: "corrupted",
+        fault: FaultPlan {
+            corrupt_fire_seq: true,
+            ..FaultPlan::quiet(seed)
+        },
+        policy: ConflictPolicy::AbortReaders,
+        workers: workers.min(4),
+        tasks: tasks | 1,
+        resources,
+        work_us: 0,
+        busy: false,
+        governor: None,
+        telemetry: false,
+    });
+    eprintln!("  {}", corrupted.line());
+    report.probe(
+        "corrupted_commit_sequence",
+        true,
+        corrupted.verdict() == Verdict::Inconsistent,
+    );
+    report.gate(
+        "corrupted.structural_errors",
+        corrupted.errors.len() as f64,
+        Op::Gt,
+        0.0,
+    );
+
+    // ---- governor A/B on the doom storm (XS.3) ----
+    // The governor's target regime is §5's bad corner: a *hot spot*
+    // (every task charges one tally) with an *expensive* RHS, under a
+    // forced-abort storm — each doom throws away the full RHS cost, so
+    // wasted work dominates and backing off / escalating pays. (The
+    // sweep above covers the cheap-RHS regime, where the governor is
+    // expected to stay roughly neutral.) The RHS must be expensive
+    // relative to the engine's fixed per-commit overhead (matcher
+    // re-derivation, condvar handoff): the governor trades parallel
+    // redundancy for serial certainty, which only pays when each
+    // thrown-away attempt burns real processor time.
+    let ab_work_us = if quick { 800 } else { 2_500 };
+    // Hot-spot tuning: small backoff (the hot spot is already
+    // throughput-bound, long sleeps only add latency), a tight
+    // starvation bound so the serial fallback engages within a few
+    // doomed retries, and a long cooldown so it sticks for the rest of
+    // the storm.
+    let ab_governor = GovernorConfig {
+        backoff_base_us: 10,
+        backoff_cap_us: 150,
+        storm_window: 8,
+        storm_threshold_pm: 300,
+        escalate_after: 2,
+        starvation_bound: 2,
+        cooldown_commits: 64,
+        seed,
+    };
+    // The governor-ON leg carries the live-telemetry sampler: its
+    // timeline (escalations, serial-fallback occupancy, backoff level
+    // against the commit/abort rates) is the report's.
+    let mut ab = |key: &str, governor: Option<GovernorConfig>| {
+        let mut leg = chaos_run(ChaosSpec {
+            plan: "doom_storm",
+            fault: FaultPlan::doom_storm(seed),
+            policy: ConflictPolicy::AbortReaders,
+            workers,
+            tasks,
+            resources: 1,
+            work_us: ab_work_us,
+            busy: true,
+            telemetry: governor.is_some(),
+            governor,
+        });
+        leg.key = key.into();
+        survivor(&mut report, leg)
+    };
+    ab("governor_ab/off", None);
+    let on = ab("governor_ab/on", Some(ab_governor));
+    report.timeline_of(&on);
+
+    report.equal("legs_with_unaccounted_injected_aborts", unaccounted, 0);
+    report.equal("mvcc_snapshot.reader_aborts", mvcc_reader_aborts, 0);
+    report
 }

@@ -30,18 +30,19 @@
 //! firings of the non-commutative pair must be rejected, while swapping
 //! two adjacent firings of commutative rules on disjoint tuples must be
 //! accepted — the oracle distinguishes real reordering freedom from
-//! fake. The `commute` binary drives this module and emits the
-//! `dps-commute-report-v1` document `obs_check` shape-checks in CI.
-
-use std::time::Instant;
+//! fake. [`gate`] runs both legs and the probes and declares the gates.
 
 use dps_core::semantics::validate_trace;
-use dps_core::{AbortStats, ParallelConfig, ParallelEngine, WorkModel};
+use dps_core::{ParallelConfig, WorkModel};
 use dps_lock::Protocol;
-use dps_obs::analysis::{analyze, ResourceContention, Verdict};
 use dps_obs::json::Json;
-use dps_obs::{validate_history, TelemetryConfig, TimelineDoc};
+use dps_obs::TelemetryConfig;
+use dps_rules::RuleSet;
+use dps_wm::WorkingMemory;
 
+use crate::analysis::{certified_run, counters, Leg};
+use crate::harness::{Flag, ReportArgs};
+use crate::report::{Op, Report};
 use crate::workloads;
 
 /// Shape of the A/B measurement (both legs share it).
@@ -78,128 +79,24 @@ impl CommuteSpec {
     }
 }
 
-/// One leg of the A/B: everything the gate and the report need.
-#[derive(Clone, Debug)]
-pub struct CommuteLeg {
-    /// Whether this leg ran with lock elision.
-    pub elide: bool,
-    /// Committed transactions.
-    pub commits: usize,
-    /// Expected commits (drain target).
-    pub expected: usize,
-    /// Full abort breakdown.
-    pub aborts: AbortStats,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// Lock grants (must be 0 on the elided leg).
-    pub lock_grants: u64,
-    /// Lock blocks (must be 0 on the elided leg).
-    pub lock_blocks: u64,
-    /// Acquisitions skipped by the fast path (0 on the locking leg).
-    pub lock_elided: u64,
-    /// `ElidedCommit` receipts in the history.
-    pub elided_commits: u64,
-    /// Per-resource contention table, blocked-ns descending.
-    pub contention: Vec<ResourceContention>,
-    /// Structural errors from history validation + analysis.
-    pub structural_errors: Vec<String>,
-    /// §3 replay result label: "consistent" / "violation" / "not-run".
-    pub replay: &'static str,
-    /// Folded verdict: structural + replay.
-    pub verdict: Verdict,
-    /// Live-telemetry timeline (`lock.elided` vs `lock.grants` series
-    /// are the A/B's visual evidence).
-    pub timeline: Option<TimelineDoc>,
+/// `ElidedCommit` receipts in an observed leg's history.
+pub fn elided_commits(leg: &Leg) -> u64 {
+    leg.obs.as_ref().map_or(0, |o| o.elided_commits)
 }
 
-impl CommuteLeg {
-    /// `true` iff the leg drained and every checker accepted it.
-    pub fn passes(&self) -> bool {
-        self.commits == self.expected && self.verdict == Verdict::Consistent
-    }
-
-    /// Commits per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs.max(1e-9)
-    }
-
-    /// Total nanoseconds spent queued on locks, summed over resources.
-    pub fn blocked_ns(&self) -> u64 {
-        self.contention.iter().map(|r| r.blocked_ns).sum()
-    }
-
-    /// JSON block for the report.
-    pub fn to_json(&self) -> Json {
-        let contention = Json::Arr(
-            self.contention
-                .iter()
-                .take(8)
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("resource".into(), Json::u64(r.resource)),
-                        ("blocks".into(), Json::u64(r.blocks)),
-                        ("blocked_ns".into(), Json::u64(r.blocked_ns)),
-                        ("dooms_caused".into(), Json::u64(r.dooms_caused)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            (
-                "mode".into(),
-                Json::str(if self.elide { "elided" } else { "locked" }),
-            ),
-            ("commits".into(), Json::u64(self.commits as u64)),
-            ("expected_commits".into(), Json::u64(self.expected as u64)),
-            ("throughput".into(), Json::num(self.throughput())),
-            ("secs".into(), Json::num(self.secs)),
-            (
-                "aborts".into(),
-                Json::Obj(vec![
-                    ("doomed".into(), Json::u64(self.aborts.doomed)),
-                    ("deadlock".into(), Json::u64(self.aborts.deadlock)),
-                    ("stale".into(), Json::u64(self.aborts.stale)),
-                    ("revalidation".into(), Json::u64(self.aborts.revalidation)),
-                    ("eval_error".into(), Json::u64(self.aborts.eval_error)),
-                    ("timeout".into(), Json::u64(self.aborts.timeout)),
-                    ("injected".into(), Json::u64(self.aborts.injected)),
-                    (
-                        "snapshot_stale".into(),
-                        Json::u64(self.aborts.snapshot_stale),
-                    ),
-                    ("elision_stale".into(), Json::u64(self.aborts.elision_stale)),
-                    ("total".into(), Json::u64(self.aborts.total())),
-                ]),
-            ),
-            ("lock_grants".into(), Json::u64(self.lock_grants)),
-            ("lock_blocks".into(), Json::u64(self.lock_blocks)),
-            ("lock_elided".into(), Json::u64(self.lock_elided)),
-            ("elided_commits".into(), Json::u64(self.elided_commits)),
-            ("blocked_ns".into(), Json::u64(self.blocked_ns())),
-            ("contention".into(), contention),
-            (
-                "checker".into(),
-                Json::Obj(vec![
-                    (
-                        "structural_errors".into(),
-                        Json::u64(self.structural_errors.len() as u64),
-                    ),
-                    ("replay".into(), Json::str(self.replay)),
-                    ("verdict".into(), Json::str(self.verdict.name())),
-                ]),
-            ),
-        ])
-    }
+/// Total nanoseconds an observed leg spent queued on locks, summed
+/// over the contention table.
+pub fn blocked_ns(leg: &Leg) -> u64 {
+    leg.analysis.as_ref().map_or(0, |a| a.contention.iter().map(|r| r.blocked_ns).sum())
 }
 
-/// Runs one leg end-to-end: engine → history validation → §3 replay →
-/// contention attribution. Mirrors [`crate::mvcc::mvcc_leg`] but the
-/// measured axis is lock traffic, not read-path aborts.
-pub fn commute_leg(spec: &CommuteSpec, elide: bool) -> CommuteLeg {
+/// Runs one leg of the A/B, keyed `locked` or `elided`: the measured
+/// axis is lock traffic, so the leg carries its receipts, blocked time
+/// and the top of its contention table.
+pub fn commute_leg(spec: &CommuteSpec, elide: bool) -> Leg {
     let (rules, wm) =
         workloads::commute_stream(spec.counters, spec.c_steps, spec.makers, spec.m_steps);
-    let initial = wm.clone();
-    let mut engine = ParallelEngine::new(
+    let leg = certified_run(
         &rules,
         wm,
         ParallelConfig {
@@ -213,49 +110,26 @@ pub fn commute_leg(spec: &CommuteSpec, elide: bool) -> CommuteLeg {
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },
+    )
+    .named(if elide { "elided" } else { "locked" }, spec.expected_commits());
+    let contention = Json::Arr(
+        leg.analysis
+            .iter()
+            .flat_map(|a| a.contention.iter().take(8))
+            .map(|r| {
+                counters(&[
+                    ("resource", r.resource),
+                    ("blocks", r.blocks),
+                    ("blocked_ns", r.blocked_ns),
+                    ("dooms_caused", r.dooms_caused),
+                ])
+            })
+            .collect(),
     );
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
-
-    let rec = engine.observer().expect("observe: true attaches a recorder");
-    let history = rec.history();
-    let mut structural_errors: Vec<String> = Vec::new();
-    if let Err(e) = validate_history(&history) {
-        structural_errors.push(format!("history: {e}"));
-    }
-    let mut analysis = analyze(&history);
-    analysis.set_replay_result(
-        validate_trace(&rules, &initial, &report.trace).map_err(|v| v.to_string()),
-    );
-    structural_errors.extend(analysis.checker.structural_errors.iter().cloned());
-    let replay = match &analysis.checker.replay_result {
-        None => "not-run",
-        Some(Ok(())) => "consistent",
-        Some(Err(_)) => "violation",
-    };
-    let verdict = if structural_errors.is_empty() && analysis.verdict() == Verdict::Consistent {
-        Verdict::Consistent
-    } else {
-        Verdict::Inconsistent
-    };
-
-    CommuteLeg {
-        elide,
-        commits: report.commits,
-        expected: spec.expected_commits(),
-        aborts: report.aborts,
-        secs,
-        lock_grants: report.lock_stats.grants,
-        lock_blocks: report.lock_stats.blocks,
-        lock_elided: report.lock_stats.elided,
-        elided_commits: rec.report().elided_commits,
-        contention: analysis.contention.clone(),
-        structural_errors,
-        replay,
-        verdict,
-        timeline: engine.telemetry().map(|t| t.doc()),
-    }
+    let (receipts, blocked) = (elided_commits(&leg), blocked_ns(&leg));
+    leg.with("elided_commits", Json::u64(receipts))
+        .with("blocked_ns", Json::u64(blocked))
+        .with("contention", contention)
 }
 
 /// Falsifiability probe 1: the **misclassified pair**. The
@@ -269,23 +143,17 @@ pub fn commute_leg(spec: &CommuteSpec, elide: bool) -> CommuteLeg {
 /// here — which is exactly the corruption the oracle exists to catch.
 pub fn probe_misclassification(workers: usize, work_us: u64) -> bool {
     let (rules, wm) = workloads::misclassified_pair(1, 64);
-    let initial = wm.clone();
-    let mut engine = ParallelEngine::new(
-        &rules,
-        wm,
-        ParallelConfig {
-            protocol: Protocol::RcRaWa,
-            workers,
-            work: WorkModel::BusyMicros(work_us),
-            max_commits: 512,
-            elide_locks: true,
-            elide_misclassify: true,
-            stop: dps_server::shutdown::installed(),
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    validate_trace(&rules, &initial, &report.trace).is_err()
+    let config = ParallelConfig {
+        protocol: Protocol::RcRaWa,
+        workers,
+        work: WorkModel::BusyMicros(work_us),
+        max_commits: 512,
+        elide_locks: true,
+        elide_misclassify: true,
+        stop: dps_server::shutdown::installed(),
+        ..Default::default()
+    };
+    certified_run(&rules, wm, config).replay.is_err()
 }
 
 /// Falsifiability probe 2, trace level: swapped delta order. Returns
@@ -298,164 +166,100 @@ pub fn probe_misclassification(workers: usize, work_us: u64) -> bool {
 ///   its two firings swapped, must be *accepted* — both instantiations
 ///   exist in the initial conflict set, so either order replays.
 pub fn probe_swapped_order() -> (bool, bool) {
-    let noncommutative_rejected = {
-        let (rules, wm) = workloads::misclassified_pair(1, 2);
-        let initial = wm.clone();
-        let mut engine = ParallelEngine::new(
-            &rules,
-            wm,
-            ParallelConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let mut report = engine.run();
-        assert!(report.trace.firings.len() >= 2, "serial run fires at least twice");
-        validate_trace(&rules, &initial, &report.trace).expect("unswapped trace replays");
-        report.trace.firings.swap(0, 1);
-        validate_trace(&rules, &initial, &report.trace).is_err()
+    let swapped_replay = |rules: &RuleSet, wm: WorkingMemory| {
+        let serial = ParallelConfig { workers: 1, ..Default::default() };
+        let leg = certified_run(rules, wm.clone(), serial);
+        assert!(leg.replay.is_ok(), "unswapped serial trace replays");
+        let mut trace = leg.report.trace;
+        assert!(trace.firings.len() >= 2, "serial run fires at least twice");
+        trace.firings.swap(0, 1);
+        validate_trace(rules, &wm, &trace)
     };
-    let commutative_accepted = {
-        let (rules, wm) = workloads::counters(2, 1);
-        let initial = wm.clone();
-        let mut engine = ParallelEngine::new(
-            &rules,
-            wm,
-            ParallelConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let mut report = engine.run();
-        assert_eq!(report.trace.firings.len(), 2);
-        report.trace.firings.swap(0, 1);
-        validate_trace(&rules, &initial, &report.trace).is_ok()
-    };
+    let (rules, wm) = workloads::misclassified_pair(1, 2);
+    let noncommutative_rejected = swapped_replay(&rules, wm).is_err();
+    let (rules, wm) = workloads::counters(2, 1);
+    let commutative_accepted = swapped_replay(&rules, wm).is_ok();
     (noncommutative_rejected, commutative_accepted)
 }
 
-/// Gate booleans, computed once and shared by the document and the
-/// binary's exit code.
-#[derive(Clone, Copy, Debug)]
-pub struct CommuteGates {
-    /// Elided-leg throughput / locked-leg throughput.
-    pub speedup: f64,
-    /// `speedup >= 1.5` (the ISSUE's A/B bar at 8 workers).
-    pub speedup_ok: bool,
-    /// Elided leg acquired zero locks: no grants, no blocks, every
-    /// skip booked, every commit receipted.
-    pub zero_lock_traffic: bool,
-    /// Elided leg's contention table carries ~zero blocked-ns.
-    pub blocked_ns_zero: bool,
-    /// Both legs drained and replayed through the §3 oracle.
-    pub oracle: bool,
-    /// The forced-misclassification run was rejected by the oracle.
-    pub misclassification_rejected: bool,
-    /// Swapped non-commutative order rejected, commutative accepted.
-    pub swap_probes: bool,
-}
+/// Flags of the `commute` binary.
+pub const FLAGS: &[Flag] = &[
+    Flag::Bare("--quick"),
+    Flag::Bare("--json"),
+    Flag::Int("--workers"),
+    Flag::Int("--seed"),
+    Flag::Int("--work-us"),
+];
 
-impl CommuteGates {
-    /// Evaluates the gates over the two legs and the probes.
-    pub fn evaluate(
-        locked: &CommuteLeg,
-        elided: &CommuteLeg,
-        misclassification_rejected: bool,
-        swap: (bool, bool),
-    ) -> Self {
-        let speedup = elided.throughput() / locked.throughput().max(1e-9);
-        CommuteGates {
-            speedup,
-            speedup_ok: speedup >= 1.5,
-            zero_lock_traffic: elided.lock_grants == 0
-                && elided.lock_blocks == 0
-                && elided.lock_elided > 0
-                && elided.elided_commits == elided.commits as u64,
-            blocked_ns_zero: elided.blocked_ns() == 0,
-            oracle: locked.passes() && elided.passes(),
-            misclassification_rejected,
-            swap_probes: swap.0 && swap.1,
-        }
-    }
+/// The coordination-avoidance gate (flags: [`FLAGS`]):
+///
+/// * elided-leg throughput ≥ **1.5×** the locking leg;
+/// * the elided leg acquires **zero** locks (no grants, no blocks,
+///   every skip booked, every commit receipted) and its contention
+///   table shows **zero blocked-ns**; the locking leg really locks;
+/// * both legs drain and replay through the §3 oracle;
+/// * both falsifiability probes hold.
+pub fn gate(args: &ReportArgs) -> Report {
+    let quick = args.quick();
+    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
+    let seed = args.flag_u64("--seed").unwrap_or(0xC0_2026);
+    // Full-size RHS cost is deliberately small: counter-increment
+    // firings are cheap, which is precisely when per-firing lock
+    // overhead dominates and coordination avoidance pays. Larger
+    // --work-us shrinks the measured gap (the RHS amortises the
+    // locks), it does not break correctness.
+    let (counters, c_steps, makers, m_steps, default_work) =
+        if quick { (8, 8, 4, 8, 200) } else { (16, 16, 8, 16, 50) };
+    let work_us = args.flag_u64("--work-us").unwrap_or(default_work);
+    let spec =
+        CommuteSpec { seed, workers, match_shards: 8, counters, c_steps, makers, m_steps, work_us };
+    eprintln!(
+        "commute gate: commute_stream({counters}x{c_steps}, {makers}x{m_steps}), \
+         {workers} workers, {work_us}us busy RHS"
+    );
+    let mut report = Report::new(
+        "commute",
+        vec![
+            ("seed", Json::u64(seed)),
+            ("workload", Json::str("commute_stream")),
+            ("counters", Json::u64(counters as u64)),
+            ("counter_steps", Json::u64(c_steps as u64)),
+            ("makers", Json::u64(makers as u64)),
+            ("maker_steps", Json::u64(m_steps as u64)),
+            ("work_us", Json::u64(work_us)),
+            ("workers", Json::u64(workers as u64)),
+            ("match_shards", Json::u64(spec.match_shards as u64)),
+        ],
+    );
+    let locked = commute_leg(&spec, false);
+    report.leg(&locked);
+    let elided = commute_leg(&spec, true);
+    report.leg(&elided);
+    // The elided leg's sampled series: `lock.elided` climbing while
+    // `lock.grants` stays flat is the timeline's A/B evidence.
+    report.timeline_of(&elided);
 
-    /// All gates green.
-    pub fn all(&self) -> bool {
-        self.speedup_ok
-            && self.zero_lock_traffic
-            && self.blocked_ns_zero
-            && self.oracle
-            && self.misclassification_rejected
-            && self.swap_probes
-    }
-}
+    let misclassified = probe_misclassification(workers, if quick { 150 } else { 300 });
+    report.probe("forced_misclassification", true, misclassified);
+    let (noncommutative_rejected, commutative_accepted) = probe_swapped_order();
+    report.probe("swapped_noncommutative_order", true, noncommutative_rejected);
+    report.probe("swapped_commutative_order", false, !commutative_accepted);
 
-/// Assembles the `dps-commute-report-v1` document.
-pub fn commute_document(
-    spec: &CommuteSpec,
-    locked: &CommuteLeg,
-    elided: &CommuteLeg,
-    gates: &CommuteGates,
-) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::str("dps-commute-report-v1")),
-        ("seed".into(), Json::u64(spec.seed)),
-        (
-            "workload".into(),
-            Json::Obj(vec![
-                ("name".into(), Json::str("commute_stream")),
-                ("counters".into(), Json::u64(spec.counters as u64)),
-                ("counter_steps".into(), Json::u64(spec.c_steps as u64)),
-                ("makers".into(), Json::u64(spec.makers as u64)),
-                ("maker_steps".into(), Json::u64(spec.m_steps as u64)),
-                ("work_us".into(), Json::u64(spec.work_us)),
-                ("workers".into(), Json::u64(spec.workers as u64)),
-                ("match_shards".into(), Json::u64(spec.match_shards as u64)),
-            ]),
-        ),
-        ("locked".into(), locked.to_json()),
-        ("elided".into(), elided.to_json()),
-        // The elided leg's sampled series: `lock.elided` climbing while
-        // `lock.grants` stays flat is the timeline's A/B evidence.
-        (
-            "timeline".into(),
-            elided
-                .timeline
-                .as_ref()
-                .map_or(Json::Null, TimelineDoc::to_json),
-        ),
-        (
-            "probes".into(),
-            Json::Obj(vec![
-                (
-                    "misclassification_rejected".into(),
-                    Json::Bool(gates.misclassification_rejected),
-                ),
-                ("swap_probes_hold".into(), Json::Bool(gates.swap_probes)),
-            ]),
-        ),
-        (
-            "gates".into(),
-            Json::Obj(vec![
-                ("speedup".into(), Json::num(gates.speedup)),
-                ("speedup_ok".into(), Json::Bool(gates.speedup_ok)),
-                (
-                    "zero_lock_traffic".into(),
-                    Json::Bool(gates.zero_lock_traffic),
-                ),
-                ("blocked_ns_zero".into(), Json::Bool(gates.blocked_ns_zero)),
-                ("oracle".into(), Json::Bool(gates.oracle)),
-                (
-                    "misclassification_rejected".into(),
-                    Json::Bool(gates.misclassification_rejected),
-                ),
-                ("swap_probes".into(), Json::Bool(gates.swap_probes)),
-            ]),
-        ),
-        (
-            "verdict".into(),
-            Json::str(if gates.all() { "consistent" } else { "inconsistent" }),
-        ),
-    ])
+    let (l, e) = (&locked.report.lock_stats, &elided.report.lock_stats);
+    report.gate(
+        "speedup",
+        elided.throughput() / locked.throughput().max(1e-9),
+        Op::Ge,
+        1.5,
+    );
+    report.equal("elided.lock_grants", e.grants, 0);
+    report.equal("elided.lock_blocks", e.blocks, 0);
+    report.gate("elided.lock_elided", e.elided as f64, Op::Gt, 0.0);
+    report.equal("elided.receipts_match_commits", elided_commits(&elided), elided.report.commits as u64);
+    report.equal("elided.blocked_ns", blocked_ns(&elided), 0);
+    report.gate("locked.lock_grants", l.grants as f64, Op::Gt, 0.0);
+    report.equal("locked.lock_elided", l.elided, 0);
+    report
 }
 
 #[cfg(test)]
@@ -495,15 +299,21 @@ mod tests {
         };
         let locked = commute_leg(&spec, false);
         let elided = commute_leg(&spec, true);
-        let gates = CommuteGates::evaluate(&locked, &elided, true, (true, true));
-        assert!(gates.oracle, "both legs drain + replay");
+        assert!(locked.passes() && elided.passes(), "both legs drain + replay");
+        let (l, e) = (&locked.report.lock_stats, &elided.report.lock_stats);
         assert!(
-            gates.zero_lock_traffic,
+            e.grants == 0
+                && e.blocks == 0
+                && e.elided > 0
+                && elided_commits(&elided) == elided.report.commits as u64,
             "grants {} blocks {} elided {} receipts {}",
-            elided.lock_grants, elided.lock_blocks, elided.lock_elided, elided.elided_commits
+            e.grants,
+            e.blocks,
+            e.elided,
+            elided_commits(&elided)
         );
-        assert!(gates.blocked_ns_zero, "blocked {}ns", elided.blocked_ns());
-        assert!(locked.lock_grants > 0, "locking leg actually locks");
-        assert_eq!(locked.lock_elided, 0, "locking leg never skips");
+        assert_eq!(blocked_ns(&elided), 0);
+        assert!(l.grants > 0, "locking leg actually locks");
+        assert_eq!(l.elided, 0, "locking leg never skips");
     }
 }

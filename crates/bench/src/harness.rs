@@ -194,64 +194,110 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Shared CLI plumbing for the gate binaries (`scaling`, `matchbench`,
-/// `chaos`, `mvcc`, `recovery`): every one of them speaks
-/// `[--quick] [--json] [--bench-out PATH]` plus a few `--name VALUE`
-/// integer flags. Each bin used to hand-roll this scan; they now all
-/// parse through here, so a new flag (or a parsing fix) lands in one
-/// place.
+/// What one command-line flag takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--name`, no value.
+    Bare(&'static str),
+    /// `--name N`, a whole number.
+    Int(&'static str),
+    /// `--name VALUE`, any text.
+    Text(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Bare(n) | Flag::Int(n) | Flag::Text(n) => n,
+        }
+    }
+}
+
+/// The flag set of most gate binaries; a bin with a different surface
+/// declares its own slice.
+pub const GATE_FLAGS: &[Flag] = &[
+    Flag::Bare("--quick"),
+    Flag::Bare("--json"),
+    Flag::Int("--workers"),
+    Flag::Int("--seed"),
+];
+
+/// The strict command line every `dps-bench` binary parses through:
+/// each bin declares the flags it accepts, and an unknown flag, a
+/// missing value, a non-integer value for an [`Flag::Int`] or a
+/// repeated flag is an error — a typo never silently runs the default.
 #[derive(Clone, Debug)]
 pub struct ReportArgs {
-    args: Vec<String>,
+    given: Vec<(&'static str, String)>,
 }
 
 impl ReportArgs {
-    /// Captures the process arguments.
-    pub fn parse() -> Self {
-        ReportArgs {
-            args: std::env::args().collect(),
-        }
+    /// Parses the process arguments against `flags`; on an error prints
+    /// it with a usage line and exits 2.
+    pub fn parse(bin: &str, flags: &[Flag]) -> Self {
+        Self::from_args(flags, std::env::args().skip(1)).unwrap_or_else(|e| {
+            let usage: Vec<String> = flags
+                .iter()
+                .map(|f| match f {
+                    Flag::Bare(n) => format!("[{n}]"),
+                    Flag::Int(n) => format!("[{n} N]"),
+                    Flag::Text(n) => format!("[{n} VALUE]"),
+                })
+                .collect();
+            eprintln!("error: {e}\nusage: {bin} {}", usage.join(" "));
+            std::process::exit(2)
+        })
     }
 
-    /// Builds from an explicit argument vector (tests).
-    pub fn from_vec(args: Vec<String>) -> Self {
-        ReportArgs { args }
+    /// Parses an explicit argument list (program name excluded).
+    pub fn from_args(
+        flags: &[Flag],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let mut given: Vec<(&'static str, String)> = Vec::new();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            let flag = *flags
+                .iter()
+                .find(|f| f.name() == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            if given.iter().any(|(n, _)| *n == flag.name()) {
+                return Err(format!("`{arg}` given twice"));
+            }
+            let value = match flag {
+                Flag::Bare(_) => String::new(),
+                Flag::Int(_) | Flag::Text(_) => it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("`{arg}` needs a value"))?,
+            };
+            if matches!(flag, Flag::Int(_)) && value.parse::<u64>().is_err() {
+                return Err(format!("`{arg} {value}` is not a whole number"));
+            }
+            given.push((flag.name(), value));
+        }
+        Ok(ReportArgs { given })
     }
 
     /// `--quick`: the faster, noisier variant of the sweep.
     pub fn quick(&self) -> bool {
-        self.has("--quick")
+        self.text("--quick").is_some()
     }
 
     /// `--json`: emit the machine-readable report on stdout.
     pub fn json(&self) -> bool {
-        self.has("--json")
+        self.text("--json").is_some()
     }
 
-    /// Presence of a bare flag.
-    pub fn has(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
+    /// Value of a given flag (empty for a [`Flag::Bare`]); `None` when
+    /// the flag was not on the command line.
+    pub fn text(&self, name: &str) -> Option<&str> {
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
     }
 
-    /// Value of an integer `--name VALUE` flag, when present and
-    /// parseable.
+    /// Value of a given [`Flag::Int`] flag.
     pub fn flag_u64(&self, name: &str) -> Option<u64> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    }
-
-    /// The `--bench-out PATH` target, if one was given.
-    pub fn bench_out(&self) -> Option<String> {
-        crate::bench_out_path(&self.args)
-    }
-
-    /// Writes `doc` to the `--bench-out` target, if one was given
-    /// (fatal on I/O failure — see [`crate::write_bench_out`]).
-    pub fn write_bench_out(&self, doc: &dps_obs::json::Json) {
-        crate::write_bench_out(&self.args, doc);
+        self.text(name).map(|v| v.parse().expect("Int flags are checked at parse time"))
     }
 }
 
@@ -297,21 +343,35 @@ mod tests {
         assert_eq!(BenchmarkId::new("f", 4).to_string(), "f/4");
     }
 
+    fn args(list: &[&str]) -> Result<ReportArgs, String> {
+        ReportArgs::from_args(GATE_FLAGS, list.iter().map(|s| s.to_string()))
+    }
+
     #[test]
-    fn report_args_parse_the_shared_surface() {
-        let a = ReportArgs::from_vec(
-            ["bin", "--quick", "--json", "--workers", "12", "--seed", "7", "--bench-out", "x.json"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
+    fn report_args_parse_the_declared_surface() {
+        let a = args(&["--quick", "--json", "--workers", "12", "--seed", "7"]).unwrap();
         assert!(a.quick() && a.json());
         assert_eq!(a.flag_u64("--workers"), Some(12));
         assert_eq!(a.flag_u64("--seed"), Some(7));
-        assert_eq!(a.flag_u64("--missing"), None);
-        assert_eq!(a.bench_out().as_deref(), Some("x.json"));
-        let empty = ReportArgs::from_vec(vec!["bin".into()]);
-        assert!(!empty.quick() && !empty.json() && empty.bench_out().is_none());
+        let empty = args(&[]).unwrap();
+        assert!(!empty.quick() && !empty.json());
+        assert_eq!(empty.flag_u64("--workers"), None);
+        let text = ReportArgs::from_args(&[Flag::Text("--exp")], ["--exp".into(), "e5.1".into()]);
+        assert_eq!(text.unwrap().text("--exp"), Some("e5.1"));
+    }
+
+    #[test]
+    fn report_args_reject_what_they_do_not_understand() {
+        for (list, want) in [
+            (&["--wokers", "8"][..], "unknown flag `--wokers`"),
+            (&["--workers", "x8"][..], "`--workers x8` is not a whole number"),
+            (&["--workers"][..], "`--workers` needs a value"),
+            (&["--workers", "--json"][..], "`--workers` needs a value"),
+            (&["--quick", "--quick"][..], "`--quick` given twice"),
+            (&["extra"][..], "unknown flag `extra`"),
+        ] {
+            assert_eq!(args(list).unwrap_err(), want, "{list:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! # `dps-bench` — workloads, benches and the paper-reproduction binary
+//! # `dps-bench` — workloads, gates, benches and the paper-reproduction binary
 //!
-//! Shared synthetic workloads used by the benches (driven by the
-//! dependency-free Criterion-shaped [`harness`]) and by the `repro`
-//! binary (`cargo run -p dps-bench --bin repro --release`), which
-//! prints every table and figure of the paper next to the measured
-//! values. The `scaling` binary runs the worker-count scalability sweep
-//! and the `analyze` binary the trace-analysis pipeline ([`analysis`]).
-//! See `EXPERIMENTS.md` at the workspace root for the index.
+//! Shared synthetic [`workloads`]; the eight gates CI runs, each a
+//! `gate(&ReportArgs) -> Report` in its own module ([`scaling`],
+//! [`analysis`], [`chaos`], [`matchbench`], [`mvcc`], [`recovery`],
+//! [`server_load`], [`commute`]) behind a five-line binary; the one
+//! certified-leg runner they all measure through ([`analysis`]); the
+//! one report they all emit and the validator `obs_check` applies to it
+//! ([`report`]); the dependency-free Criterion-shaped bench [`harness`]
+//! with the strict command line every binary parses through; and the
+//! `repro` binary (`cargo run -p dps-bench --bin repro --release`),
+//! which prints every table and figure of the paper next to the
+//! measured values. See `EXPERIMENTS.md` at the workspace root for the
+//! index. Cross-commit performance comparison is not here: it is the
+//! `e2e` benchmark (`BENCHMARK.json`, `crates/e2e`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,32 +20,11 @@
 pub mod analysis;
 pub mod chaos;
 pub mod commute;
-pub mod diff;
 pub mod harness;
+pub mod matchbench;
 pub mod mvcc;
 pub mod recovery;
+pub mod report;
+pub mod scaling;
 pub mod server_load;
 pub mod workloads;
-
-/// Value of a `--bench-out PATH` flag, shared by the gate binaries:
-/// when present, the binary writes its JSON report document to `PATH`
-/// (in addition to the usual `--json` stdout behaviour), so CI and
-/// local runs can snapshot `BENCH_*.json` artifacts without shell
-/// redirection.
-pub fn bench_out_path(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--bench-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Writes a report document to the `--bench-out` target, if one was
-/// given. Failures are fatal: a gate that silently drops its artifact
-/// would let CI pass on a missing report.
-pub fn write_bench_out(args: &[String], doc: &dps_obs::json::Json) {
-    if let Some(path) = bench_out_path(args) {
-        std::fs::write(&path, format!("{}\n", doc.to_string_pretty()))
-            .unwrap_or_else(|e| panic!("writing --bench-out {path}: {e}"));
-        eprintln!("bench-out: wrote {path}");
-    }
-}

@@ -33,20 +33,17 @@
 //! Two **falsifiability probes** keep the SI checker honest: a
 //! hand-built write-skew history and a swapped version order must both
 //! be *rejected* — a polygraph that accepts anything proves nothing.
-//! The `mvcc` binary drives this module and emits the
-//! `dps-mvcc-report-v1` document `obs_check` shape-checks in CI.
+//! [`gate`] runs both legs and the probes and declares the gates.
 
-use std::time::Instant;
-
-use dps_core::semantics::validate_trace;
-use dps_core::{AbortStats, ParallelConfig, ParallelEngine, WorkModel};
+use dps_core::{ParallelConfig, WorkModel};
 use dps_lock::{ConflictPolicy, FaultPlan, Protocol};
 use dps_obs::analysis::si_checker::{self, SiReport, SiTxn};
-use dps_obs::analysis::{analyze, Verdict};
 use dps_obs::json::Json;
-use dps_obs::{validate_history, TelemetryConfig, TimelineDoc};
+use dps_obs::{TelemetryConfig, Verdict};
 
-use crate::chaos::policy_name;
+use crate::analysis::{certified_run, policy_name, Leg};
+use crate::harness::ReportArgs;
+use crate::report::{Op, Report};
 use crate::workloads;
 
 /// Shape of the A/B measurement (both legs share it).
@@ -75,113 +72,28 @@ impl MvccSpec {
     pub fn expected_commits(&self) -> usize {
         self.guards * self.g_steps as usize + self.producers * self.p_steps as usize
     }
-}
 
-/// One leg of the A/B: everything the gate and the report need.
-#[derive(Clone, Debug)]
-pub struct MvccLeg {
-    /// The conflict policy this leg ran under.
-    pub policy: ConflictPolicy,
-    /// Committed transactions.
-    pub commits: usize,
-    /// Expected commits (drain target).
-    pub expected: usize,
-    /// Full abort breakdown.
-    pub aborts: AbortStats,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// Wasted (aborted) simulated work, milliseconds.
-    pub wasted_ms: f64,
-    /// The §5 wasted-work fraction `f` = wasted / (useful + wasted),
-    /// with useful = commits × RHS cost.
-    pub wasted_fraction: f64,
-    /// Snapshot pins recorded (zero on the stock leg).
-    pub snapshot_pins: u64,
-    /// Structural errors from history validation + §3 recovery.
-    pub structural_errors: Vec<String>,
-    /// §3 replay result label: "consistent" / "violation" / "not-run".
-    pub replay: &'static str,
-    /// SI polygraph verdict (`None` when the history carries no
-    /// snapshot events — the stock leg).
-    pub si: Option<Verdict>,
-    /// Folded verdict: structural + replay + SI.
-    pub verdict: Verdict,
-    /// Live-telemetry timeline (both legs carry the sampler, so the
-    /// snapshot-pin gauges can be compared policy-to-policy).
-    pub timeline: Option<TimelineDoc>,
-}
-
-impl MvccLeg {
-    /// `true` iff the leg drained and every checker accepted it.
-    pub fn passes(&self) -> bool {
-        self.commits == self.expected && self.verdict == Verdict::Consistent
-    }
-
-    /// JSON block for the report.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("policy".into(), Json::str(policy_name(self.policy))),
-            ("commits".into(), Json::u64(self.commits as u64)),
-            ("expected_commits".into(), Json::u64(self.expected as u64)),
-            (
-                "throughput".into(),
-                Json::num(self.commits as f64 / self.secs.max(1e-9)),
-            ),
-            ("secs".into(), Json::num(self.secs)),
-            (
-                "aborts".into(),
-                Json::Obj(vec![
-                    ("doomed".into(), Json::u64(self.aborts.doomed)),
-                    ("deadlock".into(), Json::u64(self.aborts.deadlock)),
-                    ("stale".into(), Json::u64(self.aborts.stale)),
-                    ("revalidation".into(), Json::u64(self.aborts.revalidation)),
-                    ("eval_error".into(), Json::u64(self.aborts.eval_error)),
-                    ("timeout".into(), Json::u64(self.aborts.timeout)),
-                    ("injected".into(), Json::u64(self.aborts.injected)),
-                    (
-                        "snapshot_stale".into(),
-                        Json::u64(self.aborts.snapshot_stale),
-                    ),
-                    ("total".into(), Json::u64(self.aborts.total())),
-                    (
-                        "reader_aborts".into(),
-                        Json::u64(self.aborts.reader_aborts()),
-                    ),
-                ]),
-            ),
-            ("wasted_ms".into(), Json::num(self.wasted_ms)),
-            ("wasted_fraction".into(), Json::num(self.wasted_fraction)),
-            ("snapshot_pins".into(), Json::u64(self.snapshot_pins)),
-            (
-                "checker".into(),
-                Json::Obj(vec![
-                    (
-                        "structural_errors".into(),
-                        Json::u64(self.structural_errors.len() as u64),
-                    ),
-                    ("replay".into(), Json::str(self.replay)),
-                    (
-                        "si".into(),
-                        match self.si {
-                            Some(v) => Json::str(v.name()),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("verdict".into(), Json::str(self.verdict.name())),
-                ]),
-            ),
-        ])
+    /// The §5 wasted-work fraction `f` = wasted / (useful + wasted) of
+    /// a leg, with useful = commits × RHS cost.
+    pub fn wasted_fraction(&self, leg: &Leg) -> f64 {
+        let wasted_ms = leg.report.wasted_work.as_secs_f64() * 1e3;
+        let useful_ms = leg.report.commits as f64 * self.work_us as f64 / 1e3;
+        wasted_ms / (useful_ms + wasted_ms).max(1e-9)
     }
 }
 
-/// Runs one leg end-to-end: engine → history validation → §3 recovery
-/// and replay → SI polygraph. Mirrors [`crate::chaos::chaos_run`] but
-/// keeps the full abort breakdown and the SI verdict the gate needs.
-pub fn mvcc_leg(spec: &MvccSpec, policy: ConflictPolicy) -> MvccLeg {
+/// Snapshot pins recorded in an observed leg's history.
+pub fn snapshot_pins(leg: &Leg) -> u64 {
+    leg.obs.as_ref().map_or(0, |o| o.snapshot_pins)
+}
+
+/// Runs one leg of the A/B under `policy`. Both legs carry the
+/// telemetry sampler, so the snapshot-pin gauges compare policy to
+/// policy.
+pub fn mvcc_leg(spec: &MvccSpec, policy: ConflictPolicy) -> Leg {
     let (rules, wm) =
         workloads::false_conflict_stream(spec.guards, spec.g_steps, spec.producers, spec.p_steps);
-    let initial = wm.clone();
-    let mut engine = ParallelEngine::new(
+    let leg = certified_run(
         &rules,
         wm,
         ParallelConfig {
@@ -195,50 +107,10 @@ pub fn mvcc_leg(spec: &MvccSpec, policy: ConflictPolicy) -> MvccLeg {
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },
-    );
-    let t0 = Instant::now();
-    let report = engine.run();
-    let secs = t0.elapsed().as_secs_f64();
-
-    let rec = engine.observer().expect("observe: true attaches a recorder");
-    let history = rec.history();
-    let mut structural_errors: Vec<String> = Vec::new();
-    if let Err(e) = validate_history(&history) {
-        structural_errors.push(format!("history: {e}"));
-    }
-    let mut analysis = analyze(&history);
-    analysis.set_replay_result(
-        validate_trace(&rules, &initial, &report.trace).map_err(|v| v.to_string()),
-    );
-    structural_errors.extend(analysis.checker.structural_errors.iter().cloned());
-    let replay = match &analysis.checker.replay_result {
-        None => "not-run",
-        Some(Ok(())) => "consistent",
-        Some(Err(_)) => "violation",
-    };
-    let verdict = if structural_errors.is_empty() && analysis.verdict() == Verdict::Consistent {
-        Verdict::Consistent
-    } else {
-        Verdict::Inconsistent
-    };
-
-    let wasted_ms = report.wasted_work.as_secs_f64() * 1e3;
-    let useful_ms = report.commits as f64 * spec.work_us as f64 / 1e3;
-    MvccLeg {
-        policy,
-        commits: report.commits,
-        expected: spec.expected_commits(),
-        aborts: report.aborts,
-        secs,
-        wasted_ms,
-        wasted_fraction: wasted_ms / (useful_ms + wasted_ms).max(1e-9),
-        snapshot_pins: rec.report().snapshot_pins,
-        structural_errors,
-        replay,
-        si: analysis.si.as_ref().map(|s| s.verdict()),
-        verdict,
-        timeline: engine.telemetry().map(|t| t.doc()),
-    }
+    )
+    .named(policy_name(policy), spec.expected_commits());
+    let (f, pins) = (spec.wasted_fraction(&leg), snapshot_pins(&leg));
+    leg.with("wasted_fraction", Json::num(f)).with("snapshot_pins", Json::u64(pins))
 }
 
 /// Falsifiability probe 1: a textbook **write skew** — two snapshot
@@ -293,114 +165,65 @@ pub fn probe_version_order() -> SiReport {
     si_checker::check(&txns)
 }
 
-/// Gate booleans, computed once and shared by the document and the
-/// binary's exit code.
-#[derive(Clone, Copy, Debug)]
-pub struct MvccGates {
-    /// MVCC leg recorded zero condition-read aborts.
-    pub reader_aborts_zero: bool,
-    /// `f_mvcc < f_stock`, strictly.
-    pub wasted_work_improved: bool,
-    /// Both legs drained and replayed through the §3 oracle.
-    pub oracle: bool,
-    /// The MVCC leg's history passed the SI polygraph.
-    pub si_checker: bool,
-    /// Both hand-built inconsistent histories were rejected.
-    pub probes_rejected: bool,
-}
+/// The MVCC gate (flags: `--quick --json --workers N --seed S`):
+///
+/// * the MVCC leg records **zero** condition-read aborts;
+/// * its wasted-work fraction `f` is **strictly below** stock;
+/// * both legs drain and replay through the §3 oracle;
+/// * the MVCC history passes the SI/serializability polygraph and
+///   pinned at least one snapshot per commit;
+/// * both falsifiability probes are rejected by that polygraph.
+pub fn gate(args: &ReportArgs) -> Report {
+    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
+    let seed = args.flag_u64("--seed").unwrap_or(0x51AB_2026);
+    let (guards, g_steps, producers, p_steps, work_us) =
+        if args.quick() { (6, 4, 6, 4, 300) } else { (8, 8, 8, 8, 800) };
+    let spec = MvccSpec { seed, workers, guards, g_steps, producers, p_steps, work_us };
+    eprintln!(
+        "mvcc gate: false_conflict_stream({guards}x{g_steps}, {producers}x{p_steps}), \
+         doom_storm seed {seed:#x}, {workers} workers, {work_us}us busy RHS"
+    );
+    let mut report = Report::new(
+        "mvcc",
+        vec![
+            ("seed", Json::u64(seed)),
+            ("plan", Json::str("doom_storm")),
+            ("workload", Json::str("false_conflict_stream")),
+            ("guards", Json::u64(guards as u64)),
+            ("guard_steps", Json::u64(g_steps as u64)),
+            ("producers", Json::u64(producers as u64)),
+            ("producer_steps", Json::u64(p_steps as u64)),
+            ("work_us", Json::u64(work_us)),
+            ("workers", Json::u64(workers as u64)),
+        ],
+    );
+    let stock = mvcc_leg(&spec, ConflictPolicy::AbortReaders);
+    report.leg(&stock);
+    let mvcc = mvcc_leg(&spec, ConflictPolicy::MvccSnapshot);
+    report.leg(&mvcc);
+    // The MVCC leg's sampled series: snapshot-pin occupancy and pin lag
+    // are only non-trivial on this leg.
+    report.timeline_of(&mvcc);
 
-impl MvccGates {
-    /// Evaluates the gates over the two legs and the probes.
-    pub fn evaluate(stock: &MvccLeg, mvcc: &MvccLeg, skew: &SiReport, order: &SiReport) -> Self {
-        MvccGates {
-            reader_aborts_zero: mvcc.aborts.reader_aborts() == 0,
-            wasted_work_improved: mvcc.wasted_fraction < stock.wasted_fraction,
-            oracle: stock.passes() && mvcc.passes(),
-            si_checker: mvcc.si == Some(Verdict::Consistent),
-            probes_rejected: skew.verdict() == Verdict::Inconsistent
-                && order.verdict() == Verdict::Inconsistent,
-        }
-    }
+    let rejected = |r: &SiReport| r.verdict() == Verdict::Inconsistent;
+    report.probe("write_skew", true, rejected(&probe_write_skew()));
+    report.probe("swapped_version_order", true, rejected(&probe_version_order()));
 
-    /// All gates green.
-    pub fn all(&self) -> bool {
-        self.reader_aborts_zero
-            && self.wasted_work_improved
-            && self.oracle
-            && self.si_checker
-            && self.probes_rejected
-    }
-}
-
-/// Assembles the `dps-mvcc-report-v1` document.
-pub fn mvcc_document(
-    spec: &MvccSpec,
-    stock: &MvccLeg,
-    mvcc: &MvccLeg,
-    skew: &SiReport,
-    order: &SiReport,
-    gates: &MvccGates,
-) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::str("dps-mvcc-report-v1")),
-        ("seed".into(), Json::u64(spec.seed)),
-        ("plan".into(), Json::str("doom_storm")),
-        (
-            "workload".into(),
-            Json::Obj(vec![
-                ("name".into(), Json::str("false_conflict_stream")),
-                ("guards".into(), Json::u64(spec.guards as u64)),
-                ("guard_steps".into(), Json::u64(spec.g_steps as u64)),
-                ("producers".into(), Json::u64(spec.producers as u64)),
-                ("producer_steps".into(), Json::u64(spec.p_steps as u64)),
-                ("work_us".into(), Json::u64(spec.work_us)),
-                ("workers".into(), Json::u64(spec.workers as u64)),
-            ]),
-        ),
-        ("stock".into(), stock.to_json()),
-        ("mvcc".into(), mvcc.to_json()),
-        // The MVCC leg's sampled series: snapshot-pin occupancy and
-        // pin lag are only non-trivial on this leg.
-        (
-            "timeline".into(),
-            mvcc.timeline
-                .as_ref()
-                .map_or(Json::Null, TimelineDoc::to_json),
-        ),
-        (
-            "probes".into(),
-            Json::Obj(vec![
-                (
-                    "write_skew_rejected".into(),
-                    Json::Bool(skew.verdict() == Verdict::Inconsistent),
-                ),
-                (
-                    "version_order_rejected".into(),
-                    Json::Bool(order.verdict() == Verdict::Inconsistent),
-                ),
-            ]),
-        ),
-        (
-            "gates".into(),
-            Json::Obj(vec![
-                (
-                    "reader_aborts_zero".into(),
-                    Json::Bool(gates.reader_aborts_zero),
-                ),
-                (
-                    "wasted_work_improved".into(),
-                    Json::Bool(gates.wasted_work_improved),
-                ),
-                ("oracle".into(), Json::Bool(gates.oracle)),
-                ("si_checker".into(), Json::Bool(gates.si_checker)),
-                ("probes_rejected".into(), Json::Bool(gates.probes_rejected)),
-            ]),
-        ),
-        (
-            "verdict".into(),
-            Json::str(if gates.all() { "consistent" } else { "inconsistent" }),
-        ),
-    ])
+    report.equal("mvcc.reader_aborts", mvcc.report.aborts.reader_aborts(), 0);
+    report.gate(
+        "mvcc.wasted_fraction_below_stock",
+        spec.wasted_fraction(&mvcc),
+        Op::Lt,
+        spec.wasted_fraction(&stock),
+    );
+    report.holds("mvcc.si_consistent", mvcc.si() == Some(Verdict::Consistent));
+    report.gate(
+        "mvcc.snapshot_pins_cover_commits",
+        snapshot_pins(&mvcc) as f64,
+        Op::Ge,
+        mvcc.report.commits as f64,
+    );
+    report
 }
 
 #[cfg(test)]
@@ -425,9 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn quick_ab_clears_every_gate() {
+    fn quick_ab_clears_the_structural_gates() {
         // A scaled-down version of what the `mvcc` binary runs in CI:
-        // the false-conflict storm, both legs, all five gates.
+        // the false-conflict storm, both legs.
         let spec = MvccSpec {
             seed: 0xAB,
             workers: 4,
@@ -439,26 +262,24 @@ mod tests {
         };
         let stock = mvcc_leg(&spec, ConflictPolicy::AbortReaders);
         let mv = mvcc_leg(&spec, ConflictPolicy::MvccSnapshot);
-        let (skew, order) = (probe_write_skew(), probe_version_order());
-        let gates = MvccGates::evaluate(&stock, &mv, &skew, &order);
-        assert!(gates.oracle, "both legs drain + replay");
-        assert!(
-            gates.reader_aborts_zero,
+        assert!(stock.passes() && mv.passes(), "both legs drain + replay");
+        let aborts = mv.report.aborts;
+        assert_eq!(
+            aborts.reader_aborts(),
+            0,
             "MVCC leg doomed {} / revalidated {}",
-            mv.aborts.doomed, mv.aborts.revalidation
+            aborts.doomed,
+            aborts.revalidation
         );
-        assert!(gates.si_checker, "MVCC history passes the polygraph");
-        assert!(gates.probes_rejected);
+        assert_eq!(mv.si(), Some(Verdict::Consistent), "MVCC history passes the polygraph");
         // Every commit pinned exactly one snapshot at claim validation;
         // aborted attempts pin at most one (injected aborts drawn at
         // the condition phase die before reaching the pin).
+        let (pins, commits) = (snapshot_pins(&mv), mv.report.commits as u64);
         assert!(
-            mv.snapshot_pins >= mv.commits as u64
-                && mv.snapshot_pins <= mv.commits as u64 + mv.aborts.total(),
-            "pins {} outside [commits {}, commits + aborts {}]",
-            mv.snapshot_pins,
-            mv.commits,
-            mv.commits as u64 + mv.aborts.total()
+            pins >= commits && pins <= commits + aborts.total(),
+            "pins {pins} outside [commits {commits}, commits + aborts {}]",
+            commits + aborts.total()
         );
     }
 }

@@ -30,22 +30,23 @@
 //! of durability off — the group-commit promise that one fsync covers
 //! many committers.
 //!
-//! The `recovery` binary drives this module and emits the
-//! `dps-recovery-report-v1` document `obs_check` shape-checks in CI.
+//! [`gate`] runs the sweep, the probe and the A/B and declares the
+//! gates, the `checkpoint + redo == horizon` identity included.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use dps_core::semantics::validate_trace;
 use dps_core::{DurabilityConfig, ParallelConfig, ParallelEngine, Trace};
 use dps_lock::{ConflictPolicy, FaultPlan, Protocol, WalKillSite};
 use dps_obs::json::Json;
-use dps_obs::{TelemetryConfig, TimelineDoc};
+use dps_obs::TelemetryConfig;
 use dps_rules::RuleSet;
-use dps_wm::{recover, WalStats, WorkingMemory};
+use dps_wm::{recover, WorkingMemory};
 
-use crate::chaos::policy_name;
+use crate::analysis::{alternating_best, certified_run, policy_name, Leg};
+use crate::harness::ReportArgs;
+use crate::report::{Op, Report};
 use crate::workloads;
 
 /// Shape of the sweep.
@@ -105,22 +106,19 @@ const WORKLOADS: [WorkloadSpec; 2] = [
 pub const POLICIES: [ConflictPolicy; 2] =
     [ConflictPolicy::AbortReaders, ConflictPolicy::MvccSnapshot];
 
-/// One kill-point run, everything the gate and the report need.
+/// One kill-point run: the first incarnation as a certified leg, and
+/// where recovery landed. Every check that fails below is pushed onto
+/// the leg's structural errors, so the leg certifies iff the whole run
+/// — die, recover, oracle the prefix, resume, re-recover — held.
 #[derive(Clone, Debug)]
 pub struct RecoveryRun {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Conflict policy of both incarnations.
-    pub policy: ConflictPolicy,
+    /// The first incarnation (it drains: the dead WAL never blocks the
+    /// run), keyed `workload/policy/site@kill`.
+    pub leg: Leg,
     /// Where the process "died".
     pub site: WalKillSite,
     /// The commit sequence number the kill fired at.
     pub kill_commit: u64,
-    /// In-memory commits of the first incarnation (it drains: the dead
-    /// WAL never blocks the run).
-    pub commits: usize,
-    /// Expected total commits of the workload.
-    pub expected: usize,
     /// Durable horizon recovery landed on.
     pub durable_seq: u64,
     /// Checkpoint the recovery started from (0 = genesis).
@@ -139,49 +137,18 @@ pub struct RecoveryRun {
     /// Resumed engine drained the remainder, replayed consistently,
     /// and re-recovered to the fixpoint.
     pub resumed: bool,
-    /// First failure diagnostic, if any.
-    pub error: Option<String>,
 }
 
 impl RecoveryRun {
-    /// `true` iff every per-run check held.
-    pub fn passes(&self) -> bool {
-        self.commits == self.expected
-            && self.recovered
-            && self.site_ok
-            && self.prefix_oracle
-            && self.resumed
-    }
-
-    /// JSON block for the report.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workload".into(), Json::str(self.workload)),
-            ("policy".into(), Json::str(policy_name(self.policy))),
-            ("kill_site".into(), Json::str(self.site.name())),
-            ("kill_commit".into(), Json::u64(self.kill_commit)),
-            ("commits".into(), Json::u64(self.commits as u64)),
-            ("expected_commits".into(), Json::u64(self.expected as u64)),
-            ("durable_seq".into(), Json::u64(self.durable_seq)),
-            ("checkpoint_seq".into(), Json::u64(self.checkpoint_seq)),
-            ("replayed".into(), Json::u64(self.replayed)),
-            ("torn_tail".into(), Json::Bool(self.torn_tail)),
-            ("recovered".into(), Json::Bool(self.recovered)),
-            ("site_ok".into(), Json::Bool(self.site_ok)),
-            ("prefix_oracle".into(), Json::Bool(self.prefix_oracle)),
-            ("resumed".into(), Json::Bool(self.resumed)),
-            (
-                "verdict".into(),
-                Json::str(if self.passes() { "consistent" } else { "inconsistent" }),
-            ),
-            (
-                "error".into(),
-                match &self.error {
-                    Some(e) => Json::str(e.as_str()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+    /// The leg with the recovery coordinates attached.
+    fn into_leg(self) -> Leg {
+        self.leg
+            .with("kill_site", Json::str(self.site.name()))
+            .with("kill_commit", Json::u64(self.kill_commit))
+            .with("durable_seq", Json::u64(self.durable_seq))
+            .with("checkpoint_seq", Json::u64(self.checkpoint_seq))
+            .with("replayed", Json::u64(self.replayed))
+            .with("torn_tail", Json::Bool(self.torn_tail))
     }
 }
 
@@ -207,8 +174,10 @@ fn serial_prefix(
     Ok(wm)
 }
 
-fn snapshot_bytes(wm: &WorkingMemory) -> Result<Vec<u8>, String> {
-    wm.encode_snapshot().map_err(|e| format!("snapshot encode: {e}"))
+/// Byte-identity of two working memories (via `encode_snapshot`).
+fn same_state(a: &WorkingMemory, b: &WorkingMemory) -> Result<bool, String> {
+    let bytes = |wm: &WorkingMemory| wm.encode_snapshot().map_err(|e| format!("snapshot encode: {e}"));
+    Ok(bytes(a)? == bytes(b)?)
 }
 
 /// One kill-point run end-to-end: run → die → recover → oracle the
@@ -226,13 +195,32 @@ fn kill_point_run(
     let (rules, wm) = (workload.build)(spec.quick);
     let expected = (workload.expected)(spec.quick);
     let initial = wm.clone();
-    let mut run = RecoveryRun {
-        workload: workload.name,
+
+    // ---- first incarnation: run into the kill point ----
+    let durability = DurabilityConfig {
+        dir: dir.clone(),
+        checkpoint_interval: workload.checkpoint_interval,
+    };
+    let config = |fault| ParallelConfig {
+        protocol: Protocol::RcRaWa,
         policy,
+        workers: spec.workers,
+        durability: Some(durability.clone()),
+        stop: dps_server::shutdown::installed(),
+        fault,
+        ..Default::default()
+    };
+    let kill = FaultPlan {
+        seed: spec.seed,
+        wal_kill_commit: kill_commit,
+        wal_kill_site: site,
+        ..Default::default()
+    };
+    let key = format!("{}/{}/{}@{kill_commit}", workload.name, policy_name(policy), site.name());
+    let mut run = RecoveryRun {
+        leg: certified_run(&rules, wm, config(Some(kill))).named(key, expected),
         site,
         kill_commit,
-        commits: 0,
-        expected,
         durable_seq: 0,
         checkpoint_seq: 0,
         replayed: 0,
@@ -241,51 +229,13 @@ fn kill_point_run(
         site_ok: false,
         prefix_oracle: false,
         resumed: false,
-        error: None,
     };
-    let fail = |run: &mut RecoveryRun, msg: String| {
-        if run.error.is_none() {
-            run.error = Some(msg);
-        }
-    };
-
-    // ---- first incarnation: run into the kill point ----
-    let durability = DurabilityConfig {
-        dir: dir.clone(),
-        checkpoint_interval: workload.checkpoint_interval,
-    };
-    let mut engine = ParallelEngine::new(
-        &rules,
-        wm,
-        ParallelConfig {
-            protocol: Protocol::RcRaWa,
-            policy,
-            workers: spec.workers,
-            durability: Some(durability.clone()),
-            stop: dps_server::shutdown::installed(),
-            fault: Some(FaultPlan {
-                seed: spec.seed,
-                wal_kill_commit: kill_commit,
-                wal_kill_site: site,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-    );
-    let report = engine.run();
-    run.commits = report.commits;
-    if report.commits != expected {
-        fail(&mut run, format!("first run drained {}/{expected}", report.commits));
-    }
-    if let Err(v) = validate_trace(&rules, &initial, &report.trace) {
-        fail(&mut run, format!("first-run oracle: {v}"));
-    }
 
     // ---- recovery ----
     let rec = match recover(&dir) {
         Ok(rec) => rec,
         Err(e) => {
-            fail(&mut run, format!("recover: {e}"));
+            run.leg.errors.push(format!("recover: {e}"));
             return run;
         }
     };
@@ -305,80 +255,51 @@ fn kill_point_run(
         WalKillSite::TornTail => rec.last_seq < kill_commit && rec.torn_tail,
     };
     if !run.site_ok {
-        fail(
-            &mut run,
-            format!(
-                "site {}: durable_seq {} vs kill {kill_commit}, torn {}",
-                site.name(),
-                rec.last_seq,
-                rec.torn_tail
-            ),
-        );
+        run.leg.errors.push(format!(
+            "site {}: durable_seq {} vs kill {kill_commit}, torn {}",
+            site.name(),
+            rec.last_seq,
+            rec.torn_tail
+        ));
     }
 
     // ---- §3 oracle on the durable prefix + byte-identity ----
-    match serial_prefix(&rules, &initial, &report.trace, rec.last_seq as usize) {
-        Ok(serial) => match (snapshot_bytes(&serial), snapshot_bytes(&rec.wm)) {
-            (Ok(a), Ok(b)) if a == b => run.prefix_oracle = true,
-            (Ok(_), Ok(_)) => fail(
-                &mut run,
-                format!(
-                    "recovered state diverges from the serial replay of the first {} firings",
-                    rec.last_seq
-                ),
-            ),
-            (Err(e), _) | (_, Err(e)) => fail(&mut run, e),
-        },
-        Err(e) => fail(&mut run, e),
+    let prefix = serial_prefix(&rules, &initial, &run.leg.report.trace, rec.last_seq as usize);
+    match prefix.and_then(|serial| same_state(&serial, &rec.wm)) {
+        Ok(true) => run.prefix_oracle = true,
+        Ok(false) => run.leg.errors.push(format!(
+            "recovered state diverges from the serial replay of the first {} firings",
+            rec.last_seq
+        )),
+        Err(e) => run.leg.errors.push(e),
     }
 
     // ---- resume: drain the remainder over the recovered state ----
-    let mut resumed = ParallelEngine::resume(
-        &rules,
-        rec.wm.clone(),
-        rec.last_seq,
-        ParallelConfig {
-            protocol: Protocol::RcRaWa,
-            policy,
-            workers: spec.workers,
-            durability: Some(durability),
-            stop: dps_server::shutdown::installed(),
-            ..Default::default()
-        },
-    );
+    let mut resumed = ParallelEngine::resume(&rules, rec.wm.clone(), rec.last_seq, config(None));
     let report2 = resumed.run();
     let total = rec.last_seq + report2.commits as u64;
     if total != expected as u64 {
-        fail(
-            &mut run,
-            format!(
-                "resume drained {} on top of {} (total {total} != {expected})",
-                report2.commits, rec.last_seq
-            ),
-        );
+        run.leg.errors.push(format!(
+            "resume drained {} on top of {} (total {total} != {expected})",
+            report2.commits, rec.last_seq
+        ));
     } else if let Err(v) = validate_trace(&rules, &rec.wm, &report2.trace) {
-        fail(&mut run, format!("resumed-run oracle: {v}"));
+        run.leg.errors.push(format!("resumed-run oracle: {v}"));
     } else {
         // The second incarnation's log must recover to the fixpoint.
-        match recover(&dir) {
-            Ok(rec2) => match (snapshot_bytes(&resumed.final_wm()), snapshot_bytes(&rec2.wm)) {
-                (Ok(a), Ok(b)) if a == b && rec2.last_seq == expected as u64 => {
-                    run.resumed = true;
-                }
-                (Ok(_), Ok(_)) => fail(
-                    &mut run,
-                    format!(
-                        "re-recovery landed on seq {} / diverging state (want {expected})",
-                        rec2.last_seq
-                    ),
-                ),
-                (Err(e), _) | (_, Err(e)) => fail(&mut run, e),
-            },
-            Err(e) => fail(&mut run, format!("re-recover: {e}")),
+        match recover(&dir).map_err(|e| format!("re-recover: {e}")).and_then(|rec2| {
+            Ok(same_state(&resumed.final_wm(), &rec2.wm)? && rec2.last_seq == expected as u64)
+        }) {
+            Ok(true) => run.resumed = true,
+            Ok(false) => run
+                .leg
+                .errors
+                .push(format!("re-recovery missed seq {expected} or landed on a diverging state")),
+            Err(e) => run.leg.errors.push(e),
         }
     }
 
-    if run.passes() {
+    if run.leg.passes() {
         let _ = fs::remove_dir_all(&dir);
     }
     run
@@ -451,225 +372,110 @@ pub fn probe_corrupt_record(scratch: &Path) -> Result<bool, String> {
     Ok(rejected)
 }
 
-/// One leg of the fsync-overhead A/B.
-#[derive(Clone, Copy, Debug)]
-pub struct OverheadLeg {
-    /// Commits (both legs must drain the same workload).
-    pub commits: usize,
-    /// Best-of-reps wall seconds.
-    pub secs: f64,
-}
-
-impl OverheadLeg {
-    /// Commits per second.
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs.max(1e-9)
-    }
-}
-
-/// The fsync-overhead measurement: `match_heavy` with durability off
-/// vs on, same workers, best of `reps`.
-#[derive(Clone, Debug)]
-pub struct Overhead {
-    /// Durability off.
-    pub off: OverheadLeg,
-    /// Durability on (WAL + group commit, no kill points).
-    pub on: OverheadLeg,
-    /// `on.secs / off.secs` — the gate wants ≤ 1.25.
-    pub ratio: f64,
-    /// WAL counters from the on leg (the group-commit evidence:
-    /// `fsyncs` well below `appends`).
-    pub wal: WalStats,
-    /// Live-telemetry timeline from the last on leg: the `wal.*`
-    /// series (pending bytes, fsync count, piggyback ratio) over time.
-    pub timeline: Option<TimelineDoc>,
-}
-
-/// Runs the overhead A/B. The on-leg's recovered state must also match
-/// its in-memory final state (a throughput run is still a correctness
-/// run).
-pub fn overhead(spec: &RecoverySpec, scratch: &Path) -> Result<Overhead, String> {
+/// The fsync-overhead A/B: `match_heavy` with durability off vs on
+/// (WAL + group commit, no kill points), same workers, best of `reps`,
+/// legs keyed `durability_off` / `durability_on`. The on leg's
+/// recovered state must also match its in-memory final state (a
+/// throughput run is still a correctness run), and it carries the
+/// telemetry sampler so the report's timeline shows the `wal.*` series
+/// under load. Telemetry stays off the off leg: the measured ratio is
+/// the cost of durability alone (the sampler's own cost has its own
+/// gate in `scaling`).
+pub fn overhead(spec: &RecoverySpec, scratch: &Path) -> (Leg, Leg) {
     let (groups, pairs, reps) = if spec.quick { (16, 16, 2) } else { (48, 32, 4) };
     let expected = groups * pairs;
     let on_dir = scratch.join("overhead");
-    // The durable leg also carries the live-telemetry sampler, so the
-    // report's timeline shows the `wal.*` series under load. Telemetry
-    // stays off the off leg: the measured ratio is the cost of
-    // durability alone (the sampler's own cost has its own gate in the
-    // `scaling` binary).
-    let run_leg = |durability: Option<DurabilityConfig>| -> Result<
-        (f64, Option<WalStats>, Option<TimelineDoc>),
-        String,
-    > {
-        if let Some(d) = &durability {
-            let _ = fs::remove_dir_all(&d.dir);
-        }
+    let run_leg = |durable: bool| {
+        let _ = fs::remove_dir_all(&on_dir);
         let (rules, wm) = workloads::match_heavy(groups, pairs);
-        let mut engine = ParallelEngine::new(
-            &rules,
-            wm,
-            ParallelConfig {
-                workers: spec.workers,
-                durability: durability.clone(),
-                telemetry: durability.as_ref().map(|_| TelemetryConfig::default()),
-                stop: dps_server::shutdown::installed(),
-                ..Default::default()
-            },
-        );
-        let t0 = Instant::now();
-        let report = engine.run();
-        let secs = t0.elapsed().as_secs_f64();
-        if report.commits != expected {
-            return Err(format!("overhead leg drained {}/{expected}", report.commits));
-        }
-        if durability.is_some() {
-            let rec = recover(&on_dir).map_err(|e| format!("overhead recovery: {e}"))?;
-            let (a, b) = (snapshot_bytes(&rec.wm)?, snapshot_bytes(&engine.final_wm())?);
-            if a != b || rec.last_seq != expected as u64 {
-                return Err("overhead on-leg recovery diverged from the final state".into());
+        let config = ParallelConfig {
+            workers: spec.workers,
+            durability: durable
+                .then(|| DurabilityConfig { dir: on_dir.clone(), checkpoint_interval: 0 }),
+            telemetry: durable.then(TelemetryConfig::default),
+            stop: dps_server::shutdown::installed(),
+            ..Default::default()
+        };
+        let key = if durable { "durability_on" } else { "durability_off" };
+        let mut leg = certified_run(&rules, wm, config).named(key, expected);
+        if durable {
+            let intact = recover(&on_dir).map_err(|e| format!("overhead recovery: {e}")).and_then(
+                |rec| Ok(same_state(&rec.wm, &leg.final_wm)? && rec.last_seq == expected as u64),
+            );
+            match intact {
+                Ok(true) => {}
+                Ok(false) => leg.errors.push("on-leg recovery diverged from the final state".into()),
+                Err(e) => leg.errors.push(e),
             }
         }
-        let timeline = engine.telemetry().map(|t| t.doc());
-        Ok((secs, report.wal, timeline))
+        leg
     };
-    // One untimed warm-up run primes the allocator, the Rete network
-    // and the scheduler so the cold start lands on neither timed leg;
-    // then the legs alternate, so disk and scheduler drift over the
-    // measurement window hits both fairly instead of whichever leg
-    // happens to run last. Best-of-N per leg.
-    run_leg(None)?;
-    let durability = DurabilityConfig { dir: on_dir.clone(), checkpoint_interval: 0 };
-    let (mut off_best, mut on_best, mut wal, mut timeline) =
-        (f64::INFINITY, f64::INFINITY, None, None);
-    for _ in 0..reps {
-        let (secs, _, _) = run_leg(None)?;
-        off_best = off_best.min(secs);
-        let (secs, w, t) = run_leg(Some(durability.clone()))?;
-        on_best = on_best.min(secs);
-        wal = w;
-        timeline = t;
-    }
+    let legs = alternating_best(reps, || run_leg(false), || run_leg(true));
     let _ = fs::remove_dir_all(&on_dir);
-    let wal = wal.ok_or("overhead on-leg reported no wal stats")?;
-    let off = OverheadLeg { commits: expected, secs: off_best };
-    let on = OverheadLeg { commits: expected, secs: on_best };
-    Ok(Overhead { off, on, ratio: on.secs / off.secs.max(1e-9), wal, timeline })
+    legs
 }
 
-/// Gate booleans, computed once and shared by the document and the
-/// binary's exit code.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryGates {
-    /// Every kill-point run recovered (no panic, no half-applied state).
-    pub all_recovered: bool,
-    /// Every durable horizon sat where its kill site put it.
-    pub sites_consistent: bool,
-    /// Every recovered state equalled the §3-validated serial replay of
-    /// its durable commit prefix, byte for byte.
-    pub prefix_oracle: bool,
-    /// Every resumed engine drained, replayed, and re-recovered.
-    pub resume_drains: bool,
-    /// The corrupted mid-log record was rejected.
-    pub probe_rejected: bool,
-    /// `on/off ≤ 1.25` on the `match_heavy` overhead A/B.
-    pub overhead_ok: bool,
-}
+/// The crash-recovery gate (flags: `--quick --json --workers N --seed S`):
+///
+/// * every kill-point run (dropped / torn / post-fsync death) recovers
+///   to the durable commit prefix — §3-oracle-validated and
+///   byte-identical to a serial replay of that prefix — with
+///   `checkpoint + redo == horizon`;
+/// * every durable horizon sits where its kill site put it;
+/// * every resumed engine drains the remainder and re-recovers to the
+///   fixpoint;
+/// * the falsifiability probe — one flipped byte in a mid-log record —
+///   makes recovery *fail*;
+/// * durability-on stays within 1.25× of durability-off on
+///   `match_heavy`, with group commit actually grouping (fewer fsyncs
+///   than appends, piggybacked syncs observed).
+pub fn gate(args: &ReportArgs) -> Report {
+    let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
+    let seed = args.flag_u64("--seed").unwrap_or(0xD0_2026);
+    let spec = RecoverySpec { seed, workers, quick: args.quick() };
+    let scratch = std::env::temp_dir().join(format!("dps-recovery-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&scratch);
+    fs::create_dir_all(&scratch).expect("scratch dir under the system temp dir");
+    eprintln!("recovery gate: kill-point sweep, seed {seed:#x}, {workers} workers");
+    let mut report = Report::new(
+        "recovery",
+        vec![("seed", Json::u64(seed)), ("workers", Json::u64(workers as u64))],
+    );
 
-impl RecoveryGates {
-    /// Evaluates the gates over the sweep, the probe and the A/B.
-    pub fn evaluate(runs: &[RecoveryRun], probe_rejected: bool, overhead: &Overhead) -> Self {
-        RecoveryGates {
-            all_recovered: runs.iter().all(|r| r.recovered && r.commits == r.expected),
-            sites_consistent: runs.iter().all(|r| r.site_ok),
-            prefix_oracle: runs.iter().all(|r| r.prefix_oracle),
-            resume_drains: runs.iter().all(|r| r.resumed),
-            probe_rejected,
-            overhead_ok: overhead.ratio <= 1.25,
-        }
+    let runs = sweep(&spec, &scratch);
+    let failing = |f: fn(&RecoveryRun) -> bool| runs.iter().filter(|r| !f(r)).count() as u64;
+    report.equal("runs_not_recovered", failing(|r| r.recovered), 0);
+    report.equal("runs_off_their_kill_site", failing(|r| r.site_ok), 0);
+    report.equal("runs_failing_prefix_oracle", failing(|r| r.prefix_oracle), 0);
+    report.equal("runs_not_resumed", failing(|r| r.resumed), 0);
+    report.equal(
+        "runs_where_checkpoint_plus_redo_is_not_horizon",
+        failing(|r| r.checkpoint_seq + r.replayed == r.durable_seq),
+        0,
+    );
+    for run in runs {
+        report.leg(&run.into_leg());
     }
 
-    /// All gates green.
-    pub fn all(&self) -> bool {
-        self.all_recovered
-            && self.sites_consistent
-            && self.prefix_oracle
-            && self.resume_drains
-            && self.probe_rejected
-            && self.overhead_ok
-    }
-}
+    let rejected = probe_corrupt_record(&scratch).unwrap_or_else(|e| {
+        eprintln!("  probe: setup failed — {e}");
+        false
+    });
+    report.probe("corrupt_mid_log_record", true, rejected);
 
-/// Assembles the `dps-recovery-report-v1` document.
-pub fn recovery_document(
-    spec: &RecoverySpec,
-    runs: &[RecoveryRun],
-    probe_rejected: bool,
-    overhead: &Overhead,
-    gates: &RecoveryGates,
-) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::str("dps-recovery-report-v1")),
-        ("seed".into(), Json::u64(spec.seed)),
-        ("workers".into(), Json::u64(spec.workers as u64)),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(RecoveryRun::to_json).collect()),
-        ),
-        (
-            "probe".into(),
-            Json::Obj(vec![(
-                "corrupt_record_rejected".into(),
-                Json::Bool(probe_rejected),
-            )]),
-        ),
-        (
-            "overhead".into(),
-            Json::Obj(vec![
-                ("workload".into(), Json::str("match_heavy")),
-                ("commits".into(), Json::u64(overhead.on.commits as u64)),
-                ("off_secs".into(), Json::num(overhead.off.secs)),
-                ("on_secs".into(), Json::num(overhead.on.secs)),
-                ("off_throughput".into(), Json::num(overhead.off.throughput())),
-                ("on_throughput".into(), Json::num(overhead.on.throughput())),
-                ("ratio".into(), Json::num(overhead.ratio)),
-                (
-                    "wal".into(),
-                    Json::Obj(vec![
-                        ("appends".into(), Json::u64(overhead.wal.appends)),
-                        ("fsyncs".into(), Json::u64(overhead.wal.fsyncs)),
-                        ("synced_records".into(), Json::u64(overhead.wal.synced_records)),
-                        ("piggybacked".into(), Json::u64(overhead.wal.piggybacked)),
-                        ("checkpoints".into(), Json::u64(overhead.wal.checkpoints)),
-                        ("bytes_written".into(), Json::u64(overhead.wal.bytes_written)),
-                    ]),
-                ),
-            ]),
-        ),
-        // The durable overhead leg's sampled series: WAL pending
-        // bytes, fsync counts and the piggyback ratio over time.
-        (
-            "timeline".into(),
-            overhead
-                .timeline
-                .as_ref()
-                .map_or(Json::Null, TimelineDoc::to_json),
-        ),
-        (
-            "gates".into(),
-            Json::Obj(vec![
-                ("all_recovered".into(), Json::Bool(gates.all_recovered)),
-                ("sites_consistent".into(), Json::Bool(gates.sites_consistent)),
-                ("prefix_oracle".into(), Json::Bool(gates.prefix_oracle)),
-                ("resume_drains".into(), Json::Bool(gates.resume_drains)),
-                ("probe_rejected".into(), Json::Bool(gates.probe_rejected)),
-                ("overhead_ok".into(), Json::Bool(gates.overhead_ok)),
-            ]),
-        ),
-        (
-            "verdict".into(),
-            Json::str(if gates.all() { "consistent" } else { "inconsistent" }),
-        ),
-    ])
+    let (off, on) = overhead(&spec, &scratch);
+    report.leg(&off);
+    report.leg(&on);
+    // The durable leg's sampled series: WAL pending bytes, fsync counts
+    // and the piggyback ratio over time.
+    report.timeline_of(&on);
+    report.gate("durability_on_over_off", on.secs / off.secs.max(1e-9), Op::Le, 1.25);
+    let wal = on.report.wal.unwrap_or_default();
+    report.gate("wal.appends", wal.appends as f64, Op::Gt, 0.0);
+    report.gate("wal.fsyncs_below_appends", wal.fsyncs as f64, Op::Lt, wal.appends as f64);
+    report.gate("wal.piggybacked", wal.piggybacked as f64, Op::Gt, 0.0);
+    let _ = fs::remove_dir_all(&scratch);
+    report
 }
 
 #[cfg(test)]
@@ -693,15 +499,7 @@ mod tests {
         let runs = sweep(&spec, &dir);
         assert_eq!(runs.len(), 2 * 2 * 3 * 2, "workloads x policies x sites x kills");
         for r in &runs {
-            assert!(
-                r.passes(),
-                "{} / {} / {} @ {}: {:?}",
-                r.workload,
-                policy_name(r.policy),
-                r.site.name(),
-                r.kill_commit,
-                r.error
-            );
+            assert!(r.leg.passes(), "{}: {:?} {:?}", r.leg.key, r.leg.errors, r.leg.replay);
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@ use dbps::lock::{
     ConflictPolicy, FaultPlan, LockError, LockManager, LockMode, Protocol, ResourceId,
 };
 use dbps::obs::Verdict;
-use dps_bench::chaos::{chaos_run, sweep_governor, ChaosSpec};
+use dps_bench::chaos::{chaos_run, injection_accounted, sweep_governor, ChaosSpec};
 use dps_bench::workloads;
 
 /// S2 seed-loop property: every named fault plan, across seeds and
@@ -36,13 +36,14 @@ fn every_fault_plan_and_seed_replays_consistently() {
                 assert!(
                     run.passes(),
                     "plan {plan_name} / {policy:?} / seed {seed:#x}: \
-                     drained={} verdict={:?} errors={:?}",
-                    run.drained,
-                    run.verdict,
-                    run.structural_errors
+                     commits={} verdict={:?} errors={:?} replay={:?}",
+                    run.report.commits,
+                    run.verdict(),
+                    run.errors,
+                    run.replay
                 );
-                assert_eq!(
-                    run.injected_aborts, run.faults.forced_aborts,
+                assert!(
+                    injection_accounted(&run),
                     "every injected fault must surface as an Injected abort, \
                      never masquerade as an organic cause"
                 );
@@ -74,9 +75,9 @@ fn corrupted_commit_sequence_is_rejected() {
         governor: None,
         telemetry: false,
     });
-    assert_eq!(run.verdict, Verdict::Inconsistent);
+    assert_eq!(run.verdict(), Verdict::Inconsistent);
     assert!(
-        !run.structural_errors.is_empty(),
+        !run.errors.is_empty(),
         "rejection must come with a concrete structural error"
     );
     assert!(!run.passes());

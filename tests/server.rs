@@ -198,6 +198,6 @@ fn hundred_disconnects_leak_nothing_and_replay() {
     );
     assert_eq!(leg.held_locks, 0, "disconnects leaked locks");
     assert_eq!(leg.snapshot_pins, 0, "disconnects leaked snapshot pins");
-    assert_eq!(leg.replay, "consistent", "§3 oracle rejected the history");
+    assert!(leg.leg.passes(), "§3 oracle rejected the history: {:?}", leg.leg.replay);
     assert!(leg.reconciled(), "session books must balance after the storm");
 }
