@@ -403,6 +403,11 @@ pub fn contended_leg(
             workers,
             work: WorkModel::FixedMicros(work_us),
             observe: true,
+            // `charge` is key-partitionable: at the default layout the
+            // claim scans' shard affinity would steer workers onto
+            // different tallies and thin the lock contention this leg
+            // is there to record and explain. One shard keeps it.
+            match_shards: 1,
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },

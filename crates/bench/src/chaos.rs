@@ -21,6 +21,7 @@
 
 use dps_core::{GovernorConfig, ParallelConfig, WorkModel};
 use dps_lock::{ConflictPolicy, FaultPlan, Protocol};
+use dps_match::DEFAULT_MATCH_SHARDS;
 use dps_obs::json::Json;
 use dps_obs::{TelemetryConfig, Verdict};
 
@@ -63,6 +64,11 @@ pub struct ChaosSpec {
     pub governor: Option<GovernorConfig>,
     /// Attach the live-telemetry sampler (default tick).
     pub telemetry: bool,
+    /// Match shards. `shared_resources` is key-partitionable, so past 1
+    /// its tallies match on separate shards: the sweep takes the
+    /// default (faults must be survived on that layout too), a leg
+    /// there to *observe* a doom storm takes 1.
+    pub match_shards: usize,
 }
 
 /// Runs one chaos spec as a certified leg keyed `plan/policy/wN`, with
@@ -85,6 +91,7 @@ pub fn chaos_run(spec: ChaosSpec) -> Leg {
             fault: Some(spec.fault),
             governor: spec.governor,
             telemetry: spec.telemetry.then(TelemetryConfig::default),
+            match_shards: spec.match_shards,
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },
@@ -186,6 +193,7 @@ pub fn gate(args: &ReportArgs) -> Report {
                         busy: false,
                         governor: Some(sweep_governor(seed)),
                         telemetry: false,
+                        match_shards: DEFAULT_MATCH_SHARDS,
                     }),
                 );
                 if policy == ConflictPolicy::MvccSnapshot {
@@ -213,6 +221,7 @@ pub fn gate(args: &ReportArgs) -> Report {
         busy: false,
         governor: None,
         telemetry: false,
+        match_shards: DEFAULT_MATCH_SHARDS,
     });
     eprintln!("  {}", corrupted.line());
     report.probe(
@@ -269,6 +278,10 @@ pub fn gate(args: &ReportArgs) -> Report {
             busy: true,
             telemetry: governor.is_some(),
             governor,
+            // The A/B measures what a doom storm on one hot spot costs
+            // with and without the governor: keep every worker's claim
+            // scan on the one shard where the storm is.
+            match_shards: 1,
         });
         leg.key = key.into();
         survivor(&mut report, leg)

@@ -23,11 +23,21 @@
 //!   the delta-log plumbing at the first step);
 //! * max shards must beat 1 shard by ≥ 1.5× (the ISSUE 5 floor; the
 //!   measured ratio on the reference container is ~7×).
+//!
+//! One more certified pair covers the plan's second level:
+//! `shared_resources` is a single component whose one rule joins on a
+//! key, so at max shards its tallies spread over key partitions and at
+//! 1 shard they do not. The pair is gated on the layout having been
+//! split and on both layouts reaching the same final working memory —
+//! no timing threshold, so it holds on two cores; `components`,
+//! `partitions` and the busiest shard's applies ride in every leg's
+//! `fanout` counters, so partition skew is visible.
 
 use dps_core::ParallelConfig;
 use dps_lock::ConflictPolicy;
 use dps_obs::json::Json;
 use dps_obs::{Phase, TelemetryConfig};
+use dps_wm::WorkingMemory;
 
 use crate::analysis::{best_of, certified_run, counters, obs_identities, policy_name, Leg};
 use crate::harness::ReportArgs;
@@ -62,18 +72,56 @@ fn one_run(
         policy_name(policy),
         if observe { "/observed" } else { "" }
     );
-    let leg = certified_run(&rules, wm, cfg).named(key, groups * pairs);
+    with_fanout(certified_run(&rules, wm, cfg).named(key, groups * pairs))
+}
+
+/// Attaches a leg's fan-out counters, the plan's shape and the busiest
+/// shard's applies (over `applies`: the partition skew) included.
+fn with_fanout(leg: Leg) -> Leg {
     let f = leg.report.fanout;
     leg.with(
         "fanout",
         counters(&[
             ("shards", f.shards),
+            ("components", f.components),
+            ("partitions", f.partitions),
             ("batches", f.batches),
             ("applies", f.applies),
+            ("max_shard_applies", f.max_shard_applies),
             ("free_advances", f.free_advances),
             ("steals", f.steals),
         ]),
     )
+}
+
+/// One certified `shared_resources` run keyed `partitioned/sN` — one
+/// rule, `resources` join keys — and its final-WM fingerprint.
+fn keyed_run(tasks: usize, resources: usize, shards: usize) -> (Leg, u64) {
+    let (rules, wm) = workloads::shared_resources(tasks, resources);
+    let cfg = ParallelConfig {
+        workers: WORKERS,
+        match_shards: shards,
+        stop: dps_server::shutdown::installed(),
+        ..Default::default()
+    };
+    let leg = certified_run(&rules, wm, cfg).named(format!("partitioned/s{shards}"), tasks);
+    let digest = fingerprint(&leg.final_wm);
+    let leg = with_fanout(leg).with("final_wm_fingerprint", Json::str(format!("{digest:016x}")));
+    (leg, digest)
+}
+
+/// Order-independent FNV-1a digest of a working memory's tuple
+/// contents (ids and timestamps, which depend on the schedule, left
+/// out).
+fn fingerprint(wm: &WorkingMemory) -> u64 {
+    let mut lines: Vec<String> = wm.iter().map(|w| format!("{:?}\n", w.data)).collect();
+    lines.sort_unstable();
+    lines
+        .iter()
+        .flat_map(|l| l.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// The match-shard gate (flags: `--quick --json`).
@@ -167,6 +215,29 @@ pub fn gate(args: &ReportArgs) -> Report {
         f.free_advances as f64,
         Op::Gt,
         0.0,
+    );
+
+    // The plan's second level: one rule, `resources` join keys, at 1
+    // shard and split over max shards.
+    let (tasks, resources) = if args.quick() { (256, 8) } else { (1024, 8) };
+    let (mono, mono_wm) = keyed_run(tasks, resources, 1);
+    let (split, split_wm) = keyed_run(tasks, resources, max_shards);
+    report.leg(&mono);
+    report.leg(&split);
+    let plan = split.report.fanout;
+    report.equal(
+        "partitioned.plan_partitions",
+        plan.partitions,
+        max_shards as u64,
+    );
+    report.equal(
+        "partitioned.mono_plan_partitions",
+        mono.report.fanout.partitions,
+        0,
+    );
+    report.holds(
+        "partitioned.final_wm_matches_monolithic",
+        split_wm == mono_wm,
     );
     report
 }

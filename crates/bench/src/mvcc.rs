@@ -104,6 +104,13 @@ pub fn mvcc_leg(spec: &MvccSpec, policy: ConflictPolicy) -> Leg {
             observe: true,
             fault: Some(FaultPlan::doom_storm(spec.seed)),
             telemetry: Some(TelemetryConfig::default()),
+            // `guard` joins `watch ^id` to `alarm ^zone`, so the rules
+            // are key-partitionable and the default layout would put
+            // the guards on separate match shards. The A/B is about
+            // what relation-level dooms cost the readers, so both legs
+            // keep every claim scan on one shard — the layout the
+            // stock leg's reader aborts were sized on.
+            match_shards: 1,
             stop: dps_server::shutdown::installed(),
             ..Default::default()
         },

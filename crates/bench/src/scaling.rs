@@ -16,7 +16,9 @@
 //! * **contended** — `shared_resources(tasks, 1)`: a single hot tally.
 //!   Parallelism is capped by the application's own data conflict
 //!   (aborts/retries dominate), so flat-to-falling scaling is expected
-//!   and correct.
+//!   and correct. (One tally is one join key, hence one match
+//!   partition: key-partitioned match shards leave this sweep as it
+//!   was, while the partitioned sweep's tallies spread over them.)
 //! * **match_heavy** — zero data conflict but a large, long-lived
 //!   conflict set, so the measured quantity is the sharded match
 //!   pipeline (claim scans and Rete updates), not the lock table. No

@@ -14,7 +14,7 @@
 //! | 4 | base | `publish` the change batch (delta log, version store, watermark) |
 //! | 5 | base → trace | trace append, `Fire` + strategy receipt events |
 //! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
-//! | 7 | own shard | rule firings only: own shard absorbs the batch, refracts the key |
+//! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
 //! | 8 | ledger | commit counters, ledger unclaim |
 //! | 9 | — | per-rule table + `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
 //! | 10 | — | checkpoint install, group-commit `request_sync` |
@@ -163,8 +163,8 @@ impl ParallelEngine {
         if let Some(hold) = hold {
             self.base_sample(Phase::BaseHold, &self.metrics.base_hold_nanos, hold.elapsed());
         }
-        if let Some(claim) = &claim {
-            self.absorb_own_batch(&claim.key, seq, strategy);
+        if let Some(guard) = &claim {
+            self.absorb_own_batch(&guard.held, seq, strategy);
         }
         {
             // Under the ledger so the claim gate's cap check stays exact
@@ -263,13 +263,13 @@ impl ParallelEngine {
         durable.rotate(seq).is_ok().then_some(snap)
     }
 
-    /// The committing rule's own shard absorbs everything up to and
-    /// including its batch and refracts the fired key *before* the
-    /// ledger unclaim, closing the double-fire window. Runs under the
-    /// shard lock alone, after the base mutex is released.
-    fn absorb_own_batch(&self, key: &InstKey, seq: u64, strategy: Strategy) {
+    /// The shard the fired claim was scanned from absorbs everything up
+    /// to and including its batch and refracts the fired key *before*
+    /// the ledger unclaim, closing the double-fire window. Runs under
+    /// the shard lock alone, after the base mutex is released.
+    fn absorb_own_batch(&self, claim: &Claim, seq: u64, strategy: Strategy) {
         let obs = self.obs.as_deref();
-        let own = self.pipeline.plan().shard_of(key.rule);
+        let (key, own) = (&claim.key, claim.shard);
         let mut state = self.pipeline.shard_state(own);
         // A claim scanner may already have stolen this batch (the
         // watermark is visible the moment `publish` returns). A cursor
@@ -301,17 +301,17 @@ impl ParallelEngine {
     /// the *same* claim (shard → ledger order throughout; the caller
     /// holds the base mutex, so a doomed reader cannot be mid-commit).
     fn revalidate_readers(&self, readers: &[TxnId], seq: u64) {
-        let claims: Vec<(TxnId, InstKey)> = {
+        let claims: Vec<(TxnId, Claim)> = {
             let ledger = self.ledger.lock().unwrap();
             readers
                 .iter()
-                .filter_map(|r| ledger.claims_by_txn.get(r).map(|k| (*r, k.clone())))
+                .filter_map(|r| ledger.claims_by_txn.get(r).map(|c| (*r, c.clone())))
                 .collect()
         };
-        for (reader, k) in claims {
-            if !self.in_conflict_set_at(&k, seq, false) {
+        for (reader, claim) in claims {
+            if !self.in_conflict_set_at(&claim, seq, false) {
                 let mut ledger = self.ledger.lock().unwrap();
-                if ledger.claims_by_txn.get(&reader) == Some(&k) {
+                if ledger.claims_by_txn.get(&reader) == Some(&claim) {
                     ledger.engine_doomed.insert(reader);
                 }
             }
@@ -334,14 +334,14 @@ impl ParallelEngine {
         snap
     }
 
-    /// Whether `key` is in its shard's conflict set once the shard has
-    /// absorbed every batch up to `seq` (`stolen`: the catch-up is
-    /// claim-side work stealing, not a committer's own fan-out).
-    pub(crate) fn in_conflict_set_at(&self, key: &InstKey, seq: u64, stolen: bool) -> bool {
-        let s = self.pipeline.plan().shard_of(key.rule);
-        let mut state = self.pipeline.shard_state(s);
-        self.pipeline.catch_up(s, seq, &mut state, stolen, self.obs.as_deref());
-        state.rete.conflict_set().contains(key)
+    /// Whether the claimed instantiation is in its shard's conflict set
+    /// once the shard has absorbed every batch up to `seq` (`stolen`:
+    /// the catch-up is claim-side work stealing, not a committer's own
+    /// fan-out).
+    pub(crate) fn in_conflict_set_at(&self, claim: &Claim, seq: u64, stolen: bool) -> bool {
+        let mut state = self.pipeline.shard_state(claim.shard);
+        self.pipeline.catch_up(claim.shard, seq, &mut state, stolen, self.obs.as_deref());
+        state.rete.conflict_set().contains(&claim.key)
     }
 
     /// Records `kind` for `txn` when observability is on.
@@ -387,6 +387,17 @@ impl Drop for PinGuard<'_> {
     }
 }
 
+/// A claimed instantiation and the match shard its claim scan found it
+/// on. An instantiation lives on exactly one shard — every tuple of it
+/// routes there — so the claim's validation, its own-batch absorb, its
+/// refraction and its busy mark all go to `shard` without asking the
+/// plan again.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Claim {
+    pub(crate) key: InstKey,
+    pub(crate) shard: usize,
+}
+
 /// Owner of one claimed instantiation's ledger entry. The ledger
 /// unclaim exists exactly once — [`ClaimGuard::release`] — and every
 /// exit reaches it: the commit section calls it once the claim's shard
@@ -398,7 +409,8 @@ impl Drop for PinGuard<'_> {
 pub(crate) struct ClaimGuard<'e> {
     pub(crate) engine: &'e ParallelEngine,
     pub(crate) txn: TxnId,
-    pub(crate) key: InstKey,
+    /// What is claimed, and where it was found.
+    pub(crate) held: Claim,
     pub(crate) released: bool,
 }
 
@@ -408,10 +420,9 @@ impl ClaimGuard<'_> {
         if !std::mem::replace(&mut self.released, true) {
             ledger.engine_doomed.remove(&self.txn);
             ledger.claims_by_txn.remove(&self.txn);
-            ledger.claimed.remove(&self.key);
+            ledger.claimed.remove(&self.held.key);
             ledger.inflight -= 1;
-            let pipeline = &self.engine.pipeline;
-            pipeline.claim_released(pipeline.plan().shard_of(self.key.rule));
+            self.engine.pipeline.claim_released(self.held.shard);
         }
     }
 }

@@ -56,7 +56,8 @@
 //! * **`WmBase`** (`Mutex`) — the authoritative WM + commit sequence
 //!   counter: the commit critical section;
 //! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
-//!   per-component Rete networks with their own conflict-set slice and
+//!   per-component (and, for a key-partitioned component, per-key-
+//!   partition) Rete networks with their own conflict-set slice and
 //!   refraction slice, caught up from the sequence-numbered delta log
 //!   by committers fanning out and by idle claim scans stealing
 //!   pending shard×batch work;
@@ -93,7 +94,7 @@ use dps_obs::{
 use dps_rules::{instantiate_actions, Rule, RuleSet};
 use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
 
-use crate::commit::{ClaimGuard, Commit, PinGuard};
+use crate::commit::{Claim, ClaimGuard, Commit, PinGuard};
 use crate::governor::{Governor, GovernorConfig, GovernorStats};
 use crate::pipeline::{scan_order, MatchPipeline};
 use crate::strategy::{Access, Strategy};
@@ -212,10 +213,13 @@ pub struct ParallelConfig {
     /// fallback past the starvation bound. `None` disables it.
     pub governor: Option<GovernorConfig>,
     /// Match shards: the rule partition's class-connected components
-    /// are folded onto at most this many independently-locked Rete
-    /// networks (clamped to the component count; `1` collapses to the
-    /// monolithic pre-pipeline layout — the recovery knob `matchbench`
-    /// measures). See [`crate::pipeline`].
+    /// are laid out over at most this many independently-locked Rete
+    /// networks — folded when there are fewer shards than components,
+    /// and the shards beyond the component count dealt to
+    /// key-partitionable components, whose disjoint join keys then
+    /// match on separate shards ([`dps_match::ShardPlan`]); `1`
+    /// collapses to the monolithic pre-pipeline layout — the recovery
+    /// knob `matchbench` measures. See [`crate::pipeline`].
     pub match_shards: usize,
     /// Durability: when set, every commit's change batch is staged
     /// into a file-backed group-commit WAL under the base mutex and
@@ -425,7 +429,7 @@ pub struct ParallelReport {
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     pub(crate) claimed: HashSet<InstKey>,
-    pub(crate) claims_by_txn: HashMap<TxnId, InstKey>,
+    pub(crate) claims_by_txn: HashMap<TxnId, Claim>,
     /// Readers doomed by engine-level revalidation.
     pub(crate) engine_doomed: HashSet<TxnId>,
     pub(crate) inflight: usize,
@@ -562,7 +566,8 @@ impl ParallelEngine {
         }
         let obs = config.observe.then(|| Arc::new(Recorder::default()));
         if let Some(obs) = &obs {
-            obs.set_match_shards(pipeline.shards() as u64);
+            let plan = pipeline.plan();
+            obs.set_match_plan(plan.shards(), plan.components() as u64, plan.partitions() as u64);
         }
         let injector = config
             .fault
@@ -910,9 +915,10 @@ impl ParallelEngine {
     /// The claim scan walks the match shards in
     /// [`crate::pipeline::scan_order`]: from `worker`'s own rotation
     /// offset, shards with another worker's in-flight claim or a held
-    /// lock last — workers settle on different shards instead of
-    /// queueing on one shard lock — and every shard once before the
-    /// scan concludes nothing is claimable. Each shard is first caught
+    /// lock last — workers settle on different shards (different key
+    /// partitions, when one hot rule is split) instead of queueing on
+    /// one shard lock — and every shard once before the scan concludes
+    /// nothing is claimable. Each shard is first caught
     /// up to the watermark — idle claim scans *steal* the
     /// pending shard×batch match work — then scanned skipping the
     /// shard's refraction slice; the ledger is only taken lazily at the
@@ -941,8 +947,8 @@ impl ParallelEngine {
             let w = self.pipeline.watermark();
             let busy = self.pipeline.busy_shards();
             let mut saw_claimed = false;
-            let mut found: Option<Instantiation> = None;
-            'shards: for s in scan_order(worker, &busy) {
+            let mut found: Option<(Instantiation, usize)> = None;
+            'shards: for s in scan_order(worker, self.pipeline.shards(), busy) {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
                     .catch_up(s, w, &mut state, true, self.obs.as_deref());
@@ -966,12 +972,16 @@ impl ParallelEngine {
                     led.claimed.insert(key);
                     led.inflight += 1;
                     self.pipeline.claim_taken(s);
-                    found = Some(inst.clone());
+                    debug_assert!(
+                        inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
+                        "every tuple of an instantiation routes to the shard that holds it"
+                    );
+                    found = Some((inst.clone(), s));
                     break 'shards;
                 }
             }
             match found {
-                Some(inst) => break inst,
+                Some(claim) => break claim,
                 None => {
                     let mut ledger = self.ledger.lock().unwrap();
                     if ledger.done {
@@ -1014,14 +1024,16 @@ impl ParallelEngine {
                 }
             }
         };
-        self.execute_claim(claim);
+        let (inst, shard) = claim;
+        self.execute_claim(inst, shard);
         true
     }
 
-    /// Runs one claimed instantiation as a transaction: picks its
-    /// strategy, drives the skeleton, and does the abort bookkeeping.
-    fn execute_claim(&self, inst: Instantiation) {
-        let key = inst.key();
+    /// Runs one instantiation claimed from `shard` as a transaction:
+    /// picks its strategy, drives the skeleton, and does the abort
+    /// bookkeeping.
+    fn execute_claim(&self, inst: Instantiation, shard: usize) {
+        let held = Claim { key: inst.key(), shard };
         let rule = self.rules.get(inst.rule).expect("known rule").clone();
         let name = rule.name.as_str();
         // Serial fallback (governor step 3): a rule past its starvation
@@ -1031,8 +1043,8 @@ impl ParallelEngine {
         // (a waiter on this mutex holds no locks yet).
         let _serial = self.governor.as_ref().and_then(|g| g.serial_guard(name));
         let txn = self.lm.begin();
-        self.ledger.lock().unwrap().claims_by_txn.insert(txn, key.clone());
-        let mut claim = ClaimGuard { engine: self, txn, key, released: false };
+        self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
+        let mut claim = ClaimGuard { engine: self, txn, held, released: false };
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
         let cond = self.condition_resources(&inst, &rule);
         let mut worked = Duration::ZERO;
@@ -1047,10 +1059,10 @@ impl ParallelEngine {
         self.metrics.wasted_nanos.fetch_add(worked.as_nanos() as u64, Relaxed);
         if cause == AbortCause::EvalError {
             // Permanently skip this instantiation: refract it on its
-            // rule's shard *before* the unclaim below, so no scanner can
+            // shard *before* the unclaim below, so no scanner can
             // re-claim it in between (shard → ledger lock order).
-            let s = self.pipeline.plan().shard_of(inst.rule);
-            self.pipeline.shard_state(s).refracted.insert(claim.key.clone());
+            let Claim { key, shard } = &claim.held;
+            self.pipeline.shard_state(*shard).refracted.insert(key.clone());
         }
         claim.release(&mut self.ledger.lock().unwrap());
         self.cv.notify_all();
@@ -1098,7 +1110,7 @@ impl ParallelEngine {
         for res in cond {
             strategy.acquire(self, txn, *res, Access::Condition)?;
         }
-        let (snapshot, _pin) = self.validate_claim(txn, strategy, inst, &claim.key)?;
+        let (snapshot, _pin) = self.validate_claim(txn, strategy, inst, &claim.held)?;
         lap(Phase::LhsEval);
 
         // ---- RHS: simulated work, then the delta ----
@@ -1149,7 +1161,7 @@ impl ParallelEngine {
                         .into_iter()
                         .all(|class| versions.class_write_seq(class) <= snapshot)
             };
-            if !current && !self.in_conflict_set_at(&claim.key, base.next_seq - 1, false) {
+            if !current && !self.in_conflict_set_at(&claim.held, base.next_seq - 1, false) {
                 return Err(strategy.stale_cause());
             }
         }
@@ -1158,7 +1170,7 @@ impl ParallelEngine {
         let firing = Firing {
             rule: inst.rule,
             rule_name: rule.name.clone(),
-            key: claim.key.clone(),
+            key: claim.held.key.clone(),
             delta,
             halt,
             external: false,
@@ -1261,7 +1273,7 @@ impl ParallelEngine {
         txn: TxnId,
         strategy: Strategy,
         inst: &Instantiation,
-        key: &InstKey,
+        claim: &Claim,
     ) -> Result<(u64, Option<PinGuard<'_>>), AbortCause> {
         let pin = strategy
             .pins_snapshot()
@@ -1270,7 +1282,7 @@ impl ParallelEngine {
             Some(pin) => pin.snap,
             None => self.pipeline.lock_base().next_seq - 1,
         };
-        if !self.in_conflict_set_at(key, w, true) {
+        if !self.in_conflict_set_at(claim, w, true) {
             return Err(AbortCause::Stale);
         }
         if pin.is_some() {
@@ -1787,12 +1799,12 @@ mod tests {
         std::thread::scope(|scope| {
             // The committer parks in the gap (commit 1 stalls between
             // `lm.commit` and `publish`) ...
-            scope.spawn(|| engine.execute_claim(insts[0].clone()));
+            scope.spawn(|| engine.execute_claim(insts[0].clone(), 0));
             while injector.stats().publish_stalls == 0 {
                 std::thread::yield_now();
             }
             // ... and the reader locks and validates inside it.
-            engine.execute_claim(insts[1].clone());
+            engine.execute_claim(insts[1].clone(), 0);
         });
         assert_eq!(engine.metrics.commits.load(Relaxed), 1);
         assert_eq!(

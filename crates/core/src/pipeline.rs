@@ -3,8 +3,9 @@
 //! The dynamic engine's former `Mutex<World>` made every claim scan and
 //! every commit serialise on one matcher. This module splits that state
 //! into the paper's natural grain — the rule partition's class-connected
-//! components — so the match phase runs as a *pipeline* behind the
-//! commit critical section:
+//! components, and below that the disjoint join keys of a
+//! key-partitionable component ([`ShardPlan`]) — so the match phase runs
+//! as a *pipeline* behind the commit critical section:
 //!
 //! * **[`WmBase`]** (`Mutex`) — the authoritative working memory plus
 //!   the commit sequence counter. `commit` applies the WM delta and
@@ -24,11 +25,13 @@
 //!   while the base mutex is held, so `watermark()` read after locking
 //!   the base is exact.
 //! * **[`MatchShard`]s** — one per plan shard: a [`Rete`] over that
-//!   shard's rules (speaking global rule ids via
-//!   [`Rete::with_rules`]), the shard's **refraction slice**, and an
-//!   `applied` cursor. A published batch fans out only to shards whose
-//!   alpha classes intersect it ([`ShardPlan::affected`]); the rest
-//!   advance their cursor for free with one CAS.
+//!   shard's rules (speaking global rule ids via [`Rete::compile`])
+//!   holding only the tuples that route to it, the shard's
+//!   **refraction slice**, and an `applied` cursor. A published batch
+//!   fans out only to the shards its tuples route to
+//!   ([`ShardPlan::affected`]) — by class, and inside a key-partitioned
+//!   component by key value; the rest advance their cursor for free
+//!   with one CAS.
 //! * **Work stealing** — any worker holding a shard lock can
 //!   [`MatchPipeline::catch_up`] that shard from the log; idle claim
 //!   scans do exactly that, so match work overlaps RHS execution
@@ -37,16 +40,20 @@
 //!   claim taken from it is in flight or its lock is held. A scan
 //!   ([`scan_order`]) rotates from the worker's own offset over the
 //!   idle shards first and the busy ones last, so workers settle on
-//!   different shards instead of convoying on one shard lock, and
-//!   still visit every shard before concluding nothing is claimable.
+//!   different shards — different rule families, or different key
+//!   partitions of one hot rule — instead of convoying on one shard
+//!   lock, and still visit every shard before concluding nothing is
+//!   claimable.
 //!
 //! ### Why a stale shard view can never commit
 //!
 //! Claim validation reads the watermark `w` **under the base mutex**
 //! (every publish completes before the base is released — taking the
 //! mutex is a barrier that waits out a commit which has released its
-//! locks at `lm.commit` but not yet published), catches the claimed
-//! rule's shard up to `w`, and checks membership. Any commit
+//! locks at `lm.commit` but not yet published), catches the shard the
+//! claim was scanned from up to `w`, and checks membership (an
+//! instantiation lives on exactly one shard: every tuple of it routes
+//! there, and routing is a function of the tuple). Any commit
 //! that could invalidate the claim after that point necessarily
 //! conflicts with the claim's condition locks — a tuple `Wa` against
 //! our tuple `Rc`, or a relation `Wa` (creates, and the
@@ -144,6 +151,10 @@ pub(crate) struct MatchShard {
     /// holder: non-zero = *busy*. A scheduling hint for [`scan_order`]
     /// only — it publishes no data, hence `Relaxed` throughout.
     busy: AtomicUsize,
+    /// Shard×batch applies this shard's network ran (a tally, bumped
+    /// under the shard lock; summed and maxed in
+    /// [`MatchPipeline::fanout_stats`]).
+    applies: AtomicU64,
 }
 
 /// A locked shard; the shard reads busy while one exists.
@@ -171,14 +182,21 @@ impl Drop for ShardGuard<'_> {
     }
 }
 
-/// The order in which `worker`'s claim scan visits the shards, given
-/// which are busy (`busy.len()` shards): a rotation from the worker's
-/// own offset, idle shards first, busy shards last — every shard
-/// exactly once.
-pub(crate) fn scan_order(worker: usize, busy: &[bool]) -> impl Iterator<Item = usize> + '_ {
-    let n = busy.len();
-    let rotation = move || (0..n).map(move |off| (worker + off) % n);
-    rotation().filter(|&s| !busy[s]).chain(rotation().filter(|&s| busy[s]))
+/// Whether shard `s` is marked in a [`MatchPipeline::busy_shards`]
+/// mask. Shards past the mask's 64 bits read idle: the mask is a
+/// scheduling hint, not a lock.
+pub(crate) fn is_busy(mask: u64, s: usize) -> bool {
+    s < 64 && mask >> s & 1 == 1
+}
+
+/// The order in which `worker`'s claim scan visits `shards` shards,
+/// given the busy mask: a rotation from the worker's own offset, idle
+/// shards first, busy shards last — every shard exactly once.
+pub(crate) fn scan_order(worker: usize, shards: usize, busy: u64) -> impl Iterator<Item = usize> {
+    let rotation = move || (0..shards).map(move |off| (worker + off) % shards);
+    rotation()
+        .filter(move |&s| !is_busy(busy, s))
+        .chain(rotation().filter(move |&s| is_busy(busy, s)))
 }
 
 /// Fan-out tallies (relaxed atomics; maintained whether or not a
@@ -186,7 +204,6 @@ pub(crate) fn scan_order(worker: usize, busy: &[bool]) -> impl Iterator<Item = u
 #[derive(Debug, Default)]
 struct PipelineStats {
     batches: AtomicU64,
-    applies: AtomicU64,
     free_advances: AtomicU64,
     steals: AtomicU64,
     /// Live-telemetry mirrors, maintained at the mutation sites (under
@@ -235,9 +252,9 @@ pub(crate) struct MatchPipeline {
 }
 
 impl MatchPipeline {
-    /// Partitions `rules` onto at most `shards` shards (clamped to the
-    /// class-connected component count), loads `wm` into every shard
-    /// network, and starts the sequence space at `base_seq` — the last
+    /// Lays `rules` out over at most `shards` shards ([`ShardPlan`]),
+    /// loads each tuple of `wm` into the shard network it routes to,
+    /// and starts the sequence space at `base_seq` — the last
     /// committed sequence number, as recovered from a durable log (`0`
     /// = a fresh system). `wm` must be the state *as of* commit
     /// `base_seq`; the watermark and every shard cursor start there,
@@ -265,6 +282,7 @@ impl MatchPipeline {
                 }),
                 applied: AtomicU64::new(base_seq),
                 busy: AtomicUsize::new(0),
+                applies: AtomicU64::new(0),
             })
             .collect();
         let mut versions = VersionedStore::new(VERSION_CHAIN_CAP);
@@ -318,9 +336,11 @@ impl MatchPipeline {
         ShardGuard { state, busy: &shard.busy }
     }
 
-    /// Which shards are busy right now (see [`scan_order`]).
-    pub fn busy_shards(&self) -> Vec<bool> {
-        self.shards.iter().map(|s| s.busy.load(Ordering::Relaxed) > 0).collect()
+    /// Which shards are busy right now, as a bit mask over the first
+    /// 64 (see [`scan_order`], [`is_busy`]).
+    pub fn busy_shards(&self) -> u64 {
+        let busy = |s: &MatchShard| u64::from(s.busy.load(Ordering::Relaxed) > 0);
+        self.shards.iter().take(64).enumerate().fold(0, |mask, (i, s)| mask | busy(s) << i)
     }
 
     /// A claim was taken from shard `s`: the shard reads busy until
@@ -427,10 +447,16 @@ impl MatchPipeline {
             }
             // Snapshot the needed entries, then drop the log lock before
             // running the network (never hold the log across an apply).
+            // The log is gapless and ordered, and entries ≤ `cur` are
+            // pruned only after every shard (this one included) applied
+            // them — so `cur + 1` sits at a known offset from the front.
             let batch: Vec<(u64, Option<Arc<Vec<Change>>>)> = {
                 let log = self.log.lock().unwrap();
-                log.iter()
-                    .filter(|e| e.seq > cur && e.seq <= target)
+                let front = log.front().map_or(cur + 1, |e| e.seq);
+                debug_assert!(front <= cur + 1, "delta log must be gapless");
+                let lo = ((cur + 1 - front) as usize).min(log.len());
+                let hi = ((target + 1 - front) as usize).min(log.len());
+                log.range(lo..hi)
                     .map(|e| {
                         let hit = e.affected.binary_search(&s).is_ok();
                         (e.seq, hit.then(|| Arc::clone(&e.changes)))
@@ -438,9 +464,8 @@ impl MatchPipeline {
                     .collect()
             };
             if batch.is_empty() {
-                // Entries ≤ `cur` were pruned only after every shard
-                // (including this one) applied them, so an empty batch
-                // means a concurrent `catch_up` raced us past `target`.
+                // A concurrent `catch_up` raced us past `target` (and
+                // the entries may already be pruned).
                 debug_assert!(self.shards[s].applied.load(Ordering::Acquire) >= target);
                 return;
             }
@@ -448,14 +473,14 @@ impl MatchPipeline {
             for (seq, changes) in batch {
                 if let Some(changes) = changes {
                     let t0 = obs.map(|_| Instant::now());
-                    state.rete.apply(&changes);
-                    self.stats.applies.fetch_add(1, Ordering::Relaxed);
+                    self.plan.feed(s, &mut state.rete, &changes);
+                    self.shards[s].applies.fetch_add(1, Ordering::Relaxed);
                     if stolen {
                         self.stats.steals.fetch_add(1, Ordering::Relaxed);
                     }
                     if let (Some(obs), Some(t0)) = (obs, t0) {
                         obs.phase(Phase::MatchApply, t0.elapsed());
-                        obs.fanout_apply(stolen);
+                        obs.fanout_apply(s, stolen);
                     }
                 }
                 self.shards[s].applied.fetch_max(seq, Ordering::AcqRel);
@@ -601,12 +626,16 @@ impl MatchPipeline {
 
     /// Point-in-time fan-out tallies.
     pub fn fanout_stats(&self) -> FanoutStats {
+        let applies = || self.shards.iter().map(|s| s.applies.load(Ordering::Relaxed));
         FanoutStats {
             batches: self.stats.batches.load(Ordering::Relaxed),
-            applies: self.stats.applies.load(Ordering::Relaxed),
+            applies: applies().sum(),
+            max_shard_applies: applies().max().unwrap_or(0),
             free_advances: self.stats.free_advances.load(Ordering::Relaxed),
             steals: self.stats.steals.load(Ordering::Relaxed),
             shards: self.shards.len() as u64,
+            components: self.plan.components() as u64,
+            partitions: self.plan.partitions() as u64,
         }
     }
 }
@@ -662,19 +691,39 @@ mod tests {
     }
 
     #[test]
+    fn publish_free_advances_the_partitions_a_batch_does_not_touch() {
+        // One key-partitionable rule over 8 shards: a batch whose tuples
+        // share a key lands on one partition, the other seven advance
+        // for free — and only that partition's network sees the tuples.
+        let rules = RuleSet::parse("(p fam1 (a ^k <x>) (b ^k <x>) --> (remove 1))").unwrap();
+        let p = MatchPipeline::new_at(&rules, WorkingMemory::new(), 8, 0, false);
+        assert_eq!((p.shards(), p.plan().partitions()), (8, 8));
+        let (_, on_a) = commit_changes(&p, WmeData::new("a").with("k", 3i64));
+        let (seq, on_b) = commit_changes(&p, WmeData::new("b").with("k", 3i64));
+        assert_eq!(on_a, on_b, "equal keys, one partition");
+        let stats = p.fanout_stats();
+        assert_eq!((stats.batches, stats.applies, stats.free_advances), (2, 2, 14));
+        assert_eq!((stats.max_shard_applies, stats.components, stats.partitions), (2, 1, 8));
+        for s in 0..p.shards() {
+            assert_eq!(p.applied(s), seq);
+            let expect = usize::from(s == on_a[0]);
+            assert_eq!(p.shard_state(s).rete.conflict_set().len(), expect, "shard {s}");
+        }
+    }
+
+    #[test]
     fn ordering_scan_visits_every_shard_once_busy_last() {
         for shards in 1..=9usize {
             // Every busy set over `shards` shards, every worker offset.
-            for mask in 0..(1u32 << shards) {
-                let busy: Vec<bool> = (0..shards).map(|s| mask >> s & 1 == 1).collect();
+            for mask in 0..(1u64 << shards) {
                 for worker in 0..2 * shards {
-                    let order: Vec<usize> = scan_order(worker, &busy).collect();
+                    let order: Vec<usize> = scan_order(worker, shards, mask).collect();
                     let mut seen = order.clone();
                     seen.sort_unstable();
                     assert_eq!(seen, (0..shards).collect::<Vec<_>>(), "each shard exactly once");
-                    let idle = busy.iter().filter(|b| !**b).count();
-                    assert!(order[..idle].iter().all(|&s| !busy[s]), "idle shards first");
-                    assert!(order[idle..].iter().all(|&s| busy[s]), "busy shards last");
+                    let idle = shards - mask.count_ones() as usize;
+                    assert!(order[..idle].iter().all(|&s| !is_busy(mask, s)), "idle shards first");
+                    assert!(order[idle..].iter().all(|&s| is_busy(mask, s)), "busy shards last");
                     // Within each group: the worker's own rotation.
                     let rank = |s: usize| (s + shards - worker % shards) % shards;
                     for group in [&order[..idle], &order[idle..]] {
@@ -683,20 +732,23 @@ mod tests {
                 }
             }
         }
-        assert_eq!(scan_order(1, &[false, false, true, false]).collect::<Vec<_>>(), [1, 3, 0, 2]);
+        assert_eq!(scan_order(1, 4, 0b0100).collect::<Vec<_>>(), [1, 3, 0, 2]);
+        // Past the mask's width every shard reads idle, and is still visited.
+        assert_eq!(scan_order(0, 70, u64::MAX).take(6).collect::<Vec<_>>(), [64, 65, 66, 67, 68, 69]);
+        assert_eq!(scan_order(0, 70, u64::MAX).count(), 70);
     }
 
     #[test]
     fn ordering_shard_reads_busy_while_locked_or_claimed() {
         let (_, p) = pipeline(3);
-        assert_eq!(p.busy_shards(), [false, false, false]);
+        assert_eq!(p.busy_shards(), 0b000);
         let guard = p.shard_state(1);
-        assert_eq!(p.busy_shards(), [false, true, false], "a held lock is busy");
+        assert_eq!(p.busy_shards(), 0b010, "a held lock is busy");
         p.claim_taken(1);
         drop(guard);
-        assert_eq!(p.busy_shards(), [false, true, false], "an in-flight claim is busy");
+        assert_eq!(p.busy_shards(), 0b010, "an in-flight claim is busy");
         p.claim_released(1);
-        assert_eq!(p.busy_shards(), [false, false, false]);
+        assert_eq!(p.busy_shards(), 0b000);
     }
 
     #[test]
@@ -713,7 +765,7 @@ mod tests {
         base.next_seq += 1;
         p.publish(seq2, vec![Change::Added(w2)], None);
         drop(base);
-        let s = p.plan().shard_of(rules.id_of("fam3").unwrap());
+        let s = p.plan().shards_of(rules.id_of("fam3").unwrap()).start;
         assert!(p.shards[s].applied.load(Ordering::Acquire) < seq2);
         let before = {
             let st = p.shard_state(s);

@@ -297,6 +297,19 @@ impl Rete {
 
     /// Builds the network for an arbitrary `(RuleId, &Rule)` collection
     /// and loads the initial working memory.
+    pub fn with_rules<'a>(
+        rules: impl IntoIterator<Item = (RuleId, &'a Rule)>,
+        wm: &WorkingMemory,
+    ) -> Self {
+        let mut rete = Rete::compile(rules);
+        for wme in wm.iter() {
+            rete.insert(wme);
+        }
+        rete
+    }
+
+    /// Builds the network for an arbitrary `(RuleId, &Rule)` collection
+    /// over an empty working memory ([`Rete::insert`] loads it).
     ///
     /// The given ids are stored verbatim in the production nodes, so the
     /// resulting conflict set speaks the *caller's* id space. This is
@@ -304,10 +317,7 @@ impl Rete {
     /// while still emitting global rule ids — no translation layer, no
     /// re-merge (contrast [`crate::PartitionedRete`], which pays a
     /// local→global rewrite per affected component).
-    pub fn with_rules<'a>(
-        rules: impl IntoIterator<Item = (RuleId, &'a Rule)>,
-        wm: &WorkingMemory,
-    ) -> Self {
+    pub fn compile<'a>(rules: impl IntoIterator<Item = (RuleId, &'a Rule)>) -> Self {
         let mut rete = Rete {
             net: Network::default(),
             beta: Beta::default(),
@@ -321,9 +331,6 @@ impl Rete {
         debug_assert_eq!(dummy, DUMMY);
         for (id, rule) in rules {
             rete.compile_rule(id, rule);
-        }
-        for wme in wm.iter() {
-            rete.add_wme(wme);
         }
         rete
     }
@@ -551,7 +558,9 @@ impl Rete {
     // WME-level entry points
     // -------------------------------------------------------------
 
-    fn add_wme(&mut self, wme: &Wme) {
+    /// Adds one element: what [`Matcher::apply`] does for an `Added`
+    /// change, without the caller building one.
+    pub fn insert(&mut self, wme: &Wme) {
         let wme = Arc::new(wme.clone());
         for amem in self.net.alpha.add_wme(&wme) {
             for &node in self.net.successors.get(amem.0).into_iter().flatten() {
@@ -939,7 +948,7 @@ impl Matcher for Rete {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(w),
+                Change::Added(w) => self.insert(w),
                 Change::Removed(w) => self.remove_wme(&w.data.class, w.id),
             }
         }

@@ -16,7 +16,7 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::event::{AbortCause, Event, EventKind, Ring};
@@ -57,10 +57,11 @@ struct Counters {
 #[derive(Debug, Default)]
 struct Fanout {
     batches: AtomicU64,
-    applies: AtomicU64,
     free_advances: AtomicU64,
     steals: AtomicU64,
-    shards: AtomicU64,
+    /// The plan: `(components, key partitions)` and one apply tally per
+    /// shard, set once at engine start.
+    plan: OnceLock<(u64, u64, Box<[AtomicU64]>)>,
 }
 
 /// Per-rule firing/abort tallies.
@@ -189,10 +190,12 @@ impl Recorder {
         self.hists[phase.index()].snapshot()
     }
 
-    /// Notes the sharded pipeline's configured match-shard count (set
-    /// once at engine start; the maximum wins if called twice).
-    pub fn set_match_shards(&self, shards: u64) {
-        self.fanout.shards.fetch_max(shards, Relaxed);
+    /// Notes the sharded pipeline's plan — shards, class-connected
+    /// components, key partitions — once, at engine start (a second
+    /// call is ignored).
+    pub fn set_match_plan(&self, shards: usize, components: u64, partitions: u64) {
+        let tallies = || (0..shards).map(|_| AtomicU64::new(0)).collect();
+        self.fanout.plan.get_or_init(|| (components, partitions, tallies()));
     }
 
     /// Counts one published WM delta batch; `free` is how many shards
@@ -204,11 +207,13 @@ impl Recorder {
         self.fanout.free_advances.fetch_add(free, Relaxed);
     }
 
-    /// Counts one shard×batch Rete apply. `stolen` marks applies done
-    /// by a worker catching a shard up outside the committing worker's
-    /// own fan-out (idle-worker work stealing).
-    pub fn fanout_apply(&self, stolen: bool) {
-        self.fanout.applies.fetch_add(1, Relaxed);
+    /// Counts one shard×batch Rete apply on `shard`. `stolen` marks
+    /// applies done by a worker catching a shard up outside the
+    /// committing worker's own fan-out (idle-worker work stealing).
+    pub fn fanout_apply(&self, shard: usize, stolen: bool) {
+        if let Some(tally) = self.fanout.plan.get().and_then(|(_, _, t)| t.get(shard)) {
+            tally.fetch_add(1, Relaxed);
+        }
         if stolen {
             self.fanout.steals.fetch_add(1, Relaxed);
         }
@@ -216,12 +221,20 @@ impl Recorder {
 
     /// Snapshot of the sharded-match fan-out tallies.
     pub fn fanout_snapshot(&self) -> FanoutStats {
+        let (components, partitions, tallies) = match self.fanout.plan.get() {
+            Some((components, partitions, tallies)) => (*components, *partitions, &tallies[..]),
+            None => (0, 0, &[][..]),
+        };
+        let applies = || tallies.iter().map(|t| t.load(Relaxed));
         FanoutStats {
             batches: self.fanout.batches.load(Relaxed),
-            applies: self.fanout.applies.load(Relaxed),
+            applies: applies().sum(),
+            max_shard_applies: applies().max().unwrap_or(0),
             free_advances: self.fanout.free_advances.load(Relaxed),
             steals: self.fanout.steals.load(Relaxed),
-            shards: self.fanout.shards.load(Relaxed),
+            shards: tallies.len() as u64,
+            components,
+            partitions,
         }
     }
 

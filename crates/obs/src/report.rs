@@ -35,8 +35,16 @@ pub struct FanoutStats {
     /// Applies performed by a worker other than the committing one
     /// (idle-worker catch-up stealing); subset of `applies`.
     pub steals: u64,
-    /// Configured match-shard count (0 when the pipeline is off).
+    /// Match shards in the plan (0 when the pipeline is off).
     pub shards: u64,
+    /// Class-connected rule components the plan was laid out from.
+    pub components: u64,
+    /// Shards that are key partitions of a split component (0 when no
+    /// component is key-partitioned).
+    pub partitions: u64,
+    /// Applies of the busiest shard; over `applies` it is the largest
+    /// shard's share of the match work — the partition skew.
+    pub max_shard_applies: u64,
 }
 
 impl FanoutStats {
@@ -180,6 +188,9 @@ impl ObsReport {
             ("free_advances".into(), Json::u64(self.fanout.free_advances)),
             ("steals".into(), Json::u64(self.fanout.steals)),
             ("shards".into(), Json::u64(self.fanout.shards)),
+            ("components".into(), Json::u64(self.fanout.components)),
+            ("partitions".into(), Json::u64(self.fanout.partitions)),
+            ("max_shard_applies".into(), Json::u64(self.fanout.max_shard_applies)),
         ]);
         Json::Obj(vec![
             ("schema".into(), Json::str("dps-obs-report-v1")),
@@ -251,11 +262,15 @@ impl fmt::Display for ObsReport {
         if !self.fanout.is_empty() {
             writeln!(
                 f,
-                "  match fan-out: {} shard(s), {} batch(es), {} applies ({} stolen), {} free advance(s)",
+                "  match fan-out: {} shard(s) ({} component(s), {} key partition(s)), {} batch(es), \
+                 {} applies ({} stolen, {} on the busiest shard), {} free advance(s)",
                 self.fanout.shards,
+                self.fanout.components,
+                self.fanout.partitions,
                 self.fanout.batches,
                 self.fanout.applies,
                 self.fanout.steals,
+                self.fanout.max_shard_applies,
                 self.fanout.free_advances,
             )?;
         }
@@ -336,28 +351,35 @@ mod tests {
         assert!(rep.fanout.is_empty());
         assert!(!rep.to_string().contains("match fan-out"), "empty stays silent");
 
-        r.set_match_shards(4);
+        r.set_match_plan(4, 2, 3);
         r.fanout_batch(3);
-        r.fanout_apply(false);
-        r.fanout_apply(true);
+        r.fanout_apply(1, false);
+        r.fanout_apply(1, true);
+        r.fanout_apply(3, false);
         let rep = r.report();
         assert_eq!(
             rep.fanout,
             FanoutStats {
                 batches: 1,
-                applies: 2,
+                applies: 3,
                 free_advances: 3,
                 steals: 1,
                 shards: 4,
+                components: 2,
+                partitions: 3,
+                max_shard_applies: 2,
             }
         );
         let parsed = json::parse(&rep.to_json().to_string_pretty()).unwrap();
         for (key, want) in [
             ("batches", 1),
-            ("applies", 2),
+            ("applies", 3),
             ("free_advances", 3),
             ("steals", 1),
             ("shards", 4),
+            ("components", 2),
+            ("partitions", 3),
+            ("max_shard_applies", 2),
         ] {
             assert_eq!(
                 parsed.at(&["fanout", key]).and_then(Json::as_u64),

@@ -9,6 +9,7 @@ use dbps::lock::{
     ConflictPolicy, FaultPlan, LockError, LockManager, LockMode, Protocol, ResourceId,
 };
 use dbps::obs::Verdict;
+use dbps::rete::DEFAULT_MATCH_SHARDS;
 use dps_bench::chaos::{chaos_run, injection_accounted, sweep_governor, ChaosSpec};
 use dps_bench::workloads;
 
@@ -32,6 +33,7 @@ fn every_fault_plan_and_seed_replays_consistently() {
                     busy: false,
                     governor: Some(sweep_governor(seed)),
                     telemetry: false,
+                    match_shards: DEFAULT_MATCH_SHARDS,
                 });
                 assert!(
                     run.passes(),
@@ -74,6 +76,7 @@ fn corrupted_commit_sequence_is_rejected() {
         busy: false,
         governor: None,
         telemetry: false,
+        match_shards: DEFAULT_MATCH_SHARDS,
     });
     assert_eq!(run.verdict(), Verdict::Inconsistent);
     assert!(
@@ -140,6 +143,9 @@ fn doomed_mid_rhs_stops_before_next_action() {
             workers: 4,
             work: WorkModel::FixedMicros(200),
             fault: Some(FaultPlan::doom_storm(seed)),
+            // The test exists to see dooms land mid-RHS: every claim
+            // scan on the one shard the hot tally lives on.
+            match_shards: 1,
             ..Default::default()
         },
     );

@@ -4,16 +4,27 @@
 //! until its shard has refracted it, and what keeps termination sound
 //! is that `inflight` falls only after the watermark has risen. These
 //! runs put every worker on one shard — the tightest race on both —
-//! and CI loops them (50× at default threads, 50× serial).
+//! or on the key partitions of one hot rule, where the same order has
+//! to hold per partition; CI loops them (50× at default threads, 50×
+//! serial).
 
 use std::collections::HashSet;
 
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{ParallelConfig, ParallelEngine, ParallelReport};
 use dbps::rules::RuleSet;
-use dbps::wm::{WmeData, WorkingMemory};
+use dbps::wm::{Value, WmeData, WmeId, WorkingMemory};
+use dps_bench::workloads;
 
 fn run(rules: &RuleSet, wm: WorkingMemory, config: ParallelConfig) -> ParallelReport {
+    run_to_wm(rules, wm, config).0
+}
+
+fn run_to_wm(
+    rules: &RuleSet,
+    wm: WorkingMemory,
+    config: ParallelConfig,
+) -> (ParallelReport, WorkingMemory) {
     let initial = wm.clone();
     let mut engine = ParallelEngine::new(rules, wm, config);
     let report = engine.run();
@@ -25,7 +36,7 @@ fn run(rules: &RuleSet, wm: WorkingMemory, config: ParallelConfig) -> ParallelRe
     assert_eq!(report.commits, report.trace.len());
     assert_eq!(engine.held_locks(), 0);
     assert_eq!(engine.snapshot_pins(), 0);
-    report
+    (report, engine.final_wm())
 }
 
 /// One `engine_match` family: a cursor walks `pairs` items, each visit
@@ -82,6 +93,45 @@ fn four_workers_on_one_shard_never_fire_a_key_twice() {
         wm.insert(WmeData::new("flag").with("id", i));
     }
     assert_eq!(run(&rules, wm, four).commits, 500);
+}
+
+/// The partitioned twin: `charge` joins `task ^res` to `tally ^id`, so
+/// at 8 match shards its eight resources spread over key partitions and
+/// four workers claim, validate, absorb and refract on *different*
+/// shards of one rule. No key fires twice (checked in `run`), the
+/// tallies reach their closed form, and the final working memory is the
+/// same for 1, 2 and 4 workers and for the monolithic layout. Debug
+/// builds also assert, at every claim, that each matched tuple routes
+/// to the shard the claim was scanned from.
+#[test]
+fn four_workers_on_one_partitioned_rule_never_fire_a_key_twice() {
+    const TASKS: usize = 256;
+    const RESOURCES: usize = 8;
+    let (rules, wm) = workloads::shared_resources(TASKS, RESOURCES);
+    let content = |wm: &WorkingMemory| {
+        let mut tuples: Vec<(WmeId, WmeData)> = wm.iter().map(|w| (w.id, w.data.clone())).collect();
+        tuples.sort_by_key(|(id, _)| *id);
+        tuples
+    };
+    let mut finals = Vec::new();
+    for (match_shards, workers) in [(8, 1), (8, 2), (8, 4), (1, 4)] {
+        let config = ParallelConfig { workers, match_shards, ..ParallelConfig::default() };
+        let (report, final_wm) = run_to_wm(&rules, wm.clone(), config);
+        let cell = format!("{workers} workers, {match_shards} shard(s)");
+        assert_eq!(report.commits, TASKS, "{cell}");
+        let partitions = if match_shards == 8 { 8 } else { 0 };
+        let fanout = report.fanout;
+        assert_eq!((fanout.shards, fanout.partitions), (match_shards as u64, partitions));
+        for tally in final_wm.class_iter("tally") {
+            let per_tally = Value::Int((TASKS / RESOURCES) as i64);
+            assert_eq!(tally.get("count"), Some(&per_tally), "{cell}");
+        }
+        finals.push((cell, content(&final_wm)));
+    }
+    let (first, rest) = finals.split_first().unwrap();
+    for (cell, tuples) in rest {
+        assert!(*tuples == first.1, "final WM of {cell} differs from {}", first.0);
+    }
 }
 
 /// Termination when the only claimable work sits in a busy shard: the

@@ -144,10 +144,11 @@ fn random_valid_recorder(rng: &mut SmallRng) -> Recorder {
     // Half the cases also exercise the match fan-out counters, so the
     // report round-trip covers both the empty and populated shapes.
     if rng.random_bool(0.5) {
-        rec.set_match_shards(1 + rng.range_u64(0, 8));
+        let shards = 1 + rng.index(8);
+        rec.set_match_plan(shards, 1, shards as u64 - 1);
         for _ in 0..1 + rng.index(6) {
             rec.fanout_batch(rng.range_u64(0, 4));
-            rec.fanout_apply(rng.random_bool(0.3));
+            rec.fanout_apply(rng.index(shards), rng.random_bool(0.3));
         }
     }
     rec
@@ -189,12 +190,12 @@ fn fanout_counters_survive_the_report_round_trip() {
     // Deterministic fan-out traffic: the counters must land in the
     // emitted tree with exact values and survive reparsing.
     let rec = Recorder::with_capacity(2, 256);
-    rec.set_match_shards(8);
+    rec.set_match_plan(8, 3, 6);
     rec.fanout_batch(5); // one batch, five free-advanced shards
     rec.fanout_batch(7);
-    rec.fanout_apply(false); // committer applies its own shard
-    rec.fanout_apply(true); // an idle worker steals a catch-up
-    rec.fanout_apply(true);
+    rec.fanout_apply(0, false); // committer applies its own shard
+    rec.fanout_apply(2, true); // an idle worker steals a catch-up
+    rec.fanout_apply(2, true);
     let snap = rec.fanout_snapshot();
     assert_eq!(
         (snap.batches, snap.applies, snap.free_advances, snap.steals, snap.shards),

@@ -10,7 +10,8 @@
 //!
 //! rows = { `two_phase`, `rc_ra_wa/abort_readers`,
 //! `rc_ra_wa/revalidate`, `mvcc_snapshot`, `elided` }
-//! × shapes = { `counters`, `hot_tuple`, `negated`, `doom_storm` }
+//! × shapes = { `counters`, `hot_tuple`, `negated`, `doom_storm`,
+//! `partitioned` }
 //!
 //! Laws, checked for every cell:
 //!
@@ -123,7 +124,7 @@ fn cells_drained(report: &ParallelReport, wm: &WorkingMemory, cell: &str) {
     }
 }
 
-const SHAPES: [Shape; 4] = [
+const SHAPES: [Shape; 5] = [
     // Independent counters: no two firings share a tuple.
     Shape {
         name: "counters",
@@ -194,6 +195,37 @@ const SHAPES: [Shape; 4] = [
         fault: Some(FaultPlan::doom_storm),
         commutes: true,
         drained: cells_drained,
+    },
+    // One hot rule over a key-partitioned component: `charge` joins
+    // `task ^res` to `tally ^id`, so at the default 8 match shards the
+    // four tallies sit on different shards and every strategy's claim
+    // validation, revalidation and commit-time membership test runs
+    // against the partition the claim was scanned from.
+    Shape {
+        name: "partitioned",
+        rules: "(p charge (task ^res <r> ^state todo) (tally ^id <r> ^count <c>)
+                  --> (modify 1 ^state done) (modify 2 ^count (+ <c> 1)))",
+        wm: || {
+            let mut wm = WorkingMemory::new();
+            for r in 0..4i64 {
+                wm.insert(WmeData::new("tally").with("id", r).with("count", 0i64));
+            }
+            for t in 0..24i64 {
+                wm.insert(WmeData::new("task").with("res", t % 4).with("state", "todo"));
+            }
+            wm
+        },
+        work_us: 100,
+        fault: None,
+        // `^state done` is an absolute write.
+        commutes: false,
+        drained: |report, wm, cell| {
+            assert_eq!(report.commits, 24, "{cell}");
+            assert_eq!(report.fanout.partitions, 8, "{cell}: the component must be split");
+            for tally in wm.class_iter("tally") {
+                assert_eq!(tally.get("count"), Some(&Value::Int(6)), "{cell}: 24 tasks / 4");
+            }
+        },
     },
 ];
 
