@@ -69,7 +69,6 @@ fn engine_protocols(c: &mut Criterion) {
                                 work: WorkModel::FixedMicros(200),
                                 max_commits: 1_000,
                                 rc_escalation: None,
-                                lock_shards: dps_lock::DEFAULT_SHARDS,
                                 ..Default::default()
                             },
                         );

@@ -1,12 +1,13 @@
 //! X4 — match-substrate ablation: Rete vs TREAT (the two algorithms the
-//! paper's §2 survey contrasts), on build cost and incremental updates.
+//! paper's §2 survey contrasts), on build cost and incremental updates;
+//! X8 — the same Rete over match shards.
 
 use dps_bench::harness::{BenchmarkId, Criterion};
 use dps_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
 use dps_bench::workloads;
-use dps_match::{Matcher, PartitionedRete, Rete, Treat};
+use dps_match::{Matcher, Rete, ShardedRete, Treat, DEFAULT_MATCH_SHARDS};
 use dps_wm::{Change, WmeData, WorkingMemory};
 
 fn build(c: &mut Criterion) {
@@ -82,10 +83,12 @@ fn negation_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// X8 — intra-phase parallelism: monolithic Rete vs partitioned (serial
-/// routing) vs partitioned with threaded fan-out, on a rule set with
-/// many independent class families.
-fn partitioned(c: &mut Criterion) {
+/// X8 — intra-phase parallelism: monolithic Rete vs the same rule set
+/// laid out over match shards (`ShardedRete`, serial routing: a batch
+/// runs only the shards its classes reach), on a rule set with many
+/// independent class families. Shards matched by concurrent workers are
+/// measured through the engine pipeline by `matchbench`.
+fn sharded(c: &mut Criterion) {
     use dps_rules::RuleSet;
 
     // 16 independent rule families, each over its own pair of classes.
@@ -109,100 +112,23 @@ fn partitioned(c: &mut Criterion) {
         .map(|f| Change::Added(scratch.insert_full(WmeData::new(format!("a{f}")).with("k", 5i64))))
         .collect();
 
-    let mut g = c.benchmark_group("match_partitioned");
+    let mut g = c.benchmark_group("match_sharded");
     g.bench_function("monolithic", |b| {
         let mut rete = Rete::new(&rules, &wm);
         b.iter(|| rete.apply(&batch))
     });
-    g.bench_function("partitioned_serial", |b| {
-        let mut pm = PartitionedRete::new(&rules, &wm);
-        b.iter(|| pm.apply(&batch))
-    });
-    g.bench_function("partitioned_threads", |b| {
-        let mut pm = PartitionedRete::new(&rules, &wm);
-        pm.set_parallel(true);
-        b.iter(|| pm.apply(&batch))
-    });
-    g.finish();
-}
-
-/// The drain-pattern micro-bench `conflict.rs` points at (`conflict_drain`):
-/// removing every instantiation that mentions one hot WME, or every
-/// instantiation of one rule, under large fan-outs. An `InstKey` owns a
-/// `Vec<(WmeId, Timestamp)>`, so the pre-drain implementation — cloning
-/// each key out of the `by_wme` / `by_rule` index into a temporary
-/// `Vec` — paid O(conditions) heap allocations *per key* before a single
-/// removal happened; the drain pattern moves the whole index set out in
-/// one `HashMap::remove`. The per-iteration `clone` of the pre-built set
-/// is identical noise for both operations, so relative movement between
-/// this bench's rows tracks the drain path itself.
-fn conflict_drain(c: &mut Criterion) {
-    use dps_match::{ConflictSet, Instantiation};
-    use dps_rules::{Bindings, RuleId};
-    use dps_wm::{Wme, WmeId};
-
-    let wme = |id: u64| Wme {
-        id: WmeId(id),
-        data: WmeData::new("c"),
-        timestamp: id,
-    };
-    // `fanout` instantiations all mentioning the hot WmeId(0) (and all
-    // belonging to RuleId(0)), plus an equal population of bystanders
-    // that must survive the drain untouched.
-    let build = |fanout: usize| -> ConflictSet {
-        let mut cs = ConflictSet::new();
-        for i in 0..fanout as u64 {
-            cs.insert(Instantiation {
-                rule: RuleId(0),
-                wmes: vec![wme(0), wme(1_000 + 2 * i), wme(1_001 + 2 * i)],
-                bindings: Bindings::new(),
-                salience: 0,
-            });
-            cs.insert(Instantiation {
-                rule: RuleId(1 + (i % 8) as u32),
-                wmes: vec![wme(10_000 + 2 * i), wme(10_001 + 2 * i)],
-                bindings: Bindings::new(),
-                salience: 0,
-            });
-        }
-        cs
-    };
-
-    let mut g = c.benchmark_group("conflict_drain");
-    for &fanout in &[64usize, 512] {
-        let base = build(fanout);
+    for shards in [DEFAULT_MATCH_SHARDS, 16] {
         g.bench_with_input(
-            BenchmarkId::new("remove_mentioning", fanout),
-            &fanout,
-            |b, &fanout| {
-                b.iter(|| {
-                    let mut cs = base.clone();
-                    assert_eq!(cs.remove_mentioning(black_box(WmeId(0))), fanout);
-                    black_box(cs.len())
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("remove_of_rule", fanout),
-            &fanout,
-            |b, &fanout| {
-                b.iter(|| {
-                    let mut cs = base.clone();
-                    assert_eq!(cs.remove_of_rule(black_box(RuleId(0))).len(), fanout);
-                    black_box(cs.len())
-                })
+            BenchmarkId::new("sharded", shards),
+            &shards,
+            |b, &shards| {
+                let mut sharded = ShardedRete::new(&rules, &wm, shards);
+                b.iter(|| sharded.apply(&batch))
             },
         );
     }
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    build,
-    incremental,
-    negation_churn,
-    partitioned,
-    conflict_drain
-);
+criterion_group!(benches, build, incremental, negation_churn, sharded);
 criterion_main!(benches);

@@ -1,11 +1,11 @@
 //! Working-memory substrate benches: tuple throughput, index selection,
-//! atomic delta application, snapshot/redo-log persistence.
+//! atomic delta application, snapshot codec and atomic batch replay.
 
 use dps_bench::harness::{BenchmarkId, Criterion};
 use dps_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
-use dps_wm::{Atom, DeltaSet, RedoLog, Value, WmeData, WorkingMemory};
+use dps_wm::{apply_changes_atomic, Atom, DeltaSet, Value, WmeData, WorkingMemory};
 
 fn populated(n: i64) -> WorkingMemory {
     let mut wm = WorkingMemory::new();
@@ -71,19 +71,23 @@ fn persistence(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("redo_log_append_replay_100", |b| {
-        let base = populated(100);
-        let snap = base.encode_snapshot().unwrap();
-        b.iter(|| {
-            let mut wm = WorkingMemory::decode_snapshot(&snap).unwrap();
-            let mut log = RedoLog::new();
-            for i in 0..100i64 {
+    // Recovery's redo step: 100 committed batches replayed atomically
+    // onto the snapshot they were taken after.
+    g.bench_function("replay_atomic_100", |b| {
+        let mut wm = populated(100);
+        let snap = wm.encode_snapshot().unwrap();
+        let batches: Vec<_> = (0..100i64)
+            .map(|i| {
                 let mut d = DeltaSet::new();
                 d.create(WmeData::new("log").with("i", i));
-                log.append(&wm.apply(&d).unwrap()).unwrap();
-            }
+                wm.apply(&d).unwrap()
+            })
+            .collect();
+        b.iter(|| {
             let mut recovered = WorkingMemory::decode_snapshot(&snap).unwrap();
-            log.replay(&mut recovered).unwrap();
+            for batch in &batches {
+                apply_changes_atomic(&mut recovered, batch).unwrap();
+            }
             recovered.len()
         })
     });

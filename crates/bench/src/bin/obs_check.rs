@@ -1,4 +1,4 @@
-//! Validates a `dps-report-v2` document — what every gate binary emits
+//! Validates a `dps-report-v2` document — what every gate emits
 //! with `--json` — against the one shape they share (see
 //! [`dps_bench::report::validate`]): schema tag, every leg's drain /
 //! abort-accounting / checker rules, every gate's `pass` recomputed

@@ -14,9 +14,16 @@
 //! `sample_size`, globally via the `DPS_BENCH_SAMPLES` env var). Slow
 //! benchmarks are capped by a per-benchmark time budget (~2 s) so suites
 //! stay fast. The report prints min / median / max per iteration.
+//!
+//! It is also the command line: [`ReportArgs`] (the strict flag parser
+//! every binary goes through) and [`GATES`], the one table of the gates
+//! CI runs, which the `gate <name>` binary dispatches on.
 
 use std::fmt;
 use std::time::{Duration, Instant};
+
+use crate::report::Report;
+use crate::{analysis, chaos, commute, matchbench, mvcc, recovery, scaling, server_load};
 
 /// Per-benchmark wall-clock budget: once a benchmark's timed iterations
 /// have consumed this much, no further samples are taken.
@@ -213,7 +220,7 @@ impl Flag {
     }
 }
 
-/// The flag set of most gate binaries; a bin with a different surface
+/// The flag set of most gates; a gate with a different surface
 /// declares its own slice.
 pub const GATE_FLAGS: &[Flag] = &[
     Flag::Bare("--quick"),
@@ -221,6 +228,69 @@ pub const GATE_FLAGS: &[Flag] = &[
     Flag::Int("--workers"),
     Flag::Int("--seed"),
 ];
+
+const QUICK_JSON: &[Flag] = &[Flag::Bare("--quick"), Flag::Bare("--json")];
+
+/// One gate CI runs: its name on the `gate` command line, the flags it
+/// accepts, and the function that runs it to a [`Report`].
+#[derive(Clone, Copy, Debug)]
+pub struct Gate {
+    /// `gate <name>`.
+    pub name: &'static str,
+    /// The flags after the name.
+    pub flags: &'static [Flag],
+    /// Runs the gate.
+    pub run: fn(&ReportArgs) -> Report,
+}
+
+/// Every gate, each declared once: read by the `gate` binary and by
+/// `tests/validator.rs`.
+pub const GATES: [Gate; 8] = [
+    Gate { name: "scaling", flags: QUICK_JSON, run: scaling::gate },
+    Gate {
+        name: "analyze",
+        flags: &[Flag::Bare("--quick"), Flag::Bare("--json"), Flag::Int("--workers")],
+        run: analysis::gate,
+    },
+    Gate { name: "chaos", flags: GATE_FLAGS, run: chaos::gate },
+    Gate { name: "matchbench", flags: QUICK_JSON, run: matchbench::gate },
+    Gate { name: "mvcc", flags: GATE_FLAGS, run: mvcc::gate },
+    Gate { name: "recovery", flags: GATE_FLAGS, run: recovery::gate },
+    Gate { name: "loadgen", flags: GATE_FLAGS, run: server_load::gate },
+    Gate { name: "commute", flags: commute::FLAGS, run: commute::gate },
+];
+
+/// Parses `gate <name> [flags…]` (program name excluded): the named
+/// [`GATES`] entry and its parsed flags, or the usage message — for a
+/// missing or unknown name, or a flag that gate does not accept — which
+/// the binary prints before it exits 2.
+pub fn parse_gate(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(&'static Gate, ReportArgs), String> {
+    let mut args = args.into_iter();
+    let name = args.next();
+    let Some(gate) = GATES.iter().find(|g| Some(g.name) == name.as_deref()) else {
+        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+        let what = name.map_or("missing gate name".into(), |n| format!("unknown gate `{n}`"));
+        return Err(format!("error: {what}\nusage: gate <{}> [flags]", names.join("|")));
+    };
+    let parsed = ReportArgs::from_args(gate.flags, args)
+        .map_err(|e| format!("error: {e}\nusage: gate {} {}", gate.name, usage(gate.flags)))?;
+    Ok((gate, parsed))
+}
+
+/// `[--quick] [--workers N] …` for a flag set.
+fn usage(flags: &[Flag]) -> String {
+    let words: Vec<String> = flags
+        .iter()
+        .map(|f| match f {
+            Flag::Bare(n) => format!("[{n}]"),
+            Flag::Int(n) => format!("[{n} N]"),
+            Flag::Text(n) => format!("[{n} VALUE]"),
+        })
+        .collect();
+    words.join(" ")
+}
 
 /// The strict command line every `dps-bench` binary parses through:
 /// each bin declares the flags it accepts, and an unknown flag, a
@@ -236,15 +306,7 @@ impl ReportArgs {
     /// it with a usage line and exits 2.
     pub fn parse(bin: &str, flags: &[Flag]) -> Self {
         Self::from_args(flags, std::env::args().skip(1)).unwrap_or_else(|e| {
-            let usage: Vec<String> = flags
-                .iter()
-                .map(|f| match f {
-                    Flag::Bare(n) => format!("[{n}]"),
-                    Flag::Int(n) => format!("[{n} N]"),
-                    Flag::Text(n) => format!("[{n} VALUE]"),
-                })
-                .collect();
-            eprintln!("error: {e}\nusage: {bin} {}", usage.join(" "));
+            eprintln!("error: {e}\nusage: {bin} {}", usage(flags));
             std::process::exit(2)
         })
     }
@@ -380,5 +442,36 @@ mod tests {
         assert!(fmt_duration(Duration::from_micros(500)).ends_with("µs"));
         assert!(fmt_duration(Duration::from_millis(500)).ends_with("ms"));
         assert!(fmt_duration(Duration::from_secs(50)).ends_with(" s"));
+    }
+
+    fn gate_args(args: &[&str]) -> Result<(&'static Gate, ReportArgs), String> {
+        parse_gate(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn unknown_or_missing_gate_name_is_a_usage_error() {
+        for args in [&["nope"][..], &["--quick"], &[]] {
+            let err = gate_args(args).expect_err("no such gate");
+            assert!(err.contains("usage: gate <scaling|analyze|"), "{err}");
+        }
+        assert!(gate_args(&["nope"]).unwrap_err().contains("unknown gate `nope`"));
+    }
+
+    #[test]
+    fn a_gate_parses_only_its_own_flags() {
+        let (gate, args) = gate_args(&["chaos", "--quick", "--seed", "7"]).unwrap();
+        assert_eq!(gate.name, "chaos");
+        assert!(args.quick());
+        assert_eq!(args.flag_u64("--seed"), Some(7));
+        let err = gate_args(&["scaling", "--workers", "2"]).unwrap_err();
+        assert!(err.contains("unknown flag `--workers`"), "{err}");
+        assert!(err.contains("usage: gate scaling [--quick] [--json]"), "{err}");
+    }
+
+    #[test]
+    fn gate_names_are_unique() {
+        for (i, g) in GATES.iter().enumerate() {
+            assert!(GATES[..i].iter().all(|h| h.name != g.name), "{} twice", g.name);
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! Shared synthetic [`workloads`]; the eight gates CI runs, each a
 //! `gate(&ReportArgs) -> Report` in its own module ([`scaling`],
 //! [`analysis`], [`chaos`], [`matchbench`], [`mvcc`], [`recovery`],
-//! [`server_load`], [`commute`]) behind a five-line binary; the one
+//! [`server_load`], [`commute`]), listed once in [`harness::GATES`] —
+//! the table the `gate <name>` binary dispatches on; the one
 //! certified-leg runner they all measure through ([`analysis`]); the
 //! one report they all emit and the validator `obs_check` applies to it
 //! ([`report`]); the dependency-free Criterion-shaped bench [`harness`]

@@ -1,4 +1,4 @@
-//! The one report every gate binary emits, and its validator.
+//! The one report every gate emits, and its validator.
 //!
 //! `dps-report-v2 { schema, gate, meta, legs[], gates[], probes[],
 //! timeline }`:
@@ -241,7 +241,7 @@ impl Report {
         ])
     }
 
-    /// Ends a gate binary: prints the document when `--json` was given,
+    /// Ends a gate run: prints the document when `--json` was given,
     /// one line per gate and probe to stderr, and returns success iff
     /// every gate passed and every probe came out as it must.
     pub fn finish(self, args: &ReportArgs) -> ExitCode {

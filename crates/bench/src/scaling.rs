@@ -11,8 +11,7 @@
 //!   must show monotonic speed-up: with a global `Mutex<State>` in the
 //!   lock manager and a global `Mutex<Shared>` in the engine, adding
 //!   workers buys nothing because every lock/commit serialises on the
-//!   same two mutexes. Swept at the default lock-shard count and at 1
-//!   (the pre-sharding centralised table).
+//!   same two mutexes.
 //! * **contended** — `shared_resources(tasks, 1)`: a single hot tally.
 //!   Parallelism is capped by the application's own data conflict
 //!   (aborts/retries dominate), so flat-to-falling scaling is expected
@@ -66,13 +65,12 @@ use crate::workloads;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(workers: usize, work_us: u64, lock_shards: usize, observe: bool) -> ParallelConfig {
+fn config(workers: usize, work_us: u64, observe: bool) -> ParallelConfig {
     ParallelConfig {
         protocol: Protocol::RcRaWa,
         policy: ConflictPolicy::AbortReaders,
         workers,
         work: WorkModel::FixedMicros(work_us),
-        lock_shards,
         observe,
         // Ctrl-C / SIGTERM exits through the graceful drain.
         stop: dps_server::shutdown::installed(),
@@ -119,16 +117,7 @@ fn sweep(report: &mut Report, title: &str, reps: usize, run: impl Fn(usize) -> L
 /// The scaling gate (flags: `--quick --json`).
 pub fn gate(args: &ReportArgs) -> Report {
     let quick = args.quick();
-    let (tasks, mut work_us, reps) = if quick { (64, 100, 1) } else { (192, 200, 3) };
-    // Override the simulated RHS cost (µs). `DPS_SCALING_WORK_US=0` makes
-    // the run lock-bound, isolating the lock-table + engine-state overhead
-    // that the sharding/splitting refactor targets.
-    if let Some(us) = std::env::var("DPS_SCALING_WORK_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        work_us = us;
-    }
+    let (tasks, work_us, reps) = if quick { (64, 100, 1) } else { (192, 200, 3) };
     let shards = dps_lock::DEFAULT_SHARDS;
     let (mh_groups, mh_pairs) = if quick { (16, 16) } else { (32, 32) };
     let ab_workers = std::thread::available_parallelism()
@@ -147,9 +136,9 @@ pub fn gate(args: &ReportArgs) -> Report {
         ],
     );
 
-    let shared_sweep = |report: &mut Report, title: &str, label: &str, resources, lock_shards| {
+    let shared_sweep = |report: &mut Report, title: &str, label: &str, resources| {
         sweep(report, title, reps, |w| {
-            let cfg = config(w, work_us, lock_shards, false);
+            let cfg = config(w, work_us, false);
             shared_run(format!("{label}/w{w}"), tasks, resources, cfg)
         })
     };
@@ -160,21 +149,12 @@ pub fn gate(args: &ReportArgs) -> Report {
         ),
         "partitioned",
         tasks,
-        shards,
-    );
-    shared_sweep(
-        &mut report,
-        "partitioned, 1 lock shard (the pre-sharding centralised table)",
-        "partitioned_1shard",
-        tasks,
-        1,
     );
     shared_sweep(
         &mut report,
         "contended (resources = 1; every RHS writes the same tally)",
         "contended",
         1,
-        shards,
     );
     sweep(
         &mut report,
@@ -201,7 +181,7 @@ pub fn gate(args: &ReportArgs) -> Report {
             key,
             tasks,
             tasks,
-            config(ab_workers, work_us, shards, observe),
+            config(ab_workers, work_us, observe),
         )
     };
     let (off, on) = alternating_best(reps, || obs_leg(false), || obs_leg(true));

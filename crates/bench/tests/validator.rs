@@ -2,59 +2,21 @@
 //! document is accepted by [`validate`], and each of a fixed set of
 //! corruptions of it is rejected with a diagnostic naming the field.
 //! A validator that accepts everything would let CI pass on a report
-//! that does not say what the gate binary's exit code said.
+//! that does not say what the `gate` binary's exit code said.
 
-use dps_bench::harness::{Flag, ReportArgs, GATE_FLAGS};
-use dps_bench::report::{validate, Report, SCHEMA};
-use dps_bench::{analysis, chaos, commute, matchbench, mvcc, recovery, scaling, server_load};
+use dps_bench::harness::{ReportArgs, GATES};
+use dps_bench::report::{validate, SCHEMA};
 use dps_obs::json::{parse, Json};
 use dps_obs::AbortCause;
 
-type GateFn = fn(&ReportArgs) -> Report;
-
-const QUICK: &[Flag] = &[Flag::Bare("--quick")];
-
-/// `(gate, accepted flags, arguments, gate function)`.
-const GATES: [(&str, &[Flag], &[&str], GateFn); 8] = [
-    ("scaling", QUICK, &["--quick"], scaling::gate),
-    (
-        "analyze",
-        GATE_FLAGS,
-        &["--quick", "--workers", "4"],
-        analysis::gate,
-    ),
-    (
-        "chaos",
-        GATE_FLAGS,
-        &["--quick", "--workers", "4"],
-        chaos::gate,
-    ),
-    ("matchbench", QUICK, &["--quick"], matchbench::gate),
-    (
-        "mvcc",
-        GATE_FLAGS,
-        &["--quick", "--workers", "4"],
-        mvcc::gate,
-    ),
-    (
-        "recovery",
-        GATE_FLAGS,
-        &["--quick", "--workers", "4"],
-        recovery::gate,
-    ),
-    (
-        "loadgen",
-        GATE_FLAGS,
-        &["--quick", "--workers", "2"],
-        server_load::gate,
-    ),
-    (
-        "commute",
-        commute::FLAGS,
-        &["--quick", "--workers", "4"],
-        commute::gate,
-    ),
-];
+/// The command line each gate's `--quick` document is produced with.
+fn quick_args(gate: &str) -> &'static [&'static str] {
+    match gate {
+        "scaling" | "matchbench" => &["--quick"],
+        "loadgen" => &["--quick", "--workers", "2"],
+        _ => &["--quick", "--workers", "4"],
+    }
+}
 
 /// Gates whose outcome is a wall-clock ratio. At `--quick` size in a
 /// debug build they may honestly fail; that is the gate working, not
@@ -109,10 +71,12 @@ fn rejects(gate: &str, what: &str, doc: &Json, named: &[&str], corrupt: impl FnO
 
 #[test]
 fn every_gate_report_validates_and_every_corruption_is_named() {
-    for (gate, flags, list, run) in GATES {
-        let args = ReportArgs::from_args(flags, list.iter().map(|s| s.to_string())).unwrap();
+    for entry in GATES {
+        let gate = entry.name;
+        let list = quick_args(gate).iter().map(|s| s.to_string());
+        let args = ReportArgs::from_args(entry.flags, list).unwrap();
         // Through text, as `obs_check` reads it.
-        let doc = parse(&run(&args).to_json().to_string_pretty()).unwrap();
+        let doc = parse(&(entry.run)(&args).to_json().to_string_pretty()).unwrap();
         assert_eq!(doc.at(&["gate"]).and_then(Json::as_str), Some(gate));
         if let Err(e) = validate(&doc) {
             let timing = TIMING_GATES

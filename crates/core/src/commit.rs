@@ -12,7 +12,7 @@
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
 //! | 4 | base | `publish` the change batch (delta log, version store, watermark) |
-//! | 5 | base → trace | trace append, `Fire` + strategy receipt events |
+//! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
 //! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
 //! | 8 | ledger | commit counters, ledger unclaim |
@@ -126,34 +126,29 @@ impl ParallelEngine {
         let affected = self.pipeline.publish(seq, changes, obs);
         let halt = firing.halt;
         let name = obs.map(|_| firing.rule_name.clone());
-        {
-            let mut trace = self.trace.lock().unwrap();
-            let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
-            trace.firings.push(firing);
-            // Commit-sequence record for the semantic checker (§3
-            // Theorem 2): this commit's 0-based slot in the global
-            // trace, stamped while the trace lock is still held so
-            // `seq` order equals trace-append order. These events trail
-            // the lock manager's Commit terminal (the sequence number
-            // only exists now); `validate_history` and the checkers
-            // account for that.
-            if let (Some(obs), Some(rule)) = (obs, rule) {
-                // Falsifiability seam: `corrupt_fire_seq` plans flip the
-                // recorded slot's low bit so the §3 checker must reject
-                // the history — proving the chaos gate can fail.
-                let slot = (trace.len() - 1) as u64;
-                let slot = self.injector.as_ref().map_or(slot, |inj| inj.corrupt_seq(slot));
-                obs.record(txn.0, ObsEvent::Fire { rule, seq: slot });
-                // The strategy's receipt: the versions a snapshot
-                // commit installed (the SI checker cross-checks
-                // `seq == slot + 1`), or the lock requests an elided
-                // commit never made.
-                for res in &written {
-                    obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq });
-                }
-                if matches!(strategy, Strategy::Elided { .. }) {
-                    obs.record(txn.0, ObsEvent::ElidedCommit { resources: requests });
-                }
+        let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
+        base.trace.firings.push(firing);
+        // Commit-sequence record for the semantic checker (§3 Theorem
+        // 2): this commit's 0-based slot in the global trace, stamped in
+        // the same base hold as the append, so `seq` order equals
+        // trace-append order. These events trail the lock manager's
+        // Commit terminal (the sequence number only exists now);
+        // `validate_history` and the checkers account for that.
+        if let (Some(obs), Some(rule)) = (obs, rule) {
+            // Falsifiability seam: `corrupt_fire_seq` plans flip the
+            // recorded slot's low bit so the §3 checker must reject the
+            // history — proving the chaos gate can fail.
+            let slot = (base.trace.len() - 1) as u64;
+            let slot = self.injector.as_ref().map_or(slot, |inj| inj.corrupt_seq(slot));
+            obs.record(txn.0, ObsEvent::Fire { rule, seq: slot });
+            // The strategy's receipt: the versions a snapshot commit
+            // installed (the SI checker cross-checks `seq == slot + 1`),
+            // or the lock requests an elided commit never made.
+            for res in &written {
+                obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq });
+            }
+            if matches!(strategy, Strategy::Elided { .. }) {
+                obs.record(txn.0, ObsEvent::ElidedCommit { resources: requests });
             }
         }
         if !outcome.needs_revalidation.is_empty() {

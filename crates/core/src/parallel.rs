@@ -53,8 +53,9 @@
 //!
 //! ## Shared-state decomposition
 //!
-//! * **`WmBase`** (`Mutex`) — the authoritative WM + commit sequence
-//!   counter: the commit critical section;
+//! * **`WmBase`** (`Mutex`) — the authoritative WM, the commit sequence
+//!   counter and the commit record (the run's [`Trace`]): the commit
+//!   critical section;
 //! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
 //!   per-component (and, for a key-partitioned component, per-key-
 //!   partition) Rete networks with their own conflict-set slice and
@@ -65,11 +66,10 @@
 //!   in-flight count and termination flags; the scheduler's state.
 //!   Doom-polling during simulated RHS work touches *only* this (and
 //!   the lock manager), never any matcher;
-//! * **`Metrics`** (atomics) + **trace** (`Mutex<Trace>`) — counters and
-//!   the commit log.
+//! * **`Metrics`** (atomics) — counters.
 //!
-//! Lock order: base → shard → log → ledger → trace (any subsequence is
-//! fine; never in reverse). The condvar is tied to the ledger; waiters
+//! Lock order: base → shard → log → ledger (any subsequence is fine;
+//! never in reverse). The condvar is tied to the ledger; waiters
 //! hold nothing else while sleeping.
 //!
 //! Every committed sequence is recorded as a [`Trace`];
@@ -110,8 +110,6 @@ pub enum WorkModel {
     /// Every rule *sleeps* for this many microseconds: models an
     /// I/O-bound RHS that occupies the worker but not a processor.
     FixedMicros(u64),
-    /// Per-rule durations (microseconds); absent rules cost nothing.
-    PerRuleMicros(HashMap<Atom, u64>),
     /// Every rule *spins* for this many microseconds: models the
     /// paper's CPU-bound "full-fledged database query". Unlike the
     /// sleeping models, aborted work under this model genuinely
@@ -122,11 +120,10 @@ pub enum WorkModel {
 }
 
 impl WorkModel {
-    fn duration(&self, rule: &Atom) -> Duration {
+    fn duration(&self) -> Duration {
         match self {
             WorkModel::None => Duration::ZERO,
             WorkModel::FixedMicros(us) | WorkModel::BusyMicros(us) => Duration::from_micros(*us),
-            WorkModel::PerRuleMicros(m) => Duration::from_micros(m.get(rule).copied().unwrap_or(0)),
         }
     }
 
@@ -190,12 +187,6 @@ pub struct ParallelConfig {
     /// `None`: never escalate. Escalation trades lock-manager traffic
     /// for *false conflicts* — quantified by experiment X7.
     pub rc_escalation: Option<usize>,
-    /// Stripe count of the engine's lock table. The default
-    /// ([`dps_lock::DEFAULT_SHARDS`]) spreads lock traffic over
-    /// independent mutexes; `1` collapses to a single-mutex (centralised)
-    /// table — the pre-sharding layout, kept as a knob so the scaling
-    /// sweep can measure exactly what the striping buys.
-    pub lock_shards: usize,
     /// Observability: when `true` the engine attaches a
     /// [`dps_obs::Recorder`] and emits the full transaction-lifecycle
     /// event stream, phase latency histograms and per-rule tables
@@ -306,7 +297,6 @@ impl Default for ParallelConfig {
             work: WorkModel::None,
             max_commits: 100_000,
             rc_escalation: None,
-            lock_shards: dps_lock::DEFAULT_SHARDS,
             observe: false,
             fault: None,
             governor: None,
@@ -496,8 +486,7 @@ pub struct ParallelEngine {
     /// Piece (a): claims + termination; condvar lives here.
     pub(crate) ledger: Mutex<Ledger>,
     pub(crate) cv: Condvar,
-    /// Piece (c): commit log and counters.
-    pub(crate) trace: Mutex<Trace>,
+    /// Piece (c): counters.
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) lm: Arc<LockManager>,
     /// Observability sink ([`ParallelConfig::observe`]); shared with the
@@ -584,7 +573,6 @@ impl ParallelEngine {
         let lm = Arc::new(
             LockManager::builder()
                 .policy(config.policy)
-                .shards(config.lock_shards)
                 .obs(obs.clone())
                 .fault(injector.clone())
                 .wait_hist(wait_hist.clone())
@@ -609,7 +597,6 @@ impl ParallelEngine {
             pipeline,
             ledger: Mutex::new(Ledger::default()),
             cv: Condvar::new(),
-            trace: Mutex::new(Trace::default()),
             metrics,
             obs,
             injector,
@@ -808,7 +795,7 @@ impl ParallelEngine {
             aborts: self.metrics.abort_stats(),
             wall,
             wasted_work: Duration::from_nanos(self.metrics.wasted_nanos.load(Relaxed)),
-            trace: self.trace.lock().unwrap().clone(),
+            trace: self.pipeline.lock_base().trace.clone(),
             halted,
             lock_stats: self.lm.stats(),
             fault_stats: self.injector.as_ref().map(|inj| inj.stats()),
@@ -1114,7 +1101,7 @@ impl ParallelEngine {
         lap(Phase::LhsEval);
 
         // ---- RHS: simulated work, then the delta ----
-        self.simulate_work(txn, &rule.name, worked)?;
+        self.simulate_work(txn, worked)?;
         // Chaos seam: an injected RHS *panic* — unlike a stall or a
         // forced abort, the unwind must pass through the PinGuard and
         // ClaimGuard, which the leak-regression tests verify releases
@@ -1313,13 +1300,8 @@ impl ParallelEngine {
     /// so an invalidated production stops early. Polling touches only
     /// the lock manager and the ledger, never the world — busy workers
     /// do not serialise the matcher. `worked` is what an abort wastes.
-    fn simulate_work(
-        &self,
-        txn: TxnId,
-        rule: &Atom,
-        worked: &mut Duration,
-    ) -> Result<(), AbortCause> {
-        let budget = self.config.work.duration(rule);
+    fn simulate_work(&self, txn: TxnId, worked: &mut Duration) -> Result<(), AbortCause> {
+        let budget = self.config.work.duration();
         if budget.is_zero() {
             return Ok(());
         }
@@ -1535,32 +1517,6 @@ mod tests {
         // Not asserting a minimum: scheduling may avoid conflicts, but
         // the counters must be internally consistent.
         let _ = total_aborts;
-    }
-
-    #[test]
-    fn per_rule_work_model_applies() {
-        let rules = RuleSet::parse(
-            "(p slow (a) --> (remove 1))
-             (p fast (b) --> (remove 1))",
-        )
-        .unwrap();
-        let mut wm = WorkingMemory::new();
-        wm.insert(WmeData::new("a"));
-        wm.insert(WmeData::new("b"));
-        let mut durations = HashMap::new();
-        durations.insert(Atom::from("slow"), 2_000u64);
-        let cfg = ParallelConfig {
-            workers: 2,
-            work: WorkModel::PerRuleMicros(durations),
-            ..Default::default()
-        };
-        let start = std::time::Instant::now();
-        let (report, _) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 2);
-        assert!(
-            start.elapsed() >= Duration::from_micros(1_500),
-            "slow rule busy-worked"
-        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! key-partitionable component ([`ShardPlan`]) — so the match phase runs
 //! as a *pipeline* behind the commit critical section:
 //!
-//! * **[`WmBase`]** (`Mutex`) — the authoritative working memory plus
-//!   the commit sequence counter. `commit` applies the WM delta and
+//! * **[`WmBase`]** (`Mutex`) — the authoritative working memory, the
+//!   commit sequence counter and the commit record ([`Trace`]).
+//!   `commit` applies the WM delta, appends the firing and
 //!   *publishes* the resulting change batch under it — and runs no
 //!   matcher there: a family's own match update needs no coordination
 //!   with other families, so it does not sit in the one section
@@ -74,6 +75,8 @@ use dps_obs::{FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Change, VersionedStore, WorkingMemory};
 
+use crate::Trace;
+
 /// Log entries older than the slowest shard are pruned opportunistically;
 /// past this length the committer force-drains lagging shards so an
 /// unlucky (never-affected, never-scanned) shard cannot pin the log.
@@ -96,13 +99,18 @@ const VERSION_CHAIN_CAP: usize = 16;
 /// amortised rather than run per publish.
 const VERSION_GC_INTERVAL: u64 = 64;
 
-/// The commit critical section's state: authoritative WM + sequencing.
+/// The commit critical section's state: authoritative WM, sequencing,
+/// and the commit record.
 #[derive(Debug)]
 pub(crate) struct WmBase {
     /// The authoritative working memory.
     pub wm: WorkingMemory,
     /// Sequence number the *next* commit will take (watermark + 1).
     pub next_seq: u64,
+    /// Every commit of this run, in sequence order — appended in the
+    /// same hold that takes the sequence number, so trace order is
+    /// commit order by construction.
+    pub trace: Trace,
 }
 
 /// One published commit: its sequence number, its WM change batch and
@@ -221,9 +229,8 @@ struct PipelineStats {
 }
 
 /// The sharded match pipeline. See the module docs for the protocol;
-/// the lock order is **base → shard → log** (the engine's ledger and
-/// trace mutexes sort after `shard` and are never held while taking a
-/// shard lock).
+/// the lock order is **base → shard → log** (the engine's ledger mutex
+/// sorts after `shard` and is never held while taking a shard lock).
 #[derive(Debug)]
 pub(crate) struct MatchPipeline {
     /// The commit critical section ([`MatchPipeline::lock_base`]).
@@ -290,7 +297,7 @@ impl MatchPipeline {
             versions.seed(&wm);
         }
         MatchPipeline {
-            base: Mutex::new(WmBase { wm, next_seq: base_seq + 1 }),
+            base: Mutex::new(WmBase { wm, next_seq: base_seq + 1, trace: Trace::default() }),
             plan,
             shards: shard_states,
             log: Mutex::new(VecDeque::new()),

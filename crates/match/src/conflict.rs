@@ -1,24 +1,20 @@
 //! The conflict set: all currently satisfied instantiations.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use dps_rules::RuleId;
-use dps_wm::WmeId;
 
 use crate::{InstKey, Instantiation};
 
-/// The set of active instantiations (the paper's `P^A`), with indexes for
-/// the operations matchers and engines perform constantly:
-///
-/// * insert / remove by identity key;
-/// * drop everything mentioning a WME (on its removal);
-/// * enumerate deterministically (keys are ordered) for reproducible
-///   selection and testing.
+/// The set of active instantiations (the paper's `P^A`): one ordered map
+/// from identity key to instantiation, so enumeration is deterministic
+/// (reproducible selection and testing). A matcher that needs a
+/// secondary index — TREAT's WME → instantiations purge — keeps it
+/// beside the set; Rete removes by key and needs none.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
     insts: BTreeMap<InstKey, Instantiation>,
-    by_wme: HashMap<WmeId, HashSet<InstKey>>,
-    by_rule: HashMap<RuleId, HashSet<InstKey>>,
 }
 
 impl ConflictSet {
@@ -41,67 +37,18 @@ impl ConflictSet {
     /// Inserts an instantiation; returns `false` if it was already
     /// present (idempotent).
     pub fn insert(&mut self, inst: Instantiation) -> bool {
-        let key = inst.key();
-        if self.insts.contains_key(&key) {
-            return false;
+        match self.insts.entry(inst.key()) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(inst);
+                true
+            }
         }
-        for w in &inst.wmes {
-            self.by_wme.entry(w.id).or_default().insert(key.clone());
-        }
-        self.by_rule
-            .entry(inst.rule)
-            .or_default()
-            .insert(key.clone());
-        self.insts.insert(key, inst);
-        true
     }
 
     /// Removes by key; returns the instantiation when present.
     pub fn remove(&mut self, key: &InstKey) -> Option<Instantiation> {
-        let inst = self.insts.remove(key)?;
-        for w in &inst.wmes {
-            if let Some(set) = self.by_wme.get_mut(&w.id) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.by_wme.remove(&w.id);
-                }
-            }
-        }
-        if let Some(set) = self.by_rule.get_mut(&inst.rule) {
-            set.remove(key);
-            if set.is_empty() {
-                self.by_rule.remove(&inst.rule);
-            }
-        }
-        Some(inst)
-    }
-
-    /// Removes every instantiation mentioning `id`; returns how many left.
-    ///
-    /// Takes the whole `by_wme` index set out of the map in one move
-    /// instead of cloning each `InstKey` into a temporary `Vec` (an
-    /// `InstKey` owns a `Vec<(WmeId, Timestamp)>`, so the old per-key
-    /// clones were O(conditions) heap allocations each; see the
-    /// micro-bench note in `benches::conflict_drain`). `remove` tolerates
-    /// the already-removed `by_wme` entry (`get_mut` → `None`).
-    pub fn remove_mentioning(&mut self, id: WmeId) -> usize {
-        let keys = self.by_wme.remove(&id).unwrap_or_default();
-        let n = keys.len();
-        for k in &keys {
-            self.remove(k);
-        }
-        n
-    }
-
-    /// Removes every instantiation of a rule; returns them.
-    ///
-    /// Same drain-the-index pattern as [`remove_mentioning`]: the
-    /// `by_rule` set is moved out wholesale, so no `InstKey` is cloned.
-    ///
-    /// [`remove_mentioning`]: ConflictSet::remove_mentioning
-    pub fn remove_of_rule(&mut self, rule: RuleId) -> Vec<Instantiation> {
-        let keys = self.by_rule.remove(&rule).unwrap_or_default();
-        keys.iter().filter_map(|k| self.remove(k)).collect()
+        self.insts.remove(key)
     }
 
     /// `true` when the key is present.
@@ -123,18 +70,13 @@ impl ConflictSet {
     pub fn of_rule(&self, rule: RuleId) -> impl Iterator<Item = &Instantiation> + '_ {
         self.insts.values().filter(move |i| i.rule == rule)
     }
-
-    /// The distinct rules currently active.
-    pub fn active_rules(&self) -> impl Iterator<Item = RuleId> + '_ {
-        self.by_rule.keys().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dps_rules::Bindings;
-    use dps_wm::{Wme, WmeData};
+    use dps_wm::{Wme, WmeData, WmeId};
 
     fn wme(id: u64, ts: u64) -> Wme {
         Wme {
@@ -162,38 +104,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_mentioning_drops_all_users() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[(1, 1), (2, 2)]));
-        cs.insert(inst(1, &[(2, 2)]));
-        cs.insert(inst(2, &[(3, 3)]));
-        assert_eq!(cs.remove_mentioning(WmeId(2)), 2);
-        assert_eq!(cs.len(), 1);
-        assert!(cs.iter().next().unwrap().mentions(WmeId(3)));
-    }
-
-    #[test]
-    fn remove_of_rule() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[(1, 1)]));
-        cs.insert(inst(0, &[(2, 2)]));
-        cs.insert(inst(1, &[(3, 3)]));
-        let removed = cs.remove_of_rule(RuleId(0));
-        assert_eq!(removed.len(), 2);
-        assert_eq!(cs.len(), 1);
-    }
-
-    #[test]
-    fn indexes_stay_consistent_after_removals() {
+    fn remove_by_key() {
         let mut cs = ConflictSet::new();
         let i = inst(0, &[(1, 1)]);
         let k = i.key();
         cs.insert(i);
-        cs.remove(&k);
+        assert!(cs.remove(&k).is_some());
         assert!(cs.is_empty());
-        assert_eq!(cs.remove_mentioning(WmeId(1)), 0);
         assert!(cs.remove(&k).is_none());
-        assert_eq!(cs.active_rules().count(), 0);
     }
 
     #[test]

@@ -43,7 +43,6 @@
 mod alpha;
 mod conflict;
 mod instantiation;
-mod partition;
 mod resolve;
 mod rete;
 mod shard;
@@ -52,7 +51,6 @@ mod treat;
 pub use alpha::{AlphaMemId, AlphaNetwork};
 pub use conflict::ConflictSet;
 pub use instantiation::{InstKey, Instantiation};
-pub use partition::{PartitionStats, PartitionedRete};
 pub use resolve::Strategy;
 pub use rete::Rete;
 pub use shard::{ShardPlan, ShardedRete, DEFAULT_MATCH_SHARDS};

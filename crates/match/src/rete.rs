@@ -314,9 +314,8 @@ impl Rete {
     /// The given ids are stored verbatim in the production nodes, so the
     /// resulting conflict set speaks the *caller's* id space. This is
     /// what lets a match shard own a Rete over a subset of the rule set
-    /// while still emitting global rule ids — no translation layer, no
-    /// re-merge (contrast [`crate::PartitionedRete`], which pays a
-    /// local→global rewrite per affected component).
+    /// while still emitting global rule ids — no local→global
+    /// translation layer and no merged conflict set to refresh.
     pub fn compile<'a>(rules: impl IntoIterator<Item = (RuleId, &'a Rule)>) -> Self {
         let mut rete = Rete {
             net: Network::default(),

@@ -4,13 +4,16 @@
 //!
 //! The coordination-avoidance rule (Bailis et al.): rules whose
 //! condition classes don't overlap need no coordination at all. The
-//! union-find over shared classes (the same computation
-//! [`crate::PartitionedRete`] performs) yields the *finest* such
-//! partition by class; a [`ShardPlan`] folds those components onto a
-//! bounded number of shards so each shard can sit behind its own mutex
-//! with its own conflict-set slice. The same argument holds one level
-//! down: when every condition element of a component joins on one
-//! *key* attribute per class (see [`partition_keys`]), instantiations
+//! union-find over shared classes ([`class_components`]) yields the
+//! *finest* such partition by class; a [`ShardPlan`] folds those
+//! components onto a bounded number of shards so each shard can sit
+//! behind its own mutex with its own conflict-set slice. This is the
+//! crate's one rule partition: the paper's §2 intra-phase match
+//! parallelism is these shards matched by concurrent workers through
+//! `dps-core`'s pipeline (measured by `matchbench`). The same argument
+//! holds one level down: when every condition element of a component
+//! joins on one *key* attribute per class (see [`partition_keys`]),
+//! instantiations
 //! over different key values share no tuple, so the component is
 //! **key-partitioned** — replicated over the spare shards, each tuple
 //! routed to the one replica its key value hashes to. Shard Retes are

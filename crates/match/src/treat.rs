@@ -4,18 +4,19 @@
 //! TREAT keeps the same shared alpha network as Rete but no beta state.
 //! When a WME arrives, instantiations are computed by joining the alpha
 //! memories with the new WME pinned at each condition it matches; when a
-//! WME is retracted, the conflict set is purged by index, and rules whose
+//! WME is retracted, the conflict set is purged through TREAT's own
+//! WME → instantiations index (Rete needs none), and rules whose
 //! *negated* patterns lost a match are re-joined. This is the classic
 //! state-versus-recomputation trade-off against [`crate::Rete`], which
 //! the `dps-bench` crate measures (experiment X4).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dps_rules::{match_ce, Bindings, Condition, Rule, RuleId, RuleSet};
 use dps_wm::{Change, Wme, WmeId, WorkingMemory};
 
-use crate::{AlphaMemId, AlphaNetwork, ConflictSet, Instantiation, Matcher};
+use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Per-rule compiled form: each condition with its alpha memory.
 #[derive(Clone, Debug)]
@@ -43,6 +44,10 @@ pub struct Treat {
     /// amem → (rule index, condition index) pairs reading it.
     readers: HashMap<AlphaMemId, Vec<(usize, usize)>>,
     conflict: ConflictSet,
+    /// WME → keys of the instantiations matching it, for the retraction
+    /// purge; kept in step with `conflict` by [`Treat::insert`] /
+    /// [`Treat::remove`].
+    by_wme: HashMap<WmeId, HashSet<InstKey>>,
     stats: TreatStats,
 }
 
@@ -72,6 +77,7 @@ impl Treat {
             rules: compiled,
             readers,
             conflict: ConflictSet::new(),
+            by_wme: HashMap::new(),
             stats: TreatStats::default(),
         };
         for wme in wm.iter() {
@@ -159,6 +165,44 @@ impl Treat {
         out
     }
 
+    /// Inserts into the conflict set and the WME index (idempotent).
+    fn insert(&mut self, inst: Instantiation) {
+        let key = inst.key();
+        if self.conflict.contains(&key) {
+            return;
+        }
+        for w in &inst.wmes {
+            self.by_wme.entry(w.id).or_default().insert(key.clone());
+        }
+        self.conflict.insert(inst);
+    }
+
+    /// Removes by key from the conflict set and the WME index.
+    fn remove(&mut self, key: &InstKey) {
+        let Some(inst) = self.conflict.remove(key) else {
+            return;
+        };
+        for w in &inst.wmes {
+            if let Some(set) = self.by_wme.get_mut(&w.id) {
+                set.remove(key);
+                if set.is_empty() {
+                    self.by_wme.remove(&w.id);
+                }
+            }
+        }
+    }
+
+    /// Removes every instantiation mentioning `id`; returns how many left.
+    /// The index set is moved out whole, so no `InstKey` is cloned;
+    /// [`Treat::remove`] tolerates the entry already being gone.
+    fn remove_mentioning(&mut self, id: WmeId) -> usize {
+        let keys = self.by_wme.remove(&id).unwrap_or_default();
+        for k in &keys {
+            self.remove(k);
+        }
+        keys.len()
+    }
+
     fn add_wme(&mut self, wme: Wme) {
         let hits = self.alpha.add_wme(&Arc::new(wme.clone()));
         let mut positive_sites: Vec<(usize, usize)> = Vec::new();
@@ -186,7 +230,7 @@ impl Treat {
                 .map(|(i, _)| i)
                 .collect();
             let rule_id = cr.id;
-            let doomed: Vec<crate::InstKey> = self
+            let doomed: Vec<InstKey> = self
                 .conflict
                 .of_rule(rule_id)
                 .filter(|inst| {
@@ -198,13 +242,13 @@ impl Treat {
                 .map(Instantiation::key)
                 .collect();
             for k in doomed {
-                self.conflict.remove(&k);
+                self.remove(&k);
             }
         }
         // 2. The new WME may enable instantiations at positive positions.
         for (ri, ci) in positive_sites {
             for inst in self.compute_instantiations(ri, Some((ci, &wme))) {
-                self.conflict.insert(inst);
+                self.insert(inst);
             }
         }
     }
@@ -212,7 +256,7 @@ impl Treat {
     fn remove_wme(&mut self, wme: &Wme) {
         let hits = self.alpha.remove_wme(&wme.data.class, wme.id);
         // 1. Drop everything that matched it positively.
-        self.conflict.remove_mentioning(wme.id);
+        self.remove_mentioning(wme.id);
         // 2. Its disappearance may enable rules that it blocked via a
         //    negated CE: re-join those rules from scratch.
         let mut rejoin: Vec<usize> = Vec::new();
@@ -228,7 +272,7 @@ impl Treat {
         for ri in rejoin {
             self.stats.rejoin_passes += 1;
             for inst in self.compute_instantiations(ri, None) {
-                self.conflict.insert(inst); // idempotent
+                self.insert(inst); // idempotent
             }
         }
     }
@@ -354,5 +398,55 @@ mod tests {
         let t = Treat::new(&rules, &wm);
         assert_eq!(t.conflict_set().len(), 1);
         assert_eq!(t.alpha_population().len(), 2);
+    }
+
+    fn inst(rule: u32, ids: &[u64]) -> Instantiation {
+        Instantiation {
+            rule: RuleId(rule),
+            wmes: ids
+                .iter()
+                .map(|&i| Wme {
+                    id: WmeId(i),
+                    data: WmeData::new("c"),
+                    timestamp: i,
+                })
+                .collect(),
+            bindings: Bindings::new(),
+            salience: 0,
+        }
+    }
+
+    fn empty_treat() -> Treat {
+        Treat::new(&RuleSet::new(), &WorkingMemory::new())
+    }
+
+    #[test]
+    fn remove_mentioning_drops_all_users() {
+        let mut t = empty_treat();
+        t.insert(inst(0, &[1, 2]));
+        t.insert(inst(1, &[2]));
+        t.insert(inst(2, &[3]));
+        assert_eq!(t.remove_mentioning(WmeId(2)), 2);
+        assert_eq!(t.conflict_set().len(), 1);
+        assert!(t.conflict_set().iter().next().unwrap().mentions(WmeId(3)));
+        assert_eq!(
+            t.remove_mentioning(WmeId(1)),
+            0,
+            "index entry went with wme 2's purge"
+        );
+    }
+
+    #[test]
+    fn index_stays_consistent_after_removals() {
+        let mut t = empty_treat();
+        let i = inst(0, &[1]);
+        let k = i.key();
+        t.insert(i.clone());
+        t.insert(i);
+        assert_eq!(t.conflict_set().len(), 1, "insert is idempotent");
+        t.remove(&k);
+        assert!(t.conflict_set().is_empty());
+        assert_eq!(t.remove_mentioning(WmeId(1)), 0);
+        assert!(t.by_wme.is_empty());
     }
 }

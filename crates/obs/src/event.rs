@@ -146,8 +146,7 @@ pub enum EventKind {
         /// The transaction currently holding (or queued ahead on) the
         /// resource that caused the block — the *wait-for edge target*
         /// the analysis layer reconstructs blocking graphs from.
-        /// `None` when the lock manager could not name one (shouldn't
-        /// happen, but old histories predate the field).
+        /// `None` when the lock manager could not name one.
         holder: Option<u64>,
     },
     /// Doomed by a committing writer.
@@ -187,8 +186,8 @@ pub enum EventKind {
     /// the attribution table can explain *why* a chaos run degraded;
     /// never emitted outside fault-injected runs.
     Fault {
-        /// Short static fault-kind name (one of
-        /// [`crate::event::FAULT_KINDS`]).
+        /// Short static fault-kind name (`grant_delay`, `wal_kill`,
+        /// `publish_stall`, …; see `dps_lock::fault`).
         kind: &'static str,
     },
     /// The adaptive governor changed a resource's degradation state
@@ -197,8 +196,9 @@ pub enum EventKind {
     Escalate {
         /// Opaque resource key (see module docs).
         resource: u64,
-        /// Short static action name (one of
-        /// [`crate::event::ESCALATE_ACTIONS`]).
+        /// Short static action name: `escalate` (optimistic →
+        /// pessimistic lock modes for the resource), `serialize` (route
+        /// through the global serial fallback) or `deescalate`.
         action: &'static str,
     },
     /// MVCC: the transaction pinned its read snapshot at this commit
@@ -256,30 +256,6 @@ pub enum EventKind {
         resources: u32,
     },
 }
-
-/// Closed vocabulary of [`EventKind::Fault`] kinds — the JSON
-/// round-trip interns against this table, so fault names survive the
-/// `&'static str` representation.
-pub const FAULT_KINDS: [&str; 12] = [
-    "grant_delay",
-    "spurious_wakeup",
-    "forced_abort",
-    "rhs_stall",
-    "timeout_storm",
-    "timeout_race_stall",
-    "wal_kill",
-    "drop_mid_claim",
-    "drop_mid_rhs",
-    "slowloris",
-    "rhs_panic",
-    "publish_stall",
-];
-
-/// Closed vocabulary of [`EventKind::Escalate`] actions (the governor's
-/// degradation state machine): `escalate` = optimistic → pessimistic
-/// lock modes for the resource, `serialize` = route through the global
-/// serial fallback, `deescalate` = back to optimistic.
-pub const ESCALATE_ACTIONS: [&str; 3] = ["escalate", "serialize", "deescalate"];
 
 impl EventKind {
     /// `true` for the two terminal kinds (`Commit` / `Abort`).

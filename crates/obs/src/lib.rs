@@ -22,7 +22,7 @@
 //! * **Per-rule tables** — firing/abort breakdown per rule name.
 //! * **[JSON](json)** — a hand-rolled writer *and* parser, so benches
 //!   emit machine-readable reports and CI can shape-check them without
-//!   `serde` (and [histories round-trip](history) for offline analysis).
+//!   `serde`.
 //! * **[Analysis](analysis)** — the explanation layer over the raw
 //!   stream: blocking/wait-for graph reconstruction, per-resource
 //!   contention attribution, critical-path extraction (effective
@@ -56,16 +56,14 @@
 pub mod analysis;
 pub mod event;
 pub mod hist;
-pub mod history;
 pub mod json;
 mod recorder;
 mod report;
 pub mod timeline;
 
 pub use analysis::{analyze, RunAnalysis, Verdict};
-pub use event::{AbortCause, Event, EventKind, ESCALATE_ACTIONS, FAULT_KINDS};
+pub use event::{AbortCause, Event, EventKind};
 pub use hist::{HistSnapshot, Histogram, Phase};
-pub use history::{history_from_json, history_to_json};
 pub use recorder::{validate_history, Recorder, RuleStat, DEFAULT_RING_CAPACITY, DEFAULT_SLOTS};
 pub use report::{FanoutStats, ObsReport, RuleRow};
 pub use timeline::{

@@ -57,7 +57,7 @@ pub use atom::Atom;
 pub use catalog::{Catalog, ClassStats};
 pub use delta::{Change, Delta, DeltaSet};
 pub use error::WmError;
-pub use persist::{apply_changes_atomic, CodecError, RedoLog};
+pub use persist::{apply_changes_atomic, CodecError};
 pub use wal::{recover, DurableWm, KillMode, Recovered, WalError, WalStats, WalWriter};
 pub use relation::Relation;
 pub use store::WorkingMemory;

@@ -1,24 +1,25 @@
-//! Persistence: snapshots and a redo log.
+//! Persistence codecs: snapshots, committed change batches, and the
+//! replay rule.
 //!
 //! The paper's opening motivation for *database* production systems is
 //! that "expert system users are asking for knowledge sharing and
 //! knowledge persistence, features found currently in databases". This
-//! module provides the storage-engine half of that story:
+//! module provides the encoding half of that story; the durability path
+//! itself — the file-backed, group-committed WAL, checkpoints and
+//! [`crate::recover`] — lives in [`crate::wal`] and is the only log:
 //!
 //! * [`WorkingMemory::encode_snapshot`] / [`WorkingMemory::decode_snapshot`]
 //!   — a versioned, self-contained binary image of working memory
-//!   (tuples, identity counters, recency clock, catalogue statistics);
-//! * [`RedoLog`] — an append-only log of committed [`Change`] batches
-//!   (exactly what [`WorkingMemory::apply`] returns at each production
-//!   commit), replayable on top of a snapshot to recover the
-//!   post-crash state.
-//!
-//! The file-backed, group-committed WAL built on the same record
-//! grammar lives in [`crate::wal`]; this module owns the codec and the
-//! **replay atomicity rule**: a batch is the paper's §4.2 atomic commit
-//! unit, so recovery applies it all-or-nothing too
-//! ([`apply_changes_atomic`] stages and validates the whole batch
-//! before the first mutation).
+//!   (tuples, identity counters, recency clock, catalogue statistics),
+//!   which a WAL checkpoint embeds;
+//! * the change-batch body codec (`encode_batch_body` /
+//!   `decode_batch_body`) — one committed [`Change`] batch, exactly
+//!   what [`WorkingMemory::apply`] returns at a production commit; every
+//!   WAL commit record carries one;
+//! * the **replay atomicity rule**: a batch is the paper's §4.2 atomic
+//!   commit unit, so recovery applies it all-or-nothing too
+//!   ([`apply_changes_atomic`] stages and validates the whole batch
+//!   before the first mutation).
 //!
 //! The format is hand-rolled (little-endian, length-prefixed) rather
 //! than a serde format so the crate stays self-contained; a format
@@ -30,8 +31,6 @@ use crate::{Atom, Change, Value, Wme, WmeData, WmeId, WorkingMemory};
 
 /// Magic bytes opening every snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"DPSW";
-/// Magic bytes opening every redo log.
-const LOG_MAGIC: &[u8; 4] = b"DPSL";
 /// Current format version.
 const VERSION: u8 = 1;
 
@@ -247,7 +246,7 @@ fn read_wme(r: &mut Reader<'_>) -> Result<Wme, CodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Change-batch bodies (shared by the redo log and the file WAL)
+// Change-batch bodies (the WAL's commit-record payload)
 // ---------------------------------------------------------------------
 
 /// Serialises one committed change batch: `[count: u32][tag, wme]*`.
@@ -400,99 +399,6 @@ impl WorkingMemory {
     }
 }
 
-// ---------------------------------------------------------------------
-// Redo log
-// ---------------------------------------------------------------------
-
-/// An append-only redo log of committed change batches.
-///
-/// Append the change list returned by every [`WorkingMemory::apply`]
-/// (one batch per production commit — the atomic unit of §4.2);
-/// [`RedoLog::replay`] re-applies them to a working memory restored from
-/// the snapshot taken when the log was started.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RedoLog {
-    buf: Vec<u8>,
-    batches: u64,
-}
-
-impl Default for RedoLog {
-    fn default() -> Self {
-        RedoLog::new()
-    }
-}
-
-impl RedoLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(LOG_MAGIC);
-        buf.push(VERSION);
-        RedoLog { buf, batches: 0 }
-    }
-
-    /// Appends one committed batch. Encoding failures
-    /// ([`CodecError::TooLarge`]) leave the log untouched — the batch
-    /// is staged into a scratch buffer first, so a mid-batch error can
-    /// never leave half a record in the stream.
-    pub fn append(&mut self, changes: &[Change]) -> Result<(), CodecError> {
-        let mut scratch = Vec::with_capacity(changes.len() * 32 + 8);
-        encode_batch_body(&mut scratch, changes)?;
-        self.buf.extend_from_slice(&scratch);
-        self.batches += 1;
-        Ok(())
-    }
-
-    /// Number of appended batches (committed productions).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// The serialised log.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Parses a serialised log (validates framing).
-    pub fn from_bytes(buf: &[u8]) -> Result<RedoLog, CodecError> {
-        let mut r = Reader::new(buf);
-        if r.take(4)? != LOG_MAGIC || r.u8()? != VERSION {
-            return Err(CodecError::BadHeader);
-        }
-        let mut batches = 0;
-        while !r.at_end() {
-            decode_batch_body(&mut r)?;
-            batches += 1;
-        }
-        Ok(RedoLog {
-            buf: buf.to_vec(),
-            batches,
-        })
-    }
-
-    /// Replays the log onto `wm` (a working memory restored from the
-    /// matching base snapshot). Returns the number of batches applied.
-    ///
-    /// Each batch applies **atomically**: it is decoded and validated
-    /// whole before the first mutation, so a conflicting batch
-    /// (`CodecError::ReplayConflict`) leaves `wm` exactly as it was
-    /// before that batch — a mid-batch conflict can never leave working
-    /// memory half-mutated. Batches before the failing one stay
-    /// applied (they committed; the log is a redo prefix).
-    pub fn replay(&self, wm: &mut WorkingMemory) -> Result<u64, CodecError> {
-        let mut r = Reader::new(&self.buf);
-        r.take(4)?;
-        r.u8()?;
-        let mut applied = 0;
-        while !r.at_end() {
-            let batch = decode_batch_body(&mut r)?;
-            apply_changes_atomic(wm, &batch)?;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,33 +516,42 @@ mod tests {
         assert!(CodecError::TooLarge.to_string().contains("u32"));
     }
 
+    /// One batch through the WAL's record payload codec and back.
+    fn through_codec(changes: &[Change]) -> Vec<Change> {
+        let mut body = Vec::new();
+        encode_batch_body(&mut body, changes).unwrap();
+        let mut r = Reader::new(&body);
+        let back = decode_batch_body(&mut r).unwrap();
+        assert!(r.at_end());
+        back
+    }
+
     #[test]
-    fn redo_log_recovers_post_snapshot_commits() {
+    fn snapshot_plus_batches_recovers_post_snapshot_commits() {
         let mut wm = populated();
         let snap = wm.encode_snapshot().unwrap();
-        let mut log = RedoLog::new();
+        let mut batches = Vec::new();
 
         // Three "commits" after the checkpoint.
         let id = wm.iter().next().unwrap().id;
         let mut d1 = DeltaSet::new();
         d1.modify(id, [(Atom::from("cost"), Value::Float(9.75))]);
-        log.append(&wm.apply(&d1).unwrap()).unwrap();
+        batches.push(through_codec(&wm.apply(&d1).unwrap()));
 
         let mut d2 = DeltaSet::new();
         d2.create(WmeData::new("audit").with("of", 1i64));
-        log.append(&wm.apply(&d2).unwrap()).unwrap();
+        batches.push(through_codec(&wm.apply(&d2).unwrap()));
 
         let victim = wm.class_iter("job").nth(1).unwrap().id;
         let mut d3 = DeltaSet::new();
         d3.remove(victim);
-        log.append(&wm.apply(&d3).unwrap()).unwrap();
+        batches.push(through_codec(&wm.apply(&d3).unwrap()));
 
-        assert_eq!(log.batches(), 3);
-
-        // "Crash" and recover: snapshot + log replay.
+        // "Crash" and recover: snapshot + batch replay.
         let mut recovered = WorkingMemory::decode_snapshot(&snap).unwrap();
-        let parsed = RedoLog::from_bytes(log.as_bytes()).unwrap();
-        assert_eq!(parsed.replay(&mut recovered).unwrap(), 3);
+        for batch in &batches {
+            apply_changes_atomic(&mut recovered, batch).unwrap();
+        }
         assert_same(&wm, &recovered);
 
         // Recovery leaves the allocator usable.
@@ -645,28 +560,38 @@ mod tests {
     }
 
     #[test]
-    fn redo_log_framing_is_validated() {
-        let mut log = RedoLog::new();
+    fn batch_framing_is_validated() {
         let mut wm = WorkingMemory::new();
         let mut d = DeltaSet::new();
         d.create(WmeData::new("x"));
-        log.append(&wm.apply(&d).unwrap()).unwrap();
-        let mut bytes = log.as_bytes().to_vec();
-        bytes.truncate(bytes.len() - 2);
-        assert_eq!(RedoLog::from_bytes(&bytes), Err(CodecError::Truncated));
-        assert!(RedoLog::from_bytes(b"nope").is_err());
+        let mut body = Vec::new();
+        encode_batch_body(&mut body, &wm.apply(&d).unwrap()).unwrap();
+        body.truncate(body.len() - 2);
+        assert_eq!(
+            decode_batch_body(&mut Reader::new(&body)),
+            Err(CodecError::Truncated)
+        );
+        // Count 1, then tag 7: neither Added (0) nor Removed (1).
+        let mut bad = vec![1, 0, 0, 0, 7];
+        put_wme(&mut bad, &wm.iter().next().unwrap().clone()).unwrap();
+        assert_eq!(
+            decode_batch_body(&mut Reader::new(&bad)),
+            Err(CodecError::BadTag(7))
+        );
     }
 
     #[test]
     fn replay_conflict_is_reported() {
         let mut wm = WorkingMemory::new();
         let id = wm.insert(WmeData::new("x"));
-        let mut log = RedoLog::new();
         let removed = wm.remove(id).unwrap();
-        log.append(&[Change::Removed(removed)]).unwrap();
         // Replaying onto an EMPTY memory (wrong base) fails cleanly.
         let mut empty = WorkingMemory::new();
-        assert_eq!(log.replay(&mut empty), Err(CodecError::ReplayConflict(id)));
+        assert_eq!(
+            apply_changes_atomic(&mut empty, &[Change::Removed(removed)]),
+            Err(CodecError::ReplayConflict(id))
+        );
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -692,11 +617,8 @@ mod tests {
             timestamp: live.timestamp + 100,
             data: WmeData::new("audit").with("of", 1i64),
         };
-        let mut log = RedoLog::new();
-        log.append(&[Change::Added(created), Change::Removed(ghost)])
-            .unwrap();
-
-        let err = log.replay(&mut wm).unwrap_err();
+        let err = apply_changes_atomic(&mut wm, &[Change::Added(created), Change::Removed(ghost)])
+            .unwrap_err();
         assert_eq!(err, CodecError::ReplayConflict(ghost_id));
         // Byte-identical: the valid prefix of the batch was rolled
         // back (never applied), counters and catalogue included.
@@ -735,7 +657,6 @@ mod tests {
         let wm = WorkingMemory::new();
         let back = WorkingMemory::decode_snapshot(&wm.encode_snapshot().unwrap()).unwrap();
         assert!(back.is_empty());
-        let log = RedoLog::new();
-        assert_eq!(RedoLog::from_bytes(log.as_bytes()).unwrap().batches(), 0);
+        assert!(through_codec(&[]).is_empty());
     }
 }

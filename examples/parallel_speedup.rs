@@ -53,7 +53,6 @@ fn run(tasks: usize, tallies: usize, workers: usize, protocol: Protocol) -> (Dur
             work: WorkModel::FixedMicros(1_000), // 1 ms "database query" per RHS
             max_commits: 10_000,
             rc_escalation: None,
-            lock_shards: dbps::lock::DEFAULT_SHARDS,
             ..Default::default()
         },
     );

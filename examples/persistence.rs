@@ -2,17 +2,19 @@
 //! system users are asking for knowledge sharing and knowledge
 //! persistence, features found currently in databases").
 //!
-//! Flow: checkpoint working memory, run the production system while
-//! shipping every committed change batch to a redo log, "crash", then
-//! recover from snapshot + log and verify the state is identical.
+//! Flow: run the parallel engine with durability on (a checkpoint at
+//! the start, every commit's change batch in the group-committed WAL),
+//! "crash" by walking away from the process state, then recover from
+//! the directory alone — newest checkpoint plus the WAL suffix — and
+//! verify the state is identical to the engine's final working memory.
 //!
 //! ```text
 //! cargo run --example persistence
 //! ```
 
-use dbps::engine::{EngineConfig, SingleThreadEngine};
+use dbps::engine::{DurabilityConfig, ParallelConfig, ParallelEngine};
 use dbps::rules::RuleSet;
-use dbps::wm::{RedoLog, Wme, WmeData, WorkingMemory};
+use dbps::wm::{recover, Wme, WmeData, WorkingMemory};
 
 fn main() {
     let rules = RuleSet::parse(
@@ -25,43 +27,38 @@ fn main() {
         wm.insert(WmeData::new("order").with("state", "new").with("qty", q));
     }
 
-    // --- checkpoint ---
-    let snapshot = wm.encode_snapshot().expect("snapshot encodes");
-    println!(
-        "checkpoint: {} bytes for {} tuples",
-        snapshot.len(),
-        wm.len()
-    );
+    let dir = std::env::temp_dir().join(format!("dps-persistence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // --- run, shipping each commit's change batch to the redo log ---
-    let mut engine = SingleThreadEngine::new(&rules, wm.clone(), EngineConfig::default());
+    // --- run with the durability layer: checkpoint + WAL ---
+    let mut engine = ParallelEngine::new(
+        &rules,
+        wm,
+        ParallelConfig {
+            durability: Some(DurabilityConfig::at(&dir)),
+            ..Default::default()
+        },
+    );
     let report = engine.run();
-    let mut log = RedoLog::new();
-    let mut shipper = WorkingMemory::decode_snapshot(&snapshot).expect("snapshot decodes");
-    for firing in &report.trace.firings {
-        let changes = shipper.apply(&firing.delta).expect("trace replays");
-        log.append(&changes).expect("batch encodes");
-    }
+    let wal = report.wal.expect("durability attached");
     println!(
-        "ran {} productions; redo log: {} batches, {} bytes",
-        report.commits,
-        log.batches(),
-        log.as_bytes().len()
+        "ran {} productions; WAL: {} records, {} fsyncs",
+        report.commits, wal.appends, wal.fsyncs
     );
 
-    // --- "crash" and recover: snapshot + redo log ---
-    let mut recovered = WorkingMemory::decode_snapshot(&snapshot).expect("snapshot decodes");
-    let parsed = RedoLog::from_bytes(log.as_bytes()).expect("log frames validate");
-    let applied = parsed.replay(&mut recovered).expect("replay succeeds");
-    println!("recovered by replaying {applied} batches");
+    // --- "crash" and recover: checkpoint + WAL suffix ---
+    let recovered = recover(&dir).expect("recovery succeeds");
+    println!(
+        "recovered from checkpoint {} by replaying {} records (last seq {})",
+        recovered.checkpoint_seq, recovered.replayed, recovered.last_seq
+    );
 
     // --- verify bit-for-bit recovery ---
-    let live: Vec<&Wme> = engine.wm().iter().collect();
-    let restored: Vec<&Wme> = recovered.iter().collect();
-    assert_eq!(live.len(), restored.len());
-    for (a, b) in live.iter().zip(&restored) {
-        assert_eq!(*a, *b, "recovered tuple differs");
-    }
-    assert_eq!(recovered.class_iter("shipment").count(), 3);
+    let live = engine.final_wm();
+    let live: Vec<&Wme> = live.iter().collect();
+    let restored: Vec<&Wme> = recovered.wm.iter().collect();
+    assert_eq!(live, restored, "recovered state differs");
+    assert_eq!(recovered.wm.class_iter("shipment").count(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
     println!("\nrecovered state identical to the live engine state — OK");
 }

@@ -85,7 +85,6 @@ fn main() {
             work: WorkModel::FixedMicros(200), // each rule is a small "query"
             max_commits: 1_000,
             rc_escalation: None,
-            lock_shards: dbps::lock::DEFAULT_SHARDS,
             ..Default::default()
         },
     );

@@ -208,20 +208,23 @@ fn order_fulfillment_converges_on_every_engine() {
     }
 }
 
+/// Any [`dbps::rete::Matcher`] plugs into the engine: TREAT drives the
+/// same run, firing for firing, as the default Rete.
 #[test]
 fn partitioned_matcher_plugs_into_the_engine() {
-    use dbps::rete::PartitionedRete;
+    use dbps::rete::Treat;
     let (rules, wm) = dps_bench::workloads::order_fulfillment(4, 2);
-    let matcher = PartitionedRete::new(&rules, &wm);
     let mut engine = SingleThreadEngine::with_matcher(
         &rules,
         wm.clone(),
-        matcher,
+        Treat::new(&rules, &wm),
         EngineConfig::default(),
     );
     let report = engine.run();
     assert_eq!(report.commits, 4 * 4 + 2 * 2);
     validate_trace(&rules, &wm, &report.trace).unwrap();
+    let mut rete_driven = SingleThreadEngine::new(&rules, wm.clone(), EngineConfig::default());
+    assert_eq!(report.trace, rete_driven.run().trace);
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! sweep of seeds so failures reproduce exactly by seed.
 
 use dbps::wm::rng::SmallRng;
-use dbps::wm::{Atom, DeltaSet, Value, Wme, WmeData, WmeId, WorkingMemory};
+use dbps::wm::{
+    apply_changes_atomic, Atom, Change, DeltaSet, Value, Wme, WmeData, WmeId, WorkingMemory,
+};
 
 const CASES: u64 = 128;
 
@@ -150,8 +152,9 @@ fn timestamps_strictly_increase() {
     }
 }
 
-/// Snapshots roundtrip exactly for arbitrary operation histories,
-/// and a redo log of further commits recovers the final state.
+/// Snapshots roundtrip exactly for arbitrary operation histories, and
+/// replaying the further commits' change batches atomically on the
+/// snapshot recovers the final state.
 #[test]
 fn persistence_roundtrip_under_random_ops() {
     for seed in 0..CASES {
@@ -164,8 +167,8 @@ fn persistence_roundtrip_under_random_ops() {
         assert_eq!(a, b, "seed {seed}");
         assert_eq!(wm.clock(), restored.clock(), "seed {seed}");
 
-        // Ship further commits through a redo log.
-        let mut log = dbps::wm::RedoLog::new();
+        // Record further commits as change batches.
+        let mut log: Vec<Vec<Change>> = Vec::new();
         let more = random_ops(seed.wrapping_add(1), 10);
         let mut shadow = restored;
         {
@@ -178,14 +181,14 @@ fn persistence_roundtrip_under_random_ops() {
                         d.create(WmeData::new(format!("c{class}")).with("k", *k));
                         let ch = shadow.apply(&d).unwrap();
                         live.extend(ch.iter().map(|c| c.wme().id));
-                        log.append(&ch).unwrap();
+                        log.push(ch);
                     }
                     Op::Remove { pick } if !live.is_empty() => {
                         let id = live.swap_remove(pick % live.len());
                         if shadow.contains(id) {
                             let mut d = DeltaSet::new();
                             d.remove(id);
-                            log.append(&shadow.apply(&d).unwrap()).unwrap();
+                            log.push(shadow.apply(&d).unwrap());
                         }
                     }
                     Op::Modify { pick, k } if !live.is_empty() => {
@@ -193,7 +196,7 @@ fn persistence_roundtrip_under_random_ops() {
                         if shadow.contains(id) {
                             let mut d = DeltaSet::new();
                             d.modify(id, [(Atom::from("k"), Value::Int(*k))]);
-                            log.append(&shadow.apply(&d).unwrap()).unwrap();
+                            log.push(shadow.apply(&d).unwrap());
                         }
                     }
                     _ => {}
@@ -201,10 +204,9 @@ fn persistence_roundtrip_under_random_ops() {
             }
         }
         let mut recovered = WorkingMemory::decode_snapshot(&snap).unwrap();
-        dbps::wm::RedoLog::from_bytes(log.as_bytes())
-            .unwrap()
-            .replay(&mut recovered)
-            .unwrap();
+        for batch in &log {
+            apply_changes_atomic(&mut recovered, batch).unwrap();
+        }
         let x: Vec<Wme> = shadow.iter().cloned().collect();
         let y: Vec<Wme> = recovered.iter().cloned().collect();
         assert_eq!(x, y, "seed {seed}");
