@@ -1,5 +1,5 @@
-//! Working-memory substrate benches: tuple throughput, index selection,
-//! atomic delta application, snapshot codec and atomic batch replay.
+//! Working-memory substrate benches: tuple throughput, atomic delta
+//! application, snapshot codec and atomic batch replay.
 
 use dps_bench::harness::{BenchmarkId, Criterion};
 use dps_bench::{criterion_group, criterion_main};
@@ -33,13 +33,6 @@ fn store_ops(c: &mut Criterion) {
             wm.len()
         })
     });
-    for &n in &[100i64, 10_000] {
-        g.bench_with_input(BenchmarkId::new("select_eq", n), &n, |b, &n| {
-            let wm = populated(n);
-            let rel = wm.relation("even").unwrap();
-            b.iter(|| rel.select_eq("k", black_box(&Value::Int(4))).count())
-        });
-    }
     g.bench_function("apply_modify_batch", |b| {
         let mut wm = populated(1000);
         let ids: Vec<_> = wm.iter().map(|w| w.id).take(64).collect();

@@ -1021,7 +1021,7 @@ impl ParallelEngine {
     /// bookkeeping.
     fn execute_claim(&self, inst: Instantiation, shard: usize) {
         let held = Claim { key: inst.key(), shard };
-        let rule = self.rules.get(inst.rule).expect("known rule").clone();
+        let rule = self.rules.get(inst.rule).expect("known rule");
         let name = rule.name.as_str();
         // Serial fallback (governor step 3): a rule past its starvation
         // bound runs alone. The guard is strictly outermost — acquired
@@ -1033,9 +1033,9 @@ impl ParallelEngine {
         self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
         let mut claim = ClaimGuard { engine: self, txn, held, released: false };
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
-        let cond = self.condition_resources(&inst, &rule);
+        let cond = self.condition_resources(&inst, rule);
         let mut worked = Duration::ZERO;
-        let outcome = self.try_execute(&mut claim, strategy, &inst, &rule, &cond, &mut worked);
+        let outcome = self.try_execute(&mut claim, strategy, &inst, rule, &cond, &mut worked);
         let Err(cause) = outcome else {
             if let Some(g) = &self.governor {
                 g.on_commit(name, txn.0, self.obs.as_deref());

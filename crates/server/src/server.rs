@@ -384,8 +384,7 @@ impl Server {
                     }
                     if self.config.stamp_session {
                         data.attrs
-                            .entry("session".into())
-                            .or_insert(Value::Int(sid as i64));
+                            .insert_if_absent("session".into(), Value::Int(sid as i64));
                     }
                     let x = xt.as_mut().expect("InTxn implies open txn");
                     match self.engine.external_insert(x, data) {

@@ -10,10 +10,9 @@
 //! corrupt or hostile peer cannot make the server allocate without
 //! limit.
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
-use dps_wm::{Value, WmeData};
+use dps_wm::{AttrMap, Value, WmeData};
 
 /// Upper bound on a frame's `len` field (1 MiB). A peer announcing
 /// more is a protocol error, not an allocation.
@@ -238,7 +237,7 @@ fn get_value(buf: &[u8], at: &mut usize) -> io::Result<Value> {
 fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
     put_str(buf, data.class.as_ref());
     buf.extend_from_slice(&(data.attrs.len() as u16).to_le_bytes());
-    for (k, v) in &data.attrs {
+    for (k, v) in data.attrs.iter() {
         put_str(buf, k.as_ref());
         put_value(buf, v);
     }
@@ -253,7 +252,7 @@ fn get_wme(buf: &[u8], at: &mut usize) -> io::Result<WmeData> {
             .unwrap(),
     ) as usize;
     *at += 2;
-    let mut attrs = BTreeMap::new();
+    let mut attrs = AttrMap::new();
     for _ in 0..n {
         let k = get_str(buf, at)?;
         let v = get_value(buf, at)?;

@@ -7,9 +7,7 @@
 //! call at commit. The result is a list of [`Change`]s — the exact feed an
 //! incremental matcher (Rete/TREAT) needs.
 
-use std::collections::BTreeMap;
-
-use crate::{Atom, Value, Wme, WmeData, WmeId};
+use crate::{Atom, AttrMap, Value, Wme, WmeData, WmeId};
 
 /// One buffered RHS operation. `create`/`modify`/`delete` mirror the
 /// paper's §2 RHS operation list.
@@ -23,7 +21,7 @@ pub enum Delta {
         /// Element to modify.
         id: WmeId,
         /// Attributes to overwrite (others are preserved).
-        changes: BTreeMap<Atom, Value>,
+        changes: AttrMap,
     },
     /// `delete`: remove an element.
     Remove(WmeId),

@@ -10,10 +10,10 @@
 //! *class* (the relation name) and carries a set of *attribute → value*
 //! pairs. The paper treats WM as a relational database ("the execution
 //! phase will be a full-fledged database query"), so this crate organises
-//! WMEs into class-partitioned [`Relation`]s with secondary hash indexes,
-//! and supports the catalogue-level view needed for lock escalation
-//! (section 4.3 of the paper: a relation-level lock "is equivalent to
-//! locking the appropriate tuple in the `SYSTEM-CATALOG` relation").
+//! WMEs into class-partitioned [`Relation`]s keyed by id, and supports
+//! the catalogue-level view needed for lock escalation (section 4.3 of
+//! the paper: a relation-level lock "is equivalent to locking the
+//! appropriate tuple in the `SYSTEM-CATALOG` relation").
 //!
 //! Two properties of the paper's execution model shape the API:
 //!
@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod atom;
+mod attrs;
 mod catalog;
 mod delta;
 mod error;
@@ -54,6 +55,7 @@ pub mod wal;
 mod wme;
 
 pub use atom::Atom;
+pub use attrs::AttrMap;
 pub use catalog::{Catalog, ClassStats};
 pub use delta::{Change, Delta, DeltaSet};
 pub use error::WmError;

@@ -220,7 +220,7 @@ fn put_wme(out: &mut Vec<u8>, w: &Wme) -> Result<(), CodecError> {
     put_u64(out, w.timestamp);
     put_str(out, w.data.class.as_str())?;
     put_u32(out, checked_len(w.data.attrs.len())?);
-    for (attr, value) in &w.data.attrs {
+    for (attr, value) in w.data.attrs.iter() {
         put_str(out, attr.as_str())?;
         put_value(out, value)?;
     }

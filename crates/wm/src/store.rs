@@ -131,12 +131,15 @@ impl WorkingMemory {
     /// operations on dead ids, including ids killed earlier in the same
     /// delta set.
     pub fn apply(&mut self, delta: &DeltaSet) -> Result<Vec<Change>, WmError> {
-        // Pre-validate: track liveness through the delta sequence.
+        // Pre-validate: track liveness through the delta sequence, and
+        // size the change log (a modify logs two changes).
         let mut killed: Vec<WmeId> = Vec::new();
+        let mut logged = delta.len();
         for op in delta.ops() {
             match op {
                 Delta::Create(_) => {}
                 Delta::Modify { id, .. } => {
+                    logged += 1;
                     if !self.contains(*id) {
                         return Err(WmError::NoSuchWme(*id));
                     }
@@ -156,7 +159,7 @@ impl WorkingMemory {
             }
         }
 
-        let mut changes = Vec::with_capacity(delta.len());
+        let mut changes = Vec::with_capacity(logged);
         for op in delta.ops() {
             match op {
                 Delta::Create(data) => {
@@ -175,7 +178,7 @@ impl WorkingMemory {
                     // with a fresh timestamp.
                     let old = self.remove(*id).expect("validated above");
                     let mut data = old.data.clone();
-                    for (k, v) in attr_changes {
+                    for (k, v) in attr_changes.iter() {
                         if matches!(v, Value::Nil) {
                             data.attrs.remove(k);
                         } else {

@@ -1,9 +1,8 @@
 //! Working-memory elements: identity, payload and recency.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{Atom, Value};
+use crate::{Atom, AttrMap, Value};
 
 /// Stable identifier of a WME within one [`crate::WorkingMemory`].
 ///
@@ -42,9 +41,9 @@ pub type Timestamp = u64;
 pub struct WmeData {
     /// The class (relation name) this element belongs to.
     pub class: Atom,
-    /// Attribute → value map. A `BTreeMap` keeps iteration deterministic,
-    /// which keeps matcher behaviour and test output reproducible.
-    pub attrs: BTreeMap<Atom, Value>,
+    /// Attribute → value map. Iteration is in attribute order, which
+    /// keeps matcher behaviour, codecs and test output reproducible.
+    pub attrs: AttrMap,
 }
 
 impl WmeData {
@@ -52,7 +51,7 @@ impl WmeData {
     pub fn new(class: impl Into<Atom>) -> Self {
         WmeData {
             class: class.into(),
-            attrs: BTreeMap::new(),
+            attrs: AttrMap::new(),
         }
     }
 
@@ -105,7 +104,7 @@ impl Wme {
 impl fmt::Display for Wme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({} {} [t{}]", self.id, self.data.class, self.timestamp)?;
-        for (k, v) in &self.data.attrs {
+        for (k, v) in self.data.attrs.iter() {
             write!(f, " ^{k} {v}")?;
         }
         write!(f, ")")
@@ -157,7 +156,27 @@ mod tests {
             .with("z", 1i64)
             .with("a", 2i64)
             .with("m", 3i64);
-        let keys: Vec<&str> = d.attrs.keys().map(|k| k.as_str()).collect();
+        let keys: Vec<&str> = d.attrs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["a", "m", "z"]);
+    }
+
+    /// `e2e`'s final-WM fingerprint hashes this exact string (it was the
+    /// `BTreeMap` payload's `Debug`), so it must never drift.
+    #[test]
+    fn debug_output_is_pinned() {
+        let d = WmeData::new("order")
+            .with("qty", 40i64)
+            .with("item", "bolt")
+            .with("note", String::from("rush"))
+            .with("w", 1.5)
+            .with("ok", true);
+        assert_eq!(
+            format!("{d:?}"),
+            r#"WmeData { class: "order", attrs: {"item": Sym("bolt"), "note": Str("rush"), "ok": Bool(true), "qty": Int(40), "w": Float(1.5)} }"#
+        );
+        assert_eq!(
+            format!("{:?}", WmeData::new("c")),
+            r#"WmeData { class: "c", attrs: {} }"#
+        );
     }
 }

@@ -1,6 +1,6 @@
-//! Property tests on the working-memory substrate: index invariants
-//! under random operation streams, apply/undo inversion, and timestamp
-//! monotonicity.
+//! Property tests on the working-memory substrate: routing-index
+//! invariants under random operation streams, apply/undo inversion, and
+//! timestamp monotonicity.
 //!
 //! Randomness comes from the workspace's internal deterministic PRNG
 //! (`dps_wm::rng::SmallRng`); each property is checked over a fixed
@@ -65,29 +65,34 @@ fn apply_ops(wm: &mut WorkingMemory, ops: &[Op]) {
     }
 }
 
-/// Secondary indexes never drift from the base tuples.
+/// The id → class routing index never drifts from the relations: every
+/// tuple a relation holds is what `get` finds under its id, relations
+/// iterate in id order, and together they hold exactly the live set.
 #[test]
 fn index_invariants_hold_under_random_ops() {
     for seed in 0..CASES {
         let mut wm = WorkingMemory::new();
         apply_ops(&mut wm, &random_ops(seed, 40));
+        let mut held = 0;
         for class in ["c0", "c1", "c2"] {
             if let Some(rel) = wm.relation(class) {
+                let ids: Vec<WmeId> = rel.iter().map(|w| w.id).collect();
                 assert!(
-                    rel.check_index_invariants(),
-                    "seed {seed}: class {class} index drifted"
+                    ids.windows(2).all(|p| p[0] < p[1]),
+                    "seed {seed}: {class} out of id order"
                 );
-                // Equality selection agrees with a full scan.
-                for k in -3..3i64 {
-                    let by_index = rel.select_eq("k", &Value::Int(k)).count();
-                    let by_scan = rel
-                        .iter()
-                        .filter(|w| w.get("k") == Some(&Value::Int(k)))
-                        .count();
-                    assert_eq!(by_index, by_scan, "seed {seed}");
+                for w in rel.iter() {
+                    assert_eq!(w.class().as_str(), class, "seed {seed}");
+                    assert_eq!(
+                        wm.get(w.id),
+                        Some(w),
+                        "seed {seed}: {class} routing drifted"
+                    );
                 }
+                held += rel.len();
             }
         }
+        assert_eq!(held, wm.len(), "seed {seed}");
     }
 }
 
