@@ -161,7 +161,7 @@ impl ParallelEngine {
         if let Some(guard) = &claim {
             self.absorb_own_batch(&guard.held, seq, strategy);
         }
-        {
+        let wake = {
             // Under the ledger so the claim gate's cap check stays exact
             // and the wake below is ordered against its check-then-wait
             // (the watermark moved before this lock was taken).
@@ -173,14 +173,17 @@ impl ParallelEngine {
             } else {
                 self.external_commits.fetch_add(1, Relaxed);
             }
-        }
+            ledger.waiters > 0
+        };
         if let (Some(obs), Some(name)) = (obs, &name) {
             obs.rule_fired(name.as_str());
             if let Some(t) = since {
                 obs.phase(Phase::Commit, t.elapsed());
             }
         }
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
         // Fan the batch out to the remaining affected shards *outside*
         // the critical section: match work overlaps the next commit.
         self.pipeline.fan_out(&affected, seq, obs);

@@ -62,10 +62,14 @@
 //!   refraction slice, caught up from the sequence-numbered delta log
 //!   by committers fanning out and by idle claim scans stealing
 //!   pending shard×batch work;
-//! * **`Ledger`** (`Mutex` + `Condvar`) — claims, engine dooms,
-//!   in-flight count and termination flags; the scheduler's state.
-//!   Doom-polling during simulated RHS work touches *only* this (and
-//!   the lock manager), never any matcher;
+//! * **`Ledger`** (`Mutex` + `Condvar`) — claims, in-flight count,
+//!   termination flags, parked-waiter count and, under policy
+//!   `Revalidate` only, claims by transaction and engine dooms; the
+//!   scheduler's state. A firing takes it three times (claim gate, claim
+//!   scan, unclaim at commit), plus the engine-doom checks under
+//!   `Revalidate`; a commit or abort notifies the condvar only when a
+//!   waiter is parked. Doom-polling during simulated RHS work touches
+//!   *only* this (and the lock manager), never any matcher;
 //! * **`Metrics`** (atomics) — counters.
 //!
 //! Lock order: base → shard → log → ledger (any subsequence is fine;
@@ -419,12 +423,21 @@ pub struct ParallelReport {
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     pub(crate) claimed: HashSet<InstKey>,
+    /// Each in-flight rule firing's claim, by transaction — kept only
+    /// under `ConflictPolicy::Revalidate`, whose revalidation pass is
+    /// its one reader.
     pub(crate) claims_by_txn: HashMap<TxnId, Claim>,
     /// Readers doomed by engine-level revalidation.
     pub(crate) engine_doomed: HashSet<TxnId>,
     pub(crate) inflight: usize,
     pub(crate) halted: bool,
     pub(crate) done: bool,
+    /// Threads parked on the engine condvar ([`ParallelEngine::park`]).
+    /// A notifier that changed the ledger reads it before letting go of
+    /// the ledger and skips the wake when it is zero: a waiter registers
+    /// before its wait releases the ledger, so it either saw the change
+    /// or is counted here.
+    pub(crate) waiters: usize,
 }
 
 /// Run counters, updated lock-free.
@@ -472,11 +485,13 @@ impl Metrics {
 pub struct ParallelEngine {
     rules: RuleSet,
     pub(crate) config: ParallelConfig,
-    /// Class → relation-resource id mapping. Seeded at build with every
-    /// class any rule mentions; external session inserts may introduce
-    /// *new* classes at run time, so the map allocates ids on demand
-    /// behind an `RwLock` (reads stay a shared lock on the hot path).
-    class_ids: RwLock<HashMap<Atom, u32>>,
+    /// Class → relation-resource id of every class any rule mentions,
+    /// fixed at build: a rule firing's relation resources resolve here
+    /// without a lock.
+    rule_class_ids: HashMap<Atom, u32>,
+    /// Ids for classes first seen at run time (external session inserts
+    /// and queries), allocated on demand after the rule classes' ids.
+    session_class_ids: RwLock<HashMap<Atom, u32>>,
     /// Piece (b): the authoritative WM (commit critical section) plus
     /// the per-shard match networks and the delta log between them.
     /// `Arc`'d (like `metrics`, `lm` and the governor) so telemetry
@@ -591,7 +606,8 @@ impl ParallelEngine {
         }
         ParallelEngine {
             rules: rules.clone(),
-            class_ids: RwLock::new(class_ids),
+            rule_class_ids: class_ids,
+            session_class_ids: RwLock::default(),
             lm,
             config,
             pipeline,
@@ -735,14 +751,17 @@ impl ParallelEngine {
     }
 
     pub(crate) fn relation_resource(&self, class: &Atom) -> ResourceId {
-        if let Some(id) = self.class_ids.read().unwrap().get(class) {
+        if let Some(id) = self.rule_class_ids.get(class) {
+            return ResourceId::Relation(*id);
+        }
+        if let Some(id) = self.session_class_ids.read().unwrap().get(class) {
             return ResourceId::Relation(*id);
         }
         // New class (an external session insert): allocate an id on
         // demand. `entry` re-checks under the write lock, so two racing
         // allocators agree.
-        let mut map = self.class_ids.write().unwrap();
-        let next = map.len() as u32;
+        let mut map = self.session_class_ids.write().unwrap();
+        let next = (self.rule_class_ids.len() + map.len()) as u32;
         ResourceId::Relation(*map.entry(class.clone()).or_insert(next))
     }
 
@@ -788,6 +807,7 @@ impl ParallelEngine {
         // engine).
         debug_assert_eq!(self.pipeline.pin_count(), 0, "snapshot pins leaked");
         debug_assert_eq!(self.lm.held_locks(), 0, "locks leaked past drain");
+        debug_assert_eq!(self.lm.live_txns(), 0, "transactions left unfinished past drain");
         let wall = start.elapsed();
         let halted = self.ledger.lock().unwrap().halted;
         ParallelReport {
@@ -896,6 +916,22 @@ impl ParallelEngine {
         self.cv.notify_all();
     }
 
+    /// Parks on the engine condvar (for at most `timeout`, if given),
+    /// counted in [`Ledger::waiters`] for as long as it waits.
+    pub(crate) fn park<'a>(
+        &self,
+        mut ledger: MutexGuard<'a, Ledger>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Ledger> {
+        ledger.waiters += 1;
+        let mut ledger = match timeout {
+            Some(t) => self.cv.wait_timeout(ledger, t).unwrap().0,
+            None => self.cv.wait(ledger).unwrap(),
+        };
+        ledger.waiters -= 1;
+        ledger
+    }
+
     /// One claim→execute→commit attempt (or a wait); `false` once the
     /// run is over.
     ///
@@ -926,7 +962,7 @@ impl ParallelEngine {
                         self.cv.notify_all();
                         return false;
                     }
-                    let _g = self.cv.wait(ledger).unwrap();
+                    drop(self.park(ledger, None));
                     continue;
                 }
             }
@@ -934,7 +970,7 @@ impl ParallelEngine {
             let w = self.pipeline.watermark();
             let busy = self.pipeline.busy_shards();
             let mut saw_claimed = false;
-            let mut found: Option<(Instantiation, usize)> = None;
+            let mut found: Option<(Instantiation, Claim)> = None;
             'shards: for s in scan_order(worker, self.pipeline.shards(), busy) {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
@@ -956,14 +992,14 @@ impl ParallelEngine {
                         saw_claimed = true;
                         continue;
                     }
-                    led.claimed.insert(key);
+                    led.claimed.insert(key.clone());
                     led.inflight += 1;
                     self.pipeline.claim_taken(s);
                     debug_assert!(
                         inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
                         "every tuple of an instantiation routes to the shard that holds it"
                     );
-                    found = Some((inst.clone(), s));
+                    found = Some((inst.clone(), Claim { key, shard: s }));
                     break 'shards;
                 }
             }
@@ -991,11 +1027,7 @@ impl ParallelEngine {
                             // session commit publishes new WM state (or
                             // a stop request arrives). The timeout is a
                             // lost-wakeup safety net only.
-                            let (g, _) = self
-                                .cv
-                                .wait_timeout(ledger, Duration::from_millis(10))
-                                .unwrap();
-                            drop(g);
+                            drop(self.park(ledger, Some(Duration::from_millis(10))));
                             continue;
                         }
                         ledger.done = true;
@@ -1004,23 +1036,21 @@ impl ParallelEngine {
                         return false;
                     }
                     if ledger.inflight > 0 {
-                        let _g = self.cv.wait(ledger).unwrap();
+                        drop(self.park(ledger, None));
                     }
                     // else: the watermark moved (or a claimed key was
                     // released) — rescan immediately.
                 }
             }
         };
-        let (inst, shard) = claim;
-        self.execute_claim(inst, shard);
+        let (inst, held) = claim;
+        self.execute_claim(inst, held);
         true
     }
 
-    /// Runs one instantiation claimed from `shard` as a transaction:
-    /// picks its strategy, drives the skeleton, and does the abort
-    /// bookkeeping.
-    fn execute_claim(&self, inst: Instantiation, shard: usize) {
-        let held = Claim { key: inst.key(), shard };
+    /// Runs one claimed instantiation as a transaction: picks its
+    /// strategy, drives the skeleton, and does the abort bookkeeping.
+    fn execute_claim(&self, inst: Instantiation, held: Claim) {
         let rule = self.rules.get(inst.rule).expect("known rule");
         let name = rule.name.as_str();
         // Serial fallback (governor step 3): a rule past its starvation
@@ -1030,7 +1060,9 @@ impl ParallelEngine {
         // (a waiter on this mutex holds no locks yet).
         let _serial = self.governor.as_ref().and_then(|g| g.serial_guard(name));
         let txn = self.lm.begin();
-        self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
+        if self.revalidates() {
+            self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
+        }
         let mut claim = ClaimGuard { engine: self, txn, held, released: false };
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
         let cond = self.condition_resources(&inst, rule);
@@ -1051,8 +1083,14 @@ impl ParallelEngine {
             let Claim { key, shard } = &claim.held;
             self.pipeline.shard_state(*shard).refracted.insert(key.clone());
         }
-        claim.release(&mut self.ledger.lock().unwrap());
-        self.cv.notify_all();
+        let wake = {
+            let mut ledger = self.ledger.lock().unwrap();
+            claim.release(&mut ledger);
+            ledger.waiters > 0
+        };
+        if wake {
+            self.cv.notify_all();
+        }
         // Governor feedback + backoff (steps 1–2): contention aborts
         // earn a bounded, jittered retry delay and feed the storm
         // detector. The blame set is the condition-read set: it is the
@@ -1287,9 +1325,20 @@ impl ParallelEngine {
         Ok((w, pin))
     }
 
+    /// Whether the conflict policy hands overlapped readers back to the
+    /// engine ([`ConflictPolicy::Revalidate`]) — the only policy under
+    /// which the ledger tracks claims by transaction and engine dooms.
+    fn revalidates(&self) -> bool {
+        self.config.policy == ConflictPolicy::Revalidate
+    }
+
     /// Fails with `Revalidation` when an engine-level revalidation pass
-    /// doomed `txn`.
+    /// doomed `txn`. Under any other policy nothing dooms at engine
+    /// level, so the ledger is not consulted.
     fn check_engine_doom(&self, txn: TxnId) -> Result<(), AbortCause> {
+        if !self.revalidates() {
+            return Ok(());
+        }
         match self.ledger.lock().unwrap().engine_doomed.contains(&txn) {
             true => Err(AbortCause::Revalidation),
             false => Ok(()),
@@ -1752,15 +1801,16 @@ mod tests {
             }
         }
         let injector = engine.injector.as_ref().unwrap();
+        let claim = |inst: &Instantiation| Claim { key: inst.key(), shard: 0 };
         std::thread::scope(|scope| {
             // The committer parks in the gap (commit 1 stalls between
             // `lm.commit` and `publish`) ...
-            scope.spawn(|| engine.execute_claim(insts[0].clone(), 0));
+            scope.spawn(|| engine.execute_claim(insts[0].clone(), claim(&insts[0])));
             while injector.stats().publish_stalls == 0 {
                 std::thread::yield_now();
             }
             // ... and the reader locks and validates inside it.
-            engine.execute_claim(insts[1].clone(), 0);
+            engine.execute_claim(insts[1].clone(), claim(&insts[1]));
         });
         assert_eq!(engine.metrics.commits.load(Relaxed), 1);
         assert_eq!(

@@ -249,10 +249,7 @@ impl ParallelEngine {
             }
             // Parked on the same condvar commits notify; the timeout is
             // a safety net against wakeups this scan cannot observe.
-            let _ = self
-                .cv
-                .wait_timeout(ledger, std::time::Duration::from_millis(2))
-                .unwrap();
+            drop(self.park(ledger, Some(std::time::Duration::from_millis(2))));
         }
     }
 }

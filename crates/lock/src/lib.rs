@@ -51,6 +51,7 @@ mod error;
 pub mod fault;
 mod manager;
 mod modes;
+mod modeset;
 mod sharding;
 mod txn;
 

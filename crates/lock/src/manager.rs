@@ -14,7 +14,13 @@
 //!   mutex and a [`WaitSlot`] to park on. Commit's `Rc`–`Wa` rule
 //!   linearizes at the owner's `Active → Committed` status flip — the
 //!   same race the old global lock serialised, now serialised by the
-//!   one mutex that actually matters.
+//!   one mutex that actually matters. The registry that maps a
+//!   [`TxnId`] to its state holds live transactions only: every way a
+//!   transaction finishes (commit, abort, a doom or forced abort
+//!   surfacing) ends in `release_held`, which removes the entry.
+//! * **Per-entry bookkeeping** → bit-mask mode sets and sorted vectors
+//!   ([`crate::modeset`]); a commit or release groups its resources by
+//!   stripe by sorting one vector, not by building a map.
 //! * **Counters / event log** → atomics and a dedicated mutex; hot
 //!   paths no longer serialise on bookkeeping.
 //! * **Deadlock detection** → a cross-shard waits-for walk
@@ -22,7 +28,8 @@
 //!
 //! Lock ordering (deadlock-freedom of the manager itself): a shard
 //! mutex may be taken before a transaction's `inner` mutex; `inner` is
-//! never held while taking a shard; the txn registry read lock and the
+//! never held while taking a shard; the txn registry lock (read to look
+//! a transaction up, written at `begin` and when it finishes) and the
 //! `WaitSlot` mutex are leaves. At most one shard and one `inner` are
 //! held at any time.
 //!
@@ -30,7 +37,6 @@
 //! byte-for-byte those of the old centralised manager; the test suite
 //! below is carried over unchanged.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
@@ -40,7 +46,8 @@ use dps_obs::{EventKind as ObsEvent, Phase, Recorder, TickHist};
 
 use crate::deadlock::find_cycle;
 use crate::fault::FaultInjector;
-use crate::sharding::{shard_of, Shard, DEFAULT_SHARDS};
+use crate::modeset::ModeMap;
+use crate::sharding::{shard_of, IdMap, Shard, DEFAULT_SHARDS};
 use crate::txn::{Status, TxnState};
 use crate::{LockError, LockMode, ResourceId};
 
@@ -242,7 +249,7 @@ impl LockManagerBuilder {
         let n = self.shards.unwrap_or(DEFAULT_SHARDS).max(1);
         LockManager {
             shards: (0..n).map(|_| Shard::default()).collect(),
-            txns: RwLock::new(std::collections::HashMap::new()),
+            txns: RwLock::default(),
             next: AtomicU64::new(0),
             stats: StatCounters::default(),
             record: AtomicBool::new(false),
@@ -274,7 +281,8 @@ enum Attempt {
 /// `&self`.
 pub struct LockManager {
     shards: Box<[Shard]>,
-    txns: RwLock<std::collections::HashMap<TxnId, Arc<TxnState>>>,
+    /// Live transactions: inserted at `begin`, removed by `release_held`.
+    txns: RwLock<IdMap<TxnId, Arc<TxnState>>>,
     next: AtomicU64,
     stats: StatCounters,
     record: AtomicBool,
@@ -380,12 +388,22 @@ impl LockManager {
             .sum()
     }
 
+    /// Number of transactions the registry tracks: begun and not yet
+    /// finished (a doomed transaction counts until its owner's next
+    /// call surfaces the doom). The registry's half of the quiescence
+    /// invariant beside [`LockManager::held_locks`]: zero after a drain.
+    pub fn live_txns(&self) -> usize {
+        self.txns.read().unwrap().len()
+    }
+
     fn log(&self, e: LockEvent) {
         if self.record.load(Relaxed) {
             self.events.lock().unwrap().push(e);
         }
     }
 
+    /// The state of a live transaction; `None` once it has finished (or
+    /// was never begun).
     fn txn_state(&self, txn: TxnId) -> Option<Arc<TxnState>> {
         self.txns.read().unwrap().get(&txn).cloned()
     }
@@ -451,7 +469,14 @@ impl LockManager {
             return Ok(());
         };
         let Some(ts) = self.txn_state(txn) else {
-            return Err(LockError::NotActive(txn));
+            // Not live. A finished transaction passes — forcing an
+            // abort on it is a no-op (`force_abort_injected`) — and
+            // only a never-begun id is `NotActive`. Ids are handed out
+            // in order, so one below the counter was begun.
+            return match txn.0 < self.next.load(Relaxed) {
+                true => Ok(()),
+                false => Err(LockError::NotActive(txn)),
+            };
         };
         if inj.forced_abort(txn, res_key(res)) {
             self.force_abort_injected(txn, &ts, inj)?;
@@ -533,7 +558,7 @@ impl LockManager {
                     Status::Doomed { .. } => continue,
                     _ => return Err(LockError::NotActive(txn)),
                 }
-                if inner.held.get(&res).is_some_and(|m| m.contains(&mode)) {
+                if inner.held.get(res).contains(mode) {
                     Attempt::AlreadyHeld
                 } else if table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
                     let entry = table.entry(res).or_default();
@@ -541,8 +566,8 @@ impl LockManager {
                     if was_queued {
                         entry.remove_waiter(txn);
                     }
-                    entry.holders.entry(txn).or_default().insert(mode);
-                    inner.held.entry(res).or_default().insert(mode);
+                    entry.holders.grant(txn, mode);
+                    inner.held.grant(res, mode);
                     // Waiters FIFO-blocked only by our queue entry (and
                     // compatible with the mode we now hold) may go.
                     let wake = if was_queued { entry.grantable_waiters(txn) } else { Vec::new() };
@@ -691,18 +716,12 @@ impl LockManager {
                 }
                 _ => return Err(LockError::NotActive(txn)),
             }
-            if inner.held.get(&res).is_some_and(|m| m.contains(&mode)) {
+            if inner.held.get(res).contains(mode) {
                 return Ok(true);
             }
             if table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
-                table
-                    .entry(res)
-                    .or_default()
-                    .holders
-                    .entry(txn)
-                    .or_default()
-                    .insert(mode);
-                inner.held.entry(res).or_default().insert(mode);
+                table.entry(res).or_default().holders.grant(txn, mode);
+                inner.held.grant(res, mode);
                 true
             } else {
                 false
@@ -753,19 +772,17 @@ impl LockManager {
         // only have acquired Rc *before* our Wa was granted — Table 4.1
         // forbids the reverse order). We still hold the shard entries, so
         // no new Rc can slip in before release below.
-        let wa: Vec<ResourceId> = held
-            .iter()
-            .filter(|(_, modes)| modes.contains(&LockMode::Wa))
-            .map(|(r, _)| *r)
-            .collect();
+        let wa = self.by_stripe(
+            held.iter().filter(|(_, modes)| modes.contains(LockMode::Wa)).map(|(r, _)| r),
+        );
         let mut affected: Vec<TxnId> = Vec::new();
-        for (si, ress) in group_by_shard(&wa, self.shards.len()) {
-            let table = self.shards[si].table.lock().unwrap();
-            for res in ress {
-                if let Some(entry) = table.get(&res) {
-                    for (&holder, modes) in &entry.holders {
+        for run in wa.chunk_by(|a, b| a.0 == b.0) {
+            let table = self.shards[run[0].0].table.lock().unwrap();
+            for (_, res) in run {
+                if let Some(entry) = table.get(res) {
+                    for (holder, modes) in entry.holders.iter() {
                         if holder != txn
-                            && modes.contains(&LockMode::Rc)
+                            && modes.contains(LockMode::Rc)
                             && !affected.contains(&holder)
                         {
                             affected.push(holder);
@@ -977,30 +994,28 @@ impl LockManager {
         self.signal_all(&wake);
     }
 
-    /// Releases every held lock (and any stale waiter entry), shard by
-    /// shard, then wakes the waiters of the entries we touched.
+    /// The last step of every way a transaction finishes: releases every
+    /// held lock (and any stale waiter entry), shard by shard, wakes the
+    /// waiters of the entries it touched, and drops `txn` from the
+    /// registry.
     fn release_held(
         &self,
         txn: TxnId,
-        held: BTreeMap<ResourceId, std::collections::BTreeSet<LockMode>>,
+        held: ModeMap<ResourceId>,
         waiting: Option<(ResourceId, LockMode)>,
     ) {
-        let mut resources: Vec<ResourceId> = held.keys().copied().collect();
-        if let Some((res, _)) = waiting {
-            if !resources.contains(&res) {
-                resources.push(res);
-            }
-        }
+        let mut resources = self.by_stripe(held.iter().map(|(r, _)| r).chain(waiting.map(|w| w.0)));
+        resources.dedup();
         let mut wake: Vec<TxnId> = Vec::new();
-        for (si, ress) in group_by_shard(&resources, self.shards.len()) {
-            let mut table = self.shards[si].table.lock().unwrap();
-            for res in ress {
-                if let Some(entry) = table.get_mut(&res) {
-                    entry.holders.remove(&txn);
+        for run in resources.chunk_by(|a, b| a.0 == b.0) {
+            let mut table = self.shards[run[0].0].table.lock().unwrap();
+            for (_, res) in run {
+                if let Some(entry) = table.get_mut(res) {
+                    entry.holders.remove(txn);
                     entry.remove_waiter(txn);
                     wake.extend(entry.grantable_waiters(txn));
                     if entry.is_vacant() {
-                        table.remove(&res);
+                        table.remove(res);
                     }
                 }
             }
@@ -1008,17 +1023,19 @@ impl LockManager {
         wake.sort_unstable();
         wake.dedup();
         self.signal_all(&wake);
+        self.txns.write().unwrap().remove(&txn);
     }
-}
 
-/// Groups resources by their shard index (so each shard mutex is taken
-/// once, and shards are visited in ascending order).
-fn group_by_shard(resources: &[ResourceId], shards: usize) -> BTreeMap<usize, Vec<ResourceId>> {
-    let mut by_shard: BTreeMap<usize, Vec<ResourceId>> = BTreeMap::new();
-    for &res in resources {
-        by_shard.entry(shard_of(res, shards)).or_default().push(res);
+    /// `resources` keyed by stripe and sorted, so a caller walking the
+    /// stripe runs (`chunk_by`) takes each stripe mutex once, in
+    /// ascending order, and meets a stripe's resources in `ResourceId`
+    /// order.
+    fn by_stripe(&self, resources: impl Iterator<Item = ResourceId>) -> Vec<(usize, ResourceId)> {
+        let n = self.shards.len();
+        let mut keyed: Vec<(usize, ResourceId)> = resources.map(|r| (shard_of(r, n), r)).collect();
+        keyed.sort_unstable();
+        keyed
     }
-    by_shard
 }
 
 impl fmt::Debug for LockManager {
@@ -1589,6 +1606,95 @@ mod tests {
         for k in 0..15 {
             assert_eq!(m.try_lock(fresh, t(k), X), Ok(true));
         }
+    }
+
+    /// What every public method answers for a transaction that is not
+    /// live: `begun` says whether the id was ever handed out.
+    fn assert_finished(m: &LockManager, txn: TxnId, begun: bool) {
+        assert_eq!(m.lock(txn, t(1), Rc), Err(LockError::NotActive(txn)));
+        assert_eq!(m.try_lock(txn, t(1), X), Err(LockError::NotActive(txn)));
+        assert_eq!(m.commit(txn), Err(LockError::NotActive(txn)));
+        assert_eq!(m.abort(txn), Err(LockError::NotActive(txn)));
+        assert_eq!(m.check(txn), Ok(()));
+        assert!(!m.is_active(txn));
+        let chaos = if begun || m.fault_injector().is_none() {
+            Ok(())
+        } else {
+            Err(LockError::NotActive(txn))
+        };
+        assert_eq!(m.inject_read(txn, t(1)), chaos, "{txn} begun={begun}");
+        assert_eq!(m.elide(txn, t(1)), chaos, "{txn} begun={begun}");
+    }
+
+    #[test]
+    fn registry_forgets_every_finished_transaction() {
+        let m = Arc::new(LockManager::with_timeout(
+            ConflictPolicy::AbortReaders,
+            Duration::from_millis(200),
+        ));
+        let mut finished = Vec::new();
+        // Commit and abort.
+        let (a, b) = (m.begin(), m.begin());
+        m.lock(a, t(1), Wa).unwrap();
+        m.lock(b, t(2), X).unwrap();
+        m.commit(a).unwrap();
+        m.abort(b).unwrap();
+        finished.extend([a, b]);
+        assert_eq!(m.live_txns(), 0);
+        // Writer doom: the reader stays registered until its next call
+        // surfaces the doom.
+        let (r, w) = (m.begin(), m.begin());
+        m.lock(r, t(1), Rc).unwrap();
+        m.lock(w, t(1), Wa).unwrap();
+        assert_eq!(m.commit(w).unwrap().doomed_readers, vec![r]);
+        assert_eq!(m.live_txns(), 1, "a doomed reader is still live");
+        assert_eq!(m.check(r), Err(LockError::DoomedByWriter { txn: r, by: w }));
+        finished.extend([r, w]);
+        assert_eq!(m.live_txns(), 0);
+        // Deadlock victim.
+        let (older, younger) = (m.begin(), m.begin());
+        m.lock(older, t(1), X).unwrap();
+        m.lock(younger, t(2), X).unwrap();
+        let m2 = Arc::clone(&m);
+        let h = std::thread::spawn(move || m2.lock(younger, t(1), X));
+        std::thread::sleep(Duration::from_millis(30));
+        m.lock(older, t(2), X).unwrap();
+        assert_eq!(h.join().unwrap(), Err(LockError::Deadlock(younger)));
+        m.commit(older).unwrap();
+        finished.extend([older, younger]);
+        assert_eq!(m.live_txns(), 0);
+        // Timeout: the waiter stays live until its owner aborts it.
+        let (holder, waiter) = (m.begin(), m.begin());
+        m.lock(holder, t(3), X).unwrap();
+        assert_eq!(m.lock(waiter, t(3), X), Err(LockError::Timeout(waiter)));
+        assert_eq!(m.live_txns(), 2);
+        m.abort(waiter).unwrap();
+        m.commit(holder).unwrap();
+        finished.extend([holder, waiter]);
+        assert_eq!(m.live_txns(), 0);
+        // Injected forced aborts, on a manager whose injector always fires.
+        use crate::fault::{FaultInjector, FaultPlan};
+        let chaos = LockManager::builder()
+            .fault(Arc::new(FaultInjector::new(FaultPlan {
+                forced_abort_pm: 1000,
+                ..Default::default()
+            })))
+            .build();
+        let (x, y) = (chaos.begin(), chaos.begin());
+        assert_eq!(chaos.lock(x, t(1), Rc), Err(LockError::Injected(x)));
+        assert_eq!(chaos.inject_read(y, t(1)), Err(LockError::Injected(y)));
+        assert_eq!(chaos.live_txns(), 0);
+
+        for txn in finished {
+            assert_finished(&m, txn, true);
+        }
+        for txn in [x, y] {
+            assert_finished(&chaos, txn, true);
+        }
+        assert_finished(&m, TxnId(1_000), false);
+        assert_finished(&chaos, TxnId(1_000), false);
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0), "probing re-registers nothing");
+        assert_eq!((chaos.live_txns(), chaos.held_locks()), (0, 0));
     }
 
     #[test]

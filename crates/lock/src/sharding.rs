@@ -1,7 +1,7 @@
 //! The striped lock table.
 //!
 //! Resources hash to one of N independent shards; each shard is a
-//! `Mutex<HashMap<ResourceId, Entry>>`. Two transactions touching
+//! `Mutex<IdMap<ResourceId, Entry>>`. Two transactions touching
 //! resources in different shards never contend on a manager-level lock —
 //! this is the refactor that removes the former process-wide
 //! `Mutex<State>` from every `lock`/`try_lock` call.
@@ -11,20 +11,22 @@
 //! overtakes a queued writer) carry over shard-locally — and since a
 //! queue is per *resource*, shard-local FIFO is exactly resource FIFO.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
+use crate::modeset::ModeMap;
 use crate::{compatible, LockMode, ResourceId, TxnId};
 
 /// Default number of stripes. Small enough to stay cache-friendly,
 /// large enough that 8–16 workers on disjoint data rarely collide.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Lock-table entry for one resource: current holders and the FIFO
-/// queue of waiters.
+/// Lock-table entry for one resource: current holders (in `TxnId`
+/// order) and the FIFO queue of waiters.
 #[derive(Debug, Default)]
 pub(crate) struct Entry {
-    pub holders: BTreeMap<TxnId, BTreeSet<LockMode>>,
+    pub holders: ModeMap<TxnId>,
     pub waiters: VecDeque<(TxnId, LockMode)>,
 }
 
@@ -36,11 +38,8 @@ impl Entry {
     /// fairness — no earlier waiter we conflict with in either
     /// direction (prevents writer starvation).
     pub fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
-        for (&holder, modes) in &self.holders {
-            if holder == txn {
-                continue;
-            }
-            if modes.iter().any(|&held| !compatible(held, mode)) {
+        for (holder, modes) in self.holders.iter() {
+            if holder != txn && modes.blocks(mode) {
                 return false;
             }
         }
@@ -68,8 +67,8 @@ impl Entry {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for (&holder, modes) in &self.holders {
-            if holder != txn && modes.iter().any(|&held| !compatible(held, mode)) {
+        for (holder, modes) in self.holders.iter() {
+            if holder != txn && modes.blocks(mode) {
                 out.push(holder);
             }
         }
@@ -110,7 +109,39 @@ impl Entry {
 /// One stripe of the lock table.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub table: Mutex<HashMap<ResourceId, Entry>>,
+    pub table: Mutex<IdMap<ResourceId, Entry>>,
+}
+
+/// A hash map keyed by engine-assigned integer ids.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-mix hasher for [`IdMap`]: one rotate, xor and multiply per
+/// word. Not flood-resistant, and it need not be: transaction ids come
+/// from [`crate::LockManager::begin`], and tuple and relation ids from
+/// the engine — a client cannot choose the keys it hashes.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Maps a resource to its shard index (SplitMix64-style finalizer so
@@ -130,6 +161,8 @@ pub(crate) fn shard_of(res: ResourceId, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
+
     use crate::LockMode::*;
 
     #[test]
@@ -176,7 +209,7 @@ mod tests {
     fn entry_grantable_respects_fifo() {
         let mut e = Entry::default();
         let (a, b, c) = (TxnId(0), TxnId(1), TxnId(2));
-        e.holders.entry(a).or_default().insert(S);
+        e.holders.grant(a, S);
         // Writer b queues behind holder a.
         e.waiters.push_back((b, X));
         // Reader c is FIFO-blocked by waiting writer b...
@@ -200,7 +233,7 @@ mod tests {
         e.remove_waiter(b);
         assert_eq!(e.grantable_waiters(b), vec![c, d]);
         // ...and none of them while b holds X.
-        e.holders.entry(b).or_default().insert(X);
+        e.holders.grant(b, X);
         assert!(e.grantable_waiters(a).is_empty());
     }
 
@@ -212,12 +245,54 @@ mod tests {
         // behind it wait *for* it, never the other way round.
         let mut e = Entry::default();
         let (a, b, c, d) = (TxnId(0), TxnId(1), TxnId(2), TxnId(3));
-        e.holders.entry(b).or_default().insert(X);
+        e.holders.grant(b, X);
         e.waiters.push_back((a, X));
         e.waiters.push_back((c, X));
         assert!(e.blockers_of(b, X).is_empty(), "granted txn is blocked by nobody");
         assert!(e.blockers_of(d, X).is_empty(), "absent txn is blocked by nobody");
         // A queued waiter still sees the holder and the earlier waiter.
         assert_eq!(e.blockers_of(c, X), vec![b, a]);
+    }
+
+    #[test]
+    fn holders_are_visited_in_txn_order_whatever_the_grant_order() {
+        // Blocker lists (and through them the obs `Block` holder and
+        // the commit rule's doom order) follow `TxnId` order, as the
+        // ordered map the holder vector replaced did.
+        let mut e = Entry::default();
+        let (a, b, c, w) = (TxnId(4), TxnId(1), TxnId(9), TxnId(12));
+        for (t, m) in [(c, Rc), (a, Rc), (b, Ra), (a, Ra), (c, Rc)] {
+            e.holders.grant(t, m);
+        }
+        assert_eq!(e.holders.len(), 3, "re-grants add modes, not holders");
+        e.waiters.push_back((w, Wa));
+        assert_eq!(e.blockers_of(w, Wa), vec![b, a], "Rc alone does not refuse Wa");
+        assert!(e.grantable(w, Rc));
+        e.holders.remove(b);
+        e.holders.remove(a);
+        assert!(e.grantable(w, Wa));
+        e.holders.remove(c);
+        e.remove_waiter(w);
+        assert!(e.is_vacant());
+    }
+
+    #[test]
+    fn id_hasher_spreads_consecutive_ids() {
+        // Bucket index = low bits, control byte = top 7 bits: both must
+        // vary over a run of consecutive ids.
+        let hash = |k: &dyn Fn(&mut IdHasher)| {
+            let mut h = IdHasher::default();
+            k(&mut h);
+            h.finish()
+        };
+        let tuples: Vec<u64> = (0..256u64).map(|k| hash(&|h| ResourceId::Tuple(k).hash(h))).collect();
+        let low: std::collections::HashSet<u64> = tuples.iter().map(|h| h & 0xFF).collect();
+        let top: std::collections::HashSet<u64> = tuples.iter().map(|h| h >> 57).collect();
+        assert_eq!(low.len(), 256, "consecutive ids fill distinct buckets");
+        assert!(top.len() >= 64, "control bytes vary: {}", top.len());
+        let relations = (0..256u32).filter(|&k| {
+            hash(&|h| ResourceId::Relation(k).hash(h)) != hash(&|h| ResourceId::Tuple(u64::from(k)).hash(h))
+        });
+        assert_eq!(relations.count(), 256, "the variant tag is hashed");
     }
 }

@@ -12,11 +12,11 @@
 //! reverse; the `WaitSlot` mutex is a leaf and may be taken under
 //! anything.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use crate::modeset::ModeMap;
 use crate::{LockMode, ResourceId};
 
 /// Transaction identifier. Monotonically increasing: a larger id means a
@@ -48,8 +48,9 @@ pub(crate) enum Status {
 #[derive(Debug)]
 pub(crate) struct TxnInner {
     pub status: Status,
-    /// Locks held, mirrored from the shard entries for O(1) release.
-    pub held: BTreeMap<ResourceId, BTreeSet<LockMode>>,
+    /// Locks held, mirrored from the shard entries so release visits
+    /// only them; in `ResourceId` order.
+    pub held: ModeMap<ResourceId>,
     /// The single resource this transaction currently waits for, if any.
     pub waiting_on: Option<(ResourceId, LockMode)>,
 }
@@ -66,7 +67,7 @@ impl TxnState {
         TxnState {
             inner: Mutex::new(TxnInner {
                 status: Status::Active,
-                held: BTreeMap::new(),
+                held: ModeMap::default(),
                 waiting_on: None,
             }),
             slot: WaitSlot::new(),
