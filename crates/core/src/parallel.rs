@@ -524,6 +524,9 @@ pub struct ParallelEngine {
     /// of [`Metrics::commits`], which counts rule firings and gates the
     /// commit cap).
     pub(crate) external_commits: AtomicU64,
+    /// Set by the first [`Self::run_shared`]: the report takes the
+    /// trace, so a second run is a bug (debug-asserted).
+    ran: AtomicBool,
 }
 
 impl ParallelEngine {
@@ -621,6 +624,7 @@ impl ParallelEngine {
             telemetry,
             stop: AtomicBool::new(false),
             external_commits: AtomicU64::new(0),
+            ran: AtomicBool::new(false),
         }
     }
 
@@ -773,9 +777,11 @@ impl ParallelEngine {
     /// [`Self::run`] through a shared reference, for callers that keep
     /// using the engine concurrently while it runs — the server holds
     /// `&self` on its session-handler threads (external transactions)
-    /// while one scoped thread sits in `run_shared`. Not re-entrant:
-    /// one run at a time.
+    /// while one scoped thread sits in `run_shared`. One run per
+    /// engine: the report takes the commit trace rather than copying it.
     pub fn run_shared(&self) -> ParallelReport {
+        let first = !self.ran.swap(true, Relaxed);
+        debug_assert!(first, "a ParallelEngine runs once");
         let start = Instant::now();
         if let Some(tel) = &self.telemetry {
             tel.start();
@@ -815,7 +821,9 @@ impl ParallelEngine {
             aborts: self.metrics.abort_stats(),
             wall,
             wasted_work: Duration::from_nanos(self.metrics.wasted_nanos.load(Relaxed)),
-            trace: self.pipeline.lock_base().trace.clone(),
+            // Moved, not cloned: a copy would double the trace's memory
+            // at the run's peak.
+            trace: std::mem::take(&mut self.pipeline.lock_base().trace),
             halted,
             lock_stats: self.lm.stats(),
             fault_stats: self.injector.as_ref().map(|inj| inj.stats()),
@@ -979,19 +987,19 @@ impl ParallelEngine {
                 // the first candidate that survives the refraction skip
                 // and held for the rest of this shard's scan.
                 let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
-                for inst in state.rete.conflict_set().iter() {
-                    let key = inst.key();
-                    if state.refracted.contains(&key) {
+                for (key, inst) in state.rete.conflict_set().iter_keyed() {
+                    if state.refracted.contains(key) {
                         continue;
                     }
                     let led = ledger.get_or_insert_with(|| self.ledger.lock().unwrap());
                     if led.done || self.capped(led) {
                         break 'shards; // re-gate at the loop top
                     }
-                    if led.claimed.contains(&key) {
+                    if led.claimed.contains(key) {
                         saw_claimed = true;
                         continue;
                     }
+                    let key = key.clone();
                     led.claimed.insert(key.clone());
                     led.inflight += 1;
                     self.pipeline.claim_taken(s);

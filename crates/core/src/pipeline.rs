@@ -109,7 +109,8 @@ pub(crate) struct WmBase {
     pub next_seq: u64,
     /// Every commit of this run, in sequence order — appended in the
     /// same hold that takes the sequence number, so trace order is
-    /// commit order by construction.
+    /// commit order by construction. The run's report takes it at the
+    /// end of the (single) run.
     pub trace: Trace,
 }
 

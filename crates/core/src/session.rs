@@ -233,8 +233,8 @@ impl ParallelEngine {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
                     .catch_up(s, w, &mut state, true, self.obs.as_deref());
-                for inst in state.rete.conflict_set().iter() {
-                    if !state.refracted.contains(&inst.key()) {
+                for (key, _) in state.rete.conflict_set().iter_keyed() {
+                    if !state.refracted.contains(key) {
                         busy = true;
                         break 'scan;
                     }

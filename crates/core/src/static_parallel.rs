@@ -148,9 +148,9 @@ impl StaticParallelEngine {
             .world
             .matcher
             .conflict_set()
-            .iter()
-            .filter(|i| !self.refracted.contains(&i.key()))
-            .cloned()
+            .iter_keyed()
+            .filter(|(k, _)| !self.refracted.contains(*k))
+            .map(|(_, i)| i.clone())
             .collect();
         if candidates.is_empty() {
             return 0;

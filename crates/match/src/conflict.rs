@@ -66,6 +66,13 @@ impl ConflictSet {
         self.insts.values()
     }
 
+    /// `(key, instantiation)` pairs in key order: a scan that probes
+    /// other key sets (refraction, claims) reads the stored key instead
+    /// of building one per candidate.
+    pub fn iter_keyed(&self) -> impl Iterator<Item = (&InstKey, &Instantiation)> {
+        self.insts.iter()
+    }
+
     /// Instantiations of one rule, in key order.
     pub fn of_rule(&self, rule: RuleId) -> impl Iterator<Item = &Instantiation> + '_ {
         self.insts.values().filter(move |i| i.rule == rule)
@@ -122,6 +129,8 @@ mod tests {
         cs.insert(inst(0, &[(2, 2)]));
         let order: Vec<(u32, u64)> = cs.iter().map(|i| (i.rule.0, i.wmes[0].id.0)).collect();
         assert_eq!(order, [(0, 2), (0, 9), (1, 5)]);
+        assert!(cs.iter_keyed().all(|(k, i)| *k == i.key()));
+        assert!(cs.iter_keyed().map(|(_, i)| i).eq(cs.iter()));
     }
 
     #[test]

@@ -64,7 +64,10 @@ impl Strategy {
         conflict: &'a ConflictSet,
         refracted: &HashSet<InstKey>,
     ) -> Option<&'a Instantiation> {
-        let mut candidates = conflict.iter().filter(|i| !refracted.contains(&i.key()));
+        let mut candidates = conflict
+            .iter_keyed()
+            .filter(|(k, _)| !refracted.contains(*k))
+            .map(|(_, i)| i);
         match self {
             Strategy::Fifo => candidates.next(),
             Strategy::Lex => candidates.max_by(|a, b| lex_cmp(a, b)),

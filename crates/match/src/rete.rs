@@ -16,8 +16,33 @@
 //!   as [`Instantiation`]s in the conflict set.
 //! * **Sharing**: alpha memories are shared by constant-test signature;
 //!   join, memory and negative nodes are shared by
-//!   `(parent, alpha memory, tests)`, so rules with common LHS prefixes
-//!   share beta state too.
+//!   `(parent, alpha memory, tests)`, so rules whose planned join orders
+//!   (below) start alike share beta state too.
+//!
+//! **Connected-first join order** (Ishida, "Optimizing Rules in
+//! Production System Programs", AAAI-88): a rule's beta chain does not
+//! follow the written CE order. [`join_order`] plans it. Negated CEs are
+//! barriers and keep their positions. Inside each run of positive CEs
+//! between them, the next CE is the earliest remaining one that shares
+//! an `=`-tested variable with a CE already placed, else the earliest
+//! remaining one. So `(cursor ^at <i>) (kind ^kind <k>) (item ^id <i>
+//! ^kind <k>)` joins as `cursor`, `item`, `kind` instead of building
+//! `cursor × kind` and discarding all but one of it at `item`; a written
+//! order with no avoidable cross product is its own plan. Two
+//! invariants make the plan invisible to callers:
+//!
+//! 1. **Instantiations in written order.** The production node maps
+//!    token depth back to written CE index, so `Instantiation::wmes`,
+//!    its bindings and its [`InstKey`] are exactly the written-order
+//!    network's — and with them the conflict set, refraction, traces,
+//!    lock footprints and WAL records.
+//! 2. **Test pairs unchanged.** A variable is bound by its first positive
+//!    `=` occurrence in written order, and every other occurrence is
+//!    tested against that binder — the operand pairs the written-order
+//!    network evaluates. A test whose binder the plan places after it
+//!    runs at the binder's join with the converse predicate
+//!    ([`Predicate::converse`]); intra-CE tests stay in their CE. Since
+//!    no pair is derived, loose numeric equality needs no transitivity.
 //!
 //! **Hash-indexed joins**: when a join's tests include an equality
 //! against an earlier condition's attribute, both sides are indexed —
@@ -147,6 +172,52 @@ fn token_key<'a>(tokens: &'a [Token], t: Slot, up: usize, attr: &str) -> Cow<'a,
     }
 }
 
+/// The order the beta network joins a rule's CEs in: written CE indices,
+/// one per token depth (see the module docs).
+///
+/// Negated CEs are barriers and keep their positions. Inside each run of
+/// positive CEs between them, the next CE is the earliest remaining one
+/// that shares an `=`-tested variable with a CE already placed, or the
+/// earliest remaining one when none does. A written order with no
+/// avoidable cross product is therefore its own plan.
+fn join_order(conds: &[Condition]) -> Vec<usize> {
+    let eq_vars = |ci: usize| {
+        conds[ci]
+            .ce()
+            .tests
+            .iter()
+            .filter_map(|t| match (t.predicate, &t.operand) {
+                (Predicate::Eq, TestAtom::Var(v)) => Some(v),
+                _ => None,
+            })
+    };
+    let mut order = Vec::with_capacity(conds.len());
+    let mut placed_vars: Vec<&VarName> = Vec::new();
+    let mut run: Vec<usize> = Vec::new();
+    for (ci, cond) in conds.iter().enumerate() {
+        // A negated CE, or the rule's end, closes the current run.
+        if let Condition::Pos(_) = cond {
+            run.push(ci);
+            if ci + 1 < conds.len() {
+                continue;
+            }
+        }
+        while !run.is_empty() {
+            let next = run
+                .iter()
+                .position(|&c| eq_vars(c).any(|v| placed_vars.contains(&v)))
+                .unwrap_or(0);
+            let c = run.remove(next);
+            placed_vars.extend(eq_vars(c));
+            order.push(c);
+        }
+        if let Condition::Neg(_) = cond {
+            order.push(ci);
+        }
+    }
+    order
+}
+
 /// The compiled, immutable-while-matching half of a node.
 #[derive(Clone, Debug)]
 enum Node {
@@ -179,9 +250,11 @@ enum Node {
     Production {
         rule: RuleId,
         salience: i32,
-        /// var → (condition index, attribute) for binding extraction.
+        /// var → (token depth of its binding CE, attribute), in written
+        /// order, for binding extraction.
         binding_map: Vec<(VarName, usize, Atom)>,
-        /// Which condition indices are positive (for wme extraction).
+        /// Token depth of each positive CE, in written order (for wme
+        /// extraction).
         positive_conds: Vec<usize>,
     },
 }
@@ -362,33 +435,36 @@ impl Rete {
     // -------------------------------------------------------------
 
     fn compile_rule(&mut self, id: RuleId, rule: &Rule) {
-        // First Eq occurrence of each variable in a positive CE.
-        let mut binding_map: Vec<(VarName, usize, Atom)> = Vec::new();
-        fn bound_at(map: &[(VarName, usize, Atom)], var: &VarName) -> Option<(usize, Atom)> {
-            map.iter()
-                .find(|(v, _, _)| v == var)
-                .map(|(_, c, a)| (*c, a.clone()))
+        let conds = &rule.conditions;
+        let order = join_order(conds);
+        // Written CE index → placed depth (token level).
+        let mut depth = vec![0; conds.len()];
+        for (d, &ci) in order.iter().enumerate() {
+            depth[ci] = d;
         }
+        // A test at depth `d` reaches the match at depth `at` by walking
+        // up from its input token (depth `d - 1`).
+        let token = |d: usize, at: usize, attr: &Atom| TestTarget::Token {
+            up: d - 1 - at,
+            attr: attr.clone(),
+        };
 
-        let mut source = TOP;
-        let mut positive_conds = Vec::new();
-        for (ci, cond) in rule.conditions.iter().enumerate() {
-            let ce = cond.ce();
-            let amem = self.net.alpha.register(ce);
-            // Build the variable-consistency tests for this CE.
-            let mut tests = Vec::new();
+        // Classify every variable test in written order, exactly as the
+        // written-order network would. `binding_map` holds the first Eq
+        // occurrence of each variable in a positive CE; `tests` is per
+        // written CE index.
+        let mut binding_map: Vec<(VarName, usize, Atom)> = Vec::new();
+        let mut tests: Vec<Vec<JoinTest>> = vec![Vec::new(); conds.len()];
+        for (ci, cond) in conds.iter().enumerate() {
             // Local (within this CE) first occurrences, for intra-CE tests
             // and for locally bound negative-CE variables.
             let mut local_first: Vec<(VarName, Atom)> = Vec::new();
-            for t in &ce.tests {
+            for t in &cond.ce().tests {
                 let TestAtom::Var(var) = &t.operand else {
                     continue;
                 };
-                let global = bound_at(&binding_map, var);
-                let local = local_first
-                    .iter()
-                    .find(|(v, _)| v == var)
-                    .map(|(_, a)| a.clone());
+                let global = binding_map.iter().find(|(v, _, _)| v == var);
+                let local = local_first.iter().find(|(v, _)| v == var);
                 match (t.predicate, global, local) {
                     // Binding occurrence: variable not seen anywhere yet.
                     (Predicate::Eq, None, None) => {
@@ -397,46 +473,63 @@ impl Rete {
                             binding_map.push((var.clone(), ci, t.attr.clone()));
                         }
                     }
-                    // Test against an earlier condition's binding. Every
-                    // condition adds one token level, so the input token
-                    // (condition `ci - 1`) is `ci - 1 - cond_idx` hops
-                    // below the binding's.
-                    (p, Some((cond_idx, attr)), None) => {
-                        tests.push(JoinTest {
+                    // Test against an earlier condition's binding, at
+                    // whichever of the two CEs the plan places later.
+                    (p, Some(&(_, bi, ref battr)), None) if depth[bi] < depth[ci] => {
+                        tests[ci].push(JoinTest {
                             new_attr: t.attr.clone(),
                             predicate: p,
-                            target: TestTarget::Token {
-                                up: ci - 1 - cond_idx,
-                                attr,
-                            },
+                            target: token(depth[ci], depth[bi], battr),
+                        });
+                    }
+                    // The binder is placed later: the test runs at its
+                    // join with the operands swapped. The binder precedes
+                    // this CE in written order, so its own tests are all
+                    // in already and keep their places (and its index key).
+                    (p, Some(&(_, bi, ref battr)), None) => {
+                        tests[bi].push(JoinTest {
+                            new_attr: battr.clone(),
+                            predicate: p.converse(),
+                            target: token(depth[bi], depth[ci], &t.attr),
                         });
                     }
                     // Intra-CE test (local occurrence takes precedence:
                     // inside a negated CE the local binding shadows).
-                    (p, _, Some(local_attr)) => {
-                        tests.push(JoinTest {
+                    (p, _, Some((_, local_attr))) => {
+                        tests[ci].push(JoinTest {
                             new_attr: t.attr.clone(),
                             predicate: p,
-                            target: TestTarget::NewAttr(local_attr),
+                            target: TestTarget::NewAttr(local_attr.clone()),
                         });
                     }
                     // Validation guarantees non-Eq predicates are bound.
                     (_, None, None) => unreachable!("validated rule has no unbound test"),
                 }
             }
-
-            match cond {
-                Condition::Pos(_) => {
-                    positive_conds.push(ci);
-                    source = self.get_or_make_join(source, amem, tests);
-                }
-                Condition::Neg(_) => {
-                    source = self.get_or_make_negative(source, amem, tests);
-                }
-            }
         }
 
-        // Attach the production node.
+        let mut source = TOP;
+        for &ci in &order {
+            let ce = conds[ci].ce();
+            let amem = self.net.alpha.register(ce);
+            let tests = std::mem::take(&mut tests[ci]);
+            source = match &conds[ci] {
+                Condition::Pos(_) => self.get_or_make_join(source, amem, tests),
+                Condition::Neg(_) => self.get_or_make_negative(source, amem, tests),
+            };
+        }
+
+        // Attach the production node. It reads tokens by depth and emits
+        // bindings and WMEs in written order.
+        for (_, ci, _) in &mut binding_map {
+            *ci = depth[*ci];
+        }
+        let positive_conds = conds
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| matches!(c, Condition::Pos(_)))
+            .map(|(ci, _)| depth[ci])
+            .collect();
         let pnode = self.push_node(Node::Production {
             rule: id,
             salience: rule.salience,
@@ -837,7 +930,7 @@ impl Beta {
         else {
             unreachable!()
         };
-        // The condition-indexed chain of WMEs (`None` at negated ones).
+        // The depth-indexed chain of WMEs (`None` at negated CEs).
         let mut chain: Vec<Option<&Wme>> = Vec::new();
         let mut at = token;
         while at != DUMMY {
@@ -1284,6 +1377,124 @@ mod tests {
         apply_insert(&mut rete, &mut wm, WmeData::new("lo").with("v", 1i64));
         apply_insert(&mut rete, &mut wm, WmeData::new("hi").with("v", 2i64));
         assert_eq!(rete.conflict_set().len(), 1);
+    }
+
+    fn plans(src: &str) -> Vec<(String, Vec<usize>)> {
+        let rules = RuleSet::parse(src).unwrap();
+        rules
+            .iter()
+            .map(|(_, r)| (r.name.to_string(), join_order(&r.conditions)))
+            .collect()
+    }
+
+    #[test]
+    fn connected_rules_plan_to_their_written_order() {
+        let src = "
+            (p charge (task ^res <r> ^left { > 0 <n> }) (tally ^id <r> ^count <c>)
+               --> (modify 1 ^left (- <n> 1)) (modify 2 ^count (+ <c> 1)))
+            (p apply (delta ^key <k> ^v <v>) (acc ^key <k> ^total <t>)
+               --> (remove 1) (modify 2 ^total (+ <t> <v>)))
+            (p fold-0 (out-0 ^id <i> ^w <w>) (sum-0 ^total <s>)
+               --> (remove 1) (modify 2 ^total (+ <s> <w>)))
+            (p join2 (a ^k <x>) (b ^k <x>) --> (remove 1))
+            (p join3 (a ^k <x>) (b ^k <x>) (c ^k <x>) --> (remove 1))
+            (p intra (pair ^l <v> ^r <v>) --> (remove 1))
+            (p neg-const (a ^k <x>) -(hold) --> (remove 1))
+            (p neg-bound (a ^k <x>) -(hold ^k <x>) --> (remove 1))
+            (p order (a ^k <x>) (b ^k > <x>) --> (remove 1))
+            (p neg-mid (a ^k <x>) -(veto ^k <x>) (b ^k <x>) --> (remove 1))
+            (p negneg (a ^k <x>) -(hold ^k <x>) -(veto ^k <x>) --> (remove 1))
+            (p join4 (a ^k <x>) (b ^k <x>) (c ^k <x>) (pair ^l <x>) --> (remove 1))
+            (p bare (x) (y) --> (remove 1))";
+        for (name, plan) in plans(src) {
+            let identity: Vec<usize> = (0..plan.len()).collect();
+            assert_eq!(plan, identity, "{name}");
+        }
+    }
+
+    #[test]
+    fn visit_plans_item_before_kind() {
+        let src = "(p visit-0 (cursor-0 ^at <i>) (kind-0 ^kind <k> ^w <w>)
+                      (item-0 ^id <i> ^kind <k> ^next <j>) -(out-0)
+                     --> (modify 1 ^at <j>) (make out-0 ^id <i> ^w <w>))";
+        assert_eq!(plans(src)[0].1, [0, 2, 1, 3]);
+    }
+
+    #[test]
+    fn visit_shape_builds_no_cross_product() {
+        let (rules, mut wm) = setup(
+            "(p visit (cursor ^at <i>) (kind ^kind <k> ^w <w>)
+                      (item ^id <i> ^kind <k> ^next <j>) -(out)
+               --> (modify 1 ^at <j>) (make out ^id <i> ^w <w>))",
+        );
+        let mut rete = Rete::new(&rules, &wm);
+        assert_eq!(rete.stats().indexed_joins, 2, "item on <i>, kind on <k>");
+        let cursor = apply_insert(&mut rete, &mut wm, WmeData::new("cursor").with("at", 0i64));
+        for k in 0..10i64 {
+            let kind = WmeData::new("kind").with("kind", k).with("w", k + 1);
+            apply_insert(&mut rete, &mut wm, kind);
+        }
+        for i in 0..5i64 {
+            let item = WmeData::new("item").with("id", i).with("next", i + 1);
+            apply_insert(&mut rete, &mut wm, item.with("kind", 2 * i));
+        }
+        // cursor, cursor×item, ×kind, and the negation's output: no
+        // cursor × kind tokens.
+        assert_eq!(rete.stats().tokens, 4);
+        let inst = rete.conflict_set().iter().next().unwrap();
+        let classes: Vec<&str> = inst.wmes.iter().map(|w| w.class().as_str()).collect();
+        assert_eq!(classes, ["cursor", "kind", "item"], "written CE order");
+        assert_eq!(inst.wmes[0].id, cursor);
+        assert_eq!(inst.bindings.get("w"), Some(&Value::Int(1)));
+        assert_eq!(inst.bindings.get("j"), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn negated_ce_keeps_its_position_and_preceding_set() {
+        let src = "(p r (a ^k <x>) (c ^m <z>) (b ^k <x>) -(veto ^k <x>)
+                       (d ^n <w>) (e ^k <x> ^n <w>) --> (remove 1))";
+        let plan = plans(src).remove(0).1;
+        assert_eq!(plan, [0, 2, 1, 3, 5, 4]);
+        let mut before: Vec<usize> = plan[..3].to_vec();
+        before.sort_unstable();
+        assert_eq!(before, [0, 1, 2], "the negation follows the same CEs");
+    }
+
+    #[test]
+    fn ordering_test_before_its_binder_moves_to_the_binders_join() {
+        let src = "(p r (a ^k <x>) (c ^v <y>) (b ^k <x> ^v > <y>) --> (remove 1))";
+        assert_eq!(plans(src)[0].1, [0, 2, 1]);
+        let (rules, mut wm) = setup(src);
+        let mut rete = Rete::new(&rules, &wm);
+        // `b.v > c.v`, evaluated at `c`'s join (one hop above: `b`) as
+        // `c.v < b.v`.
+        let moved = JoinTest {
+            new_attr: Atom::from("v"),
+            predicate: Predicate::Lt,
+            target: TestTarget::Token {
+                up: 0,
+                attr: Atom::from("v"),
+            },
+        };
+        let at_c = rete.net.nodes.iter().any(|n| match n {
+            Node::Join { tests, .. } => tests == std::slice::from_ref(&moved),
+            _ => false,
+        });
+        assert!(at_c, "converse test at the binder's join");
+        apply_insert(&mut rete, &mut wm, WmeData::new("a").with("k", 1i64));
+        apply_insert(
+            &mut rete,
+            &mut wm,
+            WmeData::new("b").with("k", 1i64).with("v", 5i64),
+        );
+        apply_insert(&mut rete, &mut wm, WmeData::new("c").with("v", 7i64));
+        assert!(rete.conflict_set().is_empty(), "5 > 7 is false");
+        apply_insert(&mut rete, &mut wm, WmeData::new("c").with("v", 3i64));
+        assert_eq!(rete.conflict_set().len(), 1);
+        let inst = rete.conflict_set().iter().next().unwrap();
+        let classes: Vec<&str> = inst.wmes.iter().map(|w| w.class().as_str()).collect();
+        assert_eq!(classes, ["a", "c", "b"]);
+        assert_eq!(inst.bindings.get("y"), Some(&Value::Int(3)));
     }
 
     #[test]

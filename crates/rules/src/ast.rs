@@ -69,6 +69,18 @@ impl Predicate {
         }
     }
 
+    /// The predicate with its operands swapped:
+    /// `p.apply(a, b) == p.converse().apply(b, a)` for all values.
+    pub fn converse(self) -> Predicate {
+        match self {
+            Predicate::Lt => Predicate::Gt,
+            Predicate::Le => Predicate::Ge,
+            Predicate::Gt => Predicate::Lt,
+            Predicate::Ge => Predicate::Le,
+            p @ (Predicate::Eq | Predicate::Ne) => p,
+        }
+    }
+
     /// The DSL spelling.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -542,6 +554,41 @@ mod tests {
         assert!(Ge.apply(&three, &three));
         // Ordering on non-numerics is false, never a panic.
         assert!(!Lt.apply(&Value::from("a"), &Value::from("b")));
+    }
+
+    #[test]
+    fn converse_swaps_operands() {
+        use Predicate::*;
+        let big = 1i64 << 53;
+        let values = [
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(big - 1),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(-1.0),
+            Value::Float(big as f64),
+            Value::Float(f64::NAN),
+            Value::from("sym"),
+            Value::from(String::from("sym")),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Nil,
+        ];
+        for p in [Eq, Ne, Lt, Le, Gt, Ge] {
+            assert_eq!(p.converse().converse(), p);
+            for a in &values {
+                for b in &values {
+                    assert_eq!(
+                        p.apply(a, b),
+                        p.converse().apply(b, a),
+                        "{p} on {a:?}, {b:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
