@@ -9,6 +9,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dps_bench::analysis::{certified_run, Leg};
 use dps_bench::harness::{Flag, ReportArgs};
@@ -17,9 +18,10 @@ use dps_core::abstract_model::{fmt_seq, paper33_example};
 use dps_core::semantics::{validate_trace, ExecutionGraph};
 use dps_core::{ParallelConfig, SelectionMode, StaticConfig, StaticParallelEngine, WorkModel};
 use dps_lock::{
-    compatibility_table, ConflictPolicy, LockError, LockEvent, LockManager, LockMode, Protocol,
-    ResourceId,
+    compatibility_table, res_of_key, ConflictPolicy, LockError, LockManager, LockMode, Protocol,
+    ResourceId, TxnId,
 };
+use dps_obs::{EventKind, Recorder};
 use dps_rules::analysis::Granularity;
 use dps_sim::scenario::all_figures;
 use dps_sim::{simulate_multi, sweep, Outcome};
@@ -115,29 +117,20 @@ fn e4_1() {
     header("E4.1  Table 4.1 — lock compatibility matrix; Figure 4.1 — 2PL protocol");
     println!("{}", compatibility_table());
     println!("Figure 4.1 protocol trace (S for LHS reads, X for RHS writes):");
-    let lm = LockManager::new(ConflictPolicy::AbortReaders);
-    lm.set_recording(true);
-    let p = lm.begin();
-    lm.lock(p, ResourceId::Tuple(1), LockMode::S).unwrap(); // condition read
-    lm.lock(p, ResourceId::Tuple(2), LockMode::S).unwrap(); // condition read
-    lm.lock(p, ResourceId::Tuple(2), LockMode::X).unwrap(); // RHS write (upgrade)
-    lm.commit(p).unwrap();
-    print_events(&lm.take_events());
+    // Two condition reads, then the RHS write upgrades the second.
+    print_protocol_trace(&[(1, LockMode::S), (2, LockMode::S), (2, LockMode::X)]);
     println!();
 }
 
 /// E4.2 — Figure 4.2: Rc for condition evaluation, Ra/Wa for the RHS.
 fn e4_2() {
     header("E4.2  Figure 4.2 — improved acquisition with Rc locks");
-    let lm = LockManager::new(ConflictPolicy::AbortReaders);
-    lm.set_recording(true);
-    let p = lm.begin();
-    lm.lock(p, ResourceId::Tuple(1), LockMode::Rc).unwrap();
-    lm.lock(p, ResourceId::Tuple(2), LockMode::Rc).unwrap();
-    lm.lock(p, ResourceId::Tuple(1), LockMode::Ra).unwrap();
-    lm.lock(p, ResourceId::Tuple(2), LockMode::Wa).unwrap();
-    lm.commit(p).unwrap();
-    print_events(&lm.take_events());
+    print_protocol_trace(&[
+        (1, LockMode::Rc),
+        (2, LockMode::Rc),
+        (1, LockMode::Ra),
+        (2, LockMode::Wa),
+    ]);
     println!();
 }
 
@@ -463,18 +456,25 @@ fn x9() {
     println!(" processor — the paper's justification for requiring a multiprocessor)\n");
 }
 
-fn print_events(events: &[LockEvent]) {
-    for e in events {
-        match e {
-            LockEvent::Begin(t) => println!("  {t}: begin"),
-            LockEvent::Grant(t, r, m) => println!("  {t}: granted {m} on {r}"),
-            LockEvent::Block(t, r, m) => println!("  {t}: BLOCKED requesting {m} on {r}"),
-            LockEvent::Doom(t, by) => match by {
-                Some(w) => println!("  {t}: doomed by committing writer {w}"),
-                None => println!("  {t}: doomed (deadlock victim)"),
-            },
-            LockEvent::Commit(t) => println!("  {t}: commit (all locks released)"),
-            LockEvent::Abort(t) => println!("  {t}: abort"),
+/// Runs one transaction that takes `locks` (tuple id, mode) in order
+/// and commits, then prints the lock manager's recorded events.
+fn print_protocol_trace(locks: &[(u64, LockMode)]) {
+    let rec = Arc::new(Recorder::default());
+    let lm = LockManager::builder().obs(Arc::clone(&rec)).build();
+    let p = lm.begin();
+    for &(tuple, mode) in locks {
+        lm.lock(p, ResourceId::Tuple(tuple), mode).unwrap();
+    }
+    lm.commit(p).unwrap();
+    for e in rec.history() {
+        let t = TxnId(e.txn);
+        match e.kind {
+            EventKind::Begin => println!("  {t}: begin"),
+            EventKind::Grant { resource, mode } => {
+                println!("  {t}: granted {mode} on {}", res_of_key(resource))
+            }
+            EventKind::Commit => println!("  {t}: commit (all locks released)"),
+            other => println!("  {t}: {other:?}"),
         }
     }
 }

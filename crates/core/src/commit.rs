@@ -123,7 +123,7 @@ impl ParallelEngine {
             written.sort_unstable();
             written.dedup();
         }
-        let affected = self.pipeline.publish(seq, changes, obs);
+        let affected = self.pipeline.publish(seq, changes);
         let halt = firing.halt;
         let name = obs.map(|_| firing.rule_name.clone());
         let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
@@ -288,8 +288,7 @@ impl ParallelEngine {
             }
             self.pipeline.catch_up(own, seq, &mut state, false, obs);
         }
-        state.refracted.insert(key.clone());
-        state.maybe_gc();
+        state.refract(key.clone());
     }
 
     /// Engine-level revalidation (policy `Revalidate`): doom only the

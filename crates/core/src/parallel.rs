@@ -572,10 +572,6 @@ impl ParallelEngine {
             }
         }
         let obs = config.observe.then(|| Arc::new(Recorder::default()));
-        if let Some(obs) = &obs {
-            let plan = pipeline.plan();
-            obs.set_match_plan(plan.shards(), plan.components() as u64, plan.partitions() as u64);
-        }
         let injector = config
             .fault
             .clone()
@@ -1089,7 +1085,7 @@ impl ParallelEngine {
             // shard *before* the unclaim below, so no scanner can
             // re-claim it in between (shard → ledger lock order).
             let Claim { key, shard } = &claim.held;
-            self.pipeline.shard_state(*shard).refracted.insert(key.clone());
+            self.pipeline.shard_state(*shard).refract(key.clone());
         }
         let wake = {
             let mut ledger = self.ledger.lock().unwrap();

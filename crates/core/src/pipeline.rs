@@ -64,7 +64,7 @@
 //! `w`; later invalidations are the lock manager's problem, exactly as
 //! in the monolithic design. See DESIGN.md §12.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
@@ -75,6 +75,7 @@ use dps_obs::{FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Change, VersionedStore, WorkingMemory};
 
+use crate::world::Refraction;
 use crate::Trace;
 
 /// Log entries older than the slowest shard are pruned opportunistically;
@@ -130,22 +131,13 @@ pub(crate) struct ShardState {
     /// for the shard's rules.
     pub rete: Rete,
     /// Refraction for this shard's rules (fired or eval-error keys).
-    pub refracted: HashSet<InstKey>,
-    /// Next refraction-GC trigger (doubles after each sweep).
-    gc_at: usize,
+    pub refracted: Refraction,
 }
 
 impl ShardState {
-    /// Bounds the refraction slice: past the trigger, drop keys no
-    /// longer in the conflict set (timestamps are fresh on
-    /// re-assertion, so a dead key can never match again). The trigger
-    /// doubles with the surviving size, amortising the sweep.
-    pub fn maybe_gc(&mut self) {
-        if self.refracted.len() >= self.gc_at {
-            let cs = self.rete.conflict_set();
-            self.refracted.retain(|k| cs.contains(k));
-            self.gc_at = (self.refracted.len() * 2).max(1024);
-        }
+    /// Refracts `key` against this shard's conflict set.
+    pub fn refract(&mut self, key: InstKey) {
+        self.refracted.insert(key, self.rete.conflict_set());
     }
 }
 
@@ -285,8 +277,7 @@ impl MatchPipeline {
             .map(|rete| MatchShard {
                 state: Mutex::new(ShardState {
                     rete,
-                    refracted: HashSet::new(),
-                    gc_at: 1024,
+                    refracted: Refraction::default(),
                 }),
                 applied: AtomicU64::new(base_seq),
                 busy: AtomicUsize::new(0),
@@ -383,7 +374,7 @@ impl MatchPipeline {
     /// by the caller. Appends the log entry, advances the watermark,
     /// and free-advances every unaffected, fully-caught-up shard.
     /// Returns the affected shard list for the caller's fan-out.
-    pub fn publish(&self, seq: u64, changes: Vec<Change>, obs: Option<&Recorder>) -> Vec<usize> {
+    pub fn publish(&self, seq: u64, changes: Vec<Change>) -> Vec<usize> {
         let affected = self.plan.affected(&changes);
         if self.versioned {
             // Mirror the batch into the version chains (we hold the
@@ -430,9 +421,6 @@ impl MatchPipeline {
         }
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats.free_advances.fetch_add(free, Ordering::Relaxed);
-        if let Some(obs) = obs {
-            obs.fanout_batch(free);
-        }
         affected
     }
 
@@ -488,7 +476,6 @@ impl MatchPipeline {
                     }
                     if let (Some(obs), Some(t0)) = (obs, t0) {
                         obs.phase(Phase::MatchApply, t0.elapsed());
-                        obs.fanout_apply(s, stolen);
                     }
                 }
                 self.shards[s].applied.fetch_max(seq, Ordering::AcqRel);
@@ -675,7 +662,7 @@ mod tests {
         let w = base.wm.insert_full(data);
         let seq = base.next_seq;
         base.next_seq += 1;
-        let affected = p.publish(seq, vec![Change::Added(w)], None);
+        let affected = p.publish(seq, vec![Change::Added(w)]);
         drop(base);
         p.fan_out(&affected, seq, None);
         (seq, affected)
@@ -767,11 +754,11 @@ mod tests {
         let w1 = base.wm.insert_full(WmeData::new("e").with("k", 5i64));
         let seq1 = base.next_seq;
         base.next_seq += 1;
-        p.publish(seq1, vec![Change::Added(w1)], None);
+        p.publish(seq1, vec![Change::Added(w1)]);
         let w2 = base.wm.insert_full(WmeData::new("e").with("k", 6i64));
         let seq2 = base.next_seq;
         base.next_seq += 1;
-        p.publish(seq2, vec![Change::Added(w2)], None);
+        p.publish(seq2, vec![Change::Added(w2)]);
         drop(base);
         let s = p.plan().shards_of(rules.id_of("fam3").unwrap()).start;
         assert!(p.shards[s].applied.load(Ordering::Acquire) < seq2);
@@ -785,23 +772,5 @@ mod tests {
         drop(st);
         assert_eq!(p.shards[s].applied.load(Ordering::Acquire), seq2);
         assert_eq!(p.fanout_stats().steals, 2);
-    }
-
-    #[test]
-    fn refraction_gc_keeps_live_keys() {
-        let (_, p) = pipeline(1);
-        let mut st = p.shard_state(0);
-        st.gc_at = 1; // force the sweep
-        let live = st.rete.conflict_set().iter().next().unwrap().key();
-        let dead = InstKey {
-            rule: live.rule,
-            wmes: vec![],
-        };
-        st.refracted.insert(live.clone());
-        st.refracted.insert(dead.clone());
-        st.maybe_gc();
-        assert!(st.refracted.contains(&live));
-        assert!(!st.refracted.contains(&dead));
-        assert!(st.gc_at >= 1024, "trigger re-arms");
     }
 }

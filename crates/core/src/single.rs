@@ -1,16 +1,15 @@
 //! The single-execution-thread engine: the reference interpreter of §2
 //! whose behaviour defines the execution semantics (§3.2).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dps_match::{InstKey, Matcher, Rete, Strategy};
+use dps_match::{Matcher, Rete, Strategy};
 use dps_obs::{EventKind, Phase, Recorder};
 use dps_rules::{instantiate_actions, RuleSet};
 use dps_wm::WorkingMemory;
 
-use crate::world::World;
+use crate::world::{Refraction, World};
 use crate::{Firing, Trace};
 
 /// Configuration of a single-thread run.
@@ -66,7 +65,7 @@ pub struct SingleThreadEngine<M: Matcher = Rete> {
     rules: RuleSet,
     world: World<M>,
     config: EngineConfig,
-    refracted: HashSet<InstKey>,
+    refracted: Refraction,
     trace: Trace,
     halted: bool,
     /// Optional observability sink (phase latencies + per-rule table).
@@ -94,7 +93,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             rules: rules.clone(),
             world: World { wm, matcher },
             config,
-            refracted: HashSet::new(),
+            refracted: Refraction::default(),
             trace: Trace::default(),
             halted: false,
             obs: None,
@@ -134,7 +133,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
         let Some(inst) = self
             .config
             .strategy
-            .select(self.world.matcher.conflict_set(), &self.refracted)
+            .select(self.world.matcher.conflict_set(), self.refracted.keys())
         else {
             return StepOutcome::Quiescent;
         };
@@ -192,10 +191,6 @@ impl<M: Matcher> SingleThreadEngine<M> {
             self.halted = true;
             return StepOutcome::Halted;
         }
-        // Keep the refraction set from growing without bound: drop keys
-        // that are no longer in the conflict set (they can never match
-        // again — timestamps are fresh on re-assertion).
-        self.world.gc_refracted(&mut self.refracted, 1024);
         StepOutcome::Fired
     }
 

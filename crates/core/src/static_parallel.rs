@@ -14,17 +14,17 @@
 //!   serializability-safe (Theorem 1's argument applies unchanged: the
 //!   batch's effects equal those of firing it in any serial order).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dps_match::{InstKey, Instantiation, Matcher, Rete};
+use dps_match::{Instantiation, Matcher, Rete};
 use dps_obs::{EventKind, Phase, Recorder};
 use dps_rules::analysis::{interferes, rule_access, Granularity, RuleAccess};
 use dps_rules::{instantiate_actions, RuleSet};
 use dps_wm::{Atom, DeltaSet, WorkingMemory};
 
-use crate::world::World;
+use crate::world::{Refraction, World};
 use crate::{Firing, Footprint, Trace};
 
 /// How batch members are checked for mutual non-interference.
@@ -98,7 +98,7 @@ pub struct StaticParallelEngine {
     accesses: Vec<RuleAccess>,
     world: World,
     config: StaticConfig,
-    refracted: HashSet<InstKey>,
+    refracted: Refraction,
     trace: Trace,
     halted: bool,
     /// Optional observability sink (batch-apply latency + per-rule table).
@@ -115,7 +115,7 @@ impl StaticParallelEngine {
             accesses,
             world: World { wm, matcher },
             config,
-            refracted: HashSet::new(),
+            refracted: Refraction::default(),
             trace: Trace::default(),
             halted: false,
             obs: None,
@@ -149,7 +149,7 @@ impl StaticParallelEngine {
             .matcher
             .conflict_set()
             .iter_keyed()
-            .filter(|(k, _)| !self.refracted.contains(*k))
+            .filter(|(k, _)| !self.refracted.contains(k))
             .map(|(_, i)| i.clone())
             .collect();
         if candidates.is_empty() {
@@ -238,7 +238,6 @@ impl StaticParallelEngine {
                 break;
             }
         }
-        self.world.gc_refracted(&mut self.refracted, 1024);
         if let (Some(obs), Some(t)) = (&self.obs, t1) {
             obs.phase(Phase::Commit, t.elapsed());
         }

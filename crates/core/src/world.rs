@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use dps_match::{InstKey, Matcher, Rete};
+use dps_match::{ConflictSet, InstKey, Matcher, Rete};
 use dps_wm::WorkingMemory;
 
 use crate::{Firing, Trace};
@@ -33,28 +33,50 @@ impl<M: Matcher> World<M> {
     /// the caller's locking point of view) apply the firing's delta to
     /// WM, feed the changes to the matcher, refract the instantiation,
     /// and record the firing in `trace`.
-    ///
-    /// `refracted` and `trace` are passed in rather than owned so the
-    /// dynamic engine can borrow them from *different* mutex guards
-    /// (ledger and trace) while holding the world lock.
-    pub fn commit(&mut self, refracted: &mut HashSet<InstKey>, trace: &mut Trace, firing: Firing) {
+    pub fn commit(&mut self, refracted: &mut Refraction, trace: &mut Trace, firing: Firing) {
         let changes = self
             .wm
             .apply(&firing.delta)
             .expect("committed firing only touches live WMEs");
         self.matcher.apply(&changes);
-        refracted.insert(firing.key.clone());
+        refracted.insert(firing.key.clone(), self.matcher.conflict_set());
         trace.firings.push(firing);
     }
+}
 
-    /// Bounds the refraction set: once it exceeds `threshold`, drop keys
-    /// no longer present in the conflict set (they can never match again
-    /// — timestamps are fresh on re-assertion).
-    pub fn gc_refracted(&self, refracted: &mut HashSet<InstKey>, threshold: usize) {
-        if refracted.len() > threshold {
-            let cs = self.matcher.conflict_set();
-            refracted.retain(|k| cs.contains(k));
+/// The refraction set of one conflict set: keys that fired (or failed
+/// to evaluate) and must not fire again. Every engine bounds it by the
+/// same rule: once it reaches a trigger, keys no longer in the conflict
+/// set are dropped (timestamps are fresh on re-assertion, so a dead key
+/// can never match again), and the trigger doubles with the surviving
+/// size — a set whose keys stay live is swept O(log n) times, not once
+/// per firing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Refraction {
+    keys: HashSet<InstKey>,
+    /// Twice the size the last sweep left; the trigger is this or 1024,
+    /// whichever is larger.
+    gc_at: usize,
+}
+
+impl Refraction {
+    /// Refracts `key`, then sweeps against `cs` if the trigger is reached.
+    pub fn insert(&mut self, key: InstKey, cs: &ConflictSet) {
+        self.keys.insert(key);
+        if self.keys.len() >= self.gc_at.max(1024) {
+            self.keys.retain(|k| cs.contains(k));
+            self.gc_at = self.keys.len() * 2;
         }
+    }
+
+    /// Whether `key` is refracted.
+    pub fn contains(&self, key: &InstKey) -> bool {
+        self.keys.contains(key)
+    }
+
+    /// The refracted keys.
+    pub fn keys(&self) -> &HashSet<InstKey> {
+        &self.keys
     }
 }
 
@@ -75,7 +97,7 @@ mod tests {
         let rule = rules.get(inst.rule).unwrap();
         let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes).unwrap();
         let key = inst.key();
-        let mut refracted = HashSet::new();
+        let mut refracted = Refraction::default();
         let mut trace = Trace::default();
         world.commit(
             &mut refracted,
@@ -100,24 +122,29 @@ mod tests {
     }
 
     #[test]
-    fn gc_drops_only_dead_keys() {
+    fn gc_drops_only_dead_keys_past_its_trigger() {
         let rules = RuleSet::parse("(p keep (c) --> (make log))").unwrap();
         let mut wm = WorkingMemory::new();
         wm.insert(WmeData::new("c"));
         let matcher = Rete::new(&rules, &wm);
-        let world = World { wm, matcher };
-        let live = world.matcher.conflict_set().iter().next().unwrap().key();
-        let dead = InstKey {
+        let cs = matcher.conflict_set();
+        let live = cs.iter().next().unwrap().key();
+        let dead = |n: u64| InstKey {
             rule: live.rule,
-            wmes: vec![],
+            wmes: vec![(dps_wm::WmeId(n), 0)],
         };
-        let mut refracted: HashSet<InstKey> = [live.clone(), dead.clone()].into();
-        world.gc_refracted(&mut refracted, 1);
+        let mut refracted = Refraction::default();
+        refracted.insert(live.clone(), cs);
+        for n in 1..1023 {
+            refracted.insert(dead(n), cs);
+        }
+        assert_eq!(refracted.keys().len(), 1023, "below the trigger: untouched");
+        refracted.insert(dead(1023), cs);
         assert!(refracted.contains(&live), "live key survives GC");
-        assert!(!refracted.contains(&dead), "dead key collected");
-        // Below threshold: untouched.
-        let mut small: HashSet<InstKey> = [dead].into();
-        world.gc_refracted(&mut small, 10);
-        assert_eq!(small.len(), 1);
+        assert_eq!(refracted.keys().len(), 1, "dead keys collected");
+        for n in 1024..2046 {
+            refracted.insert(dead(n), cs);
+        }
+        assert_eq!(refracted.keys().len(), 1023, "the trigger re-arms at its floor");
     }
 }

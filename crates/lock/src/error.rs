@@ -17,7 +17,9 @@ pub enum LockError {
         /// The committing writer that doomed it.
         by: TxnId,
     },
-    /// The request waited longer than the configured timeout.
+    /// The request's wait deadline passed. Waits have one only under a
+    /// chaos timeout storm ([`crate::FaultPlan::timeout_storm_pm`]);
+    /// the transaction stays active and its owner aborts it.
     Timeout(TxnId),
     /// The transaction was force-aborted by the chaos fault injector
     /// (see [`crate::fault`]). Never occurs outside fault-injected

@@ -93,8 +93,9 @@ pub struct FaultPlan {
     /// RHS-stall magnitude, microseconds.
     pub rhs_stall_us: u64,
     /// Per-mille odds that a blocked wait's deadline is slashed to
-    /// [`FaultPlan::timeout_storm_us`] — a timeout storm (fires even on
-    /// managers configured with no timeout at all).
+    /// [`FaultPlan::timeout_storm_us`] — a timeout storm, the only wait
+    /// deadline the lock manager knows (deadlocks are broken by
+    /// detection alone).
     pub timeout_storm_pm: u32,
     /// Stormed deadline, microseconds.
     pub timeout_storm_us: u64,

@@ -58,8 +58,8 @@ mod txn;
 pub use error::LockError;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, WalKillSite};
 pub use manager::{
-    res_key, res_of_key, CommitOutcome, ConflictPolicy, LockEvent, LockManager,
-    LockManagerBuilder, LockStats, TxnId,
+    res_key, res_of_key, CommitOutcome, ConflictPolicy, LockManager, LockManagerBuilder,
+    LockStats, TxnId,
 };
 pub use modes::{compatibility_table, compatible, LockMode, Protocol, ResourceId};
 pub use sharding::DEFAULT_SHARDS;

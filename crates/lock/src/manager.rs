@@ -21,8 +21,9 @@
 //! * **Per-entry bookkeeping** → bit-mask mode sets and sorted vectors
 //!   ([`crate::modeset`]); a commit or release groups its resources by
 //!   stripe by sorting one vector, not by building a map.
-//! * **Counters / event log** → atomics and a dedicated mutex; hot
-//!   paths no longer serialise on bookkeeping.
+//! * **Counters** → atomics ([`LockStats`]); hot paths never serialise
+//!   on bookkeeping. The only event record is the `dps-obs`
+//!   [`Recorder`] attached with [`LockManagerBuilder::obs`].
 //! * **Deadlock detection** → a cross-shard waits-for walk
 //!   (see [`crate::deadlock`]) run by the transaction that blocks.
 //!
@@ -33,14 +34,15 @@
 //! `WaitSlot` mutex are leaves. At most one shard and one `inner` are
 //! held at any time.
 //!
-//! The public API and the commit-time `Rc`–`Wa` semantics are
-//! byte-for-byte those of the old centralised manager; the test suite
-//! below is carried over unchanged.
+//! The commit-time `Rc`–`Wa` semantics are byte-for-byte those of the
+//! old centralised manager. There is no wait timeout: deadlocks are
+//! broken by detection alone, and the only deadline a wait can get is a
+//! chaos timeout storm ([`crate::FaultPlan::timeout_storm_pm`]).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use dps_obs::{EventKind as ObsEvent, Phase, Recorder, TickHist};
 
@@ -110,24 +112,6 @@ pub struct LockStats {
     pub elided: u64,
 }
 
-/// An entry in the manager's event log (recording is off by default).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LockEvent {
-    /// Transaction began.
-    Begin(TxnId),
-    /// Lock granted.
-    Grant(TxnId, ResourceId, LockMode),
-    /// Request blocked, waiting.
-    Block(TxnId, ResourceId, LockMode),
-    /// Transaction doomed (`by` is the committing writer, `None` for a
-    /// deadlock victim).
-    Doom(TxnId, Option<TxnId>),
-    /// Transaction committed.
-    Commit(TxnId),
-    /// Transaction aborted.
-    Abort(TxnId),
-}
-
 /// Monotonic event counters, updated lock-free on the hot paths.
 #[derive(Debug, Default)]
 struct StatCounters {
@@ -173,26 +157,18 @@ fn mode_name(mode: LockMode) -> &'static str {
     }
 }
 
-/// Composable constructor for [`LockManager`] (the `new` /
-/// `with_shards` / `with_timeout` constructors could not be combined —
-/// this builder replaces them; they remain as thin wrappers).
+/// Composable constructor for [`LockManager`]: the conflict policy plus
+/// the three optional attachments an engine wires in.
 ///
 /// ```
 /// use dps_lock::{ConflictPolicy, LockManager};
-/// use std::time::Duration;
 ///
-/// let mgr = LockManager::builder()
-///     .policy(ConflictPolicy::Revalidate)
-///     .shards(4)
-///     .timeout(Duration::from_millis(50))
-///     .build();
+/// let mgr = LockManager::builder().policy(ConflictPolicy::Revalidate).build();
 /// assert_eq!(mgr.policy(), ConflictPolicy::Revalidate);
 /// ```
 #[derive(Debug, Default)]
 pub struct LockManagerBuilder {
     policy: Option<ConflictPolicy>,
-    shards: Option<usize>,
-    timeout: Option<Duration>,
     obs: Option<Arc<Recorder>>,
     fault: Option<Arc<FaultInjector>>,
     wait_hist: Option<Arc<TickHist>>,
@@ -203,20 +179,6 @@ impl LockManagerBuilder {
     /// [`ConflictPolicy::AbortReaders`]).
     pub fn policy(mut self, policy: ConflictPolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Sets the lock-table stripe count (default [`DEFAULT_SHARDS`],
-    /// min 1; `shards(1)` collapses to centralised behaviour).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Sets a wait timeout for blocked requests (default: none —
-    /// deadlocks are handled by detection alone).
-    pub fn timeout(mut self, timeout: impl Into<Option<Duration>>) -> Self {
-        self.timeout = timeout.into();
         self
     }
 
@@ -244,18 +206,14 @@ impl LockManagerBuilder {
         self
     }
 
-    /// Builds the manager.
+    /// Builds the manager: [`DEFAULT_SHARDS`] lock-table stripes.
     pub fn build(self) -> LockManager {
-        let n = self.shards.unwrap_or(DEFAULT_SHARDS).max(1);
         LockManager {
-            shards: (0..n).map(|_| Shard::default()).collect(),
+            shards: (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect(),
             txns: RwLock::default(),
             next: AtomicU64::new(0),
             stats: StatCounters::default(),
-            record: AtomicBool::new(false),
-            events: Mutex::new(Vec::new()),
             policy: self.policy.unwrap_or(ConflictPolicy::AbortReaders),
-            timeout: self.timeout,
             obs: self.obs,
             fault: self.fault,
             wait_hist: self.wait_hist,
@@ -263,18 +221,22 @@ impl LockManagerBuilder {
     }
 }
 
-/// Outcome of one attempt inside the [`LockManager::lock`] loop.
+/// Outcome of one [`LockManager::grant_step`].
 enum Attempt {
     /// Mode already held — no-op re-grant.
     AlreadyHeld,
-    /// Granted now; wake these (formerly FIFO-blocked-by-us) waiters.
-    Granted { wake: Vec<TxnId> },
-    /// Not grantable; enqueued (`newly` = first time for this request)
-    /// and the wait slot is armed. `holder` names one transaction the
-    /// request waits for (the first conflicting holder / earlier
-    /// waiter, captured inside the shard critical section so it is an
-    /// actual wait-for edge at block time), for the obs `Block` event.
-    Enqueued { newly: bool, holder: Option<TxnId> },
+    /// Granted now (counted, recorded, released waiters signalled).
+    Granted,
+    /// The transaction is doomed; the caller surfaces the doom.
+    Doomed,
+    /// Not grantable. A queueing request is enqueued (`newly` = first
+    /// time for this request) and its wait slot armed; `holder` names
+    /// one transaction the request waits for (the first conflicting
+    /// holder / earlier waiter, captured inside the shard critical
+    /// section so it is an actual wait-for edge at block time), for the
+    /// obs `Block` event. A refused [`LockManager::try_lock`] queues
+    /// nothing and reads `newly: false`.
+    Blocked { newly: bool, holder: Option<TxnId> },
 }
 
 /// The lock manager. Cheap to share behind an `Arc`; all methods take
@@ -285,40 +247,22 @@ pub struct LockManager {
     txns: RwLock<IdMap<TxnId, Arc<TxnState>>>,
     next: AtomicU64,
     stats: StatCounters,
-    record: AtomicBool,
-    events: Mutex<Vec<LockEvent>>,
     policy: ConflictPolicy,
-    timeout: Option<Duration>,
     obs: Option<Arc<Recorder>>,
     fault: Option<Arc<FaultInjector>>,
     wait_hist: Option<Arc<TickHist>>,
 }
 
 impl LockManager {
-    /// Returns a composable builder (policy / shards / timeout / obs).
+    /// Returns a composable builder (policy / obs / fault / wait_hist).
     pub fn builder() -> LockManagerBuilder {
         LockManagerBuilder::default()
     }
 
-    /// Creates a manager with the given `Rc`–`Wa` conflict policy and no
-    /// wait timeout (deadlocks are handled by detection). Thin wrapper
-    /// over [`LockManager::builder`].
+    /// Creates a manager with the given `Rc`–`Wa` conflict policy and
+    /// nothing attached. Thin wrapper over [`LockManager::builder`].
     pub fn new(policy: ConflictPolicy) -> Self {
         LockManager::builder().policy(policy).build()
-    }
-
-    /// Creates a manager with an explicit stripe count (min 1). Useful
-    /// for tests that want to force cross-shard paths (`shards = 1`
-    /// collapses to the old centralised behaviour). Thin wrapper over
-    /// [`LockManager::builder`].
-    pub fn with_shards(policy: ConflictPolicy, shards: usize) -> Self {
-        LockManager::builder().policy(policy).shards(shards).build()
-    }
-
-    /// Creates a manager whose blocked requests additionally time out.
-    /// Thin wrapper over [`LockManager::builder`].
-    pub fn with_timeout(policy: ConflictPolicy, timeout: Duration) -> Self {
-        LockManager::builder().policy(policy).timeout(timeout).build()
     }
 
     /// The attached observability recorder, if any.
@@ -335,24 +279,6 @@ impl LockManager {
     /// The configured conflict policy.
     pub fn policy(&self) -> ConflictPolicy {
         self.policy
-    }
-
-    /// Turns event recording on or off (off by default).
-    pub fn set_recording(&self, on: bool) {
-        self.record.store(on, Relaxed);
-    }
-
-    /// Drains the recorded event log.
-    pub fn take_events(&self) -> Vec<LockEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap())
-    }
-
-    /// `(commits, aborts)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.stats.commits.load(Relaxed),
-            self.stats.aborts.load(Relaxed),
-        )
     }
 
     /// Full aggregate statistics.
@@ -396,12 +322,6 @@ impl LockManager {
         self.txns.read().unwrap().len()
     }
 
-    fn log(&self, e: LockEvent) {
-        if self.record.load(Relaxed) {
-            self.events.lock().unwrap().push(e);
-        }
-    }
-
     /// The state of a live transaction; `None` once it has finished (or
     /// was never begun).
     fn txn_state(&self, txn: TxnId) -> Option<Arc<TxnState>> {
@@ -432,7 +352,6 @@ impl LockManager {
             .write()
             .unwrap()
             .insert(id, Arc::new(TxnState::new()));
-        self.log(LockEvent::Begin(id));
         if let Some(obs) = &self.obs {
             obs.record(id.0, ObsEvent::Begin);
         }
@@ -525,175 +444,102 @@ impl LockManager {
             return Err(LockError::NotActive(txn));
         };
         // Chaos seams: forced abort (decided once per request) and a
-        // possibly-stormed wait deadline. Both are pure functions of
-        // (seed, txn, resource) — see `crate::fault`.
+        // possibly-stormed wait deadline — the only deadline a wait can
+        // have. Both are pure functions of (seed, txn, resource) — see
+        // `crate::fault`.
         if let Some(inj) = &self.fault {
             if inj.forced_abort(txn, res_key(res)) {
                 self.force_abort_injected(txn, &ts, inj)?;
             }
         }
-        let mut stormed = false;
-        let deadline = {
-            let mut d = self.timeout.map(|t| Instant::now() + t);
-            if let Some(storm) = self
-                .fault
-                .as_ref()
-                .and_then(|inj| inj.storm_deadline(txn, res_key(res)))
-            {
-                let sd = Instant::now() + storm;
-                d = Some(d.map_or(sd, |existing| existing.min(sd)));
-                stormed = true;
-            }
-            d
-        };
+        let deadline = self
+            .fault
+            .as_ref()
+            .and_then(|inj| inj.storm_deadline(txn, res_key(res)))
+            .map(|storm| Instant::now() + storm);
         let mut round: u64 = 0;
         loop {
             self.check_doomed(txn, &ts)?;
-            let attempt = {
-                let mut table = self.shard(res).table.lock().unwrap();
-                let mut inner = ts.inner.lock().unwrap();
-                match inner.status {
-                    Status::Active => {}
-                    // Doomed: loop back so check_doomed surfaces it.
-                    Status::Doomed { .. } => continue,
-                    _ => return Err(LockError::NotActive(txn)),
-                }
-                if inner.held.get(res).contains(mode) {
-                    Attempt::AlreadyHeld
-                } else if table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
-                    let entry = table.entry(res).or_default();
-                    let was_queued = inner.waiting_on.take().is_some();
-                    if was_queued {
-                        entry.remove_waiter(txn);
-                    }
-                    entry.holders.grant(txn, mode);
-                    inner.held.grant(res, mode);
-                    // Waiters FIFO-blocked only by our queue entry (and
-                    // compatible with the mode we now hold) may go.
-                    let wake = if was_queued { entry.grantable_waiters(txn) } else { Vec::new() };
-                    Attempt::Granted { wake }
-                } else {
-                    let newly = inner.waiting_on != Some((res, mode));
-                    let mut holder = None;
-                    if newly {
-                        let entry = table.entry(res).or_default();
-                        entry.remove_waiter(txn);
-                        entry.waiters.push_back((txn, mode));
-                        inner.waiting_on = Some((res, mode));
-                        // Name the wait-for edge target while the shard
-                        // is still locked (blockers_of stops at our own
-                        // queue entry, so pushing first is safe).
-                        holder = entry.blockers_of(txn, mode).first().copied();
-                    }
-                    // Arm while still inside the shard critical section:
-                    // every waker mutates under this shard lock first and
-                    // signals after, so no wakeup can be lost.
-                    ts.slot.arm();
-                    Attempt::Enqueued { newly, holder }
-                }
-            };
-            match attempt {
+            let (newly, holder) = match self.grant_step(txn, &ts, res, mode, true)? {
                 Attempt::AlreadyHeld => return Ok(()),
-                Attempt::Granted { wake } => {
-                    self.stats.grants.fetch_add(1, Relaxed);
-                    self.log(LockEvent::Grant(txn, res, mode));
-                    if let Some(obs) = &self.obs {
-                        obs.record(
-                            txn.0,
-                            ObsEvent::Grant {
-                                resource: res_key(res),
-                                mode: mode_name(mode),
-                            },
-                        );
-                    }
-                    self.signal_all(&wake);
+                Attempt::Granted => {
                     if let Some(inj) = &self.fault {
                         inj.grant_delay(txn, res_key(res), self.obs.as_deref());
                     }
                     return Ok(());
                 }
-                Attempt::Enqueued { newly, holder } => {
-                    if newly {
-                        self.stats.blocks.fetch_add(1, Relaxed);
-                        self.log(LockEvent::Block(txn, res, mode));
-                        if wait_from.is_none() {
-                            *wait_from = Some(Instant::now());
-                        }
-                        if let Some(obs) = &self.obs {
-                            obs.record(
-                                txn.0,
-                                ObsEvent::Block {
-                                    resource: res_key(res),
-                                    mode: mode_name(mode),
-                                    holder: holder.map(|h| h.0),
-                                },
-                            );
-                        }
-                    }
-                    // Deadlock detection runs with no shard lock held.
-                    // One request can close several cycles at once
-                    // (three `S` holders all upgrading to `X`) and one
-                    // walk finds one, so walk until none is left: a
-                    // doomed victim counts as gone (`blockers_of`),
-                    // which exposes the next cycle — or, when the
-                    // victim is this transaction, ends the search; the
-                    // status check below surfaces that doom. Nobody
-                    // re-runs the walk later: waiters are only woken
-                    // once their request is grantable.
-                    while let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
-                        let victim = *cycle.iter().max().expect("cycle is non-empty");
-                        self.doom_deadlock_victim(victim);
-                    }
-                    // A doom whose signal landed *before* our arm would be
-                    // erased by it — but such a doom set our status before
-                    // signalling, so this re-check catches it. Dooms after
-                    // the arm land on the flag and park returns at once.
-                    if matches!(ts.inner.lock().unwrap().status, Status::Doomed { .. }) {
-                        self.check_doomed(txn, &ts)?;
-                    }
-                    // Chaos seam: a spurious wakeup skips the park and
-                    // re-runs the grant loop with no signal (round-
-                    // salted so a looping request draws fresh odds).
-                    round += 1;
-                    if self.fault.as_ref().is_some_and(|inj| {
-                        inj.spurious_wakeup(txn, res_key(res), round, self.obs.as_deref())
-                    }) {
-                        continue;
-                    }
-                    match deadline {
-                        Some(d) => {
-                            if ts.slot.park_until(d) {
-                                // Chaos seam: widen the window between
-                                // the timeout and the cancellation so
-                                // the doom-priority rule below is
-                                // exercisable under test.
-                                if let Some(inj) = &self.fault {
-                                    inj.timeout_race_stall(txn, self.obs.as_deref());
-                                }
-                                self.cancel_wait(txn, &ts, res);
-                                // A doom posted concurrently with the
-                                // timeout must win: it is the higher-
-                                // priority cause and its auto-abort
-                                // accounts the abort exactly once.
-                                // Returning Timeout here would let the
-                                // caller abort a transaction the
-                                // committer already doomed — the cause
-                                // taxonomy would misattribute it (and
-                                // the doom would vanish from the
-                                // blocking graph's terminal causes).
-                                self.check_doomed(txn, &ts)?;
-                                if stormed {
-                                    if let Some(inj) = &self.fault {
-                                        inj.count_timeout_storm(txn, self.obs.as_deref());
-                                    }
-                                }
-                                return Err(LockError::Timeout(txn));
-                            }
-                        }
-                        None => ts.slot.park(),
-                    }
+                // Loop back so check_doomed surfaces it.
+                Attempt::Doomed => continue,
+                Attempt::Blocked { newly, holder } => (newly, holder),
+            };
+            if newly {
+                self.stats.blocks.fetch_add(1, Relaxed);
+                if wait_from.is_none() {
+                    *wait_from = Some(Instant::now());
+                }
+                if let Some(obs) = &self.obs {
+                    obs.record(
+                        txn.0,
+                        ObsEvent::Block {
+                            resource: res_key(res),
+                            mode: mode_name(mode),
+                            holder: holder.map(|h| h.0),
+                        },
+                    );
                 }
             }
+            // Deadlock detection runs with no shard lock held. One
+            // request can close several cycles at once (three `S`
+            // holders all upgrading to `X`) and one walk finds one, so
+            // walk until none is left: a doomed victim counts as gone
+            // (`blockers_of`), which exposes the next cycle — or, when
+            // the victim is this transaction, ends the search; the
+            // status check below surfaces that doom. Nobody re-runs the
+            // walk later: waiters are only woken once their request is
+            // grantable.
+            while let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
+                let victim = *cycle.iter().max().expect("cycle is non-empty");
+                self.doom_deadlock_victim(victim);
+            }
+            // A doom whose signal landed *before* our arm would be erased
+            // by it — but such a doom set our status before signalling,
+            // so this re-check catches it. Dooms after the arm land on
+            // the flag and park returns at once.
+            if matches!(ts.inner.lock().unwrap().status, Status::Doomed { .. }) {
+                self.check_doomed(txn, &ts)?;
+            }
+            // Chaos seam: a spurious wakeup skips the park and re-runs
+            // the grant loop with no signal (round-salted so a looping
+            // request draws fresh odds).
+            round += 1;
+            if self.fault.as_ref().is_some_and(|inj| {
+                inj.spurious_wakeup(txn, res_key(res), round, self.obs.as_deref())
+            }) {
+                continue;
+            }
+            let Some(d) = deadline else {
+                ts.slot.park();
+                continue;
+            };
+            if !ts.slot.park_until(d) {
+                continue;
+            }
+            // Stormed deadline passed. Chaos seam: widen the window
+            // between the timeout and the cancellation so the
+            // doom-priority rule below is exercisable under test.
+            let inj = self.fault.as_ref().expect("only a storm sets a deadline");
+            inj.timeout_race_stall(txn, self.obs.as_deref());
+            self.cancel_wait(txn, &ts, res);
+            // A doom posted concurrently with the timeout must win: it
+            // is the higher-priority cause and its auto-abort accounts
+            // the abort exactly once. Returning Timeout here would let
+            // the caller abort a transaction the committer already
+            // doomed — the cause taxonomy would misattribute it (and the
+            // doom would vanish from the blocking graph's terminal
+            // causes).
+            self.check_doomed(txn, &ts)?;
+            inj.count_timeout_storm(txn, self.obs.as_deref());
+            return Err(LockError::Timeout(txn));
         }
     }
 
@@ -703,44 +549,85 @@ impl LockManager {
             return Err(LockError::NotActive(txn));
         };
         self.check_doomed(txn, &ts)?;
-        let granted = {
+        match self.grant_step(txn, &ts, res, mode, false)? {
+            Attempt::AlreadyHeld | Attempt::Granted => Ok(true),
+            Attempt::Blocked { .. } => Ok(false),
+            Attempt::Doomed => {
+                self.check_doomed(txn, &ts)?;
+                unreachable!("doomed status must surface as an error");
+            }
+        }
+    }
+
+    /// The one grant step of [`LockManager::lock`] and
+    /// [`LockManager::try_lock`]: under `res`'s stripe and `txn`'s own
+    /// mutex, check the status and whether `mode` is already held, then
+    /// grant into both holder lists when Table 4.1 allows — or, with
+    /// `queue`, enqueue the request and arm the wait slot. A grant is
+    /// counted, recorded and wakes the waiters it unblocked here.
+    fn grant_step(
+        &self,
+        txn: TxnId,
+        ts: &TxnState,
+        res: ResourceId,
+        mode: LockMode,
+        queue: bool,
+    ) -> Result<Attempt, LockError> {
+        let wake = {
             let mut table = self.shard(res).table.lock().unwrap();
             let mut inner = ts.inner.lock().unwrap();
             match inner.status {
                 Status::Active => {}
-                Status::Doomed { .. } => {
-                    drop(inner);
-                    drop(table);
-                    self.check_doomed(txn, &ts)?;
-                    unreachable!("doomed status must surface as an error");
-                }
+                Status::Doomed { .. } => return Ok(Attempt::Doomed),
                 _ => return Err(LockError::NotActive(txn)),
             }
             if inner.held.get(res).contains(mode) {
-                return Ok(true);
+                return Ok(Attempt::AlreadyHeld);
             }
-            if table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
-                table.entry(res).or_default().holders.grant(txn, mode);
-                inner.held.grant(res, mode);
-                true
-            } else {
-                false
+            if !table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
+                let newly = queue && inner.waiting_on != Some((res, mode));
+                let mut holder = None;
+                if newly {
+                    let entry = table.entry(res).or_default();
+                    entry.remove_waiter(txn);
+                    entry.waiters.push_back((txn, mode));
+                    inner.waiting_on = Some((res, mode));
+                    // Name the wait-for edge target while the shard is
+                    // still locked (blockers_of stops at our own queue
+                    // entry, so pushing first is safe).
+                    holder = entry.blockers_of(txn, mode).first().copied();
+                }
+                if queue {
+                    // Arm while still inside the shard critical section:
+                    // every waker mutates under this shard lock first
+                    // and signals after, so no wakeup can be lost.
+                    ts.slot.arm();
+                }
+                return Ok(Attempt::Blocked { newly, holder });
             }
+            let entry = table.entry(res).or_default();
+            let was_queued = inner.waiting_on.take().is_some();
+            if was_queued {
+                entry.remove_waiter(txn);
+            }
+            entry.holders.grant(txn, mode);
+            inner.held.grant(res, mode);
+            // Waiters FIFO-blocked only by our queue entry (and
+            // compatible with the mode we now hold) may go.
+            if was_queued { entry.grantable_waiters(txn) } else { Vec::new() }
         };
-        if granted {
-            self.stats.grants.fetch_add(1, Relaxed);
-            self.log(LockEvent::Grant(txn, res, mode));
-            if let Some(obs) = &self.obs {
-                obs.record(
-                    txn.0,
-                    ObsEvent::Grant {
-                        resource: res_key(res),
-                        mode: mode_name(mode),
-                    },
-                );
-            }
+        self.stats.grants.fetch_add(1, Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.record(
+                txn.0,
+                ObsEvent::Grant {
+                    resource: res_key(res),
+                    mode: mode_name(mode),
+                },
+            );
         }
-        Ok(granted)
+        self.signal_all(&wake);
+        Ok(Attempt::Granted)
     }
 
     /// Commits the transaction: applies the `Rc`–`Wa` commit rule, then
@@ -819,7 +706,6 @@ impl LockManager {
             };
             if let Some(ts) = doomed {
                 self.stats.dooms.fetch_add(1, Relaxed);
-                self.log(LockEvent::Doom(reader, Some(txn)));
                 if let (Some(obs), Some(ts)) = (&self.obs, ts) {
                     obs.record_at(ts, reader.0, ObsEvent::Doom { by: txn.0 });
                 }
@@ -829,7 +715,6 @@ impl LockManager {
         }
         self.release_held(txn, held, waiting);
         self.stats.commits.fetch_add(1, Relaxed);
-        self.log(LockEvent::Commit(txn));
         if let Some(obs) = &self.obs {
             obs.record(txn.0, ObsEvent::Commit);
         }
@@ -853,7 +738,6 @@ impl LockManager {
         };
         self.release_held(txn, taken.0, taken.1);
         self.stats.aborts.fetch_add(1, Relaxed);
-        self.log(LockEvent::Abort(txn));
         Ok(())
     }
 
@@ -876,7 +760,6 @@ impl LockManager {
         };
         self.release_held(txn, held, waiting);
         self.stats.aborts.fetch_add(1, Relaxed);
-        self.log(LockEvent::Abort(txn));
         Err(match by {
             Some(writer) => LockError::DoomedByWriter { txn, by: writer },
             None => LockError::Deadlock(txn),
@@ -911,7 +794,6 @@ impl LockManager {
             Some((held, waiting)) => {
                 self.release_held(txn, held, waiting);
                 self.stats.aborts.fetch_add(1, Relaxed);
-                self.log(LockEvent::Abort(txn));
                 inj.count_forced_abort(txn, self.obs.as_deref());
                 Err(LockError::Injected(txn))
             }
@@ -964,7 +846,6 @@ impl LockManager {
         };
         if let Some(ts) = doomed {
             self.stats.deadlocks.fetch_add(1, Relaxed);
-            self.log(LockEvent::Doom(victim, None));
             if let (Some(obs), Some(ts)) = (&self.obs, ts) {
                 obs.record_at(ts, victim.0, ObsEvent::Deadlock);
             }
@@ -1182,26 +1063,32 @@ mod tests {
         m.commit(older).unwrap();
     }
 
-    #[test]
-    fn timeout_fires_when_configured() {
-        let m = LockManager::with_timeout(ConflictPolicy::AbortReaders, Duration::from_millis(20));
-        let (a, b) = (m.begin(), m.begin());
-        m.lock(a, t(1), X).unwrap();
-        assert_eq!(m.lock(b, t(1), X), Err(LockError::Timeout(b)));
+    /// A manager whose every blocked wait times out after `deadline_us`
+    /// (a chaos timeout storm, the only wait deadline there is), with a
+    /// `race_stall_us` stall between the timeout and the cancellation.
+    fn stormed(deadline_us: u64, race_stall_us: u64) -> (LockManager, Arc<FaultInjector>) {
+        use crate::fault::FaultPlan;
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            timeout_storm_pm: 1000,
+            timeout_storm_us: deadline_us,
+            timeout_race_stall_us: race_stall_us,
+            ..Default::default()
+        }));
+        (LockManager::builder().fault(Arc::clone(&inj)).build(), inj)
     }
 
     #[test]
-    fn builder_composes_timeout_with_shards_and_policy() {
-        // The old constructors could not express this combination.
-        let m = LockManager::builder()
-            .policy(ConflictPolicy::Revalidate)
-            .shards(4)
-            .timeout(Duration::from_millis(20))
-            .build();
-        assert_eq!(m.policy(), ConflictPolicy::Revalidate);
+    fn timeout_fires_when_configured() {
+        let (m, inj) = stormed(20_000, 0);
         let (a, b) = (m.begin(), m.begin());
         m.lock(a, t(1), X).unwrap();
         assert_eq!(m.lock(b, t(1), X), Err(LockError::Timeout(b)));
+        assert_eq!(inj.stats().timeout_storms, 1);
+        assert!(m.is_active(b), "a timed-out waiter stays live; its owner aborts it");
+        m.commit(a).unwrap();
+        assert_eq!(m.try_lock(b, t(1), X), Ok(true), "the cancelled wait left no queue entry");
+        m.abort(b).unwrap();
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
     #[test]
@@ -1221,18 +1108,16 @@ mod tests {
         let m = LockManager::builder().obs(Arc::clone(&rec)).build();
         let (a, b) = (m.begin(), m.begin());
         m.lock(a, t(1), Rc).unwrap();
+        m.lock(a, t(1), Rc).unwrap(); // a held mode is no second grant
         m.lock(b, t(1), Wa).unwrap();
         m.commit(b).unwrap(); // dooms `a`
         let history = rec.history();
-        let kinds_a: Vec<_> = history.iter().filter(|e| e.txn == a.0).map(|e| e.kind).collect();
-        assert!(kinds_a.contains(&EventKind::Begin));
-        assert!(kinds_a.contains(&EventKind::Grant {
-            resource: res_key(t(1)),
-            mode: "Rc"
-        }));
-        assert!(kinds_a.contains(&EventKind::Doom { by: b.0 }));
-        let kinds_b: Vec<_> = history.iter().filter(|e| e.txn == b.0).map(|e| e.kind).collect();
-        assert_eq!(kinds_b.last(), Some(&EventKind::Commit));
+        let kinds = |txn: TxnId| -> Vec<EventKind> {
+            history.iter().filter(|e| e.txn == txn.0).map(|e| e.kind).collect()
+        };
+        let grant = |mode| EventKind::Grant { resource: res_key(t(1)), mode };
+        assert_eq!(kinds(a), [EventKind::Begin, grant("Rc"), EventKind::Doom { by: b.0 }]);
+        assert_eq!(kinds(b), [EventKind::Begin, grant("Wa"), EventKind::Commit]);
         let rep = rec.report();
         assert_eq!(rep.begins, 2);
         assert_eq!(rep.commits, 1);
@@ -1302,6 +1187,34 @@ mod tests {
     }
 
     #[test]
+    fn every_grant_is_counted_once_and_recorded_once() {
+        use dps_obs::EventKind;
+
+        let rec = Arc::new(Recorder::default());
+        let m = Arc::new(LockManager::builder().obs(Arc::clone(&rec)).build());
+        let (a, b) = (m.begin(), m.begin());
+        m.lock(a, t(1), S).unwrap(); // fresh grant
+        m.lock(a, t(1), X).unwrap(); // upgrade
+        m.lock(a, t(1), X).unwrap(); // already held: no grant
+        let m2 = Arc::clone(&m);
+        let waiter = std::thread::spawn(move || m2.lock(b, t(1), X));
+        while m.stats().blocks == 0 {
+            std::thread::yield_now();
+        }
+        m.commit(a).unwrap();
+        waiter.join().unwrap().unwrap(); // grant after a wait
+        assert_eq!(m.try_lock(b, t(2), Rc), Ok(true)); // try_lock grant
+        assert_eq!(m.try_lock(b, t(2), Rc), Ok(true)); // already held: no grant
+        m.commit(b).unwrap();
+        let recorded = rec
+            .history()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Grant { .. }))
+            .count() as u64;
+        assert_eq!((m.stats().grants, recorded), (4, 4));
+    }
+
+    #[test]
     fn fifo_fairness_prevents_reader_overtaking_writer() {
         let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
         let (r1, w, r2) = (m.begin(), m.begin(), m.begin());
@@ -1343,8 +1256,8 @@ mod tests {
         m.lock(a, t(1), X).unwrap();
         m.abort(a).unwrap();
         assert_eq!(m.try_lock(b, t(1), X), Ok(true));
-        let (commits, aborts) = m.counters();
-        assert_eq!((commits, aborts), (0, 1));
+        let s = m.stats();
+        assert_eq!((s.commits, s.aborts), (0, 1));
     }
 
     #[test]
@@ -1357,25 +1270,6 @@ mod tests {
         // The reader's next lock call surfaces the doom.
         let e = m.lock(pj, t(2), Rc).unwrap_err();
         assert_eq!(e, LockError::DoomedByWriter { txn: pj, by: pi });
-    }
-
-    #[test]
-    fn event_log_records_protocol() {
-        let m = LockManager::new(ConflictPolicy::AbortReaders);
-        m.set_recording(true);
-        let a = m.begin();
-        m.lock(a, t(1), Rc).unwrap();
-        m.commit(a).unwrap();
-        let ev = m.take_events();
-        assert_eq!(
-            ev,
-            vec![
-                LockEvent::Begin(a),
-                LockEvent::Grant(a, t(1), Rc),
-                LockEvent::Commit(a)
-            ]
-        );
-        assert!(m.take_events().is_empty(), "drained");
     }
 
     #[test]
@@ -1413,18 +1307,8 @@ mod tests {
         // `timeout_race_stall` widens the window between `park_until`
         // expiring and the waiter cancelling itself so the doom
         // deterministically lands inside it.
-        use crate::fault::{FaultInjector, FaultPlan};
-        let inj = Arc::new(FaultInjector::new(FaultPlan {
-            timeout_race_stall_us: 100_000, // 100 ms
-            ..Default::default()
-        }));
-        let m = Arc::new(
-            LockManager::builder()
-                .policy(ConflictPolicy::AbortReaders)
-                .timeout(Duration::from_millis(30))
-                .fault(Arc::clone(&inj))
-                .build(),
-        );
+        let (m, inj) = stormed(30_000, 100_000); // 30 ms deadline, 100 ms stall
+        let m = Arc::new(m);
         let (pj, pi, holder) = (m.begin(), m.begin(), m.begin());
         m.lock(pj, t(1), Rc).unwrap(); // overlapped by pi's Wa below
         m.lock(pi, t(1), Wa).unwrap();
@@ -1447,7 +1331,8 @@ mod tests {
         assert_eq!(m.abort(pj), Err(LockError::NotActive(pj)));
         let s = m.stats();
         assert_eq!((s.aborts, s.dooms, s.commits), (1, 1, 1));
-        assert_eq!(inj.stats().timeout_race_stalls, 1);
+        let f = inj.stats();
+        assert_eq!((f.timeout_race_stalls, f.timeout_storms), (1, 0), "the doom is counted, not the storm");
         m.commit(holder).unwrap();
     }
 
@@ -1543,23 +1428,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_storm_fires_without_a_configured_timeout() {
-        use crate::fault::{FaultInjector, FaultPlan};
-        let inj = Arc::new(FaultInjector::new(FaultPlan {
-            timeout_storm_pm: 1000, // every blocked wait gets slashed
-            timeout_storm_us: 5_000,
-            ..Default::default()
-        }));
-        let m = LockManager::builder().fault(Arc::clone(&inj)).build();
-        let (a, b) = (m.begin(), m.begin());
-        m.lock(a, t(1), X).unwrap();
-        // No manager timeout, but the storm slashes the deadline.
-        assert_eq!(m.lock(b, t(1), X), Err(LockError::Timeout(b)));
-        assert_eq!(inj.stats().timeout_storms, 1);
-        m.commit(a).unwrap();
-    }
-
-    #[test]
     fn concurrent_stress_no_lost_state() {
         // Many threads lock/commit disjoint and overlapping resources;
         // at the end the table must be empty and counters consistent.
@@ -1599,8 +1467,7 @@ mod tests {
             let (c, _a) = h.join().unwrap();
             commits += u64::from(c);
         }
-        let (mc, _ma) = m.counters();
-        assert_eq!(mc, commits);
+        assert_eq!(m.stats().commits, commits);
         // Lock table fully drained.
         let fresh = m.begin();
         for k in 0..15 {
@@ -1628,10 +1495,7 @@ mod tests {
 
     #[test]
     fn registry_forgets_every_finished_transaction() {
-        let m = Arc::new(LockManager::with_timeout(
-            ConflictPolicy::AbortReaders,
-            Duration::from_millis(200),
-        ));
+        let m = Arc::new(stormed(200_000, 0).0);
         let mut finished = Vec::new();
         // Commit and abort.
         let (a, b) = (m.begin(), m.begin());

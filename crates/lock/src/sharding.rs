@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use crate::modeset::ModeMap;
 use crate::{compatible, LockMode, ResourceId, TxnId};
 
-/// Default number of stripes. Small enough to stay cache-friendly,
+/// The lock table's stripe count. Small enough to stay cache-friendly,
 /// large enough that 8–16 workers on disjoint data rarely collide.
 pub const DEFAULT_SHARDS: usize = 16;
 

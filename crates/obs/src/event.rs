@@ -27,7 +27,8 @@ pub enum AbortCause {
     Revalidation,
     /// The RHS failed to evaluate (e.g. division by zero).
     EvalError,
-    /// A lock wait exceeded the configured timeout.
+    /// A lock wait's deadline passed (a chaos timeout storm: the lock
+    /// manager sets no other deadline).
     Timeout,
     /// Forced abort injected by the chaos fault injector (never occurs
     /// in production runs; kept separate so injected failures cannot

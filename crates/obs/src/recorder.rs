@@ -16,12 +16,12 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::event::{AbortCause, Event, EventKind, Ring};
 use crate::hist::{HistSnapshot, Histogram, Phase};
-use crate::report::{FanoutStats, ObsReport, RuleRow};
+use crate::report::{ObsReport, RuleRow};
 
 /// Default number of ring slots (worker threads hash onto these; more
 /// workers than slots just share).
@@ -52,18 +52,6 @@ struct Counters {
     elided_commits: AtomicU64,
 }
 
-/// Sharded-match fan-out tallies (relaxed atomics). All zero unless the
-/// engine runs the sharded match pipeline and observation is on.
-#[derive(Debug, Default)]
-struct Fanout {
-    batches: AtomicU64,
-    free_advances: AtomicU64,
-    steals: AtomicU64,
-    /// The plan: `(components, key partitions)` and one apply tally per
-    /// shard, set once at engine start.
-    plan: OnceLock<(u64, u64, Box<[AtomicU64]>)>,
-}
-
 /// Per-rule firing/abort tallies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuleStat {
@@ -82,7 +70,6 @@ pub struct Recorder {
     hists: [Histogram; Phase::ALL.len()],
     abort_causes: [AtomicU64; 9],
     counters: Counters,
-    fanout: Fanout,
     dropped: AtomicU64,
     rules: Mutex<BTreeMap<String, RuleStat>>,
     /// Rule-name interner backing [`EventKind::Fire`]'s compact
@@ -125,7 +112,6 @@ impl Recorder {
             hists: std::array::from_fn(|_| Histogram::default()),
             abort_causes: std::array::from_fn(|_| AtomicU64::new(0)),
             counters: Counters::default(),
-            fanout: Fanout::default(),
             dropped: AtomicU64::new(0),
             rules: Mutex::new(BTreeMap::new()),
             rule_names: Mutex::new(Vec::new()),
@@ -188,54 +174,6 @@ impl Recorder {
     /// A snapshot of one phase histogram.
     pub fn phase_snapshot(&self, phase: Phase) -> HistSnapshot {
         self.hists[phase.index()].snapshot()
-    }
-
-    /// Notes the sharded pipeline's plan — shards, class-connected
-    /// components, key partitions — once, at engine start (a second
-    /// call is ignored).
-    pub fn set_match_plan(&self, shards: usize, components: u64, partitions: u64) {
-        let tallies = || (0..shards).map(|_| AtomicU64::new(0)).collect();
-        self.fanout.plan.get_or_init(|| (components, partitions, tallies()));
-    }
-
-    /// Counts one published WM delta batch; `free` is how many shards
-    /// advanced for free because none of their alpha classes
-    /// intersected the batch. (Real applies of the batch are counted
-    /// per shard by [`Recorder::fanout_apply`] as they happen.)
-    pub fn fanout_batch(&self, free: u64) {
-        self.fanout.batches.fetch_add(1, Relaxed);
-        self.fanout.free_advances.fetch_add(free, Relaxed);
-    }
-
-    /// Counts one shard×batch Rete apply on `shard`. `stolen` marks
-    /// applies done by a worker catching a shard up outside the
-    /// committing worker's own fan-out (idle-worker work stealing).
-    pub fn fanout_apply(&self, shard: usize, stolen: bool) {
-        if let Some(tally) = self.fanout.plan.get().and_then(|(_, _, t)| t.get(shard)) {
-            tally.fetch_add(1, Relaxed);
-        }
-        if stolen {
-            self.fanout.steals.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Snapshot of the sharded-match fan-out tallies.
-    pub fn fanout_snapshot(&self) -> FanoutStats {
-        let (components, partitions, tallies) = match self.fanout.plan.get() {
-            Some((components, partitions, tallies)) => (*components, *partitions, &tallies[..]),
-            None => (0, 0, &[][..]),
-        };
-        let applies = || tallies.iter().map(|t| t.load(Relaxed));
-        FanoutStats {
-            batches: self.fanout.batches.load(Relaxed),
-            applies: applies().sum(),
-            max_shard_applies: applies().max().unwrap_or(0),
-            free_advances: self.fanout.free_advances.load(Relaxed),
-            steals: self.fanout.steals.load(Relaxed),
-            shards: tallies.len() as u64,
-            components,
-            partitions,
-        }
     }
 
     /// Counts a committed firing of `rule`.
@@ -328,7 +266,6 @@ impl Recorder {
             checkpoints: self.counters.checkpoints.load(Relaxed),
             elided_commits: self.counters.elided_commits.load(Relaxed),
             dropped_events: self.dropped.load(Relaxed),
-            fanout: self.fanout_snapshot(),
             rules: rules
                 .iter()
                 .map(|(name, stat)| RuleRow {

@@ -20,9 +20,9 @@ pub struct RuleRow {
 }
 
 /// Sharded-match fan-out tallies: how WM delta batches propagated to
-/// the per-shard Rete networks. All-zero when the engine does not run
-/// the sharded match pipeline (old-shape reports simply omit the
-/// block; consumers must treat it as optional).
+/// the per-shard Rete networks. The dynamic engine's match pipeline
+/// keeps them whether or not a [`crate::Recorder`] is attached and
+/// reports them as `ParallelReport::fanout`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FanoutStats {
     /// Published WM delta batches (one per commit).
@@ -45,13 +45,6 @@ pub struct FanoutStats {
     /// Applies of the busiest shard; over `applies` it is the largest
     /// shard's share of the match work — the partition skew.
     pub max_shard_applies: u64,
-}
-
-impl FanoutStats {
-    /// `true` when nothing was recorded (pipeline off or unobserved).
-    pub fn is_empty(&self) -> bool {
-        *self == FanoutStats::default()
-    }
 }
 
 /// Point-in-time aggregate snapshot of a [`crate::Recorder`].
@@ -103,9 +96,6 @@ pub struct ObsReport {
     pub elided_commits: u64,
     /// Events lost to ring overwrites (history incomplete if non-zero).
     pub dropped_events: u64,
-    /// Sharded-match fan-out tallies (all zero when the sharded
-    /// pipeline is not in use).
-    pub fanout: FanoutStats,
     /// Per-rule firing/abort rows, sorted by rule name.
     pub rules: Vec<RuleRow>,
 }
@@ -182,22 +172,11 @@ impl ObsReport {
                 })
                 .collect(),
         );
-        let fanout = Json::Obj(vec![
-            ("batches".into(), Json::u64(self.fanout.batches)),
-            ("applies".into(), Json::u64(self.fanout.applies)),
-            ("free_advances".into(), Json::u64(self.fanout.free_advances)),
-            ("steals".into(), Json::u64(self.fanout.steals)),
-            ("shards".into(), Json::u64(self.fanout.shards)),
-            ("components".into(), Json::u64(self.fanout.components)),
-            ("partitions".into(), Json::u64(self.fanout.partitions)),
-            ("max_shard_applies".into(), Json::u64(self.fanout.max_shard_applies)),
-        ]);
         Json::Obj(vec![
             ("schema".into(), Json::str("dps-obs-report-v1")),
             ("phases".into(), phases),
             ("abort_causes".into(), causes),
             ("events".into(), events),
-            ("fanout".into(), fanout),
             ("rules".into(), rules),
         ])
     }
@@ -258,21 +237,6 @@ impl fmt::Display for ObsReport {
         writeln!(f, "  latency (per phase):")?;
         for (p, h) in &self.phases {
             writeln!(f, "    {:<9} {h}", p.name())?;
-        }
-        if !self.fanout.is_empty() {
-            writeln!(
-                f,
-                "  match fan-out: {} shard(s) ({} component(s), {} key partition(s)), {} batch(es), \
-                 {} applies ({} stolen, {} on the busiest shard), {} free advance(s)",
-                self.fanout.shards,
-                self.fanout.components,
-                self.fanout.partitions,
-                self.fanout.batches,
-                self.fanout.applies,
-                self.fanout.steals,
-                self.fanout.max_shard_applies,
-                self.fanout.free_advances,
-            )?;
         }
         writeln!(f, "  aborts by cause (total {}):", self.abort_cause_total())?;
         for (c, n) in &self.abort_causes {
@@ -342,52 +306,6 @@ mod tests {
         for needle in ["events:", "latency", "lock_wait", "per-rule", "bump"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn fanout_round_trips_and_renders() {
-        let r = Recorder::default();
-        let rep = r.report();
-        assert!(rep.fanout.is_empty());
-        assert!(!rep.to_string().contains("match fan-out"), "empty stays silent");
-
-        r.set_match_plan(4, 2, 3);
-        r.fanout_batch(3);
-        r.fanout_apply(1, false);
-        r.fanout_apply(1, true);
-        r.fanout_apply(3, false);
-        let rep = r.report();
-        assert_eq!(
-            rep.fanout,
-            FanoutStats {
-                batches: 1,
-                applies: 3,
-                free_advances: 3,
-                steals: 1,
-                shards: 4,
-                components: 2,
-                partitions: 3,
-                max_shard_applies: 2,
-            }
-        );
-        let parsed = json::parse(&rep.to_json().to_string_pretty()).unwrap();
-        for (key, want) in [
-            ("batches", 1),
-            ("applies", 3),
-            ("free_advances", 3),
-            ("steals", 1),
-            ("shards", 4),
-            ("components", 2),
-            ("partitions", 3),
-            ("max_shard_applies", 2),
-        ] {
-            assert_eq!(
-                parsed.at(&["fanout", key]).and_then(Json::as_u64),
-                Some(want),
-                "fanout.{key}"
-            );
-        }
-        assert!(rep.to_string().contains("match fan-out"));
     }
 
     #[test]

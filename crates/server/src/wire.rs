@@ -2,8 +2,9 @@
 //!
 //! Every message is one *frame*: `[u32 len (LE)][u8 tag][payload]`,
 //! where `len` counts the tag plus payload bytes. Strings are
-//! `[u16 len][UTF-8]`; integers are little-endian fixed width; WM
-//! values carry a one-byte type tag (see [`Request`] / [`Response`]).
+//! `[u32 len][UTF-8]` and counts are `u32`, as in `dps-wm`'s persist
+//! codec; integers are little-endian fixed width; WM values carry a
+//! one-byte type tag (see [`Request`] / [`Response`]).
 //! The format is self-contained (no external serialisation crate) and
 //! versioned by construction: unknown tags decode to a typed error,
 //! never a panic, and a frame is bounded by [`MAX_FRAME`] so a
@@ -157,21 +158,31 @@ fn perr(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {msg}"))
 }
 
+/// A string length or element count. Past `u32::MAX` it saturates:
+/// such a body is far over [`MAX_FRAME`], so [`write_frame`] refuses it
+/// before a byte is sent.
+fn put_len(buf: &mut Vec<u8>, n: usize) {
+    buf.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+}
+
+fn get_len(buf: &[u8], at: &mut usize, what: &str) -> io::Result<usize> {
+    let n = u32::from_le_bytes(
+        buf.get(*at..*at + 4)
+            .ok_or_else(|| perr(&format!("truncated {what}")))?
+            .try_into()
+            .expect("4 bytes"),
+    ) as usize;
+    *at += 4;
+    Ok(n)
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    debug_assert!(b.len() <= u16::MAX as usize, "wire string too long");
-    buf.extend_from_slice(&(b.len() as u16).to_le_bytes());
-    buf.extend_from_slice(b);
+    put_len(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_str(buf: &[u8], at: &mut usize) -> io::Result<String> {
-    let n = u16::from_le_bytes(
-        buf.get(*at..*at + 2)
-            .ok_or_else(|| perr("truncated string length"))?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    *at += 2;
+    let n = get_len(buf, at, "string length")?;
     let bytes = buf
         .get(*at..*at + n)
         .ok_or_else(|| perr("truncated string body"))?;
@@ -236,7 +247,7 @@ fn get_value(buf: &[u8], at: &mut usize) -> io::Result<Value> {
 
 fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
     put_str(buf, data.class.as_ref());
-    buf.extend_from_slice(&(data.attrs.len() as u16).to_le_bytes());
+    put_len(buf, data.attrs.len());
     for (k, v) in data.attrs.iter() {
         put_str(buf, k.as_ref());
         put_value(buf, v);
@@ -245,13 +256,7 @@ fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
 
 fn get_wme(buf: &[u8], at: &mut usize) -> io::Result<WmeData> {
     let class = get_str(buf, at)?;
-    let n = u16::from_le_bytes(
-        buf.get(*at..*at + 2)
-            .ok_or_else(|| perr("truncated attr count"))?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    *at += 2;
+    let n = get_len(buf, at, "attr count")?;
     let mut attrs = AttrMap::new();
     for _ in 0..n {
         let k = get_str(buf, at)?;
@@ -272,7 +277,7 @@ impl Request {
             Request::Insert { class, attrs } => {
                 buf.push(T_INSERT);
                 put_str(&mut buf, class);
-                buf.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
+                put_len(&mut buf, attrs.len());
                 for (k, v) in attrs {
                     put_str(&mut buf, k);
                     put_value(&mut buf, v);
@@ -302,14 +307,8 @@ impl Request {
             T_BEGIN => Request::Begin,
             T_INSERT => {
                 let class = get_str(buf, &mut at)?;
-                let n = u16::from_le_bytes(
-                    buf.get(at..at + 2)
-                        .ok_or_else(|| perr("truncated attr count"))?
-                        .try_into()
-                        .unwrap(),
-                ) as usize;
-                at += 2;
-                let mut attrs = Vec::with_capacity(n);
+                let n = get_len(buf, &mut at, "attr count")?;
+                let mut attrs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let k = get_str(buf, &mut at)?;
                     let v = get_value(buf, &mut at)?;
@@ -347,7 +346,7 @@ impl Response {
             }
             Response::Rows { rows } => {
                 buf.push(T_ROWS);
-                buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+                put_len(&mut buf, rows.len());
                 for (id, data) in rows {
                     buf.extend_from_slice(&id.to_le_bytes());
                     put_wme(&mut buf, data);
@@ -379,13 +378,7 @@ impl Response {
             T_GRANTED => Response::Granted { session: get_u64(buf, &mut at)? },
             T_OK => Response::Ok { seq: get_u64(buf, &mut at)? },
             T_ROWS => {
-                let n = u32::from_le_bytes(
-                    buf.get(at..at + 4)
-                        .ok_or_else(|| perr("truncated row count"))?
-                        .try_into()
-                        .unwrap(),
-                ) as usize;
-                at += 4;
+                let n = get_len(buf, &mut at, "row count")?;
                 let mut rows = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let id = get_u64(buf, &mut at)?;
@@ -411,9 +404,16 @@ impl Response {
     }
 }
 
-/// Writes one frame: length prefix plus body.
+/// Writes one frame: length prefix plus body. A body over
+/// [`MAX_FRAME`] is refused with [`io::ErrorKind::InvalidInput`] and
+/// nothing is written.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() as u32 <= MAX_FRAME, "frame exceeds MAX_FRAME");
+    if body.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("wire: frame body of {} bytes exceeds MAX_FRAME", body.len()),
+        ));
+    }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(body)?;
     w.flush()
@@ -525,6 +525,30 @@ mod tests {
             assert_eq!(&Request::decode(&body).unwrap(), r);
         }
         assert!(read_frame(&mut cur).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn strings_past_u16_round_trip() {
+        let long = "x".repeat(70_000);
+        roundtrip_req(Request::Insert {
+            class: "note".into(),
+            attrs: vec![("body".into(), Value::Str(long.as_str().into()))],
+        });
+        let row = WmeData::new("note").with("body", Value::Str(long.as_str().into()));
+        roundtrip_resp(Response::Rows {
+            rows: vec![(9, row)],
+        });
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_unwritten() {
+        let mut out: Vec<u8> = Vec::new();
+        let err = write_frame(&mut out, &vec![0; MAX_FRAME as usize + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing of a refused frame is written");
+        write_frame(&mut out, &vec![0; MAX_FRAME as usize]).unwrap();
+        let body = read_frame(&mut io::Cursor::new(out)).unwrap().unwrap();
+        assert_eq!(body.len(), MAX_FRAME as usize);
     }
 
     #[test]

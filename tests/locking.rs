@@ -87,8 +87,8 @@ fn e4_4_circular_conflict_exactly_one_survivor_either_way() {
         let (first, second) = if pi_first { (pi, pj) } else { (pj, pi) };
         assert_eq!(lm.commit(first).unwrap().doomed_readers, vec![second]);
         assert!(lm.commit(second).is_err());
-        let (commits, aborts) = lm.counters();
-        assert_eq!((commits, aborts), (1, 1));
+        let s = lm.stats();
+        assert_eq!((s.commits, s.aborts), (1, 1));
     }
 }
 
@@ -177,6 +177,6 @@ fn many_concurrent_rc_readers_one_writer_all_resolve() {
     for &r in &readers {
         assert!(lm.commit(r).is_err());
     }
-    let (commits, aborts) = lm.counters();
-    assert_eq!((commits, aborts), (1, 6));
+    let s = lm.stats();
+    assert_eq!((s.commits, s.aborts), (1, 6));
 }
