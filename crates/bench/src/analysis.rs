@@ -100,7 +100,7 @@ pub struct Leg {
     /// Wall-clock seconds of `engine.run()` alone.
     pub secs: f64,
     /// The engine's own report (commits, aborts, trace, lock / fan-out /
-    /// fault / governor / WAL counters).
+    /// fault / WAL counters).
     pub report: ParallelReport,
     /// Working memory the run ended in.
     pub final_wm: WorkingMemory,

@@ -12,11 +12,6 @@
 //!   threads execute RHSs as transactions under a pluggable lock
 //!   protocol (conventional 2PL per Theorem 2, or the `Rc`/`Ra`/`Wa`
 //!   scheme with abort-on-commit or revalidation).
-//! * [`governor`] — the adaptive retry governor: bounded backoff on
-//!   contention aborts, doom-storm detection, per-resource escalation
-//!   to pessimistic 2PL modes, and a serial fallback past the
-//!   starvation bound (graceful degradation when §5's degree of
-//!   conflict spikes).
 //! * [`abstract_model`] — the add/delete-set model of §3.3, used for
 //!   execution-graph enumeration and the §5 analysis.
 //! * [`semantics`] — the execution graph (Figure 3.1/3.2), `ES_single`
@@ -48,7 +43,6 @@
 pub mod abstract_model;
 mod commit;
 mod firing;
-pub mod governor;
 mod parallel;
 mod pipeline;
 pub mod semantics;
@@ -59,7 +53,6 @@ mod strategy;
 mod world;
 
 pub use firing::{Firing, Footprint, Trace};
-pub use governor::{Governor, GovernorConfig, GovernorStats};
 pub use parallel::{
     AbortStats, DurabilityConfig, ParallelConfig, ParallelEngine, ParallelReport, WorkModel,
 };

@@ -20,14 +20,13 @@
 //! | **action read / write** | `S`/`X` or `Ra`/`Wa` (tuple, plus the relation of every created or written class) | same locks | no lock; skips booked |
 //! | **validate** (base mutex held) | engine-doom check | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
 //! | **on commit** | Figure 4.3: dooms overlapped `Rc` readers, or hands them back for engine revalidation (policy `Revalidate`) | `VersionWrite` receipt per written tuple | `ElidedCommit` receipt |
-//! | **on abort** | release locks, unclaim, account, governor backoff on contention | + unpin | + unpin |
+//! | **on abort** | release locks, unclaim, account; the claim is retried at once | + unpin | + unpin |
 //! | **conflict surfaces as** | `Doomed` / `Revalidation` / `Deadlock` / `Timeout` | `SnapshotStale` (+ action-lock causes) | `ElisionStale` |
 //!
 //! `Stale` (claim gone before validation), `EvalError` (refracted,
 //! never retried) and `Injected` (chaos) can surface under any
-//! strategy. Governor escalation (an escalated resource takes the
-//! pessimistic 2PL mode) and the fault seams hang off
-//! `Strategy::acquire` once, not per strategy.
+//! strategy. The fault seams hang off `Strategy::acquire` once, not
+//! per strategy.
 //!
 //! The irrevocable part — `lm.commit` through the WAL sync request —
 //! is [`ParallelEngine::commit_section`] ([`crate::commit`]), which
@@ -99,7 +98,6 @@ use dps_rules::{instantiate_actions, Rule, RuleSet};
 use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
 
 use crate::commit::{Claim, ClaimGuard, Commit, PinGuard};
-use crate::governor::{Governor, GovernorConfig, GovernorStats};
 use crate::pipeline::{scan_order, MatchPipeline};
 use crate::strategy::{Access, Strategy};
 use crate::{Firing, Footprint, Trace};
@@ -119,7 +117,7 @@ pub enum WorkModel {
     /// sleeping models, aborted work under this model genuinely
     /// consumed a processor — on an oversubscribed machine the §5
     /// wasted-work fraction `f` is paid in wall-clock, which is what
-    /// makes doom storms expensive and the retry governor measurable.
+    /// makes doom storms expensive.
     BusyMicros(u64),
 }
 
@@ -202,11 +200,6 @@ pub struct ParallelConfig {
     /// default) keeps every injection seam a single branch on a `None`
     /// — zero-cost when disabled.
     pub fault: Option<FaultPlan>,
-    /// Adaptive retry governor (see [`crate::governor`]): bounded
-    /// backoff on contention aborts, doom-storm detection with
-    /// per-resource escalation to pessimistic 2PL modes, and a serial
-    /// fallback past the starvation bound. `None` disables it.
-    pub governor: Option<GovernorConfig>,
     /// Match shards: the rule partition's class-connected components
     /// are laid out over at most this many independently-locked Rete
     /// networks — folded when there are fewer shards than components,
@@ -227,7 +220,7 @@ pub struct ParallelConfig {
     pub durability: Option<DurabilityConfig>,
     /// Live telemetry: when set, the engine registers atomic probes for
     /// every subsystem (commit/abort rates, lock waits, delta-log
-    /// depth, WAL backlog, governor state) on a
+    /// depth, WAL backlog) on a
     /// [`dps_obs::Telemetry`] registry and runs its background sampler
     /// for the duration of [`ParallelEngine::run`] (retrieve via
     /// [`ParallelEngine::telemetry`]). Same zero-cost seam as
@@ -303,7 +296,6 @@ impl Default for ParallelConfig {
             rc_escalation: None,
             observe: false,
             fault: None,
-            governor: None,
             match_shards: DEFAULT_MATCH_SHARDS,
             durability: None,
             telemetry: None,
@@ -404,9 +396,6 @@ pub struct ParallelReport {
     /// Injection counters, when a [`ParallelConfig::fault`] plan was
     /// attached.
     pub fault_stats: Option<FaultStats>,
-    /// Governor counters, when a [`ParallelConfig::governor`] was
-    /// attached.
-    pub governor: Option<GovernorStats>,
     /// Sharded-match fan-out tallies (batches published, shard×batch
     /// applies, free epoch advances, stolen catch-ups; maintained with
     /// or without [`ParallelConfig::observe`]).
@@ -494,7 +483,7 @@ pub struct ParallelEngine {
     session_class_ids: RwLock<HashMap<Atom, u32>>,
     /// Piece (b): the authoritative WM (commit critical section) plus
     /// the per-shard match networks and the delta log between them.
-    /// `Arc`'d (like `metrics`, `lm` and the governor) so telemetry
+    /// `Arc`'d (like `metrics` and `lm`) so telemetry
     /// probes — `'static` closures on the sampler thread — can read
     /// its atomics after borrowing rules forbid a plain reference.
     pub(crate) pipeline: Arc<MatchPipeline>,
@@ -510,8 +499,6 @@ pub struct ParallelEngine {
     /// Chaos injector ([`ParallelConfig::fault`]); shared with the lock
     /// manager. `None` ⇒ every seam is one branch.
     pub(crate) injector: Option<Arc<FaultInjector>>,
-    /// Adaptive retry governor ([`ParallelConfig::governor`]).
-    pub(crate) governor: Option<Arc<Governor>>,
     /// Durability layer ([`ParallelConfig::durability`]): checkpoint +
     /// group-commit WAL. `None` ⇒ the commit path pays one branch.
     pub(crate) durable: Option<Arc<DurableWm>>,
@@ -576,10 +563,6 @@ impl ParallelEngine {
             .fault
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        let governor = config
-            .governor
-            .clone()
-            .map(|cfg| Arc::new(Governor::new(cfg)));
         let pipeline = Arc::new(pipeline);
         let metrics = Arc::new(Metrics::default());
         let telemetry = config.telemetry.clone().map(|t| Arc::new(Telemetry::new(t)));
@@ -593,15 +576,7 @@ impl ParallelEngine {
                 .build(),
         );
         if let Some(tel) = &telemetry {
-            Self::register_probes(
-                tel,
-                &metrics,
-                &lm,
-                &pipeline,
-                governor.as_ref(),
-                durable.as_ref(),
-                wait_hist,
-            );
+            Self::register_probes(tel, &metrics, &lm, &pipeline, durable.as_ref(), wait_hist);
         }
         ParallelEngine {
             rules: rules.clone(),
@@ -615,7 +590,6 @@ impl ParallelEngine {
             metrics,
             obs,
             injector,
-            governor,
             durable,
             telemetry,
             stop: AtomicBool::new(false),
@@ -639,7 +613,6 @@ impl ParallelEngine {
         metrics: &Arc<Metrics>,
         lm: &Arc<LockManager>,
         pipeline: &Arc<MatchPipeline>,
-        governor: Option<&Arc<Governor>>,
         durable: Option<&Arc<DurableWm>>,
         wait_hist: Option<Arc<TickHist>>,
     ) {
@@ -698,28 +671,6 @@ impl ParallelEngine {
         for (name, read) in gauges {
             let p = Arc::clone(pipeline);
             tel.gauge(name, move || read(&p));
-        }
-        // Governor: cumulative transitions plus the current regime.
-        if let Some(g) = governor {
-            let counters: [(&str, fn((u64, u64, u64, u64)) -> u64); 4] = [
-                ("governor.escalations", |c| c.0),
-                ("governor.serializations", |c| c.1),
-                ("governor.deescalations", |c| c.2),
-                ("governor.backoffs", |c| c.3),
-            ];
-            for (name, read) in counters {
-                let g = Arc::clone(g);
-                tel.counter(name, move || read(g.counters()));
-            }
-            let gauges: [(&str, fn(&Governor) -> u64); 3] = [
-                ("governor.escalated_now", Governor::escalated_now),
-                ("governor.serialized_now", Governor::serialized_now),
-                ("governor.backoff_us", Governor::last_backoff_us),
-            ];
-            for (name, read) in gauges {
-                let g = Arc::clone(g);
-                tel.gauge(name, move || read(&g));
-            }
         }
         // WAL: group-commit evidence (pending backlog, fsync count +
         // cumulative latency, piggyback numerator/denominator).
@@ -823,7 +774,6 @@ impl ParallelEngine {
             halted,
             lock_stats: self.lm.stats(),
             fault_stats: self.injector.as_ref().map(|inj| inj.stats()),
-            governor: self.governor.as_ref().map(|g| g.stats()),
             fanout: self.pipeline.fanout_stats(),
             wal: self.durable.as_ref().map(|d| d.writer().stats()),
         }
@@ -1056,13 +1006,6 @@ impl ParallelEngine {
     /// strategy, drives the skeleton, and does the abort bookkeeping.
     fn execute_claim(&self, inst: Instantiation, held: Claim) {
         let rule = self.rules.get(inst.rule).expect("known rule");
-        let name = rule.name.as_str();
-        // Serial fallback (governor step 3): a rule past its starvation
-        // bound runs alone. The guard is strictly outermost — acquired
-        // before `begin`/any lock request, dropped after commit/abort —
-        // so it can never appear inside a lock-manager waits-for cycle
-        // (a waiter on this mutex holds no locks yet).
-        let _serial = self.governor.as_ref().and_then(|g| g.serial_guard(name));
         let txn = self.lm.begin();
         if self.revalidates() {
             self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
@@ -1072,13 +1015,8 @@ impl ParallelEngine {
         let cond = self.condition_resources(&inst, rule);
         let mut worked = Duration::ZERO;
         let outcome = self.try_execute(&mut claim, strategy, &inst, rule, &cond, &mut worked);
-        let Err(cause) = outcome else {
-            if let Some(g) = &self.governor {
-                g.on_commit(name, txn.0, self.obs.as_deref());
-            }
-            return;
-        };
-        self.record_abort(txn, name, cause);
+        let Err(cause) = outcome else { return };
+        self.record_abort(txn, rule.name.as_str(), cause);
         self.metrics.wasted_nanos.fetch_add(worked.as_nanos() as u64, Relaxed);
         if cause == AbortCause::EvalError {
             // Permanently skip this instantiation: refract it on its
@@ -1094,19 +1032,6 @@ impl ParallelEngine {
         };
         if wake {
             self.cv.notify_all();
-        }
-        // Governor feedback + backoff (steps 1–2): contention aborts
-        // earn a bounded, jittered retry delay and feed the storm
-        // detector. The blame set is the condition-read set: it is the
-        // doom channel (`Rc` holders are who a committing `Wa` kills)
-        // and what a snapshot-stale abort read, so these are the keys a
-        // storm escalates. The sleep happens with no lock held.
-        if let Some(g) = self.governor.as_ref().filter(|_| cause.is_contention()) {
-            let touched: Vec<u64> = cond.iter().map(|r| res_key(*r)).collect();
-            let delay = g.on_contention_abort(name, &touched, txn.0, self.obs.as_deref());
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
         }
     }
 
@@ -1654,56 +1579,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn governed_run_survives_a_doom_storm() {
-        // Doom-storm plan + aggressive governor: the run must still
-        // drain fully and replay, with the governor actually engaging
-        // (backoffs observed; escalation permitted but not required —
-        // the storm is probabilistic).
-        let (rules, wm) = counters(6, 3);
-        let cfg = ParallelConfig {
-            workers: 4,
-            fault: Some(FaultPlan::doom_storm(42)),
-            governor: Some(crate::governor::GovernorConfig {
-                backoff_base_us: 20,
-                backoff_cap_us: 500,
-                storm_window: 8,
-                storm_threshold_pm: 400,
-                escalate_after: 2,
-                starvation_bound: 3,
-                cooldown_commits: 4,
-                seed: 42,
-            }),
-            ..Default::default()
-        };
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 18);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-        let gov = report.governor.unwrap();
-        let faults = report.fault_stats.unwrap();
-        if faults.forced_aborts > 0 {
-            assert!(gov.backoffs > 0, "injected aborts must earn backoffs");
-        }
-    }
-
-    #[test]
-    fn governor_without_faults_changes_nothing() {
-        let (rules, wm) = counters(4, 2);
-        let cfg = ParallelConfig {
-            governor: Some(crate::governor::GovernorConfig::default()),
-            ..Default::default()
-        };
-        let (report, final_wm) = run_with(&rules, wm, cfg);
-        assert_eq!(report.commits, 8);
-        for cell in final_wm.class_iter("cell") {
-            assert_eq!(cell.get("n"), Some(&Value::Int(0)));
-        }
-        let gov = report.governor.unwrap();
-        assert_eq!(gov.escalations + gov.serializations, 0, "no storm, no action");
     }
 
     fn mvcc(cfg: ParallelConfig) -> ParallelConfig {

@@ -16,7 +16,7 @@
 //! ## Locking
 //!
 //! External writes take the same action locks a rule RHS would: `Wa`
-//! (or `X` under governor escalation) on written tuples and on the
+//! (`X` under 2PL) on written tuples and on the
 //! relation of every created/written class — so a negated-condition
 //! reader is serialised against a session insert exactly as against a
 //! `make`. External *reads* ([`ParallelEngine::external_query`]) take a

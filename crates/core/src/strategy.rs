@@ -6,7 +6,7 @@
 //! strategy × step table lives) and the session layer only ever ask
 //! the chosen strategy what to do at a step.
 
-use dps_lock::{res_key, ConflictPolicy, LockMode, Protocol, ResourceId, TxnId};
+use dps_lock::{ConflictPolicy, Protocol, ResourceId, TxnId};
 use dps_match::ShardPlan;
 use dps_obs::AbortCause;
 use dps_rules::RuleId;
@@ -72,11 +72,8 @@ impl Strategy {
     /// Covers one access: a lock, or — where the strategy skips the
     /// lock — the chaos seam the lock request would have passed
     /// through, so fault-injected A/B runs compare protocols rather
-    /// than injection surface areas. A resource the governor escalated
-    /// takes the pessimistic 2PL mode (`S`/`X`) instead of the
-    /// optimistic production mode: the cross-protocol rows of
-    /// [`dps_lock::compatible`] make any read/write mix incompatible,
-    /// so escalated resources block instead of dooming.
+    /// than injection surface areas. A locked access takes its Table 4.1
+    /// mode under the strategy's protocol.
     pub(crate) fn acquire(
         self,
         engine: &ParallelEngine,
@@ -85,21 +82,15 @@ impl Strategy {
         access: Access,
     ) -> Result<(), AbortCause> {
         let lm = &engine.lm;
-        let (optimistic, pessimistic) = match (self, access) {
+        let mode = match (self, access) {
             (Strategy::Elided { .. }, _) => return lm.elide(txn, res).map_err(classify),
             (Strategy::Snapshot(_), Access::Condition) => {
                 return lm.inject_read(txn, res).map_err(classify)
             }
-            (Strategy::Locked(p), Access::Condition) => (p.condition_read(), LockMode::S),
-            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Read) => {
-                (p.action_read(), LockMode::S)
-            }
-            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Write) => {
-                (p.action_write(), LockMode::X)
-            }
+            (Strategy::Locked(p), Access::Condition) => p.condition_read(),
+            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Read) => p.action_read(),
+            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Write) => p.action_write(),
         };
-        let escalated = engine.governor.as_ref().is_some_and(|g| g.is_escalated(res_key(res)));
-        let mode = if escalated { pessimistic } else { optimistic };
         lm.lock(txn, res, mode).map_err(classify)
     }
 

@@ -202,7 +202,7 @@ impl FaultPlan {
     }
 
     /// Named plan: doom storm — forced aborts and RHS stalls drive the
-    /// abort rate high enough to trip the governor's storm detector.
+    /// abort rate up, and widen the window a writer's commit dooms in.
     pub fn doom_storm(seed: u64) -> Self {
         FaultPlan {
             seed,
@@ -270,14 +270,6 @@ impl FaultPlan {
         ("timeout_storm", FaultPlan::timeout_storm),
         ("mixed", FaultPlan::mixed),
     ];
-
-    /// Looks a named plan up by label.
-    pub fn by_name(name: &str, seed: u64) -> Option<FaultPlan> {
-        FaultPlan::NAMED
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, ctor)| ctor(seed))
-    }
 }
 
 /// Injection counters (all relaxed atomics; snapshot via
@@ -664,13 +656,10 @@ mod tests {
     }
 
     #[test]
-    fn named_plans_resolve() {
-        for (name, _) in FaultPlan::NAMED {
-            let plan = FaultPlan::by_name(name, 11).unwrap();
-            assert_eq!(plan.seed, 11);
+    fn named_plans_carry_their_seed() {
+        for (name, ctor) in FaultPlan::NAMED {
+            assert_eq!(ctor(11).seed, 11, "plan {name}");
         }
-        assert!(FaultPlan::by_name("nope", 0).is_none());
-        assert_eq!(FaultPlan::by_name("quiet", 5), Some(FaultPlan::quiet(5)));
     }
 
     #[test]

@@ -118,14 +118,12 @@ pub fn build(history: &[Event]) -> BlockingGraph {
         if span.begin_ts == 0 && matches!(ev.kind, EventKind::Begin) {
             span.begin_ts = ev.ts;
         }
-        // Fire trails the terminal; chaos markers (Fault / Escalate)
-        // are schedule commentary, not transaction work. Neither may
-        // extend the span.
+        // Fire trails the terminal; chaos Fault markers are schedule
+        // commentary, not transaction work. Neither may extend the span.
         if !matches!(
             ev.kind,
             EventKind::Fire { .. }
                 | EventKind::Fault { .. }
-                | EventKind::Escalate { .. }
                 | EventKind::WalSync { .. }
                 | EventKind::Checkpoint { .. }
                 | EventKind::ElidedCommit { .. }
@@ -199,7 +197,6 @@ pub fn build(history: &[Event]) -> BlockingGraph {
             EventKind::Begin
             | EventKind::Anomaly { .. }
             | EventKind::Fault { .. }
-            | EventKind::Escalate { .. }
             | EventKind::SnapshotPin { .. }
             | EventKind::VersionRead { .. }
             | EventKind::VersionWrite { .. }

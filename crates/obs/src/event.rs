@@ -81,8 +81,8 @@ impl AbortCause {
     }
 
     /// `true` for causes that mean "concurrent transactions collided"
-    /// (or chaos made them appear to) — what the engine's retry
-    /// governor and the server's admission controller back off on.
+    /// (or chaos made them appear to) — the streak the server's
+    /// admission controller closes the door on.
     /// Stale claims and RHS evaluation errors are not contention.
     /// Snapshot- and elision-stale aborts *are*: with no condition
     /// locks held they are the only remaining signal of genuine write
@@ -190,17 +190,6 @@ pub enum EventKind {
         /// Short static fault-kind name (`grant_delay`, `wal_kill`,
         /// `publish_stall`, …; see `dps_lock::fault`).
         kind: &'static str,
-    },
-    /// The adaptive governor changed a resource's degradation state
-    /// (escalate to pessimistic locking, serialize, de-escalate).
-    /// `txn` is the transaction whose outcome triggered the decision.
-    Escalate {
-        /// Opaque resource key (see module docs).
-        resource: u64,
-        /// Short static action name: `escalate` (optimistic →
-        /// pessimistic lock modes for the resource), `serialize` (route
-        /// through the global serial fallback) or `deescalate`.
-        action: &'static str,
     },
     /// MVCC: the transaction pinned its read snapshot at this commit
     /// sequence number. All of its condition reads observe the

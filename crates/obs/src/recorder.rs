@@ -43,7 +43,6 @@ struct Counters {
     aborts: AtomicU64,
     anomalies: AtomicU64,
     faults: AtomicU64,
-    escalations: AtomicU64,
     snapshot_pins: AtomicU64,
     version_reads: AtomicU64,
     version_writes: AtomicU64,
@@ -149,7 +148,6 @@ impl Recorder {
             }
             EventKind::Anomaly { .. } => self.counters.anomalies.fetch_add(1, Relaxed),
             EventKind::Fault { .. } => self.counters.faults.fetch_add(1, Relaxed),
-            EventKind::Escalate { .. } => self.counters.escalations.fetch_add(1, Relaxed),
             EventKind::SnapshotPin { .. } => self.counters.snapshot_pins.fetch_add(1, Relaxed),
             EventKind::VersionRead { .. } => self.counters.version_reads.fetch_add(1, Relaxed),
             EventKind::VersionWrite { .. } => self.counters.version_writes.fetch_add(1, Relaxed),
@@ -258,7 +256,6 @@ impl Recorder {
             aborts: self.counters.aborts.load(Relaxed),
             anomalies: self.counters.anomalies.load(Relaxed),
             faults: self.counters.faults.load(Relaxed),
-            escalations: self.counters.escalations.load(Relaxed),
             snapshot_pins: self.counters.snapshot_pins.load(Relaxed),
             version_reads: self.counters.version_reads.load(Relaxed),
             version_writes: self.counters.version_writes.load(Relaxed),
@@ -340,12 +337,12 @@ pub fn validate_history(events: &[Event]) -> Result<(), String> {
                 t.begun = true;
             }
             // Markers are exempt from the lifecycle rules: anomalies
-            // may trail an abort, and chaos-layer Fault / Escalate
-            // events are commentary on the schedule, not part of the
-            // transaction protocol (a forced-abort Fault is recorded
-            // concurrently with the victim's own terminal, so it may
-            // land on either side of it in the merged order).
-            EventKind::Anomaly { .. } | EventKind::Fault { .. } | EventKind::Escalate { .. } => {}
+            // may trail an abort, and chaos-layer Fault events are
+            // commentary on the schedule, not part of the transaction
+            // protocol (a forced-abort Fault is recorded concurrently
+            // with the victim's own terminal, so it may land on either
+            // side of it in the merged order).
+            EventKind::Anomaly { .. } | EventKind::Fault { .. } => {}
             EventKind::Fire { .. }
             | EventKind::VersionWrite { .. }
             | EventKind::WalSync { .. }

@@ -76,9 +76,6 @@ pub struct ObsReport {
     /// `Fault` markers injected by the chaos layer (0 outside
     /// fault-injected runs).
     pub faults: u64,
-    /// `Escalate` markers from the adaptive governor's degradation
-    /// state machine (0 when the governor is off or never triggered).
-    pub escalations: u64,
     /// `SnapshotPin` events (MVCC read-snapshot pins; 0 outside MVCC
     /// runs).
     pub snapshot_pins: u64,
@@ -151,7 +148,6 @@ impl ObsReport {
             ("aborts".into(), Json::u64(self.aborts)),
             ("anomalies".into(), Json::u64(self.anomalies)),
             ("faults".into(), Json::u64(self.faults)),
-            ("escalations".into(), Json::u64(self.escalations)),
             ("snapshot_pins".into(), Json::u64(self.snapshot_pins)),
             ("version_reads".into(), Json::u64(self.version_reads)),
             ("version_writes".into(), Json::u64(self.version_writes)),
@@ -206,12 +202,8 @@ impl fmt::Display for ObsReport {
                 String::new()
             },
         )?;
-        if self.faults > 0 || self.escalations > 0 {
-            writeln!(
-                f,
-                "  chaos: {} injected fault(s), {} governor escalation event(s)",
-                self.faults, self.escalations
-            )?;
+        if self.faults > 0 {
+            writeln!(f, "  chaos: {} injected fault(s)", self.faults)?;
         }
         if self.snapshot_pins > 0 {
             writeln!(

@@ -8,7 +8,7 @@
 //! axis:
 //!
 //! * **Probes** — `'static` closures over the atomics the engine, lock
-//!   manager, match pipeline, WAL and governor already maintain.
+//!   manager, match pipeline and WAL already maintain.
 //!   Registering a probe costs the hot path *nothing*: the sampler
 //!   reads the same counters the end-of-run reports read, which is
 //!   also why tick-integrated totals reconcile *exactly* with the
@@ -30,7 +30,7 @@
 //! mutex the sampler thread acquires is the registry's own series
 //! mutex; every probe reads relaxed atomics (mirrors are maintained at
 //! the engine's own mutation sites for state that lives behind a
-//! mutex, e.g. the governor's escalation sets). A probe that locked an
+//! mutex, e.g. the match pipeline's delta-log length). A probe that locked an
 //! engine mutex could deadlock against a worker holding that mutex
 //! while blocking on something the sampler pins — so the contract is:
 //! probes are lock-free reads, full stop.

@@ -21,7 +21,7 @@ impl std::fmt::Display for RuleId {
 #[derive(Clone, Debug, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
-    by_name: HashMap<Atom, RuleId>,
+    ids: HashMap<Atom, RuleId>,
 }
 
 impl RuleSet {
@@ -42,11 +42,11 @@ impl RuleSet {
     /// Adds a validated rule; rejects duplicates by name.
     pub fn add(&mut self, rule: Rule) -> Result<RuleId, RuleError> {
         rule.validate()?;
-        if self.by_name.contains_key(&rule.name) {
+        if self.ids.contains_key(&rule.name) {
             return Err(RuleError::DuplicateRule(rule.name.clone()));
         }
         let id = RuleId(self.rules.len() as u32);
-        self.by_name.insert(rule.name.clone(), id);
+        self.ids.insert(rule.name.clone(), id);
         self.rules.push(rule);
         Ok(id)
     }
@@ -68,7 +68,7 @@ impl RuleSet {
 
     /// Looks up a rule id by name.
     pub fn id_of(&self, name: &str) -> Option<RuleId> {
-        self.by_name.get(name).copied()
+        self.ids.get(name).copied()
     }
 
     /// Iterates `(id, rule)` pairs in insertion order.

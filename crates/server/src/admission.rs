@@ -19,21 +19,30 @@
 //!    from the offered rate; the retry hint is the time until the next
 //!    token, so well-behaved clients reconverge on the sustainable
 //!    rate instead of thundering back.
-//! 3. **Doom storm** — the retry [`Governor`] (PR 4) watches the
-//!    *outcome* stream of admitted transactions. When its storm window
-//!    trips into serial fallback, the front door stops admitting for
-//!    [`AdmissionConfig::storm_hold_ms`]: shedding at the door is
-//!    strictly cheaper than aborting inside.
+//! 3. **Doom storm** — a streak counter watches the *outcome* stream
+//!    of admitted transactions. Once [`STORM_STREAK`] of them in a row
+//!    have aborted on contention, every further contention abort shuts
+//!    the door for [`AdmissionConfig::storm_hold_ms`]; a commit resets
+//!    the streak. Shedding at the door is strictly cheaper than
+//!    aborting inside.
+//!
+//!    This is narrower than the engine's adaptive retry controller it
+//!    replaces, whose rule-serialization set the door reused: once the
+//!    streak had tripped, that set re-armed the hold on *any*
+//!    contention abort until 16 calm commits had passed. Here the
+//!    first commit ends the storm.
 //!
 //! All three gates are disabled together by
 //! [`AdmissionConfig::enabled`]` = false` — the shed-off baseline the
 //! XS.8 experiment measures against.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dps_core::{Governor, GovernorConfig};
+/// Consecutive contention aborts of admitted transactions that make a
+/// doom storm (gate 3).
+pub const STORM_STREAK: u32 = 6;
 
 /// Admission policy knobs (see module docs).
 #[derive(Clone, Debug)]
@@ -49,8 +58,6 @@ pub struct AdmissionConfig {
     pub max_inflight: usize,
     /// How long a doom storm holds the door shut, milliseconds.
     pub storm_hold_ms: u64,
-    /// The governor watching the admitted-transaction outcome stream.
-    pub governor: GovernorConfig,
 }
 
 impl Default for AdmissionConfig {
@@ -61,7 +68,6 @@ impl Default for AdmissionConfig {
             bucket_cap: 200.0,
             max_inflight: 256,
             storm_hold_ms: 50,
-            governor: GovernorConfig::default(),
         }
     }
 }
@@ -111,7 +117,8 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     bucket: Mutex<Bucket>,
     inflight: AtomicUsize,
-    governor: Governor,
+    /// Contention aborts since the last commit (gate 3).
+    storm_streak: AtomicU32,
     storm_until: Mutex<Option<Instant>>,
     admitted: AtomicU64,
     shed_rate: AtomicU64,
@@ -122,11 +129,10 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller with a full bucket.
     pub fn new(config: AdmissionConfig) -> Self {
-        let governor = Governor::new(config.governor.clone());
         AdmissionController {
             bucket: Mutex::new(Bucket { tokens: config.bucket_cap, last: Instant::now() }),
             inflight: AtomicUsize::new(0),
-            governor,
+            storm_streak: AtomicU32::new(0),
             storm_until: Mutex::new(None),
             admitted: AtomicU64::new(0),
             shed_rate: AtomicU64::new(0),
@@ -189,22 +195,20 @@ impl AdmissionController {
     }
 
     /// Releases the inflight slot of an admitted transaction and feeds
-    /// its outcome to the storm detector. `aborted_on_contention` means
+    /// its outcome to the storm streak. `aborted_on_contention` means
     /// doomed / deadlock / timeout / injected — *not* a client abort or
     /// a stale id.
-    pub fn txn_end(&self, aborted_on_contention: bool, touched: &[u64]) {
+    // `_touched` is unused: the streak needs no blame set.
+    pub fn txn_end(&self, aborted_on_contention: bool, _touched: &[u64]) {
         self.inflight.fetch_sub(1, Relaxed);
         if !self.config.enabled {
             return;
         }
-        if aborted_on_contention {
-            self.governor.on_contention_abort("@session", touched, 0, None);
-            if self.governor.serialized_now() > 0 || self.governor.escalated_now() > 0 {
-                let hold = std::time::Duration::from_millis(self.config.storm_hold_ms);
-                *self.storm_until.lock().unwrap() = Some(Instant::now() + hold);
-            }
-        } else {
-            self.governor.on_commit("@session", 0, None);
+        if !aborted_on_contention {
+            self.storm_streak.store(0, Relaxed);
+        } else if self.storm_streak.fetch_add(1, Relaxed) >= STORM_STREAK - 1 {
+            let hold = Duration::from_millis(self.config.storm_hold_ms);
+            *self.storm_until.lock().unwrap() = Some(Instant::now() + hold);
         }
     }
 
@@ -221,11 +225,6 @@ impl AdmissionController {
             shed_inflight: self.shed_inflight.load(Relaxed),
             shed_storm: self.shed_storm.load(Relaxed),
         }
-    }
-
-    /// The governor watching the admitted stream (for reports).
-    pub fn governor(&self) -> &Governor {
-        &self.governor
     }
 }
 
@@ -292,36 +291,50 @@ mod tests {
         assert_eq!(c.stats().shed_inflight, 1);
     }
 
-    #[test]
-    fn doom_storm_holds_the_door() {
-        let gov = GovernorConfig {
-            storm_window: 8,
-            storm_threshold_pm: 500,
-            starvation_bound: 3,
-            backoff_base_us: 0,
-            ..GovernorConfig::default()
-        };
-        let c = quick(AdmissionConfig {
+    fn stormy(storm_hold_ms: u64) -> AdmissionController {
+        quick(AdmissionConfig {
             tokens_per_sec: 1e9,
             bucket_cap: 1e9,
             max_inflight: 1_000,
-            storm_hold_ms: 10_000,
-            governor: gov,
+            storm_hold_ms,
             ..AdmissionConfig::default()
-        });
-        // Feed a pure-abort stream; once the starvation bound trips,
-        // the door shuts for the full hold.
-        let mut storm_shed = None;
-        for _ in 0..16 {
-            match c.admit() {
-                Admission::Granted => c.txn_end(true, &[7]),
-                Admission::Shed { retry_after_ms } => {
-                    storm_shed = Some(retry_after_ms);
-                    break;
-                }
-            }
+        })
+    }
+
+    /// Admits `n` transactions and ends each with `aborted`.
+    fn feed(c: &AdmissionController, n: u32, aborted: bool) {
+        for i in 0..n {
+            assert_eq!(c.admit(), Admission::Granted, "admit {i}");
+            c.txn_end(aborted, &[]);
         }
-        assert_eq!(storm_shed, Some(10_000), "storm never shut the door");
-        assert!(c.stats().shed_storm >= 1);
+    }
+
+    #[test]
+    fn doom_storm_holds_the_door() {
+        // A pure-abort stream shuts the door for the full hold at the
+        // streak bound, and not one abort earlier.
+        let c = stormy(10_000);
+        feed(&c, STORM_STREAK, true);
+        assert_eq!(c.admit(), Admission::Shed { retry_after_ms: 10_000 });
+        assert_eq!(c.stats().shed_storm, 1);
+    }
+
+    #[test]
+    fn a_commit_resets_the_storm_streak() {
+        let c = stormy(10_000);
+        feed(&c, STORM_STREAK - 1, true);
+        feed(&c, 1, false);
+        feed(&c, STORM_STREAK - 1, true);
+        assert_eq!(c.admit(), Admission::Granted, "the streak is consecutive");
+        assert_eq!(c.stats().shed_storm, 0);
+    }
+
+    #[test]
+    fn the_door_reopens_after_the_hold() {
+        let c = stormy(20);
+        feed(&c, STORM_STREAK, true);
+        assert!(matches!(c.admit(), Admission::Shed { .. }), "storm shut the door");
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(c.admit(), Admission::Granted);
     }
 }

@@ -16,8 +16,9 @@
 //!   with read timeouts and abrupt-disconnect semantics, so the whole
 //!   stack is testable in the hermetic (network-less) build.
 //! * [`admission`] — token-bucket admission, inflight-transaction
-//!   backpressure and doom-storm load shedding built on the retry
-//!   [`dps_core::Governor`]: overload is answered with a typed
+//!   backpressure and doom-storm load shedding (a consecutive
+//!   contention-abort streak holds the door shut for a while): overload
+//!   is answered with a typed
 //!   [`wire::Response::Overloaded`] (plus a retry hint) instead of
 //!   queueing without bound — §5's wasted-work argument applied at the
 //!   session boundary.

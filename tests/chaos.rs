@@ -9,8 +9,7 @@ use dbps::lock::{
     ConflictPolicy, FaultPlan, LockError, LockManager, LockMode, Protocol, ResourceId,
 };
 use dbps::obs::Verdict;
-use dbps::rete::DEFAULT_MATCH_SHARDS;
-use dps_bench::chaos::{chaos_run, injection_accounted, sweep_governor, ChaosSpec};
+use dps_bench::chaos::{chaos_run, injection_accounted, ChaosSpec};
 use dps_bench::workloads;
 
 /// S2 seed-loop property: every named fault plan, across seeds and
@@ -30,10 +29,6 @@ fn every_fault_plan_and_seed_replays_consistently() {
                     tasks: 12,
                     resources: 2,
                     work_us: 50,
-                    busy: false,
-                    governor: Some(sweep_governor(seed)),
-                    telemetry: false,
-                    match_shards: DEFAULT_MATCH_SHARDS,
                 });
                 assert!(
                     run.passes(),
@@ -73,10 +68,6 @@ fn corrupted_commit_sequence_is_rejected() {
         tasks: 13, // odd: seq ^ 1 always breaks 0..n contiguity
         resources: 2,
         work_us: 0,
-        busy: false,
-        governor: None,
-        telemetry: false,
-        match_shards: DEFAULT_MATCH_SHARDS,
     });
     assert_eq!(run.verdict(), Verdict::Inconsistent);
     assert!(

@@ -9,7 +9,7 @@
 //! Anything else means a probe is wired to the wrong cell, a series
 //! name drifted, or the sampler outlived the run.
 
-use dbps::engine::{GovernorConfig, ParallelConfig, ParallelEngine, WorkModel};
+use dbps::engine::{ParallelConfig, ParallelEngine, WorkModel};
 use dbps::lock::{ConflictPolicy, FaultPlan};
 use dbps::obs::{SeriesKind, TelemetryConfig, TimelineDoc};
 use dbps::rules::RuleSet;
@@ -138,7 +138,7 @@ fn counter_series_are_monotone_and_kinds_are_stable() {
 }
 
 #[test]
-fn governor_and_wal_series_appear_and_reconcile() {
+fn wal_series_appear_and_reconcile() {
     let dir = std::env::temp_dir().join(format!("dps-tel-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (rules, wm) = contended_workload(40);
@@ -150,16 +150,6 @@ fn governor_and_wal_series_appear_and_reconcile() {
             workers: 4,
             work: WorkModel::BusyMicros(300),
             fault: Some(FaultPlan::doom_storm(7)),
-            governor: Some(GovernorConfig {
-                backoff_base_us: 10,
-                backoff_cap_us: 100,
-                storm_window: 8,
-                storm_threshold_pm: 300,
-                escalate_after: 2,
-                starvation_bound: 2,
-                cooldown_commits: 64,
-                seed: 7,
-            }),
             durability: Some(dbps::engine::DurabilityConfig::at(&dir)),
             telemetry: telemetry_cfg(),
             ..Default::default()
@@ -168,21 +158,6 @@ fn governor_and_wal_series_appear_and_reconcile() {
     let report = engine.run();
     let doc = engine.telemetry().unwrap().doc();
     doc.validate().unwrap();
-
-    let gov = report.governor.expect("governor attached");
-    assert_eq!(doc.last("governor.escalations"), Some(gov.escalations));
-    assert_eq!(doc.last("governor.serializations"), Some(gov.serializations));
-    assert_eq!(doc.last("governor.deescalations"), Some(gov.deescalations));
-    assert_eq!(doc.last("governor.backoffs"), Some(gov.backoffs));
-    assert_eq!(
-        doc.last("governor.escalated_now"),
-        Some(gov.escalated_now as u64),
-        "the mirror equals the mutexed set's size"
-    );
-    assert_eq!(
-        doc.last("governor.serialized_now"),
-        Some(gov.serialized_now as u64)
-    );
 
     let wal = report.wal.expect("durability attached");
     assert_eq!(doc.last("wal.appends"), Some(wal.appends));
