@@ -16,7 +16,7 @@
 //! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
 //! | 8 | ledger | commit counters, ledger unclaim |
-//! | 9 | — | per-rule table + `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
+//! | 9 | — | `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
 //! | 10 | — | checkpoint install, group-commit `request_sync` |
 //!
 //! Commit order = sequence order = trace order because steps 1–6 share
@@ -125,7 +125,6 @@ impl ParallelEngine {
         }
         let affected = self.pipeline.publish(seq, changes);
         let halt = firing.halt;
-        let name = obs.map(|_| firing.rule_name.clone());
         let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
         base.trace.firings.push(firing);
         // Commit-sequence record for the semantic checker (§3 Theorem
@@ -175,11 +174,8 @@ impl ParallelEngine {
             }
             ledger.waiters > 0
         };
-        if let (Some(obs), Some(name)) = (obs, &name) {
-            obs.rule_fired(name.as_str());
-            if let Some(t) = since {
-                obs.phase(Phase::Commit, t.elapsed());
-            }
+        if let (Some(obs), Some(t)) = (obs, since) {
+            obs.phase(Phase::Commit, t.elapsed());
         }
         if wake {
             self.cv.notify_all();
@@ -350,9 +346,9 @@ impl ParallelEngine {
 
     /// The abort bookkeeping shared by rule firings and session
     /// transactions: release the locks, emit the single `Abort`
-    /// terminal, count the cause. The lock manager may already have
-    /// auto-aborted the transaction when it surfaced a
-    /// doom/deadlock/timeout (`NotActive` is that benign race);
+    /// terminal (with `rule_name`'s interned id), count the cause. The
+    /// lock manager may already have auto-aborted the transaction when
+    /// it surfaced a doom/deadlock/timeout (`NotActive` is that benign race);
     /// anything else would mean locks were leaked, so it is asserted in
     /// debug builds and flagged in the event stream in release builds.
     pub(crate) fn record_abort(&self, txn: TxnId, rule_name: &str, cause: AbortCause) {
@@ -363,9 +359,8 @@ impl ParallelEngine {
                 self.emit(txn, ObsEvent::Anomaly { what: "abort-failed" });
             }
         }
-        self.emit(txn, ObsEvent::Abort { cause });
         if let Some(obs) = &self.obs {
-            obs.rule_aborted(rule_name);
+            obs.record(txn.0, ObsEvent::Abort { cause, rule: obs.intern_rule(rule_name) });
         }
         self.metrics.count_abort(cause);
     }

@@ -91,8 +91,8 @@ use dps_lock::{
 };
 use dps_match::{InstKey, Instantiation, Matcher, DEFAULT_MATCH_SHARDS};
 use dps_obs::{
-    AbortCause, EventKind as ObsEvent, FanoutStats, Phase, Recorder, Telemetry, TelemetryConfig,
-    TickHist,
+    AbortCause, EventKind as ObsEvent, FanoutStats, Histogram, Phase, Recorder, Telemetry,
+    TelemetryConfig,
 };
 use dps_rules::{instantiate_actions, Rule, RuleSet};
 use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
@@ -210,9 +210,14 @@ pub struct ParallelConfig {
     /// knob `matchbench` measures. See [`crate::pipeline`].
     pub match_shards: usize,
     /// Durability: when set, every commit's change batch is staged
-    /// into a file-backed group-commit WAL under the base mutex and
-    /// fsynced (piggybacked) before the worker moves on, with periodic
-    /// checkpoint snapshots; [`dps_wm::recover`] +
+    /// into a file-backed group-commit WAL under the base mutex, with
+    /// periodic checkpoint snapshots. After the commit section the
+    /// committer requests a group-commit fsync without waiting for it:
+    /// one committer at a time flushes for everyone, so the durable
+    /// horizon trails the published one by at most the in-flight batch.
+    /// The final flush at the end of the run makes every commit durable
+    /// (unless a chaos kill point killed the writer).
+    /// [`dps_wm::recover`] +
     /// [`ParallelEngine::resume`] rebuild and continue after a crash.
     /// `None` (the default) keeps the commit path free of any
     /// durability cost — one branch on a `None`, like `observe` and
@@ -566,7 +571,7 @@ impl ParallelEngine {
         let pipeline = Arc::new(pipeline);
         let metrics = Arc::new(Metrics::default());
         let telemetry = config.telemetry.clone().map(|t| Arc::new(Telemetry::new(t)));
-        let wait_hist = telemetry.as_ref().map(|_| Arc::new(TickHist::default()));
+        let wait_hist = telemetry.as_ref().map(|_| Arc::new(Histogram::default()));
         let lm = Arc::new(
             LockManager::builder()
                 .policy(config.policy)
@@ -614,7 +619,7 @@ impl ParallelEngine {
         lm: &Arc<LockManager>,
         pipeline: &Arc<MatchPipeline>,
         durable: Option<&Arc<DurableWm>>,
-        wait_hist: Option<Arc<TickHist>>,
+        wait_hist: Option<Arc<Histogram>>,
     ) {
         // Engine: commit + abort-by-cause counters (per-tick first
         // differences are the rates) and wasted work.

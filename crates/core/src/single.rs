@@ -155,7 +155,6 @@ impl<M: Matcher> SingleThreadEngine<M> {
         let t2 = match (&self.obs, t1) {
             (Some(obs), Some(t)) => {
                 obs.phase(Phase::RhsAct, t.elapsed());
-                obs.rule_fired(rule.name.as_str());
                 Some(Instant::now())
             }
             _ => None,

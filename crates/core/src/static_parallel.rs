@@ -207,9 +207,6 @@ impl StaticParallelEngine {
             let (inst, delta, halt, _) = &prepared[i];
             let rule_name = self.rules.get(inst.rule).expect("known").name.clone();
             max_cost = max_cost.max(self.cost(&rule_name));
-            if let Some(obs) = &self.obs {
-                obs.rule_fired(rule_name.as_str());
-            }
             self.world.commit(
                 &mut self.refracted,
                 &mut self.trace,

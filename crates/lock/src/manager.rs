@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use dps_obs::{EventKind as ObsEvent, Phase, Recorder, TickHist};
+use dps_obs::{EventKind as ObsEvent, Histogram, Phase, Recorder};
 
 use crate::deadlock::find_cycle;
 use crate::fault::FaultInjector;
@@ -171,7 +171,7 @@ pub struct LockManagerBuilder {
     policy: Option<ConflictPolicy>,
     obs: Option<Arc<Recorder>>,
     fault: Option<Arc<FaultInjector>>,
-    wait_hist: Option<Arc<TickHist>>,
+    wait_hist: Option<Arc<Histogram>>,
 }
 
 impl LockManagerBuilder {
@@ -197,11 +197,11 @@ impl LockManagerBuilder {
         self
     }
 
-    /// Attaches a live-telemetry per-tick histogram fed with every lock
-    /// wait's total blocked duration (the `lock.wait.*` series). Absent
-    /// by default — one branch on a `None` per wait, nothing per
-    /// uncontended grant.
-    pub fn wait_hist(mut self, hist: impl Into<Option<Arc<TickHist>>>) -> Self {
+    /// Attaches a histogram fed with every lock wait's total blocked
+    /// duration, which the telemetry sampler drains each tick into the
+    /// `lock.wait.*` series. Absent by default — one branch on a `None`
+    /// per wait, nothing per uncontended grant.
+    pub fn wait_hist(mut self, hist: impl Into<Option<Arc<Histogram>>>) -> Self {
         self.wait_hist = hist.into();
         self
     }
@@ -250,7 +250,7 @@ pub struct LockManager {
     policy: ConflictPolicy,
     obs: Option<Arc<Recorder>>,
     fault: Option<Arc<FaultInjector>>,
-    wait_hist: Option<Arc<TickHist>>,
+    wait_hist: Option<Arc<Histogram>>,
 }
 
 impl LockManager {

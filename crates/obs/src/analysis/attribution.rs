@@ -166,7 +166,7 @@ mod tests {
             e(5, 2, EventKind::Grant { resource: 12, mode: "Wa" }),
             e(6, 1, EventKind::Doom { by: 2 }),
             e(7, 2, EventKind::Commit),
-            e(8, 1, EventKind::Abort { cause: AbortCause::Doomed }),
+            e(8, 1, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
         ];
         let table = contention_table(&build(&h));
         // Only resource 8 is both read by the victim and written by the
@@ -182,7 +182,7 @@ mod tests {
             e(0, 5, EventKind::Begin),
             e(1, 5, EventKind::Block { resource: 2, mode: "X", holder: Some(6) }),
             e(2, 5, EventKind::Deadlock),
-            e(3, 5, EventKind::Abort { cause: AbortCause::Deadlock }),
+            e(3, 5, EventKind::Abort { cause: AbortCause::Deadlock, rule: 0 }),
         ];
         let table = contention_table(&build(&h));
         let row = table.iter().find(|r| r.resource == 2).unwrap();

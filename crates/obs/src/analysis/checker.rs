@@ -228,7 +228,7 @@ mod tests {
     fn fire_on_aborted_txn_is_structural() {
         let h = vec![
             e(0, 1, EventKind::Begin),
-            e(1, 1, EventKind::Abort { cause: AbortCause::Stale }),
+            e(1, 1, EventKind::Abort { cause: AbortCause::Stale, rule: 0 }),
             e(2, 1, EventKind::Fire { rule: 0, seq: 0 }),
         ];
         let rep = check(&h, &build(&h));

@@ -190,7 +190,7 @@ mod tests {
             e(0, 1, EventKind::Begin),
             e(0, 2, EventKind::Begin),
             e(100, 1, EventKind::Commit),
-            e(50, 2, EventKind::Abort { cause: AbortCause::Doomed }),
+            e(50, 2, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
         ];
         let rep = critical_path(&build(&h));
         assert_eq!(rep.useful_busy_ns, 100);
@@ -206,7 +206,7 @@ mod tests {
             e(0, 2, EventKind::Begin),
             e(60, 2, EventKind::Doom { by: 1 }),
             e(50, 1, EventKind::Commit),
-            e(70, 2, EventKind::Abort { cause: AbortCause::Doomed }),
+            e(70, 2, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
         ];
         let rep = critical_path(&build(&h));
         // Edge 1 → 2 (1 ended at 50 < 2's 70): path busy(1)+busy(2) = 50+70.

@@ -187,7 +187,7 @@ pub fn build(history: &[Event]) -> BlockingGraph {
                 span.commit_ts = Some(ev.ts);
                 close_open_wait(span, &mut g.edges, &mut open, ev.txn, ev.ts);
             }
-            EventKind::Abort { cause } => {
+            EventKind::Abort { cause, .. } => {
                 span.abort_cause = Some(cause);
                 close_open_wait(span, &mut g.edges, &mut open, ev.txn, ev.ts);
             }
@@ -281,7 +281,7 @@ mod tests {
             e(1, 2, EventKind::Begin),
             e(2, 2, EventKind::Block { resource: 8, mode: "Wa", holder: Some(1) }),
             e(5, 2, EventKind::Doom { by: 1 }),
-            e(6, 2, EventKind::Abort { cause: AbortCause::Doomed }),
+            e(6, 2, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
             e(7, 1, EventKind::Commit),
         ];
         let g = build(&h);
@@ -301,7 +301,7 @@ mod tests {
             e(0, 3, EventKind::Begin),
             e(1, 3, EventKind::Block { resource: 2, mode: "X", holder: Some(9) }),
             e(2, 3, EventKind::Deadlock),
-            e(3, 3, EventKind::Abort { cause: AbortCause::Deadlock }),
+            e(3, 3, EventKind::Abort { cause: AbortCause::Deadlock, rule: 0 }),
         ];
         let g = build(&h);
         let edge = g.edges.iter().find(|w| w.kind == EdgeKind::DeadlockWait).unwrap();

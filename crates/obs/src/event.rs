@@ -122,11 +122,11 @@ impl AbortCause {
 /// well-formedness check in [`crate::validate_history`] depends on
 /// them): the **lock manager** emits `Begin`, `Grant`, `Block`, `Doom`,
 /// `Deadlock` and `Commit`; the **engine** emits the single
-/// `Abort { cause }` terminal for every transaction that does not
-/// commit (it is the only layer that knows the full cause taxonomy),
-/// one `Fire { rule, seq }` per *committed* transaction naming its
-/// slot in the global commit sequence, plus `Anomaly` markers for
-/// accounting races that should never happen.
+/// `Abort { cause, rule }` terminal for every transaction that does
+/// not commit (it is the only layer that knows the full cause
+/// taxonomy), one `Fire { rule, seq }` per *committed* transaction
+/// naming its slot in the global commit sequence, plus `Anomaly`
+/// markers for accounting races that should never happen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Transaction began.
@@ -175,6 +175,8 @@ pub enum EventKind {
     Abort {
         /// Why.
         cause: AbortCause,
+        /// Interned rule-name id of the aborted attempt, as in `Fire`.
+        rule: u32,
     },
     /// An accounting anomaly (e.g. an abort call that failed with
     /// something other than the benign auto-abort race).
@@ -274,9 +276,6 @@ pub(crate) struct Ring {
     capacity: usize,
     /// Index of the oldest element (only meaningful once wrapped).
     head: usize,
-    /// Total pushes ever (≥ `buf.len()`); `pushes - capacity` of them
-    /// were dropped once wrapped.
-    pushes: u64,
 }
 
 impl Ring {
@@ -285,13 +284,11 @@ impl Ring {
             buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
-            pushes: 0,
         }
     }
 
     /// Pushes an event; returns `true` if an old event was overwritten.
     pub fn push(&mut self, ev: Event) -> bool {
-        self.pushes += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
             false
@@ -335,7 +332,6 @@ mod tests {
         let got: Vec<u64> = r.iter_ordered().map(|e| e.ts).collect();
         assert_eq!(got, vec![2, 3, 4]);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.pushes, 5);
     }
 
     #[test]
@@ -352,7 +348,8 @@ mod tests {
     fn terminal_kinds() {
         assert!(EventKind::Commit.is_terminal());
         assert!(EventKind::Abort {
-            cause: AbortCause::Stale
+            cause: AbortCause::Stale,
+            rule: 0
         }
         .is_terminal());
         assert!(!EventKind::Begin.is_terminal());

@@ -137,6 +137,21 @@ impl Histogram {
             max: self.max.load(Relaxed),
         }
     }
+
+    /// Takes everything recorded since the last drain and resets the
+    /// histogram to zero — one telemetry tick's distribution. A
+    /// concurrent `record` lands in this drain or the next; `count` is
+    /// the drained buckets' sum, so the quantiles stay consistent.
+    pub fn drain(&self) -> HistSnapshot {
+        let buckets: [u64; BUCKETS] = std::array::from_fn(|i| self.buckets[i].swap(0, Relaxed));
+        self.count.swap(0, Relaxed);
+        HistSnapshot {
+            count: buckets.iter().sum(),
+            buckets,
+            sum: self.sum.swap(0, Relaxed),
+            max: self.max.swap(0, Relaxed),
+        }
+    }
 }
 
 /// Point-in-time copy of a [`Histogram`].
@@ -258,6 +273,21 @@ mod tests {
         // p99 lands in the top bucket, clamped to max.
         assert_eq!(s.p99(), 100_000);
         assert_eq!(s.mean(), (100 + 200 + 400 + 800 + 100_000) / 5);
+    }
+
+    #[test]
+    fn drain_takes_one_tick_and_resets() {
+        let h = Histogram::default();
+        for ns in [100u64, 200, 400, 100_000] {
+            h.record(Duration::from_nanos(ns));
+        }
+        let t = h.drain();
+        assert_eq!(t.count, 4);
+        assert!(t.p50() >= 200 && t.p50() <= 511, "p50={}", t.p50());
+        assert_eq!(t.p99(), 100_000, "top bucket clamps to the exact max");
+        assert_eq!(t.max, 100_000);
+        // Drained: the next tick starts from zero.
+        assert_eq!(h.drain(), Histogram::default().snapshot());
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //! * **[Histograms](hist)** — fixed log₂-bucket latency histograms
 //!   (p50/p95/p99/max) for the lock-wait, LHS-eval, RHS-act and commit
 //!   phases of Figures 4.1/4.2.
-//! * **Per-rule tables** — firing/abort breakdown per rule name.
+//! * **[Reports](ObsReport)** — [`Recorder::report`] counts the rings
+//!   in one pass: events per kind, aborts per cause, and the
+//!   firing/abort breakdown per rule name (`Fire` and `Abort` events
+//!   carry an interned rule id). The rings are the only record; nothing
+//!   else is counted during the run.
 //! * **[JSON](json)** — a hand-rolled writer *and* parser, so benches
 //!   emit machine-readable reports and CI can shape-check them without
 //!   `serde`.
@@ -40,11 +44,12 @@
 //! rec.record(0, EventKind::Begin);
 //! rec.phase(Phase::LockWait, Duration::from_micros(12));
 //! rec.record(0, EventKind::Commit);
-//! rec.rule_fired("bump");
+//! rec.record(0, EventKind::Fire { rule: rec.intern_rule("bump"), seq: 0 });
 //!
 //! validate_history(&rec.history()).unwrap();
 //! let report = rec.report();
 //! assert_eq!(report.commits, 1);
+//! assert_eq!((report.rules[0].name.as_str(), report.rules[0].fired), ("bump", 1));
 //! println!("{report}");                       // human
 //! let doc = report.to_json().to_string_pretty(); // machine
 //! assert!(doc.contains("\"lock_wait\""));
@@ -64,8 +69,6 @@ pub mod timeline;
 pub use analysis::{analyze, RunAnalysis, Verdict};
 pub use event::{AbortCause, Event, EventKind};
 pub use hist::{HistSnapshot, Histogram, Phase};
-pub use recorder::{validate_history, Recorder, RuleStat, DEFAULT_RING_CAPACITY, DEFAULT_SLOTS};
+pub use recorder::{validate_history, Recorder, DEFAULT_RING_CAPACITY, DEFAULT_SLOTS};
 pub use report::{FanoutStats, ObsReport, RuleRow};
-pub use timeline::{
-    Series, SeriesKind, Telemetry, TelemetryConfig, TickHist, TimelineDoc, TIMELINE_SCHEMA,
-};
+pub use timeline::{Series, SeriesKind, Telemetry, TelemetryConfig, TimelineDoc, TIMELINE_SCHEMA};

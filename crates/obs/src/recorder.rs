@@ -6,12 +6,13 @@
 //!    an `Option<Arc<Recorder>>`; off means one branch on a `None`.
 //! 2. **No cross-worker contention when on.** Events go into
 //!    per-worker-slot rings (a thread-local slot index assigned on
-//!    first use), histograms and counters are relaxed atomics, and the
-//!    only map (the per-rule table) is touched once per commit/abort,
-//!    not per lock operation.
-//! 3. **Merge on demand.** [`Recorder::history`] collects every ring
-//!    and sorts by timestamp; nothing global is maintained during the
-//!    run.
+//!    first use) and phase histograms are relaxed atomics. Recording an
+//!    event locks its slot's ring and nothing else.
+//! 3. **One record per event.** The rings are the only record: every
+//!    count in [`Recorder::report`] — per kind, per abort cause, per
+//!    rule — is computed from them on demand, and
+//!    [`Recorder::history`] merges them by timestamp. Nothing global
+//!    is maintained during the run.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -30,36 +31,6 @@ pub const DEFAULT_SLOTS: usize = 16;
 /// Default per-ring capacity in events.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// Aggregate event counters (all relaxed atomics).
-#[derive(Debug, Default)]
-struct Counters {
-    begins: AtomicU64,
-    grants: AtomicU64,
-    blocks: AtomicU64,
-    dooms: AtomicU64,
-    deadlocks: AtomicU64,
-    commits: AtomicU64,
-    fires: AtomicU64,
-    aborts: AtomicU64,
-    anomalies: AtomicU64,
-    faults: AtomicU64,
-    snapshot_pins: AtomicU64,
-    version_reads: AtomicU64,
-    version_writes: AtomicU64,
-    wal_syncs: AtomicU64,
-    checkpoints: AtomicU64,
-    elided_commits: AtomicU64,
-}
-
-/// Per-rule firing/abort tallies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RuleStat {
-    /// Commits of this rule.
-    pub fired: u64,
-    /// Aborted attempts of this rule.
-    pub aborted: u64,
-}
-
 /// The observability recorder. Cheap to share behind an `Arc`; every
 /// method takes `&self` and is safe to call from any thread.
 #[derive(Debug)]
@@ -67,13 +38,11 @@ pub struct Recorder {
     epoch: Instant,
     rings: Box<[Mutex<Ring>]>,
     hists: [Histogram; Phase::ALL.len()],
-    abort_causes: [AtomicU64; 9],
-    counters: Counters,
     dropped: AtomicU64,
-    rules: Mutex<BTreeMap<String, RuleStat>>,
-    /// Rule-name interner backing [`EventKind::Fire`]'s compact
-    /// `rule: u32` id (events are `Copy`, so they cannot carry the
-    /// name itself). Rule sets are small, so a linear scan suffices.
+    /// Rule-name interner backing the compact `rule: u32` id of
+    /// [`EventKind::Fire`] and [`EventKind::Abort`] (events are `Copy`,
+    /// so they cannot carry the name itself). Rule sets are small, so a
+    /// linear scan suffices.
     rule_names: Mutex<Vec<String>>,
 }
 
@@ -109,10 +78,7 @@ impl Recorder {
             epoch: Instant::now(),
             rings: (0..slots.max(1)).map(|_| Mutex::new(Ring::new(capacity))).collect(),
             hists: std::array::from_fn(|_| Histogram::default()),
-            abort_causes: std::array::from_fn(|_| AtomicU64::new(0)),
-            counters: Counters::default(),
             dropped: AtomicU64::new(0),
-            rules: Mutex::new(BTreeMap::new()),
             rule_names: Mutex::new(Vec::new()),
         }
     }
@@ -134,32 +100,8 @@ impl Recorder {
 
     /// Records an event with an explicit timestamp from [`Recorder::now`].
     pub fn record_at(&self, ts: u64, txn: u64, kind: EventKind) {
-        match &kind {
-            EventKind::Begin => self.counters.begins.fetch_add(1, Relaxed),
-            EventKind::Grant { .. } => self.counters.grants.fetch_add(1, Relaxed),
-            EventKind::Block { .. } => self.counters.blocks.fetch_add(1, Relaxed),
-            EventKind::Doom { .. } => self.counters.dooms.fetch_add(1, Relaxed),
-            EventKind::Deadlock => self.counters.deadlocks.fetch_add(1, Relaxed),
-            EventKind::Commit => self.counters.commits.fetch_add(1, Relaxed),
-            EventKind::Fire { .. } => self.counters.fires.fetch_add(1, Relaxed),
-            EventKind::Abort { cause } => {
-                self.abort_causes[cause.index()].fetch_add(1, Relaxed);
-                self.counters.aborts.fetch_add(1, Relaxed)
-            }
-            EventKind::Anomaly { .. } => self.counters.anomalies.fetch_add(1, Relaxed),
-            EventKind::Fault { .. } => self.counters.faults.fetch_add(1, Relaxed),
-            EventKind::SnapshotPin { .. } => self.counters.snapshot_pins.fetch_add(1, Relaxed),
-            EventKind::VersionRead { .. } => self.counters.version_reads.fetch_add(1, Relaxed),
-            EventKind::VersionWrite { .. } => self.counters.version_writes.fetch_add(1, Relaxed),
-            EventKind::WalSync { .. } => self.counters.wal_syncs.fetch_add(1, Relaxed),
-            EventKind::Checkpoint { .. } => self.counters.checkpoints.fetch_add(1, Relaxed),
-            EventKind::ElidedCommit { .. } => {
-                self.counters.elided_commits.fetch_add(1, Relaxed)
-            }
-        };
         let slot = thread_slot() % self.rings.len();
-        let overwrote = self.rings[slot].lock().unwrap().push(Event { ts, txn, kind });
-        if overwrote {
+        if self.rings[slot].lock().unwrap().push(Event { ts, txn, kind }) {
             self.dropped.fetch_add(1, Relaxed);
         }
     }
@@ -174,21 +116,9 @@ impl Recorder {
         self.hists[phase.index()].snapshot()
     }
 
-    /// Counts a committed firing of `rule`.
-    pub fn rule_fired(&self, rule: &str) {
-        let mut rules = self.rules.lock().unwrap();
-        rules.entry(rule.to_owned()).or_default().fired += 1;
-    }
-
-    /// Counts an aborted attempt of `rule`.
-    pub fn rule_aborted(&self, rule: &str) {
-        let mut rules = self.rules.lock().unwrap();
-        rules.entry(rule.to_owned()).or_default().aborted += 1;
-    }
-
     /// Interns a rule name, returning the compact id to embed in
-    /// [`EventKind::Fire`]. Idempotent: the same name always maps to
-    /// the same id within one recorder.
+    /// [`EventKind::Fire`] and [`EventKind::Abort`]. Idempotent: the
+    /// same name always maps to the same id within one recorder.
     pub fn intern_rule(&self, name: &str) -> u32 {
         let mut names = self.rule_names.lock().unwrap();
         if let Some(i) = names.iter().position(|n| n == name) {
@@ -199,7 +129,7 @@ impl Recorder {
     }
 
     /// The interned rule-name table (index = the `rule` id carried by
-    /// [`EventKind::Fire`] events).
+    /// [`EventKind::Fire`] and [`EventKind::Abort`] events).
     pub fn rule_names(&self) -> Vec<String> {
         self.rule_names.lock().unwrap().clone()
     }
@@ -210,15 +140,11 @@ impl Recorder {
     }
 
     /// Events dropped because a ring wrapped. A non-zero value means
-    /// [`Recorder::history`] is incomplete (counters and histograms are
-    /// unaffected — they never drop).
+    /// [`Recorder::history`] is incomplete and the counts in
+    /// [`Recorder::report`] cover only the retained events (histograms
+    /// are unaffected — they never drop).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Relaxed)
-    }
-
-    /// Abort count for one cause.
-    pub fn aborts_by_cause(&self, cause: AbortCause) -> u64 {
-        self.abort_causes[cause.index()].load(Relaxed)
     }
 
     /// Merges every per-worker ring into one global history, ordered by
@@ -234,44 +160,70 @@ impl Recorder {
         all
     }
 
-    /// Builds the aggregate [`ObsReport`] snapshot.
+    /// Builds the aggregate [`ObsReport`] snapshot: the phase
+    /// histograms, and every event count computed in one pass over the
+    /// rings (no merge, no sort). The counts cover the retained events;
+    /// `dropped_events` says how many were overwritten.
     pub fn report(&self) -> ObsReport {
-        let rules = self.rules.lock().unwrap();
-        ObsReport {
+        let mut rep = ObsReport {
             phases: Phase::ALL
                 .iter()
                 .map(|&p| (p, self.hists[p.index()].snapshot()))
                 .collect(),
-            abort_causes: AbortCause::ALL
-                .iter()
-                .map(|&c| (c, self.abort_causes[c.index()].load(Relaxed)))
-                .collect(),
-            begins: self.counters.begins.load(Relaxed),
-            grants: self.counters.grants.load(Relaxed),
-            blocks: self.counters.blocks.load(Relaxed),
-            dooms: self.counters.dooms.load(Relaxed),
-            deadlocks: self.counters.deadlocks.load(Relaxed),
-            commits: self.counters.commits.load(Relaxed),
-            fires: self.counters.fires.load(Relaxed),
-            aborts: self.counters.aborts.load(Relaxed),
-            anomalies: self.counters.anomalies.load(Relaxed),
-            faults: self.counters.faults.load(Relaxed),
-            snapshot_pins: self.counters.snapshot_pins.load(Relaxed),
-            version_reads: self.counters.version_reads.load(Relaxed),
-            version_writes: self.counters.version_writes.load(Relaxed),
-            wal_syncs: self.counters.wal_syncs.load(Relaxed),
-            checkpoints: self.counters.checkpoints.load(Relaxed),
-            elided_commits: self.counters.elided_commits.load(Relaxed),
-            dropped_events: self.dropped.load(Relaxed),
-            rules: rules
-                .iter()
-                .map(|(name, stat)| RuleRow {
-                    name: name.clone(),
-                    fired: stat.fired,
-                    aborted: stat.aborted,
-                })
-                .collect(),
+            abort_causes: AbortCause::ALL.iter().map(|&c| (c, 0)).collect(),
+            dropped_events: self.dropped(),
+            ..ObsReport::default()
+        };
+        // (fired, aborted) by interned rule id.
+        let mut by_rule: Vec<(u64, u64)> = Vec::new();
+        fn tally(by_rule: &mut Vec<(u64, u64)>, rule: u32) -> &mut (u64, u64) {
+            let i = rule as usize;
+            if by_rule.len() <= i {
+                by_rule.resize(i + 1, (0, 0));
+            }
+            &mut by_rule[i]
         }
+        for ring in self.rings.iter() {
+            for ev in ring.lock().unwrap().iter_ordered() {
+                let count = match ev.kind {
+                    EventKind::Begin => &mut rep.begins,
+                    EventKind::Grant { .. } => &mut rep.grants,
+                    EventKind::Block { .. } => &mut rep.blocks,
+                    EventKind::Doom { .. } => &mut rep.dooms,
+                    EventKind::Deadlock => &mut rep.deadlocks,
+                    EventKind::Commit => &mut rep.commits,
+                    EventKind::Fire { rule, .. } => {
+                        tally(&mut by_rule, rule).0 += 1;
+                        &mut rep.fires
+                    }
+                    EventKind::Abort { cause, rule } => {
+                        rep.abort_causes[cause.index()].1 += 1;
+                        tally(&mut by_rule, rule).1 += 1;
+                        &mut rep.aborts
+                    }
+                    EventKind::Anomaly { .. } => &mut rep.anomalies,
+                    EventKind::Fault { .. } => &mut rep.faults,
+                    EventKind::SnapshotPin { .. } => &mut rep.snapshot_pins,
+                    EventKind::VersionRead { .. } => &mut rep.version_reads,
+                    EventKind::VersionWrite { .. } => &mut rep.version_writes,
+                    EventKind::WalSync { .. } => &mut rep.wal_syncs,
+                    EventKind::Checkpoint { .. } => &mut rep.checkpoints,
+                    EventKind::ElidedCommit { .. } => &mut rep.elided_commits,
+                };
+                *count += 1;
+            }
+        }
+        // Read after the pass: every id an event carries was interned
+        // before that event was recorded.
+        rep.rules = self
+            .rule_names()
+            .into_iter()
+            .zip(by_rule)
+            .filter(|(_, (fired, aborted))| fired + aborted > 0)
+            .map(|(name, (fired, aborted))| RuleRow { name, fired, aborted })
+            .collect();
+        rep.rules.sort_by(|a, b| a.name.cmp(&b.name));
+        rep
     }
 }
 
@@ -491,14 +443,15 @@ mod tests {
             1,
             EventKind::Abort {
                 cause: AbortCause::Stale,
+                rule: 0,
             },
         );
         let rep = r.report();
         assert_eq!((rep.begins, rep.grants, rep.commits, rep.aborts), (2, 1, 1, 1));
-        assert_eq!(r.aborts_by_cause(AbortCause::Stale), 1);
-        assert_eq!(r.aborts_by_cause(AbortCause::Doomed), 0);
-        assert_eq!(rep.abort_cause_total(), 1);
-        assert_eq!(r.dropped(), 0);
+        let cause = |c: AbortCause| rep.abort_causes[c.index()];
+        assert_eq!(cause(AbortCause::Stale), (AbortCause::Stale, 1));
+        assert_eq!(cause(AbortCause::Doomed), (AbortCause::Doomed, 0));
+        assert_eq!(rep.dropped_events, 0);
     }
 
     #[test]
@@ -538,7 +491,7 @@ mod tests {
         });
         let rep = r.report();
         assert_eq!((rep.begins, rep.commits), (400, 400));
-        assert_eq!(r.dropped(), 0);
+        assert_eq!(rep.dropped_events, 0);
         validate_history(&r.history()).unwrap();
     }
 
@@ -550,6 +503,8 @@ mod tests {
         }
         assert_eq!(r.dropped(), 6);
         assert_eq!(r.history().len(), 4);
+        let rep = r.report();
+        assert_eq!((rep.begins, rep.dropped_events), (4, 6), "counts cover what is retained");
     }
 
     #[test]
@@ -566,6 +521,7 @@ mod tests {
                 1,
                 EventKind::Abort {
                     cause: AbortCause::Stale,
+                    rule: 0,
                 },
             ),
         ];
@@ -597,6 +553,7 @@ mod tests {
             9,
             EventKind::Abort {
                 cause: AbortCause::Doomed,
+                rule: 0,
             },
         )];
         let err = validate_history(&h).unwrap_err();
@@ -643,6 +600,7 @@ mod tests {
                 1,
                 EventKind::Abort {
                     cause: AbortCause::Stale,
+                    rule: 0,
                 },
             ),
             e(2, 1, EventKind::Fire { rule: 0, seq: 0 }),
@@ -674,6 +632,7 @@ mod tests {
                 1,
                 EventKind::Abort {
                     cause: AbortCause::Deadlock,
+                    rule: 0,
                 },
             ),
             e(2, 1, EventKind::Anomaly { what: "late" }),
@@ -779,13 +738,15 @@ mod tests {
     #[test]
     fn rule_tables_accumulate() {
         let r = Recorder::default();
-        r.rule_fired("bump");
-        r.rule_fired("bump");
-        r.rule_aborted("bump");
-        r.rule_fired("other");
+        let (other, bump) = (r.intern_rule("other"), r.intern_rule("bump"));
+        r.record(0, EventKind::Fire { rule: bump, seq: 0 });
+        r.record(1, EventKind::Fire { rule: bump, seq: 1 });
+        r.record(2, EventKind::Abort { cause: AbortCause::Doomed, rule: bump });
+        r.record(3, EventKind::Fire { rule: other, seq: 2 });
+        r.intern_rule("idle");
         let rep = r.report();
-        let bump = rep.rules.iter().find(|r| r.name == "bump").unwrap();
-        assert_eq!((bump.fired, bump.aborted), (2, 1));
-        assert_eq!(rep.rules.len(), 2);
+        let rows: Vec<(&str, u64, u64)> =
+            rep.rules.iter().map(|r| (r.name.as_str(), r.fired, r.aborted)).collect();
+        assert_eq!(rows, [("bump", 2, 1), ("other", 1, 0)], "sorted by name; no idle row");
     }
 }

@@ -47,12 +47,15 @@ pub struct FanoutStats {
     pub max_shard_applies: u64,
 }
 
-/// Point-in-time aggregate snapshot of a [`crate::Recorder`].
-#[derive(Clone, Debug, PartialEq)]
+/// Point-in-time aggregate snapshot of a [`crate::Recorder`]. Every
+/// count is a count of the retained events of one kind (or cause, or
+/// rule); `dropped_events` says how many events the rings overwrote.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsReport {
     /// Latency histograms per phase, in [`Phase::ALL`] order.
     pub phases: Vec<(Phase, HistSnapshot)>,
-    /// Abort counts per cause, in [`AbortCause::ALL`] order.
+    /// Abort counts per cause, in [`AbortCause::ALL`] order (they sum
+    /// to `aborts`: each `Abort` event carries exactly one cause).
     pub abort_causes: Vec<(AbortCause, u64)>,
     /// `Begin` events.
     pub begins: u64,
@@ -93,17 +96,12 @@ pub struct ObsReport {
     pub elided_commits: u64,
     /// Events lost to ring overwrites (history incomplete if non-zero).
     pub dropped_events: u64,
-    /// Per-rule firing/abort rows, sorted by rule name.
+    /// Per-rule rows, sorted by rule name: a rule's `Fire` and `Abort`
+    /// events.
     pub rules: Vec<RuleRow>,
 }
 
 impl ObsReport {
-    /// Sum of the per-cause abort counts. Equals [`ObsReport::aborts`]
-    /// by construction (each `Abort` event carries exactly one cause).
-    pub fn abort_cause_total(&self) -> u64 {
-        self.abort_causes.iter().map(|(_, n)| n).sum()
-    }
-
     /// The snapshot for one phase.
     pub fn phase(&self, phase: Phase) -> Option<&HistSnapshot> {
         self.phases.iter().find(|(p, _)| *p == phase).map(|(_, h)| h)
@@ -230,7 +228,7 @@ impl fmt::Display for ObsReport {
         for (p, h) in &self.phases {
             writeln!(f, "    {:<9} {h}", p.name())?;
         }
-        writeln!(f, "  aborts by cause (total {}):", self.abort_cause_total())?;
+        writeln!(f, "  aborts by cause (total {}):", self.aborts)?;
         for (c, n) in &self.abort_causes {
             if *n > 0 {
                 writeln!(f, "    {:<12} {n}", c.name())?;
@@ -258,13 +256,15 @@ mod tests {
         let r = Recorder::default();
         r.phase(Phase::LockWait, std::time::Duration::from_micros(3));
         r.phase(Phase::Commit, std::time::Duration::from_micros(7));
+        let bump = r.intern_rule("bump");
         r.record(
             0,
             crate::EventKind::Abort {
                 cause: AbortCause::EvalError,
+                rule: bump,
             },
         );
-        r.rule_fired("bump");
+        r.record(1, crate::EventKind::Fire { rule: bump, seq: 0 });
         let rep = r.report();
         let parsed = json::parse(&rep.to_json().to_string_pretty()).unwrap();
         assert_eq!(
@@ -293,7 +293,8 @@ mod tests {
         let r = Recorder::default();
         r.record(0, crate::EventKind::Begin);
         r.record(0, crate::EventKind::Commit);
-        r.rule_fired("bump");
+        let bump = r.intern_rule("bump");
+        r.record(0, crate::EventKind::Fire { rule: bump, seq: 0 });
         let text = r.report().to_string();
         for needle in ["events:", "latency", "lock_wait", "per-rule", "bump"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -301,13 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn cause_total_matches_abort_events() {
+    fn cause_counts_match_abort_events() {
         let r = Recorder::default();
         for cause in AbortCause::ALL {
-            r.record(7, crate::EventKind::Abort { cause });
+            r.record(7, crate::EventKind::Abort { cause, rule: 0 });
         }
         let rep = r.report();
-        assert_eq!(rep.abort_cause_total(), rep.aborts);
         assert_eq!(rep.aborts, AbortCause::ALL.len() as u64);
+        assert!(rep.abort_causes.iter().all(|&(_, n)| n == 1), "{:?}", rep.abort_causes);
+        assert!(rep.to_string().contains(&format!("(total {})", rep.aborts)));
     }
 }

@@ -12,10 +12,10 @@
 //!   Registering a probe costs the hot path *nothing*: the sampler
 //!   reads the same counters the end-of-run reports read, which is
 //!   also why tick-integrated totals reconcile *exactly* with the
-//!   event-ring aggregates (they are literally the same cells).
-//! * **[`TickHist`]** — a per-tick log₂ latency histogram for sites
-//!   that need a distribution per tick (lock-wait p50/p99), drained
-//!   with `swap(0)` each sample so ticks never double-count.
+//!   end-of-run reports (they are literally the same cells).
+//! * **Histogram sources** — a [`Histogram`] drained each sample
+//!   ([`Histogram::drain`]) for sites that need a distribution per tick
+//!   (lock-wait p50/p99), so ticks never double-count.
 //! * **[`Telemetry`]** — the registry plus a background sampler thread
 //!   ([`Telemetry::start`] / [`Telemetry::stop`]) appending one sample
 //!   per series per tick into fixed-capacity ring buffers. `stop`
@@ -40,14 +40,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::hist::Histogram;
 use crate::json::Json;
 
 /// Schema tag of the embedded timeline document.
 pub const TIMELINE_SCHEMA: &str = "dps-timeline-v1";
-
-/// Log₂ buckets of a [`TickHist`] (same octave layout as
-/// [`crate::hist::Histogram`]).
-const TICK_BUCKETS: usize = 64;
 
 /// Sampler configuration.
 #[derive(Clone, Debug)]
@@ -98,87 +95,15 @@ impl SeriesKind {
     }
 }
 
-/// A concurrent per-tick log₂ histogram. Recording is two relaxed
-/// atomic ops (cheap enough for the lock manager's wait path); the
-/// sampler drains it with `swap(0)` each tick, expanding into
-/// `count` / `p50_ns` / `p99_ns` / `max_ns` gauge sub-series.
-#[derive(Debug)]
-pub struct TickHist {
-    buckets: [AtomicU64; TICK_BUCKETS],
-    max: AtomicU64,
-}
-
-impl Default for TickHist {
-    fn default() -> Self {
-        TickHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Per-tick statistics drained from a [`TickHist`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TickStats {
-    /// Samples recorded this tick.
-    pub count: u64,
-    /// Estimated median (ns; octave-bounded like the phase histograms).
-    pub p50_ns: u64,
-    /// Estimated 99th percentile (ns).
-    pub p99_ns: u64,
-    /// Largest sample this tick (exact).
-    pub max_ns: u64,
-}
-
-impl TickHist {
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
-        let ns = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let bucket = ((u64::BITS - ns.leading_zeros()) as usize).min(TICK_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Relaxed);
-        self.max.fetch_max(ns, Relaxed);
-    }
-
-    /// Drains everything recorded since the last drain into one tick's
-    /// statistics. Concurrent `record`s land in this tick or the next,
-    /// never both.
-    pub fn drain(&self) -> TickStats {
-        let counts: [u64; TICK_BUCKETS] = std::array::from_fn(|i| self.buckets[i].swap(0, Relaxed));
-        let max_ns = self.max.swap(0, Relaxed);
-        let count: u64 = counts.iter().sum();
-        if count == 0 {
-            return TickStats::default();
-        }
-        let quantile = |q: f64| -> u64 {
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut cum = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                cum += c;
-                if cum >= rank {
-                    let upper = if i == 0 { 0 } else { (1u64 << i).wrapping_sub(1).max(1) };
-                    return upper.min(max_ns);
-                }
-            }
-            max_ns
-        };
-        TickStats {
-            count,
-            p50_ns: quantile(0.50),
-            p99_ns: quantile(0.99),
-            max_ns,
-        }
-    }
-}
-
 type Probe = Box<dyn Fn() -> u64 + Send + Sync>;
 
 enum Source {
     /// One probe feeding one series.
     Probe { series: usize, read: Probe },
-    /// A per-tick histogram feeding four gauge sub-series
+    /// A histogram drained every tick, feeding four gauge sub-series
     /// (`count` / `p50_ns` / `p99_ns` / `max_ns`, consecutive from
     /// `series`).
-    Hist { series: usize, hist: Arc<TickHist> },
+    Hist { series: usize, hist: Arc<Histogram> },
 }
 
 struct SeriesBuf {
@@ -262,10 +187,10 @@ impl Telemetry {
         reg.sources.push(Source::Probe { series, read });
     }
 
-    /// Registers a per-tick histogram, expanded into four gauge
-    /// sub-series: `<name>.count`, `<name>.p50_ns`, `<name>.p99_ns`,
-    /// `<name>.max_ns`.
-    pub fn hist(&self, name: &str, hist: Arc<TickHist>) {
+    /// Registers a histogram drained every tick, expanded into four
+    /// gauge sub-series: `<name>.count`, `<name>.p50_ns`,
+    /// `<name>.p99_ns`, `<name>.max_ns`.
+    pub fn hist(&self, name: &str, hist: Arc<Histogram>) {
         let mut reg = self.registry.lock().unwrap();
         let series = reg.push_series(format!("{name}.count"), SeriesKind::Gauge);
         for sub in ["p50_ns", "p99_ns", "max_ns"] {
@@ -298,9 +223,9 @@ impl Telemetry {
                 Source::Hist { series, hist } => {
                     let s = hist.drain();
                     push(&mut reg.series, *series, s.count);
-                    push(&mut reg.series, series + 1, s.p50_ns);
-                    push(&mut reg.series, series + 2, s.p99_ns);
-                    push(&mut reg.series, series + 3, s.max_ns);
+                    push(&mut reg.series, series + 1, s.p50());
+                    push(&mut reg.series, series + 2, s.p99());
+                    push(&mut reg.series, series + 3, s.max);
                 }
             }
         }
@@ -561,24 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn tick_hist_drains_per_tick() {
-        let h = TickHist::default();
-        for ns in [100u64, 200, 400, 100_000] {
-            h.record(Duration::from_nanos(ns));
-        }
-        let t = h.drain();
-        assert_eq!(t.count, 4);
-        assert!(t.p50_ns >= 200 && t.p50_ns <= 511, "p50={}", t.p50_ns);
-        assert_eq!(t.p99_ns, 100_000, "top bucket clamps to the exact max");
-        assert_eq!(t.max_ns, 100_000);
-        // Drained: the next tick starts from zero.
-        assert_eq!(h.drain(), TickStats::default());
-    }
-
-    #[test]
     fn hist_source_expands_to_four_series() {
         let tel = Telemetry::new(TelemetryConfig::default());
-        let h = Arc::new(TickHist::default());
+        let h = Arc::new(Histogram::default());
         tel.hist("lock.wait", Arc::clone(&h));
         h.record(Duration::from_nanos(1000));
         tel.sample();

@@ -44,7 +44,7 @@ pub mod transport;
 pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController, AdmissionStats};
-pub use server::{Server, ServerConfig, ServerStats, SessionCounters};
+pub use server::{Server, ServerConfig, ServerStats};
 pub use session::{SessionState, SessionTimeouts};
 pub use transport::{loopback_pair, Conn, LoopbackConn};
 pub use wire::{read_frame, write_frame, ErrCode, Request, Response};

@@ -61,37 +61,14 @@ pub struct ServerConfig {
     pub stop: Option<Arc<AtomicBool>>,
 }
 
-/// Per-session counters, returned by each handler and embedded in
-/// [`ServerStats`] — the reconciliation substrate: summed over
-/// sessions they must equal the global counters, and
-/// `admitted == commits + aborts` (every admitted transaction resolves
-/// exactly once).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SessionCounters {
-    /// Server-assigned session id.
-    pub session: u64,
-    /// Frames decoded (excluding the `Hello`).
-    pub requests: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions rolled back, any cause (voluntary, contention,
-    /// timeout, disconnect).
-    pub aborts: u64,
-    /// `Begin`s refused with `Overloaded`.
-    pub shed: u64,
-    /// Transactions rolled back by the per-session timeout.
-    pub timeouts: u64,
-    /// `1` if the session ended by disconnect (EOF / injected death)
-    /// with a transaction open.
-    pub disconnects: u64,
-}
-
-/// End-of-run server statistics.
+/// End-of-run server statistics. Every admitted transaction resolves
+/// exactly once, so `admission.admitted == commits + aborts`.
 #[derive(Clone, Debug)]
 pub struct ServerStats {
     /// Sessions served (granted a `Hello`).
     pub sessions: u64,
-    /// Committed external transactions.
+    /// Committed external transactions (the engine's own count,
+    /// [`ParallelEngine::external_commit_count`]).
     pub commits: u64,
     /// Rolled-back external transactions (all causes).
     pub aborts: u64,
@@ -101,22 +78,33 @@ pub struct ServerStats {
     pub disconnects: u64,
     /// Admission-gate counters.
     pub admission: AdmissionStats,
-    /// Per-session breakdown.
-    pub per_session: Vec<SessionCounters>,
 }
 
 #[derive(Default)]
 struct Counters {
     sessions: AtomicU64,
-    commits: AtomicU64,
     aborts: AtomicU64,
     timeouts: AtomicU64,
     disconnects: AtomicU64,
 }
 
+/// How an admitted transaction ended (see [`Server::book`]).
+#[derive(Clone, Copy)]
+enum End {
+    /// Committed; the engine counts it.
+    Commit,
+    /// Rolled back by the engine (a failed op or commit) or by the
+    /// client (`Abort`, `Bye`).
+    Abort(AbortCause),
+    /// Rolled back because the session died: `Timeout` for a
+    /// transaction that overran its budget, any other cause for a
+    /// disconnect.
+    Died(AbortCause),
+}
+
 /// The multi-session front door (see module docs).
 pub struct Server {
-    engine: ParallelEngine,
+    engine: Arc<ParallelEngine>,
     admission: Arc<AdmissionController>,
     config: ServerConfig,
     counters: Arc<Counters>,
@@ -134,7 +122,7 @@ impl Server {
         config: ServerConfig,
     ) -> Server {
         engine_config.service = true;
-        let engine = ParallelEngine::new(rules, wm, engine_config);
+        let engine = Arc::new(ParallelEngine::new(rules, wm, engine_config));
         let admission = Arc::new(AdmissionController::new(config.admission.clone()));
         let counters = Arc::new(Counters::default());
         if let Some(tel) = engine.telemetry() {
@@ -144,8 +132,11 @@ impl Server {
             tel.counter("server.shed", move || a.stats().shed_total());
             let a = Arc::clone(&admission);
             tel.gauge("server.inflight", move || a.inflight());
-            let c = Arc::clone(&counters);
-            tel.counter("server.commits", move || c.commits.load(Relaxed));
+            // Weak: the engine owns the registry that holds this probe.
+            let e = Arc::downgrade(&engine);
+            tel.counter("server.commits", move || {
+                e.upgrade().map_or(0, |e| e.external_commit_count())
+            });
             let c = Arc::clone(&counters);
             tel.counter("server.aborts", move || c.aborts.load(Relaxed));
             let c = Arc::clone(&counters);
@@ -181,7 +172,7 @@ impl Server {
     /// Serves every connection to completion, then drains the engine.
     /// Returns the engine's run report and the server statistics.
     pub fn run<C: Conn>(&self, conns: Vec<C>) -> (ParallelReport, ServerStats) {
-        let (report, per_session) = std::thread::scope(|s| {
+        let report = std::thread::scope(|s| {
             let engine_thread = s.spawn(|| self.engine.run_shared());
             let handlers: Vec<_> = conns
                 .into_iter()
@@ -191,25 +182,24 @@ impl Server {
                     s.spawn(move || self.serve_conn(sid, conn))
                 })
                 .collect();
-            let per_session: Vec<SessionCounters> =
-                handlers.into_iter().map(|h| h.join().expect("handler panicked")).collect();
+            for h in handlers {
+                h.join().expect("handler panicked");
+            }
             // Every session is resolved; let the rules quiesce on the
             // union of their commits, then stop the engine through its
             // normal drain (final WAL flush, telemetry stop, leak
             // asserts).
             self.engine.await_quiescence();
             self.engine.request_stop();
-            let report = engine_thread.join().expect("engine panicked");
-            (report, per_session)
+            engine_thread.join().expect("engine panicked")
         });
         let stats = ServerStats {
             sessions: self.counters.sessions.load(Relaxed),
-            commits: self.counters.commits.load(Relaxed),
+            commits: self.engine.external_commit_count(),
             aborts: self.counters.aborts.load(Relaxed),
             timeouts: self.counters.timeouts.load(Relaxed),
             disconnects: self.counters.disconnects.load(Relaxed),
             admission: self.admission.stats(),
-            per_session,
         };
         (report, stats)
     }
@@ -218,39 +208,46 @@ impl Server {
         write_frame(conn, &resp.encode())
     }
 
-    /// Rolls back `xt` (if open) on a session death path and updates
-    /// the books. `cause` distinguishes timeout from disconnect.
-    fn rollback_dead(&self, xt: &mut Option<ExternalTxn>, cause: AbortCause, c: &mut SessionCounters) {
+    /// Books one transaction's resolution. Every path that ends an
+    /// admitted transaction comes here exactly once: it frees the
+    /// admission slot (a contention abort feeds the storm streak) and
+    /// counts the abort, and the timeout or disconnect.
+    fn book(&self, end: End) {
+        let contention = matches!(end, End::Abort(cause) if cause.is_contention());
+        self.admission.txn_end(contention, &[]);
+        let c = &self.counters;
+        let died = match end {
+            End::Commit => return,
+            End::Abort(_) => None,
+            End::Died(AbortCause::Timeout) => Some(&c.timeouts),
+            End::Died(_) => Some(&c.disconnects),
+        };
+        c.aborts.fetch_add(1, Relaxed);
+        if let Some(n) = died {
+            n.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// Rolls back `xt`, if open, with `end`'s cause and books it.
+    fn roll_back(&self, xt: &mut Option<ExternalTxn>, end: End) {
+        let (End::Abort(cause) | End::Died(cause)) = end else { return };
         if let Some(mut x) = xt.take() {
             self.engine.external_abort(&mut x, cause);
-            self.admission.txn_end(false, &[]);
-            c.aborts += 1;
-            self.counters.aborts.fetch_add(1, Relaxed);
-            match cause {
-                AbortCause::Timeout => {
-                    c.timeouts += 1;
-                    self.counters.timeouts.fetch_add(1, Relaxed);
-                }
-                _ => {
-                    c.disconnects += 1;
-                    self.counters.disconnects.fetch_add(1, Relaxed);
-                }
-            }
+            self.book(end);
         }
     }
 
     /// One connection, served to completion (see module docs for the
     /// exit-path invariant).
-    fn serve_conn<C: Conn>(&self, sid: u64, mut conn: C) -> SessionCounters {
-        let mut c = SessionCounters { session: sid, ..SessionCounters::default() };
+    fn serve_conn<C: Conn>(&self, sid: u64, mut conn: C) {
         conn.set_read_timeout(self.config.timeouts.idle_read);
         // Handshake: the first frame must be a Hello.
         match read_frame(&mut conn) {
             Ok(Some(body)) if matches!(Request::decode(&body), Ok(Request::Hello)) => {}
-            _ => return c,
+            _ => return,
         }
         if Self::reply(&mut conn, &Response::Granted { session: sid }).is_err() {
-            return c;
+            return;
         }
         self.counters.sessions.fetch_add(1, Relaxed);
 
@@ -273,7 +270,7 @@ impl Server {
                 Ok(Some(body)) => body,
                 Ok(None) => {
                     // EOF: disconnect. Roll back anything open.
-                    self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
+                    self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                     break;
                 }
                 Err(e)
@@ -283,7 +280,7 @@ impl Server {
                         // Transaction overran its budget: roll back and
                         // disconnect (holding locks for a silent client
                         // is the one thing the front door must never do).
-                        self.rollback_dead(&mut xt, AbortCause::Timeout, &mut c);
+                        self.roll_back(&mut xt, End::Died(AbortCause::Timeout));
                         break;
                     }
                     if self.draining() && xt.is_none() {
@@ -292,7 +289,7 @@ impl Server {
                     continue;
                 }
                 Err(_) => {
-                    self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
+                    self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                     break;
                 }
             };
@@ -301,20 +298,19 @@ impl Server {
                 Err(e) => {
                     let resp = Response::Err { code: ErrCode::Protocol, msg: e.to_string() };
                     if Self::reply(&mut conn, &resp).is_err() {
-                        self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
+                        self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                         break;
                     }
                     continue;
                 }
             };
-            c.requests += 1;
             let draining = self.draining();
             let next = match state.next(&req, draining) {
                 Ok(next) => next,
                 Err(code) => {
                     let resp = Response::Err { code, msg: format!("{req:?} in {state:?}") };
                     if Self::reply(&mut conn, &resp).is_err() {
-                        self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
+                        self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                         break;
                     }
                     continue;
@@ -329,32 +325,27 @@ impl Server {
                 if let Some(d) = inj.slowloris(x.txn(), sid, obs) {
                     std::thread::sleep(d);
                     if deadline.is_some_and(|d| Instant::now() >= d) {
-                        self.rollback_dead(&mut xt, AbortCause::Timeout, &mut c);
+                        self.roll_back(&mut xt, End::Died(AbortCause::Timeout));
                         break;
                     }
                 }
                 if matches!(req, Request::Commit) && inj.drop_mid_rhs(x.txn(), sid, obs) {
-                    self.rollback_dead(&mut xt, AbortCause::Injected, &mut c);
+                    self.roll_back(&mut xt, End::Died(AbortCause::Injected));
                     break;
                 }
             }
-            let resp = match req {
+            // An op or commit the engine rolled back is `Err(cause)`.
+            let outcome = match req {
                 Request::Hello | Request::Bye => {
                     // Hello is illegal here (the state machine rejected
                     // it above); Bye closes, aborting anything open as
                     // a voluntary rollback.
-                    if let Some(mut x) = xt.take() {
-                        self.engine.external_abort(&mut x, AbortCause::Stale);
-                        self.admission.txn_end(false, &[]);
-                        c.aborts += 1;
-                        self.counters.aborts.fetch_add(1, Relaxed);
-                    }
+                    self.roll_back(&mut xt, End::Abort(AbortCause::Stale));
                     let _ = Self::reply(&mut conn, &Response::Bye);
                     break;
                 }
                 Request::Begin => match self.admission.admit() {
                     Admission::Shed { retry_after_ms } => {
-                        c.shed += 1;
                         // State unchanged: the transaction never opened.
                         if Self::reply(&mut conn, &Response::Overloaded { retry_after_ms })
                             .is_err()
@@ -368,13 +359,13 @@ impl Server {
                         if let Some(inj) = self.engine.injector() {
                             if inj.drop_mid_claim(x.txn(), sid, obs) {
                                 xt = Some(x);
-                                self.rollback_dead(&mut xt, AbortCause::Injected, &mut c);
+                                self.roll_back(&mut xt, End::Died(AbortCause::Injected));
                                 break;
                             }
                         }
                         xt = Some(x);
                         deadline = Some(Instant::now() + self.config.timeouts.txn);
-                        Response::Ok { seq: 0 }
+                        Ok(Response::Ok { seq: 0 })
                     }
                 },
                 Request::Insert { class, attrs } => {
@@ -387,93 +378,51 @@ impl Server {
                             .insert_if_absent("session".into(), Value::Int(sid as i64));
                     }
                     let x = xt.as_mut().expect("InTxn implies open txn");
-                    match self.engine.external_insert(x, data) {
-                        Ok(()) => Response::Ok { seq: 0 },
-                        Err(cause) => {
-                            self.resolve_failed(&mut xt, &mut deadline, cause, &mut c);
-                            state = if draining { SessionState::Draining } else { SessionState::Idle };
-                            let resp = Response::Err {
-                                code: ErrCode::Aborted,
-                                msg: format!("{cause:?}"),
-                            };
-                            if Self::reply(&mut conn, &resp).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
+                    self.engine.external_insert(x, data).map(|()| Response::Ok { seq: 0 })
                 }
                 Request::Remove { id } => {
                     let x = xt.as_mut().expect("InTxn implies open txn");
-                    match self.engine.external_remove(x, dps_wm::WmeId(id)) {
-                        Ok(()) => Response::Ok { seq: 0 },
-                        Err(cause) => {
-                            self.resolve_failed(&mut xt, &mut deadline, cause, &mut c);
-                            state = if draining { SessionState::Draining } else { SessionState::Idle };
-                            let resp = Response::Err {
-                                code: ErrCode::Aborted,
-                                msg: format!("{cause:?}"),
-                            };
-                            if Self::reply(&mut conn, &resp).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
+                    let removed = self.engine.external_remove(x, dps_wm::WmeId(id));
+                    removed.map(|()| Response::Ok { seq: 0 })
                 }
                 Request::Query { class } => {
                     let x = xt.as_mut().expect("InTxn implies open txn");
-                    match self.engine.external_query(x, &class) {
-                        Ok(rows) => Response::Rows { rows },
-                        Err(cause) => {
-                            self.resolve_failed(&mut xt, &mut deadline, cause, &mut c);
-                            state = if draining { SessionState::Draining } else { SessionState::Idle };
-                            let resp = Response::Err {
-                                code: ErrCode::Aborted,
-                                msg: format!("{cause:?}"),
-                            };
-                            if Self::reply(&mut conn, &resp).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
+                    self.engine.external_query(x, &class).map(|rows| Response::Rows { rows })
                 }
                 Request::Invoke => {
                     self.engine.await_quiescence();
-                    Response::Done { commits: self.engine.rule_commit_count() }
+                    Ok(Response::Done { commits: self.engine.rule_commit_count() })
                 }
                 Request::Commit => {
                     let mut x = xt.take().expect("InTxn implies open txn");
                     deadline = None;
-                    match self.engine.external_commit(&mut x) {
-                        Ok(seq) => {
-                            self.admission.txn_end(false, &[]);
-                            c.commits += 1;
-                            self.counters.commits.fetch_add(1, Relaxed);
-                            Response::Ok { seq }
-                        }
-                        Err(cause) => {
-                            self.admission.txn_end(cause.is_contention(), &[]);
-                            c.aborts += 1;
-                            self.counters.aborts.fetch_add(1, Relaxed);
-                            Response::Err { code: ErrCode::Aborted, msg: format!("{cause:?}") }
-                        }
-                    }
+                    self.engine.external_commit(&mut x).map(|seq| {
+                        self.book(End::Commit);
+                        Response::Ok { seq }
+                    })
                 }
                 Request::Abort => {
-                    let mut x = xt.take().expect("InTxn implies open txn");
                     deadline = None;
-                    self.engine.external_abort(&mut x, AbortCause::Stale);
-                    self.admission.txn_end(false, &[]);
-                    c.aborts += 1;
-                    self.counters.aborts.fetch_add(1, Relaxed);
-                    Response::Ok { seq: 0 }
+                    self.roll_back(&mut xt, End::Abort(AbortCause::Stale));
+                    Ok(Response::Ok { seq: 0 })
                 }
             };
-            state = next;
+            let resp = match outcome {
+                Ok(resp) => {
+                    state = next;
+                    resp
+                }
+                Err(cause) => {
+                    // The engine already rolled the transaction back.
+                    xt = None;
+                    deadline = None;
+                    self.book(End::Abort(cause));
+                    state = if draining { SessionState::Draining } else { SessionState::Idle };
+                    Response::Err { code: ErrCode::Aborted, msg: format!("{cause:?}") }
+                }
+            };
             if Self::reply(&mut conn, &resp).is_err() {
-                self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
+                self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                 break;
             }
             if state == SessionState::Closed {
@@ -481,24 +430,7 @@ impl Server {
             }
         }
         // Belt and braces: no exit path may leak an open transaction.
-        self.rollback_dead(&mut xt, AbortCause::Stale, &mut c);
-        c
-    }
-
-    /// Books a transaction the engine already aborted (lock error /
-    /// failed commit validation inside an op).
-    fn resolve_failed(
-        &self,
-        xt: &mut Option<ExternalTxn>,
-        deadline: &mut Option<Instant>,
-        cause: AbortCause,
-        c: &mut SessionCounters,
-    ) {
-        *xt = None;
-        *deadline = None;
-        self.admission.txn_end(cause.is_contention(), &[]);
-        c.aborts += 1;
-        self.counters.aborts.fetch_add(1, Relaxed);
+        self.roll_back(&mut xt, End::Died(AbortCause::Stale));
     }
 }
 
@@ -705,7 +637,7 @@ mod tests {
             assert_eq!(rpc(&mut c1, &Request::Bye), Response::Bye);
             let (_, stats) = srv.join().unwrap();
             assert_eq!(stats.admission.shed_rate, 1);
-            assert_eq!(stats.per_session[0].shed, 1);
+            assert_eq!(stats.admission.shed_total(), 1);
         });
     }
 

@@ -80,7 +80,10 @@ pub enum Request {
     /// everything committed so far, answered with [`Response::Done`].
     Invoke,
     /// Commit the open transaction ([`Response::Ok`] carries the
-    /// commit sequence number).
+    /// commit sequence number). With durability on, the
+    /// acknowledgement can precede the commit's fsync by the in-flight
+    /// group-commit batch; the server's drain ends with a final flush
+    /// that makes every acknowledged commit durable.
     Commit,
     /// Abort the open transaction.
     Abort,
@@ -97,7 +100,8 @@ pub enum Response {
         session: u64,
     },
     /// Acknowledgement; for `Commit` the commit sequence number,
-    /// otherwise 0.
+    /// otherwise 0. A commit acknowledgement means committed and
+    /// visible, not yet necessarily durable (see [`Request::Commit`]).
     Ok {
         /// Commit sequence (0 when not a commit ack).
         seq: u64,

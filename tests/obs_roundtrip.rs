@@ -9,15 +9,22 @@
 //!    series), which must survive the writer↔parser round trip exactly
 //!    and stay `validate`-clean on both sides.
 //!
+//! A third property pins what a report *is*: its event, per-cause and
+//! per-rule counts are folds over the recorder's own history, also when
+//! the rings wrap (then over the retained events, with the overwritten
+//! ones counted in `dropped_events`).
+//!
 //! Randomness comes from the workspace's internal deterministic PRNG
 //! (`dps_wm::rng::SmallRng`); each property runs over a fixed sweep of
 //! seeds so failures reproduce exactly by seed.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use dbps::obs::json::{self, Json};
 use dbps::obs::{
-    validate_history, AbortCause, EventKind, Phase, Recorder, Series, SeriesKind, TimelineDoc,
+    validate_history, AbortCause, Event, EventKind, Phase, Recorder, Series, SeriesKind,
+    TimelineDoc,
 };
 use dbps::wm::rng::SmallRng;
 
@@ -33,19 +40,32 @@ const MODES: [&str; 5] = ["S", "X", "Rc", "Ra", "Wa"];
 fn random_valid_recorder(rng: &mut SmallRng) -> Recorder {
     let rec = Recorder::with_capacity(4, 4096);
     let txns = 1 + rng.index(10) as u64;
+    record_schedule(&rec, rng, 0..txns);
+    rec
+}
+
+/// Records a random lifecycle-valid schedule of the transactions `txns`
+/// into `rec`; returns how many events it recorded.
+fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64>) -> u64 {
     let mut seq = 0u64;
-    for txn in 0..txns {
-        rec.record(txn, EventKind::Begin);
+    let mut events = 0u64;
+    let mut record = |txn: u64, kind: EventKind| {
+        rec.record(txn, kind);
+        events += 1;
+    };
+    for txn in txns {
+        let rule = rec.intern_rule(if txn % 2 == 0 { "even" } else { "odd" });
+        record(txn, EventKind::Begin);
         for _ in 0..rng.index(4) {
             match rng.index(3) {
-                0 => rec.record(
+                0 => record(
                     txn,
                     EventKind::Grant {
                         resource: rng.range_u64(0, 16),
                         mode: MODES[rng.index(MODES.len())],
                     },
                 ),
-                1 => rec.record(
+                1 => record(
                     txn,
                     EventKind::Block {
                         resource: rng.range_u64(0, 16),
@@ -53,35 +73,114 @@ fn random_valid_recorder(rng: &mut SmallRng) -> Recorder {
                         holder: txn.checked_sub(1),
                     },
                 ),
-                _ => rec.record(txn, EventKind::Doom { by: txn.wrapping_add(1) }),
+                _ => record(txn, EventKind::Doom { by: txn.wrapping_add(1) }),
             }
         }
         if rng.random_bool(0.7) {
-            rec.record(txn, EventKind::Commit);
-            rec.record(
-                txn,
-                EventKind::Fire {
-                    rule: rec.intern_rule(if txn % 2 == 0 { "even" } else { "odd" }),
-                    seq,
-                },
-            );
+            record(txn, EventKind::Commit);
+            record(txn, EventKind::Fire { rule, seq });
             seq += 1;
-            rec.rule_fired(if txn % 2 == 0 { "even" } else { "odd" });
         } else {
-            rec.record(
-                txn,
-                EventKind::Abort {
-                    cause: AbortCause::ALL[rng.index(AbortCause::ALL.len())],
-                },
-            );
-            rec.rule_aborted("odd");
+            let cause = AbortCause::ALL[rng.index(AbortCause::ALL.len())];
+            record(txn, EventKind::Abort { cause, rule });
         }
         rec.phase(
             Phase::ALL[rng.index(Phase::ALL.len())],
             Duration::from_nanos(rng.range_u64(0, 1 << 20)),
         );
     }
-    rec
+    events
+}
+
+/// The `events` key of the report's JSON that counts `kind`.
+fn event_key(kind: &EventKind) -> &'static str {
+    match kind {
+        EventKind::Begin => "begins",
+        EventKind::Grant { .. } => "grants",
+        EventKind::Block { .. } => "blocks",
+        EventKind::Doom { .. } => "dooms",
+        EventKind::Deadlock => "deadlocks",
+        EventKind::Commit => "commits",
+        EventKind::Fire { .. } => "fires",
+        EventKind::Abort { .. } => "aborts",
+        EventKind::Anomaly { .. } => "anomalies",
+        EventKind::Fault { .. } => "faults",
+        EventKind::SnapshotPin { .. } => "snapshot_pins",
+        EventKind::VersionRead { .. } => "version_reads",
+        EventKind::VersionWrite { .. } => "version_writes",
+        EventKind::WalSync { .. } => "wal_syncs",
+        EventKind::Checkpoint { .. } => "checkpoints",
+        EventKind::ElidedCommit { .. } => "elided_commits",
+    }
+}
+
+/// Per-kind, per-cause and per-rule counts folded over a history.
+type Folds = (BTreeMap<&'static str, u64>, Vec<(AbortCause, u64)>, Vec<(String, u64, u64)>);
+
+fn fold(history: &[Event], names: &[String]) -> Folds {
+    let mut kinds = BTreeMap::new();
+    let mut causes: Vec<(AbortCause, u64)> = AbortCause::ALL.iter().map(|&c| (c, 0)).collect();
+    let mut rules: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for ev in history {
+        *kinds.entry(event_key(&ev.kind)).or_insert(0) += 1;
+        let name = |rule: u32| names[rule as usize].clone();
+        match ev.kind {
+            EventKind::Fire { rule, .. } => rules.entry(name(rule)).or_default().0 += 1,
+            EventKind::Abort { cause, rule } => {
+                causes[cause.index()].1 += 1;
+                rules.entry(name(rule)).or_default().1 += 1;
+            }
+            _ => {}
+        }
+    }
+    let rules = rules.into_iter().map(|(name, (f, a))| (name, f, a)).collect();
+    (kinds, causes, rules)
+}
+
+#[test]
+fn report_counts_are_folds_over_the_history() {
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Rings from 2 events (wrapping on almost every case) to ample.
+        let capacity = [2, 5, 16, 4096][rng.index(4)];
+        let rec = Recorder::with_capacity(1 + rng.index(3), capacity);
+        rec.intern_rule("idle"); // interned, never fired: no row
+        let seeds: Vec<u64> = (0..3).map(|_| rng.range_u64(0, u64::MAX)).collect();
+        // Three threads, so events spread over several rings.
+        let recorded: u64 = std::thread::scope(|s| {
+            let rec = &rec;
+            let handles: Vec<_> = seeds
+                .iter()
+                .enumerate()
+                .map(|(t, &sd)| {
+                    s.spawn(move || {
+                        let mut rng = SmallRng::seed_from_u64(sd);
+                        let n = rng.range_u64(0, 12);
+                        record_schedule(rec, &mut rng, t as u64 * 100..t as u64 * 100 + n)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let history = rec.history();
+        let rep = rec.report();
+        let (kinds, causes, rules) = fold(&history, &rec.rule_names());
+        let events = rep.to_json();
+        for kind in [
+            "begins", "grants", "blocks", "dooms", "deadlocks", "commits", "fires", "aborts",
+            "anomalies", "faults", "snapshot_pins", "version_reads", "version_writes", "wal_syncs",
+            "checkpoints", "elided_commits",
+        ] {
+            let got = events.at(&["events", kind]).and_then(Json::as_u64);
+            assert_eq!(got, Some(kinds.get(kind).copied().unwrap_or(0)), "seed {seed}: {kind}");
+        }
+        assert_eq!(rep.abort_causes, causes, "seed {seed}");
+        let rows: Vec<(String, u64, u64)> =
+            rep.rules.iter().map(|r| (r.name.clone(), r.fired, r.aborted)).collect();
+        assert_eq!(rows, rules, "seed {seed}");
+        assert_eq!(rep.dropped_events, recorded - history.len() as u64, "seed {seed}");
+        assert_eq!(rep.dropped_events, rec.dropped(), "seed {seed}");
+    }
 }
 
 #[test]

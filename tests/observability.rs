@@ -12,6 +12,7 @@
 //!    (commit xor abort), and its timestamps are monotone.
 
 use dbps::engine::{ParallelConfig, ParallelEngine, WorkModel};
+use dps_bench::analysis::abort_count;
 use dbps::lock::ConflictPolicy;
 use dbps::obs::validate_history;
 use dbps::rules::RuleSet;
@@ -105,9 +106,12 @@ fn engine_and_lock_manager_abort_books_balance() {
                 report.aborts,
                 report.lock_stats.aborts
             );
-            // The obs event stream is the third, independent book.
+            // The obs event stream is the third, independent book, cause
+            // by cause.
             let obs = engine.observer().expect("observe: true").report();
-            assert_eq!(obs.abort_cause_total(), report.aborts.total(), "{policy:?}");
+            for &(cause, n) in &obs.abort_causes {
+                assert_eq!(n, abort_count(&report.aborts, cause), "{policy:?}: {cause:?}");
+            }
             assert_eq!(obs.aborts, report.aborts.total(), "{policy:?}");
             assert_eq!(obs.commits, report.commits as u64, "{policy:?}");
             assert_eq!(obs.anomalies, 0, "{policy:?}");

@@ -50,6 +50,7 @@ use dbps::engine::{ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
 use dbps::lock::{ConflictPolicy, FaultPlan, Protocol};
 use dbps::rules::RuleSet;
 use dbps::wm::{Value, WmeData, WorkingMemory};
+use dps_bench::analysis::abort_count;
 
 /// One strategy row: a name and the configuration that selects it.
 struct Row {
@@ -267,7 +268,9 @@ fn every_strategy_obeys_every_law_on_every_shape() {
             // Law 4: three independent abort books, one number.
             let obs = engine.observer().expect("observe: true").report();
             let aborts = report.aborts;
-            assert_eq!(obs.abort_cause_total(), aborts.total(), "{cell}: {aborts:?}");
+            for &(cause, n) in &obs.abort_causes {
+                assert_eq!(n, abort_count(&aborts, cause), "{cell}: {cause:?} in {aborts:?}");
+            }
             assert_eq!(report.lock_stats.aborts, aborts.total(), "{cell}: {aborts:?}");
             assert_eq!(obs.anomalies, 0, "{cell}");
             if let Some(faults) = report.fault_stats {
