@@ -207,7 +207,7 @@ pub struct ParallelConfig {
     /// key-partitionable components, whose disjoint join keys then
     /// match on separate shards ([`dps_match::ShardPlan`]); `1`
     /// collapses to the monolithic pre-pipeline layout — the recovery
-    /// knob `matchbench` measures. See [`crate::pipeline`].
+    /// knob `matchbench` measures. See the `pipeline` module.
     pub match_shards: usize,
     /// Durability: when set, every commit's change batch is staged
     /// into a file-backed group-commit WAL under the base mutex, with

@@ -18,6 +18,7 @@ use dps_rules::RuleSet;
 use dps_wm::WorkingMemory;
 
 use crate::abstract_model::{fmt_seq, AbstractSystem, ConflictState, PId};
+use crate::world::Refraction;
 use crate::Trace;
 
 /// The single-thread execution graph of an abstract system (Figure 3.1 /
@@ -185,9 +186,10 @@ impl std::fmt::Display for Violation {
 
 /// Checks Definition 3.2 for a concrete engine run: replays `trace` from
 /// `initial` as a single-thread execution and verifies that every
-/// committed instantiation was selectable (present in the replayed
-/// conflict set) at its commit point, and that its recorded effects apply
-/// cleanly.
+/// committed instantiation was selectable at its commit point — present
+/// in the replayed conflict set and not refracted (it has not fired
+/// before, by the single-thread engine's own refraction rule) — and that
+/// its recorded effects apply cleanly.
 ///
 /// This is precisely "the commit sequence ... is identical to some
 /// single-thread execution of the same sequence" from the paper's
@@ -199,6 +201,7 @@ pub fn validate_trace(
 ) -> Result<(), Violation> {
     let mut wm = initial.clone();
     let mut rete = Rete::new(rules, &wm);
+    let mut refracted = Refraction::default();
     for (i, firing) in trace.firings.iter().enumerate() {
         if firing.external {
             // External session commits carry no instantiation — the
@@ -216,18 +219,27 @@ pub fn validate_trace(
             }
             continue;
         }
-        let present = rete.conflict_set().contains(&firing.key);
-        if !present {
+        let refused = if refracted.contains(&firing.key) {
+            Some("already fired (refraction)")
+        } else if !rete.conflict_set().contains(&firing.key) {
+            Some("is not in the single-thread conflict set")
+        } else {
+            None
+        };
+        if let Some(why) = refused {
             return Err(Violation {
                 at: i,
                 message: format!(
-                    "instantiation {:?} of rule {} is not in the single-thread conflict set",
+                    "instantiation {:?} of rule {} {why}",
                     firing.key, firing.rule_name
                 ),
             });
         }
         match wm.apply(&firing.delta) {
-            Ok(changes) => rete.apply(&changes),
+            Ok(changes) => {
+                rete.apply(&changes);
+                refracted.insert(firing.key.clone(), rete.conflict_set());
+            }
             Err(e) => {
                 return Err(Violation {
                     at: i,
@@ -243,11 +255,12 @@ pub fn validate_trace(
 /// *concrete* rule system, up to `max_depth` firings and `max_paths`
 /// sequences — Definition 3.1 for real working memories.
 ///
-/// Each state (working memory + matcher) is cloned at every branch, so
-/// this is exponential and meant for small systems (tests, examples,
-/// and exhaustive verification of toy workloads). Returned sequences are
-/// the *maximal* ones (quiescent leaf or depth-capped), each as the list
-/// of fired rule names.
+/// Each state (working memory + matcher + refraction set) is cloned at
+/// every branch, so this is exponential and meant for small systems
+/// (tests, examples, and exhaustive verification of toy workloads). As in
+/// the single-thread engine, an instantiation that fired never fires
+/// again. Returned sequences are the *maximal* ones (quiescent leaf or
+/// depth-capped), each as the list of fired rule names.
 pub fn enumerate_concrete(
     rules: &RuleSet,
     initial: &WorkingMemory,
@@ -256,10 +269,16 @@ pub fn enumerate_concrete(
 ) -> Vec<Vec<String>> {
     use dps_rules::instantiate_actions;
 
+    #[derive(Clone)]
+    struct State {
+        wm: WorkingMemory,
+        rete: Rete,
+        refracted: Refraction,
+    }
+
     fn go(
         rules: &RuleSet,
-        wm: &WorkingMemory,
-        rete: &Rete,
+        state: &State,
         path: &mut Vec<String>,
         out: &mut Vec<Vec<String>>,
         depth_left: usize,
@@ -268,7 +287,13 @@ pub fn enumerate_concrete(
         if out.len() >= max_paths {
             return;
         }
-        let insts: Vec<_> = rete.conflict_set().iter().cloned().collect();
+        let insts: Vec<_> = state
+            .rete
+            .conflict_set()
+            .iter_keyed()
+            .filter(|(k, _)| !state.refracted.contains(k))
+            .map(|(_, i)| i.clone())
+            .collect();
         if insts.is_empty() || depth_left == 0 {
             out.push(path.clone());
             return;
@@ -278,27 +303,35 @@ pub fn enumerate_concrete(
             let Ok((delta, halt)) = instantiate_actions(rule, &inst.bindings, &inst.wmes) else {
                 continue;
             };
-            let mut wm2 = wm.clone();
-            let mut rete2 = rete.clone();
-            let changes = wm2.apply(&delta).expect("matched WMEs are live");
-            rete2.apply(&changes);
+            let mut next = state.clone();
+            let changes = next.wm.apply(&delta).expect("matched WMEs are live");
+            next.rete.apply(&changes);
+            next.refracted.insert(inst.key(), next.rete.conflict_set());
             path.push(rule.name.to_string());
             if halt {
                 if out.len() < max_paths {
                     out.push(path.clone());
                 }
             } else {
-                go(rules, &wm2, &rete2, path, out, depth_left - 1, max_paths);
+                go(rules, &next, path, out, depth_left - 1, max_paths);
             }
             path.pop();
         }
     }
 
-    let rete = Rete::new(rules, initial);
+    let state = State {
+        wm: initial.clone(),
+        rete: Rete::new(rules, initial),
+        refracted: Refraction::default(),
+    };
     let mut out = Vec::new();
-    let mut path = Vec::new();
     go(
-        rules, initial, &rete, &mut path, &mut out, max_depth, max_paths,
+        rules,
+        &state,
+        &mut Vec::new(),
+        &mut out,
+        max_depth,
+        max_paths,
     );
     out
 }
@@ -457,6 +490,40 @@ mod tests {
         let seqs = enumerate_concrete(&spin, &wm, 3, 100);
         assert_eq!(seqs.len(), 1);
         assert_eq!(seqs[0].len(), 3, "depth cap bounds the livelock");
+    }
+
+    /// A make-only rule leaves its own instantiation in the conflict set;
+    /// only refraction stops it from firing again.
+    fn log_once() -> (RuleSet, WorkingMemory) {
+        let rules = RuleSet::parse("(p log-once (go) --> (make log))").unwrap();
+        let mut wm = WorkingMemory::new();
+        wm.insert(dps_wm::WmeData::new("go"));
+        (rules, wm)
+    }
+
+    #[test]
+    fn enumerate_concrete_never_refires_an_instantiation() {
+        let (rules, wm) = log_once();
+        assert_eq!(
+            enumerate_concrete(&rules, &wm, 5, 100),
+            vec![vec!["log-once"]]
+        );
+    }
+
+    #[test]
+    fn validate_trace_rejects_a_refracted_repeat() {
+        use crate::{EngineConfig, SingleThreadEngine};
+        let (rules, wm) = log_once();
+        let trace = SingleThreadEngine::new(&rules, wm.clone(), EngineConfig::default())
+            .run()
+            .trace;
+        assert_eq!(trace.len(), 1);
+        validate_trace(&rules, &wm, &trace).unwrap();
+        let mut doubled = trace.clone();
+        doubled.firings.push(trace.firings[0].clone());
+        let err = validate_trace(&rules, &wm, &doubled).unwrap_err();
+        assert_eq!(err.at, 1);
+        assert!(err.message.contains("refraction"), "{err}");
     }
 
     #[test]

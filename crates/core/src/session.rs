@@ -9,7 +9,7 @@
 //! condition state, and commit through **the same commit critical
 //! section** rule firings use, so external commits serialise with rule
 //! commits, land in the same WAL, publish through the same delta log,
-//! and appear in the same [`Trace`] (marked [`Firing::external`]; the
+//! and appear in the same [`crate::Trace`] (marked [`Firing::external`]; the
 //! §3 oracle replays them by applying the delta verbatim — there is no
 //! instantiation whose conflict-set membership could be checked).
 //!
@@ -141,8 +141,8 @@ impl ParallelEngine {
     }
 
     /// Commits the buffered delta through the engine's commit section
-    /// ([`ParallelEngine::commit_section`] — the very function rule
-    /// firings commit through, minus the claim), as an external
+    /// (`commit_section` — the very function rule firings commit
+    /// through, minus the claim), as an external
     /// [`Firing`]. Returns the commit sequence number. On failure the
     /// transaction is fully aborted (locks + pin released).
     pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, AbortCause> {

@@ -1,11 +1,7 @@
 //! The single-execution-thread engine: the reference interpreter of §2
 //! whose behaviour defines the execution semantics (§3.2).
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use dps_match::{Matcher, Rete, Strategy};
-use dps_obs::{EventKind, Phase, Recorder};
 use dps_rules::{instantiate_actions, RuleSet};
 use dps_wm::WorkingMemory;
 
@@ -68,8 +64,6 @@ pub struct SingleThreadEngine<M: Matcher = Rete> {
     refracted: Refraction,
     trace: Trace,
     halted: bool,
-    /// Optional observability sink (phase latencies + per-rule table).
-    obs: Option<Arc<Recorder>>,
 }
 
 impl SingleThreadEngine<Rete> {
@@ -96,16 +90,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             refracted: Refraction::default(),
             trace: Trace::default(),
             halted: false,
-            obs: None,
         }
-    }
-
-    /// Attaches (or detaches) an observability recorder; each cycle then
-    /// contributes `lhs_eval` / `rhs_act` / `commit` latency samples and
-    /// a per-rule firing row. The single-thread engine is the latency
-    /// baseline the parallel phases of Figures 4.1/4.2 are compared to.
-    pub fn set_observer(&mut self, obs: Option<Arc<Recorder>>) {
-        self.obs = obs;
     }
 
     /// The current working memory.
@@ -129,7 +114,6 @@ impl<M: Matcher> SingleThreadEngine<M> {
             return StepOutcome::Halted;
         }
         // select
-        let t0 = self.obs.as_ref().map(|_| Instant::now());
         let Some(inst) = self
             .config
             .strategy
@@ -142,23 +126,9 @@ impl<M: Matcher> SingleThreadEngine<M> {
             .rules
             .get(inst.rule)
             .expect("matcher only emits known rules");
-        let t1 = match (&self.obs, t0) {
-            (Some(obs), Some(t)) => {
-                obs.phase(Phase::LhsEval, t.elapsed());
-                Some(Instant::now())
-            }
-            _ => None,
-        };
         // execute — the commit skeleton is the one shared by all engines.
         let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes)
             .expect("validated rule instantiates");
-        let t2 = match (&self.obs, t1) {
-            (Some(obs), Some(t)) => {
-                obs.phase(Phase::RhsAct, t.elapsed());
-                Some(Instant::now())
-            }
-            _ => None,
-        };
         self.world.commit(
             &mut self.refracted,
             &mut self.trace,
@@ -171,21 +141,6 @@ impl<M: Matcher> SingleThreadEngine<M> {
                 external: false,
             },
         );
-        if let (Some(obs), Some(t)) = (&self.obs, t2) {
-            obs.phase(Phase::Commit, t.elapsed());
-        }
-        // Serial firings are degenerate transactions: emit the same
-        // Begin/Commit/Fire triple the parallel engine produces (txn id
-        // = 0-based firing index), so a serial run's history feeds the
-        // same analysis pipeline and the commit-sequence checker sees
-        // seq == txn == trace position.
-        if let Some(obs) = &self.obs {
-            let seq = (self.trace.len() - 1) as u64;
-            let rule_id = obs.intern_rule(rule.name.as_str());
-            obs.record(seq, EventKind::Begin);
-            obs.record(seq, EventKind::Commit);
-            obs.record(seq, EventKind::Fire { rule: rule_id, seq });
-        }
         if halt {
             self.halted = true;
             return StepOutcome::Halted;
@@ -207,11 +162,6 @@ impl<M: Matcher> SingleThreadEngine<M> {
             outcome,
             trace: self.trace.clone(),
         }
-    }
-
-    /// Consumes the engine, returning the final working memory and trace.
-    pub fn into_parts(self) -> (WorkingMemory, Trace) {
-        (self.world.wm, self.trace)
     }
 }
 
@@ -344,15 +294,5 @@ mod tests {
         assert_eq!(e.step(), StepOutcome::Quiescent);
         assert_eq!(e.step(), StepOutcome::Quiescent);
         assert!(e.trace().is_empty());
-    }
-
-    #[test]
-    fn into_parts_returns_final_state() {
-        let (rules, wm) = counter_system(2);
-        let mut e = SingleThreadEngine::new(&rules, wm, EngineConfig::default());
-        e.run();
-        let (wm, trace) = e.into_parts();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(wm.class_iter("counter").count(), 1);
     }
 }

@@ -15,11 +15,8 @@
 //!   batch's effects equal those of firing it in any serial order).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Instant;
 
 use dps_match::{Instantiation, Matcher, Rete};
-use dps_obs::{EventKind, Phase, Recorder};
 use dps_rules::analysis::{interferes, rule_access, Granularity, RuleAccess};
 use dps_rules::{instantiate_actions, RuleSet};
 use dps_wm::{Atom, DeltaSet, WorkingMemory};
@@ -101,8 +98,6 @@ pub struct StaticParallelEngine {
     refracted: Refraction,
     trace: Trace,
     halted: bool,
-    /// Optional observability sink (batch-apply latency + per-rule table).
-    obs: Option<Arc<Recorder>>,
 }
 
 impl StaticParallelEngine {
@@ -118,16 +113,7 @@ impl StaticParallelEngine {
             refracted: Refraction::default(),
             trace: Trace::default(),
             halted: false,
-            obs: None,
         }
-    }
-
-    /// Attaches (or detaches) an observability recorder; each batch then
-    /// contributes `lhs_eval` (candidate preparation + independent-set
-    /// selection) and `commit` (batch apply) latency samples plus
-    /// per-rule firing rows.
-    pub fn set_observer(&mut self, obs: Option<Arc<Recorder>>) {
-        self.obs = obs;
     }
 
     /// The current working memory.
@@ -142,7 +128,6 @@ impl StaticParallelEngine {
     /// Selects one batch of mutually non-interfering instantiations and
     /// fires it. Returns the batch size (0 = quiescent).
     fn cycle(&mut self) -> usize {
-        let t0 = self.obs.as_ref().map(|_| Instant::now());
         // Candidate instantiations, deterministic order.
         let candidates: Vec<Instantiation> = self
             .world
@@ -191,14 +176,6 @@ impl StaticParallelEngine {
             }
         }
 
-        let t1 = match (&self.obs, t0) {
-            (Some(obs), Some(t)) => {
-                obs.phase(Phase::LhsEval, t.elapsed());
-                Some(Instant::now())
-            }
-            _ => None,
-        };
-
         // "Parallel" firing: the members are non-interfering, so applying
         // them in batch order is equivalent to every other order
         // (Theorem 1); the recorded order is the witnessing serial one.
@@ -212,31 +189,17 @@ impl StaticParallelEngine {
                 &mut self.trace,
                 Firing {
                     rule: inst.rule,
-                    rule_name: rule_name.clone(),
+                    rule_name,
                     key: inst.key(),
                     delta: delta.clone(),
                     halt: *halt,
                     external: false,
                 },
             );
-            // Batch members are degenerate transactions; emit the same
-            // Begin/Commit/Fire triple the dynamic engine produces so
-            // static-mode histories feed the analysis pipeline (txn id
-            // = 0-based trace position of the firing).
-            if let Some(obs) = &self.obs {
-                let seq = (self.trace.len() - 1) as u64;
-                let rule_id = obs.intern_rule(rule_name.as_str());
-                obs.record(seq, EventKind::Begin);
-                obs.record(seq, EventKind::Commit);
-                obs.record(seq, EventKind::Fire { rule: rule_id, seq });
-            }
             if *halt {
                 self.halted = true;
                 break;
             }
-        }
-        if let (Some(obs), Some(t)) = (&self.obs, t1) {
-            obs.phase(Phase::Commit, t.elapsed());
         }
         batch.len()
     }

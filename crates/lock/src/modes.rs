@@ -118,7 +118,7 @@ pub fn compatibility_table() -> String {
 pub enum ResourceId {
     /// One working-memory element, by id.
     Tuple(u64),
-    /// A whole relation (class), by catalogue id.
+    /// A whole relation (class), by the id the engine assigns the class.
     Relation(u32),
 }
 

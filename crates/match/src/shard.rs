@@ -250,7 +250,7 @@ enum Route {
 /// (and `shards = 1` collapses to the monolithic layout — the recovery
 /// knob the benchmarks measure). Shards beyond the component count are
 /// dealt, as evenly as they go, to the key-partitionable components
-/// ([`partition_keys`]): such a component's rules are replicated on
+/// (`partition_keys`): such a component's rules are replicated on
 /// each of its shards and its tuples are routed by key value. With no
 /// partitionable component the spare shards are not created — a plan
 /// never contains a shard without rules.

@@ -11,8 +11,8 @@
 //!   distinct blockers and aborts caused, per resource (the degree of
 //!   conflict made visible, in the coordination-attribution spirit of
 //!   Bailis et al.);
-//! * [`critical_path`] — the heaviest dependency chain, effective
-//!   parallelism and the wasted-work fraction `f`;
+//! * [`critical_path`](mod@critical_path) — the heaviest dependency
+//!   chain, effective parallelism and the wasted-work fraction `f`;
 //! * [`checker`] — §3's Theorem 2 (`ES_M ⊆ ES_single`) as an
 //!   executable assertion: recover the commit sequence from `Fire`
 //!   records, verify it structurally, and let the caller replay it

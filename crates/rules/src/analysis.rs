@@ -242,7 +242,7 @@ fn is_delta_expr(target: &ConditionElement, attr: &Atom, expr: &Expr) -> bool {
 ///   any reader of the class (e.g. negated CEs).
 /// * `modify` writes `(class, attr)` for each assigned attribute — into
 ///   the delta set when the expression is an increment/decrement of the
-///   matched value ([`is_delta_expr`]), the absolute set otherwise — and
+///   matched value (`is_delta_expr`), the absolute set otherwise — and
 ///   reads nothing extra (the tuple was already read by its CE).
 /// * `remove` writes `(class, *)` of the removed CE's class (absolute).
 pub fn rule_access(rule: &Rule) -> RuleAccess {

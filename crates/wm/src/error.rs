@@ -12,9 +12,6 @@ pub enum WmError {
     /// A delta set referenced the same element in conflicting ways (e.g.
     /// modify after remove).
     ConflictingDelta(WmeId),
-    /// The class is not registered in the catalogue and the store is in
-    /// strict-schema mode.
-    UnknownClass(String),
 }
 
 impl fmt::Display for WmError {
@@ -24,7 +21,6 @@ impl fmt::Display for WmError {
             WmError::ConflictingDelta(id) => {
                 write!(f, "delta set references {id} in conflicting ways")
             }
-            WmError::UnknownClass(c) => write!(f, "unknown class {c:?} (strict schema mode)"),
         }
     }
 }
@@ -41,9 +37,6 @@ mod tests {
             WmError::NoSuchWme(WmeId(3)).to_string(),
             "no such working-memory element: w3"
         );
-        assert!(WmError::UnknownClass("x".into())
-            .to_string()
-            .contains("strict"));
         assert!(WmError::ConflictingDelta(WmeId(1))
             .to_string()
             .contains("w1"));

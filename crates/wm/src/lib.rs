@@ -10,10 +10,11 @@
 //! *class* (the relation name) and carries a set of *attribute → value*
 //! pairs. The paper treats WM as a relational database ("the execution
 //! phase will be a full-fledged database query"), so this crate organises
-//! WMEs into class-partitioned [`Relation`]s keyed by id, and supports
-//! the catalogue-level view needed for lock escalation (section 4.3 of
-//! the paper: a relation-level lock "is equivalent to locking the
-//! appropriate tuple in the `SYSTEM-CATALOG` relation").
+//! WMEs into class-partitioned [`Relation`]s keyed by id, one per
+//! declared class, iterated in declaration order. (Section 4.3's
+//! relation-level locks, "equivalent to locking the appropriate tuple in
+//! the `SYSTEM-CATALOG` relation", are lock resources the engine names
+//! itself; working memory keeps no catalogue for them.)
 //!
 //! Two properties of the paper's execution model shape the API:
 //!
@@ -42,7 +43,6 @@
 
 mod atom;
 mod attrs;
-mod catalog;
 mod delta;
 mod error;
 mod persist;
@@ -56,7 +56,6 @@ mod wme;
 
 pub use atom::Atom;
 pub use attrs::AttrMap;
-pub use catalog::{Catalog, ClassStats};
 pub use delta::{Change, Delta, DeltaSet};
 pub use error::WmError;
 pub use persist::{apply_changes_atomic, CodecError};

@@ -10,8 +10,8 @@
 //!
 //! * [`WorkingMemory::encode_snapshot`] / [`WorkingMemory::decode_snapshot`]
 //!   — a versioned, self-contained binary image of working memory
-//!   (tuples, identity counters, recency clock, catalogue statistics),
-//!   which a WAL checkpoint embeds;
+//!   (identity counters, recency clock, the declared classes in order,
+//!   tuples), which a WAL checkpoint embeds;
 //! * the change-batch body codec (`encode_batch_body` /
 //!   `decode_batch_body`) — one committed [`Change`] batch, exactly
 //!   what [`WorkingMemory::apply`] returns at a production commit; every
@@ -31,8 +31,9 @@ use crate::{Atom, Change, Value, Wme, WmeData, WmeId, WorkingMemory};
 
 /// Magic bytes opening every snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"DPSW";
-/// Current format version.
-const VERSION: u8 = 1;
+/// Current format version (2: the class list precedes the tuples and
+/// carries no per-class counters).
+const VERSION: u8 = 2;
 
 /// Errors raised while encoding or decoding persisted state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -340,37 +341,35 @@ pub fn apply_changes_atomic(
 
 impl WorkingMemory {
     /// Serialises the complete working memory into a self-contained
-    /// binary snapshot. Fails with [`CodecError::TooLarge`] if any
-    /// length field would overflow its on-disk width (rather than
-    /// silently truncating it).
+    /// binary snapshot:
+    /// `[magic][version][next_id: u64][clock: u64]
+    /// [class count: u32][class]*[tuple count: u64][wme]*`, with every
+    /// declared class (empty ones included) in declaration order, then
+    /// the tuples in [`WorkingMemory::iter`] order. Fails with
+    /// [`CodecError::TooLarge`] if any length field would overflow its
+    /// on-disk width (rather than silently truncating it).
     pub fn encode_snapshot(&self) -> Result<Vec<u8>, CodecError> {
         let mut out = Vec::with_capacity(64 + self.len() * 32);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.push(VERSION);
         put_u64(&mut out, self.next_id_raw());
         put_u64(&mut out, self.clock());
+        put_u32(&mut out, checked_len(self.class_names().count())?);
+        for class in self.class_names() {
+            put_str(&mut out, class.as_str())?;
+        }
         put_u64(&mut out, self.len() as u64);
         for wme in self.iter() {
             put_wme(&mut out, wme)?;
-        }
-        // Catalogue lifetime statistics (cardinality is recomputed).
-        let classes: Vec<&Atom> = self.catalog().classes().collect();
-        put_u32(&mut out, checked_len(classes.len())?);
-        for class in classes {
-            let stats = self
-                .catalog()
-                .stats(class.as_str())
-                .expect("registered class");
-            put_str(&mut out, class.as_str())?;
-            put_u64(&mut out, stats.inserts);
-            put_u64(&mut out, stats.removes);
         }
         Ok(out)
     }
 
     /// Reconstructs a working memory from a snapshot. The result is
     /// bit-identical in behaviour: same tuples, ids, timestamps, id
-    /// allocator position and catalogue statistics.
+    /// allocator position and class order — the class list is declared
+    /// before any tuple is restored, so a class that was empty at the
+    /// snapshot keeps its place when a later batch refills it.
     pub fn decode_snapshot(buf: &[u8]) -> Result<WorkingMemory, CodecError> {
         let mut r = Reader::new(buf);
         if r.take(4)? != SNAPSHOT_MAGIC || r.u8()? != VERSION {
@@ -378,18 +377,15 @@ impl WorkingMemory {
         }
         let next_id = r.u64()?;
         let clock = r.u64()?;
-        let count = r.u64()? as usize;
         let mut wm = WorkingMemory::new();
+        let nclasses = r.u32()? as usize;
+        for _ in 0..nclasses {
+            wm.declare(&Atom::from(r.string()?));
+        }
+        let count = r.u64()? as usize;
         for _ in 0..count {
             let wme = read_wme(&mut r)?;
             wm.restore_raw(wme);
-        }
-        let nclasses = r.u32()? as usize;
-        for _ in 0..nclasses {
-            let class = r.string()?;
-            let inserts = r.u64()?;
-            let removes = r.u64()?;
-            wm.set_class_counters(&Atom::from(class), inserts, removes);
         }
         wm.set_counters_raw(next_id, clock);
         if !r.at_end() {
@@ -439,10 +435,32 @@ mod tests {
         let snap = wm.encode_snapshot().unwrap();
         let back = WorkingMemory::decode_snapshot(&snap).unwrap();
         assert_same(&wm, &back);
-        // Catalogue statistics survive too.
+        // The emptied class stays declared, and the bytes round-trip.
+        assert!(back.relation("tmp").is_some_and(|r| r.is_empty()));
+        assert_eq!(back.encode_snapshot().unwrap(), snap);
+    }
+
+    #[test]
+    fn restored_memory_keeps_the_class_order_of_an_emptied_class() {
+        // Classes a, x, y; x is empty at the snapshot and refilled after.
+        let mut live = WorkingMemory::new();
+        live.insert(WmeData::new("a"));
+        let x = live.insert(WmeData::new("x"));
+        live.insert(WmeData::new("y"));
+        live.remove(x).unwrap();
+        let mut back = WorkingMemory::decode_snapshot(&live.encode_snapshot().unwrap()).unwrap();
+        let mut d = DeltaSet::new();
+        d.create(WmeData::new("x"));
+        live.apply(&d).unwrap();
+        back.apply(&d).unwrap();
+        let classes = |wm: &WorkingMemory| -> Vec<String> {
+            wm.iter().map(|w| w.class().as_str().to_string()).collect()
+        };
+        assert_eq!(classes(&live), ["a", "x", "y"]);
+        assert_eq!(classes(&back), classes(&live));
         assert_eq!(
-            wm.catalog().stats("tmp").map(|s| (s.inserts, s.removes)),
-            back.catalog().stats("tmp").map(|s| (s.inserts, s.removes)),
+            back.encode_snapshot().unwrap(),
+            live.encode_snapshot().unwrap()
         );
     }
 
@@ -621,7 +639,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CodecError::ReplayConflict(ghost_id));
         // Byte-identical: the valid prefix of the batch was rolled
-        // back (never applied), counters and catalogue included.
+        // back (never applied), counters and class list included.
         assert_eq!(wm.encode_snapshot().unwrap(), snap_before);
     }
 

@@ -1,4 +1,5 @@
-//! Class-partitioned relations.
+//! Class-partitioned relations: one per declared class, held in the
+//! working memory's class table.
 
 use std::collections::BTreeMap;
 
@@ -8,8 +9,7 @@ use crate::{Wme, WmeId};
 ///
 /// Nothing selects tuples by attribute value — matching goes through the
 /// matchers' own alpha memories — so a relation keeps no secondary index
-/// to update inside the commit section; per-class statistics live in the
-/// [`crate::Catalog`].
+/// and no statistics to update inside the commit section.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: BTreeMap<WmeId, Wme>,

@@ -1,14 +1,21 @@
-//! The working memory store.
+//! The working memory store: one class table (each class's relation,
+//! in declaration order), the id → class routing map, the id allocator
+//! and the recency clock.
+//!
+//! A class is declared the first time a tuple of it is stored, or when a
+//! snapshot that lists it is decoded, and it stays declared when its
+//! relation empties. Declaration order is the order [`WorkingMemory::iter`]
+//! visits classes in, so a restored snapshot iterates exactly as the
+//! memory it was taken from.
 
 use std::collections::HashMap;
 
 use crate::{
-    Atom, Catalog, Change, Delta, DeltaSet, Relation, Timestamp, Value, WmError, Wme, WmeData,
-    WmeId,
+    Atom, Change, Delta, DeltaSet, Relation, Timestamp, Value, WmError, Wme, WmeData, WmeId,
 };
 
 /// The production system's database: all live WMEs, partitioned by class,
-/// plus the catalogue and the recency clock.
+/// plus the recency clock.
 ///
 /// The store is a single-writer structure: concurrent engines serialise
 /// commits through it (the paper's atomic commit point) while reads during
@@ -30,10 +37,12 @@ use crate::{
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WorkingMemory {
-    relations: HashMap<Atom, Relation>,
-    /// Class of each live WME, for O(1) id → relation routing.
-    class_of: HashMap<WmeId, Atom>,
-    catalog: Catalog,
+    /// Every declared class with its relation, in declaration order.
+    classes: Vec<(Atom, Relation)>,
+    /// Class → its dense index into `classes`.
+    class_index: HashMap<Atom, usize>,
+    /// Dense class index of each live WME, for O(1) id → relation routing.
+    class_of: HashMap<WmeId, usize>,
     next_id: u64,
     clock: Timestamp,
 }
@@ -60,15 +69,9 @@ impl WorkingMemory {
         self.clock
     }
 
-    /// The catalogue of classes.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// Looks up a live element by id.
     pub fn get(&self, id: WmeId) -> Option<&Wme> {
-        let class = self.class_of.get(&id)?;
-        self.relations.get(class)?.get(id)
+        self.classes[*self.class_of.get(&id)?].1.get(id)
     }
 
     /// `true` when the element is live.
@@ -76,27 +79,37 @@ impl WorkingMemory {
         self.class_of.contains_key(&id)
     }
 
-    /// The relation for a class, if any element of it was ever inserted.
+    /// The relation for a class, if the class is declared.
     pub fn relation(&self, class: &str) -> Option<&Relation> {
-        self.relations.get(class)
+        self.class_index.get(class).map(|&i| &self.classes[i].1)
     }
 
     /// Iterates all live elements of a class (empty if the class is
     /// unknown), in id order.
     pub fn class_iter<'a>(&'a self, class: &str) -> impl Iterator<Item = &'a Wme> {
-        self.relations
-            .get(class)
-            .into_iter()
-            .flat_map(Relation::iter)
+        self.relation(class).into_iter().flat_map(Relation::iter)
     }
 
     /// Iterates all live elements across classes. Order is deterministic:
     /// classes in declaration order, tuples in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Wme> {
-        self.catalog
-            .classes()
-            .filter_map(|c| self.relations.get(c))
-            .flat_map(Relation::iter)
+        self.classes.iter().flat_map(|(_, r)| r.iter())
+    }
+
+    /// The declared classes, in declaration order.
+    pub(crate) fn class_names(&self) -> impl Iterator<Item = &Atom> {
+        self.classes.iter().map(|(c, _)| c)
+    }
+
+    /// Declares `class` (idempotent), returning its dense index.
+    pub(crate) fn declare(&mut self, class: &Atom) -> usize {
+        if let Some(&i) = self.class_index.get(class) {
+            return i;
+        }
+        let i = self.classes.len();
+        self.class_index.insert(class.clone(), i);
+        self.classes.push((class.clone(), Relation::default()));
+        i
     }
 
     /// Inserts a new element immediately (outside any delta), returning
@@ -112,14 +125,8 @@ impl WorkingMemory {
 
     /// Removes an element immediately, returning it.
     pub fn remove(&mut self, id: WmeId) -> Result<Wme, WmError> {
-        let class = self.class_of.remove(&id).ok_or(WmError::NoSuchWme(id))?;
-        let wme = self
-            .relations
-            .get_mut(&class)
-            .and_then(|r| r.remove(id))
-            .ok_or(WmError::NoSuchWme(id))?;
-        self.catalog.record_remove(&class);
-        Ok(wme)
+        let i = self.class_of.remove(&id).ok_or(WmError::NoSuchWme(id))?;
+        self.classes[i].1.remove(id).ok_or(WmError::NoSuchWme(id))
     }
 
     /// Applies a buffered delta set atomically, in order, returning the
@@ -175,8 +182,10 @@ impl WorkingMemory {
                     changes: attr_changes,
                 } => {
                     // OPS5 modify: remove + re-insert under the same id
-                    // with a fresh timestamp.
-                    let old = self.remove(*id).expect("validated above");
+                    // with a fresh timestamp. The class is unchanged, so
+                    // the tuple stays in its relation and `class_of`.
+                    let relation = &mut self.classes[self.class_of[id]].1;
+                    let old = relation.remove(*id).expect("validated above");
                     let mut data = old.data.clone();
                     for (k, v) in attr_changes.iter() {
                         if matches!(v, Value::Nil) {
@@ -185,7 +194,13 @@ impl WorkingMemory {
                             data.attrs.insert(k.clone(), v.clone());
                         }
                     }
-                    let new = self.reinsert(*id, data);
+                    self.clock += 1;
+                    let new = Wme {
+                        id: *id,
+                        data,
+                        timestamp: self.clock,
+                    };
+                    relation.insert(new.clone());
                     changes.push(Change::Removed(old));
                     changes.push(Change::Added(new));
                 }
@@ -194,40 +209,9 @@ impl WorkingMemory {
         Ok(changes)
     }
 
-    /// Undoes a change log produced by [`WorkingMemory::apply`] — used by
-    /// engines that must roll back a committed-then-invalidated state in
-    /// exploration mode (the execution-graph enumerator prefers cloning,
-    /// but `undo` keeps single-copy exploration possible).
-    pub fn undo(&mut self, changes: &[Change]) -> Result<(), WmError> {
-        for change in changes.iter().rev() {
-            match change {
-                Change::Added(w) => {
-                    self.remove(w.id)?;
-                }
-                Change::Removed(w) => {
-                    // Restore with the original id and timestamp.
-                    self.restore(w.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn insert_internal(&mut self, data: WmeData) -> Wme {
         let id = WmeId(self.next_id);
         self.next_id += 1;
-        self.clock += 1;
-        let wme = Wme {
-            id,
-            data,
-            timestamp: self.clock,
-        };
-        self.store(wme.clone());
-        wme
-    }
-
-    /// Re-insert under an existing id with a fresh timestamp (modify).
-    fn reinsert(&mut self, id: WmeId, data: WmeData) -> Wme {
         self.clock += 1;
         let wme = Wme {
             id,
@@ -247,7 +231,9 @@ impl WorkingMemory {
     /// (identity and timestamp preserved; allocator and clock advanced
     /// past them).
     pub(crate) fn restore_raw(&mut self, wme: Wme) {
-        self.restore(wme);
+        self.next_id = self.next_id.max(wme.id.0 + 1);
+        self.clock = self.clock.max(wme.timestamp);
+        self.store(wme);
     }
 
     /// Persistence hook: directly positions the id allocator and clock.
@@ -256,23 +242,10 @@ impl WorkingMemory {
         self.clock = self.clock.max(clock);
     }
 
-    /// Persistence hook: overwrites a class's lifetime counters.
-    pub(crate) fn set_class_counters(&mut self, class: &Atom, inserts: u64, removes: u64) {
-        self.catalog.set_lifetime_counters(class, inserts, removes);
-    }
-
-    /// Restore an element exactly as it was (undo of a remove).
-    fn restore(&mut self, wme: Wme) {
-        self.next_id = self.next_id.max(wme.id.0 + 1);
-        self.clock = self.clock.max(wme.timestamp);
-        self.store(wme);
-    }
-
     fn store(&mut self, wme: Wme) {
-        let class = wme.data.class.clone();
-        self.catalog.record_insert(&class);
-        self.class_of.insert(wme.id, class.clone());
-        self.relations.entry(class).or_default().insert(wme);
+        let i = self.declare(&wme.data.class);
+        self.class_of.insert(wme.id, i);
+        self.classes[i].1.insert(wme);
     }
 }
 
@@ -355,25 +328,26 @@ mod tests {
     }
 
     #[test]
-    fn undo_restores_exact_state() {
-        let (mut wm, a, b) = seeded();
-        let snapshot: Vec<Wme> = wm.iter().cloned().collect();
-        let mut d = DeltaSet::new();
-        d.remove(b);
-        d.modify(a, [(Atom::from("n"), Value::Int(99))]);
-        d.create(WmeData::new("extra"));
-        let ch = wm.apply(&d).unwrap();
-        wm.undo(&ch).unwrap();
-        let after: Vec<Wme> = wm.iter().cloned().collect();
-        assert_eq!(snapshot, after);
-    }
-
-    #[test]
-    fn class_iter_and_catalog() {
+    fn class_iter_and_relation() {
         let (wm, _, _) = seeded();
         assert_eq!(wm.class_iter("task").count(), 2);
         assert_eq!(wm.class_iter("ghost").count(), 0);
-        assert_eq!(wm.catalog().stats("task").unwrap().cardinality, 2);
+        assert_eq!(wm.relation("task").unwrap().len(), 2);
+        assert!(wm.relation("ghost").is_none());
+    }
+
+    #[test]
+    fn classes_iterate_in_declaration_order_even_once_emptied() {
+        let mut wm = WorkingMemory::new();
+        wm.insert(WmeData::new("z"));
+        let a = wm.insert(WmeData::new("a"));
+        wm.insert(WmeData::new("m"));
+        wm.remove(a).unwrap();
+        wm.insert(WmeData::new("a"));
+        let classes: Vec<&str> = wm.iter().map(|w| w.class().as_str()).collect();
+        assert_eq!(classes, ["z", "a", "m"]);
+        let names: Vec<&str> = wm.class_names().map(Atom::as_str).collect();
+        assert_eq!(names, ["z", "a", "m"]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The paper's opening motivation — "knowledge sharing and knowledge
 //! persistence, features found currently in databases" — needs more
-//! than the in-memory snapshot/redo codec of [`crate::persist`]: it
+//! than the in-memory snapshot and change-batch codecs
+//! ([`WorkingMemory::encode_snapshot`], [`apply_changes_atomic`]): it
 //! needs the state to survive the process. This module provides the
 //! storage-engine pieces:
 //!
@@ -25,7 +26,7 @@
 //! * **ARIES-lite recovery** — [`recover`] loads the newest valid
 //!   checkpoint and redoes the log suffix. Redo is idempotent at the
 //!   batch level (each batch applies all-or-nothing via
-//!   [`crate::persist::apply_changes_atomic`]) and the **torn-tail
+//!   [`apply_changes_atomic`]) and the **torn-tail
 //!   rule** applies: an incomplete or CRC-failing record *at the very
 //!   end of the last segment* is a torn write — truncate there and
 //!   recover the prefix. A CRC failure with valid data after it is
@@ -1105,6 +1106,37 @@ mod tests {
         assert_eq!(rec.wm.encode_snapshot().unwrap(), wm.encode_snapshot().unwrap());
         let stats = durable.writer().stats();
         assert_eq!(stats.checkpoints, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn class_emptied_at_a_checkpoint_keeps_its_place_after_redo() {
+        let dir = tmp_dir("class-order");
+        let mut wm = WorkingMemory::new();
+        wm.insert(WmeData::new("a"));
+        let x = wm.insert(WmeData::new("x"));
+        wm.insert(WmeData::new("y"));
+        let durable = DurableWm::create(&dir, &wm, 0).unwrap();
+        let mut d = DeltaSet::new();
+        d.remove(x);
+        durable.writer().append(1, &wm.apply(&d).unwrap()).unwrap();
+        // Checkpoint at seq 1, while x is empty.
+        durable.rotate(1).unwrap();
+        durable
+            .install_checkpoint(1, &wm.encode_snapshot().unwrap())
+            .unwrap();
+        // Refill x in the redo suffix.
+        let mut d = DeltaSet::new();
+        d.create(WmeData::new("x"));
+        durable.writer().append(2, &wm.apply(&d).unwrap()).unwrap();
+        durable.writer().sync_to(2).unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!((rec.checkpoint_seq, rec.last_seq), (1, 2));
+        assert!(rec.wm.iter().eq(wm.iter()));
+        assert_eq!(
+            rec.wm.encode_snapshot().unwrap(),
+            wm.encode_snapshot().unwrap()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
