@@ -11,10 +11,11 @@
 //! against the engine's own trace, replays the trace through the §3
 //! oracle (`validate_trace`) and carries the SI/serializability
 //! polygraph's verdict. [`certified_run`] is construct → time → certify
-//! and is what `chaos`, `mvcc`, `commute`, `analyze`, `scaling`,
-//! `matchbench`, `recovery` and `repro` call; `loadgen`, whose engine
-//! sits behind a `Server`, calls [`certify`] on it. [`Leg::to_json`] is
-//! the only leg encoder and [`aborts_json`] the only abort-cause one.
+//! and is what `chaos`, `mvcc`, `commute`, `analyze`, `matchbench`,
+//! `recovery` and `repro` call; `loadgen`, whose engine sits behind a
+//! `Server`, calls [`certify`] on it. [`Leg::to_json`] is the only leg
+//! encoder and [`aborts_json`] the only abort-cause one. A leg's time
+//! is an observation: no gate compares it.
 //!
 //! The obs crate sits below `dps-core` and can only check a history
 //! *structurally*; the replay and the trace cross-check are the two
@@ -22,7 +23,8 @@
 //!
 //! The module also owns the `analyze` gate ([`gate`]): both lock
 //! protocols on a contended workload, each leg explained (contention
-//! table, critical path, wasted-work `f`) and certified.
+//! table, critical path, wasted-work `f`), its event stream checked
+//! against the engine's books, and certified.
 
 use std::time::Instant;
 
@@ -31,7 +33,7 @@ use dps_core::{AbortStats, ParallelConfig, ParallelEngine, ParallelReport, WorkM
 use dps_lock::{res_of_key, ConflictPolicy, Protocol};
 use dps_obs::analysis::{analyze, RunAnalysis, Verdict};
 use dps_obs::json::Json;
-use dps_obs::{validate_history, AbortCause, ObsReport, TimelineDoc};
+use dps_obs::{validate_history, AbortCause, ObsReport, Phase, TimelineDoc};
 use dps_rules::RuleSet;
 use dps_wm::WorkingMemory;
 
@@ -194,39 +196,6 @@ pub fn certified_run(rules: &RuleSet, wm: WorkingMemory, config: ParallelConfig)
     certify(rules, &initial, &engine, report, secs)
 }
 
-/// The leg a best-of-N keeps: the faster one, except that a leg that
-/// failed to certify always wins, so it cannot hide behind a good rep.
-fn faster(best: Leg, leg: Leg) -> Leg {
-    if best.passes() && (!leg.passes() || leg.secs < best.secs) {
-        leg
-    } else {
-        best
-    }
-}
-
-/// The fastest of `reps` runs of `run`; every rep is certified.
-pub fn best_of(reps: usize, mut run: impl FnMut() -> Leg) -> Leg {
-    (1..reps).fold(run(), |best, _| faster(best, run()))
-}
-
-/// Best-of-`reps` A/B with the two sides interleaved. One untimed
-/// warm-up of `a` primes the allocator, the Rete network and the
-/// scheduler so the cold start lands on neither side; then the sides
-/// alternate, so cache, frequency and disk drift over the measurement
-/// window hits both fairly instead of whichever side runs last.
-pub fn alternating_best(
-    reps: usize,
-    mut a: impl FnMut() -> Leg,
-    mut b: impl FnMut() -> Leg,
-) -> (Leg, Leg) {
-    a();
-    let mut best = (a(), b());
-    for _ in 1..reps {
-        best = (faster(best.0, a()), faster(best.1, b()));
-    }
-    best
-}
-
 impl Leg {
     /// Names the leg and sets its drain target.
     pub fn named(mut self, key: impl Into<String>, expected: usize) -> Self {
@@ -385,8 +354,9 @@ impl Leg {
 }
 
 /// `shared_resources(tasks, resources)` under `protocol` with
-/// observability on: the leg `analyze` explains (and `scaling` embeds),
-/// its full trace analysis attached as the `analysis` member.
+/// observability on: the leg `analyze` explains, its full trace
+/// analysis attached as the `analysis` member and its `dps-obs-report-v1`
+/// document as `observability`.
 pub fn contended_leg(
     protocol: Protocol,
     workers: usize,
@@ -418,7 +388,8 @@ pub fn contended_leg(
         tasks,
     );
     let analysis = leg.analysis.as_ref().expect("observed leg").to_json(16);
-    leg.with("analysis", analysis)
+    let obs = leg.obs.as_ref().expect("observed leg").to_json();
+    leg.with("analysis", analysis).with("observability", obs)
 }
 
 /// Declares the accounting identities of an observed leg's trace
@@ -454,8 +425,9 @@ pub fn analysis_identities(report: &mut Report, leg: &Leg) {
 
 /// Declares the accounting identities of an observed leg's event
 /// stream: every phase histogram has ordered percentiles, every
-/// per-cause abort count is the engine's own, and no accounting anomaly
-/// was recorded.
+/// per-cause abort count is the engine's own, no accounting anomaly was
+/// recorded, the commit path was sampled, and every `Block` event
+/// produced exactly one lock-wait sample.
 pub fn obs_identities(report: &mut Report, leg: &Leg) {
     let obs = leg.obs.as_ref().expect("observed leg");
     let k = &leg.key;
@@ -476,11 +448,24 @@ pub fn obs_identities(report: &mut Report, leg: &Leg) {
         .count();
     report.equal(format!("{k}.obs.aborts_match_engine"), mismatched_causes as u64, 0);
     report.equal(format!("{k}.obs.anomalies"), obs.anomalies, 0);
+    let samples = |p: Phase| obs.phase(p).map_or(0, |h| h.count);
+    report.gate(
+        format!("{k}.obs.commit_samples"),
+        samples(Phase::Commit) as f64,
+        Op::Gt,
+        0.0,
+    );
+    report.equal(
+        format!("{k}.obs.lock_wait_samples_match_blocks"),
+        samples(Phase::LockWait),
+        obs.blocks,
+    );
 }
 
 /// The `analyze` gate: both lock protocols on a contended workload
 /// (several hot tallies, so the contention table has rows and the
-/// critical path is non-trivial), every leg explained and certified.
+/// critical path is non-trivial), every leg explained, its event-stream
+/// and trace-analysis identities declared, and certified.
 pub fn gate(args: &ReportArgs) -> Report {
     let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
     let (tasks, resources, work_us) = if args.quick() {
@@ -505,6 +490,7 @@ pub fn gate(args: &ReportArgs) -> Report {
         let leg = contended_leg(protocol, workers, tasks, resources, work_us);
         report.leg(&leg);
         leg.print_analysis();
+        obs_identities(&mut report, &leg);
         analysis_identities(&mut report, &leg);
     }
     report

@@ -1,6 +1,6 @@
 //! Runs one of the gates CI runs: `gate <name> [flags]`, where `name`
-//! is one of `scaling`, `analyze`, `chaos`, `matchbench`, `mvcc`,
-//! `recovery`, `loadgen`, `commute` and each gate's flags are declared
+//! is one of `analyze`, `chaos`, `matchbench`, `mvcc`, `recovery`,
+//! `loadgen`, `commute` and each gate's flags are declared
 //! once, in [`dps_bench::harness::GATES`]. With `--json` the
 //! `dps-report-v2` document goes to stdout (human summary to stderr).
 //! Exit 0 iff every gate holds, 1 if one fails, 2 on a usage error (an

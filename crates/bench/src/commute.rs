@@ -11,13 +11,14 @@
 //! * acquires **zero** locks (grants *and* blocks are zero; every skip
 //!   is booked in `LockStats::elided` and receipted per commit as an
 //!   `ElidedCommit` event),
-//! * shows **~zero blocked-ns** in the per-resource contention table
-//!   (the convoy is gone, not moved), and
-//! * commits **≥ 1.5×** the locking leg's throughput at 8 workers,
-//!   while
+//! * shows **zero blocked-ns** in the per-resource contention table
+//!   (the convoy is gone, not moved), while
 //! * both legs still drain to the exact expected commit count and
 //!   replay through the §3 single-thread oracle, with well-formed
 //!   histories.
+//!
+//! What elision buys in time is not gated here: a ratio of two short
+//! legs is a measurement for the `e2e` benchmark, not a certificate.
 //!
 //! Two **falsifiability probes** keep the oracle honest. First, a
 //! deliberately *misclassified* non-commutative pair
@@ -41,7 +42,7 @@ use dps_rules::RuleSet;
 use dps_wm::WorkingMemory;
 
 use crate::analysis::{certified_run, counters, Leg};
-use crate::harness::{Flag, ReportArgs};
+use crate::harness::ReportArgs;
 use crate::report::{Op, Report};
 use crate::workloads;
 
@@ -64,11 +65,8 @@ pub struct CommuteSpec {
     /// Makes per producer.
     pub m_steps: i64,
     /// Simulated RHS cost, microseconds ([`WorkModel::BusyMicros`] —
-    /// the paper's CPU-bound RHS. On an oversubscribed machine spinning
-    /// workers get preempted *inside* the lock manager's critical
-    /// sections and wait queues, which is what turns the relation-`Wa`
-    /// commit convoy into real wall-clock; the elided leg has no
-    /// critical sections to be preempted in.)
+    /// the paper's CPU-bound RHS, so firings overlap and the locking
+    /// leg's relation-`Wa` locks are contended).
     pub work_us: u64,
 }
 
@@ -182,18 +180,9 @@ pub fn probe_swapped_order() -> (bool, bool) {
     (noncommutative_rejected, commutative_accepted)
 }
 
-/// Flags of the `commute` binary.
-pub const FLAGS: &[Flag] = &[
-    Flag::Bare("--quick"),
-    Flag::Bare("--json"),
-    Flag::Int("--workers"),
-    Flag::Int("--seed"),
-    Flag::Int("--work-us"),
-];
-
-/// The coordination-avoidance gate (flags: [`FLAGS`]):
+/// The coordination-avoidance gate (flags: `--quick --json --workers N
+/// --seed S`):
 ///
-/// * elided-leg throughput ≥ **1.5×** the locking leg;
 /// * the elided leg acquires **zero** locks (no grants, no blocks,
 ///   every skip booked, every commit receipted) and its contention
 ///   table shows **zero blocked-ns**; the locking leg really locks;
@@ -203,14 +192,8 @@ pub fn gate(args: &ReportArgs) -> Report {
     let quick = args.quick();
     let workers = args.flag_u64("--workers").unwrap_or(8) as usize;
     let seed = args.flag_u64("--seed").unwrap_or(0xC0_2026);
-    // Full-size RHS cost is deliberately small: counter-increment
-    // firings are cheap, which is precisely when per-firing lock
-    // overhead dominates and coordination avoidance pays. Larger
-    // --work-us shrinks the measured gap (the RHS amortises the
-    // locks), it does not break correctness.
-    let (counters, c_steps, makers, m_steps, default_work) =
+    let (counters, c_steps, makers, m_steps, work_us) =
         if quick { (8, 8, 4, 8, 200) } else { (16, 16, 8, 16, 50) };
-    let work_us = args.flag_u64("--work-us").unwrap_or(default_work);
     let spec =
         CommuteSpec { seed, workers, match_shards: 8, counters, c_steps, makers, m_steps, work_us };
     eprintln!(
@@ -246,12 +229,6 @@ pub fn gate(args: &ReportArgs) -> Report {
     report.probe("swapped_commutative_order", false, !commutative_accepted);
 
     let (l, e) = (&locked.report.lock_stats, &elided.report.lock_stats);
-    report.gate(
-        "speedup",
-        elided.throughput() / locked.throughput().max(1e-9),
-        Op::Ge,
-        1.5,
-    );
     report.equal("elided.lock_grants", e.grants, 0);
     report.equal("elided.lock_blocks", e.blocks, 0);
     report.gate("elided.lock_elided", e.elided as f64, Op::Gt, 0.0);
@@ -283,10 +260,8 @@ mod tests {
 
     #[test]
     fn quick_ab_clears_the_structural_gates() {
-        // A scaled-down version of what the `commute` binary runs in
-        // CI. The throughput bar is asserted only in the full-size CI
-        // run — at this size the convoy is too short to measure — but
-        // every structural gate must hold at any size.
+        // A scaled-down version of what `gate commute` runs in CI:
+        // every gate must hold at any size.
         let spec = CommuteSpec {
             seed: 0xC0,
             workers: 4,

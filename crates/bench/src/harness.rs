@@ -23,7 +23,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::report::Report;
-use crate::{analysis, chaos, commute, matchbench, mvcc, recovery, scaling, server_load};
+use crate::{analysis, chaos, commute, matchbench, mvcc, recovery, server_load};
 
 /// Per-benchmark wall-clock budget: once a benchmark's timed iterations
 /// have consumed this much, no further samples are taken.
@@ -229,8 +229,6 @@ pub const GATE_FLAGS: &[Flag] = &[
     Flag::Int("--seed"),
 ];
 
-const QUICK_JSON: &[Flag] = &[Flag::Bare("--quick"), Flag::Bare("--json")];
-
 /// One gate CI runs: its name on the `gate` command line, the flags it
 /// accepts, and the function that runs it to a [`Report`].
 #[derive(Clone, Copy, Debug)]
@@ -245,19 +243,22 @@ pub struct Gate {
 
 /// Every gate, each declared once: read by the `gate` binary and by
 /// `tests/validator.rs`.
-pub const GATES: [Gate; 8] = [
-    Gate { name: "scaling", flags: QUICK_JSON, run: scaling::gate },
+pub const GATES: [Gate; 7] = [
     Gate {
         name: "analyze",
         flags: &[Flag::Bare("--quick"), Flag::Bare("--json"), Flag::Int("--workers")],
         run: analysis::gate,
     },
     Gate { name: "chaos", flags: GATE_FLAGS, run: chaos::gate },
-    Gate { name: "matchbench", flags: QUICK_JSON, run: matchbench::gate },
+    Gate {
+        name: "matchbench",
+        flags: &[Flag::Bare("--quick"), Flag::Bare("--json")],
+        run: matchbench::gate,
+    },
     Gate { name: "mvcc", flags: GATE_FLAGS, run: mvcc::gate },
     Gate { name: "recovery", flags: GATE_FLAGS, run: recovery::gate },
     Gate { name: "loadgen", flags: GATE_FLAGS, run: server_load::gate },
-    Gate { name: "commute", flags: commute::FLAGS, run: commute::gate },
+    Gate { name: "commute", flags: GATE_FLAGS, run: commute::gate },
 ];
 
 /// Parses `gate <name> [flags…]` (program name excluded): the named
@@ -450,9 +451,9 @@ mod tests {
 
     #[test]
     fn unknown_or_missing_gate_name_is_a_usage_error() {
-        for args in [&["nope"][..], &["--quick"], &[]] {
+        for args in [&["nope"][..], &["scaling"], &["--quick"], &[]] {
             let err = gate_args(args).expect_err("no such gate");
-            assert!(err.contains("usage: gate <scaling|analyze|"), "{err}");
+            assert!(err.contains("usage: gate <analyze|chaos|"), "{err}");
         }
         assert!(gate_args(&["nope"]).unwrap_err().contains("unknown gate `nope`"));
     }
@@ -463,9 +464,9 @@ mod tests {
         assert_eq!(gate.name, "chaos");
         assert!(args.quick());
         assert_eq!(args.flag_u64("--seed"), Some(7));
-        let err = gate_args(&["scaling", "--workers", "2"]).unwrap_err();
+        let err = gate_args(&["matchbench", "--workers", "2"]).unwrap_err();
         assert!(err.contains("unknown flag `--workers`"), "{err}");
-        assert!(err.contains("usage: gate scaling [--quick] [--json]"), "{err}");
+        assert!(err.contains("usage: gate matchbench [--quick] [--json]"), "{err}");
     }
 
     #[test]

@@ -1,37 +1,30 @@
 //! Match-shard gate: shard-count sweep for the sharded match pipeline.
 //!
-//! The engine-level benchmark behind EXPERIMENTS.md §XS.4: the
-//! `match_heavy` workload (64 independent fan-out groups, make-only
+//! The `match_heavy` workload (independent fan-out groups, make-only
 //! RHSs, zero data conflict) keeps every instantiation live until it
 //! fires, so the conflict set — and with it the per-cycle claim scan —
-//! grows linearly and the total match cost quadratically. On the old
-//! single-`Mutex<World>` engine that scan serialised every worker; the
-//! sharded pipeline divides it by the shard count and takes it off the
-//! commit path entirely.
+//! grows linearly and the total match cost quadratically: the workload
+//! that exercises every part of the sharded pipeline (delta log,
+//! catch-up, free advances, steals).
 //!
 //! The sweep holds workers fixed at 8 and varies `match_shards` over
-//! {1, 2, 4, 8}; every run is a certified leg. A final instrumented
-//! run at the maximum shard count captures the `match_apply` latency
-//! histogram, the fan-out counters (batches / applies / free-advances /
-//! steals) and the report's timeline, and an `mvcc` comparison leg
-//! runs max shards under `ConflictPolicy::MvccSnapshot` — the snapshot
-//! read path must keep the pipeline abort-free and within throughput
-//! range of the stock locks on this conflict-free workload.
-//!
-//! Two timing gates:
-//! * 1 → 2 shards must improve throughput (the partition must pay for
-//!   the delta-log plumbing at the first step);
-//! * max shards must beat 1 shard by ≥ 1.5× (the ISSUE 5 floor; the
-//!   measured ratio on the reference container is ~7×).
+//! {1, 2, 4, 8}; every run is a certified leg, must stay abort-free and
+//! must publish one batch per commit. A final instrumented run at the
+//! maximum shard count captures the `match_apply` latency histogram,
+//! the fan-out counters (batches / applies / free-advances / steals)
+//! and the report's timeline, and an `mvcc` leg runs max shards under
+//! `ConflictPolicy::MvccSnapshot` — the snapshot read path must keep
+//! the pipeline abort-free on this conflict-free workload. Each leg's
+//! time is reported, not gated: how fast the shards make the engine is
+//! the `e2e` benchmark's `engine_match` workload.
 //!
 //! One more certified pair covers the plan's second level:
 //! `shared_resources` is a single component whose one rule joins on a
 //! key, so at max shards its tallies spread over key partitions and at
 //! 1 shard they do not. The pair is gated on the layout having been
-//! split and on both layouts reaching the same final working memory —
-//! no timing threshold, so it holds on two cores; `components`,
-//! `partitions` and the busiest shard's applies ride in every leg's
-//! `fanout` counters, so partition skew is visible.
+//! split and on both layouts reaching the same final working memory;
+//! `components`, `partitions` and the busiest shard's applies ride in
+//! every leg's `fanout` counters, so partition skew is visible.
 
 use dps_core::ParallelConfig;
 use dps_lock::ConflictPolicy;
@@ -39,7 +32,7 @@ use dps_obs::json::Json;
 use dps_obs::{Phase, TelemetryConfig};
 use dps_wm::WorkingMemory;
 
-use crate::analysis::{best_of, certified_run, counters, obs_identities, policy_name, Leg};
+use crate::analysis::{certified_run, counters, obs_identities, policy_name, Leg};
 use crate::harness::ReportArgs;
 use crate::report::{Op, Report};
 use crate::workloads;
@@ -126,67 +119,42 @@ fn fingerprint(wm: &WorkingMemory) -> u64 {
 
 /// The match-shard gate (flags: `--quick --json`).
 pub fn gate(args: &ReportArgs) -> Report {
-    let (groups, pairs, reps) = if args.quick() {
-        (32, 32, 1)
-    } else {
-        (64, 64, 2)
-    };
+    let (groups, pairs) = if args.quick() { (32, 32) } else { (64, 64) };
     let max_shards = SHARD_COUNTS[SHARD_COUNTS.len() - 1];
-    eprintln!(
-        "Match-shard sweep: match_heavy({groups}, {pairs}), {WORKERS} workers, \
-         best of {reps} rep(s)"
-    );
+    eprintln!("Match-shard sweep: match_heavy({groups}, {pairs}), {WORKERS} workers");
     let mut report = Report::new(
         "matchbench",
         vec![
             ("groups", Json::u64(groups as u64)),
             ("pairs", Json::u64(pairs as u64)),
             ("workers", Json::u64(WORKERS as u64)),
-            ("reps", Json::u64(reps as u64)),
         ],
     );
-    let timed = |shards, policy| best_of(reps, || one_run(groups, pairs, shards, false, policy));
+    let run = |shards, observe, policy| one_run(groups, pairs, shards, observe, policy);
     let mut legs: Vec<Leg> = Vec::new();
     let mut add = |report: &mut Report, leg: Leg| {
         report.leg(&leg);
         legs.push(leg);
     };
     for shards in SHARD_COUNTS {
-        add(&mut report, timed(shards, ConflictPolicy::AbortReaders));
+        add(&mut report, run(shards, false, ConflictPolicy::AbortReaders));
     }
     // Instrumented run at max shards: the match_apply histogram and the
     // fan-out counters must be internally consistent.
-    let observed = one_run(
-        groups,
-        pairs,
-        max_shards,
-        true,
-        ConflictPolicy::AbortReaders,
-    );
+    let observed = run(max_shards, true, ConflictPolicy::AbortReaders);
     let obs = observed.obs.clone().expect("observed leg");
     eprintln!(
         "\nobservability (instrumented, {} shards):\n{obs}",
         observed.report.fanout.shards
     );
     add(&mut report, observed.with("observability", obs.to_json()));
-    // MVCC comparison leg at max shards: the snapshot read path must
-    // leave this conflict-free workload exactly as abort-free as the
-    // stock locks do, with the match-cost story unchanged.
-    add(&mut report, timed(max_shards, ConflictPolicy::MvccSnapshot));
-    let [x1, x2, _, xmax, observed, mvcc] = &legs[..] else {
-        unreachable!("six legs were added")
-    };
+    // MVCC leg at max shards: the snapshot read path must leave this
+    // conflict-free workload exactly as abort-free as the stock locks
+    // do.
+    add(&mut report, run(max_shards, false, ConflictPolicy::MvccSnapshot));
+    let observed = &legs[SHARD_COUNTS.len()];
     report.timeline_of(observed);
 
-    let (r1, r2, rmax) = (x1.throughput(), x2.throughput(), xmax.throughput());
-    report.gate("x2_over_x1", r2 / r1, Op::Gt, 1.0);
-    report.gate("max_over_x1", rmax / r1, Op::Ge, 1.5);
-    report.gate(
-        "mvcc_over_stock_at_max_shards",
-        mvcc.throughput() / rmax,
-        Op::Ge,
-        0.5,
-    );
     report.equal(
         "aborts_on_the_conflict_free_workload",
         legs.iter().map(|l| l.report.aborts.total()).sum(),

@@ -76,7 +76,7 @@ impl Op {
 /// One declared condition of a gate.
 #[derive(Clone, Debug)]
 pub struct Gate {
-    /// Stable name (`speedup`, `2x_shed_on.books_reconciled`, …).
+    /// Stable name (`elided.lock_grants`, `legs_with_unbalanced_books`, …).
     pub name: String,
     /// The measured side.
     pub observed: f64,

@@ -205,9 +205,9 @@ pub struct ParallelConfig {
     /// networks — folded when there are fewer shards than components,
     /// and the shards beyond the component count dealt to
     /// key-partitionable components, whose disjoint join keys then
-    /// match on separate shards ([`dps_match::ShardPlan`]); `1`
-    /// collapses to the monolithic pre-pipeline layout — the recovery
-    /// knob `matchbench` measures. See the `pipeline` module.
+    /// match on separate shards ([`dps_match::ShardPlan`]); `1` puts
+    /// every rule on one Rete network, the layout gate legs that must
+    /// observe dooms pin. See the `pipeline` module.
     pub match_shards: usize,
     /// Durability: when set, every commit's change batch is staged
     /// into a file-backed group-commit WAL under the base mutex, with
@@ -319,11 +319,11 @@ pub struct AbortStats {
     pub doomed: u64,
     /// Deadlock victims.
     pub deadlock: u64,
-    /// Claim invalidated before/while acquiring condition locks.
-    ///
-    /// Historical note: this counter used to also absorb RHS evaluation
-    /// errors; those now have their own [`AbortStats::eval_error`]
-    /// counter, so `stale` means exactly what its name says.
+    /// Claim invalidated before/while acquiring condition locks: the
+    /// instantiation is no longer in its shard's conflict set when it is
+    /// validated. A session transaction naming a tuple that no longer
+    /// exists aborts with it too. RHS evaluation errors are counted in
+    /// [`AbortStats::eval_error`], not here.
     pub stale: u64,
     /// Revalidation failed (policy `Revalidate`).
     pub revalidation: u64,

@@ -1,9 +1,9 @@
-//! The sharded match pipeline: Rete off the world mutex.
+//! The sharded match pipeline: the dynamic engine's working memory and
+//! its matchers, locked apart.
 //!
-//! The dynamic engine's former `Mutex<World>` made every claim scan and
-//! every commit serialise on one matcher. This module splits that state
-//! into the paper's natural grain — the rule partition's class-connected
-//! components, and below that the disjoint join keys of a
+//! No claim scan or commit serialises on one matcher: the match state
+//! is split into the paper's natural grain — the rule partition's
+//! class-connected components, and below that the disjoint join keys of a
 //! key-partitionable component ([`ShardPlan`]) — so the match phase runs
 //! as a *pipeline* behind the commit critical section:
 //!

@@ -1,18 +1,18 @@
 //! The *world* — the database half of every engine: working memory plus
 //! the incremental matcher that mirrors it.
 //!
-//! All three engines (single-thread, static-parallel, dynamic-parallel)
-//! previously duplicated the same commit skeleton — apply the delta to
-//! WM, drive the matcher with the resulting changes, refract the fired
-//! instantiation, append to the trace. That skeleton lives here once, as
-//! [`World::commit`].
+//! The two serial engines (single-thread and static-parallel) commit
+//! through one skeleton — apply the delta to WM, drive the matcher with
+//! the resulting changes, refract the fired instantiation, append to the
+//! trace — [`World::commit`]. The WM and the matcher are one unit there:
+//! the matcher's state is a function of the change stream, so the two
+//! are only ever observed in lock-step.
 //!
-//! The WM and the matcher are deliberately **one** unit: the matcher's
-//! internal state is a function of the change stream, so the two must
-//! only ever be observed in lock-step. In the dynamic engine the pair
-//! sits behind a single mutex (`Mutex<World>`) — one of the three
-//! independently-locked pieces the former monolithic `Shared` struct was
-//! split into.
+//! The dynamic engine keeps its WM and its matchers apart: it commits
+//! through `ParallelEngine::commit_section` and its match state lives in
+//! the sharded `pipeline`. What all three engines share is
+//! [`Refraction`] (the dynamic engine keeps one per match shard), which
+//! the §3 oracle uses too.
 
 use std::collections::HashSet;
 

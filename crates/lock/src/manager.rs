@@ -1,20 +1,20 @@
 //! The sharded lock manager.
 //!
-//! Formerly one global `Mutex<State>` through which every `begin`,
-//! `lock`, `commit` and `abort` funnelled — the scalability killer this
-//! refactor removes. The decomposition follows the coordination-
-//! avoidance principle: coordinate only where the `Rc`/`Ra`/`Wa`
-//! semantics demand it.
+//! No one mutex sits in front of every `begin`, `lock`, `commit` and
+//! `abort`. The state is decomposed by the coordination-avoidance
+//! principle: coordinate only where the `Rc`/`Ra`/`Wa` semantics demand
+//! it. Each piece below has its own synchronisation, and the lock
+//! ordering after the list keeps the manager itself deadlock-free.
 //!
 //! * **Lock table** → striped into [`Shard`]s (hash of the
 //!   [`ResourceId`]); two transactions on resources in different shards
 //!   never contend. FIFO waiter queues live inside each per-resource
-//!   entry, so fairness is unchanged.
+//!   entry, so fairness is per resource.
 //! * **Transaction state** → per-transaction [`TxnState`] with its own
 //!   mutex and a [`WaitSlot`] to park on. Commit's `Rc`–`Wa` rule
-//!   linearizes at the owner's `Active → Committed` status flip — the
-//!   same race the old global lock serialised, now serialised by the
-//!   one mutex that actually matters. The registry that maps a
+//!   linearizes at the owner's `Active → Committed` status flip, under
+//!   that transaction's own mutex: a doom and a commit of the same
+//!   transaction cannot both win. The registry that maps a
 //!   [`TxnId`] to its state holds live transactions only: every way a
 //!   transaction finishes (commit, abort, a doom or forced abort
 //!   surfacing) ends in `release_held`, which removes the entry.
@@ -34,10 +34,10 @@
 //! `WaitSlot` mutex are leaves. At most one shard and one `inner` are
 //! held at any time.
 //!
-//! The commit-time `Rc`–`Wa` semantics are byte-for-byte those of the
-//! old centralised manager. There is no wait timeout: deadlocks are
-//! broken by detection alone, and the only deadline a wait can get is a
-//! chaos timeout storm ([`crate::FaultPlan::timeout_storm_pm`]).
+//! The commit-time `Rc`–`Wa` rule is Fig. 4.3's. There is no wait
+//! timeout: deadlocks are broken by detection alone, and the only
+//! deadline a wait can get is a chaos timeout storm
+//! ([`crate::FaultPlan::timeout_storm_pm`]).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -2,14 +2,14 @@
 //!
 //! Resources hash to one of N independent shards; each shard is a
 //! `Mutex<IdMap<ResourceId, Entry>>`. Two transactions touching
-//! resources in different shards never contend on a manager-level lock —
-//! this is the refactor that removes the former process-wide
-//! `Mutex<State>` from every `lock`/`try_lock` call.
+//! resources in different shards never contend on a manager-level lock:
+//! a `lock`/`try_lock` call takes the one stripe its resource hashes to,
+//! and never two stripes at once.
 //!
-//! Per-resource FIFO waiter queues are preserved inside each [`Entry`],
-//! so the fairness guarantees of the old centralised design (no reader
-//! overtakes a queued writer) carry over shard-locally — and since a
-//! queue is per *resource*, shard-local FIFO is exactly resource FIFO.
+//! Per-resource FIFO waiter queues live inside each [`Entry`], so no
+//! reader overtakes a queued writer; since a queue is per *resource*,
+//! shard-local FIFO is exactly resource FIFO, whatever other resources
+//! share the stripe.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -33,10 +33,10 @@ pub(crate) struct Entry {
 impl Entry {
     /// Is `mode` grantable to `txn` on this resource right now?
     ///
-    /// Byte-for-byte the predicate of the old centralised manager:
-    /// no conflicting holder (other than `txn` itself), and — FIFO
-    /// fairness — no earlier waiter we conflict with in either
-    /// direction (prevents writer starvation).
+    /// Yes iff there is no conflicting holder (other than `txn`
+    /// itself) and — FIFO fairness — no earlier waiter we conflict with
+    /// in either direction (prevents writer starvation).
+    /// Compatibility is Table 4.1's, through [`compatible`].
     pub fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
         for (holder, modes) in self.holders.iter() {
             if holder != txn && modes.blocks(mode) {
