@@ -5,14 +5,14 @@
 //! ([`dps_rules::analysis::commutes`] folded per class-component by the
 //! shard planner): on a workload where **every** rule is provably
 //! commutative — [`workloads::commute_stream`], counter bumps plus
-//! disjoint makes, which the locking protocol serialises on two hot
-//! relation `Wa` locks — the `elide_locks` engine
+//! disjoint makes, every access of which the locking protocol puts
+//! through the lock table — the `elide_locks` engine
 //!
 //! * acquires **zero** locks (grants *and* blocks are zero; every skip
 //!   is booked in `LockStats::elided` and receipted per commit as an
 //!   `ElidedCommit` event),
 //! * shows **zero blocked-ns** in the per-resource contention table
-//!   (the convoy is gone, not moved), while
+//!   (no wait moved anywhere else), while
 //! * both legs still drain to the exact expected commit count and
 //!   replay through the §3 single-thread oracle, with well-formed
 //!   histories.
@@ -65,8 +65,8 @@ pub struct CommuteSpec {
     /// Makes per producer.
     pub m_steps: i64,
     /// Simulated RHS cost, microseconds ([`WorkModel::BusyMicros`] —
-    /// the paper's CPU-bound RHS, so firings overlap and the locking
-    /// leg's relation-`Wa` locks are contended).
+    /// the paper's CPU-bound RHS, so firings overlap in the locking
+    /// leg's lock table).
     pub work_us: u64,
 }
 

@@ -92,7 +92,7 @@ pub fn manufacturing(jobs: usize, stages: usize) -> (RuleSet, WorkingMemory) {
 /// absence of `alarm` tuples in their own zone (a negated CE, so their
 /// `Rc` lock escalates to the whole `alarm` relation), while producers
 /// insert alarms into a zone (999) that **no guard watches**. The
-/// producers' `Wa` on the escalated relation overlaps every guard's `Rc`
+/// producers' `IWa` on the escalated relation overlaps every guard's `Rc`
 /// even though no guard's condition is actually invalidated. Under
 /// `AbortReaders` every such overlap kills the guards (who then retry);
 /// under `Revalidate` the engine re-checks their instantiations, finds
@@ -163,8 +163,8 @@ pub fn false_conflict_stream(
 }
 
 /// The coordination-avoidance workload: every rule is **provably
-/// commutative**, yet under the §4 locking protocol the run is a
-/// relation-lock convoy. `bump` delta-decrements `counters` `ctr`
+/// commutative**, yet under the §4 locking protocol every access goes
+/// through the lock table. `bump` delta-decrements `counters` `ctr`
 /// tuples (`c_steps` each); `emit` delta-decrements `makers` `feed`
 /// tuples and makes one `evt` per step into a class nobody reads.
 ///
@@ -172,11 +172,11 @@ pub fn false_conflict_stream(
 ///   it self-commutes; `emit`'s delta (`feed.n`) and insert (`evt`)
 ///   never meet its plain reads; the two rules share no class. Both
 ///   class-components elide.
-/// * **Lock convoy (elision off)**: every `modify` escalates to its
-///   class's relation `Wa` (serialising negated readers), so *all*
-///   bumps queue on the `ctr` relation and *all* emits on `feed` +
-///   `evt` — firings on disjoint tuples, serialised by two hot locks.
-///   Elision removes exactly that convoy; nothing else changes.
+/// * **Lock traffic (elision off)**: every firing takes `Rc` and `Wa`
+///   on its tuple plus the intention write `IWa` on the relation of
+///   each class it writes (shared with the class's other writers,
+///   refusing negated readers) — three grants a `bump`, four an `emit`.
+///   Elision skips exactly that traffic; nothing else changes.
 ///
 /// Total commits = `counters * c_steps + makers * m_steps`,
 /// deterministically, and the final WM is schedule-independent.

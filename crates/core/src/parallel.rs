@@ -1170,9 +1170,10 @@ impl ParallelEngine {
     /// The action `(reads, writes)` of a computed delta. Writes are the
     /// written tuples plus the relation of every created class — and of
     /// every class with a modified/removed tuple, so negated readers of
-    /// the class are serialised against it. Reads are the matched
-    /// tuples the delta does not write (those take the write access
-    /// instead).
+    /// the class are serialised against it (a relation write is the
+    /// intention write, which the class's other writers share). Reads
+    /// are the matched tuples the delta does not write (those take the
+    /// write access instead).
     fn action_resources(
         &self,
         inst: &Instantiation,
@@ -1217,7 +1218,7 @@ impl ParallelEngine {
     ///
     /// Under locks, any *later* commit that could invalidate the claim
     /// necessarily conflicts with the condition locks just acquired
-    /// (tuple `Wa`, or relation `Wa` vs our negated-class relation
+    /// (tuple `Wa`, or relation `IWa` vs our negated-class relation
     /// `Rc`), so the lock manager dooms us — a stale shard view can
     /// never carry a claim to commit. Snapshot strategies have no such
     /// protection: they pin `w` (flooring version GC for the attempt),

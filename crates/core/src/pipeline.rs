@@ -57,8 +57,8 @@
 //! there, and routing is a function of the tuple). Any commit
 //! that could invalidate the claim after that point necessarily
 //! conflicts with the claim's condition locks — a tuple `Wa` against
-//! our tuple `Rc`, or a relation `Wa` (creates, and the
-//! modify/remove relation escalation) against our relation `Rc` for
+//! our tuple `Rc`, or a relation's intention write `IWa` (creates, and
+//! the modify/remove relation escalation) against our relation `Rc` for
 //! negated classes — so the lock manager dooms us before or at our own
 //! `commit`. The shard epoch therefore only needs to be exact up to
 //! `w`; later invalidations are the lock manager's problem, exactly as

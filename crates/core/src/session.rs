@@ -16,11 +16,13 @@
 //! ## Locking
 //!
 //! External writes take the same action locks a rule RHS would: `Wa`
-//! (`X` under 2PL) on written tuples and on the
-//! relation of every created/written class — so a negated-condition
-//! reader is serialised against a session insert exactly as against a
-//! `make`. External *reads* ([`ParallelEngine::external_query`]) take a
-//! relation `Rc` lock in lock-based modes and run lock-free
+//! (`X` under 2PL) on written tuples and the intention write `IWa`
+//! (`IX`) on the relation of every created/written class — so a
+//! negated-condition reader is serialised against a session insert
+//! exactly as against a `make`, while two sessions inserting into one
+//! class do not wait for each other. External *reads*
+//! ([`ParallelEngine::external_query`]) take a relation `Rc` lock in
+//! lock-based modes and run lock-free
 //! read-committed under MVCC. An external transaction therefore
 //! participates in deadlock detection, doom, timeout and fault
 //! injection like any rule transaction; every abort path releases its
@@ -95,9 +97,10 @@ impl ParallelEngine {
         ExternalTxn { txn, strategy, snapshot, delta: DeltaSet::new() }
     }
 
-    /// Buffers an insert. Takes the action-write lock on the class's
-    /// relation (serialising against negated readers) before buffering;
-    /// on any lock failure the transaction is fully aborted.
+    /// Buffers an insert. Takes the intention write on the class's
+    /// relation (serialising against negated readers, not against other
+    /// writers) before buffering; on any lock failure the transaction
+    /// is fully aborted.
     pub fn external_insert(&self, xt: &mut ExternalTxn, data: WmeData) -> Result<(), AbortCause> {
         let res = self.relation_resource(&data.class);
         self.external_acquire(xt, res, Access::Write)?;
@@ -106,8 +109,8 @@ impl ParallelEngine {
     }
 
     /// Buffers a remove of `id`. Takes the tuple write lock plus the
-    /// relation write lock of the tuple's class (a removal can *enable*
-    /// a negated reader). Fails — aborting the transaction — when the
+    /// intention write on the tuple's class (a removal can *enable* a
+    /// negated reader). Fails — aborting the transaction — when the
     /// tuple does not exist.
     pub fn external_remove(&self, xt: &mut ExternalTxn, id: WmeId) -> Result<(), AbortCause> {
         let class: Atom = match self.pipeline.lock_base().wm.get(id) {
@@ -383,6 +386,54 @@ mod tests {
         assert_eq!(err, dps_obs::AbortCause::Stale);
         assert_eq!(engine.held_locks(), 0);
         assert_eq!(engine.snapshot_pins(), 0);
+    }
+
+    /// Writers of one class share its relation: while one session holds
+    /// the relation lock of its `delta` insert, a second session's
+    /// insert and commit go through (the relation lock is an intention
+    /// write), yet a condition read of the whole class still waits.
+    #[test]
+    fn session_writers_of_one_class_do_not_queue_on_its_relation() {
+        use std::time::{Duration, Instant};
+        let delta = |key: i64| WmeData::new("delta").with("key", key).with("v", 1i64);
+        for policy in [ConflictPolicy::AbortReaders, ConflictPolicy::MvccSnapshot] {
+            let engine = ParallelEngine::new(
+                &accumulator_rules(),
+                acc_wm(2),
+                ParallelConfig { service: true, policy, ..ParallelConfig::default() },
+            );
+            let mut first = engine.external_begin();
+            engine.external_insert(&mut first, delta(0)).unwrap();
+            let reader = engine.lm.begin();
+            let rel = engine.relation_resource(&Atom::from("delta"));
+            assert_eq!(
+                engine.lm.try_lock(reader, rel, dps_lock::LockMode::Rc),
+                Ok(false),
+                "{policy:?}: a class-wide condition read waits for the writer"
+            );
+            let (unblocked, second) = std::thread::scope(|scope| {
+                let second = scope.spawn(|| {
+                    let mut xt = engine.external_begin();
+                    engine.external_insert(&mut xt, delta(1))?;
+                    engine.external_commit(&mut xt)
+                });
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !second.is_finished() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let unblocked = second.is_finished();
+                // Releasing the first writer frees a second one that did
+                // queue, so a regression fails here instead of hanging.
+                engine.external_commit(&mut first).unwrap();
+                (unblocked, second.join().unwrap())
+            });
+            assert!(unblocked, "{policy:?}: the second writer queued behind the first");
+            second.unwrap();
+            engine.lm.abort(reader).unwrap();
+            assert_eq!(engine.external_commit_count(), 2);
+            assert_eq!(engine.held_locks(), 0);
+            assert_eq!(engine.snapshot_pins(), 0);
+        }
     }
 
     /// Leak regression: an RHS that *panics* mid-action — inside the

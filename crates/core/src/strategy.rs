@@ -21,7 +21,7 @@ pub(crate) enum Access {
     Condition,
     /// RHS read (`R_a`).
     Read,
-    /// RHS write (`W_a`).
+    /// RHS write (`W_a`; `IW_a` on a relation).
     Write,
 }
 
@@ -73,7 +73,8 @@ impl Strategy {
     /// lock — the chaos seam the lock request would have passed
     /// through, so fault-injected A/B runs compare protocols rather
     /// than injection surface areas. A locked access takes its Table 4.1
-    /// mode under the strategy's protocol.
+    /// mode under the strategy's protocol; a write of a relation takes
+    /// the protocol's intention write, so writers of one class share it.
     pub(crate) fn acquire(
         self,
         engine: &ParallelEngine,
@@ -89,7 +90,10 @@ impl Strategy {
             }
             (Strategy::Locked(p), Access::Condition) => p.condition_read(),
             (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Read) => p.action_read(),
-            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Write) => p.action_write(),
+            (Strategy::Locked(p) | Strategy::Snapshot(p), Access::Write) => match res {
+                ResourceId::Tuple(_) => p.action_write(),
+                ResourceId::Relation(_) => p.relation_write(),
+            },
         };
         lm.lock(txn, res, mode).map_err(classify)
     }

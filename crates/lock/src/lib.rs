@@ -24,7 +24,11 @@
 //! deadlocks", so the standard machinery applies) and **lock escalation**
 //! hooks via relation-granularity resources ([`ResourceId::Relation`]),
 //! "equivalent to locking the appropriate tuple in the SYSTEM-CATALOG
-//! relation".
+//! relation". A transaction that writes a class takes its relation in
+//! an *intention* mode ([`LockMode::IWa`], [`LockMode::IX`] under 2PL;
+//! [`Protocol::relation_write`]): compatible with itself, so writers of
+//! one class meet only at the tuples they share, and otherwise answering
+//! the class's readers exactly as a full write would.
 //!
 //! ```
 //! use dps_lock::{LockManager, LockMode, ResourceId, ConflictPolicy};

@@ -146,17 +146,6 @@ pub fn res_of_key(key: u64) -> ResourceId {
     }
 }
 
-/// Static mode name for obs events (matches [`LockMode`]'s `Display`).
-fn mode_name(mode: LockMode) -> &'static str {
-    match mode {
-        LockMode::S => "S",
-        LockMode::X => "X",
-        LockMode::Rc => "Rc",
-        LockMode::Ra => "Ra",
-        LockMode::Wa => "Wa",
-    }
-}
-
 /// Composable constructor for [`LockManager`]: the conflict policy plus
 /// the three optional attachments an engine wires in.
 ///
@@ -482,7 +471,7 @@ impl LockManager {
                         txn.0,
                         ObsEvent::Block {
                             resource: res_key(res),
-                            mode: mode_name(mode),
+                            mode: mode.name(),
                             holder: holder.map(|h| h.0),
                         },
                     );
@@ -622,7 +611,7 @@ impl LockManager {
                 txn.0,
                 ObsEvent::Grant {
                     resource: res_key(res),
-                    mode: mode_name(mode),
+                    mode: mode.name(),
                 },
             );
         }
@@ -655,12 +644,14 @@ impl LockManager {
             self.check_doomed(txn, &ts)?;
             unreachable!("doomed status must surface as an error");
         };
-        // Find live Rc holders overlapped by our Wa locks (they could
-        // only have acquired Rc *before* our Wa was granted — Table 4.1
-        // forbids the reverse order). We still hold the shard entries, so
-        // no new Rc can slip in before release below.
+        // Find live Rc holders overlapped by our Wa / IWa locks (they
+        // could only have acquired Rc *before* our write was granted —
+        // Table 4.1 forbids the reverse order). We still hold the shard
+        // entries, so no new Rc can slip in before release below.
         let wa = self.by_stripe(
-            held.iter().filter(|(_, modes)| modes.contains(LockMode::Wa)).map(|(r, _)| r),
+            held.iter()
+                .filter(|(_, modes)| modes.iter().any(LockMode::overrides_rc))
+                .map(|(r, _)| r),
         );
         let mut affected: Vec<TxnId> = Vec::new();
         for run in wa.chunk_by(|a, b| a.0 == b.0) {
@@ -1295,6 +1286,38 @@ mod tests {
         );
         m.commit(b).unwrap();
         assert!(m.commit(a).unwrap_err().is_abort());
+    }
+
+    #[test]
+    fn intention_writers_share_a_relation_and_still_doom_its_readers() {
+        let m = LockManager::new(ConflictPolicy::AbortReaders);
+        let (reader, w1, w2, late) = (m.begin(), m.begin(), m.begin(), m.begin());
+        let rel = ResourceId::Relation(3);
+        m.lock(reader, rel, Rc).unwrap();
+        assert_eq!(m.try_lock(w1, rel, IWa), Ok(true), "Rc ∥ IWa, as Rc ∥ Wa");
+        assert_eq!(m.try_lock(w2, rel, IWa), Ok(true), "IWa ∥ IWa: writers do not queue");
+        assert_eq!(m.try_lock(late, rel, Rc), Ok(false), "no Rc under a live IWa");
+        assert_eq!(m.try_lock(late, rel, Wa), Ok(false), "a full Wa excludes intention writers");
+        assert_eq!(m.commit(w1).unwrap().doomed_readers, vec![reader], "Fig. 4.3 through IWa");
+        assert!(m.commit(w2).unwrap().doomed_readers.is_empty(), "the reader is already doomed");
+        assert!(m.commit(reader).unwrap_err().is_abort());
+        assert_eq!(m.try_lock(late, rel, Rc), Ok(true), "the writers are gone");
+        m.commit(late).unwrap();
+        assert_eq!(m.stats().blocks, 0, "try_lock refusals queue nothing");
+
+        // 2PL: `IX` shares the relation with `IX` and waits for `S`.
+        let (s, x1, x2) = (m.begin(), m.begin(), m.begin());
+        m.lock(x1, rel, IX).unwrap();
+        assert_eq!(m.try_lock(x2, rel, IX), Ok(true));
+        assert_eq!(m.try_lock(s, rel, S), Ok(false));
+        m.commit(x1).unwrap();
+        m.commit(x2).unwrap();
+        assert_eq!(m.try_lock(s, rel, S), Ok(true));
+        let x3 = m.begin();
+        assert_eq!(m.try_lock(x3, rel, IX), Ok(false));
+        m.commit(s).unwrap();
+        m.commit(x3).unwrap();
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
     #[test]

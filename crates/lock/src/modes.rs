@@ -9,6 +9,15 @@ use std::fmt;
 /// > (i) LHS of a production must be executed before its RHS.
 /// > (ii) Data access in LHS is read only.
 /// > (iii) Data access in RHS is read-write.
+///
+/// `IX`/`IWa` are the *intention* writes a transaction takes on the
+/// relation of a class it writes (multiple-granularity locking). A
+/// relation lock exists to order writers of a class against readers of
+/// the whole class — a negated CE, an escalated `Rc`, a session query —
+/// and two writers of one class meet only where they write the same
+/// tuple, which carries its own `X`/`Wa`. So an intention write is
+/// compatible with itself and, against the read modes, behaves as the
+/// full write of its protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LockMode {
     /// Shared read (conventional 2PL).
@@ -21,16 +30,24 @@ pub enum LockMode {
     Ra,
     /// Write lock for action (RHS) execution.
     Wa,
+    /// Intention exclusive (conventional 2PL): a relation some tuple of
+    /// which the holder writes.
+    IX,
+    /// Intention action write: a relation some tuple of which the
+    /// holder's RHS creates, modifies or removes.
+    IWa,
 }
 
 impl LockMode {
     /// All modes, in display order.
-    pub const ALL: [LockMode; 5] = [
+    pub const ALL: [LockMode; 7] = [
         LockMode::S,
         LockMode::X,
         LockMode::Rc,
         LockMode::Ra,
         LockMode::Wa,
+        LockMode::IX,
+        LockMode::IWa,
     ];
 
     /// The production-protocol modes of Table 4.1, in the paper's order.
@@ -40,18 +57,30 @@ impl LockMode {
     pub fn is_read(self) -> bool {
         matches!(self, LockMode::S | LockMode::Rc | LockMode::Ra)
     }
-}
 
-impl fmt::Display for LockMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// `true` for the modes whose commit dooms (or hands back for
+    /// revalidation) the live `Rc` holders of the resource (Fig. 4.3).
+    pub fn overrides_rc(self) -> bool {
+        matches!(self, LockMode::Wa | LockMode::IWa)
+    }
+
+    /// The mode's name, as printed and as recorded in `dps-obs` events.
+    pub fn name(self) -> &'static str {
+        match self {
             LockMode::S => "S",
             LockMode::X => "X",
             LockMode::Rc => "Rc",
             LockMode::Ra => "Ra",
             LockMode::Wa => "Wa",
-        };
-        f.write_str(s)
+            LockMode::IX => "IX",
+            LockMode::IWa => "IWa",
+        }
+    }
+}
+
+impl fmt::Display for LockMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -64,21 +93,31 @@ impl fmt::Display for LockMode {
 /// `compatible(held = Wa, requested = Rc)` is `false` (a condition may
 /// not begin reading under an in-flight writer).
 ///
+/// The intention writes extend each protocol by one mode that is
+/// compatible with itself and otherwise answers as the protocol's full
+/// write: `IX` stands to `S`/`X` as `X` does, and `IWa` stands to
+/// `Rc`/`Ra`/`Wa` as `Wa` does — granted over a held `Rc`, refusing a
+/// requested one.
+///
 /// Mixing the `S`/`X` baseline with the production modes is not
 /// meaningful within one protocol; for safety any such mix is treated as
 /// incompatible except read/read.
 pub fn compatible(held: LockMode, requested: LockMode) -> bool {
     use LockMode::*;
     match (held, requested) {
-        // Conventional 2PL.
-        (S, S) => true,
-        (S, X) | (X, S) | (X, X) => false,
+        // Conventional 2PL, plus its intention write.
+        (S, S) | (IX, IX) => true,
+        (S | X | IX, S | X | IX) => false,
         // Table 4.1 (held is the row, requested the column).
         (Rc, Rc) | (Rc, Ra) => true,
         (Rc, Wa) => true, // the paper's key relaxation
         (Ra, Rc) | (Ra, Ra) => true,
         (Ra, Wa) => false,
         (Wa, Rc) | (Wa, Ra) | (Wa, Wa) => false,
+        // The intention action write: `Wa`'s row and column, except
+        // that two intention writers share the relation.
+        (IWa, IWa) | (Rc, IWa) => true,
+        (Ra | Wa, IWa) | (IWa, Rc | Ra | Wa) => false,
         // Cross-protocol mixes: only read/read passes.
         (a, b) => a.is_read() && b.is_read(),
     }
@@ -159,11 +198,21 @@ impl Protocol {
         }
     }
 
-    /// Mode used for RHS writes.
+    /// Mode used for RHS writes of a tuple.
     pub fn action_write(self) -> LockMode {
         match self {
             Protocol::TwoPhase => LockMode::X,
             Protocol::RcRaWa => LockMode::Wa,
+        }
+    }
+
+    /// Mode used on the relation of a class the RHS writes: the
+    /// intention write, so writers of one class do not queue behind each
+    /// other on its relation.
+    pub fn relation_write(self) -> LockMode {
+        match self {
+            Protocol::TwoPhase => LockMode::IX,
+            Protocol::RcRaWa => LockMode::IWa,
         }
     }
 }
@@ -207,6 +256,27 @@ mod tests {
     }
 
     #[test]
+    fn intention_writes_share_a_relation_and_answer_readers_as_writes() {
+        // Row = held, column = requested; the full write of each
+        // protocol beside its intention write.
+        for (read, write, intent) in [(S, X, IX), (Rc, Wa, IWa)] {
+            assert!(compatible(intent, intent), "{intent} ∥ {intent}");
+            for other in [read, write] {
+                assert!(!compatible(intent, other), "held {intent}, requested {other}");
+            }
+            assert!(!compatible(write, intent) && !compatible(intent, write));
+            assert_eq!(compatible(read, intent), compatible(read, write), "held {read}");
+        }
+        assert!(!compatible(Ra, IWa) && !compatible(IWa, Ra));
+        for m in LockMode::ALL {
+            assert_eq!(m.overrides_rc(), matches!(m, Wa | IWa), "{m}");
+        }
+        // Across protocols an intention write is a write.
+        assert!(!compatible(IX, IWa) && !compatible(IWa, IX));
+        assert!(!compatible(IX, Rc) && !compatible(S, IWa));
+    }
+
+    #[test]
     fn cross_protocol_mixes_are_conservative() {
         assert!(compatible(S, Rc), "read/read passes");
         assert!(!compatible(S, Wa));
@@ -236,6 +306,8 @@ mod tests {
         assert_eq!(Protocol::RcRaWa.condition_read(), Rc);
         assert_eq!(Protocol::RcRaWa.action_read(), Ra);
         assert_eq!(Protocol::RcRaWa.action_write(), Wa);
+        assert_eq!(Protocol::TwoPhase.relation_write(), IX);
+        assert_eq!(Protocol::RcRaWa.relation_write(), IWa);
     }
 
     #[test]

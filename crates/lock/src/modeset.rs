@@ -99,9 +99,9 @@ mod tests {
 
     #[test]
     fn mode_set_conflict_test_equals_the_per_mode_scan() {
-        // Every subset of the five modes × every requested mode: the
+        // Every subset of the seven modes × every requested mode: the
         // bit-mask test answers exactly what scanning a `BTreeSet` did.
-        for mask in 0u8..32 {
+        for mask in 0u8..1 << LockMode::ALL.len() {
             let subset: BTreeSet<LockMode> =
                 LockMode::ALL.into_iter().filter(|&m| mask & (1 << m as u8) != 0).collect();
             let mut set = ModeSet::default();
@@ -151,7 +151,7 @@ mod tests {
                     let expected = model.remove(&key);
                     assert_eq!(removed.map(|s| s.iter().collect()), expected);
                 } else {
-                    let mode = LockMode::ALL[rng.below(5) as usize];
+                    let mode = LockMode::ALL[rng.below(LockMode::ALL.len() as u64) as usize];
                     map.grant(key, mode);
                     model.entry(key).or_default().insert(mode);
                 }

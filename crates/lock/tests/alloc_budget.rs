@@ -3,11 +3,11 @@
 //! Every firing on `engine_contend` (the `e2e` workload where lock and
 //! commit-path costs show) runs the same lock traffic: `begin`, `R_c` on
 //! the two matched tuples, `W_a` on the same two tuples (the RHS removes
-//! one and modifies the other), `W_a` on both tuples' relations, and
-//! `commit` — six grants. This test replays that footprint through the
-//! public API on one thread under a counting allocator, and a second
-//! shape that aborts after its first write lock, and bounds what each
-//! transaction allocates on average.
+//! one and modifies the other), the intention write `IW_a` on both
+//! tuples' relations, and `commit` — six grants. This test replays that
+//! footprint through the public API on one thread under a counting
+//! allocator, and a second shape that aborts after its first write
+//! lock, and bounds what each transaction allocates on average.
 //!
 //! Measured (release, 50 000 transactions after a 2 000-transaction
 //! warm-up), mean per transaction:
@@ -83,8 +83,11 @@ fn commit_shape(m: &LockManager, k: u64) {
     for res in [task, tally] {
         m.lock(txn, res, LockMode::Rc).unwrap();
     }
-    for res in [task, tally, ResourceId::Relation(0), ResourceId::Relation(1)] {
+    for res in [task, tally] {
         m.lock(txn, res, LockMode::Wa).unwrap();
+    }
+    for rel in [ResourceId::Relation(0), ResourceId::Relation(1)] {
+        m.lock(txn, rel, LockMode::IWa).unwrap();
     }
     m.commit(txn).unwrap();
 }

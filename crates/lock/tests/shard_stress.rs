@@ -64,11 +64,16 @@ fn run_txn(mgr: &LockManager, rng: &mut Rng) -> bool {
     let n_locks = 1 + rng.index(4);
     for _ in 0..n_locks {
         let res = resource(rng);
-        let mode = if two_phase {
-            [LockMode::S, LockMode::X][rng.index(2)]
-        } else {
-            [LockMode::Rc, LockMode::Ra, LockMode::Wa][rng.index(3)]
+        // A relation may also take its protocol's intention write.
+        let modes: &[LockMode] = match (two_phase, res) {
+            (true, ResourceId::Relation(_)) => &[LockMode::S, LockMode::X, LockMode::IX],
+            (true, ResourceId::Tuple(_)) => &[LockMode::S, LockMode::X],
+            (false, ResourceId::Relation(_)) => {
+                &[LockMode::Rc, LockMode::Ra, LockMode::Wa, LockMode::IWa]
+            }
+            (false, ResourceId::Tuple(_)) => &[LockMode::Rc, LockMode::Ra, LockMode::Wa],
         };
+        let mode = modes[rng.index(modes.len())];
         let result = if rng.chance(20) {
             // Non-blocking probe; a refusal is not an error.
             mgr.try_lock(txn, res, mode).map(|_| ())

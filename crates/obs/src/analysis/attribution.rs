@@ -36,12 +36,13 @@ pub struct ResourceContention {
 }
 
 /// The read modes a doom victim held (`Rc` under the 3-mode protocol,
-/// `S` under 2PL) and the write modes a committer dooms through.
+/// `S` under 2PL) and the write modes a committer dooms through (a
+/// relation's intention write included).
 fn is_read_mode(m: &str) -> bool {
     matches!(m, "Rc" | "S")
 }
 fn is_write_mode(m: &str) -> bool {
-    matches!(m, "Wa" | "X")
+    matches!(m, "Wa" | "IWa" | "X" | "IX")
 }
 
 /// Builds the per-resource contention table, sorted by `blocked_ns`
@@ -161,19 +162,24 @@ mod tests {
             e(0, 1, EventKind::Begin),
             e(1, 1, EventKind::Grant { resource: 6, mode: "Rc" }),
             e(2, 1, EventKind::Grant { resource: 8, mode: "Rc" }),
+            e(2, 1, EventKind::Grant { resource: 9, mode: "Rc" }),
             e(3, 2, EventKind::Begin),
             e(4, 2, EventKind::Grant { resource: 8, mode: "Wa" }),
             e(5, 2, EventKind::Grant { resource: 12, mode: "Wa" }),
+            e(5, 2, EventKind::Grant { resource: 9, mode: "IWa" }),
             e(6, 1, EventKind::Doom { by: 2 }),
             e(7, 2, EventKind::Commit),
             e(8, 1, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
         ];
         let table = contention_table(&build(&h));
-        // Only resource 8 is both read by the victim and written by the
-        // committer.
-        let row8 = table.iter().find(|r| r.resource == 8).unwrap();
-        assert_eq!(row8.dooms_caused, 1);
-        assert!(table.iter().all(|r| r.resource == 8 || r.dooms_caused == 0));
+        // Only tuple 8 and relation 9 (odd keys are relations; its
+        // writer holds the intention write) are both read by the victim
+        // and written by the committer.
+        for res in [8, 9] {
+            let row = table.iter().find(|r| r.resource == res).unwrap();
+            assert_eq!(row.dooms_caused, 1, "resource {res}");
+        }
+        assert!(table.iter().all(|r| [8, 9].contains(&r.resource) || r.dooms_caused == 0));
     }
 
     #[test]

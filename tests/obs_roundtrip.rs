@@ -31,7 +31,7 @@ use dbps::wm::rng::SmallRng;
 const CASES: u64 = 64;
 
 /// The lock-mode names the lock layer emits.
-const MODES: [&str; 5] = ["S", "X", "Rc", "Ra", "Wa"];
+const MODES: [&str; 7] = ["S", "X", "Rc", "Ra", "Wa", "IX", "IWa"];
 
 /// Drives a [`Recorder`] with a random but lifecycle-valid schedule:
 /// every transaction begins first, accumulates random non-terminal

@@ -27,7 +27,9 @@
 //!    `elided` where the shape's rules are provably commutative);
 //! 6. an elided run never enters the lock table: zero grants, zero
 //!    blocks, every skipped request booked — and a shape the commute
-//!    analysis cannot prove keeps the full §4 protocol (zero skips).
+//!    analysis cannot prove keeps the full §4 protocol (zero skips);
+//! 7. a relation is written under its protocol's intention write (`IX`,
+//!    `IWa`), never the full `X`/`Wa`, so writers of one class share it.
 //!
 //! The inline per-policy tests this replaces (`crates/core/src/
 //! parallel.rs`, before PR 13) map to cells as follows:
@@ -47,7 +49,8 @@
 
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
-use dbps::lock::{ConflictPolicy, FaultPlan, Protocol};
+use dbps::lock::{res_of_key, ConflictPolicy, FaultPlan, Protocol, ResourceId};
+use dbps::obs::EventKind;
 use dbps::rules::RuleSet;
 use dbps::wm::{Value, WmeData, WorkingMemory};
 use dps_bench::analysis::abort_count;
@@ -291,6 +294,31 @@ fn every_strategy_obeys_every_law_on_every_shape() {
                 assert_eq!(locks.elided, 0, "{cell}: skip without a commute proof");
                 assert!(locks.grants > 0, "{cell}: §4 protocol idle");
             }
+            // Law 7: relation writes are intention writes.
+            let relation_grants: Vec<&str> = engine
+                .observer()
+                .expect("observe: true")
+                .history()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Grant { resource, mode }
+                        if matches!(res_of_key(resource), ResourceId::Relation(_)) =>
+                    {
+                        Some(mode)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                relation_grants.iter().all(|m| !matches!(*m, "X" | "Wa")),
+                "{cell}: a full write on a relation: {relation_grants:?}"
+            );
+            let intention = row.protocol.relation_write().name();
+            assert_eq!(
+                relation_grants.contains(&intention),
+                !elides,
+                "{cell}: every shape writes a class, under {intention} unless elided"
+            );
         }
     }
 }
