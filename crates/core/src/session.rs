@@ -44,7 +44,7 @@ use dps_lock::{ResourceId, TxnId};
 use dps_match::{InstKey, Matcher};
 use dps_obs::AbortCause;
 use dps_rules::RuleId;
-use dps_wm::{Atom, DeltaSet, WmeData, WmeId};
+use dps_wm::{Atom, DeltaSet, Wme, WmeData, WmeId};
 
 use crate::commit::{Commit, PinGuard};
 use crate::parallel::ParallelEngine;
@@ -125,22 +125,33 @@ impl ParallelEngine {
     }
 
     /// Condition query: every live WME of `class`, as `(id, data)`
-    /// pairs. Lock-based modes take the relation's condition-read lock
-    /// (held to transaction end, so the read set is stable); MVCC reads
-    /// lock-free read-committed state under the base mutex.
+    /// pairs ([`ParallelEngine::external_query_with`], cloned out).
     pub fn external_query(
         &self,
         xt: &mut ExternalTxn,
         class: &str,
     ) -> Result<Vec<(u64, WmeData)>, AbortCause> {
+        self.external_query_with(xt, class, |rows| rows.map(|w| (w.id.0, w.data.clone())).collect())
+    }
+
+    /// Condition query that hands `f` every live WME of `class`, in id
+    /// order, and returns what `f` makes of them — a server encodes its
+    /// reply straight from working memory instead of cloning the rows
+    /// first. Lock-based modes take the relation's condition-read lock
+    /// (held to transaction end, so the read set is stable); MVCC reads
+    /// lock-free read-committed state. `f` runs under the base mutex, so
+    /// it must not call back into the engine.
+    pub fn external_query_with<R>(
+        &self,
+        xt: &mut ExternalTxn,
+        class: &str,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Wme>) -> R,
+    ) -> Result<R, AbortCause> {
         let rel = self.relation_resource(&Atom::from(class));
         self.external_acquire(xt, rel, Access::Condition)?;
         let base = self.pipeline.lock_base();
-        Ok(base
-            .wm
-            .class_iter(class)
-            .map(|w| (w.id.0, w.data.clone()))
-            .collect())
+        let out = f(&mut base.wm.class_iter(class));
+        Ok(out)
     }
 
     /// Commits the buffered delta through the engine's commit section

@@ -9,7 +9,11 @@
 //!   *data-driven* against the union of every session's writes;
 //! * **one handler thread per connection** — the wire loop: decode a
 //!   frame, check it against the [`SessionState`] machine, execute it
-//!   through the engine's external-transaction API, reply.
+//!   through the engine's external-transaction API, reply. A `Query`
+//!   reply is encoded straight from working memory
+//!   ([`dps_core::ParallelEngine::external_query_with`]) into a buffer
+//!   the connection reuses; a reply too large for one frame is answered
+//!   with a typed `Err(Protocol)` and the session goes on.
 //!
 //! Disconnect safety is the handler's invariant: *every* exit path —
 //! clean `Bye`, EOF mid-transaction, a read timeout, a transaction
@@ -41,7 +45,7 @@ use dps_wm::{Value, WmeData, WorkingMemory};
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::session::{SessionState, SessionTimeouts};
 use crate::transport::Conn;
-use crate::wire::{read_frame, write_frame, ErrCode, Request, Response};
+use crate::wire::{put_rows, read_frame, write_frame, ErrCode, Request, Response};
 
 /// Front-door configuration.
 #[derive(Clone, Debug, Default)]
@@ -205,7 +209,35 @@ impl Server {
     }
 
     fn reply(conn: &mut impl Conn, resp: &Response) -> io::Result<()> {
-        write_frame(conn, &resp.encode())
+        Self::send(conn, &resp.encode())
+    }
+
+    /// Writes one reply body. A body over [`crate::wire::MAX_FRAME`] is
+    /// refused before a byte of it is sent, so the connection is still
+    /// in step: the client gets a typed `Err(Protocol)` in its place,
+    /// and the session (and any open transaction) stays usable.
+    fn send(conn: &mut impl Conn, body: &[u8]) -> io::Result<()> {
+        match write_frame(conn, body) {
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                let resp = Response::Err { code: ErrCode::Protocol, msg: e.to_string() };
+                write_frame(conn, &resp.encode())
+            }
+            sent => sent,
+        }
+    }
+
+    /// Runs `Query class` in `xt` and encodes the `Rows` body into `out`
+    /// straight from working memory, under the engine's lock, with the
+    /// encoder [`Response::encode`] uses.
+    fn query_body(
+        engine: &ParallelEngine,
+        xt: &mut ExternalTxn,
+        class: &str,
+        out: &mut Vec<u8>,
+    ) -> Result<(), AbortCause> {
+        engine.external_query_with(xt, class, |rows| {
+            put_rows(out, rows.map(|w| (w.id.0, &w.data)));
+        })
     }
 
     /// Books one transaction's resolution. Every path that ends an
@@ -255,6 +287,8 @@ impl Server {
         let mut state = SessionState::Idle;
         let mut xt: Option<ExternalTxn> = None;
         let mut deadline: Option<Instant> = None;
+        // The `Rows` body of the last `Query`, reused across frames.
+        let mut rows_body = Vec::new();
         loop {
             // While a transaction is open, the read timeout is bounded
             // by its remaining budget so an overrun is noticed even if
@@ -334,7 +368,8 @@ impl Server {
                     break;
                 }
             }
-            // An op or commit the engine rolled back is `Err(cause)`.
+            // An op or commit the engine rolled back is `Err(cause)`;
+            // `Ok(None)` is a `Query` whose reply is in `rows_body`.
             let outcome = match req {
                 Request::Hello | Request::Bye => {
                     // Hello is illegal here (the state machine rejected
@@ -365,7 +400,7 @@ impl Server {
                         }
                         xt = Some(x);
                         deadline = Some(Instant::now() + self.config.timeouts.txn);
-                        Ok(Response::Ok { seq: 0 })
+                        Ok(Some(Response::Ok { seq: 0 }))
                     }
                 },
                 Request::Insert { class, attrs } => {
@@ -378,33 +413,34 @@ impl Server {
                             .insert_if_absent("session".into(), Value::Int(sid as i64));
                     }
                     let x = xt.as_mut().expect("InTxn implies open txn");
-                    self.engine.external_insert(x, data).map(|()| Response::Ok { seq: 0 })
+                    self.engine.external_insert(x, data).map(|()| Some(Response::Ok { seq: 0 }))
                 }
                 Request::Remove { id } => {
                     let x = xt.as_mut().expect("InTxn implies open txn");
                     let removed = self.engine.external_remove(x, dps_wm::WmeId(id));
-                    removed.map(|()| Response::Ok { seq: 0 })
+                    removed.map(|()| Some(Response::Ok { seq: 0 }))
                 }
                 Request::Query { class } => {
                     let x = xt.as_mut().expect("InTxn implies open txn");
-                    self.engine.external_query(x, &class).map(|rows| Response::Rows { rows })
+                    rows_body.clear();
+                    Self::query_body(&self.engine, x, &class, &mut rows_body).map(|()| None)
                 }
                 Request::Invoke => {
                     self.engine.await_quiescence();
-                    Ok(Response::Done { commits: self.engine.rule_commit_count() })
+                    Ok(Some(Response::Done { commits: self.engine.rule_commit_count() }))
                 }
                 Request::Commit => {
                     let mut x = xt.take().expect("InTxn implies open txn");
                     deadline = None;
                     self.engine.external_commit(&mut x).map(|seq| {
                         self.book(End::Commit);
-                        Response::Ok { seq }
+                        Some(Response::Ok { seq })
                     })
                 }
                 Request::Abort => {
                     deadline = None;
                     self.roll_back(&mut xt, End::Abort(AbortCause::Stale));
-                    Ok(Response::Ok { seq: 0 })
+                    Ok(Some(Response::Ok { seq: 0 }))
                 }
             };
             let resp = match outcome {
@@ -418,10 +454,14 @@ impl Server {
                     deadline = None;
                     self.book(End::Abort(cause));
                     state = if draining { SessionState::Draining } else { SessionState::Idle };
-                    Response::Err { code: ErrCode::Aborted, msg: format!("{cause:?}") }
+                    Some(Response::Err { code: ErrCode::Aborted, msg: format!("{cause:?}") })
                 }
             };
-            if Self::reply(&mut conn, &resp).is_err() {
+            let sent = match resp {
+                Some(resp) => Self::reply(&mut conn, &resp),
+                None => Self::send(&mut conn, &rows_body),
+            };
+            if sent.is_err() {
                 self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                 break;
             }
@@ -663,6 +703,77 @@ mod tests {
             let (_, stats) = srv.join().unwrap();
             assert_eq!(stats.commits, 0);
         });
+    }
+
+    #[test]
+    fn oversized_rows_reply_is_a_typed_error_not_a_hang_up() {
+        // 30 000 `acc` rows encode to about 1.6 MB, past `MAX_FRAME`.
+        let rules = accumulator_rules();
+        let server = Server::new(
+            &rules,
+            acc_wm(30_000),
+            ParallelConfig { workers: 1, ..ParallelConfig::default() },
+            ServerConfig {
+                timeouts: SessionTimeouts {
+                    idle_read: Some(Duration::from_millis(20)),
+                    txn: Duration::from_secs(30),
+                },
+                ..ServerConfig::default()
+            },
+        );
+        let (s1, mut c1) = loopback_pair();
+        std::thread::scope(|s| {
+            let srv = s.spawn(|| server.run(vec![s1]));
+            hello(&mut c1);
+            assert_eq!(rpc(&mut c1, &Request::Begin), Response::Ok { seq: 0 });
+            match rpc(&mut c1, &Request::Query { class: "acc".into() }) {
+                Response::Err { code, msg } => {
+                    assert_eq!(code, ErrCode::Protocol);
+                    assert!(msg.contains("MAX_FRAME"), "{msg}");
+                }
+                r => panic!("expected Err(Protocol), got {r:?}"),
+            }
+            // The transaction is still open and usable.
+            match rpc(&mut c1, &Request::Query { class: "delta".into() }) {
+                Response::Rows { rows } => assert!(rows.is_empty()),
+                r => panic!("expected Rows, got {r:?}"),
+            }
+            let insert = Request::Insert {
+                class: "delta".into(),
+                attrs: vec![("key".into(), Value::Int(7)), ("v".into(), Value::Int(3))],
+            };
+            assert_eq!(rpc(&mut c1, &insert), Response::Ok { seq: 0 });
+            match rpc(&mut c1, &Request::Commit) {
+                Response::Ok { seq } => assert!(seq > 0),
+                r => panic!("commit failed: {r:?}"),
+            }
+            assert_eq!(rpc(&mut c1, &Request::Bye), Response::Bye);
+            let (_, stats) = srv.join().unwrap();
+            assert_eq!(stats.disconnects, 0);
+            assert_eq!(stats.aborts, 0);
+            assert_eq!(stats.commits, 1);
+        });
+        assert_eq!(server.engine().held_locks(), 0);
+    }
+
+    #[test]
+    fn rows_from_working_memory_encode_like_response_encode() {
+        let mut wm = acc_wm(5);
+        wm.insert(WmeData::new("acc").with("key", 9i64).with("tag", Value::Sym("hot".into())));
+        wm.insert(WmeData::new("acc").with("key", 10i64).with("note", Value::Str("é".into())));
+        let engine = ParallelEngine::new(
+            &accumulator_rules(),
+            wm,
+            ParallelConfig { service: true, ..ParallelConfig::default() },
+        );
+        for class in ["acc", "none"] {
+            let mut xt = engine.external_begin();
+            let rows = engine.external_query(&mut xt, class).unwrap();
+            let mut body = Vec::new();
+            Server::query_body(&engine, &mut xt, class, &mut body).unwrap();
+            assert_eq!(body, Response::Rows { rows }.encode(), "class {class}");
+            engine.external_abort(&mut xt, AbortCause::Stale);
+        }
     }
 
     #[test]

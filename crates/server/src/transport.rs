@@ -5,8 +5,12 @@
 //! reads with an optional timeout, writes, and an explicit kill
 //! switch) — and tested over [`loopback_pair`]: a full-duplex
 //! in-process pipe built from two bounded byte queues with condvar
-//! wakeups. The pair reproduces the failure modes the disconnect-safety
-//! machinery must survive:
+//! wakeups. A write or read moves as many bytes as fit under one lock
+//! (a vectored write takes a whole frame, header and body, at once),
+//! and the condvar is notified only when a thread is blocked on it, so
+//! a request/response round trip costs one wake-up per frame. The pair
+//! reproduces the failure modes the disconnect-safety machinery must
+//! survive:
 //!
 //! * **clean close** — [`LoopbackConn::close`] (or drop) marks both
 //!   directions closed; the peer's next read returns EOF at a frame
@@ -21,7 +25,7 @@
 //!   fire (the slowloris defence).
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,6 +46,10 @@ const PIPE_CAP: usize = 256 * 1024;
 struct PipeState {
     buf: VecDeque<u8>,
     closed: bool,
+    /// Threads blocked on the pipe's condvar (a reader waiting for
+    /// bytes or a writer waiting for room). A change that one of them
+    /// could be waiting for notifies only while this is non-zero.
+    waiting: usize,
 }
 
 struct Pipe {
@@ -59,48 +67,62 @@ impl Pipe {
         self.cv.notify_all();
     }
 
+    /// Wakes whoever is blocked on the pipe, if anyone is.
+    fn wake(&self, st: &PipeState) {
+        if st.waiting > 0 {
+            self.cv.notify_all();
+        }
+    }
+
     fn read(&self, out: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.state.lock().unwrap();
         loop {
             if !st.buf.is_empty() {
-                let n = out.len().min(st.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().unwrap();
-                }
-                self.cv.notify_all();
+                let n = st.buf.read(out)?;
+                self.wake(&st);
                 return Ok(n);
             }
             if st.closed {
                 return Ok(0);
             }
+            st.waiting += 1;
             st = match deadline {
                 None => self.cv.wait(st).unwrap(),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
+                        st.waiting -= 1;
                         return Err(io::Error::new(io::ErrorKind::TimedOut, "read timeout"));
                     }
                     self.cv.wait_timeout(st, d - now).unwrap().0
                 }
             };
+            st.waiting -= 1;
         }
     }
 
-    fn write(&self, data: &[u8]) -> io::Result<usize> {
+    /// Appends as much of `data`, in order, as fits; blocks while the
+    /// pipe is full.
+    fn write(&self, data: &[IoSlice<'_>]) -> io::Result<usize> {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.closed {
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
             }
-            let room = PIPE_CAP - st.buf.len();
-            if room > 0 {
-                let n = data.len().min(room);
-                st.buf.extend(&data[..n]);
-                self.cv.notify_all();
+            if st.buf.len() < PIPE_CAP {
+                let mut n = 0;
+                for part in data {
+                    let k = part.len().min(PIPE_CAP - st.buf.len());
+                    st.buf.extend(&part[..k]);
+                    n += k;
+                }
+                self.wake(&st);
                 return Ok(n);
             }
+            st.waiting += 1;
             st = self.cv.wait(st).unwrap();
+            st.waiting -= 1;
         }
     }
 }
@@ -141,6 +163,10 @@ impl Read for LoopbackConn {
 
 impl Write for LoopbackConn {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.tx.write(&[IoSlice::new(data)])
+    }
+
+    fn write_vectored(&mut self, data: &[IoSlice<'_>]) -> io::Result<usize> {
         self.tx.write(data)
     }
 
@@ -176,6 +202,89 @@ pub fn loopback_pair() -> (LoopbackConn, LoopbackConn) {
 mod tests {
     use super::*;
     use crate::wire::{read_frame, write_frame, Request};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::thread;
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// finished within a minute: a lost wake-up leaves a thread blocked
+    /// for good, and must show as a failure, not as a hung test run (the
+    /// blocked thread is left behind; the test process ends it).
+    fn watchdog(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = channel();
+        let worker = thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("finished without reporting"),
+            },
+            Err(RecvTimeoutError::Timeout) => panic!("blocked for 60 s: a wake-up was lost"),
+        }
+    }
+
+    /// Polls `pipe` until `ready` holds of its state.
+    fn await_state(pipe: &Pipe, ready: impl Fn(&PipeState) -> bool) {
+        while !ready(&pipe.state.lock().unwrap()) {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        watchdog(|| {
+            let (mut a, mut b) = loopback_pair();
+            let echo = thread::spawn(move || {
+                while let Some(body) = read_frame(&mut b).unwrap() {
+                    write_frame(&mut b, &body).unwrap();
+                }
+            });
+            // 100 000 frames each way, no read timeout on either side.
+            for i in 0..100_000u32 {
+                let body = i.to_le_bytes();
+                write_frame(&mut a, &body).unwrap();
+                assert_eq!(read_frame(&mut a).unwrap().unwrap(), body);
+            }
+            drop(a);
+            echo.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn writer_blocked_on_a_full_pipe_wakes_when_the_reader_drains() {
+        watchdog(|| {
+            let (mut a, mut b) = loopback_pair();
+            let body = vec![7u8; PIPE_CAP + PIPE_CAP / 2];
+            let len = body.len();
+            let writer = thread::spawn(move || {
+                write_frame(&mut a, &body).unwrap();
+                a
+            });
+            await_state(&b.rx, |st| st.buf.len() == PIPE_CAP && st.waiting == 1);
+            assert!(!writer.is_finished(), "the writer is blocked on the full pipe");
+            let got = read_frame(&mut b).unwrap().expect("frame");
+            assert!(got.len() == len && got.iter().all(|&x| x == 7));
+            drop(writer.join().unwrap());
+        });
+    }
+
+    #[test]
+    fn reader_blocked_mid_header_gets_the_whole_frame() {
+        watchdog(|| {
+            let (mut a, mut b) = loopback_pair();
+            let reader = thread::spawn(move || read_frame(&mut b).unwrap());
+            let body = Request::Query { class: "acc".into() }.encode();
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            a.write_all(&frame[..2]).unwrap();
+            // The reader took the two bytes and blocks for the rest.
+            await_state(&a.tx, |st| st.buf.is_empty() && st.waiting == 1);
+            a.write_all(&frame[2..]).unwrap();
+            assert_eq!(reader.join().unwrap(), Some(body));
+        });
+    }
 
     #[test]
     fn bytes_flow_both_ways() {

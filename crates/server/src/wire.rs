@@ -10,10 +10,17 @@
 //! never a panic, and a frame is bounded by [`MAX_FRAME`] so a
 //! corrupt or hostile peer cannot make the server allocate without
 //! limit.
+//!
+//! Decoding reads strings in place (a borrowed `&str`, UTF-8 checked)
+//! and makes atoms from them without an intermediate `String`. A
+//! `Rows` body repeats the same class and attribute names in every
+//! row, so its decoder interns each distinct name once per frame (one
+//! trip to the process-wide atom table) and reuses the atom after
+//! that: a decoded row costs one allocation, its attribute vector.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
-use dps_wm::{AttrMap, Value, WmeData};
+use dps_wm::{Atom, AttrMap, Value, WmeData};
 
 /// Upper bound on a frame's `len` field (1 MiB). A peer announcing
 /// more is a protocol error, not an allocation.
@@ -185,13 +192,36 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &[u8], at: &mut usize) -> io::Result<String> {
+fn get_str<'a>(buf: &'a [u8], at: &mut usize) -> io::Result<&'a str> {
     let n = get_len(buf, at, "string length")?;
     let bytes = buf
         .get(*at..*at + n)
         .ok_or_else(|| perr("truncated string body"))?;
     *at += n;
-    String::from_utf8(bytes.to_vec()).map_err(|_| perr("invalid UTF-8"))
+    std::str::from_utf8(bytes).map_err(|_| perr("invalid UTF-8"))
+}
+
+/// The class and attribute names one frame has interned so far (see
+/// the module docs). Lookups scan, so the table stops growing at
+/// [`Names::CAP`] entries; a frame with more distinct names interns the
+/// rest each time they occur.
+#[derive(Default)]
+struct Names<'a>(Vec<(&'a str, Atom)>);
+
+impl<'a> Names<'a> {
+    const CAP: usize = 16;
+
+    fn get(&mut self, buf: &'a [u8], at: &mut usize) -> io::Result<Atom> {
+        let s = get_str(buf, at)?;
+        if let Some((_, atom)) = self.0.iter().find(|(seen, _)| *seen == s) {
+            return Ok(atom.clone());
+        }
+        let atom = Atom::new(s);
+        if self.0.len() < Names::CAP {
+            self.0.push((s, atom.clone()));
+        }
+        Ok(atom)
+    }
 }
 
 fn get_u64(buf: &[u8], at: &mut usize) -> io::Result<u64> {
@@ -243,8 +273,8 @@ fn get_value(buf: &[u8], at: &mut usize) -> io::Result<Value> {
         V_BOOL => Value::Bool(get_u8(buf, at)? != 0),
         V_INT => Value::Int(get_u64(buf, at)? as i64),
         V_FLOAT => Value::Float(f64::from_bits(get_u64(buf, at)?)),
-        V_SYM => Value::Sym(get_str(buf, at)?.into()),
-        V_STR => Value::Str(get_str(buf, at)?.into()),
+        V_SYM => Value::Sym(Atom::new(get_str(buf, at)?)),
+        V_STR => Value::Str(Atom::new(get_str(buf, at)?)),
         t => return Err(perr(&format!("unknown value tag {t:#04x}"))),
     })
 }
@@ -258,16 +288,33 @@ fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
     }
 }
 
-fn get_wme(buf: &[u8], at: &mut usize) -> io::Result<WmeData> {
-    let class = get_str(buf, at)?;
+/// Encodes a `Rows` body (tag, row count, rows) into `buf`. The one
+/// `Rows` encoder: [`Response::encode`] feeds it decoded rows, the
+/// server feeds it working memory's tuples under the engine's lock.
+pub(crate) fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl Iterator<Item = (u64, &'a WmeData)>) {
+    buf.push(T_ROWS);
+    let count_at = buf.len();
+    put_len(buf, 0);
+    let mut n = 0usize;
+    for (id, data) in rows {
+        buf.extend_from_slice(&id.to_le_bytes());
+        put_wme(buf, data);
+        n += 1;
+    }
+    let count = u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes();
+    buf[count_at..count_at + 4].copy_from_slice(&count);
+}
+
+fn get_wme<'a>(buf: &'a [u8], at: &mut usize, names: &mut Names<'a>) -> io::Result<WmeData> {
+    let class = names.get(buf, at)?;
     let n = get_len(buf, at, "attr count")?;
     let mut attrs = AttrMap::new();
     for _ in 0..n {
-        let k = get_str(buf, at)?;
+        let k = names.get(buf, at)?;
         let v = get_value(buf, at)?;
-        attrs.insert(k.into(), v);
+        attrs.insert(k, v);
     }
-    Ok(WmeData { class: class.into(), attrs })
+    Ok(WmeData { class, attrs })
 }
 
 impl Request {
@@ -310,18 +357,18 @@ impl Request {
             T_HELLO => Request::Hello,
             T_BEGIN => Request::Begin,
             T_INSERT => {
-                let class = get_str(buf, &mut at)?;
+                let class = get_str(buf, &mut at)?.to_owned();
                 let n = get_len(buf, &mut at, "attr count")?;
                 let mut attrs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let k = get_str(buf, &mut at)?;
+                    let k = get_str(buf, &mut at)?.to_owned();
                     let v = get_value(buf, &mut at)?;
                     attrs.push((k, v));
                 }
                 Request::Insert { class, attrs }
             }
             T_REMOVE => Request::Remove { id: get_u64(buf, &mut at)? },
-            T_QUERY => Request::Query { class: get_str(buf, &mut at)? },
+            T_QUERY => Request::Query { class: get_str(buf, &mut at)?.to_owned() },
             T_INVOKE => Request::Invoke,
             T_COMMIT => Request::Commit,
             T_ABORT => Request::Abort,
@@ -348,14 +395,7 @@ impl Response {
                 buf.push(T_OK);
                 buf.extend_from_slice(&seq.to_le_bytes());
             }
-            Response::Rows { rows } => {
-                buf.push(T_ROWS);
-                put_len(&mut buf, rows.len());
-                for (id, data) in rows {
-                    buf.extend_from_slice(&id.to_le_bytes());
-                    put_wme(&mut buf, data);
-                }
-            }
+            Response::Rows { rows } => put_rows(&mut buf, rows.iter().map(|(id, d)| (*id, d))),
             Response::Done { commits } => {
                 buf.push(T_DONE);
                 buf.extend_from_slice(&commits.to_le_bytes());
@@ -384,9 +424,10 @@ impl Response {
             T_ROWS => {
                 let n = get_len(buf, &mut at, "row count")?;
                 let mut rows = Vec::with_capacity(n.min(1024));
+                let mut names = Names::default();
                 for _ in 0..n {
                     let id = get_u64(buf, &mut at)?;
-                    let data = get_wme(buf, &mut at)?;
+                    let data = get_wme(buf, &mut at, &mut names)?;
                     rows.push((id, data));
                 }
                 Response::Rows { rows }
@@ -396,7 +437,7 @@ impl Response {
             T_ERR => {
                 let code = ErrCode::from_u8(get_u8(buf, &mut at)?)
                     .ok_or_else(|| perr("unknown error code"))?;
-                Response::Err { code, msg: get_str(buf, &mut at)? }
+                Response::Err { code, msg: get_str(buf, &mut at)?.to_owned() }
             }
             T_RBYE => Response::Bye,
             t => return Err(perr(&format!("unknown response tag {t:#04x}"))),
@@ -408,9 +449,10 @@ impl Response {
     }
 }
 
-/// Writes one frame: length prefix plus body. A body over
-/// [`MAX_FRAME`] is refused with [`io::ErrorKind::InvalidInput`] and
-/// nothing is written.
+/// Writes one frame: length prefix plus body, handed to the writer
+/// together (one vectored write when the writer takes it whole, so a
+/// reader wakes once per frame). A body over [`MAX_FRAME`] is refused
+/// with [`io::ErrorKind::InvalidInput`] and nothing is written.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME as usize {
         return Err(io::Error::new(
@@ -418,8 +460,17 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
             format!("wire: frame body of {} bytes exceeds MAX_FRAME", body.len()),
         ));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let len = (body.len() as u32).to_le_bytes();
+    let mut parts = [IoSlice::new(&len), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -542,6 +593,78 @@ mod tests {
         roundtrip_resp(Response::Rows {
             rows: vec![(9, row)],
         });
+    }
+
+    /// Rows of two classes whose attribute names repeat across rows, one
+    /// name shared by both classes, with symbol and string values.
+    fn mixed_rows() -> Vec<(u64, WmeData)> {
+        (0..40u64)
+            .map(|i| {
+                let data = if i % 3 == 0 {
+                    let text = Value::Str("hé".into());
+                    WmeData::new("note").with("owner", i as i64).with("text", text)
+                } else {
+                    WmeData::new("acc")
+                        .with("owner", i as i64)
+                        .with("tag", Value::Sym(if i % 2 == 0 { "even" } else { "odd" }.into()))
+                };
+                (i + 1, data)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_with_repeated_and_distinct_names_round_trip() {
+        roundtrip_resp(Response::Rows { rows: mixed_rows() });
+        // More distinct names than a frame's name table keeps.
+        let wide = (0..3 * Names::CAP)
+            .fold(WmeData::new("wide"), |d, i| d.with(format!("a{i}").as_str(), i as i64));
+        roundtrip_resp(Response::Rows { rows: vec![(1, wide.clone()), (2, wide)] });
+        roundtrip_resp(Response::Rows { rows: Vec::new() });
+    }
+
+    #[test]
+    fn decoded_names_and_symbols_are_the_interned_atoms() {
+        let body = Response::Rows { rows: mixed_rows() }.encode();
+        let Response::Rows { rows } = Response::decode(&body).unwrap() else {
+            panic!("not rows")
+        };
+        let same = |a: &Atom, text: &str| {
+            let b = Atom::from(text);
+            assert!(a.is_interned() && b.is_interned());
+            assert!(std::ptr::eq(a.as_str(), b.as_str()), "{a:?} is not the table's entry");
+        };
+        for (_, data) in &rows {
+            same(&data.class, data.class.as_str());
+            for (k, v) in data.attrs.iter() {
+                same(k, k.as_str());
+                if let Value::Sym(a) | Value::Str(a) = v {
+                    same(a, a.as_str());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected_in_names_and_values() {
+        let row = WmeData::new("acc").with("key", 1i64);
+        let body = Response::Rows { rows: vec![(1, row)] }.encode();
+        // Class name, then attribute name: both decode through the
+        // frame's name table and must still be checked.
+        for name in ["acc", "key"] {
+            let at = body.windows(3).position(|w| w == name.as_bytes()).unwrap();
+            let mut bad = body.clone();
+            bad[at] = 0xff;
+            let err = Response::decode(&bad).unwrap_err();
+            assert!(err.to_string().contains("UTF-8"), "{name}: {err}");
+        }
+        let mut bad = Request::Insert {
+            class: "t".into(),
+            attrs: vec![("k".into(), Value::Sym("v".into()))],
+        }
+        .encode();
+        *bad.last_mut().unwrap() = 0xc3;
+        assert!(Request::decode(&bad).is_err());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use dps_wm::{Atom, Value};
 
 const DIGITS: usize = 6;
 
-/// Near the longest string the wire carries (`u16` length prefix).
+/// A long string (the wire's `u32` length prefix allows up to a
+/// frame's 1 MiB; this many fill the table in a few hundred frames).
 const LONG: usize = 60_000;
 
 /// The `i`-th distinct string of length `len`.

@@ -11,8 +11,9 @@
 //! The table is capped at [`Atom::INTERN_CAP_BYTES`]. Interned strings
 //! are never freed, so without a cap every distinct `Value::Str` or
 //! `Value::Sym` a client sends would grow the process for good. The cap
-//! counts bytes, not strings, because a wire string can be 64 KiB long:
-//! each entry is charged its length plus its slot in the table. A string
+//! counts bytes, not strings, because a wire string can be close to
+//! 1 MiB long (a `u32` length, bounded by the frame size): each entry is
+//! charged its length plus its slot in the table. A string
 //! the table already holds always returns its interned atom; a new one
 //! that would take the table past the cap falls back to a refcounted
 //! heap string: correct and freed when dropped, only not free to clone.
