@@ -16,8 +16,8 @@
 //! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
 //! | 8 | ledger | commit counters, ledger unclaim |
-//! | 9 | — | `Phase::Commit` sample, wake waiters, `fan_out` to the other affected shards |
-//! | 10 | — | checkpoint install, group-commit `request_sync` |
+//! | 9 | — | `Phase::Commit` sample, wake threads waiting on an in-flight claim, `fan_out` to the other affected shards |
+//! | 10 | — | checkpoint install, group-commit `request_sync` (the log writer fsyncs) |
 //!
 //! Commit order = sequence order = trace order because steps 1–6 share
 //! one hold of the base mutex (`Phase::BaseHold`; the caller's wait for
@@ -31,6 +31,12 @@
 //! `inflight` falls only after the watermark has risen, so a scanner
 //! that saw nothing claimable and nothing in flight has seen this
 //! commit's batch.
+//!
+//! Step 9 wakes only threads parked on an in-flight claim; it never
+//! wakes an idle service-mode worker. What a commit enables is fired
+//! by whoever caused it: a worker or a `fire_ready` caller rescans
+//! after each commit it makes, and the server calls
+//! [`ParallelEngine::fire_ready`] after replying to a session commit.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::MutexGuard;
@@ -163,7 +169,8 @@ impl ParallelEngine {
         let wake = {
             // Under the ledger so the claim gate's cap check stays exact
             // and the wake below is ordered against its check-then-wait
-            // (the watermark moved before this lock was taken).
+            // (the watermark moved before this lock was taken). Only
+            // threads parked on an in-flight claim are counted.
             let mut ledger = self.ledger.lock().unwrap();
             if let Some(claim) = claim {
                 self.metrics.commits.fetch_add(1, Relaxed);
@@ -185,12 +192,13 @@ impl ParallelEngine {
         self.pipeline.fan_out(&affected, seq, obs);
         // Durability tail, with no engine lock held: the deferred
         // checkpoint-snapshot install, then the group-commit request.
-        // `request_sync` is non-blocking for piggybackers — one
-        // committer at a time holds the flush baton and fsyncs for
-        // everyone, so the durable horizon trails the published one by
-        // at most the in-flight batch (the prefix loss the recovery
-        // gate sweeps). A dead writer means a kill point fired: the
-        // commit stays visible in memory and never becomes durable.
+        // `request_sync` never blocks: the log writer thread fsyncs for
+        // every committer, so the durable horizon trails the published
+        // one by at most the writer's in-flight batch (the prefix loss
+        // the recovery gate sweeps). It hands back the horizon when it
+        // has advanced since a committer last saw it — one `WalSync` per
+        // advance. A dead writer means a kill point fired: the commit
+        // stays visible in memory and never becomes durable.
         if let Some(durable) = &self.durable {
             if checkpoint.is_some_and(|snap| durable.install_checkpoint(seq, &snap).is_ok()) {
                 self.emit(txn, ObsEvent::Checkpoint { seq });
@@ -221,17 +229,20 @@ impl ParallelEngine {
         // Kill-point seam: simulate process death at this commit. The
         // record's fate depends on the site — dropped on the floor (died
         // before the fsync), torn mid-frame, or made durable first (died
-        // right after the fsync). Dropped and torn stage + kill under
-        // one WAL-file lock acquisition (`append_then_kill`): a
-        // concurrent group-commit flusher must not slip between the two
+        // right after the fsync). Dropped and torn first let the log
+        // writer make every earlier commit durable, so a kill at commit
+        // `k` loses exactly `k` however far the writer lagged, then
+        // stage + kill under one WAL-file lock acquisition
+        // (`append_then_kill`): the writer must not slip between the two
         // and make the doomed record durable.
         let kill_site = self.injector.as_ref().and_then(|inj| inj.wal_kill(seq));
+        let die = |mode| {
+            writer.sync_to(seq - 1).and_then(|()| writer.append_then_kill(seq, changes, mode))
+        };
         let staged = match kill_site {
             None => writer.append(seq, changes),
-            Some(WalKillSite::AfterPublish) => {
-                writer.append_then_kill(seq, changes, KillMode::Clean)
-            }
-            Some(WalKillSite::TornTail) => writer.append_then_kill(seq, changes, KillMode::Torn),
+            Some(WalKillSite::AfterPublish) => die(KillMode::Clean),
+            Some(WalKillSite::TornTail) => die(KillMode::Torn),
             Some(WalKillSite::AfterSync) => writer
                 .append(seq, changes)
                 .and_then(|()| writer.flush().map(drop))
@@ -430,6 +441,6 @@ impl Drop for ClaimGuard<'_> {
         if let Ok(mut ledger) = self.engine.ledger.lock() {
             self.release(&mut ledger);
         }
-        self.engine.cv.notify_all();
+        self.engine.wake_all();
     }
 }

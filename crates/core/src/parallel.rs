@@ -61,18 +61,21 @@
 //!   refraction slice, caught up from the sequence-numbered delta log
 //!   by committers fanning out and by idle claim scans stealing
 //!   pending shard×batch work;
-//! * **`Ledger`** (`Mutex` + `Condvar`) — claims, in-flight count,
-//!   termination flags, parked-waiter count and, under policy
-//!   `Revalidate` only, claims by transaction and engine dooms; the
-//!   scheduler's state. A firing takes it three times (claim gate, claim
-//!   scan, unclaim at commit), plus the engine-doom checks under
-//!   `Revalidate`; a commit or abort notifies the condvar only when a
-//!   waiter is parked. Doom-polling during simulated RHS work touches
-//!   *only* this (and the lock manager), never any matcher;
+//! * **`Ledger`** (`Mutex` + two `Condvar`s) — claims, in-flight count,
+//!   termination flags, the count of threads parked on an in-flight
+//!   claim and, under policy `Revalidate` only, claims by transaction
+//!   and engine dooms; the scheduler's state. A firing takes it three
+//!   times (claim gate, claim scan, unclaim at commit), plus the
+//!   engine-doom checks under `Revalidate`; a commit or abort notifies
+//!   the in-flight condvar only when such a waiter is parked, and never
+//!   the idle condvar service-mode workers park on at quiescence (the
+//!   committer fires what it enabled, [`ParallelEngine::fire_ready`]).
+//!   Doom-polling during simulated RHS work touches *only* this (and
+//!   the lock manager), never any matcher;
 //! * **`Metrics`** (atomics) — counters.
 //!
 //! Lock order: base → shard → log → ledger (any subsequence is fine;
-//! never in reverse). The condvar is tied to the ledger; waiters
+//! never in reverse). Both condvars are tied to the ledger; waiters
 //! hold nothing else while sleeping.
 //!
 //! Every committed sequence is recorded as a [`Trace`];
@@ -98,7 +101,7 @@ use dps_rules::{instantiate_actions, Rule, RuleSet};
 use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
 
 use crate::commit::{Claim, ClaimGuard, Commit, PinGuard};
-use crate::pipeline::{scan_order, MatchPipeline};
+use crate::pipeline::{is_busy, scan_order, MatchPipeline};
 use crate::strategy::{Access, Strategy};
 use crate::{Firing, Footprint, Trace};
 
@@ -213,8 +216,9 @@ pub struct ParallelConfig {
     /// into a file-backed group-commit WAL under the base mutex, with
     /// periodic checkpoint snapshots. After the commit section the
     /// committer requests a group-commit fsync without waiting for it:
-    /// one committer at a time flushes for everyone, so the durable
-    /// horizon trails the published one by at most the in-flight batch.
+    /// the durability layer's log-writer thread does every fsync, so
+    /// no committer blocks on the disk and the durable horizon trails
+    /// the published one by at most the writer's in-flight batch.
     /// The final flush at the end of the run makes every commit durable
     /// (unless a chaos kill point killed the writer).
     /// [`dps_wm::recover`] +
@@ -240,11 +244,14 @@ pub struct ParallelConfig {
     /// — final WAL flush, telemetry stop — so an interrupted run never
     /// leaves a torn WAL tail. `None` (the default) costs one branch.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Service mode: at quiescence, workers *park* on the engine
-    /// condvar instead of terminating, waiting for external session
-    /// commits ([`ParallelEngine::external_commit`]) to feed new WM
-    /// changes — the multi-session server's front-door mode. The run
-    /// then only ends via [`ParallelEngine::request_stop`] (or the
+    /// Service mode: at quiescence, workers *park* instead of
+    /// terminating, while external session commits
+    /// ([`ParallelEngine::external_commit`]) feed new WM changes — the
+    /// multi-session server's front-door mode. Commits do not wake
+    /// them: whoever commits fires what the commit enabled
+    /// ([`ParallelEngine::fire_ready`]), and a parked worker rescans
+    /// every 10 ms as a safety net. The run then only ends via
+    /// [`ParallelEngine::request_stop`] (or the
     /// [`ParallelConfig::stop`] flag, or halt / the commit cap).
     pub service: bool,
     /// Coordination avoidance (Bailis et al.): when `true`, a claimed
@@ -426,11 +433,14 @@ pub(crate) struct Ledger {
     pub(crate) inflight: usize,
     pub(crate) halted: bool,
     pub(crate) done: bool,
-    /// Threads parked on the engine condvar ([`ParallelEngine::park`]).
-    /// A notifier that changed the ledger reads it before letting go of
+    /// Threads parked on the engine condvar waiting for an in-flight
+    /// claim to resolve ([`ParallelEngine::park`]). A committer or
+    /// aborter that changed the ledger reads it before letting go of
     /// the ledger and skips the wake when it is zero: a waiter registers
     /// before its wait releases the ledger, so it either saw the change
-    /// or is counted here.
+    /// or is counted here. Service-mode workers idle at quiescence are
+    /// not counted: they park on the idle condvar, which commits never
+    /// notify.
     pub(crate) waiters: usize,
 }
 
@@ -492,9 +502,16 @@ pub struct ParallelEngine {
     /// probes — `'static` closures on the sampler thread — can read
     /// its atomics after borrowing rules forbid a plain reference.
     pub(crate) pipeline: Arc<MatchPipeline>,
-    /// Piece (a): claims + termination; condvar lives here.
+    /// Piece (a): claims + termination; both condvars are tied to it.
     pub(crate) ledger: Mutex<Ledger>,
+    /// Threads waiting for an in-flight claim to resolve; commits and
+    /// aborts notify it when [`Ledger::waiters`] is non-zero.
     pub(crate) cv: Condvar,
+    /// Service-mode workers parked at quiescence. Only the end of the
+    /// run, [`ParallelEngine::kick`] and their own 10 ms rescan wake
+    /// them: the thread whose commit enabled a firing fires it
+    /// ([`ParallelEngine::fire_ready`]).
+    idle: Condvar,
     /// Piece (c): counters.
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) lm: Arc<LockManager>,
@@ -592,6 +609,7 @@ impl ParallelEngine {
             pipeline,
             ledger: Mutex::new(Ledger::default()),
             cv: Condvar::new(),
+            idle: Condvar::new(),
             metrics,
             obs,
             injector,
@@ -741,12 +759,16 @@ impl ParallelEngine {
         let workers = self.config.workers.max(1);
         std::thread::scope(|scope| {
             for idx in 0..workers {
-                scope.spawn(move || while self.worker_step(idx) {});
+                std::thread::Builder::new()
+                    .name(format!("dps-worker-{idx}"))
+                    .spawn_scoped(scope, move || while self.worker_step(idx) {})
+                    .expect("spawn engine worker");
             }
         });
-        // Quiescence flush: the baton flusher only guarantees eventual
-        // durability while commits keep arriving; make the final tail
-        // durable here so a clean shutdown recovers completely.
+        // Quiescence flush: committers only request durability, and the
+        // log writer syncs what was requested; make the final tail
+        // durable here (the writer does it, this thread waits) so a
+        // clean shutdown recovers completely.
         if let Some(durable) = &self.durable {
             if !durable.writer().is_dead() {
                 let _ = durable.writer().flush();
@@ -872,11 +894,18 @@ impl ParallelEngine {
     /// orders the wake against the claim gate's check-then-wait.
     pub fn kick(&self) {
         drop(self.ledger.lock().unwrap());
-        self.cv.notify_all();
+        self.wake_all();
     }
 
-    /// Parks on the engine condvar (for at most `timeout`, if given),
-    /// counted in [`Ledger::waiters`] for as long as it waits.
+    /// Wakes every parked thread, idle workers included.
+    pub(crate) fn wake_all(&self) {
+        self.cv.notify_all();
+        self.idle.notify_all();
+    }
+
+    /// Parks on the engine condvar (for at most `timeout`, if given)
+    /// until an in-flight claim resolves, counted in
+    /// [`Ledger::waiters`] for as long as it waits.
     pub(crate) fn park<'a>(
         &self,
         mut ledger: MutexGuard<'a, Ledger>,
@@ -891,8 +920,94 @@ impl ParallelEngine {
         ledger
     }
 
+    /// Fires what is ready, on the calling thread: claims and executes
+    /// claimable instantiations one at a time, through the transaction
+    /// skeleton a worker runs, until a scan finds nothing claimable or
+    /// the run is over. It never parks and never waits on another
+    /// thread's claim. It also leaves alone every shard another thread
+    /// has a claim in flight on: that thread rescans once its claim
+    /// resolves, so what the shard holds gets fired, and firers do not
+    /// pile onto one hot shard to doom each other.
+    ///
+    /// In service mode this is how rules fire: the server calls it
+    /// after replying to a committed session transaction, so what the
+    /// commit enabled fires on the session thread while the client
+    /// turns around, and parked workers stay parked.
+    /// [`Self::await_quiescence`] calls it before it parks, so a caller
+    /// committing through [`Self::external_commit`] alone never waits
+    /// for a worker's idle rescan.
+    pub fn fire_ready(&self) {
+        let offset = caller_offset();
+        while let Scan::Claimed(inst, held) = self.scan_claim(offset, true) {
+            self.execute_claim(inst, held);
+        }
+    }
+
     /// One claim→execute→commit attempt (or a wait); `false` once the
     /// run is over.
+    fn worker_step(&self, worker: usize) -> bool {
+        let (inst, held) = loop {
+            // ---- gate: termination / halt / commit cap ----
+            {
+                let mut ledger = self.ledger.lock().unwrap();
+                if ledger.done {
+                    return false;
+                }
+                if self.capped(&ledger) {
+                    if ledger.inflight == 0 {
+                        ledger.done = true;
+                        drop(ledger);
+                        self.wake_all();
+                        return false;
+                    }
+                    drop(self.park(ledger, None));
+                    continue;
+                }
+            }
+            let (w, saw_claimed) = match self.scan_claim(worker, false) {
+                Scan::Claimed(inst, held) => break (inst, held),
+                Scan::Idle { w, saw_claimed } => (w, saw_claimed),
+            };
+            let mut ledger = self.ledger.lock().unwrap();
+            if ledger.done {
+                return false;
+            }
+            // Sound termination: zero candidates across every shard at
+            // watermark `w`, nothing in flight, and no commit advanced
+            // the watermark since the scan began (commits bump the
+            // watermark *before* decrementing `inflight`, both before
+            // their condvar notify, so this re-check cannot miss one).
+            if !self.capped(&ledger)
+                && !saw_claimed
+                && ledger.inflight == 0
+                && self.pipeline.watermark() == w
+            {
+                if self.config.service {
+                    // Service mode: quiescence is idleness, not
+                    // termination. Park on the idle condvar: whoever
+                    // commits new WM state fires what it enabled
+                    // (`fire_ready`), so no commit wakes this worker.
+                    // The 10 ms rescan is the safety net for a commit
+                    // nobody fires after (a bare `external_commit`).
+                    drop(self.idle.wait_timeout(ledger, Duration::from_millis(10)).unwrap());
+                    continue;
+                }
+                ledger.done = true;
+                drop(ledger);
+                self.wake_all();
+                return false;
+            }
+            if ledger.inflight > 0 {
+                drop(self.park(ledger, None));
+            }
+            // else: the watermark moved (or a claimed key was released)
+            // — rescan immediately.
+        };
+        self.execute_claim(inst, held);
+        true
+    }
+
+    /// One claim scan at a fixed watermark.
     ///
     /// The claim scan walks the match shards in
     /// [`crate::pipeline::scan_order`]: from `worker`'s own rotation
@@ -905,106 +1020,49 @@ impl ParallelEngine {
     /// pending shard×batch match work — then scanned skipping the
     /// shard's refraction slice; the ledger is only taken lazily at the
     /// first unrefracted candidate, so the (quadratic) refracted-prefix
-    /// skip runs on shard-local state alone.
-    fn worker_step(&self, worker: usize) -> bool {
-        let claim = loop {
-            // ---- gate: termination / halt / commit cap ----
-            {
-                let mut ledger = self.ledger.lock().unwrap();
-                if ledger.done {
-                    return false;
-                }
-                if self.capped(&ledger) {
-                    if ledger.inflight == 0 {
-                        ledger.done = true;
-                        drop(ledger);
-                        self.cv.notify_all();
-                        return false;
-                    }
-                    drop(self.park(ledger, None));
+    /// skip runs on shard-local state alone. `skip_busy` skips the
+    /// busy shards instead of scanning them last (`fire_ready`). A scan
+    /// that meets the end of the run (done, halt, cap) stops early and
+    /// reports idle; the caller's gate sees why.
+    fn scan_claim(&self, worker: usize, skip_busy: bool) -> Scan {
+        let w = self.pipeline.watermark();
+        let busy = self.pipeline.busy_shards();
+        let mut saw_claimed = false;
+        for s in scan_order(worker, self.pipeline.shards(), busy) {
+            if skip_busy && is_busy(busy, s) {
+                continue;
+            }
+            let mut state = self.pipeline.shard_state(s);
+            self.pipeline
+                .catch_up(s, w, &mut state, true, self.obs.as_deref());
+            // Lock order: shard → ledger. The guard is acquired at the
+            // first candidate that survives the refraction skip and held
+            // for the rest of this shard's scan.
+            let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
+            for (key, inst) in state.rete.conflict_set().iter_keyed() {
+                if state.refracted.contains(key) {
                     continue;
                 }
-            }
-            // ---- scan the shards at a fixed watermark ----
-            let w = self.pipeline.watermark();
-            let busy = self.pipeline.busy_shards();
-            let mut saw_claimed = false;
-            let mut found: Option<(Instantiation, Claim)> = None;
-            'shards: for s in scan_order(worker, self.pipeline.shards(), busy) {
-                let mut state = self.pipeline.shard_state(s);
-                self.pipeline
-                    .catch_up(s, w, &mut state, true, self.obs.as_deref());
-                // Lock order: shard → ledger. The guard is acquired at
-                // the first candidate that survives the refraction skip
-                // and held for the rest of this shard's scan.
-                let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
-                for (key, inst) in state.rete.conflict_set().iter_keyed() {
-                    if state.refracted.contains(key) {
-                        continue;
-                    }
-                    let led = ledger.get_or_insert_with(|| self.ledger.lock().unwrap());
-                    if led.done || self.capped(led) {
-                        break 'shards; // re-gate at the loop top
-                    }
-                    if led.claimed.contains(key) {
-                        saw_claimed = true;
-                        continue;
-                    }
-                    let key = key.clone();
-                    led.claimed.insert(key.clone());
-                    led.inflight += 1;
-                    self.pipeline.claim_taken(s);
-                    debug_assert!(
-                        inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
-                        "every tuple of an instantiation routes to the shard that holds it"
-                    );
-                    found = Some((inst.clone(), Claim { key, shard: s }));
-                    break 'shards;
+                let led = ledger.get_or_insert_with(|| self.ledger.lock().unwrap());
+                if led.done || self.capped(led) {
+                    return Scan::Idle { w, saw_claimed };
                 }
-            }
-            match found {
-                Some(claim) => break claim,
-                None => {
-                    let mut ledger = self.ledger.lock().unwrap();
-                    if ledger.done {
-                        return false;
-                    }
-                    // Sound termination: zero candidates across every
-                    // shard at watermark `w`, nothing in flight, and no
-                    // commit advanced the watermark since the scan began
-                    // (commits bump the watermark *before* decrementing
-                    // `inflight`, both before their condvar notify, so
-                    // this re-check cannot miss one).
-                    if !self.capped(&ledger)
-                        && !saw_claimed
-                        && ledger.inflight == 0
-                        && self.pipeline.watermark() == w
-                    {
-                        if self.config.service {
-                            // Service mode: quiescence is idleness, not
-                            // termination — park until an external
-                            // session commit publishes new WM state (or
-                            // a stop request arrives). The timeout is a
-                            // lost-wakeup safety net only.
-                            drop(self.park(ledger, Some(Duration::from_millis(10))));
-                            continue;
-                        }
-                        ledger.done = true;
-                        drop(ledger);
-                        self.cv.notify_all();
-                        return false;
-                    }
-                    if ledger.inflight > 0 {
-                        drop(self.park(ledger, None));
-                    }
-                    // else: the watermark moved (or a claimed key was
-                    // released) — rescan immediately.
+                if led.claimed.contains(key) {
+                    saw_claimed = true;
+                    continue;
                 }
+                let key = key.clone();
+                led.claimed.insert(key.clone());
+                led.inflight += 1;
+                self.pipeline.claim_taken(s);
+                debug_assert!(
+                    inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
+                    "every tuple of an instantiation routes to the shard that holds it"
+                );
+                return Scan::Claimed(inst.clone(), Claim { key, shard: s });
             }
-        };
-        let (inst, held) = claim;
-        self.execute_claim(inst, held);
-        true
+        }
+        Scan::Idle { w, saw_claimed }
     }
 
     /// Runs one claimed instantiation as a transaction: picks its
@@ -1323,6 +1381,24 @@ impl ParallelEngine {
         *worked = budget;
         Ok(())
     }
+}
+
+/// What one claim scan ([`ParallelEngine::scan_claim`]) found.
+enum Scan {
+    /// An instantiation, claimed: its ledger entry is taken.
+    Claimed(Instantiation, Claim),
+    /// Nothing claimable at watermark `w`; `saw_claimed` when a
+    /// candidate was skipped as another thread's claim.
+    Idle { w: u64, saw_claimed: bool },
+}
+
+/// The claim-scan rotation offset of a thread that fires on its own
+/// account ([`ParallelEngine::fire_ready`]): distinct per thread, so
+/// session threads spread their first shard the way workers do.
+fn caller_offset() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local!(static OFFSET: usize = NEXT.fetch_add(1, Relaxed));
+    OFFSET.with(|o| *o)
 }
 
 /// The abort cause a lock-manager error surfaces as.
@@ -1743,6 +1819,44 @@ mod tests {
             final_wm.encode_snapshot().unwrap(),
             "recovered WM must be byte-identical to the final in-memory WM"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Committers only request durability: each advance of the durable
+    /// horizon is handed to one committer and recorded as one
+    /// `WalSync`, and the history's WalSync/Checkpoint rule holds.
+    #[test]
+    fn durable_observed_run_records_each_horizon_advance_once() {
+        let dir = durability_dir("observed");
+        let (rules, wm) = counters(6, 4);
+        let initial = wm.clone();
+        let cfg = ParallelConfig {
+            observe: true,
+            durability: Some(DurabilityConfig { dir: dir.clone(), checkpoint_interval: 5 }),
+            ..Default::default()
+        };
+        let mut e = ParallelEngine::new(&rules, wm, cfg);
+        let report = e.run();
+        validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+        assert_eq!(report.commits, 24);
+        let obs = e.observer().unwrap();
+        assert_eq!(obs.dropped(), 0);
+        let history = obs.history();
+        dps_obs::validate_history(&history).expect("well-formed history");
+        let mut horizons: Vec<u64> = history
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                dps_obs::EventKind::WalSync { seq } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        assert!(!horizons.is_empty(), "the writer's advances reach the committers");
+        assert!(horizons.iter().all(|&h| (1..=24).contains(&h)));
+        let reported = horizons.len();
+        horizons.sort_unstable();
+        horizons.dedup();
+        assert_eq!(horizons.len(), reported, "an advance is reported once");
+        assert_eq!(dps_wm::recover(&dir).expect("recovers").last_seq, 24);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

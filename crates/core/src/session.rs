@@ -235,11 +235,14 @@ impl ParallelEngine {
     /// Blocks until the rule engine is quiescent *at the current
     /// watermark*: no unrefracted instantiation on any shard, nothing
     /// claimed or in flight, and no commit moved the watermark during
-    /// the scan. Also returns when the run is done, halted or capped
-    /// (the drain barrier must not outlive the engine). The server's
-    /// `Invoke` barrier and graceful drain both sit on this.
+    /// the scan. Also returns when the run is done (the drain barrier
+    /// must not outlive the engine). The server's `Invoke` barrier and
+    /// graceful drain both sit on this. It fires what is ready itself
+    /// ([`ParallelEngine::fire_ready`]) before each check, and parks
+    /// only while another thread's claim is in flight.
     pub fn await_quiescence(&self) {
         loop {
+            self.fire_ready();
             let w = self.pipeline.watermark();
             let shards = self.pipeline.shards();
             let mut busy = false;
@@ -261,8 +264,9 @@ impl ParallelEngine {
             if !busy && ledger.inflight == 0 && self.pipeline.watermark() == w {
                 return;
             }
-            // Parked on the same condvar commits notify; the timeout is
-            // a safety net against wakeups this scan cannot observe.
+            // Parked as an in-flight waiter, which commits and aborts
+            // notify; the timeout is a safety net against wakeups this
+            // scan cannot observe.
             drop(self.park(ledger, Some(std::time::Duration::from_millis(2))));
         }
     }
@@ -345,6 +349,94 @@ mod tests {
             assert_eq!(engine.held_locks(), 0);
             assert_eq!(engine.snapshot_pins(), 0);
         }
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// finished within a minute: a lost wake-up leaves a caller parked
+    /// for good, and must show as a failure, not as a hung test run.
+    fn watchdog(f: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("finished without reporting"),
+            },
+            Err(RecvTimeoutError::Timeout) => panic!("blocked for 60 s: a wake-up was lost"),
+        }
+    }
+
+    fn commit_delta(engine: &ParallelEngine, key: i64) {
+        let mut xt = engine.external_begin();
+        let delta = WmeData::new("delta").with("key", key).with("v", 1i64);
+        engine.external_insert(&mut xt, delta).expect("insert admitted");
+        engine.external_commit(&mut xt).expect("commit");
+    }
+
+    /// `fire_ready` fires what the caller's commit enabled before it
+    /// returns, on the calling thread: no worker is involved, so the
+    /// rule count rises by exactly one per delta.
+    #[test]
+    fn fire_ready_fires_each_commit_before_returning() {
+        for policy in [ConflictPolicy::AbortReaders, ConflictPolicy::MvccSnapshot] {
+            let rules = accumulator_rules();
+            let initial = acc_wm(4);
+            let engine = ParallelEngine::new(
+                &rules,
+                initial.clone(),
+                ParallelConfig { service: true, workers: 2, policy, ..ParallelConfig::default() },
+            );
+            for i in 0..1000i64 {
+                commit_delta(&engine, i % 4);
+                engine.fire_ready();
+                assert_eq!(engine.rule_commit_count(), i as u64 + 1, "{policy:?}: delta {i}");
+            }
+            engine.request_stop();
+            let report = engine.run_shared();
+            assert_eq!(report.commits, 1000);
+            assert_eq!(report.trace.len(), 2000, "1000 external + 1000 rule commits");
+            validate_trace(&rules, &initial, &report.trace).expect("oracle accepts");
+            assert_eq!(total_of(&engine.final_wm()), 1000);
+            assert_eq!(engine.held_locks(), 0);
+            assert_eq!(engine.snapshot_pins(), 0);
+        }
+    }
+
+    /// Bare `external_commit`s wake no parked worker; `await_quiescence`
+    /// fires what they enabled itself instead of waiting for a worker's
+    /// idle rescan, and returns with every rule fired.
+    #[test]
+    fn fire_ready_lets_await_quiescence_drain_bare_commits() {
+        watchdog(|| {
+            let rules = accumulator_rules();
+            let initial = acc_wm(4);
+            let engine = ParallelEngine::new(
+                &rules,
+                initial.clone(),
+                ParallelConfig { service: true, workers: 2, ..ParallelConfig::default() },
+            );
+            let report = std::thread::scope(|scope| {
+                let run = scope.spawn(|| engine.run_shared());
+                for round in 0..10i64 {
+                    for i in 0..100i64 {
+                        commit_delta(&engine, i % 4);
+                    }
+                    engine.await_quiescence();
+                    assert_eq!(engine.rule_commit_count(), 100 * (round as u64 + 1));
+                }
+                engine.request_stop();
+                run.join().expect("engine run")
+            });
+            assert_eq!(report.commits, 1000);
+            validate_trace(&rules, &initial, &report.trace).expect("oracle accepts");
+            assert_eq!(total_of(&engine.final_wm()), 1000);
+            assert_eq!(engine.held_locks(), 0);
+        });
     }
 
     /// A session dying mid-transaction (abort with buffered writes and

@@ -4,12 +4,16 @@
 //! `std::thread::scope`:
 //!
 //! * **the engine thread** — [`dps_core::ParallelEngine::run_shared`]
-//!   in service mode: workers park at quiescence and wake when a
-//!   session commit publishes new WM changes, so rules fire
-//!   *data-driven* against the union of every session's writes;
+//!   in service mode: workers park at quiescence and stay parked (a
+//!   10 ms rescan is their safety net), so the engine thread mostly
+//!   waits for the drain;
 //! * **one handler thread per connection** — the wire loop: decode a
 //!   frame, check it against the [`SessionState`] machine, execute it
-//!   through the engine's external-transaction API, reply. A `Query`
+//!   through the engine's external-transaction API, reply. After the
+//!   reply to a successful `Commit` the handler fires what that commit
+//!   enabled ([`dps_core::ParallelEngine::fire_ready`]) while the
+//!   client turns around, so rules fire *data-driven* against the union
+//!   of every session's writes on the threads that wrote them. A `Query`
 //!   reply is encoded straight from working memory
 //!   ([`dps_core::ParallelEngine::external_query_with`]) into a buffer
 //!   the connection reuses; a reply too large for one frame is answered
@@ -183,7 +187,10 @@ impl Server {
                 .enumerate()
                 .map(|(i, conn)| {
                     let sid = i as u64 + 1;
-                    s.spawn(move || self.serve_conn(sid, conn))
+                    std::thread::Builder::new()
+                        .name(format!("dps-session-{sid}"))
+                        .spawn_scoped(s, move || self.serve_conn(sid, conn))
+                        .expect("spawn session handler")
                 })
                 .collect();
             for h in handlers {
@@ -370,6 +377,7 @@ impl Server {
             }
             // An op or commit the engine rolled back is `Err(cause)`;
             // `Ok(None)` is a `Query` whose reply is in `rows_body`.
+            let commit = matches!(req, Request::Commit);
             let outcome = match req {
                 Request::Hello | Request::Bye => {
                     // Hello is illegal here (the state machine rejected
@@ -443,6 +451,7 @@ impl Server {
                     Ok(Some(Response::Ok { seq: 0 }))
                 }
             };
+            let committed = commit && outcome.is_ok();
             let resp = match outcome {
                 Ok(resp) => {
                     state = next;
@@ -464,6 +473,11 @@ impl Server {
             if sent.is_err() {
                 self.roll_back(&mut xt, End::Died(AbortCause::Stale));
                 break;
+            }
+            if committed {
+                // Run to completion: fire what this commit enabled here,
+                // after the reply, instead of waking a parked worker.
+                self.engine.fire_ready();
             }
             if state == SessionState::Closed {
                 break;

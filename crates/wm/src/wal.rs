@@ -15,10 +15,12 @@
 //!   over the payload.
 //! * **Group commit** — [`WalWriter::append`] is a memcpy into a
 //!   pending buffer (called under the engine's base mutex, so records
-//!   are sequence-ordered by construction); [`WalWriter::sync_to`]
-//!   makes a batch durable. Concurrent committers piggyback: one
-//!   thread becomes the flusher, writes + fsyncs everything pending,
-//!   and publishes the new durable horizon; the rest just wait on it.
+//!   are sequence-ordered by construction). One log-writer thread,
+//!   owned by [`DurableWm`], writes + fsyncs everything pending and
+//!   publishes the new durable horizon; committers never fsync.
+//!   [`WalWriter::request_sync`] records how far a committer needs the
+//!   log durable and returns at once, waking the writer only when it
+//!   is parked; [`WalWriter::sync_to`] waits for the horizon.
 //! * **Checkpoints** — periodic full snapshots (reusing
 //!   [`WorkingMemory::encode_snapshot`]) written atomically
 //!   (tmp + fsync + rename), each paired with a fresh log segment so
@@ -240,8 +242,12 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Records made durable across all fsyncs.
     pub synced_records: u64,
-    /// `sync_to` calls that found their seq already durable or
-    /// piggybacked on another thread's fsync.
+    /// Sync requests (`request_sync`, `sync_to`, `flush`) that did not
+    /// wake the log writer: their seq was already durable, or the
+    /// writer was already awake and its drain loop covers them. Every
+    /// other request wakes a parked writer, which then fsyncs at least
+    /// once, so `piggybacked / (piggybacked + fsyncs)` is the share of
+    /// requests that rode on an fsync some other request started.
     pub piggybacked: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
@@ -294,28 +300,49 @@ struct WalFile {
 struct SyncState {
     /// Highest seq known durable on disk.
     durable_seq: u64,
-    /// A flusher is currently writing+fsyncing.
-    syncing: bool,
     /// Highest seq any committer has asked to be made durable. The
-    /// baton flusher drains until `durable_seq` catches this, so a
-    /// request made while an fsync is in flight is never stranded.
+    /// log writer drains until `durable_seq` catches this, so a request
+    /// made while an fsync is in flight is never stranded.
     requested: u64,
+    /// Highest horizon a [`WalWriter::request_sync`] caller has been
+    /// handed: each advance past it is reported once.
+    observed: u64,
+    /// The log writer is parked on `work` (only then does a request
+    /// notify it).
+    parked: bool,
+    /// Threads blocked in [`WalWriter::sync_to`] on `done`.
+    waiters: usize,
+    /// A kill point fired or the writer hit a dead file: requests
+    /// beyond `durable_seq` will never be met.
+    dead: bool,
+    /// The first I/O error the log writer hit, surfaced to every later
+    /// waiter; the writer stops at it.
+    failed: Option<(io::ErrorKind, String)>,
+    /// [`DurableWm`] is being dropped: the writer finishes what was
+    /// requested and exits.
+    shutdown: bool,
 }
 
 /// Group-committing segment writer. `append` stages bytes (call under
 /// the engine's base mutex — that is what makes records seq-ordered);
-/// `sync_to` makes them durable, sharing one fsync among concurrent
-/// committers.
+/// one log-writer thread, owned by [`DurableWm`], does every group
+/// write + fsync. Committers only record how far they need the log
+/// durable ([`WalWriter::request_sync`]) or wait for it
+/// ([`WalWriter::sync_to`]).
 pub struct WalWriter {
     file: Mutex<WalFile>,
     /// Ordering lock for file I/O, held across write+fsync. Every path
-    /// that writes segment bytes (flush, rotation, torn-tail kill)
-    /// takes `io` before `file`, so bytes reach the segment in capture
-    /// order — while `append` needs only the briefly-held `file` lock
-    /// and never stalls behind an in-flight fsync.
+    /// that writes segment bytes (the log writer's flush, rotation,
+    /// torn-tail kill) takes `io` before `file`, so bytes reach the
+    /// segment in capture order — while `append` needs only the
+    /// briefly-held `file` lock and never stalls behind an in-flight
+    /// fsync.
     io: Mutex<()>,
     sync: Mutex<SyncState>,
-    cond: Condvar,
+    /// The log writer waits here for a request.
+    work: Condvar,
+    /// [`WalWriter::sync_to`] callers wait here for the horizon.
+    done: Condvar,
     stats: StatCells,
 }
 
@@ -358,89 +385,98 @@ impl WalWriter {
     }
 
     /// Blocks until every record with sequence number ≤ `seq` is
-    /// durable. Group commit: whoever arrives while nobody is syncing
-    /// becomes the flusher and drains (covering later committers'
-    /// records too); everyone else waits for the durable horizon to
-    /// pass their seq.
+    /// durable: records the request (as [`WalWriter::request_sync`]
+    /// does) and waits for the log writer's horizon to pass it.
     pub fn sync_to(&self, seq: u64) -> Result<(), WalError> {
         let mut s = self.sync.lock().expect("wal sync lock");
-        loop {
-            if s.durable_seq >= seq {
-                self.stats.piggybacked.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+        self.request(&mut s, seq);
+        while s.durable_seq < seq {
+            if let Some(e) = Self::stopped(&s) {
+                return Err(e);
             }
-            if !s.syncing {
-                break;
-            }
-            s = self.cond.wait(s).expect("wal sync wait");
+            s.waiters += 1;
+            s = self.done.wait(s).expect("wal sync wait");
+            s.waiters -= 1;
         }
-        s.syncing = true;
-        s.requested = s.requested.max(seq);
-        drop(s);
-        match self.drain() {
-            Ok(horizon) if horizon >= seq => Ok(()),
-            // Dead writer dropped our record; surface it.
-            Ok(_) => Err(WalError::Dead),
-            Err(e) => Err(e),
-        }
+        Ok(())
     }
 
-    /// Non-blocking group commit: guarantees some flusher will make
-    /// `seq` durable (while the writer lives) and returns immediately
-    /// when that flusher is someone else. Whoever arrives while nobody
-    /// is flushing takes the baton and drains; everyone else just
-    /// registers their seq and keeps committing — the durable horizon
-    /// trails the published one by at most the in-flight fsync batch,
-    /// which is exactly the prefix-loss the recovery gate sweeps.
-    /// Returns `Ok(Some(horizon))` when this call did the fsync(s),
-    /// `Ok(None)` when it piggybacked.
+    /// Non-blocking group commit: records that `seq` must become
+    /// durable and returns at once; the log writer makes it durable
+    /// (while the writer lives), so the durable horizon trails the
+    /// published one by at most the writer's in-flight batch — the
+    /// prefix loss the recovery gate sweeps. Returns `Ok(Some(horizon))`
+    /// when the durable horizon has advanced since any caller was last
+    /// handed one, `Ok(None)` otherwise: each advance is reported once.
     pub fn request_sync(&self, seq: u64) -> Result<Option<u64>, WalError> {
-        {
-            let mut s = self.sync.lock().expect("wal sync lock");
-            if s.durable_seq >= seq {
-                self.stats.piggybacked.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            s.requested = s.requested.max(seq);
-            if s.syncing {
-                // The in-flight flusher's drain loop covers us.
-                self.stats.piggybacked.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            s.syncing = true;
+        let mut s = self.sync.lock().expect("wal sync lock");
+        if let Some(e) = Self::stopped(&s).filter(|_| s.durable_seq < seq) {
+            return Err(e);
         }
-        self.drain().map(Some)
+        self.request(&mut s, seq);
+        if s.durable_seq > s.observed {
+            s.observed = s.durable_seq;
+            return Ok(Some(s.durable_seq));
+        }
+        Ok(None)
     }
 
-    /// The baton flusher's loop (caller must have won `syncing`):
-    /// write + fsync everything pending, repeating while commits were
-    /// requested behind the in-flight fsync. Clears `syncing` and
-    /// wakes waiters on the way out; returns the final horizon.
-    fn drain(&self) -> Result<u64, WalError> {
+    /// Raises the requested horizon to `seq`, counting the request as
+    /// piggybacked (see [`WalStats::piggybacked`]) unless it is the one
+    /// that wakes a parked log writer.
+    fn request(&self, s: &mut SyncState, seq: u64) {
+        if seq > s.durable_seq && seq > s.requested && s.parked {
+            s.requested = seq;
+            s.parked = false;
+            self.work.notify_one();
+            return;
+        }
+        s.requested = s.requested.max(seq);
+        self.stats.piggybacked.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Why a request beyond the durable horizon can never be met, if
+    /// it cannot.
+    fn stopped(s: &SyncState) -> Option<WalError> {
+        if s.dead {
+            return Some(WalError::Dead);
+        }
+        s.failed.as_ref().map(|(kind, msg)| WalError::Io(io::Error::new(*kind, msg.clone())))
+    }
+
+    /// The log writer's loop: park until a request passes the durable
+    /// horizon, write + fsync everything pending, publish the new
+    /// horizon, wake `sync_to` waiters. Exits at shutdown once nothing
+    /// requested is outstanding, or at the first failure (a dead file
+    /// or an I/O error), which every later waiter then sees.
+    fn run_log_writer(&self) {
+        let mut s = self.sync.lock().expect("wal sync lock");
         loop {
+            if Self::stopped(&s).is_some() || (s.shutdown && s.requested <= s.durable_seq) {
+                return;
+            }
+            if s.requested <= s.durable_seq {
+                s.parked = true;
+                s = self.work.wait(s).expect("wal writer wait");
+                s.parked = false;
+                continue;
+            }
+            drop(s);
             let flushed = self.flush_pending();
-            let mut s = self.sync.lock().expect("wal sync lock");
+            s = self.sync.lock().expect("wal sync lock");
             match flushed {
-                Ok(horizon) => {
-                    if horizon > s.durable_seq {
-                        s.durable_seq = horizon;
-                    }
-                    if s.requested > s.durable_seq {
-                        drop(s);
-                        continue;
-                    }
-                    s.syncing = false;
-                    let horizon = s.durable_seq;
-                    drop(s);
-                    self.cond.notify_all();
-                    return Ok(horizon);
-                }
+                Ok(horizon) => s.durable_seq = s.durable_seq.max(horizon),
+                Err(WalError::Dead) => s.dead = true,
                 Err(e) => {
-                    s.syncing = false;
-                    drop(s);
-                    self.cond.notify_all();
-                    return Err(e);
+                    let kind = match &e {
+                        WalError::Io(io) => io.kind(),
+                        _ => io::ErrorKind::Other,
+                    };
+                    s.failed = Some((kind, e.to_string()));
                 }
+            }
+            if s.waiters > 0 {
+                self.done.notify_all();
             }
         }
     }
@@ -451,7 +487,7 @@ impl WalWriter {
     /// bytes is the sole moment the `file` lock is held, so appenders
     /// are never serialized behind the fsync. Seeing an empty pending
     /// buffer here means every earlier capture already hit the disk:
-    /// its flusher held `io` until its fsync returned.
+    /// whoever captured it held `io` until its fsync returned.
     fn flush_pending(&self) -> Result<u64, WalError> {
         let _io = self.io.lock().expect("wal io lock");
         let (file, pending, records, horizon) = {
@@ -488,16 +524,14 @@ impl WalWriter {
         Ok(horizon)
     }
 
-    /// Flushes and fsyncs everything pending right now (no grouping).
-    /// Used at rotation and clean shutdown.
+    /// Makes everything appended so far durable — the log writer does
+    /// the write + fsync, the caller waits for it — and returns the
+    /// horizon. Used at clean shutdown and by the after-fsync kill
+    /// point.
     pub fn flush(&self) -> Result<u64, WalError> {
-        let horizon = self.flush_pending()?;
-        let mut s = self.sync.lock().expect("wal sync lock");
-        if horizon > s.durable_seq {
-            s.durable_seq = horizon;
-        }
-        self.cond.notify_all();
-        Ok(horizon)
+        let appended = self.file.lock().expect("wal file lock").appended_seq;
+        self.sync_to(appended)?;
+        Ok(appended)
     }
 
     /// Bytes staged but not yet fsynced (live telemetry gauge; a
@@ -541,17 +575,16 @@ impl WalWriter {
         if f.dead {
             return Err(WalError::Dead);
         }
-        self.kill_locked(&mut f, mode)?;
+        let killed = self.kill_locked(&mut f, mode);
         drop(f);
-        // Wake any piggybacking waiters so they observe Dead.
-        self.cond.notify_all();
-        Ok(())
+        self.mark_dead();
+        killed
     }
 
     /// Appends the batch committed at `seq` and immediately dies at
     /// the kill point, all under one file-lock acquisition. The fused
     /// form exists for the chaos seam: with the non-blocking group
-    /// commit a concurrent baton flusher could otherwise slip between
+    /// commit the log writer could otherwise slip between
     /// a separate `append` and `kill` and make the doomed record
     /// durable, turning the kill site's horizon nondeterministic.
     pub fn append_then_kill(
@@ -560,8 +593,8 @@ impl WalWriter {
         changes: &[Change],
         mode: KillMode,
     ) -> Result<(), WalError> {
-        // io before file (the lock order): no flusher can be mid-write,
-        // and none can capture the doomed record before the kill below.
+        // io before file (the lock order): the log writer cannot be
+        // mid-write, nor capture the doomed record before the kill below.
         let _io = self.io.lock().expect("wal io lock");
         let mut f = self.file.lock().expect("wal file lock");
         if f.dead {
@@ -575,10 +608,21 @@ impl WalWriter {
             f.pending_records += 1;
         }
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
-        self.kill_locked(&mut f, mode)?;
+        let killed = self.kill_locked(&mut f, mode);
         drop(f);
-        self.cond.notify_all();
-        Ok(())
+        self.mark_dead();
+        killed
+    }
+
+    /// Publishes a kill to the sync side: `sync_to` waiters wake and
+    /// see [`WalError::Dead`], and the log writer exits.
+    fn mark_dead(&self) {
+        let mut s = self.sync.lock().expect("wal sync lock");
+        s.dead = true;
+        if s.waiters > 0 {
+            self.done.notify_all();
+        }
+        self.work.notify_one();
     }
 
     fn kill_locked(&self, f: &mut WalFile, mode: KillMode) -> Result<(), WalError> {
@@ -681,10 +725,13 @@ fn read_checkpoint(path: &Path) -> Result<(u64, WorkingMemory), WalError> {
 }
 
 /// The write side of a durable working memory: a checkpoint + the
-/// current WAL segment, rooted at a directory.
+/// current WAL segment, rooted at a directory, and the log-writer
+/// thread that makes appended records durable. Dropping it lets the
+/// writer finish what was requested and joins it.
 pub struct DurableWm {
     dir: PathBuf,
-    writer: WalWriter,
+    writer: Arc<WalWriter>,
+    log_writer: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DurableWm {
@@ -701,7 +748,7 @@ impl DurableWm {
         // Drop any files from a previous incarnation.
         prune(dir, base_seq)?;
         let file = Arc::new(WalWriter::open_segment(dir, base_seq)?);
-        let writer = WalWriter {
+        let writer = Arc::new(WalWriter {
             file: Mutex::new(WalFile {
                 file,
                 pending: Vec::new(),
@@ -712,14 +759,26 @@ impl DurableWm {
             io: Mutex::new(()),
             sync: Mutex::new(SyncState {
                 durable_seq: base_seq,
-                syncing: false,
                 requested: base_seq,
+                observed: base_seq,
+                parked: false,
+                waiters: 0,
+                dead: false,
+                failed: None,
+                shutdown: false,
             }),
-            cond: Condvar::new(),
+            work: Condvar::new(),
+            done: Condvar::new(),
             stats: StatCells::default(),
-        };
+        });
         writer.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(DurableWm { dir: dir.to_path_buf(), writer })
+        let log_writer = {
+            let writer = Arc::clone(&writer);
+            std::thread::Builder::new()
+                .name("dps-wal-writer".into())
+                .spawn(move || writer.run_log_writer())?
+        };
+        Ok(DurableWm { dir: dir.to_path_buf(), writer, log_writer: Some(log_writer) })
     }
 
     /// The group-committing writer.
@@ -767,11 +826,10 @@ impl DurableWm {
         f.file = Arc::new(WalWriter::open_segment(&self.dir, seq)?);
         drop(f);
         let mut s = self.writer.sync.lock().expect("wal sync lock");
-        if horizon > s.durable_seq {
-            s.durable_seq = horizon;
+        s.durable_seq = s.durable_seq.max(horizon);
+        if s.waiters > 0 {
+            self.writer.done.notify_all();
         }
-        drop(s);
-        self.writer.cond.notify_all();
         Ok(())
     }
 
@@ -783,6 +841,16 @@ impl DurableWm {
         self.writer.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         prune(&self.dir, seq)?;
         Ok(())
+    }
+}
+
+impl Drop for DurableWm {
+    fn drop(&mut self) {
+        self.writer.sync.lock().expect("wal sync lock").shutdown = true;
+        self.writer.work.notify_one();
+        if let Some(log_writer) = self.log_writer.take() {
+            let _ = log_writer.join();
+        }
     }
 }
 
@@ -1182,6 +1250,76 @@ mod tests {
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.last_seq, 64);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// finished within a minute: a lost wake-up of the log writer
+    /// leaves `sync_to` blocked for good, and must show as a failure,
+    /// not as a hung test run.
+    fn watchdog(f: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("finished without reporting"),
+            },
+            Err(RecvTimeoutError::Timeout) => panic!("blocked for 60 s: a wake-up was lost"),
+        }
+    }
+
+    #[test]
+    fn log_writer_loses_no_wakeup() {
+        watchdog(|| {
+            const N: u64 = 100_000;
+            let dir = tmp_dir("wakeup");
+            let durable = DurableWm::create(&dir, &WorkingMemory::new(), 0).unwrap();
+            let mut wm = WorkingMemory::new();
+            let mut horizon = 0;
+            for seq in 1..=N {
+                let changes = commit(&mut wm, seq as i64);
+                durable.writer().append(seq, &changes).unwrap();
+                if let Some(h) = durable.writer().request_sync(seq).unwrap() {
+                    assert!(h > horizon && h <= seq, "each advance is reported once");
+                    horizon = h;
+                }
+            }
+            durable.writer().sync_to(N).unwrap();
+            let stats = durable.writer().stats();
+            assert_eq!(stats.synced_records, N);
+            assert!(stats.fsyncs <= N && stats.piggybacked + stats.fsyncs >= N);
+            let rec = recover(&dir).unwrap();
+            assert_eq!(rec.last_seq, N);
+            assert_eq!(rec.wm.encode_snapshot().unwrap(), wm.encode_snapshot().unwrap());
+            drop(durable);
+            fs::remove_dir_all(&dir).unwrap();
+        });
+    }
+
+    #[test]
+    fn dropping_a_durable_wm_joins_its_log_writer() {
+        watchdog(|| {
+            let dir = tmp_dir("join");
+            let mut wm = WorkingMemory::new();
+            let durable = DurableWm::create(&dir, &wm, 0).unwrap();
+            let writer = Arc::downgrade(&durable.writer);
+            for seq in 1..=3u64 {
+                durable.writer().append(seq, &commit(&mut wm, seq as i64)).unwrap();
+            }
+            durable.writer().request_sync(3).unwrap();
+            drop(durable);
+            // The writer thread held the other strong count: it has
+            // returned, and what was requested before the drop is on
+            // disk.
+            assert!(writer.upgrade().is_none(), "the log writer outlived its DurableWm");
+            assert_eq!(recover(&dir).unwrap().last_seq, 3);
+            fs::remove_dir_all(&dir).unwrap();
+        });
     }
 
     #[test]
