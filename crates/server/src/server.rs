@@ -330,7 +330,17 @@ impl Server {
                     continue;
                 }
                 Err(_) => {
-                    self.roll_back(&mut xt, End::Died(AbortCause::Stale));
+                    // A dead peer, or a frame cut off by the read
+                    // timeout (its consumed bytes are gone, so the
+                    // stream cannot resume at a frame boundary). Cut
+                    // off at the transaction's deadline, it overran its
+                    // budget like any silent holder.
+                    let cause = if deadline.is_some_and(|d| Instant::now() >= d) {
+                        AbortCause::Timeout
+                    } else {
+                        AbortCause::Stale
+                    };
+                    self.roll_back(&mut xt, End::Died(cause));
                     break;
                 }
             };
@@ -493,6 +503,7 @@ mod tests {
     use super::*;
     use crate::transport::{loopback_pair, LoopbackConn};
     use dps_core::ParallelConfig;
+    use std::io::Write;
 
     fn accumulator_rules() -> RuleSet {
         RuleSet::parse(
@@ -658,6 +669,61 @@ mod tests {
         });
         assert_eq!(server.engine().held_locks(), 0);
         assert_eq!(server.engine().snapshot_pins(), 0);
+    }
+
+    #[test]
+    fn a_frame_split_across_the_read_timeout_ends_the_session() {
+        crate::transport::watchdog(|| {
+            let rules = accumulator_rules();
+            let server = Server::new(
+                &rules,
+                acc_wm(1),
+                ParallelConfig { workers: 1, ..ParallelConfig::default() },
+                ServerConfig {
+                    timeouts: SessionTimeouts {
+                        idle_read: Some(Duration::from_millis(20)),
+                        txn: Duration::from_millis(40),
+                    },
+                    ..ServerConfig::default()
+                },
+            );
+            // Writes `req`'s frame in two pieces, 100 ms apart: past the
+            // idle read timeout and the transaction budget alike.
+            let split = |conn: &mut LoopbackConn, req: &Request| {
+                let mut frame = Vec::new();
+                write_frame(&mut frame, &req.encode()).unwrap();
+                conn.write_all(&frame[..2]).unwrap();
+                std::thread::sleep(Duration::from_millis(100));
+                // The server may have hung up already.
+                let _ = conn.write_all(&frame[2..]);
+            };
+            let (s1, mut c1) = loopback_pair();
+            let (s2, mut c2) = loopback_pair();
+            std::thread::scope(|s| {
+                let srv = s.spawn(|| server.run(vec![s1, s2]));
+                hello(&mut c1);
+                hello(&mut c2);
+                // Idle: the server drops the session instead of reading
+                // the rest of the frame as the start of the next one.
+                split(&mut c1, &Request::Begin);
+                assert_eq!(read_frame(&mut c1).unwrap(), None, "server hung up");
+                // In a transaction: rolled back as an overrun.
+                assert_eq!(rpc(&mut c2, &Request::Begin), Response::Ok { seq: 0 });
+                let insert = Request::Insert {
+                    class: "delta".into(),
+                    attrs: vec![("key".into(), Value::Int(0)), ("v".into(), Value::Int(1))],
+                };
+                split(&mut c2, &insert);
+                assert_eq!(read_frame(&mut c2).unwrap(), None, "server hung up");
+                let (_, stats) = srv.join().unwrap();
+                assert_eq!((stats.sessions, stats.commits), (2, 0));
+                assert_eq!((stats.aborts, stats.timeouts, stats.disconnects), (1, 1, 0));
+                assert_eq!(stats.admission.admitted, stats.commits + stats.aborts);
+            });
+            assert_eq!(server.engine().held_locks(), 0);
+            assert_eq!(server.engine().snapshot_pins(), 0);
+            assert_eq!(server.engine().final_wm().class_iter("delta").count(), 0);
+        });
     }
 
     #[test]

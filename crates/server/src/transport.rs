@@ -6,11 +6,17 @@
 //! switch) — and tested over [`loopback_pair`]: a full-duplex
 //! in-process pipe built from two bounded byte queues with condvar
 //! wakeups. A write or read moves as many bytes as fit under one lock
-//! (a vectored write takes a whole frame, header and body, at once),
-//! and the condvar is notified only when a thread is blocked on it, so
-//! a request/response round trip costs one wake-up per frame. The pair
-//! reproduces the failure modes the disconnect-safety machinery must
-//! survive:
+//! (a vectored write takes a whole frame, header and body, at once).
+//! A reader that finds the pipe empty first yield-polls a lock-free
+//! "readable" flag for a bounded window (`POLL_BUDGET`) and parks on
+//! the condvar only if nothing arrived: a reply that comes back within
+//! microseconds is picked up without a sleep and a wake-up. At most
+//! `POLLERS_PER_CORE` readers per core poll at once, process-wide; a
+//! reader that finds no free slot parks at once. The condvar is
+//! notified only when a thread is parked on it, so a round trip whose
+//! reply lands inside the window costs no wake-up at all, and one that
+//! misses it costs one per frame. The pair reproduces the failure
+//! modes the disconnect-safety machinery must survive:
 //!
 //! * **clean close** — [`LoopbackConn::close`] (or drop) marks both
 //!   directions closed; the peer's next read returns EOF at a frame
@@ -26,7 +32,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// A connection the server can serve: blocking reads/writes plus a
@@ -42,6 +50,57 @@ pub trait Conn: Read + Write + Send {
 /// peer which stops reading exerts real backpressure on the writer.
 const PIPE_CAP: usize = 256 * 1024;
 
+/// How long a reader that finds its pipe empty yield-polls before it
+/// parks. A session's peer answers a frame in tens of microseconds; a
+/// reader parked on a futex pays a syscall, and on a VM an idle-vCPU
+/// wake, for every such reply. Past this window the reply is far
+/// enough off that parking costs less than the yields (EXPERIMENTS
+/// §XS.26 swept 10–200 µs).
+const POLL_BUDGET: Duration = Duration::from_micros(50);
+
+/// Concurrent pollers allowed per core, process-wide. A yielding poller
+/// hands its core to any runnable thread, so a few per core cost
+/// nothing; hundreds (one per idle session) keep every run queue full
+/// of yield loops and starve the threads doing the work (EXPERIMENTS
+/// §XS.26 swept 1–8 per core).
+const POLLERS_PER_CORE: usize = 4;
+
+/// A bounded set of poll slots, shared by every pipe that points at it.
+struct Pollers {
+    /// Slots taken. A count that publishes no other data: `Relaxed`.
+    active: AtomicUsize,
+    cap: usize,
+    budget: Duration,
+}
+
+/// The process-wide slots every [`loopback_pair`] polls under.
+static POLLERS: LazyLock<Pollers> = LazyLock::new(|| Pollers {
+    active: AtomicUsize::new(0),
+    cap: POLLERS_PER_CORE * thread::available_parallelism().map_or(1, |n| n.get()),
+    budget: POLL_BUDGET,
+});
+
+/// A held poll slot; dropping it gives the slot back, on every exit.
+struct PollSlot<'a>(&'a AtomicUsize);
+
+impl Drop for PollSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Pollers {
+    /// Takes a slot, or `None` if `cap` readers are polling already.
+    fn take(&self) -> Option<PollSlot<'_>> {
+        self.active
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| PollSlot(&self.active))
+    }
+}
+
 #[derive(Default)]
 struct PipeState {
     buf: VecDeque<u8>,
@@ -55,15 +114,40 @@ struct PipeState {
 struct Pipe {
     state: Mutex<PipeState>,
     cv: Condvar,
+    /// `!buf.is_empty() || closed`, readable without the lock by a
+    /// polling reader. Stored (`Release`) only under `state`'s mutex,
+    /// after the change it reflects; the poller's `Acquire` load pairs
+    /// with it, and the reader takes the mutex before it touches `buf`.
+    readable: AtomicBool,
+    pollers: &'static Pollers,
 }
 
 impl Pipe {
-    fn new() -> Arc<Pipe> {
-        Arc::new(Pipe { state: Mutex::new(PipeState::default()), cv: Condvar::new() })
+    fn new(pollers: &'static Pollers) -> Arc<Pipe> {
+        Arc::new(Pipe {
+            state: Mutex::new(PipeState::default()),
+            cv: Condvar::new(),
+            readable: AtomicBool::new(false),
+            pollers,
+        })
     }
 
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+    /// Publishes `st`'s readability to pollers; called under the lock.
+    fn publish(&self, st: &PipeState) {
+        self.readable
+            .store(!st.buf.is_empty() || st.closed, Ordering::Release);
+    }
+
+    /// Closes this direction; `discard` first drops what is buffered
+    /// (an abrupt kill).
+    fn close(&self, discard: bool) {
+        let mut st = self.state.lock().unwrap();
+        if discard {
+            st.buf.clear();
+        }
+        st.closed = true;
+        self.publish(&st);
+        drop(st);
         self.cv.notify_all();
     }
 
@@ -74,17 +158,43 @@ impl Pipe {
         }
     }
 
+    /// Yields the core until the pipe turns readable, the poll budget
+    /// runs out or `deadline` passes, whichever is first. Returns at
+    /// once if no poll slot is free.
+    fn poll(&self, deadline: Option<Instant>) {
+        let Some(_slot) = self.pollers.take() else {
+            return;
+        };
+        let mut end = Instant::now() + self.pollers.budget;
+        if let Some(d) = deadline {
+            end = end.min(d);
+        }
+        while !self.readable.load(Ordering::Acquire) && Instant::now() < end {
+            thread::yield_now();
+        }
+    }
+
     fn read(&self, out: &mut [u8], timeout: Option<Duration>) -> io::Result<usize> {
         let deadline = timeout.map(|t| Instant::now() + t);
+        let mut polled = false;
         let mut st = self.state.lock().unwrap();
         loop {
             if !st.buf.is_empty() {
                 let n = st.buf.read(out)?;
+                self.publish(&st);
                 self.wake(&st);
                 return Ok(n);
             }
             if st.closed {
                 return Ok(0);
+            }
+            if !polled {
+                // Poll once, off the lock, before the first park.
+                polled = true;
+                drop(st);
+                self.poll(deadline);
+                st = self.state.lock().unwrap();
+                continue;
             }
             st.waiting += 1;
             st = match deadline {
@@ -117,6 +227,7 @@ impl Pipe {
                     st.buf.extend(&part[..k]);
                     n += k;
                 }
+                self.publish(&st);
                 self.wake(&st);
                 return Ok(n);
             }
@@ -139,16 +250,16 @@ impl LoopbackConn {
     /// Closes both directions cleanly. The peer's pending and future
     /// reads drain buffered bytes, then see EOF.
     pub fn close(&self) {
-        self.rx.close();
-        self.tx.close();
+        self.rx.close(false);
+        self.tx.close(false);
     }
 
     /// Simulates an abrupt disconnect: discards anything buffered
     /// toward the peer, then closes both directions — the peer sees
     /// EOF possibly mid-frame, exactly like a killed TCP client.
     pub fn kill(&self) {
-        self.tx.state.lock().unwrap().buf.clear();
-        self.close();
+        self.tx.close(true);
+        self.rx.close(false);
     }
 }
 
@@ -190,40 +301,55 @@ impl Drop for LoopbackConn {
 /// Creates a connected full-duplex pair: bytes written to one endpoint
 /// are read from the other.
 pub fn loopback_pair() -> (LoopbackConn, LoopbackConn) {
-    let ab = Pipe::new();
-    let ba = Pipe::new();
+    pair_polling_under(&POLLERS)
+}
+
+/// [`loopback_pair`] whose readers take their poll slots from `pollers`.
+fn pair_polling_under(pollers: &'static Pollers) -> (LoopbackConn, LoopbackConn) {
+    let ab = Pipe::new(pollers);
+    let ba = Pipe::new(pollers);
     (
-        LoopbackConn { rx: Arc::clone(&ba), tx: Arc::clone(&ab), read_timeout: None },
-        LoopbackConn { rx: ab, tx: ba, read_timeout: None },
+        LoopbackConn {
+            rx: Arc::clone(&ba),
+            tx: Arc::clone(&ab),
+            read_timeout: None,
+        },
+        LoopbackConn {
+            rx: ab,
+            tx: ba,
+            read_timeout: None,
+        },
     )
+}
+
+#[cfg(test)]
+/// Runs `f` on its own thread and fails the test if it has not
+/// finished within a minute: a lost wake-up leaves a thread blocked
+/// for good, and must show as a failure, not as a hung test run (the
+/// blocked thread is left behind; the test process ends it).
+pub(crate) fn watchdog(f: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, finished) = channel();
+    let worker = thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => worker.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("finished without reporting"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("blocked for 60 s: a wake-up was lost or a reader never returned")
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{read_frame, write_frame, Request};
-    use std::sync::mpsc::{channel, RecvTimeoutError};
-    use std::thread;
-
-    /// Runs `f` on its own thread and fails the test if it has not
-    /// finished within a minute: a lost wake-up leaves a thread blocked
-    /// for good, and must show as a failure, not as a hung test run (the
-    /// blocked thread is left behind; the test process ends it).
-    fn watchdog(f: impl FnOnce() + Send + 'static) {
-        let (done, finished) = channel();
-        let worker = thread::spawn(move || {
-            f();
-            let _ = done.send(());
-        });
-        match finished.recv_timeout(Duration::from_secs(60)) {
-            Ok(()) => worker.join().unwrap(),
-            Err(RecvTimeoutError::Disconnected) => match worker.join() {
-                Err(panic) => std::panic::resume_unwind(panic),
-                Ok(()) => unreachable!("finished without reporting"),
-            },
-            Err(RecvTimeoutError::Timeout) => panic!("blocked for 60 s: a wake-up was lost"),
-        }
-    }
 
     /// Polls `pipe` until `ready` holds of its state.
     fn await_state(pipe: &Pipe, ready: impl Fn(&PipeState) -> bool) {
@@ -232,23 +358,145 @@ mod tests {
         }
     }
 
+    /// A private set of `cap` poll slots with its own `budget`, so a
+    /// test can count its readers' pollers apart from every other
+    /// test's.
+    fn pollers(cap: usize, budget: Duration) -> &'static Pollers {
+        Box::leak(Box::new(Pollers {
+            active: AtomicUsize::new(0),
+            cap,
+            budget,
+        }))
+    }
+
+    /// Readers polling under `pool` right now.
+    fn polling(pool: &Pollers) -> usize {
+        pool.active.load(Ordering::Relaxed)
+    }
+
+    /// Waits until exactly `n` readers poll under `pool`.
+    fn await_polling(pool: &Pollers, n: usize) {
+        while polling(pool) != n {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A poll budget no test outlives: a reader polling under it
+    /// leaves only when the pipe turns readable or its deadline
+    /// passes, and a missed update shows as a watchdog failure.
+    const FOREVER: Duration = Duration::from_secs(3600);
+
+    /// Echoes frames on `n` pairs polling under `pool`, `frames` round
+    /// trips each, no read timeout on either side.
+    fn ping_pong(pool: &'static Pollers, n: usize, frames: u32) {
+        let pairs: Vec<_> = (0..n)
+            .map(|_| {
+                thread::spawn(move || {
+                    let (mut a, mut b) = pair_polling_under(pool);
+                    let echo = thread::spawn(move || {
+                        while let Some(body) = read_frame(&mut b).unwrap() {
+                            write_frame(&mut b, &body).unwrap();
+                        }
+                    });
+                    for i in 0..frames {
+                        let body = i.to_le_bytes();
+                        write_frame(&mut a, &body).unwrap();
+                        assert_eq!(read_frame(&mut a).unwrap().unwrap(), body);
+                    }
+                    drop(a);
+                    echo.join().unwrap();
+                })
+            })
+            .collect();
+        for p in pairs {
+            p.join().unwrap();
+        }
+        assert_eq!(polling(pool), 0);
+    }
+
     #[test]
     fn ping_pong_loses_no_wakeup() {
+        // A slot for both readers: every empty read polls first, and
+        // parks when the reply takes longer than the budget.
+        watchdog(|| ping_pong(pollers(2, POLL_BUDGET), 1, 100_000));
+    }
+
+    #[test]
+    fn more_ping_pong_pairs_than_poll_slots_lose_no_wakeup() {
+        // 32 readers over 4 slots: most reads find none free and park
+        // at once, beside readers that poll.
+        watchdog(|| ping_pong(pollers(4, POLL_BUDGET), 16, 20_000));
+    }
+
+    #[test]
+    fn a_poll_gives_its_slot_back_on_data_deadline_and_budget() {
         watchdog(|| {
-            let (mut a, mut b) = loopback_pair();
-            let echo = thread::spawn(move || {
-                while let Some(body) = read_frame(&mut b).unwrap() {
-                    write_frame(&mut b, &body).unwrap();
-                }
+            // Data: bytes written while the reader polls end its poll.
+            let pool = pollers(1, FOREVER);
+            let (mut a, mut b) = pair_polling_under(pool);
+            let reader = thread::spawn(move || {
+                let mut buf = [0u8; 4];
+                (b.read(&mut buf).unwrap(), b)
             });
-            // 100 000 frames each way, no read timeout on either side.
-            for i in 0..100_000u32 {
-                let body = i.to_le_bytes();
-                write_frame(&mut a, &body).unwrap();
-                assert_eq!(read_frame(&mut a).unwrap().unwrap(), body);
+            await_polling(pool, 1);
+            a.write_all(b"ping").unwrap();
+            let (n, mut b) = reader.join().unwrap();
+            assert_eq!((n, polling(pool)), (4, 0));
+
+            // Deadline: a read timeout shorter than the budget ends the
+            // poll with `TimedOut`.
+            b.set_read_timeout(Some(Duration::from_millis(20)));
+            let err = b.read(&mut [0u8; 1]).unwrap_err();
+            assert_eq!((err.kind(), polling(pool)), (io::ErrorKind::TimedOut, 0));
+
+            // Budget: a reader whose budget ran out parks without its
+            // slot and still gets the bytes written afterwards.
+            let pool = pollers(1, Duration::from_millis(1));
+            let (mut a, mut b) = pair_polling_under(pool);
+            let reader = thread::spawn(move || b.read(&mut [0u8; 4]).unwrap());
+            await_state(&a.tx, |st| st.waiting == 1);
+            assert_eq!(polling(pool), 0, "a parked reader holds no slot");
+            a.write_all(b"pong").unwrap();
+            assert_eq!(reader.join().unwrap(), 4);
+        });
+    }
+
+    #[test]
+    fn close_or_kill_while_polling_is_eof_and_frees_the_slot() {
+        watchdog(|| {
+            for kill in [false, true] {
+                let pool = pollers(1, FOREVER);
+                let (a, mut b) = pair_polling_under(pool);
+                let reader = thread::spawn(move || b.read(&mut [0u8; 1]).unwrap());
+                await_polling(pool, 1);
+                if kill {
+                    a.kill();
+                } else {
+                    a.close();
+                }
+                assert_eq!(reader.join().unwrap(), 0, "EOF (kill: {kill})");
+                assert_eq!(polling(pool), 0, "kill: {kill}");
             }
-            drop(a);
-            echo.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_reader_without_a_free_slot_parks_at_once() {
+        watchdog(|| {
+            let pool = pollers(1, FOREVER);
+            let (mut a1, mut b1) = pair_polling_under(pool);
+            let (mut a2, mut b2) = pair_polling_under(pool);
+            let first = thread::spawn(move || b1.read(&mut [0u8; 1]).unwrap());
+            await_polling(pool, 1);
+            let second = thread::spawn(move || b2.read(&mut [0u8; 1]).unwrap());
+            // The second reader parks while the first still polls.
+            await_state(&a2.tx, |st| st.waiting == 1);
+            assert_eq!(polling(pool), 1);
+            a2.write_all(b"y").unwrap();
+            assert_eq!(second.join().unwrap(), 1);
+            a1.write_all(b"x").unwrap();
+            assert_eq!(first.join().unwrap(), 1);
+            assert_eq!(polling(pool), 0);
         });
     }
 
@@ -263,7 +511,10 @@ mod tests {
                 a
             });
             await_state(&b.rx, |st| st.buf.len() == PIPE_CAP && st.waiting == 1);
-            assert!(!writer.is_finished(), "the writer is blocked on the full pipe");
+            assert!(
+                !writer.is_finished(),
+                "the writer is blocked on the full pipe"
+            );
             let got = read_frame(&mut b).unwrap().expect("frame");
             assert!(got.len() == len && got.iter().all(|&x| x == 7));
             drop(writer.join().unwrap());
@@ -275,7 +526,10 @@ mod tests {
         watchdog(|| {
             let (mut a, mut b) = loopback_pair();
             let reader = thread::spawn(move || read_frame(&mut b).unwrap());
-            let body = Request::Query { class: "acc".into() }.encode();
+            let body = Request::Query {
+                class: "acc".into(),
+            }
+            .encode();
             let mut frame = (body.len() as u32).to_le_bytes().to_vec();
             frame.extend_from_slice(&body);
             a.write_all(&frame[..2]).unwrap();
@@ -301,7 +555,9 @@ mod tests {
     #[test]
     fn frames_cross_the_pipe() {
         let (mut a, mut b) = loopback_pair();
-        let req = Request::Query { class: "acc".into() };
+        let req = Request::Query {
+            class: "acc".into(),
+        };
         write_frame(&mut a, &req.encode()).unwrap();
         let body = read_frame(&mut b).unwrap().expect("frame");
         assert_eq!(Request::decode(&body).unwrap(), req);

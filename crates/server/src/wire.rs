@@ -476,9 +476,12 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 
 /// Reads one frame body. `Ok(None)` means clean EOF at a frame
 /// boundary; EOF mid-frame, an oversized length or a read timeout
-/// surface as errors (timeouts keep their
-/// [`io::ErrorKind::TimedOut`] / [`io::ErrorKind::WouldBlock`] kind so
-/// callers can distinguish a slow peer from a dead one).
+/// surface as errors. A timeout before the frame's first byte keeps its
+/// [`io::ErrorKind::TimedOut`] / [`io::ErrorKind::WouldBlock`] kind, so
+/// callers can tell a slow peer from a dead one and read again. A
+/// timeout after part of the frame was consumed is
+/// [`io::ErrorKind::InvalidData`]: those bytes are gone, so a retry
+/// would start mid-frame and the stream is out of step for good.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     let mut got = 0usize;
@@ -487,8 +490,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => return Err(perr("EOF inside frame header")),
             Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => retry_or_fail(e, got > 0)?,
         }
     }
     let n = u32::from_le_bytes(len);
@@ -501,11 +503,23 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         match r.read(&mut body[got..]) {
             Ok(0) => return Err(perr("EOF inside frame body")),
             Ok(k) => got += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => retry_or_fail(e, true)?,
         }
     }
     Ok(Some(body))
+}
+
+/// `Ok` for an interrupted read (retry it); otherwise `e`, except that
+/// a timeout `mid_frame` (after part of the frame was consumed) becomes
+/// an `InvalidData` error the caller must not retry.
+fn retry_or_fail(e: io::Error, mid_frame: bool) -> io::Result<()> {
+    match e.kind() {
+        io::ErrorKind::Interrupted => Ok(()),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock if mid_frame => {
+            Err(perr("read timed out inside a frame"))
+        }
+        _ => Err(e),
+    }
 }
 
 #[cfg(test)]
@@ -676,6 +690,39 @@ mod tests {
         write_frame(&mut out, &vec![0; MAX_FRAME as usize]).unwrap();
         let body = read_frame(&mut io::Cursor::new(out)).unwrap().unwrap();
         assert_eq!(body.len(), MAX_FRAME as usize);
+    }
+
+    /// A reader that hands out `bytes` a few at a time, then times out.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.at == self.bytes.len() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            let n = out.len().min(2).min(self.bytes.len() - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_timeout_inside_a_frame_is_not_retryable() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Request::Begin.encode()).unwrap();
+        let kind = |cut: usize| {
+            let mut r = Trickle { bytes: frame[..cut].to_vec(), at: 0 };
+            read_frame(&mut r).unwrap_err().kind()
+        };
+        // Before the first byte: an idle tick, safe to read again.
+        assert_eq!(kind(0), io::ErrorKind::TimedOut);
+        // Mid-header and mid-body: consumed bytes are lost.
+        assert_eq!(kind(2), io::ErrorKind::InvalidData);
+        assert_eq!(kind(4), io::ErrorKind::InvalidData);
     }
 
     #[test]
