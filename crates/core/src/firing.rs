@@ -131,6 +131,7 @@ mod tests {
     use super::*;
     use dps_rules::{parser::parse_rule, Bindings};
     use dps_wm::{Wme, WmeData};
+    use std::sync::Arc;
 
     fn wme(id: u64, class: &str) -> Wme {
         Wme {
@@ -143,7 +144,7 @@ mod tests {
     fn inst_of(rule: &Rule, wmes: Vec<Wme>) -> Instantiation {
         Instantiation {
             rule: RuleId(0),
-            wmes,
+            wmes: wmes.into_iter().map(Arc::new).collect(),
             bindings: Bindings::new(),
             salience: rule.salience,
         }
@@ -239,7 +240,7 @@ mod tests {
             rule_name: Atom::from("a"),
             key: InstKey {
                 rule: RuleId(0),
-                wmes: vec![],
+                wmes: Arc::default(),
             },
             delta: DeltaSet::new(),
             halt: false,

@@ -98,7 +98,7 @@ use dps_obs::{
     TelemetryConfig,
 };
 use dps_rules::{instantiate_actions, Rule, RuleSet};
-use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, WorkingMemory};
+use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, Wme, WorkingMemory};
 
 use crate::commit::{Claim, ClaimGuard, Commit, PinGuard};
 use crate::pipeline::{is_busy, scan_order, MatchPipeline};
@@ -1039,7 +1039,7 @@ impl ParallelEngine {
             // first candidate that survives the refraction skip and held
             // for the rest of this shard's scan.
             let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
-            for (key, inst) in state.rete.conflict_set().iter_keyed() {
+            for key in state.rete.conflict_set().keys() {
                 if state.refracted.contains(key) {
                     continue;
                 }
@@ -1051,15 +1051,17 @@ impl ParallelEngine {
                     saw_claimed = true;
                     continue;
                 }
-                let key = key.clone();
                 led.claimed.insert(key.clone());
                 led.inflight += 1;
                 self.pipeline.claim_taken(s);
+                // The one instantiation this scan materialises, under the
+                // shard lock that keeps its tokens live.
+                let inst = state.rete.instantiate(key).expect("listed key");
                 debug_assert!(
                     inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
                     "every tuple of an instantiation routes to the shard that holds it"
                 );
-                return Scan::Claimed(inst.clone(), Claim { key, shard: s });
+                return Scan::Claimed(inst, Claim { key: key.clone(), shard: s });
             }
         }
         Scan::Idle { w, saw_claimed }
@@ -1204,18 +1206,24 @@ impl ParallelEngine {
     /// under every strategy: where it is not locked it is still the
     /// injection and attribution surface.
     fn condition_resources(&self, inst: &Instantiation, rule: &Rule) -> Vec<ResourceId> {
-        let mut out: Vec<ResourceId> = Vec::new();
-        let mut by_class: HashMap<&Atom, Vec<ResourceId>> = HashMap::new();
-        for w in &inst.wmes {
-            by_class.entry(&w.data.class).or_default().push(ResourceId::Tuple(w.id.0));
-        }
-        for (class, tuples) in by_class {
-            match self.config.rc_escalation {
-                Some(threshold) if tuples.len() > threshold => {
-                    out.push(self.relation_resource(class));
+        let tuple = |w: &Arc<Wme>| ResourceId::Tuple(w.id.0);
+        let mut out: Vec<ResourceId> = Vec::with_capacity(inst.wmes.len() + 1);
+        match self.config.rc_escalation {
+            // Only escalation reads the per-class grouping.
+            Some(threshold) => {
+                let mut by_class: HashMap<&Atom, Vec<ResourceId>> = HashMap::new();
+                for w in &inst.wmes {
+                    by_class.entry(&w.data.class).or_default().push(tuple(w));
                 }
-                _ => out.extend(tuples),
+                for (class, tuples) in by_class {
+                    if tuples.len() > threshold {
+                        out.push(self.relation_resource(class));
+                    } else {
+                        out.extend(tuples);
+                    }
+                }
             }
+            None => out.extend(inst.wmes.iter().map(tuple)),
         }
         for class in Footprint::negated_classes(rule) {
             out.push(self.relation_resource(class));
@@ -1750,8 +1758,11 @@ mod tests {
         let engine = ParallelEngine::new(&rules, wm, cfg);
         // Claim both instantiations the way `worker_step` does; both
         // read (and write) the one `acc` tuple.
-        let insts: Vec<Instantiation> =
-            engine.pipeline.shard_state(0).rete.conflict_set().iter().cloned().collect();
+        let insts: Vec<Instantiation> = {
+            let state = engine.pipeline.shard_state(0);
+            let keys = state.rete.conflict_set().keys();
+            keys.map(|k| state.rete.instantiate(k).unwrap()).collect()
+        };
         assert_eq!(insts.len(), 2);
         {
             let mut ledger = engine.ledger.lock().unwrap();

@@ -290,9 +290,9 @@ pub fn enumerate_concrete(
         let insts: Vec<_> = state
             .rete
             .conflict_set()
-            .iter_keyed()
-            .filter(|(k, _)| !state.refracted.contains(k))
-            .map(|(_, i)| i.clone())
+            .keys()
+            .filter(|k| !state.refracted.contains(k))
+            .map(|k| state.rete.instantiate(k).expect("listed key"))
             .collect();
         if insts.is_empty() || depth_left == 0 {
             out.push(path.clone());

@@ -40,6 +40,8 @@
 //! through it; the engine's end-of-run `debug_assert`s and the
 //! disconnect-chaos gate verify nothing leaks.
 
+use std::sync::Arc;
+
 use dps_lock::{ResourceId, TxnId};
 use dps_match::{InstKey, Matcher};
 use dps_obs::AbortCause;
@@ -176,7 +178,7 @@ impl ParallelEngine {
             firing: Firing {
                 rule: EXTERNAL_RULE,
                 rule_name: Atom::from(EXTERNAL_RULE_NAME),
-                key: InstKey { rule: EXTERNAL_RULE, wmes: Vec::new() },
+                key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
                 delta,
                 halt: false,
                 external: true,
@@ -250,7 +252,7 @@ impl ParallelEngine {
                 let mut state = self.pipeline.shard_state(s);
                 self.pipeline
                     .catch_up(s, w, &mut state, true, self.obs.as_deref());
-                for (key, _) in state.rete.conflict_set().iter_keyed() {
+                for key in state.rete.conflict_set().keys() {
                     if !state.refracted.contains(key) {
                         busy = true;
                         break 'scan;

@@ -113,15 +113,16 @@ impl<M: Matcher> SingleThreadEngine<M> {
         if self.halted {
             return StepOutcome::Halted;
         }
-        // select
-        let Some(inst) = self
+        // select, then materialise the pick
+        let Some(key) = self
             .config
             .strategy
             .select(self.world.matcher.conflict_set(), self.refracted.keys())
         else {
             return StepOutcome::Quiescent;
         };
-        let inst = inst.clone();
+        let key = key.clone();
+        let inst = self.world.matcher.instantiate(&key).expect("selected key is listed");
         let rule = self
             .rules
             .get(inst.rule)
@@ -135,7 +136,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             Firing {
                 rule: inst.rule,
                 rule_name: rule.name.clone(),
-                key: inst.key(),
+                key,
                 delta,
                 halt,
                 external: false,

@@ -128,14 +128,14 @@ impl StaticParallelEngine {
     /// Selects one batch of mutually non-interfering instantiations and
     /// fires it. Returns the batch size (0 = quiescent).
     fn cycle(&mut self) -> usize {
-        // Candidate instantiations, deterministic order.
-        let candidates: Vec<Instantiation> = self
-            .world
-            .matcher
+        // Candidate instantiations, deterministic order: every one is
+        // materialised, since footprints need the matched tuples.
+        let matcher = &self.world.matcher;
+        let candidates: Vec<Instantiation> = matcher
             .conflict_set()
-            .iter_keyed()
-            .filter(|(k, _)| !self.refracted.contains(k))
-            .map(|(_, i)| i.clone())
+            .keys()
+            .filter(|k| !self.refracted.contains(k))
+            .map(|k| matcher.instantiate(k).expect("listed key"))
             .collect();
         if candidates.is_empty() {
             return 0;

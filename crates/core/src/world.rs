@@ -93,10 +93,10 @@ mod tests {
         wm.insert(WmeData::new("c").with("n", 0i64));
         let matcher = Rete::new(&rules, &wm);
         let mut world = World { wm, matcher };
-        let inst = world.matcher.conflict_set().iter().next().unwrap().clone();
+        let key = world.matcher.conflict_set().keys().next().unwrap().clone();
+        let inst = world.matcher.instantiate(&key).unwrap();
         let rule = rules.get(inst.rule).unwrap();
         let (delta, halt) = instantiate_actions(rule, &inst.bindings, &inst.wmes).unwrap();
-        let key = inst.key();
         let mut refracted = Refraction::default();
         let mut trace = Trace::default();
         world.commit(
@@ -128,10 +128,10 @@ mod tests {
         wm.insert(WmeData::new("c"));
         let matcher = Rete::new(&rules, &wm);
         let cs = matcher.conflict_set();
-        let live = cs.iter().next().unwrap().key();
+        let live = cs.keys().next().unwrap().clone();
         let dead = |n: u64| InstKey {
             rule: live.rule,
-            wmes: vec![(dps_wm::WmeId(n), 0)],
+            wmes: [(dps_wm::WmeId(n), 0)].into(),
         };
         let mut refracted = Refraction::default();
         refracted.insert(live.clone(), cs);

@@ -1,20 +1,41 @@
-//! The conflict set: all currently satisfied instantiations.
+//! The conflict set: all currently satisfied instantiations, by key.
+//!
+//! An entry is an [`InstKey`] plus what selection reads besides it — the
+//! rule's salience — and where the owning matcher finds the match again.
+//! No entry holds matched tuples or bindings: the few instantiations that
+//! are fired are materialised on demand by
+//! [`crate::Matcher::instantiate`], so a match that is created and
+//! retracted without firing (most of them, on a hot join) costs one key.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use dps_rules::RuleId;
+use crate::InstKey;
 
-use crate::{InstKey, Instantiation};
+/// Where the matcher that owns a conflict set finds an entry's match:
+/// for Rete, the production node and the token that completed it. A
+/// matcher that keeps its instantiations elsewhere (TREAT) leaves it
+/// zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Site {
+    pub node: u32,
+    pub token: u32,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    salience: i32,
+    site: Site,
+}
 
 /// The set of active instantiations (the paper's `P^A`): one ordered map
-/// from identity key to instantiation, so enumeration is deterministic
-/// (reproducible selection and testing). A matcher that needs a
-/// secondary index — TREAT's WME → instantiations purge — keeps it
-/// beside the set; Rete removes by key and needs none.
+/// from identity key to its selection data, so enumeration is
+/// deterministic (reproducible selection and testing). A matcher that
+/// needs a secondary index — TREAT's WME → instantiations purge — keeps
+/// it beside the set; Rete removes by key and needs none.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictSet {
-    insts: BTreeMap<InstKey, Instantiation>,
+    members: BTreeMap<InstKey, Member>,
 }
 
 impl ConflictSet {
@@ -25,119 +46,96 @@ impl ConflictSet {
 
     /// Number of active instantiations.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.members.len()
     }
 
     /// `true` when no rule is satisfied — the paper's termination
     /// condition ("If the conflict set is empty ... the system halts").
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.members.is_empty()
     }
 
-    /// Inserts an instantiation; returns `false` if it was already
-    /// present (idempotent).
-    pub fn insert(&mut self, inst: Instantiation) -> bool {
-        match self.insts.entry(inst.key()) {
+    /// Inserts a key with its rule's salience and the matcher's site;
+    /// returns `false` if it was already present (idempotent).
+    pub(crate) fn insert(&mut self, key: InstKey, salience: i32, site: Site) -> bool {
+        match self.members.entry(key) {
             Entry::Occupied(_) => false,
             Entry::Vacant(slot) => {
-                slot.insert(inst);
+                slot.insert(Member { salience, site });
                 true
             }
         }
     }
 
-    /// Removes by key; returns the instantiation when present.
-    pub fn remove(&mut self, key: &InstKey) -> Option<Instantiation> {
-        self.insts.remove(key)
+    /// Removes by key; returns whether it was present.
+    pub(crate) fn remove(&mut self, key: &InstKey) -> bool {
+        self.members.remove(key).is_some()
+    }
+
+    /// The matcher's site of a present key.
+    pub(crate) fn site(&self, key: &InstKey) -> Option<Site> {
+        self.members.get(key).map(|m| m.site)
     }
 
     /// `true` when the key is present.
     pub fn contains(&self, key: &InstKey) -> bool {
-        self.insts.contains_key(key)
+        self.members.contains_key(key)
     }
 
-    /// Looks up by key.
-    pub fn get(&self, key: &InstKey) -> Option<&Instantiation> {
-        self.insts.get(key)
+    /// Keys in key order (deterministic).
+    pub fn keys(&self) -> impl Iterator<Item = &InstKey> {
+        self.members.keys()
     }
 
-    /// Iterates instantiations in key order (deterministic).
-    pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.insts.values()
-    }
-
-    /// `(key, instantiation)` pairs in key order: a scan that probes
-    /// other key sets (refraction, claims) reads the stored key instead
-    /// of building one per candidate.
-    pub fn iter_keyed(&self) -> impl Iterator<Item = (&InstKey, &Instantiation)> {
-        self.insts.iter()
-    }
-
-    /// Instantiations of one rule, in key order.
-    pub fn of_rule(&self, rule: RuleId) -> impl Iterator<Item = &Instantiation> + '_ {
-        self.insts.values().filter(move |i| i.rule == rule)
+    /// `(key, salience)` pairs in key order: everything selection reads.
+    pub fn iter(&self) -> impl Iterator<Item = (&InstKey, i32)> {
+        self.members.iter().map(|(k, m)| (k, m.salience))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_rules::Bindings;
-    use dps_wm::{Wme, WmeData, WmeId};
+    use dps_rules::RuleId;
+    use dps_wm::WmeId;
 
-    fn wme(id: u64, ts: u64) -> Wme {
-        Wme {
-            id: WmeId(id),
-            data: WmeData::new("c"),
-            timestamp: ts,
-        }
-    }
-
-    fn inst(rule: u32, ids: &[(u64, u64)]) -> Instantiation {
-        Instantiation {
+    fn key(rule: u32, ids: &[(u64, u64)]) -> InstKey {
+        InstKey {
             rule: RuleId(rule),
-            wmes: ids.iter().map(|&(i, t)| wme(i, t)).collect(),
-            bindings: Bindings::new(),
-            salience: 0,
+            wmes: ids.iter().map(|&(i, t)| (WmeId(i), t)).collect(),
         }
     }
 
     #[test]
     fn insert_is_idempotent() {
         let mut cs = ConflictSet::new();
-        assert!(cs.insert(inst(0, &[(1, 1)])));
-        assert!(!cs.insert(inst(0, &[(1, 1)])));
+        assert!(cs.insert(key(0, &[(1, 1)]), 0, Site::default()));
+        assert!(!cs.insert(key(0, &[(1, 1)]), 0, Site::default()));
         assert_eq!(cs.len(), 1);
     }
 
     #[test]
     fn remove_by_key() {
         let mut cs = ConflictSet::new();
-        let i = inst(0, &[(1, 1)]);
-        let k = i.key();
-        cs.insert(i);
-        assert!(cs.remove(&k).is_some());
+        let k = key(0, &[(1, 1)]);
+        let site = Site { node: 3, token: 7 };
+        cs.insert(k.clone(), 0, site);
+        assert_eq!(cs.site(&k), Some(site));
+        assert!(cs.remove(&k));
         assert!(cs.is_empty());
-        assert!(cs.remove(&k).is_none());
+        assert!(!cs.remove(&k));
+        assert_eq!(cs.site(&k), None);
     }
 
     #[test]
     fn iteration_is_deterministic() {
         let mut cs = ConflictSet::new();
-        cs.insert(inst(1, &[(5, 5)]));
-        cs.insert(inst(0, &[(9, 9)]));
-        cs.insert(inst(0, &[(2, 2)]));
-        let order: Vec<(u32, u64)> = cs.iter().map(|i| (i.rule.0, i.wmes[0].id.0)).collect();
+        cs.insert(key(1, &[(5, 5)]), 2, Site::default());
+        cs.insert(key(0, &[(9, 9)]), 1, Site::default());
+        cs.insert(key(0, &[(2, 2)]), 1, Site::default());
+        let order: Vec<(u32, u64)> = cs.keys().map(|k| (k.rule.0, k.wmes[0].0 .0)).collect();
         assert_eq!(order, [(0, 2), (0, 9), (1, 5)]);
-        assert!(cs.iter_keyed().all(|(k, i)| *k == i.key()));
-        assert!(cs.iter_keyed().map(|(_, i)| i).eq(cs.iter()));
-    }
-
-    #[test]
-    fn of_rule_filters() {
-        let mut cs = ConflictSet::new();
-        cs.insert(inst(0, &[(1, 1)]));
-        cs.insert(inst(1, &[(2, 2)]));
-        assert_eq!(cs.of_rule(RuleId(1)).count(), 1);
+        assert!(cs.iter().map(|(k, _)| k).eq(cs.keys()));
+        assert_eq!(cs.iter().map(|(_, s)| s).collect::<Vec<_>>(), [1, 1, 2]);
     }
 }

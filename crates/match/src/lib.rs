@@ -17,7 +17,11 @@
 //!   in `dps-bench` quantify.
 //!
 //! Both implement the [`Matcher`] trait consumed by the engines in
-//! `dps-core`, and both maintain a [`ConflictSet`] of [`Instantiation`]s.
+//! `dps-core`, and both maintain a [`ConflictSet`] of [`InstKey`]s: an
+//! entry is a key plus its rule's salience, and the [`Instantiation`] a
+//! caller fires — matched tuples and bindings — is materialised from the
+//! matcher's state only when that caller takes it
+//! ([`Matcher::instantiate`]).
 //! The **select** phase is covered by [`Strategy`], which implements the
 //! OPS5 conflict-resolution heuristics the paper names (LEX, MEA) plus
 //! salience, FIFO and a seeded-random strategy. As the paper stresses
@@ -66,4 +70,10 @@ pub trait Matcher {
 
     /// The current conflict set.
     fn conflict_set(&self) -> &ConflictSet;
+
+    /// Materialises the instantiation `key` names — its matched tuples,
+    /// shared with the matcher, and its bindings — or `None` when `key`
+    /// is not in the conflict set. Each call builds a fresh one; the
+    /// conflict set itself holds keys only.
+    fn instantiate(&self, key: &InstKey) -> Option<Instantiation>;
 }

@@ -10,9 +10,7 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use dps_wm::Timestamp;
-
-use crate::{ConflictSet, InstKey, Instantiation};
+use crate::{ConflictSet, InstKey};
 
 /// A conflict-resolution strategy.
 #[derive(Clone, Debug)]
@@ -34,49 +32,34 @@ pub enum Strategy {
     Random(u64),
 }
 
-fn lex_cmp(a: &Instantiation, b: &Instantiation) -> Ordering {
-    let (ra, rb) = (a.recency(), b.recency());
-    // Lexicographic on descending timestamp vectors: larger vector wins.
-    for (x, y) in ra.iter().zip(rb.iter()) {
-        match x.cmp(y) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    ra.len()
-        .cmp(&rb.len())
-        .then_with(|| a.key().cmp(&b.key()).reverse())
-}
-
-fn mea_cmp(a: &Instantiation, b: &Instantiation) -> Ordering {
-    let fa: Timestamp = a.first_ce_recency();
-    let fb: Timestamp = b.first_ce_recency();
-    fa.cmp(&fb).then_with(|| lex_cmp(a, b))
+fn mea_cmp(a: &InstKey, b: &InstKey) -> Ordering {
+    a.first_ce_recency()
+        .cmp(&b.first_ce_recency())
+        .then_with(|| a.lex_cmp(b))
 }
 
 impl Strategy {
     /// Picks the dominant instantiation among those not refracted
-    /// (already fired and still present). Returns `None` when every
-    /// instantiation is refracted or the set is empty — the paper's
-    /// termination condition.
+    /// (already fired and still present), by key: every strategy reads
+    /// the key and the rule's salience only, and the caller materialises
+    /// the pick ([`crate::Matcher::instantiate`]). Returns `None` when
+    /// every instantiation is refracted or the set is empty — the
+    /// paper's termination condition.
     pub fn select<'a>(
         &mut self,
         conflict: &'a ConflictSet,
         refracted: &HashSet<InstKey>,
-    ) -> Option<&'a Instantiation> {
-        let mut candidates = conflict
-            .iter_keyed()
-            .filter(|(k, _)| !refracted.contains(*k))
-            .map(|(_, i)| i);
-        match self {
+    ) -> Option<&'a InstKey> {
+        let mut candidates = conflict.iter().filter(|(k, _)| !refracted.contains(*k));
+        let pick = match self {
             Strategy::Fifo => candidates.next(),
-            Strategy::Lex => candidates.max_by(|a, b| lex_cmp(a, b)),
-            Strategy::Mea => candidates.max_by(|a, b| mea_cmp(a, b)),
+            Strategy::Lex => candidates.max_by(|(a, _), (b, _)| a.lex_cmp(b)),
+            Strategy::Mea => candidates.max_by(|(a, _), (b, _)| mea_cmp(a, b)),
             Strategy::Salience => {
-                candidates.max_by(|a, b| a.salience.cmp(&b.salience).then_with(|| lex_cmp(a, b)))
+                candidates.max_by(|(a, sa), (b, sb)| sa.cmp(sb).then_with(|| a.lex_cmp(b)))
             }
             Strategy::Random(state) => {
-                let all: Vec<&Instantiation> = candidates.collect();
+                let all: Vec<_> = candidates.collect();
                 if all.is_empty() {
                     return None;
                 }
@@ -89,41 +72,34 @@ impl Strategy {
                 let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
                 Some(all[(r % all.len() as u64) as usize])
             }
-        }
+        };
+        pick.map(|(k, _)| k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_rules::{Bindings, RuleId};
-    use dps_wm::{Wme, WmeData, WmeId};
+    use crate::conflict::Site;
+    use dps_rules::RuleId;
+    use dps_wm::WmeId;
 
-    fn wme(id: u64, ts: u64) -> Wme {
-        Wme {
-            id: WmeId(id),
-            data: WmeData::new("c"),
-            timestamp: ts,
-        }
-    }
-
-    fn inst(rule: u32, salience: i32, stamps: &[u64]) -> Instantiation {
-        Instantiation {
+    fn inst(rule: u32, salience: i32, stamps: &[u64]) -> (InstKey, i32) {
+        let key = InstKey {
             rule: RuleId(rule),
             wmes: stamps
                 .iter()
                 .enumerate()
-                .map(|(i, &t)| wme(100 + i as u64 + 10 * rule as u64, t))
+                .map(|(i, &t)| (WmeId(100 + i as u64 + 10 * rule as u64), t))
                 .collect(),
-            bindings: Bindings::new(),
-            salience,
-        }
+        };
+        (key, salience)
     }
 
-    fn set(insts: Vec<Instantiation>) -> ConflictSet {
+    fn set(insts: Vec<(InstKey, i32)>) -> ConflictSet {
         let mut cs = ConflictSet::new();
-        for i in insts {
-            cs.insert(i);
+        for (key, salience) in insts {
+            cs.insert(key, salience, Site::default());
         }
         cs
     }
@@ -191,13 +167,13 @@ mod tests {
     #[test]
     fn refraction_excludes_fired() {
         let cs = set(vec![inst(0, 0, &[1]), inst(1, 0, &[9])]);
-        let top = Strategy::Lex.select(&cs, &HashSet::new()).unwrap().key();
+        let top = Strategy::Lex.select(&cs, &HashSet::new()).unwrap().clone();
         let refracted: HashSet<InstKey> = [top].into_iter().collect();
         assert_eq!(
             Strategy::Lex.select(&cs, &refracted).unwrap().rule,
             RuleId(0)
         );
-        let both: HashSet<InstKey> = cs.iter().map(|i| i.key()).collect();
+        let both: HashSet<InstKey> = cs.keys().cloned().collect();
         assert!(Strategy::Lex.select(&cs, &both).is_none());
     }
 
@@ -207,8 +183,8 @@ mod tests {
         let mut s1 = Strategy::Random(42);
         let mut s2 = Strategy::Random(42);
         for _ in 0..20 {
-            let a = s1.select(&cs, &HashSet::new()).unwrap().key();
-            let b = s2.select(&cs, &HashSet::new()).unwrap().key();
+            let a = s1.select(&cs, &HashSet::new()).unwrap();
+            let b = s2.select(&cs, &HashSet::new()).unwrap();
             assert_eq!(a, b);
         }
         // Different seeds eventually differ.

@@ -12,8 +12,10 @@
 //!   beta memory, or a negative node (holding the tokens whose negated
 //!   pattern currently has **no** match). Join nodes test variable
 //!   consistency between a source's tokens and an alpha memory and feed
-//!   the next beta memory. Production nodes materialise complete tokens
-//!   as [`Instantiation`]s in the conflict set.
+//!   the next beta memory. A production node enters each complete
+//!   token's [`InstKey`] into the conflict set and remembers the token;
+//!   [`Matcher::instantiate`] materialises the [`Instantiation`] from
+//!   that token's chain when a caller fires it.
 //! * **Sharing**: alpha memories are shared by constant-test signature;
 //!   join, memory and negative nodes are shared by
 //!   `(parent, alpha memory, tests)`, so rules whose planned join orders
@@ -64,8 +66,13 @@
 //! list) and are threaded onto their parent's child list, their owner's
 //! memory list and their WME's carrier list by slot index, so a steady
 //! state batch neither copies a WME nor allocates for a token. Join
-//! tests reach earlier conditions by walking parent links. The only deep
-//! copies are the one [`Instantiation`] per complete match.
+//! tests reach earlier conditions by walking parent links. A complete
+//! match costs one [`InstKey`] (one allocation, shared by reference count
+//! with the conflict set and the production's token index); nothing is
+//! deep-copied. Bindings and the matched-tuple list are built only for an
+//! instantiation a caller takes to fire, from its token chain's
+//! `Arc<Wme>`s, while the token is still live — the key leaves the
+//! conflict set in the same step that frees the token.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -75,6 +82,7 @@ use dps_rules::{Bindings, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom,
 use dps_wm::{Atom, Change, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
 use crate::alpha::{attr_of, index_key, IdMap, IdSet};
+use crate::conflict::Site;
 use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Index of a node in the Rete graph.
@@ -163,6 +171,12 @@ fn ancestor(tokens: &[Token], mut t: Slot, up: usize) -> &Token {
     &tokens[t as usize]
 }
 
+/// The WME matched at token depth `d` of the chain whose last token,
+/// `last`, sits at depth `depth - 1`; `None` at a negated CE.
+fn chain_wme(tokens: &[Token], last: Slot, depth: usize, d: usize) -> Option<&Arc<Wme>> {
+    ancestor(tokens, last, depth - 1 - d).wme.as_ref()
+}
+
 /// The normalised key of the WME `up` hops above `t` (a join index's
 /// token side); `Nil` when that condition is negated.
 fn token_key<'a>(tokens: &'a [Token], t: Slot, up: usize, attr: &str) -> Cow<'a, Value> {
@@ -246,7 +260,7 @@ enum Node {
         tests: Vec<JoinTest>,
         children: Vec<NodeId>,
     },
-    /// Terminal node: materialises instantiations.
+    /// Terminal node: keys complete matches into the conflict set.
     Production {
         rule: RuleId,
         salience: i32,
@@ -256,6 +270,8 @@ enum Node {
         /// Token depth of each positive CE, in written order (for wme
         /// extraction).
         positive_conds: Vec<usize>,
+        /// Length of a complete token chain (the rule's CE count).
+        depth: usize,
     },
 }
 
@@ -535,6 +551,7 @@ impl Rete {
             salience: rule.salience,
             binding_map,
             positive_conds,
+            depth: conds.len(),
         });
         self.add_child(source, pnode);
         // Activate for tokens already in the source (sharing may reuse a
@@ -920,41 +937,37 @@ impl Beta {
         }
     }
 
+    /// A complete match: key it (written CE order) into the conflict
+    /// set and the production's token index. Nothing else is built here
+    /// — see [`Matcher::instantiate`].
     fn deliver_to_production(&mut self, net: &Network, pnode: NodeId, token: Slot) {
         let Node::Production {
             rule,
             salience,
-            binding_map,
             positive_conds,
+            depth,
+            ..
         } = &net.nodes[pnode.0]
         else {
             unreachable!()
         };
-        // The depth-indexed chain of WMEs (`None` at negated CEs).
-        let mut chain: Vec<Option<&Wme>> = Vec::new();
-        let mut at = token;
-        while at != DUMMY {
-            chain.push(self.tokens[at as usize].wme.as_deref());
-            at = self.tokens[at as usize].parent;
-        }
-        chain.reverse();
-        let mut bindings = Bindings::new();
-        for (var, cond, attr) in binding_map {
-            if let Some(Some(w)) = chain.get(*cond) {
-                bindings.bind(var.clone(), attr_of(w, attr.as_str()).clone());
-            }
-        }
-        let inst = Instantiation {
+        let tokens = &self.tokens;
+        let key = InstKey {
             rule: *rule,
             wmes: positive_conds
                 .iter()
-                .filter_map(|&c| chain.get(c).copied().flatten().cloned())
+                .map(|&d| {
+                    let w = chain_wme(tokens, token, *depth, d).expect("positive CE token");
+                    (w.id, w.timestamp)
+                })
                 .collect(),
-            bindings,
-            salience: *salience,
         };
-        self.mems[pnode.0].insts.insert(token, inst.key());
-        self.conflict.insert(inst);
+        self.mems[pnode.0].insts.insert(token, key.clone());
+        let site = Site {
+            node: u32::try_from(pnode.0).expect("node ids fit u32"),
+            token,
+        };
+        self.conflict.insert(key, *salience, site);
     }
 
     // -------------------------------------------------------------
@@ -1049,6 +1062,42 @@ impl Matcher for Rete {
     fn conflict_set(&self) -> &ConflictSet {
         &self.beta.conflict
     }
+
+    /// Reads the match off the token the conflict set's entry names:
+    /// the positive CEs' `Arc<Wme>`s in written order, and each
+    /// variable's value at its binding CE. The token is live for as long
+    /// as its key is listed, so a present key never reads a freed slot.
+    fn instantiate(&self, key: &InstKey) -> Option<Instantiation> {
+        let Site { node, token } = self.beta.conflict.site(key)?;
+        let Node::Production {
+            rule,
+            salience,
+            binding_map,
+            positive_conds,
+            depth,
+        } = &self.net.nodes[node as usize]
+        else {
+            unreachable!("conflict sites name production nodes")
+        };
+        let wme_at = |d: usize| chain_wme(&self.beta.tokens, token, *depth, d);
+        let mut bindings = Bindings::new();
+        for (var, d, attr) in binding_map {
+            if let Some(w) = wme_at(*d) {
+                bindings.bind(var.clone(), attr_of(w, attr.as_str()).clone());
+            }
+        }
+        let inst = Instantiation {
+            rule: *rule,
+            wmes: positive_conds
+                .iter()
+                .map(|&d| Arc::clone(wme_at(d).expect("positive CE token")))
+                .collect(),
+            bindings,
+            salience: *salience,
+        };
+        debug_assert!(inst.key() == *key, "a site reads back its own key");
+        Some(inst)
+    }
 }
 
 #[cfg(test)]
@@ -1070,6 +1119,12 @@ mod tests {
     fn apply_remove(rete: &mut Rete, wm: &mut WorkingMemory, id: WmeId) {
         let w = wm.remove(id).unwrap();
         rete.apply(&[Change::Removed(w)]);
+    }
+
+    /// The first instantiation in key order, materialised.
+    fn first(rete: &Rete) -> Instantiation {
+        let key = rete.conflict_set().keys().next().unwrap();
+        rete.instantiate(key).unwrap()
     }
 
     #[test]
@@ -1193,13 +1248,13 @@ mod tests {
         let (rules, mut wm) = setup("(p r (c ^n > 0) --> (remove 1))");
         let mut rete = Rete::new(&rules, &wm);
         let id = apply_insert(&mut rete, &mut wm, WmeData::new("c").with("n", 1i64));
-        let key_before = rete.conflict_set().iter().next().unwrap().key();
+        let key_before = rete.conflict_set().keys().next().unwrap().clone();
         let mut d = DeltaSet::new();
         d.modify(id, [(Atom::from("n"), Value::Int(2))]);
         let changes = wm.apply(&d).unwrap();
         rete.apply(&changes);
         assert_eq!(rete.conflict_set().len(), 1);
-        let key_after = rete.conflict_set().iter().next().unwrap().key();
+        let key_after = rete.conflict_set().keys().next().unwrap().clone();
         assert_ne!(
             key_before, key_after,
             "fresh timestamp → fresh instantiation"
@@ -1257,7 +1312,7 @@ mod tests {
             &mut wm,
             WmeData::new("job").with("id", 7i64).with("cost", 3i64),
         );
-        let inst = rete.conflict_set().iter().next().unwrap();
+        let inst = first(&rete);
         assert_eq!(inst.bindings.get("j"), Some(&Value::Int(7)));
         assert_eq!(inst.bindings.get("c"), Some(&Value::Int(3)));
         assert_eq!(inst.wmes.len(), 1);
@@ -1268,7 +1323,7 @@ mod tests {
         let (rules, mut wm) = setup("(p r (go ^id <g>) -(hold) --> (remove 1))");
         let mut rete = Rete::new(&rules, &wm);
         apply_insert(&mut rete, &mut wm, WmeData::new("go").with("id", 4i64));
-        let inst = rete.conflict_set().iter().next().unwrap();
+        let inst = first(&rete);
         assert_eq!(inst.wmes.len(), 1);
         assert_eq!(inst.wmes[0].class().as_str(), "go");
     }
@@ -1441,7 +1496,7 @@ mod tests {
         // cursor, cursor×item, ×kind, and the negation's output: no
         // cursor × kind tokens.
         assert_eq!(rete.stats().tokens, 4);
-        let inst = rete.conflict_set().iter().next().unwrap();
+        let inst = first(&rete);
         let classes: Vec<&str> = inst.wmes.iter().map(|w| w.class().as_str()).collect();
         assert_eq!(classes, ["cursor", "kind", "item"], "written CE order");
         assert_eq!(inst.wmes[0].id, cursor);
@@ -1491,7 +1546,7 @@ mod tests {
         assert!(rete.conflict_set().is_empty(), "5 > 7 is false");
         apply_insert(&mut rete, &mut wm, WmeData::new("c").with("v", 3i64));
         assert_eq!(rete.conflict_set().len(), 1);
-        let inst = rete.conflict_set().iter().next().unwrap();
+        let inst = first(&rete);
         let classes: Vec<&str> = inst.wmes.iter().map(|w| w.class().as_str()).collect();
         assert_eq!(classes, ["a", "c", "b"]);
         assert_eq!(inst.bindings.get("y"), Some(&Value::Int(3)));

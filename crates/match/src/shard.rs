@@ -507,7 +507,7 @@ impl ShardedRete {
     pub fn conflict_keys(&self) -> BTreeSet<InstKey> {
         self.shards
             .iter()
-            .flat_map(|s| s.conflict_set().iter().map(|i| i.key()))
+            .flat_map(|s| s.conflict_set().keys().cloned())
             .collect()
     }
 }
@@ -697,7 +697,7 @@ mod tests {
         let mut step = |changes: Vec<Change>| {
             mono.apply(&changes);
             sharded.apply(&changes);
-            let keys: BTreeSet<InstKey> = mono.conflict_set().iter().map(|i| i.key()).collect();
+            let keys: BTreeSet<InstKey> = mono.conflict_set().keys().cloned().collect();
             assert_eq!(sharded.conflict_keys(), keys);
             keys.len()
         };
@@ -739,7 +739,7 @@ mod tests {
             let sharded = ShardedRete::new(&rules, &wm, shards);
             let mono = Rete::new(&rules, &wm);
             let mono_keys: BTreeSet<InstKey> =
-                mono.conflict_set().iter().map(|i| i.key()).collect();
+                mono.conflict_set().keys().cloned().collect();
             assert_eq!(sharded.conflict_keys(), mono_keys, "{shards} shards");
             assert_eq!(sharded.len(), mono.conflict_set().len());
         }
@@ -753,7 +753,7 @@ mod tests {
         let sharded = ShardedRete::new(&rules, &wm, 3);
         let fam3 = rules.id_of("fam3-a").unwrap();
         let shard = sharded.shard(sharded.plan().shards_of(fam3).start);
-        let inst = shard.conflict_set().iter().next().unwrap();
+        let inst = shard.conflict_set().keys().next().unwrap();
         assert_eq!(inst.rule, fam3, "shard Retes speak global ids");
     }
 

@@ -8,7 +8,9 @@
 //! WME → instantiations index (Rete needs none), and rules whose
 //! *negated* patterns lost a match are re-joined. This is the classic
 //! state-versus-recomputation trade-off against [`crate::Rete`], which
-//! the `dps-bench` crate measures (experiment X4).
+//! the `dps-bench` crate measures (experiment X4). A join yields whole
+//! instantiations, so TREAT keeps them, by key, beside its conflict set
+//! (which, like Rete's, holds keys only) and hands out clones of them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -16,6 +18,7 @@ use std::sync::Arc;
 use dps_rules::{match_ce, Bindings, Condition, Rule, RuleId, RuleSet};
 use dps_wm::{Change, Wme, WmeId, WorkingMemory};
 
+use crate::conflict::Site;
 use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
 /// Per-rule compiled form: each condition with its alpha memory.
@@ -44,9 +47,12 @@ pub struct Treat {
     /// amem → (rule index, condition index) pairs reading it.
     readers: HashMap<AlphaMemId, Vec<(usize, usize)>>,
     conflict: ConflictSet,
+    /// The instantiation of every key in `conflict`: the negation purge
+    /// reads their bindings, and [`Matcher::instantiate`] clones them.
+    insts: HashMap<InstKey, Instantiation>,
     /// WME → keys of the instantiations matching it, for the retraction
-    /// purge; kept in step with `conflict` by [`Treat::insert`] /
-    /// [`Treat::remove`].
+    /// purge. `insts` and `by_wme` are kept in step with `conflict` by
+    /// [`Treat::insert`] / [`Treat::remove`].
     by_wme: HashMap<WmeId, HashSet<InstKey>>,
     stats: TreatStats,
 }
@@ -77,11 +83,12 @@ impl Treat {
             rules: compiled,
             readers,
             conflict: ConflictSet::new(),
+            insts: HashMap::new(),
             by_wme: HashMap::new(),
             stats: TreatStats::default(),
         };
         for wme in wm.iter() {
-            treat.add_wme(wme.clone());
+            treat.add_wme(Arc::new(wme.clone()));
         }
         treat
     }
@@ -97,10 +104,10 @@ impl Treat {
     fn join(
         &self,
         cr: &CompiledRule,
-        pin: Option<(usize, &Wme)>,
+        pin: Option<(usize, &Arc<Wme>)>,
         ci: usize,
         bindings: Bindings,
-        acc: &mut Vec<Wme>,
+        acc: &mut Vec<Arc<Wme>>,
         out: &mut Vec<Instantiation>,
         candidates_seen: &mut u64,
     ) {
@@ -121,7 +128,7 @@ impl Treat {
                     if pinned_ci == ci {
                         *candidates_seen += 1;
                         if let Some(b) = match_ce(ce, w, &bindings) {
-                            acc.push(w.clone());
+                            acc.push(Arc::clone(w));
                             self.join(cr, pin, ci + 1, b, acc, out, candidates_seen);
                             acc.pop();
                         }
@@ -132,7 +139,7 @@ impl Treat {
                 for w in mem.wmes() {
                     *candidates_seen += 1;
                     if let Some(b) = match_ce(ce, w, &bindings) {
-                        acc.push(Wme::clone(w));
+                        acc.push(Arc::clone(w));
                         self.join(cr, pin, ci + 1, b, acc, out, candidates_seen);
                         acc.pop();
                     }
@@ -154,7 +161,7 @@ impl Treat {
     fn compute_instantiations(
         &mut self,
         rule_idx: usize,
-        pin: Option<(usize, &Wme)>,
+        pin: Option<(usize, &Arc<Wme>)>,
     ) -> Vec<Instantiation> {
         let cr = self.rules[rule_idx].clone();
         let mut out = Vec::new();
@@ -165,23 +172,24 @@ impl Treat {
         out
     }
 
-    /// Inserts into the conflict set and the WME index (idempotent).
+    /// Inserts into the conflict set and both indexes (idempotent).
     fn insert(&mut self, inst: Instantiation) {
         let key = inst.key();
-        if self.conflict.contains(&key) {
+        if !self.conflict.insert(key.clone(), inst.salience, Site::default()) {
             return;
         }
         for w in &inst.wmes {
             self.by_wme.entry(w.id).or_default().insert(key.clone());
         }
-        self.conflict.insert(inst);
+        self.insts.insert(key, inst);
     }
 
-    /// Removes by key from the conflict set and the WME index.
+    /// Removes by key from the conflict set and both indexes.
     fn remove(&mut self, key: &InstKey) {
-        let Some(inst) = self.conflict.remove(key) else {
+        let Some(inst) = self.insts.remove(key) else {
             return;
         };
+        self.conflict.remove(key);
         for w in &inst.wmes {
             if let Some(set) = self.by_wme.get_mut(&w.id) {
                 set.remove(key);
@@ -203,8 +211,8 @@ impl Treat {
         keys.len()
     }
 
-    fn add_wme(&mut self, wme: Wme) {
-        let hits = self.alpha.add_wme(&Arc::new(wme.clone()));
+    fn add_wme(&mut self, wme: Arc<Wme>) {
+        let hits = self.alpha.add_wme(&wme);
         let mut positive_sites: Vec<(usize, usize)> = Vec::new();
         let mut negative_rules: Vec<usize> = Vec::new();
         for amem in hits {
@@ -231,15 +239,16 @@ impl Treat {
                 .collect();
             let rule_id = cr.id;
             let doomed: Vec<InstKey> = self
-                .conflict
-                .of_rule(rule_id)
-                .filter(|inst| {
-                    negated.iter().any(|&ci| {
-                        let ce = self.rules[ri].rule.conditions[ci].ce();
-                        match_ce(ce, &wme, &inst.bindings).is_some()
-                    })
+                .insts
+                .iter()
+                .filter(|(_, inst)| {
+                    inst.rule == rule_id
+                        && negated.iter().any(|&ci| {
+                            let ce = self.rules[ri].rule.conditions[ci].ce();
+                            match_ce(ce, &wme, &inst.bindings).is_some()
+                        })
                 })
-                .map(Instantiation::key)
+                .map(|(key, _)| key.clone())
                 .collect();
             for k in doomed {
                 self.remove(&k);
@@ -293,7 +302,7 @@ impl Matcher for Treat {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(w.clone()),
+                Change::Added(w) => self.add_wme(Arc::new(w.clone())),
                 Change::Removed(w) => self.remove_wme(w),
             }
         }
@@ -301,6 +310,10 @@ impl Matcher for Treat {
 
     fn conflict_set(&self) -> &ConflictSet {
         &self.conflict
+    }
+
+    fn instantiate(&self, key: &InstKey) -> Option<Instantiation> {
+        self.insts.get(key).cloned()
     }
 }
 
@@ -405,10 +418,12 @@ mod tests {
             rule: RuleId(rule),
             wmes: ids
                 .iter()
-                .map(|&i| Wme {
-                    id: WmeId(i),
-                    data: WmeData::new("c"),
-                    timestamp: i,
+                .map(|&i| {
+                    Arc::new(Wme {
+                        id: WmeId(i),
+                        data: WmeData::new("c"),
+                        timestamp: i,
+                    })
                 })
                 .collect(),
             bindings: Bindings::new(),
@@ -428,7 +443,7 @@ mod tests {
         t.insert(inst(2, &[3]));
         assert_eq!(t.remove_mentioning(WmeId(2)), 2);
         assert_eq!(t.conflict_set().len(), 1);
-        assert!(t.conflict_set().iter().next().unwrap().mentions(WmeId(3)));
+        assert!(t.conflict_set().keys().next().unwrap().mentions(WmeId(3)));
         assert_eq!(
             t.remove_mentioning(WmeId(1)),
             0,
@@ -448,5 +463,6 @@ mod tests {
         assert!(t.conflict_set().is_empty());
         assert_eq!(t.remove_mentioning(WmeId(1)), 0);
         assert!(t.by_wme.is_empty());
+        assert!(t.insts.is_empty());
     }
 }

@@ -1,39 +1,56 @@
 //! Allocation and work budget of one firing's copy path.
 //!
-//! A committed firing runs `instantiate_actions` (RHS → delta, outside
+//! A committed firing materialises its instantiation (under the claim
+//! scan's shard lock), runs `instantiate_actions` (RHS → delta, outside
 //! any lock), `WorkingMemory::apply` (inside the engine's commit critical
 //! section, under `pipeline.base`) and `Rete::apply` (the own shard's
-//! match update, after the base is released). What they
-//! allocate and copy is paid by every worker, on every firing. This test
-//! replays two `engine_match`-shaped families (a cursor walking 400
-//! items, each classified against 48 kinds, a negated CE the rule's own
-//! output blocks and `fold` lifts again) under a counting allocator and
-//! bounds a steady-state batch of each:
+//! match update, after the base is released). What they allocate and
+//! copy is paid by every worker, on every firing. This test replays
+//! three families under a counting allocator, always firing the first
+//! instantiation in key order, and bounds a steady-state batch of each:
 //!
-//! - **planned**: `visit` as `engine_match` writes it, `kind` before
+//! - **planned**: `visit` as `engine_match` writes it (a cursor walking
+//!   400 items, each classified against 48 kinds, a negated CE the
+//!   rule's own output blocks and `fold` lifts again), `kind` before
 //!   `item`. The Rete compiler joins it as `cursor`, `item`, `kind`, so
 //!   a batch re-derives no `cursor × kind` partial matches.
 //! - **cross-product**: the negation moved between `kind` and `item`.
 //!   Negations are plan barriers, so the 48-token cross product stays
 //!   and every cursor move deletes and rebuilds it — the slab and token
 //!   churn the planned family no longer exercises.
+//! - **contend**: `engine_contend`'s `charge` over 8 hot tallies with 4
+//!   live tasks each. Every firing rewrites a tally, so the 4
+//!   instantiations on it are retracted and re-derived: 4 matches made
+//!   and dropped per batch, 1 fired — the family that prices a match
+//!   that is never fired.
 //!
-//! Per family it bounds `Rete::apply` allocations, the whole firing's
-//! (`instantiate_actions` + `wm.apply` + `Rete::apply`) allocations and
-//! bytes, and — the work the join order decides — left activations per
-//! batch and live tokens after it. Measured, release and debug alike,
-//! worst / mean per batch:
+//! Per family it bounds `Rete::apply` allocations (worst and mean), the
+//! whole firing's (materialise + `instantiate_actions` + `wm.apply` +
+//! `Rete::apply`) allocations and bytes, and — the work the join order
+//! decides — left activations per batch and live tokens after it.
+//! Measured in release, worst / mean per batch (a debug build adds one
+//! firing allocation, the key `Rete::instantiate`'s debug assertion
+//! rebuilds):
 //!
 //! | family | build | `Rete::apply` allocs | firing allocs | firing bytes | left activations | tokens |
 //! |---|---|---|---|---|---|---|
-//! | planned | written-order network (parent) | 24 / 19.0 | 33 / 27.0 | 3 272 / 2 565 | 51 / 25.5 | 52 / 51.5 |
-//! | planned | connected-first join order | 24 / 19.0 | 33 / 27.0 | 3 272 / 2 565 | 4 / 2.0 | 5 / 4.5 |
-//! | cross-product | either | 75 / 46.5 | 84 / 54.5 | 7 820 / 5 799 | 98 / 73.0 | 98 / 74.5 |
+//! | planned | written-order network | 24 / 19.0 | 33 / 27.0 | 3 272 / 2 565 | 51 / 25.5 | 52 / 51.5 |
+//! | planned | connected-first join order, eager instantiations | 24 / 19.0 | 33 / 27.0 | 3 272 / 2 565 | 4 / 2.0 | 5 / 4.5 |
+//! | planned | instantiations by key | 11 / 9.0 | 22 / 19.0 | 1 920 / 1 636 | 4 / 2.0 | 5 / 4.5 |
+//! | cross-product | eager instantiations | 75 / 46.5 | 84 / 54.5 | 7 820 / 5 799 | 98 / 73.0 | 98 / 74.5 |
+//! | cross-product | instantiations by key | 62 / 36.5 | 73 / 46.5 | 6 468 / 4 870 | 98 / 73.0 | 98 / 74.5 |
+//! | contend | eager instantiations | 44 / 44.0 | 54 / 54.0 | 6 092 / 6 092 | 1 / 1.0 | 64 / 64.0 |
+//! | contend | instantiations by key | 14 / 14.0 | 26 / 26.0 | 2 124 / 2 124 | 1 / 1.0 | 64 / 64.0 |
 //!
-//! Tokens never allocated (slab slots and index buckets are reused), so
-//! the join order leaves the allocation rows unchanged; the written-order
-//! network fails the planned family's work ceilings. Earlier rounds of
-//! the planned family: 38 / 29.9 `Rete::apply` allocations while the
+//! The eager rows made one `Instantiation` per complete match inside
+//! `Rete::apply` (owned `Wme` copies, bindings, the key built twice) and
+//! cloned the fired one; their firing column does not include that
+//! clone. By key, `Rete::apply` builds one shared key per match and the
+//! firing column includes the one materialisation. Tokens never
+//! allocated (slab slots and index buckets are reused), so the join
+//! order leaves the allocation rows unchanged; the written-order network
+//! fails the planned family's work ceilings. Earlier rounds of the
+//! planned family: 38 / 29.9 `Rete::apply` allocations while the
 //! conflict set kept unread WME and rule indexes; 40 / 32.0 firing
 //! allocations and 11 084 / 8 405 bytes before sorted-vector payloads
 //! and interned atoms.
@@ -84,39 +101,57 @@ const KINDS: i64 = 48;
 const ITEMS: i64 = 400;
 const WARM_UP: usize = 100;
 /// Per-batch ceilings of one family (allocations and bytes are the
-/// worst over the measured batches; tokens are live after a batch).
+/// worst over the measured batches, `rete_mean` their mean; tokens are
+/// live after a batch).
 struct Budget {
     rete_allocs: u64,
+    rete_mean: f64,
     firing_allocs: u64,
     firing_bytes: u64,
     left_activations: u64,
     tokens: u64,
 }
 
-/// The planned family. Measured worst: 24 `Rete::apply` and 33 firing
-/// allocations, 3 272 bytes, 4 left activations, 5 live tokens. The
-/// written-order network (parent of the join planner) allocated the
-/// same but made 51 left activations and held 52 tokens, which fails
-/// the last two ceilings.
+/// The planned family. Measured worst: 11 `Rete::apply` allocations
+/// (mean 9.0) and 22 firing allocations, 1 920 bytes, 4 left
+/// activations, 5 live tokens. The written-order network (parent of the
+/// join planner) made 51 left activations and held 52 tokens, which
+/// fails the last two ceilings.
 const PLANNED_BUDGET: Budget = Budget {
-    rete_allocs: 28,
-    firing_allocs: 36,
-    firing_bytes: 4_096,
+    rete_allocs: 14,
+    rete_mean: 10.0,
+    firing_allocs: 26,
+    firing_bytes: 2_560,
     left_activations: 8,
     tokens: 8,
 };
 
 /// The cross-product family, whose plan is its written order. Measured
-/// worst (before and after the join planner): 75 `Rete::apply` and 84
-/// firing allocations — most of them the negation's per-input result
-/// sets, one per `cursor × kind` token the `out` blocks — 7 820 bytes,
-/// 98 left activations, 98 live tokens.
+/// worst: 62 `Rete::apply` allocations (mean 36.5) and 73 firing
+/// allocations — most of them the negation's per-input result sets, one
+/// per `cursor × kind` token the `out` blocks — 6 468 bytes, 98 left
+/// activations, 98 live tokens.
 const CROSS_BUDGET: Budget = Budget {
-    rete_allocs: 80,
-    firing_allocs: 88,
-    firing_bytes: 8_192,
+    rete_allocs: 66,
+    rete_mean: 40.0,
+    firing_allocs: 78,
+    firing_bytes: 7_168,
     left_activations: 104,
     tokens: 104,
+};
+
+/// The contend family. Measured, every batch alike: 14 `Rete::apply`
+/// allocations — four of them the keys of the four re-derived matches —
+/// and 26 firing allocations, 2 124 bytes, 1 left activation, 64 live
+/// tokens. With an eager instantiation per match (owned `Wme` copies,
+/// bindings and two key builds each) `Rete::apply` made 44.
+const CONTEND_BUDGET: Budget = Budget {
+    rete_allocs: 16,
+    rete_mean: 16.0,
+    firing_allocs: 30,
+    firing_bytes: 2_560,
+    left_activations: 2,
+    tokens: 68,
 };
 
 /// `visit` as `engine_match` writes it: `kind` before `item`, so the
@@ -136,6 +171,17 @@ const CROSS: &str = "(p visit (cursor ^at <i>) (kind ^kind <k> ^w <w>) -(out)
 
 const FOLD: &str = "(p fold (out ^id <i> ^w <w>) (sum ^total <s>)
    --> (remove 1) (modify 2 ^total (+ <s> <w>)))";
+
+/// `engine_contend`'s rule: every firing rewrites one of [`TALLIES`] hot
+/// tallies, which retracts the instantiations of every live task
+/// charging it and re-derives them.
+const CHARGE: &str = "(p charge (task ^res <r> ^left { > 0 <n> }) (tally ^id <r> ^count <c>)
+   --> (modify 1 ^left (- <n> 1)) (modify 2 ^count (+ <c> 1)))";
+const TALLIES: i64 = 8;
+const TASKS_PER_TALLY: i64 = 4;
+/// Contend batches fired: fewer than one task's charges, so all
+/// `TALLIES × TASKS_PER_TALLY` tasks stay live throughout.
+const CHARGES: usize = 600;
 
 /// Worst and total of one per-batch quantity over the measured batches.
 #[derive(Default)]
@@ -158,6 +204,10 @@ impl Tally {
 /// Per-batch tallies of one family: `Rete::apply` allocations, and the
 /// whole firing's allocations and bytes.
 struct Replay {
+    /// Measured batches (after the warm-up).
+    batches: usize,
+    /// Whether the conflict set was empty after the last batch.
+    quiescent: bool,
     rete: Tally,
     firing: Tally,
     bytes: Tally,
@@ -166,9 +216,8 @@ struct Replay {
     tokens: Tally,
 }
 
-/// Fires `visit_src` + `fold` to quiescence over one family, measuring
-/// every batch after the warm-up.
-fn replay(name: &str, visit_src: &str) -> Replay {
+/// The rules and initial working memory of a `visit` + `fold` family.
+fn visit_family(visit_src: &str) -> (RuleSet, WorkingMemory) {
     let rules = RuleSet::parse(&format!("{visit_src}\n{FOLD}")).unwrap();
     let mut wm = WorkingMemory::new();
     wm.insert(WmeData::new("cursor").with("at", 0i64));
@@ -180,23 +229,52 @@ fn replay(name: &str, visit_src: &str) -> Replay {
         let item = WmeData::new("item").with("id", i).with("next", i + 1);
         wm.insert(item.with("kind", (i * 7) % KINDS));
     }
+    (rules, wm)
+}
+
+/// The contend family: [`TALLIES`] tallies, [`TASKS_PER_TALLY`] live
+/// tasks on each, every task with more charges left than the replay
+/// fires.
+fn contend_family() -> (RuleSet, WorkingMemory) {
+    let rules = RuleSet::parse(CHARGE).unwrap();
+    let mut wm = WorkingMemory::new();
+    for r in 0..TALLIES {
+        wm.insert(WmeData::new("tally").with("id", r).with("count", 0i64));
+    }
+    for t in 0..TALLIES * TASKS_PER_TALLY {
+        let task = WmeData::new("task").with("res", t % TALLIES);
+        wm.insert(task.with("left", 10 * CHARGES as i64));
+    }
+    (rules, wm)
+}
+
+/// Fires one family's first instantiation in key order until it is
+/// quiescent or has fired `firings`, measuring every batch after the
+/// warm-up; it must reach `firings`.
+fn replay(name: &str, (rules, mut wm): (RuleSet, WorkingMemory), firings: usize) -> Replay {
     let mut rete = Rete::new(&rules, &wm);
 
     let mut batches = 0usize;
     let mut r = Replay {
+        batches: 0,
+        quiescent: false,
         rete: Tally::default(),
         firing: Tally::default(),
         bytes: Tally::default(),
         left: Tally::default(),
         tokens: Tally::default(),
     };
-    loop {
-        let next = rete.conflict_set().iter().next().cloned();
-        let Some(inst) = next else { break };
-        let rule = rules.get(inst.rule).unwrap();
+    while batches < firings {
+        let Some(key) = rete.conflict_set().keys().next().cloned() else {
+            break;
+        };
         let left = rete.stats().left_activations;
         let start = counters();
+        // The firing's own instantiation, materialised as a claim does.
+        let inst = rete.instantiate(&key).unwrap();
+        let rule = rules.get(inst.rule).unwrap();
         let (delta, _) = instantiate_actions(rule, &inst.bindings, &inst.wmes).unwrap();
+        drop(inst);
         let changes = wm.apply(&delta).unwrap();
         let applied = counters();
         rete.apply(&changes);
@@ -211,12 +289,10 @@ fn replay(name: &str, visit_src: &str) -> Replay {
             r.tokens.add(stats.tokens as u64);
         }
     }
-    assert_eq!(
-        batches as i64,
-        2 * ITEMS,
-        "{name}: every item visited and folded"
-    );
+    assert_eq!(batches, firings, "{name}: quiescent after {batches} firings");
+    r.quiescent = rete.conflict_set().is_empty();
     let n = batches - WARM_UP;
+    r.batches = n;
     println!(
         "{name} over {n} batches: rete.apply worst {} mean {:.1} allocations; \
          firing worst {} mean {:.1} allocations, worst {} mean {:.0} bytes; \
@@ -237,6 +313,13 @@ fn replay(name: &str, visit_src: &str) -> Replay {
 
 /// Fails naming the family and the ceiling it broke.
 fn check(name: &str, r: &Replay, budget: &Budget) {
+    let n = r.batches;
+    assert!(
+        r.rete.mean(n) <= budget.rete_mean,
+        "{name}: Rete::apply made {:.1} allocations per batch on average (budget {})",
+        r.rete.mean(n),
+        budget.rete_mean
+    );
     let rows = [
         ("Rete::apply allocations", r.rete.worst, budget.rete_allocs),
         ("firing allocations", r.firing.worst, budget.firing_allocs),
@@ -254,9 +337,13 @@ fn check(name: &str, r: &Replay, budget: &Budget) {
 
 #[test]
 fn steady_state_batch_stays_within_the_allocation_budget() {
-    // Measure both before checking either, so one run prints both.
-    let planned = replay("planned", PLANNED);
-    let cross = replay("cross-product", CROSS);
+    // Measure every family before checking any, so one run prints all.
+    let visits = 2 * ITEMS as usize;
+    let planned = replay("planned", visit_family(PLANNED), visits);
+    let cross = replay("cross-product", visit_family(CROSS), visits);
+    let contend = replay("contend", contend_family(), CHARGES);
+    assert!(planned.quiescent && cross.quiescent, "every item visited and folded");
     check("planned", &planned, &PLANNED_BUDGET);
     check("cross-product", &cross, &CROSS_BUDGET);
+    check("contend", &contend, &CONTEND_BUDGET);
 }

@@ -1,5 +1,7 @@
 //! Evaluation: matching condition elements and instantiating RHS actions.
 
+use std::sync::Arc;
+
 use dps_wm::{DeltaSet, Value, Wme};
 
 use crate::{Action, Bindings, ConditionElement, Expr, Op, Predicate, Rule, RuleError, TestAtom};
@@ -146,13 +148,14 @@ fn apply_op(op: Op, l: &Value, r: &Value) -> Result<Value, RuleError> {
 
 /// Instantiates a rule's RHS into a buffered [`DeltaSet`], given the final
 /// bindings and the WMEs matched by the positive condition elements (in
-/// CE order).
+/// CE order) — the matcher's shared tuples, as an instantiation holds
+/// them.
 ///
 /// Returns the delta set plus a `halt` flag (set by [`Action::Halt`]).
 pub fn instantiate_actions(
     rule: &Rule,
     bindings: &Bindings,
-    matched: &[Wme],
+    matched: &[Arc<Wme>],
 ) -> Result<(DeltaSet, bool), RuleError> {
     let arity = rule.positive_arity();
     if matched.len() != arity {
@@ -434,7 +437,7 @@ mod tests {
         };
         let w = wme("task", &[("n", Value::Int(4))]);
         let b = match_ce(rule.conditions[0].ce(), &w, &Bindings::new()).unwrap();
-        let (delta, halt) = instantiate_actions(&rule, &b, &[w]).unwrap();
+        let (delta, halt) = instantiate_actions(&rule, &b, &[Arc::new(w)]).unwrap();
         assert!(halt);
         assert_eq!(delta.len(), 2);
     }

@@ -30,7 +30,7 @@ fn key_sequence_hash(rules: &RuleSet, wm: WorkingMemory) -> (usize, u64) {
     for f in &report.trace.firings {
         eat(u64::from(f.key.rule.0));
         eat(f.key.wmes.len() as u64);
-        for (id, ts) in &f.key.wmes {
+        for (id, ts) in f.key.wmes.iter() {
             eat(id.0);
             eat(*ts);
         }
