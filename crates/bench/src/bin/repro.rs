@@ -5,8 +5,10 @@
 //! Usage:
 //! ```text
 //! repro                # run everything
-//! repro --exp e5.1     # one experiment (e3.2, e4.1..e4.4, e5.1..e5.4, x1..x9)
+//! repro --exp e5.1     # one experiment (one of `EXPERIMENTS`)
 //! ```
+//!
+//! An unknown experiment id prints the valid ones and exits 2.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,9 +28,19 @@ use dps_rules::analysis::Granularity;
 use dps_sim::scenario::all_figures;
 use dps_sim::{simulate_multi, sweep, Outcome};
 
+/// Every experiment id `--exp` accepts.
+const EXPERIMENTS: [&str; 15] = [
+    "e3.2", "e4.1", "e4.2", "e4.3", "e4.4", "e5.1", "e5.2", "e5.3", "e5.4", "x1", "x2", "x3",
+    "x5", "x7", "x9",
+];
+
 fn main() {
     let args = ReportArgs::parse("repro", &[Flag::Text("--exp")]);
     let pick = args.text("--exp").map(str::to_lowercase);
+    if let Some(p) = pick.as_deref().filter(|p| !EXPERIMENTS.contains(p)) {
+        eprintln!("error: unknown experiment `{p}`\nvalid ids: {}", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
     let want = |id: &str| pick.as_deref().is_none_or(|p| p == id);
 
     println!("Reproduction of: Srivastava, Hwang & Tan,");

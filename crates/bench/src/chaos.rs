@@ -3,9 +3,9 @@
 //!
 //! The gate's claim is the robustness version of Theorem 2: *under any
 //! seeded [`FaultPlan`]* — grant delays, spurious wakeups, forced
-//! aborts, mid-RHS stalls, timeout storms — every run that survives to
-//! quiescence still drains its whole workload and its commit sequence
-//! still replays through the single-thread oracle (`ES_M ⊆
+//! aborts, mid-RHS stalls — every run that survives to quiescence
+//! still drains its whole workload and its commit sequence still
+//! replays through the single-thread oracle (`ES_M ⊆
 //! ES_single`). [`gate`] runs the sweep (named plans × conflict
 //! policies, MVCC snapshot reads included, × worker counts), plus:
 //!

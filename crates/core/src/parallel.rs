@@ -21,7 +21,7 @@
 //! | **validate** (base mutex held) | engine-doom check | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
 //! | **on commit** | Figure 4.3: dooms overlapped `Rc` readers, or hands them back for engine revalidation (policy `Revalidate`) | `VersionWrite` receipt per written tuple | `ElidedCommit` receipt |
 //! | **on abort** | release locks, unclaim, account; the claim is retried at once | + unpin | + unpin |
-//! | **conflict surfaces as** | `Doomed` / `Revalidation` / `Deadlock` / `Timeout` | `SnapshotStale` (+ action-lock causes) | `ElisionStale` |
+//! | **conflict surfaces as** | `Doomed` / `Revalidation` / `Deadlock` | `SnapshotStale` (+ action-lock causes) | `ElisionStale` |
 //!
 //! `Stale` (claim gone before validation), `EvalError` (refracted,
 //! never retried) and `Injected` (chaos) can surface under any
@@ -337,8 +337,9 @@ pub struct AbortStats {
     /// RHS evaluation failed (e.g. division by zero); the
     /// instantiation is refracted so it is never retried.
     pub eval_error: u64,
-    /// A lock wait timed out (reachable through the fault plan's
-    /// timeout storm; the engine configures no organic timeout).
+    /// Session transactions rolled back because they overran the
+    /// server's per-session transaction budget — the only source of
+    /// [`AbortCause::Timeout`]; a lock wait has no deadline.
     pub timeout: u64,
     /// Force-aborted by the chaos fault injector
     /// ([`ParallelConfig::fault`]). Always zero outside fault-injected
@@ -1414,7 +1415,6 @@ pub(crate) fn classify(e: dps_lock::LockError) -> AbortCause {
     match e {
         dps_lock::LockError::DoomedByWriter { .. } => AbortCause::Doomed,
         dps_lock::LockError::Deadlock(_) => AbortCause::Deadlock,
-        dps_lock::LockError::Timeout(_) => AbortCause::Timeout,
         dps_lock::LockError::Injected(_) => AbortCause::Injected,
         dps_lock::LockError::NotActive(_) => AbortCause::Stale,
     }

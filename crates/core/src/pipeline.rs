@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::Instant;
 
-use dps_match::{InstKey, Matcher, Rete, ShardPlan};
+use dps_match::{InstKey, Rete, ShardPlan};
 use dps_obs::{FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Change, VersionedStore, WorkingMemory};
@@ -135,9 +135,9 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    /// Refracts `key` against this shard's conflict set.
+    /// Refracts `key` against this shard's network.
     pub fn refract(&mut self, key: InstKey) {
-        self.refracted.insert(key, self.rete.conflict_set());
+        self.refracted.insert(key, &self.rete);
     }
 }
 
@@ -638,6 +638,7 @@ impl MatchPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_match::Matcher;
     use dps_wm::WmeData;
 
     const CORPUS: &str = r#"

@@ -238,7 +238,7 @@ pub fn validate_trace(
         match wm.apply(&firing.delta) {
             Ok(changes) => {
                 rete.apply(&changes);
-                refracted.insert(firing.key.clone(), rete.conflict_set());
+                refracted.insert(firing.key.clone(), &rete);
             }
             Err(e) => {
                 return Err(Violation {
@@ -306,7 +306,7 @@ pub fn enumerate_concrete(
             let mut next = state.clone();
             let changes = next.wm.apply(&delta).expect("matched WMEs are live");
             next.rete.apply(&changes);
-            next.refracted.insert(inst.key(), next.rete.conflict_set());
+            next.refracted.insert(inst.key(), &next.rete);
             path.push(rule.name.to_string());
             if halt {
                 if out.len() < max_paths {

@@ -53,9 +53,10 @@ pub struct RunReport {
 /// The match–select–execute interpreter (OPS5-style), running one
 /// production at a time on one thread.
 ///
-/// Refraction: a fired instantiation never fires again while it persists
-/// unchanged in the conflict set (standard OPS5 behaviour; without it any
-/// rule whose RHS leaves its own match intact would loop forever).
+/// Refraction: a fired instantiation never fires again while the tuples
+/// it matched persist unchanged, even if a negated CE blocks it and lets
+/// it back into the conflict set (standard OPS5 behaviour; without it
+/// any rule whose RHS leaves its own match intact would loop forever).
 #[derive(Clone, Debug)]
 pub struct SingleThreadEngine<M: Matcher = Rete> {
     rules: RuleSet,

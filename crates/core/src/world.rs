@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use dps_match::{ConflictSet, InstKey, Matcher, Rete};
+use dps_match::{InstKey, Matcher, Rete};
 use dps_wm::WorkingMemory;
 
 use crate::{Firing, Trace};
@@ -39,18 +39,21 @@ impl<M: Matcher> World<M> {
             .apply(&firing.delta)
             .expect("committed firing only touches live WMEs");
         self.matcher.apply(&changes);
-        refracted.insert(firing.key.clone(), self.matcher.conflict_set());
+        refracted.insert(firing.key.clone(), &self.matcher);
         trace.firings.push(firing);
     }
 }
 
 /// The refraction set of one conflict set: keys that fired (or failed
 /// to evaluate) and must not fire again. Every engine bounds it by the
-/// same rule: once it reaches a trigger, keys no longer in the conflict
-/// set are dropped (timestamps are fresh on re-assertion, so a dead key
-/// can never match again), and the trigger doubles with the surviving
-/// size — a set whose keys stay live is swept O(log n) times, not once
-/// per firing.
+/// same rule: once it reaches a trigger, a key is dropped when one of
+/// its `(id, timestamp)` pairs is no longer held by the matcher the set
+/// belongs to ([`Matcher::holds`]; ids and timestamps are never reused,
+/// so such a key can never match again), and the trigger doubles with
+/// the surviving size — a set whose keys stay live is swept O(log n)
+/// times, not once per firing. A key that merely left the conflict set
+/// survives: a negated CE can block an instantiation and later let the
+/// same key back in.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Refraction {
     keys: HashSet<InstKey>,
@@ -60,11 +63,12 @@ pub(crate) struct Refraction {
 }
 
 impl Refraction {
-    /// Refracts `key`, then sweeps against `cs` if the trigger is reached.
-    pub fn insert(&mut self, key: InstKey, cs: &ConflictSet) {
+    /// Refracts `key`, then sweeps against `matcher` if the trigger is
+    /// reached.
+    pub fn insert(&mut self, key: InstKey, matcher: &impl Matcher) {
         self.keys.insert(key);
         if self.keys.len() >= self.gc_at.max(1024) {
-            self.keys.retain(|k| cs.contains(k));
+            self.keys.retain(|k| k.wmes.iter().all(|&(id, ts)| matcher.holds(id, ts)));
             self.gc_at = self.keys.len() * 2;
         }
     }
@@ -84,7 +88,7 @@ impl Refraction {
 mod tests {
     use super::*;
     use dps_rules::{instantiate_actions, RuleSet};
-    use dps_wm::{Value, WmeData};
+    use dps_wm::{Change, Value, WmeData};
 
     #[test]
     fn commit_applies_delta_and_refracts() {
@@ -127,24 +131,60 @@ mod tests {
         let mut wm = WorkingMemory::new();
         wm.insert(WmeData::new("c"));
         let matcher = Rete::new(&rules, &wm);
-        let cs = matcher.conflict_set();
-        let live = cs.keys().next().unwrap().clone();
+        let live = matcher.conflict_set().keys().next().unwrap().clone();
         let dead = |n: u64| InstKey {
             rule: live.rule,
             wmes: [(dps_wm::WmeId(n), 0)].into(),
         };
         let mut refracted = Refraction::default();
-        refracted.insert(live.clone(), cs);
+        refracted.insert(live.clone(), &matcher);
         for n in 1..1023 {
-            refracted.insert(dead(n), cs);
+            refracted.insert(dead(n), &matcher);
         }
         assert_eq!(refracted.keys().len(), 1023, "below the trigger: untouched");
-        refracted.insert(dead(1023), cs);
+        refracted.insert(dead(1023), &matcher);
         assert!(refracted.contains(&live), "live key survives GC");
         assert_eq!(refracted.keys().len(), 1, "dead keys collected");
         for n in 1024..2046 {
-            refracted.insert(dead(n), cs);
+            refracted.insert(dead(n), &matcher);
         }
         assert_eq!(refracted.keys().len(), 1023, "the trigger re-arms at its floor");
+    }
+
+    #[test]
+    fn a_key_blocked_during_a_sweep_survives_it() {
+        let rules = RuleSet::parse("(p mark (a) -(b) --> (make log))").unwrap();
+        let mut wm = WorkingMemory::new();
+        let a = wm.insert_full(WmeData::new("a"));
+        let mut rete = Rete::new(&rules, &wm);
+        let key = rete.conflict_set().keys().next().unwrap().clone();
+        let mut refracted = Refraction::default();
+        refracted.insert(key.clone(), &rete);
+        // A `b` blocks the instantiation: its key leaves the conflict set
+        // while its tuple stays live. A sweep runs in that state.
+        let b = wm.insert_full(WmeData::new("b"));
+        rete.apply(&[Change::Added(b.clone())]);
+        assert!(!rete.conflict_set().contains(&key));
+        let dead = |n: u64| InstKey {
+            rule: key.rule,
+            wmes: [(dps_wm::WmeId(1_000 + n), 0)].into(),
+        };
+        for n in 0..1023 {
+            refracted.insert(dead(n), &rete);
+        }
+        assert_eq!(refracted.keys().len(), 1, "the sweep ran");
+        assert!(refracted.contains(&key), "a blocked key survives the sweep");
+        // Unblocked, the same key is back — and still refracted.
+        wm.remove(b.id).unwrap();
+        rete.apply(&[Change::Removed(b)]);
+        assert!(rete.conflict_set().contains(&key));
+        assert!(refracted.contains(&key));
+        // Once its tuple is gone, the next sweep drops it.
+        wm.remove(a.id).unwrap();
+        rete.apply(&[Change::Removed(a)]);
+        for n in 1023..2046 {
+            refracted.insert(dead(n), &rete);
+        }
+        assert!(refracted.keys().is_empty(), "a key whose tuple is gone is collected");
     }
 }

@@ -17,10 +17,6 @@ pub enum LockError {
         /// The committing writer that doomed it.
         by: TxnId,
     },
-    /// The request's wait deadline passed. Waits have one only under a
-    /// chaos timeout storm ([`crate::FaultPlan::timeout_storm_pm`]);
-    /// the transaction stays active and its owner aborts it.
-    Timeout(TxnId),
     /// The transaction was force-aborted by the chaos fault injector
     /// (see [`crate::fault`]). Never occurs outside fault-injected
     /// runs; kept distinct so injected failures cannot masquerade as
@@ -37,7 +33,6 @@ impl LockError {
         match *self {
             LockError::Deadlock(t)
             | LockError::DoomedByWriter { txn: t, .. }
-            | LockError::Timeout(t)
             | LockError::Injected(t)
             | LockError::NotActive(t) => t,
         }
@@ -63,7 +58,6 @@ impl fmt::Display for LockError {
                     "transaction {txn} aborted: Rc lock invalidated by committing writer {by}"
                 )
             }
-            LockError::Timeout(t) => write!(f, "transaction {t}: lock wait timed out"),
             LockError::Injected(t) => {
                 write!(f, "transaction {t} aborted: fault injector forced abort")
             }
@@ -88,7 +82,6 @@ mod tests {
         assert!(e.is_abort());
         assert!(LockError::Deadlock(TxnId(1)).is_abort());
         assert!(LockError::Injected(TxnId(1)).is_abort());
-        assert!(!LockError::Timeout(TxnId(1)).is_abort());
         assert!(!LockError::NotActive(TxnId(1)).is_abort());
         assert_eq!(LockError::Injected(TxnId(5)).txn(), TxnId(5));
     }
@@ -98,8 +91,5 @@ mod tests {
         assert!(LockError::Deadlock(TxnId(2))
             .to_string()
             .contains("deadlock"));
-        assert!(LockError::Timeout(TxnId(2))
-            .to_string()
-            .contains("timed out"));
     }
 }

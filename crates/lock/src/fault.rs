@@ -4,27 +4,34 @@
 //! Theorem 2) must hold under *adversarial* schedules, not just
 //! happy-path ones. This module manufactures those schedules: a
 //! [`FaultPlan`] describes a reproducible storm of grant delays,
-//! spurious wakeups, forced aborts, mid-RHS stalls and timeout storms,
-//! and a [`FaultInjector`] threads it through the lock manager's and
-//! engine's seams. The chaos gate (`dps-bench`'s `chaos` bin) then
+//! spurious wakeups, forced aborts, mid-RHS stalls and panics, session
+//! disconnects and WAL kills, and a [`FaultInjector`] threads it
+//! through the lock manager's, engine's and server's seams. No plan
+//! gives a lock wait a deadline: with or without faults, a wait ends
+//! only in a grant, a doom or a deadlock doom. The chaos gate (`dps-bench`'s `chaos` bin) then
 //! requires every surviving trace to replay consistently through the
 //! single-thread oracle.
 //!
 //! ## Determinism model
 //!
 //! Every injection decision is a **pure function** of
-//! `(plan.seed, site, txn id, salt)` — hashed through the same
-//! SplitMix64 finalizer the lock table uses for sharding — so:
+//! `(plan.seed, site, key, salt)` — hashed through the same
+//! SplitMix64 finalizer the lock table uses for sharding. At the lock
+//! and engine seams the key is the transaction id; at the server's
+//! seams it is the session id, salted with the session's own
+//! transaction ordinal. So:
 //!
 //! * the decision stream carries **no shared mutable state** (no RNG
 //!   stream to race on): two threads asking concurrently perturb
 //!   nothing;
 //! * a single-worker run is **bit-reproducible** from its seed;
-//! * a multi-worker run draws its faults from a distribution fixed
-//!   entirely by the seed (the OS schedule still decides transaction
-//!   interleaving and id assignment — no user-space layer can pin
-//!   that — but re-running a seed replays the same per-decision odds
-//!   at every site).
+//! * which session transactions the server's seams hit is fixed by the
+//!   seed and the sessions' scripts alone;
+//! * at the lock and engine seams a multi-worker run draws from a
+//!   distribution fixed by the seed, but the OS schedule decides
+//!   transaction interleaving and id assignment — no user-space layer
+//!   can pin that — so which transaction draws which decision, and
+//!   how many faults fire, varies from run to run.
 //!
 //! Probabilities are expressed in **per-mille** (`0..=1000`) so plans
 //! stay integer-only, like the rest of the dependency-free workspace.
@@ -58,7 +65,6 @@ mod site {
     pub const SPURIOUS: u64 = 0x02;
     pub const FORCED_ABORT: u64 = 0x03;
     pub const RHS_STALL: u64 = 0x04;
-    pub const TIMEOUT_STORM: u64 = 0x05;
     pub const DROP_MID_CLAIM: u64 = 0x06;
     pub const DROP_MID_RHS: u64 = 0x07;
     pub const SLOWLORIS: u64 = 0x08;
@@ -92,18 +98,6 @@ pub struct FaultPlan {
     pub rhs_stall_pm: u32,
     /// RHS-stall magnitude, microseconds.
     pub rhs_stall_us: u64,
-    /// Per-mille odds that a blocked wait's deadline is slashed to
-    /// [`FaultPlan::timeout_storm_us`] — a timeout storm, the only wait
-    /// deadline the lock manager knows (deadlocks are broken by
-    /// detection alone).
-    pub timeout_storm_pm: u32,
-    /// Stormed deadline, microseconds.
-    pub timeout_storm_us: u64,
-    /// Deterministic stall (µs, no probability) inserted between a
-    /// wait timing out and the waiter cancelling itself — widens the
-    /// doom-vs-timeout race window so the cause-priority rule (doom
-    /// wins) is testable. 0 = off.
-    pub timeout_race_stall_us: u64,
     /// Corrupt the engine's `Fire.seq` commit-sequence records
     /// (`seq ^ 1`) — the falsifiability knob: a corrupted ordering
     /// **must** be rejected by the §3 checker, proving the chaos gate
@@ -215,19 +209,6 @@ impl FaultPlan {
         }
     }
 
-    /// Named plan: timeout storm — blocked waits keep getting slashed
-    /// deadlines, exercising the timeout/doom race paths.
-    pub fn timeout_storm(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            timeout_storm_pm: 300,
-            timeout_storm_us: 200,
-            spurious_wakeup_pm: 150,
-            timeout_race_stall_us: 50,
-            ..Default::default()
-        }
-    }
-
     /// Named plan: everything at once.
     pub fn mixed(seed: u64) -> Self {
         FaultPlan {
@@ -238,9 +219,6 @@ impl FaultPlan {
             forced_abort_pm: 120,
             rhs_stall_pm: 120,
             rhs_stall_us: 300,
-            timeout_storm_pm: 120,
-            timeout_storm_us: 300,
-            timeout_race_stall_us: 30,
             ..Default::default()
         }
     }
@@ -263,11 +241,10 @@ impl FaultPlan {
     /// The named CI sweep: `(label, constructor)` for every plan the
     /// chaos gate runs.
     #[allow(clippy::type_complexity)]
-    pub const NAMED: [(&'static str, fn(u64) -> FaultPlan); 5] = [
+    pub const NAMED: [(&'static str, fn(u64) -> FaultPlan); 4] = [
         ("quiet", FaultPlan::quiet),
         ("delays", FaultPlan::delays),
         ("doom_storm", FaultPlan::doom_storm),
-        ("timeout_storm", FaultPlan::timeout_storm),
         ("mixed", FaultPlan::mixed),
     ];
 }
@@ -280,8 +257,6 @@ struct FaultCounters {
     spurious_wakeups: AtomicU64,
     forced_aborts: AtomicU64,
     rhs_stalls: AtomicU64,
-    timeout_storms: AtomicU64,
-    timeout_race_stalls: AtomicU64,
     wal_kills: AtomicU64,
     drop_mid_claims: AtomicU64,
     drop_mid_rhs: AtomicU64,
@@ -301,10 +276,6 @@ pub struct FaultStats {
     pub forced_aborts: u64,
     /// Mid-RHS stalls injected at the doomed-poll seam.
     pub rhs_stalls: u64,
-    /// Blocked waits whose deadline was slashed *and then fired*.
-    pub timeout_storms: u64,
-    /// Deterministic timeout-race stalls taken.
-    pub timeout_race_stalls: u64,
     /// WAL kill points that fired (at most 1 per run — the process is
     /// dead afterwards).
     pub wal_kills: u64,
@@ -329,8 +300,6 @@ impl FaultStats {
             + self.spurious_wakeups
             + self.forced_aborts
             + self.rhs_stalls
-            + self.timeout_storms
-            + self.timeout_race_stalls
             + self.wal_kills
             + self.drop_mid_claims
             + self.drop_mid_rhs
@@ -367,8 +336,6 @@ impl FaultInjector {
             spurious_wakeups: self.counters.spurious_wakeups.load(Relaxed),
             forced_aborts: self.counters.forced_aborts.load(Relaxed),
             rhs_stalls: self.counters.rhs_stalls.load(Relaxed),
-            timeout_storms: self.counters.timeout_storms.load(Relaxed),
-            timeout_race_stalls: self.counters.timeout_race_stalls.load(Relaxed),
             wal_kills: self.counters.wal_kills.load(Relaxed),
             drop_mid_claims: self.counters.drop_mid_claims.load(Relaxed),
             drop_mid_rhs: self.counters.drop_mid_rhs.load(Relaxed),
@@ -378,8 +345,10 @@ impl FaultInjector {
         }
     }
 
-    /// The pure decision hash: true with probability `pm`/1000.
-    fn hit(&self, site_tag: u64, txn: TxnId, salt: u64, pm: u32) -> bool {
+    /// The pure decision hash of `(seed, site, key, salt)`: true with
+    /// probability `pm`/1000. `key` is a transaction id at the lock and
+    /// engine seams and a session id at the server's.
+    fn hit(&self, site_tag: u64, key: u64, salt: u64, pm: u32) -> bool {
         if pm == 0 {
             return false;
         }
@@ -387,7 +356,7 @@ impl FaultInjector {
             .plan
             .seed
             .wrapping_add(mix(site_tag))
-            ^ mix(txn.0).rotate_left(17)
+            ^ mix(key).rotate_left(17)
             ^ mix(salt).rotate_left(31));
         (h % 1000) < u64::from(pm)
     }
@@ -401,7 +370,7 @@ impl FaultInjector {
     /// Grant seam: maybe stall the requester *after* its grant (lock
     /// already held, so the delay stretches the hold time).
     pub(crate) fn grant_delay(&self, txn: TxnId, res: u64, obs: Option<&Recorder>) {
-        if self.hit(site::GRANT_DELAY, txn, res, self.plan.grant_delay_pm) {
+        if self.hit(site::GRANT_DELAY, txn.0, res, self.plan.grant_delay_pm) {
             self.counters.grant_delays.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "grant_delay");
             std::thread::sleep(Duration::from_micros(self.plan.grant_delay_us));
@@ -421,7 +390,7 @@ impl FaultInjector {
     ) -> bool {
         let hit = self.hit(
             site::SPURIOUS,
-            txn,
+            txn.0,
             res ^ mix(round),
             self.plan.spurious_wakeup_pm,
         );
@@ -435,7 +404,7 @@ impl FaultInjector {
     /// Request seam: force-abort this transaction's lock request?
     /// (The manager performs the actual abort and emits the event.)
     pub(crate) fn forced_abort(&self, txn: TxnId, res: u64) -> bool {
-        self.hit(site::FORCED_ABORT, txn, res, self.plan.forced_abort_pm)
+        self.hit(site::FORCED_ABORT, txn.0, res, self.plan.forced_abort_pm)
     }
 
     /// Counts a forced abort the manager actually carried out (the
@@ -450,39 +419,10 @@ impl FaultInjector {
     /// hash per poll. Public because the engine (not the manager)
     /// owns the RHS loop.
     pub fn rhs_stall(&self, txn: TxnId, step: u64, obs: Option<&Recorder>) {
-        if self.hit(site::RHS_STALL, txn, step, self.plan.rhs_stall_pm) {
+        if self.hit(site::RHS_STALL, txn.0, step, self.plan.rhs_stall_pm) {
             self.counters.rhs_stalls.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "rhs_stall");
             std::thread::sleep(Duration::from_micros(self.plan.rhs_stall_us));
-        }
-    }
-
-    /// Block seam: slash this request's wait deadline? Decided once
-    /// per `lock` call, before the first park.
-    pub(crate) fn storm_deadline(&self, txn: TxnId, res: u64) -> Option<Duration> {
-        if self.hit(site::TIMEOUT_STORM, txn, res, self.plan.timeout_storm_pm) {
-            Some(Duration::from_micros(self.plan.timeout_storm_us))
-        } else {
-            None
-        }
-    }
-
-    /// Counts a stormed deadline that actually fired (recorded at the
-    /// timeout, not at the slashing, so the counter means "aborts the
-    /// storm caused", not "deadlines it touched").
-    pub(crate) fn count_timeout_storm(&self, txn: TxnId, obs: Option<&Recorder>) {
-        self.counters.timeout_storms.fetch_add(1, Relaxed);
-        Self::emit(obs, txn, "timeout_storm");
-    }
-
-    /// Timeout seam: deterministic stall between `park_until` expiring
-    /// and the waiter cancelling itself — widens the doom-vs-timeout
-    /// race window for the cause-priority test.
-    pub(crate) fn timeout_race_stall(&self, txn: TxnId, obs: Option<&Recorder>) {
-        if self.plan.timeout_race_stall_us > 0 {
-            self.counters.timeout_race_stalls.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "timeout_race_stall");
-            std::thread::sleep(Duration::from_micros(self.plan.timeout_race_stall_us));
         }
     }
 
@@ -520,12 +460,21 @@ impl FaultInjector {
     }
 
     /// Server seam: tear this session's connection down right after
-    /// its transaction claimed (locks held)? `salt` is the session's
-    /// request ordinal so one session draws fresh odds per request.
-    /// Public because the server (not the manager) owns the session
-    /// loop.
-    pub fn drop_mid_claim(&self, txn: TxnId, salt: u64, obs: Option<&Recorder>) -> bool {
-        let hit = self.hit(site::DROP_MID_CLAIM, txn, salt, self.plan.drop_mid_claim_pm);
+    /// its transaction claimed (locks held)? Like every server seam it
+    /// draws on `(session, ordinal)` — the session id and the number of
+    /// the session's own transaction, counted at each `Begin` — so the
+    /// decision follows the session's script, not the engine's
+    /// transaction ids, which session transactions share with rule
+    /// firings; `txn` only labels the fault event. Public because the
+    /// server (not the manager) owns the session loop.
+    pub fn drop_mid_claim(
+        &self,
+        session: u64,
+        ordinal: u64,
+        txn: TxnId,
+        obs: Option<&Recorder>,
+    ) -> bool {
+        let hit = self.hit(site::DROP_MID_CLAIM, session, ordinal, self.plan.drop_mid_claim_pm);
         if hit {
             self.counters.drop_mid_claims.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "drop_mid_claim");
@@ -534,9 +483,16 @@ impl FaultInjector {
     }
 
     /// Server seam: tear this session's connection down mid-RHS (locks
-    /// and snapshot pin held, delta half-built)?
-    pub fn drop_mid_rhs(&self, txn: TxnId, salt: u64, obs: Option<&Recorder>) -> bool {
-        let hit = self.hit(site::DROP_MID_RHS, txn, salt, self.plan.drop_mid_rhs_pm);
+    /// and snapshot pin held, delta half-built)? Drawn as
+    /// [`Self::drop_mid_claim`] is.
+    pub fn drop_mid_rhs(
+        &self,
+        session: u64,
+        ordinal: u64,
+        txn: TxnId,
+        obs: Option<&Recorder>,
+    ) -> bool {
+        let hit = self.hit(site::DROP_MID_RHS, session, ordinal, self.plan.drop_mid_rhs_pm);
         if hit {
             self.counters.drop_mid_rhs.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "drop_mid_rhs");
@@ -546,9 +502,16 @@ impl FaultInjector {
 
     /// Server seam: should this session go half-open (stop talking but
     /// keep the connection up)? Returns the stall to inject; the
-    /// server's read timeout must reap the session.
-    pub fn slowloris(&self, txn: TxnId, salt: u64, obs: Option<&Recorder>) -> Option<Duration> {
-        if self.hit(site::SLOWLORIS, txn, salt, self.plan.slowloris_pm) {
+    /// server's read timeout must reap the session. Drawn as
+    /// [`Self::drop_mid_claim`] is.
+    pub fn slowloris(
+        &self,
+        session: u64,
+        ordinal: u64,
+        txn: TxnId,
+        obs: Option<&Recorder>,
+    ) -> Option<Duration> {
+        if self.hit(site::SLOWLORIS, session, ordinal, self.plan.slowloris_pm) {
             self.counters.slowloris.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "slowloris");
             Some(Duration::from_micros(self.plan.slowloris_us))
@@ -562,7 +525,7 @@ impl FaultInjector {
     /// pin as the unwind passes through. Public because the engine
     /// owns the RHS loop.
     pub fn rhs_panic(&self, txn: TxnId, step: u64, obs: Option<&Recorder>) -> bool {
-        let hit = self.hit(site::RHS_PANIC, txn, step, self.plan.rhs_panic_pm);
+        let hit = self.hit(site::RHS_PANIC, txn.0, step, self.plan.rhs_panic_pm);
         if hit {
             self.counters.rhs_panics.fetch_add(1, Relaxed);
             Self::emit(obs, txn, "rhs_panic");
@@ -592,7 +555,6 @@ mod tests {
         for i in 0..2000 {
             assert!(!inj.forced_abort(TxnId(i), i));
             assert!(!inj.spurious_wakeup(TxnId(i), i, 0, None));
-            assert!(inj.storm_deadline(TxnId(i), i).is_none());
             inj.grant_delay(TxnId(i), i, None);
             inj.rhs_stall(TxnId(i), i, None);
             assert_eq!(inj.corrupt_seq(i), i);
@@ -608,10 +570,6 @@ mod tests {
         let mut diverged = false;
         for i in 0..500 {
             assert_eq!(a.forced_abort(TxnId(i), i), b.forced_abort(TxnId(i), i));
-            assert_eq!(
-                a.storm_deadline(TxnId(i), i).is_some(),
-                b.storm_deadline(TxnId(i), i).is_some()
-            );
             if a.forced_abort(TxnId(i), i) != c.forced_abort(TxnId(i), i) {
                 diverged = true;
             }
@@ -693,9 +651,9 @@ mod tests {
     fn disconnect_sites_draw_and_count() {
         let quiet = FaultInjector::new(FaultPlan::quiet(3));
         for i in 0..500 {
-            assert!(!quiet.drop_mid_claim(TxnId(i), i, None));
-            assert!(!quiet.drop_mid_rhs(TxnId(i), i, None));
-            assert!(quiet.slowloris(TxnId(i), i, None).is_none());
+            assert!(!quiet.drop_mid_claim(i, i, TxnId(i), None));
+            assert!(!quiet.drop_mid_rhs(i, i, TxnId(i), None));
+            assert!(quiet.slowloris(i, i, TxnId(i), None).is_none());
             assert!(!quiet.rhs_panic(TxnId(i), i, None));
         }
         assert_eq!(quiet.stats().total(), 0);
@@ -714,9 +672,9 @@ mod tests {
         let mut slow = 0;
         let mut panics = 0;
         for i in 0..400 {
-            claims += u64::from(inj.drop_mid_claim(TxnId(i), i, None));
-            rhs += u64::from(inj.drop_mid_rhs(TxnId(i), i, None));
-            slow += u64::from(inj.slowloris(TxnId(i), i, None).is_some());
+            claims += u64::from(inj.drop_mid_claim(i, i, TxnId(i), None));
+            rhs += u64::from(inj.drop_mid_rhs(i, i, TxnId(i), None));
+            slow += u64::from(inj.slowloris(i, i, TxnId(i), None).is_some());
             panics += u64::from(inj.rhs_panic(TxnId(i), i, None));
         }
         let s = inj.stats();
@@ -727,12 +685,22 @@ mod tests {
         for n in [claims, rhs, slow, panics] {
             assert!((100..300).contains(&n), "hit rate {n}/400 off 500‰");
         }
-        // The sites are salted independently: identical (txn, salt)
-        // pairs must not force identical decisions across sites.
+        // The sites are salted independently: identical (session,
+        // ordinal) pairs must not force identical decisions across sites.
         let agree = (0..400)
-            .filter(|&i| inj.drop_mid_claim(TxnId(i), i, None) == inj.drop_mid_rhs(TxnId(i), i, None))
+            .filter(|&i| {
+                inj.drop_mid_claim(i, i, TxnId(i), None) == inj.drop_mid_rhs(i, i, TxnId(i), None)
+            })
             .count();
         assert!(agree < 400, "sites share a decision stream");
+        // The transaction id labels the event only: a session's draw
+        // is the same whichever id its transaction got.
+        for i in 0..400 {
+            assert_eq!(
+                inj.drop_mid_claim(7, i, TxnId(i), None),
+                inj.drop_mid_claim(7, i, TxnId(i + 1_000), None)
+            );
+        }
         assert_eq!(FaultPlan::disconnects(9).seed, 9);
         assert!(FaultPlan::disconnects(9).drop_mid_claim_pm > 0);
     }
@@ -740,16 +708,15 @@ mod tests {
     #[test]
     fn stats_snapshot_counts() {
         let inj = FaultInjector::new(FaultPlan {
-            timeout_race_stall_us: 1,
+            rhs_stall_pm: 1000,
+            rhs_stall_us: 1,
             ..Default::default()
         });
-        inj.timeout_race_stall(TxnId(0), None);
+        inj.rhs_stall(TxnId(0), 0, None);
         inj.count_forced_abort(TxnId(1), None);
-        inj.count_timeout_storm(TxnId(2), None);
         let s = inj.stats();
-        assert_eq!(s.timeout_race_stalls, 1);
+        assert_eq!(s.rhs_stalls, 1);
         assert_eq!(s.forced_aborts, 1);
-        assert_eq!(s.timeout_storms, 1);
-        assert_eq!(s.total(), 3);
+        assert_eq!(s.total(), 2);
     }
 }

@@ -30,6 +30,10 @@
 //! one class meet only at the tuples they share, and otherwise answering
 //! the class's readers exactly as a full write would.
 //!
+//! A blocked request waits until it is granted or doomed — by a
+//! committing writer or as a deadlock victim. No wait has a timeout,
+//! under a [`FaultPlan`] either.
+//!
 //! ```
 //! use dps_lock::{LockManager, LockMode, ResourceId, ConflictPolicy};
 //!

@@ -35,9 +35,9 @@
 //! held at any time.
 //!
 //! The commit-time `Rc`–`Wa` rule is Fig. 4.3's. There is no wait
-//! timeout: deadlocks are broken by detection alone, and the only
-//! deadline a wait can get is a chaos timeout storm
-//! ([`crate::FaultPlan::timeout_storm_pm`]).
+//! timeout: a blocked request parks until it is granted, doomed by a
+//! committing writer or chosen as a deadlock victim — deadlocks are
+//! broken by detection alone.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -403,7 +403,9 @@ impl LockManager {
         self.inject_read(txn, res)
     }
 
-    /// Acquires `mode` on `res` for `txn`, blocking until granted.
+    /// Acquires `mode` on `res` for `txn`, blocking until it is granted
+    /// or `txn` is doomed (by a committing writer, or as a deadlock
+    /// victim). There is no timeout.
     pub fn lock(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<(), LockError> {
         let mut wait_from: Option<Instant> = None;
         let result = self.lock_inner(txn, res, mode, &mut wait_from);
@@ -432,20 +434,13 @@ impl LockManager {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
-        // Chaos seams: forced abort (decided once per request) and a
-        // possibly-stormed wait deadline — the only deadline a wait can
-        // have. Both are pure functions of (seed, txn, resource) — see
-        // `crate::fault`.
+        // Chaos seam: forced abort, decided once per request as a pure
+        // function of (seed, txn, resource) — see `crate::fault`.
         if let Some(inj) = &self.fault {
             if inj.forced_abort(txn, res_key(res)) {
                 self.force_abort_injected(txn, &ts, inj)?;
             }
         }
-        let deadline = self
-            .fault
-            .as_ref()
-            .and_then(|inj| inj.storm_deadline(txn, res_key(res)))
-            .map(|storm| Instant::now() + storm);
         let mut round: u64 = 0;
         loop {
             self.check_doomed(txn, &ts)?;
@@ -506,29 +501,7 @@ impl LockManager {
             }) {
                 continue;
             }
-            let Some(d) = deadline else {
-                ts.slot.park();
-                continue;
-            };
-            if !ts.slot.park_until(d) {
-                continue;
-            }
-            // Stormed deadline passed. Chaos seam: widen the window
-            // between the timeout and the cancellation so the
-            // doom-priority rule below is exercisable under test.
-            let inj = self.fault.as_ref().expect("only a storm sets a deadline");
-            inj.timeout_race_stall(txn, self.obs.as_deref());
-            self.cancel_wait(txn, &ts, res);
-            // A doom posted concurrently with the timeout must win: it
-            // is the higher-priority cause and its auto-abort accounts
-            // the abort exactly once. Returning Timeout here would let
-            // the caller abort a transaction the committer already
-            // doomed — the cause taxonomy would misattribute it (and the
-            // doom would vanish from the blocking graph's terminal
-            // causes).
-            self.check_doomed(txn, &ts)?;
-            inj.count_timeout_storm(txn, self.obs.as_deref());
-            return Err(LockError::Timeout(txn));
+            ts.slot.park();
         }
     }
 
@@ -844,28 +817,6 @@ impl LockManager {
         vts.slot.signal();
     }
 
-    /// Removes `txn` from the waiter queue of `res` after a timed-out
-    /// wait, waking waiters that queued behind it.
-    fn cancel_wait(&self, txn: TxnId, ts: &Arc<TxnState>, res: ResourceId) {
-        let wake = {
-            let mut table = self.shard(res).table.lock().unwrap();
-            let mut inner = ts.inner.lock().unwrap();
-            inner.waiting_on = None;
-            match table.get_mut(&res) {
-                Some(entry) => {
-                    entry.remove_waiter(txn);
-                    let wake = entry.grantable_waiters(txn);
-                    if entry.is_vacant() {
-                        table.remove(&res);
-                    }
-                    wake
-                }
-                None => Vec::new(),
-            }
-        };
-        self.signal_all(&wake);
-    }
-
     /// The last step of every way a transaction finishes: releases every
     /// held lock (and any stale waiter entry), shard by shard, wakes the
     /// waiters of the entries it touched, and drops `txn` from the
@@ -1052,34 +1003,6 @@ mod tests {
         assert!(res_older.is_ok(), "older survives: {res_older:?}");
         assert_eq!(res_younger.unwrap_err(), LockError::Deadlock(younger));
         m.commit(older).unwrap();
-    }
-
-    /// A manager whose every blocked wait times out after `deadline_us`
-    /// (a chaos timeout storm, the only wait deadline there is), with a
-    /// `race_stall_us` stall between the timeout and the cancellation.
-    fn stormed(deadline_us: u64, race_stall_us: u64) -> (LockManager, Arc<FaultInjector>) {
-        use crate::fault::FaultPlan;
-        let inj = Arc::new(FaultInjector::new(FaultPlan {
-            timeout_storm_pm: 1000,
-            timeout_storm_us: deadline_us,
-            timeout_race_stall_us: race_stall_us,
-            ..Default::default()
-        }));
-        (LockManager::builder().fault(Arc::clone(&inj)).build(), inj)
-    }
-
-    #[test]
-    fn timeout_fires_when_configured() {
-        let (m, inj) = stormed(20_000, 0);
-        let (a, b) = (m.begin(), m.begin());
-        m.lock(a, t(1), X).unwrap();
-        assert_eq!(m.lock(b, t(1), X), Err(LockError::Timeout(b)));
-        assert_eq!(inj.stats().timeout_storms, 1);
-        assert!(m.is_active(b), "a timed-out waiter stays live; its owner aborts it");
-        m.commit(a).unwrap();
-        assert_eq!(m.try_lock(b, t(1), X), Ok(true), "the cancelled wait left no queue entry");
-        m.abort(b).unwrap();
-        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
     #[test]
@@ -1321,45 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn timeout_racing_a_doom_counts_once_as_doomed() {
-        // The §4.3 cause-priority rule: a wait that times out while a
-        // doom is concurrently posted must surface as `DoomedByWriter`
-        // (the higher-priority cause) and be accounted exactly once —
-        // not race into a Timeout return plus a caller-side abort of
-        // an already-doomed transaction. The injected
-        // `timeout_race_stall` widens the window between `park_until`
-        // expiring and the waiter cancelling itself so the doom
-        // deterministically lands inside it.
-        let (m, inj) = stormed(30_000, 100_000); // 30 ms deadline, 100 ms stall
-        let m = Arc::new(m);
-        let (pj, pi, holder) = (m.begin(), m.begin(), m.begin());
-        m.lock(pj, t(1), Rc).unwrap(); // overlapped by pi's Wa below
-        m.lock(pi, t(1), Wa).unwrap();
-        m.lock(holder, t(2), X).unwrap(); // blocks pj's next request
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.lock(pj, t(2), X));
-        // Let pj park and time out (30 ms), then doom it mid-stall
-        // (the stall holds the window open until 130 ms).
-        std::thread::sleep(Duration::from_millis(60));
-        let o = m.commit(pi).unwrap();
-        assert_eq!(o.doomed_readers, vec![pj], "commit dooms the Rc holder");
-        let err = h.join().unwrap().unwrap_err();
-        assert_eq!(
-            err,
-            LockError::DoomedByWriter { txn: pj, by: pi },
-            "doom outranks the concurrent timeout"
-        );
-        // Accounted exactly once: the auto-abort already ran, so a
-        // caller-side abort is the benign NotActive no-op.
-        assert_eq!(m.abort(pj), Err(LockError::NotActive(pj)));
-        let s = m.stats();
-        assert_eq!((s.aborts, s.dooms, s.commits), (1, 1, 1));
-        let f = inj.stats();
-        assert_eq!((f.timeout_race_stalls, f.timeout_storms), (1, 0), "the doom is counted, not the storm");
-        m.commit(holder).unwrap();
-    }
-
-    #[test]
     fn forced_abort_injects_once_with_its_own_cause() {
         use crate::fault::{FaultInjector, FaultPlan};
         let inj = Arc::new(FaultInjector::new(FaultPlan {
@@ -1518,7 +1402,7 @@ mod tests {
 
     #[test]
     fn registry_forgets_every_finished_transaction() {
-        let m = Arc::new(stormed(200_000, 0).0);
+        let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
         let mut finished = Vec::new();
         // Commit and abort.
         let (a, b) = (m.begin(), m.begin());
@@ -1549,15 +1433,6 @@ mod tests {
         assert_eq!(h.join().unwrap(), Err(LockError::Deadlock(younger)));
         m.commit(older).unwrap();
         finished.extend([older, younger]);
-        assert_eq!(m.live_txns(), 0);
-        // Timeout: the waiter stays live until its owner aborts it.
-        let (holder, waiter) = (m.begin(), m.begin());
-        m.lock(holder, t(3), X).unwrap();
-        assert_eq!(m.lock(waiter, t(3), X), Err(LockError::Timeout(waiter)));
-        assert_eq!(m.live_txns(), 2);
-        m.abort(waiter).unwrap();
-        m.commit(holder).unwrap();
-        finished.extend([holder, waiter]);
         assert_eq!(m.live_txns(), 0);
         // Injected forced aborts, on a manager whose injector always fires.
         use crate::fault::{FaultInjector, FaultPlan};

@@ -14,7 +14,6 @@
 
 use std::fmt;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use crate::modeset::ModeMap;
 use crate::{LockMode, ResourceId};
@@ -117,22 +116,6 @@ impl WaitSlot {
             s = self.cv.wait(s).unwrap();
         }
     }
-
-    /// Blocks until signalled or `deadline`; `true` means timed out.
-    pub fn park_until(&self, deadline: Instant) -> bool {
-        let mut s = self.signaled.lock().unwrap();
-        loop {
-            if *s {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (guard, _timeout) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,24 +133,20 @@ mod tests {
     }
 
     #[test]
-    fn park_until_times_out() {
-        let slot = WaitSlot::new();
-        slot.arm();
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(slot.park_until(deadline));
-    }
-
-    #[test]
     fn cross_thread_wakeup() {
         let slot = Arc::new(WaitSlot::new());
         slot.arm();
+        let (done, parked) = std::sync::mpsc::channel();
         let s2 = Arc::clone(&slot);
         let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            s2.signal();
+            s2.park();
+            done.send(()).unwrap();
         });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        assert!(!slot.park_until(deadline), "woken, not timed out");
+        std::thread::sleep(Duration::from_millis(20));
+        slot.signal();
+        parked
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the parked owner was woken");
         h.join().unwrap();
     }
 }

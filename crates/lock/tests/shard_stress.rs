@@ -10,10 +10,9 @@
 //!   waiter entry survived its transaction;
 //! * **progress** — the whole run terminates (no thread parks forever).
 //!
-//! Every storm runs the production configuration: deadlock detection
-//! alone breaks cycles and no wait has a deadline, so a lost wakeup
-//! hangs the test instead of passing late (CI loops this file under a
-//! watchdog).
+//! No wait has a deadline — deadlock detection alone breaks cycles —
+//! so a lost wakeup hangs the test instead of passing late (CI loops
+//! this file under a watchdog).
 //!
 //! The manager is dependency-free, so the test carries its own tiny
 //! SplitMix64 generator — deterministic per seed, so failures reproduce.

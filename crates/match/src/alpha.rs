@@ -7,7 +7,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use dps_rules::{ConditionElement, Predicate, RuleSet, TestAtom};
-use dps_wm::{Atom, Value, Wme, WmeId, WorkingMemory};
+use dps_wm::{Atom, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
 /// Index of an alpha memory within an [`AlphaNetwork`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -278,6 +278,12 @@ impl AlphaNetwork {
     /// returns the index's position within that memory.
     pub fn ensure_index(&mut self, id: AlphaMemId, attr: &Atom) -> usize {
         self.mems[id.0].ensure_index(attr)
+    }
+
+    /// Whether some memory holds tuple `id` as asserted at `ts`: false
+    /// once the tuple is retracted or re-asserted with a fresh stamp.
+    pub fn holds(&self, id: WmeId, ts: Timestamp) -> bool {
+        self.mems.iter().any(|m| m.get(id).is_some_and(|w| w.timestamp == ts))
     }
 
     /// Removes a WME, returning the ids of the memories it left.

@@ -60,7 +60,7 @@ pub use rete::Rete;
 pub use shard::{ShardPlan, ShardedRete, DEFAULT_MATCH_SHARDS};
 pub use treat::Treat;
 
-use dps_wm::Change;
+use dps_wm::{Change, Timestamp, WmeId};
 
 /// An incremental matcher: consumes working-memory change logs and keeps
 /// the conflict set current.
@@ -76,4 +76,10 @@ pub trait Matcher {
     /// is not in the conflict set. Each call builds a fresh one; the
     /// conflict set itself holds keys only.
     fn instantiate(&self, key: &InstKey) -> Option<Instantiation>;
+
+    /// Whether tuple `id`, asserted at timestamp `ts`, is still in this
+    /// matcher's memories. Ids and timestamps are never reused, so once
+    /// this is `false` it stays `false`, and no instantiation naming the
+    /// pair can match again.
+    fn holds(&self, id: WmeId, ts: Timestamp) -> bool;
 }

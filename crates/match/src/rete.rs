@@ -1098,6 +1098,10 @@ impl Matcher for Rete {
         debug_assert!(inst.key() == *key, "a site reads back its own key");
         Some(inst)
     }
+
+    fn holds(&self, id: WmeId, ts: Timestamp) -> bool {
+        self.net.alpha.holds(id, ts)
+    }
 }
 
 #[cfg(test)]

@@ -315,6 +315,10 @@ impl Matcher for Treat {
     fn instantiate(&self, key: &InstKey) -> Option<Instantiation> {
         self.insts.get(key).cloned()
     }
+
+    fn holds(&self, id: WmeId, ts: dps_wm::Timestamp) -> bool {
+        self.alpha.holds(id, ts)
+    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //! encodes tuple/relation ids into it; see its docs).
 
 /// Why a transaction aborted. The union of lock-manager causes
-/// (doomed-by-writer, deadlock, timeout) and engine causes (stale
-/// claim, failed revalidation, RHS evaluation error) — the paper's §5
-/// wasted-work factor `f` decomposed by origin.
+/// (doomed-by-writer, deadlock), engine causes (stale claim, failed
+/// revalidation, RHS evaluation error) and the server's session budget
+/// (timeout) — the paper's §5 wasted-work factor `f` decomposed by
+/// origin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AbortCause {
     /// Doomed by a committing `Wa` holder (Figure 4.3(b)).
@@ -27,8 +28,9 @@ pub enum AbortCause {
     Revalidation,
     /// The RHS failed to evaluate (e.g. division by zero).
     EvalError,
-    /// A lock wait's deadline passed (a chaos timeout storm: the lock
-    /// manager sets no other deadline).
+    /// A server session's transaction overran its per-session budget
+    /// and was rolled back. That is this cause's only source: a lock
+    /// wait has no deadline.
     Timeout,
     /// Forced abort injected by the chaos fault injector (never occurs
     /// in production runs; kept separate so injected failures cannot
@@ -83,7 +85,9 @@ impl AbortCause {
     /// `true` for causes that mean "concurrent transactions collided"
     /// (or chaos made them appear to) — the streak the server's
     /// admission controller closes the door on.
-    /// Stale claims and RHS evaluation errors are not contention.
+    /// Stale claims, RHS evaluation errors and [`AbortCause::Timeout`]
+    /// (a session that overran its transaction budget: a slow or silent
+    /// client, not a collision) are not contention.
     /// Snapshot- and elision-stale aborts *are*: with no condition
     /// locks held they are the only remaining signal of genuine write
     /// overlap (the reader-abort channels are structurally zero there).
@@ -92,11 +96,10 @@ impl AbortCause {
             AbortCause::Doomed
             | AbortCause::Deadlock
             | AbortCause::Revalidation
-            | AbortCause::Timeout
             | AbortCause::Injected
             | AbortCause::SnapshotStale
             | AbortCause::ElisionStale => true,
-            AbortCause::Stale | AbortCause::EvalError => false,
+            AbortCause::Stale | AbortCause::EvalError | AbortCause::Timeout => false,
         }
     }
 

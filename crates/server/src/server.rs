@@ -280,10 +280,17 @@ impl Server {
     /// exit-path invariant).
     fn serve_conn<C: Conn>(&self, sid: u64, mut conn: C) {
         conn.set_read_timeout(self.config.timeouts.idle_read);
-        // Handshake: the first frame must be a Hello.
-        match read_frame(&mut conn) {
-            Ok(Some(body)) if matches!(Request::decode(&body), Ok(Request::Hello)) => {}
-            _ => return,
+        // Handshake: the first frame must be a Hello. As on an idle
+        // session below, a read timeout only lets the session see a
+        // drain: a client whose thread starts late keeps its session.
+        loop {
+            match read_frame(&mut conn) {
+                Ok(Some(body)) if matches!(Request::decode(&body), Ok(Request::Hello)) => break,
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
+                        && !self.draining() => {}
+                _ => return,
+            }
         }
         if Self::reply(&mut conn, &Response::Granted { session: sid }).is_err() {
             return;
@@ -294,6 +301,9 @@ impl Server {
         let mut state = SessionState::Idle;
         let mut xt: Option<ExternalTxn> = None;
         let mut deadline: Option<Instant> = None;
+        // This session's `Begin`s so far, shed ones included: the salt
+        // of the chaos draws, which key on the session, not the txn id.
+        let mut ordinal: u64 = 0;
         // The `Rows` body of the last `Query`, reused across frames.
         let mut rows_body = Vec::new();
         loop {
@@ -373,14 +383,15 @@ impl Server {
             // engine resources; `drop_mid_rhs` kills it between its
             // writes and the commit.
             if let (Some(inj), Some(x)) = (self.engine.injector(), xt.as_ref()) {
-                if let Some(d) = inj.slowloris(x.txn(), sid, obs) {
+                if let Some(d) = inj.slowloris(sid, ordinal, x.txn(), obs) {
                     std::thread::sleep(d);
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         self.roll_back(&mut xt, End::Died(AbortCause::Timeout));
                         break;
                     }
                 }
-                if matches!(req, Request::Commit) && inj.drop_mid_rhs(x.txn(), sid, obs) {
+                if matches!(req, Request::Commit) && inj.drop_mid_rhs(sid, ordinal, x.txn(), obs)
+                {
                     self.roll_back(&mut xt, End::Died(AbortCause::Injected));
                     break;
                 }
@@ -388,6 +399,7 @@ impl Server {
             // An op or commit the engine rolled back is `Err(cause)`;
             // `Ok(None)` is a `Query` whose reply is in `rows_body`.
             let commit = matches!(req, Request::Commit);
+            ordinal += u64::from(matches!(req, Request::Begin));
             let outcome = match req {
                 Request::Hello | Request::Bye => {
                     // Hello is illegal here (the state machine rejected
@@ -410,7 +422,7 @@ impl Server {
                     Admission::Granted => {
                         let x = self.engine.external_begin();
                         if let Some(inj) = self.engine.injector() {
-                            if inj.drop_mid_claim(x.txn(), sid, obs) {
+                            if inj.drop_mid_claim(sid, ordinal, x.txn(), obs) {
                                 xt = Some(x);
                                 self.roll_back(&mut xt, End::Died(AbortCause::Injected));
                                 break;

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{
     EngineConfig, ParallelConfig, ParallelEngine, SingleThreadEngine, StaticConfig,
-    StaticParallelEngine,
+    StaticParallelEngine, StepOutcome,
 };
 use dbps::lock::{ConflictPolicy, Protocol};
 use dbps::rules::RuleSet;
@@ -281,5 +281,70 @@ fn removal_cascade_terminates_everywhere() {
         };
         assert_eq!(commits, 3, "run {run}");
         assert_eq!(fed, 3, "run {run}");
+    }
+}
+
+/// Refraction outlives a negation block. `mark`'s instantiation on
+/// `a_k` leaves the conflict set when its own `b_k` blocks it and comes
+/// back, with the same key, when `clear` retracts `b_k`; it must not
+/// fire again, even when a refraction sweep (every 1024 keys per set,
+/// so per match shard in the dynamic engine) ran while it was blocked.
+/// Every engine must fire `mark` and `clear` once per `a`, plus `init`
+/// and `other` once each, and quiesce — at sizes below, around and well
+/// past the trigger. Each run is capped at `REFRACTION_CAP` commits or
+/// cycles so a refiring engine fails fast.
+fn refraction_workloads() -> impl Iterator<Item = (RuleSet, WorkingMemory, usize)> {
+    [100i64, 600, 2000].into_iter().map(|n| {
+        let rules = RuleSet::parse(
+            "(p mark (a ^k <k>) -(b ^k <k>) --> (make b ^k <k>))
+             (p clear (b ^k <k>) --> (remove 1))
+             (p init (start) (a ^k 0) --> (remove 1))
+             (p other (z) --> (remove 1))",
+        )
+        .unwrap();
+        let mut wm = WorkingMemory::new();
+        for k in 0..n {
+            wm.insert(WmeData::new("a").with("k", k));
+        }
+        wm.insert(WmeData::new("start"));
+        wm.insert(WmeData::new("z"));
+        (rules, wm, 2 * n as usize + 2)
+    })
+}
+
+const REFRACTION_CAP: usize = 20_000;
+
+#[test]
+fn single_engine_refraction_survives_a_negation_block() {
+    for (rules, wm, want) in refraction_workloads() {
+        let config = EngineConfig { max_cycles: REFRACTION_CAP, ..Default::default() };
+        let r = SingleThreadEngine::new(&rules, wm.clone(), config).run();
+        assert_eq!((r.commits, &r.outcome), (want, &StepOutcome::Quiescent));
+        validate_trace(&rules, &wm, &r.trace).unwrap();
+    }
+}
+
+#[test]
+fn static_engine_refraction_survives_a_negation_block() {
+    for (rules, wm, want) in refraction_workloads() {
+        let config = StaticConfig { max_cycles: REFRACTION_CAP, ..Default::default() };
+        let r = StaticParallelEngine::new(&rules, wm.clone(), config).run();
+        assert_eq!(r.commits, want);
+        assert!(r.cycles < REFRACTION_CAP && !r.halted, "quiescent");
+        validate_trace(&rules, &wm, &r.trace).unwrap();
+    }
+}
+
+#[test]
+fn dynamic_engine_refraction_survives_a_negation_block() {
+    for (rules, wm, want) in refraction_workloads() {
+        for workers in [1usize, 2, 4] {
+            let config =
+                ParallelConfig { workers, max_commits: REFRACTION_CAP, ..Default::default() };
+            let r = ParallelEngine::new(&rules, wm.clone(), config).run();
+            assert_eq!(r.commits, want, "{workers} workers");
+            assert!(!r.halted);
+            validate_trace(&rules, &wm, &r.trace).unwrap();
+        }
     }
 }
