@@ -1,205 +1,10 @@
-//! A minimal, dependency-free benchmark harness with a Criterion-shaped
-//! API surface.
-//!
-//! The workspace builds without registry access, so the benches cannot
-//! depend on the `criterion` crate. This module provides the small
-//! subset the benches actually use — [`Criterion`], `benchmark_group`,
-//! `bench_function`, `bench_with_input`, [`BenchmarkId`], `sample_size`,
-//! `finish`, and [`Bencher::iter`] — with wall-clock timing and a
-//! plain-text report, so the bench files read identically to their
-//! Criterion-based originals.
-//!
-//! Measurement model: each benchmark runs one untimed warm-up iteration,
-//! then `samples` timed iterations (default 20, tunable per group via
-//! `sample_size`, globally via the `DPS_BENCH_SAMPLES` env var). Slow
-//! benchmarks are capped by a per-benchmark time budget (~2 s) so suites
-//! stay fast. The report prints min / median / max per iteration.
-//!
-//! It is also the command line: [`ReportArgs`] (the strict flag parser
-//! every binary goes through) and [`GATES`], the one table of the gates
-//! CI runs, which the `gate <name>` binary dispatches on.
-
-use std::fmt;
-use std::time::{Duration, Instant};
+//! The command line of every `dps-bench` binary: [`ReportArgs`], the
+//! strict flag parser each binary declares its flags to, and [`GATES`],
+//! the one table of the gates CI runs, which the `gate <name>` binary
+//! dispatches on and `tests/validator.rs` iterates.
 
 use crate::report::Report;
 use crate::{analysis, chaos, commute, matchbench, mvcc, recovery, server_load};
-
-/// Per-benchmark wall-clock budget: once a benchmark's timed iterations
-/// have consumed this much, no further samples are taken.
-const TIME_BUDGET: Duration = Duration::from_secs(2);
-
-/// Identifies a benchmark within a group: `function_name/parameter`.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// Criterion-compatible constructor.
-    pub fn new(function_name: impl fmt::Display, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{function_name}/{parameter}"),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id)
-    }
-}
-
-/// The timing loop handed to benchmark closures.
-pub struct Bencher {
-    samples: usize,
-    timings: Vec<Duration>,
-}
-
-impl Bencher {
-    /// Times `f`: one warm-up call, then up to `samples` measured calls
-    /// (subject to the global time budget).
-    pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
-        std::hint::black_box(f()); // warm-up
-        let budget_start = Instant::now();
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            self.timings.push(t0.elapsed());
-            if budget_start.elapsed() > TIME_BUDGET {
-                break;
-            }
-        }
-    }
-}
-
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
-fn report(name: &str, timings: &mut [Duration]) {
-    if timings.is_empty() {
-        println!("{name:<44} (no samples)");
-        return;
-    }
-    timings.sort_unstable();
-    let min = timings[0];
-    let med = timings[timings.len() / 2];
-    let max = timings[timings.len() - 1];
-    println!(
-        "{name:<44} [{} {} {}]  n={}",
-        fmt_duration(min),
-        fmt_duration(med),
-        fmt_duration(max),
-        timings.len()
-    );
-}
-
-fn default_samples() -> usize {
-    std::env::var("DPS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(20)
-}
-
-/// The top-level harness handle (Criterion-shaped).
-pub struct Criterion {
-    samples: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            samples: default_samples(),
-        }
-    }
-}
-
-impl Criterion {
-    /// Opens a named benchmark group.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("── {name} ──");
-        BenchmarkGroup {
-            name,
-            samples: self.samples,
-            _criterion: self,
-        }
-    }
-
-    /// Runs a single ungrouped benchmark.
-    pub fn bench_function(
-        &mut self,
-        name: &str,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let mut b = Bencher {
-            samples: self.samples,
-            timings: Vec::new(),
-        };
-        f(&mut b);
-        report(name, &mut b.timings);
-        self
-    }
-}
-
-/// A group of related benchmarks sharing a sample count.
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    samples: usize,
-    _criterion: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the sample count for subsequent benchmarks in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.max(1);
-        self
-    }
-
-    /// Runs one benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl fmt::Display,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let mut b = Bencher {
-            samples: self.samples,
-            timings: Vec::new(),
-        };
-        f(&mut b);
-        report(&format!("{}/{id}", self.name), &mut b.timings);
-        self
-    }
-
-    /// Runs one parameterised benchmark.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let mut b = Bencher {
-            samples: self.samples,
-            timings: Vec::new(),
-        };
-        f(&mut b, input);
-        report(&format!("{}/{id}", self.name), &mut b.timings);
-        self
-    }
-
-    /// Ends the group (kept for API compatibility).
-    pub fn finish(self) {}
-}
 
 /// What one command-line flag takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -364,47 +169,9 @@ impl ReportArgs {
     }
 }
 
-/// Declares a bench group function, Criterion-style: expands to a
-/// `pub fn $name()` that runs each registered benchmark function.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($f:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::harness::Criterion::default();
-            $( $f(&mut c); )+
-        }
-    };
-}
-
-/// Declares the bench `main`, Criterion-style.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($g:path),+ $(,)?) => {
-        fn main() {
-            $( $g(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bencher_collects_samples() {
-        let mut c = Criterion { samples: 5 };
-        let mut g = c.benchmark_group("t");
-        let mut runs = 0u32;
-        g.bench_function("count", |b| b.iter(|| runs += 1));
-        // 1 warm-up + 5 samples.
-        assert_eq!(runs, 6);
-        g.finish();
-    }
-
-    #[test]
-    fn id_formats_like_criterion() {
-        assert_eq!(BenchmarkId::new("f", 4).to_string(), "f/4");
-    }
 
     fn args(list: &[&str]) -> Result<ReportArgs, String> {
         ReportArgs::from_args(GATE_FLAGS, list.iter().map(|s| s.to_string()))
@@ -435,14 +202,6 @@ mod tests {
         ] {
             assert_eq!(args(list).unwrap_err(), want, "{list:?}");
         }
-    }
-
-    #[test]
-    fn duration_formatting_scales() {
-        assert!(fmt_duration(Duration::from_nanos(50)).ends_with("ns"));
-        assert!(fmt_duration(Duration::from_micros(500)).ends_with("µs"));
-        assert!(fmt_duration(Duration::from_millis(500)).ends_with("ms"));
-        assert!(fmt_duration(Duration::from_secs(50)).ends_with(" s"));
     }
 
     fn gate_args(args: &[&str]) -> Result<(&'static Gate, ReportArgs), String> {

@@ -1,4 +1,4 @@
-//! # `dps-bench` — workloads, gates, benches and the paper-reproduction binary
+//! # `dps-bench` — workloads, gates and the paper-reproduction binary
 //!
 //! Shared synthetic [`workloads`]; the seven gates CI runs, each a
 //! `gate(&ReportArgs) -> Report` in its own module ([`analysis`],
@@ -7,10 +7,10 @@
 //! `gate <name>` binary dispatches on; the one certified-leg runner
 //! they all run through ([`analysis`]); the one report they all emit
 //! and the validator `obs_check` applies to it ([`report`]); the
-//! dependency-free Criterion-shaped bench [`harness`] with the strict
-//! command line every binary parses through; and the `repro` binary
-//! (`cargo run -p dps-bench --bin repro --release`), which prints every
-//! table and figure of the paper next to the measured values. See
+//! strict command line every binary parses through ([`harness`]); and
+//! the `repro` binary (`cargo run -p dps-bench --bin repro --release`),
+//! which prints every table and figure of the paper next to the
+//! measured values. See
 //! `EXPERIMENTS.md` at the workspace root for the index. A gate
 //! certifies what its runs determine — counts, identities, §3 replays,
 //! SI verdicts, probes — and reports wall-clock time only as an

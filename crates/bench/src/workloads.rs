@@ -17,23 +17,6 @@ pub fn counters(n: usize, start: i64) -> (RuleSet, WorkingMemory) {
     (rules, wm)
 }
 
-/// `n` pending deltas all folded into one shared accumulator: maximal
-/// interference (every RHS writes the same tuple). Total commits = `n`;
-/// the final total equals `1 + 2 + … + n`.
-pub fn hot_accumulator(n: i64) -> (RuleSet, WorkingMemory) {
-    let rules = RuleSet::parse(
-        "(p apply (delta ^v <d>) (acc ^total <t>)
-           --> (remove 1) (modify 2 ^total (+ <t> <d>)))",
-    )
-    .expect("static workload parses");
-    let mut wm = WorkingMemory::new();
-    for i in 1..=n {
-        wm.insert(WmeData::new("delta").with("v", i));
-    }
-    wm.insert(WmeData::new("acc").with("total", 0i64));
-    (rules, wm)
-}
-
 /// Tunable contention: `tasks` tasks, each charging one of `resources`
 /// shared tally tuples. `resources = tasks` → no interference;
 /// `resources = 1` → a single hot spot. Total commits = `tasks`.
@@ -362,15 +345,6 @@ mod tests {
         let (rules, wm) = counters(3, 4);
         let mut e = SingleThreadEngine::new(&rules, wm, EngineConfig::default());
         assert_eq!(e.run().commits, 12);
-    }
-
-    #[test]
-    fn hot_accumulator_total() {
-        let (rules, wm) = hot_accumulator(5);
-        let mut e = SingleThreadEngine::new(&rules, wm, EngineConfig::default());
-        assert_eq!(e.run().commits, 5);
-        let acc = e.wm().class_iter("acc").next().unwrap();
-        assert_eq!(acc.get("total"), Some(&dps_wm::Value::Int(15)));
     }
 
     #[test]

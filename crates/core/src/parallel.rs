@@ -92,7 +92,7 @@ use dps_lock::{
     res_key, ConflictPolicy, FaultInjector, FaultPlan, FaultStats, LockManager, Protocol,
     ResourceId, TxnId,
 };
-use dps_match::{InstKey, Instantiation, Matcher, DEFAULT_MATCH_SHARDS};
+use dps_match::{InstKey, Instantiation, Matcher, ShardPlan, DEFAULT_MATCH_SHARDS};
 use dps_obs::{
     AbortCause, EventKind as ObsEvent, FanoutStats, Histogram, Phase, Recorder, Telemetry,
     TelemetryConfig,
@@ -565,9 +565,9 @@ impl ParallelEngine {
                     .expect("durability dir initialises"),
             )
         });
-        let versioned = Strategy::any_snapshot(&config);
-        let pipeline =
-            MatchPipeline::new_at(rules, wm, config.match_shards, base_seq, versioned);
+        let plan = ShardPlan::new(rules, config.match_shards);
+        let versioned = Strategy::any_snapshot(&config, &plan);
+        let pipeline = MatchPipeline::new_at(rules, wm, plan, base_seq, versioned);
         let mut class_ids = HashMap::new();
         for (_, rule) in rules.iter() {
             for cond in &rule.conditions {

@@ -243,7 +243,8 @@ pub(crate) struct MatchPipeline {
     /// `versioned`).
     versions: RwLock<VersionedStore>,
     /// Whether any transaction of this engine validates against a
-    /// snapshot (MVCC policy or lock elision). Fixed at build; when
+    /// snapshot (MVCC policy, or elision of a rule the plan proved
+    /// commutes: `Strategy::any_snapshot`). Fixed at build; when
     /// `false`, `publish` skips the version feed and its GC altogether.
     versioned: bool,
     /// Active read-snapshot pins: snapshot seq → pin count. The oldest
@@ -252,9 +253,9 @@ pub(crate) struct MatchPipeline {
 }
 
 impl MatchPipeline {
-    /// Lays `rules` out over at most `shards` shards ([`ShardPlan`]),
-    /// loads each tuple of `wm` into the shard network it routes to,
-    /// and starts the sequence space at `base_seq` — the last
+    /// Lays `rules` out over `plan`'s shards ([`ShardPlan`]), loads
+    /// each tuple of `wm` into the shard network it routes to, and
+    /// starts the sequence space at `base_seq` — the last
     /// committed sequence number, as recovered from a durable log (`0`
     /// = a fresh system). `wm` must be the state *as of* commit
     /// `base_seq`; the watermark and every shard cursor start there,
@@ -266,11 +267,10 @@ impl MatchPipeline {
     pub fn new_at(
         rules: &RuleSet,
         wm: WorkingMemory,
-        shards: usize,
+        plan: ShardPlan,
         base_seq: u64,
         versioned: bool,
     ) -> Self {
-        let plan = ShardPlan::new(rules, shards);
         let shard_states = plan
             .build(rules, &wm)
             .into_iter()
@@ -653,7 +653,7 @@ mod tests {
         wm.insert(WmeData::new("a").with("k", 1i64));
         wm.insert(WmeData::new("b").with("k", 1i64));
         wm.insert(WmeData::new("e").with("k", 2i64));
-        let p = MatchPipeline::new_at(&rules, wm, shards, 0, true);
+        let p = MatchPipeline::new_at(&rules, wm, ShardPlan::new(&rules, shards), 0, true);
         (rules, p)
     }
 
@@ -692,7 +692,8 @@ mod tests {
         // share a key lands on one partition, the other seven advance
         // for free — and only that partition's network sees the tuples.
         let rules = RuleSet::parse("(p fam1 (a ^k <x>) (b ^k <x>) --> (remove 1))").unwrap();
-        let p = MatchPipeline::new_at(&rules, WorkingMemory::new(), 8, 0, false);
+        let plan = ShardPlan::new(&rules, 8);
+        let p = MatchPipeline::new_at(&rules, WorkingMemory::new(), plan, 0, false);
         assert_eq!((p.shards(), p.plan().partitions()), (8, 8));
         let (_, on_a) = commit_changes(&p, WmeData::new("a").with("k", 3i64));
         let (seq, on_b) = commit_changes(&p, WmeData::new("b").with("k", 3i64));

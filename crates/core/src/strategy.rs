@@ -64,9 +64,11 @@ impl Strategy {
     }
 
     /// Whether any transaction of an engine so configured will ever
-    /// read the version store (so the pipeline must feed it).
-    pub(crate) fn any_snapshot(config: &ParallelConfig) -> bool {
-        config.policy == ConflictPolicy::MvccSnapshot || config.elide_locks
+    /// read the version store (so the pipeline must feed it): the MVCC
+    /// policy, or elision with a rule [`Strategy::choose`] can elide.
+    pub(crate) fn any_snapshot(config: &ParallelConfig, plan: &ShardPlan) -> bool {
+        config.policy == ConflictPolicy::MvccSnapshot
+            || (config.elide_locks && (config.elide_misclassify || plan.elidable_count() > 0))
     }
 
     /// Covers one access: a lock, or — where the strategy skips the

@@ -13,8 +13,8 @@
 //!   node sharing for common subexpressions.
 //! * [`Treat`] — Miranker's TREAT: alpha memories only; instantiations are
 //!   (re)computed by joining alpha memories when a change arrives. Less
-//!   state, more recomputation — the classic trade-off the benchmarks
-//!   in `dps-bench` quantify.
+//!   state, more recomputation. The engines match with Rete; TREAT is
+//!   the oracle `tests/matcher_equivalence.rs` holds Rete to.
 //!
 //! Both implement the [`Matcher`] trait consumed by the engines in
 //! `dps-core`, and both maintain a [`ConflictSet`] of [`InstKey`]s: an

@@ -88,8 +88,8 @@ impl AccessSet {
     ///
     /// A linear merge-intersection over the two sorted entry sets —
     /// O(n + m), not O(n·m). The commute matrix calls this O(rules²)
-    /// times at plan time, so the walk is worth it (pinned by the
-    /// `access_overlap` rows in `benches/semantics.rs`).
+    /// times at plan time, once per pair of rule footprints, so the
+    /// walk is worth it.
     pub fn overlaps(&self, other: &AccessSet) -> bool {
         let mut xs = self.entries.iter().peekable();
         let mut ys = other.entries.iter().peekable();

@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{ParallelConfig, ParallelEngine, WorkModel};
 use dbps::lock::{FaultPlan, Protocol};
-use dbps::obs::validate_history;
+use dbps::obs::{validate_history, TelemetryConfig};
+use dbps::rete::ShardPlan;
 use dbps::wm::WorkingMemory;
 use dps_bench::commute::{probe_misclassification, probe_swapped_order};
 use dps_bench::workloads;
@@ -110,6 +111,29 @@ fn elision_is_unobservable_across_seeds_and_shards() {
             );
         }
     }
+}
+
+#[test]
+fn elision_with_nothing_elidable_feeds_no_version_store() {
+    // `charge` sets `^state done` absolutely, so it does not commute
+    // with itself and no rule elides: every firing takes the §4 locks,
+    // no transaction reads the version store, and the engine must not
+    // seed it, feed it or walk it for GC.
+    let (rules, wm) = workloads::shared_resources(128, 4);
+    let config = ParallelConfig {
+        elide_locks: true,
+        telemetry: Some(TelemetryConfig::default()),
+        ..Default::default()
+    };
+    let plan = ShardPlan::new(&rules, config.match_shards);
+    assert_eq!(plan.elidable_count(), 0, "precondition: nothing to elide");
+    let mut engine = ParallelEngine::new(&rules, wm, config);
+    let report = engine.run();
+    assert!(report.commits >= 64, "at least one version-GC interval");
+    assert_eq!(report.lock_stats.elided, 0);
+    let telemetry = engine.telemetry().expect("telemetry on");
+    telemetry.sample();
+    assert_eq!(telemetry.doc().last("pipeline.version_records"), Some(0));
 }
 
 #[test]
