@@ -359,7 +359,7 @@ impl ParallelEngine {
     /// transactions: release the locks, emit the single `Abort`
     /// terminal (with `rule_name`'s interned id), count the cause. The
     /// lock manager may already have auto-aborted the transaction when
-    /// it surfaced a doom/deadlock/timeout (`NotActive` is that benign race);
+    /// it surfaced a doom or deadlock (`NotActive` is that benign race);
     /// anything else would mean locks were leaked, so it is asserted in
     /// debug builds and flagged in the event stream in release builds.
     pub(crate) fn record_abort(&self, txn: TxnId, rule_name: &str, cause: AbortCause) {

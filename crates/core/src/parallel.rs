@@ -94,8 +94,8 @@ use dps_lock::{
 };
 use dps_match::{InstKey, Instantiation, Matcher, ShardPlan, DEFAULT_MATCH_SHARDS};
 use dps_obs::{
-    AbortCause, EventKind as ObsEvent, FanoutStats, Histogram, Phase, Recorder, Telemetry,
-    TelemetryConfig,
+    field_align, AbortCause, CachePadded, EventKind as ObsEvent, FanoutStats, Histogram, Phase,
+    Recorder, Telemetry, TelemetryConfig,
 };
 use dps_rules::{instantiate_actions, Rule, RuleSet};
 use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, Wme, WorkingMemory};
@@ -504,7 +504,8 @@ pub struct ParallelEngine {
     /// its atomics after borrowing rules forbid a plain reference.
     pub(crate) pipeline: Arc<MatchPipeline>,
     /// Piece (a): claims + termination; both condvars are tied to it.
-    pub(crate) ledger: Mutex<Ledger>,
+    /// Padded: every claim and unclaim writes its mutex word.
+    pub(crate) ledger: CachePadded<Mutex<Ledger>>,
     /// Threads waiting for an in-flight claim to resolve; commits and
     /// aborts notify it when [`Ledger::waiters`] is non-zero.
     pub(crate) cv: Condvar,
@@ -538,6 +539,9 @@ pub struct ParallelEngine {
     /// trace, so a second run is a bug (debug-asserted).
     ran: AtomicBool,
 }
+
+// The ledger stays on lines of its own (EXPERIMENTS §XS.30).
+const _: () = assert!(field_align(|e: &ParallelEngine| &e.ledger) >= 128);
 
 impl ParallelEngine {
     /// Creates the engine over an initial working memory.
@@ -608,7 +612,7 @@ impl ParallelEngine {
             lm,
             config,
             pipeline,
-            ledger: Mutex::new(Ledger::default()),
+            ledger: CachePadded::default(),
             cv: Condvar::new(),
             idle: Condvar::new(),
             metrics,

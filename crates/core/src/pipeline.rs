@@ -45,6 +45,12 @@
 //!   partitions of one hot rule — instead of convoying on one shard
 //!   lock, and still visit every shard before concluding nothing is
 //!   claimable.
+//! * **Padding** — the base mutex, the log mutex, the watermark, the
+//!   fan-out tallies and each [`MatchShard`] sit on 128-byte lines of
+//!   their own ([`CachePadded`]). Each is written by whichever worker
+//!   commits or scans; on a line shared with a field every call reads,
+//!   those writes made a second worker slow the first (EXPERIMENTS
+//!   §XS.30).
 //!
 //! ### Why a stale shard view can never commit
 //!
@@ -71,7 +77,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::Instant;
 
 use dps_match::{InstKey, Rete, ShardPlan};
-use dps_obs::{FanoutStats, Phase, Recorder};
+use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Change, VersionedStore, WorkingMemory};
 
@@ -227,12 +233,12 @@ struct PipelineStats {
 #[derive(Debug)]
 pub(crate) struct MatchPipeline {
     /// The commit critical section ([`MatchPipeline::lock_base`]).
-    base: Mutex<WmBase>,
+    base: CachePadded<Mutex<WmBase>>,
     plan: ShardPlan,
-    shards: Vec<MatchShard>,
-    log: Mutex<VecDeque<LogEntry>>,
-    watermark: AtomicU64,
-    stats: PipelineStats,
+    shards: Vec<CachePadded<MatchShard>>,
+    log: CachePadded<Mutex<VecDeque<LogEntry>>>,
+    watermark: CachePadded<AtomicU64>,
+    stats: CachePadded<PipelineStats>,
     /// The MVCC version chains, mirroring every published batch. The
     /// delta log above *is* the version log in transit; this store is
     /// its queryable, bounded materialisation (`as_of` reads for
@@ -251,6 +257,15 @@ pub(crate) struct MatchPipeline {
     /// pinned snapshot floors version GC. Lock order: base → pins.
     pins: Mutex<BTreeMap<u64, usize>>,
 }
+
+// Each hot part on lines of its own (EXPERIMENTS §XS.30).
+const _: () = {
+    assert!(field_align(|p: &MatchPipeline| &p.base) >= 128);
+    assert!(field_align(|p: &MatchPipeline| &p.shards[0]) >= 128);
+    assert!(field_align(|p: &MatchPipeline| &p.log) >= 128);
+    assert!(field_align(|p: &MatchPipeline| &p.watermark) >= 128);
+    assert!(field_align(|p: &MatchPipeline| &p.stats) >= 128);
+};
 
 impl MatchPipeline {
     /// Lays `rules` out over `plan`'s shards ([`ShardPlan`]), loads
@@ -274,14 +289,16 @@ impl MatchPipeline {
         let shard_states = plan
             .build(rules, &wm)
             .into_iter()
-            .map(|rete| MatchShard {
-                state: Mutex::new(ShardState {
-                    rete,
-                    refracted: Refraction::default(),
-                }),
-                applied: AtomicU64::new(base_seq),
-                busy: AtomicUsize::new(0),
-                applies: AtomicU64::new(0),
+            .map(|rete| {
+                CachePadded::new(MatchShard {
+                    state: Mutex::new(ShardState {
+                        rete,
+                        refracted: Refraction::default(),
+                    }),
+                    applied: AtomicU64::new(base_seq),
+                    busy: AtomicUsize::new(0),
+                    applies: AtomicU64::new(0),
+                })
             })
             .collect();
         let mut versions = VersionedStore::new(VERSION_CHAIN_CAP);
@@ -289,15 +306,19 @@ impl MatchPipeline {
             versions.seed(&wm);
         }
         MatchPipeline {
-            base: Mutex::new(WmBase { wm, next_seq: base_seq + 1, trace: Trace::default() }),
+            base: CachePadded::new(Mutex::new(WmBase {
+                wm,
+                next_seq: base_seq + 1,
+                trace: Trace::default(),
+            })),
             plan,
             shards: shard_states,
-            log: Mutex::new(VecDeque::new()),
-            watermark: AtomicU64::new(base_seq),
-            stats: PipelineStats {
+            log: CachePadded::default(),
+            watermark: CachePadded::new(AtomicU64::new(base_seq)),
+            stats: CachePadded::new(PipelineStats {
                 log_floor: AtomicU64::new(base_seq),
                 ..PipelineStats::default()
-            },
+            }),
             versions: RwLock::new(versions),
             versioned,
             pins: Mutex::new(BTreeMap::new()),

@@ -24,8 +24,8 @@
 //! ([`ParallelEngine::external_query`]) take a relation `Rc` lock in
 //! lock-based modes and run lock-free
 //! read-committed under MVCC. An external transaction therefore
-//! participates in deadlock detection, doom, timeout and fault
-//! injection like any rule transaction; every abort path releases its
+//! participates in deadlock detection, doom and fault injection like
+//! any rule transaction; every abort path releases its
 //! locks and (under MVCC) its snapshot pin.
 //!
 //! ## Disconnect safety
@@ -194,8 +194,8 @@ impl ParallelEngine {
     }
 
     /// Aborts an external transaction: lock-manager abort (idempotent —
-    /// `NotActive` means a doom/deadlock/timeout already auto-aborted
-    /// it), snapshot unpin, abort event + counters. The disconnect
+    /// `NotActive` means a doom or deadlock already auto-aborted it),
+    /// snapshot unpin, abort event + counters. The disconnect
     /// cleanup path: the server routes every dying session's open
     /// transaction through here.
     pub fn external_abort(&self, xt: &mut ExternalTxn, cause: AbortCause) {

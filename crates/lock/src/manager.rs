@@ -17,22 +17,30 @@
 //!   transaction cannot both win. The registry that maps a
 //!   [`TxnId`] to its state holds live transactions only: every way a
 //!   transaction finishes (commit, abort, a doom or forced abort
-//!   surfacing) ends in `release_held`, which removes the entry.
+//!   surfacing) ends in `release_held`, which removes the entry. It is
+//!   striped by id over `REGISTRY_STRIPES` `RwLock`ed maps, each on
+//!   cache lines of its own: ids are handed out in order, so the
+//!   transactions two workers run at once sit in different stripes and
+//!   neither writes a line the other reads.
 //! * **Per-entry bookkeeping** → bit-mask mode sets and sorted vectors
 //!   ([`crate::modeset`]); a commit or release groups its resources by
 //!   stripe by sorting one vector, not by building a map.
 //! * **Counters** → atomics ([`LockStats`]); hot paths never serialise
-//!   on bookkeeping. The only event record is the `dps-obs`
+//!   on bookkeeping. The per-firing ones, `grants` and `commits`, count
+//!   in the transaction's registry stripe — the line its lookup already
+//!   touched — and [`LockManager::stats`] sums the stripes; the rare
+//!   ones are global. The only event record is the `dps-obs`
 //!   [`Recorder`] attached with [`LockManagerBuilder::obs`].
 //! * **Deadlock detection** → a cross-shard waits-for walk
 //!   (see [`crate::deadlock`]) run by the transaction that blocks.
 //!
 //! Lock ordering (deadlock-freedom of the manager itself): a shard
 //! mutex may be taken before a transaction's `inner` mutex; `inner` is
-//! never held while taking a shard; the txn registry lock (read to look
-//! a transaction up, written at `begin` and when it finishes) and the
-//! `WaitSlot` mutex are leaves. At most one shard and one `inner` are
-//! held at any time.
+//! never held while taking a shard; the txn registry stripe locks (read
+//! to look a transaction up, written at `begin` and when it finishes)
+//! and the `WaitSlot` mutex are leaves, and at most one registry stripe
+//! is held at a time. At most one shard and one `inner` are held at any
+//! time.
 //!
 //! The commit-time `Rc`–`Wa` rule is Fig. 4.3's. There is no wait
 //! timeout: a blocked request parks until it is granted, doomed by a
@@ -44,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use dps_obs::{EventKind as ObsEvent, Histogram, Phase, Recorder};
+use dps_obs::{field_align, CachePadded, EventKind as ObsEvent, Histogram, Phase, Recorder};
 
 use crate::deadlock::find_cycle;
 use crate::fault::FaultInjector;
@@ -96,7 +104,8 @@ pub struct LockStats {
     pub commits: u64,
     /// Transactions aborted (all causes).
     pub aborts: u64,
-    /// Lock grants (including re-grants of held modes are excluded).
+    /// Lock grants. A re-request of a mode the transaction already
+    /// holds is not a grant.
     pub grants: u64,
     /// Requests that had to wait at least once.
     pub blocks: u64,
@@ -112,16 +121,32 @@ pub struct LockStats {
     pub elided: u64,
 }
 
-/// Monotonic event counters, updated lock-free on the hot paths.
+/// The rare event counters, global atomics. `grants` and `commits`,
+/// bumped by every firing, live in the registry stripes instead.
 #[derive(Debug, Default)]
 struct StatCounters {
-    commits: AtomicU64,
     aborts: AtomicU64,
-    grants: AtomicU64,
     blocks: AtomicU64,
     dooms: AtomicU64,
     deadlocks: AtomicU64,
     elided: AtomicU64,
+}
+
+/// Registry stripe count. Consecutive ids fall in consecutive stripes.
+const REGISTRY_STRIPES: usize = 64;
+
+/// One registry stripe: the live transactions whose id maps to it, and
+/// the per-firing counters of those transactions.
+#[derive(Debug, Default)]
+struct RegistryStripe {
+    txns: RwLock<IdMap<TxnId, Arc<TxnState>>>,
+    grants: AtomicU64,
+    commits: AtomicU64,
+}
+
+/// The registry stripe `txn` lives in.
+fn registry_stripe(txn: TxnId) -> usize {
+    (txn.0 % REGISTRY_STRIPES as u64) as usize
 }
 
 /// Encodes a [`ResourceId`] into the opaque `u64` resource key used by
@@ -199,8 +224,8 @@ impl LockManagerBuilder {
     pub fn build(self) -> LockManager {
         LockManager {
             shards: (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect(),
-            txns: RwLock::default(),
-            next: AtomicU64::new(0),
+            registry: (0..REGISTRY_STRIPES).map(|_| CachePadded::default()).collect(),
+            next: CachePadded::default(),
             stats: StatCounters::default(),
             policy: self.policy.unwrap_or(ConflictPolicy::AbortReaders),
             obs: self.obs,
@@ -232,15 +257,25 @@ enum Attempt {
 /// `&self`.
 pub struct LockManager {
     shards: Box<[Shard]>,
-    /// Live transactions: inserted at `begin`, removed by `release_held`.
-    txns: RwLock<IdMap<TxnId, Arc<TxnState>>>,
-    next: AtomicU64,
+    /// Live transactions, striped by id ([`registry_stripe`]): inserted
+    /// at `begin`, removed by `release_held`.
+    registry: Box<[CachePadded<RegistryStripe>]>,
+    /// The next `TxnId`. Padded: every `begin` writes it, and every
+    /// call reads the fields beside it.
+    next: CachePadded<AtomicU64>,
     stats: StatCounters,
     policy: ConflictPolicy,
     obs: Option<Arc<Recorder>>,
     fault: Option<Arc<FaultInjector>>,
     wait_hist: Option<Arc<Histogram>>,
 }
+
+// Each hot part on lines of its own (EXPERIMENTS §XS.30).
+const _: () = {
+    assert!(field_align(|m: &LockManager| &m.shards[0].table) >= 128);
+    assert!(field_align(|m: &LockManager| &m.registry[0]) >= 128);
+    assert!(field_align(|m: &LockManager| &m.next) >= 128);
+};
 
 impl LockManager {
     /// Returns a composable builder (policy / obs / fault / wait_hist).
@@ -272,10 +307,13 @@ impl LockManager {
 
     /// Full aggregate statistics.
     pub fn stats(&self) -> LockStats {
+        let sum = |counter: fn(&RegistryStripe) -> &AtomicU64| {
+            self.registry.iter().map(|r| counter(r).load(Relaxed)).sum()
+        };
         LockStats {
-            commits: self.stats.commits.load(Relaxed),
+            commits: sum(|r| &r.commits),
             aborts: self.stats.aborts.load(Relaxed),
-            grants: self.stats.grants.load(Relaxed),
+            grants: sum(|r| &r.grants),
             blocks: self.stats.blocks.load(Relaxed),
             dooms: self.stats.dooms.load(Relaxed),
             deadlocks: self.stats.deadlocks.load(Relaxed),
@@ -308,13 +346,18 @@ impl LockManager {
     /// call surfaces the doom). The registry's half of the quiescence
     /// invariant beside [`LockManager::held_locks`]: zero after a drain.
     pub fn live_txns(&self) -> usize {
-        self.txns.read().unwrap().len()
+        self.registry.iter().map(|r| r.txns.read().unwrap().len()).sum()
+    }
+
+    /// `txn`'s registry stripe.
+    fn stripe(&self, txn: TxnId) -> &RegistryStripe {
+        &self.registry[registry_stripe(txn)]
     }
 
     /// The state of a live transaction; `None` once it has finished (or
     /// was never begun).
     fn txn_state(&self, txn: TxnId) -> Option<Arc<TxnState>> {
-        self.txns.read().unwrap().get(&txn).cloned()
+        self.stripe(txn).txns.read().unwrap().get(&txn).cloned()
     }
 
     fn shard(&self, res: ResourceId) -> &Shard {
@@ -323,12 +366,8 @@ impl LockManager {
 
     /// Wakes the given transactions' wait slots.
     fn signal_all(&self, ids: &[TxnId]) {
-        if ids.is_empty() {
-            return;
-        }
-        let reg = self.txns.read().unwrap();
         for id in ids {
-            if let Some(ts) = reg.get(id) {
+            if let Some(ts) = self.stripe(*id).txns.read().unwrap().get(id) {
                 ts.slot.signal();
             }
         }
@@ -337,7 +376,8 @@ impl LockManager {
     /// Starts a transaction.
     pub fn begin(&self) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Relaxed));
-        self.txns
+        self.stripe(id)
+            .txns
             .write()
             .unwrap()
             .insert(id, Arc::new(TxnState::new()));
@@ -443,7 +483,9 @@ impl LockManager {
         }
         let mut round: u64 = 0;
         loop {
-            self.check_doomed(txn, &ts)?;
+            // `grant_step` reads the status under the transaction's own
+            // mutex, so a doom — landed before the call or while parked
+            // — surfaces through its `Doomed` arm.
             let (newly, holder) = match self.grant_step(txn, &ts, res, mode, true)? {
                 Attempt::AlreadyHeld => return Ok(()),
                 Attempt::Granted => {
@@ -452,8 +494,12 @@ impl LockManager {
                     }
                     return Ok(());
                 }
-                // Loop back so check_doomed surfaces it.
-                Attempt::Doomed => continue,
+                // A concurrent poll may have surfaced the doom first; the
+                // next round then reads `NotActive`.
+                Attempt::Doomed => {
+                    self.check_doomed(txn, &ts)?;
+                    continue;
+                }
                 Attempt::Blocked { newly, holder } => (newly, holder),
             };
             if newly {
@@ -578,7 +624,7 @@ impl LockManager {
             // compatible with the mode we now hold) may go.
             if was_queued { entry.grantable_waiters(txn) } else { Vec::new() }
         };
-        self.stats.grants.fetch_add(1, Relaxed);
+        self.stripe(txn).grants.fetch_add(1, Relaxed);
         if let Some(obs) = &self.obs {
             obs.record(
                 txn.0,
@@ -594,14 +640,28 @@ impl LockManager {
 
     /// Commits the transaction: applies the `Rc`–`Wa` commit rule, then
     /// releases every lock.
+    ///
+    /// Precondition for Fig. 4.4: commits of transactions that may
+    /// overlap each other's `Rc` with a write must not run concurrently.
+    /// Two such commits are each linearized at their own status flip,
+    /// and each dooms only readers still `Active`; so a circular pair
+    /// (`P_i` reads `q` and writes `r`, `P_j` reads `r` and writes `q`)
+    /// committing at the same instant can each flip itself to
+    /// `Committed`, find the other already `Committed`, skip it, and
+    /// both commit. The engine never does this: `commit_section` calls
+    /// `commit` under the pipeline's base mutex, for rule firings and
+    /// session commits alike. Called one at a time, the rule is exact:
+    /// the first commit dooms the other and exactly one of the pair
+    /// commits.
     pub fn commit(&self, txn: TxnId) -> Result<CommitOutcome, LockError> {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
         // The linearization point: doom-check and Active → Committed flip
-        // are one critical section on our own mutex, so a concurrently
-        // committing writer either dooms us first (we abort here) or sees
-        // us Committed and skips us (Figure 4.3(a), reader-first order).
+        // are one critical section on our own mutex, so a writer whose
+        // commit is ordered after ours (see the precondition above)
+        // either doomed us first (we abort here) or sees us Committed and
+        // skips us (Figure 4.3(a), reader-first order).
         let taken = {
             let mut inner = ts.inner.lock().unwrap();
             match inner.status {
@@ -678,7 +738,7 @@ impl LockManager {
             }
         }
         self.release_held(txn, held, waiting);
-        self.stats.commits.fetch_add(1, Relaxed);
+        self.stripe(txn).commits.fetch_add(1, Relaxed);
         if let Some(obs) = &self.obs {
             obs.record(txn.0, ObsEvent::Commit);
         }
@@ -846,7 +906,7 @@ impl LockManager {
         wake.sort_unstable();
         wake.dedup();
         self.signal_all(&wake);
-        self.txns.write().unwrap().remove(&txn);
+        self.stripe(txn).txns.write().unwrap().remove(&txn);
     }
 
     /// `resources` keyed by stripe and sorted, so a caller walking the
@@ -1380,6 +1440,75 @@ mod tests {
         for k in 0..15 {
             assert_eq!(m.try_lock(fresh, t(k), X), Ok(true));
         }
+    }
+
+    #[test]
+    fn striped_books_add_up_under_concurrency() {
+        use dps_obs::EventKind;
+        use std::sync::mpsc;
+
+        const THREADS: u64 = 4;
+        const TXNS: u64 = 2_000;
+        let rec = Arc::new(Recorder::default());
+        let m = Arc::new(LockManager::builder().obs(Arc::clone(&rec)).build());
+        let shared = ResourceId::Relation(0);
+        let workers: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for k in 0..TXNS {
+                        let txn = m.begin();
+                        let own = t(i * TXNS + k);
+                        m.lock(txn, own, Rc).unwrap();
+                        m.lock(txn, own, Wa).unwrap();
+                        m.lock(txn, shared, IWa).unwrap();
+                        m.lock(txn, shared, IWa).unwrap(); // held: no grant
+                        m.commit(txn).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let grants = rec
+            .history()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Grant { .. }))
+            .count() as u64;
+        let s = m.stats();
+        assert_eq!(rec.dropped(), 0);
+        assert_eq!(s.commits, THREADS * TXNS);
+        assert_eq!((s.grants, grants), (3 * THREADS * TXNS, 3 * THREADS * TXNS));
+        assert_eq!((s.aborts, s.blocks, s.dooms), (0, 0, 0));
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
+
+        // Fig. 4.3(b) across registry stripes: the reader parks behind
+        // a blocker; the writer's commit must find the reader in the
+        // reader's own stripe, doom it and wake it.
+        let (reader, writer, blocker) = (m.begin(), m.begin(), m.begin());
+        assert_ne!(registry_stripe(reader), registry_stripe(writer));
+        m.lock(reader, t(1), Rc).unwrap();
+        m.lock(blocker, t(2), Wa).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let parked = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.lock(reader, t(2), Rc)).unwrap())
+        };
+        while m.stats().blocks == 0 {
+            std::thread::yield_now();
+        }
+        m.lock(writer, t(1), Wa).unwrap();
+        assert_eq!(m.commit(writer).unwrap().doomed_readers, vec![reader]);
+        let woken = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the doomed reader was never woken");
+        assert_eq!(woken, Err(LockError::DoomedByWriter { txn: reader, by: writer }));
+        parked.join().unwrap();
+        m.commit(blocker).unwrap();
+        let s = m.stats();
+        assert_eq!((s.commits, s.aborts, s.dooms), (THREADS * TXNS + 2, 1, 1));
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
     /// What every public method answers for a transaction that is not

@@ -15,12 +15,16 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
+use dps_obs::CachePadded;
+
 use crate::modeset::ModeMap;
 use crate::{compatible, LockMode, ResourceId, TxnId};
 
-/// The lock table's stripe count. Small enough to stay cache-friendly,
-/// large enough that 8–16 workers on disjoint data rarely collide.
-pub const DEFAULT_SHARDS: usize = 16;
+/// The lock table's stripe count. Two requests for unrelated resources
+/// share a stripe mutex with odds 1/N, and each stripe sits on 128
+/// bytes of its own, so 64 stripes cost 8 KiB. 256 read within noise
+/// of 64 on the engines and lower on sessions (EXPERIMENTS §XS.30).
+pub const DEFAULT_SHARDS: usize = 64;
 
 /// Lock-table entry for one resource: current holders (in `TxnId`
 /// order) and the FIFO queue of waiters.
@@ -106,10 +110,12 @@ impl Entry {
     }
 }
 
-/// One stripe of the lock table.
+/// One stripe of the lock table, on cache lines of its own: a stripe's
+/// mutex word is written by every request that hashes to it, and an
+/// unpadded neighbour would take that line away from another worker.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
-    pub table: Mutex<IdMap<ResourceId, Entry>>,
+    pub table: CachePadded<Mutex<IdMap<ResourceId, Entry>>>,
 }
 
 /// A hash map keyed by engine-assigned integer ids.

@@ -32,6 +32,9 @@
 //!   contention attribution, critical-path extraction (effective
 //!   parallelism, wasted-work `f`) and the §3-Theorem-2 commit-sequence
 //!   checker ([`analyze`]).
+//! * **[`CachePadded`]** — a value on cache lines of its own, for the
+//!   shared state `dps-lock` and `dps-core` write on every firing, so
+//!   one worker's writes do not evict what another reads.
 //!
 //! Everything is toggleable and cheap: instrumentation sites hold an
 //! `Option<Arc<Recorder>>`, so "off" costs one branch on a `None`.
@@ -62,6 +65,7 @@ pub mod analysis;
 pub mod event;
 pub mod hist;
 pub mod json;
+mod pad;
 mod recorder;
 mod report;
 pub mod timeline;
@@ -69,6 +73,7 @@ pub mod timeline;
 pub use analysis::{analyze, RunAnalysis, Verdict};
 pub use event::{AbortCause, Event, EventKind};
 pub use hist::{HistSnapshot, Histogram, Phase};
+pub use pad::{field_align, CachePadded};
 pub use recorder::{validate_history, Recorder, DEFAULT_RING_CAPACITY, DEFAULT_SLOTS};
 pub use report::{FanoutStats, ObsReport, RuleRow};
 pub use timeline::{Series, SeriesKind, Telemetry, TelemetryConfig, TimelineDoc, TIMELINE_SCHEMA};
