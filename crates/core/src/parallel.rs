@@ -510,8 +510,8 @@ pub struct ParallelEngine {
     /// aborts notify it when [`Ledger::waiters`] is non-zero.
     pub(crate) cv: Condvar,
     /// Service-mode workers parked at quiescence. Only the end of the
-    /// run, [`ParallelEngine::kick`] and their own 10 ms rescan wake
-    /// them: the thread whose commit enabled a firing fires it
+    /// run, [`ParallelEngine::request_stop`] and their own 10 ms rescan
+    /// wake them: the thread whose commit enabled a firing fires it
     /// ([`ParallelEngine::fire_ready`]).
     idle: Condvar,
     /// Piece (c): counters.
@@ -887,17 +887,11 @@ impl ParallelEngine {
     /// Requests a graceful drain: workers stop claiming, finish their
     /// in-flight work, and [`Self::run`] exits through the final WAL
     /// flush. Safe from any thread (the server's shutdown path, a
-    /// signal handler's helper thread).
+    /// signal handler's helper thread). Locking the ledger (empty
+    /// critical section) before waking every parked worker orders the
+    /// wake against the claim gate's check-then-wait.
     pub fn request_stop(&self) {
         self.stop.store(true, Relaxed);
-        self.kick();
-    }
-
-    /// Wakes every parked worker to re-examine the world — used after
-    /// flipping an external stop flag the engine cannot observe flip.
-    /// Locking the ledger (empty critical section) before the notify
-    /// orders the wake against the claim gate's check-then-wait.
-    pub fn kick(&self) {
         drop(self.ledger.lock().unwrap());
         self.wake_all();
     }

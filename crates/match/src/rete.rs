@@ -381,16 +381,7 @@ impl Rete {
     /// Builds the network for `rules` and loads the initial working
     /// memory.
     pub fn new(rules: &RuleSet, wm: &WorkingMemory) -> Self {
-        Rete::with_rules(rules.iter(), wm)
-    }
-
-    /// Builds the network for an arbitrary `(RuleId, &Rule)` collection
-    /// and loads the initial working memory.
-    pub fn with_rules<'a>(
-        rules: impl IntoIterator<Item = (RuleId, &'a Rule)>,
-        wm: &WorkingMemory,
-    ) -> Self {
-        let mut rete = Rete::compile(rules);
+        let mut rete = Rete::compile(rules.iter());
         for wme in wm.iter() {
             rete.insert(wme);
         }

@@ -604,6 +604,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_disjunction_rejected() {
+        // The parser rejects `<< >>` before validation runs, so only an
+        // AST built directly reaches this check.
+        let mut r = simple_rule();
+        r.conditions.push(Condition::Pos(ConditionElement {
+            class: Atom::from("job"),
+            tests: vec![test("state", Predicate::Eq, TestAtom::OneOf(vec![]))],
+        }));
+        assert!(matches!(r.validate(), Err(RuleError::Invalid(_, _))));
+    }
+
+    #[test]
     fn empty_conditions_rejected() {
         let mut r = simple_rule();
         r.conditions.clear();

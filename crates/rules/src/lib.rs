@@ -9,7 +9,7 @@
 //! The crate provides:
 //!
 //! * a typed AST ([`Rule`], [`Condition`], [`Action`], [`Expr`]);
-//! * a fluent [`builder`] API and a text [`parser`] for the DSL below;
+//! * a text [`parser`] for the DSL below, the crate's one front end;
 //! * evaluation: matching one condition element against a WME under a set
 //!   of [`Bindings`], and instantiating the RHS into a
 //!   [`dps_wm::DeltaSet`];
@@ -39,7 +39,6 @@
 pub mod analysis;
 mod ast;
 mod bindings;
-pub mod builder;
 mod error;
 mod eval;
 pub mod parser;

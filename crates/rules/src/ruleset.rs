@@ -88,13 +88,13 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{ce, rule};
+    use crate::parser::parse_rule;
 
     #[test]
     fn add_and_lookup() {
         let mut set = RuleSet::new();
-        let a = set.add(rule("a").when(ce("x")).build().unwrap()).unwrap();
-        let b = set.add(rule("b").when(ce("y")).build().unwrap()).unwrap();
+        let a = set.add(parse_rule("(p a (x) -->)").unwrap()).unwrap();
+        let b = set.add(parse_rule("(p b (y) -->)").unwrap()).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.id_of("a"), Some(a));
         assert_eq!(set.id_of("b"), Some(b));
@@ -106,9 +106,9 @@ mod tests {
     #[test]
     fn duplicate_names_rejected() {
         let mut set = RuleSet::new();
-        set.add(rule("a").when(ce("x")).build().unwrap()).unwrap();
+        set.add(parse_rule("(p a (x) -->)").unwrap()).unwrap();
         let e = set
-            .add(rule("a").when(ce("y")).build().unwrap())
+            .add(parse_rule("(p a (y) -->)").unwrap())
             .unwrap_err();
         assert!(matches!(e, RuleError::DuplicateRule(_)));
     }

@@ -195,9 +195,13 @@ impl AdmissionController {
     }
 
     /// Releases the inflight slot of an admitted transaction and feeds
-    /// its outcome to the storm streak. `aborted_on_contention` means
-    /// doomed / deadlock / timeout / injected — *not* a client abort or
-    /// a stale id.
+    /// its outcome to the storm streak. The server passes
+    /// `aborted_on_contention = true` only for a transaction the engine
+    /// rolled back with a cause `AbortCause::is_contention` accepts:
+    /// doomed, deadlock, revalidation, injected, snapshot-stale or
+    /// elision-stale. Every other outcome resets the streak: a commit,
+    /// a client abort, a stale id, an evaluation error, and a session
+    /// that died by timeout or by disconnect (an injected one too).
     // `_touched` is unused: the streak needs no blame set.
     pub fn txn_end(&self, aborted_on_contention: bool, _touched: &[u64]) {
         self.inflight.fetch_sub(1, Relaxed);

@@ -1,5 +1,5 @@
-//! Quickstart: define rules (builder API *and* DSL), load working
-//! memory, run the single-thread engine, inspect the trace.
+//! Quickstart: define rules in the OPS5-ish DSL, load working memory,
+//! run the single-thread engine, inspect the trace.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -7,36 +7,18 @@
 
 use dbps::engine::{EngineConfig, SingleThreadEngine};
 use dbps::rete::Strategy;
-use dbps::rules::builder::{ce, rule, val, var};
 use dbps::rules::RuleSet;
 use dbps::wm::{WmeData, WorkingMemory};
 
 fn main() {
-    // --- rules: one via the fluent builder, one via the OPS5-ish DSL ---
-    let mut rules = RuleSet::new();
-    rules
-        .add(
-            rule("restock")
-                .when(
-                    ce("item")
-                        .bind("name", "n")
-                        .lt("stock", 3i64)
-                        .bind("stock", "s"),
-                )
-                .then_modify(1, [("stock", var("s") + val(10))])
-                .then_make("order", [("item", var("n"))])
-                .build()
-                .expect("valid rule"),
-        )
-        .expect("unique name");
-    for parsed in dbps::rules::parser::parse_rules(
-        "(p audit (order ^item <i>) -(audited ^item <i>)
+    // --- rules: OPS5-ish DSL text, ids in source order ---
+    let rules = RuleSet::parse(
+        "(p restock (item ^name <n> ^stock { < 3 <s> })
+            --> (modify 1 ^stock (+ <s> 10)) (make order ^item <n>))
+         (p audit (order ^item <i>) -(audited ^item <i>)
             --> (make audited ^item <i>))",
     )
-    .expect("parses")
-    {
-        rules.add(parsed).expect("unique name");
-    }
+    .expect("parses");
 
     // --- working memory: a tiny inventory ---
     let mut wm = WorkingMemory::new();

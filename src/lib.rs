@@ -7,7 +7,7 @@
 //!
 //! * [`wm`] — working-memory substrate (typed tuples, relations, indexes,
 //!   atomic deltas).
-//! * [`rules`] — OPS5-flavoured rule language with a parser and builder.
+//! * [`rules`] — OPS5-flavoured rule language and its text parser.
 //! * [`rete`] — match substrate: Rete and TREAT incremental matchers plus
 //!   conflict-resolution strategies.
 //! * [`lock`] — the lock manager: S/X two-phase locking and the paper's
