@@ -150,18 +150,25 @@ impl Hasher for IdHasher {
     }
 }
 
-/// Maps a resource to its shard index (SplitMix64-style finalizer so
-/// consecutive tuple ids spread across stripes).
+/// The SplitMix64 finalizer: consecutive inputs land far apart. Shard
+/// placement and the fault injector's seeded decisions both rest on its
+/// exact outputs.
+pub(crate) fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Maps a resource to its shard index ([`mix`], so consecutive tuple
+/// ids spread across stripes).
 pub(crate) fn shard_of(res: ResourceId, shards: usize) -> usize {
     let raw = match res {
         ResourceId::Tuple(t) => t,
         // Relations live in a disjoint key space.
         ResourceId::Relation(r) => (1u64 << 63) | u64::from(r),
     };
-    let mut z = raw.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % shards as u64) as usize
+    (mix(raw) % shards as u64) as usize
 }
 
 #[cfg(test)]
@@ -182,6 +189,9 @@ mod tests {
                 assert!(shard_of(ResourceId::Relation(k as u32), n) < n);
             }
         }
+        // Placement is pinned: the finalizer's outputs must not move.
+        assert_eq!(shard_of(ResourceId::Tuple(7), 64), 23);
+        assert_eq!(shard_of(ResourceId::Relation(3), 64), 56);
     }
 
     #[test]

@@ -1,26 +1,21 @@
 //! Length-prefixed binary wire protocol.
 //!
 //! Every message is one *frame*: `[u32 len (LE)][u8 tag][payload]`,
-//! where `len` counts the tag plus payload bytes. Strings are
-//! `[u32 len][UTF-8]` and counts are `u32`, as in `dps-wm`'s persist
-//! codec; integers are little-endian fixed width; WM values carry a
-//! one-byte type tag (see [`Request`] / [`Response`]).
+//! where `len` counts the tag plus payload bytes. Strings, counts,
+//! integers, WM values and tuples in a payload are laid out by
+//! [`dps_wm::codec`], the one byte format the WAL and checkpoints use
+//! too.
 //! The format is self-contained (no external serialisation crate) and
 //! versioned by construction: unknown tags decode to a typed error,
 //! never a panic, and a frame is bounded by [`MAX_FRAME`] so a
 //! corrupt or hostile peer cannot make the server allocate without
-//! limit.
-//!
-//! Decoding reads strings in place (a borrowed `&str`, UTF-8 checked)
-//! and makes atoms from them without an intermediate `String`. A
-//! `Rows` body repeats the same class and attribute names in every
-//! row, so its decoder interns each distinct name once per frame (one
-//! trip to the process-wide atom table) and reuses the atom after
-//! that: a decoded row costs one allocation, its attribute vector.
+//! limit. A decoded `Rows` row costs one allocation, its attribute
+//! vector: the codec interns each distinct name once per frame.
 
 use std::io::{self, IoSlice, Read, Write};
 
-use dps_wm::{Atom, AttrMap, Value, WmeData};
+use dps_wm::codec::{checked_len, put_data, put_str, put_tuple, put_u64, CodecError, Names, Reader};
+use dps_wm::{Value, WmeData};
 
 /// Upper bound on a frame's `len` field (1 MiB). A peer announcing
 /// more is a protocol error, not an allocation.
@@ -157,164 +152,48 @@ const T_OVERLOADED: u8 = 0x85;
 const T_ERR: u8 = 0x86;
 const T_RBYE: u8 = 0x87;
 
-// Value type tags.
-const V_NIL: u8 = 0;
-const V_BOOL: u8 = 1;
-const V_INT: u8 = 2;
-const V_FLOAT: u8 = 3;
-const V_SYM: u8 = 4;
-const V_STR: u8 = 5;
-
 fn perr(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {msg}"))
 }
 
-/// A string length or element count. Past `u32::MAX` it saturates:
-/// such a body is far over [`MAX_FRAME`], so [`write_frame`] refuses it
-/// before a byte is sent.
-fn put_len(buf: &mut Vec<u8>, n: usize) {
-    buf.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
-}
-
-fn get_len(buf: &[u8], at: &mut usize, what: &str) -> io::Result<usize> {
-    let n = u32::from_le_bytes(
-        buf.get(*at..*at + 4)
-            .ok_or_else(|| perr(&format!("truncated {what}")))?
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    *at += 4;
-    Ok(n)
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_len(buf, s.len());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str<'a>(buf: &'a [u8], at: &mut usize) -> io::Result<&'a str> {
-    let n = get_len(buf, at, "string length")?;
-    let bytes = buf
-        .get(*at..*at + n)
-        .ok_or_else(|| perr("truncated string body"))?;
-    *at += n;
-    std::str::from_utf8(bytes).map_err(|_| perr("invalid UTF-8"))
-}
-
-/// The class and attribute names one frame has interned so far (see
-/// the module docs). Lookups scan, so the table stops growing at
-/// [`Names::CAP`] entries; a frame with more distinct names interns the
-/// rest each time they occur.
-#[derive(Default)]
-struct Names<'a>(Vec<(&'a str, Atom)>);
-
-impl<'a> Names<'a> {
-    const CAP: usize = 16;
-
-    fn get(&mut self, buf: &'a [u8], at: &mut usize) -> io::Result<Atom> {
-        let s = get_str(buf, at)?;
-        if let Some((_, atom)) = self.0.iter().find(|(seen, _)| *seen == s) {
-            return Ok(atom.clone());
-        }
-        let atom = Atom::new(s);
-        if self.0.len() < Names::CAP {
-            self.0.push((s, atom.clone()));
-        }
-        Ok(atom)
+/// Runs a body encoder on `buf`. The codec refuses a length past
+/// `u32::MAX` (a body far over [`MAX_FRAME`]) rather than truncate it;
+/// the refusal leaves `buf` one byte over [`MAX_FRAME`], so
+/// [`write_frame`] refuses it unsent, like any oversized body.
+fn encode_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>) -> Result<(), CodecError>) {
+    if encode(buf).is_err() {
+        buf.resize(MAX_FRAME as usize + 1, 0);
     }
 }
 
-fn get_u64(buf: &[u8], at: &mut usize) -> io::Result<u64> {
-    let v = u64::from_le_bytes(
-        buf.get(*at..*at + 8)
-            .ok_or_else(|| perr("truncated u64"))?
-            .try_into()
-            .unwrap(),
-    );
-    *at += 8;
-    Ok(v)
+/// Decodes a whole body with `decode`: trailing bytes are an error too.
+fn decode_from<'a, T>(
+    buf: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> io::Result<T> {
+    let mut r = Reader::new(buf);
+    let msg = decode(&mut r).and_then(|msg| r.finish().map(|()| msg));
+    msg.map_err(|e| perr(&e.to_string()))
 }
 
-fn get_u8(buf: &[u8], at: &mut usize) -> io::Result<u8> {
-    let v = *buf.get(*at).ok_or_else(|| perr("truncated byte"))?;
-    *at += 1;
-    Ok(v)
-}
-
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Nil => buf.push(V_NIL),
-        Value::Bool(b) => {
-            buf.push(V_BOOL);
-            buf.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.push(V_INT);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(V_FLOAT);
-            buf.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Sym(a) => {
-            buf.push(V_SYM);
-            put_str(buf, a.as_ref());
-        }
-        Value::Str(a) => {
-            buf.push(V_STR);
-            put_str(buf, a.as_ref());
-        }
-    }
-}
-
-fn get_value(buf: &[u8], at: &mut usize) -> io::Result<Value> {
-    Ok(match get_u8(buf, at)? {
-        V_NIL => Value::Nil,
-        V_BOOL => Value::Bool(get_u8(buf, at)? != 0),
-        V_INT => Value::Int(get_u64(buf, at)? as i64),
-        V_FLOAT => Value::Float(f64::from_bits(get_u64(buf, at)?)),
-        V_SYM => Value::Sym(Atom::new(get_str(buf, at)?)),
-        V_STR => Value::Str(Atom::new(get_str(buf, at)?)),
-        t => return Err(perr(&format!("unknown value tag {t:#04x}"))),
-    })
-}
-
-fn put_wme(buf: &mut Vec<u8>, data: &WmeData) {
-    put_str(buf, data.class.as_ref());
-    put_len(buf, data.attrs.len());
-    for (k, v) in data.attrs.iter() {
-        put_str(buf, k.as_ref());
-        put_value(buf, v);
-    }
-}
-
-/// Encodes a `Rows` body (tag, row count, rows) into `buf`. The one
-/// `Rows` encoder: [`Response::encode`] feeds it decoded rows, the
-/// server feeds it working memory's tuples under the engine's lock.
+/// Encodes a `Rows` body (tag, row count, `(id, tuple)` rows) into
+/// `buf`. The one `Rows` encoder: [`Response::encode`] feeds it decoded
+/// rows, the server feeds it working memory's tuples under the engine's
+/// lock.
 pub(crate) fn put_rows<'a>(buf: &mut Vec<u8>, rows: impl Iterator<Item = (u64, &'a WmeData)>) {
-    buf.push(T_ROWS);
-    let count_at = buf.len();
-    put_len(buf, 0);
-    let mut n = 0usize;
-    for (id, data) in rows {
-        buf.extend_from_slice(&id.to_le_bytes());
-        put_wme(buf, data);
-        n += 1;
-    }
-    let count = u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes();
-    buf[count_at..count_at + 4].copy_from_slice(&count);
-}
-
-fn get_wme<'a>(buf: &'a [u8], at: &mut usize, names: &mut Names<'a>) -> io::Result<WmeData> {
-    let class = names.get(buf, at)?;
-    let n = get_len(buf, at, "attr count")?;
-    let mut attrs = AttrMap::new();
-    for _ in 0..n {
-        let k = names.get(buf, at)?;
-        let v = get_value(buf, at)?;
-        attrs.insert(k, v);
-    }
-    Ok(WmeData { class, attrs })
+    encode_into(buf, |buf| {
+        buf.push(T_ROWS);
+        let count_at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        let mut n = 0usize;
+        for (id, data) in rows {
+            put_u64(buf, id);
+            put_data(buf, data)?;
+            n += 1;
+        }
+        buf[count_at..count_at + 4].copy_from_slice(&checked_len(n)?.to_le_bytes());
+        Ok(())
+    });
 }
 
 impl Request {
@@ -322,63 +201,56 @@ impl Request {
     /// prefix; [`write_frame`] adds it).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            Request::Hello => buf.push(T_HELLO),
-            Request::Begin => buf.push(T_BEGIN),
-            Request::Insert { class, attrs } => {
-                buf.push(T_INSERT);
-                put_str(&mut buf, class);
-                put_len(&mut buf, attrs.len());
-                for (k, v) in attrs {
-                    put_str(&mut buf, k);
-                    put_value(&mut buf, v);
+        encode_into(&mut buf, |buf| {
+            match self {
+                Request::Hello => buf.push(T_HELLO),
+                Request::Begin => buf.push(T_BEGIN),
+                Request::Insert { class, attrs } => {
+                    buf.push(T_INSERT);
+                    put_tuple(buf, class, attrs.iter().map(|(k, v)| (k.as_str(), v)))?;
                 }
+                Request::Remove { id } => {
+                    buf.push(T_REMOVE);
+                    put_u64(buf, *id);
+                }
+                Request::Query { class } => {
+                    buf.push(T_QUERY);
+                    put_str(buf, class)?;
+                }
+                Request::Invoke => buf.push(T_INVOKE),
+                Request::Commit => buf.push(T_COMMIT),
+                Request::Abort => buf.push(T_ABORT),
+                Request::Bye => buf.push(T_BYE),
             }
-            Request::Remove { id } => {
-                buf.push(T_REMOVE);
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            Request::Query { class } => {
-                buf.push(T_QUERY);
-                put_str(&mut buf, class);
-            }
-            Request::Invoke => buf.push(T_INVOKE),
-            Request::Commit => buf.push(T_COMMIT),
-            Request::Abort => buf.push(T_ABORT),
-            Request::Bye => buf.push(T_BYE),
-        }
+            Ok(())
+        });
         buf
     }
 
     /// Decodes a tag-plus-payload body produced by [`Request::encode`].
     pub fn decode(buf: &[u8]) -> io::Result<Request> {
-        let mut at = 0usize;
-        let req = match get_u8(buf, &mut at)? {
-            T_HELLO => Request::Hello,
-            T_BEGIN => Request::Begin,
-            T_INSERT => {
-                let class = get_str(buf, &mut at)?.to_owned();
-                let n = get_len(buf, &mut at, "attr count")?;
-                let mut attrs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let k = get_str(buf, &mut at)?.to_owned();
-                    let v = get_value(buf, &mut at)?;
-                    attrs.push((k, v));
+        decode_from(buf, |r| {
+            Ok(match r.u8()? {
+                T_HELLO => Request::Hello,
+                T_BEGIN => Request::Begin,
+                T_INSERT => {
+                    let class = r.str()?.to_owned();
+                    let n = r.u32()? as usize;
+                    let mut attrs = Vec::with_capacity(n.min(1024));
+                    for _ in 0..n {
+                        attrs.push((r.str()?.to_owned(), r.value()?));
+                    }
+                    Request::Insert { class, attrs }
                 }
-                Request::Insert { class, attrs }
-            }
-            T_REMOVE => Request::Remove { id: get_u64(buf, &mut at)? },
-            T_QUERY => Request::Query { class: get_str(buf, &mut at)?.to_owned() },
-            T_INVOKE => Request::Invoke,
-            T_COMMIT => Request::Commit,
-            T_ABORT => Request::Abort,
-            T_BYE => Request::Bye,
-            t => return Err(perr(&format!("unknown request tag {t:#04x}"))),
-        };
-        if at != buf.len() {
-            return Err(perr("trailing bytes after request"));
-        }
-        Ok(req)
+                T_REMOVE => Request::Remove { id: r.u64()? },
+                T_QUERY => Request::Query { class: r.str()?.to_owned() },
+                T_INVOKE => Request::Invoke,
+                T_COMMIT => Request::Commit,
+                T_ABORT => Request::Abort,
+                T_BYE => Request::Bye,
+                t => return Err(CodecError::BadTag(t)),
+            })
+        })
     }
 }
 
@@ -386,66 +258,56 @@ impl Response {
     /// Encodes into a tag-plus-payload body.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            Response::Granted { session } => {
-                buf.push(T_GRANTED);
-                buf.extend_from_slice(&session.to_le_bytes());
-            }
-            Response::Ok { seq } => {
-                buf.push(T_OK);
-                buf.extend_from_slice(&seq.to_le_bytes());
-            }
-            Response::Rows { rows } => put_rows(&mut buf, rows.iter().map(|(id, d)| (*id, d))),
-            Response::Done { commits } => {
-                buf.push(T_DONE);
-                buf.extend_from_slice(&commits.to_le_bytes());
-            }
-            Response::Overloaded { retry_after_ms } => {
-                buf.push(T_OVERLOADED);
-                buf.extend_from_slice(&retry_after_ms.to_le_bytes());
+        let (tag, word) = match self {
+            Response::Granted { session } => (T_GRANTED, *session),
+            Response::Ok { seq } => (T_OK, *seq),
+            Response::Done { commits } => (T_DONE, *commits),
+            Response::Overloaded { retry_after_ms } => (T_OVERLOADED, *retry_after_ms),
+            Response::Rows { rows } => {
+                put_rows(&mut buf, rows.iter().map(|(id, d)| (*id, d)));
+                return buf;
             }
             Response::Err { code, msg } => {
-                buf.push(T_ERR);
-                buf.push(*code as u8);
-                put_str(&mut buf, msg);
+                encode_into(&mut buf, |buf| {
+                    buf.extend_from_slice(&[T_ERR, *code as u8]);
+                    put_str(buf, msg)
+                });
+                return buf;
             }
-            Response::Bye => buf.push(T_RBYE),
-        }
+            Response::Bye => return vec![T_RBYE],
+        };
+        buf.push(tag);
+        put_u64(&mut buf, word);
         buf
     }
 
     /// Decodes a tag-plus-payload body produced by
     /// [`Response::encode`].
     pub fn decode(buf: &[u8]) -> io::Result<Response> {
-        let mut at = 0usize;
-        let resp = match get_u8(buf, &mut at)? {
-            T_GRANTED => Response::Granted { session: get_u64(buf, &mut at)? },
-            T_OK => Response::Ok { seq: get_u64(buf, &mut at)? },
-            T_ROWS => {
-                let n = get_len(buf, &mut at, "row count")?;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                let mut names = Names::default();
-                for _ in 0..n {
-                    let id = get_u64(buf, &mut at)?;
-                    let data = get_wme(buf, &mut at, &mut names)?;
-                    rows.push((id, data));
+        decode_from(buf, |r| {
+            Ok(match r.u8()? {
+                T_GRANTED => Response::Granted { session: r.u64()? },
+                T_OK => Response::Ok { seq: r.u64()? },
+                T_ROWS => {
+                    let n = r.u32()? as usize;
+                    let mut rows = Vec::with_capacity(n.min(1024));
+                    let mut names = Names::default();
+                    for _ in 0..n {
+                        rows.push((r.u64()?, r.data(&mut names)?));
+                    }
+                    Response::Rows { rows }
                 }
-                Response::Rows { rows }
-            }
-            T_DONE => Response::Done { commits: get_u64(buf, &mut at)? },
-            T_OVERLOADED => Response::Overloaded { retry_after_ms: get_u64(buf, &mut at)? },
-            T_ERR => {
-                let code = ErrCode::from_u8(get_u8(buf, &mut at)?)
-                    .ok_or_else(|| perr("unknown error code"))?;
-                Response::Err { code, msg: get_str(buf, &mut at)?.to_owned() }
-            }
-            T_RBYE => Response::Bye,
-            t => return Err(perr(&format!("unknown response tag {t:#04x}"))),
-        };
-        if at != buf.len() {
-            return Err(perr("trailing bytes after response"));
-        }
-        Ok(resp)
+                T_DONE => Response::Done { commits: r.u64()? },
+                T_OVERLOADED => Response::Overloaded { retry_after_ms: r.u64()? },
+                T_ERR => {
+                    let code = r.u8()?;
+                    let code = ErrCode::from_u8(code).ok_or(CodecError::BadTag(code))?;
+                    Response::Err { code, msg: r.str()?.to_owned() }
+                }
+                T_RBYE => Response::Bye,
+                t => return Err(CodecError::BadTag(t)),
+            })
+        })
     }
 }
 
@@ -525,6 +387,7 @@ fn retry_or_fail(e: io::Error, mid_frame: bool) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_wm::Atom;
 
     fn roundtrip_req(req: Request) {
         let body = req.encode();
@@ -745,5 +608,36 @@ mod tests {
         stream.extend_from_slice(&8u32.to_le_bytes());
         stream.push(1);
         assert!(read_frame(&mut io::Cursor::new(stream)).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The bytes of a `session_zipf`-shaped `Insert` and a two-row
+    /// `Rows` reply: a change here breaks every peer built before it.
+    #[test]
+    fn golden_bytes_are_unchanged() {
+        let insert = Request::Insert {
+            class: "delta".into(),
+            attrs: vec![("key".into(), Value::Int(7)), ("v".into(), Value::Int(1))],
+        };
+        assert_eq!(
+            hex(&insert.encode()),
+            "030500000064656c746102000000030000006b65790207000000000000000100000076020100000000000\
+            000"
+        );
+        let rows = Response::Rows {
+            rows: vec![
+                (1, WmeData::new("acc").with("key", 3i64).with("total", 10i64)),
+                (2, WmeData::new("acc").with("key", 4i64).with("tag", Value::Sym("hot".into()))),
+            ],
+        };
+        assert_eq!(
+            hex(&rows.encode()),
+            "830200000001000000000000000300000061636302000000030000006b657902030000000000000005000\
+            000746f74616c020a0000000000000002000000000000000300000061636302000000030000006b657902\
+            0400000000000000030000007461670403000000686f74"
+        );
     }
 }

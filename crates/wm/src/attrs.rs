@@ -101,7 +101,7 @@ impl AttrMap {
     }
 
     /// Iterates `(attribute, value)` pairs in attribute order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Atom, &Value)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Atom, &Value)> {
         self.0.iter().map(|(k, v)| (k, v))
     }
 }

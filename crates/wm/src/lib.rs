@@ -43,6 +43,7 @@
 
 mod atom;
 mod attrs;
+pub mod codec;
 mod delta;
 mod error;
 mod persist;
@@ -58,7 +59,8 @@ pub use atom::Atom;
 pub use attrs::AttrMap;
 pub use delta::{Change, Delta, DeltaSet};
 pub use error::WmError;
-pub use persist::{apply_changes_atomic, CodecError};
+pub use codec::CodecError;
+pub use persist::apply_changes_atomic;
 pub use wal::{recover, DurableWm, KillMode, Recovered, WalError, WalStats, WalWriter};
 pub use relation::Relation;
 pub use store::WorkingMemory;

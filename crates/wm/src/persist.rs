@@ -21,13 +21,13 @@
 //!   ([`apply_changes_atomic`] stages and validates the whole batch
 //!   before the first mutation).
 //!
-//! The format is hand-rolled (little-endian, length-prefixed) rather
-//! than a serde format so the crate stays self-contained; a format
-//! version byte guards evolution.
+//! Strings, values and tuples are laid out by [`crate::codec`], the
+//! byte format the wire protocol shares; a version byte guards evolution.
 
-use std::fmt;
+use std::collections::HashMap;
 
-use crate::{Atom, Change, Value, Wme, WmeData, WmeId, WorkingMemory};
+use crate::codec::{checked_len, put_data, put_str, put_u32, put_u64, CodecError, Names, Reader};
+use crate::{Change, Wme, WmeId, WorkingMemory};
 
 /// Magic bytes opening every snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"DPSW";
@@ -35,238 +35,27 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"DPSW";
 /// carries no per-class counters).
 const VERSION: u8 = 2;
 
-/// Errors raised while encoding or decoding persisted state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// Input ended prematurely.
-    Truncated,
-    /// Bad magic or unsupported version.
-    BadHeader,
-    /// An unknown tag byte.
-    BadTag(u8),
-    /// Embedded string is not UTF-8.
-    BadString,
-    /// Well-formed prefix followed by bytes that are not part of the
-    /// document — distinct from [`CodecError::BadHeader`] so "your
-    /// snapshot has garbage appended" never reads as "your magic bytes
-    /// are wrong".
-    TrailingBytes {
-        /// Offset of the first unconsumed byte.
-        at: usize,
-    },
-    /// A length field would not fit its on-disk width (`u32`); encoding
-    /// refuses rather than silently truncating the count and corrupting
-    /// the stream.
-    TooLarge,
-    /// A replayed batch conflicts with the state it is applied to (a
-    /// removal of a dead element, or an insertion of a live id). The
-    /// batch is rejected *whole*: working memory is left untouched.
-    ReplayConflict(WmeId),
-    /// A CRC-framed record failed its checksum with valid data after it
-    /// — genuine corruption, not a torn tail (see [`crate::wal`]).
-    Corrupt {
-        /// Byte offset of the corrupt record.
-        at: usize,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "persisted data is truncated"),
-            CodecError::BadHeader => write!(f, "bad magic bytes or unsupported version"),
-            CodecError::BadTag(t) => write!(f, "unknown tag byte {t:#x}"),
-            CodecError::BadString => write!(f, "embedded string is not valid UTF-8"),
-            CodecError::TrailingBytes { at } => {
-                write!(f, "trailing bytes after a well-formed document (offset {at})")
-            }
-            CodecError::TooLarge => {
-                write!(f, "length field exceeds the on-disk u32 width")
-            }
-            CodecError::ReplayConflict(id) => {
-                write!(
-                    f,
-                    "redo batch conflicts with the base state at {id}; batch not applied"
-                )
-            }
-            CodecError::Corrupt { at } => {
-                write!(f, "corrupt log record at byte offset {at}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-// ---------------------------------------------------------------------
-// Primitive readers/writers
-// ---------------------------------------------------------------------
-
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadString)
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-}
-
-/// Checked `usize → u32` narrowing for on-disk length fields. The cast
-/// this replaces (`as u32`) silently truncated oversized counts into a
-/// decodable-but-wrong stream.
-fn checked_len(n: usize) -> Result<u32, CodecError> {
-    u32::try_from(n).map_err(|_| CodecError::TooLarge)
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), CodecError> {
-    put_u32(out, checked_len(s.len())?);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) -> Result<(), CodecError> {
-    match v {
-        Value::Nil => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Sym(a) => {
-            out.push(4);
-            put_str(out, a.as_str())?;
-        }
-        Value::Str(a) => {
-            out.push(5);
-            put_str(out, a.as_str())?;
-        }
-    }
-    Ok(())
-}
-
-fn read_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
-    Ok(match r.u8()? {
-        0 => Value::Nil,
-        1 => Value::Bool(r.u8()? != 0),
-        2 => Value::Int(r.i64()?),
-        3 => Value::Float(f64::from_bits(r.u64()?)),
-        4 => Value::Sym(Atom::from(r.string()?)),
-        5 => Value::Str(Atom::from(r.string()?)),
-        t => return Err(CodecError::BadTag(t)),
-    })
-}
-
-fn put_wme(out: &mut Vec<u8>, w: &Wme) -> Result<(), CodecError> {
+/// Writes a `Wme`: `[id: u64][timestamp: u64][tuple]`.
+pub(crate) fn put_wme(out: &mut Vec<u8>, w: &Wme) -> Result<(), CodecError> {
     put_u64(out, w.id.0);
     put_u64(out, w.timestamp);
-    put_str(out, w.data.class.as_str())?;
-    put_u32(out, checked_len(w.data.attrs.len())?);
-    for (attr, value) in w.data.attrs.iter() {
-        put_str(out, attr.as_str())?;
-        put_value(out, value)?;
-    }
-    Ok(())
+    put_data(out, &w.data)
 }
 
-fn read_wme(r: &mut Reader<'_>) -> Result<Wme, CodecError> {
-    let id = WmeId(r.u64()?);
-    let timestamp = r.u64()?;
-    let class = r.string()?;
-    let n = r.u32()? as usize;
-    let mut data = WmeData::new(class);
-    for _ in 0..n {
-        let attr = r.string()?;
-        let value = read_value(r)?;
-        data.set(attr, value);
-    }
-    Ok(Wme {
-        id,
-        data,
-        timestamp,
-    })
+fn read_wme<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Result<Wme, CodecError> {
+    Ok(Wme { id: WmeId(r.u64()?), timestamp: r.u64()?, data: r.data(names)? })
 }
-
-// ---------------------------------------------------------------------
-// Change-batch bodies (the WAL's commit-record payload)
-// ---------------------------------------------------------------------
 
 /// Serialises one committed change batch: `[count: u32][tag, wme]*`.
-pub(crate) fn encode_batch_body(
-    out: &mut Vec<u8>,
-    changes: &[Change],
-) -> Result<(), CodecError> {
+pub(crate) fn encode_batch_body(out: &mut Vec<u8>, changes: &[Change]) -> Result<(), CodecError> {
     put_u32(out, checked_len(changes.len())?);
     for change in changes {
-        match change {
-            Change::Added(w) => {
-                out.push(0);
-                put_wme(out, w)?;
-            }
-            Change::Removed(w) => {
-                out.push(1);
-                put_wme(out, w)?;
-            }
-        }
+        let (tag, w) = match change {
+            Change::Added(w) => (0, w),
+            Change::Removed(w) => (1, w),
+        };
+        out.push(tag);
+        put_wme(out, w)?;
     }
     Ok(())
 }
@@ -275,9 +64,10 @@ pub(crate) fn encode_batch_body(
 pub(crate) fn decode_batch_body(r: &mut Reader<'_>) -> Result<Vec<Change>, CodecError> {
     let n = r.u32()? as usize;
     let mut changes = Vec::with_capacity(n.min(1024));
+    let mut names = Names::default();
     for _ in 0..n {
         let tag = r.u8()?;
-        let wme = read_wme(r)?;
+        let wme = read_wme(r, &mut names)?;
         changes.push(match tag {
             0 => Change::Added(wme),
             1 => Change::Removed(wme),
@@ -293,35 +83,20 @@ pub(crate) fn decode_batch_body(r: &mut Reader<'_>) -> Result<Vec<Change>, Codec
 /// state (tracking liveness *through* the batch: a modify is
 /// `Removed` + `Added` of the same id) before the first mutation, so an
 /// `Err` leaves working memory byte-identical.
-pub fn apply_changes_atomic(
-    wm: &mut WorkingMemory,
-    changes: &[Change],
-) -> Result<(), CodecError> {
+pub fn apply_changes_atomic(wm: &mut WorkingMemory, changes: &[Change]) -> Result<(), CodecError> {
     // Stage: liveness overlay for ids the batch itself touches.
-    let mut overlay: std::collections::HashMap<WmeId, bool> = std::collections::HashMap::new();
+    let mut overlay: HashMap<WmeId, bool> = HashMap::new();
     for change in changes {
-        match change {
-            Change::Removed(w) => {
-                let live = overlay
-                    .get(&w.id)
-                    .copied()
-                    .unwrap_or_else(|| wm.contains(w.id));
-                if !live {
-                    return Err(CodecError::ReplayConflict(w.id));
-                }
-                overlay.insert(w.id, false);
-            }
-            Change::Added(w) => {
-                let live = overlay
-                    .get(&w.id)
-                    .copied()
-                    .unwrap_or_else(|| wm.contains(w.id));
-                if live {
-                    return Err(CodecError::ReplayConflict(w.id));
-                }
-                overlay.insert(w.id, true);
-            }
+        let (w, adds) = match change {
+            Change::Added(w) => (w, true),
+            Change::Removed(w) => (w, false),
+        };
+        let live = overlay.get(&w.id).copied().unwrap_or_else(|| wm.contains(w.id));
+        // An add needs a dead id, a removal a live one.
+        if live == adds {
+            return Err(CodecError::ReplayConflict(w.id));
         }
+        overlay.insert(w.id, adds);
     }
     // Apply: every operation validated above.
     for change in changes {
@@ -334,10 +109,6 @@ pub fn apply_changes_atomic(
     }
     Ok(())
 }
-
-// ---------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------
 
 impl WorkingMemory {
     /// Serialises the complete working memory into a self-contained
@@ -378,19 +149,16 @@ impl WorkingMemory {
         let next_id = r.u64()?;
         let clock = r.u64()?;
         let mut wm = WorkingMemory::new();
-        let nclasses = r.u32()? as usize;
-        for _ in 0..nclasses {
-            wm.declare(&Atom::from(r.string()?));
+        let mut names = Names::default();
+        for _ in 0..r.u32()? {
+            wm.declare(&names.read(&mut r)?);
         }
-        let count = r.u64()? as usize;
-        for _ in 0..count {
-            let wme = read_wme(&mut r)?;
+        for _ in 0..r.u64()? {
+            let wme = read_wme(&mut r, &mut names)?;
             wm.restore_raw(wme);
         }
         wm.set_counters_raw(next_id, clock);
-        if !r.at_end() {
-            return Err(CodecError::TrailingBytes { at: r.pos() });
-        }
+        r.finish()?;
         Ok(wm)
     }
 }
@@ -398,7 +166,7 @@ impl WorkingMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeltaSet;
+    use crate::{Atom, DeltaSet, Value, WmeData};
 
     fn populated() -> WorkingMemory {
         let mut wm = WorkingMemory::new();

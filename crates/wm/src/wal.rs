@@ -47,9 +47,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::persist::{
-    apply_changes_atomic, decode_batch_body, encode_batch_body, put_u32, put_u64, Reader,
-};
+use crate::codec::{checked_len, put_u32, put_u64, Reader};
+use crate::persist::{apply_changes_atomic, decode_batch_body, encode_batch_body};
 use crate::{Change, CodecError, WorkingMemory};
 
 /// Magic bytes opening every WAL segment file.
@@ -145,15 +144,8 @@ fn encode_record(out: &mut Vec<u8>, seq: u64, changes: &[Change]) -> Result<(), 
     let start = out.len();
     out.extend_from_slice(&[0u8; 8]);
     put_u64(out, seq);
-    if let Err(e) = encode_batch_body(out, changes) {
-        out.truncate(start);
-        return Err(e);
-    }
-    let payload_len = out.len() - start - 8;
-    let Ok(len) = u32::try_from(payload_len) else {
-        out.truncate(start);
-        return Err(CodecError::TooLarge);
-    };
+    let len = encode_batch_body(out, changes).and_then(|()| checked_len(out.len() - start - 8));
+    let len = len.inspect_err(|_| out.truncate(start))?;
     let crc = crc32(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
@@ -991,7 +983,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeltaSet, Value, WmeData};
+    use crate::{codec, DeltaSet, Value, Wme, WmeData, WmeId};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1369,4 +1361,109 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        let digit = |i| u8::from_str_radix(&text[i..i + 2], 16).unwrap();
+        (0..text.len()).step_by(2).map(digit).collect()
+    }
+
+    /// Two `job` tuples and a `tmp` class emptied by a removal.
+    fn pinned_memory() -> WorkingMemory {
+        let mut wm = WorkingMemory::new();
+        let job = WmeData::new("job").with("id", 1i64).with("cost", 2.5f64);
+        wm.insert(job.with("name", String::from("mill")).with("urgent", true));
+        let doomed = wm.insert(WmeData::new("tmp"));
+        wm.insert(WmeData::new("job").with("id", 2i64).with("note", Value::Nil));
+        wm.remove(doomed).unwrap();
+        wm
+    }
+
+    /// The bytes of every working-memory encoding on disk (the wire
+    /// shares the `Value` and tuple layouts): a change here leaves
+    /// existing logs and checkpoints unreadable.
+    #[test]
+    fn golden_bytes_are_unchanged() {
+        let values = [
+            (Value::Nil, "00"),
+            (Value::Bool(true), "0101"),
+            (Value::Int(-2), "02feffffffffffffff"),
+            (Value::Float(1.5), "03000000000000f83f"),
+            (Value::Sym("ok".into()), "04020000006f6b"),
+            (Value::Str("é".into()), "0502000000c3a9"),
+        ];
+        for (value, bytes) in values {
+            let mut out = Vec::new();
+            codec::put_value(&mut out, &value).unwrap();
+            assert_eq!(hex(&out), bytes, "{value:?}");
+            assert_eq!(codec::Reader::new(&out).value().unwrap(), value);
+        }
+        let data = WmeData::new("job").with("id", 1i64).with("tag", Value::Sym("hot".into()));
+        let mut out = Vec::new();
+        codec::put_data(&mut out, &data).unwrap();
+        assert_eq!(
+            hex(&out),
+            "030000006a6f6202000000020000006964020100000000000000030000007461670403000000686f74"
+        );
+        let wme = Wme { id: WmeId(7), timestamp: 9, data };
+        let mut out = Vec::new();
+        crate::persist::put_wme(&mut out, &wme).unwrap();
+        assert_eq!(
+            hex(&out),
+            "07000000000000000900000000000000030000006a6f62020000000200000069640201000000000000000\
+            30000007461670403000000686f74"
+        );
+        let tmp = Wme { id: WmeId(2), timestamp: 4, data: WmeData::new("tmp") };
+        let mut out = Vec::new();
+        encode_record(&mut out, 3, &[Change::Added(wme), Change::Removed(tmp)]).unwrap();
+        assert_eq!(
+            hex(&out),
+            "62000000701bf71e0300000000000000020000000007000000000000000900000000000000030000006a6\
+            f6202000000020000006964020100000000000000030000007461670403000000686f7401020000000000\
+            0000040000000000000003000000746d7000000000"
+        );
+        assert_eq!(
+            hex(&pinned_memory().encode_snapshot().unwrap()),
+            "44505357020300000000000000030000000000000002000000030000006a6f6203000000746d700200000\
+            00000000000000000000000000100000000000000030000006a6f620400000004000000636f7374030000\
+            000000000440020000006964020100000000000000040000006e616d6505040000006d696c6c060000007\
+            57267656e74010102000000000000000300000000000000030000006a6f62020000000200000069640202\
+            00000000000000040000006e6f746500"
+        );
+    }
+
+    /// A checkpoint and a log segment in the pinned format recover to
+    /// the working memory that wrote them.
+    #[test]
+    fn golden_wal_directory_recovers_unchanged() {
+        let dir = tmp_dir("golden");
+        let checkpoint = "4450434b012ed99cd202000000000000004450535702040000000000000005000000000000000300000003000\
+        0006a6f6203000000746d70030000006c6f670300000000000000000000000000000005000000000000000300\
+        00006a6f620400000004000000636f73740300000000000008400200000069640201000000000000000400000\
+        06e616d6505040000006d696c6c06000000757267656e74010102000000000000000300000000000000030000\
+        006a6f6202000000020000006964020200000000000000040000006e6f7465000300000000000000040000000\
+        0000000030000006c6f67020000000200000061740201000000000000000400000074657874050600000068c3\
+        a96c6c6f";
+        let segment = "4450574c010200000000000000850000001dd0bc9f03000000000000000200000000040000000000000006000\
+        00000000000030000006c6f670200000002000000617402020000000000000003000000746167040400000064\
+        6f6e650103000000000000000400000000000000030000006c6f6702000000020000006174020100000000000\
+        0000400000074657874050600000068c3a96c6c6f";
+        fs::write(checkpoint_path(&dir, 2), unhex(checkpoint)).unwrap();
+        fs::write(segment_path(&dir, 2), unhex(segment)).unwrap();
+        let rec = recover(&dir).unwrap();
+        assert_eq!((rec.checkpoint_seq, rec.last_seq, rec.replayed), (2, 3, 1));
+        assert!(!rec.torn_tail);
+        assert_eq!(
+            hex(&rec.wm.encode_snapshot().unwrap()),
+            "44505357020500000000000000060000000000000003000000030000006a6f6203000000746d700300000\
+            06c6f67030000000000000000000000000000000500000000000000030000006a6f620400000004000000\
+            636f7374030000000000000840020000006964020100000000000000040000006e616d6505040000006d6\
+            96c6c06000000757267656e74010102000000000000000300000000000000030000006a6f620200000002\
+            0000006964020200000000000000040000006e6f746500040000000000000006000000000000000300000\
+            06c6f6702000000020000006174020200000000000000030000007461670404000000646f6e65"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
