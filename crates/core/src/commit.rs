@@ -17,7 +17,7 @@
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
 //! | 8 | ledger | commit counters, ledger unclaim |
 //! | 9 | — | `Phase::Commit` sample, wake threads waiting on an in-flight claim, `fan_out` to the other affected shards |
-//! | 10 | — | checkpoint install, group-commit `request_sync` (the log writer fsyncs) |
+//! | 10 | checkpoint install | checkpoint install + `Checkpoint` event, skipped if older than the newest; then group-commit `request_sync` (the log writer fsyncs), `WalSync` unless a newer `Checkpoint` covers it |
 //!
 //! Commit order = sequence order = trace order because steps 1–6 share
 //! one hold of the base mutex (`Phase::BaseHold`; the caller's wait for
@@ -191,23 +191,56 @@ impl ParallelEngine {
         // the critical section: match work overlaps the next commit.
         self.pipeline.fan_out(&affected, seq, obs);
         // Durability tail, with no engine lock held: the deferred
-        // checkpoint-snapshot install, then the group-commit request.
+        // checkpoint-snapshot install (serialised among committers),
+        // then the group-commit request.
         // `request_sync` never blocks: the log writer thread fsyncs for
         // every committer, so the durable horizon trails the published
         // one by at most the writer's in-flight batch (the prefix loss
         // the recovery gate sweeps). It hands back the horizon when it
-        // has advanced since a committer last saw it — one `WalSync` per
-        // advance. A dead writer means a kill point fired: the commit
-        // stays visible in memory and never becomes durable.
+        // has advanced since a committer last saw it — at most one
+        // `WalSync` per advance (none for one a newer checkpoint
+        // already covers). A dead writer means a kill point fired: the
+        // commit stays visible in memory and never becomes durable.
         if let Some(durable) = &self.durable {
-            if checkpoint.is_some_and(|snap| durable.install_checkpoint(seq, &snap).is_ok()) {
-                self.emit(txn, ObsEvent::Checkpoint { seq });
+            if let Some(snap) = checkpoint {
+                self.install_checkpoint(txn, seq, &snap);
             }
             if let Ok(Some(horizon)) = durable.writer().request_sync(seq) {
-                self.emit(txn, ObsEvent::WalSync { seq: horizon });
+                self.record_wal_sync(txn, horizon);
             }
         }
         Ok(seq)
+    }
+
+    /// Installs the checkpoint snapshot rotated at `seq` and records its
+    /// `Checkpoint` event under the install lock, so events come in
+    /// sequence order; a snapshot older than one already installed is
+    /// skipped, event and all. A failed write (a dead or full disk)
+    /// leaves the previous checkpoint in place, unrecorded.
+    pub(crate) fn install_checkpoint(&self, txn: TxnId, seq: u64, snapshot: &[u8]) {
+        if let Some(durable) = &self.durable {
+            let _ = durable.install_checkpoint(seq, snapshot, || {
+                if self.obs.is_some() {
+                    let mut recorded =
+                        self.checkpoint_recorded.lock().expect("checkpoint event lock");
+                    *recorded = seq;
+                    self.emit(txn, ObsEvent::Checkpoint { seq });
+                }
+            });
+        }
+    }
+
+    /// Records a durable-horizon advance as `WalSync`, unless a newer
+    /// checkpoint was recorded since the horizon was read: its rotation
+    /// already made the horizon durable, and the history's durability
+    /// rule forbids a sync reported below the last checkpoint.
+    pub(crate) fn record_wal_sync(&self, txn: TxnId, horizon: u64) {
+        if self.obs.is_some() {
+            let recorded = self.checkpoint_recorded.lock().expect("checkpoint event lock");
+            if horizon >= *recorded {
+                self.emit(txn, ObsEvent::WalSync { seq: horizon });
+            }
+        }
     }
 
     /// Stages commit `seq`'s redo record (under the base mutex, so

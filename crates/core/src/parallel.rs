@@ -526,6 +526,11 @@ pub struct ParallelEngine {
     /// Durability layer ([`ParallelConfig::durability`]): checkpoint +
     /// group-commit WAL. `None` ⇒ the commit path pays one branch.
     pub(crate) durable: Option<Arc<DurableWm>>,
+    /// Sequence of the newest `Checkpoint` event recorded. Its lock
+    /// orders `Checkpoint` and `WalSync` events: a committer's horizon
+    /// can fall below a checkpoint recorded after it was read, and is
+    /// then stale (the checkpoint's rotation already made it durable).
+    pub(crate) checkpoint_recorded: Mutex<u64>,
     /// Live-telemetry registry + sampler ([`ParallelConfig::telemetry`]).
     telemetry: Option<Arc<Telemetry>>,
     /// Internal stop latch ([`ParallelEngine::request_stop`]); OR'd with
@@ -619,6 +624,7 @@ impl ParallelEngine {
             obs,
             injector,
             durable,
+            checkpoint_recorded: Mutex::new(0),
             telemetry,
             stop: AtomicBool::new(false),
             external_commits: AtomicU64::new(0),
@@ -863,12 +869,14 @@ impl ParallelEngine {
     }
 
     /// `true` when the run may not claim more work (halt seen, the
-    /// commit cap reached, or a stop was requested). `commits` only
-    /// changes under the ledger lock, so reads under that lock are
-    /// exact.
+    /// commit cap reached counting the claims in flight, or a stop was
+    /// requested). Every in-flight claim may still commit, so a claim
+    /// taken at `commits + inflight == max_commits` could overshoot the
+    /// cap. `commits` and `inflight` only change under the ledger lock,
+    /// so reads under that lock are exact.
     fn capped(&self, ledger: &Ledger) -> bool {
         ledger.halted
-            || self.metrics.commits.load(Relaxed) >= self.config.max_commits
+            || self.metrics.commits.load(Relaxed) + ledger.inflight >= self.config.max_commits
             || self.stop_requested()
     }
 
@@ -1866,6 +1874,45 @@ mod tests {
         horizons.dedup();
         assert_eq!(horizons.len(), reported, "an advance is reported once");
         assert_eq!(dps_wm::recover(&dir).expect("recovers").last_seq, 24);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two committers on the checkpoint cadence may reach the install
+    /// out of sequence order: the later sequence wins, the older
+    /// snapshot is skipped, and one `Checkpoint` event is recorded. A
+    /// durable horizon read before that checkpoint and reported after
+    /// it is stale, and is not recorded either.
+    #[test]
+    fn an_older_checkpoint_install_is_skipped_and_unrecorded() {
+        let dir = durability_dir("install-order");
+        let (rules, wm) = counters(2, 1);
+        let snap = wm.encode_snapshot().unwrap();
+        let cfg = ParallelConfig {
+            observe: true,
+            durability: Some(DurabilityConfig { dir: dir.clone(), checkpoint_interval: 5 }),
+            ..Default::default()
+        };
+        let e = ParallelEngine::new(&rules, wm, cfg);
+        e.install_checkpoint(TxnId(1), 15, &snap);
+        e.install_checkpoint(TxnId(2), 10, &snap);
+        e.record_wal_sync(TxnId(3), 12);
+        e.record_wal_sync(TxnId(4), 16);
+        let checkpoint = |seq: u64| dir.join(format!("checkpoint-{seq:020}.snap"));
+        assert!(checkpoint(15).exists());
+        assert!(!checkpoint(10).exists(), "the older install wrote nothing");
+        let recorded: Vec<String> = e
+            .observer()
+            .unwrap()
+            .history()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                dps_obs::EventKind::Checkpoint { seq } => Some(format!("checkpoint {seq}")),
+                dps_obs::EventKind::WalSync { seq } => Some(format!("sync {seq}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(recorded, ["checkpoint 15", "sync 16"]);
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -470,7 +470,13 @@ impl MatchPipeline {
             let batch: Vec<(u64, Option<Arc<Vec<Change>>>)> = {
                 let log = self.log.lock().unwrap();
                 let front = log.front().map_or(cur + 1, |e| e.seq);
-                debug_assert!(front <= cur + 1, "delta log must be gapless");
+                if front > cur + 1 {
+                    // `publish` free-advanced this cursor past `cur` (a
+                    // compare-exchange that takes no shard lock) and a
+                    // prune dropped the entries it skipped, none of
+                    // which route here: read the cursor again.
+                    continue;
+                }
                 let lo = ((cur + 1 - front) as usize).min(log.len());
                 let hi = ((target + 1 - front) as usize).min(log.len());
                 log.range(lo..hi)

@@ -2,12 +2,11 @@
 //! rules and across matchers (Rete and TREAT use the same structure).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dps_rules::{ConditionElement, Predicate, RuleSet, TestAtom};
-use dps_wm::{Atom, Timestamp, Value, Wme, WmeId, WorkingMemory};
+use dps_wm::{Atom, IdMap, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
 /// Index of an alpha memory within an [`AlphaNetwork`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,39 +77,6 @@ pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
     }
     Cow::Borrowed(v)
 }
-
-/// Multiplicative hasher for tables keyed by ids the program itself
-/// hands out (`WmeId`s, token slots): a few cycles per key instead of
-/// SipHash, and — having no random state — the same iteration order on
-/// every run. `finish` rotates the well-mixed high bits down to where
-/// the table takes its bucket index, so strided ids do not cluster.
-/// Tables keyed by attribute *values* (which clients choose) keep the
-/// standard collision-resistant hasher.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-/// A `HashMap` keyed through [`IdHasher`].
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-/// A `HashSet` keyed through [`IdHasher`].
-pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// An index bucket / a memory's member list: shared WMEs by id.
 type Members = IdMap<WmeId, Arc<Wme>>;
@@ -227,8 +193,8 @@ impl AlphaNetwork {
                 net.register(cond.ce());
             }
         }
-        for wme in wm.iter() {
-            net.add_wme(&Arc::new(wme.clone()));
+        for wme in wm.handles() {
+            net.add_wme(wme);
         }
         net
     }

@@ -79,9 +79,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dps_rules::{Bindings, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
-use dps_wm::{Atom, Change, Timestamp, Value, Wme, WmeId, WorkingMemory};
+use dps_wm::{Atom, Change, IdMap, IdSet, Timestamp, Value, Wme, WmeId, WorkingMemory};
 
-use crate::alpha::{attr_of, index_key, IdMap, IdSet};
+use crate::alpha::{attr_of, index_key};
 use crate::conflict::Site;
 use crate::{AlphaMemId, AlphaNetwork, ConflictSet, InstKey, Instantiation, Matcher};
 
@@ -382,7 +382,7 @@ impl Rete {
     /// memory.
     pub fn new(rules: &RuleSet, wm: &WorkingMemory) -> Self {
         let mut rete = Rete::compile(rules.iter());
-        for wme in wm.iter() {
+        for wme in wm.handles() {
             rete.insert(wme);
         }
         rete
@@ -659,15 +659,15 @@ impl Rete {
     // -------------------------------------------------------------
 
     /// Adds one element: what [`Matcher::apply`] does for an `Added`
-    /// change, without the caller building one.
-    pub fn insert(&mut self, wme: &Wme) {
-        let wme = Arc::new(wme.clone());
-        for amem in self.net.alpha.add_wme(&wme) {
+    /// change, without the caller building one. The network keeps the
+    /// caller's handle (the working memory's own allocation), not a copy.
+    pub fn insert(&mut self, wme: &Arc<Wme>) {
+        for amem in self.net.alpha.add_wme(wme) {
             for &node in self.net.successors.get(amem.0).into_iter().flatten() {
                 match &self.net.nodes[node.0] {
-                    Node::Join { .. } => self.beta.join_right_activate(&self.net, node, &wme),
+                    Node::Join { .. } => self.beta.join_right_activate(&self.net, node, wme),
                     Node::Negative { .. } => {
-                        self.beta.negative_right_activate(&self.net, node, &wme);
+                        self.beta.negative_right_activate(&self.net, node, wme);
                     }
                     _ => unreachable!(),
                 }

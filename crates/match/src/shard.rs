@@ -33,9 +33,9 @@ use std::ops::Range;
 
 use dps_rules::analysis::{commutes, rule_access, Granularity};
 use dps_rules::{Action, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
-use dps_wm::{Atom, Change, Value, Wme, WorkingMemory};
+use dps_wm::{Atom, Change, IdHasher, Value, Wme, WorkingMemory};
 
-use crate::alpha::{attr_of, index_key, IdHasher};
+use crate::alpha::{attr_of, index_key};
 use crate::{InstKey, Matcher, Rete};
 
 /// Default shard count for the sharded match pipeline. Eight matches
@@ -444,7 +444,7 @@ impl ShardPlan {
                 )
             })
             .collect();
-        for wme in wm.iter() {
+        for wme in wm.handles() {
             if let Some(s) = self.route(wme) {
                 retes[s].insert(wme);
             }
@@ -636,7 +636,7 @@ mod tests {
     fn plan_is_a_pure_function_of_rules_and_shards() {
         let rules = RuleSet::parse(CORPUS).unwrap();
         let mut wm = WorkingMemory::new();
-        let tuples: Vec<Wme> = (0..64i64)
+        let tuples: Vec<_> = (0..64i64)
             .map(|k| {
                 wm.insert_full(WmeData::new(["a", "b", "c", "d"][k as usize % 4]).with("k", k / 4))
             })

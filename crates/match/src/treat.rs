@@ -87,8 +87,8 @@ impl Treat {
             by_wme: HashMap::new(),
             stats: TreatStats::default(),
         };
-        for wme in wm.iter() {
-            treat.add_wme(Arc::new(wme.clone()));
+        for wme in wm.handles() {
+            treat.add_wme(Arc::clone(wme));
         }
         treat
     }
@@ -302,7 +302,7 @@ impl Matcher for Treat {
     fn apply(&mut self, changes: &[Change]) {
         for change in changes {
             match change {
-                Change::Added(w) => self.add_wme(Arc::new(w.clone())),
+                Change::Added(w) => self.add_wme(Arc::clone(w)),
                 Change::Removed(w) => self.remove_wme(w),
             }
         }

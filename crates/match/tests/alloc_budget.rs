@@ -41,12 +41,18 @@
 //! | cross-product | instantiations by key | 62 / 36.5 | 73 / 46.5 | 6 468 / 4 870 | 98 / 73.0 | 98 / 74.5 |
 //! | contend | eager instantiations | 44 / 44.0 | 54 / 54.0 | 6 092 / 6 092 | 1 / 1.0 | 64 / 64.0 |
 //! | contend | instantiations by key | 14 / 14.0 | 26 / 26.0 | 2 124 / 2 124 | 1 / 1.0 | 64 / 64.0 |
+//! | planned | shared tuples | 7 / 6.0 | 18 / 16.0 | 1 536 / 1 332 | 4 / 2.0 | 5 / 4.5 |
+//! | cross-product | shared tuples | 58 / 33.5 | 69 / 43.5 | 6 084 / 4 566 | 98 / 73.0 | 98 / 74.5 |
+//! | contend | shared tuples | 10 / 10.0 | 22 / 22.0 | 1 612 / 1 612 | 1 / 1.0 | 64 / 64.0 |
 //!
 //! The eager rows made one `Instantiation` per complete match inside
 //! `Rete::apply` (owned `Wme` copies, bindings, the key built twice) and
 //! cloned the fired one; their firing column does not include that
 //! clone. By key, `Rete::apply` builds one shared key per match and the
-//! firing column includes the one materialisation. Tokens never
+//! firing column includes the one materialisation. With shared tuples
+//! `Rete::apply` keeps the batch's `Arc<Wme>` for each added element
+//! instead of copying its payload into a new one (two allocations per
+//! copy: the `Arc` and the attribute vector). Tokens never
 //! allocated (slab slots and index buckets are reused), so the join
 //! order leaves the allocation rows unchanged; the written-order network
 //! fails the planned family's work ceilings. Earlier rounds of the
@@ -112,43 +118,44 @@ struct Budget {
     tokens: u64,
 }
 
-/// The planned family. Measured worst: 11 `Rete::apply` allocations
-/// (mean 9.0) and 22 firing allocations, 1 920 bytes, 4 left
+/// The planned family. Measured worst: 7 `Rete::apply` allocations
+/// (mean 6.0) and 18 firing allocations, 1 536 bytes, 4 left
 /// activations, 5 live tokens. The written-order network (parent of the
 /// join planner) made 51 left activations and held 52 tokens, which
 /// fails the last two ceilings.
 const PLANNED_BUDGET: Budget = Budget {
-    rete_allocs: 14,
-    rete_mean: 10.0,
-    firing_allocs: 26,
+    rete_allocs: 9,
+    rete_mean: 7.0,
+    firing_allocs: 22,
     firing_bytes: 2_560,
     left_activations: 8,
     tokens: 8,
 };
 
 /// The cross-product family, whose plan is its written order. Measured
-/// worst: 62 `Rete::apply` allocations (mean 36.5) and 73 firing
+/// worst: 58 `Rete::apply` allocations (mean 33.5) and 69 firing
 /// allocations — most of them the negation's per-input result sets, one
-/// per `cursor × kind` token the `out` blocks — 6 468 bytes, 98 left
+/// per `cursor × kind` token the `out` blocks — 6 084 bytes, 98 left
 /// activations, 98 live tokens.
 const CROSS_BUDGET: Budget = Budget {
-    rete_allocs: 66,
-    rete_mean: 40.0,
-    firing_allocs: 78,
+    rete_allocs: 62,
+    rete_mean: 37.0,
+    firing_allocs: 74,
     firing_bytes: 7_168,
     left_activations: 104,
     tokens: 104,
 };
 
-/// The contend family. Measured, every batch alike: 14 `Rete::apply`
+/// The contend family. Measured, every batch alike: 10 `Rete::apply`
 /// allocations — four of them the keys of the four re-derived matches —
-/// and 26 firing allocations, 2 124 bytes, 1 left activation, 64 live
+/// and 22 firing allocations, 1 612 bytes, 1 left activation, 64 live
 /// tokens. With an eager instantiation per match (owned `Wme` copies,
-/// bindings and two key builds each) `Rete::apply` made 44.
+/// bindings and two key builds each) `Rete::apply` made 44; copying
+/// each added element into the network, 14.
 const CONTEND_BUDGET: Budget = Budget {
-    rete_allocs: 16,
-    rete_mean: 16.0,
-    firing_allocs: 30,
+    rete_allocs: 12,
+    rete_mean: 12.0,
+    firing_allocs: 26,
     firing_bytes: 2_560,
     left_activations: 2,
     tokens: 68,

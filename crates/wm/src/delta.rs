@@ -7,6 +7,8 @@
 //! call at commit. The result is a list of [`Change`]s — the exact feed an
 //! incremental matcher (Rete/TREAT) needs.
 
+use std::sync::Arc;
+
 use crate::{Atom, AttrMap, Value, Wme, WmeData, WmeId};
 
 /// One buffered RHS operation. `create`/`modify`/`delete` mirror the
@@ -110,12 +112,17 @@ impl FromIterator<Delta> for DeltaSet {
 /// A `modify` appears as a `Removed` of the old element followed by an
 /// `Added` of the new one (same id, fresh timestamp), which is exactly how
 /// OPS5's Rete treats modifies.
+///
+/// Each change carries the relation's own `Arc<Wme>`, not a copy: an
+/// `Added` element is the one allocation the relation, the version
+/// chains and the matchers' alpha memories all hold, and a `Removed`
+/// one is the handle the relation let go of.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Change {
     /// An element entered working memory.
-    Added(Wme),
+    Added(Arc<Wme>),
     /// An element left working memory.
-    Removed(Wme),
+    Removed(Arc<Wme>),
 }
 
 impl Change {
@@ -185,8 +192,8 @@ mod tests {
             data: WmeData::new("c"),
             timestamp: 1,
         };
-        let add = Change::Added(w.clone());
-        let rem = Change::Removed(w.clone());
+        let add = Change::Added(w.clone().into());
+        let rem = Change::Removed(w.clone().into());
         assert!(add.is_add());
         assert!(!rem.is_add());
         assert_eq!(add.wme().id, WmeId(1));

@@ -66,4 +66,4 @@ pub use relation::Relation;
 pub use store::WorkingMemory;
 pub use value::Value;
 pub use version::{Version, VersionStats, VersionedStore};
-pub use wme::{Timestamp, Wme, WmeData, WmeId};
+pub use wme::{IdHasher, IdMap, IdSet, Timestamp, Wme, WmeData, WmeId};

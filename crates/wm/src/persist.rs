@@ -24,10 +24,10 @@
 //! Strings, values and tuples are laid out by [`crate::codec`], the
 //! byte format the wire protocol shares; a version byte guards evolution.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::codec::{checked_len, put_data, put_str, put_u32, put_u64, CodecError, Names, Reader};
-use crate::{Change, Wme, WmeId, WorkingMemory};
+use crate::{Change, IdMap, Wme, WmeId, WorkingMemory};
 
 /// Magic bytes opening every snapshot.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"DPSW";
@@ -42,8 +42,8 @@ pub(crate) fn put_wme(out: &mut Vec<u8>, w: &Wme) -> Result<(), CodecError> {
     put_data(out, &w.data)
 }
 
-fn read_wme<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Result<Wme, CodecError> {
-    Ok(Wme { id: WmeId(r.u64()?), timestamp: r.u64()?, data: r.data(names)? })
+fn read_wme<'a>(r: &mut Reader<'a>, names: &mut Names<'a>) -> Result<Arc<Wme>, CodecError> {
+    Ok(Arc::new(Wme { id: WmeId(r.u64()?), timestamp: r.u64()?, data: r.data(names)? }))
 }
 
 /// Serialises one committed change batch: `[count: u32][tag, wme]*`.
@@ -85,7 +85,7 @@ pub(crate) fn decode_batch_body(r: &mut Reader<'_>) -> Result<Vec<Change>, Codec
 /// `Err` leaves working memory byte-identical.
 pub fn apply_changes_atomic(wm: &mut WorkingMemory, changes: &[Change]) -> Result<(), CodecError> {
     // Stage: liveness overlay for ids the batch itself touches.
-    let mut overlay: HashMap<WmeId, bool> = HashMap::new();
+    let mut overlay: IdMap<WmeId, bool> = IdMap::default();
     for change in changes {
         let (w, adds) = match change {
             Change::Added(w) => (w, true),
@@ -101,7 +101,7 @@ pub fn apply_changes_atomic(wm: &mut WorkingMemory, changes: &[Change]) -> Resul
     // Apply: every operation validated above.
     for change in changes {
         match change {
-            Change::Added(w) => wm.restore_raw(w.clone()),
+            Change::Added(w) => wm.restore_raw(Arc::clone(w)),
             Change::Removed(w) => {
                 wm.remove(w.id).expect("validated above");
             }
@@ -403,8 +403,8 @@ mod tests {
             timestamp: live.timestamp + 100,
             data: WmeData::new("audit").with("of", 1i64),
         };
-        let err = apply_changes_atomic(&mut wm, &[Change::Added(created), Change::Removed(ghost)])
-            .unwrap_err();
+        let batch = [Change::Added(created.into()), Change::Removed(ghost.into())];
+        let err = apply_changes_atomic(&mut wm, &batch).unwrap_err();
         assert_eq!(err, CodecError::ReplayConflict(ghost_id));
         // Byte-identical: the valid prefix of the batch was rolled
         // back (never applied), counters and class list included.
@@ -429,7 +429,7 @@ mod tests {
 
         // And a double-remove inside one batch is a conflict.
         let wme = wm.get(id).unwrap().clone();
-        let bad = vec![Change::Removed(wme.clone()), Change::Removed(wme)];
+        let bad = vec![Change::Removed(wme.clone().into()), Change::Removed(wme.into())];
         let before = wm.encode_snapshot().unwrap();
         assert_eq!(
             apply_changes_atomic(&mut wm, &bad),

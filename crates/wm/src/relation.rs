@@ -1,7 +1,13 @@
 //! Class-partitioned relations: one per declared class, held in the
 //! working memory's class table.
+//!
+//! A relation holds each tuple as an `Arc<Wme>`: the one allocation of
+//! that element's payload, which the change batch that made it, the
+//! version chains and every match shard's alpha memories share. Cloning
+//! a relation copies pointers, not tuples.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::{Wme, WmeId};
 
@@ -12,7 +18,7 @@ use crate::{Wme, WmeId};
 /// and no statistics to update inside the commit section.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
-    tuples: BTreeMap<WmeId, Wme>,
+    tuples: BTreeMap<WmeId, Arc<Wme>>,
 }
 
 impl Relation {
@@ -33,7 +39,7 @@ impl Relation {
 
     /// Looks up a tuple by id.
     pub fn get(&self, id: WmeId) -> Option<&Wme> {
-        self.tuples.get(&id)
+        self.tuples.get(&id).map(|w| &**w)
     }
 
     /// Returns `true` if the tuple is live in this relation.
@@ -43,16 +49,22 @@ impl Relation {
 
     /// Iterates tuples in id order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &Wme> {
+        self.tuples.values().map(|w| &**w)
+    }
+
+    /// Iterates the tuples' shared handles in id order, for holders
+    /// that keep a tuple alive beside the relation.
+    pub fn handles(&self) -> impl Iterator<Item = &Arc<Wme>> {
         self.tuples.values()
     }
 
     /// Inserts a tuple. The caller (the store) guarantees id freshness.
-    pub(crate) fn insert(&mut self, wme: Wme) {
+    pub(crate) fn insert(&mut self, wme: Arc<Wme>) {
         self.tuples.insert(wme.id, wme);
     }
 
-    /// Removes a tuple, returning it when present.
-    pub(crate) fn remove(&mut self, id: WmeId) -> Option<Wme> {
+    /// Removes a tuple, returning its handle when present.
+    pub(crate) fn remove(&mut self, id: WmeId) -> Option<Arc<Wme>> {
         self.tuples.remove(&id)
     }
 }
@@ -62,16 +74,16 @@ mod tests {
     use super::*;
     use crate::{Value, WmeData};
 
-    fn wme(id: u64, ts: u64, pairs: &[(&str, Value)]) -> Wme {
+    fn wme(id: u64, ts: u64, pairs: &[(&str, Value)]) -> Arc<Wme> {
         let mut data = WmeData::new("c");
         for (a, v) in pairs {
             data.set(*a, v.clone());
         }
-        Wme {
+        Arc::new(Wme {
             id: WmeId(id),
             data,
             timestamp: ts,
-        }
+        })
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! relation empties. Declaration order is the order [`WorkingMemory::iter`]
 //! visits classes in, so a restored snapshot iterates exactly as the
 //! memory it was taken from.
+//!
+//! Every live element is one `Arc<Wme>` in its relation; [`WorkingMemory::apply`]
+//! hands that same handle out in its change batch, so cloning the store
+//! or keeping a batch copies pointers, not payloads.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{
-    Atom, Change, Delta, DeltaSet, Relation, Timestamp, Value, WmError, Wme, WmeData, WmeId,
+    Atom, Change, Delta, DeltaSet, IdMap, Relation, Timestamp, Value, WmError, Wme, WmeData,
+    WmeId,
 };
 
 /// The production system's database: all live WMEs, partitioned by class,
@@ -21,7 +27,8 @@ use crate::{
 /// commits through it (the paper's atomic commit point) while reads during
 /// matching go through snapshots or the engine's own synchronisation.
 /// `WorkingMemory` is `Clone`, which the execution-graph enumerator uses to
-/// branch the state space.
+/// branch the state space; a clone shares every element with the
+/// original and copies only the maps that index them.
 ///
 /// ```
 /// use dps_wm::{WorkingMemory, WmeData, DeltaSet, Value};
@@ -42,7 +49,7 @@ pub struct WorkingMemory {
     /// Class → its dense index into `classes`.
     class_index: HashMap<Atom, usize>,
     /// Dense class index of each live WME, for O(1) id → relation routing.
-    class_of: HashMap<WmeId, usize>,
+    class_of: IdMap<WmeId, usize>,
     next_id: u64,
     clock: Timestamp,
 }
@@ -96,6 +103,13 @@ impl WorkingMemory {
         self.classes.iter().flat_map(|(_, r)| r.iter())
     }
 
+    /// Iterates the live elements' shared handles in [`WorkingMemory::iter`]
+    /// order: what a matcher or a version store loads, so it holds the
+    /// store's own allocation instead of a copy.
+    pub fn handles(&self) -> impl Iterator<Item = &Arc<Wme>> {
+        self.classes.iter().flat_map(|(_, r)| r.handles())
+    }
+
     /// The declared classes, in declaration order.
     pub(crate) fn class_names(&self) -> impl Iterator<Item = &Atom> {
         self.classes.iter().map(|(c, _)| c)
@@ -118,13 +132,15 @@ impl WorkingMemory {
         self.insert_internal(data).id
     }
 
-    /// Inserts and returns the stored element (id + timestamp assigned).
-    pub fn insert_full(&mut self, data: WmeData) -> Wme {
+    /// Inserts and returns the stored element's handle (id + timestamp
+    /// assigned).
+    pub fn insert_full(&mut self, data: WmeData) -> Arc<Wme> {
         self.insert_internal(data)
     }
 
-    /// Removes an element immediately, returning it.
-    pub fn remove(&mut self, id: WmeId) -> Result<Wme, WmError> {
+    /// Removes an element immediately, returning the handle the store
+    /// held.
+    pub fn remove(&mut self, id: WmeId) -> Result<Arc<Wme>, WmError> {
         let i = self.class_of.remove(&id).ok_or(WmError::NoSuchWme(id))?;
         self.classes[i].1.remove(id).ok_or(WmError::NoSuchWme(id))
     }
@@ -195,12 +211,12 @@ impl WorkingMemory {
                         }
                     }
                     self.clock += 1;
-                    let new = Wme {
+                    let new = Arc::new(Wme {
                         id: *id,
                         data,
                         timestamp: self.clock,
-                    };
-                    relation.insert(new.clone());
+                    });
+                    relation.insert(Arc::clone(&new));
                     changes.push(Change::Removed(old));
                     changes.push(Change::Added(new));
                 }
@@ -209,16 +225,16 @@ impl WorkingMemory {
         Ok(changes)
     }
 
-    fn insert_internal(&mut self, data: WmeData) -> Wme {
+    fn insert_internal(&mut self, data: WmeData) -> Arc<Wme> {
         let id = WmeId(self.next_id);
         self.next_id += 1;
         self.clock += 1;
-        let wme = Wme {
+        let wme = Arc::new(Wme {
             id,
             data,
             timestamp: self.clock,
-        };
-        self.store(wme.clone());
+        });
+        self.store(Arc::clone(&wme));
         wme
     }
 
@@ -230,7 +246,7 @@ impl WorkingMemory {
     /// Persistence hook: installs an element exactly as persisted
     /// (identity and timestamp preserved; allocator and clock advanced
     /// past them).
-    pub(crate) fn restore_raw(&mut self, wme: Wme) {
+    pub(crate) fn restore_raw(&mut self, wme: Arc<Wme>) {
         self.next_id = self.next_id.max(wme.id.0 + 1);
         self.clock = self.clock.max(wme.timestamp);
         self.store(wme);
@@ -242,7 +258,7 @@ impl WorkingMemory {
         self.clock = self.clock.max(clock);
     }
 
-    fn store(&mut self, wme: Wme) {
+    fn store(&mut self, wme: Arc<Wme>) {
         let i = self.declare(&wme.data.class);
         self.class_of.insert(wme.id, i);
         self.classes[i].1.insert(wme);
@@ -372,6 +388,6 @@ mod tests {
     fn insert_full_returns_stored_element() {
         let mut wm = WorkingMemory::new();
         let w = wm.insert_full(WmeData::new("c").with("k", 1i64));
-        assert_eq!(wm.get(w.id), Some(&w));
+        assert_eq!(wm.get(w.id), Some(&*w));
     }
 }

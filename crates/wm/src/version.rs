@@ -8,7 +8,10 @@
 //! [`VersionedStore`] keeps, for every element ever touched, a bounded
 //! chain of [`Version`]s stamped with the commit sequence numbers the
 //! engine's delta log already assigns (sequence 0 is the initial
-//! working memory; a removal installs a tombstone).
+//! working memory; a removal installs a tombstone). A version holds the
+//! working memory's own `Arc<Wme>` — [`VersionedStore::seed`] takes the
+//! relations' handles and [`VersionedStore::record`] the change batch's —
+//! so a chain costs a pointer per version, not a copy of the payload.
 //!
 //! The store is plain data with `&mut` writers — the engine wraps it in
 //! its own synchronisation (writes happen inside the commit critical
@@ -30,7 +33,7 @@
 //! // Commit 1 rewrites the element: snapshot 0 still sees the old row.
 //! let old = wm.get(id).unwrap().clone();
 //! let new = Wme { data: WmeData::new("task").with("state", "done"), ..old.clone() };
-//! vs.record(1, &[Change::Removed(old), Change::Added(new)]);
+//! vs.record(1, &[Change::Removed(old.into()), Change::Added(new.into())]);
 //! assert_eq!(vs.as_of(id, 0).unwrap().get("state").unwrap().to_string(), "todo");
 //! assert_eq!(vs.as_of(id, 1).unwrap().get("state").unwrap().to_string(), "done");
 //! ```
@@ -38,8 +41,9 @@
 //! [`gc`]: VersionedStore::gc
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::{Atom, Change, Wme, WmeId, WorkingMemory};
+use crate::{Atom, Change, IdMap, Wme, WmeId, WorkingMemory};
 
 /// One committed state of one element: the payload as of `seq`, or a
 /// tombstone (`None`) if the commit removed it.
@@ -47,8 +51,10 @@ use crate::{Atom, Change, Wme, WmeId, WorkingMemory};
 pub struct Version {
     /// The installing commit sequence number (0 = initial WM).
     pub seq: u64,
-    /// The element's state, `None` for a removal tombstone.
-    pub state: Option<Wme>,
+    /// The element's state, `None` for a removal tombstone. The handle
+    /// is the working memory's own: a version shares the payload the
+    /// relation and the change batch hold, it does not copy it.
+    pub state: Option<Arc<Wme>>,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -76,7 +82,7 @@ pub struct VersionStats {
 /// for negated conditions.
 #[derive(Clone, Debug)]
 pub struct VersionedStore {
-    chains: HashMap<WmeId, Chain>,
+    chains: IdMap<WmeId, Chain>,
     /// Last commit sequence that inserted into or removed from each
     /// class — any write to a class can flip a negated condition over
     /// it, so snapshot validation compares this against the pinned
@@ -99,7 +105,7 @@ impl VersionedStore {
     /// successor).
     pub fn new(cap: usize) -> Self {
         VersionedStore {
-            chains: HashMap::new(),
+            chains: IdMap::default(),
             class_write: HashMap::new(),
             cap: cap.max(2),
             floor: 0,
@@ -109,12 +115,13 @@ impl VersionedStore {
     }
 
     /// Installs the initial working memory as version 0 of every
-    /// element. Call once, before any [`VersionedStore::record`].
+    /// element, sharing the memory's handles. Call once, before any
+    /// [`VersionedStore::record`].
     pub fn seed(&mut self, wm: &WorkingMemory) {
-        for wme in wm.iter() {
+        for wme in wm.handles() {
             self.chains.entry(wme.id).or_default().versions.push(Version {
                 seq: 0,
-                state: Some(wme.clone()),
+                state: Some(Arc::clone(wme)),
             });
         }
     }
@@ -127,7 +134,7 @@ impl VersionedStore {
         debug_assert!(seq > self.last_seq, "commit sequences must increase");
         self.last_seq = self.last_seq.max(seq);
         // Final state per element for this batch, in change order.
-        let mut finals: Vec<(WmeId, Option<&Wme>)> = Vec::new();
+        let mut finals: Vec<(WmeId, Option<&Arc<Wme>>)> = Vec::new();
         for ch in changes {
             let (id, state) = match ch {
                 Change::Added(w) => (w.id, Some(w)),
@@ -158,7 +165,7 @@ impl VersionedStore {
     /// with `seq <= snap`. `None` if the element did not exist at that
     /// snapshot (never created, created later, or tombstoned).
     pub fn as_of(&self, id: WmeId, snap: u64) -> Option<&Wme> {
-        self.version_at(id, snap).and_then(|v| v.state.as_ref())
+        self.version_at(id, snap).and_then(|v| v.state.as_deref())
     }
 
     /// Like [`VersionedStore::as_of`], but returns the whole
@@ -180,7 +187,7 @@ impl VersionedStore {
             .get(&id)?
             .versions
             .last()
-            .and_then(|v| v.state.as_ref())
+            .and_then(|v| v.state.as_deref())
     }
 
     /// Last commit sequence that inserted into or removed from `class`

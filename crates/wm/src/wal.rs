@@ -724,6 +724,10 @@ pub struct DurableWm {
     dir: PathBuf,
     writer: Arc<WalWriter>,
     log_writer: Option<std::thread::JoinHandle<()>>,
+    /// Sequence of the newest checkpoint installed. Its lock
+    /// serialises installs, so one install's `prune` never deletes
+    /// another's `.tmp` mid-write and installs finish in sequence order.
+    checkpointed: Mutex<u64>,
 }
 
 impl DurableWm {
@@ -770,7 +774,12 @@ impl DurableWm {
                 .name("dps-wal-writer".into())
                 .spawn(move || writer.run_log_writer())?
         };
-        Ok(DurableWm { dir: dir.to_path_buf(), writer, log_writer: Some(log_writer) })
+        Ok(DurableWm {
+            dir: dir.to_path_buf(),
+            writer,
+            log_writer: Some(log_writer),
+            checkpointed: Mutex::new(base_seq),
+        })
     }
 
     /// The group-committing writer.
@@ -825,13 +834,29 @@ impl DurableWm {
         Ok(())
     }
 
-    /// Writes the checkpoint snapshot for a rotation done at `seq` and
-    /// prunes files it obsoletes. Slow-path work — call outside the
-    /// engine's base mutex.
-    pub fn install_checkpoint(&self, seq: u64, snapshot: &[u8]) -> Result<(), WalError> {
+    /// Writes the checkpoint snapshot for a rotation done at `seq`,
+    /// prunes files it obsoletes, then runs `installed` (an observer's
+    /// `Checkpoint` record). Slow-path work — call outside the engine's
+    /// base mutex. Installs are serialised: committers that rotated at
+    /// different sequences may arrive out of order, and a snapshot older
+    /// than the newest one installed is skipped (`installed` does not
+    /// run), so the directory's checkpoint and every `installed` call
+    /// only move forward.
+    pub fn install_checkpoint(
+        &self,
+        seq: u64,
+        snapshot: &[u8],
+        installed: impl FnOnce(),
+    ) -> Result<(), WalError> {
+        let mut newest = self.checkpointed.lock().expect("checkpoint lock");
+        if seq <= *newest {
+            return Ok(());
+        }
         write_checkpoint(&self.dir, seq, snapshot)?;
+        *newest = seq;
         self.writer.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         prune(&self.dir, seq)?;
+        installed();
         Ok(())
     }
 }
@@ -1149,7 +1174,7 @@ mod tests {
         }
         durable.rotate(3).unwrap();
         let snap = wm.encode_snapshot().unwrap();
-        durable.install_checkpoint(3, &snap).unwrap();
+        durable.install_checkpoint(3, &snap, || ()).unwrap();
         for seq in 4..=5u64 {
             let changes = commit(&mut wm, seq as i64);
             durable.writer().append(seq, &changes).unwrap();
@@ -1183,7 +1208,7 @@ mod tests {
         // Checkpoint at seq 1, while x is empty.
         durable.rotate(1).unwrap();
         durable
-            .install_checkpoint(1, &wm.encode_snapshot().unwrap())
+            .install_checkpoint(1, &wm.encode_snapshot().unwrap(), || ())
             .unwrap();
         // Refill x in the redo suffix.
         let mut d = DeltaSet::new();
@@ -1417,7 +1442,8 @@ mod tests {
         );
         let tmp = Wme { id: WmeId(2), timestamp: 4, data: WmeData::new("tmp") };
         let mut out = Vec::new();
-        encode_record(&mut out, 3, &[Change::Added(wme), Change::Removed(tmp)]).unwrap();
+        let batch = [Change::Added(wme.into()), Change::Removed(tmp.into())];
+        encode_record(&mut out, 3, &batch).unwrap();
         assert_eq!(
             hex(&out),
             "62000000701bf71e0300000000000000020000000007000000000000000900000000000000030000006a6\

@@ -1,6 +1,8 @@
 //! Working-memory elements: identity, payload and recency.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{Atom, AttrMap, Value};
 
@@ -23,6 +25,39 @@ impl fmt::Display for WmeId {
         write!(f, "w{}", self.0)
     }
 }
+
+/// Multiplicative hasher for tables keyed by ids the program itself
+/// hands out (`WmeId`s, token slots): a few cycles per key instead of
+/// SipHash, and — having no random state — the same iteration order on
+/// every run. `finish` rotates the well-mixed high bits down to where
+/// the table takes its bucket index, so strided ids do not cluster.
+/// Tables keyed by attribute *values* (which clients choose) keep the
+/// standard collision-resistant hasher.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A `HashMap` keyed through [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashSet` keyed through [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Monotonic recency stamp assigned at insertion (and refreshed by
 /// `modify`). Used by LEX/MEA conflict resolution.
