@@ -1,4 +1,21 @@
-//! Firing records, traces and dynamic conflict footprints.
+//! Firing records, traces, and what a firing touches.
+//!
+//! What one firing reads and writes is defined here, once, and both
+//! theorems' engines read that definition:
+//!
+//! * **reads** — the tuples its positive CEs matched (the
+//!   instantiation's), and the whole class of every negated CE
+//!   ([`read_classes`]: any insertion there can invalidate the match);
+//! * **writes** — the tuples its RHS modifies or removes (the delta's
+//!   `written_ids`), the class of every tuple it creates, and the class
+//!   of every matched tuple it writes ([`write_classes`]: a removal can
+//!   *enable* a negated reader of that class; a modify re-inserts).
+//!
+//! [`Footprint::of`] collects them into sets for Theorem 1's
+//! interference test ([`Footprint::conflicts`], which
+//! [`crate::StaticParallelEngine`] selects batches by). The dynamic
+//! engine maps the same iterators to lock resources, a tuple to its
+//! tuple and a class to its relation, without collecting them first.
 
 use std::collections::BTreeSet;
 
@@ -54,15 +71,32 @@ impl Trace {
     }
 }
 
+/// Reads: the class of every negated CE of `rule`, read whole.
+pub(crate) fn read_classes(rule: &Rule) -> impl Iterator<Item = &Atom> {
+    rule.conditions
+        .iter()
+        .filter(|c| c.is_negated())
+        .map(|c| &c.ce().class)
+}
+
+/// Writes: the class of every tuple `delta` creates, and of every
+/// tuple of `inst` it modifies or removes.
+pub(crate) fn write_classes<'a>(
+    inst: &'a Instantiation,
+    delta: &'a DeltaSet,
+) -> impl Iterator<Item = &'a Atom> {
+    let written = inst
+        .wmes
+        .iter()
+        .filter(|w| delta.written_ids().any(|id| id == w.id))
+        .map(|w| &w.data.class);
+    delta.created_classes().chain(written)
+}
+
 /// The dynamic (run-time) read/write footprint of one instantiation —
 /// the information the paper says static analysis lacks ("interference
-/// usually depends on run-time values of variables").
-///
-/// * `read_tuples` — the WMEs matched by positive CEs.
-/// * `write_tuples` — WMEs the RHS modifies or removes.
-/// * `read_classes` — classes watched by negated CEs (whole-class reads:
-///   any insertion there can invalidate the match).
-/// * `write_classes` — classes the RHS inserts into.
+/// usually depends on run-time values of variables"): the reads and
+/// writes defined above, collected into sets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Tuple-level reads.
@@ -71,7 +105,7 @@ pub struct Footprint {
     pub write_tuples: BTreeSet<WmeId>,
     /// Whole-class reads (negated CEs).
     pub read_classes: BTreeSet<Atom>,
-    /// Class-level writes (inserts).
+    /// Class-level writes (inserts, and the classes of written tuples).
     pub write_classes: BTreeSet<Atom>,
 }
 
@@ -79,26 +113,12 @@ impl Footprint {
     /// Computes the footprint of an instantiation with its computed
     /// delta.
     pub fn of(rule: &Rule, inst: &Instantiation, delta: &DeltaSet) -> Footprint {
-        let mut fp = Footprint {
+        Footprint {
             read_tuples: inst.wmes.iter().map(|w| w.id).collect(),
             write_tuples: delta.written_ids().collect(),
-            read_classes: rule
-                .conditions
-                .iter()
-                .filter(|c| c.is_negated())
-                .map(|c| c.ce().class.clone())
-                .collect(),
-            write_classes: delta.created_classes().cloned().collect(),
-        };
-        // A modify/remove of a tuple is also a class-level write as far
-        // as negated readers of that class are concerned (a removal can
-        // *enable* their negation; a modify re-inserts).
-        for w in &inst.wmes {
-            if fp.write_tuples.contains(&w.id) {
-                fp.write_classes.insert(w.data.class.clone());
-            }
+            read_classes: read_classes(rule).cloned().collect(),
+            write_classes: write_classes(inst, delta).cloned().collect(),
         }
-        fp
     }
 
     /// The paper's §4.1 interference test at run-time granularity:
@@ -114,15 +134,6 @@ impl Footprint {
             || hit(&other.write_tuples, &self.read_tuples)
             || hit(&self.write_classes, &other.read_classes)
             || hit(&other.write_classes, &self.read_classes)
-    }
-
-    /// Enumerates the condition-level class reads of a rule without an
-    /// instantiation (helper for lock escalation in the dynamic engine).
-    pub fn negated_classes(rule: &Rule) -> impl Iterator<Item = &Atom> {
-        rule.conditions
-            .iter()
-            .filter(|c| c.is_negated())
-            .map(|c| &c.ce().class)
     }
 }
 

@@ -103,7 +103,7 @@ use dps_wm::{Atom, DeltaSet, DurableWm, WalStats, Wme, WorkingMemory};
 use crate::commit::{Claim, ClaimGuard, Commit, PinGuard};
 use crate::pipeline::{is_busy, scan_order, MatchPipeline};
 use crate::strategy::{Access, Strategy};
-use crate::{Firing, Footprint, Trace};
+use crate::{firing, Firing, Trace};
 
 /// Simulated per-production RHS duration — stands in for the "full-
 /// fledged database query" the paper expects an RHS to be.
@@ -1183,8 +1183,7 @@ impl ParallelEngine {
                 inst.wmes
                     .iter()
                     .all(|w| versions.latest(w.id).is_some_and(|s| s.timestamp == w.timestamp))
-                    && Footprint::negated_classes(rule)
-                        .into_iter()
+                    && firing::read_classes(rule)
                         .all(|class| versions.class_write_seq(class) <= snapshot)
             };
             if !current && !self.in_conflict_set_at(&claim.held, base.next_seq - 1, false) {
@@ -1206,12 +1205,12 @@ impl ParallelEngine {
         self.commit_section(base, commit).map(drop)
     }
 
-    /// The condition-read set of a claim: the matched tuples — grouped
-    /// per class, so `R_c` escalation can promote a group to one
-    /// relation-level resource — plus the relation of every negated
-    /// class (the paper's escalation for negative dependence). Computed
-    /// under every strategy: where it is not locked it is still the
-    /// injection and attribution surface.
+    /// The condition-read set of a claim: the firing's reads
+    /// ([`crate::firing`]) as resources. With `R_c` escalation the
+    /// matched tuples are grouped per class, so a group past the
+    /// threshold becomes one relation-level resource. Computed under
+    /// every strategy: where it is not locked it is still the injection
+    /// and attribution surface.
     fn condition_resources(&self, inst: &Instantiation, rule: &Rule) -> Vec<ResourceId> {
         let tuple = |w: &Arc<Wme>| ResourceId::Tuple(w.id.0);
         let mut out: Vec<ResourceId> = Vec::with_capacity(inst.wmes.len() + 1);
@@ -1232,36 +1231,27 @@ impl ParallelEngine {
             }
             None => out.extend(inst.wmes.iter().map(tuple)),
         }
-        for class in Footprint::negated_classes(rule) {
-            out.push(self.relation_resource(class));
-        }
+        out.extend(firing::read_classes(rule).map(|class| self.relation_resource(class)));
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// The action `(reads, writes)` of a computed delta. Writes are the
-    /// written tuples plus the relation of every created class — and of
-    /// every class with a modified/removed tuple, so negated readers of
-    /// the class are serialised against it (a relation write is the
-    /// intention write, which the class's other writers share). Reads
-    /// are the matched tuples the delta does not write (those take the
-    /// write access instead).
+    /// The action `(reads, writes)` of a computed delta: the firing's
+    /// writes ([`crate::firing`]) as resources, a class's being the
+    /// relation's intention write, which the class's other writers
+    /// share. Reads are the matched tuples the delta does not write
+    /// (those take the write access instead).
     fn action_resources(
         &self,
         inst: &Instantiation,
         delta: &DeltaSet,
     ) -> (Vec<ResourceId>, Vec<ResourceId>) {
-        let mut writes: Vec<ResourceId> =
-            delta.written_ids().map(|id| ResourceId::Tuple(id.0)).collect();
-        for class in delta.created_classes() {
-            writes.push(self.relation_resource(class));
-        }
-        for w in &inst.wmes {
-            if delta.written_ids().any(|id| id == w.id) {
-                writes.push(self.relation_resource(&w.data.class));
-            }
-        }
+        let mut writes: Vec<ResourceId> = delta
+            .written_ids()
+            .map(|id| ResourceId::Tuple(id.0))
+            .chain(firing::write_classes(inst, delta).map(|class| self.relation_resource(class)))
+            .collect();
         writes.sort_unstable();
         writes.dedup();
         let mut reads: Vec<ResourceId> = inst
@@ -1991,5 +1981,103 @@ mod tests {
             "died right after the fsync: commit 4 is durable, 5.. are not"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A seeded random rule over classes `a`–`c`: one or two positive
+    /// CEs joined on `^k`, maybe a negated CE joined the same way, and
+    /// an RHS of `modify`, `remove` and `make` actions.
+    fn random_rule(rng: &mut dps_wm::rng::SmallRng, n: usize) -> String {
+        let class = |rng: &mut dps_wm::rng::SmallRng| ["a", "b", "c"][rng.index(3)];
+        let ces = 1 + rng.index(2);
+        let mut text = format!("(p r{n}");
+        for _ in 0..ces {
+            text += &format!(" ({} ^k <x>)", class(rng));
+        }
+        if rng.random_bool(0.5) {
+            text += &format!(" -({} ^k <x>)", class(rng));
+        }
+        text += " -->";
+        let modified = rng.random_bool(0.6).then(|| 1 + rng.index(ces));
+        if let Some(ce) = modified {
+            text += &format!(" (modify {ce} ^v {})", rng.index(3));
+        }
+        let removed = 1 + rng.index(ces);
+        if modified != Some(removed) && rng.random_bool(0.5) {
+            text += &format!(" (remove {removed})");
+        }
+        if rng.random_bool(0.5) || text.ends_with("-->") {
+            text += &format!(" (make {} ^k {})", class(rng), rng.index(3));
+        }
+        text + ")"
+    }
+
+    /// Theorem 1's interference test and Theorem 2's 2PL locks read one
+    /// definition of what a firing touches: over every pair of
+    /// instantiations of random rule corpora, two footprints conflict
+    /// exactly when the two firings' `S`/`X`/`IX` requests meet on a
+    /// resource in modes the lock table refuses.
+    #[test]
+    fn footprint_interference_is_exactly_two_phase_lock_conflict() {
+        use crate::Footprint;
+        use dps_lock::{compatible, LockMode};
+        use dps_match::Rete;
+
+        let (mut pairs, mut conflicting) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = dps_wm::rng::SmallRng::seed_from_u64(seed);
+            let corpus: Vec<String> = (0..6).map(|n| random_rule(&mut rng, n)).collect();
+            let rules = RuleSet::parse(&corpus.join("\n")).unwrap();
+            let mut wm = WorkingMemory::new();
+            for _ in 0..10 {
+                let class = ["a", "b", "c"][rng.index(3)];
+                wm.insert(WmeData::new(class).with("k", rng.index(3) as i64).with("v", 0i64));
+            }
+            let config = ParallelConfig {
+                protocol: Protocol::TwoPhase,
+                rc_escalation: None,
+                ..Default::default()
+            };
+            let engine = ParallelEngine::new(&rules, wm.clone(), config);
+            let rete = Rete::new(&rules, &wm);
+            let p = Protocol::TwoPhase;
+            let firings: Vec<(Footprint, Vec<(ResourceId, LockMode)>)> = rete
+                .conflict_set()
+                .keys()
+                .map(|key| {
+                    let inst = rete.instantiate(key).unwrap();
+                    let rule = rules.get(inst.rule).unwrap();
+                    let (delta, _) = instantiate_actions(rule, &inst.bindings, &inst.wmes).unwrap();
+                    let (reads, writes) = engine.action_resources(&inst, &delta);
+                    let write_mode = |r: &ResourceId| match r {
+                        ResourceId::Tuple(_) => p.action_write(),
+                        ResourceId::Relation(_) => p.relation_write(),
+                    };
+                    let requests = (engine.condition_resources(&inst, rule).into_iter())
+                        .map(|r| (r, p.condition_read()))
+                        .chain(reads.into_iter().map(|r| (r, p.action_read())))
+                        .chain(writes.into_iter().map(|r| (r, write_mode(&r))))
+                        .collect();
+                    (Footprint::of(rule, &inst, &delta), requests)
+                })
+                .collect();
+            for (i, (fa, ra)) in firings.iter().enumerate() {
+                for (fb, rb) in &firings[i + 1..] {
+                    let locks_refuse = ra.iter().any(|(x, ma)| {
+                        rb.iter().any(|(y, mb)| {
+                            x == y && !(compatible(*ma, *mb) && compatible(*mb, *ma))
+                        })
+                    });
+                    assert_eq!(
+                        fa.conflicts(fb),
+                        locks_refuse,
+                        "seed {seed}: {fa:?} vs {fb:?}\n{ra:?} vs {rb:?}\n{}",
+                        corpus.join("\n")
+                    );
+                    pairs += 1;
+                    conflicting += usize::from(locks_refuse);
+                }
+            }
+        }
+        assert!(conflicting > 0 && conflicting < pairs, "{conflicting} of {pairs} pairs conflict");
     }
 }

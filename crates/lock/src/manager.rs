@@ -42,10 +42,17 @@
 //! is held at a time. At most one shard and one `inner` are held at any
 //! time.
 //!
-//! The commit-time `Rc`–`Wa` rule is Fig. 4.3's. There is no wait
-//! timeout: a blocked request parks until it is granted, doomed by a
-//! committing writer or chosen as a deadlock victim — deadlocks are
-//! broken by detection alone.
+//! The protocol itself is four functions. `grant_step` is Table 4.1:
+//! it grants, queues or refuses one request. `commit` is Fig. 4.3: the
+//! `Active → Committed` flip, then the `Rc`–`Wa` rule. `doom` is the one
+//! `Active → Doomed` transition, for a committing writer's overlapped
+//! readers and for deadlock victims alike. `end` is the one
+//! `→ Aborted` transition, for an owner's abort, a doom surfacing and
+//! an injected forced abort. Each status is therefore set at one site,
+//! and a transaction ends exactly once however its enders race. There
+//! is no wait timeout: a blocked request parks until it is granted,
+//! doomed by a committing writer or chosen as a deadlock victim —
+//! deadlocks are broken by detection alone.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -168,6 +175,15 @@ pub fn res_of_key(key: u64) -> ResourceId {
         ResourceId::Tuple(key >> 1)
     } else {
         ResourceId::Relation((key >> 1) as u32)
+    }
+}
+
+/// The error a doomed transaction surfaces; `None` for any other status.
+fn doom_error(txn: TxnId, status: Status) -> Option<LockError> {
+    match status {
+        Status::Doomed { by: Some(writer) } => Some(LockError::DoomedByWriter { txn, by: writer }),
+        Status::Doomed { by: None } => Some(LockError::Deadlock(txn)),
+        Status::Active | Status::Committed | Status::Aborted => None,
     }
 }
 
@@ -494,12 +510,7 @@ impl LockManager {
                     }
                     return Ok(());
                 }
-                // A concurrent poll may have surfaced the doom first; the
-                // next round then reads `NotActive`.
-                Attempt::Doomed => {
-                    self.check_doomed(txn, &ts)?;
-                    continue;
-                }
+                Attempt::Doomed => return Err(self.surface_doom(txn, &ts)),
                 Attempt::Blocked { newly, holder } => (newly, holder),
             };
             if newly {
@@ -529,14 +540,14 @@ impl LockManager {
             // grantable.
             while let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
                 let victim = *cycle.iter().max().expect("cycle is non-empty");
-                self.doom_deadlock_victim(victim);
+                self.doom(victim, None);
             }
             // A doom whose signal landed *before* our arm would be erased
             // by it — but such a doom set our status before signalling,
             // so this re-check catches it. Dooms after the arm land on
             // the flag and park returns at once.
-            if matches!(ts.inner.lock().unwrap().status, Status::Doomed { .. }) {
-                self.check_doomed(txn, &ts)?;
+            if ts.inner.lock().unwrap().status != Status::Active {
+                return Err(self.surface_doom(txn, &ts));
             }
             // Chaos seam: a spurious wakeup skips the park and re-runs
             // the grant loop with no signal (round-salted so a looping
@@ -556,14 +567,10 @@ impl LockManager {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
-        self.check_doomed(txn, &ts)?;
         match self.grant_step(txn, &ts, res, mode, false)? {
             Attempt::AlreadyHeld | Attempt::Granted => Ok(true),
             Attempt::Blocked { .. } => Ok(false),
-            Attempt::Doomed => {
-                self.check_doomed(txn, &ts)?;
-                unreachable!("doomed status must surface as an error");
-            }
+            Attempt::Doomed => Err(self.surface_doom(txn, &ts)),
         }
     }
 
@@ -664,18 +671,13 @@ impl LockManager {
         // skips us (Figure 4.3(a), reader-first order).
         let taken = {
             let mut inner = ts.inner.lock().unwrap();
-            match inner.status {
-                Status::Doomed { .. } => None,
-                Status::Active => {
-                    inner.status = Status::Committed;
-                    Some((std::mem::take(&mut inner.held), inner.waiting_on.take()))
-                }
-                _ => return Err(LockError::NotActive(txn)),
-            }
+            (inner.status == Status::Active).then(|| {
+                inner.status = Status::Committed;
+                (std::mem::take(&mut inner.held), inner.waiting_on.take())
+            })
         };
         let Some((held, waiting)) = taken else {
-            self.check_doomed(txn, &ts)?;
-            unreachable!("doomed status must surface as an error");
+            return Err(self.surface_doom(txn, &ts));
         };
         // Find live Rc holders overlapped by our Wa / IWa locks (they
         // could only have acquired Rc *before* our write was granted —
@@ -704,37 +706,12 @@ impl LockManager {
         }
         let mut outcome = CommitOutcome::default();
         for reader in affected {
-            let Some(rts) = self.txn_state(reader) else {
-                continue;
-            };
             if self.policy == ConflictPolicy::Revalidate {
-                if matches!(rts.inner.lock().unwrap().status, Status::Active) {
+                if self.is_active(reader) {
                     outcome.needs_revalidation.push(reader);
                 }
-                continue;
-            }
-            // Doom only if still Active at this instant — a reader that
-            // already committed won (legal serial order) and one that
-            // already aborted needs nothing. The obs timestamp is taken
-            // *inside* the critical section: the victim records its own
-            // Abort only after it can observe the doom (under this same
-            // mutex), so the per-transaction event order stays monotone.
-            let doomed = {
-                let mut ri = rts.inner.lock().unwrap();
-                if matches!(ri.status, Status::Active) {
-                    ri.status = Status::Doomed { by: Some(txn) };
-                    Some(self.obs.as_ref().map(|o| o.now()))
-                } else {
-                    None
-                }
-            };
-            if let Some(ts) = doomed {
-                self.stats.dooms.fetch_add(1, Relaxed);
-                if let (Some(obs), Some(ts)) = (&self.obs, ts) {
-                    obs.record_at(ts, reader.0, ObsEvent::Doom { by: txn.0 });
-                }
+            } else if self.doom(reader, Some(txn)) {
                 outcome.doomed_readers.push(reader);
-                rts.slot.signal(); // it may be parked
             }
         }
         self.release_held(txn, held, waiting);
@@ -745,84 +722,109 @@ impl LockManager {
         Ok(outcome)
     }
 
-    /// Aborts the transaction, releasing everything it holds.
+    /// Aborts the transaction, releasing everything it holds. A doom
+    /// not yet surfaced is dropped: the owner's abort ends it instead.
     pub fn abort(&self, txn: TxnId) -> Result<(), LockError> {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
-        let taken = {
-            let mut inner = ts.inner.lock().unwrap();
-            match inner.status {
-                Status::Active | Status::Doomed { .. } => {
-                    inner.status = Status::Aborted;
-                    (std::mem::take(&mut inner.held), inner.waiting_on.take())
-                }
-                _ => return Err(LockError::NotActive(txn)),
-            }
-        };
-        self.release_held(txn, taken.0, taken.1);
-        self.stats.aborts.fetch_add(1, Relaxed);
-        Ok(())
-    }
-
-    /// If `txn` is doomed: auto-abort it and surface the reason. The
-    /// `Doomed → Aborted` flip happens in one critical section so the
-    /// abort accounting runs exactly once even under concurrent polls.
-    fn check_doomed(&self, txn: TxnId, ts: &Arc<TxnState>) -> Result<(), LockError> {
-        let doomed = {
-            let mut inner = ts.inner.lock().unwrap();
-            match inner.status {
-                Status::Doomed { by } => {
-                    inner.status = Status::Aborted;
-                    Some((by, std::mem::take(&mut inner.held), inner.waiting_on.take()))
-                }
-                _ => None,
-            }
-        };
-        let Some((by, held, waiting)) = doomed else {
-            return Ok(());
-        };
-        self.release_held(txn, held, waiting);
-        self.stats.aborts.fetch_add(1, Relaxed);
-        Err(match by {
-            Some(writer) => LockError::DoomedByWriter { txn, by: writer },
-            None => LockError::Deadlock(txn),
+        self.end(txn, &ts, |status| match status {
+            Status::Active | Status::Doomed { .. } => Some(Ok(())),
+            Status::Committed | Status::Aborted => None,
         })
+        .unwrap_or(Err(LockError::NotActive(txn)))
     }
 
-    /// Carries out a fault-injected forced abort: `Active → Aborted`
-    /// in one critical section (mirroring [`LockManager::check_doomed`]
-    /// so the abort is accounted exactly once), then releases every
-    /// lock. An organic doom that raced in first takes priority — the
-    /// injector must never steal a `Doomed`/`Deadlock` cause — and a
-    /// finished transaction falls through to the normal `NotActive`
-    /// path untouched.
+    /// If `txn` is doomed: auto-abort it and surface the reason.
+    fn check_doomed(&self, txn: TxnId, ts: &TxnState) -> Result<(), LockError> {
+        self.end(txn, ts, |status| doom_error(txn, status).map(Err))
+            .unwrap_or(Ok(()))
+    }
+
+    /// What a call by a doomed (or just finished) `txn` surfaces: the
+    /// doom, ending the transaction — or, when a concurrent poll ended
+    /// it first, `NotActive`.
+    fn surface_doom(&self, txn: TxnId, ts: &TxnState) -> LockError {
+        self.check_doomed(txn, ts).err().unwrap_or(LockError::NotActive(txn))
+    }
+
+    /// Carries out a fault-injected forced abort of a live `txn`. An
+    /// organic doom that raced in first takes priority — the injector
+    /// must never steal a `Doomed`/`Deadlock` cause — and a finished
+    /// transaction is left untouched.
     fn force_abort_injected(
         &self,
         txn: TxnId,
-        ts: &Arc<TxnState>,
+        ts: &TxnState,
         inj: &FaultInjector,
     ) -> Result<(), LockError> {
-        let taken = {
-            let mut inner = ts.inner.lock().unwrap();
-            match inner.status {
-                Status::Active => {
-                    inner.status = Status::Aborted;
-                    Some((std::mem::take(&mut inner.held), inner.waiting_on.take()))
-                }
-                Status::Doomed { .. } => None, // organic cause wins
-                _ => return Ok(()),
-            }
-        };
-        match taken {
-            Some((held, waiting)) => {
-                self.release_held(txn, held, waiting);
-                self.stats.aborts.fetch_add(1, Relaxed);
-                inj.count_forced_abort(txn, self.obs.as_deref());
-                Err(LockError::Injected(txn))
-            }
-            None => self.check_doomed(txn, ts),
+        let surfaced = self.end(txn, ts, |status| match status {
+            Status::Active => Some(Err(LockError::Injected(txn))),
+            doomed => doom_error(txn, doomed).map(Err),
+        });
+        if surfaced == Some(Err(LockError::Injected(txn))) {
+            inj.count_forced_abort(txn, self.obs.as_deref());
         }
+        surfaced.unwrap_or(Ok(()))
+    }
+
+    /// The one non-commit ending: every abort, surfaced doom and
+    /// injected forced abort goes through here. Under `txn`'s own mutex
+    /// `surfaces` reads the status: `None` leaves the transaction as it
+    /// is and `end` returns `None`; `Some(result)` flips it to `Aborted`,
+    /// and `end` releases everything it holds, books the abort and
+    /// returns `result` for the caller to surface. The flip is the
+    /// only `→ Aborted` transition, so a transaction whose enders race
+    /// is ended — and counted — exactly once.
+    fn end(
+        &self,
+        txn: TxnId,
+        ts: &TxnState,
+        surfaces: impl FnOnce(Status) -> Option<Result<(), LockError>>,
+    ) -> Option<Result<(), LockError>> {
+        let (result, held, waiting) = {
+            let mut inner = ts.inner.lock().unwrap();
+            let result = surfaces(inner.status)?;
+            inner.status = Status::Aborted;
+            (result, std::mem::take(&mut inner.held), inner.waiting_on.take())
+        };
+        self.release_held(txn, held, waiting);
+        self.stats.aborts.fetch_add(1, Relaxed);
+        Some(result)
+    }
+
+    /// The one doom: flips `victim` from `Active` to `Doomed { by }` —
+    /// `by` the committing writer of Fig. 4.3(b), `None` for a deadlock
+    /// victim — books it as a `Doom` or a `Deadlock`, and wakes the
+    /// victim so a parked request sees it. `false` when `victim` was no
+    /// longer `Active`: a reader that already committed won (a legal
+    /// serial order), and one already doomed or aborted needs nothing.
+    /// The obs timestamp is taken *inside* the critical section: the
+    /// victim records its own Abort only after it can observe the doom
+    /// (under this same mutex), so the per-transaction event order
+    /// stays monotone.
+    fn doom(&self, victim: TxnId, by: Option<TxnId>) -> bool {
+        let Some(vts) = self.txn_state(victim) else {
+            return false;
+        };
+        let at = {
+            let mut inner = vts.inner.lock().unwrap();
+            if inner.status != Status::Active {
+                return false;
+            }
+            inner.status = Status::Doomed { by };
+            self.obs.as_ref().map(|o| o.now())
+        };
+        let (counter, event) = match by {
+            Some(writer) => (&self.stats.dooms, ObsEvent::Doom { by: writer.0 }),
+            None => (&self.stats.deadlocks, ObsEvent::Deadlock),
+        };
+        counter.fetch_add(1, Relaxed);
+        if let (Some(obs), Some(at)) = (&self.obs, at) {
+            obs.record_at(at, victim.0, event);
+        }
+        vts.slot.signal();
+        true
     }
 
     /// Transactions currently blocking `t`'s pending request. Reads
@@ -849,32 +851,6 @@ impl LockManager {
             Some(entry) => entry.blockers_of(t, mode),
             None => Vec::new(),
         }
-    }
-
-    /// Marks `victim` doomed as a deadlock victim (if still active) and
-    /// wakes it so its parked `lock` call can observe the doom.
-    fn doom_deadlock_victim(&self, victim: TxnId) {
-        let Some(vts) = self.txn_state(victim) else {
-            return;
-        };
-        let doomed = {
-            let mut inner = vts.inner.lock().unwrap();
-            if matches!(inner.status, Status::Active) {
-                inner.status = Status::Doomed { by: None };
-                // Timestamp inside the critical section — see the
-                // matching comment in `commit`.
-                Some(self.obs.as_ref().map(|o| o.now()))
-            } else {
-                None
-            }
-        };
-        if let Some(ts) = doomed {
-            self.stats.deadlocks.fetch_add(1, Relaxed);
-            if let (Some(obs), Some(ts)) = (&self.obs, ts) {
-                obs.record_at(ts, victim.0, ObsEvent::Deadlock);
-            }
-        }
-        vts.slot.signal();
     }
 
     /// The last step of every way a transaction finishes: releases every
@@ -1504,10 +1480,143 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("the doomed reader was never woken");
         assert_eq!(woken, Err(LockError::DoomedByWriter { txn: reader, by: writer }));
+        rec.record(reader.0, aborted(dps_obs::AbortCause::Doomed));
         parked.join().unwrap();
         m.commit(blocker).unwrap();
         let s = m.stats();
         assert_eq!((s.commits, s.aborts, s.dooms), (THREADS * TXNS + 2, 1, 1));
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
+
+        // Racing enders: each reader's own `abort` races the commit of a
+        // writer whose `Wa` overlaps its `Rc`. The doom may land first
+        // or not at all; either way the abort ends the reader, once.
+        let doomed_before = m.stats().dooms;
+        let ended_by_commit = race_enders(
+            &m,
+            &rec,
+            |m, reader| {
+                let writer = m.begin();
+                m.lock(reader, t(reader.0), Rc).unwrap();
+                m.lock(writer, t(reader.0), Wa).unwrap();
+                Some(writer)
+            },
+            |m, _, writer| m.commit(writer.unwrap()).map(drop),
+        );
+        let s = m.stats();
+        assert_eq!(ended_by_commit, 0, "a doom never ends its victim");
+        assert_eq!(s.commits, THREADS * TXNS + 2 + 2 * RACES);
+        assert!(s.dooms - doomed_before <= 2 * RACES);
+        assert_books_close(&m, &rec);
+
+        // The same race on a manager whose injector force-aborts every
+        // lock request: the owner's `lock` and its `abort` race to end
+        // the transaction, and exactly one of them does.
+        use crate::fault::{FaultInjector, FaultPlan};
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            forced_abort_pm: 1000,
+            ..Default::default()
+        }));
+        let crec = Arc::new(Recorder::default());
+        let chaos = Arc::new(
+            LockManager::builder().obs(Arc::clone(&crec)).fault(Arc::clone(&inj)).build(),
+        );
+        let injected = race_enders(&chaos, &crec, |_, _| None, |m, txn, _| m.lock(txn, t(txn.0), Rc));
+        let s = chaos.stats();
+        assert_eq!((s.commits, s.aborts, s.grants), (0, 2 * RACES, 0));
+        assert_eq!(inj.stats().forced_aborts, injected);
+        assert_books_close(&chaos, &crec);
+    }
+
+    /// Transactions per thread pair in [`race_enders`].
+    const RACES: u64 = 500;
+
+    /// Runs [`RACES`] transactions on each of two thread pairs. The
+    /// driver begins one and runs `setup` on it, then hands it to its
+    /// partner, which aborts it, while the driver runs `race`. Both
+    /// calls may try to end the transaction; whichever does records the
+    /// engine's `Abort`, and exactly one of them must. Returns how many
+    /// transactions `race` ended.
+    fn race_enders(
+        m: &Arc<LockManager>,
+        rec: &Arc<Recorder>,
+        setup: fn(&LockManager, TxnId) -> Option<TxnId>,
+        race: fn(&LockManager, TxnId, Option<TxnId>) -> Result<(), LockError>,
+    ) -> u64 {
+        use dps_obs::AbortCause;
+        use std::sync::mpsc;
+
+        let pairs: Vec<_> = (0..2)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<TxnId>();
+                let aborter = {
+                    let (m, rec) = (Arc::clone(m), Arc::clone(rec));
+                    std::thread::spawn(move || {
+                        let mut ended = 0;
+                        for txn in rx {
+                            match m.abort(txn) {
+                                Ok(()) => {
+                                    rec.record(txn.0, aborted(AbortCause::Stale));
+                                    ended += 1;
+                                }
+                                Err(e) => assert_eq!(e, LockError::NotActive(txn)),
+                            }
+                        }
+                        ended
+                    })
+                };
+                let (m, rec) = (Arc::clone(m), Arc::clone(rec));
+                let driver = std::thread::spawn(move || {
+                    let mut ended = 0;
+                    for _ in 0..RACES {
+                        let txn = m.begin();
+                        let other = setup(&m, txn);
+                        tx.send(txn).unwrap();
+                        match race(&m, txn, other) {
+                            Err(e) if e.is_abort() => {
+                                assert_eq!(e, LockError::Injected(txn));
+                                rec.record(txn.0, aborted(AbortCause::Injected));
+                                ended += 1;
+                            }
+                            Err(e) => assert_eq!(e, LockError::NotActive(txn)),
+                            Ok(()) => {}
+                        }
+                    }
+                    ended
+                });
+                (driver, aborter)
+            })
+            .collect();
+        let (mut by_race, mut by_abort) = (0, 0);
+        for (driver, aborter) in pairs {
+            by_race += driver.join().unwrap();
+            by_abort += aborter.join().unwrap();
+        }
+        assert_eq!(by_race + by_abort, 2 * RACES, "every raced transaction ends exactly once");
+        by_race
+    }
+
+    /// The `Abort` terminal the engine records for a transaction that
+    /// ended without committing.
+    fn aborted(cause: dps_obs::AbortCause) -> dps_obs::EventKind {
+        dps_obs::EventKind::Abort { cause, rule: 0 }
+    }
+
+    /// The books of a drained manager close: every transaction begun
+    /// committed or aborted, every doom booked was recorded, the
+    /// history gives each transaction one terminal event, and nothing
+    /// is left registered or held.
+    fn assert_books_close(m: &LockManager, rec: &Recorder) {
+        use dps_obs::{validate_history, EventKind};
+
+        let history = rec.history();
+        let count = |kind: fn(&EventKind) -> bool| {
+            history.iter().filter(|e| kind(&e.kind)).count() as u64
+        };
+        let s = m.stats();
+        assert_eq!(rec.dropped(), 0);
+        assert_eq!(s.commits + s.aborts, count(|k| matches!(k, EventKind::Begin)));
+        assert_eq!(s.dooms, count(|k| matches!(k, EventKind::Doom { .. })));
+        assert_eq!(validate_history(&history), Ok(()));
         assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 

@@ -491,29 +491,37 @@ impl WalWriter {
             if f.pending.is_empty() {
                 return Ok(horizon);
             }
-            let captured = (
-                Arc::clone(&f.file),
-                std::mem::take(&mut f.pending),
-                std::mem::take(&mut f.pending_records),
-                horizon,
-            );
-            self.stats.pending_bytes.store(0, Ordering::Relaxed);
-            captured
+            let (pending, records) = self.take_pending(&mut f);
+            (Arc::clone(&f.file), pending, records, horizon)
         };
+        self.write_synced(&file, &pending, records)?;
+        Ok(horizon)
+    }
+
+    /// Takes the pending bytes and their record count out of `f`.
+    fn take_pending(&self, f: &mut WalFile) -> (Vec<u8>, u64) {
+        self.stats.pending_bytes.store(0, Ordering::Relaxed);
+        (std::mem::take(&mut f.pending), std::mem::take(&mut f.pending_records))
+    }
+
+    /// The one write + fsync step, for the log writer's flushes and a
+    /// checkpoint's rotation alike: writes `bytes` (`records` records)
+    /// to `file`, fsyncs it, and books the fsync, its records, its bytes
+    /// and its time together — so `fsync_nanos / fsyncs` is the mean
+    /// over every fsync issued.
+    fn write_synced(&self, file: &File, bytes: &[u8], records: u64) -> Result<(), WalError> {
         let t0 = std::time::Instant::now();
-        (&*file).write_all(&pending)?;
+        (&*file).write_all(bytes)?;
         file.sync_all()?;
         self.stats
             .fsync_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .synced_records
-            .fetch_add(records, Ordering::Relaxed);
+        self.stats.synced_records.fetch_add(records, Ordering::Relaxed);
         self.stats
             .bytes_written
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        Ok(horizon)
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Makes everything appended so far durable — the log writer does
@@ -619,9 +627,7 @@ impl WalWriter {
 
     fn kill_locked(&self, f: &mut WalFile, mode: KillMode) -> Result<(), WalError> {
         f.dead = true;
-        let pending = std::mem::take(&mut f.pending);
-        f.pending_records = 0;
-        self.stats.pending_bytes.store(0, Ordering::Relaxed);
+        let (pending, _) = self.take_pending(f);
         match mode {
             KillMode::Clean => {}
             KillMode::Torn => {
@@ -807,21 +813,8 @@ impl DurableWm {
             return Err(WalError::Dead);
         }
         // Flush everything pending into the old segment.
-        if !f.pending.is_empty() {
-            let pending = std::mem::take(&mut f.pending);
-            let records = std::mem::take(&mut f.pending_records);
-            (&*f.file).write_all(&pending)?;
-            self.writer.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.writer
-                .stats
-                .synced_records
-                .fetch_add(records, Ordering::Relaxed);
-            self.writer
-                .stats
-                .bytes_written
-                .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        }
-        f.file.sync_all()?;
+        let (pending, records) = self.writer.take_pending(&mut f);
+        self.writer.write_synced(&f.file, &pending, records)?;
         let horizon = f.appended_seq;
         debug_assert!(horizon == seq, "rotate at the just-committed seq");
         f.file = Arc::new(WalWriter::open_segment(&self.dir, seq)?);
@@ -1191,6 +1184,22 @@ mod tests {
         assert_eq!(rec.wm.encode_snapshot().unwrap(), wm.encode_snapshot().unwrap());
         let stats = durable.writer().stats();
         assert_eq!(stats.checkpoints, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotation_books_its_fsync_with_its_time() {
+        let dir = tmp_dir("rotate-fsync");
+        let mut wm = WorkingMemory::new();
+        let durable = DurableWm::create(&dir, &wm, 0).unwrap();
+        let changes = commit(&mut wm, 1);
+        durable.writer().append(1, &changes).unwrap();
+        durable.rotate(1).unwrap();
+        let stats = durable.writer().stats();
+        assert_eq!((stats.fsyncs, stats.synced_records), (1, 1));
+        assert!(stats.bytes_written > 0);
+        assert!(durable.writer().fsync_nanos() > 0, "the rotation's fsync is timed");
+        assert_eq!(durable.writer().pending_bytes(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
