@@ -511,11 +511,19 @@ mod tests {
             engine.external_insert(&mut first, delta(0)).unwrap();
             let reader = engine.lm.begin();
             let rel = engine.relation_resource(&Atom::from("delta"));
-            assert_eq!(
-                engine.lm.try_lock(reader, rel, dps_lock::LockMode::Rc),
-                Ok(false),
-                "{policy:?}: a class-wide condition read waits for the writer"
-            );
+            let blocks = engine.lm.stats().blocks;
+            std::thread::scope(|scope| {
+                let read = scope.spawn(|| engine.lm.lock(reader, rel, dps_lock::LockMode::Rc));
+                while engine.lm.stats().blocks == blocks && !read.is_finished() {
+                    std::thread::yield_now();
+                }
+                let waits = !read.is_finished();
+                assert!(waits, "{policy:?}: a class-wide condition read waits for the writer");
+                // Aborting the queued reader wakes it and takes it out of
+                // the queue, where it would hold up the next writer.
+                engine.lm.abort(reader).unwrap();
+                assert_eq!(read.join().unwrap(), Err(dps_lock::LockError::NotActive(reader)));
+            });
             let (unblocked, second) = std::thread::scope(|scope| {
                 let second = scope.spawn(|| {
                     let mut xt = engine.external_begin();
@@ -534,7 +542,6 @@ mod tests {
             });
             assert!(unblocked, "{policy:?}: the second writer queued behind the first");
             second.unwrap();
-            engine.lm.abort(reader).unwrap();
             assert_eq!(engine.external_commit_count(), 2);
             assert_eq!(engine.held_locks(), 0);
             assert_eq!(engine.snapshot_pins(), 0);

@@ -30,9 +30,33 @@
 //! one class meet only at the tuples they share, and otherwise answering
 //! the class's readers exactly as a full write would.
 //!
-//! A blocked request waits until it is granted or doomed — by a
-//! committing writer or as a deadlock victim. No wait has a timeout,
-//! under a [`FaultPlan`] either.
+//! A blocked request waits until it is granted, doomed — by a
+//! committing writer or as a deadlock victim — or aborted from another
+//! thread. No wait has a timeout, under a [`FaultPlan`] either.
+//!
+//! The crate is a core and an applier. `protocol` is the core: every
+//! decision of the protocol as a pure function over one resource's
+//! entry and one transaction's record, returning what it decided
+//! (`Grant`, `Held`, `Park`) and the effects left to carry out
+//! (`Signal`, `Doom`, `Revalidate`).
+//! [`LockManager`] is the applier: stripes, registry, wait slots, lock
+//! order, counters and the obs/fault/histogram hooks; each of its
+//! critical sections calls one core function and carries out the
+//! effects. `tests/explore.rs` runs the same core functions at the same
+//! section boundaries over every interleaving of two transactions on
+//! two resources in every mode, and of three on one resource in the
+//! condition-read and action-write modes, under both protocols and all
+//! three policies, and checks that
+//!
+//! * each transaction ends exactly once and leaves nothing behind;
+//! * no thread is parked without a pending signal when its request is
+//!   grantable or its transaction has ended or been doomed;
+//! * every granted mode is compatible with the other holders' modes;
+//! * a deadlock walk reads exactly the blockers a queued request has;
+//! * under [`ConflictPolicy::AbortReaders`] a committed `W_a`/`IW_a`
+//!   leaves no `Active` `R_c` holder on its item (Fig. 4.3);
+//! * every waits-for cycle gets a victim, and only a real cycle does;
+//! * committed histories are serialisable in commit order.
 //!
 //! ```
 //! use dps_lock::{LockManager, LockMode, ResourceId, ConflictPolicy};
@@ -54,12 +78,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deadlock;
 mod error;
 pub mod fault;
 mod manager;
 mod modes;
 mod modeset;
+#[doc(hidden)]
+pub mod protocol;
 mod sharding;
 mod txn;
 

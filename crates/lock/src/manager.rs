@@ -1,58 +1,80 @@
-//! The sharded lock manager.
+//! The sharded lock manager: the applier of [`crate::protocol`].
 //!
-//! No one mutex sits in front of every `begin`, `lock`, `commit` and
-//! `abort`. The state is decomposed by the coordination-avoidance
-//! principle: coordinate only where the `Rc`/`Ra`/`Wa` semantics demand
-//! it. Each piece below has its own synchronisation, and the lock
-//! ordering after the list keeps the manager itself deadlock-free.
+//! Every decision of the protocol — Table 4.1's grant/queue/refuse,
+//! the three status transitions, Fig. 4.3's overlapped readers and
+//! their split by policy, a waiter's blockers, the waiters a release
+//! wakes, the cycle victim — is a pure function of [`crate::protocol`].
+//! This module makes none of its own. Each of its critical sections
+//! calls one core function and then acts on what it returns — a
+//! request's `Decision` and the [`Effect`]s left to carry out: it
+//! counts, records, arms and signals wait slots and dooms victims.
+//! What it keeps is the concurrency around the core. No one mutex sits
+//! in front of every `begin`, `lock`, `commit` and `abort`; each piece
+//! below has its own synchronisation, and the lock ordering after the
+//! list keeps the manager itself deadlock-free.
 //!
 //! * **Lock table** → striped into [`Shard`]s (hash of the
 //!   [`ResourceId`]); two transactions on resources in different shards
 //!   never contend. FIFO waiter queues live inside each per-resource
 //!   entry, so fairness is per resource.
-//! * **Transaction state** → per-transaction [`TxnState`] with its own
-//!   mutex and a [`WaitSlot`] to park on. Commit's `Rc`–`Wa` rule
-//!   linearizes at the owner's `Active → Committed` status flip, under
-//!   that transaction's own mutex: a doom and a commit of the same
-//!   transaction cannot both win. The registry that maps a
-//!   [`TxnId`] to its state holds live transactions only: every way a
-//!   transaction finishes (commit, abort, a doom or forced abort
-//!   surfacing) ends in `release_held`, which removes the entry. It is
-//!   striped by id over `REGISTRY_STRIPES` `RwLock`ed maps, each on
-//!   cache lines of its own: ids are handed out in order, so the
-//!   transactions two workers run at once sit in different stripes and
-//!   neither writes a line the other reads.
-//! * **Per-entry bookkeeping** → bit-mask mode sets and sorted vectors
-//!   ([`crate::modeset`]); a commit or release groups its resources by
-//!   stripe by sorting one vector, not by building a map.
+//! * **Transaction state** → per-transaction [`TxnState`]: its
+//!   [`protocol::Record`] under its own mutex, and a `WaitSlot` to park
+//!   on. The registry that maps a [`TxnId`] to its state holds live
+//!   transactions only: every way a transaction finishes (commit,
+//!   abort, a doom or forced abort surfacing) ends in `release_held`,
+//!   which removes the entry. It is striped by id over
+//!   `REGISTRY_STRIPES` `RwLock`ed maps, each on cache lines of its
+//!   own: ids are handed out in order, so the transactions two workers
+//!   run at once sit in different stripes and neither writes a line the
+//!   other reads.
 //! * **Counters** → atomics ([`LockStats`]); hot paths never serialise
 //!   on bookkeeping. The per-firing ones, `grants` and `commits`, count
 //!   in the transaction's registry stripe — the line its lookup already
 //!   touched — and [`LockManager::stats`] sums the stripes; the rare
 //!   ones are global. The only event record is the `dps-obs`
 //!   [`Recorder`] attached with [`LockManagerBuilder::obs`].
-//! * **Deadlock detection** → a cross-shard waits-for walk
-//!   (see [`crate::deadlock`]) run by the transaction that blocks.
+//! * **Deadlock detection** → a cross-shard [`Walk`] run by the
+//!   transaction that blocks, one transaction's `waiting_on` and then
+//!   that one resource's entry at a time.
 //!
 //! Lock ordering (deadlock-freedom of the manager itself): a shard
-//! mutex may be taken before a transaction's `inner` mutex; `inner` is
-//! never held while taking a shard; the txn registry stripe locks (read
-//! to look a transaction up, written at `begin` and when it finishes)
-//! and the `WaitSlot` mutex are leaves, and at most one registry stripe
-//! is held at a time. At most one shard and one `inner` are held at any
-//! time.
+//! mutex may be taken before a record mutex, never the other way round.
+//! The registry stripe locks (read to look a transaction up, written at
+//! `begin` and when it finishes) and the `WaitSlot` mutex are leaves,
+//! and at most one registry stripe is held at a time. At most one shard
+//! is held at any time, and at most one record — except at a commit
+//! point, which holds the committer's record and its overlapped
+//! readers' at once, with no shard, taken in `TxnId` order.
 //!
-//! The protocol itself is four functions. `grant_step` is Table 4.1:
-//! it grants, queues or refuses one request. `commit` is Fig. 4.3: the
-//! `Active → Committed` flip, then the `Rc`–`Wa` rule. `doom` is the one
-//! `Active → Doomed` transition, for a committing writer's overlapped
-//! readers and for deadlock victims alike. `end` is the one
-//! `→ Aborted` transition, for an owner's abort, a doom surfacing and
-//! an injected forced abort. Each status is therefore set at one site,
-//! and a transaction ends exactly once however its enders race. There
-//! is no wait timeout: a blocked request parks until it is granted,
-//! doomed by a committing writer or chosen as a deadlock victim —
-//! deadlocks are broken by detection alone.
+//! A commit is three steps. It reads what it holds under its record,
+//! collects the `R_c` holders its writes overlap stripe by stripe
+//! ([`protocol::overlapped`]), then locks its record and theirs and
+//! runs [`protocol::commit`]: the `Active → Committed` flip and the
+//! readers' dooms are one step. Two commits that overlap each other's
+//! `R_c` (Fig. 4.4) therefore serialise on their records, and exactly
+//! one of them commits, whatever their callers do. An `end` of a
+//! transaction that is queued signals its owner, so an `abort` from
+//! another thread wakes an owner parked in `lock`, which returns
+//! [`LockError::NotActive`]. A cycle the fuzzy waits-for walk reports
+//! is confirmed one member's record at a time before its victim is
+//! doomed ([`protocol::confirms`]): a waiter ahead that was granted and
+//! then queued again behind can make the walk see a cycle that never
+//! existed. There is no wait timeout: a blocked
+//! request parks until it is granted, doomed by a committing writer,
+//! chosen as a deadlock victim or aborted — deadlocks are broken by
+//! detection alone.
+//!
+//! `tests/explore.rs` steps the core at exactly these sections — a
+//! grant step, a record or entry read, one stripe of a scan or
+//! release, a commit point, a registry removal, one wake-up — over
+//! every interleaving of two transactions on two resources, and of
+//! three on one. It
+//! checks that each transaction ends exactly once, that no thread is
+//! parked without a pending signal, that granted modes are compatible,
+//! that a committed `W_a`/`IW_a` leaves no `Active` `R_c` holder under
+//! `AbortReaders`, that the walk reads exactly the blockers there are,
+//! that every waits-for cycle and only a real one gets a victim, and
+//! that committed histories are serialisable in commit order.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -61,11 +83,10 @@ use std::time::Instant;
 
 use dps_obs::{field_align, CachePadded, EventKind as ObsEvent, Histogram, Phase, Recorder};
 
-use crate::deadlock::find_cycle;
 use crate::fault::FaultInjector;
-use crate::modeset::ModeMap;
+use crate::protocol::{self, Decision, Effect, Ender, ModeSet, Request, Status, Waiter, Walk};
 use crate::sharding::{shard_of, IdMap, Shard, DEFAULT_SHARDS};
-use crate::txn::{Status, TxnState};
+use crate::txn::TxnState;
 use crate::{LockError, LockMode, ResourceId};
 
 pub use crate::txn::TxnId;
@@ -178,15 +199,6 @@ pub fn res_of_key(key: u64) -> ResourceId {
     }
 }
 
-/// The error a doomed transaction surfaces; `None` for any other status.
-fn doom_error(txn: TxnId, status: Status) -> Option<LockError> {
-    match status {
-        Status::Doomed { by: Some(writer) } => Some(LockError::DoomedByWriter { txn, by: writer }),
-        Status::Doomed { by: None } => Some(LockError::Deadlock(txn)),
-        Status::Active | Status::Committed | Status::Aborted => None,
-    }
-}
-
 /// Composable constructor for [`LockManager`]: the conflict policy plus
 /// the three optional attachments an engine wires in.
 ///
@@ -249,24 +261,6 @@ impl LockManagerBuilder {
             wait_hist: self.wait_hist,
         }
     }
-}
-
-/// Outcome of one [`LockManager::grant_step`].
-enum Attempt {
-    /// Mode already held — no-op re-grant.
-    AlreadyHeld,
-    /// Granted now (counted, recorded, released waiters signalled).
-    Granted,
-    /// The transaction is doomed; the caller surfaces the doom.
-    Doomed,
-    /// Not grantable. A queueing request is enqueued (`newly` = first
-    /// time for this request) and its wait slot armed; `holder` names
-    /// one transaction the request waits for (the first conflicting
-    /// holder / earlier waiter, captured inside the shard critical
-    /// section so it is an actual wait-for edge at block time), for the
-    /// obs `Block` event. A refused [`LockManager::try_lock`] queues
-    /// nothing and reads `newly: false`.
-    Blocked { newly: bool, holder: Option<TxnId> },
 }
 
 /// The lock manager. Cheap to share behind an `Arc`; all methods take
@@ -380,11 +374,33 @@ impl LockManager {
         &self.shards[shard_of(res, self.shards.len())]
     }
 
-    /// Wakes the given transactions' wait slots.
-    fn signal_all(&self, ids: &[TxnId]) {
-        for id in ids {
-            if let Some(ts) = self.stripe(*id).txns.read().unwrap().get(id) {
-                ts.slot.signal();
+    /// Wakes `txn`'s wait slot, if it is still registered.
+    fn signal(&self, txn: TxnId) {
+        if let Some(ts) = self.stripe(txn).txns.read().unwrap().get(&txn) {
+            ts.slot.signal();
+        }
+    }
+
+    /// Carries out the effects a decision left for after its critical
+    /// section: wakes, and the books and event of each doom (`at` is
+    /// the obs timestamp taken inside the section that doomed, so a
+    /// victim's events stay in order). A re-validation is the caller's.
+    fn apply(&self, effects: &[Effect], at: Option<u64>) {
+        for &effect in effects {
+            match effect {
+                Effect::Signal(txn) => self.signal(txn),
+                Effect::Doom { victim, by } => {
+                    let (counter, event) = match by {
+                        Some(writer) => (&self.stats.dooms, ObsEvent::Doom { by: writer.0 }),
+                        None => (&self.stats.deadlocks, ObsEvent::Deadlock),
+                    };
+                    counter.fetch_add(1, Relaxed);
+                    if let (Some(obs), Some(at)) = (&self.obs, at) {
+                        obs.record_at(at, victim.0, event);
+                    }
+                    self.signal(victim);
+                }
+                Effect::Revalidate(_) => {}
             }
         }
     }
@@ -396,7 +412,7 @@ impl LockManager {
             .txns
             .write()
             .unwrap()
-            .insert(id, Arc::new(TxnState::new()));
+            .insert(id, Arc::new(TxnState::default()));
         if let Some(obs) = &self.obs {
             obs.record(id.0, ObsEvent::Begin);
         }
@@ -407,17 +423,17 @@ impl LockManager {
     /// nor aborted).
     pub fn is_active(&self, txn: TxnId) -> bool {
         self.txn_state(txn)
-            .is_some_and(|ts| matches!(ts.inner.lock().unwrap().status, Status::Active))
+            .is_some_and(|ts| ts.record.lock().unwrap().status == Status::Active)
     }
 
     /// Checks for a pending doom without acquiring anything — engines
     /// poll this between RHS steps so a doomed production stops early.
     /// On doom the transaction is auto-aborted and the error returned.
     pub fn check(&self, txn: TxnId) -> Result<(), LockError> {
-        match self.txn_state(txn) {
-            Some(ts) => self.check_doomed(txn, &ts),
-            None => Ok(()),
-        }
+        let ended = self
+            .txn_state(txn)
+            .and_then(|ts| self.end(txn, &ts, Ender::Doom));
+        ended.unwrap_or(Ok(()))
     }
 
     /// Chaos seam for lock-free read paths: draws exactly the
@@ -461,32 +477,8 @@ impl LockManager {
 
     /// Acquires `mode` on `res` for `txn`, blocking until it is granted
     /// or `txn` is doomed (by a committing writer, or as a deadlock
-    /// victim). There is no timeout.
+    /// victim) or aborted. There is no timeout.
     pub fn lock(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<(), LockError> {
-        let mut wait_from: Option<Instant> = None;
-        let result = self.lock_inner(txn, res, mode, &mut wait_from);
-        if let Some(from) = wait_from {
-            let waited = from.elapsed();
-            if let Some(obs) = &self.obs {
-                obs.phase(Phase::LockWait, waited);
-            }
-            if let Some(hist) = &self.wait_hist {
-                hist.record(waited);
-            }
-        }
-        result
-    }
-
-    /// The `lock` loop proper. Sets `*wait_from` the first time the
-    /// request enqueues so the wrapper can record the total wait (which
-    /// may span several wake/retry rounds) as one `LockWait` sample.
-    fn lock_inner(
-        &self,
-        txn: TxnId,
-        res: ResourceId,
-        mode: LockMode,
-        wait_from: &mut Option<Instant>,
-    ) -> Result<(), LockError> {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
@@ -497,34 +489,35 @@ impl LockManager {
                 self.force_abort_injected(txn, &ts, inj)?;
             }
         }
+        // Set when the request first queues: its whole wait, however
+        // many wake rounds it spans, is one `LockWait` sample.
+        let mut wait_from: Option<Instant> = None;
         let mut round: u64 = 0;
-        loop {
-            // `grant_step` reads the status under the transaction's own
-            // mutex, so a doom — landed before the call or while parked
-            // — surfaces through its `Doomed` arm.
-            let (newly, holder) = match self.grant_step(txn, &ts, res, mode, true)? {
-                Attempt::AlreadyHeld => return Ok(()),
-                Attempt::Granted => {
-                    if let Some(inj) = &self.fault {
+        let result = loop {
+            // `grant_step` reads the status under the record's mutex, so
+            // a doom or an abort — landed before the call or while
+            // parked — surfaces through its `Err` arm.
+            let (newly, holder) = match self.grant_step(txn, &ts, res, mode) {
+                Ok(Decision::Park { newly, holder }) => (newly, holder),
+                Ok(decision) => {
+                    if let (Some(inj), Decision::Grant) = (&self.fault, decision) {
                         inj.grant_delay(txn, res_key(res), self.obs.as_deref());
                     }
-                    return Ok(());
+                    break Ok(());
                 }
-                Attempt::Doomed => return Err(self.surface_doom(txn, &ts)),
-                Attempt::Blocked { newly, holder } => (newly, holder),
+                Err(_) => break Err(self.surface_doom(txn, &ts)),
             };
             if newly {
                 self.stats.blocks.fetch_add(1, Relaxed);
-                if wait_from.is_none() {
-                    *wait_from = Some(Instant::now());
-                }
+                wait_from.get_or_insert_with(Instant::now);
                 if let Some(obs) = &self.obs {
+                    let holder = holder.map(|h| h.0);
                     obs.record(
                         txn.0,
                         ObsEvent::Block {
                             resource: res_key(res),
                             mode: mode.name(),
-                            holder: holder.map(|h| h.0),
+                            holder,
                         },
                     );
                 }
@@ -532,22 +525,22 @@ impl LockManager {
             // Deadlock detection runs with no shard lock held. One
             // request can close several cycles at once (three `S`
             // holders all upgrading to `X`) and one walk finds one, so
-            // walk until none is left: a doomed victim counts as gone
-            // (`blockers_of`), which exposes the next cycle — or, when
-            // the victim is this transaction, ends the search; the
-            // status check below surfaces that doom. Nobody re-runs the
-            // walk later: waiters are only woken once their request is
-            // grantable.
-            while let Some(cycle) = find_cycle(txn, &|t| self.blockers_of(t)) {
-                let victim = *cycle.iter().max().expect("cycle is non-empty");
-                self.doom(victim, None);
-            }
-            // A doom whose signal landed *before* our arm would be erased
-            // by it — but such a doom set our status before signalling,
-            // so this re-check catches it. Dooms after the arm land on
-            // the flag and park returns at once.
-            if ts.inner.lock().unwrap().status != Status::Active {
-                return Err(self.surface_doom(txn, &ts));
+            // walk until none is left: a doomed victim waits for nobody
+            // (`protocol::waiting`), which exposes the next cycle — or,
+            // when the victim is this transaction, ends the search, and
+            // the doom's signal sends it round the loop to surface. Nobody
+            // re-runs the walk later: waiters are only woken once their
+            // request is grantable. A cycle the fuzzy walk reports is
+            // doomed only once every member confirms it, record by
+            // record; a stale one is walked again.
+            while let Some(cycle) = Walk::new(txn).run(|t| self.edges_of(t)) {
+                let confirms = |&member: &(TxnId, _)| {
+                    let state = self.txn_state(member.0);
+                    state.is_some_and(|ts| protocol::confirms(&ts.record.lock().unwrap(), member))
+                };
+                if cycle.iter().all(confirms) {
+                    self.doom_victim(protocol::victim(&cycle));
+                }
             }
             // Chaos seam: a spurious wakeup skips the park and re-runs
             // the grant loop with no signal (round-salted so a looping
@@ -559,162 +552,110 @@ impl LockManager {
                 continue;
             }
             ts.slot.park();
-        }
-    }
-
-    /// Non-blocking acquire: `Ok(true)` granted, `Ok(false)` would block.
-    pub fn try_lock(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<bool, LockError> {
-        let Some(ts) = self.txn_state(txn) else {
-            return Err(LockError::NotActive(txn));
         };
-        match self.grant_step(txn, &ts, res, mode, false)? {
-            Attempt::AlreadyHeld | Attempt::Granted => Ok(true),
-            Attempt::Blocked { .. } => Ok(false),
-            Attempt::Doomed => Err(self.surface_doom(txn, &ts)),
+        if let Some(waited) = wait_from.map(|from| from.elapsed()) {
+            if let Some(obs) = &self.obs {
+                obs.phase(Phase::LockWait, waited);
+            }
+            if let Some(hist) = &self.wait_hist {
+                hist.record(waited);
+            }
         }
+        result
     }
 
-    /// The one grant step of [`LockManager::lock`] and
-    /// [`LockManager::try_lock`]: under `res`'s stripe and `txn`'s own
-    /// mutex, check the status and whether `mode` is already held, then
-    /// grant into both holder lists when Table 4.1 allows — or, with
-    /// `queue`, enqueue the request and arm the wait slot. A grant is
-    /// counted, recorded and wakes the waiters it unblocked here.
+    /// One round of [`LockManager::lock`]: [`protocol::request`] under
+    /// `res`'s stripe and `txn`'s record, arming the wait slot there
+    /// when the request parks; then a grant's count and event, and the
+    /// wakes. Every waker changes what the request depends on under one
+    /// of those two mutexes and signals after: a change before this
+    /// step is seen by it, and a signal after it lands on the armed
+    /// flag, so no wakeup is lost.
     fn grant_step(
         &self,
         txn: TxnId,
         ts: &TxnState,
         res: ResourceId,
         mode: LockMode,
-        queue: bool,
-    ) -> Result<Attempt, LockError> {
-        let wake = {
+    ) -> Result<Decision, Status> {
+        let mut wake = Vec::new();
+        let effect = {
             let mut table = self.shard(res).table.lock().unwrap();
-            let mut inner = ts.inner.lock().unwrap();
-            match inner.status {
-                Status::Active => {}
-                Status::Doomed { .. } => return Ok(Attempt::Doomed),
-                _ => return Err(LockError::NotActive(txn)),
-            }
-            if inner.held.get(res).contains(mode) {
-                return Ok(Attempt::AlreadyHeld);
-            }
-            if !table.get(&res).is_none_or(|e| e.grantable(txn, mode)) {
-                let newly = queue && inner.waiting_on != Some((res, mode));
-                let mut holder = None;
-                if newly {
-                    let entry = table.entry(res).or_default();
-                    entry.remove_waiter(txn);
-                    entry.waiters.push_back((txn, mode));
-                    inner.waiting_on = Some((res, mode));
-                    // Name the wait-for edge target while the shard is
-                    // still locked (blockers_of stops at our own queue
-                    // entry, so pushing first is safe).
-                    holder = entry.blockers_of(txn, mode).first().copied();
-                }
-                if queue {
-                    // Arm while still inside the shard critical section:
-                    // every waker mutates under this shard lock first
-                    // and signals after, so no wakeup can be lost.
-                    ts.slot.arm();
-                }
-                return Ok(Attempt::Blocked { newly, holder });
-            }
+            let mut rec = ts.record.lock().unwrap();
             let entry = table.entry(res).or_default();
-            let was_queued = inner.waiting_on.take().is_some();
-            if was_queued {
-                entry.remove_waiter(txn);
+            let effect = protocol::request(entry, txn, &mut rec, res, mode, &mut wake);
+            if entry.is_vacant() {
+                table.remove(&res);
             }
-            entry.holders.grant(txn, mode);
-            inner.held.grant(res, mode);
-            // Waiters FIFO-blocked only by our queue entry (and
-            // compatible with the mode we now hold) may go.
-            if was_queued { entry.grantable_waiters(txn) } else { Vec::new() }
+            if let Ok(Decision::Park { .. }) = effect {
+                ts.slot.arm();
+            }
+            effect
         };
-        self.stripe(txn).grants.fetch_add(1, Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.record(
-                txn.0,
-                ObsEvent::Grant {
+        if effect == Ok(Decision::Grant) {
+            self.stripe(txn).grants.fetch_add(1, Relaxed);
+            if let Some(obs) = &self.obs {
+                let grant = ObsEvent::Grant {
                     resource: res_key(res),
                     mode: mode.name(),
-                },
-            );
+                };
+                obs.record(txn.0, grant);
+            }
         }
-        self.signal_all(&wake);
-        Ok(Attempt::Granted)
+        self.apply(&wake, None);
+        effect
     }
 
-    /// Commits the transaction: applies the `Rc`–`Wa` commit rule, then
-    /// releases every lock.
-    ///
-    /// Precondition for Fig. 4.4: commits of transactions that may
-    /// overlap each other's `Rc` with a write must not run concurrently.
-    /// Two such commits are each linearized at their own status flip,
-    /// and each dooms only readers still `Active`; so a circular pair
-    /// (`P_i` reads `q` and writes `r`, `P_j` reads `r` and writes `q`)
-    /// committing at the same instant can each flip itself to
-    /// `Committed`, find the other already `Committed`, skip it, and
-    /// both commit. The engine never does this: `commit_section` calls
-    /// `commit` under the pipeline's base mutex, for rule firings and
-    /// session commits alike. Called one at a time, the rule is exact:
-    /// the first commit dooms the other and exactly one of the pair
-    /// commits.
+    /// Commits the transaction: the Fig. 4.3 commit rule, then every
+    /// lock released. Of two transactions that overlap each other's
+    /// `R_c` with a write (Fig. 4.4), whose commits may run at the same
+    /// time, exactly one commits: the other is doomed at the first one's
+    /// commit point, or finds it already `Committed` and commits after
+    /// it in a legal serial order.
     pub fn commit(&self, txn: TxnId) -> Result<CommitOutcome, LockError> {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
-        // The linearization point: doom-check and Active → Committed flip
-        // are one critical section on our own mutex, so a writer whose
-        // commit is ordered after ours (see the precondition above)
-        // either doomed us first (we abort here) or sees us Committed and
-        // skips us (Figure 4.3(a), reader-first order).
-        let taken = {
-            let mut inner = ts.inner.lock().unwrap();
-            (inner.status == Status::Active).then(|| {
-                inner.status = Status::Committed;
-                (std::mem::take(&mut inner.held), inner.waiting_on.take())
-            })
+        // What we hold, by stripe: the overlap scan walks the stripes
+        // where we hold a write that overrides `R_c`, the release all of
+        // them. Only our own calls add to it, and an end in between fails
+        // the commit point below.
+        let held = {
+            let rec = ts.record.lock().unwrap();
+            (rec.status == Status::Active).then(|| self.by_stripe(rec.held.iter()))
         };
-        let Some((held, waiting)) = taken else {
+        let Some(held) = held else {
             return Err(self.surface_doom(txn, &ts));
         };
-        // Find live Rc holders overlapped by our Wa / IWa locks (they
-        // could only have acquired Rc *before* our write was granted —
-        // Table 4.1 forbids the reverse order). We still hold the shard
-        // entries, so no new Rc can slip in before release below.
-        let wa = self.by_stripe(
-            held.iter()
-                .filter(|(_, modes)| modes.iter().any(LockMode::overrides_rc))
-                .map(|(r, _)| r),
-        );
-        let mut affected: Vec<TxnId> = Vec::new();
-        for run in wa.chunk_by(|a, b| a.0 == b.0) {
+        let writes = |&(_, _, modes): &(usize, ResourceId, ModeSet)| {
+            modes.iter().any(LockMode::overrides_rc)
+        };
+        let mut readers = Vec::new();
+        for run in held
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| run.iter().any(writes))
+        {
             let table = self.shards[run[0].0].table.lock().unwrap();
-            for (_, res) in run {
+            for (_, res, _) in run {
                 if let Some(entry) = table.get(res) {
-                    for (holder, modes) in entry.holders.iter() {
-                        if holder != txn
-                            && modes.contains(LockMode::Rc)
-                            && !affected.contains(&holder)
-                        {
-                            affected.push(holder);
-                        }
-                    }
+                    protocol::overlapped(entry, txn, &mut readers);
                 }
             }
         }
+        let mut effects = Vec::new();
+        let Some(at) = self.commit_point(txn, &ts, &readers, &mut effects) else {
+            return Err(self.surface_doom(txn, &ts));
+        };
+        self.apply(&effects, at);
         let mut outcome = CommitOutcome::default();
-        for reader in affected {
-            if self.policy == ConflictPolicy::Revalidate {
-                if self.is_active(reader) {
-                    outcome.needs_revalidation.push(reader);
-                }
-            } else if self.doom(reader, Some(txn)) {
-                outcome.doomed_readers.push(reader);
+        for effect in effects {
+            match effect {
+                Effect::Doom { victim, .. } => outcome.doomed_readers.push(victim),
+                Effect::Revalidate(reader) => outcome.needs_revalidation.push(reader),
+                _ => {}
             }
         }
-        self.release_held(txn, held, waiting);
+        self.release_held(txn, held);
         self.stripe(txn).commits.fetch_add(1, Relaxed);
         if let Some(obs) = &self.obs {
             obs.record(txn.0, ObsEvent::Commit);
@@ -722,30 +663,57 @@ impl LockManager {
         Ok(outcome)
     }
 
+    /// [`protocol::commit`] with `txn`'s record and its live `readers`'
+    /// locked at once, in `TxnId` order. `None` when `txn` is no longer
+    /// `Active`; otherwise the obs timestamp of the dooms, taken inside.
+    fn commit_point(
+        &self,
+        txn: TxnId,
+        ts: &Arc<TxnState>,
+        readers: &[TxnId],
+        effects: &mut Vec<Effect>,
+    ) -> Option<Option<u64>> {
+        let mut states: Vec<(TxnId, Arc<TxnState>)> = readers
+            .iter()
+            .filter_map(|&r| Some((r, self.txn_state(r)?)))
+            .collect();
+        if states.is_empty() {
+            let own = &mut [(txn, ts.record.lock().unwrap())];
+            return protocol::commit(self.policy, txn, own, effects)
+                .ok()
+                .map(|()| None);
+        }
+        states.push((txn, Arc::clone(ts)));
+        states.sort_unstable_by_key(|&(t, _)| t);
+        let mut records: Vec<_> = states
+            .iter()
+            .map(|(t, s)| (*t, s.record.lock().unwrap()))
+            .collect();
+        protocol::commit(self.policy, txn, &mut records, effects).ok()?;
+        Some(self.obs.as_ref().map(|o| o.now()))
+    }
+
     /// Aborts the transaction, releasing everything it holds. A doom
-    /// not yet surfaced is dropped: the owner's abort ends it instead.
+    /// not yet surfaced is dropped: the abort ends it instead. Called
+    /// from another thread while the owner is parked in
+    /// [`LockManager::lock`], it wakes the owner, whose `lock` returns
+    /// [`LockError::NotActive`].
     pub fn abort(&self, txn: TxnId) -> Result<(), LockError> {
         let Some(ts) = self.txn_state(txn) else {
             return Err(LockError::NotActive(txn));
         };
-        self.end(txn, &ts, |status| match status {
-            Status::Active | Status::Doomed { .. } => Some(Ok(())),
-            Status::Committed | Status::Aborted => None,
-        })
-        .unwrap_or(Err(LockError::NotActive(txn)))
-    }
-
-    /// If `txn` is doomed: auto-abort it and surface the reason.
-    fn check_doomed(&self, txn: TxnId, ts: &TxnState) -> Result<(), LockError> {
-        self.end(txn, ts, |status| doom_error(txn, status).map(Err))
-            .unwrap_or(Ok(()))
+        self.end(txn, &ts, Ender::Abort)
+            .unwrap_or(Err(LockError::NotActive(txn)))
     }
 
     /// What a call by a doomed (or just finished) `txn` surfaces: the
-    /// doom, ending the transaction — or, when a concurrent poll ended
-    /// it first, `NotActive`.
+    /// doom, ending the transaction — or, when another call ended it
+    /// first, `NotActive`.
     fn surface_doom(&self, txn: TxnId, ts: &TxnState) -> LockError {
-        self.check_doomed(txn, ts).err().unwrap_or(LockError::NotActive(txn))
+        match self.end(txn, ts, Ender::Doom) {
+            Some(Err(doom)) => doom,
+            _ => LockError::NotActive(txn),
+        }
     }
 
     /// Carries out a fault-injected forced abort of a live `txn`. An
@@ -758,141 +726,103 @@ impl LockManager {
         ts: &TxnState,
         inj: &FaultInjector,
     ) -> Result<(), LockError> {
-        let surfaced = self.end(txn, ts, |status| match status {
-            Status::Active => Some(Err(LockError::Injected(txn))),
-            doomed => doom_error(txn, doomed).map(Err),
-        });
+        let surfaced = self.end(txn, ts, Ender::Forced);
         if surfaced == Some(Err(LockError::Injected(txn))) {
             inj.count_forced_abort(txn, self.obs.as_deref());
         }
         surfaced.unwrap_or(Ok(()))
     }
 
-    /// The one non-commit ending: every abort, surfaced doom and
-    /// injected forced abort goes through here. Under `txn`'s own mutex
-    /// `surfaces` reads the status: `None` leaves the transaction as it
-    /// is and `end` returns `None`; `Some(result)` flips it to `Aborted`,
-    /// and `end` releases everything it holds, books the abort and
-    /// returns `result` for the caller to surface. The flip is the
-    /// only `→ Aborted` transition, so a transaction whose enders race
-    /// is ended — and counted — exactly once.
-    fn end(
-        &self,
-        txn: TxnId,
-        ts: &TxnState,
-        surfaces: impl FnOnce(Status) -> Option<Result<(), LockError>>,
-    ) -> Option<Result<(), LockError>> {
-        let (result, held, waiting) = {
-            let mut inner = ts.inner.lock().unwrap();
-            let result = surfaces(inner.status)?;
-            inner.status = Status::Aborted;
-            (result, std::mem::take(&mut inner.held), inner.waiting_on.take())
+    /// The one non-commit ending: [`protocol::end`] under `txn`'s
+    /// record; when it ends the transaction, the owner's wake, the
+    /// release and the abort's count, and the result to surface.
+    fn end(&self, txn: TxnId, ts: &TxnState, ender: Ender) -> Option<Result<(), LockError>> {
+        let mut wake = Vec::new();
+        let (result, held) = {
+            let mut rec = ts.record.lock().unwrap();
+            let result = protocol::end(txn, &mut rec, ender, &mut wake)?;
+            let queued = rec
+                .waiting_on
+                .take()
+                .map(|(res, _)| (res, ModeSet::default()));
+            (result, self.by_stripe(rec.held.iter().chain(queued)))
         };
-        self.release_held(txn, held, waiting);
+        self.apply(&wake, None);
+        self.release_held(txn, held);
         self.stats.aborts.fetch_add(1, Relaxed);
         Some(result)
     }
 
-    /// The one doom: flips `victim` from `Active` to `Doomed { by }` —
-    /// `by` the committing writer of Fig. 4.3(b), `None` for a deadlock
-    /// victim — books it as a `Doom` or a `Deadlock`, and wakes the
-    /// victim so a parked request sees it. `false` when `victim` was no
-    /// longer `Active`: a reader that already committed won (a legal
-    /// serial order), and one already doomed or aborted needs nothing.
-    /// The obs timestamp is taken *inside* the critical section: the
-    /// victim records its own Abort only after it can observe the doom
-    /// (under this same mutex), so the per-transaction event order
-    /// stays monotone.
-    fn doom(&self, victim: TxnId, by: Option<TxnId>) -> bool {
+    /// Dooms a deadlock victim: [`protocol::doom`] under its record,
+    /// with the obs timestamp taken inside — the victim records its own
+    /// Abort only after it can observe the doom (under this same
+    /// mutex), so its event order stays monotone.
+    fn doom_victim(&self, victim: TxnId) {
         let Some(vts) = self.txn_state(victim) else {
-            return false;
+            return;
         };
+        let mut doomed = Vec::new();
         let at = {
-            let mut inner = vts.inner.lock().unwrap();
-            if inner.status != Status::Active {
-                return false;
-            }
-            inner.status = Status::Doomed { by };
+            let mut rec = vts.record.lock().unwrap();
+            protocol::doom(victim, &mut rec, None, &mut doomed);
             self.obs.as_ref().map(|o| o.now())
         };
-        let (counter, event) = match by {
-            Some(writer) => (&self.stats.dooms, ObsEvent::Doom { by: writer.0 }),
-            None => (&self.stats.deadlocks, ObsEvent::Deadlock),
-        };
-        counter.fetch_add(1, Relaxed);
-        if let (Some(obs), Some(at)) = (&self.obs, at) {
-            obs.record_at(at, victim.0, event);
-        }
-        vts.slot.signal();
-        true
+        self.apply(&doomed, at);
     }
 
-    /// Transactions currently blocking `t`'s pending request. Reads
-    /// `t`'s own mutex, drops it, then reads the one shard of the
-    /// resource `t` waits for — never two locks at once. A doomed (or
-    /// finished) `t` waits for nobody: it was signalled and is on its
-    /// way to releasing everything, so no cycle runs through it.
-    fn blockers_of(&self, t: TxnId) -> Vec<TxnId> {
-        let Some(ts) = self.txn_state(t) else {
-            return Vec::new();
-        };
-        let waiting = {
-            let inner = ts.inner.lock().unwrap();
-            if !matches!(inner.status, Status::Active) {
-                return Vec::new();
-            }
-            inner.waiting_on
-        };
-        let Some((res, mode)) = waiting else {
-            return Vec::new();
+    /// `t`'s pending request, [`protocol::waiting`] under its record,
+    /// and — that mutex dropped — the transactions blocking it, the one
+    /// entry's [`protocol::blockers`]. Never two locks at once.
+    fn edges_of(&self, t: TxnId) -> (Option<Request>, Vec<Waiter>) {
+        let request = self
+            .txn_state(t)
+            .and_then(|ts| protocol::waiting(&ts.record.lock().unwrap()));
+        let Some((res, mode)) = request else {
+            return (None, Vec::new());
         };
         let table = self.shard(res).table.lock().unwrap();
-        match table.get(&res) {
-            Some(entry) => entry.blockers_of(t, mode),
-            None => Vec::new(),
-        }
+        (
+            request,
+            table
+                .get(&res)
+                .map_or_else(Vec::new, |entry| protocol::blockers(entry, t, (res, mode))),
+        )
     }
 
-    /// The last step of every way a transaction finishes: releases every
-    /// held lock (and any stale waiter entry), shard by shard, wakes the
-    /// waiters of the entries it touched, and drops `txn` from the
+    /// The last step of every way a transaction finishes: leaves every
+    /// entry in `resources` ([`protocol::release`]), stripe by stripe,
+    /// wakes the waiters that made grantable, and drops `txn` from the
     /// registry.
-    fn release_held(
-        &self,
-        txn: TxnId,
-        held: ModeMap<ResourceId>,
-        waiting: Option<(ResourceId, LockMode)>,
-    ) {
-        let mut resources = self.by_stripe(held.iter().map(|(r, _)| r).chain(waiting.map(|w| w.0)));
-        resources.dedup();
-        let mut wake: Vec<TxnId> = Vec::new();
+    fn release_held(&self, txn: TxnId, resources: Vec<(usize, ResourceId, ModeSet)>) {
+        let mut wake = Vec::new();
         for run in resources.chunk_by(|a, b| a.0 == b.0) {
             let mut table = self.shards[run[0].0].table.lock().unwrap();
-            for (_, res) in run {
+            for (_, res, _) in run {
                 if let Some(entry) = table.get_mut(res) {
-                    entry.holders.remove(txn);
-                    entry.remove_waiter(txn);
-                    wake.extend(entry.grantable_waiters(txn));
+                    protocol::release(entry, txn, &mut wake);
                     if entry.is_vacant() {
                         table.remove(res);
                     }
                 }
             }
         }
-        wake.sort_unstable();
-        wake.dedup();
-        self.signal_all(&wake);
+        self.apply(&wake, None);
         self.stripe(txn).txns.write().unwrap().remove(&txn);
     }
 
-    /// `resources` keyed by stripe and sorted, so a caller walking the
-    /// stripe runs (`chunk_by`) takes each stripe mutex once, in
+    /// `resources`, each with the modes held there, keyed by stripe,
+    /// sorted and with one element per resource, so a caller walking
+    /// the stripe runs (`chunk_by`) takes each stripe mutex once, in
     /// ascending order, and meets a stripe's resources in `ResourceId`
     /// order.
-    fn by_stripe(&self, resources: impl Iterator<Item = ResourceId>) -> Vec<(usize, ResourceId)> {
+    fn by_stripe(
+        &self,
+        resources: impl Iterator<Item = (ResourceId, ModeSet)>,
+    ) -> Vec<(usize, ResourceId, ModeSet)> {
         let n = self.shards.len();
-        let mut keyed: Vec<(usize, ResourceId)> = resources.map(|r| (shard_of(r, n), r)).collect();
-        keyed.sort_unstable();
+        let mut keyed: Vec<_> = resources.map(|(r, m)| (shard_of(r, n), r, m)).collect();
+        keyed.sort_unstable_by_key(|&(stripe, r, _)| (stripe, r));
+        keyed.dedup_by_key(|&mut (stripe, r, _)| (stripe, r));
         keyed
     }
 }
@@ -927,19 +857,6 @@ mod tests {
         m.lock(b, t(1), Ra).unwrap();
         assert!(m.commit(a).unwrap().doomed_readers.is_empty());
         assert!(m.commit(b).is_ok());
-    }
-
-    #[test]
-    fn wa_granted_over_rc_but_not_vice_versa() {
-        let m = LockManager::new(ConflictPolicy::AbortReaders);
-        let (r, w, late) = (m.begin(), m.begin(), m.begin());
-        m.lock(r, t(1), Rc).unwrap();
-        assert_eq!(m.try_lock(w, t(1), Wa), Ok(true), "Rc ∥ Wa (Table 4.1)");
-        assert_eq!(
-            m.try_lock(late, t(1), Rc),
-            Ok(false),
-            "no Rc under a live Wa"
-        );
     }
 
     #[test]
@@ -999,14 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_baseline_blocks_writer() {
-        let m = LockManager::new(ConflictPolicy::AbortReaders);
-        let (r, w) = (m.begin(), m.begin());
-        m.lock(r, t(1), S).unwrap();
-        assert_eq!(m.try_lock(w, t(1), X), Ok(false), "2PL: X waits for S");
-    }
-
-    #[test]
     fn blocking_wait_is_woken_by_release() {
         let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
         let (a, b) = (m.begin(), m.begin());
@@ -1039,6 +948,71 @@ mod tests {
         assert!(res_older.is_ok(), "older survives: {res_older:?}");
         assert_eq!(res_younger.unwrap_err(), LockError::Deadlock(younger));
         m.commit(older).unwrap();
+    }
+
+    #[test]
+    fn foreign_abort_wakes_an_owner_parked_in_lock() {
+        use std::sync::mpsc;
+
+        let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
+        let (holder, owner) = (m.begin(), m.begin());
+        m.lock(holder, t(1), X).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let parked = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.lock(owner, t(1), X)).unwrap())
+        };
+        while m.stats().blocks == 0 {
+            std::thread::yield_now();
+        }
+        m.abort(owner).unwrap();
+        let woken = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the aborted owner was never woken");
+        assert_eq!(woken, Err(LockError::NotActive(owner)));
+        parked.join().unwrap();
+        m.commit(holder).unwrap();
+        assert_eq!((m.stats().aborts, m.live_txns(), m.held_locks()), (1, 0, 0));
+    }
+
+    #[test]
+    fn racing_circular_commits_commit_exactly_one() {
+        // Figure 4.4 with no outer mutex: Pi holds Rc(q), Wa(r) and Pj
+        // holds Rc(r), Wa(q), and both commit at once.
+        use std::sync::Barrier;
+
+        let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
+        let (q, r) = (t(1), t(2));
+        for _ in 0..2_000 {
+            let (pi, pj) = (m.begin(), m.begin());
+            for (txn, read) in [(pi, q), (pj, r)] {
+                m.lock(txn, read, Rc).unwrap();
+            }
+            for (txn, write) in [(pi, r), (pj, q)] {
+                m.lock(txn, write, Wa).unwrap();
+            }
+            let start = Arc::new(Barrier::new(2));
+            let racers: Vec<_> = [pi, pj]
+                .into_iter()
+                .map(|txn| {
+                    let (m, start) = (Arc::clone(&m), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        m.commit(txn)
+                    })
+                })
+                .collect();
+            let results: Vec<_> = racers.into_iter().map(|h| h.join().unwrap()).collect();
+            let committed = results.iter().filter(|r| r.is_ok()).count();
+            assert_eq!(
+                committed, 1,
+                "exactly one of the circular pair commits: {results:?}"
+            );
+            assert!(results
+                .iter()
+                .any(|r| r.as_ref().is_err_and(LockError::is_abort)));
+        }
+        assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
     #[test]
@@ -1153,8 +1127,8 @@ mod tests {
         }
         m.commit(a).unwrap();
         waiter.join().unwrap().unwrap(); // grant after a wait
-        assert_eq!(m.try_lock(b, t(2), Rc), Ok(true)); // try_lock grant
-        assert_eq!(m.try_lock(b, t(2), Rc), Ok(true)); // already held: no grant
+        m.lock(b, t(2), Rc).unwrap(); // fresh grant
+        m.lock(b, t(2), Rc).unwrap(); // already held: no grant
         m.commit(b).unwrap();
         let recorded = rec
             .history()
@@ -1162,21 +1136,6 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::Grant { .. }))
             .count() as u64;
         assert_eq!((m.stats().grants, recorded), (4, 4));
-    }
-
-    #[test]
-    fn fifo_fairness_prevents_reader_overtaking_writer() {
-        let m = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
-        let (r1, w, r2) = (m.begin(), m.begin(), m.begin());
-        m.lock(r1, t(1), S).unwrap();
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.lock(w, t(1), X));
-        std::thread::sleep(Duration::from_millis(30));
-        // r2 must queue behind the waiting writer.
-        assert_eq!(m.try_lock(r2, t(1), S), Ok(false));
-        m.commit(r1).unwrap();
-        h.join().unwrap().unwrap();
-        m.commit(w).unwrap();
     }
 
     #[test]
@@ -1205,7 +1164,8 @@ mod tests {
         let (a, b) = (m.begin(), m.begin());
         m.lock(a, t(1), X).unwrap();
         m.abort(a).unwrap();
-        assert_eq!(m.try_lock(b, t(1), X), Ok(true));
+        assert_eq!(m.held_locks(), 0);
+        m.lock(b, t(1), X).unwrap();
         let s = m.stats();
         assert_eq!((s.commits, s.aborts), (0, 1));
     }
@@ -1238,11 +1198,7 @@ mod tests {
         let (a, b) = (m.begin(), m.begin());
         let rel = ResourceId::Relation(7);
         m.lock(a, rel, Rc).unwrap();
-        assert_eq!(
-            m.try_lock(b, rel, Wa),
-            Ok(true),
-            "Rc ∥ Wa at relation level too"
-        );
+        m.lock(b, rel, Wa).unwrap(); // Rc ∥ Wa at relation level too
         m.commit(b).unwrap();
         assert!(m.commit(a).unwrap_err().is_abort());
     }
@@ -1253,29 +1209,14 @@ mod tests {
         let (reader, w1, w2, late) = (m.begin(), m.begin(), m.begin(), m.begin());
         let rel = ResourceId::Relation(3);
         m.lock(reader, rel, Rc).unwrap();
-        assert_eq!(m.try_lock(w1, rel, IWa), Ok(true), "Rc ∥ IWa, as Rc ∥ Wa");
-        assert_eq!(m.try_lock(w2, rel, IWa), Ok(true), "IWa ∥ IWa: writers do not queue");
-        assert_eq!(m.try_lock(late, rel, Rc), Ok(false), "no Rc under a live IWa");
-        assert_eq!(m.try_lock(late, rel, Wa), Ok(false), "a full Wa excludes intention writers");
+        m.lock(w1, rel, IWa).unwrap(); // Rc ∥ IWa, as Rc ∥ Wa
+        m.lock(w2, rel, IWa).unwrap(); // IWa ∥ IWa: writers do not queue
         assert_eq!(m.commit(w1).unwrap().doomed_readers, vec![reader], "Fig. 4.3 through IWa");
         assert!(m.commit(w2).unwrap().doomed_readers.is_empty(), "the reader is already doomed");
         assert!(m.commit(reader).unwrap_err().is_abort());
-        assert_eq!(m.try_lock(late, rel, Rc), Ok(true), "the writers are gone");
+        m.lock(late, rel, Rc).unwrap(); // the writers are gone
         m.commit(late).unwrap();
-        assert_eq!(m.stats().blocks, 0, "try_lock refusals queue nothing");
-
-        // 2PL: `IX` shares the relation with `IX` and waits for `S`.
-        let (s, x1, x2) = (m.begin(), m.begin(), m.begin());
-        m.lock(x1, rel, IX).unwrap();
-        assert_eq!(m.try_lock(x2, rel, IX), Ok(true));
-        assert_eq!(m.try_lock(s, rel, S), Ok(false));
-        m.commit(x1).unwrap();
-        m.commit(x2).unwrap();
-        assert_eq!(m.try_lock(s, rel, S), Ok(true));
-        let x3 = m.begin();
-        assert_eq!(m.try_lock(x3, rel, IX), Ok(false));
-        m.commit(s).unwrap();
-        m.commit(x3).unwrap();
+        assert_eq!(m.stats().blocks, 0);
         assert_eq!((m.live_txns(), m.held_locks()), (0, 0));
     }
 
@@ -1411,11 +1352,10 @@ mod tests {
             commits += u64::from(c);
         }
         assert_eq!(m.stats().commits, commits);
-        // Lock table fully drained.
-        let fresh = m.begin();
-        for k in 0..15 {
-            assert_eq!(m.try_lock(fresh, t(k), X), Ok(true));
-        }
+        // Lock table fully drained: no entry is left, holding or queued
+        // (a vacant entry is removed), and nothing is registered.
+        assert!(m.shards.iter().all(|s| s.table.lock().unwrap().is_empty()));
+        assert_eq!(m.live_txns(), 0);
     }
 
     #[test]
@@ -1624,7 +1564,6 @@ mod tests {
     /// live: `begun` says whether the id was ever handed out.
     fn assert_finished(m: &LockManager, txn: TxnId, begun: bool) {
         assert_eq!(m.lock(txn, t(1), Rc), Err(LockError::NotActive(txn)));
-        assert_eq!(m.try_lock(txn, t(1), X), Err(LockError::NotActive(txn)));
         assert_eq!(m.commit(txn), Err(LockError::NotActive(txn)));
         assert_eq!(m.abort(txn), Err(LockError::NotActive(txn)));
         assert_eq!(m.check(txn), Ok(()));
@@ -1714,16 +1653,16 @@ mod tests {
         for txn in [c, b] {
             let mut table = m.shard(t(1)).table.lock().unwrap();
             table.get_mut(&t(1)).unwrap().waiters.push_back((txn, X));
-            m.txn_state(txn).unwrap().inner.lock().unwrap().waiting_on = Some((t(1), X));
+            m.txn_state(txn).unwrap().record.lock().unwrap().waiting_on = Some((t(1), X));
         }
-        m.txn_state(b).unwrap().inner.lock().unwrap().status = Status::Doomed { by: None };
+        m.txn_state(b).unwrap().record.lock().unwrap().status = Status::Doomed { by: None };
         let upgrade = {
             let m = Arc::clone(&m);
             std::thread::spawn(move || m.lock(a, t(1), X))
         };
         let c_state = m.txn_state(c).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !matches!(c_state.inner.lock().unwrap().status, Status::Doomed { .. }) {
+        while !matches!(c_state.record.lock().unwrap().status, Status::Doomed { .. }) {
             assert!(Instant::now() < deadline, "the a-c cycle was never broken");
             std::thread::yield_now();
         }

@@ -11,22 +11,25 @@ use crate::{compatible, LockMode};
 
 /// A set of [`LockMode`]s: bit `mode as u8` is set when `mode` is in it.
 /// Iterates in [`LockMode`] order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ModeSet(u8);
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct ModeSet(u8);
 
 impl ModeSet {
     fn bit(mode: LockMode) -> u8 {
         1 << mode as u8
     }
 
+    /// `true` when `mode` is in the set.
     pub fn contains(self, mode: LockMode) -> bool {
         self.0 & Self::bit(mode) != 0
     }
 
+    /// Adds `mode` to the set.
     pub fn insert(&mut self, mode: LockMode) {
         self.0 |= Self::bit(mode);
     }
 
+    /// The modes in the set, in [`LockMode`] order.
     pub fn iter(self) -> impl Iterator<Item = LockMode> {
         LockMode::ALL.into_iter().filter(move |&m| self.contains(m))
     }
@@ -42,8 +45,8 @@ impl ModeSet {
 /// [`crate::ResourceId`]) to a non-empty [`ModeSet`], as a vector sorted
 /// by key: binary-search lookups, key-order iteration, and no heap node
 /// per entry.
-#[derive(Debug)]
-pub(crate) struct ModeMap<K>(Vec<(K, ModeSet)>);
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ModeMap<K>(Vec<(K, ModeSet)>);
 
 impl<K> Default for ModeMap<K> {
     fn default() -> Self {
@@ -83,10 +86,12 @@ impl<K: Ord + Copy> ModeMap<K> {
         self.0.iter().copied()
     }
 
+    /// Number of keys.
     pub fn len(&self) -> usize {
         self.0.len()
     }
 
+    /// `true` when no key holds anything.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }

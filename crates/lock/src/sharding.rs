@@ -3,112 +3,28 @@
 //! Resources hash to one of N independent shards; each shard is a
 //! `Mutex<IdMap<ResourceId, Entry>>`. Two transactions touching
 //! resources in different shards never contend on a manager-level lock:
-//! a `lock`/`try_lock` call takes the one stripe its resource hashes to,
-//! and never two stripes at once.
+//! a `lock` call takes the one stripe its resource hashes to, and never
+//! two stripes at once.
 //!
 //! Per-resource FIFO waiter queues live inside each [`Entry`], so no
 //! reader overtakes a queued writer; since a queue is per *resource*,
 //! shard-local FIFO is exactly resource FIFO, whatever other resources
 //! share the stripe.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use dps_obs::CachePadded;
 
-use crate::modeset::ModeMap;
-use crate::{compatible, LockMode, ResourceId, TxnId};
+use crate::protocol::Entry;
+use crate::ResourceId;
 
 /// The lock table's stripe count. Two requests for unrelated resources
 /// share a stripe mutex with odds 1/N, and each stripe sits on 128
 /// bytes of its own, so 64 stripes cost 8 KiB. 256 read within noise
 /// of 64 on the engines and lower on sessions (EXPERIMENTS §XS.30).
 pub const DEFAULT_SHARDS: usize = 64;
-
-/// Lock-table entry for one resource: current holders (in `TxnId`
-/// order) and the FIFO queue of waiters.
-#[derive(Debug, Default)]
-pub(crate) struct Entry {
-    pub holders: ModeMap<TxnId>,
-    pub waiters: VecDeque<(TxnId, LockMode)>,
-}
-
-impl Entry {
-    /// Is `mode` grantable to `txn` on this resource right now?
-    ///
-    /// Yes iff there is no conflicting holder (other than `txn`
-    /// itself) and — FIFO fairness — no earlier waiter we conflict with
-    /// in either direction (prevents writer starvation).
-    /// Compatibility is Table 4.1's, through [`compatible`].
-    pub fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
-        for (holder, modes) in self.holders.iter() {
-            if holder != txn && modes.blocks(mode) {
-                return false;
-            }
-        }
-        for &(waiter, wmode) in &self.waiters {
-            if waiter == txn {
-                break;
-            }
-            if !compatible(wmode, mode) || !compatible(mode, wmode) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Transactions currently blocking `txn`'s pending request for
-    /// `mode`: conflicting holders plus earlier conflicting waiters.
-    /// Empty when `txn` is not queued here: the deadlock detector reads
-    /// a transaction's `waiting_on` and this entry under two different
-    /// locks, so the request may have been granted in between — and a
-    /// granted request is blocked by nobody (scanning the whole queue
-    /// for it would report every conflicting waiter as a blocker and
-    /// close a waits-for cycle that does not exist).
-    pub fn blockers_of(&self, txn: TxnId, mode: LockMode) -> Vec<TxnId> {
-        let Some(queued_at) = self.waiters.iter().position(|&(w, _)| w == txn) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (holder, modes) in self.holders.iter() {
-            if holder != txn && modes.blocks(mode) {
-                out.push(holder);
-            }
-        }
-        for &(waiter, wmode) in self.waiters.iter().take(queued_at) {
-            if !compatible(wmode, mode) || !compatible(mode, wmode) {
-                out.push(waiter);
-            }
-        }
-        out
-    }
-
-    /// Removes `txn` from the waiter queue (no-op if absent).
-    pub fn remove_waiter(&mut self, txn: TxnId) {
-        self.waiters.retain(|&(t, _)| t != txn);
-    }
-
-    /// The waiters to wake after this entry changed (a holder or an
-    /// earlier waiter left): those, other than `except`, whose request
-    /// is grantable now. Nothing else can have become grantable —
-    /// grantability depends only on this entry's holders and on the
-    /// waiters queued ahead — so the rest stay parked; waking them all
-    /// costs a hot lock's FIFO convoy one failed retry (shard mutex,
-    /// deadlock walk, re-park) per waiter per release.
-    pub fn grantable_waiters(&self, except: TxnId) -> Vec<TxnId> {
-        self.waiters
-            .iter()
-            .filter(|&&(t, mode)| t != except && self.grantable(t, mode))
-            .map(|&(t, _)| t)
-            .collect()
-    }
-
-    /// `true` once nobody holds or waits — the entry can be dropped.
-    pub fn is_vacant(&self) -> bool {
-        self.holders.is_empty() && self.waiters.is_empty()
-    }
-}
 
 /// One stripe of the lock table, on cache lines of its own: a stripe's
 /// mutex word is written by every request that hashes to it, and an
@@ -176,8 +92,6 @@ mod tests {
     use super::*;
     use std::hash::Hash;
 
-    use crate::LockMode::*;
-
     #[test]
     fn shard_of_is_stable_and_in_range() {
         for n in [1usize, 2, 16, 64] {
@@ -219,77 +133,6 @@ mod tests {
             seen.iter().filter(|&&s| s).count() >= n / 2,
             "64 consecutive ids should hit at least half the stripes"
         );
-    }
-
-    #[test]
-    fn entry_grantable_respects_fifo() {
-        let mut e = Entry::default();
-        let (a, b, c) = (TxnId(0), TxnId(1), TxnId(2));
-        e.holders.grant(a, S);
-        // Writer b queues behind holder a.
-        e.waiters.push_back((b, X));
-        // Reader c is FIFO-blocked by waiting writer b...
-        assert!(!e.grantable(c, S));
-        // ...but b itself sees only the holder conflict.
-        assert_eq!(e.blockers_of(b, X), vec![a]);
-        e.remove_waiter(b);
-        assert!(e.grantable(c, S));
-    }
-
-    #[test]
-    fn only_grantable_waiters_are_woken() {
-        let mut e = Entry::default();
-        let (a, b, c, d) = (TxnId(0), TxnId(1), TxnId(2), TxnId(3));
-        // Holder a gone; queue: writer b, then readers c and d.
-        e.waiters.push_back((b, X));
-        e.waiters.push_back((c, S));
-        e.waiters.push_back((d, S));
-        assert_eq!(e.grantable_waiters(a), vec![b], "readers stay FIFO-blocked behind b");
-        // b granted (left the queue, not yet a holder): both readers go.
-        e.remove_waiter(b);
-        assert_eq!(e.grantable_waiters(b), vec![c, d]);
-        // ...and none of them while b holds X.
-        e.holders.grant(b, X);
-        assert!(e.grantable_waiters(a).is_empty());
-    }
-
-    #[test]
-    fn granted_or_absent_txn_has_no_blockers() {
-        // The deadlock detector's race: `b` was granted between the
-        // read of its `waiting_on` and the read of this entry. It is a
-        // holder now, not a waiter — the conflicting waiters queued
-        // behind it wait *for* it, never the other way round.
-        let mut e = Entry::default();
-        let (a, b, c, d) = (TxnId(0), TxnId(1), TxnId(2), TxnId(3));
-        e.holders.grant(b, X);
-        e.waiters.push_back((a, X));
-        e.waiters.push_back((c, X));
-        assert!(e.blockers_of(b, X).is_empty(), "granted txn is blocked by nobody");
-        assert!(e.blockers_of(d, X).is_empty(), "absent txn is blocked by nobody");
-        // A queued waiter still sees the holder and the earlier waiter.
-        assert_eq!(e.blockers_of(c, X), vec![b, a]);
-    }
-
-    #[test]
-    fn holders_are_visited_in_txn_order_whatever_the_grant_order() {
-        // Blocker lists (and through them the obs `Block` holder and
-        // the commit rule's doom order) follow `TxnId` order, as the
-        // ordered map the holder vector replaced did.
-        let mut e = Entry::default();
-        let (a, b, c, w) = (TxnId(4), TxnId(1), TxnId(9), TxnId(12));
-        for (t, m) in [(c, Rc), (a, Rc), (b, Ra), (a, Ra), (c, Rc)] {
-            e.holders.grant(t, m);
-        }
-        assert_eq!(e.holders.len(), 3, "re-grants add modes, not holders");
-        e.waiters.push_back((w, Wa));
-        assert_eq!(e.blockers_of(w, Wa), vec![b, a], "Rc alone does not refuse Wa");
-        assert!(e.grantable(w, Rc));
-        e.holders.remove(b);
-        e.holders.remove(a);
-        assert!(e.grantable(w, Wa));
-        e.holders.remove(c);
-        e.remove_waiter(w);
-        assert!(e.is_vacant());
     }
 
     #[test]

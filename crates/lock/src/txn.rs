@@ -1,22 +1,21 @@
 //! Per-transaction state for the sharded lock manager.
 //!
-//! Each transaction owns one [`TxnState`]: a small mutex-guarded record
-//! (status, held locks, the at-most-one resource it waits for) plus a
-//! [`WaitSlot`] the transaction parks on while blocked. Decoupling this
-//! from the lock table is what lets the table itself be striped — a
+//! Each transaction owns one [`TxnState`]: its mutex-guarded
+//! [`Record`] (status, held locks, the at-most-one resource it waits
+//! for) plus a [`WaitSlot`] the transaction parks on while blocked.
+//! Decoupling this from the lock table is what lets the table itself be striped — a
 //! waiter can be woken (or doomed) by touching only its own slot, never
 //! a global lock.
 //!
 //! Lock ordering discipline (see `manager.rs` for the full picture):
-//! a shard lock may be taken before a `TxnState::inner` lock, never the
+//! a shard lock may be taken before a `TxnState::record` lock, never the
 //! reverse; the `WaitSlot` mutex is a leaf and may be taken under
 //! anything.
 
 use std::fmt;
 use std::sync::{Condvar, Mutex};
 
-use crate::modeset::ModeMap;
-use crate::{LockMode, ResourceId};
+use crate::protocol::Record;
 
 /// Transaction identifier. Monotonically increasing: a larger id means a
 /// *younger* transaction (deadlock victims are the youngest in the cycle).
@@ -29,49 +28,12 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// Lifecycle of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Status {
-    /// Live; may acquire locks.
-    Active,
-    /// Marked for death (`by` = committing writer, `None` = deadlock
-    /// victim); its next operation auto-aborts it.
-    Doomed { by: Option<TxnId> },
-    /// Reached its commit point (Figure 4.3's linearization instant).
-    Committed,
-    /// Rolled back.
-    Aborted,
-}
-
-/// The mutex-guarded core of a transaction's state.
-#[derive(Debug)]
-pub(crate) struct TxnInner {
-    pub status: Status,
-    /// Locks held, mirrored from the shard entries so release visits
-    /// only them; in `ResourceId` order.
-    pub held: ModeMap<ResourceId>,
-    /// The single resource this transaction currently waits for, if any.
-    pub waiting_on: Option<(ResourceId, LockMode)>,
-}
-
-/// A transaction: guarded core + parking slot.
-#[derive(Debug)]
+/// A transaction: its record, under its own mutex, and the slot it
+/// parks on.
+#[derive(Debug, Default)]
 pub(crate) struct TxnState {
-    pub inner: Mutex<TxnInner>,
+    pub record: Mutex<Record>,
     pub slot: WaitSlot,
-}
-
-impl TxnState {
-    pub fn new() -> Self {
-        TxnState {
-            inner: Mutex::new(TxnInner {
-                status: Status::Active,
-                held: ModeMap::default(),
-                waiting_on: None,
-            }),
-            slot: WaitSlot::new(),
-        }
-    }
 }
 
 /// A one-shot parking slot with a re-armable flag.
@@ -83,20 +45,13 @@ impl TxnState {
 /// happened before the waiter's (failed) grantable check — the waiter
 /// saw it — or after its enqueue+arm, in which case the signal lands on
 /// the armed flag and [`WaitSlot::park`] returns immediately.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WaitSlot {
     signaled: Mutex<bool>,
     cv: Condvar,
 }
 
 impl WaitSlot {
-    pub fn new() -> Self {
-        WaitSlot {
-            signaled: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     /// Clears the flag; subsequent `park` blocks until the next `signal`.
     pub fn arm(&self) {
         *self.signaled.lock().unwrap() = false;
@@ -126,7 +81,7 @@ mod tests {
 
     #[test]
     fn signal_before_park_returns_immediately() {
-        let slot = WaitSlot::new();
+        let slot = WaitSlot::default();
         slot.arm();
         slot.signal();
         slot.park(); // must not block
@@ -134,7 +89,7 @@ mod tests {
 
     #[test]
     fn cross_thread_wakeup() {
-        let slot = Arc::new(WaitSlot::new());
+        let slot = Arc::new(WaitSlot::default());
         slot.arm();
         let (done, parked) = std::sync::mpsc::channel();
         let s2 = Arc::clone(&slot);

@@ -5,9 +5,10 @@
 //!
 //! * **accounting** — every transaction that begins ends exactly once:
 //!   `stats.commits + stats.aborts == begins`;
-//! * **drainage** — after the storm, a probe transaction can immediately
-//!   `X`-lock every resource (`try_lock` succeeds), i.e. no holder or
-//!   waiter entry survived its transaction;
+//! * **drainage** — after the storm no lock is held, no transaction is
+//!   registered, and a probe transaction is granted `X` on every
+//!   resource at once, i.e. no holder or waiter entry survived its
+//!   transaction;
 //! * **progress** — the whole run terminates (no thread parks forever).
 //!
 //! No wait has a deadline — deadlock detection alone breaks cycles —
@@ -17,7 +18,8 @@
 //! The manager is dependency-free, so the test carries its own tiny
 //! SplitMix64 generator — deterministic per seed, so failures reproduce.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use dps_lock::{ConflictPolicy, LockManager, LockMode, ResourceId};
 
@@ -73,13 +75,7 @@ fn run_txn(mgr: &LockManager, rng: &mut Rng) -> bool {
             (false, ResourceId::Tuple(_)) => &[LockMode::Rc, LockMode::Ra, LockMode::Wa],
         };
         let mode = modes[rng.index(modes.len())];
-        let result = if rng.chance(20) {
-            // Non-blocking probe; a refusal is not an error.
-            mgr.try_lock(txn, res, mode).map(|_| ())
-        } else {
-            mgr.lock(txn, res, mode)
-        };
-        if result.is_err() {
+        if mgr.lock(txn, res, mode).is_err() {
             return false; // doomed/deadlock: auto-aborted
         }
     }
@@ -92,25 +88,37 @@ fn run_txn(mgr: &LockManager, rng: &mut Rng) -> bool {
     }
 }
 
-/// After a storm, every resource must be immediately X-lockable: any
-/// holder or waiter left behind (lost wakeup, leaked entry) fails this.
-fn assert_table_drained(mgr: &LockManager) {
-    let probe = mgr.begin();
-    for t in 0..TUPLES {
-        assert_eq!(
-            mgr.try_lock(probe, ResourceId::Tuple(t), LockMode::X),
-            Ok(true),
-            "tuple {t} still held after all txns ended"
-        );
+/// After a storm nothing is held or registered, and every resource is
+/// X-lockable at once: any holder or waiter left behind (lost wakeup,
+/// leaked entry) fails this. `X` conflicts with every waiter ahead, so
+/// a leaked waiter entry queues the probe for good; the probe runs on
+/// its own thread, and a grant that takes longer than 10 s fails.
+fn assert_table_drained(mgr: &Arc<LockManager>) {
+    assert_eq!(mgr.held_locks(), 0, "locks still held after all txns ended");
+    assert_eq!(
+        mgr.live_txns(),
+        0,
+        "transactions still registered after all ended"
+    );
+    let every = || {
+        (0..TUPLES)
+            .map(ResourceId::Tuple)
+            .chain((0..RELATIONS).map(ResourceId::Relation))
+    };
+    let (granted, grants) = mpsc::channel();
+    let probe_mgr = Arc::clone(mgr);
+    std::thread::spawn(move || {
+        let probe = probe_mgr.begin();
+        for res in every() {
+            probe_mgr.lock(probe, res, LockMode::X).unwrap();
+            granted.send(res).unwrap();
+        }
+        probe_mgr.commit(probe).unwrap();
+    });
+    for res in every() {
+        let grant = grants.recv_timeout(Duration::from_secs(10));
+        assert_eq!(grant, Ok(res), "{res:?} still queued after all txns ended");
     }
-    for r in 0..RELATIONS {
-        assert_eq!(
-            mgr.try_lock(probe, ResourceId::Relation(r), LockMode::X),
-            Ok(true),
-            "relation {r} still held after all txns ended"
-        );
-    }
-    mgr.commit(probe).unwrap();
 }
 
 fn storm(mgr: Arc<LockManager>, threads: usize, txns_per_thread: usize, seed: u64) {
@@ -221,9 +229,6 @@ fn deadlock_storm_resolves() {
     let stats = mgr.stats();
     assert_eq!(stats.commits + stats.aborts, (threads * per) as u64);
     assert_eq!(stats.commits, commits);
-    assert!(
-        commits > 0,
-        "at least the deadlock survivors make progress"
-    );
+    assert!(commits > 0, "at least the deadlock survivors make progress");
     assert_table_drained(&mgr);
 }

@@ -111,9 +111,11 @@ fn doomed_reader_releases_locks_exactly_once() {
     assert!(!lm.is_active(reader));
     assert!(matches!(lm.abort(reader), Err(LockError::NotActive(_))));
 
-    // The lock really was released (once): an X grant succeeds now.
+    // The lock really was released (once): nothing is held, and an X
+    // grant succeeds now.
+    assert_eq!(lm.held_locks(), 0);
     let late = lm.begin();
-    assert_eq!(lm.try_lock(late, res, LockMode::X), Ok(true));
+    lm.lock(late, res, LockMode::X).unwrap();
 }
 
 /// S3, engine level: under a doom-storm plan with a non-trivial RHS,

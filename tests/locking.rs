@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dbps::lock::{
-    compatible, ConflictPolicy, LockError, LockManager, LockMode, Protocol, ResourceId,
+    compatible, ConflictPolicy, LockError, LockManager, LockMode, Protocol, ResourceId, TxnId,
 };
 
 fn tup(n: u64) -> ResourceId {
@@ -38,20 +38,43 @@ fn e4_2_condition_evaluation_overlaps_inflight_writer_only_under_rc() {
     // Under Table 4.1, Rc under Wa is still refused (Wa row is N) — the
     // enhanced parallelism is the *other* direction (Wa granted under
     // Rc). Verify both directions precisely.
-    let lm = LockManager::new(ConflictPolicy::AbortReaders);
+    let lm = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
     let (writer, reader) = (lm.begin(), lm.begin());
     lm.lock(reader, tup(1), LockMode::Rc).unwrap();
     // Writer proceeds despite the reader — this is what 2PL forbids.
-    assert_eq!(lm.try_lock(writer, tup(1), LockMode::Wa), Ok(true));
+    assert!(!waits(&lm, writer, tup(1), LockMode::Wa));
     // A late reader cannot start under the in-flight writer.
     let late = lm.begin();
-    assert_eq!(lm.try_lock(late, tup(1), LockMode::Rc), Ok(false));
+    assert!(waits(&lm, late, tup(1), LockMode::Rc));
 
     // The 2PL baseline blocks the writer in the same situation.
-    let lm2 = LockManager::new(ConflictPolicy::AbortReaders);
+    let lm2 = Arc::new(LockManager::new(ConflictPolicy::AbortReaders));
     let (w2, r2) = (lm2.begin(), lm2.begin());
     lm2.lock(r2, tup(1), LockMode::S).unwrap();
-    assert_eq!(lm2.try_lock(w2, tup(1), LockMode::X), Ok(false));
+    assert!(waits(&lm2, w2, tup(1), LockMode::X));
+}
+
+/// Does `txn`'s request for `mode` on `res` wait? `lock` runs on another
+/// thread: `false` once it returns granted, `true` once it has queued —
+/// then `txn` is aborted from here, which wakes the request.
+fn waits(lm: &Arc<LockManager>, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
+    let blocks = lm.stats().blocks;
+    let request = {
+        let lm = Arc::clone(lm);
+        std::thread::spawn(move || lm.lock(txn, res, mode))
+    };
+    loop {
+        if request.is_finished() {
+            request.join().unwrap().unwrap();
+            return false;
+        }
+        if lm.stats().blocks > blocks {
+            lm.abort(txn).unwrap();
+            assert_eq!(request.join().unwrap(), Err(LockError::NotActive(txn)));
+            return true;
+        }
+        std::thread::yield_now();
+    }
 }
 
 #[test]
