@@ -4,7 +4,7 @@
 //! RHSs, zero data conflict) keeps every instantiation live until it
 //! fires, so the conflict set — and with it the per-cycle claim scan —
 //! grows linearly and the total match cost quadratically: the workload
-//! that exercises every part of the sharded pipeline (delta log,
+//! that exercises every part of the sharded pipeline (inboxes,
 //! catch-up, free advances, steals).
 //!
 //! The sweep holds workers fixed at 8 and varies `match_shards` over

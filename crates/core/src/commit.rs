@@ -11,7 +11,7 @@
 //! | 1 | base | `lm.commit` — the Figure 4.3 rule; the last step that can fail |
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
-//! | 4 | base | `publish` the change batch (delta log, version store, watermark) |
+//! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark) |
 //! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
 //! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
@@ -149,8 +149,9 @@ impl ParallelEngine {
             // The strategy's receipt: the versions a snapshot commit
             // installed (the SI checker cross-checks `seq == slot + 1`),
             // or the lock requests an elided commit never made.
+            let version = self.history_seq(seq);
             for res in &written {
-                obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq });
+                obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq: version });
             }
             if matches!(strategy, Strategy::Elided { .. }) {
                 obs.record(txn.0, ObsEvent::ElidedCommit { resources: requests });
@@ -310,15 +311,15 @@ impl ParallelEngine {
         let (key, own) = (&claim.key, claim.shard);
         let mut state = self.pipeline.shard_state(own);
         // A claim scanner may already have stolen this batch (the
-        // watermark is visible the moment `publish` returns). A cursor
-        // below `seq` cannot move while we hold the shard: applies need
-        // its lock, and a free advance only steps a caught-up cursor.
-        if self.pipeline.applied(own) < seq {
+        // watermark is visible the moment `publish` returns). What is
+        // pending cannot change while we hold the shard: only a
+        // catch-up, under its lock, pops the inbox.
+        if self.pipeline.pending(own, seq) {
             // At the pre-commit state the instantiation cannot have
             // vanished: its read set was lock-protected or validated.
             // Only the unvalidated `elide_misclassify` probe commits
-            // stale claims, on purpose. The check costs a second pass
-            // over the log, so only debug builds make it.
+            // stale claims, on purpose. The check costs a second
+            // catch-up, so only debug builds make it.
             if cfg!(debug_assertions) {
                 self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
                 debug_assert!(
@@ -367,7 +368,7 @@ impl ParallelEngine {
             self.pipeline.pin_snapshot(snap);
             snap
         };
-        self.emit(txn, ObsEvent::SnapshotPin { seq: snap });
+        self.emit(txn, ObsEvent::SnapshotPin { seq: self.history_seq(snap) });
         snap
     }
 
@@ -379,6 +380,14 @@ impl ParallelEngine {
         let mut state = self.pipeline.shard_state(claim.shard);
         self.pipeline.catch_up(claim.shard, seq, &mut state, stolen, self.obs.as_deref());
         state.rete.conflict_set().contains(&claim.key)
+    }
+
+    /// `seq` as this incarnation's history numbers MVCC versions and
+    /// snapshots: commit `base_seq + k` is `k`, matching its `Fire`
+    /// slot `k - 1`, and the working memory it started from is version
+    /// 0, as the version store seeds it. The identity on a fresh run.
+    pub(crate) fn history_seq(&self, seq: u64) -> u64 {
+        seq.saturating_sub(self.base_seq)
     }
 
     /// Records `kind` for `txn` when observability is on.

@@ -58,9 +58,9 @@
 //! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
 //!   per-component (and, for a key-partitioned component, per-key-
 //!   partition) Rete networks with their own conflict-set slice and
-//!   refraction slice, caught up from the sequence-numbered delta log
-//!   by committers fanning out and by idle claim scans stealing
-//!   pending shard×batch work;
+//!   refraction slice, each caught up from its own inbox of the
+//!   sequence-numbered batches that route to it, by committers fanning
+//!   out and by idle claim scans stealing pending shard×batch work;
 //! * **`Ledger`** (`Mutex` + two `Condvar`s) — claims, in-flight count,
 //!   termination flags, the count of threads parked on an in-flight
 //!   claim and, under policy `Revalidate` only, claims by transaction
@@ -498,7 +498,7 @@ pub struct ParallelEngine {
     /// and queries), allocated on demand after the rule classes' ids.
     session_class_ids: RwLock<HashMap<Atom, u32>>,
     /// Piece (b): the authoritative WM (commit critical section) plus
-    /// the per-shard match networks and the delta log between them.
+    /// the per-shard match networks and their inboxes.
     /// `Arc`'d (like `metrics` and `lm`) so telemetry
     /// probes — `'static` closures on the sampler thread — can read
     /// its atomics after borrowing rules forbid a plain reference.
@@ -531,6 +531,9 @@ pub struct ParallelEngine {
     /// can fall below a checkpoint recorded after it was read, and is
     /// then stale (the checkpoint's rotation already made it durable).
     pub(crate) checkpoint_recorded: Mutex<u64>,
+    /// The commit sequence this incarnation resumed from (0 for a
+    /// fresh run); see [`Self::history_seq`].
+    pub(crate) base_seq: u64,
     /// Live-telemetry registry + sampler ([`ParallelConfig::telemetry`]).
     telemetry: Option<Arc<Telemetry>>,
     /// Internal stop latch ([`ParallelEngine::request_stop`]); OR'd with
@@ -625,6 +628,7 @@ impl ParallelEngine {
             injector,
             durable,
             checkpoint_recorded: Mutex::new(0),
+            base_seq,
             telemetry,
             stop: AtomicBool::new(false),
             external_commits: AtomicU64::new(0),
@@ -1316,7 +1320,8 @@ impl ParallelEngine {
                     .filter(|v| v.state.as_ref().is_some_and(|s| s.timestamp == wme.timestamp))
                     .ok_or(strategy.stale_cause())?;
                 let resource = res_key(ResourceId::Tuple(wme.id.0));
-                self.emit(txn, ObsEvent::VersionRead { resource, seq: seen.seq });
+                let seq = self.history_seq(seen.seq);
+                self.emit(txn, ObsEvent::VersionRead { resource, seq });
             }
         }
         self.check_engine_doom(txn)?;
@@ -1696,6 +1701,34 @@ mod tests {
         assert!(
             si.violations.is_empty() && si.cycle.is_none(),
             "SI checker must accept a genuine MVCC run: {:?}",
+            si.violations
+        );
+    }
+
+    #[test]
+    fn resumed_mvcc_history_passes_si_checker() {
+        // A resumed engine commits from `base + 1` while its `Fire`
+        // records count trace slots from 0: its snapshot and version
+        // events must count from the same origin. Each cell is bumped
+        // twice, so the second bump reads a version this run wrote.
+        let (rules, wm) = counters(4, 2);
+        let cfg = mvcc(ParallelConfig {
+            workers: 4,
+            observe: true,
+            ..Default::default()
+        });
+        let initial = wm.clone();
+        let mut e = ParallelEngine::resume(&rules, wm, 100, cfg);
+        let report = e.run();
+        validate_trace(&rules, &initial, &report.trace).expect("oracle");
+        assert_eq!(report.commits, 8);
+        let history = e.observer().unwrap().history();
+        dps_obs::validate_history(&history).expect("well-formed history");
+        let si = dps_obs::analysis::si_checker::check_history(&history);
+        assert_eq!(si.committed, 8, "every commit pinned a snapshot");
+        assert!(
+            si.violations.is_empty() && si.cycle.is_none(),
+            "SI checker must accept a resumed MVCC run: {:?}",
             si.violations
         );
     }

@@ -20,21 +20,21 @@
 //!   every other affected shard is fed after that. The hold is a few
 //!   microseconds, so [`MatchPipeline::lock_base`] spins briefly
 //!   before it parks.
-//! * **Delta log** — a bounded queue of sequence-numbered change
-//!   batches (`Arc`'d, so shards share one copy), plus a `watermark`
-//!   atomic: the highest published sequence. The watermark is stored
-//!   while the base mutex is held, so `watermark()` read after locking
-//!   the base is exact.
+//! * **Inboxes** — each shard queues the sequence-numbered change
+//!   batches published to it and not yet fed to its network, in commit
+//!   order. A batch is pushed only to the shards its tuples route to
+//!   ([`ShardPlan::affected`]) — by class, and inside a key-partitioned
+//!   component by key value — as one `Arc` they share; a shard a batch
+//!   does not touch never sees it. `publish` pushes, then stores the
+//!   `watermark` atomic (the highest published sequence), both while
+//!   the base mutex is held, so `watermark()` read after locking the
+//!   base is exact and every batch up to it is already queued.
 //! * **[`MatchShard`]s** — one per plan shard: a [`Rete`] over that
 //!   shard's rules (speaking global rule ids via [`Rete::compile`])
 //!   holding only the tuples that route to it, the shard's
-//!   **refraction slice**, and an `applied` cursor. A published batch
-//!   fans out only to the shards its tuples route to
-//!   ([`ShardPlan::affected`]) — by class, and inside a key-partitioned
-//!   component by key value; the rest advance their cursor for free
-//!   with one CAS.
+//!   **refraction slice**, and its inbox.
 //! * **Work stealing** — any worker holding a shard lock can
-//!   [`MatchPipeline::catch_up`] that shard from the log; idle claim
+//!   [`MatchPipeline::catch_up`] that shard from its inbox; idle claim
 //!   scans do exactly that, so match work overlaps RHS execution
 //!   instead of queueing behind the committer.
 //! * **Shard-affine claim scans** — a shard counts as *busy* while a
@@ -45,12 +45,11 @@
 //!   partitions of one hot rule — instead of convoying on one shard
 //!   lock, and still visit every shard before concluding nothing is
 //!   claimable.
-//! * **Padding** — the base mutex, the log mutex, the watermark, the
-//!   fan-out tallies and each [`MatchShard`] sit on 128-byte lines of
-//!   their own ([`CachePadded`]). Each is written by whichever worker
-//!   commits or scans; on a line shared with a field every call reads,
-//!   those writes made a second worker slow the first (EXPERIMENTS
-//!   §XS.30).
+//! * **Padding** — the base mutex, the watermark, the fan-out tallies
+//!   and each [`MatchShard`] sit on 128-byte lines of their own
+//!   ([`CachePadded`]). Each is written by whichever worker commits or
+//!   scans; on a line shared with a field every call reads, those
+//!   writes made a second worker slow the first (EXPERIMENTS §XS.30).
 //!
 //! ### Why a stale shard view can never commit
 //!
@@ -58,7 +57,8 @@
 //! (every publish completes before the base is released — taking the
 //! mutex is a barrier that waits out a commit which has released its
 //! locks at `lm.commit` but not yet published), catches the shard the
-//! claim was scanned from up to `w`, and checks membership (an
+//! claim was scanned from up to `w` — pops and feeds every inbox entry
+//! `≤ w`, all of which are queued by then — and checks membership (an
 //! instantiation lives on exactly one shard: every tuple of it routes
 //! there, and routing is a function of the tuple). Any commit
 //! that could invalidate the claim after that point necessarily
@@ -83,11 +83,6 @@ use dps_wm::{Change, VersionedStore, WorkingMemory};
 
 use crate::world::Refraction;
 use crate::Trace;
-
-/// Log entries older than the slowest shard are pruned opportunistically;
-/// past this length the committer force-drains lagging shards so an
-/// unlucky (never-affected, never-scanned) shard cannot pin the log.
-const LOG_DRAIN_THRESHOLD: usize = 64;
 
 /// Failed `try_lock` rounds [`MatchPipeline::lock_base`] makes before
 /// it parks. The base hold is a few microseconds and a park/unpark
@@ -121,15 +116,6 @@ pub(crate) struct WmBase {
     pub trace: Trace,
 }
 
-/// One published commit: its sequence number, its WM change batch and
-/// the shards whose alpha classes intersect it.
-#[derive(Debug)]
-struct LogEntry {
-    seq: u64,
-    changes: Arc<Vec<Change>>,
-    affected: Vec<usize>,
-}
-
 /// A shard's lock-protected state: its Rete and its refraction slice.
 #[derive(Debug)]
 pub(crate) struct ShardState {
@@ -147,13 +133,17 @@ impl ShardState {
     }
 }
 
-/// One match shard: lock-protected state plus its lock-free log cursor.
+/// One match shard: lock-protected state plus its inbox.
 #[derive(Debug)]
 pub(crate) struct MatchShard {
     state: Mutex<ShardState>,
-    /// Highest log sequence this shard has incorporated. Only advances
-    /// (`fetch_max` / forward CAS); `applied ≤ watermark` always.
-    applied: AtomicU64,
+    /// Published batches routed here and not yet fed, in sequence
+    /// order. Pushed under the base mutex, popped under `state`; a leaf
+    /// lock.
+    inbox: Mutex<VecDeque<(u64, Arc<Vec<Change>>)>>,
+    /// The inbox's front sequence, `u64::MAX` when it is empty; stored
+    /// under the inbox lock, read without it ([`MatchPipeline::pending`]).
+    oldest: AtomicU64,
     /// In-flight claims taken from this shard plus its current lock
     /// holder: non-zero = *busy*. A scheduling hint for [`scan_order`]
     /// only — it publishes no data, hence `Relaxed` throughout.
@@ -213,14 +203,10 @@ struct PipelineStats {
     batches: AtomicU64,
     free_advances: AtomicU64,
     steals: AtomicU64,
-    /// Live-telemetry mirrors, maintained at the mutation sites (under
-    /// the respective mutexes, so exact) — sampling probes read these
-    /// instead of taking the log / pins / versions locks. `log_len`
-    /// and `log_floor` (every sequence up to it has been pruned from
-    /// the log) also let the committer decide whether to drain or
-    /// prune without taking the log mutex.
-    log_len: AtomicU64,
-    log_floor: AtomicU64,
+    /// Live-telemetry mirrors, maintained at the mutation sites —
+    /// sampling probes read these instead of taking the inbox / pins /
+    /// versions locks. `queued` counts the batches in all inboxes.
+    queued: AtomicU64,
     version_records: AtomicU64,
     gc_floor: AtomicU64,
     pin_count: AtomicU64,
@@ -228,21 +214,21 @@ struct PipelineStats {
 }
 
 /// The sharded match pipeline. See the module docs for the protocol;
-/// the lock order is **base → shard → log** (the engine's ledger mutex
-/// sorts after `shard` and is never held while taking a shard lock).
+/// the lock order is **base → inbox** and **shard → inbox**, the inbox
+/// a leaf (the engine's ledger mutex sorts after `shard` and is never
+/// held while taking a shard lock).
 #[derive(Debug)]
 pub(crate) struct MatchPipeline {
     /// The commit critical section ([`MatchPipeline::lock_base`]).
     base: CachePadded<Mutex<WmBase>>,
     plan: ShardPlan,
     shards: Vec<CachePadded<MatchShard>>,
-    log: CachePadded<Mutex<VecDeque<LogEntry>>>,
     watermark: CachePadded<AtomicU64>,
     stats: CachePadded<PipelineStats>,
-    /// The MVCC version chains, mirroring every published batch. The
-    /// delta log above *is* the version log in transit; this store is
-    /// its queryable, bounded materialisation (`as_of` reads for
-    /// snapshot claim validation and commit-time self-validation).
+    /// The MVCC version chains, mirroring every published batch: the
+    /// queryable, bounded materialisation of the commit sequence
+    /// (`as_of` reads for snapshot claim validation and commit-time
+    /// self-validation).
     /// Writers only run under the base mutex (lock order: base →
     /// versions), so a write lock is never contended by another writer.
     /// Left empty when nothing can ever pin or read a snapshot (see
@@ -262,7 +248,6 @@ pub(crate) struct MatchPipeline {
 const _: () = {
     assert!(field_align(|p: &MatchPipeline| &p.base) >= 128);
     assert!(field_align(|p: &MatchPipeline| &p.shards[0]) >= 128);
-    assert!(field_align(|p: &MatchPipeline| &p.log) >= 128);
     assert!(field_align(|p: &MatchPipeline| &p.watermark) >= 128);
     assert!(field_align(|p: &MatchPipeline| &p.stats) >= 128);
 };
@@ -273,7 +258,7 @@ impl MatchPipeline {
     /// starts the sequence space at `base_seq` — the last
     /// committed sequence number, as recovered from a durable log (`0`
     /// = a fresh system). `wm` must be the state *as of* commit
-    /// `base_seq`; the watermark and every shard cursor start there,
+    /// `base_seq`; the watermark starts there, every inbox empty,
     /// and the next commit takes `base_seq + 1`, so a resumed engine's
     /// WAL records continue the same sequence the crashed incarnation
     /// was writing. `versioned` says whether any transaction will read
@@ -295,7 +280,8 @@ impl MatchPipeline {
                         rete,
                         refracted: Refraction::default(),
                     }),
-                    applied: AtomicU64::new(base_seq),
+                    inbox: Mutex::default(),
+                    oldest: AtomicU64::new(u64::MAX),
                     busy: AtomicUsize::new(0),
                     applies: AtomicU64::new(0),
                 })
@@ -313,12 +299,8 @@ impl MatchPipeline {
             })),
             plan,
             shards: shard_states,
-            log: CachePadded::default(),
             watermark: CachePadded::new(AtomicU64::new(base_seq)),
-            stats: CachePadded::new(PipelineStats {
-                log_floor: AtomicU64::new(base_seq),
-                ..PipelineStats::default()
-            }),
+            stats: CachePadded::default(),
             versions: RwLock::new(versions),
             versioned,
             pins: Mutex::new(BTreeMap::new()),
@@ -374,13 +356,14 @@ impl MatchPipeline {
         self.shards[s].busy.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Shard `s`'s log cursor. Applies need the shard's state lock;
-    /// free advances (under the base mutex) only ever step a fully
-    /// caught-up cursor from `seq - 1` to `seq`. So to a caller
-    /// holding the state lock, a reading below some published `seq`
-    /// stays below it until the caller itself applies.
-    pub fn applied(&self, s: usize) -> u64 {
-        self.shards[s].applied.load(Ordering::Acquire)
+    /// Whether commit `seq`, or an earlier one routed to shard `s`, is
+    /// still queued in its inbox. Lock-free. Only a catch-up, under the
+    /// shard's state lock, pops, and a later publish can only queue
+    /// later sequences; so to a caller holding the state lock a `true`
+    /// stays `true` until the caller itself catches up, and a `false`
+    /// for a published `seq` is final.
+    pub fn pending(&self, s: usize, seq: u64) -> bool {
+        self.shards[s].oldest.load(Ordering::Acquire) <= seq
     }
 
     /// The highest published commit sequence. Reading it *after*
@@ -392,9 +375,9 @@ impl MatchPipeline {
 
     /// Publishes commit `seq`'s change batch. **Must be called with the
     /// base mutex held** and `seq == base.next_seq - 1` already bumped
-    /// by the caller. Appends the log entry, advances the watermark,
-    /// and free-advances every unaffected, fully-caught-up shard.
-    /// Returns the affected shard list for the caller's fan-out.
+    /// by the caller. Queues the batch in the inbox of every shard it
+    /// routes to, then advances the watermark. Returns those shards for
+    /// the caller's fan-out.
     pub fn publish(&self, seq: u64, changes: Vec<Change>) -> Vec<usize> {
         let affected = self.plan.affected(&changes);
         if self.versioned {
@@ -417,38 +400,31 @@ impl MatchPipeline {
                     .store(versions.stats().versions as u64, Ordering::Relaxed);
             }
         }
-        {
-            let mut log = self.log.lock().unwrap();
-            log.push_back(LogEntry {
-                seq,
-                changes: Arc::new(changes),
-                affected: affected.clone(),
-            });
-            self.stats.log_len.store(log.len() as u64, Ordering::Relaxed);
-        }
-        // Watermark before free advances: `applied ≤ watermark` stays
-        // invariant (a cursor only reaches `seq` once `watermark` has).
-        self.watermark.store(seq, Ordering::Release);
-        let mut free = 0u64;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if affected.binary_search(&s).is_err()
-                && shard
-                    .applied
-                    .compare_exchange(seq - 1, seq, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                free += 1;
+        // Counted before the pushes, so a pop never makes it underflow.
+        self.stats.queued.fetch_add(affected.len() as u64, Ordering::Relaxed);
+        let changes = Arc::new(changes);
+        for &s in &affected {
+            let shard = &self.shards[s];
+            let mut inbox = shard.inbox.lock().expect("a worker panicked holding an inbox");
+            if inbox.is_empty() {
+                shard.oldest.store(seq, Ordering::Release);
             }
+            inbox.push_back((seq, Arc::clone(&changes)));
         }
+        // Inboxes before the watermark (`Release`, paired with the
+        // `Acquire` in `watermark()`): a catch-up to any watermark it
+        // reads finds every batch up to it queued.
+        self.watermark.store(seq, Ordering::Release);
+        let unrouted = (self.shards.len() - affected.len()) as u64;
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.stats.free_advances.fetch_add(free, Ordering::Relaxed);
+        self.stats.free_advances.fetch_add(unrouted, Ordering::Relaxed);
         affected
     }
 
-    /// Brings shard `s` (whose state the caller holds) up to at least
-    /// `target`. `stolen` marks applies done outside the committing
-    /// worker's own fan-out (claim-scan work stealing), for the fan-out
-    /// tallies.
+    /// Brings shard `s` (whose state the caller holds) up to `target`:
+    /// pops and feeds every inbox entry `≤ target`, in sequence order.
+    /// `stolen` marks applies done outside the committing worker's own
+    /// fan-out (claim-scan work stealing), for the fan-out tallies.
     pub fn catch_up(
         &self,
         s: usize,
@@ -457,102 +433,37 @@ impl MatchPipeline {
         stolen: bool,
         obs: Option<&Recorder>,
     ) {
-        loop {
-            let cur = self.shards[s].applied.load(Ordering::Acquire);
-            if cur >= target {
-                return;
-            }
-            // Snapshot the needed entries, then drop the log lock before
-            // running the network (never hold the log across an apply).
-            // The log is gapless and ordered, and entries ≤ `cur` are
-            // pruned only after every shard (this one included) applied
-            // them — so `cur + 1` sits at a known offset from the front.
-            let batch: Vec<(u64, Option<Arc<Vec<Change>>>)> = {
-                let log = self.log.lock().unwrap();
-                let front = log.front().map_or(cur + 1, |e| e.seq);
-                if front > cur + 1 {
-                    // `publish` free-advanced this cursor past `cur` (a
-                    // compare-exchange that takes no shard lock) and a
-                    // prune dropped the entries it skipped, none of
-                    // which route here: read the cursor again.
-                    continue;
-                }
-                let lo = ((cur + 1 - front) as usize).min(log.len());
-                let hi = ((target + 1 - front) as usize).min(log.len());
-                log.range(lo..hi)
-                    .map(|e| {
-                        let hit = e.affected.binary_search(&s).is_ok();
-                        (e.seq, hit.then(|| Arc::clone(&e.changes)))
-                    })
-                    .collect()
+        let shard = &self.shards[s];
+        while self.pending(s, target) {
+            // Never hold the inbox across an apply: publish pushes to it.
+            let changes = {
+                let mut inbox = shard.inbox.lock().expect("a worker panicked holding an inbox");
+                let (_, changes) = inbox.pop_front().expect("`oldest` names a queued batch");
+                shard.oldest.store(inbox.front().map_or(u64::MAX, |e| e.0), Ordering::Release);
+                changes
             };
-            if batch.is_empty() {
-                // A concurrent `catch_up` raced us past `target` (and
-                // the entries may already be pruned).
-                debug_assert!(self.shards[s].applied.load(Ordering::Acquire) >= target);
-                return;
+            self.stats.queued.fetch_sub(1, Ordering::Relaxed);
+            let t0 = obs.map(|_| Instant::now());
+            self.plan.feed(s, &mut state.rete, &changes);
+            shard.applies.fetch_add(1, Ordering::Relaxed);
+            if stolen {
+                self.stats.steals.fetch_add(1, Ordering::Relaxed);
             }
-            debug_assert_eq!(batch[0].0, cur + 1, "delta log must be gapless");
-            for (seq, changes) in batch {
-                if let Some(changes) = changes {
-                    let t0 = obs.map(|_| Instant::now());
-                    self.plan.feed(s, &mut state.rete, &changes);
-                    self.shards[s].applies.fetch_add(1, Ordering::Relaxed);
-                    if stolen {
-                        self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let (Some(obs), Some(t0)) = (obs, t0) {
-                        obs.phase(Phase::MatchApply, t0.elapsed());
-                    }
-                }
-                self.shards[s].applied.fetch_max(seq, Ordering::AcqRel);
+            if let (Some(obs), Some(t0)) = (obs, t0) {
+                obs.phase(Phase::MatchApply, t0.elapsed());
             }
         }
     }
 
-    /// The committing worker's fan-out: push `seq` to every affected
-    /// shard, then prune the log. When the log has grown past
-    /// [`LOG_DRAIN_THRESHOLD`] the committer also drains *lagging*
-    /// shards (affected or not), bounding the log against shards no
-    /// batch ever routes to.
+    /// The committing worker's fan-out: catch every shard `seq` was
+    /// routed to up to it, skipping those a claim scan already did.
     pub fn fan_out(&self, affected: &[usize], seq: u64, obs: Option<&Recorder>) {
         for &s in affected {
-            if self.shards[s].applied.load(Ordering::Acquire) >= seq {
-                continue;
-            }
-            let mut state = self.shard_state(s);
-            self.catch_up(s, seq, &mut state, false, obs);
-        }
-        if self.log_depth() > LOG_DRAIN_THRESHOLD as u64 {
-            for s in 0..self.shards.len() {
-                if self.shards[s].applied.load(Ordering::Acquire) < seq {
-                    let mut state = self.shard_state(s);
-                    self.catch_up(s, seq, &mut state, false, obs);
-                }
+            if self.pending(s, seq) {
+                let mut state = self.shard_state(s);
+                self.catch_up(s, seq, &mut state, false, obs);
             }
         }
-        self.prune();
-    }
-
-    /// Drops log entries every shard has incorporated. Takes the log
-    /// mutex only when the front entry can actually go: the slowest
-    /// cursor has passed `log_floor`.
-    fn prune(&self) {
-        let min = self
-            .shards
-            .iter()
-            .map(|s| s.applied.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0);
-        if min <= self.stats.log_floor.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut log = self.log.lock().unwrap();
-        while log.front().is_some_and(|e| e.seq <= min) {
-            log.pop_front();
-        }
-        self.stats.log_floor.fetch_max(min, Ordering::Relaxed);
-        self.stats.log_len.store(log.len() as u64, Ordering::Relaxed);
     }
 
     /// Read access to the MVCC version chains (empty unless the engine
@@ -598,23 +509,19 @@ impl MatchPipeline {
         self.pins.lock().unwrap().keys().next().copied()
     }
 
-    /// Delta-log depth (live telemetry gauge; a lock-free mirror of the
-    /// log length, maintained under the log mutex at publish/prune).
+    /// Batches queued in all inboxes (live telemetry gauge; a lock-free
+    /// counter kept at publish and catch-up).
     pub fn log_depth(&self) -> u64 {
-        self.stats.log_len.load(Ordering::Relaxed)
+        self.stats.queued.load(Ordering::Relaxed)
     }
 
-    /// How far the slowest shard's applied cursor trails the watermark
-    /// (live telemetry gauge; pure atomic reads).
+    /// How many commits the oldest queued batch trails the watermark
+    /// by, counting itself; 0 when every inbox is empty (live telemetry
+    /// gauge; pure atomic reads).
     pub fn max_cursor_lag(&self) -> u64 {
+        let oldest = self.shards.iter().map(|s| s.oldest.load(Ordering::Acquire)).min();
         let w = self.watermark.load(Ordering::Acquire);
-        let min = self
-            .shards
-            .iter()
-            .map(|s| s.applied.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(w);
-        w.saturating_sub(min)
+        (w + 1).saturating_sub(oldest.unwrap_or(u64::MAX))
     }
 
     /// Retained MVCC version records (live telemetry gauge; refreshed
@@ -665,8 +572,11 @@ impl MatchPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_match::Matcher;
-    use dps_wm::WmeData;
+    use std::collections::BTreeSet;
+
+    use dps_match::{Matcher, ShardedRete};
+    use dps_wm::rng::SmallRng;
+    use dps_wm::{Atom, DeltaSet, Value, WmeData, WmeId};
 
     const CORPUS: &str = r#"
         (p fam1 (a ^k <x>) (b ^k <x>) --> (remove 1))
@@ -686,14 +596,18 @@ mod tests {
 
     /// Drives one commit through the base/publish/fan-out protocol.
     fn commit_changes(p: &MatchPipeline, data: WmeData) -> (u64, Vec<usize>) {
+        let (seq, affected) = publish_only(p, data);
+        p.fan_out(&affected, seq, None);
+        (seq, affected)
+    }
+
+    /// Publishes one batch inserting `data`, without a fan-out.
+    fn publish_only(p: &MatchPipeline, data: WmeData) -> (u64, Vec<usize>) {
         let mut base = p.lock_base();
         let w = base.wm.insert_full(data);
         let seq = base.next_seq;
         base.next_seq += 1;
-        let affected = p.publish(seq, vec![Change::Added(w)]);
-        drop(base);
-        p.fan_out(&affected, seq, None);
-        (seq, affected)
+        (seq, p.publish(seq, vec![Change::Added(w)]))
     }
 
     #[test]
@@ -704,13 +618,11 @@ mod tests {
         assert_eq!(affected.len(), 1, "only fam3's shard fans in");
         assert_eq!(p.watermark(), seq);
         for s in 0..p.shards() {
-            assert_eq!(p.shards[s].applied.load(Ordering::Acquire), seq);
+            assert!(!p.pending(s, seq), "shard {s}");
         }
         let stats = p.fanout_stats();
         assert_eq!((stats.batches, stats.applies, stats.free_advances), (1, 1, 2));
-        assert_eq!(p.log.lock().unwrap().len(), 0, "fully-applied entries pruned");
-        assert_eq!(p.stats.log_floor.load(Ordering::Relaxed), seq);
-        assert_eq!(p.log_depth(), 0);
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (0, 0), "every inbox drained");
     }
 
     #[test]
@@ -729,7 +641,7 @@ mod tests {
         assert_eq!((stats.batches, stats.applies, stats.free_advances), (2, 2, 14));
         assert_eq!((stats.max_shard_applies, stats.components, stats.partitions), (2, 1, 8));
         for s in 0..p.shards() {
-            assert_eq!(p.applied(s), seq);
+            assert!(!p.pending(s, seq));
             let expect = usize::from(s == on_a[0]);
             assert_eq!(p.shard_state(s).rete.conflict_set().len(), expect, "shard {s}");
         }
@@ -776,30 +688,149 @@ mod tests {
     }
 
     #[test]
-    fn lagging_shard_catches_up_from_the_log() {
+    fn lagging_shard_catches_up_from_its_inbox() {
         let (rules, p) = pipeline(3);
-        // Publish without fanning out: shards lag behind the watermark.
-        let mut base = p.lock_base();
-        let w1 = base.wm.insert_full(WmeData::new("e").with("k", 5i64));
-        let seq1 = base.next_seq;
-        base.next_seq += 1;
-        p.publish(seq1, vec![Change::Added(w1)]);
-        let w2 = base.wm.insert_full(WmeData::new("e").with("k", 6i64));
-        let seq2 = base.next_seq;
-        base.next_seq += 1;
-        p.publish(seq2, vec![Change::Added(w2)]);
-        drop(base);
         let s = p.plan().shards_of(rules.id_of("fam3").unwrap()).start;
-        assert!(p.shards[s].applied.load(Ordering::Acquire) < seq2);
-        let before = {
-            let st = p.shard_state(s);
-            st.rete.conflict_set().len()
-        };
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (0, 0), "nothing published");
+        assert!(!p.pending(s, u64::MAX - 1), "an empty inbox is pending nothing");
+        // Publish without fanning out: fam3's shard lags the watermark.
+        let (seq1, _) = publish_only(&p, WmeData::new("e").with("k", 5i64));
+        let (seq2, _) = publish_only(&p, WmeData::new("e").with("k", 6i64));
+        assert!(!p.pending(s, seq1 - 1), "nothing before the first batch");
+        assert!(p.pending(s, seq1) && p.pending(s, seq2));
+        assert!((0..p.shards()).filter(|&o| o != s).all(|o| !p.pending(o, seq2)));
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (2, 2), "two batches queued, both lagging");
+        let before = p.shard_state(s).rete.conflict_set().len();
         let mut st = p.shard_state(s);
+        p.catch_up(s, seq1, &mut st, true, None);
+        assert_eq!(st.rete.conflict_set().len(), before + 1, "up to the target only");
+        assert!(!p.pending(s, seq1) && p.pending(s, seq2));
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (1, 1));
         p.catch_up(s, seq2, &mut st, true, None);
         assert_eq!(st.rete.conflict_set().len(), before + 2);
         drop(st);
-        assert_eq!(p.shards[s].applied.load(Ordering::Acquire), seq2);
+        assert!(!p.pending(s, seq2));
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (0, 0), "caught up");
         assert_eq!(p.fanout_stats().steals, 2);
+    }
+
+    /// Seeded change batches over `a`/`b`/`c` tuples: inserts, removes,
+    /// and key modifies that move a tuple between partitions.
+    fn seeded_batches(seed: u64, n: usize) -> Vec<Vec<Change>> {
+        let mut wm = WorkingMemory::new();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut live: Vec<WmeId> = Vec::new();
+        (0..n)
+            .map(|_| {
+                if !live.is_empty() && rng.random_bool(0.4) {
+                    let idx = rng.index(live.len());
+                    if rng.random_bool(0.5) {
+                        vec![Change::Removed(wm.remove(live.swap_remove(idx)).unwrap())]
+                    } else {
+                        let mut delta = DeltaSet::new();
+                        delta.modify(live[idx], [(Atom::from("k"), Value::Int(rng.range_i64(0, 6)))]);
+                        let changes = wm.apply(&delta).unwrap();
+                        live[idx] = changes.last().unwrap().wme().id;
+                        changes
+                    }
+                } else {
+                    let class = ["a", "b", "c"][rng.index(3)];
+                    let w = wm.insert_full(WmeData::new(class).with("k", rng.range_i64(0, 6)));
+                    live.push(w.id);
+                    vec![Change::Added(w)]
+                }
+            })
+            .collect()
+    }
+
+    fn keys(rete: &Rete) -> BTreeSet<InstKey> {
+        rete.conflict_set().keys().cloned().collect()
+    }
+
+    #[test]
+    fn ordering_inbox_hand_off_matches_a_serial_sharded_rete() {
+        const BATCHES: usize = 300;
+        let rules = RuleSet::parse(
+            "(p join (a ^k <x>) (b ^k <x>) --> (remove 1))
+             (p neg (b ^k <x>) -(a ^k <x>) --> (remove 1))
+             (p lone (c ^k <x>) --> (remove 1))",
+        )
+        .unwrap();
+        let seed = 0x1b0c5 ^ u64::from(std::process::id());
+        let batches = seeded_batches(seed, BATCHES);
+        // The serial reference: shard `s`'s conflict set after batch
+        // `k` is `serial[k][s]` (`serial[0]` is the empty start).
+        let mut reference = ShardedRete::new(&rules, &WorkingMemory::new(), 8);
+        let shards = reference.plan().shards();
+        let snapshot = |r: &ShardedRete| (0..shards).map(|s| keys(r.shard(s))).collect::<Vec<_>>();
+        let mut serial = vec![snapshot(&reference)];
+        let mut routed = vec![0u64; shards];
+        for batch in &batches {
+            for s in reference.plan().affected(batch) {
+                routed[s] += 1;
+            }
+            reference.apply(batch);
+            serial.push(snapshot(&reference));
+        }
+        let p = MatchPipeline::new_at(
+            &rules,
+            WorkingMemory::new(),
+            ShardPlan::new(&rules, 8),
+            0,
+            false,
+        );
+        assert!(p.plan().partitions() > 1, "the join spreads over key partitions");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for scanner in 0..2u64 {
+                let (p, done, serial) = (&p, &done, &serial);
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(seed + 1 + scanner);
+                    while !done.load(Ordering::Acquire) {
+                        let s = rng.index(shards);
+                        // Half the time the newest batch: the hand-off's edge.
+                        let w = p.watermark();
+                        let target = if rng.random_bool(0.5) { w } else { rng.range_u64(0, w) };
+                        let mut st = p.shard_state(s);
+                        p.catch_up(s, target, &mut st, true, None);
+                        assert!(!p.pending(s, target), "shard {s} caught up to {target}");
+                        // Under the shard lock nothing pops: the shard
+                        // has fed exactly its batches before `oldest`.
+                        let oldest = p.shards[s].oldest.load(Ordering::Acquire);
+                        let got = keys(&st.rete);
+                        if oldest == u64::MAX {
+                            let at = target as usize;
+                            assert!(
+                                serial[at..].iter().any(|k| k[s] == got),
+                                "shard {s} drained, seed {seed}"
+                            );
+                        } else {
+                            assert_eq!(got, serial[oldest as usize - 1][s], "shard {s}, seed {seed}");
+                        }
+                    }
+                });
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for batch in &batches {
+                let mut base = p.lock_base();
+                let seq = base.next_seq;
+                base.next_seq += 1;
+                let affected = p.publish(seq, batch.clone());
+                drop(base);
+                if rng.random_bool(0.5) {
+                    p.fan_out(&affected, seq, None);
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        let last = BATCHES as u64;
+        for s in 0..shards {
+            let mut st = p.shard_state(s);
+            p.catch_up(s, last, &mut st, false, None);
+            assert_eq!(keys(&st.rete), serial[BATCHES][s], "shard {s}, seed {seed}");
+            let applies = p.shards[s].applies.load(Ordering::Relaxed);
+            assert_eq!(applies, routed[s], "shard {s} fed each batch once, seed {seed}");
+        }
+        assert_eq!((p.log_depth(), p.max_cursor_lag()), (0, 0));
     }
 }

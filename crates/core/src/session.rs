@@ -8,7 +8,7 @@
 //! transaction against the live engine — buffer inserts/removes, read
 //! condition state, and commit through **the same commit critical
 //! section** rule firings use, so external commits serialise with rule
-//! commits, land in the same WAL, publish through the same delta log,
+//! commits, land in the same WAL, publish through the same inboxes,
 //! and appear in the same [`crate::Trace`] (marked [`Firing::external`]; the
 //! §3 oracle replays them by applying the delta verbatim — there is no
 //! instantiation whose conflict-set membership could be checked).

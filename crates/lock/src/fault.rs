@@ -354,7 +354,10 @@ impl FaultInjector {
         (h % 1000) < u64::from(pm)
     }
 
-    fn emit(obs: Option<&Recorder>, txn: TxnId, kind: &'static str) {
+    /// Books one injected fault: bumps its counter, then records its
+    /// `Fault` event when a recorder is attached.
+    fn book(counter: &AtomicU64, obs: Option<&Recorder>, txn: TxnId, kind: &'static str) {
+        counter.fetch_add(1, Relaxed);
         if let Some(obs) = obs {
             obs.record(txn.0, ObsEvent::Fault { kind });
         }
@@ -364,8 +367,7 @@ impl FaultInjector {
     /// already held, so the delay stretches the hold time).
     pub(crate) fn grant_delay(&self, txn: TxnId, res: u64, obs: Option<&Recorder>) {
         if self.hit(site::GRANT_DELAY, txn.0, res, self.plan.grant_delay_pm) {
-            self.counters.grant_delays.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "grant_delay");
+            Self::book(&self.counters.grant_delays, obs, txn, "grant_delay");
             std::thread::sleep(Duration::from_micros(self.plan.grant_delay_us));
         }
     }
@@ -388,8 +390,7 @@ impl FaultInjector {
             self.plan.spurious_wakeup_pm,
         );
         if hit {
-            self.counters.spurious_wakeups.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "spurious_wakeup");
+            Self::book(&self.counters.spurious_wakeups, obs, txn, "spurious_wakeup");
         }
         hit
     }
@@ -404,8 +405,7 @@ impl FaultInjector {
     /// decision in [`Self::forced_abort`] may be vetoed by a
     /// concurrent organic doom, which takes priority).
     pub(crate) fn count_forced_abort(&self, txn: TxnId, obs: Option<&Recorder>) {
-        self.counters.forced_aborts.fetch_add(1, Relaxed);
-        Self::emit(obs, txn, "forced_abort");
+        Self::book(&self.counters.forced_aborts, obs, txn, "forced_abort");
     }
 
     /// Engine seam: maybe stall between RHS steps. `step` salts the
@@ -413,8 +413,7 @@ impl FaultInjector {
     /// owns the RHS loop.
     pub fn rhs_stall(&self, txn: TxnId, step: u64, obs: Option<&Recorder>) {
         if self.hit(site::RHS_STALL, txn.0, step, self.plan.rhs_stall_pm) {
-            self.counters.rhs_stalls.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "rhs_stall");
+            Self::book(&self.counters.rhs_stalls, obs, txn, "rhs_stall");
             std::thread::sleep(Duration::from_micros(self.plan.rhs_stall_us));
         }
     }
@@ -439,8 +438,7 @@ impl FaultInjector {
     /// the engine owns the commit path.
     pub fn publish_stall(&self, txn: TxnId, seq: u64, obs: Option<&Recorder>) {
         if self.plan.publish_stall_commit != 0 && seq == self.plan.publish_stall_commit {
-            self.counters.publish_stalls.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "publish_stall");
+            Self::book(&self.counters.publish_stalls, obs, txn, "publish_stall");
             std::thread::sleep(Duration::from_micros(self.plan.publish_stall_us));
         }
     }
@@ -448,8 +446,7 @@ impl FaultInjector {
     /// Counts a WAL kill the engine actually carried out, with its
     /// first-class fault event.
     pub fn count_wal_kill(&self, txn: TxnId, obs: Option<&Recorder>) {
-        self.counters.wal_kills.fetch_add(1, Relaxed);
-        Self::emit(obs, txn, "wal_kill");
+        Self::book(&self.counters.wal_kills, obs, txn, "wal_kill");
     }
 
     /// Server seam: tear this session's connection down right after
@@ -469,8 +466,7 @@ impl FaultInjector {
     ) -> bool {
         let hit = self.hit(site::DROP_MID_CLAIM, session, ordinal, self.plan.drop_mid_claim_pm);
         if hit {
-            self.counters.drop_mid_claims.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "drop_mid_claim");
+            Self::book(&self.counters.drop_mid_claims, obs, txn, "drop_mid_claim");
         }
         hit
     }
@@ -487,8 +483,7 @@ impl FaultInjector {
     ) -> bool {
         let hit = self.hit(site::DROP_MID_RHS, session, ordinal, self.plan.drop_mid_rhs_pm);
         if hit {
-            self.counters.drop_mid_rhs.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "drop_mid_rhs");
+            Self::book(&self.counters.drop_mid_rhs, obs, txn, "drop_mid_rhs");
         }
         hit
     }
@@ -505,8 +500,7 @@ impl FaultInjector {
         obs: Option<&Recorder>,
     ) -> Option<Duration> {
         if self.hit(site::SLOWLORIS, session, ordinal, self.plan.slowloris_pm) {
-            self.counters.slowloris.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "slowloris");
+            Self::book(&self.counters.slowloris, obs, txn, "slowloris");
             Some(Duration::from_micros(self.plan.slowloris_us))
         } else {
             None
@@ -520,8 +514,7 @@ impl FaultInjector {
     pub fn rhs_panic(&self, txn: TxnId, step: u64, obs: Option<&Recorder>) -> bool {
         let hit = self.hit(site::RHS_PANIC, txn.0, step, self.plan.rhs_panic_pm);
         if hit {
-            self.counters.rhs_panics.fetch_add(1, Relaxed);
-            Self::emit(obs, txn, "rhs_panic");
+            Self::book(&self.counters.rhs_panics, obs, txn, "rhs_panic");
         }
         hit
     }

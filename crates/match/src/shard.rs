@@ -456,7 +456,7 @@ impl ShardPlan {
 /// A plan plus its per-shard Retes, driven serially: the reference
 /// composition the equivalence property tests pin against a monolithic
 /// [`Rete`], and the shape `dps-core` parallelises by giving each shard
-/// its own mutex and delta cursor.
+/// its own mutex and inbox.
 pub struct ShardedRete {
     plan: ShardPlan,
     shards: Vec<Rete>,

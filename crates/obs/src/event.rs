@@ -199,6 +199,9 @@ pub enum EventKind {
     /// MVCC: the transaction pinned its read snapshot at this commit
     /// sequence number. All of its condition reads observe the
     /// versioned working memory `as_of(seq)`; no `Rc` locks are taken.
+    /// MVCC sequences count from the recording engine's start, as its
+    /// `Fire` slots do: an engine resumed at base sequence `b` records
+    /// commit `b + k` as `k` and the memory it resumed as version 0.
     SnapshotPin {
         /// The pinned commit sequence number.
         seq: u64,

@@ -29,8 +29,9 @@ pub struct FanoutStats {
     pub batches: u64,
     /// Shard×batch Rete applies actually performed.
     pub applies: u64,
-    /// Shard epoch advances that skipped the apply because no alpha
-    /// class of the shard intersected the batch.
+    /// Shard×batch pairs a publish did not route to: the shards no
+    /// tuple of the batch routes to, which never see it (shards minus
+    /// routed shards, summed over batches).
     pub free_advances: u64,
     /// Applies performed by a worker other than the committing one
     /// (idle-worker catch-up stealing); subset of `applies`.

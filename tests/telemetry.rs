@@ -92,6 +92,10 @@ fn counter_series_reconcile_with_the_report() {
         Some(report.fanout.free_advances)
     );
     assert_eq!(doc.last("pipeline.steals"), Some(report.fanout.steals));
+    // Every committer catches the shards its batch was routed to up
+    // before it returns, so a drained run leaves every inbox empty.
+    assert_eq!(doc.last("pipeline.log_depth"), Some(0));
+    assert_eq!(doc.last("pipeline.cursor_lag"), Some(0));
 
     // And the event-ring side agrees too: the recorder's report counts
     // the same commits/aborts the timeline integrated.
