@@ -279,6 +279,7 @@ impl Leg {
                 counters(&[
                     ("grants", r.lock_stats.grants),
                     ("blocks", r.lock_stats.blocks),
+                    ("dooms", r.lock_stats.dooms),
                     ("elided", r.lock_stats.elided),
                 ]),
             ),

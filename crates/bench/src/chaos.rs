@@ -13,7 +13,11 @@
 //!   [`FaultPlan::corrupt_fire_seq`] set and an odd commit count must
 //!   be *rejected* by the checker (the low-bit flip breaks `0..n`
 //!   contiguity of the recovered sequence), proving the oracle can
-//!   actually fail.
+//!   actually fail;
+//! * the **one doom book** under `Revalidate`, summed over its legs:
+//!   no reader aborts as `doomed` (the lock manager dooms nobody on its
+//!   own there), and no leg has more `revalidation` aborts than lock
+//!   dooms (every verdict is a lock-manager doom).
 
 use dps_core::{ParallelConfig, WorkModel};
 use dps_lock::{ConflictPolicy, FaultPlan, Protocol};
@@ -122,6 +126,7 @@ pub fn gate(args: &ReportArgs) -> Report {
 
     // ---- the sweep ----
     let (mut unaccounted, mut mvcc_reader_aborts) = (0u64, 0u64);
+    let (mut revalidate_doomed, mut revalidation_undoomed) = (0u64, 0u64);
     for (plan, ctor) in FaultPlan::NAMED {
         for policy in SWEEP_POLICIES {
             for &w in &worker_counts {
@@ -136,8 +141,14 @@ pub fn gate(args: &ReportArgs) -> Report {
                 });
                 unaccounted += u64::from(!injection_accounted(&leg));
                 report.leg(&leg);
-                if policy == ConflictPolicy::MvccSnapshot {
-                    mvcc_reader_aborts += leg.report.aborts.reader_aborts();
+                let (aborts, dooms) = (leg.report.aborts, leg.report.lock_stats.dooms);
+                match policy {
+                    ConflictPolicy::MvccSnapshot => mvcc_reader_aborts += aborts.reader_aborts(),
+                    ConflictPolicy::Revalidate => {
+                        revalidate_doomed += aborts.doomed;
+                        revalidation_undoomed += aborts.revalidation.saturating_sub(dooms);
+                    }
+                    ConflictPolicy::AbortReaders => {}
                 }
             }
         }
@@ -174,5 +185,11 @@ pub fn gate(args: &ReportArgs) -> Report {
 
     report.equal("legs_with_unaccounted_injected_aborts", unaccounted, 0);
     report.equal("mvcc_snapshot.reader_aborts", mvcc_reader_aborts, 0);
+    report.equal("revalidate.doomed_aborts", revalidate_doomed, 0);
+    report.equal(
+        "revalidate.revalidation_aborts_without_a_doom",
+        revalidation_undoomed,
+        0,
+    );
     report
 }

@@ -13,9 +13,9 @@
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
 //! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark) |
 //! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
-//! | 6 | base | `revalidate_readers` (policy `Revalidate`) |
-//! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key |
-//! | 8 | ledger | commit counters, ledger unclaim |
+//! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
+//! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key and ends the claim |
+//! | 8 | ledger | commit counters, in-flight count |
 //! | 9 | — | `Phase::Commit` sample, wake threads waiting on an in-flight claim, `fan_out` to the other affected shards |
 //! | 10 | checkpoint install | checkpoint install + `Checkpoint` event, skipped if older than the newest; then group-commit `request_sync` (the log writer fsyncs), `WalSync` unless a newer `Checkpoint` covers it |
 //!
@@ -24,13 +24,11 @@
 //! it is `Phase::BaseWait`); the §3 oracle replays exactly that order.
 //! The hold is as short as the protocol needs: a family's own match
 //! update (step 7) coordinates with nobody outside its shard, so it
-//! runs after the base mutex is released. What keeps that safe is the
-//! order of steps 4, 7 and 8: the fired key stays in the ledger's
-//! claimed set — invisible to every claim scan — until its shard has
-//! absorbed the batch and refracted it, so it cannot fire twice; and
-//! `inflight` falls only after the watermark has risen, so a scanner
-//! that saw nothing claimable and nothing in flight has seen this
-//! commit's batch.
+//! runs after the base mutex is released. What keeps that safe: the
+//! fired key is refracted in the same shard hold that ends its claim,
+//! so no claim scan ever finds it free; and `inflight` falls only after
+//! the watermark has risen, so a scanner that saw nothing claimable and
+//! nothing in flight has seen this commit's batch.
 //!
 //! Step 9 wakes only threads parked on an in-flight claim; it never
 //! wakes an idle service-mode worker. What a commit enables is fired
@@ -48,8 +46,8 @@ use dps_obs::{AbortCause, EventKind as ObsEvent, Phase};
 use dps_wm::wal::KillMode;
 use dps_wm::{Change, WalError, WorkingMemory};
 
-use crate::parallel::{classify, Ledger, ParallelEngine};
-use crate::pipeline::{MatchPipeline, WmBase};
+use crate::parallel::{Ledger, ParallelEngine};
+use crate::pipeline::{MatchPipeline, ShardState, WmBase};
 use crate::strategy::Strategy;
 use crate::Firing;
 
@@ -62,8 +60,8 @@ pub(crate) struct Commit<'c, 'e> {
     /// Accesses the strategy answered (the `ElidedCommit` receipt).
     pub requests: u32,
     /// Rule firings: the claim whose shard absorbs the batch and whose
-    /// key is refracted and unclaimed inside the section. `None` for
-    /// external commits.
+    /// key is refracted as the claim ends inside the section. `None`
+    /// for external commits.
     pub claim: Option<&'c mut ClaimGuard<'e>>,
     /// Start of the commit phase, for the `Phase::Commit` sample.
     pub since: Option<Instant>,
@@ -107,10 +105,10 @@ impl ParallelEngine {
         mut base: MutexGuard<'_, WmBase>,
         commit: Commit<'_, '_>,
     ) -> Result<u64, AbortCause> {
-        let Commit { txn, strategy, firing, requests, claim, since } = commit;
+        let Commit { txn, strategy, firing, requests, mut claim, since } = commit;
         let obs = self.obs.as_deref();
         let hold = self.times_base().then(Instant::now);
-        let outcome = self.lm.commit(txn).map_err(classify)?;
+        let outcome = self.lm.commit(txn).map_err(|e| self.classify(e))?;
         let changes =
             base.wm.apply(&firing.delta).expect("a validated commit only touches live WMEs");
         let seq = base.next_seq;
@@ -158,14 +156,14 @@ impl ParallelEngine {
             }
         }
         if !outcome.needs_revalidation.is_empty() {
-            self.revalidate_readers(&outcome.needs_revalidation, seq);
+            self.revalidate_readers(txn, &outcome.needs_revalidation, &affected, seq);
         }
         drop(base);
         if let Some(hold) = hold {
             self.base_sample(Phase::BaseHold, &self.metrics.base_hold_nanos, hold.elapsed());
         }
-        if let Some(guard) = &claim {
-            self.absorb_own_batch(&guard.held, seq, strategy);
+        if let Some(guard) = &mut claim {
+            self.absorb_own_batch(guard, seq, strategy);
         }
         let wake = {
             // Under the ledger so the claim gate's cap check stays exact
@@ -303,12 +301,12 @@ impl ParallelEngine {
     }
 
     /// The shard the fired claim was scanned from absorbs everything up
-    /// to and including its batch and refracts the fired key *before*
-    /// the ledger unclaim, closing the double-fire window. Runs under
-    /// the shard lock alone, after the base mutex is released.
-    fn absorb_own_batch(&self, claim: &Claim, seq: u64, strategy: Strategy) {
+    /// to and including its batch, refracts the fired key and ends the
+    /// claim, in one hold of that shard alone, after the base mutex is
+    /// released.
+    fn absorb_own_batch(&self, claim: &mut ClaimGuard<'_>, seq: u64, strategy: Strategy) {
         let obs = self.obs.as_deref();
-        let (key, own) = (&claim.key, claim.shard);
+        let own = claim.held.shard;
         let mut state = self.pipeline.shard_state(own);
         // A claim scanner may already have stolen this batch (the
         // watermark is visible the moment `publish` returns). What is
@@ -323,34 +321,30 @@ impl ParallelEngine {
             if cfg!(debug_assertions) {
                 self.pipeline.catch_up(own, seq - 1, &mut state, false, obs);
                 debug_assert!(
-                    state.rete.conflict_set().contains(key)
+                    state.rete.conflict_set().contains(&claim.held.key)
                         || strategy == Strategy::Elided { validate: false }
                 );
             }
             self.pipeline.catch_up(own, seq, &mut state, false, obs);
         }
-        state.refract(key.clone());
+        claim.unclaim(&mut state, true);
     }
 
-    /// Engine-level revalidation (policy `Revalidate`): doom only the
-    /// affected readers whose claimed instantiation the commit at `seq`
-    /// actually invalidated. Claims are snapshotted under the ledger,
-    /// checked against caught-up shards, and dooms re-verified against
-    /// the *same* claim (shard → ledger order throughout; the caller
-    /// holds the base mutex, so a doomed reader cannot be mid-commit).
-    fn revalidate_readers(&self, readers: &[TxnId], seq: u64) {
-        let claims: Vec<(TxnId, Claim)> = {
-            let ledger = self.ledger.lock().unwrap();
-            readers
-                .iter()
-                .filter_map(|r| ledger.claims_by_txn.get(r).map(|c| (*r, c.clone())))
-                .collect()
-        };
-        for (reader, claim) in claims {
-            if !self.in_conflict_set_at(&claim, seq, false) {
-                let mut ledger = self.ledger.lock().unwrap();
-                if ledger.claims_by_txn.get(&reader) == Some(&claim) {
-                    ledger.engine_doomed.insert(reader);
+    /// Engine-level revalidation (policy `Revalidate`): of the `readers`
+    /// the lock manager handed back at `writer`'s commit `seq`, doom
+    /// through it those whose claimed instantiation that commit
+    /// invalidated. An instantiation only leaves its shard's conflict
+    /// set through a batch routed to that shard, so only the `affected`
+    /// shards are caught up and read, each claim's membership and doom
+    /// in one shard hold. The caller holds the base mutex, so no reader
+    /// can commit before its verdict.
+    fn revalidate_readers(&self, writer: TxnId, readers: &[TxnId], affected: &[usize], seq: u64) {
+        for &s in affected {
+            let mut state = self.pipeline.shard_state(s);
+            self.pipeline.catch_up(s, seq, &mut state, false, self.obs.as_deref());
+            for (key, &reader) in &state.claims {
+                if readers.contains(&reader) && !state.rete.conflict_set().contains(key) {
+                    self.lm.doom(reader, Some(writer));
                 }
             }
         }
@@ -437,35 +431,44 @@ impl Drop for PinGuard<'_> {
 /// routes there — so the claim's validation, its own-batch absorb, its
 /// refraction and its busy mark all go to `shard` without asking the
 /// plan again.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct Claim {
     pub(crate) key: InstKey,
     pub(crate) shard: usize,
 }
 
-/// Owner of one claimed instantiation's ledger entry. The ledger
-/// unclaim exists exactly once — [`ClaimGuard::release`] — and every
-/// exit reaches it: the commit section calls it once the claim's shard
-/// has refracted the key, the abort path after its accounting, and a
-/// panic unwinding out of
-/// the RHS (an injected fault, an evaluator bug) through `Drop`, which
-/// also releases the transaction's locks so surviving workers neither
-/// deadlock on them nor wait forever on a wedged in-flight count.
+/// Owner of one claim: its entry in its shard's claim book and its
+/// place in the ledger's in-flight count. Each ends exactly once —
+/// [`ClaimGuard::unclaim`] under the shard, then
+/// [`ClaimGuard::release`] under the ledger — and every exit reaches
+/// both: the commit section once the claim's shard has absorbed the
+/// batch, the abort path after its accounting, and a panic unwinding
+/// out of the RHS (an injected fault, an evaluator bug) through `Drop`,
+/// which also releases the transaction's locks so surviving workers
+/// neither deadlock on them nor wait forever on a wedged in-flight
+/// count.
 pub(crate) struct ClaimGuard<'e> {
     pub(crate) engine: &'e ParallelEngine,
+    /// The transaction begun when the claim was taken.
     pub(crate) txn: TxnId,
     /// What is claimed, and where it was found.
     pub(crate) held: Claim,
+    pub(crate) unclaimed: bool,
     pub(crate) released: bool,
 }
 
 impl ClaimGuard<'_> {
-    /// Unclaims the instantiation (idempotent).
+    /// Takes the claim off its shard's book (`state`, held by the
+    /// caller), refracting the key in the same step when `refract`.
+    pub(crate) fn unclaim(&mut self, state: &mut ShardState, refract: bool) {
+        if !std::mem::replace(&mut self.unclaimed, true) {
+            state.unclaim(&self.held.key, refract);
+        }
+    }
+
+    /// Takes the claim out of the in-flight count (idempotent).
     pub(crate) fn release(&mut self, ledger: &mut Ledger) {
         if !std::mem::replace(&mut self.released, true) {
-            ledger.engine_doomed.remove(&self.txn);
-            ledger.claims_by_txn.remove(&self.txn);
-            ledger.claimed.remove(&self.held.key);
             ledger.inflight -= 1;
             self.engine.pipeline.claim_released(self.held.shard);
         }
@@ -478,8 +481,11 @@ impl Drop for ClaimGuard<'_> {
             return;
         }
         let _ = self.engine.lm.abort(self.txn);
-        // A poisoned ledger means another worker already died holding
-        // it — nothing left to salvage.
+        // A poisoned shard or ledger means another worker already died
+        // holding it — nothing left to salvage there.
+        if let Some(mut state) = self.engine.pipeline.sound_shard_state(self.held.shard) {
+            self.unclaim(&mut state, false);
+        }
         if let Ok(mut ledger) = self.engine.ledger.lock() {
             self.release(&mut ledger);
         }

@@ -13,13 +13,13 @@
 //!
 //! | step | `Locked` (2PL `S`/`X`, or `Rc`/`Ra`/`Wa`) | `Snapshot` (MVCC) | `Elided` (proved commutative) |
 //! |---|---|---|---|
-//! | **claim** | unclaimed, unrefracted instantiation from a shard's conflict set; ledger entry owned by a `ClaimGuard` | same | same |
+//! | **claim** | unclaimed, unrefracted instantiation from a shard's conflict set, entered in that shard's claim book with the transaction begun for it; owned by a `ClaimGuard` | same | same |
 //! | **condition read** (matched tuples; *relation* of each negated class, or of an escalated tuple group) | `S` / `Rc` lock | no lock; chaos seam only | no lock; skip booked in `LockStats::elided` |
 //! | **claim validation** at watermark `w` | membership in the caught-up shard, under the read locks | pin snapshot `w`; membership; every matched tuple live at `w` with the matched timestamp | as `Snapshot` |
 //! | **RHS** | simulated work polling for dooms, then the delta | same | same |
 //! | **action read / write** | `S`/`X` or `Ra`/`Wa` (tuple, plus the relation of every created or written class) | same locks | no lock; skips booked |
-//! | **validate** (base mutex held) | engine-doom check | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
-//! | **on commit** | Figure 4.3: dooms overlapped `Rc` readers, or hands them back for engine revalidation (policy `Revalidate`) | `VersionWrite` receipt per written tuple | `ElidedCommit` receipt |
+//! | **validate** (base mutex held) | nothing: every doom is the lock manager's, and `lm.commit` fails on it | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
+//! | **on commit** | Figure 4.3: dooms overlapped `Rc` readers, or hands them back and the engine dooms, through the lock manager, those whose claim left its shard (policy `Revalidate`) | `VersionWrite` receipt per written tuple | `ElidedCommit` receipt |
 //! | **on abort** | release locks, unclaim, account; the claim is retried at once | + unpin | + unpin |
 //! | **conflict surfaces as** | `Doomed` / `Revalidation` / `Deadlock` | `SnapshotStale` (+ action-lock causes) | `ElisionStale` |
 //!
@@ -57,33 +57,32 @@
 //!   critical section;
 //! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
 //!   per-component (and, for a key-partitioned component, per-key-
-//!   partition) Rete networks with their own conflict-set slice and
-//!   refraction slice, each caught up from its own inbox of the
-//!   sequence-numbered batches that route to it, by committers fanning
-//!   out and by idle claim scans stealing pending shard×batch work;
-//! * **`Ledger`** (`Mutex` + two `Condvar`s) — claims, in-flight count,
-//!   termination flags, the count of threads parked on an in-flight
-//!   claim and, under policy `Revalidate` only, claims by transaction
-//!   and engine dooms; the scheduler's state. A firing takes it three
-//!   times (claim gate, claim scan, unclaim at commit), plus the
-//!   engine-doom checks under `Revalidate`; a commit or abort notifies
-//!   the in-flight condvar only when such a waiter is parked, and never
-//!   the idle condvar service-mode workers park on at quiescence (the
-//!   committer fires what it enabled, [`ParallelEngine::fire_ready`]).
-//!   Doom-polling during simulated RHS work touches *only* this (and
-//!   the lock manager), never any matcher;
+//!   partition) Rete networks with their own conflict-set slice,
+//!   refraction slice and claim book, each caught up from its own inbox
+//!   of the sequence-numbered batches that route to it, by committers
+//!   fanning out and by idle claim scans stealing pending shard×batch
+//!   work;
+//! * **`Ledger`** (`Mutex` + two `Condvar`s) — the run's termination
+//!   state only: in-flight count, halt and done flags, and the count of
+//!   threads parked on an in-flight claim. A firing takes it three
+//!   times (claim gate, claim scan, in-flight count at commit); a commit
+//!   or abort notifies the in-flight condvar only when such a waiter is
+//!   parked, and never the idle condvar service-mode workers park on at
+//!   quiescence (the committer fires what it enabled,
+//!   [`ParallelEngine::fire_ready`]). Doom-polling during simulated RHS
+//!   work touches only the lock manager, never any matcher;
 //! * **`Metrics`** (atomics) — counters.
 //!
-//! Lock order: base → shard → log → ledger (any subsequence is fine;
-//! never in reverse). Both condvars are tied to the ledger; waiters
-//! hold nothing else while sleeping.
+//! Lock order: base → shard → inbox → ledger, and shard → the lock
+//! manager (any subsequence is fine; never in reverse). Both condvars
+//! are tied to the ledger; waiters hold nothing else while sleeping.
 //!
 //! Every committed sequence is recorded as a [`Trace`];
 //! [`crate::semantics::validate_trace`] checks it against `ES_single`
 //! (Definition 3.2) — the property the paper proves as Theorem 2 (and
 //! extends to the improved scheme in §4.3).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
@@ -92,7 +91,7 @@ use dps_lock::{
     res_key, ConflictPolicy, FaultInjector, FaultPlan, FaultStats, LockManager, Protocol,
     ResourceId, TxnId,
 };
-use dps_match::{InstKey, Instantiation, Matcher, ShardPlan, DEFAULT_MATCH_SHARDS};
+use dps_match::{Instantiation, Matcher, ShardPlan, DEFAULT_MATCH_SHARDS};
 use dps_obs::{
     field_align, AbortCause, CachePadded, EventKind as ObsEvent, FanoutStats, Histogram, Phase,
     Recorder, Telemetry, TelemetryConfig,
@@ -418,19 +417,12 @@ pub struct ParallelReport {
     pub wal: Option<WalStats>,
 }
 
-/// Scheduler state: who has claimed what, who is doomed at engine
-/// level, and the run's termination flags. The engine condvar is tied
-/// to this mutex. (Refraction lives on the match shards — it is a
-/// per-shard slice now, not global scheduler state.)
+/// The run's termination state; the engine condvar is tied to this
+/// mutex. Claims and refraction live on the match shards, dooms in the
+/// lock manager.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    pub(crate) claimed: HashSet<InstKey>,
-    /// Each in-flight rule firing's claim, by transaction — kept only
-    /// under `ConflictPolicy::Revalidate`, whose revalidation pass is
-    /// its one reader.
-    pub(crate) claims_by_txn: HashMap<TxnId, Claim>,
-    /// Readers doomed by engine-level revalidation.
-    pub(crate) engine_doomed: HashSet<TxnId>,
+    /// Claims taken and not yet resolved, over every shard.
     pub(crate) inflight: usize,
     pub(crate) halted: bool,
     pub(crate) done: bool,
@@ -503,8 +495,8 @@ pub struct ParallelEngine {
     /// probes — `'static` closures on the sampler thread — can read
     /// its atomics after borrowing rules forbid a plain reference.
     pub(crate) pipeline: Arc<MatchPipeline>,
-    /// Piece (a): claims + termination; both condvars are tied to it.
-    /// Padded: every claim and unclaim writes its mutex word.
+    /// Piece (a): termination; both condvars are tied to it. Padded:
+    /// every claim and its end write its mutex word.
     pub(crate) ledger: CachePadded<Mutex<Ledger>>,
     /// Threads waiting for an in-flight claim to resolve; commits and
     /// aborts notify it when [`Ledger::waiters`] is non-zero.
@@ -949,15 +941,15 @@ impl ParallelEngine {
     /// for a worker's idle rescan.
     pub fn fire_ready(&self) {
         let offset = caller_offset();
-        while let Scan::Claimed(inst, held) = self.scan_claim(offset, true) {
-            self.execute_claim(inst, held);
+        while let Scan::Claimed(inst, claim) = self.scan_claim(offset, true) {
+            self.execute_claim(inst, claim);
         }
     }
 
     /// One claim→execute→commit attempt (or a wait); `false` once the
     /// run is over.
     fn worker_step(&self, worker: usize) -> bool {
-        let (inst, held) = loop {
+        let (inst, claim) = loop {
             // ---- gate: termination / halt / commit cap ----
             {
                 let mut ledger = self.ledger.lock().unwrap();
@@ -976,7 +968,7 @@ impl ParallelEngine {
                 }
             }
             let (w, saw_claimed) = match self.scan_claim(worker, false) {
-                Scan::Claimed(inst, held) => break (inst, held),
+                Scan::Claimed(inst, claim) => break (inst, claim),
                 Scan::Idle { w, saw_claimed } => (w, saw_claimed),
             };
             let mut ledger = self.ledger.lock().unwrap();
@@ -1014,7 +1006,7 @@ impl ParallelEngine {
             // else: the watermark moved (or a claimed key was released)
             // — rescan immediately.
         };
-        self.execute_claim(inst, held);
+        self.execute_claim(inst, claim);
         true
     }
 
@@ -1029,13 +1021,16 @@ impl ParallelEngine {
     /// nothing is claimable. Each shard is first caught
     /// up to the watermark — idle claim scans *steal* the
     /// pending shard×batch match work — then scanned skipping the
-    /// shard's refraction slice; the ledger is only taken lazily at the
-    /// first unrefracted candidate, so the (quadratic) refracted-prefix
-    /// skip runs on shard-local state alone. `skip_busy` skips the
-    /// busy shards instead of scanning them last (`fire_ready`). A scan
-    /// that meets the end of the run (done, halt, cap) stops early and
-    /// reports idle; the caller's gate sees why.
-    fn scan_claim(&self, worker: usize, skip_busy: bool) -> Scan {
+    /// shard's refraction slice and its claim book, so the (quadratic)
+    /// refracted-prefix skip runs on shard-local state alone. The
+    /// ledger is taken once, at the first free candidate, for the cap
+    /// and the in-flight count; the claim itself, and the transaction
+    /// begun for it, go into the book under the shard lock the scan
+    /// holds. `skip_busy` skips the busy shards instead of scanning them
+    /// last (`fire_ready`). A scan that meets the end of the run (done,
+    /// halt, cap) stops early and reports idle; the caller's gate sees
+    /// why.
+    fn scan_claim(&self, worker: usize, skip_busy: bool) -> Scan<'_> {
         let w = self.pipeline.watermark();
         let busy = self.pipeline.busy_shards();
         let mut saw_claimed = false;
@@ -1043,50 +1038,49 @@ impl ParallelEngine {
             if skip_busy && is_busy(busy, s) {
                 continue;
             }
-            let mut state = self.pipeline.shard_state(s);
+            let mut guard = self.pipeline.shard_state(s);
             self.pipeline
-                .catch_up(s, w, &mut state, true, self.obs.as_deref());
-            // Lock order: shard → ledger. The guard is acquired at the
-            // first candidate that survives the refraction skip and held
-            // for the rest of this shard's scan.
-            let mut ledger: Option<MutexGuard<'_, Ledger>> = None;
-            for key in state.rete.conflict_set().keys() {
+                .catch_up(s, w, &mut guard, true, self.obs.as_deref());
+            let state = &mut *guard;
+            let free = state.rete.conflict_set().keys().find(|&key| {
                 if state.refracted.contains(key) {
-                    continue;
+                    return false;
                 }
-                let led = ledger.get_or_insert_with(|| self.ledger.lock().unwrap());
-                if led.done || self.capped(led) {
+                let claimed = state.claims.contains_key(key);
+                saw_claimed |= claimed;
+                !claimed
+            });
+            let Some(key) = free else { continue };
+            // Lock order: shard → ledger.
+            {
+                let mut ledger = self.ledger.lock().unwrap();
+                if ledger.done || self.capped(&ledger) {
                     return Scan::Idle { w, saw_claimed };
                 }
-                if led.claimed.contains(key) {
-                    saw_claimed = true;
-                    continue;
-                }
-                led.claimed.insert(key.clone());
-                led.inflight += 1;
-                self.pipeline.claim_taken(s);
-                // The one instantiation this scan materialises, under the
-                // shard lock that keeps its tokens live.
-                let inst = state.rete.instantiate(key).expect("listed key");
-                debug_assert!(
-                    inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
-                    "every tuple of an instantiation routes to the shard that holds it"
-                );
-                return Scan::Claimed(inst, Claim { key: key.clone(), shard: s });
+                ledger.inflight += 1;
             }
+            let txn = self.lm.begin();
+            state.claims.insert(key.clone(), txn);
+            self.pipeline.claim_taken(s);
+            // The one instantiation this scan materialises, under the
+            // shard lock that keeps its tokens live.
+            let inst = state.rete.instantiate(key).expect("listed key");
+            debug_assert!(
+                inst.wmes.iter().all(|w| self.pipeline.plan().route(w) == Some(s)),
+                "every tuple of an instantiation routes to the shard that holds it"
+            );
+            let held = Claim { key: key.clone(), shard: s };
+            let claim = ClaimGuard { engine: self, txn, held, unclaimed: false, released: false };
+            return Scan::Claimed(inst, claim);
         }
         Scan::Idle { w, saw_claimed }
     }
 
     /// Runs one claimed instantiation as a transaction: picks its
     /// strategy, drives the skeleton, and does the abort bookkeeping.
-    fn execute_claim(&self, inst: Instantiation, held: Claim) {
+    fn execute_claim(&self, inst: Instantiation, mut claim: ClaimGuard<'_>) {
         let rule = self.rules.get(inst.rule).expect("known rule");
-        let txn = self.lm.begin();
-        if self.revalidates() {
-            self.ledger.lock().unwrap().claims_by_txn.insert(txn, held.clone());
-        }
-        let mut claim = ClaimGuard { engine: self, txn, held, released: false };
+        let txn = claim.txn;
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
         let cond = self.condition_resources(&inst, rule);
         let mut worked = Duration::ZERO;
@@ -1094,13 +1088,11 @@ impl ParallelEngine {
         let Err(cause) = outcome else { return };
         self.record_abort(txn, rule.name.as_str(), cause);
         self.metrics.wasted_nanos.fetch_add(worked.as_nanos() as u64, Relaxed);
-        if cause == AbortCause::EvalError {
-            // Permanently skip this instantiation: refract it on its
-            // shard *before* the unclaim below, so no scanner can
-            // re-claim it in between (shard → ledger lock order).
-            let Claim { key, shard } = &claim.held;
-            self.pipeline.shard_state(*shard).refract(key.clone());
-        }
+        // An instantiation that failed to evaluate is refracted as its
+        // claim ends, so it is never retried; any other abort frees it
+        // for the next attempt.
+        let refract = cause == AbortCause::EvalError;
+        claim.unclaim(&mut self.pipeline.shard_state(claim.held.shard), refract);
         let wake = {
             let mut ledger = self.ledger.lock().unwrap();
             claim.release(&mut ledger);
@@ -1170,10 +1162,6 @@ impl ParallelEngine {
         // ---- validate, under the base mutex: the commit critical
         // section starts here ----
         let base = self.lock_base_for_commit();
-        // Dropping the ledger before the commit is safe: engine dooms
-        // are only ever inserted by revalidation passes, which run
-        // under the base mutex (held here).
-        self.check_engine_doom(txn)?;
         if strategy.validate_at_commit() {
             // No condition locks protected the read set. Fast check,
             // against the version store alone: every matched WME's
@@ -1324,34 +1312,29 @@ impl ParallelEngine {
                 self.emit(txn, ObsEvent::VersionRead { resource, seq });
             }
         }
-        self.check_engine_doom(txn)?;
         Ok((w, pin))
     }
 
-    /// Whether the conflict policy hands overlapped readers back to the
-    /// engine ([`ConflictPolicy::Revalidate`]) — the only policy under
-    /// which the ledger tracks claims by transaction and engine dooms.
-    fn revalidates(&self) -> bool {
-        self.config.policy == ConflictPolicy::Revalidate
-    }
-
-    /// Fails with `Revalidation` when an engine-level revalidation pass
-    /// doomed `txn`. Under any other policy nothing dooms at engine
-    /// level, so the ledger is not consulted.
-    fn check_engine_doom(&self, txn: TxnId) -> Result<(), AbortCause> {
-        if !self.revalidates() {
-            return Ok(());
-        }
-        match self.ledger.lock().unwrap().engine_doomed.contains(&txn) {
-            true => Err(AbortCause::Revalidation),
-            false => Ok(()),
+    /// The abort cause a lock-manager error surfaces as. Under
+    /// [`ConflictPolicy::Revalidate`] the lock manager only hands
+    /// overlapped readers back, so a doom by a writer is always the
+    /// engine's revalidation verdict.
+    pub(crate) fn classify(&self, e: dps_lock::LockError) -> AbortCause {
+        match e {
+            dps_lock::LockError::DoomedByWriter { .. } => match self.config.policy {
+                ConflictPolicy::Revalidate => AbortCause::Revalidation,
+                _ => AbortCause::Doomed,
+            },
+            dps_lock::LockError::Deadlock(_) => AbortCause::Deadlock,
+            dps_lock::LockError::Injected(_) => AbortCause::Injected,
+            dps_lock::LockError::NotActive(_) => AbortCause::Stale,
         }
     }
 
     /// Simulated RHS work ([`ParallelConfig::work`]), polling for dooms
     /// so an invalidated production stops early. Polling touches only
-    /// the lock manager and the ledger, never the world — busy workers
-    /// do not serialise the matcher. `worked` is what an abort wastes.
+    /// the lock manager, never the world — busy workers do not
+    /// serialise the matcher. `worked` is what an abort wastes.
     fn simulate_work(&self, txn: TxnId, worked: &mut Duration) -> Result<(), AbortCause> {
         let budget = self.config.work.duration();
         if budget.is_zero() {
@@ -1385,8 +1368,7 @@ impl ParallelEngine {
             // completed), not elapsed time — a descheduled worker
             // wastes nothing while it isn't running.
             *worked = if busy { Duration::from_micros(slice_us * step) } else { t0.elapsed() };
-            self.lm.check(txn).map_err(classify)?;
-            self.check_engine_doom(txn)?;
+            self.lm.check(txn).map_err(|e| self.classify(e))?;
         }
         *worked = budget;
         Ok(())
@@ -1394,9 +1376,9 @@ impl ParallelEngine {
 }
 
 /// What one claim scan ([`ParallelEngine::scan_claim`]) found.
-enum Scan {
-    /// An instantiation, claimed: its ledger entry is taken.
-    Claimed(Instantiation, Claim),
+enum Scan<'e> {
+    /// An instantiation, claimed, and the guard that owns its claim.
+    Claimed(Instantiation, ClaimGuard<'e>),
     /// Nothing claimable at watermark `w`; `saw_claimed` when a
     /// candidate was skipped as another thread's claim.
     Idle { w: u64, saw_claimed: bool },
@@ -1409,16 +1391,6 @@ fn caller_offset() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local!(static OFFSET: usize = NEXT.fetch_add(1, Relaxed));
     OFFSET.with(|o| *o)
-}
-
-/// The abort cause a lock-manager error surfaces as.
-pub(crate) fn classify(e: dps_lock::LockError) -> AbortCause {
-    match e {
-        dps_lock::LockError::DoomedByWriter { .. } => AbortCause::Doomed,
-        dps_lock::LockError::Deadlock(_) => AbortCause::Deadlock,
-        dps_lock::LockError::Injected(_) => AbortCause::Injected,
-        dps_lock::LockError::NotActive(_) => AbortCause::Stale,
-    }
 }
 
 #[cfg(test)]
@@ -1757,6 +1729,14 @@ mod tests {
         assert_eq!(report.aborts.injected, stats.forced_aborts);
     }
 
+    /// Claims the next claimable instantiation, as a worker's scan does.
+    fn claim(engine: &ParallelEngine) -> (Instantiation, ClaimGuard<'_>) {
+        match engine.scan_claim(0, false) {
+            Scan::Claimed(inst, claim) => (inst, claim),
+            Scan::Idle { .. } => panic!("nothing claimable"),
+        }
+    }
+
     /// `validate_claim`'s base-mutex acquisition is a barrier: a
     /// committer has released its locks at `lm.commit` but publishes a
     /// few steps later, still under the base mutex. A reader that takes
@@ -1787,31 +1767,17 @@ mod tests {
         let engine = ParallelEngine::new(&rules, wm, cfg);
         // Claim both instantiations the way `worker_step` does; both
         // read (and write) the one `acc` tuple.
-        let insts: Vec<Instantiation> = {
-            let state = engine.pipeline.shard_state(0);
-            let keys = state.rete.conflict_set().keys();
-            keys.map(|k| state.rete.instantiate(k).unwrap()).collect()
-        };
-        assert_eq!(insts.len(), 2);
-        {
-            let mut ledger = engine.ledger.lock().unwrap();
-            for inst in &insts {
-                ledger.claimed.insert(inst.key());
-                ledger.inflight += 1;
-                engine.pipeline.claim_taken(0);
-            }
-        }
+        let (committer, reader) = (claim(&engine), claim(&engine));
         let injector = engine.injector.as_ref().unwrap();
-        let claim = |inst: &Instantiation| Claim { key: inst.key(), shard: 0 };
         std::thread::scope(|scope| {
             // The committer parks in the gap (commit 1 stalls between
             // `lm.commit` and `publish`) ...
-            scope.spawn(|| engine.execute_claim(insts[0].clone(), claim(&insts[0])));
+            scope.spawn(|| engine.execute_claim(committer.0, committer.1));
             while injector.stats().publish_stalls == 0 {
                 std::thread::yield_now();
             }
             // ... and the reader locks and validates inside it.
-            engine.execute_claim(insts[1].clone(), claim(&insts[1]));
+            engine.execute_claim(reader.0, reader.1);
         });
         assert_eq!(engine.metrics.commits.load(Relaxed), 1);
         assert_eq!(
@@ -1826,6 +1792,100 @@ mod tests {
         let acc = engine.final_wm();
         assert_eq!(acc.class_iter("acc").next().unwrap().get("total"), Some(&Value::Int(3)));
         assert_eq!(engine.held_locks(), 0);
+    }
+
+    /// A key-partitionable accumulator a `block` tuple of the same key
+    /// disables.
+    const BLOCKABLE_APPLY: &str = "(p apply (delta ^key <k> ^v <v>) (acc ^key <k> ^total <t>)
+        -(block ^key <k>) --> (remove 1) (modify 2 ^total (+ <t> <v>)))";
+
+    /// Under `Revalidate`, claims `apply` on key 0 and, once the reader
+    /// holds its condition locks and is in its RHS (`work_us` long),
+    /// commits a session write that overlaps one of its `Rc` locks, so
+    /// the commit hands the reader back: with `blocked` `None`, a remove
+    /// of the reader's own `acc`; with `Some(k)`, an insert of `block
+    /// ^key k` (its relation write meets the reader's `Rc` on `block`).
+    /// Returns the engine run to quiescence, the report, the reader and
+    /// the session's writer.
+    fn revalidate_after_a_session_write(
+        match_shards: usize,
+        blocked: Option<i64>,
+        work_us: u64,
+    ) -> (ParallelEngine, ParallelReport, TxnId, TxnId) {
+        let rules = RuleSet::parse(BLOCKABLE_APPLY).unwrap();
+        let mut wm = WorkingMemory::new();
+        wm.insert(WmeData::new("delta").with("key", 0i64).with("v", 1i64));
+        let acc = wm.insert(WmeData::new("acc").with("key", 0i64).with("total", 0i64));
+        let initial = wm.clone();
+        let cfg = ParallelConfig {
+            policy: ConflictPolicy::Revalidate,
+            workers: 1,
+            work: WorkModel::FixedMicros(work_us),
+            observe: true,
+            match_shards,
+            ..Default::default()
+        };
+        let engine = ParallelEngine::new(&rules, wm, cfg);
+        let (inst, claim) = claim(&engine);
+        let reader = claim.txn;
+        let mut xt = engine.external_begin();
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.execute_claim(inst, claim));
+            let obs = engine.observer().unwrap();
+            while obs.phase_snapshot(Phase::LhsEval).count == 0 {
+                std::thread::yield_now();
+            }
+            assert!(engine.lm.is_active(reader), "the reader is still in its RHS");
+            match blocked {
+                None => engine.external_remove(&mut xt, acc).unwrap(),
+                Some(k) => engine.external_insert(&mut xt, WmeData::new("block").with("key", k)).unwrap(),
+            }
+            engine.external_commit(&mut xt).unwrap();
+        });
+        let report = engine.run_shared();
+        validate_trace(&rules, &initial, &report.trace).expect("semantic consistency");
+        (engine, report, reader, xt.txn())
+    }
+
+    /// The engine's revalidation verdict is a lock-manager doom: booked
+    /// in `dooms`, recorded as `Doom { by }` before the reader's abort,
+    /// a doom edge of the blocking graph, and surfaced as `Revalidation`.
+    #[test]
+    fn revalidation_dooms_through_the_lock_manager() {
+        let (engine, report, reader, writer) = revalidate_after_a_session_write(1, None, 10_000_000);
+        assert_eq!(report.aborts, AbortStats { revalidation: 1, ..Default::default() });
+        assert_eq!((report.commits, report.lock_stats.dooms), (0, 1));
+        let history = engine.observer().unwrap().history();
+        dps_obs::validate_history(&history).expect("well-formed history");
+        let at = |kind: &dyn Fn(&ObsEvent) -> bool| {
+            history.iter().position(|ev| ev.txn == reader.0 && kind(&ev.kind))
+        };
+        let doom = at(&|k| *k == ObsEvent::Doom { by: writer.0 }).expect("a Doom event");
+        let abort = at(&|k| matches!(k, ObsEvent::Abort { cause: AbortCause::Revalidation, .. }));
+        assert!(abort.is_some_and(|abort| doom < abort), "the doom precedes the abort");
+        let graph = dps_obs::analysis::graph::build(&history);
+        let edge = graph.edges.iter().find(|e| e.kind == dps_obs::analysis::EdgeKind::Doom);
+        assert_eq!(edge.map(|e| (e.waiter, e.holder)), Some((reader.0, Some(writer.0))));
+    }
+
+    /// Key-partitioned, the verdict reads only the shards the batch
+    /// routed to: a write of the reader's own tuple dooms it, a write to
+    /// another partition leaves its claim in place and it commits.
+    #[test]
+    fn revalidation_dooms_only_on_the_readers_partition() {
+        let plan = ShardPlan::new(&RuleSet::parse(BLOCKABLE_APPLY).unwrap(), 8);
+        assert!(plan.partitions() > 1, "the rule spreads over key partitions");
+        let route = |key: i64| {
+            let w = WorkingMemory::new().insert_full(WmeData::new("block").with("key", key));
+            plan.route(&w)
+        };
+        let other = (1..).find(|&k| route(k) != route(0)).unwrap();
+        let (_, report, ..) = revalidate_after_a_session_write(8, None, 10_000_000);
+        assert_eq!(report.aborts, AbortStats { revalidation: 1, ..Default::default() });
+        assert_eq!((report.commits, report.lock_stats.dooms), (0, 1));
+        let (_, report, ..) = revalidate_after_a_session_write(8, Some(other), 300_000);
+        assert_eq!(report.aborts.total(), 0, "kept: its own partition saw no batch");
+        assert_eq!((report.commits, report.lock_stats.dooms), (1, 0));
     }
 
     fn durability_dir(tag: &str) -> std::path::PathBuf {

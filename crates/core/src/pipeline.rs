@@ -15,8 +15,8 @@
 //!   with other families, so it does not sit in the one section
 //!   everybody coordinates on. The committing rule's **own shard**
 //!   absorbs the batch right after the base mutex is released, under
-//!   its shard lock alone, and refracts the fired instantiation
-//!   *before* the ledger unclaims it, so it cannot be claimed again;
+//!   its shard lock alone, and refracts the fired instantiation in the
+//!   same step that ends its claim, so it cannot be claimed again;
 //!   every other affected shard is fed after that. The hold is a few
 //!   microseconds, so [`MatchPipeline::lock_base`] spins briefly
 //!   before it parks.
@@ -32,7 +32,7 @@
 //! * **[`MatchShard`]s** — one per plan shard: a [`Rete`] over that
 //!   shard's rules (speaking global rule ids via [`Rete::compile`])
 //!   holding only the tuples that route to it, the shard's
-//!   **refraction slice**, and its inbox.
+//!   **refraction slice** and **claim book**, and its inbox.
 //! * **Work stealing** — any worker holding a shard lock can
 //!   [`MatchPipeline::catch_up`] that shard from its inbox; idle claim
 //!   scans do exactly that, so match work overlaps RHS execution
@@ -70,12 +70,13 @@
 //! `w`; later invalidations are the lock manager's problem, exactly as
 //! in the monolithic design. See DESIGN.md §12.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::Instant;
 
+use dps_lock::TxnId;
 use dps_match::{InstKey, Rete, ShardPlan};
 use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
@@ -116,7 +117,8 @@ pub(crate) struct WmBase {
     pub trace: Trace,
 }
 
-/// A shard's lock-protected state: its Rete and its refraction slice.
+/// A shard's lock-protected state: its Rete, its refraction slice and
+/// its claim book.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     /// The shard's network; its conflict set is the authoritative slice
@@ -124,12 +126,24 @@ pub(crate) struct ShardState {
     pub rete: Rete,
     /// Refraction for this shard's rules (fired or eval-error keys).
     pub refracted: Refraction,
+    /// The claims in flight on this shard's instantiations, each with
+    /// the transaction begun when it was taken: the engine's only claim
+    /// book. A claim scan checks and takes a claim here, and a claim
+    /// ends here — refracted in the same step when it fired or failed
+    /// to evaluate — so no scanner ever sees a fired key unclaimed and
+    /// unrefracted.
+    pub claims: HashMap<InstKey, TxnId>,
 }
 
 impl ShardState {
-    /// Refracts `key` against this shard's network.
-    pub fn refract(&mut self, key: InstKey) {
-        self.refracted.insert(key, &self.rete);
+    /// Ends the claim on `key`, refracting the key in the same step
+    /// when `refract`.
+    pub fn unclaim(&mut self, key: &InstKey, refract: bool) {
+        let claim = self.claims.remove_entry(key);
+        debug_assert!(claim.is_some(), "an unclaim without its claim");
+        if let Some((key, _)) = claim.filter(|_| refract) {
+            self.refracted.insert(key, &self.rete);
+        }
     }
 }
 
@@ -279,6 +293,7 @@ impl MatchPipeline {
                     state: Mutex::new(ShardState {
                         rete,
                         refracted: Refraction::default(),
+                        claims: HashMap::new(),
                     }),
                     inbox: Mutex::default(),
                     oldest: AtomicU64::new(u64::MAX),
@@ -332,10 +347,16 @@ impl MatchPipeline {
 
     /// Locks one shard's state.
     pub fn shard_state(&self, s: usize) -> ShardGuard<'_> {
+        self.sound_shard_state(s).expect("a worker panicked holding a shard")
+    }
+
+    /// Locks one shard's state; `None` when a thread panicked holding
+    /// it (a drop guard's path, which must not panic again).
+    pub fn sound_shard_state(&self, s: usize) -> Option<ShardGuard<'_>> {
         let shard = &self.shards[s];
-        let state = shard.state.lock().expect("a worker panicked holding a shard");
+        let state = shard.state.lock().ok()?;
         shard.busy.fetch_add(1, Ordering::Relaxed);
-        ShardGuard { state, busy: &shard.busy }
+        Some(ShardGuard { state, busy: &shard.busy })
     }
 
     /// Which shards are busy right now, as a bit mask over the first
@@ -728,14 +749,14 @@ mod tests {
                         vec![Change::Removed(wm.remove(live.swap_remove(idx)).unwrap())]
                     } else {
                         let mut delta = DeltaSet::new();
-                        delta.modify(live[idx], [(Atom::from("k"), Value::Int(rng.range_i64(0, 6)))]);
+                        delta.modify(live[idx], [(Atom::from("k"), Value::Int(rng.range_i64(0..6)))]);
                         let changes = wm.apply(&delta).unwrap();
                         live[idx] = changes.last().unwrap().wme().id;
                         changes
                     }
                 } else {
                     let class = ["a", "b", "c"][rng.index(3)];
-                    let w = wm.insert_full(WmeData::new(class).with("k", rng.range_i64(0, 6)));
+                    let w = wm.insert_full(WmeData::new(class).with("k", rng.range_i64(0..6)));
                     live.push(w.id);
                     vec![Change::Added(w)]
                 }
@@ -790,7 +811,7 @@ mod tests {
                         let s = rng.index(shards);
                         // Half the time the newest batch: the hand-off's edge.
                         let w = p.watermark();
-                        let target = if rng.random_bool(0.5) { w } else { rng.range_u64(0, w) };
+                        let target = if rng.random_bool(0.5) { w } else { rng.range_u64(0..w + 1) };
                         let mut st = p.shard_state(s);
                         p.catch_up(s, target, &mut st, true, None);
                         assert!(!p.pending(s, target), "shard {s} caught up to {target}");

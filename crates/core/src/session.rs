@@ -549,9 +549,9 @@ mod tests {
     }
 
     /// Leak regression: an RHS that *panics* mid-action — inside the
-    /// commit section's caller — must release every lock, snapshot pin
-    /// and ledger entry through the drop-guard chain (PinGuard +
-    /// ClaimGuard, the single owner of the unclaim) as the unwind
+    /// commit section's caller — must release every lock, snapshot pin,
+    /// claim and in-flight count through the drop-guard chain (PinGuard,
+    /// then ClaimGuard, the single owner of the claim's end) as the unwind
     /// passes through the worker and out of `thread::scope`.
     #[test]
     fn panicking_rhs_leaks_nothing() {
@@ -581,10 +581,12 @@ mod tests {
             assert!(outcome.is_err(), "rhs_panic_pm=1000 must panic the run");
             assert_eq!(engine.held_locks(), 0, "locks leaked through the unwind");
             assert_eq!(engine.snapshot_pins(), 0, "pins leaked through the unwind");
+            for s in 0..engine.pipeline.shards() {
+                let claims = &engine.pipeline.shard_state(s).claims;
+                assert!(claims.is_empty(), "claim wedged by the unwind on shard {s}");
+            }
             let ledger = engine.ledger.lock().expect("nobody died holding the ledger");
             assert_eq!(ledger.inflight, 0, "in-flight count wedged by the unwind");
-            assert!(ledger.claimed.is_empty(), "claim wedged by the unwind");
-            assert!(ledger.claims_by_txn.is_empty(), "claim wedged by the unwind");
         }
     }
 }

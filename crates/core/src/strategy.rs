@@ -11,7 +11,7 @@ use dps_match::ShardPlan;
 use dps_obs::AbortCause;
 use dps_rules::RuleId;
 
-use crate::parallel::{classify, ParallelConfig, ParallelEngine};
+use crate::parallel::{ParallelConfig, ParallelEngine};
 
 /// What a transaction is about to do with a resource (the three
 /// columns of the paper's Table 4.1).
@@ -84,7 +84,7 @@ impl Strategy {
         res: ResourceId,
         access: Access,
     ) -> Result<(), AbortCause> {
-        let lm = &engine.lm;
+        let (lm, classify) = (&engine.lm, |e| engine.classify(e));
         let mode = match (self, access) {
             (Strategy::Elided { .. }, _) => return lm.elide(txn, res).map_err(classify),
             (Strategy::Snapshot(_), Access::Condition) => {

@@ -55,6 +55,10 @@
 //! * a deadlock walk reads exactly the blockers a queued request has;
 //! * under [`ConflictPolicy::AbortReaders`] a committed `W_a`/`IW_a`
 //!   leaves no `Active` `R_c` holder on its item (Fig. 4.3);
+//! * under [`ConflictPolicy::Revalidate`] the engine's verdict on a
+//!   handed-back reader — kept, or doomed by the committed writer
+//!   through [`LockManager::doom`] — lands before the reader commits,
+//!   and wakes it if it is parked;
 //! * every waits-for cycle gets a victim, and only a real cycle does;
 //! * committed histories are serialisable in commit order.
 //!

@@ -66,13 +66,14 @@
 //!
 //! `tests/explore.rs` steps the core at exactly these sections — a
 //! grant step, a record or entry read, one stripe of a scan or
-//! release, a commit point, a registry removal, one wake-up — over
-//! every interleaving of two transactions on two resources, and of
-//! three on one. It
-//! checks that each transaction ends exactly once, that no thread is
-//! parked without a pending signal, that granted modes are compatible,
-//! that a committed `W_a`/`IW_a` leaves no `Active` `R_c` holder under
-//! `AbortReaders`, that the walk reads exactly the blockers there are,
+//! release, a commit point, a registry removal, one wake-up, one
+//! verdict on a reader handed back under `Revalidate` — over every
+//! interleaving of two transactions on two resources, and of three on
+//! one. It checks that each transaction ends exactly once, that no
+//! thread is parked without a pending signal, that granted modes are
+//! compatible, that a committed `W_a`/`IW_a` leaves no `Active` `R_c`
+//! holder under `AbortReaders`, that a verdict lands before its reader
+//! commits, that the walk reads exactly the blockers there are,
 //! that every waits-for cycle and only a real one gets a victim, and
 //! that committed histories are serialisable in commit order.
 
@@ -101,9 +102,10 @@ pub enum ConflictPolicy {
     AbortReaders,
     /// The paper's alternative: "reevaluate `P_j`'s condition to see if
     /// abort is necessary, at the expense of increased overhead." The
-    /// manager does not doom anybody; [`CommitOutcome::needs_revalidation`]
-    /// lists the affected readers and the *engine* re-evaluates their
-    /// conditions, aborting only those whose LHS no longer holds.
+    /// manager does not doom anybody on its own;
+    /// [`CommitOutcome::needs_revalidation`] lists the affected readers,
+    /// the *engine* re-evaluates their conditions and dooms through
+    /// [`LockManager::doom`] only those whose LHS no longer holds.
     Revalidate,
     /// MVCC snapshot reads: condition reads take **no locks at all** —
     /// the engine evaluates conditions against a versioned working
@@ -539,7 +541,7 @@ impl LockManager {
                     state.is_some_and(|ts| protocol::confirms(&ts.record.lock().unwrap(), member))
                 };
                 if cycle.iter().all(confirms) {
-                    self.doom_victim(protocol::victim(&cycle));
+                    self.doom(protocol::victim(&cycle), None);
                 }
             }
             // Chaos seam: a spurious wakeup skips the park and re-runs
@@ -753,18 +755,24 @@ impl LockManager {
         Some(result)
     }
 
-    /// Dooms a deadlock victim: [`protocol::doom`] under its record,
-    /// with the obs timestamp taken inside — the victim records its own
-    /// Abort only after it can observe the doom (under this same
-    /// mutex), so its event order stays monotone.
-    fn doom_victim(&self, victim: TxnId) {
+    /// Dooms `victim`: [`protocol::doom`] under its record, then the
+    /// doom's count, its `Doom { by }` (or `Deadlock`) event and the wake
+    /// of a victim parked in [`LockManager::lock`]; its next call
+    /// surfaces the doom. `by` is the committed writer that invalidated
+    /// a reader the manager handed back under
+    /// [`ConflictPolicy::Revalidate`] (the engine's verdict), `None` a
+    /// deadlock victim. A victim no longer `Active` is left alone. The
+    /// obs timestamp is taken inside: the victim records its own Abort
+    /// only after it can observe the doom (under this same mutex), so
+    /// its event order stays monotone.
+    pub fn doom(&self, victim: TxnId, by: Option<TxnId>) {
         let Some(vts) = self.txn_state(victim) else {
             return;
         };
         let mut doomed = Vec::new();
         let at = {
             let mut rec = vts.record.lock().unwrap();
-            protocol::doom(victim, &mut rec, None, &mut doomed);
+            protocol::doom(victim, &mut rec, by, &mut doomed);
             self.obs.as_ref().map(|o| o.now())
         };
         self.apply(&doomed, at);
@@ -973,6 +981,38 @@ mod tests {
         parked.join().unwrap();
         m.commit(holder).unwrap();
         assert_eq!((m.stats().aborts, m.live_txns(), m.held_locks()), (1, 0, 0));
+    }
+
+    #[test]
+    fn engine_doom_wakes_a_reader_parked_in_lock() {
+        use std::sync::mpsc;
+
+        // Under `Revalidate` the writer's commit hands the reader back;
+        // the engine's verdict dooms it while it is queued elsewhere.
+        let m = Arc::new(LockManager::new(ConflictPolicy::Revalidate));
+        let (reader, writer, blocker) = (m.begin(), m.begin(), m.begin());
+        m.lock(reader, t(1), Rc).unwrap();
+        m.lock(writer, t(1), Wa).unwrap();
+        m.lock(blocker, t(2), Wa).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let parked = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.lock(reader, t(2), Rc)).unwrap())
+        };
+        while m.stats().blocks == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(m.commit(writer).unwrap().needs_revalidation, vec![reader]);
+        m.doom(reader, Some(writer));
+        let woken = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the doomed reader was never woken");
+        assert_eq!(woken, Err(LockError::DoomedByWriter { txn: reader, by: writer }));
+        parked.join().unwrap();
+        m.doom(reader, Some(writer)); // ended: nothing to doom
+        m.commit(blocker).unwrap();
+        let s = m.stats();
+        assert_eq!((s.dooms, s.aborts, m.live_txns(), m.held_locks()), (1, 1, 0, 0));
     }
 
     #[test]

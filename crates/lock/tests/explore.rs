@@ -11,8 +11,13 @@
 //! fuzzy walk is explored too. Each owner thread runs one transaction
 //! and picks its next request at every idle point: a lock in a mode of
 //! the protocol on a resource, an injected forced abort, an abort of
-//! another thread's transaction, then its own commit or abort. The
-//! scopes are listed at [`scopes`].
+//! another thread's transaction, then its own commit or abort. Under
+//! `Revalidate` a committer then gives the engine's verdict on each
+//! reader its commit handed back, one step each, at any later point:
+//! the reader is kept (it re-reads what was written) or doomed by the
+//! committed writer through `protocol::doom`. The engine judges under
+//! the base mutex every commit takes, so a reader's commit point waits
+//! for the verdicts owed on it. The scopes are listed at [`scopes`].
 //!
 //! Checked in every reachable state:
 //! - a transaction ends exactly once, and leaves no holder or waiter
@@ -22,6 +27,8 @@
 //! - a granted mode is compatible with every other holder's modes;
 //! - under the policies that doom, a committed `W_a`/`IW_a` holder
 //!   leaves no `Active` `R_c` holder on its resource (Fig. 4.3);
+//! - under `Revalidate`, a doomed reader never commits: no verdict
+//!   lands on a reader that has committed already;
 //! - the walk reads the edges there are: the blockers it reads for a
 //!   queued request are exactly those Table 4.1 and first come first
 //!   served give at that instant, recomputed here from `compatible`;
@@ -112,6 +119,10 @@ enum Pc {
     Release(usize, Vec<usize>, Vec<TxnId>, bool),
     /// `release_held`'s last step: the registry removal.
     Unregister(usize, bool),
+    /// The engine's verdict on the first reader the commit handed back.
+    /// The search takes both: the step with `true` dooms it, the one
+    /// with `false` keeps it (at rest the flag means nothing).
+    Verdict(bool),
     /// The thread's transaction is over.
     Done,
 }
@@ -134,6 +145,8 @@ struct Txn {
     /// Wake-ups this thread still delivers, in order, before its next
     /// section.
     outbox: Vec<TxnId>,
+    /// Readers its commit handed back whose verdict it still owes.
+    handed_back: Vec<TxnId>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -234,6 +247,7 @@ impl Explorer {
                     requests: 0,
                     pc: Pc::Idle,
                     outbox: Vec::new(),
+                    handed_back: Vec::new(),
                 })
                 .collect(),
             versions: [0; 2],
@@ -399,6 +413,12 @@ impl Explorer {
                 vec![(self.say(format_args!("wakes: {label}")), next, broken)]
             }
             Pc::Park(_) => Vec::new(),
+            Pc::CommitPoint(..) if st.txns.iter().any(|o| o.handed_back.contains(&id(t))) => {
+                Vec::new()
+            }
+            Pc::Verdict(_) => [false, true]
+                .map(|doom| self.section(st, t, Pc::Verdict(doom)))
+                .into(),
             pc => vec![self.section(st, t, pc)],
         }
     }
@@ -593,9 +613,14 @@ impl Explorer {
                 match verdict {
                     Err(_) => next.txns[t].pc = Pc::Surface,
                     Ok(()) => {
-                        broken = commit_order(&mut next, t, &effects);
+                        broken = commit_order(&mut next, t);
                         next.txns[t].ends += 1;
                         next.txns[t].pc = release(t, held, false);
+                        let handed_back = effects.iter().filter_map(|e| match *e {
+                            Effect::Revalidate(reader) => Some(reader),
+                            _ => None,
+                        });
+                        next.txns[t].handed_back.extend(handed_back);
                     }
                 }
                 self.say(format_args!("commit point over {readers:?} -> {verdict:?}"))
@@ -619,8 +644,39 @@ impl Explorer {
             }
             Pc::Unregister(of, back) => {
                 next.txns[of].live = false;
-                next.txns[t].pc = if back { Pc::Idle } else { Pc::Done };
+                next.txns[t].pc = match (back, next.txns[t].handed_back.is_empty()) {
+                    (true, _) => Pc::Idle,
+                    (false, true) => Pc::Done,
+                    (false, false) => Pc::Verdict(false),
+                };
                 self.say(format_args!("unregisters T{of}"))
+            }
+            Pc::Verdict(doom) => {
+                let reader = next.txns[t].handed_back.remove(0);
+                let r = reader.0 as usize;
+                if st.txns[r].rec.status == Status::Committed {
+                    broken = Some(format!(
+                        "a doomed reader never commits: {reader} committed before T{t}'s verdict"
+                    ));
+                }
+                if !doom {
+                    // Kept: its instantiation still holds, as if it
+                    // re-read everything `t` wrote.
+                    for (res, modes) in st.txns[t].rec.held.iter() {
+                        let seen = &mut next.txns[r].read[index(res)];
+                        if modes.iter().any(writes) && seen.is_some() {
+                            *seen = Some(st.versions[index(res)]);
+                        }
+                    }
+                } else if st.txns[r].live {
+                    protocol::doom(reader, &mut next.txns[r].rec, Some(id(t)), &mut effects);
+                }
+                next.txns[t].pc = match next.txns[t].handed_back.is_empty() {
+                    true => Pc::Done,
+                    false => Pc::Verdict(false),
+                };
+                let verdict = if doom { "dooms" } else { "keeps" };
+                self.say(format_args!("verdict: {verdict} {reader}"))
             }
             Pc::Idle | Pc::Park(_) | Pc::Done => unreachable!("not a section"),
         };
@@ -736,9 +792,8 @@ fn queued_behind(e: &Entry, t: TxnId, mode: LockMode) -> Vec<TxnId> {
 
 /// The commit of `t` in commit order: every version it read must still
 /// be the latest (else the history is not serialisable in commit
-/// order), then its writes become the latest. A reader handed back for
-/// re-validation re-reads what `t` wrote.
-fn commit_order(st: &mut State, t: usize, effects: &[Effect]) -> Option<String> {
+/// order), then its writes become the latest.
+fn commit_order(st: &mut State, t: usize) -> Option<String> {
     let read = st.txns[t].read;
     let stale =
         (0..RES.len()).find_map(|r| read[r].filter(|&v| v != st.versions[r]).map(|v| (r, v)));
@@ -751,14 +806,6 @@ fn commit_order(st: &mut State, t: usize, effects: &[Effect]) -> Option<String> 
     for (r, modes) in st.txns[t].rec.held.clone().iter() {
         if modes.iter().any(writes) {
             st.versions[index(r)] = t as u8 + 1;
-            for effect in effects {
-                if let Effect::Revalidate(reader) = *effect {
-                    let seen = &mut st.txns[reader.0 as usize].read[index(r)];
-                    if seen.is_some() {
-                        *seen = Some(t as u8 + 1);
-                    }
-                }
-            }
         }
     }
     broken
@@ -884,6 +931,7 @@ fn the_explorer_sees_a_lost_wakeup() {
                 requests: 1,
                 pc: Pc::Park((0, LockMode::X)),
                 outbox: Vec::new(),
+                handed_back: Vec::new(),
             };
             1
         ],

@@ -26,7 +26,9 @@ pub struct ResourceContention {
     pub blocked_ns: u64,
     /// Distinct transactions observed holding it against a waiter.
     pub distinct_blockers: u64,
-    /// Commit-time dooms attributed to this resource. A doom involving
+    /// Commit-time dooms attributed to this resource: reader aborts,
+    /// whether the committer doomed the reader outright or, under policy
+    /// `Revalidate`, through the engine's verdict. A doom involving
     /// several contended resources counts once per resource (the
     /// committer invalidated all of them at once), so the column can
     /// sum to more than the run's doom total.
@@ -77,7 +79,7 @@ pub fn contention_table(g: &BlockingGraph) -> Vec<ResourceContention> {
     // truncated history), the doom stays unattributed rather than being
     // charged to an invented resource.
     for span in g.spans.values() {
-        if span.abort_cause != Some(AbortCause::Doomed) {
+        if !matches!(span.abort_cause, Some(AbortCause::Doomed | AbortCause::Revalidation)) {
             continue;
         }
         let Some(by) = span.doomed_by else { continue };
@@ -158,6 +160,12 @@ mod tests {
 
     #[test]
     fn dooms_attributed_via_grant_intersection() {
+        for cause in [AbortCause::Doomed, AbortCause::Revalidation] {
+            dooms_attributed_to(cause);
+        }
+    }
+
+    fn dooms_attributed_to(cause: AbortCause) {
         let h = vec![
             e(0, 1, EventKind::Begin),
             e(1, 1, EventKind::Grant { resource: 6, mode: "Rc" }),
@@ -169,7 +177,7 @@ mod tests {
             e(5, 2, EventKind::Grant { resource: 9, mode: "IWa" }),
             e(6, 1, EventKind::Doom { by: 2 }),
             e(7, 2, EventKind::Commit),
-            e(8, 1, EventKind::Abort { cause: AbortCause::Doomed, rule: 0 }),
+            e(8, 1, EventKind::Abort { cause, rule: 0 }),
         ];
         let table = contention_table(&build(&h));
         // Only tuple 8 and relation 9 (odd keys are relations; its
@@ -177,7 +185,7 @@ mod tests {
         // and written by the committer.
         for res in [8, 9] {
             let row = table.iter().find(|r| r.resource == res).unwrap();
-            assert_eq!(row.dooms_caused, 1, "resource {res}");
+            assert_eq!(row.dooms_caused, 1, "{cause:?}: resource {res}");
         }
         assert!(table.iter().all(|r| [8, 9].contains(&r.resource) || r.dooms_caused == 0));
     }

@@ -20,8 +20,11 @@ pub enum EdgeKind {
     Wait,
     /// The waiter was chosen as a deadlock victim while queued here.
     DeadlockWait,
-    /// The source doomed the target at commit time (`Rc` reader hit by
-    /// a committing `Wa` writer, or engine-level revalidation doom).
+    /// The source doomed the target at commit time: an `Rc` reader hit
+    /// by a committing `Wa` writer, or, under policy `Revalidate`, a
+    /// reader the engine's revalidation found invalidated by the
+    /// committed writer. Both are lock-manager dooms with a `Doom { by }`
+    /// event.
     Doom,
 }
 

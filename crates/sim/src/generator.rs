@@ -56,7 +56,7 @@ pub fn generate(cfg: &GeneratorConfig) -> AbstractSystem {
                 adds.push(j);
             }
         }
-        let t = rng.range_u64(cfg.time_range.0, cfg.time_range.1);
+        let t = rng.range_u64(cfg.time_range.0..cfg.time_range.1 + 1);
         prods.push(AbstractProduction::new(adds, dels, t));
     }
     AbstractSystem::new(prods, 0..n)

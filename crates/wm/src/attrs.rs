@@ -143,7 +143,7 @@ mod tests {
             for step in 0..64 {
                 let k = keys[rng.index(keys.len())].clone();
                 let v = match rng.index(3) {
-                    0 => Value::Int(rng.range_i64(-2, 2)),
+                    0 => Value::Int(rng.range_i64(-2..2)),
                     1 => Value::from("sym"),
                     _ => Value::from(String::from("str")),
                 };

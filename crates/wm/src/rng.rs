@@ -7,6 +7,8 @@
 //! secure and is not meant to be; it exists to drive randomized tests
 //! and synthetic workloads with stable, portable sequences.
 
+use std::ops::Range;
+
 /// A seedable SplitMix64 generator.
 ///
 /// ```
@@ -63,21 +65,19 @@ impl SmallRng {
         (self.next_u64() % n as u64) as usize
     }
 
-    /// A uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "bad range");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_u64() % (span + 1)
+    /// A uniform integer in the half-open `range` (`lo..hi` draws from
+    /// `[lo, hi)`). Panics if it is empty.
+    pub fn range_u64(&mut self, range: Range<u64>) -> u64 {
+        assert!(range.start < range.end, "empty range");
+        range.start + self.next_u64() % (range.end - range.start)
     }
 
-    /// A uniform integer in the half-open range `[lo, hi)`.
-    pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo < hi, "bad range");
-        let span = (hi - lo) as u64;
-        lo + (self.next_u64() % span) as i64
+    /// A uniform integer in the half-open `range` (`lo..hi` draws from
+    /// `[lo, hi)`). Panics if it is empty.
+    pub fn range_i64(&mut self, range: Range<i64>) -> i64 {
+        assert!(range.start < range.end, "empty range");
+        let span = (range.end - range.start) as u64;
+        range.start + (self.next_u64() % span) as i64
     }
 }
 
@@ -100,14 +100,28 @@ mod tests {
     fn ranges_stay_in_bounds() {
         let mut r = SmallRng::seed_from_u64(1);
         for _ in 0..1000 {
-            let u = r.range_u64(3, 9);
-            assert!((3..=9).contains(&u));
-            let i = r.range_i64(-5, 5);
+            let u = r.range_u64(3..9);
+            assert!((3..9).contains(&u));
+            let i = r.range_i64(-5..5);
             assert!((-5..5).contains(&i));
             assert!(r.index(4) < 4);
             let f = r.random_f64();
             assert!((0.0..1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn ranges_are_half_open_at_both_ends() {
+        let mut r = SmallRng::seed_from_u64(4);
+        let (u, i): (Vec<u64>, Vec<i64>) =
+            (0..1000).map(|_| (r.range_u64(3..6), r.range_i64(-2..1))).unzip();
+        assert_eq!((u.iter().min(), u.iter().max()), (Some(&3), Some(&5)));
+        assert_eq!((i.iter().min(), i.iter().max()), (Some(&-2), Some(&0)));
+        assert_eq!((r.range_u64(7..8), r.range_i64(-7..-6)), (7, -7), "one value");
+        let top = r.range_u64(u64::MAX - 1..u64::MAX);
+        assert_eq!((top, r.range_i64(i64::MAX - 1..i64::MAX)), (u64::MAX - 1, i64::MAX - 1));
+        assert!(std::panic::catch_unwind(|| SmallRng::seed_from_u64(0).range_u64(5..5)).is_err());
+        assert!(std::panic::catch_unwind(|| SmallRng::seed_from_u64(0).range_i64(0..0)).is_err());
     }
 
     #[test]

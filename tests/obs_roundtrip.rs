@@ -61,14 +61,14 @@ fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64
                 0 => record(
                     txn,
                     EventKind::Grant {
-                        resource: rng.range_u64(0, 16),
+                        resource: rng.range_u64(0..17),
                         mode: MODES[rng.index(MODES.len())],
                     },
                 ),
                 1 => record(
                     txn,
                     EventKind::Block {
-                        resource: rng.range_u64(0, 16),
+                        resource: rng.range_u64(0..17),
                         mode: MODES[rng.index(MODES.len())],
                         holder: txn.checked_sub(1),
                     },
@@ -86,7 +86,7 @@ fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64
         }
         rec.phase(
             Phase::ALL[rng.index(Phase::ALL.len())],
-            Duration::from_nanos(rng.range_u64(0, 1 << 20)),
+            Duration::from_nanos(rng.range_u64(0..(1 << 20) + 1)),
         );
     }
     events
@@ -145,7 +145,7 @@ fn report_counts_are_folds_over_the_history() {
         let capacity = [2, 5, 16, 4096][rng.index(4)];
         let rec = Recorder::with_capacity(1 + rng.index(3), capacity);
         rec.intern_rule("idle"); // interned, never fired: no row
-        let seeds: Vec<u64> = (0..3).map(|_| rng.range_u64(0, u64::MAX)).collect();
+        let seeds: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
         // Three threads, so events spread over several rings.
         let recorded: u64 = std::thread::scope(|s| {
             let rec = &rec;
@@ -155,7 +155,7 @@ fn report_counts_are_folds_over_the_history() {
                 .map(|(t, &sd)| {
                     s.spawn(move || {
                         let mut rng = SmallRng::seed_from_u64(sd);
-                        let n = rng.range_u64(0, 12);
+                        let n = rng.range_u64(0..13);
                         record_schedule(rec, &mut rng, t as u64 * 100..t as u64 * 100 + n)
                     })
                 })
@@ -232,7 +232,7 @@ fn old_shape_reports_without_fanout_still_parse() {
 /// sample counts bounded by the tick count, counter series built as
 /// non-decreasing prefix sums, unique dotted names.
 fn random_timeline(rng: &mut SmallRng) -> TimelineDoc {
-    let ticks = rng.range_u64(0, 40);
+    let ticks = rng.range_u64(0..41);
     let n = rng.index(12);
     let series = (0..n)
         .map(|i| {
@@ -241,9 +241,9 @@ fn random_timeline(rng: &mut SmallRng) -> TimelineDoc {
             } else {
                 SeriesKind::Gauge
             };
-            let len = rng.range_u64(0, ticks) as usize;
+            let len = rng.range_u64(0..ticks + 1) as usize;
             let mut samples: Vec<u64> =
-                (0..len).map(|_| rng.range_u64(0, 1 << 32)).collect();
+                (0..len).map(|_| rng.range_u64(0..(1 << 32) + 1)).collect();
             if kind == SeriesKind::Counter {
                 // Prefix-sum into a monotone counter trace.
                 let mut acc = 0u64;
@@ -260,9 +260,9 @@ fn random_timeline(rng: &mut SmallRng) -> TimelineDoc {
         })
         .collect();
     TimelineDoc {
-        tick_ns: rng.range_u64(1, 1 << 40),
+        tick_ns: rng.range_u64(1..(1 << 40) + 1),
         ticks,
-        dropped: rng.range_u64(0, 1 << 20),
+        dropped: rng.range_u64(0..(1 << 20) + 1),
         series,
     }
 }
@@ -337,7 +337,7 @@ fn scaling_style_nested_documents_round_trip() {
                 "values".into(),
                 Json::Arr(
                     (0..rng.index(8))
-                        .map(|_| Json::num(rng.range_i64(-1000, 1000) as f64 / 8.0))
+                        .map(|_| Json::num(rng.range_i64(-1000..1000) as f64 / 8.0))
                         .collect(),
                 ),
             ),

@@ -18,10 +18,10 @@ fn sym(rng: &mut SmallRng, prefix: &str) -> Atom {
 
 fn constant(rng: &mut SmallRng) -> Value {
     match rng.index(6) {
-        0 => Value::Int(rng.range_i64(-100, 100)),
+        0 => Value::Int(rng.range_i64(-100..100)),
         // Fractional part keeps Display from printing an integer form
         // (which would re-parse as Int).
-        1 => Value::Float(rng.range_i64(-50, 50) as f64 + 0.25),
+        1 => Value::Float(rng.range_i64(-50..50) as f64 + 0.25),
         2 => Value::Sym(sym(rng, "s")),
         3 => Value::Str(Atom::from(format!("txt {}", rng.index(9)))),
         4 => Value::Bool(rng.random_bool(0.5)),
@@ -49,7 +49,7 @@ fn expr(rng: &mut SmallRng, bound: &[Atom], depth: usize) -> Expr {
     } else {
         // Numeric constants only (symbols in arithmetic would still
         // parse; keep it tidy).
-        Expr::Const(Value::Int(rng.range_i64(-20, 20)))
+        Expr::Const(Value::Int(rng.range_i64(-20..20)))
     }
 }
 
@@ -140,7 +140,7 @@ fn random_rule(seed: u64) -> Rule {
     }
     let rule = Rule {
         name: sym(&mut rng, "rule-"),
-        salience: rng.range_i64(-5, 6) as i32,
+        salience: rng.range_i64(-5..6) as i32,
         conditions,
         actions,
     };

@@ -27,8 +27,8 @@ fn simulator_schedules_admitted_by_execution_graph() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = 2 + rng.index(7);
         let density = rng.random_f64() * 0.6;
-        let max_t = rng.range_u64(1, 4);
-        let gen_seed = rng.range_u64(0, 999);
+        let max_t = rng.range_u64(1..5);
+        let gen_seed = rng.range_u64(0..1000);
         let np = 1 + rng.index(5);
         let sys = generate(&GeneratorConfig {
             productions: n,

@@ -79,7 +79,7 @@ fn engine_match_shaped_sequence_is_pinned() {
             tuples.push(
                 WmeData::new(format!("item-{g}"))
                     .with("id", i)
-                    .with("kind", rng.range_i64(0, KINDS))
+                    .with("kind", rng.range_i64(0..KINDS))
                     .with("next", i + 1),
             );
         }
@@ -122,7 +122,7 @@ fn engine_contend_shaped_sequence_is_pinned() {
     for _ in 0..TASKS {
         tuples.push(
             WmeData::new("task")
-                .with("res", rng.range_i64(0, RESOURCES))
+                .with("res", rng.range_i64(0..RESOURCES))
                 .with("left", STEPS),
         );
     }

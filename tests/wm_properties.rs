@@ -26,12 +26,12 @@ fn random_ops(seed: u64, n: usize) -> Vec<Op> {
         .map(|_| match rng.index(3) {
             0 => Op::Insert {
                 class: rng.index(3) as u8,
-                k: rng.range_i64(-3, 3),
+                k: rng.range_i64(-3..3),
             },
             1 => Op::Remove { pick: rng.index(8) },
             _ => Op::Modify {
                 pick: rng.index(8),
-                k: rng.range_i64(-3, 3),
+                k: rng.range_i64(-3..3),
             },
         })
         .collect()
