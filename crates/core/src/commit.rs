@@ -8,10 +8,11 @@
 //!
 //! | step | under | what |
 //! |---|---|---|
+//! | 0 | base | rule firings only: refused (`Stale`) once a rule firing halted |
 //! | 1 | base | `lm.commit` — the Figure 4.3 rule; the last step that can fail |
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
-//! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark) |
+//! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark); a firing that halts sets the halted flag |
 //! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key and ends the claim |
@@ -97,7 +98,8 @@ impl ParallelEngine {
 
     /// Commits under the base mutex the caller already holds (it ran
     /// its own validation under it). Fails only at `lm.commit` — the
-    /// transaction was doomed or injected — with nothing changed;
+    /// transaction was doomed or injected — or, for a rule firing after
+    /// one that halted, just before it (`Stale`), with nothing changed;
     /// past that the commit is irrevocable. Returns the sequence
     /// number.
     pub(crate) fn commit_section(
@@ -106,6 +108,11 @@ impl ParallelEngine {
         commit: Commit<'_, '_>,
     ) -> Result<u64, AbortCause> {
         let Commit { txn, strategy, firing, requests, mut claim, since } = commit;
+        // The single-thread `halt` rule: no rule firing commits after
+        // one that halted.
+        if claim.is_some() && self.halted.load(Relaxed) {
+            return Err(AbortCause::Stale);
+        }
         let obs = self.obs.as_deref();
         let hold = self.times_base().then(Instant::now);
         let outcome = self.lm.commit(txn).map_err(|e| self.classify(e))?;
@@ -128,7 +135,9 @@ impl ParallelEngine {
             written.dedup();
         }
         let affected = self.pipeline.publish(seq, changes);
-        let halt = firing.halt;
+        if firing.halt {
+            self.halted.store(true, Relaxed);
+        }
         let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
         base.trace.firings.push(firing);
         // Commit-sequence record for the semantic checker (§3 Theorem
@@ -173,7 +182,6 @@ impl ParallelEngine {
             let mut ledger = self.ledger.lock().unwrap();
             if let Some(claim) = claim {
                 self.metrics.commits.fetch_add(1, Relaxed);
-                ledger.halted |= halt;
                 claim.release(&mut ledger);
             } else {
                 self.external_commits.fetch_add(1, Relaxed);

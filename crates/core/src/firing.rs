@@ -23,6 +23,8 @@ use dps_match::{InstKey, Instantiation};
 use dps_rules::{Rule, RuleId};
 use dps_wm::{Atom, DeltaSet, WmeId};
 
+use crate::EXTERNAL_RULE;
+
 /// One committed production execution: what fired and what it did.
 /// Engines append these to a [`Trace`], which
 /// [`crate::semantics::validate_trace`] replays to check semantic
@@ -39,12 +41,17 @@ pub struct Firing {
     pub delta: DeltaSet,
     /// Whether the RHS contained `halt`.
     pub halt: bool,
+}
+
+impl Firing {
     /// `true` for commits that did not originate from a rule firing —
     /// external working-memory transactions submitted through a server
-    /// session. The oracle replay applies their delta verbatim instead
-    /// of requiring conflict-set membership (there is no instantiation
-    /// to be a member).
-    pub external: bool,
+    /// session, which carry [`EXTERNAL_RULE`]. The oracle replay applies
+    /// their delta verbatim instead of requiring conflict-set membership
+    /// (there is no instantiation to be a member), after a `halt` too.
+    pub fn is_external(&self) -> bool {
+        self.rule == EXTERNAL_RULE
+    }
 }
 
 /// The commit sequence of one engine run.
@@ -255,7 +262,6 @@ mod tests {
             },
             delta: DeltaSet::new(),
             halt: false,
-            external: false,
         });
         assert_eq!(t.names(), ["a"]);
         assert_eq!(t.len(), 1);

@@ -63,8 +63,8 @@
 //!   fanning out and by idle claim scans stealing pending shard×batch
 //!   work;
 //! * **`Ledger`** (`Mutex` + two `Condvar`s) — the run's termination
-//!   state only: in-flight count, halt and done flags, and the count of
-//!   threads parked on an in-flight claim. A firing takes it three
+//!   state only: in-flight count, done flag, and the count of threads
+//!   parked on an in-flight claim. A firing takes it three
 //!   times (claim gate, claim scan, in-flight count at commit); a commit
 //!   or abort notifies the in-flight condvar only when such a waiter is
 //!   parked, and never the idle condvar service-mode workers park on at
@@ -76,6 +76,13 @@
 //! Lock order: base → shard → inbox → ledger, and shard → the lock
 //! manager (any subsequence is fine; never in reverse). Both condvars
 //! are tied to the ledger; waiters hold nothing else while sleeping.
+//!
+//! `halt` follows the single-thread rule ([`crate::world`]): the commit
+//! section sets the engine's one halted flag under the base mutex, and
+//! refuses, under the same mutex, every later rule commit (it aborts as
+//! `Stale`, its work counted as wasted); external session commits still
+//! go through. The claim gate reads the flag without a lock, since it
+//! runs under the ledger, which comes after base in the lock order.
 //!
 //! Every committed sequence is recorded as a [`Trace`];
 //! [`crate::semantics::validate_trace`] checks it against `ES_single`
@@ -424,7 +431,6 @@ pub struct ParallelReport {
 pub(crate) struct Ledger {
     /// Claims taken and not yet resolved, over every shard.
     pub(crate) inflight: usize,
-    pub(crate) halted: bool,
     pub(crate) done: bool,
     /// Threads parked on the engine condvar waiting for an in-flight
     /// claim to resolve ([`ParallelEngine::park`]). A committer or
@@ -531,6 +537,10 @@ pub struct ParallelEngine {
     /// Internal stop latch ([`ParallelEngine::request_stop`]); OR'd with
     /// the external [`ParallelConfig::stop`] flag in [`Self::capped`].
     stop: AtomicBool,
+    /// A rule firing that halted has committed: set and checked by the
+    /// commit section under the base mutex, read by [`Self::capped`]
+    /// without a lock.
+    pub(crate) halted: AtomicBool,
     /// External session commits threaded through the engine (kept out
     /// of [`Metrics::commits`], which counts rule firings and gates the
     /// commit cap).
@@ -623,6 +633,7 @@ impl ParallelEngine {
             base_seq,
             telemetry,
             stop: AtomicBool::new(false),
+            halted: AtomicBool::new(false),
             external_commits: AtomicU64::new(0),
             ran: AtomicBool::new(false),
         }
@@ -796,7 +807,6 @@ impl ParallelEngine {
         debug_assert_eq!(self.lm.held_locks(), 0, "locks leaked past drain");
         debug_assert_eq!(self.lm.live_txns(), 0, "transactions left unfinished past drain");
         let wall = start.elapsed();
-        let halted = self.ledger.lock().unwrap().halted;
         ParallelReport {
             commits: self.metrics.commits.load(Relaxed),
             aborts: self.metrics.abort_stats(),
@@ -805,7 +815,7 @@ impl ParallelEngine {
             // Moved, not cloned: a copy would double the trace's memory
             // at the run's peak.
             trace: std::mem::take(&mut self.pipeline.lock_base().trace),
-            halted,
+            halted: self.halted.load(Relaxed),
             lock_stats: self.lm.stats(),
             fault_stats: self.injector.as_ref().map(|inj| inj.stats()),
             fanout: self.pipeline.fanout_stats(),
@@ -871,7 +881,7 @@ impl ParallelEngine {
     /// cap. `commits` and `inflight` only change under the ledger lock,
     /// so reads under that lock are exact.
     fn capped(&self, ledger: &Ledger) -> bool {
-        ledger.halted
+        self.halted.load(Relaxed)
             || self.metrics.commits.load(Relaxed) + ledger.inflight >= self.config.max_commits
             || self.stop_requested()
     }
@@ -1190,7 +1200,6 @@ impl ParallelEngine {
             key: claim.held.key.clone(),
             delta,
             halt,
-            external: false,
         };
         let requests = (cond.len() + reads.len() + writes.len()) as u32;
         let commit = Commit { txn, strategy, firing, requests, claim: Some(claim), since: clock };

@@ -9,9 +9,10 @@
 //! condition state, and commit through **the same commit critical
 //! section** rule firings use, so external commits serialise with rule
 //! commits, land in the same WAL, publish through the same inboxes,
-//! and appear in the same [`crate::Trace`] (marked [`Firing::external`]; the
-//! §3 oracle replays them by applying the delta verbatim — there is no
-//! instantiation whose conflict-set membership could be checked).
+//! and appear in the same [`crate::Trace`] (under [`EXTERNAL_RULE`],
+//! [`Firing::is_external`]; the §3 oracle replays them by applying the
+//! delta verbatim — there is no instantiation whose conflict-set
+//! membership could be checked — and lets them through after a `halt`).
 //!
 //! ## Locking
 //!
@@ -181,7 +182,6 @@ impl ParallelEngine {
                 key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
                 delta,
                 halt: false,
-                external: true,
             },
             requests: 0,
             claim: None,

@@ -51,13 +51,16 @@ fn simulator_schedules_admitted_by_execution_graph() {
 }
 
 /// Random-strategy single-thread runs produce valid traces and a
-/// unique confluent result on the coin-collecting workload.
+/// unique confluent result on the coin-collecting workload. `split`'s
+/// RHS fails to evaluate on every purse it sees: each is refracted
+/// without committing, whenever the strategy selects it.
 #[test]
 fn random_strategy_single_thread_traces_validate() {
     for seed in 0..64u64 {
         let rules = RuleSet::parse(
             "(p take (coin ^v <v>) (purse ^sum <s>)
-               --> (remove 1) (modify 2 ^sum (+ <s> <v>)))",
+               --> (remove 1) (modify 2 ^sum (+ <s> <v>)))
+             (p split (purse ^sum <s>) --> (modify 1 ^sum (/ <s> 0)))",
         )
         .unwrap();
         let mut wm = WorkingMemory::new();
@@ -84,7 +87,8 @@ fn random_strategy_single_thread_traces_validate() {
 
 /// Theorem 2 (and its §4.3 extension), empirically: the dynamic
 /// parallel engine's commit sequence replays single-threadedly for
-/// every protocol/policy under random contention.
+/// every protocol/policy under random contention. `audit`'s RHS fails
+/// to evaluate on every task `charge` finishes, and never commits.
 #[test]
 fn parallel_engine_traces_always_validate() {
     for seed in 0..12u64 {
@@ -96,7 +100,8 @@ fn parallel_engine_traces_always_validate() {
         let policy_reval = rng.random_bool(0.5);
         let rules = RuleSet::parse(
             "(p charge (task ^res <r> ^state todo) (tally ^id <r> ^count <c>)
-               --> (modify 1 ^state done) (modify 2 ^count (+ <c> 1)))",
+               --> (modify 1 ^state done) (modify 2 ^count (+ <c> 1)))
+             (p audit (task ^res <r> ^state done) --> (make log ^share (/ <r> 0)))",
         )
         .unwrap();
         let mut wm = WorkingMemory::new();
@@ -143,7 +148,8 @@ fn parallel_engine_traces_always_validate() {
 }
 
 /// Theorem 1, empirically: static-parallel batches replay
-/// single-threadedly for random widths and modes.
+/// single-threadedly for random widths and modes. `loop`'s RHS fails to
+/// evaluate on every route, which is refracted in the first cycle.
 #[test]
 fn static_engine_traces_always_validate() {
     for seed in 0..12u64 {
@@ -154,7 +160,8 @@ fn static_engine_traces_always_validate() {
         let dynamic_mode = rng.random_bool(0.5);
         let rules = RuleSet::parse(
             "(p advance (job ^stage <s>) (route ^from <s> ^to <n>)
-               --> (modify 1 ^stage <n>))",
+               --> (modify 1 ^stage <n>))
+             (p loop (route ^from <s>) --> (modify 1 ^to (/ <s> 0)))",
         )
         .unwrap();
         let mut wm = WorkingMemory::new();
