@@ -1,9 +1,9 @@
 //! Match-shard gate: shard-count sweep for the sharded match pipeline.
 //!
 //! The `match_heavy` workload (independent fan-out groups, make-only
-//! RHSs, zero data conflict) keeps every instantiation live until it
-//! fires, so the conflict set — and with it the per-cycle claim scan —
-//! grows linearly and the total match cost quadratically: the workload
+//! RHSs, zero data conflict) lists every instantiation from the start
+//! and each until it fires (a fired one stays satisfied; refraction
+//! unlists it), with one published batch per commit: the workload
 //! that exercises every part of the sharded pipeline (inboxes,
 //! catch-up, free advances, steals).
 //!

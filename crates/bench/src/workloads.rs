@@ -214,11 +214,11 @@ pub fn misclassified_pair(cells: usize, steps: i64) -> (RuleSet, WorkingMemory) 
 /// tuples, firing a cheap `make`-only RHS. Nothing is ever removed or
 /// modified, so
 ///
-/// * the conflict set holds `groups * pairs` live instantiations for the
-///   whole run (every fired one stays satisfied, held back only by
-///   refraction) — the claim scan's refracted prefix grows linearly and
-///   total scan work grows quadratically, making **match cost, not lock
-///   contention, the measured axis** (there are zero conflict aborts);
+/// * the conflict set starts with `groups * pairs` live instantiations,
+///   and each leaves it as it fires (it stays satisfied, and refraction
+///   unlists it), so a claim scan walks only claimed keys ahead of a
+///   free one — **match and pipeline cost, not lock contention, is the
+///   measured axis** (there are zero conflict aborts);
 /// * the class families are disjoint (`cfg-g`/`item-g`/`out-g` appear in
 ///   exactly one rule), so the rule partition yields `groups`
 ///   class-connected components — ideal fodder for match sharding.

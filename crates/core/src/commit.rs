@@ -15,7 +15,7 @@
 //! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark); a firing that halts sets the halted flag |
 //! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
-//! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, refracts the key and ends the claim |
+//! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, and its Rete refracts the key as the claim ends |
 //! | 8 | ledger | commit counters, in-flight count |
 //! | 9 | — | `Phase::Commit` sample, wake threads waiting on an in-flight claim, `fan_out` to the other affected shards |
 //! | 10 | checkpoint install | checkpoint install + `Checkpoint` event, skipped if older than the newest; then group-commit `request_sync` (the log writer fsyncs), `WalSync` unless a newer `Checkpoint` covers it |
@@ -26,8 +26,8 @@
 //! The hold is as short as the protocol needs: a family's own match
 //! update (step 7) coordinates with nobody outside its shard, so it
 //! runs after the base mutex is released. What keeps that safe: the
-//! fired key is refracted in the same shard hold that ends its claim,
-//! so no claim scan ever finds it free; and `inflight` falls only after
+//! shard's Rete refracts the fired key in the same shard hold that ends
+//! its claim, so no claim scan ever finds it listed and unclaimed; and `inflight` falls only after
 //! the watermark has risen, so a scanner that saw nothing claimable and
 //! nothing in flight has seen this commit's batch.
 //!

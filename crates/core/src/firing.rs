@@ -128,6 +128,14 @@ impl Footprint {
         }
     }
 
+    /// Adds `other`'s reads and writes to this footprint.
+    pub(crate) fn absorb(&mut self, other: &Footprint) {
+        self.read_tuples.extend(&other.read_tuples);
+        self.write_tuples.extend(&other.write_tuples);
+        self.read_classes.extend(other.read_classes.iter().cloned());
+        self.write_classes.extend(other.write_classes.iter().cloned());
+    }
+
     /// The paper's §4.1 interference test at run-time granularity:
     /// read-write or write-write overlap.
     pub fn conflicts(&self, other: &Footprint) -> bool {

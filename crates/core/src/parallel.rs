@@ -13,7 +13,7 @@
 //!
 //! | step | `Locked` (2PL `S`/`X`, or `Rc`/`Ra`/`Wa`) | `Snapshot` (MVCC) | `Elided` (proved commutative) |
 //! |---|---|---|---|
-//! | **claim** | unclaimed, unrefracted instantiation from a shard's conflict set, entered in that shard's claim book with the transaction begun for it; owned by a `ClaimGuard` | same | same |
+//! | **claim** | unclaimed instantiation from a shard's conflict set (which lists no refracted key), entered in that shard's claim book with the transaction begun for it; owned by a `ClaimGuard` | same | same |
 //! | **condition read** (matched tuples; *relation* of each negated class, or of an escalated tuple group) | `S` / `Rc` lock | no lock; chaos seam only | no lock; skip booked in `LockStats::elided` |
 //! | **claim validation** at watermark `w` | membership in the caught-up shard, under the read locks | pin snapshot `w`; membership; every matched tuple live at `w` with the matched timestamp | as `Snapshot` |
 //! | **RHS** | simulated work polling for dooms, then the delta | same | same |
@@ -57,11 +57,11 @@
 //!   critical section;
 //! * **match shards** (one `Mutex` each, [`crate::pipeline`]) —
 //!   per-component (and, for a key-partitioned component, per-key-
-//!   partition) Rete networks with their own conflict-set slice,
-//!   refraction slice and claim book, each caught up from its own inbox
-//!   of the sequence-numbered batches that route to it, by committers
-//!   fanning out and by idle claim scans stealing pending shard×batch
-//!   work;
+//!   partition) Rete networks with their own conflict-set slice (which
+//!   refracts what fired from it) and claim book, each caught up from
+//!   its own inbox of the sequence-numbered batches that route to it,
+//!   by committers fanning out and by idle claim scans stealing pending
+//!   shard×batch work;
 //! * **`Ledger`** (`Mutex` + two `Condvar`s) — the run's termination
 //!   state only: in-flight count, done flag, and the count of threads
 //!   parked on an in-flight claim. A firing takes it three
@@ -1030,9 +1030,9 @@ impl ParallelEngine {
     /// one shard lock — and every shard once before the scan concludes
     /// nothing is claimable. Each shard is first caught
     /// up to the watermark — idle claim scans *steal* the
-    /// pending shard×batch match work — then scanned skipping the
-    /// shard's refraction slice and its claim book, so the (quadratic)
-    /// refracted-prefix skip runs on shard-local state alone. The
+    /// pending shard×batch match work — then scanned skipping the keys
+    /// in the shard's claim book (its conflict set lists no refracted
+    /// key), on shard-local state alone. The
     /// ledger is taken once, at the first free candidate, for the cap
     /// and the in-flight count; the claim itself, and the transaction
     /// begun for it, go into the book under the shard lock the scan
@@ -1053,9 +1053,6 @@ impl ParallelEngine {
                 .catch_up(s, w, &mut guard, true, self.obs.as_deref());
             let state = &mut *guard;
             let free = state.rete.conflict_set().keys().find(|&key| {
-                if state.refracted.contains(key) {
-                    return false;
-                }
                 let claimed = state.claims.contains_key(key);
                 saw_claimed |= claimed;
                 !claimed

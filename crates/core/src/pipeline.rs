@@ -31,8 +31,8 @@
 //!   base is exact and every batch up to it is already queued.
 //! * **[`MatchShard`]s** — one per plan shard: a [`Rete`] over that
 //!   shard's rules (speaking global rule ids via [`Rete::compile`])
-//!   holding only the tuples that route to it, the shard's
-//!   **refraction slice** and **claim book**, and its inbox.
+//!   holding only the tuples that route to it (its conflict set refracts
+//!   what fired from it), the shard's **claim book**, and its inbox.
 //! * **Work stealing** — any worker holding a shard lock can
 //!   [`MatchPipeline::catch_up`] that shard from its inbox; idle claim
 //!   scans do exactly that, so match work overlaps RHS execution
@@ -77,12 +77,11 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::Instant;
 
 use dps_lock::TxnId;
-use dps_match::{InstKey, Rete, ShardPlan};
+use dps_match::{InstKey, Matcher, Rete, ShardPlan};
 use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Change, VersionedStore, WorkingMemory};
 
-use crate::world::Refraction;
 use crate::Trace;
 
 /// Failed `try_lock` rounds [`MatchPipeline::lock_base`] makes before
@@ -117,21 +116,18 @@ pub(crate) struct WmBase {
     pub trace: Trace,
 }
 
-/// A shard's lock-protected state: its Rete, its refraction slice and
-/// its claim book.
+/// A shard's lock-protected state: its Rete and its claim book.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     /// The shard's network; its conflict set is the authoritative slice
-    /// for the shard's rules.
+    /// for the shard's rules, and refracts what fired from it.
     pub rete: Rete,
-    /// Refraction for this shard's rules (fired or eval-error keys).
-    pub refracted: Refraction,
     /// The claims in flight on this shard's instantiations, each with
     /// the transaction begun when it was taken: the engine's only claim
     /// book. A claim scan checks and takes a claim here, and a claim
-    /// ends here — refracted in the same step when it fired or failed
-    /// to evaluate — so no scanner ever sees a fired key unclaimed and
-    /// unrefracted.
+    /// ends here — its key refracted by the Rete in the same step when
+    /// it fired or failed to evaluate — so no scanner ever sees a fired
+    /// key listed and unclaimed.
     pub claims: HashMap<InstKey, TxnId>,
 }
 
@@ -139,10 +135,10 @@ impl ShardState {
     /// Ends the claim on `key`, refracting the key in the same step
     /// when `refract`.
     pub fn unclaim(&mut self, key: &InstKey, refract: bool) {
-        let claim = self.claims.remove_entry(key);
+        let claim = self.claims.remove(key);
         debug_assert!(claim.is_some(), "an unclaim without its claim");
-        if let Some((key, _)) = claim.filter(|_| refract) {
-            self.refracted.insert(key, &self.rete);
+        if claim.is_some() && refract {
+            self.rete.refract(key);
         }
     }
 }
@@ -290,11 +286,7 @@ impl MatchPipeline {
             .into_iter()
             .map(|rete| {
                 CachePadded::new(MatchShard {
-                    state: Mutex::new(ShardState {
-                        rete,
-                        refracted: Refraction::default(),
-                        claims: HashMap::new(),
-                    }),
+                    state: Mutex::new(ShardState { rete, claims: HashMap::new() }),
                     inbox: Mutex::default(),
                     oldest: AtomicU64::new(u64::MAX),
                     busy: AtomicUsize::new(0),

@@ -12,9 +12,10 @@
 //!   commit the instantiation must be in the replayed conflict set, not
 //!   refracted, and not after a rule firing that halted, which is exactly
 //!   membership of the corresponding root-originating path. The fold
-//!   holds one world, so its memory is O(WM): the refraction set drops
-//!   keys whose tuples are gone. [`enumerate_concrete`] branches on the
-//!   same step, after the same evaluation (`World::evaluate`).
+//!   holds one world, so its memory is O(WM): the matcher's conflict
+//!   set drops refracted keys whose tuples are gone.
+//!   [`enumerate_concrete`] branches on the same step, after the same
+//!   evaluation (`World::evaluate`).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -226,14 +227,14 @@ fn replay(world: &mut World, at: usize, firing: &Firing) -> Result<(), Violation
 /// *concrete* rule system, up to `max_depth` firings and `max_paths`
 /// sequences — Definition 3.1 for real working memories.
 ///
-/// Each world (working memory + matcher + refraction set) is cloned at
-/// every branch, so this is exponential and meant for small systems
-/// (tests, examples, and exhaustive verification of toy workloads). Every
-/// branch is one single-thread step: an instantiation that fired never
-/// fires again, one whose RHS fails to evaluate is refracted, and a
-/// `halt` ends the branch. Returned sequences are the *maximal* ones
-/// (quiescent, halted or depth-capped), each as the list of fired rule
-/// names.
+/// Each world (working memory + matcher, whose conflict set refracts)
+/// is cloned at every branch, so this is exponential and meant for small
+/// systems (tests, examples, and exhaustive verification of toy
+/// workloads). Every branch is one single-thread step: an instantiation
+/// that fired never fires again, one whose RHS fails to evaluate is
+/// refracted, and a `halt` ends the branch. Returned sequences are the
+/// *maximal* ones (quiescent, halted or depth-capped), each as the list
+/// of fired rule names.
 pub fn enumerate_concrete(
     rules: &RuleSet,
     initial: &WorkingMemory,
@@ -253,8 +254,7 @@ pub fn enumerate_concrete(
         }
         let mut branches = Vec::new();
         if !world.halted() && depth_left > 0 {
-            let keys = world.matcher.conflict_set().keys();
-            let keys: Vec<_> = keys.filter(|k| !world.refracted().contains(*k)).cloned().collect();
+            let keys: Vec<_> = world.matcher.conflict_set().keys().cloned().collect();
             for key in keys {
                 if let Some((rule, _, delta, halt)) = world.evaluate(rules, &key) {
                     branches.push((key, rule.name.to_string(), delta, halt));
@@ -515,7 +515,7 @@ mod tests {
     }
 
     /// The oracle's memory is O(WM): a self-modifying rule leaves one
-    /// dead key per firing, and the fold's refraction set drops them.
+    /// dead key per firing, and the fold's conflict set drops them.
     #[test]
     fn the_replay_fold_keeps_its_refraction_set_bounded() {
         use crate::{EngineConfig, SingleThreadEngine};
@@ -530,7 +530,7 @@ mod tests {
         let mut peak = 0;
         for (at, firing) in trace.firings.iter().enumerate() {
             replay(&mut world, at, firing).unwrap();
-            peak = peak.max(world.refracted().len());
+            peak = peak.max(world.matcher.conflict_set().refracted_len());
         }
         assert!(peak < 2048, "the refraction set peaked at {peak} keys");
     }

@@ -235,7 +235,7 @@ impl ParallelEngine {
     }
 
     /// Blocks until the rule engine is quiescent *at the current
-    /// watermark*: no unrefracted instantiation on any shard, nothing
+    /// watermark*: no listed instantiation on any shard, nothing
     /// claimed or in flight, and no commit moved the watermark during
     /// the scan. Also returns when the run is done (the drain barrier
     /// must not outlive the engine). The server's `Invoke` barrier and
@@ -246,19 +246,11 @@ impl ParallelEngine {
         loop {
             self.fire_ready();
             let w = self.pipeline.watermark();
-            let shards = self.pipeline.shards();
-            let mut busy = false;
-            'scan: for s in 0..shards {
+            let busy = (0..self.pipeline.shards()).any(|s| {
                 let mut state = self.pipeline.shard_state(s);
-                self.pipeline
-                    .catch_up(s, w, &mut state, true, self.obs.as_deref());
-                for key in state.rete.conflict_set().keys() {
-                    if !state.refracted.contains(key) {
-                        busy = true;
-                        break 'scan;
-                    }
-                }
-            }
+                self.pipeline.catch_up(s, w, &mut state, true, self.obs.as_deref());
+                !state.rete.conflict_set().is_empty()
+            });
             let ledger = self.ledger.lock().unwrap();
             if ledger.done {
                 return;

@@ -34,8 +34,7 @@ impl Default for EngineConfig {
 pub enum StepOutcome {
     /// A production fired.
     Fired,
-    /// Conflict set empty (or fully refracted) — the paper's termination
-    /// condition.
+    /// Conflict set empty — the paper's termination condition.
     Quiescent,
     /// A `halt` action executed.
     Halted,
@@ -58,8 +57,9 @@ pub struct RunReport {
 ///
 /// Refraction: a fired instantiation never fires again while the tuples
 /// it matched persist unchanged, even if a negated CE blocks it and lets
-/// it back into the conflict set (standard OPS5 behaviour; without it
-/// any rule whose RHS leaves its own match intact would loop forever).
+/// it back in (standard OPS5 behaviour; without it any rule whose RHS
+/// leaves its own match intact would loop forever). The matcher's
+/// conflict set owns it, so the strategy selects from the set as is.
 #[derive(Clone, Debug)]
 pub struct SingleThreadEngine<M: Matcher = Rete> {
     rules: RuleSet,
@@ -117,8 +117,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             if self.world.halted() {
                 return StepOutcome::Halted;
             }
-            let listed = self.world.matcher.conflict_set();
-            let Some(key) = self.config.strategy.select(listed, self.world.refracted()) else {
+            let Some(key) = self.config.strategy.select(self.world.matcher.conflict_set()) else {
                 return StepOutcome::Quiescent;
             };
             let key = key.clone();

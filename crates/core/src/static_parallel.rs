@@ -14,6 +14,18 @@
 //!   serializability-safe (Theorem 1's argument applies unchanged: the
 //!   batch's effects equal those of firing it in any serial order).
 //!
+//! A cycle walks the conflict set in key order and builds the batch
+//! greedily. A candidate is tested before it is evaluated — under
+//! `StaticRules` by its rule, under `DynamicFootprints` by the reads its
+//! key and rule already name (its matched tuples, its negated classes)
+//! against the batch's writes — then evaluated, and under
+//! `DynamicFootprints` tested once more, whole, against the union of the
+//! members' footprints ([`Footprint::conflicts`] is a disjunction of set
+//! intersections, so the union answers as every member would). Each
+//! listed key is evaluated once: a key pins each matched tuple's id and
+//! timestamp, so its RHS result cannot change while it stays listed, and
+//! the engine keeps the result until the key leaves the conflict set.
+//!
 //! Each batch member commits through the one single-thread step
 //! ([`crate::world`]) in the batch's witnessing serial order. A candidate
 //! whose RHS fails to evaluate is refracted there without committing,
@@ -26,8 +38,13 @@ use dps_rules::analysis::{interferes, rule_access, Granularity, RuleAccess};
 use dps_rules::RuleSet;
 use dps_wm::{Atom, DeltaSet, WorkingMemory};
 
+use crate::firing::read_classes;
 use crate::world::World;
 use crate::{Firing, Footprint, Trace};
+
+/// An evaluated instantiation: the match, its delta, whether it halts,
+/// and its footprint.
+type Evaluated = (Instantiation, DeltaSet, bool, Footprint);
 
 /// How batch members are checked for mutual non-interference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,6 +118,8 @@ pub struct StaticParallelEngine {
     world: World,
     config: StaticConfig,
     trace: Trace,
+    /// The listed keys evaluated so far; see the module docs.
+    evaluated: HashMap<InstKey, Evaluated>,
 }
 
 impl StaticParallelEngine {
@@ -114,6 +133,7 @@ impl StaticParallelEngine {
             world: World::new(wm, matcher),
             config,
             trace: Trace::default(),
+            evaluated: HashMap::new(),
         }
     }
 
@@ -130,47 +150,52 @@ impl StaticParallelEngine {
     /// fires it. Returns the batch size (0 = quiescent) and the batch's
     /// cost, the most any member costs.
     fn cycle(&mut self) -> (usize, u64) {
-        // Candidate keys, deterministic order. Every one is evaluated,
-        // since footprints need the matched tuples and the deltas; one
-        // that fails to evaluate (e.g. div by zero) is refracted there.
-        let world = &self.world;
-        let keys = world.matcher.conflict_set().keys();
-        let keys: Vec<InstKey> = keys.filter(|k| !world.refracted().contains(*k)).cloned().collect();
-        let mut prepared = Vec::new();
+        let listed = self.world.matcher.conflict_set();
+        self.evaluated.retain(|key, _| listed.contains(key));
+        let keys: Vec<InstKey> = listed.keys().cloned().collect();
+        // Greedy maximal independent set; `union` is the members'
+        // footprints, accumulated.
+        let (mut batch, mut union) = (Vec::<InstKey>::new(), Footprint::default());
+        let dynamic = self.config.mode == SelectionMode::DynamicFootprints;
+        let access = |k: &InstKey| &self.accesses[k.rule.0 as usize];
         for key in keys {
-            if let Some((rule, inst, delta, halt)) = self.world.evaluate(&self.rules, &key) {
-                let fp = Footprint::of(rule, &inst, &delta);
-                prepared.push((inst, delta, halt, fp));
-            }
-        }
-
-        // Greedy maximal independent set.
-        let mut batch: Vec<(Instantiation, DeltaSet, bool, Footprint)> = Vec::new();
-        for a in prepared {
             if batch.len() >= self.config.max_width {
                 break;
             }
-            let ok = batch.iter().all(|b| match self.config.mode {
-                SelectionMode::DynamicFootprints => !a.3.conflicts(&b.3),
-                SelectionMode::StaticRules(g) => {
-                    let (ra, rb) = (
-                        &self.accesses[a.0.rule.0 as usize],
-                        &self.accesses[b.0.rule.0 as usize],
-                    );
-                    !interferes(ra, rb, g)
+            let free = match self.config.mode {
+                SelectionMode::DynamicFootprints => {
+                    let rule = self.rules.get(key.rule).expect("matcher only emits known rules");
+                    !key.wmes.iter().any(|(id, _)| union.write_tuples.contains(id))
+                        && !read_classes(rule).any(|c| union.write_classes.contains(c))
                 }
-            });
-            if ok {
-                batch.push(a);
+                SelectionMode::StaticRules(g) => {
+                    batch.iter().all(|b| !interferes(access(&key), access(b), g))
+                }
+            };
+            if !free {
+                continue;
             }
+            if !self.evaluated.contains_key(&key) {
+                let Some((rule, inst, delta, halt)) = self.world.evaluate(&self.rules, &key) else {
+                    continue;
+                };
+                let fp = Footprint::of(rule, &inst, &delta);
+                self.evaluated.insert(key.clone(), (inst, delta, halt, fp));
+            }
+            let fp = &self.evaluated[&key].3;
+            if dynamic && fp.conflicts(&union) {
+                continue;
+            }
+            union.absorb(fp);
+            batch.push(key);
         }
 
         // "Parallel" firing: the members are non-interfering, so applying
         // them in batch order is equivalent to every other order
         // (Theorem 1); the recorded order is the witnessing serial one.
         let (width, mut cost) = (batch.len(), 0);
-        for (inst, delta, halt, _) in batch {
-            let key = inst.key();
+        for key in batch {
+            let (inst, delta, halt, _) = self.evaluated.remove(&key).expect("members are evaluated");
             self.world.step(&key, &delta, halt).expect("a batch member steps");
             let rule_name = self.rules.get(inst.rule).expect("known").name.clone();
             cost = cost.max(self.cost(&rule_name));

@@ -3,8 +3,8 @@
 //!
 //! A matcher keeps one [`InstKey`] per satisfied match — built once, when
 //! the match completes, and shared by reference count wherever it is
-//! cloned (the matcher's own index, the conflict set, a claim ledger, a
-//! refraction set, a trace's `Firing`). Selection reads the key alone.
+//! cloned (the matcher's own index, the conflict set and its refracted
+//! keys, a claim book, a trace's `Firing`). Selection reads the key alone.
 //! The [`Instantiation`] — the matched tuples and the variable bindings
 //! the RHS needs — is built only when a caller fires one, by
 //! [`crate::Matcher::instantiate`], from the matcher's own state and

@@ -21,7 +21,8 @@
 //! entry is a key plus its rule's salience, and the [`Instantiation`] a
 //! caller fires — matched tuples and bindings — is materialised from the
 //! matcher's state only when that caller takes it
-//! ([`Matcher::instantiate`]).
+//! ([`Matcher::instantiate`]). The conflict set also owns refraction
+//! ([`Matcher::refract`]): a listed key is always one that may fire.
 //! The **select** phase is covered by [`Strategy`], which implements the
 //! OPS5 conflict-resolution heuristics the paper names (LEX, MEA) plus
 //! salience, FIFO and a seeded-random strategy. As the paper stresses
@@ -60,7 +61,7 @@ pub use rete::Rete;
 pub use shard::{ShardPlan, ShardedRete, DEFAULT_MATCH_SHARDS};
 pub use treat::Treat;
 
-use dps_wm::{Change, Timestamp, WmeId};
+use dps_wm::Change;
 
 /// An incremental matcher: consumes working-memory change logs and keeps
 /// the conflict set current.
@@ -77,9 +78,10 @@ pub trait Matcher {
     /// conflict set itself holds keys only.
     fn instantiate(&self, key: &InstKey) -> Option<Instantiation>;
 
-    /// Whether tuple `id`, asserted at timestamp `ts`, is still in this
-    /// matcher's memories. Ids and timestamps are never reused, so once
-    /// this is `false` it stays `false`, and no instantiation naming the
-    /// pair can match again.
-    fn holds(&self, id: WmeId, ts: Timestamp) -> bool;
+    /// Refracts `key` — it fired, or its RHS failed to evaluate: it
+    /// leaves the conflict set and is not listed again, even when a
+    /// negated CE blocks it and lets it back in. The conflict set sweeps
+    /// its refracted keys against this matcher's memories; see
+    /// [`ConflictSet`].
+    fn refract(&mut self, key: &InstKey);
 }

@@ -5,10 +5,13 @@
 //! be incorporated as devices to favor some sequences over others" but
 //! "they do not rule out any execution sequence entirely". Accordingly
 //! every strategy here picks *some* member of the conflict set, and the
-//! engines treat the choice as a pluggable policy.
+//! engines treat the choice as a pluggable policy. Refraction is not a
+//! strategy's business: the set lists only keys that may fire
+//! ([`crate::ConflictSet`]), so a strategy filters nothing.
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
+
+use dps_wm::rng::splitmix64;
 
 use crate::{ConflictSet, InstKey};
 
@@ -26,9 +29,10 @@ pub enum Strategy {
     Mea,
     /// Highest salience first; ties resolved by LEX.
     Salience,
-    /// Uniformly random choice with a deterministic xorshift state —
-    /// reproducible given the seed, and the work-horse of the
-    /// execution-semantics property tests (random valid sequences).
+    /// Uniformly random choice; the value is a SplitMix64 state
+    /// ([`splitmix64`]) that each pick advances — reproducible given
+    /// the seed, and the work-horse of the execution-semantics property
+    /// tests (random valid sequences).
     Random(u64),
 }
 
@@ -39,18 +43,14 @@ fn mea_cmp(a: &InstKey, b: &InstKey) -> Ordering {
 }
 
 impl Strategy {
-    /// Picks the dominant instantiation among those not refracted
-    /// (already fired and still present), by key: every strategy reads
-    /// the key and the rule's salience only, and the caller materialises
-    /// the pick ([`crate::Matcher::instantiate`]). Returns `None` when
-    /// every instantiation is refracted or the set is empty — the
-    /// paper's termination condition.
-    pub fn select<'a>(
-        &mut self,
-        conflict: &'a ConflictSet,
-        refracted: &HashSet<InstKey>,
-    ) -> Option<&'a InstKey> {
-        let mut candidates = conflict.iter().filter(|(k, _)| !refracted.contains(*k));
+    /// Picks the dominant instantiation of the conflict set, by key:
+    /// every strategy reads the key and the rule's salience only, and
+    /// the caller materialises the pick ([`crate::Matcher::instantiate`]).
+    /// Every listed key may fire — the set refracts ([`ConflictSet`]).
+    /// Returns `None` when the set is empty — the paper's termination
+    /// condition.
+    pub fn select<'a>(&mut self, conflict: &'a ConflictSet) -> Option<&'a InstKey> {
+        let mut candidates = conflict.iter();
         let pick = match self {
             Strategy::Fifo => candidates.next(),
             Strategy::Lex => candidates.max_by(|(a, _), (b, _)| a.lex_cmp(b)),
@@ -58,19 +58,10 @@ impl Strategy {
             Strategy::Salience => {
                 candidates.max_by(|(a, sa), (b, sb)| sa.cmp(sb).then_with(|| a.lex_cmp(b)))
             }
+            Strategy::Random(_) if conflict.is_empty() => None,
             Strategy::Random(state) => {
-                let all: Vec<_> = candidates.collect();
-                if all.is_empty() {
-                    return None;
-                }
-                // xorshift64*
-                let mut x = *state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                *state = x;
-                let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                Some(all[(r % all.len() as u64) as usize])
+                let i = splitmix64(state) % conflict.len() as u64;
+                candidates.nth(i as usize)
             }
         };
         pick.map(|(k, _)| k)
@@ -83,6 +74,7 @@ mod tests {
     use crate::conflict::Site;
     use dps_rules::RuleId;
     use dps_wm::WmeId;
+    use std::collections::HashSet;
 
     fn inst(rule: u32, salience: i32, stamps: &[u64]) -> (InstKey, i32) {
         let key = InstKey {
@@ -113,28 +105,28 @@ mod tests {
             Strategy::Mea,
             Strategy::Random(1),
         ] {
-            assert!(s.select(&cs, &HashSet::new()).is_none());
+            assert!(s.select(&cs).is_none());
         }
     }
 
     #[test]
     fn lex_prefers_most_recent() {
         let cs = set(vec![inst(0, 0, &[1, 2]), inst(1, 0, &[5, 3])]);
-        let picked = Strategy::Lex.select(&cs, &HashSet::new()).unwrap();
+        let picked = Strategy::Lex.select(&cs).unwrap();
         assert_eq!(picked.rule, RuleId(1));
     }
 
     #[test]
     fn lex_breaks_ties_on_second_element() {
         let cs = set(vec![inst(0, 0, &[5, 2]), inst(1, 0, &[5, 4])]);
-        let picked = Strategy::Lex.select(&cs, &HashSet::new()).unwrap();
+        let picked = Strategy::Lex.select(&cs).unwrap();
         assert_eq!(picked.rule, RuleId(1));
     }
 
     #[test]
     fn lex_prefers_more_specific_on_equal_prefix() {
         let cs = set(vec![inst(0, 0, &[5]), inst(1, 0, &[5, 1])]);
-        let picked = Strategy::Lex.select(&cs, &HashSet::new()).unwrap();
+        let picked = Strategy::Lex.select(&cs).unwrap();
         assert_eq!(picked.rule, RuleId(1));
     }
 
@@ -143,11 +135,11 @@ mod tests {
         // Rule 0's first CE is older but its overall recency is higher.
         let cs = set(vec![inst(0, 0, &[2, 9]), inst(1, 0, &[5, 1])]);
         assert_eq!(
-            Strategy::Mea.select(&cs, &HashSet::new()).unwrap().rule,
+            Strategy::Mea.select(&cs).unwrap().rule,
             RuleId(1)
         );
         assert_eq!(
-            Strategy::Lex.select(&cs, &HashSet::new()).unwrap().rule,
+            Strategy::Lex.select(&cs).unwrap().rule,
             RuleId(0)
         );
     }
@@ -156,25 +148,20 @@ mod tests {
     fn salience_dominates_lex() {
         let cs = set(vec![inst(0, 10, &[1]), inst(1, 0, &[9])]);
         assert_eq!(
-            Strategy::Salience
-                .select(&cs, &HashSet::new())
-                .unwrap()
-                .rule,
+            Strategy::Salience.select(&cs).unwrap().rule,
             RuleId(0)
         );
     }
 
     #[test]
     fn refraction_excludes_fired() {
-        let cs = set(vec![inst(0, 0, &[1]), inst(1, 0, &[9])]);
-        let top = Strategy::Lex.select(&cs, &HashSet::new()).unwrap().clone();
-        let refracted: HashSet<InstKey> = [top].into_iter().collect();
-        assert_eq!(
-            Strategy::Lex.select(&cs, &refracted).unwrap().rule,
-            RuleId(0)
-        );
-        let both: HashSet<InstKey> = cs.keys().cloned().collect();
-        assert!(Strategy::Lex.select(&cs, &both).is_none());
+        let mut cs = set(vec![inst(0, 0, &[1]), inst(1, 0, &[9])]);
+        let top = Strategy::Lex.select(&cs).unwrap().clone();
+        cs.refract(&top, |_, _| true);
+        assert_eq!(Strategy::Lex.select(&cs).unwrap().rule, RuleId(0));
+        let rest = Strategy::Lex.select(&cs).unwrap().clone();
+        cs.refract(&rest, |_, _| true);
+        assert!(Strategy::Lex.select(&cs).is_none());
     }
 
     #[test]
@@ -183,23 +170,23 @@ mod tests {
         let mut s1 = Strategy::Random(42);
         let mut s2 = Strategy::Random(42);
         for _ in 0..20 {
-            let a = s1.select(&cs, &HashSet::new()).unwrap();
-            let b = s2.select(&cs, &HashSet::new()).unwrap();
+            let a = s1.select(&cs).unwrap();
+            let b = s2.select(&cs).unwrap();
             assert_eq!(a, b);
         }
-        // Different seeds eventually differ.
-        let mut s3 = Strategy::Random(7);
-        let picks: HashSet<u32> = (0..50)
-            .map(|_| s3.select(&cs, &HashSet::new()).unwrap().rule.0)
-            .collect();
-        assert!(picks.len() > 1, "random should spread over candidates");
+        // Every seed spreads over the candidates, 0 included.
+        for seed in [7, 0] {
+            let mut s3 = Strategy::Random(seed);
+            let picks: HashSet<u32> = (0..50).map(|_| s3.select(&cs).unwrap().rule.0).collect();
+            assert!(picks.len() > 1, "seed {seed}: random should spread over candidates");
+        }
     }
 
     #[test]
     fn fifo_is_deterministic_first() {
         let cs = set(vec![inst(1, 0, &[9]), inst(0, 0, &[1])]);
         assert_eq!(
-            Strategy::Fifo.select(&cs, &HashSet::new()).unwrap().rule,
+            Strategy::Fifo.select(&cs).unwrap().rule,
             RuleId(0)
         );
     }

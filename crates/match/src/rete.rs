@@ -13,7 +13,8 @@
 //!   pattern currently has **no** match). Join nodes test variable
 //!   consistency between a source's tokens and an alpha memory and feed
 //!   the next beta memory. A production node enters each complete
-//!   token's [`InstKey`] into the conflict set and remembers the token;
+//!   token's [`InstKey`] into the conflict set (which lists nothing for
+//!   a refracted key) and remembers the token;
 //!   [`Matcher::instantiate`] materialises the [`Instantiation`] from
 //!   that token's chain when a caller fires it.
 //! * **Sharing**: alpha memories are shared by constant-test signature;
@@ -1090,8 +1091,11 @@ impl Matcher for Rete {
         Some(inst)
     }
 
-    fn holds(&self, id: WmeId, ts: Timestamp) -> bool {
-        self.net.alpha.holds(id, ts)
+    /// The production node keeps the refracted key's token: it is
+    /// dropped, as any other, when a tuple of it is retracted.
+    fn refract(&mut self, key: &InstKey) {
+        let alpha = &self.net.alpha;
+        self.beta.conflict.refract(key, |id, ts| alpha.holds(id, ts));
     }
 }
 
@@ -1191,6 +1195,35 @@ mod tests {
         assert!(rete.conflict_set().is_empty(), "hold blocks the rule");
         apply_remove(&mut rete, &mut wm, hold);
         assert_eq!(rete.conflict_set().len(), 1, "retraction unblocks");
+    }
+
+    #[test]
+    fn a_refracted_key_stays_unlisted_through_a_negation_block_until_swept() {
+        let (rules, mut wm) = setup("(p mark (a) -(b) --> (make log))");
+        let mut rete = Rete::new(&rules, &wm);
+        let a = apply_insert(&mut rete, &mut wm, WmeData::new("a"));
+        let key = rete.conflict_set().keys().next().unwrap().clone();
+        rete.refract(&key);
+        assert_eq!(rete.conflict_set().len(), 0);
+        assert!(rete.conflict_set().keys().next().is_none());
+        assert!(rete.instantiate(&key).is_none());
+        let dead = |n: u64| InstKey { rule: key.rule, wmes: [(WmeId(1_000 + n), 0)].into() };
+        // A `b` blocks the match while a sweep runs: the key survives it,
+        // and when the block lifts the same key is not listed again.
+        let b = apply_insert(&mut rete, &mut wm, WmeData::new("b"));
+        for n in 0..1023 {
+            rete.refract(&dead(n));
+        }
+        assert_eq!(rete.conflict_set().refracted_len(), 1, "the sweep ran");
+        apply_remove(&mut rete, &mut wm, b);
+        assert!(rete.conflict_set().is_empty());
+        assert!(rete.conflict_set().is_refracted(&key));
+        // Once its tuple is gone, the next sweep drops it.
+        apply_remove(&mut rete, &mut wm, a);
+        for n in 1023..2046 {
+            rete.refract(&dead(n));
+        }
+        assert_eq!(rete.conflict_set().refracted_len(), 0, "a dead key is collected");
     }
 
     #[test]

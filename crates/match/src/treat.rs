@@ -316,8 +316,10 @@ impl Matcher for Treat {
         self.insts.get(key).cloned()
     }
 
-    fn holds(&self, id: WmeId, ts: dps_wm::Timestamp) -> bool {
-        self.alpha.holds(id, ts)
+    fn refract(&mut self, key: &InstKey) {
+        self.remove(key);
+        let alpha = &self.alpha;
+        self.conflict.refract(key, |id, ts| alpha.holds(id, ts));
     }
 }
 

@@ -9,6 +9,18 @@
 
 use std::ops::Range;
 
+/// One SplitMix64 step on a raw `state`: advances it by the golden
+/// gamma and returns the mixed output. The state is a Weyl sequence, so
+/// no state is a fixed point, 0 included. [`SmallRng`] is this step on
+/// a pre-mixed seed.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seedable SplitMix64 generator.
 ///
 /// ```
@@ -34,11 +46,7 @@ impl SmallRng {
 
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// A uniform float in `[0, 1)`.

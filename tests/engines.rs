@@ -204,6 +204,28 @@ fn static_engine_parallelism_does_not_change_results() {
     assert_eq!((c1, &f1), (cmax, &fmax));
 }
 
+/// The static engine's batches on experiment X5's setup — the
+/// manufacturing pipeline of 12 jobs × 6 stages at width 16 — under the
+/// three selection modes: rule-level analysis serialises `advance`, and
+/// run-time footprints fire the twelve jobs of each stage together.
+#[test]
+fn static_engine_batches_on_the_manufacturing_pipeline_are_pinned() {
+    use dbps::engine::SelectionMode;
+    use dbps::rules::analysis::Granularity;
+    for (mode, batches) in [
+        (SelectionMode::StaticRules(Granularity::Class), vec![1; 72]),
+        (SelectionMode::StaticRules(Granularity::ClassAttribute), vec![1; 72]),
+        (SelectionMode::DynamicFootprints, vec![12; 6]),
+    ] {
+        let (rules, wm) = dps_bench::workloads::manufacturing(12, 6);
+        let config = StaticConfig { mode, max_width: 16, ..Default::default() };
+        let r = StaticParallelEngine::new(&rules, wm.clone(), config).run();
+        assert_eq!((r.cycles, r.commits), (batches.len(), 72), "{mode:?}");
+        assert_eq!(r.batch_sizes, batches, "{mode:?}");
+        validate_trace(&rules, &wm, &r.trace).unwrap();
+    }
+}
+
 #[test]
 fn engines_handle_negation_consistently() {
     // One-shot latch: fire once, the made tuple blocks refiring.
