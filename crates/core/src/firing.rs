@@ -1,11 +1,14 @@
 //! Firing records, traces, and what a firing touches.
 //!
-//! What one firing reads and writes is defined here, once, and both
-//! theorems' engines read that definition:
+//! What one firing reads and writes is defined once, and both theorems'
+//! engines read that definition: its rule-level half in the rule set's
+//! analysis ([`dps_rules::RuleSet::access`]), its run-time half — the
+//! instantiation and its delta — here:
 //!
 //! * **reads** — the tuples its positive CEs matched (the
 //!   instantiation's), and the whole class of every negated CE
-//!   ([`read_classes`]: any insertion there can invalidate the match);
+//!   ([`RuleAccess::negated_classes`]: any insertion there can
+//!   invalidate the match);
 //! * **writes** — the tuples its RHS modifies or removes (the delta's
 //!   `written_ids`), the class of every tuple it creates, and the class
 //!   of every matched tuple it writes ([`write_classes`]: a removal can
@@ -20,7 +23,8 @@
 use std::collections::BTreeSet;
 
 use dps_match::{InstKey, Instantiation};
-use dps_rules::{Rule, RuleId};
+use dps_rules::analysis::RuleAccess;
+use dps_rules::RuleId;
 use dps_wm::{Atom, DeltaSet, WmeId};
 
 use crate::EXTERNAL_RULE;
@@ -78,14 +82,6 @@ impl Trace {
     }
 }
 
-/// Reads: the class of every negated CE of `rule`, read whole.
-pub(crate) fn read_classes(rule: &Rule) -> impl Iterator<Item = &Atom> {
-    rule.conditions
-        .iter()
-        .filter(|c| c.is_negated())
-        .map(|c| &c.ce().class)
-}
-
 /// Writes: the class of every tuple `delta` creates, and of every
 /// tuple of `inst` it modifies or removes.
 pub(crate) fn write_classes<'a>(
@@ -117,13 +113,13 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// Computes the footprint of an instantiation with its computed
-    /// delta.
-    pub fn of(rule: &Rule, inst: &Instantiation, delta: &DeltaSet) -> Footprint {
+    /// Computes the footprint of an instantiation of the rule `access`
+    /// describes, with its computed delta.
+    pub fn of(access: &RuleAccess, inst: &Instantiation, delta: &DeltaSet) -> Footprint {
         Footprint {
             read_tuples: inst.wmes.iter().map(|w| w.id).collect(),
             write_tuples: delta.written_ids().collect(),
-            read_classes: read_classes(rule).cloned().collect(),
+            read_classes: access.negated_classes.clone(),
             write_classes: write_classes(inst, delta).cloned().collect(),
         }
     }
@@ -155,7 +151,7 @@ impl Footprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_rules::{parser::parse_rule, Bindings};
+    use dps_rules::{Bindings, RuleSet};
     use dps_wm::{Wme, WmeData};
     use std::sync::Arc;
 
@@ -167,23 +163,23 @@ mod tests {
         }
     }
 
-    fn inst_of(rule: &Rule, wmes: Vec<Wme>) -> Instantiation {
+    fn inst_of(wmes: Vec<Wme>) -> Instantiation {
         Instantiation {
             rule: RuleId(0),
             wmes: wmes.into_iter().map(Arc::new).collect(),
             bindings: Bindings::new(),
-            salience: rule.salience,
+            salience: 0,
         }
     }
 
     #[test]
     fn footprint_of_modify_rule() {
-        let rule = parse_rule("(p r (job ^n <n>) --> (modify 1 ^n (+ <n> 1)))").unwrap();
+        let rules = RuleSet::parse("(p r (job ^n <n>) --> (modify 1 ^n (+ <n> 1)))").unwrap();
         let w = wme(3, "job");
-        let inst = inst_of(&rule, vec![w.clone()]);
+        let inst = inst_of(vec![w.clone()]);
         let mut delta = DeltaSet::new();
         delta.modify(w.id, []);
-        let fp = Footprint::of(&rule, &inst, &delta);
+        let fp = Footprint::of(rules.access(RuleId(0)), &inst, &delta);
         assert!(fp.read_tuples.contains(&WmeId(3)));
         assert!(fp.write_tuples.contains(&WmeId(3)));
         assert!(fp.write_classes.contains("job"));
@@ -192,11 +188,11 @@ mod tests {
 
     #[test]
     fn footprint_of_negated_reader() {
-        let rule = parse_rule("(p r (go) -(hold) --> (make log))").unwrap();
-        let inst = inst_of(&rule, vec![wme(1, "go")]);
+        let rules = RuleSet::parse("(p r (go) -(hold) --> (make log))").unwrap();
+        let inst = inst_of(vec![wme(1, "go")]);
         let mut delta = DeltaSet::new();
         delta.create(WmeData::new("log"));
-        let fp = Footprint::of(&rule, &inst, &delta);
+        let fp = Footprint::of(rules.access(RuleId(0)), &inst, &delta);
         assert!(fp.read_classes.contains("hold"));
         assert!(fp.write_classes.contains("log"));
         assert!(fp.write_tuples.is_empty());

@@ -583,16 +583,10 @@ impl ParallelEngine {
         let versioned = Strategy::any_snapshot(&config, &plan);
         let pipeline = MatchPipeline::new_at(rules, wm, plan, base_seq, versioned);
         let mut class_ids = HashMap::new();
-        for (_, rule) in rules.iter() {
-            for cond in &rule.conditions {
+        for (id, _) in rules.iter() {
+            for class in &rules.access(id).classes {
                 let next = class_ids.len() as u32;
-                class_ids.entry(cond.ce().class.clone()).or_insert(next);
-            }
-            for action in &rule.actions {
-                if let dps_rules::Action::Make { class, .. } = action {
-                    let next = class_ids.len() as u32;
-                    class_ids.entry(class.clone()).or_insert(next);
-                }
+                class_ids.entry(class.clone()).or_insert(next);
             }
         }
         let obs = config.observe.then(|| Arc::new(Recorder::default()));
@@ -1089,7 +1083,7 @@ impl ParallelEngine {
         let rule = self.rules.get(inst.rule).expect("known rule");
         let txn = claim.txn;
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), Some(inst.rule));
-        let cond = self.condition_resources(&inst, rule);
+        let cond = self.condition_resources(&inst);
         let mut worked = Duration::ZERO;
         let outcome = self.try_execute(&mut claim, strategy, &inst, rule, &cond, &mut worked);
         let Err(cause) = outcome else { return };
@@ -1182,7 +1176,7 @@ impl ParallelEngine {
                 inst.wmes
                     .iter()
                     .all(|w| versions.latest(w.id).is_some_and(|s| s.timestamp == w.timestamp))
-                    && firing::read_classes(rule)
+                    && (self.rules.access(inst.rule).negated_classes.iter())
                         .all(|class| versions.class_write_seq(class) <= snapshot)
             };
             if !current && !self.in_conflict_set_at(&claim.held, base.next_seq - 1, false) {
@@ -1209,7 +1203,7 @@ impl ParallelEngine {
     /// threshold becomes one relation-level resource. Computed under
     /// every strategy: where it is not locked it is still the injection
     /// and attribution surface.
-    fn condition_resources(&self, inst: &Instantiation, rule: &Rule) -> Vec<ResourceId> {
+    fn condition_resources(&self, inst: &Instantiation) -> Vec<ResourceId> {
         let tuple = |w: &Arc<Wme>| ResourceId::Tuple(w.id.0);
         let mut out: Vec<ResourceId> = Vec::with_capacity(inst.wmes.len() + 1);
         match self.config.rc_escalation {
@@ -1229,7 +1223,8 @@ impl ParallelEngine {
             }
             None => out.extend(inst.wmes.iter().map(tuple)),
         }
-        out.extend(firing::read_classes(rule).map(|class| self.relation_resource(class)));
+        let negated = &self.rules.access(inst.rule).negated_classes;
+        out.extend(negated.iter().map(|class| self.relation_resource(class)));
         out.sort_unstable();
         out.dedup();
         out
@@ -1463,6 +1458,19 @@ mod tests {
         };
         let (report, _) = run_with(&rules, wm, cfg);
         assert_eq!(report.commits, 5);
+    }
+
+    /// Relations are numbered by first appearance over the rules in id
+    /// order — each rule's CEs in text order (negated ones included),
+    /// then its `make` targets — and lock acquisition order follows.
+    #[test]
+    fn relations_are_numbered_by_first_appearance() {
+        let rules =
+            RuleSet::parse("(p r (b) -(a) --> (make c)) (p s (c) (b) --> (make d))").unwrap();
+        let engine = ParallelEngine::new(&rules, WorkingMemory::new(), ParallelConfig::default());
+        let ids: Vec<ResourceId> =
+            ["b", "a", "c", "d"].iter().map(|c| engine.relation_resource(&Atom::from(*c))).collect();
+        assert_eq!(ids, (0..4).map(ResourceId::Relation).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2151,12 +2159,12 @@ mod tests {
                         ResourceId::Tuple(_) => p.action_write(),
                         ResourceId::Relation(_) => p.relation_write(),
                     };
-                    let requests = (engine.condition_resources(&inst, rule).into_iter())
+                    let requests = (engine.condition_resources(&inst).into_iter())
                         .map(|r| (r, p.condition_read()))
                         .chain(reads.into_iter().map(|r| (r, p.action_read())))
                         .chain(writes.into_iter().map(|r| (r, write_mode(&r))))
                         .collect();
-                    (Footprint::of(rule, &inst, &delta), requests)
+                    (Footprint::of(rules.access(inst.rule), &inst, &delta), requests)
                 })
                 .collect();
             for (i, (fa, ra)) in firings.iter().enumerate() {

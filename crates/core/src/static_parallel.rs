@@ -4,9 +4,12 @@
 //! Two selection modes expose the paper's discussion directly:
 //!
 //! * [`SelectionMode::StaticRules`] — interference judged from the rules'
-//!   static read/write sets (`dps_rules::analysis`), as a pre-execution
-//!   partitioner would. Conservative: "the analyzer must behave in a
-//!   conservative manner, sacrificing parallelism".
+//!   static read/write sets, the rule set's analysis
+//!   ([`dps_rules::RuleSet::access`]), as a pre-execution partitioner
+//!   would — but no partition is precomputed: each cycle's greedy batch
+//!   asks [`dps_rules::analysis::interferes`] of its members. Conservative:
+//!   "the analyzer must behave in a conservative manner, sacrificing
+//!   parallelism".
 //! * [`SelectionMode::DynamicFootprints`] — interference judged from the
 //!   *run-time* footprints of the candidate instantiations (matched WMEs
 //!   and computed deltas), the information the paper notes static
@@ -17,7 +20,8 @@
 //! A cycle walks the conflict set in key order and builds the batch
 //! greedily. A candidate is tested before it is evaluated — under
 //! `StaticRules` by its rule, under `DynamicFootprints` by the reads its
-//! key and rule already name (its matched tuples, its negated classes)
+//! key and rule's analysis already name (its matched tuples, its negated
+//! classes)
 //! against the batch's writes — then evaluated, and under
 //! `DynamicFootprints` tested once more, whole, against the union of the
 //! members' footprints ([`Footprint::conflicts`] is a disjunction of set
@@ -34,11 +38,10 @@
 use std::collections::HashMap;
 
 use dps_match::{InstKey, Instantiation, Matcher, Rete};
-use dps_rules::analysis::{interferes, rule_access, Granularity, RuleAccess};
+use dps_rules::analysis::{interferes, Granularity};
 use dps_rules::RuleSet;
 use dps_wm::{Atom, DeltaSet, WorkingMemory};
 
-use crate::firing::read_classes;
 use crate::world::World;
 use crate::{Firing, Footprint, Trace};
 
@@ -114,7 +117,6 @@ impl StaticReport {
 /// The static-approach engine. See the module docs.
 pub struct StaticParallelEngine {
     rules: RuleSet,
-    accesses: Vec<RuleAccess>,
     world: World,
     config: StaticConfig,
     trace: Trace,
@@ -126,10 +128,8 @@ impl StaticParallelEngine {
     /// Creates the engine.
     pub fn new(rules: &RuleSet, wm: WorkingMemory, config: StaticConfig) -> Self {
         let matcher = Rete::new(rules, &wm);
-        let accesses = rules.rules().iter().map(rule_access).collect();
         StaticParallelEngine {
             rules: rules.clone(),
-            accesses,
             world: World::new(wm, matcher),
             config,
             trace: Trace::default(),
@@ -157,16 +157,15 @@ impl StaticParallelEngine {
         // footprints, accumulated.
         let (mut batch, mut union) = (Vec::<InstKey>::new(), Footprint::default());
         let dynamic = self.config.mode == SelectionMode::DynamicFootprints;
-        let access = |k: &InstKey| &self.accesses[k.rule.0 as usize];
+        let access = |k: &InstKey| self.rules.access(k.rule);
         for key in keys {
             if batch.len() >= self.config.max_width {
                 break;
             }
             let free = match self.config.mode {
                 SelectionMode::DynamicFootprints => {
-                    let rule = self.rules.get(key.rule).expect("matcher only emits known rules");
                     !key.wmes.iter().any(|(id, _)| union.write_tuples.contains(id))
-                        && !read_classes(rule).any(|c| union.write_classes.contains(c))
+                        && union.write_classes.is_disjoint(&access(&key).negated_classes)
                 }
                 SelectionMode::StaticRules(g) => {
                     batch.iter().all(|b| !interferes(access(&key), access(b), g))
@@ -176,10 +175,10 @@ impl StaticParallelEngine {
                 continue;
             }
             if !self.evaluated.contains_key(&key) {
-                let Some((rule, inst, delta, halt)) = self.world.evaluate(&self.rules, &key) else {
+                let Some((_, inst, delta, halt)) = self.world.evaluate(&self.rules, &key) else {
                     continue;
                 };
-                let fp = Footprint::of(rule, &inst, &delta);
+                let fp = Footprint::of(access(&key), &inst, &delta);
                 self.evaluated.insert(key.clone(), (inst, delta, halt, fp));
             }
             let fp = &self.evaluated[&key].3;

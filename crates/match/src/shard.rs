@@ -31,8 +31,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::Range;
 
-use dps_rules::analysis::{commutes, rule_access, Granularity};
-use dps_rules::{Action, Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
+use dps_rules::analysis::commutes;
+use dps_rules::{Condition, Predicate, Rule, RuleId, RuleSet, TestAtom, VarName};
 use dps_wm::{Atom, Change, IdHasher, Value, Wme, WorkingMemory};
 
 use crate::alpha::{attr_of, index_key};
@@ -44,23 +44,8 @@ use crate::{InstKey, Matcher, Rete};
 /// small rule sets never pay for empty shards.
 pub const DEFAULT_MATCH_SHARDS: usize = 8;
 
-/// Classes a rule mentions anywhere (conditions — positive and negated —
-/// and `make` targets).
-pub(crate) fn rule_classes(rule: &Rule) -> BTreeSet<Atom> {
-    let mut out: BTreeSet<Atom> = rule
-        .conditions
-        .iter()
-        .map(|c| c.ce().class.clone())
-        .collect();
-    for action in &rule.actions {
-        if let dps_rules::Action::Make { class, .. } = action {
-            out.insert(class.clone());
-        }
-    }
-    out
-}
-
-/// Union-find partition of rule indices joined through shared classes:
+/// Union-find partition of rule indices joined through shared classes
+/// (every class a rule names: [`dps_rules::analysis::RuleAccess::classes`]):
 /// returns the class-connected components, deterministically ordered by
 /// their smallest rule index.
 pub(crate) fn class_components(rules: &RuleSet) -> Vec<Vec<usize>> {
@@ -74,9 +59,10 @@ pub(crate) fn class_components(rules: &RuleSet) -> Vec<Vec<usize>> {
         parent[x]
     }
     let mut class_owner: HashMap<Atom, usize> = HashMap::new();
-    for (i, rule) in rules.rules().iter().enumerate() {
-        for class in rule_classes(rule) {
-            match class_owner.get(&class) {
+    for (id, _) in rules.iter() {
+        let i = id.0 as usize;
+        for class in &rules.access(id).classes {
+            match class_owner.get(class) {
                 Some(&j) => {
                     let (a, b) = (find(&mut parent, i), find(&mut parent, j));
                     if a != b {
@@ -84,7 +70,7 @@ pub(crate) fn class_components(rules: &RuleSet) -> Vec<Vec<usize>> {
                     }
                 }
                 None => {
-                    class_owner.insert(class, i);
+                    class_owner.insert(class.clone(), i);
                 }
             }
         }
@@ -102,19 +88,17 @@ pub(crate) fn class_components(rules: &RuleSet) -> Vec<Vec<usize>> {
 /// Per-rule elidability from the static commute matrix: a rule may skip
 /// the lock manager iff *every* pair inside its class-connected
 /// component — the diagonal included — commutes
-/// ([`dps_rules::analysis::commutes`] at class+attribute granularity).
+/// ([`dps_rules::analysis::commutes`]).
 /// All-pairs is the sound quantifier: concurrency is per component, so
 /// any two firings of component rules can interleave, and a single
 /// non-commuting pair means lock-holding and lock-skipping firings
 /// could meet on the same resource.
 fn elidable_components(rules: &RuleSet, components: &[Vec<usize>]) -> Vec<bool> {
-    let accesses: Vec<_> = rules.rules().iter().map(rule_access).collect();
+    let access = |i: usize| rules.access(RuleId(i as u32));
     let mut elidable = vec![false; rules.len()];
     for members in components {
         let all_commute = members.iter().enumerate().all(|(k, &i)| {
-            members[k..]
-                .iter()
-                .all(|&j| commutes(&accesses[i], &accesses[j], Granularity::ClassAttribute))
+            members[k..].iter().all(|&j| commutes(access(i), access(j)))
         });
         if all_commute {
             for &m in members {
@@ -139,20 +123,18 @@ fn elidable_components(rules: &RuleSet, components: &[Vec<usize>]) -> Vec<bool> 
 /// CEs, then carries a loose-equal key value, so tuples of different
 /// key values never meet in a join.
 fn partition_keys(rules: &RuleSet, members: &[usize]) -> Option<BTreeMap<Atom, Atom>> {
+    // (class, attribute) pairs some rule's `modify` overwrites: its
+    // delta and absolute writes that name an attribute (a `remove`
+    // writes the whole class).
+    let written: HashSet<(&Atom, &Atom)> = members
+        .iter()
+        .map(|&m| rules.access(RuleId(m as u32)))
+        .flat_map(|a| a.delta_writes.iter().chain(a.absolute_writes.iter()))
+        .filter_map(|(class, attr)| Some((class, attr.as_ref()?)))
+        .collect();
     let members: Vec<&Rule> = members.iter().map(|&m| &rules.rules()[m]).collect();
     if members.iter().all(|r| r.conditions.len() < 2) {
         return None;
-    }
-    // (class, attribute) pairs some rule's `modify` overwrites.
-    let mut written: HashSet<(&Atom, &Atom)> = HashSet::new();
-    for rule in &members {
-        for action in &rule.actions {
-            if let Action::Modify { ce, attrs } = action {
-                if let Some(target) = rule.positive_ces().nth(ce.wrapping_sub(1)) {
-                    written.extend(attrs.iter().map(|(attr, _)| (&target.class, attr)));
-                }
-            }
-        }
     }
     let mut keys = BTreeMap::new();
     assign_keys(&members, &written, &mut keys).then_some(keys)
@@ -317,12 +299,12 @@ impl ShardPlan {
                     shard_rules.push(RuleId(m as u32));
                 }
                 shards_of_rule[m] = first..first + width;
-                for class in rule_classes(&rules.rules()[m]) {
+                for class in &rules.access(RuleId(m as u32)).classes {
                     let route = match key_of {
                         None => Route::Shard(first),
                         // A class the component only `make`s has no key
                         // and no CE: nothing matches on it.
-                        Some(key_of) => match key_of.get(&class) {
+                        Some(key_of) => match key_of.get(class) {
                             Some(attr) => Route::Keyed {
                                 attr: attr.clone(),
                                 first,
@@ -331,7 +313,7 @@ impl ShardPlan {
                             None => continue,
                         },
                     };
-                    routes.insert(class, route);
+                    routes.insert(class.clone(), route);
                 }
             }
         }

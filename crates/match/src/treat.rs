@@ -7,10 +7,15 @@
 //! WME is retracted, the conflict set is purged through TREAT's own
 //! WME → instantiations index (Rete needs none), and rules whose
 //! *negated* patterns lost a match are re-joined. This is the classic
-//! state-versus-recomputation trade-off against [`crate::Rete`], which
-//! the `dps-bench` crate measures (experiment X4). A join yields whole
-//! instantiations, so TREAT keeps them, by key, beside its conflict set
-//! (which, like Rete's, holds keys only) and hands out clones of them.
+//! state-versus-recomputation trade-off against [`crate::Rete`]; nothing
+//! times it (DESIGN's X4 row). The engines match with Rete, and TREAT's
+//! readers are two tests: `tests/matcher_equivalence.rs`, where it is
+//! the oracle Rete is held to after every step, and
+//! `partitioned_matcher_plugs_into_the_engine` (`tests/engines.rs`),
+//! where it drives a single-thread run firing for firing like Rete. A
+//! join yields whole instantiations, so TREAT keeps them, by key, beside
+//! its conflict set (which, like Rete's, holds keys only) and hands out
+//! clones of them.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

@@ -1,6 +1,14 @@
 //! Static read/write-set analysis, the interference test, and the
 //! commutativity judgment behind lock elision.
 //!
+//! This is where the rule-level half of "what a rule reads and writes"
+//! is decided, once per rule: [`crate::RuleSet::add`] computes each
+//! rule's [`RuleAccess`] and [`crate::RuleSet::access`] hands it to
+//! every reader — the shard planner (classes, key writes, the commute
+//! matrix), the dynamic engine (relation numbering, negated-class
+//! locks and checks) and the static engine (batch selection). What a
+//! firing writes at run time depends on its delta and is `dps-core`'s.
+//!
 //! The paper's static approach (§4.1) partitions productions into
 //! *non-interfering* groups: "Two productions are non-interfering if there
 //! is no read-write or write-write conflict between them." Run-time values
@@ -8,7 +16,7 @@
 //! is the (class, attribute) pair: a rule *reads* every class+attribute its
 //! LHS tests and *writes* every class+attribute its RHS creates, modifies
 //! or removes. A `remove`/`make` touches the whole tuple, so it writes the
-//! wildcard attribute of its class.
+//! whole class (an entry with no attribute).
 //!
 //! The paper also notes (§4.1) that class-granularity analysis detects
 //! *false* interference when two rules touch disjoint subclasses; exposing
@@ -32,14 +40,13 @@ use dps_wm::Atom;
 
 use crate::{Action, ConditionElement, Expr, Op, Predicate, Rule, TestAtom, VarName};
 
-/// Wildcard attribute marker: the whole tuple / any attribute of a class.
-const STAR: &str = "*";
-
-/// A set of (class, attribute) access descriptors. The attribute `*`
-/// denotes "any attribute of the class" (whole-tuple access).
+/// A set of (class, attribute) access descriptors. An entry with no
+/// attribute (`None`) is a whole-class access: any attribute of any
+/// tuple of the class. Every attribute name the parser accepts, `*`
+/// included, is a `Some`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessSet {
-    entries: BTreeSet<(Atom, Atom)>,
+    entries: BTreeSet<(Atom, Option<Atom>)>,
 }
 
 impl AccessSet {
@@ -50,16 +57,16 @@ impl AccessSet {
 
     /// Adds a class+attribute access.
     pub fn add(&mut self, class: Atom, attr: Atom) {
-        self.entries.insert((class, attr));
+        self.entries.insert((class, Some(attr)));
     }
 
-    /// Adds a whole-class (wildcard) access.
+    /// Adds a whole-class access.
     pub fn add_class(&mut self, class: Atom) {
-        self.entries.insert((class, Atom::from(STAR)));
+        self.entries.insert((class, None));
     }
 
-    /// Iterates entries in order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Atom, Atom)> {
+    /// Iterates entries in order (a class's whole-class entry first).
+    pub fn iter(&self) -> impl Iterator<Item = &(Atom, Option<Atom>)> {
         self.entries.iter()
     }
 
@@ -84,7 +91,7 @@ impl AccessSet {
     }
 
     /// `true` when the two sets overlap at class+attribute granularity
-    /// (wildcards overlap everything in their class).
+    /// (a whole-class entry overlaps everything in its class).
     ///
     /// A linear merge-intersection over the two sorted entry sets —
     /// O(n + m), not O(n·m). The commute matrix calls this O(rules²)
@@ -103,22 +110,18 @@ impl AccessSet {
                     while ys.next_if(|(c, _)| c < xc).is_some() {}
                 }
                 std::cmp::Ordering::Equal => {
-                    // Both sets touch this class: a wildcard on either
-                    // side overlaps by definition; otherwise merge-
+                    // Both sets touch this class: a whole-class entry on
+                    // either side overlaps by definition; otherwise merge-
                     // intersect the two sorted attribute runs.
                     let class = xc;
                     let mut attrs: Vec<&Atom> = Vec::new();
                     while let Some((_, a)) = xs.next_if(|(c, _)| c == class) {
-                        if a == STAR {
-                            return true;
-                        }
+                        let Some(a) = a else { return true };
                         attrs.push(a);
                     }
                     let mut i = 0;
                     while let Some((_, a)) = ys.next_if(|(c, _)| c == class) {
-                        if a == STAR {
-                            return true;
-                        }
+                        let Some(a) = a else { return true };
                         while i < attrs.len() && attrs[i] < a {
                             i += 1;
                         }
@@ -139,7 +142,9 @@ impl AccessSet {
     }
 }
 
-/// The static read and write sets of one rule, with the writes factored
+/// The static read and write sets of one rule, computed once by
+/// [`crate::RuleSet::add`] and read through [`crate::RuleSet::access`],
+/// with the writes factored
 /// by how they compose: *delta* writes (arithmetic increment/decrement
 /// `modify`s — read-modify-write against the matched tuple's own value,
 /// so any interleaving sums the same), *insert* writes (`make` — a fresh
@@ -149,13 +154,17 @@ impl AccessSet {
 /// available as [`RuleAccess::writes`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuleAccess {
+    /// Every class the rule names, each once, in order of first
+    /// appearance: its CEs' classes in text order (negated ones
+    /// included), then its `make` targets.
+    pub classes: Vec<Atom>,
     /// Class+attribute pairs the LHS reads.
     pub reads: AccessSet,
     /// `modify`s of the form `^a (+ <v> k)` / `^a (- <v> k)` where `<v>`
     /// is equality-bound to the *same* attribute of the target CE —
     /// commutative counter bumps.
     pub delta_writes: AccessSet,
-    /// `make` targets: `(class, *)` per created class.
+    /// `make` targets: a whole-class entry per created class.
     pub insert_writes: AccessSet,
     /// `remove`s and non-delta `modify`s — absolute, order-sensitive.
     pub absolute_writes: AccessSet,
@@ -168,14 +177,12 @@ pub struct RuleAccess {
 impl RuleAccess {
     /// Compat accessor: the union of every write category — exactly the
     /// single `writes` set this analysis exposed before the
-    /// delta/insert/absolute split. [`interferes`] and the static
-    /// engine's partitioner judge against this fused set.
+    /// delta/insert/absolute split. [`interferes`] (the static engine's
+    /// rule-level batch test) judges against this fused set.
     pub fn writes(&self) -> AccessSet {
         let mut out = AccessSet::new();
         for set in [&self.delta_writes, &self.insert_writes, &self.absolute_writes] {
-            for (c, a) in set.iter() {
-                out.add(c.clone(), a.clone());
-            }
+            out.entries.extend(set.entries.iter().cloned());
         }
         out
     }
@@ -185,17 +192,8 @@ impl RuleAccess {
     /// read commutes with other bumps; every other read is a plain
     /// (order-sensitive) observation.
     fn plain_reads(&self) -> AccessSet {
-        let mut out = AccessSet::new();
-        for (c, a) in self.reads.iter() {
-            if !self
-                .delta_writes
-                .iter()
-                .any(|(dc, da)| dc == c && da == a)
-            {
-                out.add(c.clone(), a.clone());
-            }
-        }
-        out
+        let entries = self.reads.entries.difference(&self.delta_writes.entries);
+        AccessSet { entries: entries.cloned().collect() }
     }
 
     /// `true` when any access (read or any write category) touches
@@ -234,19 +232,29 @@ fn is_delta_expr(target: &ConditionElement, attr: &Atom, expr: &Expr) -> bool {
     }
 }
 
-/// Computes the read and write sets of a rule.
+/// Computes the read and write sets of a rule. [`crate::RuleSet::add`]
+/// is its one caller: everyone else reads the stored result.
 ///
 /// * Every attribute tested by a (positive or negated) CE is a read of
-///   `(class, attr)`; a test-free CE reads `(class, *)`.
-/// * `make` writes `(class, *)` into the insert set — a new tuple affects
-///   any reader of the class (e.g. negated CEs).
+///   `(class, attr)`; a test-free CE reads the whole class.
+/// * `make` writes its whole class into the insert set — a new tuple
+///   affects any reader of the class (e.g. negated CEs).
 /// * `modify` writes `(class, attr)` for each assigned attribute — into
 ///   the delta set when the expression is an increment/decrement of the
 ///   matched value (`is_delta_expr`), the absolute set otherwise — and
 ///   reads nothing extra (the tuple was already read by its CE).
-/// * `remove` writes `(class, *)` of the removed CE's class (absolute).
-pub fn rule_access(rule: &Rule) -> RuleAccess {
+/// * `remove` writes the whole class of the removed CE (absolute).
+pub(crate) fn rule_access(rule: &Rule) -> RuleAccess {
     let mut access = RuleAccess::default();
+    let makes = rule.actions.iter().filter_map(|action| match action {
+        Action::Make { class, .. } => Some(class),
+        _ => None,
+    });
+    for class in rule.conditions.iter().map(|c| &c.ce().class).chain(makes) {
+        if !access.classes.contains(class) {
+            access.classes.push(class.clone());
+        }
+    }
     let positive: Vec<&ConditionElement> = rule.positive_ces().collect();
     for cond in &rule.conditions {
         let ce = cond.ce();
@@ -258,7 +266,7 @@ pub fn rule_access(rule: &Rule) -> RuleAccess {
             }
         }
         // A negated CE is sensitive to *any* tuple of the class appearing,
-        // so it also reads the wildcard (this is the paper's negative-
+        // so it also reads the whole class (this is the paper's negative-
         // dependence case that motivates relation-level R_c escalation).
         if cond.is_negated() {
             access.reads.add_class(ce.class.clone());
@@ -311,9 +319,9 @@ pub fn interferes(a: &RuleAccess, b: &RuleAccess, gran: Granularity) -> bool {
     overlap(&aw, &bw) || overlap(&aw, &b.reads) || overlap(&a.reads, &bw)
 }
 
-/// Static commutativity judgment: `true` when firing `a` then `b` is
-/// guaranteed to leave the same working memory as firing `b` then `a`,
-/// for *any* pair of instantiations. This is the coordination-avoidance
+/// Static commutativity judgment, at class+attribute granularity: `true`
+/// when firing `a` then `b` is guaranteed to leave the same working
+/// memory as firing `b` then `a`, for *any* pair of instantiations. This is the coordination-avoidance
 /// question (Bailis et al.): commuting firings need no lock-manager
 /// traffic at all. The judgment is deliberately conservative — `false`
 /// means "could not prove it", not "does not commute".
@@ -336,11 +344,8 @@ pub fn interferes(a: &RuleAccess, b: &RuleAccess, gran: Granularity) -> bool {
 ///    vs `make` (fresh tuples, distinct timestamps), `make` vs reads
 ///    of non-negated CEs (a positive CE match set only grows; already-
 ///    claimed instantiations are unaffected), and disjoint accesses.
-pub fn commutes(a: &RuleAccess, b: &RuleAccess, gran: Granularity) -> bool {
-    let overlap = |x: &AccessSet, y: &AccessSet| match gran {
-        Granularity::Class => x.overlaps_class(y),
-        Granularity::ClassAttribute => x.overlaps(y),
-    };
+pub fn commutes(a: &RuleAccess, b: &RuleAccess) -> bool {
+    let overlap = AccessSet::overlaps;
     // Rule 1: negated-CE poison, both directions.
     for class in &a.negated_classes {
         if b.touches_class(class) {
@@ -369,38 +374,6 @@ pub fn commutes(a: &RuleAccess, b: &RuleAccess, gran: Granularity) -> bool {
     true
 }
 
-/// Partitions rules into non-interfering groups greedily: each rule joins
-/// the first group it does not interfere with; otherwise it founds a new
-/// group. Returns per-rule group indices.
-///
-/// Greedy colouring is the practical choice the paper alludes to when it
-/// notes optimal partitioning is infeasible ("very difficult, if not
-/// impossible, to optimally partition the rules ... because of the state
-/// explosion problem").
-pub fn partition(rules: &[Rule], gran: Granularity) -> Vec<usize> {
-    let accesses: Vec<RuleAccess> = rules.iter().map(rule_access).collect();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut assignment = vec![0usize; rules.len()];
-    for (i, acc) in accesses.iter().enumerate() {
-        let slot = groups.iter().position(|members| {
-            members
-                .iter()
-                .all(|&j| !interferes(acc, &accesses[j], gran))
-        });
-        match slot {
-            Some(g) => {
-                groups[g].push(i);
-                assignment[i] = g;
-            }
-            None => {
-                groups.push(vec![i]);
-                assignment[i] = groups.len() - 1;
-            }
-        }
-    }
-    assignment
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +393,7 @@ mod tests {
     #[test]
     fn test_free_ce_reads_wildcard() {
         let a = acc("(p r (job) --> )");
-        assert_eq!(a.reads.iter().next().unwrap().1.as_str(), "*");
+        assert_eq!(a.reads.iter().next().unwrap().1, None);
     }
 
     #[test]
@@ -429,30 +402,27 @@ mod tests {
         assert!(a
             .reads
             .iter()
-            .any(|(c, at)| c == &Atom::from("hold") && at == &Atom::from("*")));
+            .any(|(c, at)| c == &Atom::from("hold") && at.is_none()));
+        // Classes: CEs in text order, negated included, then `make`s.
+        let a = acc("(p r (b) -(a) (b) --> (make c) (make a))");
+        assert_eq!(a.classes, [Atom::from("b"), Atom::from("a"), Atom::from("c")]);
     }
 
     #[test]
     fn make_and_remove_write_wildcard_modify_writes_attr() {
         let a = acc("(p r (job ^cost <c>) --> (modify 1 ^cost (+ <c> 1)) (make log) (remove 1))");
         let w = a.writes();
-        assert!(w
-            .iter()
-            .any(|(c, at)| c.as_str() == "job" && at.as_str() == "cost"));
-        assert!(w
-            .iter()
-            .any(|(c, at)| c.as_str() == "log" && at.as_str() == "*"));
-        assert!(w
-            .iter()
-            .any(|(c, at)| c.as_str() == "job" && at.as_str() == "*"));
+        let has = |set: &AccessSet, class: &str, attr: Option<&str>| {
+            set.iter().any(|e| *e == (Atom::from(class), attr.map(Atom::from)))
+        };
+        assert!(has(&w, "job", Some("cost")));
+        assert!(has(&w, "log", None));
+        assert!(has(&w, "job", None));
         // And the split sees through the fused view: the increment is a
         // delta, make an insert, remove an absolute wildcard.
         assert!(a.delta_writes.iter().any(|(c, _)| c.as_str() == "job"));
         assert!(a.insert_writes.iter().any(|(c, _)| c.as_str() == "log"));
-        assert!(a
-            .absolute_writes
-            .iter()
-            .any(|(c, at)| c.as_str() == "job" && at.as_str() == "*"));
+        assert!(has(&a.absolute_writes, "job", None));
     }
 
     #[test]
@@ -505,6 +475,12 @@ mod tests {
         let b = acc("(p b (x ^right <v>) --> (modify 1 ^right 0))");
         assert!(!interferes(&a, &b, Granularity::ClassAttribute));
         assert!(interferes(&a, &b, Granularity::Class));
+        // `*` is an attribute name like any other, not a whole-class
+        // read: a test on `^*` meets a write of `^x` only by class.
+        let star = acc("(p r (c ^* 1) --> (make d))");
+        let x = acc("(p w (c ^x 1) --> (modify 1 ^x 2))");
+        assert!(!interferes(&star, &x, Granularity::ClassAttribute));
+        assert!(interferes(&star, &x, Granularity::Class));
     }
 
     #[test]
@@ -515,42 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn partition_groups_noninterfering_rules() {
-        let rules = vec![
-            parse_rule("(p a (x ^v <v>) --> (modify 1 ^v 0))").unwrap(),
-            parse_rule("(p b (y ^v <v>) --> (modify 1 ^v 0))").unwrap(),
-            parse_rule("(p c (x ^v <v>) --> (remove 1))").unwrap(),
-        ];
-        let groups = partition(&rules, Granularity::ClassAttribute);
-        assert_eq!(groups[0], groups[1], "a and b are disjoint → same group");
-        assert_ne!(groups[0], groups[2], "a and c clash on x.v → split");
-    }
-
-    #[test]
-    fn partition_of_empty_ruleset() {
-        assert!(partition(&[], Granularity::Class).is_empty());
-    }
-
-    const G: Granularity = Granularity::ClassAttribute;
-
-    #[test]
     fn counter_bump_commutes_with_itself_but_not_with_store() {
         let bump = acc("(p b (ctr ^n <n>) --> (modify 1 ^n (+ <n> 1)))");
         let store = acc("(p s (ctr ^n <n>) --> (modify 1 ^n 0))");
         // Two bumps of the same cell interfere (write-write) yet commute.
-        assert!(interferes(&bump, &bump, G));
-        assert!(commutes(&bump, &bump, G));
+        assert!(interferes(&bump, &bump, Granularity::ClassAttribute));
+        assert!(commutes(&bump, &bump));
         // An absolute store commutes with nothing that touches the cell.
-        assert!(!commutes(&bump, &store, G));
-        assert!(!commutes(&store, &bump, G));
-        assert!(!commutes(&store, &store, G));
+        assert!(!commutes(&bump, &store));
+        assert!(!commutes(&store, &bump));
+        assert!(!commutes(&store, &store));
     }
 
     #[test]
     fn delta_does_not_commute_with_plain_reader() {
         let bump = acc("(p b (ctr ^n <n>) --> (modify 1 ^n (+ <n> 1)))");
         let reader = acc("(p r (ctr ^n > 5) --> (make alarm))");
-        assert!(!commutes(&bump, &reader, G));
+        assert!(!commutes(&bump, &reader));
     }
 
     #[test]
@@ -558,39 +515,38 @@ mod tests {
         let mk_a = acc("(p a (go) --> (make log ^src a))");
         let mk_b = acc("(p b (go) --> (make log ^src b))");
         let bump = acc("(p c (ctr ^n <n>) --> (modify 1 ^n (+ <n> 1)))");
-        assert!(commutes(&mk_a, &mk_b, G));
-        assert!(commutes(&mk_a, &mk_a, G));
-        assert!(commutes(&mk_a, &bump, G));
+        assert!(commutes(&mk_a, &mk_b));
+        assert!(commutes(&mk_a, &mk_a));
+        assert!(commutes(&mk_a, &bump));
     }
 
     #[test]
     fn negated_ce_poisons_commutativity() {
         let maker = acc("(p a (go) --> (make hold ^k v))");
         let negreader = acc("(p b (go) -(hold ^k v) --> (make log))");
-        assert!(!commutes(&maker, &negreader, G));
-        assert!(!commutes(&negreader, &maker, G));
+        assert!(!commutes(&maker, &negreader));
+        assert!(!commutes(&negreader, &maker));
         // A negated rule never commutes with itself: it reads the very
         // class whose absence it asserts.
-        assert!(!commutes(&negreader, &negreader, G));
+        assert!(!commutes(&negreader, &negreader));
         // But a rule on untouched classes is unaffected by the negation.
         let other = acc("(p c (ctr ^n <n>) --> (modify 1 ^n (+ <n> 1)))");
-        assert!(commutes(&negreader, &other, G));
+        assert!(commutes(&negreader, &other));
     }
 
     #[test]
     fn remove_never_commutes_with_same_class_access() {
         let rm = acc("(p a (job ^done yes) --> (remove 1))");
         let bump = acc("(p b (job ^cost <c>) --> (modify 1 ^cost (+ <c> 1)))");
-        assert!(!commutes(&rm, &bump, G));
-        assert!(!commutes(&rm, &rm, G));
+        assert!(!commutes(&rm, &bump));
+        assert!(!commutes(&rm, &rm));
     }
 
     #[test]
     fn disjoint_rules_commute() {
         let a = acc("(p a (x ^v <v>) --> (modify 1 ^v 0))");
         let b = acc("(p b (y ^v <v>) --> (modify 1 ^v 0))");
-        assert!(commutes(&a, &b, G));
-        assert!(commutes(&a, &b, Granularity::Class));
+        assert!(commutes(&a, &b));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   of [`Bindings`], and instantiating the RHS into a
 //!   [`dps_wm::DeltaSet`];
 //! * static [`analysis`]: per-rule read/write sets at class and
-//!   class+attribute granularity, and the pairwise *interference* test the
-//!   paper's static approach (§4.1) and dynamic lock protocols rely on.
+//!   class+attribute granularity, computed once per rule by
+//!   [`RuleSet::add`] and read through [`RuleSet::access`], and the
+//!   pairwise *interference* test the paper's static approach (§4.1) and
+//!   dynamic lock protocols rely on.
 //!
 //! ## The DSL
 //!

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use dps_wm::Atom;
 
+use crate::analysis::{rule_access, RuleAccess};
 use crate::{Rule, RuleError};
 
 /// Dense index of a rule within a [`RuleSet`] — the stable identifier the
@@ -17,10 +18,14 @@ impl std::fmt::Display for RuleId {
     }
 }
 
-/// An ordered, name-indexed collection of validated rules.
+/// An ordered, name-indexed collection of validated rules, each with
+/// its static read/write analysis. A set only grows through
+/// [`RuleSet::add`] and hands its rules out shared, so each analysis is
+/// computed once and stays true.
 #[derive(Clone, Debug, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
+    accesses: Vec<RuleAccess>,
     ids: HashMap<Atom, RuleId>,
 }
 
@@ -39,7 +44,7 @@ impl RuleSet {
         Ok(set)
     }
 
-    /// Adds a validated rule; rejects duplicates by name.
+    /// Adds a validated rule and analyses it; rejects duplicates by name.
     pub fn add(&mut self, rule: Rule) -> Result<RuleId, RuleError> {
         rule.validate()?;
         if self.ids.contains_key(&rule.name) {
@@ -47,6 +52,7 @@ impl RuleSet {
         }
         let id = RuleId(self.rules.len() as u32);
         self.ids.insert(rule.name.clone(), id);
+        self.accesses.push(rule_access(&rule));
         self.rules.push(rule);
         Ok(id)
     }
@@ -64,6 +70,12 @@ impl RuleSet {
     /// Looks up a rule by id.
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
         self.rules.get(id.0 as usize)
+    }
+
+    /// What rule `id` reads and writes ([`crate::analysis`]). Panics
+    /// on an id not from this set.
+    pub fn access(&self, id: RuleId) -> &RuleAccess {
+        &self.accesses[id.0 as usize]
     }
 
     /// Looks up a rule id by name.
