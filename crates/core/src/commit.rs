@@ -12,7 +12,7 @@
 //! | 1 | base | `lm.commit` — the Figure 4.3 rule; the last step that can fail |
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
-//! | 4 | base | `publish` the change batch (the affected shards' inboxes, version store, watermark); a firing that halts sets the halted flag |
+//! | 4 | base | `publish` the change batch (write stamps on a snapshot engine, the affected shards' inboxes, watermark); a firing that halts sets the halted flag |
 //! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, and its Rete refracts the key as the claim ends |
@@ -38,14 +38,14 @@
 //! [`ParallelEngine::fire_ready`] after replying to a session commit.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::MutexGuard;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dps_lock::{res_key, ResourceId, TxnId, WalKillSite};
 use dps_match::{InstKey, Matcher};
 use dps_obs::{AbortCause, EventKind as ObsEvent, Phase};
 use dps_wm::wal::KillMode;
-use dps_wm::{Change, WalError, WorkingMemory};
+use dps_wm::{Change, WalError, Wme, WorkingMemory};
 
 use crate::parallel::{Ledger, ParallelEngine};
 use crate::pipeline::{MatchPipeline, ShardState, WmBase};
@@ -134,7 +134,7 @@ impl ParallelEngine {
             written.sort_unstable();
             written.dedup();
         }
-        let affected = self.pipeline.publish(seq, changes);
+        let affected = self.pipeline.publish(&mut base, seq, changes);
         if firing.halt {
             self.halted.store(true, Relaxed);
         }
@@ -358,20 +358,24 @@ impl ParallelEngine {
         }
     }
 
-    /// Pins the newest fully published commit sequence as `txn`'s read
-    /// snapshot and returns it. Taken under the base mutex, so the
-    /// sequence is a complete prefix and the pin is registered before
-    /// any later version-GC floor computation can pass it. Pair with a
-    /// [`PinGuard`].
-    pub(crate) fn pin_snapshot(&self, txn: TxnId) -> u64 {
-        let snap = {
+    /// Pins the newest fully published commit sequence `w` as `txn`'s
+    /// read snapshot and returns it, with — when the history records
+    /// reads — the commit that installed each of `reads`' state at `w`.
+    /// Both are read in one hold of the base mutex, so `w` is a
+    /// complete prefix and the live memory is the state at `w`. Pair
+    /// with a [`PinGuard`].
+    pub(crate) fn pin_snapshot(&self, txn: TxnId, reads: &[Arc<Wme>]) -> (u64, Vec<u64>) {
+        self.pipeline.pin();
+        let (snap, installed) = {
             let base = self.pipeline.lock_base();
-            let snap = base.next_seq - 1;
-            self.pipeline.pin_snapshot(snap);
-            snap
+            let installed = match self.obs {
+                Some(_) => reads.iter().map(|w| base.installed_seq(w.id)).collect(),
+                None => Vec::new(),
+            };
+            (base.next_seq - 1, installed)
         };
         self.emit(txn, ObsEvent::SnapshotPin { seq: self.history_seq(snap) });
-        snap
+        (snap, installed)
     }
 
     /// Whether the claimed instantiation is in its shard's conflict set
@@ -387,7 +391,7 @@ impl ParallelEngine {
     /// `seq` as this incarnation's history numbers MVCC versions and
     /// snapshots: commit `base_seq + k` is `k`, matching its `Fire`
     /// slot `k - 1`, and the working memory it started from is version
-    /// 0, as the version store seeds it. The identity on a fresh run.
+    /// 0. The identity on a fresh run.
     pub(crate) fn history_seq(&self, seq: u64) -> u64 {
         seq.saturating_sub(self.base_seq)
     }
@@ -421,16 +425,16 @@ impl ParallelEngine {
     }
 }
 
-/// Unpins a read snapshot when the execution attempt ends (commit or
-/// abort on any path), releasing its version-GC floor.
+/// Releases a read-snapshot pin when the attempt or session
+/// transaction that took it ends (commit or abort on any path), so
+/// [`ParallelEngine::snapshot_pins`] reads 0 after a drain.
 pub(crate) struct PinGuard<'a> {
     pub(crate) pipeline: &'a MatchPipeline,
-    pub(crate) snap: u64,
 }
 
 impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
-        self.pipeline.unpin_snapshot(self.snap);
+        self.pipeline.unpin();
     }
 }
 

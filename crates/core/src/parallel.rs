@@ -15,7 +15,7 @@
 //! |---|---|---|---|
 //! | **claim** | unclaimed instantiation from a shard's conflict set (which lists no refracted key), entered in that shard's claim book with the transaction begun for it; owned by a `ClaimGuard` | same | same |
 //! | **condition read** (matched tuples; *relation* of each negated class, or of an escalated tuple group) | `S` / `Rc` lock | no lock; chaos seam only | no lock; skip booked in `LockStats::elided` |
-//! | **claim validation** at watermark `w` | membership in the caught-up shard, under the read locks | pin snapshot `w`; membership; every matched tuple live at `w` with the matched timestamp | as `Snapshot` |
+//! | **claim validation** at watermark `w` | membership in the caught-up shard, under the read locks | pin snapshot `w`; membership (so every matched tuple is live at `w` with the matched timestamp) | as `Snapshot` |
 //! | **RHS** | simulated work polling for dooms, then the delta | same | same |
 //! | **action read / write** | `S`/`X` or `Ra`/`Wa` (tuple, plus the relation of every created or written class) | same locks | no lock; skips booked |
 //! | **validate** (base mutex held) | nothing: every doom is the lock manager's, and `lm.commit` fails on it | + read set still current, else exact membership at the commit point | as `Snapshot` (off under the `elide_misclassify` probe) |
@@ -37,9 +37,9 @@
 //! WM), so nothing after claim validation depends on current state and
 //! a committing writer has nobody to doom: reader aborts vanish
 //! structurally. The price is paid at commit, under the base mutex
-//! every conflicting commit serialised through: every matched WME's
-//! *latest* version still carries the matched timestamp and no negated
-//! class was written past the snapshot — or, failing that fast check,
+//! every conflicting commit serialised through: every matched WME is
+//! still live with the matched timestamp and no negated class was
+//! written past the snapshot — or, failing that fast check,
 //! the instantiation is (still / again) in the caught-up conflict set.
 //! Validity *at the commit point* is exactly what the §3 serial-replay
 //! oracle requires of the trace slot the commit takes. Elision adds
@@ -695,13 +695,10 @@ impl ParallelEngine {
             let p = Arc::clone(pipeline);
             tel.counter(name, move || read(p.fanout_stats()));
         }
-        let gauges: [(&str, fn(&MatchPipeline) -> u64); 6] = [
+        let gauges: [(&str, fn(&MatchPipeline) -> u64); 3] = [
             ("pipeline.log_depth", MatchPipeline::log_depth),
             ("pipeline.cursor_lag", MatchPipeline::max_cursor_lag),
-            ("pipeline.version_records", MatchPipeline::version_records),
-            ("pipeline.gc_floor_lag", MatchPipeline::gc_floor_lag),
             ("pipeline.snapshot_pins", MatchPipeline::pin_count),
-            ("pipeline.pin_lag", MatchPipeline::oldest_pin_lag),
         ];
         for (name, read) in gauges {
             let p = Arc::clone(pipeline);
@@ -844,8 +841,8 @@ impl ParallelEngine {
         self.lm.held_locks()
     }
 
-    /// Snapshot pins currently registered on the match pipeline — the
-    /// other half of the leak probe.
+    /// Read-snapshot pins currently held — the other half of the leak
+    /// probe.
     pub fn snapshot_pins(&self) -> u64 {
         self.pipeline.pin_count()
     }
@@ -1164,21 +1161,18 @@ impl ParallelEngine {
         // section starts here ----
         let base = self.lock_base_for_commit();
         if strategy.validate_at_commit() {
-            // No condition locks protected the read set. Fast check,
-            // against the version store alone: every matched WME's
-            // *latest* version still carries the matched timestamp, and
+            // No condition locks protected the read set. Fast check: every
+            // matched WME is still live with the matched timestamp, and
             // no negated class was written past the snapshot. Failing
             // that, the exact test: is the instantiation (still / again)
             // in its caught-up conflict set? Membership implies validity
             // *at this commit point*.
-            let current = {
-                let versions = self.pipeline.versions();
-                inst.wmes
-                    .iter()
-                    .all(|w| versions.latest(w.id).is_some_and(|s| s.timestamp == w.timestamp))
-                    && (self.rules.access(inst.rule).negated_classes.iter())
-                        .all(|class| versions.class_write_seq(class) <= snapshot)
-            };
+            let current = inst
+                .wmes
+                .iter()
+                .all(|w| base.wm.get(w.id).is_some_and(|s| s.timestamp == w.timestamp))
+                && (self.rules.access(inst.rule).negated_classes.iter())
+                    .all(|class| base.class_write_seq(class) <= snapshot);
             if !current && !self.in_conflict_set_at(&claim.held, base.next_seq - 1, false) {
                 return Err(strategy.stale_cause());
             }
@@ -1277,13 +1271,13 @@ impl ParallelEngine {
     /// (tuple `Wa`, or relation `IWa` vs our negated-class relation
     /// `Rc`), so the lock manager dooms us — a stale shard view can
     /// never carry a claim to commit. Snapshot strategies have no such
-    /// protection: they pin `w` (flooring version GC for the attempt),
-    /// check that every matched WME is live at `w` with exactly the
-    /// matched timestamp (instantiation identity includes timestamps,
-    /// so a mismatch means the claim refers to a different era of the
-    /// tuple), record the version each read observed — the reads-from
-    /// edges of the SI polygraph — and leave later invalidations to
-    /// commit-time validation.
+    /// protection: they pin `w`, record the version each matched tuple
+    /// read — the reads-from edges of the SI polygraph — and leave
+    /// later invalidations to commit-time validation. Membership at `w`
+    /// is the whole read check: instantiation identity includes
+    /// timestamps, so every matched tuple was live at `w` with the
+    /// matched timestamp, and its installing commit, read in the hold
+    /// that fixed `w`, is the version it read.
     fn validate_claim(
         &self,
         txn: TxnId,
@@ -1291,27 +1285,18 @@ impl ParallelEngine {
         inst: &Instantiation,
         claim: &Claim,
     ) -> Result<(u64, Option<PinGuard<'_>>), AbortCause> {
-        let pin = strategy
-            .pins_snapshot()
-            .then(|| PinGuard { pipeline: &self.pipeline, snap: self.pin_snapshot(txn) });
-        let w = match &pin {
-            Some(pin) => pin.snap,
-            None => self.pipeline.lock_base().next_seq - 1,
+        let (w, pin, installed) = if strategy.pins_snapshot() {
+            let (w, installed) = self.pin_snapshot(txn, &inst.wmes);
+            (w, Some(PinGuard { pipeline: &self.pipeline }), installed)
+        } else {
+            (self.pipeline.lock_base().next_seq - 1, None, Vec::new())
         };
         if !self.in_conflict_set_at(claim, w, true) {
             return Err(AbortCause::Stale);
         }
-        if pin.is_some() {
-            let versions = self.pipeline.versions();
-            for wme in &inst.wmes {
-                let seen = versions
-                    .version_at(wme.id, w)
-                    .filter(|v| v.state.as_ref().is_some_and(|s| s.timestamp == wme.timestamp))
-                    .ok_or(strategy.stale_cause())?;
-                let resource = res_key(ResourceId::Tuple(wme.id.0));
-                let seq = self.history_seq(seen.seq);
-                self.emit(txn, ObsEvent::VersionRead { resource, seq });
-            }
+        for (wme, seq) in inst.wmes.iter().zip(installed) {
+            let resource = res_key(ResourceId::Tuple(wme.id.0));
+            self.emit(txn, ObsEvent::VersionRead { resource, seq: self.history_seq(seq) });
         }
         Ok((w, pin))
     }

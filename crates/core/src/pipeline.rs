@@ -8,7 +8,9 @@
 //! as a *pipeline* behind the commit critical section:
 //!
 //! * **[`WmBase`]** (`Mutex`) — the authoritative working memory, the
-//!   commit sequence counter and the commit record ([`Trace`]).
+//!   commit sequence counter, the commit record ([`Trace`]) and, on an
+//!   engine that validates snapshots, the two write stamps MVCC
+//!   validation reads beside the live memory (`WriteStamps`).
 //!   `commit` applies the WM delta, appends the firing and
 //!   *publishes* the resulting change batch under it — and runs no
 //!   matcher there: a family's own match update needs no coordination
@@ -70,17 +72,17 @@
 //! `w`; later invalidations are the lock manager's problem, exactly as
 //! in the monolithic design. See DESIGN.md §12.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 use dps_lock::TxnId;
 use dps_match::{InstKey, Matcher, Rete, ShardPlan};
 use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
-use dps_wm::{Change, VersionedStore, WorkingMemory};
+use dps_wm::{Atom, Change, IdMap, WmeId, WorkingMemory};
 
 use crate::Trace;
 
@@ -91,15 +93,6 @@ use crate::Trace;
 /// one; the bound caps what a spinner burns when the holder was
 /// descheduled.
 const BASE_SPIN_ROUNDS: u32 = 256;
-
-/// Soft per-element bound on retained MVCC versions (see
-/// [`VersionedStore::new`]); versions above the GC floor are never
-/// capped, so pinned snapshots stay readable.
-const VERSION_CHAIN_CAP: usize = 16;
-
-/// Version-store GC cadence, in commits. GC walks every chain, so it is
-/// amortised rather than run per publish.
-const VERSION_GC_INTERVAL: u64 = 64;
 
 /// The commit critical section's state: authoritative WM, sequencing,
 /// and the commit record.
@@ -114,6 +107,43 @@ pub(crate) struct WmBase {
     /// commit order by construction. The run's report takes it at the
     /// end of the (single) run.
     pub trace: Trace,
+    /// What snapshot validation reads of the commit sequence; `None`
+    /// on an engine no transaction of which reads a snapshot.
+    stamps: Option<WriteStamps>,
+}
+
+/// The two write stamps snapshot validation reads beside the live
+/// working memory, kept by [`MatchPipeline::publish`]. Under the base
+/// mutex the live memory *is* the state at the watermark, so no past
+/// version is ever needed (DESIGN §13).
+#[derive(Debug, Default)]
+struct WriteStamps {
+    /// The last commit that inserted into or removed from each class:
+    /// any such write can flip a negated condition over it.
+    class: HashMap<Atom, u64>,
+    /// The commit that installed each live tuple's current state. A
+    /// tuple with no entry is the start memory's (version 0); a removed
+    /// tuple's entry is dropped.
+    tuple: IdMap<WmeId, u64>,
+}
+
+impl WmBase {
+    /// The commit that installed `id`'s current state (0 for the start
+    /// memory's): read under the base mutex, the version a snapshot at
+    /// the watermark sees.
+    pub fn installed_seq(&self, id: WmeId) -> u64 {
+        self.stamps().tuple.get(&id).copied().unwrap_or(0)
+    }
+
+    /// The last commit that inserted into or removed from `class` (0:
+    /// none since the start).
+    pub fn class_write_seq(&self, class: &Atom) -> u64 {
+        self.stamps().class.get(class).copied().unwrap_or(0)
+    }
+
+    fn stamps(&self) -> &WriteStamps {
+        self.stamps.as_ref().expect("only a snapshot strategy reads write stamps")
+    }
 }
 
 /// A shard's lock-protected state: its Rete and its claim book.
@@ -213,14 +243,12 @@ struct PipelineStats {
     batches: AtomicU64,
     free_advances: AtomicU64,
     steals: AtomicU64,
-    /// Live-telemetry mirrors, maintained at the mutation sites —
-    /// sampling probes read these instead of taking the inbox / pins /
-    /// versions locks. `queued` counts the batches in all inboxes.
+    /// Batches in all inboxes, kept at the mutation sites so the
+    /// sampling probe takes no inbox lock.
     queued: AtomicU64,
-    version_records: AtomicU64,
-    gc_floor: AtomicU64,
-    pin_count: AtomicU64,
-    oldest_pin: AtomicU64,
+    /// Read-snapshot pins held (MVCC attempts and session transactions
+    /// in flight).
+    pins: AtomicU64,
 }
 
 /// The sharded match pipeline. See the module docs for the protocol;
@@ -235,23 +263,6 @@ pub(crate) struct MatchPipeline {
     shards: Vec<CachePadded<MatchShard>>,
     watermark: CachePadded<AtomicU64>,
     stats: CachePadded<PipelineStats>,
-    /// The MVCC version chains, mirroring every published batch: the
-    /// queryable, bounded materialisation of the commit sequence
-    /// (`as_of` reads for snapshot claim validation and commit-time
-    /// self-validation).
-    /// Writers only run under the base mutex (lock order: base →
-    /// versions), so a write lock is never contended by another writer.
-    /// Left empty when nothing can ever pin or read a snapshot (see
-    /// `versioned`).
-    versions: RwLock<VersionedStore>,
-    /// Whether any transaction of this engine validates against a
-    /// snapshot (MVCC policy, or elision of a rule the plan proved
-    /// commutes: `Strategy::any_snapshot`). Fixed at build; when
-    /// `false`, `publish` skips the version feed and its GC altogether.
-    versioned: bool,
-    /// Active read-snapshot pins: snapshot seq → pin count. The oldest
-    /// pinned snapshot floors version GC. Lock order: base → pins.
-    pins: Mutex<BTreeMap<u64, usize>>,
 }
 
 // Each hot part on lines of its own (EXPERIMENTS §XS.30).
@@ -271,9 +282,10 @@ impl MatchPipeline {
     /// `base_seq`; the watermark starts there, every inbox empty,
     /// and the next commit takes `base_seq + 1`, so a resumed engine's
     /// WAL records continue the same sequence the crashed incarnation
-    /// was writing. `versioned` says whether any transaction will read
-    /// the version store (MVCC snapshots, elided firings); without one
-    /// the store is neither seeded nor fed.
+    /// was writing. `versioned` says whether any transaction will
+    /// validate against a snapshot (MVCC, elided firings:
+    /// `Strategy::any_snapshot`); only then does `publish` keep the
+    /// write stamps.
     pub fn new_at(
         rules: &RuleSet,
         wm: WorkingMemory,
@@ -294,23 +306,17 @@ impl MatchPipeline {
                 })
             })
             .collect();
-        let mut versions = VersionedStore::new(VERSION_CHAIN_CAP);
-        if versioned {
-            versions.seed(&wm);
-        }
         MatchPipeline {
             base: CachePadded::new(Mutex::new(WmBase {
                 wm,
                 next_seq: base_seq + 1,
                 trace: Trace::default(),
+                stamps: versioned.then(WriteStamps::default),
             })),
             plan,
             shards: shard_states,
             watermark: CachePadded::new(AtomicU64::new(base_seq)),
             stats: CachePadded::default(),
-            versions: RwLock::new(versions),
-            versioned,
-            pins: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -386,31 +392,21 @@ impl MatchPipeline {
         self.watermark.load(Ordering::Acquire)
     }
 
-    /// Publishes commit `seq`'s change batch. **Must be called with the
-    /// base mutex held** and `seq == base.next_seq - 1` already bumped
-    /// by the caller. Queues the batch in the inbox of every shard it
-    /// routes to, then advances the watermark. Returns those shards for
-    /// the caller's fan-out.
-    pub fn publish(&self, seq: u64, changes: Vec<Change>) -> Vec<usize> {
+    /// Publishes commit `seq`'s change batch, under the base mutex
+    /// (`base`), with `seq == base.next_seq - 1` already bumped by the
+    /// caller. Stamps the batch's classes and tuples on a versioned
+    /// engine, queues the batch in the inbox of every shard it routes
+    /// to, then advances the watermark. Returns those shards for the
+    /// caller's fan-out.
+    pub fn publish(&self, base: &mut WmBase, seq: u64, changes: Vec<Change>) -> Vec<usize> {
         let affected = self.plan.affected(&changes);
-        if self.versioned {
-            // Mirror the batch into the version chains (we hold the
-            // base mutex, so records arrive in sequence order), and
-            // amortise watermark-driven GC: prune everything below the
-            // oldest active snapshot pin (or the watermark when no
-            // snapshot is pinned).
-            let mut versions = self.versions.write().unwrap();
-            versions.record(seq, &changes);
-            if seq.is_multiple_of(VERSION_GC_INTERVAL) {
-                let floor = self.oldest_pin().unwrap_or(seq).min(seq);
-                versions.gc(floor);
-                // Amortised telemetry mirrors: chain-length totals are
-                // O(chains) to compute, so refresh them on the GC
-                // cadence rather than per publish.
-                self.stats.gc_floor.store(floor, Ordering::Relaxed);
-                self.stats
-                    .version_records
-                    .store(versions.stats().versions as u64, Ordering::Relaxed);
+        if let Some(stamps) = &mut base.stamps {
+            for change in &changes {
+                stamps.class.insert(change.wme().class().clone(), seq);
+                match change {
+                    Change::Added(w) => stamps.tuple.insert(w.id, seq),
+                    Change::Removed(w) => stamps.tuple.remove(&w.id),
+                };
             }
         }
         // Counted before the pushes, so a pop never makes it underflow.
@@ -479,47 +475,15 @@ impl MatchPipeline {
         }
     }
 
-    /// Read access to the MVCC version chains (empty unless the engine
-    /// was built `versioned`).
-    pub fn versions(&self) -> RwLockReadGuard<'_, VersionedStore> {
-        self.versions.read().unwrap()
+    /// Counts one read-snapshot pin. Pair with [`MatchPipeline::unpin`].
+    pub fn pin(&self) {
+        self.stats.pins.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Registers a read-snapshot pin at `snap`, flooring version GC.
-    /// Pair with [`MatchPipeline::unpin_snapshot`].
-    pub fn pin_snapshot(&self, snap: u64) {
-        let mut pins = self.pins.lock().unwrap();
-        *pins.entry(snap).or_insert(0) += 1;
-        self.mirror_pins(&pins);
-    }
-
-    /// Releases one pin at `snap`.
-    pub fn unpin_snapshot(&self, snap: u64) {
-        let mut pins = self.pins.lock().unwrap();
-        if let Some(n) = pins.get_mut(&snap) {
-            *n -= 1;
-            if *n == 0 {
-                pins.remove(&snap);
-            }
-        } else {
-            debug_assert!(false, "unpin without a matching pin at {snap}");
-        }
-        self.mirror_pins(&pins);
-    }
-
-    /// Refreshes the pin telemetry mirrors (call with the pins mutex
-    /// held, so the two stores are mutually consistent).
-    fn mirror_pins(&self, pins: &BTreeMap<u64, usize>) {
-        let count: usize = pins.values().sum();
-        self.stats.pin_count.store(count as u64, Ordering::Relaxed);
-        self.stats
-            .oldest_pin
-            .store(pins.keys().next().copied().unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// The oldest active snapshot pin, if any (the version-GC floor).
-    pub fn oldest_pin(&self) -> Option<u64> {
-        self.pins.lock().unwrap().keys().next().copied()
+    /// Releases one read-snapshot pin.
+    pub fn unpin(&self) {
+        let held = self.stats.pins.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(held > 0, "an unpin without its pin");
     }
 
     /// Batches queued in all inboxes (live telemetry gauge; a lock-free
@@ -537,33 +501,9 @@ impl MatchPipeline {
         (w + 1).saturating_sub(oldest.unwrap_or(u64::MAX))
     }
 
-    /// Retained MVCC version records (live telemetry gauge; refreshed
-    /// on the version-GC cadence, so it trails by at most
-    /// [`VERSION_GC_INTERVAL`] commits; 0 on an unversioned engine).
-    pub fn version_records(&self) -> u64 {
-        self.stats.version_records.load(Ordering::Relaxed)
-    }
-
-    /// How far the version-GC floor trails the watermark (live
-    /// telemetry gauge; the floor mirror is refreshed at each GC).
-    pub fn gc_floor_lag(&self) -> u64 {
-        let w = self.watermark.load(Ordering::Acquire);
-        w.saturating_sub(self.stats.gc_floor.load(Ordering::Relaxed))
-    }
-
-    /// Active snapshot pins (live telemetry gauge).
+    /// Read-snapshot pins held (live telemetry gauge).
     pub fn pin_count(&self) -> u64 {
-        self.stats.pin_count.load(Ordering::Relaxed)
-    }
-
-    /// How far the oldest pinned snapshot trails the watermark (live
-    /// telemetry gauge; 0 when nothing is pinned).
-    pub fn oldest_pin_lag(&self) -> u64 {
-        if self.stats.pin_count.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        let w = self.watermark.load(Ordering::Acquire);
-        w.saturating_sub(self.stats.oldest_pin.load(Ordering::Relaxed))
+        self.stats.pins.load(Ordering::Relaxed)
     }
 
     /// Point-in-time fan-out tallies.
@@ -620,7 +560,7 @@ mod tests {
         let w = base.wm.insert_full(data);
         let seq = base.next_seq;
         base.next_seq += 1;
-        (seq, p.publish(seq, vec![Change::Added(w)]))
+        (seq, p.publish(&mut base, seq, vec![Change::Added(w)]))
     }
 
     #[test]
@@ -828,7 +768,7 @@ mod tests {
                 let mut base = p.lock_base();
                 let seq = base.next_seq;
                 base.next_seq += 1;
-                let affected = p.publish(seq, batch.clone());
+                let affected = p.publish(&mut base, seq, batch.clone());
                 drop(base);
                 if rng.random_bool(0.5) {
                     p.fan_out(&affected, seq, None);

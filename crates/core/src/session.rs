@@ -72,9 +72,9 @@ pub const EXTERNAL_RULE_NAME: &str = "@session";
 pub struct ExternalTxn {
     txn: TxnId,
     strategy: Strategy,
-    /// Pinned snapshot sequence (`None` when the strategy pins none, or
-    /// after the pin was released).
-    snapshot: Option<u64>,
+    /// Whether the transaction holds a read-snapshot pin (the strategy
+    /// pins one, and it was not released yet).
+    pinned: bool,
     delta: DeltaSet,
 }
 
@@ -92,12 +92,15 @@ impl ExternalTxn {
 
 impl ParallelEngine {
     /// Opens an external transaction. Under MVCC a snapshot is pinned
-    /// (flooring version GC) until the transaction resolves.
+    /// until the transaction resolves.
     pub fn external_begin(&self) -> ExternalTxn {
         let txn = self.lm.begin();
         let strategy = Strategy::choose(&self.config, self.pipeline.plan(), None);
-        let snapshot = strategy.pins_snapshot().then(|| self.pin_snapshot(txn));
-        ExternalTxn { txn, strategy, snapshot, delta: DeltaSet::new() }
+        let pinned = strategy.pins_snapshot();
+        if pinned {
+            self.pin_snapshot(txn, &[]);
+        }
+        ExternalTxn { txn, strategy, pinned, delta: DeltaSet::new() }
     }
 
     /// Buffers an insert. Takes the intention write on the class's
@@ -229,8 +232,8 @@ impl ParallelEngine {
     /// through [`PinGuard`] so the pin-release logic has exactly one
     /// home.
     fn release_pin(&self, xt: &mut ExternalTxn) {
-        if let Some(snap) = xt.snapshot.take() {
-            drop(PinGuard { pipeline: &self.pipeline, snap });
+        if std::mem::take(&mut xt.pinned) {
+            drop(PinGuard { pipeline: &self.pipeline });
         }
     }
 

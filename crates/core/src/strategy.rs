@@ -64,8 +64,9 @@ impl Strategy {
     }
 
     /// Whether any transaction of an engine so configured will ever
-    /// read the version store (so the pipeline must feed it): the MVCC
-    /// policy, or elision with a rule [`Strategy::choose`] can elide.
+    /// validate against a snapshot (so the pipeline must keep its write
+    /// stamps): the MVCC policy, or elision with a rule
+    /// [`Strategy::choose`] can elide.
     pub(crate) fn any_snapshot(config: &ParallelConfig, plan: &ShardPlan) -> bool {
         config.policy == ConflictPolicy::MvccSnapshot
             || (config.elide_locks && (config.elide_misclassify || plan.elidable_count() > 0))
@@ -112,8 +113,7 @@ impl Strategy {
         matches!(self, Strategy::Snapshot(_) | Strategy::Elided { validate: true })
     }
 
-    /// The abort cause a failed snapshot read or commit validation
-    /// surfaces.
+    /// The abort cause a failed commit-time validation surfaces.
     pub(crate) fn stale_cause(self) -> AbortCause {
         match self {
             Strategy::Locked(_) => AbortCause::Stale,

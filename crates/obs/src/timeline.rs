@@ -18,9 +18,10 @@
 //!   (lock-wait p50/p99), so ticks never double-count.
 //! * **[`Telemetry`]** — the registry plus a background sampler thread
 //!   ([`Telemetry::start`] / [`Telemetry::stop`]) appending one sample
-//!   per series per tick into fixed-capacity ring buffers. `stop`
-//!   takes one forced final sample after joining, so the last sample
-//!   of every cumulative counter equals the run total.
+//!   per series per tick into fixed-capacity ring buffers. `start`
+//!   takes a first sample and `stop` one forced final sample after
+//!   joining, so every series holds at least two samples and the last
+//!   sample of every cumulative counter equals the run total.
 //! * **[`TimelineDoc`]** — the `dps-timeline-v1` JSON shape embedded
 //!   in every bench report, with a parser ([`TimelineDoc::from_json`])
 //!   and a structural validator ([`TimelineDoc::validate`]) shared by
@@ -233,13 +234,17 @@ impl Telemetry {
         self.ticks.fetch_add(1, Relaxed);
     }
 
-    /// Starts the background ticker. Registrations after `start` still
-    /// work (their series simply begin short).
+    /// Takes one sample, then starts the background ticker. With the
+    /// final sample [`Telemetry::stop`] takes, every series of a run
+    /// holds at least its start and its end, however short the run.
+    /// Registrations after `start` still work (their series simply
+    /// begin short).
     pub fn start(self: &Arc<Self>) {
         let mut handle = self.handle.lock().unwrap();
         if handle.is_some() {
             return;
         }
+        self.sample();
         self.stop.store(false, Relaxed);
         let tel = Arc::clone(self);
         *handle = Some(std::thread::spawn(move || {
@@ -514,7 +519,9 @@ mod tests {
         cell.store(99, Relaxed);
         tel.stop();
         let doc = tel.doc();
-        assert!(doc.ticks >= 1, "sampler ticked");
+        assert!(doc.ticks >= 2, "sampler ticked");
+        // `start` samples the counter before anything moved it.
+        assert_eq!(doc.series("c").unwrap().samples[0], 7);
         // The forced final sample anchors the counter at its total.
         assert_eq!(doc.last("c"), Some(99));
         // Idempotent: a second stop only adds another (identical) sample.

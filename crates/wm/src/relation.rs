@@ -2,8 +2,8 @@
 //! working memory's class table.
 //!
 //! A relation holds each tuple as an `Arc<Wme>`: the one allocation of
-//! that element's payload, which the change batch that made it, the
-//! version chains and every match shard's alpha memories share. Cloning
+//! that element's payload, which the change batch that made it and
+//! every match shard's alpha memories share. Cloning
 //! a relation copies pointers, not tuples.
 
 use std::collections::BTreeMap;

@@ -1,22 +1,21 @@
 //! Multi-version working memory: bounded per-element version chains.
 //!
-//! The MVCC read path (ROADMAP item 3) replaces the paper's `R_c`
-//! condition-read locks with snapshot reads: a production pins the
-//! commit sequence number current at claim time and evaluates its
-//! condition against working memory *as of* that sequence, so condition
-//! reads never block and never abort. This module is the substrate: a
-//! [`VersionedStore`] keeps, for every element ever touched, a bounded
+//! The engine's MVCC read path does not use this store: it validates
+//! against the live working memory under its commit mutex, plus two
+//! write stamps (DESIGN §13), because no engine path reads a past
+//! version. The store's one reader is the `e2e` benchmark's per-layer
+//! probe, which measures what recording and reading chains would cost.
+//! A [`VersionedStore`] keeps, for every element ever touched, a bounded
 //! chain of [`Version`]s stamped with the commit sequence numbers the
-//! engine's delta log already assigns (sequence 0 is the initial
+//! caller assigns (sequence 0 is the initial
 //! working memory; a removal installs a tombstone). A version holds the
 //! working memory's own `Arc<Wme>` — [`VersionedStore::seed`] takes the
 //! relations' handles and [`VersionedStore::record`] the change batch's —
 //! so a chain costs a pointer per version, not a copy of the payload.
 //!
-//! The store is plain data with `&mut` writers — the engine wraps it in
-//! its own synchronisation (writes happen inside the commit critical
-//! section that assigns sequence numbers, so chains are totally ordered
-//! by construction). Garbage collection is watermark-driven: the caller
+//! The store is plain data with `&mut` writers — the caller supplies the
+//! synchronisation and records batches in increasing sequence order,
+//! so chains are totally ordered. Garbage collection is watermark-driven: the caller
 //! computes a floor (the oldest still-pinned snapshot) and [`gc`]
 //! drops every version that no pinned or future snapshot can observe.
 //!

@@ -18,10 +18,11 @@ use std::collections::BTreeMap;
 
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{ParallelConfig, ParallelEngine, WorkModel};
-use dbps::lock::{ConflictPolicy, FaultPlan, Protocol};
+use dbps::lock::{res_of_key, ConflictPolicy, FaultPlan, Protocol, ResourceId};
 use dbps::obs::analysis::si_checker;
 use dbps::obs::{validate_history, Event, EventKind, Verdict};
-use dbps::wm::WorkingMemory;
+use dbps::rules::RuleSet;
+use dbps::wm::{WmeData, WorkingMemory};
 use dps_bench::workloads;
 
 /// Class → multiset of (attr, value) rows, ignoring ids and timestamps:
@@ -171,7 +172,7 @@ fn phantom_version_read_is_rejected() {
 fn swapped_version_install_order_is_rejected() {
     let (_, mut history) = mvcc_history();
     // Swap the installed version sequences of two different committed
-    // transactions, as if the version store interchanged their chains.
+    // transactions, as if the engine had interchanged their installs.
     // Each now disagrees with its own commit slot (version = fire + 1),
     // so the version-order cross-check must reject.
     let writes: Vec<usize> = history
@@ -204,4 +205,86 @@ fn swapped_version_install_order_is_rejected() {
         "expected a version-order diagnostic, got {:?}",
         rep.violations
     );
+}
+
+/// One transaction of an MVCC history, projected onto what the SI
+/// checker reads: its `SnapshotPin` seq, its `VersionRead`s and its
+/// `VersionWrite`s, each as `(tuple id, seq)` in event order.
+type Footprint = (u64, Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+/// The committed transactions' footprints, in commit (`Fire`) order.
+fn footprints(history: &[Event]) -> Vec<Footprint> {
+    let tuple = |resource: u64| match res_of_key(resource) {
+        ResourceId::Tuple(id) => id,
+        other => panic!("a version event on {other:?}"),
+    };
+    let mut by_txn: BTreeMap<u64, (Option<u64>, Footprint)> = BTreeMap::new();
+    for e in history {
+        let (fire, (pin, reads, writes)) = by_txn.entry(e.txn).or_default();
+        match e.kind {
+            EventKind::Fire { seq, .. } => *fire = Some(seq),
+            EventKind::SnapshotPin { seq } => *pin = seq,
+            EventKind::VersionRead { resource, seq } => reads.push((tuple(resource), seq)),
+            EventKind::VersionWrite { resource, seq } => writes.push((tuple(resource), seq)),
+            EventKind::Abort { .. } => panic!("one worker aborted txn {}", e.txn),
+            _ => {}
+        }
+    }
+    let mut committed: Vec<(u64, Footprint)> = by_txn
+        .into_values()
+        .filter_map(|(fire, fp)| Some((fire?, fp)))
+        .collect();
+    committed.sort_by_key(|(fire, _)| *fire);
+    committed.into_iter().map(|(_, fp)| fp).collect()
+}
+
+/// The exact MVCC history of a one-worker run over a modify, a make, a
+/// remove and a negated CE: which snapshot each transaction pinned,
+/// which version of each matched tuple it read, and which versions it
+/// installed. A resumed engine numbers the same history from its own
+/// start, so both runs give the same projection.
+#[test]
+fn one_worker_mvcc_history_is_pinned_exactly() {
+    let rules = RuleSet::parse(
+        "(p tick (cell ^n { > 0 <n> }) -(stop) --> (modify 1 ^n (- <n> 1)) (make mark ^at <n>))
+         (p last (cell ^n 0) -(stop) --> (make stop))
+         (p sweep (stop) (mark ^at <a>) --> (remove 2))",
+    )
+    .unwrap();
+    let mut wm = WorkingMemory::new();
+    wm.insert(WmeData::new("cell").with("n", 2i64));
+    wm.insert(WmeData::new("mark").with("at", 9i64));
+    // Tuples 0 (the cell) and 1 (a mark) are the start memory, version
+    // 0; tick modifies the cell in place and makes marks 2 and 3, last
+    // makes stop 4, and sweep removes each mark after reading stop.
+    let expected: Vec<Footprint> = vec![
+        (0, vec![(0, 0)], vec![(0, 1), (2, 1)]),
+        (1, vec![(0, 1)], vec![(0, 2), (3, 2)]),
+        (2, vec![(0, 2)], vec![(4, 3)]),
+        (3, vec![(4, 3), (1, 0)], vec![(1, 4)]),
+        (4, vec![(4, 3), (2, 1)], vec![(2, 5)]),
+        (5, vec![(4, 3), (3, 2)], vec![(3, 6)]),
+    ];
+    for base_seq in [0u64, 100] {
+        let mut engine = ParallelEngine::resume(
+            &rules,
+            wm.clone(),
+            base_seq,
+            ParallelConfig {
+                policy: ConflictPolicy::MvccSnapshot,
+                workers: 1,
+                match_shards: 1,
+                observe: true,
+                ..Default::default()
+            },
+        );
+        let report = engine.run();
+        validate_trace(&rules, &wm, &report.trace).unwrap();
+        let history = engine.observer().expect("observe: true").history();
+        assert_eq!(
+            si_checker::check_history(&history).verdict(),
+            Verdict::Consistent
+        );
+        assert_eq!(footprints(&history), expected, "base_seq {base_seq}");
+    }
 }
