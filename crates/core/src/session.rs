@@ -166,7 +166,10 @@ impl ParallelEngine {
     /// [`Firing`]. Returns the commit sequence number. On failure the
     /// transaction is fully aborted (locks + pin released).
     pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, AbortCause> {
-        let delta = std::mem::take(&mut xt.delta);
+        let mut delta = std::mem::take(&mut xt.delta);
+        // The trace keeps the delta: drop its growth slack before the
+        // base mutex, not under it.
+        delta.shrink_to_fit();
         let base = self.lock_base_for_commit();
         // Write-set validation: every modified/removed tuple must still
         // be live. Tuple write locks were taken when the ops were
@@ -182,6 +185,7 @@ impl ParallelEngine {
             firing: Firing {
                 rule: EXTERNAL_RULE,
                 rule_name: Atom::from(EXTERNAL_RULE_NAME),
+                // An empty `Arc<[_]>` is one shared static: no allocation.
                 key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
                 delta,
                 halt: false,

@@ -1,0 +1,177 @@
+//! Retained-bytes budget: what the engine keeps, per record, once a run
+//! is over.
+//!
+//! The `alloc_budget` tests count what a firing *allocates*; this one
+//! counts what stays *live*. Its allocator adds each allocation's size
+//! and subtracts each free, so a difference of two readings is the heap
+//! a structure holds, slack included. It bounds:
+//!
+//! - **bytes per committed firing** with the trace kept: the heap the
+//!   trace's `Firing`s hold (the instantiation key, the delta and each
+//!   `make`'s and `modify`'s attributes), beyond the trace vector's own
+//!   slots, on the planned `visit`/`fold` shape of `engine_match` and
+//!   on `engine_contend`'s `charge` shape;
+//! - **bytes per tuple of an alpha memory** indexed on an attribute
+//!   every tuple holds a different value of (as `engine_match`'s
+//!   `item ^id`): the member map plus the index.
+//!
+//! Measured (release and debug alike: the sizes are requested bytes,
+//! not the allocator's rounding):
+//!
+//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member |
+//! |---|---|---|
+//! | planned firing (`visit` / `fold`) | 336 B | 216 B |
+//! | contend firing (`charge`) | 288 B | 208 B |
+//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B |
+//!
+//! Grown one push at a time, a delta reserved four operations for a
+//! rule's two and a `make`'s attribute map four pairs for its two; with
+//! a map per index value, each distinct value owned an id map of its
+//! own (four slots and their control bytes for one member).
+//!
+//! The allocator lives here because an integration test is its own
+//! crate: `dps-core` itself forbids `unsafe_code`. It counts per thread
+//! (the single-thread engine frees on the thread that allocated), so
+//! the tests may run in parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::mem::size_of;
+use std::sync::Arc;
+
+use dps_core::{EngineConfig, Firing, SingleThreadEngine, StepOutcome};
+use dps_match::AlphaNetwork;
+use dps_rules::{parser::parse_condition_element, RuleSet};
+use dps_wm::{Atom, Wme, WmeData, WmeId, WorkingMemory};
+
+struct Counting;
+
+thread_local! {
+    /// This thread's live heap bytes (`const`-initialised and drop-free,
+    /// so the allocator may touch it at any point of a thread's life).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add(bytes: usize, sign: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + sign * bytes as i64));
+}
+
+// SAFETY: defers to `System` unchanged; the counter is a thread-local
+// cell that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        add(layout.size(), 1);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add(layout.size(), -1);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add(layout.size(), -1);
+        add(new_size, 1);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// This thread's live heap bytes.
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+/// Ceilings, bytes per record: measured 216, 208 and 121.2; the
+/// doubling records and per-value maps (336, 288 and 205.2) fail each.
+const PLANNED_FIRING_BYTES: f64 = 240.0;
+const CONTEND_FIRING_BYTES: f64 = 224.0;
+const ALPHA_TUPLE_BYTES: f64 = 136.0;
+
+/// `visit` as `engine_match` writes it, and the `fold` its output feeds.
+const VISIT_FOLD: &str = "(p visit (cursor ^at <i>) (kind ^kind <k> ^w <w>)
+          (item ^id <i> ^kind <k> ^next <j>) -(out)
+   --> (modify 1 ^at <j>) (make out ^id <i> ^w <w>))
+(p fold (out ^id <i> ^w <w>) (sum ^total <s>)
+   --> (remove 1) (modify 2 ^total (+ <s> <w>)))";
+const KINDS: i64 = 48;
+const ITEMS: i64 = 400;
+
+/// `engine_contend`'s rule: every firing rewrites one of `TALLIES` hot
+/// tallies.
+const CHARGE: &str = "(p charge (task ^res <r> ^left { > 0 <n> }) (tally ^id <r> ^count <c>)
+   --> (modify 1 ^left (- <n> 1)) (modify 2 ^count (+ <c> 1)))";
+const TALLIES: i64 = 8;
+const TASKS: i64 = 32;
+const CHARGES_PER_TASK: i64 = 20;
+
+/// Runs `rules` over `wm` to quiescence on the single-thread engine and
+/// returns the heap its trace's firings hold, per firing.
+fn bytes_per_firing(name: &str, rules: &str, wm: WorkingMemory, firings: usize) -> f64 {
+    let rules = RuleSet::parse(rules).unwrap();
+    let mut engine = SingleThreadEngine::new(&rules, wm, EngineConfig::default());
+    let report = engine.run();
+    assert_eq!(report.outcome, StepOutcome::Quiescent, "{name}");
+    assert_eq!(report.commits, firings, "{name}");
+    // The conflict set's refracted keys share the trace's; with the
+    // engine gone, what the trace frees is the trace's alone.
+    drop(engine);
+    let slots = (report.trace.firings.capacity() * size_of::<Firing>()) as i64;
+    let before = live();
+    drop(report);
+    let held = before - live() - slots;
+    let per = held as f64 / firings as f64;
+    println!("{name}: {firings} firings hold {held} bytes beyond their slots, {per:.1} each");
+    per
+}
+
+#[test]
+fn a_kept_firing_holds_its_key_and_an_exact_size_delta() {
+    let mut wm = WorkingMemory::new();
+    wm.insert(WmeData::new("cursor").with("at", 0i64));
+    wm.insert(WmeData::new("sum").with("total", 0i64));
+    for k in 0..KINDS {
+        wm.insert(WmeData::new("kind").with("kind", k).with("w", k + 1));
+    }
+    for i in 0..ITEMS {
+        let item = WmeData::new("item").with("id", i).with("next", i + 1);
+        wm.insert(item.with("kind", (i * 7) % KINDS));
+    }
+    let planned = bytes_per_firing("planned", VISIT_FOLD, wm, 2 * ITEMS as usize);
+
+    let mut wm = WorkingMemory::new();
+    for r in 0..TALLIES {
+        wm.insert(WmeData::new("tally").with("id", r).with("count", 0i64));
+    }
+    for t in 0..TASKS {
+        let task = WmeData::new("task").with("res", t % TALLIES);
+        wm.insert(task.with("left", CHARGES_PER_TASK));
+    }
+    let charges = (TASKS * CHARGES_PER_TASK) as usize;
+    let contend = bytes_per_firing("contend", CHARGE, wm, charges);
+
+    assert!(planned <= PLANNED_FIRING_BYTES, "planned: {planned:.1} B per firing");
+    assert!(contend <= CONTEND_FIRING_BYTES, "contend: {contend:.1} B per firing");
+}
+
+#[test]
+fn a_unique_index_value_holds_its_tuple_inline() {
+    const N: u64 = 10_000;
+    let tuples: Vec<Arc<Wme>> = (0..N)
+        .map(|i| {
+            let data = WmeData::new("item").with("id", i as i64).with("next", i as i64 + 1);
+            Arc::new(Wme { id: WmeId(i + 1), data, timestamp: i + 1 })
+        })
+        .collect();
+    let mut net = AlphaNetwork::default();
+    let mem = net.register(&parse_condition_element("(item)").unwrap());
+    net.ensure_index(mem, &Atom::from("id"));
+    let before = live();
+    for w in &tuples {
+        net.add_wme(w);
+    }
+    let per = (live() - before) as f64 / N as f64;
+    println!("alpha memory: {N} tuples on a unique index hold {per:.1} bytes each");
+    assert_eq!(net.memory(mem).len(), N as usize);
+    assert!(per <= ALPHA_TUPLE_BYTES, "{per:.1} B per tuple");
+}

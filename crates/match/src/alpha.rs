@@ -2,6 +2,7 @@
 //! rules and across matchers (Rete and TREAT use the same structure).
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -78,8 +79,53 @@ pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
     Cow::Borrowed(v)
 }
 
-/// An index bucket / a memory's member list: shared WMEs by id.
+/// A memory's member list: shared WMEs by id.
 type Members = IdMap<WmeId, Arc<Wme>>;
+
+/// The members of one index value. Most values of an indexed attribute
+/// (an id, a key) are held by one tuple, so a bucket keeps its first
+/// member inline and becomes an id map only at its second — and stays
+/// one until it empties, so lookup order is the map's from then on.
+#[derive(Clone, Debug)]
+enum Bucket {
+    One(Arc<Wme>),
+    Many(Members),
+}
+
+impl Bucket {
+    fn insert(&mut self, wme: &Arc<Wme>) {
+        match self {
+            Bucket::One(first) => {
+                let mut members = Members::default();
+                members.insert(first.id, Arc::clone(first));
+                members.insert(wme.id, Arc::clone(wme));
+                *self = Bucket::Many(members);
+            }
+            Bucket::Many(members) => {
+                members.insert(wme.id, Arc::clone(wme));
+            }
+        }
+    }
+
+    /// Removes `id`; returns whether the bucket is now empty.
+    fn remove(&mut self, id: WmeId) -> bool {
+        match self {
+            Bucket::One(only) => only.id == id,
+            Bucket::Many(members) => {
+                members.remove(&id);
+                members.is_empty()
+            }
+        }
+    }
+
+    fn members(&self) -> impl Iterator<Item = &Arc<Wme>> + '_ {
+        let (one, many) = match self {
+            Bucket::One(w) => (Some(w), None),
+            Bucket::Many(m) => (None, Some(m)),
+        };
+        one.into_iter().chain(many.into_iter().flat_map(IdMap::values))
+    }
+}
 
 /// One alpha memory: the WMEs passing one class + constant-test
 /// signature, shared by reference with every token and join candidate.
@@ -90,7 +136,7 @@ pub struct AlphaMemory {
     /// Per-attribute value indexes (normalised keys), registered by join
     /// nodes that test equality on the attribute; a join keeps its
     /// index's position.
-    indexes: Vec<(Atom, HashMap<Value, Members>)>,
+    indexes: Vec<(Atom, HashMap<Value, Bucket>)>,
 }
 
 impl AlphaMemory {
@@ -120,10 +166,9 @@ impl AlphaMemory {
         if let Some(i) = self.indexes.iter().position(|(a, _)| a == attr) {
             return i;
         }
-        let mut by_val: HashMap<Value, Members> = HashMap::new();
+        let mut by_val = HashMap::new();
         for w in self.wmes.values() {
-            let key = index_key(attr_of(w, attr.as_str())).into_owned();
-            by_val.entry(key).or_default().insert(w.id, Arc::clone(w));
+            index_insert(&mut by_val, attr, w);
         }
         self.indexes.push((attr.clone(), by_val));
         self.indexes.len() - 1
@@ -136,18 +181,14 @@ impl AlphaMemory {
             .1
             .get(key)
             .into_iter()
-            .flat_map(IdMap::values)
+            .flat_map(Bucket::members)
     }
 
     fn insert(&mut self, wme: &Arc<Wme>) {
         self.remove(wme.id); // a re-assertion without a retraction replaces
         self.wmes.insert(wme.id, Arc::clone(wme));
         for (attr, by_val) in &mut self.indexes {
-            let key = index_key(attr_of(wme, attr.as_str())).into_owned();
-            by_val
-                .entry(key)
-                .or_default()
-                .insert(wme.id, Arc::clone(wme));
+            index_insert(by_val, attr, wme);
         }
     }
 
@@ -157,14 +198,22 @@ impl AlphaMemory {
         };
         for (attr, by_val) in &mut self.indexes {
             let key = index_key(attr_of(&wme, attr.as_str()));
-            if let Some(bucket) = by_val.get_mut(&*key) {
-                bucket.remove(&id);
-                if bucket.is_empty() {
-                    by_val.remove(&*key);
-                }
+            if by_val.get_mut(&*key).is_some_and(|bucket| bucket.remove(id)) {
+                by_val.remove(&*key);
             }
         }
         true
+    }
+}
+
+/// Files `wme` under its (normalised) value of `attr`.
+fn index_insert(by_val: &mut HashMap<Value, Bucket>, attr: &Atom, wme: &Arc<Wme>) {
+    let key = index_key(attr_of(wme, attr.as_str())).into_owned();
+    match by_val.entry(key) {
+        Entry::Occupied(mut bucket) => bucket.get_mut().insert(wme),
+        Entry::Vacant(slot) => {
+            slot.insert(Bucket::One(Arc::clone(wme)));
+        }
     }
 }
 
@@ -225,19 +274,28 @@ impl AlphaNetwork {
         &self.mems[id.0]
     }
 
-    /// Adds a WME, returning the ids of the memories it entered (each
-    /// holds a reference to the one shared copy).
-    pub fn add_wme(&mut self, wme: &Arc<Wme>) -> Vec<AlphaMemId> {
-        let mut hits = Vec::new();
+    /// Adds a WME to every memory whose tests it passes (each holds a
+    /// reference to the one shared copy); [`AlphaNetwork::holding`]
+    /// then names them.
+    pub fn add_wme(&mut self, wme: &Arc<Wme>) {
         if let Some(candidates) = self.by_class.get(wme.class()) {
             for &id in candidates {
                 if self.keys[id.0].matches(wme) {
                     self.mems[id.0].insert(wme);
-                    hits.push(id);
                 }
             }
         }
-        hits
+    }
+
+    /// The memories holding this very handle, in registration order:
+    /// after [`AlphaNetwork::add_wme`], the memories it entered. Reading
+    /// them back, instead of collecting them as they are entered, keeps
+    /// an insert free of a hit list.
+    pub fn holding<'a>(&'a self, wme: &'a Arc<Wme>) -> impl Iterator<Item = AlphaMemId> + 'a {
+        let candidates = self.by_class.get(wme.class()).map_or(&[][..], Vec::as_slice);
+        candidates.iter().copied().filter(move |id| {
+            self.mems[id.0].get(wme.id).is_some_and(|held| Arc::ptr_eq(held, wme))
+        })
     }
 
     /// Registers a per-attribute value index on a memory (idempotent);
@@ -252,17 +310,16 @@ impl AlphaNetwork {
         self.mems.iter().any(|m| m.get(id).is_some_and(|w| w.timestamp == ts))
     }
 
-    /// Removes a WME, returning the ids of the memories it left.
-    pub fn remove_wme(&mut self, class: &Atom, id: WmeId) -> Vec<AlphaMemId> {
-        let mut hits = Vec::new();
+    /// Removes a WME, calling `left` with each memory it left, in
+    /// registration order.
+    pub fn remove_wme(&mut self, class: &Atom, id: WmeId, mut left: impl FnMut(AlphaMemId)) {
         if let Some(candidates) = self.by_class.get(class) {
             for &mem in candidates {
                 if self.mems[mem.0].remove(id) {
-                    hits.push(mem);
+                    left(mem);
                 }
             }
         }
-        hits
     }
 }
 
@@ -334,42 +391,64 @@ mod tests {
         assert_ne!(ids[0], ids[2]);
     }
 
+    /// Adds `w`, returning the memories it entered.
+    fn add(net: &mut AlphaNetwork, w: Arc<Wme>) -> Vec<AlphaMemId> {
+        net.add_wme(&w);
+        net.holding(&w).collect()
+    }
+
+    /// Removes `id` of class `class`, returning the memories it left.
+    fn remove(net: &mut AlphaNetwork, class: &str, id: u64) -> Vec<AlphaMemId> {
+        let mut left = Vec::new();
+        net.remove_wme(&Atom::from(class), WmeId(id), |m| left.push(m));
+        left
+    }
+
     #[test]
     fn add_routes_to_matching_memories() {
         let (mut net, ids) = net_with(&["(job ^state open)", "(job)"]);
-        let hits = net.add_wme(&wme(1, "job", &[("state", Value::from("open"))]));
-        assert_eq!(hits.len(), 2);
-        let hits = net.add_wme(&wme(2, "job", &[("state", Value::from("closed"))]));
+        let hits = add(&mut net, wme(1, "job", &[("state", Value::from("open"))]));
+        assert_eq!(hits, ids);
+        let hits = add(&mut net, wme(2, "job", &[("state", Value::from("closed"))]));
         assert_eq!(hits, vec![ids[1]]);
-        let hits = net.add_wme(&wme(3, "task", &[]));
+        let hits = add(&mut net, wme(3, "task", &[]));
         assert!(hits.is_empty());
         assert_eq!(net.memory(ids[0]).len(), 1);
         assert_eq!(net.memory(ids[1]).len(), 2);
     }
 
     #[test]
+    fn holding_names_only_the_memories_of_this_handle() {
+        let (mut net, ids) = net_with(&["(job ^state open)", "(job)"]);
+        let open = wme(1, "job", &[("state", Value::from("open"))]);
+        net.add_wme(&open);
+        // Re-asserted closed without a retraction: `(job ^state open)`
+        // still holds the old handle, which is not this one.
+        let closed = wme(1, "job", &[("state", Value::from("closed"))]);
+        assert_eq!(add(&mut net, Arc::clone(&closed)), vec![ids[1]]);
+        assert_eq!(net.holding(&open).collect::<Vec<_>>(), vec![ids[0]]);
+    }
+
+    #[test]
     fn remove_reports_memories_left() {
         let (mut net, ids) = net_with(&["(job ^state open)"]);
         net.add_wme(&wme(1, "job", &[("state", Value::from("open"))]));
-        let left = net.remove_wme(&Atom::from("job"), WmeId(1));
-        assert_eq!(left, vec![ids[0]]);
+        assert_eq!(remove(&mut net, "job", 1), vec![ids[0]]);
         assert!(net.memory(ids[0]).is_empty());
         // Second removal is a no-op.
-        assert!(net.remove_wme(&Atom::from("job"), WmeId(1)).is_empty());
+        assert!(remove(&mut net, "job", 1).is_empty());
     }
 
     #[test]
     fn numeric_constant_tests() {
         let (mut net, ids) = net_with(&["(m ^v > 4)"]);
         assert_eq!(
-            net.add_wme(&wme(1, "m", &[("v", Value::Int(5))])),
+            add(&mut net, wme(1, "m", &[("v", Value::Int(5))])),
             vec![ids[0]]
         );
-        assert!(net
-            .add_wme(&wme(2, "m", &[("v", Value::Int(3))]))
-            .is_empty());
+        assert!(add(&mut net, wme(2, "m", &[("v", Value::Int(3))])).is_empty());
         assert!(
-            net.add_wme(&wme(3, "m", &[])).is_empty(),
+            add(&mut net, wme(3, "m", &[])).is_empty(),
             "missing attr = Nil fails '>'"
         );
     }
@@ -386,10 +465,37 @@ mod tests {
         assert_eq!(bucket(mem, ix, Value::Int(3)), [1, 2]);
         assert_eq!(bucket(mem, ix, Value::Int(5)), [3]);
         assert!(bucket(mem, ix, Value::Int(9)).is_empty());
-        net.remove_wme(&Atom::from("m"), WmeId(1));
+        remove(&mut net, "m", 1);
         assert_eq!(bucket(net.memory(ids[0]), ix, Value::Int(3)), [2]);
         assert_eq!(net.memory(ids[0]).get(WmeId(2)).unwrap().id, WmeId(2));
         assert!(net.memory(ids[0]).get(WmeId(1)).is_none());
+        remove(&mut net, "m", 3);
+        assert!(bucket(net.memory(ids[0]), ix, Value::Int(5)).is_empty());
+        assert!(!net.memory(ids[0]).indexes[ix].1.contains_key(&Value::Int(5)), "bucket dropped");
+    }
+
+    #[test]
+    fn a_bucket_visits_its_members_in_id_map_order() {
+        // A bucket that held a second member is an id map from then on,
+        // filled by the same inserts, so joins see the same order.
+        let (mut net, ids) = net_with(&["(m)"]);
+        let ix = net.ensure_index(ids[0], &Atom::from("k"));
+        let mut reference = Members::default();
+        let agree = |net: &AlphaNetwork, reference: &Members| {
+            let order = net.memory(ids[0]).lookup(ix, &Value::Int(3)).map(|w| w.id);
+            assert!(order.eq(reference.keys().copied()));
+        };
+        for id in [9, 2, 40, 17, 5, 33, 1, 28] {
+            let w = wme(id, "m", &[("k", Value::Int(3))]);
+            net.add_wme(&w);
+            reference.insert(w.id, w);
+            agree(&net, &reference);
+        }
+        for id in [40, 9, 28, 2, 1, 33, 17] {
+            remove(&mut net, "m", id);
+            reference.remove(&WmeId(id));
+            agree(&net, &reference);
+        }
     }
 
     #[test]
@@ -442,7 +548,7 @@ mod tests {
                     n / 8
                 );
                 for w in &wmes {
-                    net.remove_wme(&class, w.id);
+                    net.remove_wme(&class, w.id, |_| ());
                 }
                 assert!(net.memory(ids[0]).is_empty());
                 assert_eq!(net.memory(ids[0]).lookup(ix, &Value::Int(3)).count(), 0);

@@ -663,7 +663,8 @@ impl Rete {
     /// change, without the caller building one. The network keeps the
     /// caller's handle (the working memory's own allocation), not a copy.
     pub fn insert(&mut self, wme: &Arc<Wme>) {
-        for amem in self.net.alpha.add_wme(wme) {
+        self.net.alpha.add_wme(wme);
+        for amem in self.net.alpha.holding(wme) {
             for &node in self.net.successors.get(amem.0).into_iter().flatten() {
                 match &self.net.nodes[node.0] {
                     Node::Join { .. } => self.beta.join_right_activate(&self.net, node, wme),
@@ -677,7 +678,7 @@ impl Rete {
     }
 
     fn remove_wme(&mut self, class: &Atom, id: WmeId) {
-        self.net.alpha.remove_wme(class, id);
+        self.net.alpha.remove_wme(class, id, |_| ());
         // Kill tokens carrying the WME (a cascade may take later
         // carriers with it, so always re-read the list head).
         while let Some(&t) = self.beta.by_wme.get(&id) {

@@ -217,10 +217,10 @@ impl Treat {
     }
 
     fn add_wme(&mut self, wme: Arc<Wme>) {
-        let hits = self.alpha.add_wme(&wme);
+        self.alpha.add_wme(&wme);
         let mut positive_sites: Vec<(usize, usize)> = Vec::new();
         let mut negative_rules: Vec<usize> = Vec::new();
-        for amem in hits {
+        for amem in self.alpha.holding(&wme) {
             for &(ri, ci) in self.readers.get(&amem).into_iter().flatten() {
                 if self.rules[ri].rule.conditions[ci].is_negated() {
                     negative_rules.push(ri);
@@ -268,7 +268,8 @@ impl Treat {
     }
 
     fn remove_wme(&mut self, wme: &Wme) {
-        let hits = self.alpha.remove_wme(&wme.data.class, wme.id);
+        let mut hits = Vec::new();
+        self.alpha.remove_wme(&wme.data.class, wme.id, |mem| hits.push(mem));
         // 1. Drop everything that matched it positively.
         self.remove_mentioning(wme.id);
         // 2. Its disappearance may enable rules that it blocked via a

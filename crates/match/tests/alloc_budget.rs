@@ -44,6 +44,9 @@
 //! | planned | shared tuples | 7 / 6.0 | 18 / 16.0 | 1 536 / 1 332 | 4 / 2.0 | 5 / 4.5 |
 //! | cross-product | shared tuples | 58 / 33.5 | 69 / 43.5 | 6 084 / 4 566 | 98 / 73.0 | 98 / 74.5 |
 //! | contend | shared tuples | 10 / 10.0 | 22 / 22.0 | 1 612 / 1 612 | 1 / 1.0 | 64 / 64.0 |
+//! | planned | no hit lists, exact-size deltas | 4 / 3.0 | 15 / 13.0 | 1 280 / 1 116 | 4 / 2.0 | 5 / 4.5 |
+//! | cross-product | no hit lists, exact-size deltas | 55 / 30.5 | 66 / 40.5 | 5 828 / 4 350 | 98 / 73.0 | 98 / 74.5 |
+//! | contend | no hit lists, exact-size deltas | 5 / 5.0 | 17 / 17.0 | 1 320 / 1 320 | 1 / 1.0 | 64 / 64.0 |
 //!
 //! The eager rows made one `Instantiation` per complete match inside
 //! `Rete::apply` (owned `Wme` copies, bindings, the key built twice) and
@@ -52,7 +55,12 @@
 //! firing column includes the one materialisation. With shared tuples
 //! `Rete::apply` keeps the batch's `Arc<Wme>` for each added element
 //! instead of copying its payload into a new one (two allocations per
-//! copy: the `Arc` and the attribute vector). Tokens never
+//! copy: the `Arc` and the attribute vector). Without hit lists
+//! `Rete::apply` no longer collects the alpha memories an element
+//! entered or left into a vector (it reads the entered ones back from
+//! the memories and never read the left ones), and the firing's delta
+//! and `make` attributes are allocated at their final size instead of
+//! doubling from four slots. Tokens never
 //! allocated (slab slots and index buckets are reused), so the join
 //! order leaves the allocation rows unchanged; the written-order network
 //! fails the planned family's work ceilings. Earlier rounds of the
@@ -118,45 +126,48 @@ struct Budget {
     tokens: u64,
 }
 
-/// The planned family. Measured worst: 7 `Rete::apply` allocations
-/// (mean 6.0) and 18 firing allocations, 1 536 bytes, 4 left
+/// The planned family. Measured worst: 4 `Rete::apply` allocations
+/// (mean 3.0) and 15 firing allocations, 1 280 bytes, 4 left
 /// activations, 5 live tokens. The written-order network (parent of the
 /// join planner) made 51 left activations and held 52 tokens, which
-/// fails the last two ceilings.
+/// fails the last two ceilings; with hit lists and doubling deltas it
+/// made 7 (mean 6.0), 18 and 1 536, which fails the first four.
 const PLANNED_BUDGET: Budget = Budget {
-    rete_allocs: 9,
-    rete_mean: 7.0,
-    firing_allocs: 22,
-    firing_bytes: 2_560,
+    rete_allocs: 5,
+    rete_mean: 4.0,
+    firing_allocs: 16,
+    firing_bytes: 1_400,
     left_activations: 8,
     tokens: 8,
 };
 
 /// The cross-product family, whose plan is its written order. Measured
-/// worst: 58 `Rete::apply` allocations (mean 33.5) and 69 firing
+/// worst: 55 `Rete::apply` allocations (mean 30.5) and 66 firing
 /// allocations — most of them the negation's per-input result sets, one
-/// per `cursor × kind` token the `out` blocks — 6 084 bytes, 98 left
-/// activations, 98 live tokens.
+/// per `cursor × kind` token the `out` blocks — 5 828 bytes, 98 left
+/// activations, 98 live tokens. With hit lists and doubling deltas:
+/// 58 (mean 33.5), 69 and 6 084.
 const CROSS_BUDGET: Budget = Budget {
-    rete_allocs: 62,
-    rete_mean: 37.0,
-    firing_allocs: 74,
-    firing_bytes: 7_168,
+    rete_allocs: 56,
+    rete_mean: 31.5,
+    firing_allocs: 67,
+    firing_bytes: 6_000,
     left_activations: 104,
     tokens: 104,
 };
 
-/// The contend family. Measured, every batch alike: 10 `Rete::apply`
+/// The contend family. Measured, every batch alike: 5 `Rete::apply`
 /// allocations — four of them the keys of the four re-derived matches —
-/// and 22 firing allocations, 1 612 bytes, 1 left activation, 64 live
+/// and 17 firing allocations, 1 320 bytes, 1 left activation, 64 live
 /// tokens. With an eager instantiation per match (owned `Wme` copies,
 /// bindings and two key builds each) `Rete::apply` made 44; copying
-/// each added element into the network, 14.
+/// each added element into the network, 14; with hit lists and
+/// doubling deltas, 10 (22 firing allocations, 1 612 bytes).
 const CONTEND_BUDGET: Budget = Budget {
-    rete_allocs: 12,
-    rete_mean: 12.0,
-    firing_allocs: 26,
-    firing_bytes: 2_560,
+    rete_allocs: 6,
+    rete_mean: 6.0,
+    firing_allocs: 18,
+    firing_bytes: 1_400,
     left_activations: 2,
     tokens: 68,
 };

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use dps_core::{ExternalTxn, ParallelConfig, ParallelEngine, ParallelReport};
 use dps_obs::AbortCause;
 use dps_rules::RuleSet;
-use dps_wm::{Value, WmeData, WorkingMemory};
+use dps_wm::{AttrMap, Value, WmeData, WorkingMemory};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::session::{SessionState, SessionTimeouts};
@@ -434,7 +434,11 @@ impl Server {
                     }
                 },
                 Request::Insert { class, attrs } => {
+                    // Sized to the tuple it becomes, `^session` included:
+                    // the committed delta keeps it.
+                    let size = attrs.len() + usize::from(self.config.stamp_session);
                     let mut data = WmeData::new(class);
+                    data.attrs = AttrMap::with_capacity(size);
                     for (k, v) in attrs {
                         data.attrs.insert(k.into(), v);
                     }

@@ -34,6 +34,17 @@ impl AttrMap {
         AttrMap::default()
     }
 
+    /// Creates an empty map with room for `n` attributes, so a map built
+    /// to its final size holds no slack.
+    pub fn with_capacity(n: usize) -> Self {
+        AttrMap(Vec::with_capacity(n))
+    }
+
+    /// Attributes the map can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.0.len()
