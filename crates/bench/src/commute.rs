@@ -34,7 +34,7 @@
 //! fake. [`gate`] runs both legs and the probes and declares the gates.
 
 use dps_core::semantics::validate_trace;
-use dps_core::{ParallelConfig, WorkModel};
+use dps_core::{Firing, ParallelConfig, WorkModel};
 use dps_lock::Protocol;
 use dps_obs::json::Json;
 use dps_obs::TelemetryConfig;
@@ -168,10 +168,10 @@ pub fn probe_swapped_order() -> (bool, bool) {
         let serial = ParallelConfig { workers: 1, ..Default::default() };
         let leg = certified_run(rules, wm.clone(), serial);
         assert!(leg.replay.is_ok(), "unswapped serial trace replays");
-        let mut trace = leg.report.trace;
-        assert!(trace.firings.len() >= 2, "serial run fires at least twice");
-        trace.firings.swap(0, 1);
-        validate_trace(rules, &wm, &trace)
+        let mut firings: Vec<Firing> = leg.report.trace.iter().collect();
+        assert!(firings.len() >= 2, "serial run fires at least twice");
+        firings.swap(0, 1);
+        validate_trace(rules, &wm, &firings.into_iter().collect())
     };
     let (rules, wm) = workloads::misclassified_pair(1, 2);
     let noncommutative_rejected = swapped_replay(&rules, wm).is_err();

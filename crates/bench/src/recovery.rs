@@ -166,10 +166,10 @@ fn serial_prefix(
     if w > trace.len() {
         return Err(format!("durable horizon {w} exceeds trace length {}", trace.len()));
     }
-    let prefix = Trace { firings: trace.firings[..w].to_vec() };
+    let prefix: Trace = trace.iter().take(w).collect();
     validate_trace(rules, initial, &prefix).map_err(|v| format!("prefix oracle: {v}"))?;
     let mut wm = initial.clone();
-    for (i, firing) in prefix.firings.iter().enumerate() {
+    for (i, firing) in prefix.iter().enumerate() {
         wm.apply(&firing.delta)
             .map_err(|e| format!("prefix replay at commit #{i}: {e}"))?;
     }

@@ -13,7 +13,7 @@
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
 //! | 4 | base | `publish` the change batch (write stamps on a snapshot engine, the affected shards' inboxes, watermark); a firing that halts sets the halted flag |
-//! | 5 | base | trace append (`WmBase::trace`), `Fire` + strategy receipt events |
+//! | 5 | base | trace append (`WmBase::trace`: the record's bytes, encoded before the hold), `Fire` + strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, and its Rete refracts the key as the claim ends |
 //! | 8 | ledger | commit counters, in-flight count |
@@ -47,6 +47,7 @@ use dps_obs::{AbortCause, EventKind as ObsEvent, Phase};
 use dps_wm::wal::KillMode;
 use dps_wm::{Change, WalError, Wme, WorkingMemory};
 
+use crate::log::Record;
 use crate::parallel::{Ledger, ParallelEngine};
 use crate::pipeline::{MatchPipeline, ShardState, WmBase};
 use crate::strategy::Strategy;
@@ -56,8 +57,11 @@ use crate::Firing;
 pub(crate) struct Commit<'c, 'e> {
     pub txn: TxnId,
     pub strategy: Strategy,
-    /// The trace record; its delta is what gets applied.
+    /// What committed; its delta is what gets applied.
     pub firing: Firing,
+    /// `firing` encoded for the trace ([`MatchPipeline::encode`]),
+    /// before the base mutex was taken.
+    pub record: Record,
     /// Accesses the strategy answered (the `ElidedCommit` receipt).
     pub requests: u32,
     /// Rule firings: the claim whose shard absorbs the batch and whose
@@ -107,15 +111,22 @@ impl ParallelEngine {
         mut base: MutexGuard<'_, WmBase>,
         commit: Commit<'_, '_>,
     ) -> Result<u64, AbortCause> {
-        let Commit { txn, strategy, firing, requests, mut claim, since } = commit;
+        let Commit { txn, strategy, firing, record, requests, mut claim, since } = commit;
         // The single-thread `halt` rule: no rule firing commits after
         // one that halted.
         if claim.is_some() && self.halted.load(Relaxed) {
+            drop(base);
             return Err(AbortCause::Stale);
         }
         let obs = self.obs.as_deref();
         let hold = self.times_base().then(Instant::now);
-        let outcome = self.lm.commit(txn).map_err(|e| self.classify(e))?;
+        let outcome = match self.lm.commit(txn) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                drop(base);
+                return Err(self.classify(e));
+            }
+        };
         let changes =
             base.wm.apply(&firing.delta).expect("a validated commit only touches live WMEs");
         let seq = base.next_seq;
@@ -139,7 +150,7 @@ impl ParallelEngine {
             self.halted.store(true, Relaxed);
         }
         let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
-        base.trace.firings.push(firing);
+        base.trace.firings.append(&record);
         // Commit-sequence record for the semantic checker (§3 Theorem
         // 2): this commit's 0-based slot in the global trace, stamped in
         // the same base hold as the append, so `seq` order equals
@@ -168,6 +179,8 @@ impl ParallelEngine {
             self.revalidate_readers(txn, &outcome.needs_revalidation, &affected, seq);
         }
         drop(base);
+        // The firing and its record are freed outside the hold.
+        drop((firing, record));
         if let Some(hold) = hold {
             self.base_sample(Phase::BaseHold, &self.metrics.base_hold_nanos, hold.elapsed());
         }

@@ -27,12 +27,12 @@ use dps_rules::analysis::RuleAccess;
 use dps_rules::RuleId;
 use dps_wm::{Atom, DeltaSet, WmeId};
 
-use crate::EXTERNAL_RULE;
+use crate::{CommitLog, EXTERNAL_RULE};
 
 /// One committed production execution: what fired and what it did.
-/// Engines append these to a [`Trace`], which
-/// [`crate::semantics::validate_trace`] replays to check semantic
-/// consistency.
+/// Engines append these to a [`Trace`], which encodes them, and
+/// [`crate::semantics::validate_trace`] replays them, decoded, to check
+/// semantic consistency.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Firing {
     /// The rule.
@@ -58,14 +58,27 @@ impl Firing {
     }
 }
 
-/// The commit sequence of one engine run.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The commit sequence of one engine run, kept as a [`CommitLog`]: each
+/// commit is a record of a few dozen bytes, and readers decode one
+/// [`Firing`] at a time.
+///
+/// Two traces are equal exactly when their firing sequences are.
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
-    /// Commits in order.
-    pub firings: Vec<Firing>,
+    /// Commits in order, encoded.
+    pub firings: CommitLog,
 }
 
 impl Trace {
+    /// Appends a commit, encoded.
+    ///
+    /// # Panics
+    /// If the firing's key names another rule, or its rule appended
+    /// before under another name.
+    pub fn push(&mut self, firing: Firing) {
+        self.firings.push(&firing);
+    }
+
     /// Number of commits.
     pub fn len(&self) -> usize {
         self.firings.len()
@@ -76,9 +89,43 @@ impl Trace {
         self.firings.is_empty()
     }
 
+    /// The commits in order, decoded one at a time.
+    pub fn iter(&self) -> impl Iterator<Item = Firing> + '_ {
+        self.firings.iter()
+    }
+
+    /// Commit `i`, decoded.
+    pub fn get(&self, i: usize) -> Option<Firing> {
+        self.firings.get(i)
+    }
+
     /// The rule-name sequence, e.g. `["bump", "bump", "done"]`.
     pub fn names(&self) -> Vec<&str> {
-        self.firings.iter().map(|f| f.rule_name.as_str()).collect()
+        self.firings.names()
+    }
+
+    /// Hands the commit sequence over, leaving an empty trace that
+    /// shares this one's atom table: records encoded against it before
+    /// the hand-over still append afterwards.
+    pub(crate) fn take(&mut self) -> Trace {
+        let empty = Trace { firings: self.firings.empty_sibling() };
+        std::mem::replace(self, empty)
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl FromIterator<Firing> for Trace {
+    fn from_iter<T: IntoIterator<Item = Firing>>(iter: T) -> Self {
+        let mut trace = Trace::default();
+        for firing in iter {
+            trace.push(firing);
+        }
+        trace
     }
 }
 
@@ -257,7 +304,7 @@ mod tests {
     #[test]
     fn trace_names() {
         let mut t = Trace::default();
-        t.firings.push(Firing {
+        t.push(Firing {
             rule: RuleId(0),
             rule_name: Atom::from("a"),
             key: InstKey {

@@ -43,6 +43,7 @@
 pub mod abstract_model;
 mod commit;
 mod firing;
+mod log;
 mod parallel;
 mod pipeline;
 pub mod semantics;
@@ -53,6 +54,7 @@ mod strategy;
 mod world;
 
 pub use firing::{Firing, Footprint, Trace};
+pub use log::CommitLog;
 pub use parallel::{
     AbortStats, DurabilityConfig, ParallelConfig, ParallelEngine, ParallelReport, WorkModel,
 };

@@ -1,0 +1,589 @@
+//! The commit log: the kept trace as bytes.
+//!
+//! The §3 oracle needs the commit sequence's content — which
+//! instantiation fired and what it wrote — not live `Firing`s, so a
+//! [`crate::Trace`] keeps each commit as one encoded record and decodes
+//! a [`Firing`] only when a reader asks for it. A record is
+//!
+//! ```text
+//! [len] [rule << 1 | halt] [n] ([wme id] [timestamp])^n
+//!       [ops] (0 [class] [attrs] | 1 [wme id] [attrs] | 2 [wme id])^ops
+//! attrs = [n] ([attr] [value])^n
+//! ```
+//!
+//! * every number is an LEB128 varint: `len` (the bytes after it), rule
+//!   ids (shifted by one, so [`crate::EXTERNAL_RULE`] is 0), counts, wme ids,
+//!   timestamps, atom indices, and ints zig-zagged;
+//! * a value is a tag byte (as in `dps_wm::codec`: 0 nil, 1 bool,
+//!   2 int, 3 float, 4 symbol, 5 string) and its payload; a float is its
+//!   bits, little-endian;
+//! * class, attribute and symbol atoms are indices into the log's atom
+//!   table, which holds each once; each rule's name is held once, in the
+//!   log's rule-name table, so a record carries only the rule id, which
+//!   is its key's rule too.
+//!
+//! The log grows in fixed-size blocks and a record never straddles two,
+//! so an append copies only the record: the log itself never moves. The
+//! parallel engine encodes a record *before* it takes the base mutex
+//! ([`Atoms::encode`], which takes only the atom table's own lock) and
+//! appends its bytes in the hold ([`CommitLog::append`]); the atom table
+//! is shared by the log and the encoders for that reason.
+
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use dps_match::InstKey;
+use dps_rules::RuleId;
+use dps_wm::{Atom, AttrMap, Delta, DeltaSet, IdMap, Value, WmeData, WmeId};
+
+use crate::Firing;
+
+/// Bytes per block. A record longer than a block gets one of its own.
+const BLOCK: usize = 4096;
+
+const CREATE: u8 = 0;
+const MODIFY: u8 = 1;
+const REMOVE: u8 = 2;
+
+const NIL: u8 = 0;
+const BOOL: u8 = 1;
+const INT: u8 = 2;
+const FLOAT: u8 = 3;
+const SYM: u8 = 4;
+const STR: u8 = 5;
+
+/// An append-only log of encoded commits, in commit order (see the
+/// module docs for the format).
+#[derive(Clone, Default)]
+pub struct CommitLog {
+    atoms: Atoms,
+    /// Each rule's name, by [`code`] of its id; set by its first record.
+    names: Vec<Option<Atom>>,
+    /// Filled front to back; only the last one has room left.
+    blocks: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl CommitLog {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when nothing committed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Encoded bytes held, length prefixes included (block slack and the
+    /// atom and rule-name tables not).
+    pub fn bytes(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// Decodes the records in commit order, one at a time.
+    pub fn iter(&self) -> impl Iterator<Item = Firing> + '_ {
+        self.records().map(|body| self.decode(body))
+    }
+
+    /// Decodes record `i`, skipping the records before it undecoded.
+    pub fn get(&self, i: usize) -> Option<Firing> {
+        self.records().nth(i).map(|body| self.decode(body))
+    }
+
+    /// Decodes the records in batches of `n` (the last may be shorter),
+    /// in commit order, so a reader holds at most `n` firings at a time.
+    ///
+    /// # Panics
+    /// If `n` is 0.
+    pub fn chunks(&self, n: usize) -> impl Iterator<Item = Vec<Firing>> + '_ {
+        assert!(n > 0, "chunk size must be non-zero");
+        let mut firings = self.iter();
+        std::iter::from_fn(move || {
+            let chunk: Vec<Firing> = firings.by_ref().take(n).collect();
+            (!chunk.is_empty()).then_some(chunk)
+        })
+    }
+
+    /// The rule-name sequence, read from the rule-name table and each
+    /// record's first varint.
+    pub fn names(&self) -> Vec<&str> {
+        self.records()
+            .map(|body| self.name(Reader::new(body).u() >> 1).as_str())
+            .collect()
+    }
+
+    /// Encodes `firing` and appends it.
+    pub(crate) fn push(&mut self, firing: &Firing) {
+        let record = self.atoms.encode(firing);
+        self.append(&record);
+    }
+
+    /// The atom table records for this log must be encoded against.
+    pub(crate) fn atoms(&self) -> &Atoms {
+        &self.atoms
+    }
+
+    /// An empty log sharing this one's atom table, so records encoded
+    /// against it still append.
+    pub(crate) fn empty_sibling(&self) -> CommitLog {
+        CommitLog { atoms: self.atoms.clone(), ..CommitLog::default() }
+    }
+
+    /// Appends a record encoded against [`Self::atoms`]: the length
+    /// prefix and the bytes, into the last block or a new one.
+    ///
+    /// # Panics
+    /// If the record's rule already appended under another name.
+    pub(crate) fn append(&mut self, record: &Record) {
+        let at = code(record.rule) as usize;
+        if self.names.len() <= at {
+            self.names.resize(at + 1, None);
+        }
+        match &self.names[at] {
+            Some(name) => assert_eq!(name, &record.name, "rule {:?} has one name", record.rule),
+            None => self.names[at] = Some(record.name.clone()),
+        }
+        let len = record.body.len();
+        let need = (usize::BITS - len.leading_zeros()).max(1).div_ceil(7) as usize + len;
+        if self.blocks.last().is_none_or(|b| b.capacity() - b.len() < need) {
+            self.blocks.push(Vec::with_capacity(need.max(BLOCK)));
+        }
+        let block = self.blocks.last_mut().expect("a block with room");
+        put(block, len as u64);
+        block.extend_from_slice(&record.body);
+        self.len += 1;
+    }
+
+    /// Each record's bytes after its length prefix.
+    fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.blocks.iter().flat_map(|block| {
+            let mut r = Reader::new(block);
+            std::iter::from_fn(move || {
+                (r.at < r.buf.len()).then(|| {
+                    let len = r.u() as usize;
+                    r.take(len)
+                })
+            })
+        })
+    }
+
+    fn name(&self, code: u64) -> &Atom {
+        self.names[code as usize].as_ref().expect("a rule's first record names it")
+    }
+
+    fn decode(&self, body: &[u8]) -> Firing {
+        let mut r = Reader::new(body);
+        let head = r.u();
+        let rule = rule_of(head >> 1);
+        let wmes = (0..r.u()).map(|_| (WmeId(r.u()), r.u())).collect();
+        let atoms = self.atoms.lock();
+        let delta = (0..r.u())
+            .map(|_| match r.byte() {
+                CREATE => {
+                    let class = atoms.get(r.u());
+                    Delta::Create(WmeData { class, attrs: r.attrs(&atoms) })
+                }
+                MODIFY => Delta::Modify { id: WmeId(r.u()), changes: r.attrs(&atoms) },
+                REMOVE => Delta::Remove(WmeId(r.u())),
+                tag => panic!("unknown delta tag {tag} in a commit-log record"),
+            })
+            .collect::<DeltaSet>();
+        debug_assert_eq!(r.at, body.len(), "a record decodes to its end");
+        Firing {
+            rule,
+            rule_name: self.name(code(rule)).clone(),
+            key: InstKey { rule, wmes },
+            delta,
+            halt: head & 1 != 0,
+        }
+    }
+}
+
+impl fmt::Debug for CommitLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The atom table a log's records index into, shared by the log and
+/// every encoder that appends to it. Indices are handed out on first
+/// sight and never change, so a record stays decodable whichever order
+/// records are appended in.
+#[derive(Clone, Default)]
+pub(crate) struct Atoms(Arc<Mutex<AtomTable>>);
+
+#[derive(Default)]
+struct AtomTable {
+    list: Vec<Atom>,
+    /// Index of each atom in `list`, keyed by the address of its text:
+    /// `list` keeps that text alive, so no other live string starts
+    /// there, and only empty strings, all equal, share an address. Two
+    /// past-the-cap heap atoms of equal text may take two indices; both
+    /// decode to the same atom.
+    index: IdMap<usize, u64>,
+}
+
+impl AtomTable {
+    fn index(&mut self, atom: &Atom) -> u64 {
+        let next = self.list.len() as u64;
+        let i = *self.index.entry(atom.as_str().as_ptr() as usize).or_insert(next);
+        if i == next {
+            self.list.push(atom.clone());
+        }
+        i
+    }
+
+    fn get(&self, i: u64) -> Atom {
+        self.list[i as usize].clone()
+    }
+}
+
+impl fmt::Debug for Atoms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Atoms({})", self.lock().list.len())
+    }
+}
+
+impl Atoms {
+    fn lock(&self) -> MutexGuard<'_, AtomTable> {
+        // Every table update completes before it is visible, so a
+        // poisoned table is still consistent.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Encodes `firing` into a record for a log sharing this table.
+    ///
+    /// # Panics
+    /// If the firing's key names another rule.
+    pub(crate) fn encode(&self, firing: &Firing) -> Record {
+        assert_eq!(firing.key.rule, firing.rule, "a firing's key names its rule");
+        let mut w = Vec::with_capacity(64);
+        put(&mut w, code(firing.rule) << 1 | u64::from(firing.halt));
+        put(&mut w, firing.key.wmes.len() as u64);
+        for &(id, ts) in firing.key.wmes.iter() {
+            put(&mut w, id.0);
+            put(&mut w, ts);
+        }
+        let mut atoms = self.lock();
+        put(&mut w, firing.delta.len() as u64);
+        for op in firing.delta.ops() {
+            match op {
+                Delta::Create(data) => {
+                    w.push(CREATE);
+                    put(&mut w, atoms.index(&data.class));
+                    put_attrs(&mut w, &mut atoms, &data.attrs);
+                }
+                Delta::Modify { id, changes } => {
+                    w.push(MODIFY);
+                    put(&mut w, id.0);
+                    put_attrs(&mut w, &mut atoms, changes);
+                }
+                Delta::Remove(id) => {
+                    w.push(REMOVE);
+                    put(&mut w, id.0);
+                }
+            }
+        }
+        Record { body: w, rule: firing.rule, name: firing.rule_name.clone() }
+    }
+}
+
+/// One encoded commit, ready for [`CommitLog::append`].
+pub(crate) struct Record {
+    body: Vec<u8>,
+    rule: RuleId,
+    name: Atom,
+}
+
+/// A rule id as the log writes it: shifted by one, so the external
+/// pseudo-rule is 0.
+fn code(rule: RuleId) -> u64 {
+    u64::from(rule.0.wrapping_add(1))
+}
+
+fn rule_of(code: u64) -> RuleId {
+    RuleId((code as u32).wrapping_sub(1))
+}
+
+/// Appends `v` as an LEB128 varint.
+fn put(w: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        w.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.push(v as u8);
+}
+
+fn put_attrs(w: &mut Vec<u8>, atoms: &mut AtomTable, attrs: &AttrMap) {
+    put(w, attrs.len() as u64);
+    for (attr, value) in attrs.iter() {
+        put(w, atoms.index(attr));
+        match value {
+            Value::Nil => w.push(NIL),
+            Value::Bool(b) => w.extend([BOOL, u8::from(*b)]),
+            Value::Int(i) => {
+                w.push(INT);
+                put(w, ((*i << 1) ^ (*i >> 63)) as u64);
+            }
+            Value::Float(x) => {
+                w.push(FLOAT);
+                w.extend(x.to_bits().to_le_bytes());
+            }
+            Value::Sym(a) => {
+                w.push(SYM);
+                put(w, atoms.index(a));
+            }
+            Value::Str(a) => {
+                w.push(STR);
+                put(w, atoms.index(a));
+            }
+        }
+    }
+}
+
+/// A cursor over bytes the log wrote itself: malformed input is a bug,
+/// so every read panics rather than returns an error.
+struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, at: 0 }
+    }
+
+    fn byte(&mut self) -> u8 {
+        let b = self.buf[self.at];
+        self.at += 1;
+        b
+    }
+
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let s = &self.buf[self.at..self.at + n];
+        self.at += n;
+        s
+    }
+
+    /// An LEB128 varint.
+    fn u(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn attrs(&mut self, atoms: &AtomTable) -> AttrMap {
+        (0..self.u())
+            .map(|_| {
+                let attr = atoms.get(self.u());
+                let value = match self.byte() {
+                    NIL => Value::Nil,
+                    BOOL => Value::Bool(self.byte() != 0),
+                    INT => {
+                        let z = self.u();
+                        Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+                    }
+                    FLOAT => {
+                        let bits = self.take(8).try_into().expect("eight bytes");
+                        Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
+                    }
+                    SYM => Value::Sym(atoms.get(self.u())),
+                    STR => Value::Str(atoms.get(self.u())),
+                    tag => panic!("unknown value tag {tag} in a commit-log record"),
+                };
+                (attr, value)
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Trace, EXTERNAL_RULE, EXTERNAL_RULE_NAME};
+
+    fn firing(rule: u32, name: &str, wmes: &[(u64, u64)], delta: DeltaSet, halt: bool) -> Firing {
+        Firing {
+            rule: RuleId(rule),
+            rule_name: Atom::from(name),
+            key: InstKey {
+                rule: RuleId(rule),
+                wmes: wmes.iter().map(|&(id, ts)| (WmeId(id), ts)).collect(),
+            },
+            delta,
+            halt,
+        }
+    }
+
+    /// Every `Value` variant, with the float edge cases and a symbol
+    /// and a string of the same text.
+    fn every_value() -> Vec<(Atom, Value)> {
+        let values = [
+            Value::Nil,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(1.5e-300),
+            Value::Sym(Atom::from("same")),
+            Value::Str(Atom::from("same")),
+            Value::Str(Atom::from("")),
+        ];
+        values.into_iter().enumerate().map(|(i, v)| (Atom::from(format!("a{i:02}")), v)).collect()
+    }
+
+    /// Firings covering every `Delta` variant and every `Value` variant,
+    /// an external firing, a halting one, an empty delta, extreme ids
+    /// and a record longer than a block.
+    fn samples() -> Vec<Firing> {
+        let mut every = DeltaSet::new();
+        every.create(WmeData { class: Atom::from("row"), attrs: every_value().into_iter().collect() });
+        every.create(WmeData::new("empty"));
+        every.modify(WmeId(7), every_value());
+        every.modify(WmeId(8), []);
+        every.remove(WmeId(u64::MAX));
+        let mut external = DeltaSet::new();
+        external.create(WmeData::new("job").with("id", 3i64));
+        let mut long = DeltaSet::new();
+        for id in 0..2 * BLOCK as u64 {
+            long.remove(WmeId(id << 20));
+        }
+        vec![
+            firing(0, "every", &[(1, 2), (u64::MAX, u64::MAX)], every, false),
+            Firing {
+                rule: EXTERNAL_RULE,
+                rule_name: Atom::from(EXTERNAL_RULE_NAME),
+                key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
+                delta: external,
+                halt: false,
+            },
+            firing(1, "stop", &[(3, 4)], DeltaSet::new(), true),
+            firing(0, "every", &[], DeltaSet::new(), false),
+            firing(1, "stop", &[(9, 10)], long, false),
+        ]
+    }
+
+    #[test]
+    fn every_firing_round_trips() {
+        for f in samples() {
+            let mut log = CommitLog::default();
+            log.push(&f);
+            assert_eq!(log.len(), 1);
+            assert_eq!(log.get(0), Some(f.clone()), "{f:?}");
+        }
+        let trace: Trace = samples().into_iter().collect();
+        assert_eq!(trace.iter().collect::<Vec<_>>(), samples());
+        assert_eq!(trace.names(), ["every", "@session", "stop", "every", "stop"]);
+        assert_eq!(trace.get(samples().len()), None);
+    }
+
+    #[test]
+    fn the_float_edge_cases_keep_their_bits() {
+        let trace: Trace = samples().into_iter().collect();
+        let first = trace.get(0).unwrap();
+        let Delta::Modify { changes, .. } = &first.delta.ops()[2] else {
+            panic!("the third op is the modify");
+        };
+        let bits: Vec<u64> = changes
+            .iter()
+            .filter_map(|(_, v)| match v {
+                Value::Float(x) => Some(x.to_bits()),
+                _ => None,
+            })
+            .collect();
+        let want = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5e-300];
+        assert_eq!(bits, want.map(f64::to_bits));
+        let sym_and_str: Vec<&Value> = changes.iter().map(|(_, v)| v).skip(13).take(2).collect();
+        assert_eq!(sym_and_str, [&Value::Sym(Atom::from("same")), &Value::Str(Atom::from("same"))]);
+    }
+
+    #[test]
+    fn atoms_and_rule_names_are_stored_once() {
+        let f = samples().swap_remove(0);
+        let mut log = CommitLog::default();
+        log.push(&f);
+        let (one, tables) = (log.bytes(), log.atoms.lock().list.len());
+        log.push(&f);
+        assert_eq!(log.bytes(), 2 * one, "a repeat adds its record and nothing else");
+        assert_eq!(log.atoms.lock().list.len(), tables);
+        assert_eq!(log.names.iter().flatten().count(), 1);
+    }
+
+    #[test]
+    fn traces_are_equal_exactly_when_their_firings_are() {
+        let a: Trace = samples().into_iter().collect();
+        let b: Trace = samples().into_iter().collect();
+        assert_eq!(a, b, "built against different atom tables");
+        assert_eq!(a, a.clone());
+        let shorter: Trace = samples().into_iter().skip(1).collect();
+        assert_ne!(a, shorter);
+        let mut changed = samples();
+        changed[2].halt = false;
+        assert_ne!(a, changed.into_iter().collect::<Trace>());
+        let mut swapped = samples();
+        swapped.swap(0, 3);
+        assert_ne!(a, swapped.into_iter().collect::<Trace>());
+    }
+
+    #[test]
+    fn chunks_yield_every_firing_once_in_order() {
+        let firings: Vec<Firing> = (0..10u64)
+            .map(|i| firing(9, "r", &[(i, i + 1)], DeltaSet::new(), false))
+            .chain(samples())
+            .collect();
+        let trace: Trace = firings.iter().cloned().collect();
+        let len = trace.len();
+        for n in [1, 3, len, len + 1] {
+            let chunks: Vec<Vec<Firing>> = trace.firings.chunks(n).collect();
+            assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= n), "n = {n}");
+            assert_eq!(chunks.len(), len.div_ceil(n), "n = {n}");
+            assert_eq!(chunks.concat(), firings, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn appends_never_move_a_block() {
+        let mut log = CommitLog::default();
+        let mut firings = samples();
+        let long = firings.pop().unwrap();
+        log.push(&firings[0]);
+        let first = log.blocks[0].as_ptr();
+        for _ in 0..200 {
+            firings.iter().for_each(|f| log.push(f));
+        }
+        log.push(&long);
+        log.push(&firings[1]);
+        assert_eq!(log.blocks[0].as_ptr(), first);
+        assert!(log.blocks.len() > 3);
+        let oversized: Vec<usize> =
+            log.blocks.iter().filter(|b| b.capacity() > BLOCK).map(Vec::len).collect();
+        assert_eq!(oversized.len(), 1, "the long record has a block of its own");
+        assert!(oversized[0] > BLOCK && log.blocks.last().unwrap().capacity() == BLOCK);
+        assert_eq!(log.len(), 1 + 200 * firings.len() + 2);
+        assert_eq!(log.get(log.len() - 2), Some(long));
+    }
+
+    #[test]
+    fn a_taken_trace_leaves_an_empty_one_on_the_same_table() {
+        let mut trace = Trace::default();
+        let record = trace.firings.atoms().encode(&samples()[0]);
+        let taken = trace.take();
+        assert!(trace.is_empty() && taken.is_empty());
+        trace.firings.append(&record);
+        assert_eq!(trace.get(0), Some(samples().swap_remove(0)));
+    }
+}

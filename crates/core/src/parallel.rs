@@ -406,7 +406,10 @@ pub struct ParallelReport {
     /// Simulated work thrown away by aborts (the §5 `f` factor's
     /// numerator).
     pub wasted_work: Duration,
-    /// The commit sequence.
+    /// The commit sequence, rule firings and external session commits
+    /// in sequence order, as a compact commit log (a few dozen bytes
+    /// per commit); iterate it, or [`crate::CommitLog::chunks`] its
+    /// `firings`, to read decoded [`crate::Firing`]s.
     pub trace: Trace,
     /// `true` if a `halt` action ended the run.
     pub halted: bool,
@@ -805,7 +808,7 @@ impl ParallelEngine {
             wasted_work: Duration::from_nanos(self.metrics.wasted_nanos.load(Relaxed)),
             // Moved, not cloned: a copy would double the trace's memory
             // at the run's peak.
-            trace: std::mem::take(&mut self.pipeline.lock_base().trace),
+            trace: self.pipeline.lock_base().trace.take(),
             halted: self.halted.load(Relaxed),
             lock_stats: self.lm.stats(),
             fault_stats: self.injector.as_ref().map(|inj| inj.stats()),
@@ -1157,6 +1160,16 @@ impl ParallelEngine {
         }
         lap(Phase::RhsAct);
 
+        // The trace record, encoded before the base mutex.
+        let firing = Firing {
+            rule: inst.rule,
+            rule_name: rule.name.clone(),
+            key: claim.held.key.clone(),
+            delta,
+            halt,
+        };
+        let record = self.pipeline.encode(&firing);
+
         // ---- validate, under the base mutex: the commit critical
         // section starts here ----
         let base = self.lock_base_for_commit();
@@ -1179,15 +1192,9 @@ impl ParallelEngine {
         }
 
         // ---- commit section (consumes the base guard) ----
-        let firing = Firing {
-            rule: inst.rule,
-            rule_name: rule.name.clone(),
-            key: claim.held.key.clone(),
-            delta,
-            halt,
-        };
         let requests = (cond.len() + reads.len() + writes.len()) as u32;
-        let commit = Commit { txn, strategy, firing, requests, claim: Some(claim), since: clock };
+        let commit =
+            Commit { txn, strategy, firing, record, requests, claim: Some(claim), since: clock };
         self.commit_section(base, commit).map(drop)
     }
 

@@ -84,7 +84,8 @@ use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Atom, Change, IdMap, WmeId, WorkingMemory};
 
-use crate::Trace;
+use crate::log::{Atoms, Record};
+use crate::{Firing, Trace};
 
 /// Failed `try_lock` rounds [`MatchPipeline::lock_base`] makes before
 /// it parks. The base hold is a few microseconds and a park/unpark
@@ -105,7 +106,8 @@ pub(crate) struct WmBase {
     /// Every commit of this run, in sequence order — appended in the
     /// same hold that takes the sequence number, so trace order is
     /// commit order by construction. The run's report takes it at the
-    /// end of the (single) run.
+    /// end of the (single) run ([`Trace::take`], which keeps the atom
+    /// table the pipeline encodes against).
     pub trace: Trace,
     /// What snapshot validation reads of the commit sequence; `None`
     /// on an engine no transaction of which reads a snapshot.
@@ -263,6 +265,9 @@ pub(crate) struct MatchPipeline {
     shards: Vec<CachePadded<MatchShard>>,
     watermark: CachePadded<AtomicU64>,
     stats: CachePadded<PipelineStats>,
+    /// The trace's atom table, for encoding a commit's record before
+    /// the base mutex is taken ([`MatchPipeline::encode`]).
+    trace_atoms: Atoms,
 }
 
 // Each hot part on lines of its own (EXPERIMENTS §XS.30).
@@ -306,18 +311,27 @@ impl MatchPipeline {
                 })
             })
             .collect();
+        let trace = Trace::default();
+        let trace_atoms = trace.firings.atoms().clone();
         MatchPipeline {
             base: CachePadded::new(Mutex::new(WmBase {
                 wm,
                 next_seq: base_seq + 1,
-                trace: Trace::default(),
+                trace,
                 stamps: versioned.then(WriteStamps::default),
             })),
             plan,
             shards: shard_states,
             watermark: CachePadded::new(AtomicU64::new(base_seq)),
             stats: CachePadded::default(),
+            trace_atoms,
         }
+    }
+
+    /// Encodes `firing` for [`WmBase::trace`]; called before the base
+    /// mutex is taken, so the hold only appends the bytes.
+    pub fn encode(&self, firing: &Firing) -> Record {
+        self.trace_atoms.encode(firing)
     }
 
     /// The shard layout.

@@ -12,8 +12,9 @@
 //!   commit the instantiation must be in the replayed conflict set, not
 //!   refracted, and not after a rule firing that halted, which is exactly
 //!   membership of the corresponding root-originating path. The fold
-//!   holds one world, so its memory is O(WM): the matcher's conflict
-//!   set drops refracted keys whose tuples are gone.
+//!   holds one world and one decoded firing (it streams over the
+//!   trace's commit log), so its memory is O(WM): the matcher's
+//!   conflict set drops refracted keys whose tuples are gone.
 //!   [`enumerate_concrete`] branches on the same step, after the same
 //!   evaluation (`World::evaluate`).
 
@@ -207,7 +208,7 @@ pub fn validate_trace(
     trace: &Trace,
 ) -> Result<(), Violation> {
     let mut world = World::new(initial.clone(), Rete::new(rules, initial));
-    trace.firings.iter().enumerate().try_for_each(|(at, f)| replay(&mut world, at, f))
+    trace.iter().enumerate().try_for_each(|(at, f)| replay(&mut world, at, &f))
 }
 
 /// One commit of [`validate_trace`]'s fold: commit `at` of the trace,
@@ -463,8 +464,9 @@ mod tests {
             .trace;
         assert_eq!(trace.len(), 1);
         validate_trace(&rules, &wm, &trace).unwrap();
-        let mut doubled = trace.clone();
-        doubled.firings.push(trace.firings[0].clone());
+        let mut firings: Vec<Firing> = trace.iter().collect();
+        firings.push(firings[0].clone());
+        let doubled: Trace = firings.into_iter().collect();
         let err = validate_trace(&rules, &wm, &doubled).unwrap_err();
         assert_eq!(err.at, 1);
         assert!(err.message.contains("refraction"), "{err}");
@@ -498,13 +500,12 @@ mod tests {
             delta: remove.clone(),
             halt: false,
         };
-        let mut late = trace.clone();
-        late.firings.push(firing);
+        let late: Trace = trace.iter().chain([firing]).collect();
         let err = validate_trace(&rules, &wm, &late).unwrap_err();
         assert_eq!(err.at, 1);
         assert!(err.message.contains("halt"), "{err}");
         // A client may still change working memory there.
-        trace.firings.push(Firing {
+        trace.push(Firing {
             rule: EXTERNAL_RULE,
             rule_name: Atom::from(EXTERNAL_RULE_NAME),
             key: InstKey { rule: EXTERNAL_RULE, wmes: Default::default() },
@@ -528,8 +529,8 @@ mod tests {
         assert_eq!(trace.len(), 20_000);
         let mut world = World::new(wm.clone(), Rete::new(&rules, &wm));
         let mut peak = 0;
-        for (at, firing) in trace.firings.iter().enumerate() {
-            replay(&mut world, at, firing).unwrap();
+        for (at, firing) in trace.iter().enumerate() {
+            replay(&mut world, at, &firing).unwrap();
             peak = peak.max(world.matcher.conflict_set().refracted_len());
         }
         assert!(peak < 2048, "the refraction set peaked at {peak} keys");

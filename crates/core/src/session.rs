@@ -166,30 +166,30 @@ impl ParallelEngine {
     /// [`Firing`]. Returns the commit sequence number. On failure the
     /// transaction is fully aborted (locks + pin released).
     pub fn external_commit(&self, xt: &mut ExternalTxn) -> Result<u64, AbortCause> {
-        let mut delta = std::mem::take(&mut xt.delta);
-        // The trace keeps the delta: drop its growth slack before the
-        // base mutex, not under it.
-        delta.shrink_to_fit();
+        let firing = Firing {
+            rule: EXTERNAL_RULE,
+            rule_name: Atom::from(EXTERNAL_RULE_NAME),
+            // An empty `Arc<[_]>` is one shared static: no allocation.
+            key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
+            delta: std::mem::take(&mut xt.delta),
+            halt: false,
+        };
+        // The trace record, encoded before the base mutex.
+        let record = self.pipeline.encode(&firing);
         let base = self.lock_base_for_commit();
         // Write-set validation: every modified/removed tuple must still
         // be live. Tuple write locks were taken when the ops were
         // buffered, but under MVCC (no read locks anywhere) a doomed
         // race is possible, and a client can name a bogus id outright.
-        if delta.written_ids().any(|id| base.wm.get(id).is_none()) {
+        if firing.delta.written_ids().any(|id| base.wm.get(id).is_none()) {
             drop(base);
             return Err(self.external_resolve_err(xt, AbortCause::Stale));
         }
         let commit = Commit {
             txn: xt.txn,
             strategy: xt.strategy,
-            firing: Firing {
-                rule: EXTERNAL_RULE,
-                rule_name: Atom::from(EXTERNAL_RULE_NAME),
-                // An empty `Arc<[_]>` is one shared static: no allocation.
-                key: InstKey { rule: EXTERNAL_RULE, wmes: Arc::default() },
-                delta,
-                halt: false,
-            },
+            firing,
+            record,
             requests: 0,
             claim: None,
             since: None,

@@ -126,7 +126,7 @@ impl<M: Matcher> SingleThreadEngine<M> {
             };
             self.world.step(&key, &delta, halt).expect("a selected key steps");
             let rule_name = rule.name.clone();
-            self.trace.firings.push(Firing { rule: inst.rule, rule_name, key, delta, halt });
+            self.trace.push(Firing { rule: inst.rule, rule_name, key, delta, halt });
             return if halt { StepOutcome::Halted } else { StepOutcome::Fired };
         }
     }
@@ -201,7 +201,7 @@ mod tests {
         let r = e.run();
         assert_eq!(r.commits, 1);
         assert_eq!(r.outcome, StepOutcome::Halted);
-        assert!(r.trace.firings[0].halt);
+        assert!(r.trace.get(0).unwrap().halt);
         // Further steps stay halted.
         assert_eq!(e.step(), StepOutcome::Halted);
     }

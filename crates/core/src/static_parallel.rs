@@ -120,6 +120,8 @@ pub struct StaticParallelEngine {
     world: World,
     config: StaticConfig,
     trace: Trace,
+    /// Σ cost of the commits in `trace`, summed as they are appended.
+    serial_time: u64,
     /// The listed keys evaluated so far; see the module docs.
     evaluated: HashMap<InstKey, Evaluated>,
 }
@@ -133,6 +135,7 @@ impl StaticParallelEngine {
             world: World::new(wm, matcher),
             config,
             trace: Trace::default(),
+            serial_time: 0,
             evaluated: HashMap::new(),
         }
     }
@@ -197,8 +200,10 @@ impl StaticParallelEngine {
             let (inst, delta, halt, _) = self.evaluated.remove(&key).expect("members are evaluated");
             self.world.step(&key, &delta, halt).expect("a batch member steps");
             let rule_name = self.rules.get(inst.rule).expect("known").name.clone();
-            cost = cost.max(self.cost(&rule_name));
-            self.trace.firings.push(Firing { rule: inst.rule, rule_name, key, delta, halt });
+            let rule_cost = self.cost(&rule_name);
+            cost = cost.max(rule_cost);
+            self.serial_time += rule_cost;
+            self.trace.push(Firing { rule: inst.rule, rule_name, key, delta, halt });
             if halt {
                 break;
             }
@@ -227,7 +232,7 @@ impl StaticParallelEngine {
             cycles: batch_sizes.len(),
             commits: trace.len(),
             batch_sizes,
-            serial_time: trace.firings.iter().map(|f| self.cost(&f.rule_name)).sum(),
+            serial_time: std::mem::take(&mut self.serial_time),
             parallel_time,
             trace,
             halted: self.world.halted(),

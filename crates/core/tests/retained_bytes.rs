@@ -6,11 +6,10 @@
 //! and subtracts each free, so a difference of two readings is the heap
 //! a structure holds, slack included. It bounds:
 //!
-//! - **bytes per committed firing** with the trace kept: the heap the
-//!   trace's `Firing`s hold (the instantiation key, the delta and each
-//!   `make`'s and `modify`'s attributes), beyond the trace vector's own
-//!   slots, on the planned `visit`/`fold` shape of `engine_match` and
-//!   on `engine_contend`'s `charge` shape;
+//! - **log bytes per committed firing** with the trace kept: all the
+//!   heap the trace's commit log holds (its blocks with their slack, its
+//!   atom and rule-name tables), on the planned `visit`/`fold` shape of
+//!   `engine_match` and on `engine_contend`'s `charge` shape;
 //! - **bytes per tuple of an alpha memory** indexed on an attribute
 //!   every tuple holds a different value of (as `engine_match`'s
 //!   `item ^id`): the member map plus the index.
@@ -18,16 +17,21 @@
 //! Measured (release and debug alike: the sizes are requested bytes,
 //! not the allocator's rounding):
 //!
-//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member |
-//! |---|---|---|
-//! | planned firing (`visit` / `fold`) | 336 B | 216 B |
-//! | contend firing (`charge`) | 288 B | 208 B |
-//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B |
+//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log |
+//! |---|---|---|---|
+//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) |
+//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) |
+//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B |
 //!
-//! Grown one push at a time, a delta reserved four operations for a
-//! rule's two and a `make`'s attribute map four pairs for its two; with
-//! a map per index value, each distinct value owned an id map of its
-//! own (four slots and their control bytes for one member).
+//! The first two columns count the heap a kept `Firing` held beyond its
+//! slot in the trace vector (its key, its delta, each `make`'s and
+//! `modify`'s attributes). Grown one push at a time, a delta reserved
+//! four operations for a rule's two and a `make`'s attribute map four
+//! pairs for its two; with a map per index value, each distinct value
+//! owned an id map of its own (four slots and their control bytes for
+//! one member). The last column counts everything the trace holds as a
+//! commit log, block slack and tables included; "encoded" is the
+//! records' own bytes.
 //!
 //! The allocator lives here because an integration test is its own
 //! crate: `dps-core` itself forbids `unsafe_code`. It counts per thread
@@ -36,10 +40,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::mem::size_of;
 use std::sync::Arc;
 
-use dps_core::{EngineConfig, Firing, SingleThreadEngine, StepOutcome};
+use dps_core::{EngineConfig, SingleThreadEngine, StepOutcome};
 use dps_match::AlphaNetwork;
 use dps_rules::{parser::parse_condition_element, RuleSet};
 use dps_wm::{Atom, Wme, WmeData, WmeId, WorkingMemory};
@@ -82,10 +85,10 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-/// Ceilings, bytes per record: measured 216, 208 and 121.2; the
-/// doubling records and per-value maps (336, 288 and 205.2) fail each.
-const PLANNED_FIRING_BYTES: f64 = 240.0;
-const CONTEND_FIRING_BYTES: f64 = 224.0;
+/// Ceilings, bytes per record: measured 26.4, 26.3 and 121.2; kept
+/// `Firing`s (216 and 208) and per-value maps (205.2) fail each.
+const PLANNED_FIRING_BYTES: f64 = 64.0;
+const CONTEND_FIRING_BYTES: f64 = 64.0;
 const ALPHA_TUPLE_BYTES: f64 = 136.0;
 
 /// `visit` as `engine_match` writes it, and the `fold` its output feeds.
@@ -106,27 +109,29 @@ const TASKS: i64 = 32;
 const CHARGES_PER_TASK: i64 = 20;
 
 /// Runs `rules` over `wm` to quiescence on the single-thread engine and
-/// returns the heap its trace's firings hold, per firing.
+/// returns the heap its trace holds, per firing: the commit log's
+/// blocks, their slack, and its atom and rule-name tables.
 fn bytes_per_firing(name: &str, rules: &str, wm: WorkingMemory, firings: usize) -> f64 {
     let rules = RuleSet::parse(rules).unwrap();
     let mut engine = SingleThreadEngine::new(&rules, wm, EngineConfig::default());
     let report = engine.run();
     assert_eq!(report.outcome, StepOutcome::Quiescent, "{name}");
     assert_eq!(report.commits, firings, "{name}");
-    // The conflict set's refracted keys share the trace's; with the
-    // engine gone, what the trace frees is the trace's alone.
     drop(engine);
-    let slots = (report.trace.firings.capacity() * size_of::<Firing>()) as i64;
+    let encoded = report.trace.firings.bytes();
     let before = live();
     drop(report);
-    let held = before - live() - slots;
+    let held = before - live();
     let per = held as f64 / firings as f64;
-    println!("{name}: {firings} firings hold {held} bytes beyond their slots, {per:.1} each");
+    println!(
+        "{name}: {firings} firings hold {held} bytes, {per:.1} each ({:.1} encoded)",
+        encoded as f64 / firings as f64
+    );
     per
 }
 
 #[test]
-fn a_kept_firing_holds_its_key_and_an_exact_size_delta() {
+fn a_kept_firing_is_a_compact_log_record() {
     let mut wm = WorkingMemory::new();
     wm.insert(WmeData::new("cursor").with("at", 0i64));
     wm.insert(WmeData::new("sum").with("total", 0i64));

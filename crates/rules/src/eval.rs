@@ -165,8 +165,8 @@ pub fn instantiate_actions(
             matched.len()
         )));
     }
-    // A committed delta is kept with its firing: size it, and each
-    // `make`'s attributes, to what they will hold.
+    // Size the delta, and each `make`'s attributes, to what they will
+    // hold, so neither regrows while it is built.
     let ops = rule.actions.iter().filter(|a| !matches!(a, Action::Halt)).count();
     let mut delta = DeltaSet::with_capacity(ops);
     let mut halt = false;
@@ -446,52 +446,6 @@ mod tests {
         let (delta, halt) = instantiate_actions(&rule, &b, &[Arc::new(w)]).unwrap();
         assert!(halt);
         assert_eq!(delta.len(), 2);
-    }
-
-    #[test]
-    fn instantiate_allocates_exactly_the_slots_it_fills() {
-        let var = |v: &str| Expr::Var(Atom::from(v));
-        let rule = Rule {
-            name: Atom::from("r"),
-            salience: 0,
-            conditions: vec![Condition::Pos(ce(
-                "task",
-                vec![t("n", Predicate::Eq, TestAtom::Var(Atom::from("x")))],
-            ))],
-            actions: vec![
-                Action::Make {
-                    class: Atom::from("log"),
-                    attrs: vec![
-                        (Atom::from("n"), var("x")),
-                        (Atom::from("m"), var("x")),
-                        (Atom::from("k"), Expr::Const(Value::Int(1))),
-                    ],
-                },
-                Action::Modify {
-                    ce: 1,
-                    attrs: vec![(Atom::from("n"), var("x"))],
-                },
-                Action::Remove { ce: 1 },
-                Action::Halt,
-            ],
-        };
-        let w = wme("task", &[("n", Value::Int(4))]);
-        let b = match_ce(rule.conditions[0].ce(), &w, &Bindings::new()).unwrap();
-        let (delta, halt) = instantiate_actions(&rule, &b, &[Arc::new(w)]).unwrap();
-        assert!(halt);
-        assert_eq!(
-            (delta.len(), delta.capacity()),
-            (3, 3),
-            "no slot for `halt`"
-        );
-        let dps_wm::Delta::Create(made) = &delta.ops()[0] else {
-            panic!("make comes first");
-        };
-        assert_eq!((made.attrs.len(), made.attrs.capacity()), (3, 3));
-        let dps_wm::Delta::Modify { changes, .. } = &delta.ops()[1] else {
-            panic!("modify comes second");
-        };
-        assert_eq!((changes.len(), changes.capacity()), (1, 1));
     }
 
     #[test]

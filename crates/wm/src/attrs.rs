@@ -40,11 +40,6 @@ impl AttrMap {
         AttrMap(Vec::with_capacity(n))
     }
 
-    /// Attributes the map can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.0.capacity()
-    }
-
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.0.len()

@@ -41,21 +41,10 @@ impl DeltaSet {
         DeltaSet::default()
     }
 
-    /// Creates an empty delta set with room for `n` operations. A
-    /// committed delta is kept with its firing, so one built to its
-    /// final size holds no slack.
+    /// Creates an empty delta set with room for `n` operations, so one
+    /// built to its final size never regrows.
     pub fn with_capacity(n: usize) -> Self {
         DeltaSet { ops: Vec::with_capacity(n) }
-    }
-
-    /// Operations the set can buffer without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.ops.capacity()
-    }
-
-    /// Drops the slack a delta built one operation at a time carries.
-    pub fn shrink_to_fit(&mut self) {
-        self.ops.shrink_to_fit();
     }
 
     /// Buffers a `create`.

@@ -6,7 +6,7 @@
 //! the oracle is falsifiable, not a rubber stamp.
 
 use dbps::engine::semantics::validate_trace;
-use dbps::engine::{ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
+use dbps::engine::{Firing, ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
 use dbps::lock::{ConflictPolicy, Protocol};
 use dbps::obs::analysis::{analyze, RunAnalysis};
 use dbps::obs::{validate_history, Event, EventKind, Recorder, Verdict};
@@ -112,7 +112,9 @@ fn injected_out_of_order_replay_is_flagged_inconsistent() {
     // Swap two adjacent firings: every firing of the accumulator
     // workload reads the previous firing's output, so the swapped
     // sequence is *not* a member of ES_single.
-    report.trace.firings.swap(0, 1);
+    let mut firings: Vec<Firing> = report.trace.iter().collect();
+    firings.swap(0, 1);
+    report.trace = firings.into_iter().collect();
     let replay = validate_trace(&rules, &initial, &report.trace);
     assert!(replay.is_err(), "swapped commit order must fail §3 replay");
 

@@ -30,8 +30,8 @@ fn run_to_wm(
     let report = engine.run();
     validate_trace(rules, &initial, &report.trace).expect("semantic consistency");
     let mut fired = HashSet::new();
-    for firing in &report.trace.firings {
-        assert!(fired.insert(&firing.key), "{:?} fired twice", firing.key);
+    for firing in report.trace.iter() {
+        assert!(fired.insert(firing.key.clone()), "{:?} fired twice", firing.key);
     }
     assert_eq!(report.commits, report.trace.len());
     assert_eq!(engine.held_locks(), 0);

@@ -160,7 +160,7 @@ fn no_rule_fires_after_a_halt() {
         wm.insert(WmeData::new("job"));
     }
     let ends_at_the_halt = |trace: &Trace, halted: bool| {
-        let stop = trace.firings.iter().position(|f| f.halt);
+        let stop = trace.iter().position(|f| f.halt);
         assert!(halted && stop == Some(trace.len() - 1), "{:?}", trace.names());
         validate_trace(&rules, &wm, trace).unwrap();
     };

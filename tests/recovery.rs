@@ -48,11 +48,12 @@ fn scratch(tag: &str) -> PathBuf {
 /// Serially replays the first `w` firings from `initial`, after
 /// checking the truncated trace against the §3 oracle.
 fn serial_prefix(rules: &RuleSet, initial: &WorkingMemory, trace: &Trace, w: usize) -> Vec<u8> {
-    let prefix = Trace { firings: trace.firings[..w].to_vec() };
+    let prefix: Trace = trace.iter().take(w).collect();
+    assert_eq!(prefix.len(), w, "the durable horizon lies within the trace");
     validate_trace(rules, initial, &prefix)
         .unwrap_or_else(|v| panic!("durable prefix of {w} firings fails the oracle: {v}"));
     let mut wm = initial.clone();
-    for firing in &prefix.firings {
+    for firing in prefix.iter() {
         wm.apply(&firing.delta).expect("prefix replay applies");
     }
     wm.encode_snapshot().expect("prefix snapshot encodes")

@@ -3,7 +3,7 @@
 
 use dbps::engine::abstract_model::{fmt_seq, paper33_example, paper51_base, PId};
 use dbps::engine::semantics::{validate_abstract_sequence, validate_trace, ExecutionGraph};
-use dbps::engine::{EngineConfig, SingleThreadEngine};
+use dbps::engine::{EngineConfig, Firing, SingleThreadEngine, Trace};
 use dbps::rete::Strategy;
 use dbps::rules::RuleSet;
 use dbps::sim::simulate_multi;
@@ -97,16 +97,17 @@ fn corrupted_traces_are_rejected() {
 
     // Replaying the same firing twice violates the semantics (the
     // instantiation is consumed by its own modify).
-    let mut doubled = r.trace.clone();
-    let first = doubled.firings[0].clone();
-    doubled.firings.insert(1, first);
+    let mut firings: Vec<Firing> = r.trace.iter().collect();
+    firings.insert(1, firings[0].clone());
+    let doubled: Trace = firings.into_iter().collect();
     let err = validate_trace(&rules, &initial, &doubled).unwrap_err();
     assert_eq!(err.at, 1);
 
     // Reordering across a dependency also fails: firing #2's matched WME
     // (fresh timestamp) does not exist before firing #1 committed.
-    let mut swapped = r.trace.clone();
-    swapped.firings.swap(0, 1);
+    let mut firings: Vec<Firing> = r.trace.iter().collect();
+    firings.swap(0, 1);
+    let swapped: Trace = firings.into_iter().collect();
     assert!(validate_trace(&rules, &initial, &swapped).is_err());
 }
 

@@ -27,7 +27,7 @@ fn key_sequence_hash(rules: &RuleSet, wm: WorkingMemory) -> (usize, u64) {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for f in &report.trace.firings {
+    for f in report.trace.iter() {
         eat(u64::from(f.key.rule.0));
         eat(f.key.wmes.len() as u64);
         for (id, ts) in f.key.wmes.iter() {
