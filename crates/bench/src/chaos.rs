@@ -10,10 +10,10 @@
 //! policies, MVCC snapshot reads included, × worker counts), plus:
 //!
 //! * a **falsifiability probe**: the same pipeline with
-//!   [`FaultPlan::corrupt_fire_seq`] set and an odd commit count must
-//!   be *rejected* by the checker (the low-bit flip breaks `0..n`
-//!   contiguity of the recovered sequence), proving the oracle can
-//!   actually fail;
+//!   [`FaultPlan::corrupt_commit_log`] set must be *rejected* by the
+//!   checker (the log's first slot names a transaction that never
+//!   began, and the one that took it holds none), proving the oracle
+//!   can actually fail;
 //! * the **one doom book** under `Revalidate`, summed over its legs:
 //!   no reader aborts as `doomed` (the lock manager dooms nobody on its
 //!   own there), and no leg has more `revalidation` aborts than lock
@@ -155,18 +155,17 @@ pub fn gate(args: &ReportArgs) -> Report {
     }
 
     // ---- falsifiability probe ----
-    // Odd task count: flipping the low bit of the last recovered slot
-    // always breaks 0..n contiguity, so rejection is guaranteed, not
-    // probabilistic.
+    // The log's first slot names a transaction that never began, so
+    // rejection is guaranteed, not probabilistic.
     let corrupted = chaos_run(ChaosSpec {
         plan: "corrupted",
         fault: FaultPlan {
-            corrupt_fire_seq: true,
+            corrupt_commit_log: true,
             ..FaultPlan::quiet(seed)
         },
         policy: ConflictPolicy::AbortReaders,
         workers: workers.min(4),
-        tasks: tasks | 1,
+        tasks,
         resources,
         work_us: 0,
     });

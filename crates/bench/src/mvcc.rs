@@ -130,7 +130,7 @@ pub fn probe_write_skew() -> SiReport {
             txn: 1,
             snapshot: 0,
             commit_seq: Some(1),
-            fire_seq: Some(0),
+            slot: Some(0),
             reads: vec![(10, 0), (20, 0)],
             writes: vec![10],
         },
@@ -138,7 +138,7 @@ pub fn probe_write_skew() -> SiReport {
             txn: 2,
             snapshot: 0,
             commit_seq: Some(2),
-            fire_seq: Some(1),
+            slot: Some(1),
             reads: vec![(10, 0), (20, 0)],
             writes: vec![20],
         },
@@ -156,7 +156,7 @@ pub fn probe_version_order() -> SiReport {
             txn: 1,
             snapshot: 0,
             commit_seq: Some(2),
-            fire_seq: Some(0),
+            slot: Some(0),
             reads: vec![(10, 0)],
             writes: vec![10],
         },
@@ -164,7 +164,7 @@ pub fn probe_version_order() -> SiReport {
             txn: 2,
             snapshot: 2,
             commit_seq: Some(1),
-            fire_seq: Some(1),
+            slot: Some(1),
             reads: vec![(10, 2)],
             writes: vec![10],
         },

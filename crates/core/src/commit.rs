@@ -13,7 +13,7 @@
 //! | 2 | base | `wm.apply`, take the commit sequence number |
 //! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
 //! | 4 | base | `publish` the change batch (write stamps on a snapshot engine, the affected shards' inboxes, watermark); a firing that halts sets the halted flag |
-//! | 5 | base | trace append (`WmBase::trace`: the record's bytes, encoded before the hold), `Fire` + strategy receipt events |
+//! | 5 | base | commit-log append (`WmBase::trace`: the txn id and the record's bytes, encoded before the hold), strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, and its Rete refracts the key as the claim ends |
 //! | 8 | ledger | commit counters, in-flight count |
@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use dps_lock::{res_key, ResourceId, TxnId, WalKillSite};
 use dps_match::{InstKey, Matcher};
 use dps_obs::{AbortCause, EventKind as ObsEvent, Phase};
+use dps_rules::RuleId;
 use dps_wm::wal::KillMode;
 use dps_wm::{Change, WalError, Wme, WorkingMemory};
 
@@ -149,24 +150,20 @@ impl ParallelEngine {
         if firing.halt {
             self.halted.store(true, Relaxed);
         }
-        let rule = obs.map(|o| o.intern_rule(firing.rule_name.as_str()));
-        base.trace.firings.append(&record);
-        // Commit-sequence record for the semantic checker (§3 Theorem
-        // 2): this commit's 0-based slot in the global trace, stamped in
-        // the same base hold as the append, so `seq` order equals
-        // trace-append order. These events trail the lock manager's
-        // Commit terminal (the sequence number only exists now);
-        // `validate_history` and the checkers account for that.
-        if let (Some(obs), Some(rule)) = (obs, rule) {
-            // Falsifiability seam: `corrupt_fire_seq` plans flip the
-            // recorded slot's low bit so the §3 checker must reject the
-            // history — proving the chaos gate can fail.
-            let slot = (base.trace.len() - 1) as u64;
-            let slot = self.injector.as_ref().map_or(slot, |inj| inj.corrupt_seq(slot));
-            obs.record(txn.0, ObsEvent::Fire { rule, seq: slot });
-            // The strategy's receipt: the versions a snapshot commit
-            // installed (the SI checker cross-checks `seq == slot + 1`),
-            // or the lock requests an elided commit never made.
+        // The commit log is the one record of commit order: this
+        // commit's slot is its record's, and the record names `txn`, so
+        // the checkers pair the slot with the lock manager's `Commit`.
+        // Falsifiability seam: a `corrupt_commit_log` plan names a txn
+        // that never began, so the §3 checker must reject the history.
+        let slot = base.trace.len();
+        let logged = self.injector.as_ref().map_or(txn, |inj| inj.logged_txn(txn, slot));
+        base.trace.firings.append(&record, logged.0);
+        if let Some(obs) = obs {
+            // The strategy's receipt, trailing the lock manager's
+            // `Commit` terminal (the sequence number only exists now):
+            // the versions a snapshot commit installed (the SI checker
+            // cross-checks `seq == slot + 1`), or the lock requests an
+            // elided commit never made.
             let version = self.history_seq(seq);
             for res in &written {
                 obs.record(txn.0, ObsEvent::VersionWrite { resource: *res, seq: version });
@@ -402,7 +399,7 @@ impl ParallelEngine {
     }
 
     /// `seq` as this incarnation's history numbers MVCC versions and
-    /// snapshots: commit `base_seq + k` is `k`, matching its `Fire`
+    /// snapshots: commit `base_seq + k` is `k`, matching its commit-log
     /// slot `k - 1`, and the working memory it started from is version
     /// 0. The identity on a fresh run.
     pub(crate) fn history_seq(&self, seq: u64) -> u64 {
@@ -418,12 +415,12 @@ impl ParallelEngine {
 
     /// The abort bookkeeping shared by rule firings and session
     /// transactions: release the locks, emit the single `Abort`
-    /// terminal (with `rule_name`'s interned id), count the cause. The
+    /// terminal (with `rule`'s id), count the cause. The
     /// lock manager may already have auto-aborted the transaction when
     /// it surfaced a doom or deadlock (`NotActive` is that benign race);
     /// anything else would mean locks were leaked, so it is asserted in
     /// debug builds and flagged in the event stream in release builds.
-    pub(crate) fn record_abort(&self, txn: TxnId, rule_name: &str, cause: AbortCause) {
+    pub(crate) fn record_abort(&self, txn: TxnId, rule: RuleId, cause: AbortCause) {
         match self.lm.abort(txn) {
             Ok(()) | Err(dps_lock::LockError::NotActive(_)) => {}
             Err(e) => {
@@ -431,9 +428,7 @@ impl ParallelEngine {
                 self.emit(txn, ObsEvent::Anomaly { what: "abort-failed" });
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.record(txn.0, ObsEvent::Abort { cause, rule: obs.intern_rule(rule_name) });
-        }
+        self.emit(txn, ObsEvent::Abort { cause, rule: rule.0 });
         self.metrics.count_abort(cause);
     }
 }

@@ -60,9 +60,11 @@ impl Firing {
 
 /// The commit sequence of one engine run, kept as a [`CommitLog`]: each
 /// commit is a record of a few dozen bytes, and readers decode one
-/// [`Firing`] at a time.
+/// [`Firing`] at a time. The log is also the run's one record of which
+/// transaction took which commit slot ([`CommitLog::txns`]).
 ///
-/// Two traces are equal exactly when their firing sequences are.
+/// Two traces are equal exactly when their firing sequences are: the
+/// txn ids, which differ between two runs of one schedule, do not count.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Commits in order, encoded.
@@ -70,7 +72,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Appends a commit, encoded.
+    /// Appends a commit, encoded, under [`crate::NO_TXN`].
     ///
     /// # Panics
     /// If the firing's key names another rule, or its rule appended

@@ -54,7 +54,7 @@ mod strategy;
 mod world;
 
 pub use firing::{Firing, Footprint, Trace};
-pub use log::CommitLog;
+pub use log::{CommitLog, NO_TXN};
 pub use parallel::{
     AbortStats, DurabilityConfig, ParallelConfig, ParallelEngine, ParallelReport, WorkModel,
 };

@@ -6,14 +6,20 @@
 //! a [`Firing`] only when a reader asks for it. A record is
 //!
 //! ```text
-//! [len] [rule << 1 | halt] [n] ([wme id] [timestamp])^n
-//!       [ops] (0 [class] [attrs] | 1 [wme id] [attrs] | 2 [wme id])^ops
+//! [txn] [len] [rule << 1 | halt] [n] ([wme id] [timestamp])^n
+//!             [ops] (0 [class] [attrs] | 1 [wme id] [attrs] | 2 [wme id])^ops
 //! attrs = [n] ([attr] [value])^n
 //! ```
 //!
 //! * every number is an LEB128 varint: `len` (the bytes after it), rule
 //!   ids (shifted by one, so [`crate::EXTERNAL_RULE`] is 0), counts, wme ids,
 //!   timestamps, atom indices, and ints zig-zagged;
+//! * `txn` is the committing transaction's id, zig-zagged as the
+//!   wrapping difference from the previous record's (the first record's
+//!   from 0), so the txn column costs a byte or two a record. The
+//!   parallel engine writes its lock-manager transaction; the single
+//!   and static engines, which have none, and every [`crate::Trace::push`]
+//!   write [`NO_TXN`];
 //! * a value is a tag byte (as in `dps_wm::codec`: 0 nil, 1 bool,
 //!   2 int, 3 float, 4 symbol, 5 string) and its payload; a float is its
 //!   bits, little-endian;
@@ -26,8 +32,9 @@
 //! so an append copies only the record: the log itself never moves. The
 //! parallel engine encodes a record *before* it takes the base mutex
 //! ([`Atoms::encode`], which takes only the atom table's own lock) and
-//! appends its bytes in the hold ([`CommitLog::append`]); the atom table
-//! is shared by the log and the encoders for that reason.
+//! appends its bytes, and its txn id, in the hold
+//! ([`CommitLog::append`]); the atom table is shared by the log and the
+//! encoders for that reason.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -44,6 +51,10 @@ const BLOCK: usize = 4096;
 const CREATE: u8 = 0;
 const MODIFY: u8 = 1;
 const REMOVE: u8 = 2;
+
+/// The txn id of a record no lock-manager transaction committed. The
+/// lock manager numbers its transactions from 0 and never reaches it.
+pub const NO_TXN: u64 = u64::MAX;
 
 const NIL: u8 = 0;
 const BOOL: u8 = 1;
@@ -62,6 +73,8 @@ pub struct CommitLog {
     /// Filled front to back; only the last one has room left.
     blocks: Vec<Vec<u8>>,
     len: usize,
+    /// The last record's txn id, the next one's delta base.
+    last_txn: u64,
 }
 
 impl CommitLog {
@@ -75,20 +88,26 @@ impl CommitLog {
         self.len == 0
     }
 
-    /// Encoded bytes held, length prefixes included (block slack and the
-    /// atom and rule-name tables not).
+    /// Encoded bytes held, txn deltas and length prefixes included
+    /// (block slack and the atom and rule-name tables not).
     pub fn bytes(&self) -> usize {
         self.blocks.iter().map(Vec::len).sum()
     }
 
     /// Decodes the records in commit order, one at a time.
     pub fn iter(&self) -> impl Iterator<Item = Firing> + '_ {
-        self.records().map(|body| self.decode(body))
+        self.records().map(|(_, body)| self.decode(body))
     }
 
     /// Decodes record `i`, skipping the records before it undecoded.
     pub fn get(&self, i: usize) -> Option<Firing> {
-        self.records().nth(i).map(|body| self.decode(body))
+        self.records().nth(i).map(|(_, body)| self.decode(body))
+    }
+
+    /// The committing txn ids in commit order: record `i`'s is the
+    /// `i`-th. [`NO_TXN`] where no lock-manager transaction committed.
+    pub fn txns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.records().map(|(txn, _)| txn)
     }
 
     /// Decodes the records in batches of `n` (the last may be shorter),
@@ -109,14 +128,14 @@ impl CommitLog {
     /// record's first varint.
     pub fn names(&self) -> Vec<&str> {
         self.records()
-            .map(|body| self.name(Reader::new(body).u() >> 1).as_str())
+            .map(|(_, body)| self.name(Reader::new(body).u() >> 1).as_str())
             .collect()
     }
 
-    /// Encodes `firing` and appends it.
+    /// Encodes `firing` and appends it under [`NO_TXN`].
     pub(crate) fn push(&mut self, firing: &Firing) {
         let record = self.atoms.encode(firing);
-        self.append(&record);
+        self.append(&record, NO_TXN);
     }
 
     /// The atom table records for this log must be encoded against.
@@ -130,12 +149,13 @@ impl CommitLog {
         CommitLog { atoms: self.atoms.clone(), ..CommitLog::default() }
     }
 
-    /// Appends a record encoded against [`Self::atoms`]: the length
-    /// prefix and the bytes, into the last block or a new one.
+    /// Appends a record encoded against [`Self::atoms`], committed by
+    /// `txn`: the txn delta, the length prefix and the bytes, into the
+    /// last block or a new one.
     ///
     /// # Panics
     /// If the record's rule already appended under another name.
-    pub(crate) fn append(&mut self, record: &Record) {
+    pub(crate) fn append(&mut self, record: &Record, txn: u64) {
         let at = code(record.rule) as usize;
         if self.names.len() <= at {
             self.names.resize(at + 1, None);
@@ -144,27 +164,31 @@ impl CommitLog {
             Some(name) => assert_eq!(name, &record.name, "rule {:?} has one name", record.rule),
             None => self.names[at] = Some(record.name.clone()),
         }
-        let len = record.body.len();
-        let need = (usize::BITS - len.leading_zeros()).max(1).div_ceil(7) as usize + len;
+        let delta = zigzag(txn.wrapping_sub(self.last_txn) as i64);
+        self.last_txn = txn;
+        let len = record.body.len() as u64;
+        let need = varint_len(delta) + varint_len(len) + record.body.len();
         if self.blocks.last().is_none_or(|b| b.capacity() - b.len() < need) {
             self.blocks.push(Vec::with_capacity(need.max(BLOCK)));
         }
         let block = self.blocks.last_mut().expect("a block with room");
-        put(block, len as u64);
+        put(block, delta);
+        put(block, len);
         block.extend_from_slice(&record.body);
         self.len += 1;
     }
 
-    /// Each record's bytes after its length prefix.
-    fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.blocks.iter().flat_map(|block| {
-            let mut r = Reader::new(block);
-            std::iter::from_fn(move || {
-                (r.at < r.buf.len()).then(|| {
-                    let len = r.u() as usize;
-                    r.take(len)
-                })
-            })
+    /// Each record's txn id and its bytes after the length prefix.
+    fn records(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let mut blocks = self.blocks.iter();
+        let (mut r, mut txn) = (Reader::new(&[]), 0u64);
+        std::iter::from_fn(move || {
+            while r.at == r.buf.len() {
+                r = Reader::new(blocks.next()?);
+            }
+            txn = txn.wrapping_add(unzigzag(r.u()) as u64);
+            let len = r.u() as usize;
+            Some((txn, r.take(len)))
         })
     }
 
@@ -306,6 +330,19 @@ fn rule_of(code: u64) -> RuleId {
     RuleId((code as u32).wrapping_sub(1))
 }
 
+/// Bytes `v` takes as an LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
 /// Appends `v` as an LEB128 varint.
 fn put(w: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -324,7 +361,7 @@ fn put_attrs(w: &mut Vec<u8>, atoms: &mut AtomTable, attrs: &AttrMap) {
             Value::Bool(b) => w.extend([BOOL, u8::from(*b)]),
             Value::Int(i) => {
                 w.push(INT);
-                put(w, ((*i << 1) ^ (*i >> 63)) as u64);
+                put(w, zigzag(*i));
             }
             Value::Float(x) => {
                 w.push(FLOAT);
@@ -386,10 +423,7 @@ impl<'a> Reader<'a> {
                 let value = match self.byte() {
                     NIL => Value::Nil,
                     BOOL => Value::Bool(self.byte() != 0),
-                    INT => {
-                        let z = self.u();
-                        Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
-                    }
+                    INT => Value::Int(unzigzag(self.u())),
                     FLOAT => {
                         let bits = self.take(8).try_into().expect("eight bytes");
                         Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
@@ -512,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn atoms_and_rule_names_are_stored_once() {
+    fn each_atom_and_rule_name_is_stored_once() {
         let f = samples().swap_remove(0);
         let mut log = CommitLog::default();
         log.push(&f);
@@ -583,7 +617,106 @@ mod tests {
         let record = trace.firings.atoms().encode(&samples()[0]);
         let taken = trace.take();
         assert!(trace.is_empty() && taken.is_empty());
-        trace.firings.append(&record);
+        trace.firings.append(&record, 4);
         assert_eq!(trace.get(0), Some(samples().swap_remove(0)));
+        assert_eq!(trace.firings.txns().collect::<Vec<_>>(), [4]);
+    }
+
+    /// A log of `firings`, each appended under the txn id beside it.
+    fn logged<'a>(entries: impl IntoIterator<Item = (u64, &'a Firing)>) -> CommitLog {
+        let mut log = CommitLog::default();
+        for (txn, f) in entries {
+            let record = log.atoms().encode(f);
+            log.append(&record, txn);
+        }
+        log
+    }
+
+    #[test]
+    fn the_first_record_carries_its_txn() {
+        let f = &samples()[0];
+        for txn in [0, 1, 63, 64, 1 << 40, NO_TXN - 1, NO_TXN] {
+            let log = logged([(txn, f)]);
+            assert_eq!(log.txns().collect::<Vec<_>>(), [txn]);
+            assert_eq!(log.get(0).as_ref(), Some(f));
+        }
+        let log = logged([(0, f)]);
+        let record = log.atoms().encode(f).body.len();
+        let prefix = varint_len(record as u64);
+        assert_eq!(log.bytes(), 1 + prefix + record, "txn 0 is a one-byte delta from 0");
+    }
+
+    #[test]
+    fn negative_and_large_txn_deltas_round_trip() {
+        let f = &samples()[2];
+        let txns = [9, 3, 1 << 40, 0, NO_TXN, 1, NO_TXN, NO_TXN, 1 << 63, (1 << 63) - 1, 5];
+        let log = logged(txns.iter().map(|&t| (t, f)));
+        assert_eq!(log.txns().collect::<Vec<_>>(), txns);
+        // A delta of ±1 costs one byte; a repeat costs one too.
+        let one = logged([(9, f)]).bytes();
+        for next in [8, 10, 9] {
+            assert_eq!(logged([(9, f), (next, f)]).bytes(), 2 * one, "9 then {next}");
+        }
+    }
+
+    #[test]
+    fn txns_stay_aligned_across_blocks() {
+        let mut rng = dps_wm::rng::SmallRng::seed_from_u64(7);
+        let firings = samples();
+        let entries: Vec<(u64, &Firing)> = (0..2000)
+            .map(|i| {
+                let txn = match i % 4 {
+                    0 => rng.next_u64(),
+                    1 => NO_TXN,
+                    _ => rng.range_u64(0..64),
+                };
+                (txn, &firings[i % firings.len()])
+            })
+            .collect();
+        let log = logged(entries.iter().copied());
+        assert!(log.blocks.len() > 3, "the records span several blocks");
+        let want: Vec<u64> = entries.iter().map(|&(t, _)| t).collect();
+        assert_eq!(log.txns().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn interleaved_session_and_rule_commits_keep_their_txns() {
+        // Sessions (the external firing, sample 1) and rule firings
+        // commit under txn ids taken in begin order, not commit order.
+        let firings = samples();
+        let order = [(12, 1), (10, 0), (13, 1), (11, 2), (20, 1), (14, 3), (15, 4)];
+        let log = logged(order.iter().map(|&(t, i)| (t, &firings[i])));
+        let txns: Vec<u64> = log.txns().collect();
+        assert_eq!(txns, order.map(|(t, _)| t));
+        let external: Vec<bool> = log.iter().map(|f| f.is_external()).collect();
+        assert_eq!(external, order.map(|(_, i)| i == 1));
+        assert_eq!(log.names(), ["@session", "every", "@session", "stop", "@session", "every", "stop"]);
+    }
+
+    #[test]
+    fn get_and_chunks_stay_aligned_with_txns() {
+        let firings = samples();
+        let entries: Vec<(u64, &Firing)> =
+            (0..23u64).map(|i| (1000 - 7 * i, &firings[i as usize % firings.len()])).collect();
+        let log = logged(entries.iter().copied());
+        let txns: Vec<u64> = log.txns().collect();
+        for (i, &(txn, f)) in entries.iter().enumerate() {
+            assert_eq!((txns[i], log.get(i).as_ref()), (txn, Some(f)), "record {i}");
+        }
+        for n in [1, 4, entries.len()] {
+            let paired: Vec<(u64, Firing)> =
+                txns.iter().copied().zip(log.chunks(n).flatten()).collect();
+            let want: Vec<(u64, Firing)> = entries.iter().map(|&(t, f)| (t, f.clone())).collect();
+            assert_eq!(paired, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn pushed_firings_carry_no_txn_and_equality_ignores_txns() {
+        let trace: Trace = samples().into_iter().collect();
+        assert!(trace.firings.txns().all(|t| t == NO_TXN));
+        let firings = samples();
+        let other = Trace { firings: logged(firings.iter().enumerate().map(|(i, f)| (i as u64, f))) };
+        assert_eq!(trace, other, "equal firings, different txns");
     }
 }

@@ -1087,7 +1087,7 @@ impl ParallelEngine {
         let mut worked = Duration::ZERO;
         let outcome = self.try_execute(&mut claim, strategy, &inst, rule, &cond, &mut worked);
         let Err(cause) = outcome else { return };
-        self.record_abort(txn, rule.name.as_str(), cause);
+        self.record_abort(txn, inst.rule, cause);
         self.metrics.wasted_nanos.fetch_add(worked.as_nanos() as u64, Relaxed);
         // An instantiation that failed to evaluate is refracted as its
         // claim ends, so it is never retried; any other abort frees it
@@ -1674,7 +1674,8 @@ mod tests {
         validate_trace(&rules, &initial, &report.trace).expect("oracle");
         assert_eq!(report.commits, 8);
         let history = e.observer().unwrap().history();
-        let si = dps_obs::analysis::si_checker::check_history(&history);
+        let log: Vec<u64> = report.trace.firings.txns().collect();
+        let si = dps_obs::analysis::si_checker::check_history(&history, &log);
         assert_eq!(si.committed, 8, "every commit pinned a snapshot");
         assert!(
             si.violations.is_empty() && si.cycle.is_none(),
@@ -1685,8 +1686,8 @@ mod tests {
 
     #[test]
     fn resumed_mvcc_history_passes_si_checker() {
-        // A resumed engine commits from `base + 1` while its `Fire`
-        // records count trace slots from 0: its snapshot and version
+        // A resumed engine commits from `base + 1` while its commit
+        // log counts slots from 0: its snapshot and version
         // events must count from the same origin. Each cell is bumped
         // twice, so the second bump reads a version this run wrote.
         let (rules, wm) = counters(4, 2);
@@ -1702,7 +1703,8 @@ mod tests {
         assert_eq!(report.commits, 8);
         let history = e.observer().unwrap().history();
         dps_obs::validate_history(&history).expect("well-formed history");
-        let si = dps_obs::analysis::si_checker::check_history(&history);
+        let log: Vec<u64> = report.trace.firings.txns().collect();
+        let si = dps_obs::analysis::si_checker::check_history(&history, &log);
         assert_eq!(si.committed, 8, "every commit pinned a snapshot");
         assert!(
             si.violations.is_empty() && si.cycle.is_none(),

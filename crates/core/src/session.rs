@@ -55,11 +55,11 @@ use crate::strategy::{Access, Strategy};
 use crate::Firing;
 
 /// Sentinel rule id for external commits ([`Firing::rule`] must name
-/// *something*; no real rule ever gets `u32::MAX`).
+/// *something*; no real rule ever gets `u32::MAX`). Session aborts
+/// carry it as their `Abort` event's rule.
 pub const EXTERNAL_RULE: RuleId = RuleId(u32::MAX);
 
-/// Pseudo rule name external commits carry in traces, per-rule tables
-/// and `Fire` events.
+/// Pseudo rule name external commits carry in traces.
 pub const EXTERNAL_RULE_NAME: &str = "@session";
 
 /// One open external transaction: a lock-manager transaction, its
@@ -213,7 +213,7 @@ impl ParallelEngine {
     /// emit the abort event, count the cause. Returns the cause so
     /// callers can `return Err(self.external_resolve_err(..))`.
     fn external_resolve_err(&self, xt: &mut ExternalTxn, cause: AbortCause) -> AbortCause {
-        self.record_abort(xt.txn, EXTERNAL_RULE_NAME, cause);
+        self.record_abort(xt.txn, EXTERNAL_RULE, cause);
         self.release_pin(xt);
         xt.delta = DeltaSet::new();
         cause

@@ -17,11 +17,11 @@
 //! Measured (release and debug alike: the sizes are requested bytes,
 //! not the allocator's rounding):
 //!
-//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log |
-//! |---|---|---|---|
-//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) |
-//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) |
-//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B |
+//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log | with its txn column |
+//! |---|---|---|---|---|
+//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) | 31.5 B (26.2 encoded) |
+//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) | 26.3 B (23.0 encoded) |
+//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B | 121.2 B |
 //!
 //! The first two columns count the heap a kept `Firing` held beyond its
 //! slot in the trace vector (its key, its delta, each `make`'s and
@@ -29,9 +29,13 @@
 //! four operations for a rule's two and a `make`'s attribute map four
 //! pairs for its two; with a map per index value, each distinct value
 //! owned an id map of its own (four slots and their control bytes for
-//! one member). The last column counts everything the trace holds as a
-//! commit log, block slack and tables included; "encoded" is the
-//! records' own bytes.
+//! one member). The last two columns count everything the trace holds
+//! as a commit log, block slack and tables included; "encoded" is the
+//! records' own bytes. The txn column adds one byte a record here (the
+//! single-thread engine writes one txn id, `NO_TXN`, so every delta is
+//! 0); the planned run's 800 records then fill 6 blocks instead of 5,
+//! and the sixth, nearly empty, is the 5 B of slack the per-firing
+//! figure gained.
 //!
 //! The allocator lives here because an integration test is its own
 //! crate: `dps-core` itself forbids `unsafe_code`. It counts per thread

@@ -91,11 +91,12 @@ pub struct FaultPlan {
     pub rhs_stall_pm: u32,
     /// RHS-stall magnitude, microseconds.
     pub rhs_stall_us: u64,
-    /// Corrupt the engine's `Fire.seq` commit-sequence records
-    /// (`seq ^ 1`) — the falsifiability knob: a corrupted ordering
-    /// **must** be rejected by the §3 checker, proving the chaos gate
-    /// can actually fail.
-    pub corrupt_fire_seq: bool,
+    /// Record the first commit in the engine's commit log under a
+    /// transaction id no transaction has (`u64::MAX`) — the
+    /// falsifiability knob: the log then names a transaction that never
+    /// committed and misses one that did, which the §3 checker **must**
+    /// reject, proving the chaos gate can actually fail.
+    pub corrupt_commit_log: bool,
     /// Per-mille odds that a server session is torn down right after
     /// its transaction claims (locks held, nothing executed) — the
     /// `drop_mid_claim` disconnect site. The server observes the
@@ -519,14 +520,17 @@ impl FaultInjector {
         hit
     }
 
-    /// Falsifiability seam: corrupt a commit-sequence number. The §3
-    /// checker must reject the resulting trace — `chaos` and
-    /// `tests/chaos.rs` prove the oracle can actually fail.
-    pub fn corrupt_seq(&self, seq: u64) -> u64 {
-        if self.plan.corrupt_fire_seq {
-            seq ^ 1
+    /// Falsifiability seam: the txn id the commit log records for the
+    /// commit that takes log slot `slot`. Under
+    /// [`FaultPlan::corrupt_commit_log`] slot 0 names `u64::MAX`, a
+    /// transaction that never began, so every run that commits is
+    /// rejected — `chaos` and `tests/chaos.rs` prove the oracle can
+    /// actually fail.
+    pub fn logged_txn(&self, txn: TxnId, slot: usize) -> TxnId {
+        if self.plan.corrupt_commit_log && slot == 0 {
+            TxnId(u64::MAX)
         } else {
-            seq
+            txn
         }
     }
 }
@@ -550,7 +554,7 @@ mod tests {
             assert!(!inj.spurious_wakeup(TxnId(i), i, 0, None));
             inj.grant_delay(TxnId(i), i, None);
             inj.rhs_stall(TxnId(i), i, None);
-            assert_eq!(inj.corrupt_seq(i), i);
+            assert_eq!(inj.logged_txn(TxnId(i), i as usize), TxnId(i));
         }
         assert_eq!(inj.stats().total(), 0);
     }
@@ -596,14 +600,14 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_seq_flips_the_low_bit() {
+    fn a_corrupted_log_names_an_unknown_txn_at_slot_zero_only() {
         let inj = FaultInjector::new(FaultPlan {
-            corrupt_fire_seq: true,
+            corrupt_commit_log: true,
             ..Default::default()
         });
-        assert_eq!(inj.corrupt_seq(0), 1);
-        assert_eq!(inj.corrupt_seq(1), 0);
-        assert_eq!(inj.corrupt_seq(6), 7);
+        assert_eq!(inj.logged_txn(TxnId(5), 0), TxnId(u64::MAX));
+        assert_eq!(inj.logged_txn(TxnId(6), 1), TxnId(6));
+        assert_eq!(inj.logged_txn(TxnId(0), 7), TxnId(0));
     }
 
     #[test]

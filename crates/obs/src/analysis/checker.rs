@@ -3,16 +3,17 @@
 //!
 //! The check has two halves:
 //!
-//! 1. **Structural** (this module, pure history): recover the commit
-//!    order from `Fire { rule, seq }` records and verify it is sound —
-//!    every committed transaction carries exactly one `Fire`, no
-//!    aborted transaction carries any, the sequence numbers form a
-//!    contiguous `0..n` permutation, and commit-event timestamps are
-//!    non-decreasing along the sequence (the engine appends to the
-//!    trace *inside* the commit critical section, so trace order must
-//!    equal commit order — a violation means the parallel run's
-//!    recorded firing sequence is not the one it actually performed).
-//! 2. **Replay** (supplied by the caller): feed the recovered firing
+//! 1. **Structural** (this module): pair the commit order with the
+//!    history. The order is the engine's commit log, given once: its
+//!    txn column names the transaction that took each slot, so slots
+//!    are contiguous by construction. What can still be wrong is the
+//!    pairing: every committed transaction must hold exactly one slot
+//!    and an aborted or unknown one none, and commit-event timestamps
+//!    must not decrease along the slots (the lock manager stamps
+//!    `Commit` and the engine appends to the log in one hold of the
+//!    base mutex, so log order must equal commit order — a violation
+//!    means the recorded sequence is not the one the run performed).
+//! 2. **Replay** (supplied by the caller): feed the logged firing
 //!    sequence through the single-thread engine's execution-graph
 //!    oracle (`validate_trace` in `dps-core`, Defs 3.1–3.2). This crate
 //!    sits below `dps-core`, so it cannot replay itself; the
@@ -21,24 +22,21 @@
 //!    [`CheckerReport::set_replay_result`]. Both halves must pass for a
 //!    [`Verdict::Consistent`].
 //!
-//! Per Biswas & Enea, the per-transaction histories are exactly the
-//! raw material needed: no engine cooperation beyond the event stream.
+//! Per Biswas & Enea, the per-transaction histories plus one given
+//! commit order are exactly the raw material needed.
 
 use std::collections::BTreeMap;
 
-use crate::event::{Event, EventKind};
-
 use super::graph::BlockingGraph;
 
-/// One recovered commit, in sequence order.
+/// One logged commit whose transaction committed in the history, in
+/// slot order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommitRecord {
     /// Transaction id.
     pub txn: u64,
-    /// 0-based slot in the global commit sequence.
+    /// 0-based slot in the commit log.
     pub seq: u64,
-    /// Interned rule id (resolve via `Recorder::rule_names`).
-    pub rule: u32,
     /// Commit-event timestamp (ns).
     pub commit_ts: u64,
 }
@@ -46,8 +44,8 @@ pub struct CommitRecord {
 /// Overall verdict of the consistency check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Firing sequence recovered cleanly and (if replayed) is a member
-    /// of `ES_single`.
+    /// The commit log pairs cleanly with the history and (if replayed)
+    /// is a member of `ES_single`.
     Consistent,
     /// A structural error or a replay violation.
     Inconsistent,
@@ -66,7 +64,7 @@ impl Verdict {
 /// The checker's findings on one history.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckerReport {
-    /// Recovered commits, sorted by `seq`.
+    /// Logged commits of committed transactions, in slot order.
     pub commits: Vec<CommitRecord>,
     /// Structural violations (empty on a sound history).
     pub structural_errors: Vec<String>,
@@ -82,11 +80,6 @@ impl CheckerReport {
         self.replay_result = Some(result);
     }
 
-    /// The recovered rule-id firing sequence, in commit order.
-    pub fn rule_sequence(&self) -> Vec<u32> {
-        self.commits.iter().map(|c| c.rule).collect()
-    }
-
     /// Combined verdict: structural soundness AND (if present) replay
     /// success.
     pub fn verdict(&self) -> Verdict {
@@ -99,80 +92,56 @@ impl CheckerReport {
     }
 }
 
-/// Recovers the commit order from a merged history and runs every
-/// structural check. `graph` must be built from the same history.
-pub fn check(history: &[Event], graph: &BlockingGraph) -> CheckerReport {
+/// Pairs the commit log's txn column `txns` (slot `i` committed by
+/// `txns[i]`) with `graph`, built from the run's history, and runs
+/// every structural check.
+pub fn check(graph: &BlockingGraph, txns: &[u64]) -> CheckerReport {
     let mut rep = CheckerReport::default();
-    let mut fires: BTreeMap<u64, Vec<(u32, u64, u64)>> = BTreeMap::new(); // txn -> (rule, seq, ts)
-    for ev in history {
-        if let EventKind::Fire { rule, seq } = ev.kind {
-            fires.entry(ev.txn).or_default().push((rule, seq, ev.ts));
-        }
+    let mut slots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (seq, &txn) in txns.iter().enumerate() {
+        slots.entry(txn).or_default().push(seq);
     }
-
-    // Pair Fires with terminals.
     for (txn, span) in &graph.spans {
-        let txn_fires = fires.get(txn).map_or(&[][..], Vec::as_slice);
-        if span.committed {
-            match txn_fires.len() {
-                0 => rep
-                    .structural_errors
-                    .push(format!("txn {txn}: committed but has no Fire record")),
-                1 => {}
-                n => rep
-                    .structural_errors
-                    .push(format!("txn {txn}: {n} Fire records (expected 1)")),
-            }
-        } else if !txn_fires.is_empty() {
+        if span.committed && !slots.contains_key(txn) {
             rep.structural_errors
-                .push(format!("txn {txn}: Fire on a transaction that never committed"));
+                .push(format!("commit sequence: txn {txn} committed but holds no slot"));
         }
     }
-
-    // Assemble the sequence.
-    let mut commits: Vec<CommitRecord> = Vec::new();
-    for (txn, span) in &graph.spans {
-        if !span.committed {
-            continue;
-        }
-        if let Some(&(rule, seq, _ts)) = fires.get(txn).and_then(|v| v.first()) {
-            commits.push(CommitRecord {
-                txn: *txn,
-                seq,
-                rule,
-                commit_ts: span.commit_ts.unwrap_or(span.end_ts),
-            });
-        }
-    }
-    commits.sort_by_key(|c| (c.seq, c.txn));
-
-    // Sequence numbers must be the contiguous permutation 0..n.
-    for (i, c) in commits.iter().enumerate() {
-        if c.seq != i as u64 {
+    for (txn, held) in &slots {
+        let committed = graph.spans.get(txn).is_some_and(|s| s.committed);
+        if !committed {
             rep.structural_errors.push(format!(
-                "commit sequence broken at position {i}: expected seq {i}, found seq {} (txn {})",
-                c.seq, c.txn
+                "commit sequence: slot {} names txn {txn}, which never committed",
+                held[0]
             ));
-            break;
-        }
-    }
-
-    // Commit timestamps must be non-decreasing along the sequence: the
-    // engine holds the world+ledger locks across lm.commit (which
-    // stamps the Commit event) and the trace append (which defines
-    // `seq`), so the two orders agree on a faithful recording.
-    for w in commits.windows(2) {
-        if w[1].commit_ts < w[0].commit_ts {
+        } else if held.len() > 1 {
             rep.structural_errors.push(format!(
-                "commit timestamps disagree with sequence order: seq {} (txn {}) at {}ns \
-                 precedes seq {} (txn {}) at {}ns",
-                w[1].seq, w[1].txn, w[1].commit_ts, w[0].seq, w[0].txn, w[0].commit_ts
+                "commit sequence: txn {txn} holds {} slots {held:?} (expected 1)",
+                held.len()
             ));
-            break;
         }
     }
 
-    rep.commits = commits;
+    rep.commits = txns
+        .iter()
+        .enumerate()
+        .filter_map(|(seq, txn)| {
+            let commit_ts = graph.spans.get(txn)?.commit_ts?;
+            Some(CommitRecord { txn: *txn, seq: seq as u64, commit_ts })
+        })
+        .collect();
+
+    // Commit timestamps must be non-decreasing along the slots: the
+    // engine holds the base mutex across lm.commit (which stamps the
+    // Commit event) and the log append (which takes the slot), so the
+    // two orders agree on a faithful recording.
+    if let Some(w) = rep.commits.windows(2).find(|w| w[1].commit_ts < w[0].commit_ts) {
+        rep.structural_errors.push(format!(
+            "commit timestamps disagree with sequence order: seq {} (txn {}) at {}ns \
+             precedes seq {} (txn {}) at {}ns",
+            w[1].seq, w[1].txn, w[1].commit_ts, w[0].seq, w[0].txn, w[0].commit_ts
+        ));
+    }
     rep
 }
 
@@ -180,89 +149,86 @@ pub fn check(history: &[Event], graph: &BlockingGraph) -> CheckerReport {
 mod tests {
     use super::super::graph::build;
     use super::*;
-    use crate::event::AbortCause;
+    use crate::event::{AbortCause, Event, EventKind};
 
     fn e(ts: u64, txn: u64, kind: EventKind) -> Event {
         Event { ts, txn, kind }
     }
 
-    fn committed(ts0: u64, txn: u64, rule: u32, seq: u64) -> [Event; 3] {
-        [
-            e(ts0, txn, EventKind::Begin),
-            e(ts0 + 5, txn, EventKind::Commit),
-            e(ts0 + 6, txn, EventKind::Fire { rule, seq }),
-        ]
+    fn committed(ts0: u64, txn: u64) -> [Event; 2] {
+        [e(ts0, txn, EventKind::Begin), e(ts0 + 5, txn, EventKind::Commit)]
+    }
+
+    fn checked(h: &[Event], txns: &[u64]) -> CheckerReport {
+        check(&build(h), txns)
     }
 
     #[test]
     fn clean_sequence_is_consistent() {
         let mut h = Vec::new();
-        h.extend(committed(0, 10, 2, 0));
-        h.extend(committed(10, 11, 0, 1));
-        h.extend(committed(20, 12, 2, 2));
-        let rep = check(&h, &build(&h));
+        h.extend(committed(0, 10));
+        h.extend(committed(10, 11));
+        h.extend(committed(20, 12));
+        let rep = checked(&h, &[10, 11, 12]);
         assert!(rep.structural_errors.is_empty(), "{:?}", rep.structural_errors);
-        assert_eq!(rep.rule_sequence(), vec![2, 0, 2]);
         assert_eq!(rep.verdict(), Verdict::Consistent);
-        assert_eq!(rep.commits[1].txn, 11);
+        assert_eq!(rep.commits.len(), 3);
+        assert_eq!((rep.commits[1].txn, rep.commits[1].seq), (11, 1));
     }
 
     #[test]
     fn replay_failure_flips_the_verdict() {
-        let h: Vec<Event> = committed(0, 1, 0, 0).into();
-        let mut rep = check(&h, &build(&h));
+        let h: Vec<Event> = committed(0, 1).into();
+        let mut rep = checked(&h, &[1]);
         assert_eq!(rep.verdict(), Verdict::Consistent);
         rep.set_replay_result(Err("rule not enabled at step 0".into()));
         assert_eq!(rep.verdict(), Verdict::Inconsistent);
     }
 
     #[test]
-    fn missing_fire_is_structural() {
-        let h = vec![e(0, 1, EventKind::Begin), e(1, 1, EventKind::Commit)];
-        let rep = check(&h, &build(&h));
-        assert!(rep.structural_errors.iter().any(|e| e.contains("no Fire")));
+    fn a_commit_without_a_slot_is_structural() {
+        let h: Vec<Event> = committed(0, 1).into();
+        let rep = checked(&h, &[]);
+        assert!(rep.structural_errors.iter().any(|e| e.contains("holds no slot")));
         assert_eq!(rep.verdict(), Verdict::Inconsistent);
     }
 
     #[test]
-    fn fire_on_aborted_txn_is_structural() {
+    fn a_slot_of_an_aborted_or_unknown_txn_is_structural() {
         let h = vec![
             e(0, 1, EventKind::Begin),
             e(1, 1, EventKind::Abort { cause: AbortCause::Stale, rule: 0 }),
-            e(2, 1, EventKind::Fire { rule: 0, seq: 0 }),
         ];
-        let rep = check(&h, &build(&h));
-        assert!(rep
-            .structural_errors
-            .iter()
-            .any(|e| e.contains("never committed")));
+        for txn in [1, 99] {
+            let rep = checked(&h, &[txn]);
+            assert!(
+                rep.structural_errors.iter().any(|e| e.contains("never committed")),
+                "txn {txn}: {:?}",
+                rep.structural_errors
+            );
+        }
     }
 
     #[test]
-    fn gap_in_sequence_is_structural() {
+    fn two_slots_of_one_txn_are_structural() {
         let mut h = Vec::new();
-        h.extend(committed(0, 1, 0, 0));
-        h.extend(committed(10, 2, 0, 2)); // seq 1 missing
-        let rep = check(&h, &build(&h));
-        assert!(rep
-            .structural_errors
-            .iter()
-            .any(|e| e.contains("sequence broken")));
+        h.extend(committed(0, 1));
+        h.extend(committed(10, 2));
+        let rep = checked(&h, &[1, 2, 1]);
+        assert!(rep.structural_errors.iter().any(|e| e.contains("holds 2 slots")));
     }
 
     #[test]
     fn out_of_order_commit_timestamps_are_structural() {
-        // seq 0 commits *after* seq 1 in wall time — the injected
+        // Slot 0 commits *after* slot 1 in wall time — the injected
         // out-of-order replay of the acceptance criteria.
         let h = vec![
             e(0, 1, EventKind::Begin),
             e(0, 2, EventKind::Begin),
             e(50, 2, EventKind::Commit),
-            e(51, 2, EventKind::Fire { rule: 0, seq: 1 }),
             e(60, 1, EventKind::Commit),
-            e(61, 1, EventKind::Fire { rule: 0, seq: 0 }),
         ];
-        let rep = check(&h, &build(&h));
+        let rep = checked(&h, &[1, 2]);
         assert!(
             rep.structural_errors
                 .iter()
@@ -271,5 +237,6 @@ mod tests {
             rep.structural_errors
         );
         assert_eq!(rep.verdict(), Verdict::Inconsistent);
+        assert!(checked(&h, &[2, 1]).structural_errors.is_empty());
     }
 }

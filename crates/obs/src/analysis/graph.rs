@@ -62,7 +62,9 @@ impl WaitEdge {
 pub struct TxnSpan {
     /// First event timestamp (Begin, ns).
     pub begin_ts: u64,
-    /// Last lifecycle timestamp (terminal if present, ns).
+    /// Last lifecycle timestamp (terminal if present, ns): the receipts
+    /// that [trail](EventKind::trails_commit) a `Commit` and chaos
+    /// `Fault` markers never extend it.
     pub end_ts: u64,
     /// Committed?
     pub committed: bool,
@@ -70,8 +72,6 @@ pub struct TxnSpan {
     pub abort_cause: Option<AbortCause>,
     /// Total nanoseconds spent blocked in lock waits.
     pub blocked_ns: u64,
-    /// `(rule, seq)` from the trailing `Fire` record, if committed.
-    pub fire: Option<(u32, u64)>,
     /// Commit-event timestamp (ns), if committed.
     pub commit_ts: Option<u64>,
     /// The committer that doomed this transaction, if any.
@@ -121,16 +121,10 @@ pub fn build(history: &[Event]) -> BlockingGraph {
         if span.begin_ts == 0 && matches!(ev.kind, EventKind::Begin) {
             span.begin_ts = ev.ts;
         }
-        // Fire trails the terminal; chaos Fault markers are schedule
-        // commentary, not transaction work. Neither may extend the span.
-        if !matches!(
-            ev.kind,
-            EventKind::Fire { .. }
-                | EventKind::Fault { .. }
-                | EventKind::WalSync { .. }
-                | EventKind::Checkpoint { .. }
-                | EventKind::ElidedCommit { .. }
-        ) {
+        // Commit receipts trail the terminal; chaos Fault markers are
+        // schedule commentary, not transaction work. Neither may
+        // extend the span.
+        if !ev.kind.trails_commit() && !matches!(ev.kind, EventKind::Fault { .. }) {
             span.end_ts = span.end_ts.max(ev.ts);
         }
         match ev.kind {
@@ -193,9 +187,6 @@ pub fn build(history: &[Event]) -> BlockingGraph {
             EventKind::Abort { cause, .. } => {
                 span.abort_cause = Some(cause);
                 close_open_wait(span, &mut g.edges, &mut open, ev.txn, ev.ts);
-            }
-            EventKind::Fire { rule, seq } => {
-                span.fire = Some((rule, seq));
             }
             EventKind::Begin
             | EventKind::Anomaly { .. }
@@ -312,15 +303,20 @@ mod tests {
     }
 
     #[test]
-    fn fire_does_not_extend_the_span() {
+    fn an_mvcc_span_ends_at_its_commit() {
+        // A snapshot commit's VersionWrite is recorded after lm.commit
+        // stamped the Commit: it must not stretch the span.
         let h = vec![
             e(0, 1, EventKind::Begin),
+            e(1, 1, EventKind::SnapshotPin { seq: 0 }),
             e(5, 1, EventKind::Commit),
-            e(50, 1, EventKind::Fire { rule: 0, seq: 0 }),
+            e(9, 1, EventKind::VersionWrite { resource: 3, seq: 1 }),
+            e(12, 1, EventKind::WalSync { seq: 1 }),
+            e(20, 1, EventKind::Fault { kind: "publish_stall" }),
         ];
         let g = build(&h);
-        assert_eq!(g.spans[&1].end_ts, 5);
-        assert_eq!(g.spans[&1].fire, Some((0, 0)));
         assert_eq!(g.spans[&1].commit_ts, Some(5));
+        assert_eq!(g.spans[&1].end_ts, 5);
+        assert_eq!(g.spans[&1].span_ns(), 5);
     }
 }

@@ -14,9 +14,9 @@
 //! * [`critical_path`](mod@critical_path) — the heaviest dependency
 //!   chain, effective parallelism and the wasted-work fraction `f`;
 //! * [`checker`] — §3's Theorem 2 (`ES_M ⊆ ES_single`) as an
-//!   executable assertion: recover the commit sequence from `Fire`
-//!   records, verify it structurally, and let the caller replay it
-//!   through the single-thread oracle;
+//!   executable assertion: pair the commit log's order (the txn id of
+//!   each slot) with the history, verify it structurally, and let the
+//!   caller replay the log through the single-thread oracle;
 //! * [`si_checker`] — the polygraph-based snapshot-isolation /
 //!   serializability checker over MVCC histories (`SnapshotPin` /
 //!   `VersionRead` / `VersionWrite` events): reads-from, version-order
@@ -51,21 +51,23 @@ pub struct RunAnalysis {
     pub contention: Vec<ResourceContention>,
     /// Critical path / speed-up factors.
     pub critical: CriticalPathReport,
-    /// Commit-sequence recovery + structural checks (+ replay verdict
-    /// once the caller attaches it).
+    /// Commit-log pairing + structural checks (+ replay verdict once
+    /// the caller attaches it).
     pub checker: CheckerReport,
     /// SI/serializability polygraph findings; `None` when the history
     /// carries no MVCC events (lock-era runs).
     pub si: Option<SiReport>,
 }
 
-/// Runs the full analysis pipeline on a merged history.
-pub fn analyze(history: &[Event]) -> RunAnalysis {
+/// Runs the full analysis pipeline on a merged history and the run's
+/// commit order: `txns[i]` is the txn id the commit log records for
+/// slot `i` (`CommitLog::txns` in `dps-core`).
+pub fn analyze(history: &[Event], txns: &[u64]) -> RunAnalysis {
     let graph = build(history);
     let contention = contention_table(&graph);
     let critical = critical_path(&graph);
-    let checker = check(history, &graph);
-    let si_txns = si_checker::extract(history);
+    let checker = check(&graph, txns);
+    let si_txns = si_checker::extract(history, txns);
     let si = if si_txns.is_empty() {
         None
     } else {
@@ -237,14 +239,13 @@ mod tests {
             e(2, 2, EventKind::Begin),
             e(3, 2, EventKind::Block { resource: 4, mode: "X", holder: Some(1) }),
             e(10, 1, EventKind::Commit),
-            e(11, 1, EventKind::Fire { rule: 0, seq: 0 }),
             e(12, 2, EventKind::Grant { resource: 4, mode: "X" }),
             e(20, 2, EventKind::Commit),
-            e(21, 2, EventKind::Fire { rule: 1, seq: 1 }),
         ];
-        let mut a = analyze(&h);
+        let mut a = analyze(&h, &[1, 2]);
         assert_eq!(a.verdict(), Verdict::Consistent);
-        assert_eq!(a.checker.rule_sequence(), vec![0, 1]);
+        let order: Vec<u64> = a.checker.commits.iter().map(|c| c.txn).collect();
+        assert_eq!(order, [1, 2]);
         assert_eq!(a.contention.len(), 1);
         a.set_replay_result(Ok(()));
         let doc = json::parse(&a.to_json(0).to_string_pretty()).unwrap();
@@ -282,7 +283,9 @@ mod tests {
             h.push(e(i * 100 + 11, i, EventKind::Grant { resource: i, mode: "X" }));
             h.push(e(i * 100 + 12, i, EventKind::Commit));
         }
-        let a = analyze(&h);
+        let holders: Vec<u64> = (0..5).flat_map(|i| [100 + i, i]).collect();
+        let a = analyze(&h, &holders);
+        assert_eq!(a.verdict(), Verdict::Consistent);
         assert_eq!(a.contention.len(), 5);
         let doc = a.to_json(2);
         assert_eq!(doc.get("contention").and_then(Json::as_arr).unwrap().len(), 2);

@@ -8,8 +8,9 @@
 //! observed — the `wr` reads-from raw material) and `VersionWrite
 //! { resource, seq }` (which version each commit installed — the `ww`
 //! version-order raw material). [`extract`] recovers one [`SiTxn`]
-//! footprint per transaction from a merged history; [`check`] then
-//! verifies, on the committed footprints alone:
+//! footprint per transaction from a merged history and the commit
+//! log's txn column; [`check`] then verifies, on the committed
+//! footprints alone:
 //!
 //! 1. **Snapshot-consistent reads** — every read observed the *latest*
 //!    committed version at or below the reader's snapshot (version 0 is
@@ -18,9 +19,9 @@
 //!    overlapping `[snapshot, commit]` intervals installed versions of
 //!    the same element.
 //! 3. **Version order = commit order** — a transaction's installed
-//!    version sequence must agree with its slot in the global commit
-//!    sequence (its `Fire` record), so a swapped version order is
-//!    caught even when every individual read looks plausible.
+//!    version sequence must agree with its slot in the commit log, so
+//!    a swapped version order is caught even when every individual
+//!    read looks plausible.
 //! 4. **Serializability** — the direct serialization graph over `wr`
 //!    (reads-from), `ww` (version order) and `rw` (anti-dependency)
 //!    edges must be acyclic. This is the check that catches *write
@@ -49,9 +50,9 @@ pub struct SiTxn {
     /// Installing commit sequence, `None` if the transaction aborted
     /// (aborted footprints never enter the polygraph).
     pub commit_seq: Option<u64>,
-    /// Slot recovered from the `Fire` record, if any (cross-checked
-    /// against `commit_seq`: the installed version must be `fire + 1`).
-    pub fire_seq: Option<u64>,
+    /// Its slot in the commit log, if it holds one (cross-checked
+    /// against `commit_seq`: the installed version must be `slot + 1`).
+    pub slot: Option<u64>,
     /// Condition reads: `(resource, version sequence observed)`.
     pub reads: Vec<(u64, u64)>,
     /// Resources this transaction installed new versions of.
@@ -84,35 +85,33 @@ impl SiReport {
     }
 }
 
-/// Recovers per-transaction MVCC footprints from a merged history.
-/// Transactions without a `SnapshotPin` (lock-era runs, lock-manager
-/// bookkeeping) are skipped, so stock histories yield an empty vector
-/// and the SI layer stays silent on them.
-pub fn extract(history: &[Event]) -> Vec<SiTxn> {
+/// Recovers per-transaction MVCC footprints from a merged history,
+/// each with its slot in the commit log's txn column `log` (slot `i`
+/// committed by `log[i]`). Transactions without a `SnapshotPin`
+/// (lock-era runs, lock-manager bookkeeping) are skipped, so stock
+/// histories yield an empty vector and the SI layer stays silent on
+/// them.
+pub fn extract(history: &[Event], log: &[u64]) -> Vec<SiTxn> {
     let mut txns: BTreeMap<u64, SiTxn> = BTreeMap::new();
-    let mut pinned: BTreeMap<u64, bool> = BTreeMap::new();
     for ev in history {
-        if let EventKind::SnapshotPin { .. } = ev.kind {
-            pinned.insert(ev.txn, true);
+        if let EventKind::SnapshotPin { seq } = ev.kind {
+            txns.insert(ev.txn, SiTxn { txn: ev.txn, snapshot: seq, ..SiTxn::default() });
         }
     }
     for ev in history {
-        if !pinned.contains_key(&ev.txn) {
-            continue;
-        }
-        let t = txns.entry(ev.txn).or_insert_with(|| SiTxn {
-            txn: ev.txn,
-            ..SiTxn::default()
-        });
+        let Some(t) = txns.get_mut(&ev.txn) else { continue };
         match ev.kind {
-            EventKind::SnapshotPin { seq } => t.snapshot = seq,
             EventKind::VersionRead { resource, seq } => t.reads.push((resource, seq)),
             EventKind::VersionWrite { resource, seq } => {
                 t.commit_seq = Some(seq);
                 t.writes.push(resource);
             }
-            EventKind::Fire { seq, .. } => t.fire_seq = Some(seq),
             _ => {}
+        }
+    }
+    for (slot, txn) in log.iter().enumerate() {
+        if let Some(t) = txns.get_mut(txn) {
+            t.slot = Some(slot as u64);
         }
     }
     txns.into_values().collect()
@@ -124,10 +123,10 @@ pub fn check(txns: &[SiTxn]) -> SiReport {
     let committed: Vec<&SiTxn> = txns.iter().filter(|t| t.commit_seq.is_some()).collect();
     rep.committed = committed.len();
 
-    // Check 3: version order must agree with the commit order the Fire
-    // records carry (version seq = fire slot + 1 by construction).
+    // Check 3: version order must agree with the commit log's order
+    // (version seq = slot + 1 by construction).
     for t in &committed {
-        if let (Some(cs), Some(fs)) = (t.commit_seq, t.fire_seq) {
+        if let (Some(cs), Some(fs)) = (t.commit_seq, t.slot) {
             if cs != fs + 1 {
                 rep.violations.push(format!(
                     "txn {}: installed version seq {} disagrees with commit slot {} \
@@ -248,8 +247,8 @@ pub fn check(txns: &[SiTxn]) -> SiReport {
 }
 
 /// Convenience: extract + check in one call.
-pub fn check_history(history: &[Event]) -> SiReport {
-    check(&extract(history))
+pub fn check_history(history: &[Event], log: &[u64]) -> SiReport {
+    check(&extract(history, log))
 }
 
 fn snapshot_of(committed: &[&SiTxn], txn: u64) -> u64 {
@@ -319,7 +318,7 @@ mod tests {
             txn,
             snapshot,
             commit_seq: Some(seq),
-            fire_seq: Some(seq - 1),
+            slot: Some(seq - 1),
             reads: reads.to_vec(),
             writes: writes.to_vec(),
         }
@@ -388,7 +387,7 @@ mod tests {
     #[test]
     fn version_order_disagreeing_with_commit_order_is_caught() {
         let mut t = committed(1, 0, 5, &[], &[10]);
-        t.fire_seq = Some(1); // slot 1 should install version 2, not 5
+        t.slot = Some(1); // slot 1 should install version 2, not 5
         let rep = check(&[t]);
         assert!(
             rep.violations.iter().any(|v| v.contains("disagrees with commit slot")),
@@ -403,7 +402,7 @@ mod tests {
             txn: 9,
             snapshot: 0,
             commit_seq: None,
-            fire_seq: None,
+            slot: None,
             reads: vec![(10, 0)],
             writes: vec![],
         };
@@ -421,20 +420,23 @@ mod tests {
             e(1, 1, EventKind::SnapshotPin { seq: 0 }),
             e(2, 1, EventKind::VersionRead { resource: 10, seq: 0 }),
             e(3, 1, EventKind::Commit),
-            e(4, 1, EventKind::Fire { rule: 0, seq: 0 }),
             e(5, 1, EventKind::VersionWrite { resource: 10, seq: 1 }),
             // Lock-era transaction: no pin, must be skipped.
             e(6, 2, EventKind::Begin),
             e(7, 2, EventKind::Grant { resource: 10, mode: "Rc" }),
             e(8, 2, EventKind::Commit),
         ];
-        let txns = extract(&h);
+        let log = [1, 2];
+        let txns = extract(&h, &log);
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].txn, 1);
         assert_eq!(txns[0].commit_seq, Some(1));
-        assert_eq!(txns[0].fire_seq, Some(0));
+        assert_eq!(txns[0].slot, Some(0));
         assert_eq!(txns[0].reads, vec![(10, 0)]);
         assert_eq!(txns[0].writes, vec![10]);
-        assert_eq!(check_history(&h).verdict(), Verdict::Consistent);
+        assert_eq!(check_history(&h, &log).verdict(), Verdict::Consistent);
+        // The log giving txn 1 slot 1 contradicts its version 1.
+        let rep = check_history(&h, &[2, 1]);
+        assert!(rep.violations.iter().any(|v| v.contains("disagrees with commit slot")));
     }
 }

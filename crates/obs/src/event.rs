@@ -127,9 +127,11 @@ impl AbortCause {
 /// `Deadlock` and `Commit`; the **engine** emits the single
 /// `Abort { cause, rule }` terminal for every transaction that does
 /// not commit (it is the only layer that knows the full cause
-/// taxonomy), one `Fire { rule, seq }` per *committed* transaction
-/// naming its slot in the global commit sequence, plus `Anomaly`
-/// markers for accounting races that should never happen.
+/// taxonomy), the commit-time receipts that [trail](Self::trails_commit)
+/// a `Commit`, plus `Anomaly` markers for accounting races that should
+/// never happen. Which commit slot a transaction took is not an event:
+/// the engine's commit log records each commit's txn id, and the
+/// checkers read the order from there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Transaction began.
@@ -162,23 +164,12 @@ pub enum EventKind {
     Deadlock,
     /// Transaction committed (terminal).
     Commit,
-    /// The committed firing's place in the global commit sequence:
-    /// `seq` is the 0-based position in the engine's trace and `rule`
-    /// an interned rule-name id (see [`crate::Recorder::intern_rule`]).
-    /// Emitted by the engine immediately after the commit critical
-    /// section, so it may trail the `Commit` terminal — the semantic
-    /// checker (§3 Theorem 2) pairs them back up.
-    Fire {
-        /// Interned rule-name id.
-        rule: u32,
-        /// 0-based position in the global commit sequence.
-        seq: u64,
-    },
     /// Transaction aborted (terminal), with its cause.
     Abort {
         /// Why.
         cause: AbortCause,
-        /// Interned rule-name id of the aborted attempt, as in `Fire`.
+        /// The aborted attempt's rule id (`RuleId`'s value; the
+        /// engine's `EXTERNAL_RULE`, `u32::MAX`, for a session).
         rule: u32,
     },
     /// An accounting anomaly (e.g. an abort call that failed with
@@ -200,8 +191,9 @@ pub enum EventKind {
     /// sequence number. All of its condition reads observe the
     /// versioned working memory `as_of(seq)`; no `Rc` locks are taken.
     /// MVCC sequences count from the recording engine's start, as its
-    /// `Fire` slots do: an engine resumed at base sequence `b` records
-    /// commit `b + k` as `k` and the memory it resumed as version 0.
+    /// commit-log slots do: an engine resumed at base sequence `b`
+    /// records commit `b + k` as `k` and the memory it resumed as
+    /// version 0.
     SnapshotPin {
         /// The pinned commit sequence number.
         seq: u64,
@@ -218,10 +210,9 @@ pub enum EventKind {
     },
     /// MVCC: the committed transaction installed a new version of this
     /// element. `seq` is the installing commit sequence (equal to the
-    /// transaction's `Fire` seq + 1; the version-order / `ww` raw
-    /// material). Like `Fire`, it trails the `Commit` terminal because
-    /// the sequence number only exists after the commit critical
-    /// section.
+    /// transaction's commit-log slot + 1; the version-order / `ww` raw
+    /// material). It trails the `Commit` terminal because the sequence
+    /// number only exists inside the commit critical section.
     VersionWrite {
         /// Opaque resource key (see module docs).
         resource: u64,
@@ -231,7 +222,7 @@ pub enum EventKind {
     /// Durability: the WAL group-commit fsync that made this
     /// transaction's commit durable completed; `seq` is the durable
     /// horizon the flush published. Emitted after the commit critical
-    /// section, so it trails the `Commit` terminal like `Fire` does.
+    /// section, so it trails the `Commit` terminal.
     WalSync {
         /// Durable horizon (highest commit seq covered by the fsync).
         seq: u64,
@@ -247,8 +238,7 @@ pub enum EventKind {
     /// lock-elision fast path — zero `R_a`/`W_a` lock-manager traffic,
     /// validated instead by the commit-time tuple-timestamp check.
     /// `resources` counts the lock acquisitions that were skipped.
-    /// Emitted after the commit critical section, so like `Fire` it may
-    /// trail the `Commit` terminal.
+    /// Recorded after `lm.commit`, so it trails the `Commit` terminal.
     ElidedCommit {
         /// Number of lock acquisitions the fast path skipped.
         resources: u32,
@@ -259,6 +249,21 @@ impl EventKind {
     /// `true` for the two terminal kinds (`Commit` / `Abort`).
     pub fn is_terminal(&self) -> bool {
         matches!(self, EventKind::Commit | EventKind::Abort { .. })
+    }
+
+    /// `true` for the commit receipts recorded after the `Commit`
+    /// terminal they describe, because what they report exists only
+    /// once the commit has happened: `VersionWrite`, `WalSync`,
+    /// `Checkpoint` and `ElidedCommit`. They are part of the commit,
+    /// not transaction work, so they never extend a transaction's span.
+    pub fn trails_commit(&self) -> bool {
+        matches!(
+            self,
+            EventKind::VersionWrite { .. }
+                | EventKind::WalSync { .. }
+                | EventKind::Checkpoint { .. }
+                | EventKind::ElidedCommit { .. }
+        )
     }
 }
 
@@ -360,7 +365,7 @@ mod tests {
         .is_terminal());
         assert!(!EventKind::Begin.is_terminal());
         assert!(!EventKind::Anomaly { what: "x" }.is_terminal());
-        assert!(!EventKind::Fire { rule: 0, seq: 0 }.is_terminal());
+        assert!(!EventKind::VersionWrite { resource: 0, seq: 1 }.is_terminal());
         assert!(!EventKind::Block {
             resource: 1,
             mode: "S",

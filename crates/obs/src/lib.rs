@@ -20,10 +20,10 @@
 //!   (p50/p95/p99/max) for the lock-wait, LHS-eval, RHS-act and commit
 //!   phases of Figures 4.1/4.2.
 //! * **[Reports](ObsReport)** — [`Recorder::report`] counts the rings
-//!   in one pass: events per kind, aborts per cause, and the
-//!   firing/abort breakdown per rule name (`Fire` and `Abort` events
-//!   carry an interned rule id). The rings are the only record; nothing
-//!   else is counted during the run.
+//!   in one pass: events per kind, aborts per cause, and aborts per
+//!   rule id (`Abort` events carry the attempt's `RuleId`). The rings
+//!   are the only record of events; nothing else is counted during the
+//!   run, and which rule fired when is the engine's commit log's.
 //! * **[JSON](json)** — a hand-rolled writer *and* parser, so benches
 //!   emit machine-readable reports and CI can shape-check them without
 //!   `serde`.
@@ -31,7 +31,8 @@
 //!   stream: blocking/wait-for graph reconstruction, per-resource
 //!   contention attribution, critical-path extraction (effective
 //!   parallelism, wasted-work `f`) and the §3-Theorem-2 commit-sequence
-//!   checker ([`analyze`]).
+//!   checker ([`analyze`]), which reads the commit order from the
+//!   engine's commit log: the txn id of each commit, in slot order.
 //! * **[`CachePadded`]** — a value on cache lines of its own, for the
 //!   shared state `dps-lock` and `dps-core` write on every firing, so
 //!   one worker's writes do not evict what another reads.
@@ -40,19 +41,24 @@
 //! `Option<Arc<Recorder>>`, so "off" costs one branch on a `None`.
 //!
 //! ```
-//! use dps_obs::{EventKind, Phase, Recorder, validate_history};
+//! use dps_obs::{analyze, AbortCause, EventKind, Phase, Recorder, Verdict, validate_history};
 //! use std::time::Duration;
 //!
 //! let rec = Recorder::default();
 //! rec.record(0, EventKind::Begin);
 //! rec.phase(Phase::LockWait, Duration::from_micros(12));
 //! rec.record(0, EventKind::Commit);
-//! rec.record(0, EventKind::Fire { rule: rec.intern_rule("bump"), seq: 0 });
+//! rec.record(1, EventKind::Begin);
+//! rec.record(1, EventKind::Abort { cause: AbortCause::Doomed, rule: 4 });
 //!
-//! validate_history(&rec.history()).unwrap();
+//! let history = rec.history();
+//! validate_history(&history).unwrap();
+//! // The engine's commit log: txn 0 took slot 0, txn 1 none.
+//! assert_eq!(analyze(&history, &[0]).verdict(), Verdict::Consistent);
+//! assert_eq!(analyze(&history, &[1]).verdict(), Verdict::Inconsistent);
 //! let report = rec.report();
-//! assert_eq!(report.commits, 1);
-//! assert_eq!((report.rules[0].name.as_str(), report.rules[0].fired), ("bump", 1));
+//! assert_eq!((report.commits, report.aborts), (1, 1));
+//! assert_eq!((report.rules[0].rule, report.rules[0].aborted), (4, 1));
 //! println!("{report}");                       // human
 //! let doc = report.to_json().to_string_pretty(); // machine
 //! assert!(doc.contains("\"lock_wait\""));

@@ -9,8 +9,8 @@
 //!    first use) and phase histograms are relaxed atomics. Recording an
 //!    event locks its slot's ring and nothing else.
 //! 3. **One record per event.** The rings are the only record: every
-//!    count in [`Recorder::report`] — per kind, per abort cause, per
-//!    rule — is computed from them on demand, and
+//!    count in [`Recorder::report`] — per kind, per abort cause, aborts
+//!    per rule — is computed from them on demand, and
 //!    [`Recorder::history`] merges them by timestamp. Nothing global
 //!    is maintained during the run.
 
@@ -39,11 +39,6 @@ pub struct Recorder {
     rings: Box<[Mutex<Ring>]>,
     hists: [Histogram; Phase::ALL.len()],
     dropped: AtomicU64,
-    /// Rule-name interner backing the compact `rule: u32` id of
-    /// [`EventKind::Fire`] and [`EventKind::Abort`] (events are `Copy`,
-    /// so they cannot carry the name itself). Rule sets are small, so a
-    /// linear scan suffices.
-    rule_names: Mutex<Vec<String>>,
 }
 
 impl Default for Recorder {
@@ -79,7 +74,6 @@ impl Recorder {
             rings: (0..slots.max(1)).map(|_| Mutex::new(Ring::new(capacity))).collect(),
             hists: std::array::from_fn(|_| Histogram::default()),
             dropped: AtomicU64::new(0),
-            rule_names: Mutex::new(Vec::new()),
         }
     }
 
@@ -114,29 +108,6 @@ impl Recorder {
     /// A snapshot of one phase histogram.
     pub fn phase_snapshot(&self, phase: Phase) -> HistSnapshot {
         self.hists[phase.index()].snapshot()
-    }
-
-    /// Interns a rule name, returning the compact id to embed in
-    /// [`EventKind::Fire`] and [`EventKind::Abort`]. Idempotent: the
-    /// same name always maps to the same id within one recorder.
-    pub fn intern_rule(&self, name: &str) -> u32 {
-        let mut names = self.rule_names.lock().unwrap();
-        if let Some(i) = names.iter().position(|n| n == name) {
-            return i as u32;
-        }
-        names.push(name.to_owned());
-        (names.len() - 1) as u32
-    }
-
-    /// The interned rule-name table (index = the `rule` id carried by
-    /// [`EventKind::Fire`] and [`EventKind::Abort`] events).
-    pub fn rule_names(&self) -> Vec<String> {
-        self.rule_names.lock().unwrap().clone()
-    }
-
-    /// Looks up one interned rule name.
-    pub fn rule_name(&self, id: u32) -> Option<String> {
-        self.rule_names.lock().unwrap().get(id as usize).cloned()
     }
 
     /// Events dropped because a ring wrapped. A non-zero value means
@@ -174,15 +145,7 @@ impl Recorder {
             dropped_events: self.dropped(),
             ..ObsReport::default()
         };
-        // (fired, aborted) by interned rule id.
-        let mut by_rule: Vec<(u64, u64)> = Vec::new();
-        fn tally(by_rule: &mut Vec<(u64, u64)>, rule: u32) -> &mut (u64, u64) {
-            let i = rule as usize;
-            if by_rule.len() <= i {
-                by_rule.resize(i + 1, (0, 0));
-            }
-            &mut by_rule[i]
-        }
+        let mut by_rule: BTreeMap<u32, u64> = BTreeMap::new();
         for ring in self.rings.iter() {
             for ev in ring.lock().unwrap().iter_ordered() {
                 let count = match ev.kind {
@@ -192,13 +155,9 @@ impl Recorder {
                     EventKind::Doom { .. } => &mut rep.dooms,
                     EventKind::Deadlock => &mut rep.deadlocks,
                     EventKind::Commit => &mut rep.commits,
-                    EventKind::Fire { rule, .. } => {
-                        tally(&mut by_rule, rule).0 += 1;
-                        &mut rep.fires
-                    }
                     EventKind::Abort { cause, rule } => {
                         rep.abort_causes[cause.index()].1 += 1;
-                        tally(&mut by_rule, rule).1 += 1;
+                        *by_rule.entry(rule).or_default() += 1;
                         &mut rep.aborts
                     }
                     EventKind::Anomaly { .. } => &mut rep.anomalies,
@@ -213,16 +172,7 @@ impl Recorder {
                 *count += 1;
             }
         }
-        // Read after the pass: every id an event carries was interned
-        // before that event was recorded.
-        rep.rules = self
-            .rule_names()
-            .into_iter()
-            .zip(by_rule)
-            .filter(|(_, (fired, aborted))| fired + aborted > 0)
-            .map(|(name, (fired, aborted))| RuleRow { name, fired, aborted })
-            .collect();
-        rep.rules.sort_by(|a, b| a.name.cmp(&b.name));
+        rep.rules = by_rule.into_iter().map(|(rule, aborted)| RuleRow { rule, aborted }).collect();
         rep
     }
 }
@@ -232,12 +182,10 @@ impl Recorder {
 /// * every transaction with any event has exactly one `Begin`, and it
 ///   is its first event;
 /// * every begun transaction ends in **exactly one** terminal
-///   (`Commit` or `Abort`), with no events after it (`Anomaly` markers
-///   excepted — they may trail an abort — and `Fire` /
-///   `ElidedCommit` records, which legitimately trail the `Commit`
-///   they describe because the engine only learns the sequence number
-///   after the commit critical section);
-/// * `Fire` never appears on a transaction that aborted;
+///   (`Commit` or `Abort`), with no events after it (`Anomaly` and
+///   `Fault` markers excepted, and the receipts that
+///   [trail](EventKind::trails_commit) the `Commit` they describe);
+/// * no such receipt appears on a transaction that aborted;
 /// * per-transaction timestamps are monotonically non-decreasing;
 /// * durability sequencing: `Checkpoint` sequence numbers never go
 ///   backwards across the merged history, no `WalSync{seq}` reports a
@@ -295,17 +243,10 @@ pub fn validate_history(events: &[Event]) -> Result<(), String> {
             // with the victim's own terminal, so it may land on either
             // side of it in the merged order).
             EventKind::Anomaly { .. } | EventKind::Fault { .. } => {}
-            EventKind::Fire { .. }
-            | EventKind::VersionWrite { .. }
-            | EventKind::WalSync { .. }
-            | EventKind::Checkpoint { .. }
-            | EventKind::ElidedCommit { .. } => {
-                // Fire (and the MVCC VersionWrite / durability WalSync
-                // / Checkpoint records that share its timing) trails
-                // the Commit it describes (the sequence number only
-                // exists after the commit critical section), so it is
-                // exempt from the after-terminal rule — but never
-                // legal before Begin or on an abort.
+            // A receipt trails the Commit it describes, so it is exempt
+            // from the after-terminal rule — but never legal before
+            // Begin or on an abort.
+            kind if kind.trails_commit() => {
                 if !t.begun {
                     return Err(format!("txn {}: {:?} before Begin", ev.txn, ev.kind));
                 }
@@ -586,41 +527,27 @@ mod tests {
     }
 
     #[test]
-    fn fire_may_trail_its_commit_but_not_an_abort() {
-        let h = vec![
-            e(0, 1, EventKind::Begin),
-            e(1, 1, EventKind::Commit),
-            e(2, 1, EventKind::Fire { rule: 0, seq: 0 }),
+    fn receipts_may_trail_their_commit_but_not_an_abort() {
+        let receipts = [
+            EventKind::VersionWrite { resource: 3, seq: 1 },
+            EventKind::WalSync { seq: 1 },
+            EventKind::Checkpoint { seq: 1 },
+            EventKind::ElidedCommit { resources: 2 },
         ];
-        validate_history(&h).unwrap();
-        let h = vec![
-            e(0, 1, EventKind::Begin),
-            e(
-                1,
-                1,
-                EventKind::Abort {
-                    cause: AbortCause::Stale,
-                    rule: 0,
-                },
-            ),
-            e(2, 1, EventKind::Fire { rule: 0, seq: 0 }),
-        ];
-        let err = validate_history(&h).unwrap_err();
-        assert!(err.contains("aborted"), "{err}");
-        // And never before Begin.
-        let h = vec![e(0, 1, EventKind::Fire { rule: 0, seq: 0 })];
-        assert!(validate_history(&h).unwrap_err().contains("before Begin"));
-    }
-
-    #[test]
-    fn rule_interner_is_idempotent_and_ordered() {
-        let r = Recorder::default();
-        assert_eq!(r.intern_rule("alpha"), 0);
-        assert_eq!(r.intern_rule("beta"), 1);
-        assert_eq!(r.intern_rule("alpha"), 0);
-        assert_eq!(r.rule_names(), vec!["alpha".to_string(), "beta".to_string()]);
-        assert_eq!(r.rule_name(1).as_deref(), Some("beta"));
-        assert_eq!(r.rule_name(2), None);
+        for receipt in receipts {
+            assert!(receipt.trails_commit());
+            let h = vec![e(0, 1, EventKind::Begin), e(1, 1, EventKind::Commit), e(2, 1, receipt)];
+            validate_history(&h).unwrap();
+            let aborted = EventKind::Abort { cause: AbortCause::Stale, rule: 0 };
+            let h = vec![e(0, 1, EventKind::Begin), e(1, 1, aborted), e(2, 1, receipt)];
+            let err = validate_history(&h).unwrap_err();
+            assert!(err.contains("aborted"), "{err}");
+            // And never before Begin.
+            let h = vec![e(0, 1, receipt)];
+            assert!(validate_history(&h).unwrap_err().contains("before Begin"));
+        }
+        assert!(!EventKind::Commit.trails_commit());
+        assert!(!EventKind::Fault { kind: "x" }.trails_commit());
     }
 
     #[test]
@@ -738,15 +665,14 @@ mod tests {
     #[test]
     fn rule_tables_accumulate() {
         let r = Recorder::default();
-        let (other, bump) = (r.intern_rule("other"), r.intern_rule("bump"));
-        r.record(0, EventKind::Fire { rule: bump, seq: 0 });
-        r.record(1, EventKind::Fire { rule: bump, seq: 1 });
+        let (bump, other, session) = (1, 0, u32::MAX);
+        r.record(0, EventKind::Abort { cause: AbortCause::Doomed, rule: bump });
+        r.record(1, EventKind::Abort { cause: AbortCause::Stale, rule: session });
         r.record(2, EventKind::Abort { cause: AbortCause::Doomed, rule: bump });
-        r.record(3, EventKind::Fire { rule: other, seq: 2 });
-        r.intern_rule("idle");
+        r.record(3, EventKind::Commit);
+        r.record(4, EventKind::Abort { cause: AbortCause::Deadlock, rule: other });
         let rep = r.report();
-        let rows: Vec<(&str, u64, u64)> =
-            rep.rules.iter().map(|r| (r.name.as_str(), r.fired, r.aborted)).collect();
-        assert_eq!(rows, [("bump", 2, 1), ("other", 1, 0)], "sorted by name; no idle row");
+        let rows: Vec<(u32, u64)> = rep.rules.iter().map(|r| (r.rule, r.aborted)).collect();
+        assert_eq!(rows, [(other, 1), (bump, 2), (session, 1)], "by rule id; no idle row");
     }
 }

@@ -1,5 +1,5 @@
 //! The aggregate report: phase histograms, abort breakdown, event
-//! counters and per-rule tables, with a human `Display` and a JSON
+//! counters and aborts per rule, with a human `Display` and a JSON
 //! exporter.
 
 use std::fmt;
@@ -8,13 +8,13 @@ use crate::event::AbortCause;
 use crate::hist::{HistSnapshot, Phase};
 use crate::json::Json;
 
-/// One row of the per-rule firing/abort table.
+/// One row of the per-rule abort table. The row is keyed by the rule's
+/// id; its name is the rule set's (`RuleSet::id_of` goes the other
+/// way), and how often it fired is the commit log's to say.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleRow {
-    /// Rule name.
-    pub name: String,
-    /// Commits.
-    pub fired: u64,
+    /// The `rule` of the `Abort` events counted (`RuleId`'s value).
+    pub rule: u32,
     /// Aborted attempts.
     pub aborted: u64,
 }
@@ -70,9 +70,6 @@ pub struct ObsReport {
     pub deadlocks: u64,
     /// `Commit` events.
     pub commits: u64,
-    /// `Fire` events (commit-sequence records; equals `commits` on a
-    /// healthy engine-instrumented run, 0 on lock-manager-only runs).
-    pub fires: u64,
     /// `Abort` events.
     pub aborts: u64,
     /// `Anomaly` markers (should be 0 on a healthy run).
@@ -97,8 +94,7 @@ pub struct ObsReport {
     pub elided_commits: u64,
     /// Events lost to ring overwrites (history incomplete if non-zero).
     pub dropped_events: u64,
-    /// Per-rule rows, sorted by rule name: a rule's `Fire` and `Abort`
-    /// events.
+    /// Per-rule rows, sorted by rule id: each rule's `Abort` events.
     pub rules: Vec<RuleRow>,
 }
 
@@ -143,7 +139,6 @@ impl ObsReport {
             ("dooms".into(), Json::u64(self.dooms)),
             ("deadlocks".into(), Json::u64(self.deadlocks)),
             ("commits".into(), Json::u64(self.commits)),
-            ("fires".into(), Json::u64(self.fires)),
             ("aborts".into(), Json::u64(self.aborts)),
             ("anomalies".into(), Json::u64(self.anomalies)),
             ("faults".into(), Json::u64(self.faults)),
@@ -160,8 +155,7 @@ impl ObsReport {
                 .iter()
                 .map(|r| {
                     Json::Obj(vec![
-                        ("name".into(), Json::str(r.name.clone())),
-                        ("fired".into(), Json::u64(r.fired)),
+                        ("rule".into(), Json::u64(u64::from(r.rule))),
                         ("aborted".into(), Json::u64(r.aborted)),
                     ])
                 })
@@ -236,10 +230,9 @@ impl fmt::Display for ObsReport {
             }
         }
         if !self.rules.is_empty() {
-            writeln!(f, "  per-rule:")?;
-            writeln!(f, "    {:<24} {:>8} {:>8}", "rule", "fired", "aborted")?;
+            writeln!(f, "  aborts per rule id:")?;
             for r in &self.rules {
-                writeln!(f, "    {:<24} {:>8} {:>8}", r.name, r.fired, r.aborted)?;
+                writeln!(f, "    {:<12} {}", r.rule, r.aborted)?;
             }
         }
         Ok(())
@@ -257,15 +250,13 @@ mod tests {
         let r = Recorder::default();
         r.phase(Phase::LockWait, std::time::Duration::from_micros(3));
         r.phase(Phase::Commit, std::time::Duration::from_micros(7));
-        let bump = r.intern_rule("bump");
         r.record(
             0,
             crate::EventKind::Abort {
                 cause: AbortCause::EvalError,
-                rule: bump,
+                rule: 3,
             },
         );
-        r.record(1, crate::EventKind::Fire { rule: bump, seq: 0 });
         let rep = r.report();
         let parsed = json::parse(&rep.to_json().to_string_pretty()).unwrap();
         assert_eq!(
@@ -286,7 +277,8 @@ mod tests {
         );
         assert_eq!(parsed.at(&["events", "aborts"]).and_then(Json::as_u64), Some(1));
         let rules = parsed.get("rules").and_then(Json::as_arr).unwrap();
-        assert_eq!(rules[0].get("name").and_then(Json::as_str), Some("bump"));
+        assert_eq!(rules[0].get("rule").and_then(Json::as_u64), Some(3));
+        assert_eq!(rules[0].get("aborted").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -294,10 +286,10 @@ mod tests {
         let r = Recorder::default();
         r.record(0, crate::EventKind::Begin);
         r.record(0, crate::EventKind::Commit);
-        let bump = r.intern_rule("bump");
-        r.record(0, crate::EventKind::Fire { rule: bump, seq: 0 });
+        r.record(1, crate::EventKind::Begin);
+        r.record(1, crate::EventKind::Abort { cause: AbortCause::Stale, rule: 7 });
         let text = r.report().to_string();
-        for needle in ["events:", "latency", "lock_wait", "per-rule", "bump"] {
+        for needle in ["events:", "latency", "lock_wait", "aborts per rule id", "    7 "] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

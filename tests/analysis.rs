@@ -1,15 +1,16 @@
 //! End-to-end tests for the trace-analysis layer: a real dynamic-engine
 //! run under **both** lock protocols is analyzed from its event history
-//! alone, and the §3-Theorem-2 checker must (a) pass on the genuine
-//! run, (b) flag an *injected* out-of-order replay as `inconsistent`,
-//! and (c) flag a corrupted commit sequence as a structural error —
-//! the oracle is falsifiable, not a rubber stamp.
+//! and its commit log, and the §3-Theorem-2 checker must (a) pass on
+//! the genuine run, (b) flag an *injected* out-of-order replay as
+//! `inconsistent`, and (c) flag a corrupted commit log — a teleported
+//! txn id, two slots' txn ids swapped — as a structural error: the
+//! oracle is falsifiable, not a rubber stamp.
 
 use dbps::engine::semantics::validate_trace;
 use dbps::engine::{Firing, ParallelConfig, ParallelEngine, ParallelReport, WorkModel};
 use dbps::lock::{ConflictPolicy, Protocol};
 use dbps::obs::analysis::{analyze, RunAnalysis};
-use dbps::obs::{validate_history, Event, EventKind, Recorder, Verdict};
+use dbps::obs::{validate_history, Recorder, Verdict};
 use dbps::rules::RuleSet;
 use dbps::wm::{WmeData, WorkingMemory};
 use std::sync::Arc;
@@ -57,6 +58,11 @@ fn run(protocol: Protocol) -> (RuleSet, WorkingMemory, ParallelReport, Arc<Recor
     (rules, initial, report, rec)
 }
 
+/// The commit log's txn column: slot `i` committed by the `i`-th.
+fn txns(report: &ParallelReport) -> Vec<u64> {
+    report.trace.firings.txns().collect()
+}
+
 /// The full analysis loop as `dps-bench` runs it, minus the printing.
 fn analyzed(
     rules: &RuleSet,
@@ -66,7 +72,7 @@ fn analyzed(
 ) -> RunAnalysis {
     let history = rec.history();
     validate_history(&history).expect("merged history well-formed");
-    let mut analysis = analyze(&history);
+    let mut analysis = analyze(&history, &txns(report));
     analysis.set_replay_result(
         validate_trace(rules, initial, &report.trace).map_err(|v| v.to_string()),
     );
@@ -79,21 +85,16 @@ fn both_protocols_analyze_consistent_end_to_end() {
         let (rules, initial, report, rec) = run(protocol);
         let analysis = analyzed(&rules, &initial, &report, &rec);
 
-        // Checker: consistent, with the full commit sequence recovered
-        // from the event stream alone.
+        // Checker: consistent, with every commit of the history paired
+        // with one slot of the log.
         assert_eq!(analysis.verdict(), Verdict::Consistent, "{protocol:?}");
         assert!(analysis.checker.structural_errors.is_empty(), "{protocol:?}");
         assert_eq!(analysis.checker.commits.len(), report.commits, "{protocol:?}");
+        let committed = analysis.graph.spans.values().filter(|s| s.committed).count();
+        assert_eq!(committed, report.commits, "{protocol:?}");
 
-        // The recovered rule sequence names the same rules as the trace.
-        let names = rec.rule_names();
-        let recovered: Vec<&str> = analysis
-            .checker
-            .rule_sequence()
-            .iter()
-            .map(|&id| names[id as usize].as_str())
-            .collect();
-        assert_eq!(recovered, report.trace.names(), "{protocol:?}");
+        // The log names the rules it fired, one record per commit.
+        assert_eq!(report.trace.names(), vec!["apply"; report.commits], "{protocol:?}");
 
         // Critical-path accounting is internally consistent.
         let c = &analysis.critical;
@@ -108,6 +109,7 @@ fn both_protocols_analyze_consistent_end_to_end() {
 #[test]
 fn injected_out_of_order_replay_is_flagged_inconsistent() {
     let (rules, initial, mut report, rec) = run(Protocol::RcRaWa);
+    let logged = txns(&report);
 
     // Swap two adjacent firings: every firing of the accumulator
     // workload reads the previous firing's output, so the swapped
@@ -119,31 +121,26 @@ fn injected_out_of_order_replay_is_flagged_inconsistent() {
     assert!(replay.is_err(), "swapped commit order must fail §3 replay");
 
     let history = rec.history();
-    let mut analysis = analyze(&history);
+    let mut analysis = analyze(&history, &logged);
     assert!(
         analysis.checker.structural_errors.is_empty(),
-        "the event stream itself is untouched"
+        "the event stream and the txn column are untouched"
     );
     analysis.set_replay_result(replay.map_err(|v| v.to_string()));
     assert_eq!(analysis.verdict(), Verdict::Inconsistent);
 }
 
 #[test]
-fn corrupted_fire_seq_is_a_structural_error() {
-    let (_, _, _, rec) = run(Protocol::RcRaWa);
-    let mut history: Vec<Event> = rec.history();
+fn teleported_txn_id_is_a_structural_error() {
+    let (_, _, report, rec) = run(Protocol::RcRaWa);
+    let history = rec.history();
 
-    // Teleport one Fire record to a far-away slot: the recovered
-    // sequence is no longer contiguous.
-    let fire = history
-        .iter_mut()
-        .find(|e| matches!(e.kind, EventKind::Fire { .. }))
-        .expect("instrumented run records Fire events");
-    if let EventKind::Fire { rule, .. } = fire.kind {
-        fire.kind = EventKind::Fire { rule, seq: 1_000_000 };
-    }
+    // Teleport one slot's txn id far away: the log now names a
+    // transaction that never committed, and one that did holds no slot.
+    let mut txns = txns(&report);
+    txns[3] = 1_000_000;
 
-    let analysis = analyze(&history);
+    let analysis = analyze(&history, &txns);
     assert_eq!(analysis.verdict(), Verdict::Inconsistent);
     assert!(
         analysis
@@ -158,32 +155,28 @@ fn corrupted_fire_seq_is_a_structural_error() {
 
 #[test]
 fn swapped_commit_sequence_slots_are_a_structural_error() {
-    let (_, _, _, rec) = run(Protocol::RcRaWa);
-    let mut history: Vec<Event> = rec.history();
+    let (_, _, report, rec) = run(Protocol::RcRaWa);
+    let history = rec.history();
 
-    // Swap the seq payloads of the first and last Fire records. The set
-    // of slots stays contiguous, but the commit timestamps now disagree
-    // with the claimed order — the checker's timestamp cross-check
-    // (commit order == trace-append order, both under the engine's
-    // commit critical section) must catch it.
-    let fires: Vec<usize> = history
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e.kind, EventKind::Fire { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    assert!(fires.len() >= 2);
-    let (a, b) = (fires[0], *fires.last().unwrap());
-    let (ka, kb) = (history[a].kind, history[b].kind);
-    if let (EventKind::Fire { rule: ra, seq: sa }, EventKind::Fire { rule: rb, seq: sb }) =
-        (ka, kb)
-    {
-        assert_ne!(sa, sb);
-        history[a].kind = EventKind::Fire { rule: ra, seq: sb };
-        history[b].kind = EventKind::Fire { rule: rb, seq: sa };
-    }
+    // Swap the txn ids of the first and last slots. Every committed
+    // transaction still holds exactly one slot, but the commit
+    // timestamps now disagree with the claimed order — the checker's
+    // timestamp cross-check (commit order == log order, both under the
+    // engine's commit critical section) must catch it.
+    let mut txns = txns(&report);
+    assert!(txns.len() >= 2);
+    let last = txns.len() - 1;
+    txns.swap(0, last);
 
-    let analysis = analyze(&history);
+    let analysis = analyze(&history, &txns);
     assert_eq!(analysis.verdict(), Verdict::Inconsistent);
-    assert!(!analysis.checker.structural_errors.is_empty());
+    assert!(
+        analysis
+            .checker
+            .structural_errors
+            .iter()
+            .any(|e| e.contains("sequence order")),
+        "expected a sequence-order diagnostic, got {:?}",
+        analysis.checker.structural_errors
+    );
 }

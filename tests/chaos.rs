@@ -49,9 +49,9 @@ fn every_fault_plan_and_seed_replays_consistently() {
     }
 }
 
-/// S2 falsifiability: corrupting the recorded commit ordering (low-bit
-/// flip on the last fire seq, odd commit count so contiguity is
-/// guaranteed to break) must be *rejected* by the checker. If this
+/// S2 falsifiability: corrupting the recorded commit ordering (the
+/// commit log's first slot names a transaction that never began, so
+/// rejection is guaranteed) must be *rejected* by the checker. If this
 /// test fails the oracle is a rubber stamp and the property test above
 /// proves nothing.
 #[test]
@@ -60,19 +60,20 @@ fn corrupted_commit_sequence_is_rejected() {
     let run = chaos_run(ChaosSpec {
         plan: "corrupted",
         fault: FaultPlan {
-            corrupt_fire_seq: true,
+            corrupt_commit_log: true,
             ..FaultPlan::quiet(seed)
         },
         policy: ConflictPolicy::AbortReaders,
         workers: 4,
-        tasks: 13, // odd: seq ^ 1 always breaks 0..n contiguity
+        tasks: 12,
         resources: 2,
         work_us: 0,
     });
     assert_eq!(run.verdict(), Verdict::Inconsistent);
     assert!(
-        !run.errors.is_empty(),
-        "rejection must come with a concrete structural error"
+        run.errors.iter().any(|e| e.contains("never committed")),
+        "rejection must come with a concrete structural error: {:?}",
+        run.errors
     );
     assert!(!run.passes());
 }

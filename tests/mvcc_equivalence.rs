@@ -88,7 +88,8 @@ fn every_policy_and_shard_count_converges_under_chaos() {
                         0,
                         "{label}: condition-read aborts under MVCC"
                     );
-                    let si = si_checker::check_history(&history);
+                    let log: Vec<u64> = report.trace.firings.txns().collect();
+                    let si = si_checker::check_history(&history, &log);
                     assert_eq!(
                         si.verdict(),
                         Verdict::Consistent,
@@ -111,9 +112,9 @@ fn every_policy_and_shard_count_converges_under_chaos() {
     }
 }
 
-/// One instrumented MVCC run of the streaming workload (no faults) and
-/// its merged event history.
-fn mvcc_history() -> (usize, Vec<Event>) {
+/// One instrumented MVCC run of the streaming workload (no faults), its
+/// merged event history and its commit log's txn column.
+fn mvcc_history() -> (usize, Vec<Event>, Vec<u64>) {
     let (rules, wm) = workloads::false_conflict_stream(3, 4, 3, 4);
     let expected = 3 * 4 + 3 * 4;
     let mut engine = ParallelEngine::new(
@@ -132,13 +133,13 @@ fn mvcc_history() -> (usize, Vec<Event>) {
     assert_eq!(report.commits, expected);
     validate_trace(&rules, &wm, &report.trace).unwrap();
     let rec = engine.observer().expect("observe: true");
-    (expected, rec.history())
+    (expected, rec.history(), report.trace.firings.txns().collect())
 }
 
 #[test]
 fn genuine_mvcc_history_passes_the_polygraph() {
-    let (expected, history) = mvcc_history();
-    let rep = si_checker::check_history(&history);
+    let (expected, history, log) = mvcc_history();
+    let rep = si_checker::check_history(&history, &log);
     assert_eq!(rep.committed, expected);
     assert!(rep.violations.is_empty(), "{:?}", rep.violations);
     assert!(rep.cycle.is_none(), "{:?}", rep.cycle);
@@ -147,7 +148,7 @@ fn genuine_mvcc_history_passes_the_polygraph() {
 
 #[test]
 fn phantom_version_read_is_rejected() {
-    let (_, mut history) = mvcc_history();
+    let (_, mut history, log) = mvcc_history();
     // Claim some condition read observed a version nobody installed:
     // the snapshot-consistency check must flag it.
     let read = history
@@ -160,7 +161,7 @@ fn phantom_version_read_is_rejected() {
             seq: 999_999,
         };
     }
-    let rep = si_checker::check_history(&history);
+    let rep = si_checker::check_history(&history, &log);
     assert_eq!(rep.verdict(), Verdict::Inconsistent);
     assert!(
         !rep.violations.is_empty(),
@@ -170,10 +171,10 @@ fn phantom_version_read_is_rejected() {
 
 #[test]
 fn swapped_version_install_order_is_rejected() {
-    let (_, mut history) = mvcc_history();
+    let (_, mut history, log) = mvcc_history();
     // Swap the installed version sequences of two different committed
     // transactions, as if the engine had interchanged their installs.
-    // Each now disagrees with its own commit slot (version = fire + 1),
+    // Each now disagrees with its own commit slot (version = slot + 1),
     // so the version-order cross-check must reject.
     let writes: Vec<usize> = history
         .iter()
@@ -196,7 +197,7 @@ fn swapped_version_install_order_is_rejected() {
         history[a].kind = EventKind::VersionWrite { resource: ra, seq: sb };
         history[b].kind = EventKind::VersionWrite { resource: rb, seq: sa };
     }
-    let rep = si_checker::check_history(&history);
+    let rep = si_checker::check_history(&history, &log);
     assert_eq!(rep.verdict(), Verdict::Inconsistent);
     assert!(
         rep.violations
@@ -212,17 +213,17 @@ fn swapped_version_install_order_is_rejected() {
 /// `VersionWrite`s, each as `(tuple id, seq)` in event order.
 type Footprint = (u64, Vec<(u64, u64)>, Vec<(u64, u64)>);
 
-/// The committed transactions' footprints, in commit (`Fire`) order.
-fn footprints(history: &[Event]) -> Vec<Footprint> {
+/// The committed transactions' footprints, in commit order: the order
+/// of the commit log's txn column `log`.
+fn footprints(history: &[Event], log: &[u64]) -> Vec<Footprint> {
     let tuple = |resource: u64| match res_of_key(resource) {
         ResourceId::Tuple(id) => id,
         other => panic!("a version event on {other:?}"),
     };
-    let mut by_txn: BTreeMap<u64, (Option<u64>, Footprint)> = BTreeMap::new();
+    let mut by_txn: BTreeMap<u64, Footprint> = BTreeMap::new();
     for e in history {
-        let (fire, (pin, reads, writes)) = by_txn.entry(e.txn).or_default();
+        let (pin, reads, writes) = by_txn.entry(e.txn).or_default();
         match e.kind {
-            EventKind::Fire { seq, .. } => *fire = Some(seq),
             EventKind::SnapshotPin { seq } => *pin = seq,
             EventKind::VersionRead { resource, seq } => reads.push((tuple(resource), seq)),
             EventKind::VersionWrite { resource, seq } => writes.push((tuple(resource), seq)),
@@ -230,12 +231,9 @@ fn footprints(history: &[Event]) -> Vec<Footprint> {
             _ => {}
         }
     }
-    let mut committed: Vec<(u64, Footprint)> = by_txn
-        .into_values()
-        .filter_map(|(fire, fp)| Some((fire?, fp)))
-        .collect();
-    committed.sort_by_key(|(fire, _)| *fire);
-    committed.into_iter().map(|(_, fp)| fp).collect()
+    log.iter()
+        .map(|txn| by_txn.remove(txn).unwrap_or_else(|| panic!("logged txn {txn} has no events")))
+        .collect()
 }
 
 /// The exact MVCC history of a one-worker run over a modify, a make, a
@@ -281,10 +279,11 @@ fn one_worker_mvcc_history_is_pinned_exactly() {
         let report = engine.run();
         validate_trace(&rules, &wm, &report.trace).unwrap();
         let history = engine.observer().expect("observe: true").history();
+        let log: Vec<u64> = report.trace.firings.txns().collect();
         assert_eq!(
-            si_checker::check_history(&history).verdict(),
+            si_checker::check_history(&history, &log).verdict(),
             Verdict::Consistent
         );
-        assert_eq!(footprints(&history), expected, "base_seq {base_seq}");
+        assert_eq!(footprints(&history, &log), expected, "base_seq {base_seq}");
     }
 }

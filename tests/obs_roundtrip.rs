@@ -10,9 +10,11 @@
 //!    and stay `validate`-clean on both sides.
 //!
 //! A third property pins what a report *is*: its event, per-cause and
-//! per-rule counts are folds over the recorder's own history, also when
-//! the rings wrap (then over the retained events, with the overwritten
-//! ones counted in `dropped_events`).
+//! per-rule abort counts are folds over the recorder's own history,
+//! also when the rings wrap (then over the retained events, with the
+//! overwritten ones counted in `dropped_events`). Which transactions
+//! committed, in which order, is the commit log's: each schedule keeps
+//! one, and a complete history pairs with it.
 //!
 //! Randomness comes from the workspace's internal deterministic PRNG
 //! (`dps_wm::rng::SmallRng`); each property runs over a fixed sweep of
@@ -23,8 +25,8 @@ use std::time::Duration;
 
 use dbps::obs::json::{self, Json};
 use dbps::obs::{
-    validate_history, AbortCause, Event, EventKind, Phase, Recorder, Series, SeriesKind,
-    TimelineDoc,
+    analyze, validate_history, AbortCause, Event, EventKind, Phase, Recorder, Series, SeriesKind,
+    TimelineDoc, Verdict,
 };
 use dbps::wm::rng::SmallRng;
 
@@ -35,26 +37,31 @@ const MODES: [&str; 7] = ["S", "X", "Rc", "Ra", "Wa", "IX", "IWa"];
 
 /// Drives a [`Recorder`] with a random but lifecycle-valid schedule:
 /// every transaction begins first, accumulates random non-terminal
-/// events, and ends with exactly one terminal (`Fire` may trail a
-/// commit, as the engine emits it).
-fn random_valid_recorder(rng: &mut SmallRng) -> Recorder {
+/// events, and ends with exactly one terminal (an `ElidedCommit`
+/// receipt may trail a commit, as the engine emits it). Returns the
+/// schedule's commit log: the committed txns in commit order.
+fn random_valid_recorder(rng: &mut SmallRng) -> (Recorder, Vec<u64>) {
     let rec = Recorder::with_capacity(4, 4096);
     let txns = 1 + rng.index(10) as u64;
-    record_schedule(&rec, rng, 0..txns);
-    rec
+    let (_, log) = record_schedule(&rec, rng, 0..txns);
+    (rec, log)
 }
 
 /// Records a random lifecycle-valid schedule of the transactions `txns`
-/// into `rec`; returns how many events it recorded.
-fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64>) -> u64 {
-    let mut seq = 0u64;
+/// into `rec`; returns how many events it recorded and its commit log.
+fn record_schedule(
+    rec: &Recorder,
+    rng: &mut SmallRng,
+    txns: std::ops::Range<u64>,
+) -> (u64, Vec<u64>) {
+    let mut log = Vec::new();
     let mut events = 0u64;
     let mut record = |txn: u64, kind: EventKind| {
         rec.record(txn, kind);
         events += 1;
     };
     for txn in txns {
-        let rule = rec.intern_rule(if txn % 2 == 0 { "even" } else { "odd" });
+        let rule = (txn % 2) as u32;
         record(txn, EventKind::Begin);
         for _ in 0..rng.index(4) {
             match rng.index(3) {
@@ -78,8 +85,10 @@ fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64
         }
         if rng.random_bool(0.7) {
             record(txn, EventKind::Commit);
-            record(txn, EventKind::Fire { rule, seq });
-            seq += 1;
+            if rng.random_bool(0.5) {
+                record(txn, EventKind::ElidedCommit { resources: rng.range_u64(1..5) as u32 });
+            }
+            log.push(txn);
         } else {
             let cause = AbortCause::ALL[rng.index(AbortCause::ALL.len())];
             record(txn, EventKind::Abort { cause, rule });
@@ -89,7 +98,7 @@ fn record_schedule(rec: &Recorder, rng: &mut SmallRng, txns: std::ops::Range<u64
             Duration::from_nanos(rng.range_u64(0..(1 << 20) + 1)),
         );
     }
-    events
+    (events, log)
 }
 
 /// The `events` key of the report's JSON that counts `kind`.
@@ -101,7 +110,6 @@ fn event_key(kind: &EventKind) -> &'static str {
         EventKind::Doom { .. } => "dooms",
         EventKind::Deadlock => "deadlocks",
         EventKind::Commit => "commits",
-        EventKind::Fire { .. } => "fires",
         EventKind::Abort { .. } => "aborts",
         EventKind::Anomaly { .. } => "anomalies",
         EventKind::Fault { .. } => "faults",
@@ -114,27 +122,21 @@ fn event_key(kind: &EventKind) -> &'static str {
     }
 }
 
-/// Per-kind, per-cause and per-rule counts folded over a history.
-type Folds = (BTreeMap<&'static str, u64>, Vec<(AbortCause, u64)>, Vec<(String, u64, u64)>);
+/// Per-kind, per-cause and per-rule abort counts folded over a history.
+type Folds = (BTreeMap<&'static str, u64>, Vec<(AbortCause, u64)>, Vec<(u32, u64)>);
 
-fn fold(history: &[Event], names: &[String]) -> Folds {
+fn fold(history: &[Event]) -> Folds {
     let mut kinds = BTreeMap::new();
     let mut causes: Vec<(AbortCause, u64)> = AbortCause::ALL.iter().map(|&c| (c, 0)).collect();
-    let mut rules: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut rules: BTreeMap<u32, u64> = BTreeMap::new();
     for ev in history {
         *kinds.entry(event_key(&ev.kind)).or_insert(0) += 1;
-        let name = |rule: u32| names[rule as usize].clone();
-        match ev.kind {
-            EventKind::Fire { rule, .. } => rules.entry(name(rule)).or_default().0 += 1,
-            EventKind::Abort { cause, rule } => {
-                causes[cause.index()].1 += 1;
-                rules.entry(name(rule)).or_default().1 += 1;
-            }
-            _ => {}
+        if let EventKind::Abort { cause, rule } = ev.kind {
+            causes[cause.index()].1 += 1;
+            *rules.entry(rule).or_default() += 1;
         }
     }
-    let rules = rules.into_iter().map(|(name, (f, a))| (name, f, a)).collect();
-    (kinds, causes, rules)
+    (kinds, causes, rules.into_iter().collect())
 }
 
 #[test]
@@ -144,10 +146,9 @@ fn report_counts_are_folds_over_the_history() {
         // Rings from 2 events (wrapping on almost every case) to ample.
         let capacity = [2, 5, 16, 4096][rng.index(4)];
         let rec = Recorder::with_capacity(1 + rng.index(3), capacity);
-        rec.intern_rule("idle"); // interned, never fired: no row
         let seeds: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
         // Three threads, so events spread over several rings.
-        let recorded: u64 = std::thread::scope(|s| {
+        let (recorded, logged): (u64, usize) = std::thread::scope(|s| {
             let rec = &rec;
             let handles: Vec<_> = seeds
                 .iter()
@@ -160,24 +161,29 @@ fn report_counts_are_folds_over_the_history() {
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
+            handles.into_iter().fold((0, 0), |(events, commits), h| {
+                let (e, log) = h.join().unwrap();
+                (events + e, commits + log.len())
+            })
         });
         let history = rec.history();
         let rep = rec.report();
-        let (kinds, causes, rules) = fold(&history, &rec.rule_names());
+        let (kinds, causes, rules) = fold(&history);
         let events = rep.to_json();
         for kind in [
-            "begins", "grants", "blocks", "dooms", "deadlocks", "commits", "fires", "aborts",
-            "anomalies", "faults", "snapshot_pins", "version_reads", "version_writes", "wal_syncs",
+            "begins", "grants", "blocks", "dooms", "deadlocks", "commits", "aborts", "anomalies",
+            "faults", "snapshot_pins", "version_reads", "version_writes", "wal_syncs",
             "checkpoints", "elided_commits",
         ] {
             let got = events.at(&["events", kind]).and_then(Json::as_u64);
             assert_eq!(got, Some(kinds.get(kind).copied().unwrap_or(0)), "seed {seed}: {kind}");
         }
         assert_eq!(rep.abort_causes, causes, "seed {seed}");
-        let rows: Vec<(String, u64, u64)> =
-            rep.rules.iter().map(|r| (r.name.clone(), r.fired, r.aborted)).collect();
+        let rows: Vec<(u32, u64)> = rep.rules.iter().map(|r| (r.rule, r.aborted)).collect();
         assert_eq!(rows, rules, "seed {seed}");
+        if rec.dropped() == 0 {
+            assert_eq!(rep.commits, logged as u64, "seed {seed}: one commit per log record");
+        }
         assert_eq!(rep.dropped_events, recorded - history.len() as u64, "seed {seed}");
         assert_eq!(rep.dropped_events, rec.dropped(), "seed {seed}");
     }
@@ -187,8 +193,12 @@ fn report_counts_are_folds_over_the_history() {
 fn random_reports_round_trip_as_json_trees() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let rec = random_valid_recorder(&mut rng);
-        validate_history(&rec.history()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let (rec, log) = random_valid_recorder(&mut rng);
+        let history = rec.history();
+        validate_history(&history).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let analysis = analyze(&history, &log);
+        assert_eq!(analysis.verdict(), Verdict::Consistent, "seed {seed}");
+        assert_eq!(analysis.checker.commits.len(), log.len(), "seed {seed}");
         let doc = rec.report().to_json();
 
         let pretty = json::parse(&doc.to_string_pretty()).expect("pretty parses");

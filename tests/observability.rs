@@ -75,8 +75,10 @@ fn eval_error_increments_only_its_own_counter() {
         Some(1)
     );
     assert_eq!(obs.aborts, 1);
-    let rule = obs.rules.iter().find(|r| r.name == "boom").expect("rule row");
-    assert_eq!((rule.fired, rule.aborted), (0, 1));
+    let boom = rules.id_of("boom").expect("boom is a rule").0;
+    let row = obs.rules.iter().find(|r| r.rule == boom).expect("rule row");
+    assert_eq!(row.aborted, 1);
+    assert!(!report.trace.names().contains(&"boom"), "boom never fired");
 }
 
 #[test]
