@@ -11,14 +11,14 @@
 //! | 0 | base | rule firings only: refused (`Stale`) once a rule firing halted |
 //! | 1 | base | `lm.commit` — the Figure 4.3 rule; the last step that can fail |
 //! | 2 | base | `wm.apply`, take the commit sequence number |
-//! | 3 | base | WAL stage (the three kill sites), checkpoint rotation on cadence |
+//! | 3 | base | WAL stage (the three kill sites); on the checkpoint cadence, a copy-on-write clone of the memory at `seq` and the log rotation |
 //! | 4 | base | `publish` the change batch (write stamps on a snapshot engine, the affected shards' inboxes, watermark); a firing that halts sets the halted flag |
 //! | 5 | base | commit-log append (`WmBase::trace`: the txn id and the record's bytes, encoded before the hold), strategy receipt events |
 //! | 6 | base, each routed shard | policy `Revalidate`: `revalidate_readers` dooms, through the lock manager, each handed-back reader whose claim left its caught-up shard |
 //! | 7 | own shard | rule firings only: the shard the claim was scanned from absorbs the batch, and its Rete refracts the key as the claim ends |
 //! | 8 | ledger | commit counters, in-flight count |
 //! | 9 | — | `Phase::Commit` sample, wake threads waiting on an in-flight claim, `fan_out` to the other affected shards |
-//! | 10 | checkpoint install | checkpoint install + `Checkpoint` event, skipped if older than the newest; then group-commit `request_sync` (the log writer fsyncs), `WalSync` unless a newer `Checkpoint` covers it |
+//! | 10 | checkpoint install | the step-3 clone encoded into a snapshot, its install + `Checkpoint` event, skipped if older than the newest; then group-commit `request_sync` (the log writer fsyncs), `WalSync` unless a newer `Checkpoint` covers it |
 //!
 //! Commit order = sequence order = trace order because steps 1–6 share
 //! one hold of the base mutex (`Phase::BaseHold`; the caller's wait for
@@ -208,8 +208,9 @@ impl ParallelEngine {
         // the critical section: match work overlaps the next commit.
         self.pipeline.fan_out(&affected, seq, obs);
         // Durability tail, with no engine lock held: the deferred
-        // checkpoint-snapshot install (serialised among committers),
-        // then the group-commit request.
+        // checkpoint snapshot, encoded from the clone taken at `seq` and
+        // installed (serialised among committers), then the group-commit
+        // request.
         // `request_sync` never blocks: the log writer thread fsyncs for
         // every committer, so the durable horizon trails the published
         // one by at most the writer's in-flight batch (the prefix loss
@@ -219,7 +220,11 @@ impl ParallelEngine {
         // already covers). A dead writer means a kill point fired: the
         // commit stays visible in memory and never becomes durable.
         if let Some(durable) = &self.durable {
-            if let Some(snap) = checkpoint {
+            if let Some(wm) = checkpoint {
+                let snap = wm.encode_snapshot().expect("checkpoint snapshot encodes");
+                // Unshare the live memory's relations before the slow
+                // write, so later commits stop copying what they touch.
+                drop(wm);
                 self.install_checkpoint(txn, seq, &snap);
             }
             if let Ok(Some(horizon)) = durable.writer().request_sync(seq) {
@@ -263,17 +268,18 @@ impl ParallelEngine {
     /// Stages commit `seq`'s redo record (under the base mutex, so
     /// records enter the WAL in sequence order; the fsync waits until
     /// the critical section is over) and, on the checkpoint cadence,
-    /// rotates the log and returns the encoded snapshot for the caller
-    /// to install once the base mutex is released. A dead writer (a
-    /// kill point already fired) is ignored — the in-memory run keeps
-    /// going, and the chaos harness measures what survived on disk.
+    /// rotates the log and returns a clone of the memory at `seq` for
+    /// the caller to encode and install once the base mutex is
+    /// released. A dead writer (a kill point already fired) is ignored
+    /// — the in-memory run keeps going, and the chaos harness measures
+    /// what survived on disk.
     fn stage_wal(
         &self,
         wm: &WorkingMemory,
         txn: TxnId,
         seq: u64,
         changes: &[Change],
-    ) -> Option<Vec<u8>> {
+    ) -> Option<WorkingMemory> {
         let durable = self.durable.as_ref()?;
         let writer = durable.writer();
         // Kill-point seam: simulate process death at this commit. The
@@ -308,13 +314,15 @@ impl ParallelEngine {
             Err(e) => panic!("wal append at seq {seq}: {e}"),
         }
         // The snapshot must capture exactly `seq`'s state, so it is
-        // encoded here; the rotation is cheap (flush + reopen); only
-        // the slow snapshot write is deferred.
+        // taken here, as a clone that shares every relation with the
+        // live memory (a later commit's write copies what it touches);
+        // the rotation is cheap (flush + reopen). Encoding and writing
+        // the snapshot both wait until the hold is over.
         let interval = self.config.durability.as_ref().map_or(0, |d| d.checkpoint_interval);
         if interval == 0 || !seq.is_multiple_of(interval) || writer.is_dead() {
             return None;
         }
-        let snap = wm.encode_snapshot().expect("checkpoint snapshot encodes");
+        let snap = wm.clone();
         durable.rotate(seq).is_ok().then_some(snap)
     }
 

@@ -20,9 +20,9 @@
 //!   parallel engine writes its lock-manager transaction; the single
 //!   and static engines, which have none, and every [`crate::Trace::push`]
 //!   write [`NO_TXN`];
-//! * a value is a tag byte (as in `dps_wm::codec`: 0 nil, 1 bool,
-//!   2 int, 3 float, 4 symbol, 5 string) and its payload; a float is its
-//!   bits, little-endian;
+//! * a value is a tag byte (`dps_wm::codec`'s: 0 nil, 1 bool, 2 int,
+//!   3 float, 4 symbol, 5 string) and its payload; a float is its bits,
+//!   little-endian;
 //! * class, attribute and symbol atoms are indices into the log's atom
 //!   table, which holds each once; each rule's name is held once, in the
 //!   log's rule-name table, so a record carries only the rule id, which
@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dps_match::InstKey;
 use dps_rules::RuleId;
+use dps_wm::codec::{BOOL, FLOAT, INT, NIL, STR, SYM};
 use dps_wm::{Atom, AttrMap, Delta, DeltaSet, IdMap, Value, WmeData, WmeId};
 
 use crate::Firing;
@@ -55,13 +56,6 @@ const REMOVE: u8 = 2;
 /// The txn id of a record no lock-manager transaction committed. The
 /// lock manager numbers its transactions from 0 and never reaches it.
 pub const NO_TXN: u64 = u64::MAX;
-
-const NIL: u8 = 0;
-const BOOL: u8 = 1;
-const INT: u8 = 2;
-const FLOAT: u8 = 3;
-const SYM: u8 = 4;
-const STR: u8 = 5;
 
 /// An append-only log of encoded commits, in commit order (see the
 /// module docs for the format).
@@ -92,6 +86,12 @@ impl CommitLog {
     /// (block slack and the atom and rule-name tables not).
     pub fn bytes(&self) -> usize {
         self.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// Unused room in the last block: capacity the next records fill,
+    /// held ahead of them rather than by the records already appended.
+    pub fn spare(&self) -> usize {
+        self.blocks.last().map_or(0, |b| b.capacity() - b.len())
     }
 
     /// Decodes the records in commit order, one at a time.
@@ -592,6 +592,7 @@ mod tests {
     #[test]
     fn appends_never_move_a_block() {
         let mut log = CommitLog::default();
+        assert_eq!(log.spare(), 0);
         let mut firings = samples();
         let long = firings.pop().unwrap();
         log.push(&firings[0]);
@@ -607,6 +608,7 @@ mod tests {
             log.blocks.iter().filter(|b| b.capacity() > BLOCK).map(Vec::len).collect();
         assert_eq!(oversized.len(), 1, "the long record has a block of its own");
         assert!(oversized[0] > BLOCK && log.blocks.last().unwrap().capacity() == BLOCK);
+        assert_eq!(log.spare(), BLOCK - log.blocks.last().unwrap().len());
         assert_eq!(log.len(), 1 + 200 * firings.len() + 2);
         assert_eq!(log.get(log.len() - 2), Some(long));
     }

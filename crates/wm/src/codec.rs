@@ -1,16 +1,21 @@
-//! The working-memory byte format, in one place. The WAL's commit
-//! records and checkpoints ([`crate::wal`], through the snapshot and
-//! change-batch codecs in `persist`) and `dps-server`'s wire protocol
-//! encode and decode values, tuples and strings here, so the formats on
-//! disk and on the wire cannot drift apart:
+//! The working-memory byte format. The WAL's commit records and
+//! checkpoints ([`crate::wal`], through the snapshot and change-batch
+//! codecs in `persist`) and `dps-server`'s wire protocol encode and
+//! decode values, tuples and strings here, so the formats on disk and
+//! on the wire cannot drift apart:
 //!
 //! * integers are little-endian fixed width; a float is its bits;
 //! * a string is `[u32 len][UTF-8]`; every length or count is a `u32`,
 //!   and a longer one is refused with [`CodecError::TooLarge`], never
 //!   truncated;
-//! * a [`Value`] is a tag (0 nil, 1 bool, 2 int, 3 float, 4 symbol,
-//!   5 string) and its payload;
+//! * a [`Value`] is a tag ([`NIL`] 0, [`BOOL`] 1, [`INT`] 2, [`FLOAT`] 3,
+//!   [`SYM`] 4, [`STR`] 5) and its payload;
 //! * a tuple is `[class][count: u32]([attr][value])*`.
+//!
+//! One encoder lives elsewhere: `dps-core`'s in-memory commit log
+//! (`log.rs`) writes its numbers as LEB128 varints and its atoms as
+//! table indices, with an encoder of its own, until that record
+//! grammar moves here too. It shares this module's value tags.
 //!
 //! Decoding reads strings in place (a borrowed `&str`, UTF-8 checked)
 //! and makes atoms without an intermediate `String`; [`Names`] interns
@@ -22,12 +27,18 @@ use std::fmt;
 
 use crate::{Atom, AttrMap, Value, WmeData, WmeId};
 
-const NIL: u8 = 0;
-const BOOL: u8 = 1;
-const INT: u8 = 2;
-const FLOAT: u8 = 3;
-const SYM: u8 = 4;
-const STR: u8 = 5;
+/// Value tag of [`Value::Nil`].
+pub const NIL: u8 = 0;
+/// Value tag of [`Value::Bool`].
+pub const BOOL: u8 = 1;
+/// Value tag of [`Value::Int`].
+pub const INT: u8 = 2;
+/// Value tag of [`Value::Float`].
+pub const FLOAT: u8 = 3;
+/// Value tag of [`Value::Sym`].
+pub const SYM: u8 = 4;
+/// Value tag of [`Value::Str`].
+pub const STR: u8 = 5;
 
 /// Errors raised while encoding or decoding working-memory data.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -3,8 +3,10 @@
 //!
 //! A relation holds each tuple as an `Arc<Wme>`: the one allocation of
 //! that element's payload, which the change batch that made it and
-//! every match shard's alpha memories share. Cloning
-//! a relation copies pointers, not tuples.
+//! every match shard's alpha memories share. The id map itself sits
+//! behind an `Arc` too, copied on write: cloning a relation is a
+//! refcount bump, and the clone that writes first copies the map —
+//! its nodes and pointers, never a tuple — once.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +20,7 @@ use crate::{Wme, WmeId};
 /// and no statistics to update inside the commit section.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
-    tuples: BTreeMap<WmeId, Arc<Wme>>,
+    tuples: Arc<BTreeMap<WmeId, Arc<Wme>>>,
 }
 
 impl Relation {
@@ -60,12 +62,14 @@ impl Relation {
 
     /// Inserts a tuple. The caller (the store) guarantees id freshness.
     pub(crate) fn insert(&mut self, wme: Arc<Wme>) {
-        self.tuples.insert(wme.id, wme);
+        Arc::make_mut(&mut self.tuples).insert(wme.id, wme);
     }
 
-    /// Removes a tuple, returning its handle when present.
+    /// Removes a tuple, returning its handle when present. The store
+    /// removes only live ids (its `class_of` map answers first), so a
+    /// shared map is copied only for a real removal.
     pub(crate) fn remove(&mut self, id: WmeId) -> Option<Arc<Wme>> {
-        self.tuples.remove(&id)
+        Arc::make_mut(&mut self.tuples).remove(&id)
     }
 }
 
@@ -112,5 +116,20 @@ mod tests {
     fn remove_missing_returns_none() {
         let mut r = Relation::new();
         assert!(r.remove(WmeId(7)).is_none());
+    }
+
+    #[test]
+    fn a_clone_shares_the_map_until_a_write() {
+        let mut r = Relation::new();
+        r.insert(wme(1, 1, &[]));
+        r.insert(wme(2, 2, &[]));
+        let fork = r.clone();
+        assert!(Arc::ptr_eq(&r.tuples, &fork.tuples));
+        r.remove(WmeId(1)).unwrap();
+        assert!(!Arc::ptr_eq(&r.tuples, &fork.tuples), "a write copies the map");
+        assert_eq!((r.len(), fork.len()), (1, 2));
+        let before = Arc::as_ptr(&r.tuples);
+        r.insert(wme(3, 3, &[]));
+        assert_eq!(Arc::as_ptr(&r.tuples), before, "once per clone");
     }
 }

@@ -9,10 +9,15 @@
 //! memory it was taken from.
 //!
 //! Every live element is one `Arc<Wme>` in its relation; [`WorkingMemory::apply`]
-//! hands that same handle out in its change batch, so cloning the store
-//! or keeping a batch copies pointers, not payloads.
+//! hands that same handle out in its change batch, so keeping a batch
+//! copies pointers, not payloads. The indexes are copy-on-write as well:
+//! each relation's id map, and the id → class map one 4096-id range at
+//! a time. Cloning the store copies the class table (O(classes) handles,
+//! plus one per live id range) and shares everything else; the first
+//! write after a clone copies only the relation and the id range it
+//! touches, once, and the other side keeps the originals.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::{
@@ -27,8 +32,9 @@ use crate::{
 /// commits through it (the paper's atomic commit point) while reads during
 /// matching go through snapshots or the engine's own synchronisation.
 /// `WorkingMemory` is `Clone`, which the execution-graph enumerator uses to
-/// branch the state space; a clone shares every element with the
-/// original and copies only the maps that index them.
+/// branch the state space and the engine to snapshot a checkpoint; a
+/// clone shares every element and every index with the original until
+/// one side writes, and a write copies only what it touches.
 ///
 /// ```
 /// use dps_wm::{WorkingMemory, WmeData, DeltaSet, Value};
@@ -48,8 +54,9 @@ pub struct WorkingMemory {
     classes: Vec<(Atom, Relation)>,
     /// Class → its dense index into `classes`.
     class_index: HashMap<Atom, usize>,
-    /// Dense class index of each live WME, for O(1) id → relation routing.
-    class_of: IdMap<WmeId, usize>,
+    /// Dense class index of each live WME, for O(1) id → relation
+    /// routing; shared range by range between clones until one writes.
+    class_of: ClassOf,
     next_id: u64,
     clock: Timestamp,
 }
@@ -62,12 +69,12 @@ impl WorkingMemory {
 
     /// Total number of live elements.
     pub fn len(&self) -> usize {
-        self.class_of.len()
+        self.class_of.len
     }
 
     /// `true` when working memory is empty.
     pub fn is_empty(&self) -> bool {
-        self.class_of.is_empty()
+        self.class_of.len == 0
     }
 
     /// The current value of the recency clock (timestamp of the most
@@ -78,12 +85,12 @@ impl WorkingMemory {
 
     /// Looks up a live element by id.
     pub fn get(&self, id: WmeId) -> Option<&Wme> {
-        self.classes[*self.class_of.get(&id)?].1.get(id)
+        self.classes[self.class_of.get(id)?].1.get(id)
     }
 
     /// `true` when the element is live.
     pub fn contains(&self, id: WmeId) -> bool {
-        self.class_of.contains_key(&id)
+        self.class_of.get(id).is_some()
     }
 
     /// The relation for a class, if the class is declared.
@@ -141,7 +148,7 @@ impl WorkingMemory {
     /// Removes an element immediately, returning the handle the store
     /// held.
     pub fn remove(&mut self, id: WmeId) -> Result<Arc<Wme>, WmError> {
-        let i = self.class_of.remove(&id).ok_or(WmError::NoSuchWme(id))?;
+        let i = self.class_of.remove(id).ok_or(WmError::NoSuchWme(id))?;
         self.classes[i].1.remove(id).ok_or(WmError::NoSuchWme(id))
     }
 
@@ -200,7 +207,8 @@ impl WorkingMemory {
                     // OPS5 modify: remove + re-insert under the same id
                     // with a fresh timestamp. The class is unchanged, so
                     // the tuple stays in its relation and `class_of`.
-                    let relation = &mut self.classes[self.class_of[id]].1;
+                    let i = self.class_of.get(*id).expect("validated above");
+                    let relation = &mut self.classes[i].1;
                     let old = relation.remove(*id).expect("validated above");
                     let mut data = old.data.clone();
                     for (k, v) in attr_changes.iter() {
@@ -262,6 +270,60 @@ impl WorkingMemory {
         let i = self.declare(&wme.data.class);
         self.class_of.insert(wme.id, i);
         self.classes[i].1.insert(wme);
+    }
+}
+
+/// Bits of a [`WmeId`] below its `class_of` range: a range holds 4096
+/// consecutive ids.
+const RANGE_BITS: u32 = 12;
+
+/// The id → dense class index routing map, split by id range
+/// (`id >> RANGE_BITS`) into copy-on-write maps from the id's low bits.
+/// A write copies at most the one range it touches, and only while a
+/// clone still shares it; a range is dropped once it empties, so the map
+/// stays O(live) although ids are never reused. Ids are allocated in
+/// order, so a run's creates and removes mostly land in its newest
+/// ranges and leave the ranges shared with an older clone untouched.
+#[derive(Clone, Debug, Default)]
+struct ClassOf {
+    ranges: BTreeMap<u64, Arc<IdMap<u32, u32>>>,
+    len: usize,
+}
+
+impl ClassOf {
+    /// The range `id` falls in and its position there.
+    fn split(id: WmeId) -> (u64, u32) {
+        (id.0 >> RANGE_BITS, (id.0 & ((1 << RANGE_BITS) - 1)) as u32)
+    }
+
+    fn get(&self, id: WmeId) -> Option<usize> {
+        let (range, low) = Self::split(id);
+        self.ranges.get(&range)?.get(&low).map(|&i| i as usize)
+    }
+
+    fn insert(&mut self, id: WmeId, class: usize) {
+        let (range, low) = Self::split(id);
+        let class = u32::try_from(class).expect("fewer than 2^32 classes");
+        let map = self.ranges.entry(range).or_default();
+        if Arc::make_mut(map).insert(low, class).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// Removes `id`, returning its class index. An absent id copies
+    /// nothing.
+    fn remove(&mut self, id: WmeId) -> Option<usize> {
+        let (range, low) = Self::split(id);
+        let map = self.ranges.get_mut(&range)?;
+        if !map.contains_key(&low) {
+            return None;
+        }
+        let class = Arc::make_mut(map).remove(&low)?;
+        if map.is_empty() {
+            self.ranges.remove(&range);
+        }
+        self.len -= 1;
+        Some(class as usize)
     }
 }
 
@@ -382,6 +444,21 @@ mod tests {
         wm.remove(a).unwrap();
         assert!(fork.contains(a));
         assert!(!wm.contains(a));
+    }
+
+    #[test]
+    fn class_of_drops_a_range_once_it_empties() {
+        let mut wm = WorkingMemory::new();
+        let ids: Vec<WmeId> = (0..5000).map(|_| wm.insert(WmeData::new("c"))).collect();
+        assert_eq!(wm.class_of.ranges.len(), 2);
+        let fork = wm.clone();
+        for &id in &ids[..4096] {
+            wm.remove(id).unwrap();
+        }
+        assert_eq!(wm.class_of.ranges.len(), 1, "the emptied first range is gone");
+        assert_eq!((wm.len(), fork.len()), (904, 5000));
+        assert!(Arc::ptr_eq(&wm.class_of.ranges[&1], &fork.class_of.ranges[&1]));
+        assert_eq!(fork.get(ids[0]).map(|w| w.id), Some(ids[0]));
     }
 
     #[test]

@@ -801,9 +801,11 @@ impl DurableWm {
     /// Rotates the log at checkpoint `seq`: flushes + fsyncs the old
     /// segment (so it is complete and durable), then opens a fresh
     /// segment based at `seq`. Call under the engine's base mutex with
-    /// `seq` = the just-committed sequence number; pass the snapshot
-    /// encoded under that same mutex to [`DurableWm::install_checkpoint`]
-    /// *outside* the mutex (the snapshot write is the slow part).
+    /// `seq` = the just-committed sequence number, and clone the working
+    /// memory under that same mutex (a clone shares every relation, so
+    /// it costs O(classes)); encode the clone and pass the snapshot to
+    /// [`DurableWm::install_checkpoint`] *outside* the mutex (encoding
+    /// and writing are the slow part).
     pub fn rotate(&self, seq: u64) -> Result<(), WalError> {
         // io before file: wait out any in-flight flush so the old
         // segment is truly complete before we seal and replace it.

@@ -1,6 +1,7 @@
 //! Property tests on the working-memory substrate: routing-index
-//! invariants under random operation streams, timestamp monotonicity and
-//! snapshot round trips.
+//! invariants under random operation streams, timestamp monotonicity,
+//! snapshot round trips, and clones that share their indexes behaving as
+//! unshared copies.
 //!
 //! Randomness comes from the workspace's internal deterministic PRNG
 //! (`dps_wm::rng::SmallRng`); each property is checked over a fixed
@@ -190,5 +191,96 @@ fn persistence_roundtrip_under_random_ops() {
         let x: Vec<Wme> = shadow.iter().cloned().collect();
         let y: Vec<Wme> = recovered.iter().cloned().collect();
         assert_eq!(x, y, "seed {seed}");
+    }
+}
+
+/// A random delta over `wm`: one to three creates, modifies and removes
+/// of live ids, and now and then an id that may be dead (the delta is
+/// then rejected whole, leaving the memory untouched).
+fn random_delta(rng: &mut SmallRng, wm: &WorkingMemory) -> DeltaSet {
+    let live: Vec<WmeId> = wm.iter().map(|w| w.id).collect();
+    let pick = |rng: &mut SmallRng| {
+        if live.is_empty() || rng.index(10) == 0 {
+            WmeId(rng.range_u64(0..12_000))
+        } else {
+            live[rng.index(live.len())]
+        }
+    };
+    let mut d = DeltaSet::new();
+    for _ in 0..1 + rng.index(3) {
+        match rng.index(3) {
+            0 => {
+                let class = format!("c{}", rng.index(3));
+                d.create(WmeData::new(class).with("k", rng.range_i64(-3..3)));
+            }
+            1 => d.remove(pick(rng)),
+            _ => {
+                let id = pick(rng);
+                d.modify(id, [(Atom::from("k"), Value::Int(rng.range_i64(-3..3)))]);
+            }
+        }
+    }
+    d
+}
+
+/// A copy of `wm` that shares nothing with it.
+fn unshared(wm: &WorkingMemory) -> WorkingMemory {
+    WorkingMemory::decode_snapshot(&wm.encode_snapshot().unwrap()).unwrap()
+}
+
+/// A memory and its clone share relations and id ranges until one of
+/// them writes. Random deltas applied alternately to the two give the
+/// same results, and leave the same states, as the same deltas applied
+/// to two copies that share nothing — also across a second clone taken
+/// midway, and with ids spread over several 4096-id ranges, some of
+/// them emptied (a churned prefix).
+#[test]
+fn clones_behave_as_unshared_copies_under_random_deltas() {
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0FF_EE00);
+        let mut base = WorkingMemory::new();
+        let churn: Vec<WmeId> = (0..rng.index(3) * 3000)
+            .map(|i| base.insert(WmeData::new("c0").with("k", i as i64)))
+            .collect();
+        for (i, id) in churn.into_iter().enumerate() {
+            if i % 700 != 0 {
+                base.remove(id).unwrap();
+            }
+        }
+        apply_ops(&mut base, &random_ops(seed, 40));
+
+        let mut shared = [base.clone(), base];
+        let mut alone = [unshared(&shared[0]), unshared(&shared[1])];
+        for step in 0..24 {
+            if step == 12 {
+                shared[0] = shared[1].clone();
+                alone[0] = unshared(&alone[1]);
+            }
+            let side = step % 2;
+            let delta = random_delta(&mut rng, &shared[side]);
+            assert_eq!(
+                shared[side].apply(&delta),
+                alone[side].apply(&delta),
+                "seed {seed} step {step}"
+            );
+            // A direct remove of an id that may be dead.
+            let id = WmeId(rng.range_u64(0..12_000));
+            assert_eq!(
+                shared[side].remove(id).map(|w| w.id),
+                alone[side].remove(id).map(|w| w.id),
+                "seed {seed} step {step}"
+            );
+        }
+        for (side, (wm, want)) in shared.iter().zip(&alone).enumerate() {
+            assert_eq!(wm.len(), want.len(), "seed {seed} side {side}");
+            assert_eq!(
+                wm.encode_snapshot().unwrap(),
+                want.encode_snapshot().unwrap(),
+                "seed {seed} side {side}"
+            );
+            for w in want.iter() {
+                assert_eq!(wm.get(w.id), Some(w), "seed {seed} side {side}");
+            }
+        }
     }
 }
