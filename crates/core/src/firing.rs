@@ -107,8 +107,8 @@ impl Trace {
     }
 
     /// Hands the commit sequence over, leaving an empty trace that
-    /// shares this one's atom table: records encoded against it before
-    /// the hand-over still append afterwards.
+    /// shares this one's atom and shape tables: records encoded against
+    /// them before the hand-over still append afterwards.
     pub(crate) fn take(&mut self) -> Trace {
         let empty = Trace { firings: self.firings.empty_sibling() };
         std::mem::replace(self, empty)

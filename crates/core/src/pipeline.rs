@@ -84,7 +84,7 @@ use dps_obs::{field_align, CachePadded, FanoutStats, Phase, Recorder};
 use dps_rules::RuleSet;
 use dps_wm::{Atom, Change, IdMap, WmeId, WorkingMemory};
 
-use crate::log::{Atoms, Record};
+use crate::log::{Record, Tables};
 use crate::{Firing, Trace};
 
 /// Failed `try_lock` rounds [`MatchPipeline::lock_base`] makes before
@@ -107,7 +107,7 @@ pub(crate) struct WmBase {
     /// same hold that takes the sequence number, so trace order is
     /// commit order by construction. The run's report takes it at the
     /// end of the (single) run ([`Trace::take`], which keeps the atom
-    /// table the pipeline encodes against).
+    /// and shape tables the pipeline encodes against).
     pub trace: Trace,
     /// What snapshot validation reads of the commit sequence; `None`
     /// on an engine no transaction of which reads a snapshot.
@@ -265,9 +265,9 @@ pub(crate) struct MatchPipeline {
     shards: Vec<CachePadded<MatchShard>>,
     watermark: CachePadded<AtomicU64>,
     stats: CachePadded<PipelineStats>,
-    /// The trace's atom table, for encoding a commit's record before
-    /// the base mutex is taken ([`MatchPipeline::encode`]).
-    trace_atoms: Atoms,
+    /// The trace's atom and shape tables, for encoding a commit's
+    /// record before the base mutex is taken ([`MatchPipeline::encode`]).
+    trace_tables: Tables,
 }
 
 // Each hot part on lines of its own (EXPERIMENTS §XS.30).
@@ -312,7 +312,7 @@ impl MatchPipeline {
             })
             .collect();
         let trace = Trace::default();
-        let trace_atoms = trace.firings.atoms().clone();
+        let trace_tables = trace.firings.tables().clone();
         MatchPipeline {
             base: CachePadded::new(Mutex::new(WmBase {
                 wm,
@@ -324,14 +324,14 @@ impl MatchPipeline {
             shards: shard_states,
             watermark: CachePadded::new(AtomicU64::new(base_seq)),
             stats: CachePadded::default(),
-            trace_atoms,
+            trace_tables,
         }
     }
 
     /// Encodes `firing` for [`WmBase::trace`]; called before the base
     /// mutex is taken, so the hold only appends the bytes.
     pub fn encode(&self, firing: &Firing) -> Record {
-        self.trace_atoms.encode(firing)
+        self.trace_tables.encode(firing)
     }
 
     /// The shard layout.

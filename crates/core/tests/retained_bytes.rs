@@ -8,9 +8,9 @@
 //!
 //! - **log bytes per committed firing** with the trace kept: the heap
 //!   the trace's commit log holds (its blocks with the slack each full
-//!   block leaves, its atom and rule-name tables; not the last block's
-//!   unused room), on the planned `visit`/`fold` shape of `engine_match`
-//!   and on `engine_contend`'s `charge` shape;
+//!   block leaves, its atom, shape and rule-name tables; not the last
+//!   block's unused room), on the planned `visit`/`fold` shape of
+//!   `engine_match` and on `engine_contend`'s `charge` shape;
 //! - **bytes per tuple of an alpha memory** indexed on an attribute
 //!   every tuple holds a different value of (as `engine_match`'s
 //!   `item ^id`): the member map plus the index.
@@ -18,11 +18,11 @@
 //! Measured (release and debug alike: the sizes are requested bytes,
 //! not the allocator's rounding):
 //!
-//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log | with its txn column | the last block's spare not counted |
-//! |---|---|---|---|---|---|
-//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) | 31.5 B (26.2 encoded) | 27.1 B (26.2 encoded) |
-//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) | 26.3 B (23.0 encoded) | 23.7 B (23.0 encoded) |
-//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B |
+//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log | with its txn column | the last block's spare not counted | ops as shapes |
+//! |---|---|---|---|---|---|---|
+//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) | 31.5 B (26.2 encoded) | 27.1 B (26.2 encoded) | 18.3 B (17.3 encoded) |
+//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) | 26.3 B (23.0 encoded) | 23.7 B (23.0 encoded) | 14.2 B (13.1 encoded) |
+//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B |
 //!
 //! The first two columns count the heap a kept `Firing` held beyond its
 //! slot in the trace vector (its key, its delta, each `make`'s and
@@ -39,7 +39,12 @@
 //! figure gained. So the last column leaves out the last block's unused
 //! room (`CommitLog::spare`: 3 533 B planned, 1 630 B contend), and the
 //! figure follows record size, not where the record count falls
-//! against a block boundary.
+//! against a block boundary. With ops as shapes a record names each
+//! op's skeleton (kind, target, class, attribute atoms and value tags)
+//! by its index in the log's shape table and carries only the values,
+//! and the key's later timestamps as differences: the shape table, a
+//! few dozen bytes for these rules' four op skeletons, is counted with
+//! the other tables.
 //!
 //! The allocator lives here because an integration test is its own
 //! crate: `dps-core` itself forbids `unsafe_code`. It counts per thread
@@ -93,10 +98,12 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-/// Ceilings, bytes per record: measured 27.1, 23.7 and 121.2; kept
-/// `Firing`s (216 and 208) and per-value maps (205.2) fail each.
-const PLANNED_FIRING_BYTES: f64 = 64.0;
-const CONTEND_FIRING_BYTES: f64 = 64.0;
+/// Ceilings, bytes per record: measured 18.3, 14.2 and 121.2, each
+/// firing ceiling under 2 B above its measurement; inline ops (27.1 and
+/// 23.7), kept `Firing`s (216 and 208) and per-value maps (205.2) fail
+/// each.
+const PLANNED_FIRING_BYTES: f64 = 20.0;
+const CONTEND_FIRING_BYTES: f64 = 16.0;
 const ALPHA_TUPLE_BYTES: f64 = 136.0;
 
 /// `visit` as `engine_match` writes it, and the `fold` its output feeds.
@@ -118,8 +125,8 @@ const CHARGES_PER_TASK: i64 = 20;
 
 /// Runs `rules` over `wm` to quiescence on the single-thread engine and
 /// returns the heap its trace holds, per firing: the commit log's
-/// blocks with the slack each full block leaves, and its atom and
-/// rule-name tables. The last block's unused room is not counted: it
+/// blocks with the slack each full block leaves, and its atom, shape
+/// and rule-name tables. The last block's unused room is not counted: it
 /// is held for the records to come, and counting it made the figure
 /// jump with where the record count fell against a block boundary.
 fn bytes_per_firing(name: &str, rules: &str, wm: WorkingMemory, firings: usize) -> f64 {

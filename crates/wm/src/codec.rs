@@ -13,9 +13,10 @@
 //! * a tuple is `[class][count: u32]([attr][value])*`.
 //!
 //! One encoder lives elsewhere: `dps-core`'s in-memory commit log
-//! (`log.rs`) writes its numbers as LEB128 varints and its atoms as
-//! table indices, with an encoder of its own, until that record
-//! grammar moves here too. It shares this module's value tags.
+//! (`log.rs`) writes its numbers as LEB128 varints, its atoms as table
+//! indices and each op's skeleton as a shape-table index, with an
+//! encoder of its own, until that record grammar moves here too. It
+//! shares this module's value tags.
 //!
 //! Decoding reads strings in place (a borrowed `&str`, UTF-8 checked)
 //! and makes atoms without an intermediate `String`; [`Names`] interns
