@@ -1084,4 +1084,52 @@ mod tests {
             Trace { firings: logged(firings.iter().enumerate().map(|(i, f)| (i as u64, f))) };
         assert_eq!(trace, other, "equal firings, different txns");
     }
+
+    /// A fixed log: every `Value` variant (both bools, the float edge
+    /// cases), a modify and a remove of key tuples and of explicit ids,
+    /// creates of two classes, a halt, an external commit on an empty
+    /// key, and a last record that reuses the first one's shapes.
+    fn golden() -> (Vec<(u64, Firing)>, CommitLog) {
+        let mut first = DeltaSet::new();
+        first.create(WmeData { class: Atom::from("row"), attrs: every_value().into_iter().collect() });
+        first.modify(WmeId(5), [(Atom::from("n"), Value::Int(-3))]);
+        first.modify(WmeId(300), [(Atom::from("n"), Value::Int(70))]);
+        first.remove(WmeId(9));
+        first.remove(WmeId(301));
+        let mut external = DeltaSet::new();
+        external.create(WmeData::new("job").with("id", 3i64));
+        let mut stop = DeltaSet::new();
+        stop.create(WmeData::new("job").with("id", 4i64).with("done", true));
+        let mut again = DeltaSet::new();
+        again.modify(WmeId(6), [(Atom::from("n"), Value::Int(1 << 20))]);
+        again.modify(WmeId(400), [(Atom::from("n"), Value::Int(-1))]);
+        again.remove(WmeId(11));
+        again.remove(WmeId(1 << 33));
+        let mut session = firing(0, EXTERNAL_RULE_NAME, &[], external, false);
+        session.rule = EXTERNAL_RULE;
+        session.key.rule = EXTERNAL_RULE;
+        let entries = vec![
+            (7, firing(0, "r", &[(5, 100), (9, 98)], first, false)),
+            (NO_TXN, session),
+            (3, firing(1, "stop", &[(12, 130)], stop, true)),
+            (8, firing(0, "r", &[(6, 200), (11, 201)], again, false)),
+        ];
+        let log = logged(entries.iter().map(|(t, f)| (*t, f)));
+        (entries, log)
+    }
+
+    #[test]
+    fn golden_commit_log_bytes_are_unchanged() {
+        let (entries, log) = golden();
+        let hex: String = log.blocks.concat().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0e5b020205640903000001ffffffffffffffffff01feffffffffffffffff01000000000000f87f000000\
+            00000000800000000000000000000000000000f07f000000000000f0ff83b63ad29712b0010f0f120105\
+            02ac028c010304ad020f0400000506080705010c820106080a17020206c8010b02018080800102900301\
+            03048080808020"
+        );
+        assert!(log.iter().eq(entries.iter().map(|(_, f)| f.clone())));
+        assert!(log.txns().eq(entries.iter().map(|&(t, _)| t)));
+    }
 }
