@@ -6,14 +6,12 @@
 //! a [`Firing`] only when a reader asks for it. A record is
 //!
 //! ```text
-//! [txn] [len] [rule << 1 | halt] [n] ([wme id] [timestamp])^n ([shape] [payload])*
-//! shape   = [kind | target << 2] [class]? [attrs] ([attr] [tag] [bool]?)^attrs
-//! payload = [wme id]? ([int] | [float] | [atom])*
+//! [txn] [len] [rule << 1 | halt] [n] ([wme id] [timestamp])^n [delta]
 //! ```
 //!
 //! * every number is an LEB128 varint: `len` (the bytes after it), rule
-//!   ids (shifted by one, so [`crate::EXTERNAL_RULE`] is 0), counts, wme ids,
-//!   timestamps, shape and atom indices, and ints zig-zagged;
+//!   ids (shifted by one, so [`crate::EXTERNAL_RULE`] is 0), the key's
+//!   count, wme ids and timestamps;
 //! * `txn` is the committing transaction's id, zig-zagged as the
 //!   wrapping difference from the previous record's (the first record's
 //!   from 0), so the txn column costs a byte or two a record. The
@@ -23,23 +21,12 @@
 //! * the key's first timestamp is written whole, each later one
 //!   zig-zagged as the difference from the one before it: a key's
 //!   tuples were mostly written close together;
-//! * the delta is one `[shape] [payload]` per op, up to the record's
-//!   end (`len` bounds it, so no op count is written). A shape is an
-//!   op's skeleton, held once in the log's shape table and named by its
-//!   index: the kind (0 create, 1 modify, 2 remove), the target of a
-//!   modify or remove (`k + 1` for the id in key slot `k`, the first
-//!   that holds it; 0 for an id written in the payload), a create's
-//!   class, and the attribute atoms in order with their value tags
-//!   (`dps_wm::codec`'s: 0 nil, 1 bool, 2 int, 3 float, 4 symbol,
-//!   5 string) and a bool's value. The payload is what varies: the
-//!   explicit id, then each int (zig-zagged), float (its bits,
-//!   little-endian, eight bytes), symbol and string (atom indices) in
-//!   attribute order. The delta reads nothing of the record but the
-//!   key's ids;
-//! * class, attribute and symbol atoms are indices into the log's atom
-//!   table, which holds each once; each rule's name is held once, in the
-//!   log's rule-name table, so a record carries only the rule id, which
-//!   is its key's rule too.
+//! * the delta, up to the record's end, is `dps_wm::codec`'s shaped
+//!   delta ([`RecordTables`]): one shape index and payload per op, over
+//!   the log's atom and shape tables. It reads nothing of the record but
+//!   the key's ids;
+//! * each rule's name is held once, in the log's rule-name table, so a
+//!   record carries only the rule id, which is its key's rule too.
 //!
 //! The log grows in fixed-size blocks and a record never straddles two,
 //! so an append copies only the record: the log itself never moves. The
@@ -51,22 +38,17 @@
 //! earlier record but the txn, which the hold writes.
 
 use std::fmt;
-use std::hash::Hasher;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dps_match::InstKey;
 use dps_rules::RuleId;
-use dps_wm::codec::{BOOL, FLOAT, INT, NIL, STR, SYM};
-use dps_wm::{Atom, AttrMap, Delta, DeltaSet, IdHasher, IdMap, Timestamp, Value, WmeData, WmeId};
+use dps_wm::codec::{put_varint, unzigzag, varint_len, zigzag, CodecError, Reader, RecordTables};
+use dps_wm::{Atom, Timestamp, WmeId};
 
 use crate::Firing;
 
 /// Bytes per block. A record longer than a block gets one of its own.
 const BLOCK: usize = 4096;
-
-const CREATE: u64 = 0;
-const MODIFY: u64 = 1;
-const REMOVE: u64 = 2;
 
 /// The txn id of a record no lock-manager transaction committed. The
 /// lock manager numbers its transactions from 0 and never reaches it.
@@ -145,7 +127,10 @@ impl CommitLog {
     /// record's first varint.
     pub fn names(&self) -> Vec<&str> {
         self.records()
-            .map(|(_, body)| self.name(Reader::new(body).u() >> 1).as_str())
+            .map(|(_, body)| {
+                let head = Reader::new(body).varint().expect("a record starts with its head");
+                self.name(head >> 1).as_str()
+            })
             .collect()
     }
 
@@ -189,8 +174,8 @@ impl CommitLog {
             self.blocks.push(Vec::with_capacity(need.max(BLOCK)));
         }
         let block = self.blocks.last_mut().expect("a block with room");
-        put(block, delta);
-        put(block, len);
+        put_varint(block, delta);
+        put_varint(block, len);
         block.extend_from_slice(&record.body);
         self.len += 1;
     }
@@ -200,12 +185,17 @@ impl CommitLog {
         let mut blocks = self.blocks.iter();
         let (mut r, mut txn) = (Reader::new(&[]), 0u64);
         std::iter::from_fn(move || {
-            while r.done() {
+            while r.at_end() {
                 r = Reader::new(blocks.next()?);
             }
-            txn = txn.wrapping_add(unzigzag(r.u()) as u64);
-            let len = r.u() as usize;
-            Some((txn, r.take(len)))
+            let mut frame = || -> Result<_, CodecError> {
+                let delta = unzigzag(r.varint()?);
+                let len = r.varint()? as usize;
+                Ok((delta, r.take(len)?))
+            };
+            let (delta, body) = frame().expect("the log frames what it appended");
+            txn = txn.wrapping_add(delta as u64);
+            Some((txn, body))
         })
     }
 
@@ -214,30 +204,25 @@ impl CommitLog {
     }
 
     fn decode(&self, body: &[u8]) -> Firing {
-        let mut r = Reader::new(body);
-        let head = r.u();
-        let rule = rule_of(head >> 1);
-        let n = r.u();
-        let mut last: Option<Timestamp> = None;
-        let wmes: Arc<[(WmeId, Timestamp)]> = (0..n)
-            .map(|_| {
-                let id = WmeId(r.u());
-                let ts = match last {
-                    None => r.u(),
-                    Some(last) => last.wrapping_add(unzigzag(r.u()) as u64),
-                };
-                last = Some(ts);
-                (id, ts)
-            })
-            .collect();
-        let delta = self.tables.lock().read_delta(&mut r, &wmes);
-        Firing {
-            rule,
-            rule_name: self.name(code(rule)).clone(),
-            key: InstKey { rule, wmes },
-            delta,
-            halt: head & 1 != 0,
-        }
+        let read = || -> Result<Firing, CodecError> {
+            let mut r = Reader::new(body);
+            let head = r.varint()?;
+            let rule = rule_of(head >> 1);
+            let mut last: Option<Timestamp> = None;
+            let wmes: Arc<[(WmeId, Timestamp)]> = (0..r.varint()?)
+                .map(|_| {
+                    let id = WmeId(r.varint()?);
+                    let ts = r.varint()?;
+                    let ts = last.map_or(ts, |last| last.wrapping_add(unzigzag(ts) as u64));
+                    last = Some(ts);
+                    Ok((id, ts))
+                })
+                .collect::<Result<_, CodecError>>()?;
+            let delta = self.tables.lock().read_delta(&mut r, &wmes)?;
+            let rule_name = self.name(code(rule)).clone();
+            Ok(Firing { rule, rule_name, key: InstKey { rule, wmes }, delta, halt: head & 1 != 0 })
+        };
+        read().expect("the log decodes what it encoded")
     }
 }
 
@@ -247,241 +232,21 @@ impl fmt::Debug for CommitLog {
     }
 }
 
-/// The atom and shape tables a log's records index into, shared by the
-/// log and every encoder that appends to it. Indices are handed out on
-/// first sight and never change, so a record stays decodable whichever
-/// order records are appended in.
+/// The atom and shape tables a log's record deltas index into
+/// ([`RecordTables`]), shared by the log and every encoder that appends
+/// to it.
 #[derive(Clone, Default)]
-pub(crate) struct Tables(Arc<Mutex<TableSet>>);
-
-#[derive(Default)]
-struct TableSet {
-    atoms: AtomTable,
-    shapes: ShapeTable,
-    /// The op being encoded: its skeleton and its payload. Kept between
-    /// encodes, so an op whose shape is known allocates nothing.
-    skeleton: Vec<u8>,
-    payload: Vec<u8>,
-}
-
-#[derive(Default)]
-struct AtomTable {
-    list: Vec<Atom>,
-    /// Index of each atom in `list`, keyed by the address of its text:
-    /// `list` keeps that text alive, so no other live string starts
-    /// there, and only empty strings, all equal, share an address. Two
-    /// past-the-cap heap atoms of equal text may take two indices; both
-    /// decode to the same atom.
-    index: IdMap<usize, u64>,
-}
-
-impl AtomTable {
-    fn index(&mut self, atom: &Atom) -> u64 {
-        let next = self.list.len() as u64;
-        let i = *self.index.entry(atom.as_str().as_ptr() as usize).or_insert(next);
-        if i == next {
-            self.list.push(atom.clone());
-        }
-        i
-    }
-
-    fn get(&self, i: u64) -> Atom {
-        self.list[i as usize].clone()
-    }
-}
-
-/// Every distinct op skeleton, each held once: the skeletons' bytes
-/// back to back and an open-addressed index over them, a few bytes a
-/// shape beside its skeleton.
-#[derive(Default)]
-struct ShapeTable {
-    bytes: Vec<u8>,
-    /// Where each shape ends in `bytes`; shape `i` starts where `i - 1`
-    /// ends.
-    ends: Vec<u32>,
-    /// Shape index + 1 per slot, 0 for an empty one; the length is a
-    /// power of two and at most half the slots are taken.
-    slots: Vec<u32>,
-}
-
-impl ShapeTable {
-    fn get(&self, i: u64) -> &[u8] {
-        let i = i as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.bytes[start..self.ends[i] as usize]
-    }
-
-    /// The index of `skeleton`, handed out on first sight; a lookup
-    /// that finds it changes nothing.
-    fn index(&mut self, skeleton: &[u8]) -> u64 {
-        if self.slots.is_empty() {
-            self.grow();
-        }
-        let at = self.slot(skeleton);
-        if self.slots[at] != 0 {
-            return u64::from(self.slots[at] - 1);
-        }
-        self.bytes.extend_from_slice(skeleton);
-        self.ends.push(u32::try_from(self.bytes.len()).expect("shape table under 4 GiB"));
-        self.slots[at] = self.ends.len() as u32;
-        if 2 * self.ends.len() > self.slots.len() {
-            self.grow();
-        }
-        self.ends.len() as u64 - 1
-    }
-
-    /// The slot holding `skeleton`, or the empty one it would take.
-    fn slot(&self, skeleton: &[u8]) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut hasher = IdHasher::default();
-        hasher.write(skeleton);
-        let mut at = hasher.finish() as usize & mask;
-        while self.slots[at] != 0 && self.get(u64::from(self.slots[at] - 1)) != skeleton {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
-    fn grow(&mut self) {
-        self.slots = vec![0; (2 * self.slots.len()).max(16)];
-        for i in 0..self.ends.len() {
-            let at = self.slot(self.get(i as u64));
-            self.slots[at] = i as u32 + 1;
-        }
-    }
-}
-
-impl TableSet {
-    /// Writes each op of `delta` as its shape's index and its payload,
-    /// given the ids of the key it fired on.
-    fn put_delta(&mut self, w: &mut Vec<u8>, key: &[(WmeId, Timestamp)], delta: &DeltaSet) {
-        let mut skeleton = std::mem::take(&mut self.skeleton);
-        let mut payload = std::mem::take(&mut self.payload);
-        for op in delta.ops() {
-            skeleton.clear();
-            payload.clear();
-            let mut target = |kind: u64, id: WmeId| match key.iter().position(|&(k, _)| k == id) {
-                Some(slot) => put(&mut skeleton, kind | (slot as u64 + 1) << 2),
-                None => {
-                    put(&mut skeleton, kind);
-                    put(&mut payload, id.0);
-                }
-            };
-            let attrs = match op {
-                Delta::Create(data) => {
-                    put(&mut skeleton, CREATE);
-                    put(&mut skeleton, self.atoms.index(&data.class));
-                    Some(&data.attrs)
-                }
-                Delta::Modify { id, changes } => {
-                    target(MODIFY, *id);
-                    Some(changes)
-                }
-                Delta::Remove(id) => {
-                    target(REMOVE, *id);
-                    None
-                }
-            };
-            if let Some(attrs) = attrs {
-                self.put_attrs(&mut skeleton, &mut payload, attrs);
-            }
-            put(w, self.shapes.index(&skeleton));
-            w.extend_from_slice(&payload);
-        }
-        self.skeleton = skeleton;
-        self.payload = payload;
-    }
-
-    fn put_attrs(&mut self, skeleton: &mut Vec<u8>, payload: &mut Vec<u8>, attrs: &AttrMap) {
-        put(skeleton, attrs.len() as u64);
-        for (attr, value) in attrs.iter() {
-            put(skeleton, self.atoms.index(attr));
-            match value {
-                Value::Nil => skeleton.push(NIL),
-                Value::Bool(b) => skeleton.extend([BOOL, u8::from(*b)]),
-                Value::Int(i) => {
-                    skeleton.push(INT);
-                    put(payload, zigzag(*i));
-                }
-                Value::Float(x) => {
-                    skeleton.push(FLOAT);
-                    payload.extend(x.to_bits().to_le_bytes());
-                }
-                Value::Sym(a) => {
-                    skeleton.push(SYM);
-                    put(payload, self.atoms.index(a));
-                }
-                Value::Str(a) => {
-                    skeleton.push(STR);
-                    put(payload, self.atoms.index(a));
-                }
-            }
-        }
-    }
-
-    /// Reads the ops from `r` to its end, the inverse of
-    /// [`Self::put_delta`] on the same key.
-    fn read_delta(&self, r: &mut Reader<'_>, key: &[(WmeId, Timestamp)]) -> DeltaSet {
-        std::iter::from_fn(|| {
-            if r.done() {
-                return None;
-            }
-            let mut s = Reader::new(self.shapes.get(r.u()));
-            let head = s.u();
-            let mut target = || match head >> 2 {
-                0 => WmeId(r.u()),
-                slot => key[slot as usize - 1].0,
-            };
-            let op = match head & 3 {
-                CREATE => {
-                    let class = self.atoms.get(s.u());
-                    Delta::Create(WmeData { class, attrs: self.read_attrs(&mut s, r) })
-                }
-                MODIFY => {
-                    let id = target();
-                    Delta::Modify { id, changes: self.read_attrs(&mut s, r) }
-                }
-                REMOVE => Delta::Remove(target()),
-                kind => panic!("unknown op kind {kind} in a commit-log shape"),
-            };
-            debug_assert!(s.done(), "a shape decodes to its end");
-            Some(op)
-        })
-        .collect()
-    }
-
-    /// A skeleton's attributes from `s`, their payloads from `r`.
-    fn read_attrs(&self, s: &mut Reader<'_>, r: &mut Reader<'_>) -> AttrMap {
-        (0..s.u())
-            .map(|_| {
-                let attr = self.atoms.get(s.u());
-                let value = match s.byte() {
-                    NIL => Value::Nil,
-                    BOOL => Value::Bool(s.byte() != 0),
-                    INT => Value::Int(unzigzag(r.u())),
-                    FLOAT => {
-                        let bits = r.take(8).try_into().expect("eight bytes");
-                        Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
-                    }
-                    SYM => Value::Sym(self.atoms.get(r.u())),
-                    STR => Value::Str(self.atoms.get(r.u())),
-                    tag => panic!("unknown value tag {tag} in a commit-log shape"),
-                };
-                (attr, value)
-            })
-            .collect()
-    }
-}
+pub(crate) struct Tables(Arc<Mutex<RecordTables>>);
 
 impl fmt::Debug for Tables {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let t = self.lock();
-        write!(f, "Tables({} atoms, {} shapes)", t.atoms.list.len(), t.shapes.ends.len())
+        write!(f, "Tables({} atoms, {} shapes)", t.atoms(), t.shapes())
     }
 }
 
 impl Tables {
-    fn lock(&self) -> MutexGuard<'_, TableSet> {
+    fn lock(&self) -> MutexGuard<'_, RecordTables> {
         // Every table update completes before it is visible, so a
         // poisoned table is still consistent.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
@@ -495,12 +260,12 @@ impl Tables {
         assert_eq!(firing.key.rule, firing.rule, "a firing's key names its rule");
         let key = &firing.key.wmes;
         let mut w = Vec::with_capacity(64);
-        put(&mut w, code(firing.rule) << 1 | u64::from(firing.halt));
-        put(&mut w, key.len() as u64);
+        put_varint(&mut w, code(firing.rule) << 1 | u64::from(firing.halt));
+        put_varint(&mut w, key.len() as u64);
         let mut last = None;
         for &(id, ts) in key.iter() {
-            put(&mut w, id.0);
-            put(&mut w, last.map_or(ts, |last: u64| zigzag(ts.wrapping_sub(last) as i64)));
+            put_varint(&mut w, id.0);
+            put_varint(&mut w, last.map_or(ts, |last: u64| zigzag(ts.wrapping_sub(last) as i64)));
             last = Some(ts);
         }
         self.lock().put_delta(&mut w, key, &firing.delta);
@@ -525,75 +290,12 @@ fn rule_of(code: u64) -> RuleId {
     RuleId((code as u32).wrapping_sub(1))
 }
 
-/// Bytes `v` takes as an LEB128 varint.
-fn varint_len(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
-}
-
-fn zigzag(i: i64) -> u64 {
-    ((i << 1) ^ (i >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    (z >> 1) as i64 ^ -((z & 1) as i64)
-}
-
-/// Appends `v` as an LEB128 varint.
-fn put(w: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        w.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    w.push(v as u8);
-}
-
-/// A cursor over bytes the log wrote itself: malformed input is a bug,
-/// so every read panics rather than returns an error.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-
-    fn byte(&mut self) -> u8 {
-        let b = self.buf[self.at];
-        self.at += 1;
-        b
-    }
-
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        s
-    }
-
-    /// An LEB128 varint.
-    fn u(&mut self) -> u64 {
-        let (mut v, mut shift) = (0u64, 0);
-        loop {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Trace, EXTERNAL_RULE, EXTERNAL_RULE_NAME};
     use dps_wm::rng::SmallRng;
+    use dps_wm::{AttrMap, Delta, DeltaSet, Value, WmeData};
 
     fn firing(rule: u32, name: &str, wmes: &[(u64, u64)], delta: DeltaSet, halt: bool) -> Firing {
         Firing {
@@ -704,7 +406,7 @@ mod tests {
         log.push(&f);
         let sizes = |log: &CommitLog| {
             let t = log.tables.lock();
-            (t.atoms.list.len(), t.shapes.ends.len(), t.shapes.bytes.len())
+            (t.atoms(), t.shapes())
         };
         let (one, tables) = (log.bytes(), sizes(&log));
         assert_eq!(tables.1, f.delta.len(), "each of the sample's ops has a shape of its own");
@@ -728,7 +430,7 @@ mod tests {
             log.push(&firing(0, "r", &key, delta, false));
         }
         let t = log.tables.lock();
-        assert_eq!(t.shapes.ends.len(), 3, "slot 0, slot 1 and an explicit id");
+        assert_eq!(t.shapes(), 3, "slot 0, slot 1 and an explicit id");
         drop(t);
         let sizes: Vec<usize> = log.records().map(|(_, body)| body.len()).collect();
         // head, n, two ids and stamps (6 + 1 + 1 + 1 bytes), three shape
@@ -853,67 +555,6 @@ mod tests {
             let names: Vec<&str> = firings.iter().map(|f| f.rule_name.as_str()).collect();
             assert_eq!(log.names(), names, "{ctx}: names");
         }
-    }
-
-    /// Bytes `op` took inline, before shapes: its tag, its id or its
-    /// class, and each attribute's atom, tag and value.
-    fn inline_len(op: &Delta) -> usize {
-        let attrs = |attrs: &AttrMap| {
-            let values: usize = attrs
-                .iter()
-                .map(|(_, v)| match v {
-                    Value::Int(i) => varint_len(zigzag(*i)),
-                    Value::Float(_) => 8,
-                    Value::Bool(_) => 1,
-                    _ => unreachable!("the worst case writes ints"),
-                })
-                .sum();
-            varint_len(attrs.len() as u64) + 2 * attrs.len() + values
-        };
-        1 + match op {
-            Delta::Create(data) => 1 + attrs(&data.attrs),
-            Delta::Modify { id, changes } => varint_len(id.0) + attrs(changes),
-            Delta::Remove(id) => varint_len(id.0),
-        }
-    }
-
-    /// The worst case for shapes, no two ops sharing a skeleton, against
-    /// the inline encoding: measured 49.1 B per op against 34.3 B, ×1.43.
-    const FRESH_SKELETON_BOUND: f64 = 1.5;
-
-    #[test]
-    fn fresh_skeletons_cost_a_bounded_multiple_of_inline_ops() {
-        // Record `i` creates one tuple with the attributes the bits of
-        // `i` name, out of 12: every op a skeleton of its own, while the
-        // atom table stays at 13 atoms.
-        let attrs: Vec<Atom> = (0..12).map(|j| Atom::from(format!("f{j}"))).collect();
-        let (mut log, mut inline) = (CommitLog::default(), 0);
-        let ops = 4000i64;
-        for i in 1..=ops {
-            let mut row = WmeData::new("row");
-            let named = attrs.iter().enumerate().filter(|&(j, _)| i >> j & 1 != 0);
-            row.attrs = named.map(|(j, a)| (a.clone(), Value::Int(i * j as i64))).collect();
-            let mut delta = DeltaSet::new();
-            delta.create(row);
-            // Inline, the txn delta, length prefix, head, key count and
-            // op count took a byte each beside the op.
-            inline += 5 + inline_len(&delta.ops()[0]);
-            log.push(&firing(0, "r", &[], delta, false));
-        }
-        let t = log.tables.lock();
-        assert_eq!(t.shapes.ends.len(), ops as usize);
-        let shapes = &t.shapes;
-        let table =
-            shapes.bytes.capacity() + 4 * (shapes.ends.capacity() + shapes.slots.capacity());
-        let (inline, shaped) =
-            (inline as f64 / ops as f64, (log.bytes() + table) as f64 / ops as f64);
-        println!(
-            "fresh skeletons: {shaped:.1} B per op with the shape table, {inline:.1} B inline"
-        );
-        assert!(
-            shaped <= FRESH_SKELETON_BOUND * inline,
-            "{shaped:.1} B against {inline:.1} B inline"
-        );
     }
 
     #[test]

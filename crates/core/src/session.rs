@@ -83,11 +83,6 @@ impl ExternalTxn {
     pub fn txn(&self) -> TxnId {
         self.txn
     }
-
-    /// Number of buffered delta operations.
-    pub fn pending_ops(&self) -> usize {
-        self.delta.ops().len()
-    }
 }
 
 impl ParallelEngine {
@@ -462,7 +457,7 @@ mod tests {
             .external_insert(&mut xt, WmeData::new("delta").with("key", 0i64).with("v", 3i64))
             .unwrap();
         assert!(engine.held_locks() > 0, "insert holds its relation lock");
-        assert!(xt.pending_ops() == 1);
+        assert_eq!(xt.delta.len(), 1, "the insert is buffered");
         engine.external_abort(&mut xt, dps_obs::AbortCause::Timeout);
         assert_eq!(engine.held_locks(), 0);
         assert_eq!(engine.snapshot_pins(), 0);

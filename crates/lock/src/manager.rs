@@ -306,12 +306,6 @@ impl LockManager {
         self.obs.as_ref()
     }
 
-    /// The attached chaos fault injector, if any (the engine shares it
-    /// for the RHS-stall seam).
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.fault.as_ref()
-    }
-
     /// The configured conflict policy.
     pub fn policy(&self) -> ConflictPolicy {
         self.policy
@@ -1315,15 +1309,14 @@ mod tests {
     #[test]
     fn quiet_fault_plan_changes_nothing() {
         use crate::fault::{FaultInjector, FaultPlan};
-        let m = LockManager::builder()
-            .fault(Arc::new(FaultInjector::new(FaultPlan::quiet(99))))
-            .build();
+        let fault = Arc::new(FaultInjector::new(FaultPlan::quiet(99)));
+        let m = LockManager::builder().fault(fault.clone()).build();
         let (a, b) = (m.begin(), m.begin());
         m.lock(a, t(1), Rc).unwrap();
         m.lock(b, t(1), Wa).unwrap();
         m.commit(b).unwrap();
         assert!(m.commit(a).unwrap_err().is_abort());
-        assert_eq!(m.fault_injector().unwrap().stats().total(), 0);
+        assert_eq!(fault.stats().total(), 0);
     }
 
     #[test]
@@ -1608,7 +1601,7 @@ mod tests {
         assert_eq!(m.abort(txn), Err(LockError::NotActive(txn)));
         assert_eq!(m.check(txn), Ok(()));
         assert!(!m.is_active(txn));
-        let chaos = if begun || m.fault_injector().is_none() {
+        let chaos = if begun || m.fault.is_none() {
             Ok(())
         } else {
             Err(LockError::NotActive(txn))

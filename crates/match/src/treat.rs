@@ -291,17 +291,6 @@ impl Treat {
             }
         }
     }
-
-    /// Test helper: ids of WMEs currently in any alpha memory.
-    #[doc(hidden)]
-    pub fn alpha_population(&self) -> Vec<WmeId> {
-        let mut ids: Vec<WmeId> = (0..self.alpha.memory_count())
-            .flat_map(|i| self.alpha.memory(AlphaMemId(i)).wmes().map(|w| w.id))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 impl Matcher for Treat {
@@ -422,7 +411,8 @@ mod tests {
         wm.insert(WmeData::new("y"));
         let t = Treat::new(&rules, &wm);
         assert_eq!(t.conflict_set().len(), 1);
-        assert_eq!(t.alpha_population().len(), 2);
+        let key = t.conflict_set().keys().next().unwrap();
+        assert_eq!(key.wmes.len(), 2, "the one instantiation joins both loaded tuples");
     }
 
     fn inst(rule: u32, ids: &[u64]) -> Instantiation {

@@ -142,11 +142,6 @@ impl ConditionElement {
         self.tests.iter().filter(|t| t.is_constant())
     }
 
-    /// The variable tests, which require join-time bindings.
-    pub fn variable_tests(&self) -> impl Iterator<Item = &AttrTest> {
-        self.tests.iter().filter(|t| !t.is_constant())
-    }
-
     /// Variables this CE can *bind* (equality tests on a variable).
     pub fn bindable_vars(&self) -> impl Iterator<Item = &VarName> {
         self.tests
@@ -155,14 +150,6 @@ impl ConditionElement {
                 (Predicate::Eq, TestAtom::Var(v)) => Some(v),
                 _ => None,
             })
-    }
-
-    /// All variables mentioned by this CE.
-    pub fn mentioned_vars(&self) -> impl Iterator<Item = &VarName> {
-        self.tests.iter().filter_map(|t| match &t.operand {
-            TestAtom::Var(v) => Some(v),
-            _ => None,
-        })
     }
 }
 
@@ -715,8 +702,6 @@ mod tests {
             ],
         };
         assert_eq!(ce.constant_tests().count(), 1);
-        assert_eq!(ce.variable_tests().count(), 2);
         assert_eq!(ce.bindable_vars().count(), 1);
-        assert_eq!(ce.mentioned_vars().count(), 2);
     }
 }

@@ -28,11 +28,6 @@ impl Bindings {
         self.map.get(var)
     }
 
-    /// `true` if the variable is bound.
-    pub fn is_bound(&self, var: &str) -> bool {
-        self.map.contains_key(var)
-    }
-
     /// Binds a variable. Returns the previous value when rebinding (the
     /// matcher treats a rebind attempt with a different value as a failed
     /// consistency test and never calls this in that case).
@@ -130,6 +125,6 @@ mod tests {
     fn emptiness() {
         let b = Bindings::new();
         assert!(b.is_empty());
-        assert!(!b.is_bound("x"));
+        assert_eq!(b.get("x"), None);
     }
 }

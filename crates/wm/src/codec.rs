@@ -12,21 +12,50 @@
 //!   [`SYM`] 4, [`STR`] 5) and its payload;
 //! * a tuple is `[class][count: u32]([attr][value])*`.
 //!
-//! One encoder lives elsewhere: `dps-core`'s in-memory commit log
-//! (`log.rs`) writes its numbers as LEB128 varints, its atoms as table
-//! indices and each op's skeleton as a shape-table index, with an
-//! encoder of its own, until that record grammar moves here too. It
-//! shares this module's value tags.
+//! The commit log's records (`dps-core`'s `log.rs`) use a second,
+//! denser grammar, [`RecordTables`]: the record's delta as shaped ops
+//! over an atom and a shape table, every number an LEB128 varint
+//! ([`put_varint`], [`Reader::varint`]) and every signed one zig-zagged
+//! ([`zigzag`]). A record's key part is the log's own; the delta reads
+//! nothing of it but the key's ids. The delta is one `[shape] [payload]`
+//! per op, up to the end of its bytes (no op count is written):
+//!
+//! ```text
+//! delta   = ([shape] [payload])*
+//! shape   = [kind | target << 2] [class]? [attrs] ([attr] [tag] [bool]?)^attrs
+//! payload = [wme id]? ([int] | [float] | [atom])*
+//! ```
+//!
+//! * a shape is an op's skeleton, held once in the shape table and
+//!   named by its index: the kind (0 create, 1 modify, 2 remove), the
+//!   target of a modify or remove (`k + 1` for the id in key slot `k`,
+//!   the first that holds it; 0 for an id written in the payload), a
+//!   create's class, and the attribute atoms in order with their value
+//!   tags (the [`Value`] tags above) and a bool's value;
+//! * the payload is what varies: the explicit id, then each int
+//!   (zig-zagged), float (its bits, little-endian, eight bytes), symbol
+//!   and string (atom indices) in attribute order;
+//! * class, attribute and symbol atoms are indices into the atom table,
+//!   which holds each once.
+//!
+//! Its one decoder, [`RecordTables::read_delta`], checks every count
+//! and index against the bytes left or the table it names, so any input
+//! gives a delta or a [`CodecError`], never a panic.
 //!
 //! Decoding reads strings in place (a borrowed `&str`, UTF-8 checked)
 //! and makes atoms without an intermediate `String`; [`Names`] interns
 //! a document's repeated class and attribute names once per decode.
-//! The per-field readers and writers are `#[inline]`: `dps-server`
-//! calls them once per field from another crate.
+//! The per-field readers and writers are `#[inline]`: `dps-server` and
+//! `dps-core`'s commit log call them once per field from other crates,
+//! and the release profile has no LTO to inline them otherwise.
 
 use std::fmt;
 
 use crate::{Atom, AttrMap, Value, WmeData, WmeId};
+
+mod shaped;
+
+pub use shaped::RecordTables;
 
 /// Value tag of [`Value::Nil`].
 pub const NIL: u8 = 0;
@@ -60,8 +89,10 @@ pub enum CodecError {
         /// Offset of the first unconsumed byte.
         at: usize,
     },
-    /// A length field would not fit its `u32` width; encoding refuses
-    /// rather than truncate the count and corrupt the stream.
+    /// A number out of its range: a length that would not fit its `u32`
+    /// width (encoding refuses rather than truncate the count and corrupt
+    /// the stream), a varint past 64 bits, or an index past the table it
+    /// names.
     TooLarge,
     /// A replayed batch conflicts with the state it is applied to (a
     /// removal of a dead element, or an insertion of a live id). The
@@ -85,7 +116,9 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { at } => {
                 write!(f, "trailing bytes after a well-formed document (offset {at})")
             }
-            CodecError::TooLarge => write!(f, "length field exceeds its u32 width"),
+            CodecError::TooLarge => {
+                write!(f, "number out of its range (u32 length, 64-bit varint or table index)")
+            }
             CodecError::ReplayConflict(id) => {
                 write!(f, "redo batch conflicts with the base state at {id}; batch not applied")
             }
@@ -104,6 +137,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
@@ -174,12 +208,34 @@ impl<'a> Reader<'a> {
         Ok(WmeData { class, attrs })
     }
 
+    /// An LEB128 varint of at most ten bytes; a longer one, or a tenth
+    /// byte above 1, is [`CodecError::TooLarge`].
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0;
+        for i in 0..10 {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                return if i == 9 && b > 1 { Err(CodecError::TooLarge) } else { Ok(v) };
+            }
+        }
+        Err(CodecError::TooLarge)
+    }
+
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Offset of the next unread byte.
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// `true` once every byte has been read.
+    #[inline]
     pub fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -219,6 +275,34 @@ impl<'a> Names<'a> {
 /// `n` as a `u32` length field, or [`CodecError::TooLarge`].
 pub fn checked_len(n: usize) -> Result<u32, CodecError> {
     u32::try_from(n).map_err(|_| CodecError::TooLarge)
+}
+
+/// Bytes `v` takes as an LEB128 varint.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// Writes `v` as an LEB128 varint.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// `i` zig-zagged, so a small magnitude of either sign is a short varint.
+#[inline]
+pub fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+#[inline]
+pub fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
 }
 
 /// Writes a `u32`.

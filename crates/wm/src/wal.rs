@@ -171,6 +171,17 @@ struct SegmentScan {
     torn: bool,
 }
 
+/// The frame `[len: u32][crc: u32][payload]` at `pos` of `buf`: its
+/// CRC, its payload and the offset it ends at, or `None` when its header
+/// or its payload runs past the end of `buf`.
+fn frame_at(buf: &[u8], pos: usize) -> Option<(u32, &[u8], usize)> {
+    let mut r = Reader::new(buf.get(pos..)?);
+    let len = r.u32().ok()? as usize;
+    let crc = r.u32().ok()?;
+    let payload = r.take(len).ok()?;
+    Some((crc, payload, pos + 8 + len))
+}
+
 /// Scans the record stream of a segment body (after the header),
 /// applying the torn-tail rule: an incomplete frame or a CRC failure
 /// *touching end-of-buffer* is torn (prefix survives); a bad frame
@@ -178,46 +189,26 @@ struct SegmentScan {
 fn scan_records(buf: &[u8], header_len: usize) -> Result<SegmentScan, CodecError> {
     let mut records = Vec::new();
     let mut pos = header_len;
-    loop {
-        if pos == buf.len() {
-            return Ok(SegmentScan { records, valid_len: pos, torn: false });
-        }
-        // Frame header.
-        if buf.len() - pos < 8 {
-            // Torn frame header at EOF.
-            return Ok(SegmentScan { records, valid_len: pos, torn: true });
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        let body_end = match body_start.checked_add(len) {
-            Some(e) => e,
-            // Length overflows usize: cannot be a valid frame. Nothing
-            // can follow it either, so treat as torn tail.
-            None => return Ok(SegmentScan { records, valid_len: pos, torn: true }),
-        };
-        if body_end > buf.len() {
-            // Payload runs past EOF: torn write.
-            return Ok(SegmentScan { records, valid_len: pos, torn: true });
-        }
-        let payload = &buf[body_start..body_end];
-        if crc32(payload) != crc {
-            if body_end == buf.len() {
-                // The final frame is damaged — torn write on the tail.
-                return Ok(SegmentScan { records, valid_len: pos, torn: true });
+    while pos < buf.len() {
+        match frame_at(buf, pos) {
+            Some((crc, payload, end)) if crc32(payload) == crc => {
+                let mut r = Reader::new(payload);
+                let seq = r.u64()?;
+                let changes = decode_batch_body(&mut r)?;
+                if !r.at_end() {
+                    return Err(CodecError::TrailingBytes { at: pos + 8 + r.pos() });
+                }
+                records.push(WalRecord { seq, changes });
+                pos = end;
             }
             // Damage with valid data after it: genuine corruption.
-            return Err(CodecError::Corrupt { at: pos });
+            Some((_, _, end)) if end < buf.len() => return Err(CodecError::Corrupt { at: pos }),
+            // A frame running past EOF, or a damaged final frame: a torn
+            // write on the tail.
+            _ => return Ok(SegmentScan { records, valid_len: pos, torn: true }),
         }
-        let mut r = Reader::new(payload);
-        let seq = r.u64()?;
-        let changes = decode_batch_body(&mut r)?;
-        if !r.at_end() {
-            return Err(CodecError::TrailingBytes { at: pos + 8 + r.pos() });
-        }
-        records.push(WalRecord { seq, changes });
-        pos = body_end;
     }
+    Ok(SegmentScan { records, valid_len: pos, torn: false })
 }
 
 // ---------------------------------------------------------------------
@@ -634,14 +625,10 @@ impl WalWriter {
                 if !pending.is_empty() {
                     // Find the final frame boundary so exactly the last
                     // record is torn (earlier pending records land whole).
-                    let mut pos = 0usize;
-                    let mut last_start = 0usize;
-                    while pos + 8 <= pending.len() {
-                        let len = u32::from_le_bytes(
-                            pending[pos..pos + 4].try_into().expect("4 bytes"),
-                        ) as usize;
+                    let (mut pos, mut last_start) = (0, 0);
+                    while let Some((_, _, end)) = frame_at(&pending, pos) {
                         last_start = pos;
-                        pos += 8 + len;
+                        pos = end;
                     }
                     // Keep everything before the last frame, plus a strict
                     // prefix of the last frame (at least the len field, so
@@ -1108,12 +1095,8 @@ mod tests {
         // Flip a byte inside the SECOND record (valid data follows).
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
-        let first_len = u32::from_le_bytes(
-            bytes[SEGMENT_HEADER_LEN..SEGMENT_HEADER_LEN + 4]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let second = SEGMENT_HEADER_LEN + 8 + first_len + 12;
+        let (_, _, first_end) = frame_at(&bytes, SEGMENT_HEADER_LEN).unwrap();
+        let second = first_end + 12;
         bytes[second] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         match recover(&dir) {
