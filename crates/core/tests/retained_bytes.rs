@@ -13,16 +13,22 @@
 //!   `engine_match` and on `engine_contend`'s `charge` shape;
 //! - **bytes per tuple of an alpha memory** indexed on an attribute
 //!   every tuple holds a different value of (as `engine_match`'s
-//!   `item ^id`): the member map plus the index.
+//!   `item ^id`): the member map plus the index;
+//! - **bytes per stored tuple** of a working memory of `engine_match`'s
+//!   3-attribute `item`s and of `engine_contend`'s 2-attribute `task`s,
+//!   built pair by pair with `WmeData::with`: the shared `Wme`, its pair
+//!   vector and its share of the memory's tables.
 //!
 //! Measured (release and debug alike: the sizes are requested bytes,
 //! not the allocator's rounding):
 //!
-//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log | with its txn column | the last block's spare not counted | ops as shapes |
-//! |---|---|---|---|---|---|---|
-//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) | 31.5 B (26.2 encoded) | 27.1 B (26.2 encoded) | 18.3 B (17.3 encoded) |
-//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) | 26.3 B (23.0 encoded) | 23.7 B (23.0 encoded) | 14.2 B (13.1 encoded) |
-//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B |
+//! | record | grown by doubling, a map per index value | sized to what it holds, one inline member | encoded commit log | with its txn column | the last block's spare not counted | ops as shapes | hashed index keys, pairs sized |
+//! |---|---|---|---|---|---|---|---|
+//! | planned firing (`visit` / `fold`) | 336 B | 216 B | 26.4 B (25.2 encoded) | 31.5 B (26.2 encoded) | 27.1 B (26.2 encoded) | 18.3 B (17.3 encoded) | 18.3 B (17.3 encoded) |
+//! | contend firing (`charge`) | 288 B | 208 B | 26.3 B (22.0 encoded) | 26.3 B (23.0 encoded) | 23.7 B (23.0 encoded) | 14.2 B (13.1 encoded) | 14.2 B (13.1 encoded) |
+//! | alpha-memory tuple, unique index | 205.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B | 121.2 B | 68.8 B |
+//! | stored `item` tuple (3 attributes) | | | | | | 284.8 B | 244.8 B |
+//! | stored `task` tuple (2 attributes) | | | | | | 284.8 B | 204.8 B |
 //!
 //! The first two columns count the heap a kept `Firing` held beyond its
 //! slot in the trace vector (its key, its delta, each `make`'s and
@@ -44,7 +50,12 @@
 //! by its index in the log's shape table and carries only the values,
 //! and the key's later timestamps as differences: the shape table, a
 //! few dozen bytes for these rules' four op skeletons, is counted with
-//! the other tables.
+//! the other tables. With hashed index keys an alpha index entry is a
+//! `u64` hash of the value beside a two-word bucket, 24 B where a
+//! `Value` key beside an unboxed id map took 56 (the tuple in the bucket
+//! holds the value already), and a stored tuple's pair vector holds room
+//! for two pairs, then grows one at a time up to four, where doubling
+//! held four for one to three.
 //!
 //! The allocator lives here because an integration test is its own
 //! crate: `dps-core` itself forbids `unsafe_code`. It counts per thread
@@ -98,13 +109,16 @@ fn live() -> i64 {
     LIVE.with(Cell::get)
 }
 
-/// Ceilings, bytes per record: measured 18.3, 14.2 and 121.2, each
-/// firing ceiling under 2 B above its measurement; inline ops (27.1 and
-/// 23.7), kept `Firing`s (216 and 208) and per-value maps (205.2) fail
-/// each.
+/// Ceilings, bytes per record: measured 18.3, 14.2, 68.8, 244.8 and
+/// 204.8, each firing ceiling under 2 B above its measurement; inline
+/// ops (27.1 and 23.7), kept `Firing`s (216 and 208), value keys
+/// (121.2), a hashed key beside an unboxed bucket (95.0) and one pair
+/// of slack per tuple (+40 B) fail each.
 const PLANNED_FIRING_BYTES: f64 = 20.0;
 const CONTEND_FIRING_BYTES: f64 = 16.0;
-const ALPHA_TUPLE_BYTES: f64 = 136.0;
+const ALPHA_TUPLE_BYTES: f64 = 80.0;
+const ITEM_TUPLE_BYTES: f64 = 256.0;
+const TASK_TUPLE_BYTES: f64 = 216.0;
 
 /// `visit` as `engine_match` writes it, and the `fold` its output feeds.
 const VISIT_FOLD: &str = "(p visit (cursor ^at <i>) (kind ^kind <k> ^w <w>)
@@ -198,4 +212,32 @@ fn a_unique_index_value_holds_its_tuple_inline() {
     println!("alpha memory: {N} tuples on a unique index hold {per:.1} bytes each");
     assert_eq!(net.memory(mem).len(), N as usize);
     assert!(per <= ALPHA_TUPLE_BYTES, "{per:.1} B per tuple");
+}
+
+/// The heap a working memory of `n` tuples built by `make` holds, per
+/// tuple: the shared `Wme`, its pair vector, and its share of the
+/// relation's and the id map's tables.
+fn bytes_per_stored_tuple(name: &str, n: i64, make: impl Fn(i64) -> WmeData) -> f64 {
+    drop(make(0)); // interns the class and attribute names beforehand
+    let before = live();
+    let mut wm = WorkingMemory::new();
+    for i in 0..n {
+        wm.insert(make(i));
+    }
+    let per = (live() - before) as f64 / n as f64;
+    println!("{name}: {n} stored tuples hold {per:.1} bytes each");
+    assert_eq!(wm.len(), n as usize);
+    per
+}
+
+#[test]
+fn a_stored_tuple_holds_only_its_pairs() {
+    let item = bytes_per_stored_tuple("item (3 attributes)", 10_000, |i| {
+        WmeData::new("item").with("id", i).with("kind", i % KINDS).with("next", i + 1)
+    });
+    let task = bytes_per_stored_tuple("task (2 attributes)", 10_000, |i| {
+        WmeData::new("task").with("res", i % TALLIES).with("left", 0i64)
+    });
+    assert!(item <= ITEM_TUPLE_BYTES, "item: {item:.1} B per stored tuple");
+    assert!(task <= TASK_TUPLE_BYTES, "task: {task:.1} B per stored tuple");
 }

@@ -2,8 +2,9 @@
 //! rules and across matchers (Rete and TREAT use the same structure).
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use dps_rules::{ConditionElement, Predicate, RuleSet, TestAtom};
@@ -82,21 +83,24 @@ pub(crate) fn index_key(v: &Value) -> Cow<'_, Value> {
 /// A memory's member list: shared WMEs by id.
 type Members = IdMap<WmeId, Arc<Wme>>;
 
-/// The members of one index value. Most values of an indexed attribute
-/// (an id, a key) are held by one tuple, so a bucket keeps its first
-/// member inline and becomes an id map only at its second — and stays
-/// one until it empties, so lookup order is the map's from then on.
+/// The members of one index key: the tuples whose normalised value
+/// hashes to it, so under a hash collision a bucket holds more than one
+/// value's tuples and [`AlphaMemory::lookup`] sorts them out. Most
+/// values of an indexed attribute (an id, a key) are held by one tuple,
+/// so a bucket keeps its first member inline and becomes a boxed id map
+/// only at its second — and stays one until it empties, so lookup order
+/// is the map's from then on. Either way the bucket is two words.
 #[derive(Clone, Debug)]
 enum Bucket {
     One(Arc<Wme>),
-    Many(Members),
+    Many(Box<Members>),
 }
 
 impl Bucket {
     fn insert(&mut self, wme: &Arc<Wme>) {
         match self {
             Bucket::One(first) => {
-                let mut members = Members::default();
+                let mut members = Box::<Members>::default();
                 members.insert(first.id, Arc::clone(first));
                 members.insert(wme.id, Arc::clone(wme));
                 *self = Bucket::Many(members);
@@ -121,7 +125,7 @@ impl Bucket {
     fn members(&self) -> impl Iterator<Item = &Arc<Wme>> + '_ {
         let (one, many) = match self {
             Bucket::One(w) => (Some(w), None),
-            Bucket::Many(m) => (None, Some(m)),
+            Bucket::Many(m) => (None, Some(&**m)),
         };
         one.into_iter().chain(many.into_iter().flat_map(IdMap::values))
     }
@@ -130,16 +134,24 @@ impl Bucket {
 /// One alpha memory: the WMEs passing one class + constant-test
 /// signature, shared by reference with every token and join candidate.
 /// Membership, index-bucket insertion and removal are all O(1).
+///
+/// A value index is keyed by a hash of the normalised value, not by the
+/// value: the tuples in a bucket already hold it, so an entry is the
+/// 8-byte hash and a two-word `Bucket` (24 bytes, where a [`Value`]
+/// key beside an unboxed id map took 56). The hash is keyed per memory
+/// (`S`, a fresh [`RandomState`]), so clients, who choose the values,
+/// cannot aim collisions; the id hasher then spreads the hashes.
 #[derive(Clone, Debug, Default)]
-pub struct AlphaMemory {
+pub struct AlphaMemory<S = RandomState> {
     wmes: Members,
-    /// Per-attribute value indexes (normalised keys), registered by join
-    /// nodes that test equality on the attribute; a join keeps its
-    /// index's position.
-    indexes: Vec<(Atom, HashMap<Value, Bucket>)>,
+    /// Per-attribute value indexes, registered by join nodes that test
+    /// equality on the attribute; a join keeps its index's position.
+    indexes: Vec<(Atom, IdMap<u64, Bucket>)>,
+    /// Hashes a normalised value to its index key.
+    keyer: S,
 }
 
-impl AlphaMemory {
+impl<S: BuildHasher> AlphaMemory<S> {
     /// Live members (no particular order).
     pub fn wmes(&self) -> impl Iterator<Item = &Arc<Wme>> + '_ {
         self.wmes.values()
@@ -166,29 +178,36 @@ impl AlphaMemory {
         if let Some(i) = self.indexes.iter().position(|(a, _)| a == attr) {
             return i;
         }
-        let mut by_val = HashMap::new();
+        let mut by_key = IdMap::default();
         for w in self.wmes.values() {
-            index_insert(&mut by_val, attr, w);
+            index_insert(&mut by_key, self.keyer.hash_one(index_value(w, attr)), w);
         }
-        self.indexes.push((attr.clone(), by_val));
+        self.indexes.push((attr.clone(), by_key));
         self.indexes.len() - 1
     }
 
-    /// Members whose (normalised) value of index `index`'s attribute
-    /// equals `key`.
-    pub fn lookup(&self, index: usize, key: &Value) -> impl Iterator<Item = &Arc<Wme>> + '_ {
-        self.indexes[index]
-            .1
-            .get(key)
+    /// Members whose normalised value of index `index`'s attribute
+    /// equals `key` (a normalised value): the members of `key`'s bucket,
+    /// filtered by value, so a hash collision returns no other value's
+    /// tuple.
+    pub fn lookup<'a>(
+        &'a self,
+        index: usize,
+        key: &'a Value,
+    ) -> impl Iterator<Item = &'a Arc<Wme>> + 'a {
+        let (attr, by_key) = &self.indexes[index];
+        by_key
+            .get(&self.keyer.hash_one(key))
             .into_iter()
             .flat_map(Bucket::members)
+            .filter(move |w| *index_value(w, attr) == *key)
     }
 
     fn insert(&mut self, wme: &Arc<Wme>) {
         self.remove(wme.id); // a re-assertion without a retraction replaces
         self.wmes.insert(wme.id, Arc::clone(wme));
-        for (attr, by_val) in &mut self.indexes {
-            index_insert(by_val, attr, wme);
+        for (attr, by_key) in &mut self.indexes {
+            index_insert(by_key, self.keyer.hash_one(index_value(wme, attr)), wme);
         }
     }
 
@@ -196,20 +215,24 @@ impl AlphaMemory {
         let Some(wme) = self.wmes.remove(&id) else {
             return false;
         };
-        for (attr, by_val) in &mut self.indexes {
-            let key = index_key(attr_of(&wme, attr.as_str()));
-            if by_val.get_mut(&*key).is_some_and(|bucket| bucket.remove(id)) {
-                by_val.remove(&*key);
+        for (attr, by_key) in &mut self.indexes {
+            let key = self.keyer.hash_one(index_value(&wme, attr));
+            if by_key.get_mut(&key).is_some_and(|bucket| bucket.remove(id)) {
+                by_key.remove(&key);
             }
         }
         true
     }
 }
 
-/// Files `wme` under its (normalised) value of `attr`.
-fn index_insert(by_val: &mut HashMap<Value, Bucket>, attr: &Atom, wme: &Arc<Wme>) {
-    let key = index_key(attr_of(wme, attr.as_str())).into_owned();
-    match by_val.entry(key) {
+/// `wme`'s normalised value of `attr`: what a value index files it by.
+fn index_value<'a>(wme: &'a Wme, attr: &Atom) -> Cow<'a, Value> {
+    index_key(attr_of(wme, attr.as_str()))
+}
+
+/// Files `wme` under index key `key`.
+fn index_insert(by_key: &mut IdMap<u64, Bucket>, key: u64, wme: &Arc<Wme>) {
+    match by_key.entry(key) {
         Entry::Occupied(mut bucket) => bucket.get_mut().insert(wme),
         Entry::Vacant(slot) => {
             slot.insert(Bucket::One(Arc::clone(wme)));
@@ -470,8 +493,64 @@ mod tests {
         assert_eq!(net.memory(ids[0]).get(WmeId(2)).unwrap().id, WmeId(2));
         assert!(net.memory(ids[0]).get(WmeId(1)).is_none());
         remove(&mut net, "m", 3);
-        assert!(bucket(net.memory(ids[0]), ix, Value::Int(5)).is_empty());
-        assert!(!net.memory(ids[0]).indexes[ix].1.contains_key(&Value::Int(5)), "bucket dropped");
+        let mem = net.memory(ids[0]);
+        assert!(bucket(mem, ix, Value::Int(5)).is_empty());
+        let five = mem.keyer.hash_one(Value::Int(5));
+        assert!(!mem.indexes[ix].1.contains_key(&five), "bucket dropped");
+        assert_eq!(mem.indexes[ix].1.len(), 1, "only value 3's bucket is left");
+    }
+
+    /// Hashes every value to one key, so every index value collides.
+    #[derive(Default)]
+    struct Collide;
+
+    impl std::hash::Hasher for Collide {
+        fn finish(&self) -> u64 {
+            7
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    #[test]
+    fn lookup_is_exact_when_every_value_collides() {
+        let mut mem = AlphaMemory::<std::hash::BuildHasherDefault<Collide>>::default();
+        let ix = mem.ensure_index(&Atom::from("k"));
+        let ids = |mem: &AlphaMemory<_>, key: Value| {
+            let mut ids: Vec<u64> = mem.lookup(ix, &key).map(|w| w.id.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        // One inline member answers only for its own value.
+        mem.insert(&wme(1, "m", &[("k", Value::Int(3))]));
+        assert_eq!(ids(&mem, Value::Int(3)), [1]);
+        assert!(ids(&mem, Value::Int(5)).is_empty());
+        mem.insert(&wme(2, "m", &[("k", Value::Int(5))]));
+        mem.insert(&wme(3, "m", &[("k", Value::Int(3))]));
+        mem.insert(&wme(4, "m", &[("k", Value::Float(5.0))]));
+        mem.insert(&wme(5, "m", &[]));
+        assert_eq!(mem.indexes[ix].1.len(), 1, "one bucket holds every value");
+        assert_eq!(ids(&mem, Value::Int(3)), [1, 3]);
+        assert_eq!(
+            ids(&mem, Value::Int(5)),
+            [2, 4],
+            "Float(5.0) is filed as Int(5)"
+        );
+        assert_eq!(ids(&mem, Value::Nil), [5], "an absent attribute is Nil");
+        assert!(ids(&mem, Value::Int(9)).is_empty());
+        // Removing one value's members keeps the other values'.
+        mem.remove(WmeId(2));
+        mem.remove(WmeId(4));
+        assert!(ids(&mem, Value::Int(5)).is_empty());
+        assert_eq!(ids(&mem, Value::Int(3)), [1, 3]);
+        assert_eq!(ids(&mem, Value::Nil), [5]);
+        for id in [1, 3, 5] {
+            mem.remove(WmeId(id));
+        }
+        assert!(ids(&mem, Value::Int(3)).is_empty());
+        assert!(
+            mem.indexes[ix].1.is_empty(),
+            "the emptied bucket is dropped"
+        );
     }
 
     #[test]

@@ -53,6 +53,8 @@
 //! tokens' key value — so activations probe a bucket instead of
 //! scanning the whole memory (keys are normalised so the strict hash
 //! lookup coincides with the matcher's numerically coercing equality).
+//! An alpha bucket is keyed by a keyed hash of the value, and its lookup
+//! returns only the members that hold the probed value.
 //!
 //! Removal is exact (no recomputation): every token records its parent
 //! and children, a WME-to-token index locates all tokens carrying a

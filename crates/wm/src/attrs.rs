@@ -7,11 +7,13 @@ use crate::{Atom, Value};
 
 /// Attribute → value map, kept as a vector sorted by attribute.
 ///
-/// A WME has a handful of attributes, and its payload is copied on every
-/// commit (into the relation, the change batch and each match shard), so
-/// the map is one exact-size allocation and, atoms being pointer copies,
-/// a clone is that allocation plus a copy of the pairs — where a
-/// `BTreeMap` allocates a ~450-byte leaf node for its first entry.
+/// A WME has a handful of attributes, and working memory keeps every
+/// tuple for the life of a run, so the map is one allocation sized to
+/// its pairs: built pair by pair, it reserves two, then one more at a
+/// time up to four, then doubles; a decoder that reads a pair count
+/// sizes it from that count. Atoms being pointer copies, a clone is
+/// that allocation plus a copy of the pairs — where a `BTreeMap`
+/// allocates a ~450-byte leaf node for its first entry.
 /// Updates binary-search; [`AttrMap::get`] scans for an equal key.
 /// Iteration is in key order, and `Debug` prints exactly what a
 /// `BTreeMap` would, so codecs, fingerprints and test output are
@@ -50,6 +52,20 @@ impl AttrMap {
         self.0.is_empty()
     }
 
+    /// Inserts a pair at `i`, growing by [`AttrMap`]'s policy: two pairs
+    /// first, then one at a time up to four, then doubling.
+    fn insert_at(&mut self, i: usize, key: Atom, value: Value) {
+        let cap = self.0.capacity();
+        if self.0.len() == cap {
+            self.0.reserve_exact(match cap {
+                0 => 2,
+                1..=3 => 1,
+                _ => cap,
+            });
+        }
+        self.0.insert(i, (key, value));
+    }
+
     fn find<Q: Ord + ?Sized>(&self, key: &Q) -> Result<usize, usize>
     where
         Atom: Borrow<Q>,
@@ -80,7 +96,7 @@ impl AttrMap {
         match self.find(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
             Err(i) => {
-                self.0.insert(i, (key, value));
+                self.insert_at(i, key, value);
                 None
             }
         }
@@ -92,7 +108,7 @@ impl AttrMap {
         match self.find(&key) {
             Ok(_) => false,
             Err(i) => {
-                self.0.insert(i, (key, value));
+                self.insert_at(i, key, value);
                 true
             }
         }
@@ -188,6 +204,26 @@ mod tests {
         .collect();
         let pairs: Vec<(&str, &Value)> = m.iter().map(|(k, v)| (k.as_str(), v)).collect();
         assert_eq!(pairs, [("a", &Value::Int(2)), ("b", &Value::Int(3))]);
+    }
+
+    #[test]
+    fn grows_two_then_one_pair_at_a_time_to_four_then_doubles() {
+        let mut m = AttrMap::new();
+        let caps: Vec<usize> = (0..9)
+            .map(|i| {
+                m.insert(Atom::from(format!("a{i}")), Value::Int(i));
+                m.0.capacity()
+            })
+            .collect();
+        assert_eq!(caps, [2, 2, 3, 4, 8, 8, 8, 8, 16]);
+        let mut sized = AttrMap::with_capacity(1);
+        sized.insert(Atom::from("a"), Value::Nil);
+        assert!(sized.insert_if_absent(Atom::from("b"), Value::Nil));
+        assert_eq!(
+            sized.0.capacity(),
+            2,
+            "a decoder's exact size grows one pair"
+        );
     }
 
     #[test]

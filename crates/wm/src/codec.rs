@@ -196,12 +196,19 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// A tuple, its class and attribute names through `names`.
+    /// A tuple, its class and attribute names through `names`; its
+    /// attribute map is sized to the pair count read.
     #[inline]
     pub fn data(&mut self, names: &mut Names<'a>) -> Result<WmeData, CodecError> {
         let class = names.read(self)?;
-        let mut attrs = AttrMap::new();
-        for _ in 0..self.u32()? {
+        let n = self.u32()?;
+        // A pair takes five bytes at least (a name's length and a
+        // value's tag), so a count the input cannot hold reserves nothing.
+        if n as usize > self.remaining() / 5 {
+            return Err(CodecError::Truncated);
+        }
+        let mut attrs = AttrMap::with_capacity(n as usize);
+        for _ in 0..n {
             let attr = names.read(self)?;
             attrs.insert(attr, self.value()?);
         }

@@ -31,8 +31,9 @@ impl fmt::Display for WmeId {
 /// SipHash, and — having no random state — the same iteration order on
 /// every run. `finish` rotates the well-mixed high bits down to where
 /// the table takes its bucket index, so strided ids do not cluster.
-/// Tables keyed by attribute *values* (which clients choose) keep the
-/// standard collision-resistant hasher.
+/// Tables keyed by attribute *values* (which clients choose) take a
+/// keyed hash, then the id hasher: the alpha memories' value indexes
+/// key each bucket by a per-memory `RandomState` hash of the value.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IdHasher(u64);
 

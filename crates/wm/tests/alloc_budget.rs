@@ -18,7 +18,16 @@
 //!   relation, change batches, version chains and match shards share:
 //!   2 175, 2.18 per tuple — one more per tuple, paid once per tuple
 //!   instead of once per holder; 2 180 with `class_of` split into one
-//!   map per 4096-id range.
+//!   map per 4096-id range;
+//! - with the attribute map grown two pairs, then one at a time up to
+//!   four, and the decoder still growing it pair by pair: 2.52 per
+//!   tuple; sized from the pair count it reads: 2 180, 2.18 again.
+//!
+//! A tuple built pair by pair with `WmeData::with` holds room for its
+//! pairs only up to four: one or two attributes take 80 B (one
+//! allocation), three 120 B (two), four 160 B (three), five 320 B
+//! (four); by doubling, one to three took 160 B. A snapshot whose pair
+//! count claims `u32::MAX` is refused before anything is reserved.
 //!
 //! Cloning the same working memory (the engines' retained initial
 //! memory, `final_wm()`, the §3 enumerator's branches, a checkpoint)
@@ -53,27 +62,33 @@ use dps_wm::{Atom, Change, DeltaSet, Value, WmError, WmeData, WmeId, WorkingMemo
 struct Counting;
 
 thread_local! {
-    /// This thread's allocations (`const`-initialised and drop-free, so
-    /// the allocator may touch it at any point of a thread's life).
+    /// This thread's allocations, live heap bytes and largest request
+    /// (`const`-initialised and drop-free, so the allocator may touch
+    /// them at any point of a thread's life).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(grown: i64, request: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(request)));
 }
 
-// SAFETY: defers to `System` unchanged; the counter is a thread-local
-// cell that never allocates.
+// SAFETY: defers to `System` unchanged; the counters are thread-local
+// cells that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64, layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64, new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -143,6 +158,57 @@ fn snapshot_decode_stays_within_its_allocation_budget() {
         "a {TUPLES}-tuple snapshot decode made {allocs} allocations \
          ({per_tuple:.2} per tuple), budget {PER_TUPLE} per tuple"
     );
+}
+
+/// What a tuple of one to five attributes built by `WmeData::with`
+/// allocates (counting each growth) and holds: its pair vector reserves
+/// two pairs, then one more a pair up to four, then doubles.
+#[test]
+fn a_tuple_built_pair_by_pair_holds_its_pairs() {
+    const PAIR: usize = std::mem::size_of::<(Atom, Value)>();
+    let names: Vec<Atom> = (0..5).map(|i| Atom::from(format!("attr{i}"))).collect();
+    let class = Atom::from("tuple");
+    for (n, (want_allocs, want_pairs)) in
+        [(1, 2), (1, 2), (2, 3), (3, 4), (4, 8)].into_iter().enumerate()
+    {
+        let n = n + 1;
+        let before = LIVE.with(Cell::get);
+        let (data, allocs) = allocations_once(|| {
+            let mut data = WmeData::new(class.clone());
+            for (i, name) in names.iter().take(n).enumerate() {
+                data = data.with(name.clone(), i as i64);
+            }
+            data
+        });
+        let held = LIVE.with(Cell::get) - before;
+        println!("a {n}-attribute tuple: {allocs} allocations, holds {held} B");
+        assert_eq!(data.attrs.len(), n);
+        assert_eq!(allocs, want_allocs, "allocations of a {n}-attribute tuple");
+        assert_eq!(held, (want_pairs * PAIR) as i64, "bytes a {n}-attribute tuple holds");
+    }
+}
+
+/// A snapshot whose one tuple claims `u32::MAX` attributes is refused
+/// before its attribute map reserves anything: no request during the
+/// decode reaches a kilobyte (the memory's own tables ask for 128 B;
+/// room for the claimed pairs would be 160 GiB).
+#[test]
+fn a_hostile_attribute_count_reserves_nothing() {
+    let mut wm = WorkingMemory::new();
+    wm.insert(WmeData::new("probe").with("only_attr", 1i64));
+    let mut snapshot = wm.encode_snapshot().unwrap();
+    // The tuple's count (1), then its one attribute name.
+    let mut pattern = 1u32.to_le_bytes().to_vec();
+    pattern.extend_from_slice(&9u32.to_le_bytes());
+    pattern.extend_from_slice(b"only_attr");
+    let at = snapshot.windows(pattern.len()).position(|w| w == pattern).expect("the count");
+    assert_eq!(WorkingMemory::decode_snapshot(&snapshot).unwrap().len(), 1);
+    snapshot[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    LARGEST.with(|n| n.set(0));
+    let decoded = WorkingMemory::decode_snapshot(&snapshot);
+    let largest = LARGEST.with(Cell::get);
+    assert!(decoded.is_err(), "a count the input cannot hold is an error");
+    assert!(largest < 1024, "decoding a hostile count requested {largest} bytes at once");
 }
 
 #[test]
